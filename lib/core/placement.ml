@@ -22,8 +22,8 @@ type t = {
   capacity_elems : int;
   buf : bytes;
   tracker : Vreassembly.t;  (* reuses interval tracking for fill state *)
-  occ : bytes;  (* one byte per element: the element holds placed data *)
-  lck : bytes;  (* one byte per element: the data is verified-locked *)
+  occ : bytes;  (* one bit per element: the element holds placed data *)
+  lck : bytes;  (* one bit per element: the data is verified-locked *)
   mutable conflicts_seen : int;
   mutable conflicts_rejected : int;
   mutable quarantined : int;
@@ -40,8 +40,8 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     capacity_elems;
     buf = Bytes.make (capacity_elems * elem_size) '\000';
     tracker = Vreassembly.create ();
-    occ = Bytes.make capacity_elems '\000';
-    lck = Bytes.make capacity_elems '\000';
+    occ = Bytes.make ((capacity_elems + 7) lsr 3) '\000';
+    lck = Bytes.make ((capacity_elems + 7) lsr 3) '\000';
     conflicts_seen = 0;
     conflicts_rejected = 0;
     quarantined = 0;
@@ -55,67 +55,144 @@ let sn_of p (c : Chunk.t) =
   | Tpdu -> h.Header.t.Ftuple.sn
   | External -> h.Header.x.Ftuple.sn
 
-let occupied p e = Bytes.get p.occ e <> '\000'
-let is_locked p e = Bytes.get p.lck e <> '\000'
+(* {2 One-bit element maps}
 
-(* Do element [e] of the buffer and element [i] of [src] hold the same
-   bytes? *)
-let same p ~src i e =
-  let es = p.elem_size in
-  let rec go k =
-    k = es
-    || Bytes.get src ((i * es) + k) = Bytes.get p.buf ((e * es) + k)
-       && go (k + 1)
+   Element [e] is bit [e land 7] of byte [e lsr 3].  Runs are set and
+   scanned a byte at a time; only a run's ragged head and tail go bit by
+   bit. *)
+
+let bit bm e = Char.code (Bytes.get bm (e lsr 3)) land (1 lsl (e land 7)) <> 0
+
+let set_bit bm e =
+  let i = e lsr 3 in
+  Bytes.set bm i
+    (Char.unsafe_chr (Char.code (Bytes.get bm i) lor (1 lsl (e land 7))))
+
+let set_bits bm sn len =
+  let stop = sn + len in
+  let e = ref sn in
+  while !e < stop && !e land 7 <> 0 do
+    set_bit bm !e;
+    incr e
+  done;
+  let whole = (stop - !e) lsr 3 in
+  Bytes.fill bm (!e lsr 3) whole '\255';
+  e := !e + (whole lsl 3);
+  while !e < stop do
+    set_bit bm !e;
+    incr e
+  done
+
+(* The first element in [e, stop) whose bit is [v], or [stop]. *)
+let rec next_bit bm ~v e stop =
+  if e >= stop then stop
+  else if
+    e land 7 = 0
+    && Bytes.get bm (e lsr 3) = (if v then '\000' else '\255')
+  then next_bit bm ~v (e + 8) stop
+  else if bit bm e = v then e
+  else next_bit bm ~v (e + 1) stop
+
+let occupied p e = bit p.occ e
+let is_locked p e = bit p.lck e
+
+(* Do [n] bytes of [a] at [ai] equal [n] bytes of [b] at [bi]? *)
+let equal_sub a ai b bi n =
+  let rec words k =
+    if k + 8 > n then tail k
+    else
+      Bytes.get_int64_ne a (ai + k) = Bytes.get_int64_ne b (bi + k)
+      && words (k + 8)
+  and tail k =
+    k = n || (Bytes.get a (ai + k) = Bytes.get b (bi + k) && tail (k + 1))
   in
-  go 0
+  words 0
 
-(* The first-verified-wins policy, one element at a time.  [verified]
-   marks a write made on behalf of a TPDU whose WSC-2 parity has already
-   passed; such a write may reclaim bytes from an unverified squatter but
-   must never touch a locked (verified) region that disagrees with it. *)
+(* An ascending run list under construction: [closed] holds the
+   finished runs newest first, the open run is [start, start + len). *)
+type runs = {
+  mutable closed : (int * int) list;
+  mutable start : int;
+  mutable len : int;
+}
+
+let runs () = { closed = []; start = 0; len = 0 }
+
+let extend r e n =
+  if r.len > 0 && r.start + r.len = e then r.len <- r.len + n
+  else begin
+    if r.len > 0 then r.closed <- (r.start, r.len) :: r.closed;
+    r.start <- e;
+    r.len <- n
+  end
+
+let finish r =
+  List.rev (if r.len > 0 then (r.start, r.len) :: r.closed else r.closed)
+
+(* The first-verified-wins policy.  [verified] marks a write made on
+   behalf of a TPDU whose WSC-2 parity has already passed; such a write
+   may reclaim bytes from an unverified squatter but must never touch a
+   locked (verified) region that disagrees with it.
+
+   The outcome is defined per element, but computed per run: a maximal
+   run of unoccupied elements is one blit and one bulk mark, a run of
+   occupied elements whose bytes all match is one benign entry, and only
+   the elements of a mismatching occupied run go through the policy one
+   at a time. *)
 let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
   let es = p.elem_size in
-  let fresh = ref [] and benign = ref [] and conflicts = ref [] in
-  let push acc e =
-    match !acc with
-    | (s, l) :: rest when s + l = e -> acc := (s, l + 1) :: rest
-    | _ -> acc := (e, 1) :: !acc
-  in
+  let fresh = runs () and benign = runs () and conflicts = ref [] in
   let push_conflict e k =
     match !conflicts with
     | (s, l, k') :: rest when s + l = e && k' = k ->
         conflicts := (s, l + 1, k') :: rest
     | _ -> conflicts := (e, 1, k) :: !conflicts
   in
-  for i = 0 to len - 1 do
-    let e = sn + i in
-    if not (occupied p e) then begin
-      Bytes.blit src (i * es) p.buf (e * es) es;
-      Bytes.set p.occ e '\001';
-      push fresh e
-    end
-    else if same p ~src i e then push benign e
-    else if is_locked p e then begin
-      (* the resident bytes are WSC-2-verified: the newcomer is counted,
-         traced and discarded — whoever verified first owns the bytes *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      p.conflicts_rejected <- p.conflicts_rejected + 1;
-      if verified then p.verified_overwrites <- p.verified_overwrites + 1;
-      push_conflict e Verified_conflict
-    end
-    else if verified then begin
-      (* a verified newcomer reclaims bytes an unverified squatter wrote *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      Bytes.blit src (i * es) p.buf (e * es) es;
-      push fresh e
+  let stop = sn + len in
+  let e = ref sn in
+  while !e < stop do
+    let e0 = !e in
+    let i0 = e0 - sn in
+    if not (occupied p e0) then begin
+      let n = next_bit p.occ ~v:true e0 stop - e0 in
+      Bytes.blit src (i0 * es) p.buf (e0 * es) (n * es);
+      set_bits p.occ e0 n;
+      extend fresh e0 n;
+      e := e0 + n
     end
     else begin
-      (* neither side is verified yet: leave the resident bytes alone and
-         report the run so the caller can quarantine the newcomer until a
-         parity settles the dispute *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      p.quarantined <- p.quarantined + 1;
-      push_conflict e Fresh_conflict
+      let n = next_bit p.occ ~v:false e0 stop - e0 in
+      if equal_sub src (i0 * es) p.buf (e0 * es) (n * es) then extend benign e0 n
+      else
+        for e = e0 to e0 + n - 1 do
+          let i = e - sn in
+          if equal_sub src (i * es) p.buf (e * es) es then extend benign e 1
+          else if is_locked p e then begin
+            (* the resident bytes are WSC-2-verified: the newcomer is
+               counted, traced and discarded — whoever verified first
+               owns the bytes *)
+            p.conflicts_seen <- p.conflicts_seen + 1;
+            p.conflicts_rejected <- p.conflicts_rejected + 1;
+            if verified then p.verified_overwrites <- p.verified_overwrites + 1;
+            push_conflict e Verified_conflict
+          end
+          else if verified then begin
+            (* a verified newcomer reclaims bytes an unverified squatter
+               wrote *)
+            p.conflicts_seen <- p.conflicts_seen + 1;
+            Bytes.blit src (i * es) p.buf (e * es) es;
+            extend fresh e 1
+          end
+          else begin
+            (* neither side is verified yet: leave the resident bytes
+               alone and report the run so the caller can quarantine the
+               newcomer until a parity settles the dispute *)
+            p.conflicts_seen <- p.conflicts_seen + 1;
+            p.quarantined <- p.quarantined + 1;
+            push_conflict e Fresh_conflict
+          end
+        done;
+      e := e0 + n
     end
   done;
   (* overlap-tolerant accounting: every covered element counts once,
@@ -142,8 +219,8 @@ let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
              }))
       conflicts;
   {
-    rp_fresh = List.rev !fresh;
-    rp_benign = List.rev !benign;
+    rp_fresh = finish fresh;
+    rp_benign = finish benign;
     rp_conflicts = conflicts;
   }
 
@@ -175,10 +252,10 @@ let lock_span p ~sn ~len =
   if sn >= 0 && len > 0 && len <= p.capacity_elems
      && sn <= p.capacity_elems - len
   then begin
-    Bytes.fill p.lck sn len '\001';
+    set_bits p.lck sn len;
     (* locked implies occupied: verified bytes are content, whatever a
        snapshot restored around them *)
-    Bytes.fill p.occ sn len '\001'
+    set_bits p.occ sn len
   end
 
 let spans p = Vreassembly.spans p.tracker
@@ -193,7 +270,7 @@ let restore_span p ~sn data =
       Error "Placement.restore_span: outside destination window"
     else begin
       Bytes.blit data 0 p.buf (sn * p.elem_size) n;
-      Bytes.fill p.occ sn len '\001';
+      set_bits p.occ sn len;
       (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
       | Ok _ | Error `Inconsistent -> ());
       Ok ()

@@ -27,6 +27,11 @@
       {!place_verified} write then reclaims the bytes from the
       unverified squatter.
 
+    The policy is defined per element but applied per run: a maximal
+    run of unplaced elements is written with one copy, a run of placed
+    elements whose bytes all match is one benign entry, and only the
+    elements of a mismatching run are decided one at a time.
+
     The result is arrival-order {e determinism}: delivered bytes always
     come from the first TPDU to pass verification over that region, for
     every interleaving of an overlap set. *)
@@ -70,7 +75,10 @@ type t
 
 val create : level:level -> base_sn:int -> capacity_elems:int -> elem_size:int -> t
 (** A destination buffer of [capacity_elems * elem_size] bytes; element
-    [base_sn] of the chosen level lands at offset 0. *)
+    [base_sn] of the chosen level lands at offset 0.  The policy state
+    is two one-bit-per-element maps (placed, verified-locked), so the
+    whole placement costs [capacity_elems * elem_size
+    + 2 * ceil(capacity_elems / 8)] bytes, all allocated here. *)
 
 val place : t -> Chunk.t -> (unit, string) result
 (** Copy a data chunk's payload to its home offset under the

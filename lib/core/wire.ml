@@ -91,16 +91,16 @@ let encode_packet ?capacity chunks =
 
 let record_overhead = 4 + 1 + 8
 
+(* The payload is copied once, into the body the parity covers, and the
+   body once more, into [buf]. *)
 let encode_record buf ~tag payload =
   if tag < 0 || tag > 0xFF then invalid_arg "Wire.encode_record: bad tag";
-  let n = Bytes.length payload in
+  let n = Buffer.length payload in
   let body = Bytes.create (1 + n) in
   Bytes.set_uint8 body 0 tag;
-  Bytes.blit payload 0 body 1 n;
+  Buffer.blit payload 0 body 1 n;
   let par = Wsc2.encode_bytes ~pos:0 body in
-  let len = Bytes.create 4 in
-  Bytes.set_int32_be len 0 (Int32.of_int n);
-  Buffer.add_bytes buf len;
+  Buffer.add_int32_be buf (Int32.of_int n);
   Buffer.add_bytes buf body;
   Buffer.add_bytes buf (Wsc2.parity_to_bytes par)
 

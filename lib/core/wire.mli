@@ -169,8 +169,9 @@ end
 val record_overhead : int
 (** Framing bytes per record beyond the payload (13). *)
 
-val encode_record : Buffer.t -> tag:int -> bytes -> unit
-(** Append one record.
+val encode_record : Buffer.t -> tag:int -> Buffer.t -> unit
+(** [encode_record buf ~tag payload] appends one record carrying the
+    contents of [payload] to [buf].
     @raise Invalid_argument if [tag] is outside [0, 255]. *)
 
 val decode_record : bytes -> int -> (int * bytes * int, string) result

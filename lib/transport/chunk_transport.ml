@@ -320,24 +320,26 @@ module Receiver = struct
     rx
 
   (* Place the fresh sub-run [t_sn, t_sn+elems) of [chunk] straight into
-     the application buffer — spatial reordering, one pass. *)
+     the application buffer — spatial reordering, one pass.  When the
+     fresh run is the whole chunk (the common case) the chunk itself is
+     placed; only a partly fresh chunk is cut down to its fresh part. *)
   let place_fresh rx chunk ~t_sn ~elems =
     let h = chunk.Chunk.header in
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
-    let sub_c =
-      Ftuple.v ~id:h.Header.c.Ftuple.id
-        ~sn:(h.Header.c.Ftuple.sn + off_elems)
-        ()
+    let sub =
+      if off_elems = 0 && elems = h.Header.len then Ok chunk
+      else
+        Chunk.data ~size
+          ~c:
+            (Ftuple.v ~id:h.Header.c.Ftuple.id
+               ~sn:(h.Header.c.Ftuple.sn + off_elems)
+               ())
+          ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
+          ~x:h.Header.x
+          (Bytes.sub chunk.Chunk.payload (off_elems * size) (elems * size))
     in
-    let sub_payload =
-      Bytes.sub chunk.Chunk.payload (off_elems * size) (elems * size)
-    in
-    match
-      Chunk.data ~size ~c:sub_c
-        ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
-        ~x:h.Header.x sub_payload
-    with
+    match sub with
     | Error _ -> ()
     | Ok sub ->
         let nbytes = elems * size in
@@ -662,15 +664,17 @@ module Receiver = struct
               | Some journal ->
                   let es = rx.config.elem_size in
                   let buf = Placement.contents rx.placement in
+                  (* merge the spans first, so each promised byte is
+                     copied out of the buffer once *)
                   let runs =
-                    Persist.normalize_runs ~elem_size:es
-                      (List.filter_map
-                         (fun (sn, len) ->
-                           let off = sn * es and n = len * es in
-                           if sn >= 0 && len > 0 && off + n <= Bytes.length buf
-                           then Some (sn, Bytes.sub buf off n)
-                           else None)
-                         placed_runs)
+                    List.map
+                      (fun (sn, len) -> (sn, Bytes.sub buf (sn * es) (len * es)))
+                      (Persist.coalesce_spans
+                         (List.filter
+                            (fun (sn, len) ->
+                              sn >= 0 && len > 0
+                              && (sn + len) * es <= Bytes.length buf)
+                            placed_runs))
                   in
                   journal
                     (Persist.Acked

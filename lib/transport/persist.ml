@@ -80,42 +80,55 @@ let empty_receiver ~conn =
     ri_corrob = [];
   }
 
-(* Merge placed byte runs: sort by SN, then fuse overlapping or adjacent
-   runs (later bytes win on overlap — identical-label retransmission
-   makes overlapping bytes identical anyway).  Keeps journal-applied
-   images in the same canonical shape [Placement.spans] exports, so
-   export(restore(image)) = image holds structurally. *)
+(* The one run-merge rule: sort (sn, len) spans by SN and fuse
+   overlapping or adjacent ones, dropping empty spans. *)
+let coalesce_spans spans =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (s, l) :: rest -> (
+        match acc with
+        | (s0, l0) :: acc' when s <= s0 + l0 ->
+            go ((s0, max l0 (s + l - s0)) :: acc') rest
+        | _ -> go ((s, l) :: acc) rest)
+  in
+  List.filter (fun (_, l) -> l > 0) spans
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> go []
+
+let spans_of_runs ~elem_size runs =
+  List.map (fun (sn, b) -> (sn, Bytes.length b / elem_size)) runs
+
+(* Merge placed byte runs into the canonical shape [Placement.spans]
+   exports, so export(restore(image)) = image holds structurally: the
+   spans are merged first, then each run's bytes are copied once into
+   their merged span, later runs in the list winning on overlap
+   (identical-label retransmission makes overlapping bytes identical
+   anyway).  Bytes short of a whole element are dropped. *)
 let normalize_runs ~elem_size runs =
-  let runs =
-    List.filter (fun (_, b) -> Bytes.length b > 0) runs
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let spans = Array.of_list (coalesce_spans (spans_of_runs ~elem_size runs)) in
+  let out = Array.map (fun (_, l) -> Bytes.create (l * elem_size)) spans in
+  (* the merged span holding element [sn]: the last one starting at or
+     before it *)
+  let rec find lo hi sn =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fst spans.(mid) <= sn then find mid hi sn else find lo mid sn
   in
-  let fuse (sn_a, ba) (sn_b, bb) =
-    let la = Bytes.length ba / elem_size in
-    let hi =
-      max (sn_a + la) (sn_b + (Bytes.length bb / elem_size))
-    in
-    let out = Bytes.create ((hi - sn_a) * elem_size) in
-    Bytes.blit ba 0 out 0 (Bytes.length ba);
-    Bytes.blit bb 0 out ((sn_b - sn_a) * elem_size) (Bytes.length bb);
-    (sn_a, out)
-  in
-  let rec go = function
-    | ((sn_a, ba) as a) :: ((sn_b, _) as b) :: rest ->
-        if sn_b <= sn_a + (Bytes.length ba / elem_size) then
-          go (fuse a b :: rest)
-        else a :: go (b :: rest)
-    | tail -> tail
-  in
-  go runs
+  List.iter
+    (fun (sn, b) ->
+      let n = Bytes.length b / elem_size * elem_size in
+      if n > 0 then begin
+        let k = find 0 (Array.length spans) sn in
+        Bytes.blit b 0 out.(k) ((sn - fst spans.(k)) * elem_size) n
+      end)
+    runs;
+  Array.to_list (Array.mapi (fun k (s, _) -> (s, out.(k))) spans)
 
 (* Apply one journal entry to an image.  Conservative throughout: an
    entry for an unknown connection creates it (acknowledged state is
    durable even if the Open record was torn away), and nothing here can
    raise. *)
-let spans_of_runs ~elem_size runs =
-  List.map (fun (sn, b) -> (sn, Bytes.length b / elem_size)) runs
-
 let merge_spans existing fresh =
   let tr = Vreassembly.create () in
   List.iter
@@ -125,10 +138,15 @@ let merge_spans existing fresh =
     (existing @ fresh);
   Vreassembly.spans tr
 
+(* During replay the lists an ACK grows are kept newest first and
+   unmerged — ledgers consed, placed runs rev-appended — and
+   [apply_journal] puts each into canonical shape once, at the end:
+   merging after every record would re-copy the whole accumulated
+   image, quadratic in the journal length. *)
 let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
   {
     ri with
-    ri_placed = normalize_runs ~elem_size (ri.ri_placed @ runs);
+    ri_placed = List.rev_append runs ri.ri_placed;
     ri_verified = merge_spans ri.ri_verified (spans_of_runs ~elem_size runs);
     ri_end_confirmed =
       (match end_confirmed with Some _ as e -> e | None -> ri.ri_end_confirmed);
@@ -154,6 +172,7 @@ let receiver_complete ri =
   | Some last -> verified_frontier ri.ri_verified > last
   | None -> false
 
+(* [ri] is mid-replay: its placed runs are newest first. *)
 let receiver_delivered ~elem_size ~quota_elems ri =
   let buf = Bytes.make (quota_elems * elem_size) '\000' in
   List.iter
@@ -161,7 +180,7 @@ let receiver_delivered ~elem_size ~quota_elems ri =
       let off = sn * elem_size in
       if off >= 0 && off + Bytes.length b <= Bytes.length buf then
         Bytes.blit b 0 buf off (Bytes.length b))
-    ri.ri_placed;
+    (List.rev ri.ri_placed);
   buf
 
 let apply_event ~elem_size ~quota_elems image ev =
@@ -171,7 +190,7 @@ let apply_event ~elem_size ~quota_elems image ev =
       else
         Single
           {
-            s_acked = List.sort_uniq Int.compare (t_id :: s.s_acked);
+            s_acked = t_id :: s.s_acked;
             s_rx = apply_acked ~elem_size s.s_rx ~t_id ~end_confirmed ~runs;
           }
   | Single _, (Opened _ | Archived _ | Closed _) -> image
@@ -213,7 +232,7 @@ let apply_event ~elem_size ~quota_elems image ev =
               in
               {
                 c with
-                ci_acked = List.sort_uniq Int.compare (t_id :: c.ci_acked);
+                ci_acked = t_id :: c.ci_acked;
                 ci_live =
                   Some (apply_acked ~elem_size live ~t_id ~end_confirmed ~runs);
                 (* identity recovery under the monotone-label
@@ -275,7 +294,31 @@ let apply_event ~elem_size ~quota_elems image ev =
       Multi (List.map update conns)
 
 let apply_journal ~elem_size ~quota_elems image events =
-  List.fold_left (apply_event ~elem_size ~quota_elems) image events
+  let placed f ri = { ri with ri_placed = f ri.ri_placed } in
+  let newest_first = placed List.rev in
+  let canonical = placed (fun r -> normalize_runs ~elem_size (List.rev r)) in
+  let ledger = List.sort_uniq Int.compare in
+  let start =
+    match image with
+    | Single s -> Single { s with s_rx = newest_first s.s_rx }
+    | Multi conns ->
+        Multi
+          (List.map
+             (fun c -> { c with ci_live = Option.map newest_first c.ci_live })
+             conns)
+  in
+  match List.fold_left (apply_event ~elem_size ~quota_elems) start events with
+  | Single s -> Single { s_acked = ledger s.s_acked; s_rx = canonical s.s_rx }
+  | Multi conns ->
+      Multi
+        (List.map
+           (fun c ->
+             {
+               c with
+               ci_acked = ledger c.ci_acked;
+               ci_live = Option.map canonical c.ci_live;
+             })
+           conns)
 
 (* {1 Binary codec}
 
@@ -288,10 +331,7 @@ let apply_journal ~elem_size ~quota_elems image events =
 let version = 2
 let magic = "CSNP"
 
-let w_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let w_int buf v = Buffer.add_int64_be buf (Int64.of_int v)
 
 let w_bool buf v = Buffer.add_char buf (if v then '\001' else '\000')
 
@@ -299,10 +339,7 @@ let w_bool buf v = Buffer.add_char buf (if v then '\001' else '\000')
    int (as [w_int] would) truncates to 63 bits and the reader's
    sign-extension then negates any float with magnitude >= 2.0 — the
    quarantine deadline was the first persisted float to cross that. *)
-let w_float buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 (Int64.bits_of_float v);
-  Buffer.add_bytes buf b
+let w_float buf v = Buffer.add_int64_be buf (Int64.bits_of_float v)
 
 let w_bytes buf b =
   w_int buf (Bytes.length b);
@@ -586,7 +623,7 @@ let encode_endpoint image =
         w_list w_conn payload conns;
         tag_multi
   in
-  Wire.encode_record buf ~tag (Buffer.to_bytes payload);
+  Wire.encode_record buf ~tag payload;
   Buffer.to_bytes buf
 
 let check_image_done c =
@@ -628,7 +665,7 @@ let encode_sender si =
   w_float payload si.si_rttvar;
   w_float payload si.si_rto_cur;
   w_int payload si.si_tpdu_elems;
-  Wire.encode_record buf ~tag:tag_sender (Buffer.to_bytes payload);
+  Wire.encode_record buf ~tag:tag_sender payload;
   Buffer.to_bytes buf
 
 let decode_sender b =
@@ -650,9 +687,11 @@ let decode_sender b =
       let* si_tpdu_elems = r_int c in
       Ok { si_first_tid; si_acked; si_srtt; si_rttvar; si_rto_cur; si_tpdu_elems }
 
-let encode_event ev =
-  let buf = Buffer.create 64 in
-  let payload = Buffer.create 64 in
+(* Append one journal record to [buf]; [payload] is scratch space the
+   caller reuses, so a journal's steady state allocates only the
+   record body Wire checksums. *)
+let encode_event ~payload buf ev =
+  Buffer.clear payload;
   let tag =
     match ev with
     | Acked { conn; t_id; end_confirmed; runs } ->
@@ -672,8 +711,7 @@ let encode_event ev =
         w_int payload conn;
         tag_closed
   in
-  Wire.encode_record buf ~tag (Buffer.to_bytes payload);
-  Buffer.to_bytes buf
+  Wire.encode_record buf ~tag payload
 
 let decode_event (tag, payload) =
   let c = { b = payload; off = 0 } in
@@ -722,13 +760,14 @@ module Store = struct
   type t = {
     mutable snap : bytes option;
     journal : Buffer.t;
+    payload : Buffer.t;  (* [encode_event]'s scratch *)
     mutable snapshots_taken : int;
     mutable journal_records : int;
   }
 
   let create () =
-    { snap = None; journal = Buffer.create 256; snapshots_taken = 0;
-      journal_records = 0 }
+    { snap = None; journal = Buffer.create 256; payload = Buffer.create 256;
+      snapshots_taken = 0; journal_records = 0 }
 
   let snapshot st image =
     let b = encode_endpoint image in
@@ -738,7 +777,7 @@ module Store = struct
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    Buffer.add_bytes st.journal (encode_event ev);
+    encode_event ~payload:st.payload st.journal ev;
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 
@@ -746,6 +785,7 @@ module Store = struct
   let journal_records st = st.journal_records
   let snapshot_bytes st = Option.fold ~none:0 ~some:Bytes.length st.snap
   let journal_bytes st = Buffer.length st.journal
+  let journal st = Buffer.to_bytes st.journal
 
   let corrupt_tail st =
     let n = Buffer.length st.journal in

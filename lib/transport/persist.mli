@@ -124,12 +124,19 @@ val empty_receiver : conn:int -> receiver_image
 (** A blank receiver image for connection [conn] — the restore base when
     no snapshot exists yet. *)
 
+val coalesce_spans : (int * int) list -> (int * int) list
+(** Sort [(sn, len)] element spans by [sn] and fuse overlapping or
+    adjacent ones; empty spans are dropped.  The one merge rule behind
+    {!normalize_runs} and the receiver's write-ahead ACK record. *)
+
 val normalize_runs :
   elem_size:int -> (int * bytes) list -> (int * bytes) list
-(** Sort (C.SN, bytes) runs and fuse overlapping or adjacent ones
-    (later bytes win on overlap; identical-label retransmission makes
-    overlaps byte-identical anyway) into the canonical coalesced form
-    {!receiver_image.ri_placed} uses. *)
+(** Put (C.SN, bytes) runs into the canonical coalesced form
+    {!receiver_image.ri_placed} uses: the runs' spans are merged with
+    {!coalesce_spans}, then every byte is copied once into its merged
+    run, later runs in the list winning on overlap (identical-label
+    retransmission makes overlaps byte-identical anyway).  Bytes short
+    of a whole element are dropped. *)
 
 val apply_journal :
   elem_size:int ->
@@ -170,10 +177,6 @@ val encode_sender : sender_image -> bytes
 val decode_sender : bytes -> (sender_image, string) result
 (** Parse a sender image; [Error] on any corruption, never raises. *)
 
-val encode_event : event -> bytes
-(** Serialize one journal record (self-delimiting; records
-    concatenate). *)
-
 val decode_journal : bytes -> event list * bool
 (** Parse a journal: the trusted prefix of events, and whether decoding
     stopped early at a torn or unparseable record ([true] = the tail
@@ -197,7 +200,12 @@ module Store : sig
       [persist_snapshot_bytes] histogram. *)
 
   val append : t -> event -> unit
-  (** Append one journal record ([persist_journal_records_total]). *)
+  (** Append one journal record ([persist_journal_records_total]):
+      self-delimiting, so the journal is a plain concatenation of
+      records.  The record is encoded straight into the journal. *)
+
+  val journal : t -> bytes
+  (** A copy of the journal written since the last snapshot. *)
 
   val recover :
     elem_size:int ->

@@ -12,14 +12,16 @@ module CT = Transport.Chunk_transport
 
 let elem = 4
 let cap = 32
-let truth = Util.deterministic_bytes (cap * elem)
 
-let slice_of sn len = Bytes.sub truth (sn * elem) (len * elem)
+(* sized for the differential test's widest placement (below) *)
+let truth = Util.deterministic_bytes (128 * 8)
+
+let slice_of ?(elem = elem) sn len = Bytes.sub truth (sn * elem) (len * elem)
 
 let xor_bytes key b =
   Bytes.map (fun c -> Char.chr (Char.code c lxor key)) b
 
-let mk_chunk ~sn payload =
+let mk_chunk ?(elem = elem) ~sn payload =
   Util.ok_or_fail
     (Chunk.data ~size:elem
        ~c:(Ftuple.v ~id:1 ~sn ())
@@ -97,24 +99,43 @@ let test_policy_table () =
    always leave every verified-covered element holding the true bytes —
    so two permutations of one overlap set agree byte for byte. *)
 
-type wkind = Verified | Fresh_honest | Fresh_divergent of int
+type wkind =
+  | Verified
+  | Fresh_honest
+  | Fresh_divergent of int
+  | Lock  (** [lock_span] alone, verified or not *)
+  | Restore of int  (** [restore_span] with the truth xor the key *)
+
+let gen_kind ~extended =
+  QCheck2.Gen.(
+    oneof
+      ([
+         return Verified;
+         return Fresh_honest;
+         map (fun k -> Fresh_divergent k) (int_range 1 255);
+       ]
+      @
+      if extended then
+        [ return Lock; map (fun k -> Restore k) (int_range 0 255) ]
+      else []))
+
+(* [in_window] keeps every write inside [0, cap); otherwise a write may
+   overhang the end, which both sides must refuse alike. *)
+let gen_write ~cap ~max_len ~in_window ~extended =
+  QCheck2.Gen.(
+    let* sn = int_range 0 (cap - 1) in
+    let* len =
+      int_range 1 (if in_window then min max_len (cap - sn) else max_len)
+    in
+    let* kind = gen_kind ~extended in
+    return (sn, len, kind))
 
 let gen_writes =
   QCheck2.Gen.(
-    let write =
-      let* sn = int_range 0 (cap - 1) in
-      let* len = int_range 1 (min 8 (cap - sn)) in
-      let* kind =
-        oneof
-          [
-            return Verified;
-            return Fresh_honest;
-            map (fun k -> Fresh_divergent k) (int_range 1 255);
-          ]
-      in
-      return (sn, len, kind)
+    let* ws =
+      list_size (int_range 1 20)
+        (gen_write ~cap ~max_len:8 ~in_window:true ~extended:false)
     in
-    let* ws = list_size (int_range 1 20) write in
     let* shuffle_seed = int_range 0 0xFFFF in
     return (ws, shuffle_seed))
 
@@ -133,7 +154,10 @@ let apply_writes ws =
       | Fresh_divergent k ->
           ignore
             (Util.ok_or_fail
-               (Placement.place_checked p (mk_chunk ~sn (xor_bytes k (slice_of sn len))))))
+               (Placement.place_checked p (mk_chunk ~sn (xor_bytes k (slice_of sn len)))))
+      | Lock -> Placement.lock_span p ~sn ~len
+      | Restore k ->
+          Util.ok_or_fail (Placement.restore_span p ~sn (xor_bytes k (slice_of sn len))))
     ws;
   p
 
@@ -168,6 +192,218 @@ let prop_first_verified_wins (ws, shuffle_seed) =
             || Bytes.equal
                  (Bytes.sub (Placement.contents a) (i * elem) elem)
                  (Bytes.sub (Placement.contents b) (i * elem) elem)))
+
+(* ------------------------------------------------------------------ *)
+(* Differential property: run-granular placement over one-bit maps
+   against the per-element reference it replaced (kept here verbatim in
+   behaviour: one byte per element, one report entry per element).
+   Capacities are never multiples of 8 and runs start and end anywhere,
+   so every bitmap head, tail and whole-byte path is crossed. *)
+
+module Ref_placement = struct
+  type t = {
+    base_sn : int;
+    elem_size : int;
+    capacity_elems : int;
+    buf : bytes;
+    tracker : Vreassembly.t;
+    occ : bytes;
+    lck : bytes;
+    mutable conflicts_seen : int;
+    mutable conflicts_rejected : int;
+    mutable quarantined : int;
+    mutable verified_overwrites : int;
+  }
+
+  let create ~capacity_elems ~elem_size =
+    {
+      base_sn = 0;
+      elem_size;
+      capacity_elems;
+      buf = Bytes.make (capacity_elems * elem_size) '\000';
+      tracker = Vreassembly.create ();
+      occ = Bytes.make capacity_elems '\000';
+      lck = Bytes.make capacity_elems '\000';
+      conflicts_seen = 0;
+      conflicts_rejected = 0;
+      quarantined = 0;
+      verified_overwrites = 0;
+    }
+
+  let same p ~src i e =
+    Bytes.equal
+      (Bytes.sub src (i * p.elem_size) p.elem_size)
+      (Bytes.sub p.buf (e * p.elem_size) p.elem_size)
+
+  let apply p ~sn ~len ~src ~verified =
+    let es = p.elem_size in
+    let fresh = ref [] and benign = ref [] and conflicts = ref [] in
+    let push acc e =
+      match !acc with
+      | (s, l) :: rest when s + l = e -> acc := (s, l + 1) :: rest
+      | _ -> acc := (e, 1) :: !acc
+    in
+    let push_conflict e k =
+      match !conflicts with
+      | (s, l, k') :: rest when s + l = e && k' = k ->
+          conflicts := (s, l + 1, k') :: rest
+      | _ -> conflicts := (e, 1, k) :: !conflicts
+    in
+    for i = 0 to len - 1 do
+      let e = sn + i in
+      if Bytes.get p.occ e = '\000' then begin
+        Bytes.blit src (i * es) p.buf (e * es) es;
+        Bytes.set p.occ e '\001';
+        push fresh e
+      end
+      else if same p ~src i e then push benign e
+      else if Bytes.get p.lck e <> '\000' then begin
+        p.conflicts_seen <- p.conflicts_seen + 1;
+        p.conflicts_rejected <- p.conflicts_rejected + 1;
+        if verified then p.verified_overwrites <- p.verified_overwrites + 1;
+        push_conflict e Placement.Verified_conflict
+      end
+      else if verified then begin
+        p.conflicts_seen <- p.conflicts_seen + 1;
+        Bytes.blit src (i * es) p.buf (e * es) es;
+        push fresh e
+      end
+      else begin
+        p.conflicts_seen <- p.conflicts_seen + 1;
+        p.quarantined <- p.quarantined + 1;
+        push_conflict e Placement.Fresh_conflict
+      end
+    done;
+    (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
+    | Ok _ | Error `Inconsistent -> ());
+    {
+      Placement.rp_fresh = List.rev !fresh;
+      rp_benign = List.rev !benign;
+      rp_conflicts = List.rev !conflicts;
+    }
+
+  let place p chunk ~verified =
+    let h = chunk.Chunk.header in
+    let sn = h.Header.c.Ftuple.sn - p.base_sn and len = h.Header.len in
+    if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
+      Error "outside destination window"
+    else Ok (apply p ~sn ~len ~src:chunk.Chunk.payload ~verified)
+
+  let lock_span p ~sn ~len =
+    if sn >= 0 && len > 0 && len <= p.capacity_elems
+       && sn <= p.capacity_elems - len
+    then begin
+      Bytes.fill p.lck sn len '\001';
+      Bytes.fill p.occ sn len '\001'
+    end
+
+  let restore_span p ~sn data =
+    let len = Bytes.length data / p.elem_size in
+    if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
+      Error "outside destination window"
+    else begin
+      Bytes.blit data 0 p.buf (sn * p.elem_size) (Bytes.length data);
+      Bytes.fill p.occ sn len '\001';
+      (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
+      | Ok _ | Error `Inconsistent -> ());
+      Ok ()
+    end
+
+  let overlap_stats p =
+    {
+      Placement.os_conflicts_seen = p.conflicts_seen;
+      os_conflicts_rejected = p.conflicts_rejected;
+      os_quarantined = p.quarantined;
+      os_verified_overwrites = p.verified_overwrites;
+    }
+
+  let spans p = Vreassembly.spans p.tracker
+
+  let holes p =
+    let rec gaps expect = function
+      | [] ->
+          if expect < p.capacity_elems then [ (expect, p.capacity_elems - expect) ]
+          else []
+      | (s, l) :: rest ->
+          if s > expect then (expect, s - expect) :: gaps (s + l) rest
+          else gaps (s + l) rest
+    in
+    gaps 0 (spans p)
+
+  let is_full p = Vreassembly.received_elems p.tracker = p.capacity_elems
+end
+
+let gen_differential =
+  QCheck2.Gen.(
+    let* cap = oneofl [ 5; 13; 29; 61; 83; 127 ] in
+    let* elem = oneofl [ 1; 3; 4; 8 ] in
+    let* ws =
+      list_size (int_range 1 40)
+        (gen_write ~cap ~max_len:40 ~in_window:false ~extended:true)
+    in
+    return (cap, elem, ws))
+
+let prop_differential (cap, elem, ws) =
+  let p = Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems:cap ~elem_size:elem in
+  let r = Ref_placement.create ~capacity_elems:cap ~elem_size:elem in
+  let same_result what a b =
+    match (a, b) with
+    | Ok a, Ok b ->
+        if a <> b then QCheck2.Test.fail_reportf "%s: reports differ" what
+    | Error _, Error _ -> ()
+    | _ -> QCheck2.Test.fail_reportf "%s: one side refused" what
+  in
+  let step (sn, len, kind) =
+    let place ~verified payload =
+      let c = mk_chunk ~elem ~sn payload in
+      let ours =
+        if verified then Placement.place_verified p c else Placement.place_checked p c
+      in
+      let theirs = Ref_placement.place r c ~verified in
+      same_result "place" ours theirs;
+      (* a verified write locks what it now owns, as the receiver does *)
+      if verified then
+        match ours with
+        | Ok rep ->
+            List.iter
+              (fun (sn, len) ->
+                Placement.lock_span p ~sn ~len;
+                Ref_placement.lock_span r ~sn ~len)
+              (rep.Placement.rp_fresh @ rep.Placement.rp_benign)
+        | Error _ -> ()
+    in
+    (* payloads past the truth's end are only ever refused, so clamp
+       what is sliced while keeping the chunk's labelled length *)
+    let payload key =
+      let avail = max 0 (min len ((Bytes.length truth / elem) - sn)) in
+      let b = Bytes.make (len * elem) '\007' in
+      Bytes.blit (slice_of ~elem sn avail) 0 b 0 (avail * elem);
+      if key = 0 then b else xor_bytes key b
+    in
+    match kind with
+    | Verified -> place ~verified:true (payload 0)
+    | Fresh_honest -> place ~verified:false (payload 0)
+    | Fresh_divergent k -> place ~verified:false (payload k)
+    | Lock ->
+        Placement.lock_span p ~sn ~len;
+        Ref_placement.lock_span r ~sn ~len
+    | Restore k ->
+        same_result "restore"
+          (Placement.restore_span p ~sn (payload k))
+          (Ref_placement.restore_span r ~sn (payload k))
+  in
+  List.iter
+    (fun w ->
+      step w;
+      if
+        Placement.overlap_stats p <> Ref_placement.overlap_stats r
+        || not (Bytes.equal (Placement.contents p) r.Ref_placement.buf)
+        || Placement.spans p <> Ref_placement.spans r
+        || Placement.holes p <> Ref_placement.holes r
+        || Placement.is_full p <> Ref_placement.is_full r
+      then QCheck2.Test.fail_reportf "state diverged")
+    ws;
+  true
 
 (* ------------------------------------------------------------------ *)
 (* Receiver-level property: a full transfer's sealed chunks mixed with
@@ -280,6 +516,9 @@ let suite =
     Alcotest.test_case "policy table" `Quick test_policy_table;
     Util.qtest ~count:300 "verified cover is order-invariant and exact"
       gen_writes prop_first_verified_wins;
+    Util.qtest ~count:500
+      "run placement over bit maps matches the per-element reference"
+      gen_differential prop_differential;
     Util.qtest ~count:60
       "receiver delivery is order-invariant under forged overlaps"
       gen_receiver_case prop_receiver_order_invariant;

@@ -231,6 +231,104 @@ let test_store_torn_tail () =
       Alcotest.(check (list int)) "first record kept, torn one dropped"
         [ 1 ] si.Persist.s_acked
 
+(* The journal format is version 2 byte for byte: any change to these
+   bytes is a format change and must bump [Persist.version]. *)
+let golden_events =
+  [
+    Persist.Acked
+      {
+        conn = 7;
+        t_id = 3;
+        end_confirmed = Some 11;
+        runs = [ run_at 0 "abcdABCD"; run_at 4 "efgh" ];
+      };
+    Persist.Opened { conn = 9; open_csn = Some 4096 };
+    Persist.Closed 9;
+  ]
+
+let golden_journal_hex =
+  "0000004d100000000000000007000000000000000301000000000000000b00000000000000\
+   02000000000000000000000000000000086162636441424344000000000000000400000000\
+   000000046566676853484546a6f3130800000011110000000000000009010000000000001000\
+   080100003504008d000000081300000000000000091a00000037000000"
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_journal_golden () =
+  let store = Persist.Store.create () in
+  List.iter (Persist.Store.append store) golden_events;
+  let journal = Persist.Store.journal store in
+  Alcotest.(check string) "journal bytes" golden_journal_hex (hex journal);
+  Alcotest.(check int) "journal length" (Bytes.length journal)
+    (Persist.Store.journal_bytes store);
+  Alcotest.(check bool) "records decode back" true
+    (Persist.decode_journal journal = (golden_events, false));
+  match
+    Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:(Persist.Multi [])
+      store
+  with
+  | Error e -> Alcotest.failf "recover failed: %s" e
+  | Ok (Persist.Single _, _) -> Alcotest.fail "recover changed endpoint shape"
+  | Ok (Persist.Multi conns, torn) -> (
+      Alcotest.(check bool) "not torn" false torn;
+      match conns with
+      | [ c7; c9 ] ->
+          Alcotest.(check (list int)) "ledger" [ 3 ] c7.Persist.ci_acked;
+          (match c7.Persist.ci_live with
+          | Some ri ->
+              Alcotest.(check (list (pair int string)))
+                "placed runs"
+                [ (0, "abcdABCD"); (4, "efgh") ]
+                (List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed);
+              Alcotest.(check (list (pair int int)))
+                "verified" [ (0, 2); (4, 1) ] ri.Persist.ri_verified;
+              Alcotest.(check (option int)) "end" (Some 11) ri.Persist.ri_end_confirmed
+          | None -> Alcotest.fail "acked connection lost its live epoch");
+          Alcotest.(check bool) "closed connection has no live epoch" true
+            (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
+      | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns))
+
+(* Replaying k contiguous ACKs builds one fused run and allocates a
+   bounded multiple of the image: merging the accumulated run after
+   every record would allocate O(k^2) bytes. *)
+let test_contiguous_replay () =
+  let k = 256 and run_elems = 512 and elem_size = 4 in
+  let run_bytes = run_elems * elem_size in
+  let image = Util.deterministic_bytes (k * run_bytes) in
+  let empty =
+    Persist.Single { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:7 }
+  in
+  let events =
+    List.init k (fun i ->
+        Persist.Acked
+          {
+            conn = 7;
+            t_id = k - 1 - i;
+            end_confirmed = None;
+            runs = [ (i * run_elems, Bytes.sub image (i * run_bytes) run_bytes) ];
+          })
+  in
+  let before = Gc.allocated_bytes () in
+  let replayed =
+    Persist.apply_journal ~elem_size ~quota_elems:(k * run_elems) empty events
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  match replayed with
+  | Persist.Multi _ -> Alcotest.fail "journal replay changed the endpoint shape"
+  | Persist.Single si ->
+      Alcotest.(check (list int)) "ledger" (List.init k Fun.id) si.Persist.s_acked;
+      Alcotest.(check int) "passes" k si.Persist.s_rx.Persist.ri_passed;
+      Alcotest.(check (list (pair int int)))
+        "verified cover" [ (0, k * run_elems) ] si.Persist.s_rx.Persist.ri_verified;
+      (match si.Persist.s_rx.Persist.ri_placed with
+      | [ (0, b) ] -> Alcotest.check Util.bytes_testable "one fused run" image b
+      | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
+      if allocated > 8.0 *. float_of_int (Bytes.length image) then
+        Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
+          (Bytes.length image)
+
 let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
      TPDU, finds them all in the ledger, and has nothing to transmit *)
@@ -330,6 +428,10 @@ let suite =
       test_journal_replay;
     Alcotest.test_case "torn journal tail dropped, prefix kept" `Quick
       test_store_torn_tail;
+    Alcotest.test_case "journal format is version 2 byte for byte" `Quick
+      test_journal_golden;
+    Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
+      test_contiguous_replay;
     Alcotest.test_case "finished sender round-trips restore" `Quick
       test_sender_restore;
     Alcotest.test_case "sender restore refuses adaptive sizing" `Quick
