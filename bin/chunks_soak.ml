@@ -101,12 +101,13 @@ let run_replay spec mutate =
          crashes=%d restores=%d recovery_bad=%d over_budget=%d \
          roundtrip_fail=%d snapshots=%d journal_records=%d\n\
          overlap injected=%d conflicts_seen=%d rejected=%d quarantined=%d \
-         verified_overwrites=%d permuted=%s\n\
-         fastpath=%b coherence=%s fp hits=%d misses=%d inserts=%d \
+         verified_overwrites=%d\n\
+         fastpath=%b fp hits=%d misses=%d inserts=%d \
          invalidations=%d evictions=%d\n\
          sheds tx=%d rx=%d shed_elems=%d shed_spans=%s\n\
          anomalies=%d quarantines=%d qdrops=%d poisoned=%d \
-         sheds_refused=%d byz=%s\n"
+         sheds_refused=%d byz=%s\n\
+         counterfactuals%s\n"
         observation.Check.Driver.ok observation.complete observation.gave_up
         observation.retransmissions observation.sack_retransmissions
         observation.nacks_sent
@@ -125,22 +126,7 @@ let run_replay spec mutate =
         observation.journal_records observation.overlap_injected
         observation.overlap_conflicts_seen observation.overlap_conflicts_rejected
         observation.overlap_quarantined observation.verified_overwrites
-        (match observation.permuted with
-        | None -> "n/a"
-        | Some p ->
-            if Bytes.equal p.Check.Driver.p_delivered observation.delivered
-            then "identical"
-            else "DIVERGENT")
         schedule.Check.Schedule.fastpath
-        (match observation.coherence with
-        | None -> "n/a"
-        | Some c ->
-            if
-              c.Check.Driver.c_complete = observation.complete
-              && c.Check.Driver.c_gave_up = observation.gave_up
-              && Bytes.equal c.Check.Driver.c_delivered observation.delivered
-            then "identical"
-            else "DIVERGENT")
         observation.fastpath_stats.Transport.Flowcache.s_hits
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
@@ -162,7 +148,17 @@ let run_replay spec mutate =
             Printf.sprintf "%d injected/%d flaps/%d honest-boxed"
               b.Check.Driver.bo_stats.Netsim.Byzantine.injected
               b.Check.Driver.bo_stats.Netsim.Byzantine.flaps
-              b.Check.Driver.bo_honest_quarantined);
+              b.Check.Driver.bo_honest_quarantined)
+        (match observation.counterfactuals with
+        | [] -> " n/a"
+        | rows ->
+            let primary = Check.Driver.outcome schedule observation in
+            String.concat ""
+              (List.map
+                 (fun (row, rerun) ->
+                   Printf.sprintf " %s=%s" row
+                     (if rerun = primary then "identical" else "DIVERGENT"))
+                 rows));
       let violations = Check.Oracle.check ~schedule ~model ~observation in
       List.iter
         (fun v -> Printf.printf "VIOLATION %s\n" (Check.Oracle.violation_to_string v))

@@ -76,28 +76,6 @@ type metrics_probe = {
   mp_governor_peak : int;  (* governor occupancy high-water this run *)
 }
 
-(* The delivery outcome of the permutation re-run: the same schedule
-   executed with a different overlap-injection seed, so the overlap
-   set's arrival order (and mix) differs while the legitimate transfer
-   is untouched. *)
-type permuted_obs = {
-  p_delivered : bytes;
-  p_complete : bool;
-  p_gave_up : bool;
-}
-
-(* The delivery outcome of the cache-off re-run of a fastpath schedule:
-   the same (seed, schedule) executed with [fastpath = false], so every
-   packet takes the decode-everything slow path.  The flow cache claims
-   to be pure acceleration, so the two runs must agree on every delivery
-   observable — the [fastpath-coherence] oracle row compares them. *)
-type coherence_obs = {
-  c_complete : bool;
-  c_gave_up : bool;
-  c_delivered : bytes;
-  c_epochs : epoch_obs list option;  (* multi runs: the per-epoch join *)
-}
-
 (* Per-connection containment accounting for one byzantine connection,
    as the endpoint saw it at quiescence. *)
 type byz_conn_obs = {
@@ -120,13 +98,6 @@ type byz_obs = {
   bo_sender_bogus_acks : int;
       (* fabricated ACK/NACKs the honest senders detected and ignored *)
 }
-
-(* The honest per-epoch outcomes of the blast-radius re-run: the same
-   (seed, schedule, mutation) with the byzantine peer removed.  The
-   adversary's RNG is its own and its packets bypass the shared links,
-   so the honest wire is byte-identical across the two runs — any
-   honest-outcome divergence is containment failure. *)
-type blast_obs = { b_epochs : epoch_obs list }
 
 type observation = {
   ok : bool;
@@ -184,13 +155,10 @@ type observation = {
   overlap_quarantined : int;
   verified_overwrites : int;  (* must stay 0: two verified TPDUs clashing *)
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
-  permuted : permuted_obs option;  (* present iff the schedule overlaps *)
   (* flow-cache fast path *)
   fastpath_stats : Transport.Flowcache.stats;
       (* both cache layers summed, across crash incarnations; all zero
          on slow-path runs *)
-  coherence : coherence_obs option;
-      (* present iff the schedule ran the fast path *)
   (* byzantine containment (DESIGN §10); counters accumulate across
      crash incarnations like every other endpoint statistic *)
   anomalies : int;
@@ -200,7 +168,8 @@ type observation = {
   conns_poisoned : int;
   sheds_refused : int;
   byz : byz_obs option;  (* present iff the schedule runs the adversary *)
-  blast : blast_obs option;  (* present iff [byz] is *)
+  counterfactuals : (string * epoch_obs list) list;
+      (* (row, re-run outcome) for every counterfactual that applies *)
 }
 
 (* The probe reads the process-wide registry, so a run's deltas are
@@ -248,32 +217,36 @@ type plumbing = {
   mutated : int ref;
 }
 
+(* Untraced runs skip the formatting altogether. *)
 let make_trec engine trace fmt =
-  Printf.ksprintf
-    (fun ev ->
-      match trace with
-      | Some t -> Trace.add t ~time:(Netsim.Engine.now engine) ev
-      | None -> ())
-    fmt
+  match trace with
+  | Some t ->
+      Printf.ksprintf
+        (fun ev -> Trace.add t ~time:(Netsim.Engine.now engine) ev)
+        fmt
+  | None -> Printf.ikfprintf ignore () fmt
 
 (* The Shed_clobber mutation, part 1: both endpoints mis-classify TPDU 0
    as expendable and (if the schedule did not already) arm the sender's
    shed policy.  Forcing the {e config} rather than the schedule is what
    makes the mutation survive the [shed=none] shrink transform — the
    oracle must catch it from the observed behaviour alone. *)
-let shed_clobber_config (config : CT.config) =
-  let base_classify = config.CT.classify in
-  {
-    config with
-    CT.classify =
-      (fun t_id ->
-        if t_id = 0 then Labelling.Significance.Sheddable 1
-        else base_classify t_id);
-    shed_txs =
-      (if config.CT.shed_txs > 0 then config.CT.shed_txs
-       else if config.CT.give_up_txs > 1 then min 2 (config.CT.give_up_txs - 1)
-       else 0);
-  }
+let config_for ~mutation (s : Schedule.t) =
+  let config = Schedule.config_of s in
+  if mutation <> Shed_clobber then config
+  else
+    {
+      config with
+      CT.classify =
+        (fun t_id ->
+          if t_id = 0 then Labelling.Significance.Sheddable 1
+          else config.CT.classify t_id);
+      shed_txs =
+        (if config.CT.shed_txs > 0 then config.CT.shed_txs
+         else if config.CT.give_up_txs > 1 then
+           min 2 (config.CT.give_up_txs - 1)
+         else 0);
+    }
 
 (* Part 2's door predicate: a packet carrying TPDU-0 payload (data or ED
    chunks).  Signal chunks pass — the shed signal itself must reach the
@@ -454,6 +427,7 @@ type crash_track = {
   mutable ct_roundtrip : int;
   mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
   (* pre-crash statistics folded in at each teardown *)
+  mutable ct_fp : Transport.Flowcache.stats;  (* both cache layers *)
   mutable ct_failed : int;
   mutable ct_dups : int;
   mutable ct_chunks : int;
@@ -489,6 +463,7 @@ let crash_track () =
     ct_over_budget = 0;
     ct_roundtrip = 0;
     ct_corrupted = false;
+    ct_fp = Transport.Flowcache.zero_stats;
     ct_failed = 0;
     ct_dups = 0;
     ct_chunks = 0;
@@ -580,11 +555,20 @@ let corrupt_image ~elem_size (img : Persist.endpoint_image) =
    T.ID both in the ledger and among the in-flight verifier images means
    the endpoint would verify (and deliver) a TPDU it already promised
    was done — double delivery waiting to happen. *)
-let ledger_in_flight_clash ~acked (ri : Persist.receiver_image) =
+let ledger_in_flight_clash (acked, (ri : Persist.receiver_image)) =
   List.exists
     (fun (ti : Edc.Verifier.tpdu_image) ->
       List.mem ti.Edc.Verifier.ti_t_id acked)
     ri.Persist.ri_tpdus
+
+(* Every live connection's (ledger, receiver image) pair. *)
+let ledger_images = function
+  | Persist.Single si -> [ (si.Persist.s_acked, si.Persist.s_rx) ]
+  | Persist.Multi conns ->
+      List.filter_map
+        (fun (ci : Persist.conn_image) ->
+          Option.map (fun ri -> (ci.Persist.ci_acked, ri)) ci.Persist.ci_live)
+        conns
 
 (* Snapshots are scheduled up front at k·snap_period for every k that
    lands before the last crash (later ones could never be consulted),
@@ -606,6 +590,121 @@ let schedule_snapshots engine (s : Schedule.t) store export_now =
       incr k
     done
   end
+
+(* The snapshot store, and the write-ahead hook the endpoint journals
+   into — armed only when the schedule crashes. *)
+let crash_store (s : Schedule.t) =
+  let store = Persist.Store.create () in
+  let persist =
+    if s.Schedule.crashes <> [] then Some (Persist.Store.append store)
+    else None
+  in
+  (store, persist)
+
+(* A crashed endpoint neither receives nor buffers: the valve discards
+   everything that arrives at the door inside a crash window. *)
+let crash_valve engine (s : Schedule.t) endpoint ~fast ~slow =
+  let deliver = if s.Schedule.fastpath then fast else slow in
+  Netsim.Blackout.create engine
+    ~windows:
+      (List.map
+         (fun (c : Schedule.crash) ->
+           (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
+         s.Schedule.crashes)
+    ~deliver:(fun b -> match !endpoint with Some e -> deliver e b | None -> ())
+    ()
+
+(* What differs between the single- and multi-connection endpoints as
+   far as crash-restart is concerned. *)
+type 'e endpoint = {
+  noun : string;  (* the endpoint's name in trace events *)
+  empty : Persist.endpoint_image;  (* what an empty store recovers to *)
+  restore : Persist.endpoint_image -> 'e option;
+      (* [None] when the image has the other endpoint's shape *)
+  export : 'e -> Persist.endpoint_image;
+  trimmed : 'e -> bool;
+      (* the restore itself evicted state, so the re-export may
+         legitimately differ from the image it was built from *)
+  governor : 'e -> Transport.Governor.stats;
+  reannounce : 'e -> unit;
+  absorb : 'e -> unit;  (* fold the dying instance's statistics in *)
+  quiesce : 'e -> unit;
+}
+
+(* Snapshots, crashes and restarts for the endpoint held in [current].
+   A restore runs every recovery probe the oracle reads: the codec
+   fixpoint, the endpoint shape, the export round trip, the
+   ledger/in-flight clash and the state budget. *)
+let install_crashes ~mutation ~trace ~mutated engine (s : Schedule.t)
+    ~quota_elems store ct current ep =
+  let trec fmt = make_trec engine trace fmt in
+  schedule_snapshots engine s store (fun () -> Option.map ep.export !current);
+  let restore_now (c : Schedule.crash) =
+    let t0 = Unix.gettimeofday () in
+    match
+      Persist.Store.recover ~elem_size:s.Schedule.elem_size ~quota_elems
+        ~empty:ep.empty store
+    with
+    | Error msg ->
+        ct.ct_bad <- ct.ct_bad + 1;
+        trec "RESTORE failed: %s" msg
+    | Ok (img, torn) -> (
+        if torn then trec "RESTORE journal torn, tail discarded";
+        if not (codec_roundtrip_ok img) then
+          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
+        let img =
+          if mutation = Corrupt_restore && not ct.ct_corrupted then
+            match corrupt_image ~elem_size:s.Schedule.elem_size img with
+            | Some img' ->
+                ct.ct_corrupted <- true;
+                incr mutated;
+                trec "MUTATION corrupt restored image";
+                img'
+            | None -> img
+          else img
+        in
+        match ep.restore img with
+        | None -> ct.ct_bad <- ct.ct_bad + 1
+        | Some e ->
+            if Obs.enabled then
+              Obs.Metrics.observe_s Persist.m_recovery
+                (Unix.gettimeofday () -. t0);
+            (* Re-export must reproduce the image (structural round
+               trip), unless the restore itself evicted state — then the
+               budget legitimately trimmed the image. *)
+            let re = ep.export e in
+            if (not (ep.trimmed e)) && re <> img then
+              ct.ct_roundtrip <- ct.ct_roundtrip + 1;
+            ct.ct_bad <-
+              ct.ct_bad
+              + List.length
+                  (List.filter ledger_in_flight_clash (ledger_images re));
+            let gov = ep.governor e in
+            if
+              s.Schedule.state_budget > 0
+              && gov.Transport.Governor.accounted_bytes
+                 > s.Schedule.state_budget
+            then ct.ct_over_budget <- ct.ct_over_budget + 1;
+            ct.ct_restores <- ct.ct_restores + 1;
+            ep.reannounce e;
+            current := Some e;
+            trec "RESTART %s after %.4fs down" ep.noun c.Schedule.cr_restart)
+  in
+  List.iter
+    (fun (c : Schedule.crash) ->
+      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
+          match !current with
+          | None -> ()
+          | Some e ->
+              ct.ct_crashes <- ct.ct_crashes + 1;
+              trec "CRASH %s, down %.4fs" ep.noun c.Schedule.cr_restart;
+              ep.absorb e;
+              ep.quiesce e;
+              current := None);
+      Netsim.Engine.schedule engine
+        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
+        (fun () -> match !current with None -> restore_now c | Some _ -> ()))
+    s.Schedule.crashes
 
 (* The Overlap_clobber mutation: a forged TPDU with a {e correct} WSC-2
    seal over divergent bytes, covering exactly the first data chunk's
@@ -650,33 +749,99 @@ let forge_clobber b =
                   | Ok p1, Ok p2 -> Some [ p1; p2 ]
                   | _ -> None))))
 
+(* The observation fields the shared machinery knows: the wire, the
+   crash bookkeeping, the statistics folded in from every endpoint
+   instance, and the senders' counters.  Each path adds what only it
+   knows. *)
+let observe engine p ct store probe0 ~senders ~(gov : Transport.Governor.stats)
+    ~ok ~complete ~gave_up ~finished ~delivered ~in_flight ~stashed ~final_rto
+    =
+  let sum f = List.fold_left (fun acc tx -> acc + f tx) 0 senders in
+  {
+    ok;
+    complete;
+    gave_up;
+    finished;
+    delivered;
+    delivered_elems = 0;
+    retransmissions = sum CT.Sender.retransmissions;
+    sack_retransmissions = sum CT.Sender.sack_retransmissions;
+    nacks_sent = ct.ct_nacks;
+    tpdus_sent = sum CT.Sender.tpdus_sent;
+    packets_sent = sum CT.Sender.packets_sent;
+    (* Pass totals are the single path's to add; the multi path leaves
+       every verifier count zero, since archived epochs release their
+       verifiers and no meaningful aggregate exists. *)
+    verifier =
+      {
+        Edc.Verifier.tpdus_passed = 0;
+        tpdus_failed = ct.ct_failed;
+        duplicates = ct.ct_dups;
+        chunks_seen = ct.ct_chunks;
+      };
+    verifier_in_flight = in_flight;
+    stashed_tpdus = stashed;
+    engine_pending = Netsim.Engine.pending engine;
+    sim_time = Netsim.Engine.now engine;
+    forward = p.forward_stats ();
+    dropper = p.dropper_stats ();
+    gateways_malformed = p.gateways_malformed ();
+    mutated_packets = !(p.mutated);
+    reacks_sent = ct.ct_reacks;
+    aborts_sent = sum CT.Sender.aborts_sent;
+    aborts_received = ct.ct_aborts;
+    sheds_sent = sum CT.Sender.sheds_sent;
+    sheds_received = ct.ct_sheds;
+    shed_elems = ct.ct_shed_elems;
+    shed_spans = [];
+    receiver_evictions = ct.ct_evictions;
+    conn_gcs = ct.ct_gcs;
+    displaced_conns = ct.ct_displaced;
+    unknown_drops = ct.ct_unknown;
+    state_high_water = ct.ct_high_water;
+    state_accounted = gov.Transport.Governor.accounted_bytes;
+    flood_injected = 0;
+    rtt_samples = sum CT.Sender.rtt_samples;
+    max_txs_at_rtt_sample =
+      List.fold_left
+        (fun acc tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx))
+        0 senders;
+    final_rto;
+    crashes_injected = ct.ct_crashes;
+    restores = ct.ct_restores;
+    recovery_bad = ct.ct_bad;
+    restore_over_budget = ct.ct_over_budget;
+    roundtrip_failures = ct.ct_roundtrip;
+    snapshots_taken = Persist.Store.snapshots_taken store;
+    journal_records = Persist.Store.journal_records store;
+    multi = None;
+    metrics = probe_end probe0;
+    overlap_conflicts_seen = ct.ct_ov_seen;
+    overlap_conflicts_rejected = ct.ct_ov_rejected;
+    overlap_quarantined = ct.ct_ov_quarantined;
+    verified_overwrites = ct.ct_ov_overwrites;
+    overlap_injected = 0;
+    fastpath_stats = ct.ct_fp;
+    anomalies = ct.ct_anomalies;
+    sig_damage = ct.ct_sig_damage;
+    quarantines = ct.ct_quarantines;
+    quarantine_drops = ct.ct_quar_drops;
+    conns_poisoned = ct.ct_poisoned;
+    sheds_refused = ct.ct_sheds_refused;
+    byz = None;
+    counterfactuals = [];
+  }
+
 let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
-  let config = Schedule.config_of s in
-  let config =
-    if mutation = Shed_clobber then shed_clobber_config config else config
-  in
+  let config = config_for ~mutation s in
   let data = Schedule.data_of s in
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
   let receiver = ref None in
   let sender = ref None in
-  (* A crashed endpoint neither receives nor buffers: the valve discards
-     everything that arrives at the door inside a crash window. *)
   let crash_valve =
-    Netsim.Blackout.create engine
-      ~windows:
-        (List.map
-           (fun (c : Schedule.crash) ->
-             (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
-           s.Schedule.crashes)
-      ~deliver:
-        (let deliver_rx =
-           if s.Schedule.fastpath then CT.Receiver.ingest
-           else CT.Receiver.on_packet
-         in
-         fun b ->
-           match !receiver with Some r -> deliver_rx r b | None -> ())
-      ()
+    crash_valve engine s receiver ~fast:CT.Receiver.ingest
+      ~slow:CT.Receiver.on_packet
   in
   (* The overlap adversary taps the door (before its own injections, so
      it never feeds on itself) and injects straight past the tap. *)
@@ -716,21 +881,16 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let expected_elems =
     CT.expected_elements config ~data_len:(Bytes.length data)
   in
-  let store = Persist.Store.create () in
-  let persist_opt =
-    if s.Schedule.crashes <> [] then
-      Some (fun ev -> Persist.Store.append store ev)
-    else None
-  in
+  let store, persist = crash_store s in
   let rx =
-    CT.Receiver.create engine config ?persist:persist_opt
-      ~send_ack:reverse_send ~capacity:(`Exact expected_elems) ()
+    CT.Receiver.create engine config ?persist ~send_ack:reverse_send
+      ~capacity:(`Exact expected_elems) ()
   in
   receiver := Some rx;
   let ct = crash_track () in
-  let fp = ref Transport.Flowcache.zero_stats in
   let absorb rx =
-    fp := Transport.Flowcache.add_stats !fp (CT.Receiver.fastpath_stats rx);
+    ct.ct_fp <-
+      Transport.Flowcache.add_stats ct.ct_fp (CT.Receiver.fastpath_stats rx);
     let v = CT.Receiver.verifier_stats rx in
     ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
     ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
@@ -744,97 +904,37 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
         (CT.Receiver.governor_stats rx).Transport.Governor.high_water;
     absorb_overlap ct (CT.Receiver.overlap_stats rx)
   in
-  schedule_snapshots engine s store (fun () ->
-      Option.map
+  install_crashes ~mutation ~trace ~mutated:p.mutated engine s
+    ~quota_elems:expected_elems store ct receiver
+    {
+      noun = "receiver";
+      empty =
+        Persist.Single
+          {
+            Persist.s_acked = [];
+            s_rx = Persist.empty_receiver ~conn:config.CT.conn_id;
+          };
+      restore =
+        (function
+        | Persist.Single si ->
+            Some
+              (CT.Receiver.restore engine config ?persist
+                 ~send_ack:reverse_send ~capacity:(`Exact expected_elems)
+                 si.Persist.s_rx ~acked_tids:si.Persist.s_acked)
+        | Persist.Multi _ -> None);
+      export =
         (fun rx ->
           Persist.Single
             {
               Persist.s_acked = CT.Receiver.acked_tids rx;
               s_rx = CT.Receiver.export rx;
-            })
-        !receiver);
-  let restore_now (c : Schedule.crash) =
-    let t0 = Unix.gettimeofday () in
-    match
-      Persist.Store.recover ~elem_size:s.Schedule.elem_size
-        ~quota_elems:expected_elems
-        ~empty:
-          (Persist.Single
-             {
-               Persist.s_acked = [];
-               s_rx = Persist.empty_receiver ~conn:config.CT.conn_id;
-             })
-        store
-    with
-    | Error msg ->
-        ct.ct_bad <- ct.ct_bad + 1;
-        trec "RESTORE failed: %s" msg
-    | Ok (img, torn) ->
-        if torn then trec "RESTORE journal torn, tail discarded";
-        if not (codec_roundtrip_ok img) then
-          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let img =
-          if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size img with
-            | Some img' ->
-                ct.ct_corrupted <- true;
-                incr p.mutated;
-                trec "MUTATION corrupt restored image";
-                img'
-            | None -> img
-          else img
-        in
-        (match img with
-        | Persist.Multi _ -> ct.ct_bad <- ct.ct_bad + 1
-        | Persist.Single si ->
-            let rx =
-              CT.Receiver.restore engine config ?persist:persist_opt
-                ~send_ack:reverse_send ~capacity:(`Exact expected_elems)
-                si.Persist.s_rx ~acked_tids:si.Persist.s_acked
-            in
-            if Obs.enabled then
-              Obs.Metrics.observe_s Persist.m_recovery
-                (Unix.gettimeofday () -. t0);
-            (* Re-export must reproduce the image (structural round
-               trip), unless the restore itself evicted state — then the
-               budget legitimately trimmed the image. *)
-            let re =
-              {
-                Persist.s_acked = CT.Receiver.acked_tids rx;
-                s_rx = CT.Receiver.export rx;
-              }
-            in
-            if CT.Receiver.evictions rx = 0 && Persist.Single re <> img then
-              ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-            if ledger_in_flight_clash ~acked:re.Persist.s_acked re.Persist.s_rx
-            then ct.ct_bad <- ct.ct_bad + 1;
-            let gov = CT.Receiver.governor_stats rx in
-            if
-              s.Schedule.state_budget > 0
-              && gov.Transport.Governor.accounted_bytes
-                 > s.Schedule.state_budget
-            then ct.ct_over_budget <- ct.ct_over_budget + 1;
-            ct.ct_restores <- ct.ct_restores + 1;
-            CT.Receiver.reannounce rx;
-            receiver := Some rx;
-            trec "RESTART receiver after %.4fs down" c.Schedule.cr_restart)
-  in
-  List.iter
-    (fun (c : Schedule.crash) ->
-      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
-          match !receiver with
-          | None -> ()
-          | Some rx ->
-              ct.ct_crashes <- ct.ct_crashes + 1;
-              trec "CRASH receiver, down %.4fs" c.Schedule.cr_restart;
-              absorb rx;
-              CT.Receiver.quiesce rx;
-              receiver := None);
-      Netsim.Engine.schedule engine
-        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
-        (fun () ->
-          match !receiver with None -> restore_now c | Some _ -> ()))
-    s.Schedule.crashes;
+            });
+      trimmed = (fun rx -> CT.Receiver.evictions rx > 0);
+      governor = CT.Receiver.governor_stats;
+      reannounce = CT.Receiver.reannounce;
+      absorb;
+      quiesce = CT.Receiver.quiesce;
+    };
   let tx = CT.Sender.create engine config ~send:p.forward_send ~data () in
   sender := Some tx;
   CT.Sender.start tx;
@@ -858,82 +958,34 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
           ~expected:data ~delivered
   in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let gov = CT.Receiver.governor_stats rx in
+  let o =
+    observe engine p ct store probe0 ~senders:[ tx ]
+      ~gov:(CT.Receiver.governor_stats rx) ~ok
+      ~complete:(CT.Receiver.complete rx) ~gave_up:(CT.Sender.gave_up tx)
+      ~finished:(CT.Sender.finished tx) ~delivered
+      ~in_flight:(CT.Receiver.verifier_in_flight rx)
+      ~stashed:(CT.Receiver.stashed_tpdus rx)
+      ~final_rto:(CT.Sender.current_rto tx)
+  in
   {
-    ok;
-    complete = CT.Receiver.complete rx;
-    gave_up = CT.Sender.gave_up tx;
-    finished = CT.Sender.finished tx;
-    delivered;
+    o with
     delivered_elems = CT.Receiver.delivered_elems rx;
-    retransmissions = CT.Sender.retransmissions tx;
-    sack_retransmissions = CT.Sender.sack_retransmissions tx;
-    nacks_sent = ct.ct_nacks;
-    tpdus_sent = CT.Sender.tpdus_sent tx;
-    packets_sent = CT.Sender.packets_sent tx;
     (* Whole-epoch counts: pass totals carry across restarts via
        [epoch_passes]; the other counters are accumulated over every
        receiver instance the run went through. *)
     verifier =
       {
+        o.verifier with
         Edc.Verifier.tpdus_passed = CT.Receiver.epoch_passes rx;
-        tpdus_failed = ct.ct_failed;
-        duplicates = ct.ct_dups;
-        chunks_seen = ct.ct_chunks;
       };
-    verifier_in_flight = CT.Receiver.verifier_in_flight rx;
-    stashed_tpdus = CT.Receiver.stashed_tpdus rx;
-    engine_pending = Netsim.Engine.pending engine;
-    sim_time = Netsim.Engine.now engine;
-    forward = p.forward_stats ();
-    dropper = p.dropper_stats ();
-    gateways_malformed = p.gateways_malformed ();
-    mutated_packets = !(p.mutated) + !clobbered;
-    reacks_sent = ct.ct_reacks;
-    aborts_sent = CT.Sender.aborts_sent tx;
-    aborts_received = ct.ct_aborts;
-    sheds_sent = CT.Sender.sheds_sent tx;
+    mutated_packets = o.mutated_packets + !clobbered;
     sheds_received = CT.Receiver.sheds_received rx;
     shed_elems = CT.Receiver.shed_elems rx;
     shed_spans;
-    receiver_evictions = ct.ct_evictions;
-    conn_gcs = 0;
-    displaced_conns = 0;
-    unknown_drops = 0;
-    state_high_water = ct.ct_high_water;
-    state_accounted = gov.Transport.Governor.accounted_bytes;
-    flood_injected = 0;
-    rtt_samples = CT.Sender.rtt_samples tx;
-    max_txs_at_rtt_sample = CT.Sender.max_txs_at_rtt_sample tx;
-    final_rto = CT.Sender.current_rto tx;
-    crashes_injected = ct.ct_crashes;
-    restores = ct.ct_restores;
-    recovery_bad = ct.ct_bad;
-    restore_over_budget = ct.ct_over_budget;
-    roundtrip_failures = ct.ct_roundtrip;
-    snapshots_taken = Persist.Store.snapshots_taken store;
-    journal_records = Persist.Store.journal_records store;
-    multi = None;
-    metrics = probe_end probe0;
-    overlap_conflicts_seen = ct.ct_ov_seen;
-    overlap_conflicts_rejected = ct.ct_ov_rejected;
-    overlap_quarantined = ct.ct_ov_quarantined;
-    verified_overwrites = ct.ct_ov_overwrites;
     overlap_injected =
       (match !overlapper with
       | Some o -> (Netsim.Overlapper.stats o).Netsim.Overlapper.injected
       | None -> 0);
-    permuted = None;
-    fastpath_stats = !fp;
-    coherence = None;
-    anomalies = 0;
-    sig_damage = 0;
-    quarantines = 0;
-    quarantine_drops = 0;
-    conns_poisoned = 0;
-    sheds_refused = 0;
-    byz = None;
-    blast = None;
   }
 
 (* T.ID spaces of successive epochs of one connection must be disjoint
@@ -952,28 +1004,13 @@ type ep = {
 }
 
 let run_multi ~mutation ~trace (s : Schedule.t) =
-  let config = Schedule.config_of s in
-  let config =
-    if mutation = Shed_clobber then shed_clobber_config config else config
-  in
+  let config = config_for ~mutation s in
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
   let multi = ref None in
   let crash_valve =
-    Netsim.Blackout.create engine
-      ~windows:
-        (List.map
-           (fun (c : Schedule.crash) ->
-             (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
-           s.Schedule.crashes)
-      ~deliver:
-        (let deliver_m =
-           if s.Schedule.fastpath then Transport.Multi.ingest
-           else Transport.Multi.on_packet
-         in
-         fun b ->
-           match !multi with Some m -> deliver_m m b | None -> ())
-      ()
+    crash_valve engine s multi ~fast:Transport.Multi.ingest
+      ~slow:Transport.Multi.on_packet
   in
   (* The byzantine peer taps the door for its replay ring (before its
      own injections, so it never feeds on itself). *)
@@ -1009,12 +1046,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   let quota_elems =
     CT.expected_elements config ~data_len:s.Schedule.data_len
   in
-  let store = Persist.Store.create () in
-  let persist_opt =
-    if s.Schedule.crashes <> [] then
-      Some (fun ev -> Persist.Store.append store ev)
-    else None
-  in
+  let store, persist = crash_store s in
   let max_conns = s.Schedule.connections + 8 in
   (* The byz-clobber mutation switches the quarantine off wholesale —
      at creation and at every restore, so a crash cannot silently
@@ -1023,16 +1055,15 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     match mutation with Byz_clobber -> Some 0 | _ -> None
   in
   let m =
-    Transport.Multi.create engine ~config ~quota_elems ~max_conns
-      ?persist:persist_opt ?anomaly_budget ~send_ack:reverse_send ()
+    Transport.Multi.create engine ~config ~quota_elems ~max_conns ?persist
+      ?anomaly_budget ~send_ack:reverse_send ()
   in
   multi := Some m;
   let ct = crash_track () in
-  let fp = ref Transport.Flowcache.zero_stats in
   let absorb m =
     (let f = Transport.Multi.fastpath_stats m in
-     fp :=
-       Transport.Flowcache.add_stats !fp
+     ct.ct_fp <-
+       Transport.Flowcache.add_stats ct.ct_fp
          (Transport.Flowcache.add_stats f.Transport.Multi.fp_conn
             f.Transport.Multi.fp_tpdu));
     ct.ct_reacks <- ct.ct_reacks + Transport.Multi.reacks_sent m;
@@ -1055,86 +1086,29 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
       ct.ct_sheds_refused + Transport.Multi.sheds_refused m;
     absorb_overlap ct (Transport.Multi.overlap_stats m)
   in
-  schedule_snapshots engine s store (fun () ->
-      Option.map
-        (fun m -> Persist.Multi (Transport.Multi.export m))
-        !multi);
-  let restore_now () =
-    let t0 = Unix.gettimeofday () in
-    match
-      Persist.Store.recover ~elem_size:s.Schedule.elem_size ~quota_elems
-        ~empty:(Persist.Multi []) store
-    with
-    | Error msg ->
-        ct.ct_bad <- ct.ct_bad + 1;
-        trec "RESTORE failed: %s" msg
-    | Ok (img, torn) ->
-        if torn then trec "RESTORE journal torn, tail discarded";
-        if not (codec_roundtrip_ok img) then
-          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let img =
-          if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size img with
-            | Some img' ->
-                ct.ct_corrupted <- true;
-                incr p.mutated;
-                trec "MUTATION corrupt restored image";
-                img'
-            | None -> img
-          else img
-        in
-        (match img with
-        | Persist.Single _ -> ct.ct_bad <- ct.ct_bad + 1
+  install_crashes ~mutation ~trace ~mutated:p.mutated engine s ~quota_elems
+    store ct multi
+    {
+      noun = "demultiplexer";
+      empty = Persist.Multi [];
+      restore =
+        (function
         | Persist.Multi conns ->
-            let m' =
-              Transport.Multi.restore engine ~config ~quota_elems ~max_conns
-                ?persist:persist_opt ?anomaly_budget ~send_ack:reverse_send
-                conns
-            in
-            if Obs.enabled then
-              Obs.Metrics.observe_s Persist.m_recovery
-                (Unix.gettimeofday () -. t0);
-            let re = Transport.Multi.export m' in
-            if
-              Transport.Multi.evictions m' = 0
-              && Transport.Multi.displaced_conns m' = 0
-              && Transport.Multi.conn_gcs m' = 0
-              && Persist.Multi re <> img
-            then ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-            List.iter
-              (fun (ci : Persist.conn_image) ->
-                match ci.Persist.ci_live with
-                | Some ri ->
-                    if ledger_in_flight_clash ~acked:ci.Persist.ci_acked ri
-                    then ct.ct_bad <- ct.ct_bad + 1
-                | None -> ())
-              re;
-            let gov = Transport.Multi.governor_stats m' in
-            if
-              s.Schedule.state_budget > 0
-              && gov.Transport.Governor.accounted_bytes
-                 > s.Schedule.state_budget
-            then ct.ct_over_budget <- ct.ct_over_budget + 1;
-            ct.ct_restores <- ct.ct_restores + 1;
-            Transport.Multi.reannounce m';
-            multi := Some m';
-            trec "RESTART demultiplexer")
-  in
-  List.iter
-    (fun (c : Schedule.crash) ->
-      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
-          match !multi with
-          | None -> ()
-          | Some m ->
-              ct.ct_crashes <- ct.ct_crashes + 1;
-              trec "CRASH demultiplexer, down %.4fs" c.Schedule.cr_restart;
-              absorb m;
-              Transport.Multi.teardown m;
-              multi := None);
-      Netsim.Engine.schedule engine
-        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
-        (fun () -> match !multi with None -> restore_now () | Some _ -> ()))
-    s.Schedule.crashes;
+            Some
+              (Transport.Multi.restore engine ~config ~quota_elems ~max_conns
+                 ?persist ?anomaly_budget ~send_ack:reverse_send conns)
+        | Persist.Single _ -> None);
+      export = (fun m -> Persist.Multi (Transport.Multi.export m));
+      trimmed =
+        (fun m ->
+          Transport.Multi.evictions m > 0
+          || Transport.Multi.displaced_conns m > 0
+          || Transport.Multi.conn_gcs m > 0);
+      governor = Transport.Multi.governor_stats;
+      reannounce = Transport.Multi.reannounce;
+      absorb;
+      quiesce = Transport.Multi.teardown;
+    };
   (* Plan the (connection, epoch) transfers: every connection one epoch,
      connection 1 a second one when the schedule re-opens it. *)
   let eps =
@@ -1297,21 +1271,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     && List.for_all (fun ep -> ep.ep_done) eps
   in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let sum f = List.fold_left (fun acc ep ->
-      match ep.ep_tx with Some tx -> acc + f tx | None -> acc) 0 eps
-  in
-  let gov = Transport.Multi.governor_stats m in
-  let first_epoch = List.hd mo_epochs in
-  (* Archived epochs release their verifiers, so no meaningful aggregate
-     exists; the oracle's verifier-stats checks are single-path only. *)
-  let verifier =
-    {
-      Edc.Verifier.tpdus_passed = 0;
-      tpdus_failed = 0;
-      duplicates = 0;
-      chunks_seen = 0;
-    }
-  in
+  let senders = List.filter_map (fun ep -> ep.ep_tx) eps in
   (* The endpoint-side view of the byzantine connections at quiescence.
      The quarantine ledger survives crashes (it is persisted per
      connection image), so [conn_stats] on the final incarnation is the
@@ -1356,64 +1316,28 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
             bo_stats = Netsim.Byzantine.stats bz;
             bo_conns = List.map conn_view (Netsim.Byzantine.conn_ids bz);
             bo_honest_quarantined = honest_quarantined;
-            bo_sender_bogus_acks = sum CT.Sender.bogus_acks;
+            bo_sender_bogus_acks =
+              List.fold_left (fun acc tx -> acc + CT.Sender.bogus_acks tx) 0
+                senders;
           }
   in
+  let o =
+    observe engine p ct store probe0 ~senders
+      ~gov:(Transport.Multi.governor_stats m) ~ok
+      ~complete:(List.for_all (fun e -> e.e_gave_up || e.e_complete) mo_epochs)
+      ~gave_up:(List.exists (fun e -> e.e_gave_up) mo_epochs)
+      ~finished:(List.for_all (fun ep -> ep.ep_done) eps)
+      ~delivered:
+        (Option.value (List.hd mo_epochs).e_delivered ~default:Bytes.empty)
+      ~in_flight:(Transport.Multi.live_in_flight m)
+      ~stashed:(Transport.Multi.live_stashed m) ~final_rto:s.Schedule.rto
+  in
   {
-    ok;
-    complete = List.for_all (fun e -> e.e_gave_up || e.e_complete) mo_epochs;
-    gave_up = List.exists (fun e -> e.e_gave_up) mo_epochs;
-    finished = List.for_all (fun ep -> ep.ep_done) eps;
-    delivered =
-      (match first_epoch.e_delivered with Some d -> d | None -> Bytes.empty);
-    delivered_elems = 0;
-    retransmissions = sum CT.Sender.retransmissions;
-    sack_retransmissions = sum CT.Sender.sack_retransmissions;
-    nacks_sent = 0;
-    tpdus_sent = sum CT.Sender.tpdus_sent;
-    packets_sent = sum CT.Sender.packets_sent;
-    verifier;
-    verifier_in_flight = Transport.Multi.live_in_flight m;
-    stashed_tpdus = Transport.Multi.live_stashed m;
-    engine_pending = Netsim.Engine.pending engine;
-    sim_time = Netsim.Engine.now engine;
-    forward = p.forward_stats ();
-    dropper = p.dropper_stats ();
-    gateways_malformed = p.gateways_malformed ();
-    mutated_packets = !(p.mutated);
-    reacks_sent = ct.ct_reacks;
-    aborts_sent = sum CT.Sender.aborts_sent;
-    aborts_received = ct.ct_aborts;
-    sheds_sent = sum CT.Sender.sheds_sent;
-    sheds_received = ct.ct_sheds;
-    shed_elems = ct.ct_shed_elems;
-    shed_spans = [];
-    receiver_evictions = ct.ct_evictions;
-    conn_gcs = ct.ct_gcs;
-    displaced_conns = ct.ct_displaced;
-    unknown_drops = ct.ct_unknown;
-    state_high_water = ct.ct_high_water;
-    state_accounted = gov.Transport.Governor.accounted_bytes;
+    o with
     flood_injected =
       (match adversary with
       | Some a -> (Adversary.stats a).Adversary.injected
       | None -> 0);
-    rtt_samples = sum CT.Sender.rtt_samples;
-    max_txs_at_rtt_sample =
-      List.fold_left
-        (fun acc ep ->
-          match ep.ep_tx with
-          | Some tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx)
-          | None -> acc)
-        0 eps;
-    final_rto = s.Schedule.rto;
-    crashes_injected = ct.ct_crashes;
-    restores = ct.ct_restores;
-    recovery_bad = ct.ct_bad;
-    restore_over_budget = ct.ct_over_budget;
-    roundtrip_failures = ct.ct_roundtrip;
-    snapshots_taken = Persist.Store.snapshots_taken store;
-    journal_records = Persist.Store.journal_records store;
     multi =
       Some
         {
@@ -1421,97 +1345,93 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
           mo_live_conns = Transport.Multi.live_conns m;
           mo_known_conns = List.length (Transport.Multi.known_conns m);
         };
-    metrics = probe_end probe0;
-    overlap_conflicts_seen = ct.ct_ov_seen;
-    overlap_conflicts_rejected = ct.ct_ov_rejected;
-    overlap_quarantined = ct.ct_ov_quarantined;
-    verified_overwrites = ct.ct_ov_overwrites;
-    overlap_injected = 0;
-    permuted = None;
-    fastpath_stats = !fp;
-    coherence = None;
-    anomalies = ct.ct_anomalies;
-    sig_damage = ct.ct_sig_damage;
-    quarantines = ct.ct_quarantines;
-    quarantine_drops = ct.ct_quar_drops;
-    conns_poisoned = ct.ct_poisoned;
-    sheds_refused = ct.ct_sheds_refused;
     byz = byz_report;
-    blast = None;
   }
 
-let run ?(mutation = No_mutation) ?trace (s : Schedule.t) =
-  let o =
-    if Schedule.multi_mode s then begin
-      let o = run_multi ~mutation ~trace s in
-      match s.Schedule.byz with
-      | None -> o
-      | Some _ ->
-          (* Blast-radius evidence: the identical (seed, schedule,
-             mutation) with the byzantine peer removed.  The peer's RNG
-             and wire paths are disjoint from every honest draw, so the
-             honest traffic is byte-identical — the oracle demands the
-             honest per-epoch outcomes agree exactly.  Forced through
-             [run_multi] even when the byz-free schedule would qualify
-             for the single path: the comparison must differ by the
-             adversary alone, not by the endpoint topology. *)
-          let o2 =
-            run_multi ~mutation ~trace:None { s with Schedule.byz = None }
-          in
-          {
-            o with
-            blast =
-              Some
-                {
-                  b_epochs =
-                    (match o2.multi with
-                    | Some m -> m.mo_epochs
-                    | None -> []);
-                };
-          }
-    end
-    else
-      let o = run_single ~mutation ~trace s in
-      match s.Schedule.overlap with
-      | None -> o
-      | Some _ ->
-          (* Overlap-determinism evidence: re-run with a different
-             overlap-injection seed, so the adversary's arrival order and
-             mix over the same transfer are permuted.  Whatever the
-             interleaving, a completed transfer must deliver byte-identical
-             data — the oracle compares the two deliveries. *)
-          let o2 = run_single ~mutation ~trace:None ~overlap_salt:0x7E12A5 s in
-          {
-            o with
-            permuted =
-              Some
-                {
-                  p_delivered = o2.delivered;
-                  p_complete = o2.complete;
-                  p_gave_up = o2.gave_up;
-                };
-          }
-  in
-  if not s.Schedule.fastpath then o
-  else
-    (* Cache-coherence evidence: the identical (seed, schedule) with the
-       flow cache off.  Determinism makes the wire identical packet for
-       packet, so any observable divergence is the cache's doing — the
-       oracle demands equal completion flags and byte-identical delivery
-       for every epoch. *)
-    let s_off = { s with Schedule.fastpath = false } in
-    let o_off =
-      if Schedule.multi_mode s_off then run_multi ~mutation ~trace:None s_off
-      else run_single ~mutation ~trace:None s_off
-    in
+let run_path ~mutation ~trace s =
+  if Schedule.multi_mode s then run_multi ~mutation ~trace s
+  else run_single ~mutation ~trace s
+
+(* {2 Counterfactuals}
+
+   The paper's claim is that labelled chunks produce the same result
+   whatever the arrival order, path or processing shortcut.  Each row
+   below re-runs a schedule in a world changed in exactly one respect
+   and hands the oracle both per-epoch outcomes to compare. *)
+
+type equality = Exact | Delivery_when_settled
+
+type counterfactual = {
+  row : string;
+  applies : Schedule.t -> bool;
+  rerun : mutation -> Schedule.t -> observation;
+  equality : equality;
+}
+
+(* Listed in execution order. *)
+let counterfactuals =
+  [
+    (* The same transfer with the overlap adversary's injection seed
+       changed, so its arrival order and mode mix are permuted.  The
+       multi path runs no overlapper. *)
     {
-      o with
-      coherence =
-        Some
-          {
-            c_complete = o_off.complete;
-            c_gave_up = o_off.gave_up;
-            c_delivered = o_off.delivered;
-            c_epochs = Option.map (fun m -> m.mo_epochs) o_off.multi;
-          };
-    }
+      row = "overlap-determinism";
+      applies =
+        (fun s -> s.Schedule.overlap <> None && not (Schedule.multi_mode s));
+      rerun =
+        (fun mutation s ->
+          run_single ~mutation ~trace:None ~overlap_salt:0x7E12A5 s);
+      equality = Delivery_when_settled;
+    };
+    (* The byzantine peer deleted.  Its RNG and wire paths are disjoint
+       from every honest draw, so the honest traffic is byte-identical.
+       Forced through [run_multi] even when the byz-free schedule would
+       qualify for the single path: the two worlds must differ by the
+       adversary alone, not by the endpoint topology. *)
+    {
+      row = "blast-radius";
+      applies = (fun s -> s.Schedule.byz <> None);
+      rerun =
+        (fun mutation s ->
+          run_multi ~mutation ~trace:None { s with Schedule.byz = None });
+      equality = Exact;
+    };
+    (* The flow cache off: the wire is identical packet for packet, so
+       any divergence is the cache's doing.  Crash-restart schedules run
+       here too, so a cache surviving a restore it should not survive
+       shows up as a divergent epoch. *)
+    {
+      row = "fastpath-coherence";
+      applies = (fun s -> s.Schedule.fastpath);
+      rerun =
+        (fun mutation s ->
+          run_path ~mutation ~trace:None { s with Schedule.fastpath = false });
+      equality = Exact;
+    };
+  ]
+
+let outcome (s : Schedule.t) o =
+  match o.multi with
+  | Some m -> m.mo_epochs
+  | None ->
+      [
+        {
+          e_conn = (Schedule.config_of s).CT.conn_id;
+          e_epoch = 0;
+          e_gave_up = o.gave_up;
+          e_complete = o.complete;
+          e_delivered = Some o.delivered;
+        };
+      ]
+
+let run ?(mutation = No_mutation) ?trace (s : Schedule.t) =
+  let o = run_path ~mutation ~trace s in
+  {
+    o with
+    counterfactuals =
+      List.filter_map
+        (fun cf ->
+          if cf.applies s then Some (cf.row, outcome s (cf.rerun mutation s))
+          else None)
+        counterfactuals;
+  }

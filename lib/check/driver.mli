@@ -80,30 +80,6 @@ type metrics_probe = {
       (** high-water mark of [governor_occupancy_bytes] over the run *)
 }
 
-(** What the second, permuted run of an overlap schedule observed: the
-    same (seed, schedule) re-executed with a different overlap-injection
-    seed, so the adversary's arrival order and mode mix are permuted
-    over the identical legitimate transfer. *)
-type permuted_obs = {
-  p_delivered : bytes;
-  p_complete : bool;
-  p_gave_up : bool;
-}
-
-(** What the cache-off re-run of a fastpath schedule observed: the same
-    (seed, schedule) re-executed with [fastpath = false], so every
-    packet takes the decode-everything slow path over an identical wire.
-    The [fastpath-coherence] oracle row demands it agree with the
-    primary run on every delivery observable. *)
-type coherence_obs = {
-  c_complete : bool;
-  c_gave_up : bool;
-  c_delivered : bytes;
-  c_epochs : epoch_obs list option;
-      (** multi runs: the off-run's per-epoch join, for (conn, epoch)
-          pairwise comparison *)
-}
-
 (** The endpoint-side containment view of one byzantine connection at
     quiescence (the quarantine ledger is persisted per connection, so
     this is the whole run's story even across crashes). *)
@@ -128,14 +104,6 @@ type byz_obs = {
       (** fabricated ACK/NACKs the honest senders detected and
           ignored *)
 }
-
-(** The honest per-epoch outcomes of the blast-radius re-run: the same
-    (seed, schedule, mutation) with the byzantine peer removed.  The
-    peer's RNG is its own and its packets bypass the shared links, so
-    the honest wire is byte-identical across the two runs; the
-    [blast-radius] oracle row demands the honest outcomes agree
-    exactly. *)
-type blast_obs = { b_epochs : epoch_obs list }
 
 type observation = {
   ok : bool;  (** delivered prefix equals sent data (every epoch) *)
@@ -209,12 +177,9 @@ type observation = {
       (** verified bytes replaced by different verified bytes — must be
           zero in every profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
-  permuted : permuted_obs option;  (** present iff the schedule overlaps *)
   fastpath_stats : Transport.Flowcache.stats;
       (** flow-cache counters, both layers summed, accumulated across
           crash incarnations; all zero on slow-path runs *)
-  coherence : coherence_obs option;
-      (** present iff the schedule ran the fast path *)
   anomalies : int;
       (** protocol anomalies attributed to connections, scored and
           unscored alike *)
@@ -225,11 +190,50 @@ type observation = {
   conns_poisoned : int;  (** connections torn down by exception bulkheads *)
   sheds_refused : int;  (** shed signals refused by the local classifier *)
   byz : byz_obs option;  (** present iff the schedule runs the adversary *)
-  blast : blast_obs option;  (** present iff [byz] is *)
+  counterfactuals : (string * epoch_obs list) list;
+      (** [(row, re-run outcome)] for every entry of {!counterfactuals}
+          that applies to the schedule, in table order; empty on the
+          re-runs themselves *)
 }
 
 val horizon : float
 (** Simulated-time bound on a run; far beyond the slowest legitimate
     completion or give-up. *)
 
+(** {2 Counterfactuals}
+
+    A counterfactual re-runs the schedule with exactly one thing
+    changed; the oracle compares the two {!outcome}s per
+    (connection, epoch) under the row's equality.  An epoch missing
+    from the re-run is always a mismatch. *)
+
+type equality =
+  | Exact
+      (** equal [e_complete], equal [e_gave_up], and equal delivery —
+          bytes on one side only is a mismatch *)
+  | Delivery_when_settled
+      (** nothing is compared once either side gave up (a given-up
+          buffer may hold unverified adversary bytes); otherwise the
+          completion flags must agree, and the bytes must be equal when
+          both sides completed *)
+
+type counterfactual = {
+  row : string;  (** oracle row, e.g. [fastpath-coherence] *)
+  applies : Schedule.t -> bool;  (** whether a schedule gets this re-run *)
+  rerun : mutation -> Schedule.t -> observation;
+      (** the changed world, run untraced *)
+  equality : equality;
+}
+
+val counterfactuals : counterfactual list
+(** [overlap-determinism] (overlap adversary permuted),
+    [blast-radius] (byzantine peer deleted) and [fastpath-coherence]
+    (flow cache off), in execution order. *)
+
+val outcome : Schedule.t -> observation -> epoch_obs list
+(** A run's per-epoch outcome: [multi]'s epochs, or for a single-path
+    run one epoch — its connection, epoch 0, [complete], [gave_up] and
+    [Some delivered]. *)
+
 val run : ?mutation:mutation -> ?trace:Trace.t -> Schedule.t -> observation
+(** The primary run, then every applicable counterfactual re-run. *)

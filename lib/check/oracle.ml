@@ -168,88 +168,68 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     fail "snapshot-roundtrip"
       "%d snapshot round-trip mismatches observed at restore"
       o.roundtrip_failures;
-  (* Overlap policy.  Two checks run in {e every} profile:
-     1. Consistency — once a byte range is WSC-2-verified it is
-        immutable: a conflicting write that replaces verified bytes
-        (even with other verified bytes) means delivery can depend on
-        arrival order, so [verified_overwrites] must be exactly zero.
-     2. Determinism — for overlap schedules the driver re-runs the
-        same (seed, schedule) with a permuted overlap-injection order;
-        when both runs complete, they must deliver byte-identical
-        data.  Either the adversary's bytes never reach delivery, or
-        the policy is order-sensitive — and then this catches it. *)
+  (* Overlap consistency, in {e every} profile: once a byte range is
+     WSC-2-verified it is immutable.  A conflicting write that replaces
+     verified bytes (even with other verified bytes) means delivery can
+     depend on arrival order, so [verified_overwrites] must be exactly
+     zero.  Order-independence itself is the [overlap-determinism]
+     counterfactual below. *)
   if o.verified_overwrites > 0 then
     fail "overlap-consistency"
       "%d verified bytes were overwritten by conflicting data \
        (first-verified-wins violated; %d conflicts seen, %d rejected)"
       o.verified_overwrites o.overlap_conflicts_seen
       o.overlap_conflicts_rejected;
-  (match o.permuted with
-  | Some p
-    when o.complete && (not o.gave_up) && p.Driver.p_complete
-         && not p.Driver.p_gave_up ->
-      if not (Bytes.equal o.delivered p.Driver.p_delivered) then
-        fail "overlap-determinism"
-          "permuting overlap arrival order changed delivery at byte %d"
-          (first_diff o.delivered p.Driver.p_delivered)
-  | Some _ | None -> ());
-  (* Flow-cache coherence: the fast path must be pure acceleration.
-     For fastpath schedules the driver re-ran the identical (seed,
-     schedule) with the cache off, so the wire is the same packet for
-     packet and any divergence below is the cache's doing: completion
-     flags must match, and delivery must be byte-identical — the single
-     buffer on point-to-point runs, every (connection, epoch) pair on
-     demultiplexed runs.  Crash-restart schedules run through here too,
-     so a cache surviving a restore it should not survive shows up as a
-     divergent epoch. *)
-  (match o.coherence with
-  | None -> ()
-  | Some c ->
-      if c.Driver.c_complete <> o.complete || c.Driver.c_gave_up <> o.gave_up
-      then
-        fail "fastpath-coherence"
-          "cache-off re-run diverged: complete %b vs %b, gave-up %b vs %b \
-           (cache on vs off)"
-          o.complete c.Driver.c_complete o.gave_up c.Driver.c_gave_up;
-      match (o.multi, c.Driver.c_epochs) with
-      | None, _ ->
-          if not (Bytes.equal o.delivered c.Driver.c_delivered) then
-            fail "fastpath-coherence"
-              "cache on/off deliveries diverge at byte %d"
-              (first_diff o.delivered c.Driver.c_delivered)
-      | Some mo, Some eps ->
-          List.iter
-            (fun (e : Driver.epoch_obs) ->
-              match
-                List.find_opt
-                  (fun (e' : Driver.epoch_obs) ->
-                    e'.Driver.e_conn = e.Driver.e_conn
-                    && e'.Driver.e_epoch = e.Driver.e_epoch)
-                  eps
-              with
-              | None ->
-                  fail "fastpath-coherence"
-                    "connection %d epoch %d missing from the cache-off \
-                     re-run"
-                    e.Driver.e_conn e.Driver.e_epoch
-              | Some e' ->
-                  if e'.Driver.e_complete <> e.Driver.e_complete then
-                    fail "fastpath-coherence"
-                      "connection %d epoch %d: complete %b with the cache, \
-                       %b without"
-                      e.Driver.e_conn e.Driver.e_epoch e.Driver.e_complete
-                      e'.Driver.e_complete;
-                  match (e.Driver.e_delivered, e'.Driver.e_delivered) with
-                  | Some a, Some b when not (Bytes.equal a b) ->
-                      fail "fastpath-coherence"
-                        "connection %d epoch %d: cache on/off deliveries \
-                         diverge at byte %d"
-                        e.Driver.e_conn e.Driver.e_epoch (first_diff a b)
-                  | (Some _ | None), (Some _ | None) -> ())
-            mo.Driver.mo_epochs
-      | Some _, None ->
-          fail "fastpath-coherence"
-            "demultiplexed run but the cache-off re-run reported no epochs");
+  (* Counterfactuals (Driver.counterfactuals): every row that applies
+     must have been re-run, and each re-run must agree with this run,
+     (connection, epoch) by (connection, epoch), under the row's
+     equality. *)
+  let primary = Driver.outcome s o in
+  let compare_rerun (cf : Driver.counterfactual) rerun =
+    let settled = cf.Driver.equality = Driver.Delivery_when_settled in
+    List.iter
+      (fun (e : Driver.epoch_obs) ->
+        let conn = e.Driver.e_conn and epoch = e.Driver.e_epoch in
+        match
+          List.find_opt
+            (fun (e' : Driver.epoch_obs) ->
+              e'.Driver.e_conn = conn && e'.Driver.e_epoch = epoch)
+            rerun
+        with
+        | None ->
+            fail cf.Driver.row "conn %d epoch %d missing from the re-run" conn
+              epoch
+        | Some e' ->
+            if settled && (e.Driver.e_gave_up || e'.Driver.e_gave_up) then ()
+            else if
+              e.Driver.e_complete <> e'.Driver.e_complete
+              || e.Driver.e_gave_up <> e'.Driver.e_gave_up
+            then
+              fail cf.Driver.row
+                "conn %d epoch %d: complete %b / gave-up %b, re-run %b / %b"
+                conn epoch e.Driver.e_complete e.Driver.e_gave_up
+                e'.Driver.e_complete e'.Driver.e_gave_up
+            else if (not settled) || e.Driver.e_complete then
+              match (e.Driver.e_delivered, e'.Driver.e_delivered) with
+              | Some a, Some b ->
+                  if not (Bytes.equal a b) then
+                    fail cf.Driver.row
+                      "conn %d epoch %d: re-run delivery diverges at byte %d"
+                      conn epoch (first_diff a b)
+              | Some _, None | None, Some _ ->
+                  fail cf.Driver.row
+                    "conn %d epoch %d: delivered on one side only" conn epoch
+              | None, None -> ())
+      primary
+  in
+  List.iter
+    (fun (cf : Driver.counterfactual) ->
+      match List.assoc_opt cf.Driver.row o.counterfactuals with
+      | Some rerun -> compare_rerun cf rerun
+      | None ->
+          if cf.Driver.applies s then
+            fail cf.Driver.row "schedule ran without its counterfactual re-run")
+    Driver.counterfactuals;
   (* Partial reliability, part one: sheds are legal only under a shed
      contract.  A receiver that honours a shed with no contract in the
      schedule has thrown away bytes the model calls mandatory — the
@@ -461,57 +441,5 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
                was ever revoked — the quarantine never fired"
               bc.Driver.bc_conn bc.Driver.bc_epochs
               (8 * (1 + o.restores)))
-        b.Driver.bo_conns;
-      (* Blast radius: the byz-free re-run (same seed, schedule and
-         mutation; the adversary's RNG and wire paths are disjoint from
-         every honest draw) must report identical honest per-epoch
-         outcomes.  Any divergence means byzantine traffic leaked into
-         honest delivery — containment failed. *)
-      match o.blast with
-      | None ->
-          fail "blast-radius"
-            "byzantine schedule ran without its byz-free counterfactual"
-      | Some bl -> (
-          match o.multi with
-          | None ->
-              fail "blast-radius"
-                "byzantine schedule ran outside the multi path"
-          | Some mo ->
-              List.iter
-                (fun (e : Driver.epoch_obs) ->
-                  match
-                    List.find_opt
-                      (fun (e' : Driver.epoch_obs) ->
-                        e'.Driver.e_conn = e.Driver.e_conn
-                        && e'.Driver.e_epoch = e.Driver.e_epoch)
-                      bl.Driver.b_epochs
-                  with
-                  | None ->
-                      fail "blast-radius"
-                        "conn %d epoch %d missing from the byz-free re-run"
-                        e.Driver.e_conn e.Driver.e_epoch
-                  | Some e' ->
-                      if
-                        e'.Driver.e_complete <> e.Driver.e_complete
-                        || e'.Driver.e_gave_up <> e.Driver.e_gave_up
-                      then
-                        fail "blast-radius"
-                          "conn %d epoch %d: complete %b / gave-up %b under \
-                           byzantine fire, %b / %b without"
-                          e.Driver.e_conn e.Driver.e_epoch e.Driver.e_complete
-                          e.Driver.e_gave_up e'.Driver.e_complete
-                          e'.Driver.e_gave_up;
-                      match (e.Driver.e_delivered, e'.Driver.e_delivered) with
-                      | Some a, Some b when not (Bytes.equal a b) ->
-                          fail "blast-radius"
-                            "conn %d epoch %d: delivery under byzantine fire \
-                             diverges from the byz-free run at byte %d"
-                            e.Driver.e_conn e.Driver.e_epoch (first_diff a b)
-                      | Some _, None | None, Some _ ->
-                          fail "blast-radius"
-                            "conn %d epoch %d: delivered on one side of the \
-                             byz-free comparison only"
-                            e.Driver.e_conn e.Driver.e_epoch
-                      | (Some _ | None), _ -> ())
-                mo.Driver.mo_epochs));
+        b.Driver.bo_conns);
   List.rev !vs

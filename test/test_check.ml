@@ -249,6 +249,103 @@ let test_mutation_caught () =
          f.Check.Soak.shrunk.Check.Shrink.violations <> [])
        report.Check.Soak.findings)
 
+(* Counterfactual sensitivity.  No mutation self-test needs these rows
+   (other rows catch every planted bug first), so each is exercised
+   directly: take a real run of a schedule that uses the row, tamper
+   with that row's re-run outcome, and require the oracle to name
+   exactly that row. *)
+let counterfactual_run ~profile ~row ?(where = fun _ -> true) () =
+  let cf =
+    List.find
+      (fun (cf : Check.Driver.counterfactual) -> cf.Check.Driver.row = row)
+      Check.Driver.counterfactuals
+  in
+  let rec find seed =
+    let s = Check.Schedule.generate ~profile ~seed in
+    if cf.Check.Driver.applies s && where s then s else find (seed + 1)
+  in
+  let s = find 1 in
+  (s, Check.Driver.run s)
+
+let oracle_codes s o =
+  List.sort_uniq compare
+    (List.map
+       (fun (v : Check.Oracle.violation) -> v.Check.Oracle.code)
+       (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
+          ~observation:o))
+
+(* Rewrite one settled epoch of [row]'s re-run outcome with [f]
+   ([None] drops it) and return the oracle's row names. *)
+let tampered_codes ~row s (o : Check.Driver.observation) f =
+  let rerun = List.assoc row o.Check.Driver.counterfactuals in
+  let target =
+    List.find
+      (fun (e : Check.Driver.epoch_obs) ->
+        e.Check.Driver.e_complete && (not e.Check.Driver.e_gave_up)
+        &&
+        match e.Check.Driver.e_delivered with
+        | Some d -> Bytes.length d > 0
+        | None -> false)
+      rerun
+  in
+  let rerun' =
+    List.filter_map (fun e -> if e == target then f e else Some e) rerun
+  in
+  oracle_codes s
+    {
+      o with
+      Check.Driver.counterfactuals =
+        List.map
+          (fun (r, out) -> if r = row then (r, rerun') else (r, out))
+          o.Check.Driver.counterfactuals;
+    }
+
+let flip_byte (e : Check.Driver.epoch_obs) =
+  Some
+    {
+      e with
+      Check.Driver.e_delivered =
+        Option.map
+          (fun d ->
+            let d = Bytes.copy d in
+            Bytes.set d 0 (Char.chr (Char.code (Bytes.get d 0) lxor 1));
+            d)
+          e.Check.Driver.e_delivered;
+    }
+
+let toggle_complete (e : Check.Driver.epoch_obs) =
+  Some { e with Check.Driver.e_complete = not e.Check.Driver.e_complete }
+
+let test_counterfactual_sensitivity ~profile ~row ?where () =
+  let s, o = counterfactual_run ~profile ~row ?where () in
+  Alcotest.(check (list string))
+    "untampered run is clean" [] (oracle_codes s o);
+  Alcotest.(check (list string)) "flipped byte" [ row ]
+    (tampered_codes ~row s o flip_byte);
+  Alcotest.(check (list string)) "toggled complete" [ row ]
+    (tampered_codes ~row s o toggle_complete);
+  Alcotest.(check (list string)) "dropped epoch" [ row ]
+    (tampered_codes ~row s o (fun _ -> None));
+  Alcotest.(check (list string)) "missing re-run" [ row ]
+    (oracle_codes s
+       {
+         o with
+         Check.Driver.counterfactuals =
+           List.remove_assoc row o.Check.Driver.counterfactuals;
+       })
+
+let test_exact_one_sided_delivery () =
+  (* exact equality counts bytes delivered on one side only, per epoch
+     of a demultiplexed run *)
+  let row = "fastpath-coherence" in
+  let s, o =
+    counterfactual_run ~profile:Check.Schedule.Fastpath_hostile ~row
+      ~where:Check.Schedule.multi_mode ()
+  in
+  Alcotest.(check (list string)) "one-sided delivery" [ row ]
+    (tampered_codes ~row s o (fun e ->
+         Some { e with Check.Driver.e_delivered = None }))
+
 let suite =
   [
     Alcotest.test_case "model geometry" `Quick test_model_geometry;
@@ -285,4 +382,18 @@ let suite =
       `Quick test_overlap_clobber_caught;
     Alcotest.test_case "replay rejects parseable-but-invalid schedules"
       `Quick test_replay_rejects_invalid_schedule;
+    Alcotest.test_case "counterfactual sensitivity: overlap-determinism"
+      `Quick
+      (test_counterfactual_sensitivity ~profile:Check.Schedule.Overlap_hostile
+         ~row:"overlap-determinism");
+    Alcotest.test_case "counterfactual sensitivity: fastpath-coherence"
+      `Quick
+      (test_counterfactual_sensitivity
+         ~profile:Check.Schedule.Fastpath_hostile ~row:"fastpath-coherence"
+         ~where:Check.Schedule.multi_mode);
+    Alcotest.test_case "counterfactual sensitivity: blast-radius" `Quick
+      (test_counterfactual_sensitivity
+         ~profile:Check.Schedule.Byzantine_hostile ~row:"blast-radius");
+    Alcotest.test_case "counterfactual: exact counts one-sided delivery"
+      `Quick test_exact_one_sided_delivery;
   ]
