@@ -91,18 +91,30 @@ let encode_packet ?capacity chunks =
 
 let record_overhead = 4 + 1 + 8
 
-(* The payload is copied once, into the body the parity covers, and the
-   body once more, into [buf]. *)
-let encode_record buf ~tag payload =
+(* A record body (TAG + payload) is assembled in a scratch buffer the
+   caller may keep across records, so a journal's steady state makes no
+   per-record major-heap allocation: the payload is blitted into the
+   scratch, the parity computed over it, and the body and the two parity
+   words go straight into [buf]. *)
+type scratch = { mutable body : bytes }
+
+let scratch () = { body = Bytes.empty }
+
+let encode_record ?(scratch = scratch ()) buf ~tag payload =
   if tag < 0 || tag > 0xFF then invalid_arg "Wire.encode_record: bad tag";
   let n = Buffer.length payload in
-  let body = Bytes.create (1 + n) in
+  if Bytes.length scratch.body < 1 + n then
+    scratch.body <- Bytes.create (max (1 + n) (2 * Bytes.length scratch.body));
+  let body = scratch.body in
   Bytes.set_uint8 body 0 tag;
   Buffer.blit payload 0 body 1 n;
-  let par = Wsc2.encode_bytes ~pos:0 body in
+  let acc = Wsc2.create () in
+  Wsc2.add_bytes acc ~pos:0 body 0 (1 + n);
+  let par = Wsc2.snapshot acc in
   Buffer.add_int32_be buf (Int32.of_int n);
-  Buffer.add_bytes buf body;
-  Buffer.add_bytes buf (Wsc2.parity_to_bytes par)
+  Buffer.add_subbytes buf body 0 (1 + n);
+  Buffer.add_int32_be buf (Gf232.to_int32_bits par.Wsc2.p0);
+  Buffer.add_int32_be buf (Gf232.to_int32_bits par.Wsc2.p1)
 
 let decode_record b off =
   let avail = Bytes.length b - off in

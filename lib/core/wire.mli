@@ -169,9 +169,19 @@ end
 val record_overhead : int
 (** Framing bytes per record beyond the payload (13). *)
 
-val encode_record : Buffer.t -> tag:int -> Buffer.t -> unit
-(** [encode_record buf ~tag payload] appends one record carrying the
-    contents of [payload] to [buf].
+type scratch
+(** A reusable buffer for record bodies: grows to the largest record
+    encoded with it, and is never shared between threads of control. *)
+
+val scratch : unit -> scratch
+(** A fresh, empty scratch buffer. *)
+
+val encode_record : ?scratch:scratch -> Buffer.t -> tag:int -> Buffer.t -> unit
+(** [encode_record ?scratch buf ~tag payload] appends one record
+    carrying the contents of [payload] to [buf].  The body (TAG and
+    payload) is assembled and checksummed in [scratch] — pass one kept
+    across calls and a record allocates nothing on the major heap; by
+    default a fresh one is used.
     @raise Invalid_argument if [tag] is outside [0, 255]. *)
 
 val decode_record : bytes -> int -> (int * bytes * int, string) result

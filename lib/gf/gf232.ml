@@ -19,9 +19,8 @@ let add a b = a lxor b
 (* Branchless shift-and-reduce: the overflowing top bit selects the
    reduction constant through a mask instead of a (50% mispredicted on
    random data) conditional. *)
-let xtime a =
-  let shifted = (a lsl 1) land mask32 in
-  shifted lxor (-((a lsr 31) land 1) land reduction)
+let[@inline] xtime a =
+  ((a lsl 1) land mask32) lxor (-((a lsr 31) land 1) land reduction)
 
 (* The bit-serial reference implementation.  It is the oracle every
    table below is generated from and differentially tested against
@@ -76,32 +75,22 @@ let[@inline] mul_x4 v =
   ((v lsl 4) land mask32) lxor Array.unsafe_get top4_overflow (v lsr 28)
 
 (* Windowed multiplication, 4-bit window over [b]: build the 16 nibble
-   multiples of [a] with three shift-reduce doublings, then fold the 8
-   nibbles of [b] with one table-driven x^4 step each.  Replaces the 32
-   branchy shift/reduce iterations of [Ref.mul] on the anchoring
-   multiplies of the WSC-2 kernels. *)
+   multiples of [a] with three shift-reduce doublings (an array literal,
+   allocated inline on the minor heap rather than through a C call),
+   then fold the 8 nibbles of [b] with one table-driven x^4 step each.
+   Replaces the 32 branchy shift/reduce iterations of [Ref.mul] on the
+   anchoring multiply of the WSC-2 kernel. *)
 let mul a b =
   if a = 0 || b = 0 then 0
   else begin
-    let w = Array.make 16 0 in
     let a2 = xtime a in
     let a4 = xtime a2 in
     let a8 = xtime a4 in
-    w.(1) <- a;
-    w.(2) <- a2;
-    w.(3) <- a2 lxor a;
-    w.(4) <- a4;
-    w.(5) <- a4 lxor a;
-    w.(6) <- a4 lxor a2;
-    w.(7) <- a4 lxor a2 lxor a;
-    w.(8) <- a8;
-    w.(9) <- a8 lxor a;
-    w.(10) <- a8 lxor a2;
-    w.(11) <- a8 lxor a2 lxor a;
-    w.(12) <- a8 lxor a4;
-    w.(13) <- a8 lxor a4 lxor a;
-    w.(14) <- a8 lxor a4 lxor a2;
-    w.(15) <- a8 lxor a4 lxor a2 lxor a;
+    let w =
+      [| 0; a; a2; a2 lxor a; a4; a4 lxor a; a4 lxor a2; a4 lxor a2 lxor a;
+         a8; a8 lxor a; a8 lxor a2; a8 lxor a2 lxor a; a8 lxor a4;
+         a8 lxor a4 lxor a; a8 lxor a4 lxor a2; a8 lxor a4 lxor a2 lxor a |]
+    in
     let acc = ref (Array.unsafe_get w ((b lsr 28) land 0xF)) in
     acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 24) land 0xF);
     acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 20) land 0xF);
@@ -155,46 +144,6 @@ let alpha_pow i =
     done;
     !acc
   end
-
-(* Byte-indexed lane tables for multiplication by alpha^8k, k = 1..8:
-   entry (j*256 + c) of table k-1 is (c * x^(8j)) (x) alpha^8k, so a
-   product decomposes into four lane lookups XORed together. *)
-let mulx8_tables =
-  Array.init 8 (fun k ->
-      let m = Ref.alpha_pow (8 * (k + 1)) in
-      let t = Array.make 1024 0 in
-      for j = 0 to 3 do
-        for c = 0 to 255 do
-          t.((j lsl 8) lor c) <- Ref.mul m (c lsl (8 * j))
-        done
-      done;
-      t)
-
-let[@inline] mul_tabled t a =
-  Array.unsafe_get t (a land 0xFF)
-  lxor Array.unsafe_get t (0x100 lor ((a lsr 8) land 0xFF))
-  lxor Array.unsafe_get t (0x200 lor ((a lsr 16) land 0xFF))
-  lxor Array.unsafe_get t (0x300 lor ((a lsr 24) land 0xFF))
-
-let mul_alpha8 a = mul_tabled (Array.unsafe_get mulx8_tables 0) a
-let mul_alpha16 a = mul_tabled (Array.unsafe_get mulx8_tables 1) a
-let mul_alpha24 a = mul_tabled (Array.unsafe_get mulx8_tables 2) a
-let mul_alpha32 a = mul_tabled (Array.unsafe_get mulx8_tables 3) a
-let mul_alpha40 a = mul_tabled (Array.unsafe_get mulx8_tables 4) a
-let mul_alpha48 a = mul_tabled (Array.unsafe_get mulx8_tables 5) a
-let mul_alpha56 a = mul_tabled (Array.unsafe_get mulx8_tables 6) a
-let mul_alpha64 a = mul_tabled (Array.unsafe_get mulx8_tables 7) a
-
-(* Overflow table for the slicing-by-8 WSC-2 accumulator
-   (Wsc2.add_bytes): multiplying a 32-bit value v by x^k (k <= 8) is
-   [(v lsl k) land mask32  lxor  ovf.(v lsr (32 - k))] — the k bits
-   shifted out re-enter through their product with x^32 = 0x8d (mod m).
-   Both factors have degree <= 7, so each entry is the plain carry-less
-   product c * 0x8d; one 256-entry table covers every shift the kernel
-   uses (alpha^1..alpha^7 symbol weights and the alpha^8 Horner step). *)
-module Slice = struct
-  let ovf = Array.init 256 (fun c -> Ref.mul c reduction)
-end
 
 let inv a =
   if a = zero then raise Division_by_zero;

@@ -15,12 +15,13 @@
     Two implementations coexist.  {!Ref} is the bit-serial reference
     (shift-and-reduce per bit) — slow, obviously correct, and the oracle
     from which every table is generated.  The top-level operations are
-    the table-driven fast paths: a 4-bit windowed {!mul}, a memoized
-    {!alpha_pow} weight cache covering the whole Fig 5 position layout,
-    and byte-indexed tables ({!mul_alpha8} … {!mul_alpha64}, {!Slice})
-    for the slicing-by-8 WSC-2 accumulation kernel.  All
-    tables are built once at module initialisation and immutable
-    afterwards, so they are safe to share across domains. *)
+    the fast paths: a 4-bit windowed {!mul} and a memoized {!alpha_pow}
+    weight cache covering the whole Fig 5 position layout.  The WSC-2
+    accumulation kernel ([Wsc2.add_bytes]) needs no table of its own: it
+    multiplies by small powers of [alpha] with plain shifts and reduces
+    with one carry-less fold.  Both tables here are built once at
+    module initialisation and immutable afterwards, so they are safe to
+    share across domains. *)
 
 type t = int
 (** A field element; always in the range [0, 0xFFFF_FFFF]. *)
@@ -74,19 +75,6 @@ val alpha_pow : int -> t
     single lookup in a precomputed weight cache; larger exponents fall
     back to square-and-multiply over the [alpha{^2{^k}}] ladder. *)
 
-val mul_alpha8 : t -> t
-(** [mul_alpha8 a = mul a (alpha_pow 8)] via four byte-indexed lane
-    lookups (one 256-entry table per byte of [a]).  Likewise the
-    variants below, up to [alpha^64]. *)
-
-val mul_alpha16 : t -> t
-val mul_alpha24 : t -> t
-val mul_alpha32 : t -> t
-val mul_alpha40 : t -> t
-val mul_alpha48 : t -> t
-val mul_alpha56 : t -> t
-val mul_alpha64 : t -> t
-
 val inv : t -> t
 (** Multiplicative inverse via [a{^2{^32}-2}].
 
@@ -110,21 +98,6 @@ module Ref : sig
       ladder, built with {!Ref.mul} only.
 
       @raise Invalid_argument on a negative exponent. *)
-end
-
-(** Overflow table for the slicing-by-8 WSC-2 kernel
-    ([Wsc2.add_bytes]).  Multiplying a 32-bit value [v] by [x^k]
-    ([k <= 8]) is [((v lsl k) land 0xFFFF_FFFF) lxor
-    ovf.(v lsr (32 - k))]: the bits shifted out re-enter through their
-    product with [x^32 = 0x8d (mod m)].  One 256-entry table covers the
-    [alpha^1..alpha^7] symbol weights of a 32-byte block and the
-    [alpha^8] Horner step.
-
-    Exposed for the kernel and for differential tests; treat as
-    read-only. *)
-module Slice : sig
-  val ovf : int array
-  (** [ovf.(c) = c * x^32 mod m] for [c < 256]. *)
 end
 
 val pp : Format.formatter -> t -> unit

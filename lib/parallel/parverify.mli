@@ -11,8 +11,8 @@
     trivially.  (A conventional stack cannot do this: implicit labelling
     makes processing order-dependent, serialising the receiver.)
 
-    Workers are OCaml 5 domains.  The table-driven {!Gf232} fast paths
-    they run on (weight cache, windowed-multiply and slicing tables) are
+    Workers are OCaml 5 domains.  The {!Gf232} tables they run on (the
+    weight cache and the windowed multiply's overflow table) are
     built once at module initialisation and immutable afterwards, so
     domains share them without synchronisation; workers use the
     validation-free {!Wsc2.add_subbytes_exn} accumulation path via

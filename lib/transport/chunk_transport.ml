@@ -213,7 +213,8 @@ module Receiver = struct
     mutable sheds_refused : int;
     (* crash recovery: [persist] receives one journal event per fresh
        ACK {e before} the ACK leaves (write-ahead — the receiver never
-       promises bytes it has not made durable); [restored_passes] carries
+       promises bytes it has not made durable), its runs borrowed from
+       the placement buffer for the call only; [restored_passes] carries
        the verified-TPDU count across restarts so the epoch's archive
        gate survives a crash *)
     mutable persist : (Persist.event -> unit) option;
@@ -343,8 +344,9 @@ module Receiver = struct
     | Error _ -> ()
     | Ok sub ->
         let nbytes = elems * size in
-        (* One combined pass: read while computing, write to the final
-           location. *)
+        (* A fixed architectural charge, not a measurement: one read
+           and one write per placed byte, whatever passes the code
+           actually makes (see ROADMAP item 1a). *)
         Busmodel.mem_to_cpu rx.bus nbytes;
         Busmodel.cpu_to_mem rx.bus nbytes;
         (match Placement.place_checked rx.placement sub with
@@ -664,11 +666,13 @@ module Receiver = struct
               | Some journal ->
                   let es = rx.config.elem_size in
                   let buf = Placement.contents rx.placement in
-                  (* merge the spans first, so each promised byte is
-                     copied out of the buffer once *)
+                  (* merge the spans first, then lend the journal views
+                     into the placement buffer: it copies each promised
+                     byte once, into the record, before the callback
+                     returns *)
                   let runs =
                     List.map
-                      (fun (sn, len) -> (sn, Bytes.sub buf (sn * es) (len * es)))
+                      (fun (sn, len) -> (sn, buf, sn * es, len * es))
                       (Persist.coalesce_spans
                          (List.filter
                             (fun (sn, len) ->

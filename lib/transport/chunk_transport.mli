@@ -122,7 +122,8 @@ module Receiver : sig
       [?persist] is the write-ahead journal hook: it receives one
       {!Persist.Acked} event per fresh acknowledgement, {e before} the
       ACK packet is handed to [send_ack], carrying exactly the placed
-      bytes that ACK promises to keep.
+      bytes that ACK promises to keep — as views borrowed from the
+      placement buffer, valid only until the hook returns.
 
       [?fcache] is the per-TPDU flow cache of the fast path (DESIGN §7),
       keyed [(C.ID, T.ID)] and holding corroborated connection deltas.

@@ -76,7 +76,8 @@ val create :
 
     [?persist] is the write-ahead journal hook, forwarded into every
     epoch receiver: it sees one {!Persist.Acked} record per fresh
-    acknowledgement (before the ACK leaves) plus {!Persist.Opened} /
+    acknowledgement (before the ACK leaves; its runs are borrowed
+    views, valid only until the hook returns) plus {!Persist.Opened} /
     {!Persist.Archived} / {!Persist.Closed} lifecycle records.
 
     [?fastpath_slots] sizes the two flow caches of the {!ingest} fast

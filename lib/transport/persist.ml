@@ -56,16 +56,26 @@ type conn_image = {
 
 type endpoint_image = Single of single_image | Multi of conn_image list
 
+type run_view = int * bytes * int * int
+
 type event =
   | Acked of {
       conn : int;
       t_id : int;
       end_confirmed : int option;
-      runs : (int * bytes) list;
+      runs : run_view list;
     }
   | Opened of { conn : int; open_csn : int option }
   | Archived of int
   | Closed of int
+
+let owned_run sn b = (sn, b, 0, Bytes.length b)
+
+(* The (C.SN, bytes) run a view denotes, copied out of its source
+   unless the view already covers all of it. *)
+let run_bytes (sn, src, off, len) =
+  if off = 0 && len = Bytes.length src then (sn, src)
+  else (sn, Bytes.sub src off len)
 
 let empty_receiver ~conn =
   {
@@ -144,6 +154,7 @@ let merge_spans existing fresh =
    merging after every record would re-copy the whole accumulated
    image, quadratic in the journal length. *)
 let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
+  let runs = List.map run_bytes runs in
   {
     ri with
     ri_placed = List.rev_append runs ri.ri_placed;
@@ -687,10 +698,22 @@ let decode_sender b =
       let* si_tpdu_elems = r_int c in
       Ok { si_first_tid; si_acked; si_srtt; si_rttvar; si_rto_cur; si_tpdu_elems }
 
-(* Append one journal record to [buf]; [payload] is scratch space the
-   caller reuses, so a journal's steady state allocates only the
-   record body Wire checksums. *)
-let encode_event ~payload buf ev =
+(* A run view goes to the wire exactly as the owned (C.SN, bytes) pair
+   [w_pair w_int w_bytes] writes, copied once out of its source. *)
+let w_run buf (sn, src, off, len) =
+  w_int buf sn;
+  w_int buf len;
+  Buffer.add_subbytes buf src off len
+
+let r_run c =
+  let* sn = r_int c in
+  let* b = r_bytes c in
+  Ok (owned_run sn b)
+
+(* Append one journal record to [buf]; [payload] and [scratch] are
+   buffers the caller reuses, so a journal's steady state makes no
+   per-record major-heap allocation. *)
+let encode_event ~payload ~scratch buf ev =
   Buffer.clear payload;
   let tag =
     match ev with
@@ -698,7 +721,7 @@ let encode_event ~payload buf ev =
         w_int payload conn;
         w_int payload t_id;
         w_opt w_int payload end_confirmed;
-        w_list (w_pair w_int w_bytes) payload runs;
+        w_list w_run payload runs;
         tag_acked
     | Opened { conn; open_csn } ->
         w_int payload conn;
@@ -711,7 +734,7 @@ let encode_event ~payload buf ev =
         w_int payload conn;
         tag_closed
   in
-  Wire.encode_record buf ~tag payload
+  Wire.encode_record ~scratch buf ~tag payload
 
 let decode_event (tag, payload) =
   let c = { b = payload; off = 0 } in
@@ -719,7 +742,7 @@ let decode_event (tag, payload) =
     let* conn = r_int c in
     let* t_id = r_int c in
     let* end_confirmed = r_opt r_int c in
-    let* runs = r_list (r_pair r_int r_bytes) c in
+    let* runs = r_list r_run c in
     Ok (Acked { conn; t_id; end_confirmed; runs })
   end
   else if tag = tag_opened then begin
@@ -761,13 +784,14 @@ module Store = struct
     mutable snap : bytes option;
     journal : Buffer.t;
     payload : Buffer.t;  (* [encode_event]'s scratch *)
+    scratch : Wire.scratch;
     mutable snapshots_taken : int;
     mutable journal_records : int;
   }
 
   let create () =
     { snap = None; journal = Buffer.create 256; payload = Buffer.create 256;
-      snapshots_taken = 0; journal_records = 0 }
+      scratch = Wire.scratch (); snapshots_taken = 0; journal_records = 0 }
 
   let snapshot st image =
     let b = encode_endpoint image in
@@ -777,7 +801,7 @@ module Store = struct
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    encode_event ~payload:st.payload st.journal ev;
+    encode_event ~payload:st.payload ~scratch:st.scratch st.journal ev;
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 

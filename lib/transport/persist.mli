@@ -103,13 +103,27 @@ type endpoint_image =
   | Single of single_image
   | Multi of conn_image list  (** connections ascending by id *)
 
+type run_view = int * bytes * int * int
+(** [(sn, src, off, len)]: the [len] bytes of [src] from [off] on,
+    holding the elements from C.SN [sn] on.  The bytes are not copied
+    into the view: it is only as durable as [src] is. *)
+
+val owned_run : int -> bytes -> run_view
+(** [owned_run sn b] is the view of the whole of [b] — the form decoded
+    journal events carry, and a safe way to build events by hand. *)
+
 type event =
   | Acked of {
       conn : int;  (** connection id *)
       t_id : int;  (** the TPDU being acknowledged *)
       end_confirmed : int option;  (** end-of-stream C.SN, if confirmed *)
-      runs : (int * bytes) list;
-          (** the (C.SN, bytes) runs this ACK promises to keep *)
+      runs : run_view list;
+          (** the (C.SN, bytes) runs this ACK promises to keep.  The live
+              receiver emits {e borrowed} views into its placement
+              buffer, valid only for the duration of the persist
+              callback: a consumer that keeps the event must copy the
+              runs out ({!Store.append} copies each promised byte once,
+              into the record).  Decoded events carry owned views. *)
     }
       (** Written {e before} the ACK packet leaves: the durable record
           of what the receiver told the sender it may forget. *)
@@ -202,7 +216,11 @@ module Store : sig
   val append : t -> event -> unit
   (** Append one journal record ([persist_journal_records_total]):
       self-delimiting, so the journal is a plain concatenation of
-      records.  The record is encoded straight into the journal. *)
+      records.  An [Acked] event's run views are copied once, into the
+      record, and the record body is checksummed in a scratch buffer
+      the store keeps, so appending makes no per-record major-heap
+      allocation beyond the journal's own growth; the event's views
+      need not outlive the call. *)
 
   val journal : t -> bytes
   (** A copy of the journal written since the last snapshot. *)

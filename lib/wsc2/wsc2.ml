@@ -49,45 +49,65 @@ let symbols_of_bytes n = (n + 3) / 4
 
 let mask32 = 0xFFFF_FFFF
 
-(* Slicing overflow table, bound once (see Gf232.Slice). *)
-let ovf = Gf232.Slice.ovf
-
 let[@inline] byte b i = Char.code (Bytes.unsafe_get b i)
 
-(* Unaligned 32-bit load primitives.  [get32u] is a single (possibly
-   unaligned) load with no bounds check; composed directly with
-   [bswap32] and [Int32.to_int] the box/unbox pairs cancel in the
-   backend, so [sym] is allocation-free even without flambda — unlike
-   going through [Bytes.get_int32_be], which is a function call
-   returning a boxed [int32]. *)
+(* Unaligned load primitives.  [get32u]/[get64u] are single (possibly
+   unaligned) loads with no bounds check; composed directly with the
+   byte swaps and [Int32.to_int]/[Int64.to_int] the box/unbox pairs
+   cancel in the backend, so the kernel is allocation-free even without
+   flambda — unlike going through [Bytes.get_int32_be], which is a
+   function call returning a boxed integer. *)
 external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 (* The big-endian 32-bit symbol at byte offset [i]. *)
 let[@inline] sym b i =
   if Sys.big_endian then Int32.to_int (get32u b i) land mask32
   else Int32.to_int (bswap32 (get32u b i)) land mask32
 
-(* Multiply by x^k, k <= 8: shift, and fold the overflowed bits back in
-   through their product with x^32 (one 256-entry table lookup). *)
-let[@inline] mul_xk v k = ((v lsl k) land mask32) lxor Array.unsafe_get ovf (v lsr (32 - k))
+(* The big-endian 64-bit word at byte offset [i]: the symbol at [i] in
+   its high half, the one at [i + 4] in its low half. *)
+let[@inline] word b i =
+  if Sys.big_endian then get64u b i else bswap64 (get64u b i)
 
-(* The slicing-by-8 accumulation kernel.
+let[@inline] hi w = Int64.to_int (Int64.shift_right_logical w 32)
+let[@inline] lo w = Int64.to_int w land mask32
+
+(* The two symbols of [w], the first weighted by 1 and the second by x,
+   XORed unreduced: at most 33 bits. *)
+let[@inline] pair w =
+  Int64.logxor
+    (Int64.shift_right_logical w 32)
+    (Int64.logand (Int64.shift_left w 1) 0x1_FFFF_FFFFL)
+
+(* Reduce an unreduced product [v] of at most 48 bits: the bits above
+   x^31 form [t < 2^16] and re-enter as t * x^32 = t * (x^7 + x^3 + x^2
+   + 1), at most 23 bits, so one carry-less fold suffices. *)
+let[@inline] red v =
+  let t = v lsr 32 in
+  v land mask32 lxor t lxor (t lsl 2) lxor (t lsl 3) lxor (t lsl 7)
+
+(* [v] XOR the pair in [w] weighted by x^k. *)
+let[@inline] fold v w k = Int64.logxor v (Int64.shift_left (pair w) k)
+
+(* The table-free accumulation kernel, 16 symbols (64 bytes) a step.
 
    A contiguous run is folded with Horner's rule: walking the 32-bit
    big-endian words in reverse, [h := alpha*h + d_i] yields
    [sum_i alpha^i d_i]; a single windowed multiplication by [alpha^pos]
    (a cached weight) then anchors the run at its absolute position.
-   The loop consumes 32 bytes — eight symbols s0..s7 in buffer order —
-   per iteration:
+   Each step consumes sixteen symbols s0..s15 in buffer order:
 
-     h := alpha^8 h  +  alpha^7 s7 + alpha^6 s6 + ... + alpha s1 + s0
+     h := alpha^16 h  +  alpha^15 s15 + ... + alpha s1 + s0
 
-   Each term is one unaligned word load plus one table-driven
-   shift-reduce ([mul_xk]); the eight weighted symbols are independent
-   of each other and of [h], so the only loop-carried dependency is the
-   single 8-bit shift-reduce on [h], and P0 falls out of the same loads
-   for one XOR per symbol.
+   Multiplying by alpha^k is a plain left shift until it is reduced, so
+   the whole right-hand side is XORed together unreduced — [h lsl 16]
+   and [s15 lsl 15] both stay below 2^48 — and reduced once by {!red}.
+   The symbols come from eight 64-bit loads, and P0 is the XOR of the
+   same eight words, folded to 32 bits once per step.  The only
+   loop-carried dependency is the shift, XOR and fold on [h].
 
    Precondition (NOT checked here): [0 <= off], [0 < len],
    [off + len <= Bytes.length b], and positions [pos .. pos + nsym - 1]
@@ -95,47 +115,47 @@ let[@inline] mul_xk v k = ((v lsl k) land mask32) lxor Array.unsafe_get ovf (v l
    caller. *)
 let accumulate_unchecked acc ~pos b off len =
   let full = len lsr 2 in
-  let tail = len land 3 in
-  let h = ref 0 in
-  let p0 = ref 0 in
-  (* trailing partial word, zero-padded on the right, at relative
+  let r = full land 15 in
+  (* the trailing partial word, zero-padded on the right, at relative
      symbol index [full] *)
-  if tail > 0 then begin
-    let base = off + (full lsl 2) in
-    let w = ref 0 in
-    for k = 0 to tail - 1 do
-      w := !w lor (byte b (base + k) lsl (24 - (k lsl 3)))
-    done;
-    h := !w;
-    p0 := !w
-  end;
-  let i = ref (full - 1) in
-  (* peel single words (at most seven) until the remaining count is a
-     multiple of eight; Horner order is strictly descending *)
-  while !i >= 0 && (!i + 1) land 7 <> 0 do
-    let s = sym b (off + (!i lsl 2)) in
-    h := Gf232.xtime !h lxor s;
-    p0 := !p0 lxor s;
-    decr i
+  let tail = ref 0 in
+  for k = 0 to (len land 3) - 1 do
+    tail := !tail lor (byte b (off + (full lsl 2) + k) lsl (24 - (k lsl 3)))
   done;
-  while !i >= 7 do
-    let base = off + ((!i - 7) lsl 2) in
-    let s0 = sym b base
-    and s1 = sym b (base + 4)
-    and s2 = sym b (base + 8)
-    and s3 = sym b (base + 12)
-    and s4 = sym b (base + 16)
-    and s5 = sym b (base + 20)
-    and s6 = sym b (base + 24)
-    and s7 = sym b (base + 28) in
-    let block =
-      s0 lxor mul_xk s1 1 lxor mul_xk s2 2 lxor mul_xk s3 3
-      lxor mul_xk s4 4 lxor mul_xk s5 5 lxor mul_xk s6 6 lxor mul_xk s7 7
-    in
-    h := mul_xk !h 8 lxor block;
-    p0 := !p0 lxor s0 lxor s1 lxor s2 lxor s3 lxor s4 lxor s5 lxor s6
-          lxor s7;
-    i := !i - 8
+  (* the [r] full words above the last whole step, and the partial word
+     above them, weighted relative to the lowest of them: one short step
+     of at most 16 symbols, reduced once *)
+  let top = off + ((full - r) lsl 2) in
+  let v = ref (!tail lsl r) and p0 = ref !tail in
+  for j = 0 to r - 1 do
+    let s = sym b (top + (j lsl 2)) in
+    v := !v lxor (s lsl j);
+    p0 := !p0 lxor s
+  done;
+  let h = ref (red !v) in
+  (* whole steps, in strictly descending Horner order *)
+  let base = ref (top - 64) in
+  while !base >= off do
+    let base' = !base in
+    let w = word b base' in
+    let v = pair w and x = w in
+    let w = word b (base' + 8) in
+    let v = fold v w 2 and x = Int64.logxor x w in
+    let w = word b (base' + 16) in
+    let v = fold v w 4 and x = Int64.logxor x w in
+    let w = word b (base' + 24) in
+    let v = fold v w 6 and x = Int64.logxor x w in
+    let w = word b (base' + 32) in
+    let v = fold v w 8 and x = Int64.logxor x w in
+    let w = word b (base' + 40) in
+    let v = fold v w 10 and x = Int64.logxor x w in
+    let w = word b (base' + 48) in
+    let v = fold v w 12 and x = Int64.logxor x w in
+    let w = word b (base' + 56) in
+    let v = fold v w 14 and x = Int64.logxor x w in
+    h := red ((!h lsl 16) lxor Int64.to_int v);
+    p0 := !p0 lxor hi x lxor lo x;
+    base := base' - 64
   done;
   acc.a0 <- acc.a0 lxor !p0;
   let w = Gf232.alpha_pow pos in

@@ -75,11 +75,15 @@ val add_bytes : acc -> pos:int -> bytes -> int -> int -> unit
     [off] as consecutive big-endian 32-bit symbols at positions [pos],
     [pos+1], ...  A trailing partial word is zero-padded on the right.
 
-    Runs the table-driven slicing-by-8 kernel: 32 bytes (eight symbols)
-    are folded per inner-loop iteration from unaligned word loads and
-    the {!Gf232.Slice} overflow table, and one windowed multiplication
-    by the cached weight [alpha^pos] anchors the whole run — no
-    per-symbol field multiplication, no allocation.
+    Runs a table-free kernel: each step folds 64 bytes (sixteen
+    symbols) from eight 64-bit loads into Horner's accumulator.  Each
+    symbol is shifted left by its weight [k <= 15] within the step and
+    XORed into one unreduced word of at most 48 bits, which a single
+    carry-less fold by [x^32 = 0x8d] reduces; P0 is the XOR of the same
+    words.  One windowed multiplication by the cached weight
+    [alpha^pos] anchors the whole run — no per-symbol field
+    multiplication, no table lookup in the loop, and no allocation
+    beyond that multiplication's 16-word window.
 
     @raise Invalid_argument if the slice is outside [b] or a position is
     outside [0, max_position]. *)

@@ -197,7 +197,7 @@ let snapshot_image =
               conn = 3;
               t_id = 0;
               end_confirmed = Some 3;
-              runs = [ (0, Bytes.of_string "abcdefghijklmnop") ];
+              runs = [ P.owned_run 0 (Bytes.of_string "abcdefghijklmnop") ];
             };
         ]
     in

@@ -161,7 +161,7 @@ let prop_float_roundtrip v =
   in
   Persist.decode_endpoint (Persist.encode_endpoint img) = Ok img
 
-let run_at sn s = (sn, Bytes.of_string s)
+let run_at sn s = Persist.owned_run sn (Bytes.of_string s)
 
 let test_journal_replay () =
   (* two ACK records, out of order and with a gap: replay must produce
@@ -307,7 +307,9 @@ let test_contiguous_replay () =
             conn = 7;
             t_id = k - 1 - i;
             end_confirmed = None;
-            runs = [ (i * run_elems, Bytes.sub image (i * run_bytes) run_bytes) ];
+            runs =
+              [ Persist.owned_run (i * run_elems)
+                  (Bytes.sub image (i * run_bytes) run_bytes) ];
           })
   in
   let before = Gc.allocated_bytes () in
@@ -328,6 +330,60 @@ let test_contiguous_replay () =
       if allocated > 8.0 *. float_of_int (Bytes.length image) then
         Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
           (Bytes.length image)
+
+(* Journal records from borrowed run views: random ACK events whose
+   several runs are views at nonzero offsets into one shared source
+   buffer.  Appending them must write exactly the bytes that appending
+   the same runs as owned copies writes, the views must not be needed
+   once [append] returns (the source is clobbered before decoding), and
+   the journal must decode back to the owned events. *)
+let gen_view_events =
+  let open QCheck2.Gen in
+  let* src_len = int_range 64 4096 in
+  let* seed = int in
+  let src =
+    Bytes.init src_len (fun i -> Char.chr ((seed + (i * 151)) land 0xFF))
+  in
+  let gen_view =
+    let* off = int_range 1 (src_len - 1) in
+    let* len = int_range 0 (min 300 (src_len - off)) in
+    let* sn = int_range 0 100_000 in
+    return (sn, src, off, len)
+  in
+  let gen_event =
+    let* conn = int_range 0 9 in
+    let* t_id = int_range 0 100_000 in
+    let* end_confirmed = opt (int_range 0 100_000) in
+    let* runs = list_size (int_range 2 5) gen_view in
+    return (Persist.Acked { conn; t_id; end_confirmed; runs })
+  in
+  let* events = list_size (int_range 1 6) gen_event in
+  return (src, events)
+
+let owned_copy = function
+  | Persist.Acked a ->
+      Persist.Acked
+        {
+          a with
+          runs =
+            List.map
+              (fun (sn, src, off, len) ->
+                Persist.owned_run sn (Bytes.sub src off len))
+              a.runs;
+        }
+  | ev -> ev
+
+let prop_view_records (src, events) =
+  let owned = List.map owned_copy events in
+  let journal_of evs =
+    let st = Persist.Store.create () in
+    List.iter (Persist.Store.append st) evs;
+    Persist.Store.journal st
+  in
+  let from_views = journal_of events in
+  Bytes.fill src 0 (Bytes.length src) '\xEE';
+  Bytes.equal from_views (journal_of owned)
+  && Persist.decode_journal from_views = (owned, false)
 
 let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
@@ -436,4 +492,6 @@ let suite =
       test_sender_restore;
     Alcotest.test_case "sender restore refuses adaptive sizing" `Quick
       test_sender_restore_rejects_adaptive;
+    Util.qtest ~count:200 "journal records from borrowed run views"
+      gen_view_events prop_view_records;
   ]
