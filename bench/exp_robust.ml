@@ -92,7 +92,7 @@ let rob_abort () =
         match !receiver with
         | Some rx ->
             if not (drops_ed b) then
-              Transport.Chunk_transport.Receiver.on_packet rx b
+              Transport.Chunk_transport.Receiver.ingest rx b
         | None -> ())
       ~data:(transfer_data 8192) ()
   in
@@ -175,7 +175,7 @@ let rob_recover () =
         CT.Sender.create engine config
           ~send:(fun b ->
             match !receiver with
-            | Some rx -> if not (drops_ed b) then CT.Receiver.on_packet rx b
+            | Some rx -> if not (drops_ed b) then CT.Receiver.ingest rx b
             | None -> ())
           ~data ()
       in
@@ -320,7 +320,7 @@ let rob_shed () =
         ~loss
         ~forward:(fun b ->
           match !receiver with
-          | Some rx -> CT.Receiver.on_packet rx b
+          | Some rx -> CT.Receiver.ingest rx b
           | None -> ())
         ()
     in

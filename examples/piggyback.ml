@@ -10,7 +10,7 @@
    in a single envelope: data chunks of its own connection, ACK control
    chunks for Host B's connection, and (in the first packet) the
    connection-establishment signal — none of which the chunk layer had
-   to be designed for.  A TYPE-based demux routes every chunk to its
+   to be designed for.  One match on each chunk's TYPE routes it to its
    processing unit.
 
    Run with: dune exec examples/piggyback.exe *)
@@ -52,37 +52,43 @@ let () =
       Printf.printf "  packet %d: [%s]\n" (i + 1) (String.concat " " kinds))
     packets;
 
-  (* host B: one demux routes everything *)
+  (* host B: one match on TYPE routes everything *)
   let connections = Connection.create () in
   let verifier = Edc.Verifier.create () in
   let acked = ref [] and signals = ref 0 and verified = ref 0 in
-  let demux = Demux.create () in
-  Demux.register demux Ctype.signal (fun c ->
-      ignore (Connection.on_chunk connections c);
-      incr signals);
-  Demux.register demux Ctype.ack (fun c ->
-      acked := c.Chunk.header.Header.t.Ftuple.id :: !acked);
-  let to_verifier c =
-    List.iter
-      (function
-        | Edc.Verifier.Tpdu_verified { verdict = Edc.Verifier.Passed; _ } ->
-            incr verified
-        | _ -> ())
-      (Edc.Verifier.on_chunk verifier c)
+  let routed = ref 0 in
+  let route c =
+    incr routed;
+    match c.Chunk.header.Header.ctype with
+    | Ctype.Data | Ctype.Control 1 (* ED *) ->
+        List.iter
+          (function
+            | Edc.Verifier.Tpdu_verified { verdict = Edc.Verifier.Passed; _ }
+              ->
+                incr verified
+            | _ -> ())
+          (Edc.Verifier.on_chunk verifier c)
+    | Ctype.Control 2 (* ACK *) ->
+        acked := c.Chunk.header.Header.t.Ftuple.id :: !acked
+    | Ctype.Control 3 (* signal *) ->
+        ignore (Connection.on_chunk connections c);
+        incr signals
+    | Ctype.Control _ -> ()
   in
-  Demux.register demux Ctype.data to_verifier;
-  Demux.register demux Ctype.ed to_verifier;
   List.iter
     (fun p ->
-      match Demux.on_packet demux (Packet.encode p) with
-      | Ok _ -> ()
+      match Wire.decode_packet (Packet.encode p) with
+      | Ok chunks ->
+          List.iter
+            (fun c -> if not (Chunk.is_terminator c) then route c)
+            chunks
       | Error e -> failwith e)
     packets;
   Printf.printf
     "host B demuxed %d chunks by TYPE: %d signal, %d piggybacked ACKs \
      (TPDUs %s),\n%d of A's TPDUs verified — piggybacking fell out of the \
      chunk syntax.\n"
-    (Demux.routed demux) !signals (List.length !acked)
+    !routed !signals (List.length !acked)
     (String.concat "," (List.rev_map string_of_int !acked))
     !verified;
   assert (!signals = 1);

@@ -205,7 +205,7 @@ let () =
       ~loss:0.3
       ~forward:(fun b ->
         match !receiver with
-        | Some r -> CT.Receiver.on_packet r b
+        | Some r -> CT.Receiver.ingest r b
         | None -> ())
       ()
   in

@@ -157,8 +157,8 @@ type observation = {
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
   (* flow-cache fast path *)
   fastpath_stats : Transport.Flowcache.stats;
-      (* both cache layers summed, across crash incarnations; all zero
-         on slow-path runs *)
+      (* the multi path's connection cache, across crash incarnations;
+         all zero on single-path and cache-off runs *)
   (* byzantine containment (DESIGN §10); counters accumulate across
      crash incarnations like every other endpoint statistic *)
   anomalies : int;
@@ -427,7 +427,7 @@ type crash_track = {
   mutable ct_roundtrip : int;
   mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
   (* pre-crash statistics folded in at each teardown *)
-  mutable ct_fp : Transport.Flowcache.stats;  (* both cache layers *)
+  mutable ct_fp : Transport.Flowcache.stats;  (* multi path only *)
   mutable ct_failed : int;
   mutable ct_dups : int;
   mutable ct_chunks : int;
@@ -603,8 +603,7 @@ let crash_store (s : Schedule.t) =
 
 (* A crashed endpoint neither receives nor buffers: the valve discards
    everything that arrives at the door inside a crash window. *)
-let crash_valve engine (s : Schedule.t) endpoint ~fast ~slow =
-  let deliver = if s.Schedule.fastpath then fast else slow in
+let crash_valve engine (s : Schedule.t) endpoint deliver =
   Netsim.Blackout.create engine
     ~windows:
       (List.map
@@ -839,10 +838,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let trec fmt = make_trec engine trace fmt in
   let receiver = ref None in
   let sender = ref None in
-  let crash_valve =
-    crash_valve engine s receiver ~fast:CT.Receiver.ingest
-      ~slow:CT.Receiver.on_packet
-  in
+  let crash_valve = crash_valve engine s receiver CT.Receiver.ingest in
   (* The overlap adversary taps the door (before its own injections, so
      it never feeds on itself) and injects straight past the tap. *)
   let overlapper = ref None in
@@ -889,8 +885,6 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   receiver := Some rx;
   let ct = crash_track () in
   let absorb rx =
-    ct.ct_fp <-
-      Transport.Flowcache.add_stats ct.ct_fp (CT.Receiver.fastpath_stats rx);
     let v = CT.Receiver.verifier_stats rx in
     ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
     ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
@@ -1009,8 +1003,9 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   let trec fmt = make_trec engine trace fmt in
   let multi = ref None in
   let crash_valve =
-    crash_valve engine s multi ~fast:Transport.Multi.ingest
-      ~slow:Transport.Multi.on_packet
+    crash_valve engine s multi
+      (if s.Schedule.fastpath then Transport.Multi.ingest
+       else Transport.Multi.on_packet)
   in
   (* The byzantine peer taps the door for its replay ring (before its
      own injections, so it never feeds on itself). *)
@@ -1061,11 +1056,9 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   multi := Some m;
   let ct = crash_track () in
   let absorb m =
-    (let f = Transport.Multi.fastpath_stats m in
-     ct.ct_fp <-
-       Transport.Flowcache.add_stats ct.ct_fp
-         (Transport.Flowcache.add_stats f.Transport.Multi.fp_conn
-            f.Transport.Multi.fp_tpdu));
+    ct.ct_fp <-
+      Transport.Flowcache.add_stats ct.ct_fp
+        (Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn;
     ct.ct_reacks <- ct.ct_reacks + Transport.Multi.reacks_sent m;
     ct.ct_evictions <- ct.ct_evictions + Transport.Multi.evictions m;
     ct.ct_aborts <- ct.ct_aborts + Transport.Multi.aborts_received m;
@@ -1396,13 +1389,15 @@ let counterfactuals =
           run_multi ~mutation ~trace:None { s with Schedule.byz = None });
       equality = Exact;
     };
-    (* The flow cache off: the wire is identical packet for packet, so
-       any divergence is the cache's doing.  Crash-restart schedules run
-       here too, so a cache surviving a restore it should not survive
-       shows up as a divergent epoch. *)
+    (* The connection cache off: the wire is identical packet for
+       packet, so any divergence is the cache's doing.  Crash-restart
+       schedules run here too, so a cache surviving a restore it should
+       not survive shows up as a divergent epoch.  Only the multi path
+       has a cache; the single receiver has one packet entry, so both
+       arms would run the same code. *)
     {
       row = "fastpath-coherence";
-      applies = (fun s -> s.Schedule.fastpath);
+      applies = (fun s -> s.Schedule.fastpath && Schedule.multi_mode s);
       rerun =
         (fun mutation s ->
           run_path ~mutation ~trace:None { s with Schedule.fastpath = false });

@@ -178,8 +178,9 @@ type observation = {
           zero in every profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   fastpath_stats : Transport.Flowcache.stats;
-      (** flow-cache counters, both layers summed, accumulated across
-          crash incarnations; all zero on slow-path runs *)
+      (** the multi path's connection-cache counters, accumulated across
+          crash incarnations; all zero on single-path and cache-off
+          runs *)
   anomalies : int;
       (** protocol anomalies attributed to connections, scored and
           unscored alike *)
@@ -228,7 +229,7 @@ type counterfactual = {
 val counterfactuals : counterfactual list
 (** [overlap-determinism] (overlap adversary permuted),
     [blast-radius] (byzantine peer deleted) and [fastpath-coherence]
-    (flow cache off), in execution order. *)
+    (the multi path's connection cache off), in execution order. *)
 
 val outcome : Schedule.t -> observation -> epoch_obs list
 (** A run's per-epoch outcome: [multi]'s epochs, or for a single-path

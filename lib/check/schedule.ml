@@ -153,10 +153,11 @@ type t = {
   crashes : crash list;
   snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
   fastpath : bool;
-      (** deliver through the flow-cache fast path ([Multi.ingest] /
-          [Receiver.ingest]) instead of [on_packet]; the
-          [fastpath-coherence] oracle row re-runs the schedule with the
-          cache off and demands identical outcomes *)
+      (** select the multi path's connection cache ([Multi.ingest]
+          instead of [Multi.on_packet]); the [fastpath-coherence] oracle
+          row re-runs a multi-path schedule with the cache off and
+          demands identical outcomes.  The single receiver has one
+          packet entry, so the field changes nothing there. *)
   byz : byz option;
       (** a wire-conformant but protocol-violating peer; the
           [blast-radius] oracle row re-runs the schedule with this peer
@@ -357,8 +358,8 @@ let generate ~profile ~seed =
     match profile with
     | Hostile_flood | Crash_flood -> int_in rng 2 4
     | Fastpath_hostile ->
-        (* a mix: exercise both the single-receiver and the
-           demultiplexing fast path *)
+        (* a mix of single-receiver and demultiplexed runs; only the
+           latter have a connection cache to attack *)
         int_in rng 1 3
     | Byzantine_hostile ->
         (* the honest population the blast-radius oracle watches *)
@@ -580,8 +581,8 @@ let generate ~profile ~seed =
   (* Drawn last so the field's introduction leaves every earlier draw
      of existing profiles' schedules unchanged.  Every profile runs with
      the cache on a third of the time — the coherence oracle then
-     exercises cache-on-vs-off across the whole fault space, crash
-     restarts included. *)
+     exercises cache-on-vs-off across the whole multi-path fault space,
+     crash restarts included. *)
   let fastpath =
     profile = Fastpath_hostile || Netsim.Rng.bool rng (1.0 /. 3.0)
   in

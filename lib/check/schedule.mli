@@ -52,15 +52,15 @@ type profile =
           every Critical/Normal byte must arrive byte-exact, and only
           declared-sheddable spans may be missing *)
   | Fastpath_hostile
-      (** the flow-cache fast path under hostile fire: every packet is
-          delivered through {!Transport.Multi.ingest} /
-          {!Transport.Chunk_transport.Receiver.ingest} while corruption,
-          loss, duplication and congestion drops attack the cached label
-          prefixes, with a mix of single- and multi-connection runs
-          (sometimes with C.ID reuse) churning the connection cache —
-          and the [fastpath-coherence] oracle row replays the whole
-          schedule with the cache off, demanding identical delivery and
-          identical verdicts *)
+      (** the multi path's connection cache under hostile fire: every
+          schedule sets [fastpath], so multi-connection runs (sometimes
+          with C.ID reuse) deliver through {!Transport.Multi.ingest}
+          while corruption, loss, duplication and congestion drops
+          attack the cached label prefixes and churn the cache — and the
+          [fastpath-coherence] oracle row replays each such schedule
+          with the cache off, demanding identical delivery and identical
+          verdicts.  Its single-connection runs exercise the receiver's
+          one packet entry under the same fire. *)
   | Byzantine_hostile
       (** a wire-conformant but protocol-violating peer alongside the
           honest population: Open/Close flapping that parks archived
@@ -183,10 +183,13 @@ type t = {
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
   fastpath : bool;
-      (** deliver received packets through the flow-cache fast path
-          ([ingest]) instead of [on_packet]; any schedule may draw it,
-          and the [fastpath-coherence] oracle row re-runs the schedule
-          with the cache off and demands identical outcomes *)
+      (** select the multi path's connection cache
+          ({!Transport.Multi.ingest} instead of
+          {!Transport.Multi.on_packet}); any schedule may draw it, and
+          the [fastpath-coherence] oracle row re-runs a multi-path
+          schedule with the cache off and demands identical outcomes.
+          The single receiver has one packet entry, so the field
+          changes nothing on the single path. *)
   byz : byz option;
       (** byzantine peer ({!Netsim.Byzantine}): valid wire format,
           violated protocol; forces the multi path, and the

@@ -226,31 +226,16 @@ module Receiver = struct
        from the data labels alone, for epochs whose Open died in
        flight *)
     mutable ident_min : int;
-    (* fast path (DESIGN §7): per-TPDU flow cache keyed
-       (C.ID, T.ID) holding the corroborated C.SN - T.SN delta.  An
-       entry exists only while every premise the trimmed dispatch skips
-       re-checking holds — corroboration confirmed, TPDU neither acked
-       nor shed, arrival record present, gap timer armed (sack mode) —
-       so each state transition that breaks one of those premises
-       invalidates eagerly.  Shareable across epochs (Multi passes one
-       cache to every receiver it creates); entries are keyed by C.ID so
-       epoch turnover only has to invalidate its own connection's
-       rows. *)
-    fcache : int Flowcache.t;
     scan : Wire.Scan.t;
   }
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
-
-  let invalidate_l1 rx t_id =
-    Flowcache.invalidate rx.fcache ~k1:rx.config.conn_id ~k2:t_id
 
   (* Dispose of every piece of per-TPDU soft state (verifier
      accumulator, corroboration stash, arrival record).  The governor's
      account is the caller's responsibility: the eviction callback has
      already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
-    invalidate_l1 rx t_id;
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
     Hashtbl.remove rx.corrob t_id;
     Hashtbl.remove rx.first_arrival t_id;
@@ -261,7 +246,7 @@ module Receiver = struct
     rx.evictions <- rx.evictions + 1
 
   let create engine config ?(bus = Busmodel.create ()) ?governor ?acked
-      ?persist ?fcache ~send_ack ~capacity () =
+      ?persist ~send_ack ~capacity () =
     validate_config config;
     let capacity_elems =
       match capacity with `Exact n | `Quota n -> n
@@ -308,10 +293,6 @@ module Receiver = struct
         persist;
         restored_passes = 0;
         ident_min = max_int;
-        fcache =
-          (match fcache with
-          | Some fc -> fc
-          | None -> Flowcache.create ~name:"tpdu" ~slots:512 ());
         scan = Wire.Scan.create ();
       }
     in
@@ -427,21 +408,13 @@ module Receiver = struct
      the simulation alive forever. *)
   let max_nack_rounds = 200
 
-  (* Disarming the gap timer breaks the fast path's "sack implies a
-     timer is armed" premise, so each exit invalidates the TPDU's cache
-     row — otherwise a cached dispatch would skip the re-arm the slow
-     path performs. *)
   let rec arm_nack rx t_id rounds =
     Netsim.Engine.schedule rx.engine ~delay:rx.config.nack_delay (fun () ->
-        if rounds >= max_nack_rounds || Hashtbl.mem rx.acked t_id then begin
-          invalidate_l1 rx t_id;
+        if rounds >= max_nack_rounds || Hashtbl.mem rx.acked t_id then
           Hashtbl.remove rx.nack_armed t_id
-        end
         else
         match Edc.Verifier.missing rx.verifier ~t_id with
-        | None ->
-            invalidate_l1 rx t_id;
-            Hashtbl.remove rx.nack_armed t_id (* verified or dropped *)
+        | None -> Hashtbl.remove rx.nack_armed t_id (* verified or dropped *)
         | Some spans ->
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
@@ -589,10 +562,9 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
-  (* The verifier-dispatch and governor re-accounting tail of chunk
-     processing, shared verbatim by the slow path ([on_chunk]) and the
-     flow-cache fast path ([ingest]'s cached dispatch): everything from
-     here on is work no cache may skip. *)
+  (* The verifier-dispatch and governor re-accounting tail of
+     [on_chunk], once the chunk's TPDU is known to be neither acked nor
+     shed. *)
   let verify_and_account rx chunk t_id =
     let events = Edc.Verifier.on_chunk rx.verifier chunk in
     List.iter
@@ -638,9 +610,6 @@ module Receiver = struct
                   m.placed_runs
               | None -> []
             in
-            (* verification acks the TPDU: the cached premise "not yet
-               acknowledged" just broke *)
-            invalidate_l1 rx t_id;
             Hashtbl.remove rx.corrob t_id;
             (match Hashtbl.find_opt rx.end_claims t_id with
             | Some last ->
@@ -694,32 +663,11 @@ module Receiver = struct
         | Edc.Verifier.Tpdu_verified { t_id; verdict = _ } ->
             (* failed epoch: drop its suspect stash and end claim
                with it *)
-            invalidate_l1 rx t_id;
             Hashtbl.remove rx.corrob t_id;
             Hashtbl.remove rx.end_claims t_id
         | Edc.Verifier.Duplicate_dropped _ -> ())
       events;
     account rx t_id
-
-  (* Install a flow-cache row for [t_id] if — after this chunk's full
-     slow-path processing — every premise the fast path skips
-     re-checking holds.  Keyed by the receiver's own C.ID: a chunk whose
-     (possibly corrupted) C.ID differs can never populate the cache, so
-     invalidation only ever has one key to clear. *)
-  let maybe_cache rx chunk t_id =
-    match Hashtbl.find_opt rx.corrob t_id with
-    | Some { confirmed = true; delta_data = Some delta; _ } ->
-        let h = chunk.Chunk.header in
-        if
-          h.Header.c.Ftuple.id = rx.config.conn_id
-          && (not h.Header.c.Ftuple.st)
-          && (not (Hashtbl.mem rx.acked t_id))
-          && (not (Hashtbl.mem rx.shed_tids t_id))
-          && ((not rx.config.sack) || Hashtbl.mem rx.nack_armed t_id)
-          && Hashtbl.mem rx.first_arrival t_id
-        then
-          Flowcache.insert rx.fcache ~k1:rx.config.conn_id ~k2:t_id delta
-    | Some _ | None -> ()
 
   let on_chunk rx chunk =
     if Chunk.is_terminator chunk then ()
@@ -760,63 +708,20 @@ module Receiver = struct
            end
          end);
         witness rx chunk;
-        verify_and_account rx chunk t_id;
-        maybe_cache rx chunk t_id
+        verify_and_account rx chunk t_id
       end
     end
-
-  let on_packet rx b =
-    Busmodel.nic_to_mem rx.bus (Bytes.length b);
-    match Wire.decode_packet b with
-    | Error _ -> ()
-    | Ok chunks -> List.iter (on_chunk rx) chunks
-
-  (* Fast-path dispatch of one scanned chunk (DESIGN §7).  Eligible
-     traffic — a data chunk without the C.ST bit, or an ED chunk — whose
-     (C.ID, T.ID) row is cached with a matching connection delta goes
-     straight to [verify_and_account]: the cache row's existence proves
-     the arrival bookkeeping, corroboration witness and
-     acked/shed/timer re-checks the slow path would perform are all
-     settled no-ops for this TPDU.  Anything else (miss, stale delta =
-     corrupt label, signal, C.ST carrier) reports [false] and the caller
-     falls back to [on_chunk]. *)
-  let fast_chunk rx b off =
-    let code = Wire.Scan.ctype_code b off in
-    if (code = 0 || code = 1) && not (Wire.Scan.c_st b off) then begin
-      let t_id = Wire.Scan.t_id b off in
-      match Flowcache.find rx.fcache ~k1:(Wire.Scan.c_id b off) ~k2:t_id with
-      | Some delta when Wire.Scan.c_sn b off - Wire.Scan.t_sn b off = delta ->
-          let chunk = Wire.Scan.chunk b off in
-          if Obs.enabled && Obs.Trace.active () then
-            Obs.Trace.record
-              (Obs.Trace.Chunk_rx
-                 {
-                   conn = rx.config.conn_id;
-                   tpdu = t_id;
-                   bytes = Bytes.length chunk.Chunk.payload;
-                 })
-              ~time:(Netsim.Engine.now rx.engine);
-          verify_and_account rx chunk t_id;
-          true
-      | Some _ | None -> false
-    end
-    else false
-
-  let ingest_scanned rx b off =
-    if not (fast_chunk rx b off) then on_chunk rx (Wire.Scan.chunk b off)
 
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
       for i = 0 to Wire.Scan.count rx.scan - 1 do
-        ingest_scanned rx b (Wire.Scan.offset rx.scan i)
+        on_chunk rx (Wire.Scan.chunk b (Wire.Scan.offset rx.scan i))
       done
 
   let ingest_batch rx packets =
     if Obs.enabled then Obs.Metrics.observe m_batch (Array.length packets);
     Array.iter (ingest rx) packets
-
-  let fastpath_stats rx = Flowcache.stats rx.fcache
 
   let contents rx = Placement.contents rx.placement
   let delivered_elems rx = Placement.placed_elems rx.placement
@@ -958,11 +863,11 @@ module Receiver = struct
      the ledger in [acked_tids] keeps verified TPDUs from being
      re-processed, and governor occupancy is re-derived from the
      restored state — not trusted from the image. *)
-  let restore engine config ?bus ?governor ?acked ?persist ?fcache ~send_ack
+  let restore engine config ?bus ?governor ?acked ?persist ~send_ack
       ~capacity (img : Persist.receiver_image) ~acked_tids =
     let rx =
-      create engine config ?bus ?governor ?acked ?persist ?fcache ~send_ack
-        ~capacity ()
+      create engine config ?bus ?governor ?acked ?persist ~send_ack ~capacity
+        ()
     in
     rx.restored_passes <- img.Persist.ri_passed;
     List.iter
@@ -1690,7 +1595,7 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
   let receiver = ref None in
   let sender = ref None in
   let to_receiver b =
-    match !receiver with Some r -> Receiver.on_packet r b | None -> ()
+    match !receiver with Some r -> Receiver.ingest r b | None -> ()
   in
   (* Build the in-network gateway chain back to front: each gateway
      re-envelopes chunks for its outgoing MTU and forwards over its own

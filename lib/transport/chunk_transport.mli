@@ -101,7 +101,6 @@ module Receiver : sig
     ?governor:Governor.t ->
     ?acked:(int, unit) Hashtbl.t ->
     ?persist:(Persist.event -> unit) ->
-    ?fcache:int Flowcache.t ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
     unit ->
@@ -123,52 +122,25 @@ module Receiver : sig
       {!Persist.Acked} event per fresh acknowledgement, {e before} the
       ACK packet is handed to [send_ack], carrying exactly the placed
       bytes that ACK promises to keep — as views borrowed from the
-      placement buffer, valid only until the hook returns.
-
-      [?fcache] is the per-TPDU flow cache of the fast path (DESIGN §7),
-      keyed [(C.ID, T.ID)] and holding corroborated connection deltas.
-      Pass a shared one when a demultiplexer owns receivers across
-      epochs ({!Multi} does); without it the receiver runs its own.  A
-      restored receiver must be given a cache with no rows for its
-      connection (a fresh one, in practice): crash restore invalidates
-      by construction. *)
-
-  val on_packet : t -> bytes -> unit
-  (** Feed one packet from the network (slow path: full
-      {!Labelling.Wire.decode_packet} then per-chunk processing). *)
+      placement buffer, valid only until the hook returns. *)
 
   val on_chunk : t -> Labelling.Chunk.t -> unit
   (** Feed one already-decoded chunk (demultiplexer path; no bus
       accounting). *)
 
   val ingest : t -> bytes -> unit
-  (** Feed one packet through the flow-cache fast path: a single
-      zero-allocation structural scan ({!Labelling.Wire.Scan}) replaces
-      full decoding, and chunks whose [(C.ID, T.ID)] row is cached
-      dispatch straight to the verifier, skipping the per-chunk
-      consistency re-checks already witnessed for that TPDU's epoch.
-      Every other chunk falls back to the slow path, which repopulates
-      the cache.  Behaviourally identical to {!on_packet} on every input
-      — malformed packets are dropped whole, byte-identical delivery —
-      as asserted by the [fastpath-coherence] oracle row and the qcheck
-      equivalence property. *)
+  (** Feed one packet from the network — the receiver's only packet
+      entry.  One zero-allocation structural scan
+      ({!Labelling.Wire.Scan}) validates the whole packet, dropping a
+      malformed one whole exactly as {!Labelling.Wire.decode_packet}
+      would; each scanned chunk is then materialised and handed to
+      {!on_chunk}.  The qcheck property in [test_flowcache] holds it
+      byte-identical to [decode_packet] followed by {!on_chunk}. *)
 
   val ingest_batch : t -> bytes array -> unit
   (** {!ingest} over a batch of packets, amortising dispatch cost;
       records batch occupancy in the [transport_ingest_batch_packets]
       histogram. *)
-
-  val ingest_scanned : t -> bytes -> int -> unit
-  (** [ingest_scanned rx b off] processes the single chunk starting at
-      [off] in [b], where [off] came from a successful
-      {!Labelling.Wire.Scan.packet} pass over [b] — fast dispatch on a
-      per-TPDU cache hit, slow-path fallback otherwise.  The
-      demultiplexer's bridge into the receiver (no bus accounting, like
-      {!on_chunk}). *)
-
-  val fastpath_stats : t -> Flowcache.stats
-  (** Counters of the receiver's per-TPDU flow cache.  When the cache is
-      shared (see {!create}), these are the shared instance's totals. *)
 
   val contents : t -> bytes
   (** The application buffer (valid up to the placed elements). *)
@@ -316,7 +288,6 @@ module Receiver : sig
     ?governor:Governor.t ->
     ?acked:(int, unit) Hashtbl.t ->
     ?persist:(Persist.event -> unit) ->
-    ?fcache:int Flowcache.t ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
     Persist.receiver_image ->

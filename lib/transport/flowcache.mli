@@ -1,15 +1,13 @@
 (** Direct-mapped flow cache over a pair of integer keys.
 
-    The building block of the layered fast path (DESIGN §7): one
-    instance keyed on [C.ID] caches hot-connection dispatch state in
-    {!Multi}, another keyed on [(C.ID, T.ID)] caches per-TPDU
-    corroborated deltas in {!Chunk_transport}.  A probe is O(1) and
-    allocation-free; on miss, epoch change, eviction, or any anomaly the
-    caller falls back to the slow path, which repopulates the cache —
-    the cache can therefore only ever make correct processing faster,
-    never different, provided every state transition that breaks an
-    entry's premise calls {!invalidate} (the invalidation-rules table in
-    DESIGN §7 enumerates them).
+    The building block of the fast path (DESIGN §7): {!Multi} keys one
+    instance on [(C.ID, 0)] to cache hot-connection dispatch state.  A
+    probe is O(1) and allocation-free; on miss, epoch change, eviction,
+    or any anomaly the caller falls back to the slow path, which
+    repopulates the cache — the cache can therefore only ever make
+    correct processing faster, never different, provided every state
+    transition that breaks an entry's premise calls {!invalidate} (the
+    invalidation-rules table in DESIGN §7 enumerates them).
 
     The cache is direct-mapped: each key pair hashes to exactly one
     slot, and {!insert} displaces whatever lives there.  Conflict misses

@@ -103,7 +103,6 @@ type t = {
   quota_elems : int;
   max_conns : int;
   persist : (Persist.event -> unit) option;
-  l1 : int Flowcache.t;  (* per-TPDU cache, shared by every receiver *)
   l2 : l2_entry Flowcache.t;  (* hot-connection dispatch cache *)
   scan : Wire.Scan.t;
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
@@ -348,7 +347,6 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       quota_elems;
       max_conns;
       persist;
-      l1 = Flowcache.create ~name:"tpdu" ~slots ();
       l2 = Flowcache.create ~name:"conn" ~slots ();
       scan = Wire.Scan.create ();
       anomaly_budget;
@@ -419,7 +417,7 @@ let new_epoch ?open_csn m c =
     R.create m.engine
       { m.config with conn_id = c.id }
       ~bus:m.bus ~governor:m.governor ~acked:c.acked ?persist:m.persist
-      ~fcache:m.l1 ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ()
+      ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ()
   in
   c.live <- Some rx;
   c.live_open <- open_csn;
@@ -718,7 +716,7 @@ let maybe_cache_conn m chunk =
    path's dispatch work — [Connection.on_chunk] is side-effect-free for
    non-C.ST data and ED chunks, the epoch-reopen check cannot fire while
    the stream end is unconfirmed — so the chunk goes straight to the
-   live receiver (whose own per-TPDU cache may trim further).  Any
+   live receiver.  Any
    other chunk, and any chunk whose cached premises no longer hold,
    falls back to [on_chunk], which repopulates the cache. *)
 let ingest m b =
@@ -737,7 +735,7 @@ let ingest m b =
             match e.fc_conn.live with
             | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
                 touch_conn m e.fc_conn;
-                R.ingest_scanned rx b off;
+                R.on_chunk rx (Wire.Scan.chunk b off);
                 true
             | Some _ | None ->
                 (* the epoch turned over (or closed) under the entry *)
@@ -758,7 +756,7 @@ let ingest_batch m packets =
   Array.iter (ingest m) packets
 
 let fastpath_stats m =
-  { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.stats m.l1 }
+  { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.zero_stats }
 
 let epochs m ~conn_id =
   match Hashtbl.find_opt m.conns conn_id with
@@ -961,7 +959,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
               R.restore m.engine
                 { m.config with conn_id = c.id }
                 ~bus:m.bus ~governor:m.governor ~acked:c.acked
-                ?persist:m.persist ~fcache:m.l1 ~send_ack:m.send_ack
+                ?persist:m.persist ~send_ack:m.send_ack
                 ~capacity:(`Quota m.quota_elems) ri ~acked_tids:[]
             in
             c.live <- Some rx;

@@ -80,9 +80,9 @@ val create :
     views, valid only until the hook returns) plus {!Persist.Opened} /
     {!Persist.Archived} / {!Persist.Closed} lifecycle records.
 
-    [?fastpath_slots] sizes the two flow caches of the {!ingest} fast
+    [?fastpath_slots] sizes the connection cache of the {!ingest} fast
     path (rounded up to a power of two; default derived from
-    [max_conns]).  Hostile or skewed workloads that overflow the caches
+    [max_conns]).  Hostile or skewed workloads that overflow the cache
     degrade to slow-path throughput, never to different behaviour.
 
     [?anomaly_budget] (default 32) is the scored-anomaly threshold at
@@ -101,15 +101,14 @@ val on_packet : t -> bytes -> unit
     (unparseable packets are dropped, as on a real wire). *)
 
 val ingest : t -> bytes -> unit
-(** Feed one wire packet through the layered flow-cache fast path
-    (DESIGN §7): a single zero-allocation structural scan
-    ({!Labelling.Wire.Scan}) replaces full decoding, hot-connection
-    chunks dispatch via the connection cache straight to the live
-    epoch's receiver (bypassing the signalling table and demux lookups),
-    and TPDUs with a corroborated delta trim further via the per-TPDU
-    cache.  Signals, C.ST carriers, cache misses and any anomaly (stale
-    epoch, corrupt label prefix, confirmed stream end) fall back to the
-    {!on_packet} slow path chunk by chunk, repopulating the caches.
+(** Feed one wire packet through the flow-cache fast path (DESIGN §7):
+    a single zero-allocation structural scan ({!Labelling.Wire.Scan})
+    replaces full decoding, and hot-connection chunks dispatch via the
+    connection cache straight to the live epoch's receiver (bypassing
+    the signalling table and demux lookups).  Signals, C.ST carriers,
+    cache misses and any anomaly (stale epoch, confirmed stream end)
+    fall back to the {!on_packet} slow path chunk by chunk, repopulating
+    the cache.
     Behaviourally identical to {!on_packet} on every input — malformed
     packets are dropped whole; delivery is byte-identical — as asserted
     by the [fastpath-coherence] oracle row across every soak profile. *)
@@ -120,15 +119,18 @@ val ingest_batch : t -> bytes array -> unit
     [transport_ingest_batch_packets] histogram. *)
 
 type fastpath_stats = {
-  fp_conn : Flowcache.stats;  (** connection-level (L2) cache *)
-  fp_tpdu : Flowcache.stats;  (** per-TPDU (L1) cache, shared by all receivers *)
+  fp_conn : Flowcache.stats;  (** the connection (C.ID) cache *)
+  fp_tpdu : Flowcache.stats;
+      (** always {!Flowcache.zero_stats}: the per-TPDU cache it counted
+          is gone, and the field stays only because the receive-path
+          benchmark still reads it *)
 }
-(** Counters of the two fast-path cache layers. *)
+(** Counters of the fast path's flow cache. *)
 
 val fastpath_stats : t -> fastpath_stats
-(** Flow-cache counters accumulated since creation.  Probes are counted
-    only on the {!ingest} path, so a pure {!on_packet} endpoint reports
-    all-zero stats. *)
+(** Flow-cache counters accumulated since creation.  The cache is probed
+    and filled only on the {!ingest} path, so a pure {!on_packet}
+    endpoint reports all-zero stats. *)
 
 val epochs : t -> conn_id:int -> epoch_report list
 (** Delivered buffers of the connection's epochs, oldest first; the last

@@ -1,57 +1,10 @@
-(* TYPE-based demultiplexing (Appendix A) and connection signalling. *)
+(* Connection signalling and the multi-connection endpoint. *)
 
 open Labelling
 
 let data_chunk () =
   let c = Ftuple.v ~id:7 ~sn:0 () in
   Util.ok_or_fail (Chunk.data ~size:4 ~c ~t:c ~x:c (Bytes.create 8))
-
-let ed_chunk () =
-  let c = Ftuple.v ~id:7 ~sn:0 () in
-  Util.ok_or_fail (Chunk.control ~kind:Ctype.ed ~c ~t:c ~x:c (Bytes.create 8))
-
-let test_demux_routing () =
-  let d = Demux.create () in
-  let data_seen = ref 0 and ed_seen = ref 0 in
-  Demux.register d Ctype.data (fun _ -> incr data_seen);
-  Demux.register d Ctype.ed (fun _ -> incr ed_seen);
-  Demux.on_chunk d (data_chunk ());
-  Demux.on_chunk d (ed_chunk ());
-  Demux.on_chunk d (data_chunk ());
-  Alcotest.(check int) "data routed" 2 !data_seen;
-  Alcotest.(check int) "ed routed" 1 !ed_seen;
-  Alcotest.(check int) "total" 3 (Demux.routed d);
-  Alcotest.(check int) "no unknown" 0 (Demux.unknown d)
-
-let test_demux_default () =
-  let fell_through = ref 0 in
-  let d = Demux.create ~default:(fun _ -> incr fell_through) () in
-  Demux.on_chunk d (ed_chunk ());
-  Alcotest.(check int) "unregistered TYPE -> default" 1 !fell_through;
-  Alcotest.(check int) "unknown counted" 1 (Demux.unknown d)
-
-let test_demux_packet () =
-  let d = Demux.create () in
-  let seen = ref [] in
-  Demux.register d Ctype.data (fun c ->
-      seen := c.Chunk.header.Header.c.Ftuple.sn :: !seen);
-  let chunks =
-    List.map
-      (fun sn ->
-        let c = Ftuple.v ~id:1 ~sn () in
-        Util.ok_or_fail (Chunk.data ~size:4 ~c ~t:c ~x:c (Bytes.create 4)))
-      [ 3; 1; 2 ]
-  in
-  let image = Util.ok_or_fail (Wire.encode_packet ~capacity:400 chunks) in
-  (match Demux.on_packet d image with
-  | Ok 3 -> ()
-  | Ok n -> Alcotest.failf "expected 3 routed, got %d" n
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check (list int)) "order preserved" [ 3; 1; 2 ] (List.rev !seen);
-  (* terminators swallowed, garbage rejected *)
-  match Demux.on_packet d (Bytes.make 10 '\xFF') with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage must be rejected"
 
 let test_signal_roundtrip () =
   List.iter
@@ -400,9 +353,6 @@ let test_multi_concurrent_conns () =
 
 let suite =
   [
-    Alcotest.test_case "demux routes by TYPE" `Quick test_demux_routing;
-    Alcotest.test_case "demux default handler" `Quick test_demux_default;
-    Alcotest.test_case "demux whole packets" `Quick test_demux_packet;
     Alcotest.test_case "signal roundtrip" `Quick test_signal_roundtrip;
     Alcotest.test_case "signal parity rejects damage" `Quick
       test_signal_parity_rejects_damage;

@@ -102,8 +102,8 @@ let gen_forged_duplicates =
     in
     return (sealed, Util.shuffle ~seed:shuffle_seed (sealed @ forged)))
 
-(* Forged duplicate labels on divergent payloads, routed through
-   Demux into a Verifier behind an ACK ledger (the receiver's door
+(* Forged duplicate labels on divergent payloads, data and ED chunks
+   fed straight into a Verifier behind an ACK ledger (the receiver's door
    discipline): nothing raises, no TPDU passes twice, and within any one
    incarnation of a TPDU's verifier state the fresh-element reports
    never exceed the TPDU's true extent — a divergent duplicate is
@@ -153,10 +153,10 @@ let prop_forged_duplicates (sealed, pool) =
           | Edc.Verifier.Duplicate_dropped _ -> ())
         (Edc.Verifier.on_chunk v c)
   in
-  let d = Demux.create () in
-  Demux.register d Ctype.data feed;
-  Demux.register d Ctype.ed feed;
-  no_exn (fun () -> List.iter (Demux.on_chunk d) pool) && !ok
+  let is_ed c = Ctype.equal c.Chunk.header.Header.ctype Ctype.ed in
+  no_exn (fun () ->
+      List.iter (fun c -> if Chunk.is_data c || is_ed c then feed c) pool)
+  && !ok
 
 (* Arbitrary virtual-reassembly operations, with spans drawn from the
    full decoded-label range: negative, zero-length, and near-max_int

@@ -333,7 +333,7 @@ let test_give_up_releases_state () =
         | Some rx ->
             if not (drops_ed b) then
               Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                  CT.Receiver.on_packet rx b)
+                  CT.Receiver.ingest rx b)
         | None -> ())
       ~data:small ()
   in
