@@ -716,9 +716,9 @@ let maybe_cache_conn m chunk =
    path's dispatch work — [Connection.on_chunk] is side-effect-free for
    non-C.ST data and ED chunks, the epoch-reopen check cannot fire while
    the stream end is unconfirmed — so the chunk goes straight to the
-   live receiver.  Any
-   other chunk, and any chunk whose cached premises no longer hold,
-   falls back to [on_chunk], which repopulates the cache. *)
+   live receiver's [on_chunk].  Any other chunk, and any chunk whose
+   cached premises no longer hold, falls back to [on_chunk], which
+   repopulates the cache. *)
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
