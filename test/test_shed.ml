@@ -163,6 +163,130 @@ let test_governor_evicts_sheddable_first () =
     [ 0; 2; 1 ] !evicted;
   Alcotest.(check bool) "budget respected" true (Gov.total g <= 100)
 
+(* A scripted governor run: each step is applied in order, and every
+   eviction is logged as "budget c.t" (inside a touch) or "deadline c.t"
+   (inside a sweep).  The expected logs below pin the exact victim
+   order, including ties between equal deadlines, so any change to the
+   governor's table discipline shows up as a diff. *)
+type gov_step =
+  | Touch of { conn : int; tpdu : int; cls : int; bytes : int; now : float }
+  | Remove of { conn : int; tpdu : int }
+  | Remove_conn of int
+  | Sweep of float
+
+let run_gov_script ~budget ~ttl steps =
+  let g = Gov.create ~budget_bytes:budget ~ttl () in
+  let log = ref [] in
+  let phase = ref "budget" in
+  Gov.set_on_evict g (fun k ->
+      log := Printf.sprintf "%s %d.%d" !phase k.Gov.conn k.Gov.tpdu :: !log);
+  List.iter
+    (function
+      | Touch { conn; tpdu; cls; bytes; now } ->
+          phase := "budget";
+          Gov.touch ~cls g ~key:{ Gov.conn; tpdu } ~bytes ~now
+      | Remove { conn; tpdu } -> Gov.remove g ~key:{ Gov.conn; tpdu }
+      | Remove_conn conn -> Gov.remove_conn g ~conn
+      | Sweep now ->
+          phase := "deadline";
+          Gov.sweep g ~now)
+    steps;
+  let s = Gov.stats g in
+  ( List.rev !log,
+    [
+      s.Gov.accounted_bytes;
+      s.Gov.high_water;
+      s.Gov.entries;
+      s.Gov.evictions_deadline;
+      s.Gov.evictions_budget;
+    ] )
+
+let touch ?(cls = 0) conn tpdu bytes now = Touch { conn; tpdu; cls; bytes; now }
+
+let test_governor_eviction_order_pinned () =
+  (* connection-level (tpdu = -1) and TPDU-level keys, equal deadlines
+     within each burst, classes 0 and 2, and a budget that forces
+     evictions in both classes *)
+  let steps =
+    [
+      touch 1 (-1) 50 0.0;
+      touch 1 0 40 0.0;
+      touch ~cls:2 1 1 40 0.0;
+      touch 2 (-1) 50 0.0;
+      touch ~cls:2 2 0 40 0.0;
+      touch 2 1 40 0.0;
+      touch 1 0 60 0.0;
+      touch 1 0 60 0.0;
+      touch 3 (-1) 50 1.0;
+      touch ~cls:2 3 0 40 1.0;
+      touch 3 1 70 2.0;
+      touch 3 1 20 2.0;
+      Remove { conn = 2; tpdu = -1 };
+      touch 1 0 30 3.0;
+      touch 4 (-1) 50 3.0;
+      touch ~cls:2 4 7 30 3.0;
+      touch ~cls:2 4 8 30 3.0;
+      touch 4 9 30 3.0;
+      touch ~cls:2 4 7 40 3.0;
+      Remove_conn 3;
+      touch 5 (-1) 50 4.0;
+      touch 5 0 90 4.0;
+      Sweep 12.5;
+      touch 1 0 10 12.5;
+      touch 6 (-1) 10 12.5;
+      Sweep 14.0;
+    ]
+  in
+  let log, stats = run_gov_script ~budget:300 ~ttl:10.0 steps in
+  Alcotest.(check (list string))
+    "victims in order"
+    [
+      "budget 2.0"; "budget 1.1"; "budget 3.0"; "budget 1.-1"; "budget 4.7";
+      "budget 4.8"; "deadline 2.1"; "deadline 5.0"; "deadline 5.-1";
+      "deadline 4.-1"; "deadline 4.9";
+    ]
+    log;
+  (* accounted, high water, entries, deadline and budget evictions *)
+  Alcotest.(check (list int)) "stats" [ 20; 290; 2; 5; 6 ] stats
+
+(* A touch of a key whose entry has gone — removed, budget-evicted,
+   swept, or dropped with its connection — re-adds it as a brand-new
+   entry: the same account, and the same place in later victim order,
+   as any first touch. *)
+let test_governor_retouch_after_loss () =
+  let check name steps exp_log exp_stats =
+    let log, stats = run_gov_script ~budget:200 ~ttl:10.0 steps in
+    Alcotest.(check (list string)) (name ^ ": victims") exp_log log;
+    Alcotest.(check (list int)) (name ^ ": stats") exp_stats stats
+  in
+  let tail now =
+    (* squeeze the re-added key against equal-deadline peers *)
+    [ touch 2 0 60 now; touch 2 1 60 now; touch 2 2 60 now ]
+  in
+  check "removed"
+    ([ touch 1 0 40 0.0; touch 1 0 40 0.0; Remove { conn = 1; tpdu = 0 };
+       touch 1 0 40 5.0 ]
+    @ tail 5.0)
+    [ "budget 2.1" ] [ 160; 160; 3; 0; 1 ];
+  check "budget-evicted"
+    ([ touch 1 0 40 0.0; touch 1 0 40 0.0; touch 9 0 190 1.0;
+       touch 1 0 40 5.0 ]
+    @ tail 5.0)
+    [ "budget 1.0"; "budget 9.0"; "budget 2.1" ]
+    [ 160; 190; 3; 0; 3 ];
+  check "swept"
+    ([ touch 1 (-1) 40 0.0; touch 1 (-1) 40 0.0; Sweep 11.0;
+       touch 1 (-1) 40 11.0 ]
+    @ tail 11.0)
+    [ "deadline 1.-1"; "budget 1.-1" ]
+    [ 180; 180; 3; 1; 1 ];
+  check "connection dropped"
+    ([ touch 1 (-1) 40 0.0; touch 1 0 40 0.0; touch 1 0 40 0.0;
+       Remove_conn 1; touch 1 0 40 5.0; touch 1 (-1) 40 5.0 ]
+    @ tail 5.0)
+    [ "budget 1.-1"; "budget 2.1" ]
+    [ 160; 200; 3; 0; 2 ]
+
 (* Random touch/remove storms with mixed classes; cls 3 encodes a
    removal of the key.  Invariants after every event: the account never
    exceeds the budget, and a fully-reliable (class 0) entry is never
@@ -404,6 +528,10 @@ let suite =
       test_shed_after_verify_ignored;
     Alcotest.test_case "governor displaces sheddable state first" `Quick
       test_governor_evicts_sheddable_first;
+    Alcotest.test_case "governor: scripted eviction order pinned" `Quick
+      test_governor_eviction_order_pinned;
+    Alcotest.test_case "governor: re-touch after loss re-adds the entry"
+      `Quick test_governor_retouch_after_loss;
     Util.qtest ~count:300 "governor: budget and priority invariants"
       gen_gov_events prop_governor_budget_and_priority;
     Alcotest.test_case "interleave: weighted round-robin and classify"
