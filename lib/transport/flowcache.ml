@@ -14,7 +14,7 @@
    at the value. *)
 
 type 'a t = {
-  mask : int;
+  shift : int;  (* [Sys.int_size - log2 slots]: keeps an index's top bits *)
   k1s : int array;
   k2s : int array;
   vals : 'a option array;
@@ -43,6 +43,7 @@ type stats = {
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ~name ~slots () =
   if slots < 1 then invalid_arg "Flowcache.create: slots must be >= 1";
@@ -51,7 +52,7 @@ let create ~name ~slots () =
     Obs.Metrics.counter (Printf.sprintf "flowcache_%s_%s_total" name suffix)
   in
   {
-    mask = n - 1;
+    shift = Sys.int_size - log2 n;
     k1s = Array.make n (-1);
     k2s = Array.make n (-1);
     vals = Array.make n None;
@@ -68,17 +69,22 @@ let create ~name ~slots () =
     c_evictions = metric "evictions";
   }
 
-let slots c = c.mask + 1
+let slots c = Array.length c.k1s
 
-(* Fibonacci-style multiplicative mix of the two keys; the keys are
-   wire-supplied 32-bit IDs, so an attacker controls them — the mix only
-   has to spread benign traffic, hostile traffic degenerates to slow
-   path, never to wrong answers. *)
+(* Multiplicative hashing on the top bits: the product's high bits
+   depend on every key bit, where its low bits see only the low key
+   bits.  The multiplier is an odd 63-bit constant close to the
+   golden-ratio multiplier 2^63 / phi, picked so that the C.IDs 1..64 a
+   fresh endpoint hands out land in 64 distinct slots of a 64-slot
+   cache.  The keys are wire-supplied 32-bit IDs, so an attacker
+   controls them — the mix only has to spread benign traffic, hostile
+   traffic degenerates to slow path, never to wrong answers.  The
+   logical shift leaves [log2 slots] bits, so the index is in bounds for
+   every slot count, 1 included. *)
 let index c ~k1 ~k2 =
-  let h = ((k1 * 0x9E3779B1) lxor (k2 * 0x85EBCA77)) land max_int in
-  (h lxor (h lsr 17)) land c.mask
+  ((k1 lxor (k2 * 0x9E3779B1)) * 0x4E03_E4BD_3CEB_3FFD) lsr c.shift
 
-(* [index] masks into the arrays, so unsafe reads below are in bounds
+(* [index] is below [slots c], so unsafe reads below are in bounds
    by construction.  Occupancy lives in the key arrays alone: empty
    slots hold the [-1] sentinel (keys are wire u32s, so never negative
    — [insert] enforces it), and a key match therefore implies the slot

@@ -47,6 +47,25 @@ let test_cache_eviction () =
   Alcotest.(check bool) "eviction counted" true
     ((FC.stats c).FC.s_evictions >= 1)
 
+(* The C.IDs a fresh endpoint hands out, 1..64, must not collide in the
+   64-slot cache [Multi] sizes for 64 connections: every key survives
+   the others' inserts and none displaces another. *)
+let test_cache_sequential_ids_distinct () =
+  let c = FC.create ~name:"test-seq" ~slots:64 () in
+  for k = 1 to 64 do
+    FC.insert c ~k1:k ~k2:0 k
+  done;
+  for k = 1 to 64 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "C.ID %d resident" k)
+      (Some k) (FC.find c ~k1:k ~k2:0)
+  done;
+  Alcotest.(check int) "no evictions" 0 (FC.stats c).FC.s_evictions;
+  let one = FC.create ~name:"test-one" ~slots:1 () in
+  FC.insert one ~k1:0x7FFF_FFFF ~k2:0xFFFF_FFFF ();
+  Alcotest.(check bool) "a one-slot cache indexes in bounds" true
+    (FC.find one ~k1:0x7FFF_FFFF ~k2:0xFFFF_FFFF = Some ())
+
 let test_cache_negative_key_rejected () =
   let c = FC.create ~name:"test-neg" ~slots:4 () in
   Alcotest.check_raises "negative keys are reserved"
@@ -477,6 +496,8 @@ let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
+    Alcotest.test_case "C.IDs 1-64 fill 64 distinct slots" `Quick
+      test_cache_sequential_ids_distinct;
     Alcotest.test_case "cache rejects negative keys" `Quick
       test_cache_negative_key_rejected;
     Alcotest.test_case "cache clear" `Quick test_cache_clear;
