@@ -8,12 +8,30 @@ type summary = {
   p99 : float;
 }
 
-type t = { mutable samples : float list; mutable n : int }
+(* Samples are kept newest first as runs of bit-identical values: a
+   receiver that adds the same delay for every placed run would
+   otherwise hold one list cell per sample.  Bit identity (not [=])
+   keeps [nan] runs together and [0.0] apart from [-0.0], so expanding
+   the runs gives back exactly the plain sample list. *)
+type t = {
+  mutable head : float;  (* the newest run's value *)
+  mutable head_n : int;  (* its length; 0 before the first sample *)
+  mutable older : (float * int) list;  (* earlier runs, newest first *)
+  mutable n : int;
+}
 
-let create () = { samples = []; n = 0 }
+let create () = { head = 0.0; head_n = 0; older = []; n = 0 }
 
 let add t x =
-  t.samples <- x :: t.samples;
+  if
+    t.head_n > 0
+    && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float t.head)
+  then t.head_n <- t.head_n + 1
+  else begin
+    if t.head_n > 0 then t.older <- (t.head, t.head_n) :: t.older;
+    t.head <- x;
+    t.head_n <- 1
+  end;
   t.n <- t.n + 1
 
 let count t = t.n
@@ -23,10 +41,21 @@ let percentile sorted p =
   let idx = int_of_float (p *. float_of_int (n - 1)) in
   sorted.(idx)
 
+(* The samples in the order the plain newest-first list held them. *)
+let to_array t =
+  let a = Array.make t.n t.head in
+  let i = ref t.head_n in
+  List.iter
+    (fun (x, k) ->
+      Array.fill a !i k x;
+      i := !i + k)
+    t.older;
+  a
+
 let summary t =
   if t.n = 0 then None
   else begin
-    let a = Array.of_list t.samples in
+    let a = to_array t in
     Array.sort Float.compare a;
     let total = Array.fold_left ( +. ) 0.0 a in
     Some

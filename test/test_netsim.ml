@@ -356,3 +356,53 @@ let suite =
   suite
   @ [ Alcotest.test_case "Turner whole-TPDU dropping" `Quick
         test_dropper_turner ]
+
+(* Stats keeps runs of bit-identical samples as one cell.  Its summary
+   must equal the one computed from the plain newest-first sample list,
+   bit for bit: [nan] runs, and [0.0] next to [-0.0] (equal under
+   [Float.compare], distinct in their bits), are the cases a run-length
+   store could get wrong. *)
+let plain_summary samples =
+  let a = Array.of_list samples in
+  let n = Array.length a in
+  Array.sort Float.compare a;
+  let total = Array.fold_left ( +. ) 0.0 a in
+  let pct p = a.(int_of_float (p *. float_of_int (n - 1))) in
+  [ total /. float_of_int n; a.(0); a.(n - 1); pct 0.5; pct 0.9; pct 0.99 ]
+
+let gen_sample_runs =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [
+        oneofl [ nan; 0.0; -0.0; 1.0; -2.5; infinity; neg_infinity ];
+        float_range (-1e3) 1e3;
+      ]
+  in
+  list_size (int_range 1 40) (pair value (int_range 1 6))
+
+let prop_stats_runs_match_plain runs =
+  let s = Netsim.Stats.create () in
+  let plain = ref [] in
+  List.iter
+    (fun (x, k) ->
+      for _ = 1 to k do
+        Netsim.Stats.add s x;
+        plain := x :: !plain
+      done)
+    runs;
+  match Netsim.Stats.summary s with
+  | None -> false
+  | Some sum ->
+      let open Netsim.Stats in
+      let bits = List.map Int64.bits_of_float in
+      sum.count = List.length !plain
+      && bits [ sum.mean; sum.min; sum.max; sum.p50; sum.p90; sum.p99 ]
+         = bits (plain_summary !plain)
+
+let suite =
+  suite
+  @ [
+      Util.qtest ~count:500 "stats: run-length summary equals the plain one"
+        gen_sample_runs prop_stats_runs_match_plain;
+    ]
