@@ -26,12 +26,71 @@ type event =
   | Fresh_data of { t_id : int; t_sn : int; elems : int }
   | Duplicate_dropped of { t_id : int }
 
+(* An int-keyed map for the per-TPDU label tables.  Most TPDUs record
+   one or two entries (a single boundary, a single external PDU), so
+   those live inline; only a TPDU with more pays for a hash table, which
+   keeps each operation O(1) however many boundaries it carries.  The
+   first binding of a key wins, as every caller wants. *)
+module Small = struct
+  type t =
+    | Empty
+    | One of int * int
+    | Two of int * int * int * int
+    | Many of (int, int) Hashtbl.t
+
+  let mem m k =
+    match m with
+    | Empty -> false
+    | One (k1, _) -> k1 = k
+    | Two (k1, _, k2, _) -> k1 = k || k2 = k
+    | Many t -> Hashtbl.mem t k
+
+  (* Whether [k] is bound to a value other than [v]. *)
+  let conflicts m k v =
+    match m with
+    | Empty -> false
+    | One (k1, v1) -> k1 = k && v1 <> v
+    | Two (k1, v1, k2, v2) -> (k1 = k && v1 <> v) || (k2 = k && v2 <> v)
+    | Many t -> (
+        match Hashtbl.find_opt t k with Some d -> d <> v | None -> false)
+
+  let add m k v =
+    match m with
+    | Empty -> One (k, v)
+    | One (k1, v1) -> if k1 = k then m else Two (k1, v1, k, v)
+    | Two (k1, v1, k2, v2) ->
+        if k1 = k || k2 = k then m
+        else begin
+          let t = Hashtbl.create 8 in
+          Hashtbl.add t k1 v1;
+          Hashtbl.add t k2 v2;
+          Hashtbl.add t k v;
+          Many t
+        end
+    | Many t ->
+        if not (Hashtbl.mem t k) then Hashtbl.add t k v;
+        m
+
+  let length = function
+    | Empty -> 0
+    | One _ -> 1
+    | Two _ -> 2
+    | Many t -> Hashtbl.length t
+
+  let bindings = function
+    | Empty -> []
+    | One (k1, v1) -> [ (k1, v1) ]
+    | Two (k1, v1, k2, v2) -> [ (k1, v1); (k2, v2) ]
+    | Many t -> Hashtbl.fold (fun k v l -> (k, v) :: l) t []
+end
+
 type tpdu_state = {
+  t_id : int;
   born : float;  (* clock reading when this state was opened *)
   acc : Wsc2.acc;
   tracker : Vreassembly.t;
-  pairs_done : (int, unit) Hashtbl.t;  (* boundary T.SNs already paired *)
-  x_deltas : (int, int) Hashtbl.t;     (* X.ID -> C.SN - X.SN *)
+  mutable pairs_done : Small.t;  (* boundary T.SNs already paired (-> 0) *)
+  mutable x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
   mutable delta_ct : int option;       (* C.SN - T.SN *)
   mutable c_id : int option;
   mutable size : int option;
@@ -44,6 +103,9 @@ type tpdu_state = {
 
 type t = {
   tpdus : (int, tpdu_state) Hashtbl.t;
+  (* the last state looked up, so the several lookups one chunk makes
+     cost one hash probe; cleared whenever [tpdus] loses its T.ID *)
+  mutable memo : tpdu_state option;
   now : unit -> float;
   mutable passed : int;
   mutable failed : int;
@@ -94,21 +156,48 @@ let note_verdict v s t_id verdict =
 
 let create ?now () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
-  { tpdus = Hashtbl.create 32; now; passed = 0; failed = 0; dups = 0; seen = 0 }
+  {
+    tpdus = Hashtbl.create 32;
+    memo = None;
+    now;
+    passed = 0;
+    failed = 0;
+    dups = 0;
+    seen = 0;
+  }
+
+(* The held state for [t_id], through the memo: a hit returns the
+   memo's own option, so repeated lookups allocate nothing. *)
+let find v t_id =
+  match v.memo with
+  | Some s as hit when s.t_id = t_id -> hit
+  | Some _ | None -> (
+      match Hashtbl.find_opt v.tpdus t_id with
+      | Some _ as found ->
+          v.memo <- found;
+          found
+      | None -> None)
+
+let release v t_id =
+  Hashtbl.remove v.tpdus t_id;
+  match v.memo with
+  | Some s when s.t_id = t_id -> v.memo <- None
+  | Some _ | None -> ()
 
 let state v t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
+  match find v t_id with
   | Some s -> s
   | None ->
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record (Obs.Trace.Verify_start { conn = -1; tpdu = t_id });
       let s =
         {
+          t_id;
           born = v.now ();
           acc = Wsc2.create ();
           tracker = Vreassembly.create ();
-          pairs_done = Hashtbl.create 4;
-          x_deltas = Hashtbl.create 4;
+          pairs_done = Small.Empty;
+          x_deltas = Small.Empty;
           delta_ct = None;
           c_id = None;
           size = None;
@@ -119,6 +208,7 @@ let state v t_id =
         }
       in
       Hashtbl.add v.tpdus t_id s;
+      v.memo <- Some s;
       s
 
 (* A damaged chunk dooms its TPDU: report at once and release state, so
@@ -127,10 +217,10 @@ let state v t_id =
    detection system will detect the incorrect sequence numbers and allow
    any incorrect chunks to be discarded" (Appendix A). *)
 let fail_now v t_id verdict =
-  (match Hashtbl.find_opt v.tpdus t_id with
+  (match find v t_id with
   | Some s -> note_verdict v s t_id verdict
   | None -> ());
-  Hashtbl.remove v.tpdus t_id;
+  release v t_id;
   v.failed <- v.failed + 1;
   [ Tpdu_verified { t_id; verdict } ]
 
@@ -152,7 +242,7 @@ let x_framing_ok s =
           let boundary = sn_a + len_a - 1 in
           (* the new external PDU starts just after the boundary, so its
              element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
-          Hashtbl.mem s.pairs_done boundary
+          Small.mem s.pairs_done boundary
           && xsn_b = sn_b - boundary - 1
           && (not (List.mem xb seen))
           && walk (xa :: seen) rest
@@ -174,7 +264,7 @@ let try_finish v t_id s =
   if Vreassembly.complete s.tracker && s.expected <> None then begin
     let verdict = verdict_of s in
     note_verdict v s t_id verdict;
-    Hashtbl.remove v.tpdus t_id;
+    release v t_id;
     (match verdict with
     | Passed -> v.passed <- v.passed + 1
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
@@ -218,19 +308,18 @@ let arrival_check s (h : Header.t) =
                 Some (Consistency_failure "C.SN - T.SN changed")
             | Some _ | None -> (
                 let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
-                match Hashtbl.find_opt s.x_deltas h.Header.x.Ftuple.id with
-                | Some d when d <> xd ->
-                    Some (Consistency_failure "C.SN - X.SN changed")
-                | Some _ | None -> None)))
+                if Small.conflicts s.x_deltas h.Header.x.Ftuple.id xd then
+                  Some (Consistency_failure "C.SN - X.SN changed")
+                else None)))
 
 let commit_arrival s (h : Header.t) =
   if s.size = None then s.size <- Some h.Header.size;
   if s.c_id = None then s.c_id <- Some h.Header.c.Ftuple.id;
   if s.delta_ct = None then
     s.delta_ct <- Some (h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn);
-  let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
-  if not (Hashtbl.mem s.x_deltas h.Header.x.Ftuple.id) then
-    Hashtbl.add s.x_deltas h.Header.x.Ftuple.id xd
+  s.x_deltas <-
+    Small.add s.x_deltas h.Header.x.Ftuple.id
+      (h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn)
 
 (* Accumulate exactly the fresh element sub-runs of a chunk's payload.
    The unchecked fast path is safe here: [fresh] runs are sub-ranges of
@@ -292,8 +381,8 @@ let on_data v chunk =
              re-deliver a boundary on an all-duplicate chunk. *)
           if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then begin
             let boundary = Chunk.last_t_sn chunk in
-            if not (Hashtbl.mem s.pairs_done boundary) then begin
-              Hashtbl.add s.pairs_done boundary ();
+            if not (Small.mem s.pairs_done boundary) then begin
+              s.pairs_done <- Small.add s.pairs_done boundary 0;
               let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
               Wsc2.add_symbol s.acc ~pos
                 (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
@@ -374,17 +463,15 @@ let in_flight_ids v =
   Hashtbl.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
 
 let missing v ~t_id =
-  Option.map
-    (fun s -> Vreassembly.missing s.tracker)
-    (Hashtbl.find_opt v.tpdus t_id)
+  Option.map (fun s -> Vreassembly.missing s.tracker) (find v t_id)
 
 let ed_seen v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
+  match find v t_id with
   | Some s -> s.expected <> None
   | None -> false
 
 let abort v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
+  match find v t_id with
   | None -> None
   | Some s ->
       let verdict =
@@ -396,7 +483,7 @@ let abort v ~t_id =
           | other -> other
       in
       note_verdict v s t_id verdict;
-      Hashtbl.remove v.tpdus t_id;
+      release v t_id;
       v.failed <- v.failed + 1;
       Some verdict
 
@@ -408,14 +495,14 @@ let abandon = abort
    words do not matter; what matters is that the figure grows with the
    state an adversary can force us to hold. *)
 let footprint_bytes v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
+  match find v t_id with
   | None -> 0
   | Some s ->
       128
       + (24 * List.length (Vreassembly.spans s.tracker))
       + (40 * List.length s.x_spans)
-      + (16 * Hashtbl.length s.pairs_done)
-      + (16 * Hashtbl.length s.x_deltas)
+      + (16 * Small.length s.pairs_done)
+      + (16 * Small.length s.x_deltas)
 
 let stats v =
   {
@@ -455,11 +542,8 @@ let export v =
         ti_spans = Vreassembly.spans s.tracker;
         ti_total = Vreassembly.total s.tracker;
         ti_pairs =
-          Hashtbl.fold (fun k () l -> k :: l) s.pairs_done []
-          |> List.sort Int.compare;
-        ti_x_deltas =
-          Hashtbl.fold (fun k d l -> (k, d) :: l) s.x_deltas []
-          |> List.sort compare;
+          List.map fst (Small.bindings s.pairs_done) |> List.sort Int.compare;
+        ti_x_deltas = List.sort compare (Small.bindings s.x_deltas);
         ti_delta_ct = s.delta_ct;
         ti_c_id = s.c_id;
         ti_size = s.size;
@@ -488,8 +572,13 @@ let import v img =
         match Vreassembly.set_total s.tracker total with
         | Ok () | Error `Inconsistent -> ())
     | None -> ());
-    List.iter (fun k -> Hashtbl.replace s.pairs_done k ()) img.ti_pairs;
-    List.iter (fun (k, d) -> Hashtbl.replace s.x_deltas k d) img.ti_x_deltas;
+    List.iter
+      (fun k -> s.pairs_done <- Small.add s.pairs_done k 0)
+      img.ti_pairs;
+    (* the image's last binding of a key wins, as a table replace would *)
+    List.iter
+      (fun (k, d) -> s.x_deltas <- Small.add s.x_deltas k d)
+      (List.rev img.ti_x_deltas);
     s.delta_ct <- img.ti_delta_ct;
     s.c_id <- img.ti_c_id;
     s.size <- img.ti_size;

@@ -317,6 +317,137 @@ let test_ed_csn_mismatch () =
   | [] -> Alcotest.fail "shifted ED C.SN went unnoticed"
   | _ -> Alcotest.fail "shifted ED C.SN must be a consistency failure"
 
+(* --- Verifier memo coherence --- *)
+
+(* A pool of four TPDUs (T.IDs 0..3) with their ED chunks, plus for each
+   TPDU an ED chunk whose parity conflicts with the real one. *)
+let memo_pool =
+  lazy
+    (let f = Framer.create ~elem_size:4 ~tpdu_elems:6 ~conn_id:5 () in
+     let first =
+       Util.ok_or_fail (Framer.push_frame f (Util.deterministic_bytes 44))
+     in
+     let last =
+       Util.ok_or_fail
+         (Framer.push_frame ~last:true f (Util.deterministic_bytes 52))
+     in
+     let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus (first @ last)) in
+     let bad_eds =
+       List.filter_map
+         (fun c ->
+           if Chunk.is_control c then begin
+             let p = Bytes.copy c.Chunk.payload in
+             Bytes.set p 0 (Char.chr (Char.code (Bytes.get p 0) lxor 0x10));
+             Some (Chunk.make_exn c.Chunk.header p)
+           end
+           else None)
+         sealed
+     in
+     Array.of_list (sealed @ bad_eds))
+
+type memo_op = Feed of int * int | Abort of int | Abandon of int
+
+let gen_memo_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (8, map2 (fun i k -> Feed (i, k)) (int_range 0 1000) (int_range 0 3));
+         (1, map (fun t -> Abort t) (int_range 0 4));
+         (1, map (fun t -> Abandon t) (int_range 0 4));
+       ])
+
+(* What one op does to a verifier: [Feed (i, k)] feeds pool chunk [i]
+   whole, or only its first [k] elements when it has more. *)
+let apply_memo_op v = function
+  | Feed (i, k) -> (
+      let pool = Lazy.force memo_pool in
+      let c = pool.(i mod Array.length pool) in
+      let c =
+        if Chunk.is_data c && k > 0 && k < c.Chunk.header.Header.len then
+          fst (Fragment.split_exn c ~elems:k)
+        else c
+      in
+      `Events (Edc.Verifier.on_chunk v c))
+  | Abort t_id -> `Verdict (Edc.Verifier.abort v ~t_id)
+  | Abandon t_id -> `Verdict (Edc.Verifier.abandon v ~t_id)
+
+(* Every op is also run on a verifier rebuilt from the live one's images
+   just before it, so its lookup memo starts cold: the outcomes, and the
+   queries the receiver makes between chunks, must agree. *)
+let prop_verifier_memo_coherent ops =
+  let live = Edc.Verifier.create ~now:(fun () -> 0.0) () in
+  List.for_all
+    (fun op ->
+      let cold = Edc.Verifier.create ~now:(fun () -> 0.0) () in
+      List.iter (Edc.Verifier.import cold) (Edc.Verifier.export live);
+      let a = apply_memo_op live op and b = apply_memo_op cold op in
+      a = b
+      && Edc.Verifier.export live = Edc.Verifier.export cold
+      && List.for_all
+           (fun t_id ->
+             Edc.Verifier.footprint_bytes live ~t_id
+             = Edc.Verifier.footprint_bytes cold ~t_id
+             && Edc.Verifier.missing live ~t_id
+                = Edc.Verifier.missing cold ~t_id
+             && Edc.Verifier.ed_seen live ~t_id
+                = Edc.Verifier.ed_seen cold ~t_id)
+           [ 0; 1; 2; 3; 4 ])
+    ops
+
+(* One TPDU carrying 64 external PDUs: 64 X boundaries with distinct
+   X.IDs outgrow the inline form of the verifier's label tables.  It
+   must verify, and a corrupted X.ID on a non-boundary chunk — invisible
+   to the parity, which only pairs boundary chunks — must still fail
+   it. *)
+let test_verifier_many_x_boundaries () =
+  let f = Framer.create ~elem_size:4 ~tpdu_elems:128 ~conn_id:2 () in
+  let frames =
+    List.concat_map
+      (fun i ->
+        Util.ok_or_fail
+          (Framer.push_frame ~last:(i = 63) f (Util.deterministic_bytes 8)))
+      (List.init 64 Fun.id)
+  in
+  Alcotest.(check int) "one chunk per external PDU" 64 (List.length frames);
+  let ed = Util.ok_or_fail (Edc.Encoder.seal frames) in
+  let x_ids =
+    List.sort_uniq Int.compare
+      (List.map (fun c -> c.Chunk.header.Header.x.Ftuple.id) frames)
+  in
+  Alcotest.(check int) "distinct X.IDs" 64 (List.length x_ids);
+  let shuffled = Util.shuffle ~seed:7 (ed :: frames) in
+  (match feed (Edc.Verifier.create ()) shuffled with
+  | [ (0, Edc.Verifier.Passed) ] -> ()
+  | _ -> Alcotest.fail "64 X boundaries must verify");
+  (* split every frame in two; the first halves are non-boundary chunks *)
+  let halves =
+    List.concat_map
+      (fun c ->
+        let a, b = Fragment.split_exn c ~elems:1 in
+        [ a; b ])
+      frames
+  in
+  let corrupted =
+    List.mapi
+      (fun i c ->
+        if i = 40 then begin
+          let h = c.Chunk.header in
+          assert (not h.Header.x.Ftuple.st);
+          Chunk.make_exn
+            { h with Header.x = { h.Header.x with Ftuple.id = 1000 } }
+            c.Chunk.payload
+        end
+        else c)
+      halves
+  in
+  match feed (Edc.Verifier.create ()) (corrupted @ [ ed ]) with
+  | [ (0, Edc.Verifier.Consistency_failure "X framing not contiguous") ] -> ()
+  | [ (0, v) ] ->
+      Alcotest.failf "expected an X-framing failure, got %s"
+        (Format.asprintf "%a" Edc.Verifier.pp_verdict v)
+  | _ -> Alcotest.fail "expected one verdict"
+
 let suite =
   [
     Alcotest.test_case "invariant positions" `Quick test_positions;
@@ -349,6 +480,10 @@ let suite =
       test_arrival_sn_overflow;
     Alcotest.test_case "ED C.SN mismatch -> consistency" `Quick
       test_ed_csn_mismatch;
+    Alcotest.test_case "64 X boundaries verify; bad X.ID still fails" `Quick
+      test_verifier_many_x_boundaries;
+    Util.qtest ~count:300 "verifier memo agrees with a cold rebuild"
+      gen_memo_ops prop_verifier_memo_coherent;
     Util.qtest ~count:40 "parity invariance (property)"
       QCheck2.Gen.(tup2 (int_range 0 10000) (int_range 0 10000))
       (fun (s1, s2) ->
