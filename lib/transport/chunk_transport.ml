@@ -155,8 +155,13 @@ module Receiver = struct
      inherit the same wrong delta).  Until the two agree, fresh data
      waits in a per-TPDU stash; the moment they agree it flushes.
      Disagreement is left to the verifier, which fails the TPDU so the
-     identical-label retransmission starts a clean epoch. *)
+     identical-label retransmission starts a clean epoch.
+
+     The record is all of a TPDU's receive-side state that dies with its
+     verdict: the TPDU's first data or ED chunk creates it, and the
+     verdict, [drop_tpdu_state] or [quiesce] drops it. *)
   type corroboration = {
+    t_id : int;
     mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
     mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
     mutable confirmed : bool;
@@ -169,6 +174,11 @@ module Receiver = struct
            unverified resident bytes (Placement's fresh-vs-fresh case):
            re-asserted by a verified write if this TPDU passes, dropped
            with the epoch otherwise *)
+    mutable end_claim : int option;
+        (* the last C.SN a C.ST data chunk of this TPDU claims ends the
+           stream (`Quota mode): the claim is believed only once the
+           TPDU verifies — a forged or corrupted C.ST must not truncate
+           the stream *)
   }
 
   type t = {
@@ -184,6 +194,9 @@ module Receiver = struct
     acked : (int, unit) Hashtbl.t;  (* TPDUs already acknowledged *)
     nack_armed : (int, unit) Hashtbl.t;  (* TPDUs with a gap timer *)
     corrob : (int, corroboration) Hashtbl.t;
+    (* the last record found, so one chunk's lookups cost one probe;
+       cleared whenever [corrob] loses its T.ID *)
+    mutable corrob_memo : corroboration option;
     (* element runs covered by TPDUs that passed verification — bytes a
        failed TPDU placed before its parity caught up do not count
        toward completeness (they will be re-placed by the
@@ -195,11 +208,7 @@ module Receiver = struct
        TPDU are dropped rather than re-admitted to the verifier *)
     shed_cover : Vreassembly.t;
     shed_tids : (int, unit) Hashtbl.t;
-    (* stream-end bookkeeping (`Quota mode): the C.ST bit names the
-       connection's final element, but is believed only once the TPDU
-       that carried it verifies — a forged or corrupted C.ST must not
-       truncate the stream *)
-    end_claims : (int, int) Hashtbl.t;  (* t_id -> last C.SN claimed *)
+    (* the stream's last element, from a verified TPDU's end claim *)
     mutable end_confirmed : int option;
     last_reack : (int, float) Hashtbl.t;
     element_delay : Netsim.Stats.t;
@@ -231,15 +240,52 @@ module Receiver = struct
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
 
+  (* The corroboration record of [t_id], if held.  A memo hit returns
+     the memo's own option, so the lookup allocates nothing. *)
+  let find_corrob rx t_id =
+    match rx.corrob_memo with
+    | Some m as hit when m.t_id = t_id -> hit
+    | Some _ | None -> (
+        match Hashtbl.find_opt rx.corrob t_id with
+        | Some _ as found ->
+            rx.corrob_memo <- found;
+            found
+        | None -> None)
+
+  let corrob rx t_id =
+    match find_corrob rx t_id with
+    | Some m -> m
+    | None ->
+        let m =
+          {
+            t_id;
+            delta_data = None;
+            delta_ed = None;
+            confirmed = false;
+            stash = [];
+            placed_runs = [];
+            quarantine = [];
+            end_claim = None;
+          }
+        in
+        Hashtbl.add rx.corrob t_id m;
+        rx.corrob_memo <- Some m;
+        m
+
+  let forget_corrob rx t_id =
+    Hashtbl.remove rx.corrob t_id;
+    match rx.corrob_memo with
+    | Some m when m.t_id = t_id -> rx.corrob_memo <- None
+    | Some _ | None -> ()
+
   (* Dispose of every piece of per-TPDU soft state (verifier
-     accumulator, corroboration stash, arrival record).  The governor's
+     accumulator, corroboration record, arrival record).  The governor's
      account is the caller's responsibility: the eviction callback has
      already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
-    Hashtbl.remove rx.corrob t_id;
-    Hashtbl.remove rx.first_arrival t_id;
-    Hashtbl.remove rx.end_claims t_id
+    forget_corrob rx t_id;
+    Hashtbl.remove rx.first_arrival t_id
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
@@ -275,10 +321,10 @@ module Receiver = struct
         acked = (match acked with Some t -> t | None -> Hashtbl.create 32);
         nack_armed = Hashtbl.create 32;
         corrob = Hashtbl.create 32;
+        corrob_memo = None;
         verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
         shed_tids = Hashtbl.create 8;
-        end_claims = Hashtbl.create 4;
         end_confirmed = None;
         last_reack = Hashtbl.create 8;
         element_delay = Netsim.Stats.create ();
@@ -304,8 +350,9 @@ module Receiver = struct
   (* Place the fresh sub-run [t_sn, t_sn+elems) of [chunk] straight into
      the application buffer — spatial reordering, one pass.  When the
      fresh run is the whole chunk (the common case) the chunk itself is
-     placed; only a partly fresh chunk is cut down to its fresh part. *)
-  let place_fresh rx chunk ~t_sn ~elems =
+     placed; only a partly fresh chunk is cut down to its fresh part.  [m]
+     is the chunk's TPDU's record. *)
+  let place_fresh rx m chunk ~t_sn ~elems =
     let h = chunk.Chunk.header in
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
@@ -332,74 +379,49 @@ module Receiver = struct
         Busmodel.cpu_to_mem rx.bus nbytes;
         (match Placement.place_checked rx.placement sub with
         | Ok rep ->
-            (match Hashtbl.find_opt rx.corrob h.Header.t.Ftuple.id with
-            | Some m ->
-                (* only bytes this TPDU actually covers (fresh writes and
-                   identical duplicates) are credited; conflicting runs
-                   either lost to a verified owner (discarded by
-                   placement) or wait in quarantine for this TPDU's
-                   parity *)
-                m.placed_runs <-
-                  rep.Placement.rp_fresh @ rep.Placement.rp_benign
-                  @ m.placed_runs;
-                if
-                  List.exists
-                    (fun (_, _, k) -> k = Placement.Fresh_conflict)
-                    rep.Placement.rp_conflicts
-                then
-                  m.quarantine <-
-                    (sub, h.Header.c.Ftuple.sn + off_elems, elems)
-                    :: m.quarantine
-            | None -> ());
+            (* only bytes this TPDU actually covers (fresh writes and
+               identical duplicates) are credited; conflicting runs
+               either lost to a verified owner (discarded by placement)
+               or wait in quarantine for this TPDU's parity *)
+            m.placed_runs <-
+              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
+            if
+              List.exists
+                (fun (_, _, k) -> k = Placement.Fresh_conflict)
+                rep.Placement.rp_conflicts
+            then
+              m.quarantine <-
+                (sub, h.Header.c.Ftuple.sn + off_elems, elems) :: m.quarantine;
             (* Available to the application the instant it arrived. *)
             Netsim.Stats.add rx.element_delay 0.0
         | Error _ -> ())
 
-  let corrob rx t_id =
-    match Hashtbl.find_opt rx.corrob t_id with
-    | Some m -> m
-    | None ->
-        let m =
-          {
-            delta_data = None;
-            delta_ed = None;
-            confirmed = false;
-            stash = [];
-            placed_runs = [];
-            quarantine = [];
-          }
-        in
-        Hashtbl.add rx.corrob t_id m;
-        m
-
   let flush_stash rx m =
     let pending = List.rev m.stash in
     m.stash <- [];
-    List.iter (fun (chunk, t_sn, elems) -> place_fresh rx chunk ~t_sn ~elems)
+    List.iter
+      (fun (chunk, t_sn, elems) -> place_fresh rx m chunk ~t_sn ~elems)
       pending
 
   (* Note the chunk's connection delta before the verifier sees it, so
      that an ED chunk flushes the stash before the [Tpdu_verified] event
      it may trigger.  First witness wins within an epoch: a conflicting
      later chunk fails the TPDU in the verifier, which clears the
-     epoch's state here too. *)
-  let witness rx chunk =
-    let h = chunk.Chunk.header in
-    let is_ed = Ctype.equal h.Header.ctype Ctype.ed in
-    if Chunk.is_data chunk || is_ed then begin
-      let m = corrob rx h.Header.t.Ftuple.id in
-      if not m.confirmed then begin
-        let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-        if is_ed then begin
-          if m.delta_ed = None then m.delta_ed <- Some delta
-        end
-        else if m.delta_data = None then m.delta_data <- Some delta;
-        match (m.delta_data, m.delta_ed) with
-        | Some a, Some b when a = b ->
-            m.confirmed <- true;
-            flush_stash rx m
-        | _ -> ()
+     epoch's state here too.  [chunk] is a data or ED chunk of [m]'s
+     TPDU. *)
+  let witness rx m ~is_ed chunk =
+    if not m.confirmed then begin
+      let h = chunk.Chunk.header in
+      let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
+      if is_ed then begin
+        if m.delta_ed = None then m.delta_ed <- Some delta
       end
+      else if m.delta_data = None then m.delta_data <- Some delta;
+      match (m.delta_data, m.delta_ed) with
+      | Some a, Some b when a = b ->
+          m.confirmed <- true;
+          flush_stash rx m
+      | _ -> ()
     end
 
   (* While a TPDU stays incomplete, periodically report its gap list so
@@ -425,22 +447,22 @@ module Receiver = struct
             end;
             arm_nack rx t_id (rounds + 1))
 
+  (* What a corroboration record costs: its held chunks and the runs it
+     has placed. *)
+  let held_bytes m =
+    let cell acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48 in
+    List.fold_left cell
+      (List.fold_left cell (16 * List.length m.placed_runs) m.stash)
+      m.quarantine
+
   (* Re-assert the receiver's accounted cost of one TPDU's soft state
      and refresh its delta-t deadline.  Called after every chunk that
-     touched the TPDU; once verification has released everything the
-     entry is retired instead. *)
-  let account rx t_id =
+     touched the TPDU, with [held] the cost of its corroboration record
+     (0 when there is none); once verification has released everything
+     the entry is retired instead. *)
+  let account rx t_id ~held =
     let fp = Edc.Verifier.footprint_bytes rx.verifier ~t_id in
-    let stash =
-      match Hashtbl.find_opt rx.corrob t_id with
-      | None -> 0
-      | Some m ->
-          List.fold_left
-            (fun acc (c, _, _) -> acc + Bytes.length c.Chunk.payload + 48)
-            (16 * List.length m.placed_runs)
-            (m.stash @ m.quarantine)
-    in
-    if fp = 0 && stash = 0 then
+    if fp = 0 && held = 0 then
       Governor.remove rx.governor ~key:(gov_key rx t_id)
     else begin
       (* sheddable state is charged at its significance rank so budget
@@ -448,7 +470,7 @@ module Receiver = struct
       Governor.touch rx.governor
         ~cls:(Significance.rank (rx.config.classify t_id))
         ~key:(gov_key rx t_id)
-        ~bytes:(fp + stash + 64)
+        ~bytes:(fp + held + 64)
         ~now:(Netsim.Engine.now rx.engine);
       Governor.arm rx.governor rx.engine
     end
@@ -459,7 +481,7 @@ module Receiver = struct
   let abort_tpdu rx ~t_id =
     if
       Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-      || Hashtbl.mem rx.corrob t_id
+      || find_corrob rx t_id <> None
     then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
@@ -562,112 +584,107 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
-  (* The verifier-dispatch and governor re-accounting tail of
-     [on_chunk], once the chunk's TPDU is known to be neither acked nor
-     shed. *)
-  let verify_and_account rx chunk t_id =
-    let events = Edc.Verifier.on_chunk rx.verifier chunk in
+  (* A TPDU passed: place what it still holds, credit its placed runs to
+     the verified coverage, believe its end claim, and acknowledge it. *)
+  let on_passed rx m t_id =
+    (* a passed parity covers every stashed run, so any still-unconfirmed
+       stash is safe to place now *)
+    flush_stash rx m;
+    (* the parity settles this TPDU's quarantined conflicts: re-assert
+       each held run with a verified write, which reclaims bytes from any
+       unverified squatter but never from a locked region *)
     List.iter
-      (fun ev ->
-        match ev with
-        | Edc.Verifier.Fresh_data { t_id; t_sn; elems } ->
-            let m = corrob rx t_id in
-            if m.confirmed then place_fresh rx chunk ~t_sn ~elems
-            else m.stash <- (chunk, t_sn, elems) :: m.stash
-        | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
-            (* a passed parity covers every stashed run, so any
-               still-unconfirmed stash is safe to place now *)
-            let placed_runs =
-              match Hashtbl.find_opt rx.corrob t_id with
-              | Some m ->
-                  flush_stash rx m;
-                  (* the parity settles this TPDU's quarantined
-                     conflicts: re-assert each held run with a
-                     verified write, which reclaims bytes from any
-                     unverified squatter but never from a locked
-                     region *)
-                  List.iter
-                    (fun (sub, _, _) ->
-                      match Placement.place_verified rx.placement sub with
-                      | Ok rep ->
-                          m.placed_runs <-
-                            rep.Placement.rp_fresh
-                            @ rep.Placement.rp_benign @ m.placed_runs
-                      | Error _ -> ())
-                    (List.rev m.quarantine);
-                  m.quarantine <- [];
-                  List.iter
+      (fun (sub, _, _) ->
+        match Placement.place_verified rx.placement sub with
+        | Ok rep ->
+            m.placed_runs <-
+              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs
+        | Error _ -> ())
+      (List.rev m.quarantine);
+    m.quarantine <- [];
+    List.iter
+      (fun (sn, len) ->
+        (match
+           Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
+         with
+        | Ok _ | Error `Inconsistent -> ());
+        (* the verified bytes can never again be clobbered by
+           conflicting data *)
+        Placement.lock_span rx.placement ~sn ~len)
+      m.placed_runs;
+    let placed_runs = m.placed_runs in
+    forget_corrob rx t_id;
+    (match m.end_claim with
+    | Some _ as last -> rx.end_confirmed <- last
+    | None -> ());
+    if not (Hashtbl.mem rx.acked t_id) then begin
+      Hashtbl.add rx.acked t_id ();
+      if t_id < rx.ident_min then rx.ident_min <- t_id;
+      if Obs.enabled then Obs.Metrics.incr m_acks;
+      (match Hashtbl.find_opt rx.first_arrival t_id with
+      | Some t0 ->
+          let dt = Netsim.Engine.now rx.engine -. t0 in
+          Netsim.Stats.add rx.tpdu_latency dt;
+          if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
+          Hashtbl.remove rx.first_arrival t_id
+      | None -> ());
+      (* write-ahead: the bytes this ACK promises to keep go to stable
+         storage before the ACK can reach the sender — otherwise a crash
+         after the ACK leaves a hole the sender will never refill *)
+      (match rx.persist with
+      | Some journal ->
+          let es = rx.config.elem_size in
+          let buf = Placement.contents rx.placement in
+          (* merge the spans first, then lend the journal views into the
+             placement buffer: it copies each promised byte once, into
+             the record, before the callback returns *)
+          let runs =
+            List.map
+              (fun (sn, len) -> (sn, buf, sn * es, len * es))
+              (Persist.coalesce_spans
+                 (List.filter
                     (fun (sn, len) ->
-                      (match
-                         Vreassembly.insert_new rx.verified_cover ~sn ~len
-                           ~st:false
-                       with
-                      | Ok _ | Error `Inconsistent -> ());
-                      (* the verified bytes can never again be
-                         clobbered by conflicting data *)
-                      Placement.lock_span rx.placement ~sn ~len)
-                    m.placed_runs;
-                  m.placed_runs
-              | None -> []
-            in
-            Hashtbl.remove rx.corrob t_id;
-            (match Hashtbl.find_opt rx.end_claims t_id with
-            | Some last ->
-                rx.end_confirmed <- Some last;
-                Hashtbl.remove rx.end_claims t_id
-            | None -> ());
-            if not (Hashtbl.mem rx.acked t_id) then begin
-              Hashtbl.add rx.acked t_id ();
-              if t_id < rx.ident_min then rx.ident_min <- t_id;
-              if Obs.enabled then Obs.Metrics.incr m_acks;
-              (match Hashtbl.find_opt rx.first_arrival t_id with
-              | Some t0 ->
-                  let dt = Netsim.Engine.now rx.engine -. t0 in
-                  Netsim.Stats.add rx.tpdu_latency dt;
-                  if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
-                  Hashtbl.remove rx.first_arrival t_id
-              | None -> ());
-              (* write-ahead: the bytes this ACK promises to keep go
-                 to stable storage before the ACK can reach the
-                 sender — otherwise a crash after the ACK leaves a
-                 hole the sender will never refill *)
-              (match rx.persist with
-              | Some journal ->
-                  let es = rx.config.elem_size in
-                  let buf = Placement.contents rx.placement in
-                  (* merge the spans first, then lend the journal views
-                     into the placement buffer: it copies each promised
-                     byte once, into the record, before the callback
-                     returns *)
-                  let runs =
-                    List.map
-                      (fun (sn, len) -> (sn, buf, sn * es, len * es))
-                      (Persist.coalesce_spans
-                         (List.filter
-                            (fun (sn, len) ->
-                              sn >= 0 && len > 0
-                              && (sn + len) * es <= Bytes.length buf)
-                            placed_runs))
-                  in
-                  journal
-                    (Persist.Acked
-                       {
-                         conn = rx.config.conn_id;
-                         t_id;
-                         end_confirmed = rx.end_confirmed;
-                         runs;
-                       })
-              | None -> ());
-              rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
-            end
-        | Edc.Verifier.Tpdu_verified { t_id; verdict = _ } ->
-            (* failed epoch: drop its suspect stash and end claim
-               with it *)
-            Hashtbl.remove rx.corrob t_id;
-            Hashtbl.remove rx.end_claims t_id
-        | Edc.Verifier.Duplicate_dropped _ -> ())
-      events;
-    account rx t_id
+                      sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
+                    placed_runs))
+          in
+          journal
+            (Persist.Acked
+               {
+                 conn = rx.config.conn_id;
+                 t_id;
+                 end_confirmed = rx.end_confirmed;
+                 runs;
+               })
+      | None -> ());
+      rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
+    end
+
+  (* The verifier-dispatch and governor re-accounting tail of
+     [on_chunk] for a data or ED chunk of [m]'s TPDU, once that TPDU is
+     known to be neither acked nor shed.  Every event the verifier
+     returns is about this TPDU, and a verdict is always the last. *)
+  let verify_and_account rx m chunk t_id =
+    let live =
+      List.fold_left
+        (fun live ev ->
+          match ev with
+          | Edc.Verifier.Fresh_data { t_sn; elems; _ } ->
+              if m.confirmed then place_fresh rx m chunk ~t_sn ~elems
+              else m.stash <- (chunk, t_sn, elems) :: m.stash;
+              live
+          | Edc.Verifier.Tpdu_verified { verdict = Edc.Verifier.Passed; _ } ->
+              on_passed rx m t_id;
+              false
+          | Edc.Verifier.Tpdu_verified _ ->
+              (* failed epoch: drop its suspect stash and end claim with
+                 it *)
+              forget_corrob rx t_id;
+              false
+          | Edc.Verifier.Duplicate_dropped _ -> live)
+        true
+        (Edc.Verifier.on_chunk rx.verifier chunk)
+    in
+    account rx t_id ~held:(if live then held_bytes m else 0)
 
   let on_chunk rx chunk =
     if Chunk.is_terminator chunk then ()
@@ -692,23 +709,35 @@ module Receiver = struct
       (* a shed TPDU is gone for good: its straggler chunks must not
          recreate verifier state the sender will never complete *)
       else if Hashtbl.mem rx.shed_tids t_id then ()
+      else if Chunk.is_data chunk then begin
+        if not (Hashtbl.mem rx.first_arrival t_id) then
+          Hashtbl.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
+        let m = corrob rx t_id in
+        (* the C.ST bit claims the connection's final element; the claim
+           is trusted only once this TPDU verifies *)
+        if h.Header.c.Ftuple.st then
+          m.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
+        if rx.config.sack && not (Hashtbl.mem rx.nack_armed t_id) then begin
+          Hashtbl.add rx.nack_armed t_id ();
+          arm_nack rx t_id 0
+        end;
+        witness rx m ~is_ed:false chunk;
+        verify_and_account rx m chunk t_id
+      end
+      else if Ctype.equal h.Header.ctype Ctype.ed then begin
+        let m = corrob rx t_id in
+        witness rx m ~is_ed:true chunk;
+        verify_and_account rx m chunk t_id
+      end
       else begin
-        (if Chunk.is_data chunk then begin
-           if not (Hashtbl.mem rx.first_arrival t_id) then
-             Hashtbl.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
-           (* the C.ST bit claims the connection's final element; the
-              claim is trusted only once this TPDU verifies *)
-           if h.Header.c.Ftuple.st then
-             Hashtbl.replace rx.end_claims t_id
-               (h.Header.c.Ftuple.sn + h.Header.len - 1);
-           if rx.config.sack && not (Hashtbl.mem rx.nack_armed t_id)
-           then begin
-             Hashtbl.add rx.nack_armed t_id ();
-             arm_nack rx t_id 0
-           end
-         end);
-        witness rx chunk;
-        verify_and_account rx chunk t_id
+        (* other control traffic carries no TPDU state: the verifier
+           only counts it *)
+        ignore (Edc.Verifier.on_chunk rx.verifier chunk);
+        account rx t_id
+          ~held:
+            (match find_corrob rx t_id with
+            | Some m -> held_bytes m
+            | None -> 0)
       end
     end
 
@@ -772,7 +801,7 @@ module Receiver = struct
      epoch has never seen. *)
   let tracks_tpdu rx ~t_id =
     Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-    || Hashtbl.mem rx.corrob t_id
+    || find_corrob rx t_id <> None
 
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
@@ -850,7 +879,14 @@ module Receiver = struct
       ri_placed;
       ri_verified = Vreassembly.spans rx.verified_cover;
       ri_end_confirmed = rx.end_confirmed;
-      ri_end_claims = sorted_assoc rx.end_claims;
+      ri_end_claims =
+        Hashtbl.fold
+          (fun t_id m acc ->
+            match m.end_claim with
+            | Some last -> (t_id, last) :: acc
+            | None -> acc)
+          rx.corrob []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
       ri_last_reack = sorted_assoc rx.last_reack;
       ri_passed = epoch_passes rx;
       ri_tpdus = Edc.Verifier.export rx.verifier;
@@ -885,9 +921,6 @@ module Receiver = struct
       img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     List.iter
-      (fun (t, last) -> Hashtbl.replace rx.end_claims t last)
-      img.Persist.ri_end_claims;
-    List.iter
       (fun (t, at) -> Hashtbl.replace rx.last_reack t at)
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
@@ -904,6 +937,7 @@ module Receiver = struct
         in
         Hashtbl.replace rx.corrob pi.Persist.pi_t_id
           {
+            t_id = pi.Persist.pi_t_id;
             delta_data = pi.Persist.pi_delta_data;
             delta_ed = pi.Persist.pi_delta_ed;
             confirmed = pi.Persist.pi_confirmed;
@@ -912,8 +946,15 @@ module Receiver = struct
             (* quarantined conflicts are not persisted: dropping them
                degrades to missing data that retransmission repairs *)
             quarantine = [];
+            end_claim = None;
           })
       img.Persist.ri_corrob;
+    (* an end claim lives in its TPDU's record; an image always holds
+       the record beside the claim, but a claim without one still gets
+       a fresh record rather than being lost *)
+    List.iter
+      (fun (t, last) -> (corrob rx t).end_claim <- Some last)
+      img.Persist.ri_end_claims;
     List.iter (fun t -> Hashtbl.replace rx.acked t ()) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
@@ -922,7 +963,14 @@ module Receiver = struct
         (Edc.Verifier.in_flight_ids rx.verifier
         @ Hashtbl.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
-    List.iter (fun t_id -> account rx t_id) tracked;
+    List.iter
+      (fun t_id ->
+        account rx t_id
+          ~held:
+            (match find_corrob rx t_id with
+            | Some m -> held_bytes m
+            | None -> 0))
+      tracked;
     rx
 
   (* Conservative re-entry into service: re-ACK the whole restored
