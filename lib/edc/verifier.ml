@@ -89,7 +89,7 @@ type tpdu_state = {
   born : float;  (* clock reading when this state was opened *)
   acc : Wsc2.acc;
   tracker : Vreassembly.t;
-  mutable pairs_done : Small.t;  (* boundary T.SNs already paired (-> 0) *)
+  mutable pairs_done : Small.t;  (* boundary T.SNs already paired, each -> 0 *)
   mutable x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
   mutable delta_ct : int option;       (* C.SN - T.SN *)
   mutable c_id : int option;

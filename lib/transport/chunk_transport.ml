@@ -481,7 +481,7 @@ module Receiver = struct
   let abort_tpdu rx ~t_id =
     if
       Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-      || find_corrob rx t_id <> None
+      || Option.is_some (find_corrob rx t_id)
     then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
@@ -801,7 +801,7 @@ module Receiver = struct
      epoch has never seen. *)
   let tracks_tpdu rx ~t_id =
     Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-    || find_corrob rx t_id <> None
+    || Option.is_some (find_corrob rx t_id)
 
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency

@@ -100,9 +100,6 @@ let drop g k =
       e.live <- false;
       Hashtbl.remove g.tbl k
 
-let remember g e =
-  if e.key.tpdu < 0 then g.last_conn <- e else g.last_tpdu <- e
-
 let touch ?(cls = 0) g ~key ~bytes ~now =
   let bytes = max 0 bytes in
   let cls = max 0 cls in
@@ -118,7 +115,7 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
             Hashtbl.add g.tbl key e;
             e
       in
-      remember g e;
+      if key.tpdu < 0 then g.last_conn <- e else g.last_tpdu <- e;
       e
   in
   g.total <- g.total - e.bytes + bytes;
