@@ -1,14 +1,6 @@
 type key = { conn : int; tpdu : int }
 
-(* [live] turns false the moment the entry leaves the table, so a memo
-   still pointing at it can tell. *)
-type entry = {
-  key : key;
-  mutable bytes : int;
-  mutable deadline : float;
-  mutable cls : int;
-  mutable live : bool;
-}
+type entry = { mutable bytes : int; mutable deadline : float; mutable cls : int }
 
 type stats = {
   accounted_bytes : int;
@@ -22,11 +14,6 @@ type t = {
   budget : int;  (* <= 0: unlimited *)
   ttl : float;
   tbl : (key, entry) Hashtbl.t;
-  (* The last connection-level and the last TPDU-level entry touched: a
-     receiver touches the same two keys for every chunk of a TPDU, and
-     a memo hit skips the polymorphic hash of the key. *)
-  mutable last_conn : entry;
-  mutable last_tpdu : entry;
   mutable on_evict : key -> unit;
   mutable total : int;
   mutable high : int;
@@ -51,22 +38,10 @@ let trace_evict reason (k : key) =
 
 let create ?(on_evict = fun _ -> ()) ~budget_bytes ~ttl () =
   if Obs.enabled then Obs.Metrics.set g_budget (max 0 budget_bytes);
-  (* a dead entry, so an empty memo needs no option *)
-  let none =
-    {
-      key = { conn = -1; tpdu = -1 };
-      bytes = 0;
-      deadline = 0.0;
-      cls = 0;
-      live = false;
-    }
-  in
   {
     budget = budget_bytes;
     ttl;
     tbl = Hashtbl.create 64;
-    last_conn = none;
-    last_tpdu = none;
     on_evict;
     total = 0;
     high = 0;
@@ -97,31 +72,20 @@ let drop g k =
   | None -> ()
   | Some e ->
       g.total <- g.total - e.bytes;
-      e.live <- false;
       Hashtbl.remove g.tbl k
 
 let touch ?(cls = 0) g ~key ~bytes ~now =
   let bytes = max 0 bytes in
   let cls = max 0 cls in
-  let m = if key.tpdu < 0 then g.last_conn else g.last_tpdu in
-  let e =
-    if m.live && m.key.tpdu = key.tpdu && m.key.conn = key.conn then m
-    else
-      let e =
-        match Hashtbl.find_opt g.tbl key with
-        | Some e -> e
-        | None ->
-            let e = { key; bytes = 0; deadline = 0.0; cls; live = true } in
-            Hashtbl.add g.tbl key e;
-            e
-      in
-      if key.tpdu < 0 then g.last_conn <- e else g.last_tpdu <- e;
-      e
-  in
-  g.total <- g.total - e.bytes + bytes;
-  e.bytes <- bytes;
-  e.deadline <- now +. g.ttl;
-  e.cls <- cls;
+  (match Hashtbl.find_opt g.tbl key with
+  | Some e ->
+      g.total <- g.total - e.bytes + bytes;
+      e.bytes <- bytes;
+      e.deadline <- now +. g.ttl;
+      e.cls <- cls
+  | None ->
+      Hashtbl.add g.tbl key { bytes; deadline = now +. g.ttl; cls };
+      g.total <- g.total + bytes);
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
      connection's TPDUs) never run under the selection loop. *)
