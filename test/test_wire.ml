@@ -161,3 +161,91 @@ let test_header_codec () =
 let suite =
   suite
   @ [ Alcotest.test_case "header-only codec" `Quick test_header_codec ]
+
+(* The exact wire image of one packet, byte for byte.  The roundtrip
+   properties above only check that decoding inverts encoding; this pins
+   the layout itself, so a change to the encoder cannot move a byte
+   without failing here.  The data chunk carries boundary labels (every
+   ID 0xFFFF_FFFF, every SN at or above 2^32, every ST bit set). *)
+let wire_image_chunks () =
+  let data =
+    Util.ok_or_fail
+      (Chunk.data ~size:2
+         ~c:(Ftuple.v ~st:true ~id:0xFFFF_FFFF ~sn:0x1_0000_0002 ())
+         ~t:(Ftuple.v ~st:true ~id:0xFFFF_FFFF ~sn:0x0123_4567_89AB_CDEF ())
+         ~x:(Ftuple.v ~st:true ~id:0xFFFF_FFFF ~sn:max_int ())
+         (Bytes.of_string "\xA1\xA2\xB1\xB2\xC1\xC2"))
+  in
+  let ed =
+    Util.ok_or_fail
+      (Chunk.control ~kind:Ctype.ed
+         ~c:(Ftuple.v ~id:7 ~sn:9 ())
+         ~t:(Ftuple.v ~st:true ~id:7 ~sn:0 ())
+         ~x:Ftuple.zero
+         (Bytes.of_string "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0A\x0B\x0C"))
+  in
+  let signal =
+    Util.ok_or_fail
+      (Chunk.control ~kind:Ctype.signal
+         ~c:(Ftuple.v ~id:0x0102_0304 ~sn:0x1_0000_0000 ())
+         ~t:Ftuple.zero ~x:Ftuple.zero (Bytes.of_string "SIGN"))
+  in
+  [ data; ed; signal ]
+
+let wire_image_hex =
+  String.concat ""
+    [
+      (* data: TYPE 0, SIZE 2, LEN 3 *)
+      "00" ^ "0002" ^ "00000003";
+      (* C.ID, C.SN, C.ST *)
+      "ffffffff" ^ "0000000100000002" ^ "01";
+      (* T.ID, T.SN, T.ST *)
+      "ffffffff" ^ "0123456789abcdef" ^ "01";
+      (* X.ID, X.SN, X.ST *)
+      "ffffffff" ^ "3fffffffffffffff" ^ "01";
+      "a1a2b1b2c1c2";
+      (* ED: TYPE 1, SIZE 1, LEN 12 *)
+      "01" ^ "0001" ^ "0000000c";
+      "00000007" ^ "0000000000000009" ^ "00";
+      "00000007" ^ "0000000000000000" ^ "01";
+      "00000000" ^ "0000000000000000" ^ "00";
+      "0102030405060708090a0b0c";
+      (* signal: TYPE 3, SIZE 1, LEN 4 *)
+      "03" ^ "0001" ^ "00000004";
+      "01020304" ^ "0000000100000000" ^ "00";
+      "00000000" ^ "0000000000000000" ^ "00";
+      "00000000" ^ "0000000000000000" ^ "00";
+      "5349474e";
+    ]
+
+let to_hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i ->
+         Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let test_wire_image () =
+  let chunks = wire_image_chunks () in
+  let used = String.length wire_image_hex / 2 in
+  Alcotest.(check int) "chunks_size" used (Wire.chunks_size chunks);
+  Alcotest.(check string) "unpadded image" wire_image_hex
+    (to_hex (Util.ok_or_fail (Wire.encode_packet chunks)));
+  (* capacity leaves a header plus five bytes: terminator, then zeros *)
+  let padded =
+    wire_image_hex
+    ^ String.make (2 * Wire.header_size) '0'
+    ^ String.make (2 * 5) '0'
+  in
+  Alcotest.(check string) "image with terminator and padding" padded
+    (to_hex
+       (Util.ok_or_fail
+          (Wire.encode_packet ~capacity:(used + Wire.header_size + 5) chunks)));
+  (* sub-header slack is zero-filled without a terminator *)
+  Alcotest.(check string) "image with sub-header slack"
+    (wire_image_hex ^ String.make (2 * 7) '0')
+    (to_hex (Util.ok_or_fail (Wire.encode_packet ~capacity:(used + 7) chunks)));
+  match Wire.decode_packet (Util.ok_or_fail (Wire.encode_packet chunks)) with
+  | Ok cs -> Alcotest.(check bool) "decodes back" true (List.for_all2 Chunk.equal chunks cs)
+  | Error e -> Alcotest.fail e
+
+let suite =
+  suite @ [ Alcotest.test_case "exact packet wire image" `Quick test_wire_image ]
