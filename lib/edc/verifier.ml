@@ -36,14 +36,14 @@ module Small = struct
     | Empty
     | One of int * int
     | Two of int * int * int * int
-    | Many of (int, int) Hashtbl.t
+    | Many of int Int_table.t
 
   let mem m k =
     match m with
     | Empty -> false
     | One (k1, _) -> k1 = k
     | Two (k1, _, k2, _) -> k1 = k || k2 = k
-    | Many t -> Hashtbl.mem t k
+    | Many t -> Int_table.mem t k
 
   (* Whether [k] is bound to a value other than [v]. *)
   let conflicts m k v =
@@ -52,7 +52,7 @@ module Small = struct
     | One (k1, v1) -> k1 = k && v1 <> v
     | Two (k1, v1, k2, v2) -> (k1 = k && v1 <> v) || (k2 = k && v2 <> v)
     | Many t -> (
-        match Hashtbl.find_opt t k with Some d -> d <> v | None -> false)
+        match Int_table.find_opt t k with Some d -> d <> v | None -> false)
 
   let add m k v =
     match m with
@@ -61,27 +61,27 @@ module Small = struct
     | Two (k1, v1, k2, v2) ->
         if k1 = k || k2 = k then m
         else begin
-          let t = Hashtbl.create 8 in
-          Hashtbl.add t k1 v1;
-          Hashtbl.add t k2 v2;
-          Hashtbl.add t k v;
+          let t = Int_table.create 8 in
+          Int_table.add t k1 v1;
+          Int_table.add t k2 v2;
+          Int_table.add t k v;
           Many t
         end
     | Many t ->
-        if not (Hashtbl.mem t k) then Hashtbl.add t k v;
+        if not (Int_table.mem t k) then Int_table.add t k v;
         m
 
   let length = function
     | Empty -> 0
     | One _ -> 1
     | Two _ -> 2
-    | Many t -> Hashtbl.length t
+    | Many t -> Int_table.length t
 
   let bindings = function
     | Empty -> []
     | One (k1, v1) -> [ (k1, v1) ]
     | Two (k1, v1, k2, v2) -> [ (k1, v1); (k2, v2) ]
-    | Many t -> Hashtbl.fold (fun k v l -> (k, v) :: l) t []
+    | Many t -> Int_table.fold (fun k v l -> (k, v) :: l) t []
 end
 
 type tpdu_state = {
@@ -102,7 +102,7 @@ type tpdu_state = {
 }
 
 type t = {
-  tpdus : (int, tpdu_state) Hashtbl.t;
+  tpdus : tpdu_state Int_table.t;
   (* the last state looked up, so the several lookups one chunk makes
      cost one hash probe; cleared whenever [tpdus] loses its T.ID *)
   mutable memo : tpdu_state option;
@@ -157,7 +157,7 @@ let note_verdict v s t_id verdict =
 let create ?now () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
   {
-    tpdus = Hashtbl.create 32;
+    tpdus = Int_table.create 32;
     memo = None;
     now;
     passed = 0;
@@ -172,14 +172,14 @@ let find v t_id =
   match v.memo with
   | Some s as hit when s.t_id = t_id -> hit
   | Some _ | None -> (
-      match Hashtbl.find_opt v.tpdus t_id with
+      match Int_table.find_opt v.tpdus t_id with
       | Some _ as found ->
           v.memo <- found;
           found
       | None -> None)
 
 let release v t_id =
-  Hashtbl.remove v.tpdus t_id;
+  Int_table.remove v.tpdus t_id;
   match v.memo with
   | Some s when s.t_id = t_id -> v.memo <- None
   | Some _ | None -> ()
@@ -207,7 +207,7 @@ let state v t_id =
           x_spans = [];
         }
       in
-      Hashtbl.add v.tpdus t_id s;
+      Int_table.add v.tpdus t_id s;
       v.memo <- Some s;
       s
 
@@ -457,10 +457,10 @@ let on_chunk v chunk =
     on_ed v chunk
   else []
 
-let in_flight v = Hashtbl.length v.tpdus
+let in_flight v = Int_table.length v.tpdus
 
 let in_flight_ids v =
-  Hashtbl.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
+  Int_table.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
 
 let missing v ~t_id =
   Option.map (fun s -> Vreassembly.missing s.tracker) (find v t_id)
@@ -534,7 +534,7 @@ type tpdu_image = {
 }
 
 let export v =
-  Hashtbl.fold
+  Int_table.fold
     (fun t_id s acc ->
       {
         ti_t_id = t_id;
@@ -557,7 +557,7 @@ let export v =
   |> List.sort (fun a b -> Int.compare a.ti_t_id b.ti_t_id)
 
 let import v img =
-  if not (Hashtbl.mem v.tpdus img.ti_t_id) then begin
+  if not (Int_table.mem v.tpdus img.ti_t_id) then begin
     let s = state v img.ti_t_id in
     (* rebuild the accumulator from its parity: XOR accumulation makes
        resume-from-snapshot indistinguishable from never stopping *)

@@ -190,10 +190,10 @@ module Receiver = struct
     placement : Placement.t;
     capacity : [ `Exact of int | `Quota of int ];
     governor : Governor.t;
-    first_arrival : (int, float) Hashtbl.t;  (* t_id -> time *)
-    acked : (int, unit) Hashtbl.t;  (* TPDUs already acknowledged *)
-    nack_armed : (int, unit) Hashtbl.t;  (* TPDUs with a gap timer *)
-    corrob : (int, corroboration) Hashtbl.t;
+    first_arrival : float Int_table.t;  (* t_id -> time *)
+    acked : unit Int_table.t;  (* TPDUs already acknowledged *)
+    nack_armed : unit Int_table.t;  (* TPDUs with a gap timer *)
+    corrob : corroboration Int_table.t;
     (* the last record found, so one chunk's lookups cost one probe;
        cleared whenever [corrob] loses its T.ID *)
     mutable corrob_memo : corroboration option;
@@ -207,10 +207,10 @@ module Receiver = struct
        but never toward verified delivery, and late chunks for a shed
        TPDU are dropped rather than re-admitted to the verifier *)
     shed_cover : Vreassembly.t;
-    shed_tids : (int, unit) Hashtbl.t;
+    shed_tids : unit Int_table.t;
     (* the stream's last element, from a verified TPDU's end claim *)
     mutable end_confirmed : int option;
-    last_reack : (int, float) Hashtbl.t;
+    last_reack : float Int_table.t;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
     mutable nacks_sent : int;
@@ -246,7 +246,7 @@ module Receiver = struct
     match rx.corrob_memo with
     | Some m as hit when m.t_id = t_id -> hit
     | Some _ | None -> (
-        match Hashtbl.find_opt rx.corrob t_id with
+        match Int_table.find_opt rx.corrob t_id with
         | Some _ as found ->
             rx.corrob_memo <- found;
             found
@@ -268,12 +268,12 @@ module Receiver = struct
             end_claim = None;
           }
         in
-        Hashtbl.add rx.corrob t_id m;
+        Int_table.add rx.corrob t_id m;
         rx.corrob_memo <- Some m;
         m
 
   let forget_corrob rx t_id =
-    Hashtbl.remove rx.corrob t_id;
+    Int_table.remove rx.corrob t_id;
     match rx.corrob_memo with
     | Some m when m.t_id = t_id -> rx.corrob_memo <- None
     | Some _ | None -> ()
@@ -285,7 +285,7 @@ module Receiver = struct
   let drop_tpdu_state rx t_id =
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
     forget_corrob rx t_id;
-    Hashtbl.remove rx.first_arrival t_id
+    Int_table.remove rx.first_arrival t_id
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
@@ -317,16 +317,16 @@ module Receiver = struct
             ~elem_size:config.elem_size;
         capacity;
         governor;
-        first_arrival = Hashtbl.create 32;
-        acked = (match acked with Some t -> t | None -> Hashtbl.create 32);
-        nack_armed = Hashtbl.create 32;
-        corrob = Hashtbl.create 32;
+        first_arrival = Int_table.create 32;
+        acked = (match acked with Some t -> t | None -> Int_table.create 32);
+        nack_armed = Int_table.create 32;
+        corrob = Int_table.create 32;
         corrob_memo = None;
         verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
-        shed_tids = Hashtbl.create 8;
+        shed_tids = Int_table.create 8;
         end_confirmed = None;
-        last_reack = Hashtbl.create 8;
+        last_reack = Int_table.create 8;
         element_delay = Netsim.Stats.create ();
         tpdu_latency = Netsim.Stats.create ();
         nacks_sent = 0;
@@ -432,11 +432,11 @@ module Receiver = struct
 
   let rec arm_nack rx t_id rounds =
     Netsim.Engine.schedule rx.engine ~delay:rx.config.nack_delay (fun () ->
-        if rounds >= max_nack_rounds || Hashtbl.mem rx.acked t_id then
-          Hashtbl.remove rx.nack_armed t_id
+        if rounds >= max_nack_rounds || Int_table.mem rx.acked t_id then
+          Int_table.remove rx.nack_armed t_id
         else
         match Edc.Verifier.missing rx.verifier ~t_id with
-        | None -> Hashtbl.remove rx.nack_armed t_id (* verified or dropped *)
+        | None -> Int_table.remove rx.nack_armed t_id (* verified or dropped *)
         | Some spans ->
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
@@ -496,12 +496,12 @@ module Receiver = struct
   let re_ack rx t_id =
     let now = Netsim.Engine.now rx.engine in
     let due =
-      match Hashtbl.find_opt rx.last_reack t_id with
+      match Int_table.find_opt rx.last_reack t_id with
       | Some last -> now -. last >= rx.config.nack_delay
       | None -> true
     in
     if due then begin
-      Hashtbl.replace rx.last_reack t_id now;
+      Int_table.replace rx.last_reack t_id now;
       rx.reacks_sent <- rx.reacks_sent + 1;
       if Obs.enabled then Obs.Metrics.incr m_reacks;
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
@@ -515,14 +515,14 @@ module Receiver = struct
      lost ACK changes nothing: the bytes are already delivered).  The
      span joins [shed_cover] so completion can proceed without it. *)
   let shed_tpdu rx ~t_id ~first_elem ~elems =
-    if Hashtbl.mem rx.acked t_id || Hashtbl.mem rx.shed_tids t_id then
+    if Int_table.mem rx.acked t_id || Int_table.mem rx.shed_tids t_id then
       (* a shed racing a lost ACK, or a duplicated shed signal: the
          sender is still retrying, so re-acknowledge (throttled) *)
       re_ack rx t_id
     else if Significance.sheddable (rx.config.classify t_id) then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
-      Hashtbl.replace rx.shed_tids t_id ();
+      Int_table.replace rx.shed_tids t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       (match
          Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems
@@ -566,7 +566,7 @@ module Receiver = struct
     let ids =
       List.sort_uniq compare
         (Edc.Verifier.in_flight_ids rx.verifier
-        @ Hashtbl.fold (fun k _ acc -> k :: acc) rx.corrob [])
+        @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
     List.iter
       (fun t_id ->
@@ -617,16 +617,16 @@ module Receiver = struct
     (match m.end_claim with
     | Some _ as last -> rx.end_confirmed <- last
     | None -> ());
-    if not (Hashtbl.mem rx.acked t_id) then begin
-      Hashtbl.add rx.acked t_id ();
+    if not (Int_table.mem rx.acked t_id) then begin
+      Int_table.add rx.acked t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       if Obs.enabled then Obs.Metrics.incr m_acks;
-      (match Hashtbl.find_opt rx.first_arrival t_id with
+      (match Int_table.find_opt rx.first_arrival t_id with
       | Some t0 ->
           let dt = Netsim.Engine.now rx.engine -. t0 in
           Netsim.Stats.add rx.tpdu_latency dt;
           if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
-          Hashtbl.remove rx.first_arrival t_id
+          Int_table.remove rx.first_arrival t_id
       | None -> ());
       (* write-ahead: the bytes this ACK promises to keep go to stable
          storage before the ACK can reach the sender — otherwise a crash
@@ -705,20 +705,20 @@ module Receiver = struct
       (* late traffic for an already-verified TPDU is not re-processed
          (feeding it would recreate verifier state that can never
          complete), but it is re-acknowledged *)
-      if Hashtbl.mem rx.acked t_id then re_ack rx t_id
+      if Int_table.mem rx.acked t_id then re_ack rx t_id
       (* a shed TPDU is gone for good: its straggler chunks must not
          recreate verifier state the sender will never complete *)
-      else if Hashtbl.mem rx.shed_tids t_id then ()
+      else if Int_table.mem rx.shed_tids t_id then ()
       else if Chunk.is_data chunk then begin
-        if not (Hashtbl.mem rx.first_arrival t_id) then
-          Hashtbl.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
+        if not (Int_table.mem rx.first_arrival t_id) then
+          Int_table.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
         let m = corrob rx t_id in
         (* the C.ST bit claims the connection's final element; the claim
            is trusted only once this TPDU verifies *)
         if h.Header.c.Ftuple.st then
           m.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
-        if rx.config.sack && not (Hashtbl.mem rx.nack_armed t_id) then begin
-          Hashtbl.add rx.nack_armed t_id ();
+        if rx.config.sack && not (Int_table.mem rx.nack_armed t_id) then begin
+          Int_table.add rx.nack_armed t_id ();
           arm_nack rx t_id 0
         end;
         witness rx m ~is_ed:false chunk;
@@ -764,14 +764,16 @@ module Receiver = struct
      bytes may be missing) but never toward verified delivery. *)
   let covered_frontier rx =
     let spans =
-      List.sort compare
+      List.sort
+        (fun (s, l) (s', l') ->
+          match Int.compare s s' with 0 -> Int.compare l l' | c -> c)
         (Vreassembly.spans rx.verified_cover
         @ Vreassembly.spans rx.shed_cover)
     in
     let rec go expect = function
       | [] -> expect
       | (s, l) :: rest ->
-          if s > expect then expect else go (max expect (s + l)) rest
+          if s > expect then expect else go (Int.max expect (s + l)) rest
     in
     go 0 spans
 
@@ -820,7 +822,7 @@ module Receiver = struct
   let governor_stats rx = Governor.stats rx.governor
 
   let stashed_tpdus rx =
-    Hashtbl.fold
+    Int_table.fold
       (fun _ m acc -> if m.stash <> [] then acc + 1 else acc)
       rx.corrob 0
 
@@ -832,11 +834,11 @@ module Receiver = struct
   let ident_tid rx = if rx.ident_min = max_int then None else Some rx.ident_min
 
   let acked_tids rx =
-    Hashtbl.fold (fun k () acc -> k :: acc) rx.acked []
+    Int_table.fold (fun k () acc -> k :: acc) rx.acked []
     |> List.sort Int.compare
 
   let sorted_assoc tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    Int_table.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
   let export rx : Persist.receiver_image =
@@ -852,7 +854,7 @@ module Receiver = struct
         (Placement.spans rx.placement)
     in
     let ri_corrob =
-      Hashtbl.fold
+      Int_table.fold
         (fun t_id m acc ->
           let pi_stash =
             List.rev m.stash
@@ -880,7 +882,7 @@ module Receiver = struct
       ri_verified = Vreassembly.spans rx.verified_cover;
       ri_end_confirmed = rx.end_confirmed;
       ri_end_claims =
-        Hashtbl.fold
+        Int_table.fold
           (fun t_id m acc ->
             match m.end_claim with
             | Some last -> (t_id, last) :: acc
@@ -921,7 +923,7 @@ module Receiver = struct
       img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     List.iter
-      (fun (t, at) -> Hashtbl.replace rx.last_reack t at)
+      (fun (t, at) -> Int_table.replace rx.last_reack t at)
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
     List.iter
@@ -935,7 +937,7 @@ module Receiver = struct
             pi.Persist.pi_stash
           |> List.rev
         in
-        Hashtbl.replace rx.corrob pi.Persist.pi_t_id
+        Int_table.replace rx.corrob pi.Persist.pi_t_id
           {
             t_id = pi.Persist.pi_t_id;
             delta_data = pi.Persist.pi_delta_data;
@@ -955,13 +957,13 @@ module Receiver = struct
     List.iter
       (fun (t, last) -> (corrob rx t).end_claim <- Some last)
       img.Persist.ri_end_claims;
-    List.iter (fun t -> Hashtbl.replace rx.acked t ()) acked_tids;
+    List.iter (fun t -> Int_table.replace rx.acked t ()) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
     let tracked =
       List.sort_uniq compare
         (Edc.Verifier.in_flight_ids rx.verifier
-        @ Hashtbl.fold (fun k _ acc -> k :: acc) rx.corrob [])
+        @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
     List.iter
       (fun t_id ->
@@ -980,7 +982,7 @@ module Receiver = struct
   let reannounce rx =
     List.iter
       (fun t_id ->
-        Hashtbl.replace rx.last_reack t_id (Netsim.Engine.now rx.engine);
+        Int_table.replace rx.last_reack t_id (Netsim.Engine.now rx.engine);
         rx.reacks_sent <- rx.reacks_sent + 1;
         if Obs.enabled then Obs.Metrics.incr m_reacks;
         rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id))

@@ -99,7 +99,7 @@ module Receiver : sig
     config ->
     ?bus:Busmodel.t ->
     ?governor:Governor.t ->
-    ?acked:(int, unit) Hashtbl.t ->
+    ?acked:unit Labelling.Int_table.t ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
@@ -286,7 +286,7 @@ module Receiver : sig
     config ->
     ?bus:Busmodel.t ->
     ?governor:Governor.t ->
-    ?acked:(int, unit) Hashtbl.t ->
+    ?acked:unit Labelling.Int_table.t ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->

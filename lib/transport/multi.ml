@@ -19,8 +19,8 @@ type archived = {
 
 type conn = {
   id : int;
-  acked : (int, unit) Hashtbl.t;  (* ACK ledger, shared across epochs *)
-  last_reack : (int, float) Hashtbl.t;
+  acked : unit Int_table.t;  (* ACK ledger, shared across epochs *)
+  last_reack : float Int_table.t;
   mutable live : R.t option;
   mutable live_open : int option;
       (* the live epoch's announced Open C.SN; [None] until its Open is
@@ -99,7 +99,7 @@ type t = {
   table : Connection.t;
   governor : Governor.t;
   send_ack : bytes -> unit;
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Int_table.t;
   quota_elems : int;
   max_conns : int;
   persist : (Persist.event -> unit) option;
@@ -299,7 +299,7 @@ let w_late = 1
    service).  Resource-exhaustion exceptions are not containable at
    connection granularity and re-raise. *)
 let poison m ~conn_id =
-  match Hashtbl.find_opt m.conns conn_id with
+  match Int_table.find_opt m.conns conn_id with
   | None -> ()
   | Some c ->
       if not c.poisoned then begin
@@ -343,7 +343,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
         Governor.create ~budget_bytes:config.state_budget
           ~ttl:config.state_ttl ();
       send_ack;
-      conns = Hashtbl.create 16;
+      conns = Int_table.create 16;
       quota_elems;
       max_conns;
       persist;
@@ -370,7 +370,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
     }
   in
   Governor.set_on_evict m.governor (fun key ->
-      match Hashtbl.find_opt m.conns key.Governor.conn with
+      match Int_table.find_opt m.conns key.Governor.conn with
       | None -> ()
       | Some c ->
           if key.Governor.tpdu >= 0 then (
@@ -389,11 +389,11 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
   m
 
 let live_count m =
-  Hashtbl.fold (fun _ c n -> if c.live <> None then n + 1 else n) m.conns 0
+  Int_table.fold (fun _ c n -> if c.live <> None then n + 1 else n) m.conns 0
 
 let stalest_live m =
   let pick pred =
-    Hashtbl.fold
+    Int_table.fold
       (fun _ c best ->
         if c.live = None || not (pred c) then best
         else
@@ -407,7 +407,7 @@ let stalest_live m =
      flood connection never verifies anything — so an Open flood churns
      through its own connections before it can touch a conn that is
      merely quiet between retransmissions. *)
-  match pick (fun c -> Hashtbl.length c.acked = 0) with
+  match pick (fun c -> Int_table.length c.acked = 0) with
   | Some _ as v -> v
   | None -> pick (fun _ -> true)
 
@@ -453,14 +453,14 @@ let ensure_capacity m =
    forged or duplicated Open can consequently never tear down a live
    epoch: teardown requires a label the connection has never seen. *)
 let handle_open m cid ~first_csn =
-  match Hashtbl.find_opt m.conns cid with
+  match Int_table.find_opt m.conns cid with
   | None ->
       ensure_capacity m;
       let c =
         {
           id = cid;
-          acked = Hashtbl.create 16;
-          last_reack = Hashtbl.create 8;
+          acked = Int_table.create 16;
+          last_reack = Int_table.create 8;
           live = None;
           live_open = None;
           open_hwm = -1;
@@ -482,7 +482,7 @@ let handle_open m cid ~first_csn =
           poisoned = false;
         }
       in
-      Hashtbl.add m.conns cid c;
+      Int_table.add m.conns cid c;
       if Obs.enabled then begin
         Obs.Metrics.incr m_opens;
         if Obs.Trace.active () then
@@ -561,19 +561,19 @@ let handle_open m cid ~first_csn =
 let re_ack_closed m c t_id =
   let t = now m in
   let due =
-    match Hashtbl.find_opt c.last_reack t_id with
+    match Int_table.find_opt c.last_reack t_id with
     | Some last -> t -. last >= m.config.nack_delay
     | None -> true
   in
   if due then begin
-    Hashtbl.replace c.last_reack t_id t;
+    Int_table.replace c.last_reack t_id t;
     m.reacks_multi <- m.reacks_multi + 1;
     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
   end
 
 let route m chunk =
   let cid = chunk.Chunk.header.Header.c.Ftuple.id in
-  match Hashtbl.find_opt m.conns cid with
+  match Int_table.find_opt m.conns cid with
   | None ->
       m.unknown_drops <- m.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
@@ -599,7 +599,7 @@ let route m chunk =
                 R.complete rx
                 && (Chunk.is_data chunk
                    || Ctype.equal h.Header.ctype Ctype.ed)
-                && (not (Hashtbl.mem c.acked t_id))
+                && (not (Int_table.mem c.acked t_id))
                 && not (R.tracks_tpdu rx ~t_id)
               then begin
                 archive m c;
@@ -619,7 +619,7 @@ let route m chunk =
                was live), so persistent late garbage is authored traffic,
                not a replay. *)
             let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
-            if Hashtbl.mem c.acked t_id then re_ack_closed m c t_id
+            if Int_table.mem c.acked t_id then re_ack_closed m c t_id
             else begin
               m.late_drops <- m.late_drops + 1;
               if Obs.enabled then Obs.Metrics.incr m_late;
@@ -632,7 +632,7 @@ let on_chunk m chunk =
   else
     match Connection.on_chunk m.table chunk with
     | `Signal (cid, sg) -> (
-        match Hashtbl.find_opt m.conns cid with
+        match Int_table.find_opt m.conns cid with
         | Some c when quarantine_active m c ->
             (* no signal is served while boxed — in particular no Close
                (which would archive) and no shed (which would mutate the
@@ -662,7 +662,7 @@ let on_chunk m chunk =
                          misclassified).  Unscored — the signal names
                          its victim, not its author. *)
                       if R.sheds_refused rx > refused then note_unscored m c
-                  | Some c when Hashtbl.mem c.acked t_id ->
+                  | Some c when Int_table.mem c.acked t_id ->
                       (* shed signal straggling behind the epoch close
                          while its ACK was lost: re-acknowledge so the
                          sender stops retrying the signal *)
@@ -675,7 +675,7 @@ let on_chunk m chunk =
            WSC-2 parity (or shape) check: silently dropped, but counted
            — corruption in flight and tampering look identical here *)
         m.sig_damage <- m.sig_damage + 1;
-        (match Hashtbl.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
+        (match Int_table.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
     | `Data_for _ | `Unknown_connection _ | `Ignored ->
@@ -704,7 +704,7 @@ let maybe_cache_conn m chunk =
     && not h.Header.c.Ftuple.st
   then
     let cid = h.Header.c.Ftuple.id in
-    match Hashtbl.find_opt m.conns cid with
+    match Int_table.find_opt m.conns cid with
     | Some ({ live = Some rx; _ } as c) when R.stream_end_elems rx = None ->
         Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
     | Some _ | None -> ()
@@ -759,7 +759,7 @@ let fastpath_stats m =
   { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.zero_stats }
 
 let epochs m ~conn_id =
-  match Hashtbl.find_opt m.conns conn_id with
+  match Int_table.find_opt m.conns conn_id with
   | None -> []
   | Some c ->
       List.rev_map
@@ -784,14 +784,14 @@ let epochs m ~conn_id =
         | None -> [])
 
 let known_conns m =
-  List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) m.conns [])
+  List.sort compare (Int_table.fold (fun id _ acc -> id :: acc) m.conns [])
 
 let table m = m.table
 let governor_stats m = Governor.stats m.governor
 let live_conns m = live_count m
 
 let sum_live m f =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ c acc -> match c.live with Some rx -> acc + f rx | None -> acc)
     m.conns 0
 
@@ -802,27 +802,27 @@ let conn_gcs m = m.conn_gcs
 let displaced_conns m = m.displaced
 
 let aborts_received m =
-  Hashtbl.fold (fun _ c acc -> acc + c.aborts_acc) m.conns
+  Int_table.fold (fun _ c acc -> acc + c.aborts_acc) m.conns
     (sum_live m R.aborts_received)
 
 let sheds_received m =
-  Hashtbl.fold (fun _ c acc -> acc + c.sheds_acc) m.conns
+  Int_table.fold (fun _ c acc -> acc + c.sheds_acc) m.conns
     (sum_live m R.sheds_received)
 
 let shed_elems m =
-  Hashtbl.fold (fun _ c acc -> acc + c.shed_elems_acc) m.conns
+  Int_table.fold (fun _ c acc -> acc + c.shed_elems_acc) m.conns
     (sum_live m R.shed_elems)
 
 let reacks_sent m =
   m.reacks_multi
-  + Hashtbl.fold (fun _ c acc -> acc + c.reacks_acc) m.conns
+  + Int_table.fold (fun _ c acc -> acc + c.reacks_acc) m.conns
       (sum_live m R.reacks_sent)
 
 let unknown_drops m = m.unknown_drops
 let late_drops m = m.late_drops
 
 let sheds_refused m =
-  Hashtbl.fold (fun _ c acc -> acc + c.sheds_refused_acc) m.conns
+  Int_table.fold (fun _ c acc -> acc + c.sheds_refused_acc) m.conns
     (sum_live m R.sheds_refused)
 
 let anomalies m = m.anomalies_total
@@ -851,10 +851,10 @@ let conn_stats m ~conn_id =
         cs_quarantined = quarantine_active m c;
         cs_poisoned = c.poisoned;
       })
-    (Hashtbl.find_opt m.conns conn_id)
+    (Int_table.find_opt m.conns conn_id)
 
 let overlap_stats m =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ c acc ->
       let acc = add_overlap acc c.overlap_acc in
       match c.live with
@@ -865,12 +865,12 @@ let overlap_stats m =
 (* {1 Crash recovery} *)
 
 let export m : Persist.conn_image list =
-  Hashtbl.fold
+  Int_table.fold
     (fun id c acc ->
       {
         Persist.ci_id = id;
         ci_acked =
-          Hashtbl.fold (fun k () l -> k :: l) c.acked []
+          Int_table.fold (fun k () l -> k :: l) c.acked []
           |> List.sort Int.compare;
         ci_hist =
           List.rev_map
@@ -908,12 +908,12 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
   in
   List.iter
     (fun (img : Persist.conn_image) ->
-      if not (Hashtbl.mem m.conns img.Persist.ci_id) then begin
+      if not (Int_table.mem m.conns img.Persist.ci_id) then begin
         let c =
           {
             id = img.Persist.ci_id;
-            acked = Hashtbl.create 16;
-            last_reack = Hashtbl.create 8;
+            acked = Int_table.create 16;
+            last_reack = Int_table.create 8;
             live = None;
             live_open = img.Persist.ci_live_open;
             open_hwm =
@@ -951,8 +951,8 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
             poisoned = img.Persist.ci_poisoned;
           }
         in
-        List.iter (fun t -> Hashtbl.replace c.acked t ()) img.Persist.ci_acked;
-        Hashtbl.add m.conns c.id c;
+        List.iter (fun t -> Int_table.replace c.acked t ()) img.Persist.ci_acked;
+        Int_table.add m.conns c.id c;
         (match img.Persist.ci_live with
         | Some ri ->
             let rx =
@@ -975,16 +975,16 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
    ledger is re-acknowledged, whether its epoch is live or closed — any
    ACK from the pre-crash life may have died with the crash. *)
 let reannounce m =
-  Hashtbl.fold (fun id c acc -> (id, c) :: acc) m.conns []
+  Int_table.fold (fun id c acc -> (id, c) :: acc) m.conns []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (_, c) ->
          match c.live with
          | Some rx -> R.reannounce rx
          | None ->
-             Hashtbl.fold (fun t_id () l -> t_id :: l) c.acked []
+             Int_table.fold (fun t_id () l -> t_id :: l) c.acked []
              |> List.sort Int.compare
              |> List.iter (fun t_id ->
-                    Hashtbl.replace c.last_reack t_id (now m);
+                    Int_table.replace c.last_reack t_id (now m);
                     m.reacks_multi <- m.reacks_multi + 1;
                     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)))
 
@@ -994,9 +994,9 @@ let reannounce m =
    crash is not a graceful close. *)
 let teardown m =
   let lives = live_count m in
-  Hashtbl.iter
+  Int_table.iter
     (fun _ c -> match c.live with Some rx -> R.quiesce rx | None -> ())
     m.conns;
-  Hashtbl.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns;
+  Int_table.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns;
   if Obs.enabled then
     Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - lives))

@@ -33,4 +33,5 @@ let () =
       ("obs", Test_obs.suite);
       ("flowcache", Test_flowcache.suite);
       ("shed", Test_shed.suite);
+      ("int-table", Test_int_table.suite);
     ]

@@ -133,9 +133,10 @@ let qcheck_seed =
      Printf.eprintf "qcheck seed = %d (set QCHECK_SEED to reproduce)\n%!" seed;
      seed)
 
-let qtest ?(count = 100) name gen prop =
+let qtest ?(count = 100) ?print name gen prop =
   let rand = Random.State.make [| Lazy.force qcheck_seed |] in
-  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest ~rand
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
