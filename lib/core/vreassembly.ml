@@ -24,12 +24,12 @@ let add_run runs sn len =
     | (s, l) :: rest when sn + len < s -> (sn, len) :: (s, l) :: rest
     | (s, l) :: rest ->
         (* touching or overlapping: fuse and keep going *)
-        let lo = min s sn and hi = max (s + l) (sn + len) in
+        let lo = Int.min s sn and hi = Int.max (s + l) (sn + len) in
         let fused = (lo, hi - lo) in
         let sn, len = fused in
         let rec absorb sn len = function
           | (s, l) :: rest when s <= sn + len ->
-              absorb sn (max (sn + len) (s + l) - sn) rest
+              absorb sn (Int.max (sn + len) (s + l) - sn) rest
           | rest -> (sn, len) :: rest
         in
         absorb sn len rest
@@ -47,7 +47,7 @@ let insert tr ~sn ~len ~st =
   else begin
   let last = sn + len - 1 in
   let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
+    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
   in
   let end_conflict =
     match tr.last_sn with
@@ -74,7 +74,7 @@ let insert_new tr ~sn ~len ~st =
   else begin
   let last = sn + len - 1 in
   let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
+    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
   in
   let end_conflict =
     match tr.last_sn with
@@ -94,7 +94,7 @@ let insert_new tr ~sn ~len ~st =
         | (s, l) :: rest ->
             if s + l <= lo then subtract lo hi rest acc
             else if s >= hi then List.rev ((lo, hi - lo) :: acc)
-            else if s <= lo then subtract (max lo (s + l)) hi rest acc
+            else if s <= lo then subtract (Int.max lo (s + l)) hi rest acc
             else subtract (s + l) hi rest ((lo, s - lo) :: acc)
     in
     let fresh = subtract sn (sn + len) tr.runs [] in
@@ -109,7 +109,7 @@ let set_total tr total =
   else begin
   let last = total - 1 in
   let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
+    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
   in
   match tr.last_sn with
   | Some e when e <> last -> Error `Inconsistent

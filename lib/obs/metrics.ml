@@ -104,8 +104,16 @@ let mark g = Atomic.set g.g_max (Atomic.get g.g_v)
 let bucket_index v =
   if v <= 0 then 0
   else begin
-    let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-    min (buckets - 1) (bits v 0)
+    (* bit length by halving the width still to search: six steps for a
+       63-bit int instead of one per bit *)
+    let v = ref v and n = ref 1 in
+    if !v lsr 32 <> 0 then (v := !v lsr 32; n := !n + 32);
+    if !v lsr 16 <> 0 then (v := !v lsr 16; n := !n + 16);
+    if !v lsr 8 <> 0 then (v := !v lsr 8; n := !n + 8);
+    if !v lsr 4 <> 0 then (v := !v lsr 4; n := !n + 4);
+    if !v lsr 2 <> 0 then (v := !v lsr 2; n := !n + 2);
+    if !v lsr 1 <> 0 then n := !n + 1;
+    Int.min (buckets - 1) !n
   end
 
 let bucket_lower b =

@@ -2,6 +2,17 @@ type key = { conn : int; tpdu : int }
 
 type entry = { mutable bytes : int; mutable deadline : float; mutable cls : int }
 
+(* Keys are compared field by field as integers, and hashed with the
+   polymorphic [Hashtbl.hash] a [(key, entry) Hashtbl.t] would use: the
+   buckets, and so the fold order that picks [oldest] and [sweep]
+   victims, are the polymorphic table's. *)
+module Tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b = Int.equal a.conn b.conn && Int.equal a.tpdu b.tpdu
+  let hash (k : key) = Hashtbl.hash k
+end)
+
 type stats = {
   accounted_bytes : int;
   high_water : int;
@@ -13,7 +24,7 @@ type stats = {
 type t = {
   budget : int;  (* <= 0: unlimited *)
   ttl : float;
-  tbl : (key, entry) Hashtbl.t;
+  tbl : entry Tbl.t;
   mutable on_evict : key -> unit;
   mutable total : int;
   mutable high : int;
@@ -37,11 +48,11 @@ let trace_evict reason (k : key) =
       (Obs.Trace.Evict { conn = k.conn; tpdu = k.tpdu; reason })
 
 let create ?(on_evict = fun _ -> ()) ~budget_bytes ~ttl () =
-  if Obs.enabled then Obs.Metrics.set g_budget (max 0 budget_bytes);
+  if Obs.enabled then Obs.Metrics.set g_budget (Int.max 0 budget_bytes);
   {
     budget = budget_bytes;
     ttl;
-    tbl = Hashtbl.create 64;
+    tbl = Tbl.create 64;
     on_evict;
     total = 0;
     high = 0;
@@ -60,7 +71,7 @@ let over_budget g = g.budget > 0 && g.total > g.budget
    die first.  With every entry at the default class 0 this degenerates
    to pure oldest-deadline, the pre-significance behaviour. *)
 let oldest g =
-  Hashtbl.fold
+  Tbl.fold
     (fun k (e : entry) best ->
       match best with
       | Some (_, d, c) when c > e.cls || (c = e.cls && d <= e.deadline) -> best
@@ -68,23 +79,23 @@ let oldest g =
     g.tbl None
 
 let drop g k =
-  match Hashtbl.find_opt g.tbl k with
+  match Tbl.find_opt g.tbl k with
   | None -> ()
   | Some e ->
       g.total <- g.total - e.bytes;
-      Hashtbl.remove g.tbl k
+      Tbl.remove g.tbl k
 
 let touch ?(cls = 0) g ~key ~bytes ~now =
-  let bytes = max 0 bytes in
-  let cls = max 0 cls in
-  (match Hashtbl.find_opt g.tbl key with
+  let bytes = Int.max 0 bytes in
+  let cls = Int.max 0 cls in
+  (match Tbl.find_opt g.tbl key with
   | Some e ->
       g.total <- g.total - e.bytes + bytes;
       e.bytes <- bytes;
       e.deadline <- now +. g.ttl;
       e.cls <- cls
   | None ->
-      Hashtbl.add g.tbl key { bytes; deadline = now +. g.ttl; cls };
+      Tbl.add g.tbl key { bytes; deadline = now +. g.ttl; cls };
       g.total <- g.total + bytes);
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
@@ -116,22 +127,22 @@ let remove g ~key =
 
 let remove_conn g ~conn =
   let keys =
-    Hashtbl.fold (fun k _ acc -> if k.conn = conn then k :: acc else acc) g.tbl []
+    Tbl.fold (fun k _ acc -> if k.conn = conn then k :: acc else acc) g.tbl []
   in
   List.iter (drop g) keys;
   if Obs.enabled then Obs.Metrics.set g_occ g.total
 
-let mem g ~key = Hashtbl.mem g.tbl key
+let mem g ~key = Tbl.mem g.tbl key
 
 let next_deadline g =
-  Hashtbl.fold
+  Tbl.fold
     (fun _ (e : entry) best ->
       match best with Some d when d <= e.deadline -> best | _ -> Some e.deadline)
     g.tbl None
 
 let sweep g ~now =
   let due =
-    Hashtbl.fold
+    Tbl.fold
       (fun k (e : entry) acc -> if e.deadline <= now then k :: acc else acc)
       g.tbl []
   in
@@ -168,7 +179,7 @@ let stats g =
   {
     accounted_bytes = g.total;
     high_water = g.high;
-    entries = Hashtbl.length g.tbl;
+    entries = Tbl.length g.tbl;
     evictions_deadline = g.ev_deadline;
     evictions_budget = g.ev_budget;
   }

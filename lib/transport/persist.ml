@@ -98,7 +98,7 @@ let coalesce_spans spans =
     | (s, l) :: rest -> (
         match acc with
         | (s0, l0) :: acc' when s <= s0 + l0 ->
-            go ((s0, max l0 (s + l - s0)) :: acc') rest
+            go ((s0, Int.max l0 (s + l - s0)) :: acc') rest
         | _ -> go ((s, l) :: acc) rest)
   in
   List.filter (fun (_, l) -> l > 0) spans
@@ -174,7 +174,7 @@ let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
 let verified_frontier spans =
   let rec go expect = function
     | [] -> expect
-    | (s, l) :: rest -> if s > expect then expect else go (max expect (s + l)) rest
+    | (s, l) :: rest -> if s > expect then expect else go (Int.max expect (s + l)) rest
   in
   go 0 spans
 
