@@ -4,18 +4,32 @@ let chunk_size c = header_size + Chunk.payload_bytes c
 
 let chunks_size cs = List.fold_left (fun acc c -> acc + chunk_size c) 0 cs
 
-let put_tuple buf (u : Ftuple.t) =
-  Buffer.add_int32_be buf (Int32.of_int u.Ftuple.id);
-  Buffer.add_int64_be buf (Int64.of_int u.Ftuple.sn);
-  Buffer.add_uint8 buf (if u.Ftuple.st then 1 else 0)
+(* The one writer of the 46-byte header layout: every encoder below,
+   buffer-appending or in place, goes through [write_header]. *)
+let write_tuple b off (u : Ftuple.t) =
+  Bytes.set_int32_be b off (Int32.of_int u.Ftuple.id);
+  Bytes.set_int64_be b (off + 4) (Int64.of_int u.Ftuple.sn);
+  Bytes.set_uint8 b (off + 12) (if u.Ftuple.st then 1 else 0)
 
-let encode_header buf (h : Header.t) =
-  Buffer.add_uint8 buf (Ctype.code h.Header.ctype);
-  Buffer.add_uint16_be buf h.Header.size;
-  Buffer.add_int32_be buf (Int32.of_int h.Header.len);
-  put_tuple buf h.Header.c;
-  put_tuple buf h.Header.t;
-  put_tuple buf h.Header.x
+let write_header b off (h : Header.t) =
+  Bytes.set_uint8 b off (Ctype.code h.Header.ctype);
+  Bytes.set_uint16_be b (off + 1) h.Header.size;
+  Bytes.set_int32_be b (off + 3) (Int32.of_int h.Header.len);
+  write_tuple b (off + 7) h.Header.c;
+  write_tuple b (off + 20) h.Header.t;
+  write_tuple b (off + 33) h.Header.x
+
+(* Writes [c] at [off] and returns the offset just past it. *)
+let write_chunk b off c =
+  write_header b off c.Chunk.header;
+  let n = Bytes.length c.Chunk.payload in
+  Bytes.blit c.Chunk.payload 0 b (off + header_size) n;
+  off + header_size + n
+
+let encode_header buf h =
+  let b = Bytes.create header_size in
+  write_header b 0 h;
+  Buffer.add_bytes buf b
 
 let encode_chunk buf c =
   encode_header buf c.Chunk.header;
@@ -62,20 +76,22 @@ let decode_chunk b off =
     end
   end
 
+(* The packet is sized first and written in place: one allocation of
+   exactly the packet's length, headers set field by field and each
+   payload blitted once. *)
 let encode_packet ?capacity chunks =
-  let buf = Buffer.create 256 in
-  List.iter (encode_chunk buf) chunks;
-  let used = Buffer.length buf in
+  let used = chunks_size chunks in
   match capacity with
-  | None -> Ok (Buffer.to_bytes buf)
   | Some cap when used > cap ->
       Error
         (Printf.sprintf "Wire.encode_packet: %d bytes exceed capacity %d" used
            cap)
-  | Some cap ->
-      if cap - used >= header_size then encode_chunk buf Chunk.terminator;
-      let b = Bytes.make cap '\000' in
-      Buffer.blit buf 0 b 0 (Buffer.length buf);
+  | None | Some _ ->
+      let cap = Option.value capacity ~default:used in
+      let b = Bytes.create cap in
+      let off = List.fold_left (write_chunk b) 0 chunks in
+      Bytes.fill b off (cap - off) '\000';
+      if cap - off >= header_size then write_header b off Header.terminator;
       Ok b
 
 (* Checksummed record framing for persisted state (crash-recovery
