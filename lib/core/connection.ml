@@ -88,9 +88,9 @@ let parse_signal chunk =
 
 type state = Established of { first_csn : int } | Closed
 
-type t = (int, state) Hashtbl.t
+type t = state Int_table.t
 
-let create () : t = Hashtbl.create 8
+let create () : t = Int_table.create 8
 
 let on_chunk tbl chunk =
   let h = chunk.Chunk.header in
@@ -101,25 +101,25 @@ let on_chunk tbl chunk =
     | Ok (conn_id, signal) ->
         (match signal with
         | Open { first_csn } ->
-            Hashtbl.replace tbl conn_id (Established { first_csn })
-        | Close -> Hashtbl.replace tbl conn_id Closed
+            Int_table.replace tbl conn_id (Established { first_csn })
+        | Close -> Int_table.replace tbl conn_id Closed
         | Resync _ | Abort_tpdu _ | Shed_tpdu _ -> ());
         `Signal (conn_id, signal))
   else if Chunk.is_data chunk then begin
     let conn_id = h.Header.c.Ftuple.id in
-    match Hashtbl.find_opt tbl conn_id with
+    match Int_table.find_opt tbl conn_id with
     | Some (Established _) ->
         (* the in-band end-of-connection bit also closes *)
-        if h.Header.c.Ftuple.st then Hashtbl.replace tbl conn_id Closed;
+        if h.Header.c.Ftuple.st then Int_table.replace tbl conn_id Closed;
         `Data_for conn_id
     | Some Closed | None -> `Unknown_connection conn_id
   end
   else `Ignored
 
-let state tbl ~conn_id = Hashtbl.find_opt tbl conn_id
+let state tbl ~conn_id = Int_table.find_opt tbl conn_id
 
 let established tbl =
-  Hashtbl.fold
+  Int_table.fold
     (fun id st acc ->
       match st with Established _ -> id :: acc | Closed -> acc)
     tbl []

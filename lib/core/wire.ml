@@ -81,18 +81,18 @@ let decode_chunk b off =
    payload blitted once. *)
 let encode_packet ?capacity chunks =
   let used = chunks_size chunks in
-  match capacity with
-  | Some cap when used > cap ->
-      Error
-        (Printf.sprintf "Wire.encode_packet: %d bytes exceed capacity %d" used
-           cap)
-  | None | Some _ ->
-      let cap = Option.value capacity ~default:used in
-      let b = Bytes.create cap in
-      let off = List.fold_left (write_chunk b) 0 chunks in
-      Bytes.fill b off (cap - off) '\000';
-      if cap - off >= header_size then write_header b off Header.terminator;
-      Ok b
+  let cap = Option.value capacity ~default:used in
+  if used > cap then
+    Error
+      (Printf.sprintf "Wire.encode_packet: %d bytes exceed capacity %d" used
+         cap)
+  else begin
+    let b = Bytes.create cap in
+    let off = List.fold_left (write_chunk b) 0 chunks in
+    Bytes.fill b off (cap - off) '\000';
+    if cap - off >= header_size then write_header b off Header.terminator;
+    Ok b
+  end
 
 (* Checksummed record framing for persisted state (crash-recovery
    snapshots and journals).  A record is

@@ -764,9 +764,7 @@ module Receiver = struct
      bytes may be missing) but never toward verified delivery. *)
   let covered_frontier rx =
     let spans =
-      List.sort
-        (fun (s, l) (s', l') ->
-          match Int.compare s s' with 0 -> Int.compare l l' | c -> c)
+      List.sort (fun (a, _) (b, _) -> Int.compare a b)
         (Vreassembly.spans rx.verified_cover
         @ Vreassembly.spans rx.shed_cover)
     in
@@ -1013,7 +1011,7 @@ module Sender = struct
     mutable next_frame : int;
     mutable pending : Chunk.t list;  (* current TPDU, reversed *)
     ready : tpdu Queue.t;
-    inflight : (int, tpdu) Hashtbl.t;
+    inflight : tpdu Int_table.t;
     mutable retrans : int;
     mutable sack_retrans : int;
     mutable tpdus_sent : int;
@@ -1040,7 +1038,7 @@ module Sender = struct
     (* T.IDs acknowledged over the transfer's whole life, including those
        restored from a persisted image ([restore]); a restored-acked TPDU
        is rebuilt by the framer but never (re)transmitted *)
-    done_tids : (int, unit) Hashtbl.t;
+    done_tids : unit Int_table.t;
   }
 
   let rto_min = 2e-3
@@ -1095,7 +1093,7 @@ module Sender = struct
       next_frame = 0;
       pending = [];
       ready = Queue.create ();
-      inflight = Hashtbl.create 16;
+      inflight = Int_table.create 16;
       retrans = 0;
       sack_retrans = 0;
       tpdus_sent = 0;
@@ -1113,7 +1111,7 @@ module Sender = struct
       rto_cur = config.rto;
       rtt_samples = 0;
       max_txs_at_sample = 0;
-      done_tids = Hashtbl.create 16;
+      done_tids = Int_table.create 16;
     }
 
   (* A sender over pre-cut, pre-sealed TPDUs (each chunk list is the
@@ -1172,7 +1170,7 @@ module Sender = struct
               (* a TPDU the restored ledger says is already acknowledged
                  is rebuilt (the framer's labels are deterministic) but
                  never queued for transmission *)
-              if not (Hashtbl.mem tx.done_tids t_id) then
+              if not (Int_table.mem tx.done_tids t_id) then
                 Queue.add
                   {
                     t_id;
@@ -1339,7 +1337,7 @@ module Sender = struct
                receiver is told to evict the TPDU's partial state *)
             tx.gave_up <- true;
             tp.acked <- true;
-            Hashtbl.remove tx.inflight tp.t_id;
+            Int_table.remove tx.inflight tp.t_id;
             if Obs.enabled then Obs.Metrics.incr m_give_ups;
             send_abort tx tp.t_id;
             pump tx
@@ -1390,11 +1388,11 @@ module Sender = struct
 
   and pump tx =
     build_more tx;
-    if Hashtbl.length tx.inflight < tx.config.window
+    if Int_table.length tx.inflight < tx.config.window
        && not (Queue.is_empty tx.ready)
     then begin
       let tp = Queue.pop tx.ready in
-      Hashtbl.add tx.inflight tp.t_id tp;
+      Int_table.add tx.inflight tp.t_id tp;
       tx.tpdus_sent <- tx.tpdus_sent + 1;
       transmit tx tp;
       arm_timer tx tp;
@@ -1439,11 +1437,11 @@ module Sender = struct
     end
 
   let on_ack tx t_id =
-    match Hashtbl.find_opt tx.inflight t_id with
+    match Int_table.find_opt tx.inflight t_id with
     | None ->
         (* an ACK for a finished TPDU is a routine re-ACK; one for a
            T.ID never sent is fabricated *)
-        if not (Hashtbl.mem tx.done_tids t_id) then
+        if not (Int_table.mem tx.done_tids t_id) then
           tx.bogus_acks <- tx.bogus_acks + 1
     | Some tp ->
         if not tp.acked then begin
@@ -1452,8 +1450,8 @@ module Sender = struct
              the RTO wait) nor the adaptive clean-run counter *)
           if not tp.shed then note_rtt tx tp;
           tp.acked <- true;
-          Hashtbl.replace tx.done_tids t_id ();
-          Hashtbl.remove tx.inflight t_id;
+          Int_table.replace tx.done_tids t_id ();
+          Int_table.remove tx.inflight t_id;
           (* first ACK proves the receiver processed the Open: the
              establishment phase is over *)
           if t_id = tx.first_tid then tx.open_chunk <- None;
@@ -1476,11 +1474,11 @@ module Sender = struct
      is a first-class chunk) and re-send them, plus the ED chunk when
      asked. *)
   let on_nack tx t_id ~need_ed ~spans =
-    match Hashtbl.find_opt tx.inflight t_id with
+    match Int_table.find_opt tx.inflight t_id with
     | None ->
         (* already acknowledged: stale NACK — unless the T.ID was never
            sent at all, which only a fabricating peer produces *)
-        if not (Hashtbl.mem tx.done_tids t_id) then
+        if not (Int_table.mem tx.done_tids t_id) then
           tx.bogus_acks <- tx.bogus_acks + 1
     | Some tp ->
         let data_chunks, ed =
@@ -1531,7 +1529,7 @@ module Sender = struct
     tx.started
     && tx.next_frame >= Array.length tx.frames
     && Queue.is_empty tx.ready
-    && Hashtbl.length tx.inflight = 0
+    && Int_table.length tx.inflight = 0
 
   let retransmissions tx = tx.retrans
   let sack_retransmissions tx = tx.sack_retrans
@@ -1554,7 +1552,7 @@ module Sender = struct
     {
       Persist.si_first_tid = tx.first_tid;
       si_acked =
-        Hashtbl.fold (fun k () acc -> k :: acc) tx.done_tids []
+        Int_table.fold (fun k () acc -> k :: acc) tx.done_tids []
         |> List.sort Int.compare;
       si_srtt = (if tx.srtt < 0.0 then None else Some tx.srtt);
       si_rttvar = tx.rttvar;
@@ -1579,7 +1577,7 @@ module Sender = struct
         ~send ~data ()
     in
     List.iter
-      (fun t -> Hashtbl.replace tx.done_tids t ())
+      (fun t -> Int_table.replace tx.done_tids t ())
       si.Persist.si_acked;
     if List.mem si.Persist.si_first_tid si.Persist.si_acked then
       tx.open_chunk <- None;
