@@ -68,7 +68,7 @@ let push_frame ?(last = false) f frame =
     while !x_sn < total_elems do
       let room_in_tpdu = f.tpdu_elems - f.t_sn in
       let remaining = total_elems - !x_sn in
-      let take = min room_in_tpdu remaining in
+      let take = Int.min room_in_tpdu remaining in
       let ends_frame = !x_sn + take = total_elems in
       let ends_tpdu = take = room_in_tpdu || (last && ends_frame) in
       let ends_conn = last && ends_frame in
@@ -103,7 +103,7 @@ let frames_of_stream f ~frame_bytes buffer =
     if total = 0 then Error "Framer.frames_of_stream: empty stream"
     else begin
       let rec go off acc =
-        let n = min frame_bytes (total - off) in
+        let n = Int.min frame_bytes (total - off) in
         let frame =
           pad_frame ~elem_size:f.elem_size (Bytes.sub buffer off n)
         in

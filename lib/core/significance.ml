@@ -5,7 +5,7 @@ let normalize = function
   | t -> t
 
 let sheddable = function Sheddable _ -> true | Critical | Normal -> false
-let rank = function Critical | Normal -> 0 | Sheddable l -> max 1 l
+let rank = function Critical | Normal -> 0 | Sheddable l -> Int.max 1 l
 let weight = function Critical -> 4 | Normal -> 2 | Sheddable _ -> 1
 
 let compare a b =
@@ -15,14 +15,14 @@ let compare a b =
   | _, Critical -> 1
   | Normal, _ -> -1
   | _, Normal -> 1
-  | Sheddable x, Sheddable y -> Int.compare (max 1 x) (max 1 y)
+  | Sheddable x, Sheddable y -> Int.compare (Int.max 1 x) (Int.max 1 y)
 
 let equal a b = compare a b = 0
 
 let to_string = function
   | Critical -> "critical"
   | Normal -> "normal"
-  | Sheddable l -> Printf.sprintf "shed:%d" (max 1 l)
+  | Sheddable l -> Printf.sprintf "shed:%d" (Int.max 1 l)
 
 let of_string s =
   match s with

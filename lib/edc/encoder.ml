@@ -74,7 +74,7 @@ let seal chunks =
          learns the PDU's extent even when every ST-bearing fragment was
          lost (the gap report can then name the missing tail). *)
       let tpdu_start_csn = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-      let c = Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:(max 0 tpdu_start_csn) () in
+      let c = Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:(Int.max 0 tpdu_start_csn) () in
       let t = Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:0 () in
       let x = Ftuple.zero in
       let total_elems = Chunk.last_t_sn final + 1 in

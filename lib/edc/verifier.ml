@@ -244,7 +244,7 @@ let x_framing_ok s =
              element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
           Small.mem s.pairs_done boundary
           && xsn_b = sn_b - boundary - 1
-          && (not (List.mem xb seen))
+          && (not (List.exists (Int.equal xb) seen))
           && walk (xa :: seen) rest
         end
   in

@@ -87,7 +87,7 @@ let incr c = sat_add c.c_v 1
 let add c n = sat_add c.c_v n
 let value c = Atomic.get c.c_v
 
-let rec bump_max cell v =
+let rec bump_max cell (v : int) =
   let m = Atomic.get cell in
   if v > m && not (Atomic.compare_and_set cell m v) then bump_max cell v
 

@@ -564,7 +564,7 @@ module Receiver = struct
      keeps other connections' entries intact. *)
   let quiesce rx =
     let ids =
-      List.sort_uniq compare
+      List.sort_uniq Int.compare
         (Edc.Verifier.in_flight_ids rx.verifier
         @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
@@ -959,7 +959,7 @@ module Receiver = struct
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
     let tracked =
-      List.sort_uniq compare
+      List.sort_uniq Int.compare
         (Edc.Verifier.in_flight_ids rx.verifier
         @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
@@ -1050,7 +1050,7 @@ module Sender = struct
     let count = (n + fb - 1) / fb in
     Array.init count (fun i ->
         let off = i * fb in
-        let len = min fb (n - off) in
+        let len = Int.min fb (n - off) in
         Framer.pad_frame ~elem_size:config.elem_size (Bytes.sub data off len))
 
   let create engine config ?(first_tid = 0) ?(announce_open = false) ~send
@@ -1149,8 +1149,8 @@ module Sender = struct
      one packet, so a single loss forfeits at most one packet's data —
      the paper's point against Kent & Mogul's fragment-loss argument. *)
   let min_tpdu_elems config =
-    max 16
-      (min config.tpdu_elems
+    Int.max 16
+      (Int.min config.tpdu_elems
          ((config.mtu - (2 * Wire.header_size) - 8) / config.elem_size))
 
   (* Move complete TPDUs from [pending] (chunk stream) to [ready]. *)
@@ -1325,7 +1325,7 @@ module Sender = struct
   let rec arm_timer tx tp =
     let interval =
       Float.min
-        (tx.rto_cur *. Float.pow 2.0 (float_of_int (min 30 (tp.txs - 1))))
+        (tx.rto_cur *. Float.pow 2.0 (float_of_int (Int.min 30 (tp.txs - 1))))
         (8.0 *. tx.config.rto)
     in
     Netsim.Engine.schedule tx.engine ~delay:interval
@@ -1380,7 +1380,7 @@ module Sender = struct
             if tx.config.adaptive then begin
               tx.clean_acks <- 0;
               tx.cur_tpdu_elems <-
-                max (min_tpdu_elems tx.config) (tx.cur_tpdu_elems / 2)
+                Int.max (min_tpdu_elems tx.config) (tx.cur_tpdu_elems / 2)
             end;
             transmit tx tp;
             arm_timer tx tp
@@ -1463,7 +1463,7 @@ module Sender = struct
             if tx.clean_acks >= 32 then begin
               tx.clean_acks <- 0;
               tx.cur_tpdu_elems <-
-                min tx.config.tpdu_elems (tx.cur_tpdu_elems * 2)
+                Int.min tx.config.tpdu_elems (tx.cur_tpdu_elems * 2)
             end
           end;
           pump tx
@@ -1496,7 +1496,7 @@ module Sender = struct
                     let h = c.Chunk.header in
                     let c_first = h.Header.t.Ftuple.sn in
                     let c_last = c_first + h.Header.len - 1 in
-                    let lo = max sn c_first and hi = min (sn + len - 1) c_last in
+                    let lo = Int.max sn c_first and hi = Int.min (sn + len - 1) c_last in
                     if lo > hi then None
                     else
                       match Fragment.extract c ~t_sn:lo ~elems:(hi - lo + 1) with
