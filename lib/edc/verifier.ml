@@ -244,7 +244,9 @@ let x_framing_ok s =
              element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
           Small.mem s.pairs_done boundary
           && xsn_b = sn_b - boundary - 1
-          && (not (List.exists (Int.equal xb) seen))
+          (* [memq] is integer equality on ints, with no call into
+             polymorphic compare *)
+          && (not (List.memq xb seen))
           && walk (xa :: seen) rest
         end
   in
