@@ -104,8 +104,7 @@ let mark g = Atomic.set g.g_max (Atomic.get g.g_v)
 let bucket_index v =
   if v <= 0 then 0
   else begin
-    (* bit length by halving the width still to search: six steps for a
-       63-bit int instead of one per bit *)
+    (* bit length by binary search: six steps for a 63-bit int *)
     let v = ref v and n = ref 1 in
     if !v lsr 32 <> 0 then (v := !v lsr 32; n := !n + 32);
     if !v lsr 16 <> 0 then (v := !v lsr 16; n := !n + 16);
