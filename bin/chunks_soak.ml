@@ -89,10 +89,19 @@ let run_replay spec mutate =
       | Ok () -> ());
       2
   | Some schedule ->
-      let trace = Check.Trace.create () in
+      let trace = Obs.Trace.ring ~capacity:2048 in
       let model = Check.Model.of_schedule schedule in
       let observation = Check.Driver.run ~mutation:mutate ~trace schedule in
-      Format.printf "%a" Check.Trace.pp trace;
+      let dropped = Obs.Trace.ring_dropped trace in
+      if dropped > 0 then
+        Printf.printf "... %d earlier events dropped ...\n" dropped;
+      List.iter
+        (fun (time, ev) ->
+          Printf.printf "%12.6f  %s\n" time
+            (match ev with
+            | Obs.Trace.Note text -> text
+            | ev -> Obs.Trace.event_name ev))
+        (Obs.Trace.ring_contents trace);
       Printf.printf
         "ok=%b complete=%b gave_up=%b retrans=%d sack=%d nacks=%d\n\
          tpdus passed=%d failed=%d dups=%d in_flight=%d stashed=%d pending=%d\n\

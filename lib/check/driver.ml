@@ -217,12 +217,15 @@ type plumbing = {
   mutated : int ref;
 }
 
-(* Untraced runs skip the formatting altogether. *)
+(* Notes go to the caller's sink only, never the process-wide one;
+   untraced runs skip the formatting altogether. *)
 let make_trec engine trace fmt =
   match trace with
-  | Some t ->
+  | Some sink ->
       Printf.ksprintf
-        (fun ev -> Trace.add t ~time:(Netsim.Engine.now engine) ev)
+        (fun text ->
+          Obs.Trace.emit sink ~time:(Netsim.Engine.now engine)
+            (Obs.Trace.Note text))
         fmt
   | None -> Printf.ikfprintf ignore () fmt
 

@@ -236,5 +236,10 @@ val outcome : Schedule.t -> observation -> epoch_obs list
     run one epoch — its connection, epoch 0, [complete], [gave_up] and
     [Some delivered]. *)
 
-val run : ?mutation:mutation -> ?trace:Trace.t -> Schedule.t -> observation
-(** The primary run, then every applicable counterfactual re-run. *)
+val run :
+  ?mutation:mutation -> ?trace:Obs.Trace.sink -> Schedule.t -> observation
+(** The primary run, then every applicable counterfactual re-run.  The
+    primary run narrates what the network and the endpoints did as
+    [Obs.Trace.Note] events into [trace] (typically a ring), stamped
+    with simulated time; the sink is used directly, not installed as
+    the process-wide one. *)

@@ -13,47 +13,22 @@ type profile =
   | Fastpath_hostile
   | Byzantine_hostile
 
-let profile_name = function
-  | Clean -> "clean"
-  | Lossy -> "lossy"
-  | Hostile -> "hostile"
-  | Hostile_flood -> "hostile-flood"
-  | Outage_recover -> "outage-recover"
-  | Crash_restart -> "crash-restart"
-  | Crash_flood -> "crash-flood"
-  | Overlap_hostile -> "overlap-hostile"
-  | Degrade_hostile -> "degrade-hostile"
-  | Fastpath_hostile -> "fastpath-hostile"
-  | Byzantine_hostile -> "byzantine-hostile"
-
-let profile_of_name = function
-  | "clean" -> Some Clean
-  | "lossy" -> Some Lossy
-  | "hostile" -> Some Hostile
-  | "hostile-flood" -> Some Hostile_flood
-  | "outage-recover" -> Some Outage_recover
-  | "crash-restart" -> Some Crash_restart
-  | "crash-flood" -> Some Crash_flood
-  | "overlap-hostile" -> Some Overlap_hostile
-  | "degrade-hostile" -> Some Degrade_hostile
-  | "fastpath-hostile" -> Some Fastpath_hostile
-  | "byzantine-hostile" -> Some Byzantine_hostile
-  | _ -> None
-
-let all_profiles =
+let profiles =
   [
-    Clean;
-    Lossy;
-    Hostile;
-    Hostile_flood;
-    Outage_recover;
-    Crash_restart;
-    Crash_flood;
-    Overlap_hostile;
-    Degrade_hostile;
-    Fastpath_hostile;
-    Byzantine_hostile;
+    ("clean", Clean);
+    ("lossy", Lossy);
+    ("hostile", Hostile);
+    ("hostile-flood", Hostile_flood);
+    ("outage-recover", Outage_recover);
+    ("crash-restart", Crash_restart);
+    ("crash-flood", Crash_flood);
+    ("overlap-hostile", Overlap_hostile);
+    ("degrade-hostile", Degrade_hostile);
+    ("fastpath-hostile", Fastpath_hostile);
+    ("byzantine-hostile", Byzantine_hostile);
   ]
+
+let all_profiles = List.map snd profiles
 
 type spread = Round_robin | Random_path | Route_change of float
 
@@ -622,420 +597,322 @@ let generate ~profile ~seed =
 
 (* {2 Flat text round-trip}
 
-   One [key=value] token per field, space-separated, order fixed.
-   Floats print as %.17g so parsing reproduces them bit-exactly — a
-   shrunk counterexample must replay the violation byte for byte. *)
+   One [key=value] token per entry of [fields], space-separated, in
+   table order.  Each value's text form is built from the codecs below,
+   so a field's printer and parser cannot disagree.  Floats print as
+   %.17g so parsing reproduces them bit-exactly — a shrunk
+   counterexample must replay the violation byte for byte. *)
 
-let policy_name = function
-  | Repack.One_per_packet -> "one"
-  | Repack.Combine -> "combine"
-  | Repack.Reassemble -> "reassemble"
+type 'a codec = {
+  print : 'a -> string;
+  parse : string -> 'a option;
+  finite : 'a -> bool;
+      (* no float inside is NaN, nor an infinity the field does not allow *)
+}
 
-let policy_of_name = function
-  | "one" -> Some Repack.One_per_packet
-  | "combine" -> Some Repack.Combine
-  | "reassemble" -> Some Repack.Reassemble
-  | _ -> None
+let any _ = true
+let int = { print = string_of_int; parse = int_of_string_opt; finite = any }
+let bool = { print = string_of_bool; parse = bool_of_string_opt; finite = any }
 
-let spread_to_string = function
-  | Round_robin -> "rr"
-  | Random_path -> "random"
-  | Route_change t -> Printf.sprintf "change:%.17g" t
+let float =
+  {
+    print = Printf.sprintf "%.17g";
+    parse = float_of_string_opt;
+    finite = Float.is_finite;
+  }
 
-let spread_of_string str =
-  match str with
-  | "rr" -> Some Round_robin
-  | "random" -> Some Random_path
-  | _ -> (
-      match String.index_opt str ':' with
-      | Some i when String.sub str 0 i = "change" -> (
-          match
-            float_of_string_opt
-              (String.sub str (i + 1) (String.length str - i - 1))
-          with
-          | Some t -> Some (Route_change t)
-          | None -> None)
-      | _ -> None)
+(* A duration that may be [infinity]: a window that never closes. *)
+let duration =
+  { float with finite = (fun d -> Float.is_finite d || d = infinity) }
 
-let gateways_to_string gws =
-  if gws = [] then "-"
-  else
-    String.concat ","
-      (List.map
-         (fun g ->
-           Printf.sprintf "%s:%d:%d" (policy_name g.gw_policy) g.gw_mtu
-             g.gw_batch)
-         gws)
+let enum table =
+  {
+    print = (fun v -> fst (List.find (fun (_, v') -> v' = v) table));
+    parse = (fun name -> List.assoc_opt name table);
+    finite = any;
+  }
 
-let gateways_of_string str =
-  if str = "-" then Some []
-  else
-    let parse_one tok =
-      match String.split_on_char ':' tok with
-      | [ p; mtu; batch ] -> (
-          match (policy_of_name p, int_of_string_opt mtu, int_of_string_opt batch)
-          with
-          | Some gw_policy, Some gw_mtu, Some gw_batch ->
-              Some { gw_policy; gw_mtu; gw_batch }
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' str in
-    let parsed = List.filter_map parse_one toks in
-    if List.length parsed = List.length toks then Some parsed else None
+let map decode encode c =
+  {
+    print = (fun v -> c.print (encode v));
+    parse = (fun str -> Option.map decode (c.parse str));
+    finite = (fun v -> c.finite (encode v));
+  }
 
-let dropper_to_string = function
-  | None -> "-"
-  | Some { drop_mode = Netsim.Dropper.Random; drop_loss } ->
-      Printf.sprintf "random:%.17g" drop_loss
-  | Some { drop_mode = Netsim.Dropper.Whole_tpdu; drop_loss } ->
-      Printf.sprintf "tpdu:%.17g" drop_loss
-  | Some { drop_mode = Netsim.Dropper.By_class; drop_loss } ->
-      Printf.sprintf "class:%.17g" drop_loss
+(* ["-"] stands for an absent value or an empty list. *)
+let opt c =
+  {
+    print = (function None -> "-" | Some v -> c.print v);
+    parse =
+      (function "-" -> Some None | str -> Option.map Option.some (c.parse str));
+    finite = (function None -> true | Some v -> c.finite v);
+  }
 
-let dropper_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ "random"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.Random; drop_loss })
-          (float_of_string_opt p)
-    | [ "tpdu"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.Whole_tpdu; drop_loss })
-          (float_of_string_opt p)
-    | [ "class"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.By_class; drop_loss })
-          (float_of_string_opt p)
-    | _ -> None
+let list c =
+  {
+    print =
+      (function [] -> "-" | vs -> String.concat "," (List.map c.print vs));
+    parse =
+      (function
+      | "-" -> Some []
+      | str ->
+          List.fold_right
+            (fun tok acc ->
+              match (c.parse tok, acc) with
+              | Some v, Some vs -> Some (v :: vs)
+              | _ -> None)
+            (String.split_on_char ',' str)
+            (Some []));
+    finite = List.for_all c.finite;
+  }
 
-let blackhole_to_string = function
-  | None -> "-"
-  | Some (t0, dur) -> Printf.sprintf "%.17g:%.17g" t0 dur
+(* Colon-separated parts.  Right-associative: [a ^: b ^: c] is the
+   codec of [(a, (b, c))].  The split is at the first colon, so every
+   part but the last must print without one; a surplus part lands in
+   the last part's text and fails to parse. *)
+let ( ^: ) a b =
+  {
+    print = (fun (x, y) -> a.print x ^ ":" ^ b.print y);
+    parse =
+      (fun str ->
+        match String.index_opt str ':' with
+        | None -> None
+        | Some i -> (
+            let tail = String.sub str (i + 1) (String.length str - i - 1) in
+            match (a.parse (String.sub str 0 i), b.parse tail) with
+            | Some x, Some y -> Some (x, y)
+            | _ -> None));
+    finite = (fun (x, y) -> a.finite x && b.finite y);
+  }
 
-let blackhole_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ a; b ] -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some t0, Some dur -> Some (Some (t0, dur))
-        | _ -> None)
-    | _ -> None
+let profile = enum profiles
+let profile_name = profile.print
+let profile_of_name = profile.parse
 
-let outage_to_string = function
-  | None -> "-"
-  | Some o ->
-      Printf.sprintf "%s:%.17g:%.17g"
-        (if o.out_hold then "hold" else "drop")
-        o.out_start o.out_duration
+let spread =
+  {
+    print =
+      (function
+      | Round_robin -> "rr"
+      | Random_path -> "random"
+      | Route_change t -> "change:" ^ float.print t);
+    parse =
+      (function
+      | "rr" -> Some Round_robin
+      | "random" -> Some Random_path
+      | str -> (
+          match String.split_on_char ':' str with
+          | [ "change"; t ] ->
+              Option.map (fun t -> Route_change t) (float.parse t)
+          | _ -> None));
+    finite = (function Route_change t -> float.finite t | _ -> true);
+  }
 
-let outage_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ m; a; b ] when m = "hold" || m = "drop" -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some out_start, Some out_duration ->
-            Some (Some { out_hold = m = "hold"; out_start; out_duration })
-        | _ -> None)
-    | _ -> None
+let gateway =
+  map
+    (fun (gw_policy, (gw_mtu, gw_batch)) -> { gw_policy; gw_mtu; gw_batch })
+    (fun g -> (g.gw_policy, (g.gw_mtu, g.gw_batch)))
+    (enum
+       [
+         ("one", Repack.One_per_packet);
+         ("combine", Repack.Combine);
+         ("reassemble", Repack.Reassemble);
+       ]
+    ^: int ^: int)
 
-let flood_to_string = function
-  | None -> "-"
-  | Some f ->
-      Printf.sprintf "%.17g:%.17g:%d" f.flood_rate f.flood_stop f.flood_conns
+let dropper =
+  map
+    (fun (drop_mode, drop_loss) -> { drop_mode; drop_loss })
+    (fun d -> (d.drop_mode, d.drop_loss))
+    (enum
+       [
+         ("random", Netsim.Dropper.Random);
+         ("tpdu", Netsim.Dropper.Whole_tpdu);
+         ("class", Netsim.Dropper.By_class);
+       ]
+    ^: float)
 
-let flood_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; c ] -> (
-        match
-          (float_of_string_opt r, float_of_string_opt s, int_of_string_opt c)
-        with
-        | Some flood_rate, Some flood_stop, Some flood_conns ->
-            Some (Some { flood_rate; flood_stop; flood_conns })
-        | _ -> None)
-    | _ -> None
+let outage =
+  map
+    (fun (out_hold, (out_start, out_duration)) ->
+      { out_hold; out_start; out_duration })
+    (fun o -> (o.out_hold, (o.out_start, o.out_duration)))
+    (enum [ ("hold", true); ("drop", false) ] ^: float ^: duration)
 
-let overlap_to_string = function
-  | None -> "-"
-  | Some o ->
-      Printf.sprintf "%.17g:%.17g:%b:%b:%b" o.ov_rate o.ov_stop o.ov_dup
-        o.ov_forge o.ov_resplit
+let flood =
+  map
+    (fun (flood_rate, (flood_stop, flood_conns)) ->
+      { flood_rate; flood_stop; flood_conns })
+    (fun f -> (f.flood_rate, (f.flood_stop, f.flood_conns)))
+    (float ^: float ^: int)
 
-let overlap_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; d; f; re ] -> (
-        match
-          ( float_of_string_opt r,
-            float_of_string_opt s,
-            bool_of_string_opt d,
-            bool_of_string_opt f,
-            bool_of_string_opt re )
-        with
-        | Some ov_rate, Some ov_stop, Some ov_dup, Some ov_forge, Some ov_resplit
-          ->
-            Some (Some { ov_rate; ov_stop; ov_dup; ov_forge; ov_resplit })
-        | _ -> None)
-    | _ -> None
+let overlap =
+  map
+    (fun (ov_rate, (ov_stop, (ov_dup, (ov_forge, ov_resplit)))) ->
+      { ov_rate; ov_stop; ov_dup; ov_forge; ov_resplit })
+    (fun o ->
+      (o.ov_rate, (o.ov_stop, (o.ov_dup, (o.ov_forge, o.ov_resplit)))))
+    (float ^: float ^: bool ^: bool ^: bool)
 
-let byz_to_string = function
-  | None -> "-"
-  | Some b ->
-      Printf.sprintf "%.17g:%.17g:%d:%b:%b:%b:%b" b.bz_rate b.bz_stop
-        b.bz_conns b.bz_acks b.bz_sheds b.bz_replay b.bz_garbage
+let shed =
+  map
+    (fun (sh_every, sh_txs) -> { sh_every; sh_txs })
+    (fun sh -> (sh.sh_every, sh.sh_txs))
+    (int ^: int)
 
-let byz_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; c; a; sh; rp; g ] -> (
-        match
-          ( float_of_string_opt r,
-            float_of_string_opt s,
-            int_of_string_opt c,
-            bool_of_string_opt a,
-            bool_of_string_opt sh,
-            bool_of_string_opt rp,
-            bool_of_string_opt g )
-        with
-        | ( Some bz_rate,
-            Some bz_stop,
-            Some bz_conns,
-            Some bz_acks,
-            Some bz_sheds,
-            Some bz_replay,
-            Some bz_garbage ) ->
-            Some
-              (Some
-                 {
-                   bz_rate;
-                   bz_stop;
-                   bz_conns;
-                   bz_acks;
-                   bz_sheds;
-                   bz_replay;
-                   bz_garbage;
-                 })
-        | _ -> None)
-    | _ -> None
+let crash =
+  map
+    (fun (cr_time, cr_restart) -> { cr_time; cr_restart })
+    (fun c -> (c.cr_time, c.cr_restart))
+    (float ^: float)
 
-let shed_to_string = function
-  | None -> "-"
-  | Some sh -> Printf.sprintf "%d:%d" sh.sh_every sh.sh_txs
+let byz =
+  map
+    (fun (bz_rate, (bz_stop, (bz_conns, (acks, (sheds, (replay, garbage)))))) ->
+      {
+        bz_rate;
+        bz_stop;
+        bz_conns;
+        bz_acks = acks;
+        bz_sheds = sheds;
+        bz_replay = replay;
+        bz_garbage = garbage;
+      })
+    (fun b ->
+      ( b.bz_rate,
+        ( b.bz_stop,
+          (b.bz_conns, (b.bz_acks, (b.bz_sheds, (b.bz_replay, b.bz_garbage))))
+        ) ))
+    (float ^: float ^: int ^: bool ^: bool ^: bool ^: bool)
 
-let shed_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ e; t ] -> (
-        match (int_of_string_opt e, int_of_string_opt t) with
-        | Some sh_every, Some sh_txs -> Some (Some { sh_every; sh_txs })
-        | _ -> None)
-    | _ -> None
+(* One entry per schedule field: its key, its codec, and how to read and
+   write it.  [to_string], [of_string], [unknown_fields] and [validate]'s
+   finiteness check all walk this table. *)
+type field = Field : string * 'a codec * (t -> 'a) * (t -> 'a -> t) -> field
 
-let crashes_to_string = function
-  | [] -> "-"
-  | cs ->
-      String.concat ","
-        (List.map
-           (fun c -> Printf.sprintf "%.17g:%.17g" c.cr_time c.cr_restart)
-           cs)
-
-let crashes_of_string str =
-  if str = "-" then Some []
-  else
-    let parse_one tok =
-      match String.split_on_char ':' tok with
-      | [ a; b ] -> (
-          match (float_of_string_opt a, float_of_string_opt b) with
-          | Some cr_time, Some cr_restart -> Some { cr_time; cr_restart }
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' str in
-    let parsed = List.filter_map parse_one toks in
-    if List.length parsed = List.length toks then Some parsed else None
+let fields =
+  [
+    Field ("seed", int, (fun s -> s.seed), fun s seed -> { s with seed });
+    Field ("profile", profile, (fun s -> s.profile),
+      fun s profile -> { s with profile });
+    Field ("data_len", int, (fun s -> s.data_len),
+      fun s data_len -> { s with data_len });
+    Field ("elem_size", int, (fun s -> s.elem_size),
+      fun s elem_size -> { s with elem_size });
+    Field ("tpdu_elems", int, (fun s -> s.tpdu_elems),
+      fun s tpdu_elems -> { s with tpdu_elems });
+    Field ("frame_bytes", int, (fun s -> s.frame_bytes),
+      fun s frame_bytes -> { s with frame_bytes });
+    Field ("mtu", int, (fun s -> s.mtu), fun s mtu -> { s with mtu });
+    Field ("window", int, (fun s -> s.window),
+      fun s window -> { s with window });
+    Field ("rto", float, (fun s -> s.rto), fun s rto -> { s with rto });
+    Field ("sack", bool, (fun s -> s.sack), fun s sack -> { s with sack });
+    Field ("adaptive", bool, (fun s -> s.adaptive),
+      fun s adaptive -> { s with adaptive });
+    Field ("nack_delay", float, (fun s -> s.nack_delay),
+      fun s nack_delay -> { s with nack_delay });
+    Field ("rto_adaptive", bool, (fun s -> s.rto_adaptive),
+      fun s rto_adaptive -> { s with rto_adaptive });
+    Field ("give_up_txs", int, (fun s -> s.give_up_txs),
+      fun s give_up_txs -> { s with give_up_txs });
+    Field ("state_budget", int, (fun s -> s.state_budget),
+      fun s state_budget -> { s with state_budget });
+    Field ("state_ttl", float, (fun s -> s.state_ttl),
+      fun s state_ttl -> { s with state_ttl });
+    Field ("connections", int, (fun s -> s.connections),
+      fun s connections -> { s with connections });
+    Field ("reopen", bool, (fun s -> s.reopen),
+      fun s reopen -> { s with reopen });
+    Field ("paths", int, (fun s -> s.paths), fun s paths -> { s with paths });
+    Field ("skew", float, (fun s -> s.skew), fun s skew -> { s with skew });
+    Field ("jitter", float, (fun s -> s.jitter),
+      fun s jitter -> { s with jitter });
+    Field ("spread", spread, (fun s -> s.spread),
+      fun s spread -> { s with spread });
+    Field ("rate_bps", float, (fun s -> s.rate_bps),
+      fun s rate_bps -> { s with rate_bps });
+    Field ("delay", float, (fun s -> s.delay), fun s delay -> { s with delay });
+    Field ("gateways", list gateway, (fun s -> s.gateways),
+      fun s gateways -> { s with gateways });
+    Field ("loss", float, (fun s -> s.loss), fun s loss -> { s with loss });
+    Field ("corrupt", float, (fun s -> s.corrupt),
+      fun s corrupt -> { s with corrupt });
+    Field ("duplicate", float, (fun s -> s.duplicate),
+      fun s duplicate -> { s with duplicate });
+    Field ("dropper", opt dropper, (fun s -> s.dropper),
+      fun s dropper -> { s with dropper });
+    Field ("ack_blackhole", opt (float ^: duration),
+      (fun s -> s.ack_blackhole),
+      fun s ack_blackhole -> { s with ack_blackhole });
+    Field ("outage", opt outage, (fun s -> s.outage),
+      fun s outage -> { s with outage });
+    Field ("flood", opt flood, (fun s -> s.flood),
+      fun s flood -> { s with flood });
+    Field ("overlap", opt overlap, (fun s -> s.overlap),
+      fun s overlap -> { s with overlap });
+    Field ("shed", opt shed, (fun s -> s.shed), fun s shed -> { s with shed });
+    Field ("crashes", list crash, (fun s -> s.crashes),
+      fun s crashes -> { s with crashes });
+    Field ("snap_period", float, (fun s -> s.snap_period),
+      fun s snap_period -> { s with snap_period });
+    Field ("fastpath", bool, (fun s -> s.fastpath),
+      fun s fastpath -> { s with fastpath });
+    Field ("byz", opt byz, (fun s -> s.byz), fun s byz -> { s with byz });
+  ]
 
 let to_string s =
   String.concat " "
-    [
-      Printf.sprintf "seed=%d" s.seed;
-      Printf.sprintf "profile=%s" (profile_name s.profile);
-      Printf.sprintf "data_len=%d" s.data_len;
-      Printf.sprintf "elem_size=%d" s.elem_size;
-      Printf.sprintf "tpdu_elems=%d" s.tpdu_elems;
-      Printf.sprintf "frame_bytes=%d" s.frame_bytes;
-      Printf.sprintf "mtu=%d" s.mtu;
-      Printf.sprintf "window=%d" s.window;
-      Printf.sprintf "rto=%.17g" s.rto;
-      Printf.sprintf "sack=%b" s.sack;
-      Printf.sprintf "adaptive=%b" s.adaptive;
-      Printf.sprintf "nack_delay=%.17g" s.nack_delay;
-      Printf.sprintf "rto_adaptive=%b" s.rto_adaptive;
-      Printf.sprintf "give_up_txs=%d" s.give_up_txs;
-      Printf.sprintf "state_budget=%d" s.state_budget;
-      Printf.sprintf "state_ttl=%.17g" s.state_ttl;
-      Printf.sprintf "connections=%d" s.connections;
-      Printf.sprintf "reopen=%b" s.reopen;
-      Printf.sprintf "paths=%d" s.paths;
-      Printf.sprintf "skew=%.17g" s.skew;
-      Printf.sprintf "jitter=%.17g" s.jitter;
-      Printf.sprintf "spread=%s" (spread_to_string s.spread);
-      Printf.sprintf "rate_bps=%.17g" s.rate_bps;
-      Printf.sprintf "delay=%.17g" s.delay;
-      Printf.sprintf "gateways=%s" (gateways_to_string s.gateways);
-      Printf.sprintf "loss=%.17g" s.loss;
-      Printf.sprintf "corrupt=%.17g" s.corrupt;
-      Printf.sprintf "duplicate=%.17g" s.duplicate;
-      Printf.sprintf "dropper=%s" (dropper_to_string s.dropper);
-      Printf.sprintf "ack_blackhole=%s" (blackhole_to_string s.ack_blackhole);
-      Printf.sprintf "outage=%s" (outage_to_string s.outage);
-      Printf.sprintf "flood=%s" (flood_to_string s.flood);
-      Printf.sprintf "overlap=%s" (overlap_to_string s.overlap);
-      Printf.sprintf "shed=%s" (shed_to_string s.shed);
-      Printf.sprintf "crashes=%s" (crashes_to_string s.crashes);
-      Printf.sprintf "snap_period=%.17g" s.snap_period;
-      Printf.sprintf "fastpath=%b" s.fastpath;
-      Printf.sprintf "byz=%s" (byz_to_string s.byz);
-    ]
+    (List.map
+       (fun (Field (key, c, get, _)) -> key ^ "=" ^ c.print (get s))
+       fields)
 
-let known_fields =
-  [
-    "seed"; "profile"; "data_len"; "elem_size"; "tpdu_elems"; "frame_bytes";
-    "mtu"; "window"; "rto"; "sack"; "adaptive"; "nack_delay"; "rto_adaptive";
-    "give_up_txs"; "state_budget"; "state_ttl"; "connections"; "reopen";
-    "paths"; "skew"; "jitter"; "spread"; "rate_bps"; "delay"; "gateways";
-    "loss"; "corrupt"; "duplicate"; "dropper"; "ack_blackhole"; "outage";
-    "flood"; "overlap"; "shed"; "crashes"; "snap_period"; "fastpath"; "byz";
-  ]
+let tokens str =
+  List.filter
+    (fun tok -> tok <> "")
+    (String.split_on_char ' ' (String.trim str))
+
+let key_value tok =
+  match String.index_opt tok '=' with
+  | Some i ->
+      let n = String.length tok in
+      Some (String.sub tok 0 i, String.sub tok (i + 1) (n - i - 1))
+  | None -> None
 
 let unknown_fields str =
   List.filter_map
     (fun tok ->
-      if tok = "" then None
-      else
-        match String.index_opt tok '=' with
-        | Some i ->
-            let k = String.sub tok 0 i in
-            if List.mem k known_fields then None else Some k
-        | None -> Some tok)
-    (String.split_on_char ' ' (String.trim str))
+      match key_value tok with
+      | Some (key, _)
+        when List.exists (fun (Field (key', _, _, _)) -> key = key') fields ->
+          None
+      | Some (key, _) -> Some key
+      | None -> Some tok)
+    (tokens str)
 
+(* Every field is overwritten from the line, so the record [generate]
+   returns only supplies the shape.  A repeated key takes its first
+   value. *)
 let of_string str =
   if unknown_fields str <> [] then None
   else
-  let kvs =
-    List.filter_map
-      (fun tok ->
-        match String.index_opt tok '=' with
-        | Some i ->
-            Some
-              ( String.sub tok 0 i,
-                String.sub tok (i + 1) (String.length tok - i - 1) )
-        | None -> None)
-      (String.split_on_char ' ' (String.trim str))
-  in
-  let find k = List.assoc_opt k kvs in
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (find k) int_of_string_opt in
-  let flt k = Option.bind (find k) float_of_string_opt in
-  let bol k = Option.bind (find k) bool_of_string_opt in
-  let* seed = int "seed" in
-  let* profile = Option.bind (find "profile") profile_of_name in
-  let* data_len = int "data_len" in
-  let* elem_size = int "elem_size" in
-  let* tpdu_elems = int "tpdu_elems" in
-  let* frame_bytes = int "frame_bytes" in
-  let* mtu = int "mtu" in
-  let* window = int "window" in
-  let* rto = flt "rto" in
-  let* sack = bol "sack" in
-  let* adaptive = bol "adaptive" in
-  let* nack_delay = flt "nack_delay" in
-  let* rto_adaptive = bol "rto_adaptive" in
-  let* give_up_txs = int "give_up_txs" in
-  let* state_budget = int "state_budget" in
-  let* state_ttl = flt "state_ttl" in
-  let* connections = int "connections" in
-  let* reopen = bol "reopen" in
-  let* paths = int "paths" in
-  let* skew = flt "skew" in
-  let* jitter = flt "jitter" in
-  let* spread = Option.bind (find "spread") spread_of_string in
-  let* rate_bps = flt "rate_bps" in
-  let* delay = flt "delay" in
-  let* gateways = Option.bind (find "gateways") gateways_of_string in
-  let* loss = flt "loss" in
-  let* corrupt = flt "corrupt" in
-  let* duplicate = flt "duplicate" in
-  let* dropper = Option.bind (find "dropper") dropper_of_string in
-  let* ack_blackhole = Option.bind (find "ack_blackhole") blackhole_of_string in
-  let* outage = Option.bind (find "outage") outage_of_string in
-  let* flood = Option.bind (find "flood") flood_of_string in
-  let* overlap = Option.bind (find "overlap") overlap_of_string in
-  let* shed = Option.bind (find "shed") shed_of_string in
-  let* crashes = Option.bind (find "crashes") crashes_of_string in
-  let* snap_period = flt "snap_period" in
-  let* fastpath = bol "fastpath" in
-  let* byz = Option.bind (find "byz") byz_of_string in
-  Some
-    {
-      seed;
-      profile;
-      data_len;
-      elem_size;
-      tpdu_elems;
-      frame_bytes;
-      mtu;
-      window;
-      rto;
-      sack;
-      adaptive;
-      nack_delay;
-      rto_adaptive;
-      give_up_txs;
-      state_budget;
-      state_ttl;
-      connections;
-      reopen;
-      paths;
-      skew;
-      jitter;
-      spread;
-      rate_bps;
-      delay;
-      gateways;
-      loss;
-      corrupt;
-      duplicate;
-      dropper;
-      ack_blackhole;
-      outage;
-      flood;
-      overlap;
-      shed;
-      crashes;
-      snap_period;
-      fastpath;
-      byz;
-    }
+    let kvs = List.filter_map key_value (tokens str) in
+    List.fold_left
+      (fun acc (Field (key, c, _, set)) ->
+        Option.bind acc (fun s ->
+            Option.bind (List.assoc_opt key kvs) (fun v ->
+                Option.map (set s) (c.parse v))))
+      (Some (generate ~profile:Clean ~seed:0))
+      fields
 
 (* {2 Validation}
 
    [of_string] accepts any token-level well-formed schedule; [validate]
    is the semantic gate the CLI runs before handing a replayed schedule
    to the driver, so a hand-edited spec fails with one readable line
-   instead of an [Invalid_argument] from deep inside the transport. *)
+   instead of an [Invalid_argument] from deep inside the transport — or
+   a NaN that slips past every comparison and surfaces as a false stack
+   finding. *)
 
 let validate s =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -1043,6 +920,12 @@ let validate s =
     if p < 0.0 || p > 1.0 then err "%s must be within [0, 1]" name else Ok ()
   in
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
+  let* () =
+    let finite (Field (_, c, get, _)) = c.finite (get s) in
+    match List.find_opt (fun f -> not (finite f)) fields with
+    | Some (Field (key, _, _, _)) -> err "%s must be finite" key
+    | None -> Ok ()
+  in
   if s.data_len < 1 then err "data_len must be >= 1"
   else if s.elem_size < 4 || s.elem_size mod 4 <> 0 then
     err "elem_size must be a positive multiple of 4"
@@ -1157,12 +1040,9 @@ let validate s =
     let* () =
       if
         List.exists
-          (fun c ->
-            c.cr_time <= 0.0 || c.cr_restart <= 0.0
-            || Float.is_nan c.cr_time || Float.is_nan c.cr_restart
-            || c.cr_restart = infinity)
+          (fun c -> c.cr_time <= 0.0 || c.cr_restart <= 0.0)
           s.crashes
-      then err "crash times and downtimes must be positive and finite"
+      then err "crash times and downtimes must be positive"
       else Ok ()
     in
     let* () =
@@ -1175,6 +1055,5 @@ let validate s =
       in
       ordered s.crashes
     in
-    if s.snap_period < 0.0 || Float.is_nan s.snap_period then
-      err "snap_period cannot be negative"
+    if s.snap_period < 0.0 then err "snap_period cannot be negative"
     else Ok ()

@@ -246,12 +246,12 @@ val estimate_budget : t -> int
     legitimate working set plus slack. *)
 
 val to_string : t -> string
-(** One-line [key=value] form; floats are printed with enough digits to
-    round-trip bit-exactly. *)
+(** One-line [key=value] form, every field in a fixed order; floats are
+    printed with enough digits to round-trip bit-exactly. *)
 
 val of_string : string -> t option
-(** Inverse of {!to_string}; [None] on any malformed or unknown
-    token. *)
+(** Inverse of {!to_string}; [None] on any malformed or unknown token,
+    or when a field is missing. *)
 
 val unknown_fields : string -> string list
 (** The tokens of a replay spec that name no known schedule field
@@ -261,9 +261,12 @@ val unknown_fields : string -> string list
 
 val validate : t -> (unit, string) result
 (** Semantic gate over a parsed schedule: every dimension constraint
-    the driver and transport rely on (element alignment, the
-    invariant-region TPDU bound, MTUs that hold a header, positive
-    timers, probabilities in [0, 1], ordered non-overlapping crashes).
+    the driver and transport rely on (finite numbers, element
+    alignment, the invariant-region TPDU bound, MTUs that hold a
+    header, positive timers, probabilities in [0, 1], ordered
+    non-overlapping crashes).  The only infinities allowed are an
+    [ack_blackhole] duration and a drop-mode [outage] duration; any
+    other NaN or infinity is refused with an error naming its field.
     [generate] satisfies it by construction; hand-edited replay specs
     get one readable line instead of an exception from deep inside the
     transport. *)

@@ -12,6 +12,7 @@ type event =
   | Shed of { conn : int; tpdu : int; elems : int; cls : string }
   | Interleave of { conn : int; stream : int; tpdu : int; cls : string }
   | Quarantine of { conn : int; score : int; until : float }
+  | Note of string
 
 let event_name = function
   | Chunk_rx _ -> "chunk_rx"
@@ -27,6 +28,7 @@ let event_name = function
   | Shed _ -> "shed"
   | Interleave _ -> "interleave"
   | Quarantine _ -> "quarantine"
+  | Note _ -> "note"
 
 (* ---------- JSONL codec ---------- *)
 
@@ -80,6 +82,7 @@ let to_json ~time ev =
           stream tpdu (escape cls)
     | Quarantine { conn; score; until } ->
         Printf.sprintf {|"conn":%d,"score":%d,"until":%s|} conn score (fl until)
+    | Note text -> Printf.sprintf {|"text":"%s"|} (escape text)
   in
   Printf.sprintf {|{"t":%s,"ev":"%s",%s}|} (fl time) (event_name ev) fields
 
@@ -215,6 +218,7 @@ let of_json line =
       | "quarantine" ->
           Quarantine
             { conn = int "conn"; score = int "score"; until = num "until" }
+      | "note" -> Note (str "text")
       | _ -> raise Bad
     in
     (time, ev)
@@ -230,6 +234,7 @@ type ring_state = {
   buf : (float * event) option array;
   mutable next : int;  (* slot the next event lands in *)
   mutable filled : bool;  (* true once [next] has wrapped *)
+  mutable dropped : int;  (* events overwritten since creation *)
 }
 
 type sink =
@@ -241,7 +246,7 @@ let null = Null
 
 let ring ~capacity =
   if capacity < 1 then invalid_arg "Obs.Trace.ring: capacity < 1";
-  Ring { buf = Array.make capacity None; next = 0; filled = false }
+  Ring { buf = Array.make capacity None; next = 0; filled = false; dropped = 0 }
 
 let jsonl oc = Jsonl oc
 
@@ -249,6 +254,7 @@ let emit sink ~time ev =
   match sink with
   | Null -> ()
   | Ring r ->
+      if r.filled then r.dropped <- r.dropped + 1;
       r.buf.(r.next) <- Some (time, ev);
       r.next <- r.next + 1;
       if r.next = Array.length r.buf then begin
@@ -270,6 +276,8 @@ let ring_contents sink =
           match r.buf.((start + i) mod cap) with
           | Some p -> p
           | None -> assert false)
+
+let ring_dropped = function Ring r -> r.dropped | Null | Jsonl _ -> 0
 
 let current = ref Null
 let set_sink s = current := s

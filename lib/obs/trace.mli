@@ -54,12 +54,15 @@ type event =
           anomaly [score] exhausted the error budget and traffic is
           refused until simulated time [until] ([infinity] for a
           poisoned connection torn down by an exception bulkhead) *)
+  | Note of string
+      (** free-text narration from a harness that owns the sink (the
+          conformance driver's per-packet and per-fault notes) *)
 
 val event_name : event -> string
 (** The wire tag: ["chunk_rx"], ["verify_start"], ["verify_done"],
     ["frag"], ["repack"], ["rto_fire"], ["evict"], ["conn_open"],
     ["conn_close"], ["overlap"], ["shed"], ["interleave"],
-    ["quarantine"]. *)
+    ["quarantine"], ["note"]. *)
 
 (** {1 Sinks} *)
 
@@ -80,6 +83,10 @@ val emit : sink -> time:float -> event -> unit
 
 val ring_contents : sink -> (float * event) list
 (** The buffered events, oldest first; [[]] for non-ring sinks. *)
+
+val ring_dropped : sink -> int
+(** Events a ring sink has overwritten since it was created; [0] for
+    non-ring sinks. *)
 
 (** {1 The process-wide sink} *)
 

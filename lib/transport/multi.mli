@@ -107,8 +107,10 @@ val ingest : t -> bytes -> unit
     connection cache straight to the live epoch's receiver (bypassing
     the signalling table and demux lookups).  Signals, C.ST carriers,
     cache misses and any anomaly (stale epoch, confirmed stream end)
-    fall back to the {!on_packet} slow path chunk by chunk, repopulating
-    the cache.
+    take the slow path one chunk at a time: the chunk is materialised
+    from the scan and routed by the same per-chunk dispatch {!on_packet}
+    applies to every chunk it decodes (connection table, then the owning
+    epoch's receiver), and then repopulates the cache.
     Behaviourally identical to {!on_packet} on every input — malformed
     packets are dropped whole; delivery is byte-identical — as asserted
     by the [fastpath-coherence] oracle row across every soak profile. *)

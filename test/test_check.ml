@@ -233,6 +233,298 @@ let test_replay_rejects_invalid_schedule () =
   Alcotest.(check bool) "unknown-field spec rejected" true
     (Check.Schedule.of_string with_bogus = None)
 
+(* A number written as nan or inf slips past every [x < 0.0]-style
+   guard; the replay must refuse it, naming the field, rather than run
+   it into a false stack finding. *)
+let test_validate_rejects_non_finite () =
+  let line =
+    Check.Schedule.to_string
+      (Check.Schedule.generate ~profile:Check.Schedule.Clean ~seed:1)
+  in
+  let set key v =
+    String.concat " "
+      (List.map
+         (fun tok ->
+           if String.starts_with ~prefix:(key ^ "=") tok then key ^ "=" ^ v
+           else tok)
+         (String.split_on_char ' ' line))
+  in
+  List.iter
+    (fun key ->
+      List.iter
+        (fun v ->
+          let spec = Printf.sprintf "%s=%s" key v in
+          match Check.Schedule.of_string (set key v) with
+          | None -> Alcotest.failf "%s should parse" spec
+          | Some s -> (
+              match Check.Schedule.validate s with
+              | Ok () -> Alcotest.failf "%s accepted" spec
+              | Error msg ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %S names the field" spec msg)
+                    true
+                    (String.starts_with ~prefix:(key ^ " ") msg)))
+        [ "nan"; "inf"; "-inf" ])
+    [
+      "rto"; "nack_delay"; "state_ttl"; "skew"; "jitter"; "rate_bps";
+      "delay"; "loss"; "corrupt"; "duplicate"; "snap_period";
+    ];
+  (* the two infinities the generator and the docs use stay valid: a
+     permanently dead ACK path and a drop outage that never ends *)
+  let base =
+    Check.Schedule.generate ~profile:Check.Schedule.Outage_recover ~seed:1
+  in
+  Alcotest.(check (result unit string))
+    "endless ack_blackhole" (Ok ())
+    (Check.Schedule.validate
+       { base with Check.Schedule.ack_blackhole = Some (0.01, infinity) });
+  let endless hold =
+    {
+      base with
+      Check.Schedule.outage =
+        Some
+          {
+            Check.Schedule.out_hold = hold;
+            out_start = 0.01;
+            out_duration = infinity;
+          };
+    }
+  in
+  Alcotest.(check (result unit string))
+    "endless drop outage" (Ok ())
+    (Check.Schedule.validate (endless false));
+  Alcotest.(check bool) "endless hold outage rejected" true
+    (Result.is_error (Check.Schedule.validate (endless true)))
+
+(* The replay lines EXPERIMENTS.md documents, verbatim. *)
+let documented_replays =
+  [
+    "seed=42 profile=overlap-hostile data_len=5037 elem_size=8 \
+     tpdu_elems=507 frame_bytes=656 mtu=660 window=8 \
+     rto=0.12243262388669339 sack=true adaptive=false \
+     nack_delay=0.030608155971673347 rto_adaptive=false give_up_txs=40 \
+     state_budget=0 state_ttl=5 connections=1 reopen=false paths=6 \
+     skew=0.00040185694657634012 jitter=0 spread=random \
+     rate_bps=357289067.79785401 delay=0.00021239479775775715 \
+     gateways=one:1045:4 loss=0.018752571147374327 \
+     corrupt=0.0093092595643903681 duplicate=0.042079885140191578 dropper=- \
+     ack_blackhole=- outage=- flood=- \
+     overlap=120:0.59999999999999998:true:true:true shed=- crashes=- \
+     snap_period=0 fastpath=true byz=-";
+    "seed=1536806005072951514 profile=fastpath-hostile data_len=978 \
+     elem_size=4 tpdu_elems=456 frame_bytes=740 mtu=1162 window=8 \
+     rto=0.15263576704970339 sack=true adaptive=false \
+     nack_delay=0.038158941762425846 rto_adaptive=true give_up_txs=40 \
+     state_budget=0 state_ttl=5 connections=1 reopen=true paths=4 \
+     skew=0.00022442247085443912 jitter=0 \
+     spread=change:0.026558851562041803 rate_bps=112447099.378811 \
+     delay=0.00051348559230668823 gateways=one:1008:3,combine:260:3 \
+     loss=0.057154593614468202 corrupt=0.0082187233663428873 duplicate=0 \
+     dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
+     snap_period=0 fastpath=true byz=-";
+  ]
+
+(* One generated schedule per profile, as committed text: a change to
+   the replay format (or to what [generate] draws) shows up here. *)
+let pinned_schedules =
+  [
+    ( Check.Schedule.Clean,
+      117,
+      "seed=117 profile=clean data_len=9851 elem_size=4 tpdu_elems=428 \
+        frame_bytes=888 mtu=661 window=6 rto=0.17533114392659355 sack=true \
+        adaptive=true nack_delay=0.17533114392659355 rto_adaptive=false \
+        give_up_txs=40 state_budget=0 state_ttl=5.2599343177978062 \
+        connections=1 reopen=false paths=2 skew=0.00015533409955854161 \
+        jitter=0 spread=change:0.035440918821204995 \
+        rate_bps=125036203.56537773 delay=0.0013473100176801993 \
+        gateways=one:1011:2,one:469:1,reassemble:447:2 loss=0 corrupt=0 \
+        duplicate=0 dropper=- ack_blackhole=- outage=- flood=- overlap=- \
+        shed=- crashes=- snap_period=0 fastpath=true byz=-" );
+    ( Check.Schedule.Lossy,
+      191,
+      "seed=191 profile=lossy data_len=15095 elem_size=4 tpdu_elems=46 \
+        frame_bytes=488 mtu=1637 window=4 rto=0.13597676788991139 sack=true \
+        adaptive=true nack_delay=0.033994191972477848 rto_adaptive=true \
+        give_up_txs=40 state_budget=0 state_ttl=5 connections=1 \
+        reopen=false paths=2 skew=0.00032073068897192511 \
+        jitter=2.6885170198859808e-05 spread=change:0.082214138717485327 \
+        rate_bps=521110705.73030192 delay=0.00048952447126536904 \
+        gateways=one:707:2,reassemble:162:1 loss=0.015292151933072437 \
+        corrupt=0 duplicate=0.019717455388954204 dropper=- ack_blackhole=- \
+        outage=- flood=- overlap=- shed=- crashes=- snap_period=0 \
+        fastpath=true byz=-" );
+    ( Check.Schedule.Hostile,
+      111,
+      "seed=111 profile=hostile data_len=4947 elem_size=8 tpdu_elems=420 \
+        frame_bytes=416 mtu=1858 window=7 rto=0.17186530653734738 sack=true \
+        adaptive=false nack_delay=0.042966326634336846 rto_adaptive=true \
+        give_up_txs=40 state_budget=0 state_ttl=5.1559591961204214 \
+        connections=1 reopen=false paths=2 skew=0.00026185654608144496 \
+        jitter=0.0001926442728598856 spread=change:0.057973715965183158 \
+        rate_bps=219499675.57518858 delay=0.00079921055379632722 \
+        gateways=combine:945:4,reassemble:296:2,one:326:4 \
+        loss=0.050346617178427387 corrupt=0.016498813895902679 \
+        duplicate=0.015176951800289541 dropper=- ack_blackhole=- outage=- \
+        flood=- overlap=- shed=- crashes=- snap_period=0 fastpath=true \
+        byz=-" );
+    ( Check.Schedule.Hostile_flood,
+      120,
+      "seed=120 profile=hostile-flood data_len=6233 elem_size=4 \
+        tpdu_elems=402 frame_bytes=836 mtu=860 window=4 \
+        rto=0.16025715358330964 sack=true adaptive=false \
+        nack_delay=0.040064288395827409 rto_adaptive=true give_up_txs=9 \
+        state_budget=365168 state_ttl=5 connections=2 reopen=true paths=5 \
+        skew=0.00049479364815244078 jitter=0 \
+        spread=change:0.027908082532320164 rate_bps=182246562.26630837 \
+        delay=0.00026476371689014458 \
+        gateways=combine:338:1,reassemble:1600:3,reassemble:719:3 \
+        loss=0.019980688715400943 corrupt=0.015380243291169878 \
+        duplicate=0.015236485527047223 dropper=- \
+        ack_blackhole=0.083040695945466647:inf outage=- \
+        flood=1451.0882359857414:0.67256601421717921:19 overlap=- shed=- \
+        crashes=- snap_period=0 fastpath=true byz=-" );
+    ( Check.Schedule.Outage_recover,
+      61,
+      "seed=61 profile=outage-recover data_len=14194 elem_size=8 \
+        tpdu_elems=428 frame_bytes=208 mtu=1248 window=1 \
+        rto=0.16815576587363085 sack=true adaptive=false \
+        nack_delay=0.042038941468407712 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=7.6890852302428874 connections=1 \
+        reopen=false paths=6 skew=0.00035809365733365596 \
+        jitter=0.00019691706461987091 spread=change:0.091005096108159197 \
+        rate_bps=484867544.14813745 delay=0.0012921923546704117 \
+        gateways=reassemble:971:2,combine:1450:1,one:772:2 \
+        loss=0.015796115684058316 corrupt=0 duplicate=0.048298766475487642 \
+        dropper=- ack_blackhole=- \
+        outage=drop:0.10321049304830426:3.8445426151214437 flood=- \
+        overlap=- shed=- crashes=- snap_period=0 fastpath=true byz=-" );
+    ( Check.Schedule.Crash_restart,
+      61,
+      "seed=61 profile=crash-restart data_len=14194 elem_size=8 \
+        tpdu_elems=428 frame_bytes=208 mtu=1209 window=6 \
+        rto=0.16514868954860312 sack=false adaptive=true \
+        nack_delay=0.041287172387150781 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=5 connections=1 reopen=false paths=6 \
+        skew=0.00045265840056925896 jitter=0.00019691706461987091 \
+        spread=change:0.060727374666985384 rate_bps=395108313.19406652 \
+        delay=0.00047515774749638503 \
+        gateways=reassemble:971:2,combine:1450:1,one:772:2 loss=0 corrupt=0 \
+        duplicate=0.048298766475487642 dropper=- ack_blackhole=- outage=- \
+        flood=- overlap=- shed=- \
+        crashes=0.83588162932530929:0.71133408690806887 \
+        snap_period=1.27906711750181 fastpath=true byz=-" );
+    ( Check.Schedule.Crash_flood,
+      0,
+      "seed=0 profile=crash-flood data_len=1175 elem_size=8 tpdu_elems=242 \
+        frame_bytes=72 mtu=1582 window=2 rto=0.16836889727439419 sack=false \
+        adaptive=true nack_delay=0.042092224318598548 rto_adaptive=true \
+        give_up_txs=40 state_budget=172384 state_ttl=5.0510669182318253 \
+        connections=2 reopen=true paths=7 skew=0.00014106800864206826 \
+        jitter=0.00023866053142007615 spread=change:0.038760677644735009 \
+        rate_bps=515387419.86819553 delay=0.0013528041116528519 \
+        gateways=reassemble:443:4,combine:320:1,combine:1197:4 \
+        loss=0.018560270374973788 corrupt=0.017727735514138088 \
+        duplicate=0.022018999316671645 dropper=- ack_blackhole=- outage=- \
+        flood=925.66698870849041:0.43428852714376431:9 overlap=- shed=- \
+        crashes=1.333941906169283:0.83677912257166776,3.1595212784833144:0.47403741746948314 \
+        snap_period=1.8256619836111918 fastpath=true byz=-" );
+    ( Check.Schedule.Overlap_hostile,
+      23,
+      "seed=23 profile=overlap-hostile data_len=13578 elem_size=4 \
+        tpdu_elems=97 frame_bytes=80 mtu=353 window=5 \
+        rto=0.16163964491214156 sack=true adaptive=true \
+        nack_delay=0.040409911228035389 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=5 connections=1 reopen=false paths=3 \
+        skew=0.00046299701778842339 jitter=0.00024438850795830726 \
+        spread=change:0.070846730391572008 rate_bps=184355698.49134195 \
+        delay=0.00030896440290913428 \
+        gateways=combine:1372:3,reassemble:203:3,reassemble:1649:3 \
+        loss=0.019873466534309738 corrupt=0.0045478870949173644 duplicate=0 \
+        dropper=- ack_blackhole=- outage=- flood=- \
+        overlap=190.95899363963298:0.41913811557423719:false:true:true \
+        shed=- crashes=- snap_period=0 fastpath=false byz=-" );
+    ( Check.Schedule.Degrade_hostile,
+      111,
+      "seed=111 profile=degrade-hostile data_len=10588 elem_size=8 \
+        tpdu_elems=420 frame_bytes=416 mtu=1858 window=7 \
+        rto=0.17186530653734738 sack=true adaptive=false \
+        nack_delay=0.042966326634336846 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=5.1559591961204214 connections=1 \
+        reopen=false paths=2 skew=0.00026185654608144496 \
+        jitter=0.0001926442728598856 spread=change:0.057973715965183158 \
+        rate_bps=219499675.57518858 delay=0.00079921055379632722 \
+        gateways=combine:945:4,reassemble:296:2,one:326:4 loss=0 corrupt=0 \
+        duplicate=0.033113069036471265 dropper=class:0.16068324630805023 \
+        ack_blackhole=- outage=- flood=- overlap=- shed=3:2 crashes=- \
+        snap_period=0 fastpath=true byz=-" );
+    ( Check.Schedule.Fastpath_hostile,
+      4,
+      "seed=4 profile=fastpath-hostile data_len=261 elem_size=4 \
+        tpdu_elems=331 frame_bytes=380 mtu=678 window=8 \
+        rto=0.16159976168895412 sack=true adaptive=true \
+        nack_delay=0.040399940422238531 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=5 connections=2 reopen=false paths=2 \
+        skew=0.00047570176202143318 jitter=0 \
+        spread=change:0.080754180489582134 rate_bps=421551928.96954101 \
+        delay=0.00065528627315959633 \
+        gateways=one:935:3,combine:650:1,one:1124:3 \
+        loss=0.070577523857524166 corrupt=0.036191107382893467 \
+        duplicate=0.04277307929154988 dropper=random:0.04725107347725914 \
+        ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
+        snap_period=0 fastpath=true byz=-" );
+    ( Check.Schedule.Byzantine_hostile,
+      147,
+      "seed=147 profile=byzantine-hostile data_len=7888 elem_size=8 \
+        tpdu_elems=198 frame_bytes=1976 mtu=653 window=4 \
+        rto=0.17675438054145395 sack=true adaptive=false \
+        nack_delay=0.044188595135363488 rto_adaptive=true give_up_txs=40 \
+        state_budget=0 state_ttl=5.302631416243619 connections=1 \
+        reopen=false paths=2 skew=0.00031520785825636622 \
+        jitter=1.8307345699758779e-06 spread=change:0.024559713053955469 \
+        rate_bps=53966886.002159923 delay=0.00088730604742844705 \
+        gateways=combine:187:2,combine:531:2,combine:1440:1 \
+        loss=0.0038714384340844143 corrupt=0 duplicate=0.009187838047838931 \
+        dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- \
+        crashes=0.59757981128719062:0.41169781052459586 \
+        snap_period=2.3937029653265776 fastpath=false \
+        byz=199.60410386787814:0.75454909783551971:1:false:false:true:false" );
+  ]
+
+let test_replay_format_pinned () =
+  List.iter
+    (fun line ->
+      match Check.Schedule.of_string line with
+      | None -> Alcotest.failf "documented replay unparseable: %s" line
+      | Some s ->
+          Alcotest.(check string)
+            "documented replay reprints byte for byte" line
+            (Check.Schedule.to_string s);
+          (* every field is required: drop any one token and the line
+             no longer parses *)
+          let toks = String.split_on_char ' ' line in
+          List.iteri
+            (fun i tok ->
+              let without =
+                String.concat " " (List.filteri (fun j _ -> j <> i) toks)
+              in
+              Alcotest.(check bool) ("missing " ^ tok) true
+                (Check.Schedule.of_string without = None))
+            toks)
+    documented_replays;
+  Alcotest.(check (list string))
+    "one pinned schedule per profile"
+    (List.map Check.Schedule.profile_name Check.Schedule.all_profiles)
+    (List.map
+       (fun (p, _, _) -> Check.Schedule.profile_name p)
+       pinned_schedules);
+  List.iter
+    (fun (profile, seed, expected) ->
+      Alcotest.(check string)
+        (Check.Schedule.profile_name profile ^ " schedule text")
+        expected
+        (Check.Schedule.to_string (Check.Schedule.generate ~profile ~seed)))
+    pinned_schedules
+
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
      and require the oracle to catch it AND the shrinker to keep a
@@ -382,6 +674,9 @@ let suite =
       `Quick test_overlap_clobber_caught;
     Alcotest.test_case "replay rejects parseable-but-invalid schedules"
       `Quick test_replay_rejects_invalid_schedule;
+    Alcotest.test_case "replay rejects non-finite numbers" `Quick
+      test_validate_rejects_non_finite;
+    Alcotest.test_case "replay format pinned" `Quick test_replay_format_pinned;
     Alcotest.test_case "counterfactual sensitivity: overlap-determinism"
       `Quick
       (test_counterfactual_sensitivity ~profile:Check.Schedule.Overlap_hostile

@@ -108,10 +108,13 @@ let test_ring_wraparound () =
     (List.map (fun (_, e) -> match e with
        | T.Chunk_rx { tpdu; _ } -> tpdu | _ -> -1)
       (T.ring_contents r));
+  T.emit r ~time:4.0 (ev 4);
+  Alcotest.(check int) "nothing dropped at capacity" 0 (T.ring_dropped r);
   (* overfill: the oldest events are overwritten, order preserved *)
-  for i = 4 to 10 do
+  for i = 5 to 10 do
     T.emit r ~time:(float_of_int i) (ev i)
   done;
+  Alcotest.(check int) "overwritten events counted" 6 (T.ring_dropped r);
   Alcotest.(check (list int)) "wraparound keeps the newest 4" [ 7; 8; 9; 10 ]
     (List.map (fun (_, e) -> match e with
        | T.Chunk_rx { tpdu; _ } -> tpdu | _ -> -1)
@@ -134,6 +137,8 @@ let all_events =
     T.Conn_close { conn = 3 };
     T.Shed { conn = 3; tpdu = 5; elems = 64; cls = "shed:2" };
     T.Interleave { conn = 3; stream = 1; tpdu = 12; cls = "critical" };
+    T.Note "rx packet #1 (108 bytes)";
+    T.Note "MUTATION \"flip\" at\tbyte 3";
   ]
 
 let test_jsonl_roundtrip () =
