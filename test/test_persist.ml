@@ -290,6 +290,139 @@ let test_journal_golden () =
             (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
       | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns))
 
+(* The snapshot and sender formats pinned the same way: one image of
+   each shape, every field set to a value that tells it apart from its
+   neighbours.  Any change to these bytes is a format change and must
+   bump [Persist.version]. *)
+let golden_tpdu =
+  {
+    Edc.Verifier.ti_t_id = 5;
+    ti_parity = { Wsc2.p0 = 0x01020304; p1 = 0x05060708 };
+    ti_spans = [ (0, 4); (8, 2) ];
+    ti_total = Some 12;
+    ti_pairs = [ 4 ];
+    ti_x_deltas = [ (1, 100) ];
+    ti_delta_ct = Some 40;
+    ti_c_id = Some 7;
+    ti_size = Some 4;
+    ti_labels_done = false;
+    ti_expected = Some { Wsc2.p0 = 0xA0B0C0D0; p1 = 0x0E0F1011 };
+    ti_damage = Some "x-framing";
+    ti_x_spans = [ (0, 4, 1, 0); (8, 2, 1, 8) ];
+  }
+
+let golden_receiver =
+  {
+    Persist.ri_conn = 7;
+    ri_placed = [ (0, Bytes.of_string "abcdefgh") ];
+    ri_verified = [ (0, 2) ];
+    ri_end_confirmed = Some 11;
+    ri_end_claims = [ (5, 11) ];
+    ri_last_reack = [ (2, 0.25) ];
+    ri_passed = 2;
+    ri_tpdus = [ golden_tpdu ];
+    ri_corrob =
+      [
+        {
+          Persist.pi_t_id = 6;
+          pi_delta_data = Some 48;
+          pi_delta_ed = None;
+          pi_confirmed = false;
+          pi_stash = [ (Bytes.of_string "pkt", 0, 2) ];
+          pi_placed_runs = [ (48, 2) ];
+        };
+      ];
+  }
+
+let golden_single =
+  Persist.Single { Persist.s_acked = [ 1; 2 ]; s_rx = golden_receiver }
+
+let golden_single_hex =
+  "43534e500002000001df000000000000000002000000000000000100000000000000020000\
+   00000000000700000000000000010000000000000000000000000000000861626364656667\
+   6800000000000000010000000000000000000000000000000201000000000000000b000000\
+   00000000010000000000000005000000000000000b00000000000000010000000000000002\
+   3fd00000000000000000000000000002000000000000000100000000000000050102030405\
+   06070800000000000000020000000000000000000000000000000400000000000000080000\
+   00000000000201000000000000000c00000000000000010000000000000004000000000000\
+   00010000000000000001000000000000006401000000000000002801000000000000000701\
+   00000000000000040001a0b0c0d00e0f1011010000000000000009782d6672616d696e6700\
+   00000000000002000000000000000000000000000000040000000000000001000000000000\
+   00000000000000000008000000000000000200000000000000010000000000000008000000\
+   00000000010000000000000006010000000000000030000000000000000000010000000000\
+   000003706b7400000000000000000000000000000002000000000000000100000000000000\
+   300000000000000002bab39973cd1a463e"
+
+let golden_multi =
+  Persist.Multi
+    [
+      {
+        Persist.ci_id = 3;
+        ci_acked = [ 0 ];
+        ci_hist = [ (Bytes.of_string "abcd", true, Some 0) ];
+        ci_live = Some { golden_receiver with Persist.ri_conn = 3; ri_tpdus = [] };
+        ci_live_open = Some 16;
+        ci_quar_until = 3.5;
+        ci_quar_count = 2;
+        ci_poisoned = true;
+      };
+      {
+        Persist.ci_id = 9;
+        ci_acked = [];
+        ci_hist = [];
+        ci_live = None;
+        ci_live_open = None;
+        ci_quar_until = 0.0;
+        ci_quar_count = 0;
+        ci_poisoned = false;
+      };
+    ]
+
+let golden_multi_hex =
+  "43534e50000200000163010000000000000002000000000000000300000000000000010000\
+   00000000000000000000000000010000000000000004616263640101000000000000000001\
+   00000000000000030000000000000001000000000000000000000000000000086162636465\
+   66676800000000000000010000000000000000000000000000000201000000000000000b00\
+   000000000000010000000000000005000000000000000b0000000000000001000000000000\
+   00023fd0000000000000000000000000000200000000000000000000000000000001000000\
+   0000000006010000000000000030000000000000000000010000000000000003706b740000\
+   00000000000000000000000000020000000000000001000000000000003000000000000000\
+   02010000000000000010400c00000000000000000000000000020100000000000000090000\
+   0000000000000000000000000000000000000000000000000000000000000000005f0df276\
+   c646ca11"
+
+let golden_sender =
+  {
+    Persist.si_first_tid = 1;
+    si_acked = [ 1; 2; 4 ];
+    si_srtt = Some 0.0125;
+    si_rttvar = 0.003;
+    si_rto_cur = 2.5;
+    si_tpdu_elems = 16;
+  }
+
+let golden_sender_hex =
+  "43534e50000200000049020000000000000001000000000000000300000000000000010000\
+   0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
+   00000000000000000010ea9c65161a4842b3"
+
+let test_snapshot_goldens () =
+  let check name want b =
+    Alcotest.(check string) (name ^ " bytes") want (hex b)
+  in
+  check "single image" golden_single_hex (Persist.encode_endpoint golden_single);
+  check "multi image" golden_multi_hex (Persist.encode_endpoint golden_multi);
+  check "sender image" golden_sender_hex (Persist.encode_sender golden_sender);
+  Alcotest.(check bool) "single decodes back" true
+    (Persist.decode_endpoint (Persist.encode_endpoint golden_single)
+    = Ok golden_single);
+  Alcotest.(check bool) "multi decodes back" true
+    (Persist.decode_endpoint (Persist.encode_endpoint golden_multi)
+    = Ok golden_multi);
+  Alcotest.(check bool) "sender decodes back" true
+    (Persist.decode_sender (Persist.encode_sender golden_sender)
+    = Ok golden_sender)
+
 (* Replaying k contiguous ACKs builds one fused run and allocates a
    bounded multiple of the image: merging the accumulated run after
    every record would allocate O(k^2) bytes. *)
@@ -486,6 +619,8 @@ let suite =
       test_store_torn_tail;
     Alcotest.test_case "journal format is version 2 byte for byte" `Quick
       test_journal_golden;
+    Alcotest.test_case "snapshot and sender formats are version 2 byte for byte"
+      `Quick test_snapshot_goldens;
     Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
       test_contiguous_replay;
     Alcotest.test_case "finished sender round-trips restore" `Quick
