@@ -90,6 +90,13 @@ let empty_receiver ~conn =
     ri_corrob = [];
   }
 
+let empty_conn id =
+  { ci_id = id; ci_acked = []; ci_hist = []; ci_live = None; ci_live_open = None;
+    ci_quar_until = 0.0; ci_quar_count = 0; ci_poisoned = false }
+
+let event_conn = function
+  | Acked { conn; _ } | Opened { conn; _ } | Archived conn | Closed conn -> conn
+
 (* The one run-merge rule: sort (sn, len) spans by SN and fuse
    overlapping or adjacent ones, dropping empty spans. *)
 let coalesce_spans spans =
@@ -194,6 +201,21 @@ let receiver_delivered ~elem_size ~quota_elems ri =
     (List.rev ri.ri_placed);
   buf
 
+(* Fold the live epoch into history, as the live side's Archive does.
+   Close archives first on the live side, so a bare Closed record (torn
+   Archive) takes this same step. *)
+let archive ~elem_size ~quota_elems c =
+  match c.ci_live with
+  | None -> c
+  | Some ri ->
+      let hist =
+        if ri.ri_passed <= 0 then c.ci_hist
+        else
+          let delivered = receiver_delivered ~elem_size ~quota_elems ri in
+          c.ci_hist @ [ (delivered, receiver_complete ri, c.ci_live_open) ]
+      in
+      { c with ci_hist = hist; ci_live = None; ci_live_open = None }
+
 let apply_event ~elem_size ~quota_elems image ev =
   match (image, ev) with
   | Single s, Acked { conn; t_id; end_confirmed; runs } ->
@@ -206,12 +228,7 @@ let apply_event ~elem_size ~quota_elems image ev =
           }
   | Single _, (Opened _ | Archived _ | Closed _) -> image
   | Multi conns, ev ->
-      let cid =
-        match ev with
-        | Acked { conn; _ } | Opened { conn; _ } | Archived conn | Closed conn
-          ->
-            conn
-      in
+      let cid = event_conn ev in
       let conns =
         if List.exists (fun c -> c.ci_id = cid) conns then conns
         else
@@ -219,43 +236,26 @@ let apply_event ~elem_size ~quota_elems image ev =
              journal-only image compares equal to a re-export *)
           List.sort
             (fun a b -> Int.compare a.ci_id b.ci_id)
-            ({
-               ci_id = cid;
-               ci_acked = [];
-               ci_hist = [];
-               ci_live = None;
-               ci_live_open = None;
-               ci_quar_until = 0.0;
-               ci_quar_count = 0;
-               ci_poisoned = false;
-             }
-            :: conns)
+            (empty_conn cid :: conns)
       in
+      let live c = Option.value c.ci_live ~default:(empty_receiver ~conn:cid) in
       let update c =
         if c.ci_id <> cid then c
         else
           match ev with
           | Acked { t_id; end_confirmed; runs; _ } ->
-              let live =
-                match c.ci_live with
-                | Some ri -> ri
-                | None -> empty_receiver ~conn:cid
-              in
               {
                 c with
                 ci_acked = t_id :: c.ci_acked;
                 ci_live =
-                  Some (apply_acked ~elem_size live ~t_id ~end_confirmed ~runs);
+                  Some (apply_acked ~elem_size (live c) ~t_id ~end_confirmed ~runs);
                 (* identity recovery under the monotone-label
                    discipline: each fresh ACK bounds the epoch's first
                    C.SN from above, so the running minimum converges on
                    it — covering epochs whose Open died in flight and
                    never produced an Opened record *)
                 ci_live_open =
-                  Some
-                    (match c.ci_live_open with
-                    | Some k -> min k t_id
-                    | None -> t_id);
+                  Some (Option.fold ~none:t_id ~some:(Int.min t_id) c.ci_live_open);
               }
           | Opened { open_csn; _ } ->
               (* A second Opened record while an epoch is live is an
@@ -263,44 +263,8 @@ let apply_event ~elem_size ~quota_elems image ev =
                  lost in flight) and this is its identity finally
                  arriving.  Keep the replayed receiver state — only the
                  C.SN changes. *)
-              let live =
-                match c.ci_live with
-                | Some _ as l -> l
-                | None -> Some (empty_receiver ~conn:cid)
-              in
-              { c with ci_live = live; ci_live_open = open_csn }
-          | Archived _ -> (
-              match c.ci_live with
-              | None -> c
-              | Some ri ->
-                  let hist =
-                    if ri.ri_passed > 0 then
-                      c.ci_hist
-                      @ [
-                          ( receiver_delivered ~elem_size ~quota_elems ri,
-                            receiver_complete ri,
-                            c.ci_live_open );
-                        ]
-                    else c.ci_hist
-                  in
-                  { c with ci_hist = hist; ci_live = None; ci_live_open = None })
-          | Closed _ -> (
-              (* Close archives first on the live side; a bare Closed
-                 record (torn Archive) still drops the live epoch. *)
-              match c.ci_live with
-              | None -> c
-              | Some ri ->
-                  let hist =
-                    if ri.ri_passed > 0 then
-                      c.ci_hist
-                      @ [
-                          ( receiver_delivered ~elem_size ~quota_elems ri,
-                            receiver_complete ri,
-                            c.ci_live_open );
-                        ]
-                    else c.ci_hist
-                  in
-                  { c with ci_hist = hist; ci_live = None; ci_live_open = None })
+              { c with ci_live = Some (live c); ci_live_open = open_csn }
+          | Archived _ | Closed _ -> archive ~elem_size ~quota_elems c
       in
       Multi (List.map update conns)
 
@@ -333,441 +297,350 @@ let apply_journal ~elem_size ~quota_elems image events =
 
 (* {1 Binary codec}
 
-   Everything rides on [Wire]'s checksummed record framing.  The field
-   codec below never raises on decode: every read is bounds-checked and
-   surfaces [Error]. *)
+   Each persisted image is declared once, as a codec value that is both
+   its writer and its reader, so the two cannot drift apart.  Everything
+   rides on [Wire]'s checksummed record framing.  Every read is
+   bounds-checked and surfaces [Error], so each decoder is total; a read
+   also refuses what no writer produces (a flag byte other than 0 or 1,
+   an integer wider than 63 bits), so whatever decodes re-encodes to the
+   same bytes. *)
 
 (* v2: conn images gained the containment fields (quarantine deadline,
    admission-revocation count, poisoned flag) *)
 let version = 2
 let magic = "CSNP"
 
-let w_int buf v = Buffer.add_int64_be buf (Int64.of_int v)
-
-let w_bool buf v = Buffer.add_char buf (if v then '\001' else '\000')
-
-(* The IEEE bits go to the wire whole.  Bouncing them through an OCaml
-   int (as [w_int] would) truncates to 63 bits and the reader's
-   sign-extension then negates any float with magnitude >= 2.0 — the
-   quarantine deadline was the first persisted float to cross that. *)
-let w_float buf v = Buffer.add_int64_be buf (Int64.bits_of_float v)
-
-let w_bytes buf b =
-  w_int buf (Bytes.length b);
-  Buffer.add_bytes buf b
-
-let w_string buf s = w_bytes buf (Bytes.of_string s)
-
-let w_opt w buf = function
-  | None -> w_bool buf false
-  | Some v ->
-      w_bool buf true;
-      w buf v
-
-let w_list w buf l =
-  w_int buf (List.length l);
-  List.iter (w buf) l
-
-let w_parity buf p = Buffer.add_bytes buf (Wsc2.parity_to_bytes p)
-
 type cur = { b : bytes; mutable off : int }
+type 'a codec = { write : Buffer.t -> 'a -> unit; read : cur -> ('a, string) result }
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let need c n =
-  if n < 0 || c.off < 0 || Bytes.length c.b - c.off < n then
-    Error "Persist: truncated field"
-  else Ok ()
+(* The [n] bytes at the cursor, decoded by [get]; [ok] refuses what no
+   writer produces. *)
+let fixed ?(ok = fun _ -> true) n get c =
+  if n < 0 || Bytes.length c.b - c.off < n then Error "Persist: truncated field"
+  else
+    let v = get c.b c.off in
+    if not (ok v) then Error "Persist: malformed field"
+    else (c.off <- c.off + n; Ok v)
 
-let r_int c =
-  let* () = need c 8 in
-  let v = Int64.to_int (Bytes.get_int64_be c.b c.off) in
-  c.off <- c.off + 8;
-  Ok v
+let int =
+  let ok v = Int64.(equal (of_int (to_int v)) v) in
+  { write = (fun buf v -> Buffer.add_int64_be buf (Int64.of_int v));
+    read = (fun c -> Result.map Int64.to_int (fixed ~ok 8 Bytes.get_int64_be c)) }
 
-let r_bool c =
-  let* () = need c 1 in
-  let v = Bytes.get c.b c.off <> '\000' in
-  c.off <- c.off + 1;
-  Ok v
+let bool =
+  let ok v = v <= 1 in
+  { write = (fun buf v -> Buffer.add_uint8 buf (Bool.to_int v));
+    read = (fun c -> Result.map (Int.equal 1) (fixed ~ok 1 Bytes.get_uint8 c)) }
 
-let r_float c =
-  let* () = need c 8 in
-  let v = Int64.float_of_bits (Bytes.get_int64_be c.b c.off) in
-  c.off <- c.off + 8;
-  Ok v
+(* The IEEE bits go to the wire whole.  Bouncing them through an OCaml
+   int (as [int] would) truncates to 63 bits and the reader's
+   sign-extension then negates any float with magnitude >= 2.0 — the
+   quarantine deadline was the first persisted float to cross that. *)
+let float =
+  let read = fixed 8 Bytes.get_int64_be in
+  { write = (fun buf v -> Buffer.add_int64_be buf (Int64.bits_of_float v));
+    read = (fun c -> Result.map Int64.float_of_bits (read c)) }
 
-let r_bytes c =
-  let* n = r_int c in
-  let* () = need c n in
-  let b = Bytes.sub c.b c.off n in
-  c.off <- c.off + n;
-  Ok b
+let parity =
+  { write = (fun buf p -> Buffer.add_bytes buf (Wsc2.parity_to_bytes p));
+    read = fixed 8 Wsc2.parity_of_bytes }
 
-let r_string c =
-  let* b = r_bytes c in
-  Ok (Bytes.to_string b)
+let bytes =
+  { write = (fun buf b -> int.write buf (Bytes.length b); Buffer.add_bytes buf b);
+    read =
+      (fun c -> let* n = int.read c in fixed n (fun b off -> Bytes.sub b off n) c) }
 
-let r_opt r c =
-  let* present = r_bool c in
-  if present then
-    let* v = r c in
-    Ok (Some v)
-  else Ok None
+let map decode encode c =
+  { write = (fun buf v -> c.write buf (encode v));
+    read = (fun cur -> Result.map decode (c.read cur)) }
 
-let r_list r c =
-  let* n = r_int c in
-  (* every element costs at least one byte, so a count beyond the
-     remaining bytes can only come from corruption *)
-  let* () = need c (max n 0) in
-  let rec go k acc =
+let string = map Bytes.to_string Bytes.of_string bytes
+
+let opt c =
+  { write =
+      (fun buf -> function
+        | None -> bool.write buf false
+        | Some v -> bool.write buf true; c.write buf v);
+    read =
+      (fun cur ->
+        let* present = bool.read cur in
+        if present then Result.map Option.some (c.read cur) else Ok None) }
+
+let rec write_all w buf = function
+  | [] -> ()
+  | v :: rest -> w buf v; write_all w buf rest
+
+let list c =
+  let rec read_n cur k acc =
     if k = 0 then Ok (List.rev acc)
     else
-      let* v = r c in
-      go (k - 1) (v :: acc)
+      let* v = c.read cur in
+      read_n cur (k - 1) (v :: acc)
   in
-  if n < 0 then Error "Persist: negative count" else go n []
+  { write = (fun buf l -> int.write buf (List.length l); write_all c.write buf l);
+    read =
+      (fun cur ->
+        let* n = int.read cur in
+        (* every element costs at least one byte, so a count beyond the
+           remaining bytes can only come from corruption *)
+        if n < 0 || n > Bytes.length cur.b - cur.off then
+          Error "Persist: bad element count"
+        else read_n cur n []) }
 
-let r_parity c =
-  let* () = need c 8 in
-  let p = Wsc2.parity_of_bytes c.b c.off in
-  c.off <- c.off + 8;
-  Ok p
+let pair a b =
+  { write = (fun buf (x, y) -> a.write buf x; b.write buf y);
+    read = (fun c -> let* x = a.read c in let* y = b.read c in Ok (x, y)) }
 
-let w_pair wa wb buf (a, b) =
-  wa buf a;
-  wb buf b
+let triple a b c =
+  map (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z)))
+    (pair a (pair b c))
 
-let r_pair ra rb c =
-  let* a = ra c in
-  let* b = rb c in
-  Ok (a, b)
+let quad =
+  map (fun ((a, b), (c, d)) -> (a, b, c, d)) (fun (a, b, c, d) -> ((a, b), (c, d)))
+    (pair (pair int int) (pair int int))
 
-let w_tpdu buf (ti : Edc.Verifier.tpdu_image) =
-  w_int buf ti.ti_t_id;
-  w_parity buf ti.ti_parity;
-  w_list (w_pair w_int w_int) buf ti.ti_spans;
-  w_opt w_int buf ti.ti_total;
-  w_list w_int buf ti.ti_pairs;
-  w_list (w_pair w_int w_int) buf ti.ti_x_deltas;
-  w_opt w_int buf ti.ti_delta_ct;
-  w_opt w_int buf ti.ti_c_id;
-  w_opt w_int buf ti.ti_size;
-  w_bool buf ti.ti_labels_done;
-  w_opt w_parity buf ti.ti_expected;
-  w_opt w_string buf ti.ti_damage;
-  w_list
-    (fun buf (a, b, cc, d) ->
-      w_int buf a;
-      w_int buf b;
-      w_int buf cc;
-      w_int buf d)
-    buf ti.ti_x_spans
+(* One record field, as in [Check.Schedule]'s table: its codec, how to
+   get it, and how to set it in a copy.  A record's fields go to the
+   wire in list order; its reader sets them one by one into [blank]. *)
+type 'r field = Field : 'a codec * ('r -> 'a) * ('r -> 'a -> 'r) -> 'r field
 
-let r_tpdu c =
-  let* ti_t_id = r_int c in
-  let* ti_parity = r_parity c in
-  let* ti_spans = r_list (r_pair r_int r_int) c in
-  let* ti_total = r_opt r_int c in
-  let* ti_pairs = r_list r_int c in
-  let* ti_x_deltas = r_list (r_pair r_int r_int) c in
-  let* ti_delta_ct = r_opt r_int c in
-  let* ti_c_id = r_opt r_int c in
-  let* ti_size = r_opt r_int c in
-  let* ti_labels_done = r_bool c in
-  let* ti_expected = r_opt r_parity c in
-  let* ti_damage = r_opt r_string c in
-  let* ti_x_spans =
-    r_list
-      (fun c ->
-        let* a = r_int c in
-        let* b = r_int c in
-        let* cc = r_int c in
-        let* d = r_int c in
-        Ok (a, b, cc, d))
-      c
-  in
-  Ok
-    {
-      Edc.Verifier.ti_t_id;
-      ti_parity;
-      ti_spans;
-      ti_total;
-      ti_pairs;
-      ti_x_deltas;
-      ti_delta_ct;
-      ti_c_id;
-      ti_size;
-      ti_labels_done;
-      ti_expected;
-      ti_damage;
-      ti_x_spans;
-    }
+let rec write_fields buf r = function
+  | [] -> ()
+  | Field (c, get, _) :: rest -> c.write buf (get r); write_fields buf r rest
 
-let w_corrob buf pi =
-  w_int buf pi.pi_t_id;
-  w_opt w_int buf pi.pi_delta_data;
-  w_opt w_int buf pi.pi_delta_ed;
-  w_bool buf pi.pi_confirmed;
-  w_list
-    (fun buf (b, t_sn, elems) ->
-      w_bytes buf b;
-      w_int buf t_sn;
-      w_int buf elems)
-    buf pi.pi_stash;
-  w_list (w_pair w_int w_int) buf pi.pi_placed_runs
+let rec read_fields cur r = function
+  | [] -> Ok r
+  | Field (c, _, set) :: rest ->
+      let* v = c.read cur in
+      read_fields cur (set r v) rest
 
-let r_corrob c =
-  let* pi_t_id = r_int c in
-  let* pi_delta_data = r_opt r_int c in
-  let* pi_delta_ed = r_opt r_int c in
-  let* pi_confirmed = r_bool c in
-  let* pi_stash =
-    r_list
-      (fun c ->
-        let* b = r_bytes c in
-        let* t_sn = r_int c in
-        let* elems = r_int c in
-        Ok (b, t_sn, elems))
-      c
-  in
-  let* pi_placed_runs = r_list (r_pair r_int r_int) c in
-  Ok { pi_t_id; pi_delta_data; pi_delta_ed; pi_confirmed; pi_stash; pi_placed_runs }
+let record blank fields =
+  { write = (fun buf r -> write_fields buf r fields);
+    read = (fun cur -> read_fields cur blank fields) }
 
-let w_receiver buf ri =
-  w_int buf ri.ri_conn;
-  w_list (w_pair w_int w_bytes) buf ri.ri_placed;
-  w_list (w_pair w_int w_int) buf ri.ri_verified;
-  w_opt w_int buf ri.ri_end_confirmed;
-  w_list (w_pair w_int w_int) buf ri.ri_end_claims;
-  w_list (w_pair w_int w_float) buf ri.ri_last_reack;
-  w_int buf ri.ri_passed;
-  w_list w_tpdu buf ri.ri_tpdus;
-  w_list w_corrob buf ri.ri_corrob
+let tpdu =
+  let open Edc.Verifier in
+  record
+    { ti_t_id = 0; ti_parity = Wsc2.parity_zero; ti_spans = []; ti_total = None;
+      ti_pairs = []; ti_x_deltas = []; ti_delta_ct = None; ti_c_id = None;
+      ti_size = None; ti_labels_done = false; ti_expected = None;
+      ti_damage = None; ti_x_spans = [] }
+    [ Field (int, (fun t -> t.ti_t_id), fun t ti_t_id -> { t with ti_t_id });
+      Field (parity, (fun t -> t.ti_parity),
+        fun t ti_parity -> { t with ti_parity });
+      Field (list (pair int int), (fun t -> t.ti_spans),
+        fun t ti_spans -> { t with ti_spans });
+      Field (opt int, (fun t -> t.ti_total),
+        fun t ti_total -> { t with ti_total });
+      Field (list int, (fun t -> t.ti_pairs),
+        fun t ti_pairs -> { t with ti_pairs });
+      Field (list (pair int int), (fun t -> t.ti_x_deltas),
+        fun t ti_x_deltas -> { t with ti_x_deltas });
+      Field (opt int, (fun t -> t.ti_delta_ct),
+        fun t ti_delta_ct -> { t with ti_delta_ct });
+      Field (opt int, (fun t -> t.ti_c_id),
+        fun t ti_c_id -> { t with ti_c_id });
+      Field (opt int, (fun t -> t.ti_size),
+        fun t ti_size -> { t with ti_size });
+      Field (bool, (fun t -> t.ti_labels_done),
+        fun t ti_labels_done -> { t with ti_labels_done });
+      Field (opt parity, (fun t -> t.ti_expected),
+        fun t ti_expected -> { t with ti_expected });
+      Field (opt string, (fun t -> t.ti_damage),
+        fun t ti_damage -> { t with ti_damage });
+      Field (list quad, (fun t -> t.ti_x_spans),
+        fun t ti_x_spans -> { t with ti_x_spans }) ]
 
-let r_receiver c =
-  let* ri_conn = r_int c in
-  let* ri_placed = r_list (r_pair r_int r_bytes) c in
-  let* ri_verified = r_list (r_pair r_int r_int) c in
-  let* ri_end_confirmed = r_opt r_int c in
-  let* ri_end_claims = r_list (r_pair r_int r_int) c in
-  let* ri_last_reack = r_list (r_pair r_int r_float) c in
-  let* ri_passed = r_int c in
-  let* ri_tpdus = r_list r_tpdu c in
-  let* ri_corrob = r_list r_corrob c in
-  Ok
-    {
-      ri_conn;
-      ri_placed;
-      ri_verified;
-      ri_end_confirmed;
-      ri_end_claims;
-      ri_last_reack;
-      ri_passed;
-      ri_tpdus;
-      ri_corrob;
-    }
+let corrob =
+  record
+    { pi_t_id = 0; pi_delta_data = None; pi_delta_ed = None;
+      pi_confirmed = false; pi_stash = []; pi_placed_runs = [] }
+    [ Field (int, (fun p -> p.pi_t_id), fun p pi_t_id -> { p with pi_t_id });
+      Field (opt int, (fun p -> p.pi_delta_data),
+        fun p pi_delta_data -> { p with pi_delta_data });
+      Field (opt int, (fun p -> p.pi_delta_ed),
+        fun p pi_delta_ed -> { p with pi_delta_ed });
+      Field (bool, (fun p -> p.pi_confirmed),
+        fun p pi_confirmed -> { p with pi_confirmed });
+      Field (list (triple bytes int int), (fun p -> p.pi_stash),
+        fun p pi_stash -> { p with pi_stash });
+      Field (list (pair int int), (fun p -> p.pi_placed_runs),
+        fun p pi_placed_runs -> { p with pi_placed_runs }) ]
 
-let w_hist_entry buf (d, complete, open_csn) =
-  w_bytes buf d;
-  w_bool buf complete;
-  w_opt w_int buf open_csn
+let receiver =
+  record (empty_receiver ~conn:0)
+    [ Field (int, (fun r -> r.ri_conn), fun r ri_conn -> { r with ri_conn });
+      Field (list (pair int bytes), (fun r -> r.ri_placed),
+        fun r ri_placed -> { r with ri_placed });
+      Field (list (pair int int), (fun r -> r.ri_verified),
+        fun r ri_verified -> { r with ri_verified });
+      Field (opt int, (fun r -> r.ri_end_confirmed),
+        fun r ri_end_confirmed -> { r with ri_end_confirmed });
+      Field (list (pair int int), (fun r -> r.ri_end_claims),
+        fun r ri_end_claims -> { r with ri_end_claims });
+      Field (list (pair int float), (fun r -> r.ri_last_reack),
+        fun r ri_last_reack -> { r with ri_last_reack });
+      Field (int, (fun r -> r.ri_passed),
+        fun r ri_passed -> { r with ri_passed });
+      Field (list tpdu, (fun r -> r.ri_tpdus),
+        fun r ri_tpdus -> { r with ri_tpdus });
+      Field (list corrob, (fun r -> r.ri_corrob),
+        fun r ri_corrob -> { r with ri_corrob }) ]
 
-let r_hist_entry c =
-  let* d = r_bytes c in
-  let* complete = r_bool c in
-  let* open_csn = r_opt r_int c in
-  Ok (d, complete, open_csn)
+let conn =
+  record (empty_conn 0)
+    [ Field (int, (fun c -> c.ci_id), fun c ci_id -> { c with ci_id });
+      Field (list int, (fun c -> c.ci_acked),
+        fun c ci_acked -> { c with ci_acked });
+      Field (list (triple bytes bool (opt int)), (fun c -> c.ci_hist),
+        fun c ci_hist -> { c with ci_hist });
+      Field (opt receiver, (fun c -> c.ci_live),
+        fun c ci_live -> { c with ci_live });
+      Field (opt int, (fun c -> c.ci_live_open),
+        fun c ci_live_open -> { c with ci_live_open });
+      Field (float, (fun c -> c.ci_quar_until),
+        fun c ci_quar_until -> { c with ci_quar_until });
+      Field (int, (fun c -> c.ci_quar_count),
+        fun c ci_quar_count -> { c with ci_quar_count });
+      Field (bool, (fun c -> c.ci_poisoned),
+        fun c ci_poisoned -> { c with ci_poisoned }) ]
 
-let w_conn buf ci =
-  w_int buf ci.ci_id;
-  w_list w_int buf ci.ci_acked;
-  w_list w_hist_entry buf ci.ci_hist;
-  w_opt w_receiver buf ci.ci_live;
-  w_opt w_int buf ci.ci_live_open;
-  w_float buf ci.ci_quar_until;
-  w_int buf ci.ci_quar_count;
-  w_bool buf ci.ci_poisoned
+let sender =
+  record
+    { si_first_tid = 0; si_acked = []; si_srtt = None; si_rttvar = 0.0;
+      si_rto_cur = 0.0; si_tpdu_elems = 0 }
+    [ Field (int, (fun s -> s.si_first_tid),
+        fun s si_first_tid -> { s with si_first_tid });
+      Field (list int, (fun s -> s.si_acked),
+        fun s si_acked -> { s with si_acked });
+      Field (opt float, (fun s -> s.si_srtt),
+        fun s si_srtt -> { s with si_srtt });
+      Field (float, (fun s -> s.si_rttvar),
+        fun s si_rttvar -> { s with si_rttvar });
+      Field (float, (fun s -> s.si_rto_cur),
+        fun s si_rto_cur -> { s with si_rto_cur });
+      Field (int, (fun s -> s.si_tpdu_elems),
+        fun s si_tpdu_elems -> { s with si_tpdu_elems }) ]
 
-let r_conn c =
-  let* ci_id = r_int c in
-  let* ci_acked = r_list r_int c in
-  let* ci_hist = r_list r_hist_entry c in
-  let* ci_live = r_opt r_receiver c in
-  let* ci_live_open = r_opt r_int c in
-  let* ci_quar_until = r_float c in
-  let* ci_quar_count = r_int c in
-  let* ci_poisoned = r_bool c in
-  Ok
-    {
-      ci_id;
-      ci_acked;
-      ci_hist;
-      ci_live;
-      ci_live_open;
-      ci_quar_until;
-      ci_quar_count;
-      ci_poisoned;
-    }
+let no_single = { s_acked = []; s_rx = empty_receiver ~conn:0 }
 
-(* record tags *)
-let tag_single = 0
-let tag_multi = 1
-let tag_sender = 2
-let tag_acked = 16
-let tag_opened = 17
-let tag_archived = 18
-let tag_closed = 19
-
-let encode_endpoint image =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
-  Buffer.add_uint16_be buf version;
-  let payload = Buffer.create 1024 in
-  let tag =
-    match image with
-    | Single s ->
-        w_list w_int payload s.s_acked;
-        w_receiver payload s.s_rx;
-        tag_single
-    | Multi conns ->
-        w_list w_conn payload conns;
-        tag_multi
-  in
-  Wire.encode_record buf ~tag payload;
-  Buffer.to_bytes buf
-
-let check_image_done c =
-  if c.off = Bytes.length c.b then Ok ()
-  else Error "Persist: trailing bytes in image"
-
-let decode_endpoint b =
-  if Bytes.length b < 6 then Error "Persist: image too short"
-  else if Bytes.to_string (Bytes.sub b 0 4) <> magic then
-    Error "Persist: bad magic"
-  else if Bytes.get_uint16_be b 4 <> version then
-    Error "Persist: unsupported snapshot version"
-  else
-    let* tag, payload, next = Wire.decode_record b 6 in
-    if next <> Bytes.length b then Error "Persist: trailing bytes after image"
-    else
-      let c = { b = payload; off = 0 } in
-      if tag = tag_single then begin
-        let* s_acked = r_list r_int c in
-        let* s_rx = r_receiver c in
-        let* () = check_image_done c in
-        Ok (Single { s_acked; s_rx })
-      end
-      else if tag = tag_multi then begin
-        let* conns = r_list r_conn c in
-        let* () = check_image_done c in
-        Ok (Multi conns)
-      end
-      else Error "Persist: unknown image tag"
-
-let encode_sender si =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf magic;
-  Buffer.add_uint16_be buf version;
-  let payload = Buffer.create 128 in
-  w_int payload si.si_first_tid;
-  w_list w_int payload si.si_acked;
-  w_opt w_float payload si.si_srtt;
-  w_float payload si.si_rttvar;
-  w_float payload si.si_rto_cur;
-  w_int payload si.si_tpdu_elems;
-  Wire.encode_record buf ~tag:tag_sender payload;
-  Buffer.to_bytes buf
-
-let decode_sender b =
-  if Bytes.length b < 6 then Error "Persist: image too short"
-  else if Bytes.to_string (Bytes.sub b 0 4) <> magic then
-    Error "Persist: bad magic"
-  else if Bytes.get_uint16_be b 4 <> version then
-    Error "Persist: unsupported snapshot version"
-  else
-    let* tag, payload, _ = Wire.decode_record b 6 in
-    if tag <> tag_sender then Error "Persist: not a sender image"
-    else
-      let c = { b = payload; off = 0 } in
-      let* si_first_tid = r_int c in
-      let* si_acked = r_list r_int c in
-      let* si_srtt = r_opt r_float c in
-      let* si_rttvar = r_float c in
-      let* si_rto_cur = r_float c in
-      let* si_tpdu_elems = r_int c in
-      Ok { si_first_tid; si_acked; si_srtt; si_rttvar; si_rto_cur; si_tpdu_elems }
+let single =
+  record no_single
+    [ Field (list int, (fun s -> s.s_acked),
+        fun s s_acked -> { s with s_acked });
+      Field (receiver, (fun s -> s.s_rx), fun s s_rx -> { s with s_rx }) ]
 
 (* A run view goes to the wire exactly as the owned (C.SN, bytes) pair
-   [w_pair w_int w_bytes] writes, copied once out of its source. *)
-let w_run buf (sn, src, off, len) =
-  w_int buf sn;
-  w_int buf len;
-  Buffer.add_subbytes buf src off len
+   [pair int bytes] writes, copied once out of its source. *)
+let run =
+  { write =
+      (fun buf (sn, src, off, len) ->
+        int.write buf sn; int.write buf len; Buffer.add_subbytes buf src off len);
+    read = (map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)).read }
 
-let r_run c =
-  let* sn = r_int c in
-  let* b = r_bytes c in
-  Ok (owned_run sn b)
+(* One constructor of a sum type: the record tag it travels under in
+   [Wire]'s framing, the test that picks it for a value, and its codec.
+   The codec is over the whole sum type, so writing a journal record
+   builds no projection of the event; what its getters give for other
+   constructors is never written, since [is] has picked the case.
+   Snapshot tags are 0-2, journal event tags 16-19. *)
+type 'a case = { tag : int; is : 'a -> bool; body : 'a codec }
 
-(* Append one journal record to [buf]; [payload] and [scratch] are
-   buffers the caller reuses, so a journal's steady state makes no
-   per-record major-heap allocation. *)
-let encode_event ~payload ~scratch buf ev =
-  Buffer.clear payload;
-  let tag =
-    match ev with
-    | Acked { conn; t_id; end_confirmed; runs } ->
-        w_int payload conn;
-        w_int payload t_id;
-        w_opt w_int payload end_confirmed;
-        w_list w_run payload runs;
-        tag_acked
-    | Opened { conn; open_csn } ->
-        w_int payload conn;
-        w_opt w_int payload open_csn;
-        tag_opened
-    | Archived conn ->
-        w_int payload conn;
-        tag_archived
-    | Closed conn ->
-        w_int payload conn;
-        tag_closed
+let endpoint_cases =
+  [ { tag = 0; is = (function Single _ -> true | Multi _ -> false);
+      body =
+        map (fun s -> Single s) (function Single s -> s | _ -> no_single) single };
+    { tag = 1; is = (function Multi _ -> true | Single _ -> false);
+      body =
+        map (fun cs -> Multi cs) (function Multi cs -> cs | _ -> []) (list conn) } ]
+
+let event_cases =
+  [ { tag = 16; is = (function Acked _ -> true | _ -> false);
+      body =
+        record (Acked { conn = 0; t_id = 0; end_confirmed = None; runs = [] })
+          [ Field (int, event_conn, fun ev conn ->
+              match ev with Acked a -> Acked { a with conn } | _ -> ev);
+            Field (int, (function Acked a -> a.t_id | _ -> 0), fun ev t_id ->
+              match ev with Acked a -> Acked { a with t_id } | _ -> ev);
+            Field (opt int, (function Acked a -> a.end_confirmed | _ -> None),
+              fun ev end_confirmed ->
+              match ev with Acked a -> Acked { a with end_confirmed } | _ -> ev);
+            Field (list run, (function Acked a -> a.runs | _ -> []), fun ev runs ->
+              match ev with Acked a -> Acked { a with runs } | _ -> ev) ] };
+    { tag = 17; is = (function Opened _ -> true | _ -> false);
+      body =
+        record (Opened { conn = 0; open_csn = None })
+          [ Field (int, event_conn, fun ev conn ->
+              match ev with Opened o -> Opened { o with conn } | _ -> ev);
+            Field (opt int, (function Opened o -> o.open_csn | _ -> None),
+              fun ev open_csn ->
+              match ev with Opened o -> Opened { o with open_csn } | _ -> ev) ] };
+    { tag = 18; is = (function Archived _ -> true | _ -> false);
+      body = map (fun c -> Archived c) event_conn int };
+    { tag = 19; is = (function Closed _ -> true | _ -> false);
+      body = map (fun c -> Closed c) event_conn int } ]
+
+(* Append [v] to [buf] as one record of the case [is] picks.  [payload]
+   and [scratch] are buffers the caller reuses, so a journal's steady
+   state makes no per-record major-heap allocation. *)
+let rec write_case ?scratch buf payload v = function
+  | [] -> invalid_arg "Persist: no case for value"
+  | k :: _ when k.is v ->
+      Buffer.clear payload;
+      k.body.write payload v;
+      Wire.encode_record ?scratch buf ~tag:k.tag payload
+  | _ :: rest -> write_case ?scratch buf payload v rest
+
+(* The one decode step: the case the record's tag names reads the
+   payload and must consume all of it — a longer payload is another
+   layout's, not this one's with junk after it. *)
+let read_case cases (tag, payload) =
+  match List.find_opt (fun k -> k.tag = tag) cases with
+  | None -> Error "Persist: unknown record tag"
+  | Some k ->
+      let cur = { b = payload; off = 0 } in
+      let* v = k.body.read cur in
+      if cur.off = Bytes.length payload then Ok v
+      else Error "Persist: trailing bytes in record"
+
+(* A snapshot: magic, version, and one record of one of [cases] that
+   ends the image. *)
+let image cases =
+  let encode v =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf magic;
+    Buffer.add_uint16_be buf version;
+    write_case buf (Buffer.create 1024) v cases;
+    Buffer.to_bytes buf
   in
-  Wire.encode_record ~scratch buf ~tag payload
+  let decode b =
+    if Bytes.length b < 6 then Error "Persist: image too short"
+    else if Bytes.sub_string b 0 4 <> magic then Error "Persist: bad magic"
+    else if Bytes.get_uint16_be b 4 <> version then
+      Error "Persist: unsupported snapshot version"
+    else
+      let* tag, payload, next = Wire.decode_record b 6 in
+      if next <> Bytes.length b then Error "Persist: trailing bytes after image"
+      else read_case cases (tag, payload)
+  in
+  (encode, decode)
 
-let decode_event (tag, payload) =
-  let c = { b = payload; off = 0 } in
-  if tag = tag_acked then begin
-    let* conn = r_int c in
-    let* t_id = r_int c in
-    let* end_confirmed = r_opt r_int c in
-    let* runs = r_list r_run c in
-    Ok (Acked { conn; t_id; end_confirmed; runs })
-  end
-  else if tag = tag_opened then begin
-    let* conn = r_int c in
-    let* open_csn = r_opt r_int c in
-    Ok (Opened { conn; open_csn })
-  end
-  else if tag = tag_archived then
-    let* conn = r_int c in
-    Ok (Archived conn)
-  else if tag = tag_closed then
-    let* conn = r_int c in
-    Ok (Closed conn)
-  else Error "Persist: unknown journal tag"
+let encode_endpoint, decode_endpoint = image endpoint_cases
+let encode_sender, decode_sender =
+  image [ { tag = 2; is = (fun _ -> true); body = sender } ]
 
 (* Journal decode: the checksummed-record layer truncates at the first
    torn record; a record whose checksum passes but whose payload does
-   not parse (version skew) also stops replay — everything before it is
-   still trusted. *)
+   not parse (version skew, or a longer layout's record) also stops
+   replay — everything before it is still trusted. *)
 let decode_journal b =
   let records, torn = Wire.decode_records b 0 in
   let rec go acc = function
     | [] -> (List.rev acc, torn)
     | r :: rest -> (
-        match decode_event r with
+        match read_case event_cases r with
         | Ok ev -> go (ev :: acc) rest
         | Error _ -> (List.rev acc, true))
   in
@@ -783,7 +656,7 @@ module Store = struct
   type t = {
     mutable snap : bytes option;
     journal : Buffer.t;
-    payload : Buffer.t;  (* [encode_event]'s scratch *)
+    payload : Buffer.t;  (* [write_case]'s payload buffer, reused *)
     scratch : Wire.scratch;
     mutable snapshots_taken : int;
     mutable journal_records : int;
@@ -801,7 +674,7 @@ module Store = struct
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    encode_event ~payload:st.payload ~scratch:st.scratch st.journal ev;
+    write_case ~scratch:st.scratch st.journal st.payload ev event_cases;
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 

@@ -175,7 +175,9 @@ val verified_frontier : (int * int) list -> int
 val version : int
 (** Snapshot format version (2).  The rule: any change to the field
     layout bumps this, and a decoder rejects images whose version it
-    does not know — there is no cross-version repair. *)
+    does not know — there is no cross-version repair.  Every decoder
+    also refuses a record whose payload holds bytes past its last field,
+    so a longer layout's record is never mis-read as this one's. *)
 
 val encode_endpoint : endpoint_image -> bytes
 (** Serialize a snapshot: magic, version, one checksummed record. *)
@@ -189,12 +191,15 @@ val encode_sender : sender_image -> bytes
 (** Serialize a sender image (same framing as {!encode_endpoint}). *)
 
 val decode_sender : bytes -> (sender_image, string) result
-(** Parse a sender image; [Error] on any corruption, never raises. *)
+(** Parse a sender image.  [Error] — never an exception — on bad magic,
+    unknown version, checksum mismatch, truncation, or trailing
+    bytes. *)
 
 val decode_journal : bytes -> event list * bool
 (** Parse a journal: the trusted prefix of events, and whether decoding
     stopped early at a torn or unparseable record ([true] = the tail
-    was discarded). *)
+    was discarded).  A record whose payload is longer than its event's
+    fields is unparseable: it and everything after it are discarded. *)
 
 (** {1 In-memory store}
 

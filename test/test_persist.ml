@@ -423,6 +423,44 @@ let test_snapshot_goldens () =
     (Persist.decode_sender (Persist.encode_sender golden_sender)
     = Ok golden_sender)
 
+(* A record's payload, re-framed with a valid checksum after [extra]
+   bytes are appended to it: what a longer layout's record looks like
+   to this one's decoder. *)
+let reframe_longer ~prefix record extra =
+  match Labelling.Wire.decode_record record 0 with
+  | Error e -> Alcotest.failf "record does not decode: %s" e
+  | Ok (tag, payload, _) ->
+      let body = Buffer.create 64 in
+      Buffer.add_bytes body payload;
+      Buffer.add_string body extra;
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf prefix;
+      Labelling.Wire.encode_record buf ~tag body;
+      Buffer.to_bytes buf
+
+let test_sender_trailing_image () =
+  let b = Persist.encode_sender golden_sender in
+  let junk = Bytes.cat b (Bytes.make 16 '\xA5') in
+  Alcotest.(check bool) "bytes after the record refused" true
+    (Result.is_error (Persist.decode_sender junk))
+
+let test_sender_longer_payload () =
+  let b = Persist.encode_sender golden_sender in
+  let record = Bytes.sub b 6 (Bytes.length b - 6) in
+  let longer = reframe_longer ~prefix:(Bytes.sub_string b 0 6) record "\000\001" in
+  Alcotest.(check bool) "longer payload refused" true
+    (Result.is_error (Persist.decode_sender longer))
+
+let test_journal_longer_payload () =
+  (* replay must stop at a record it cannot read whole, as it does at
+     any other unparseable record, not trust a mis-read prefix of it *)
+  let store = Persist.Store.create () in
+  Persist.Store.append store (Persist.Closed 9);
+  let longer = reframe_longer ~prefix:"" (Persist.Store.journal store) "\000\000" in
+  let events, torn = Persist.decode_journal longer in
+  Alcotest.(check int) "no event trusted" 0 (List.length events);
+  Alcotest.(check bool) "reported as stopped early" true torn
+
 (* Replaying k contiguous ACKs builds one fused run and allocates a
    bounded multiple of the image: merging the accumulated run after
    every record would allocate O(k^2) bytes. *)
@@ -621,6 +659,12 @@ let suite =
       test_journal_golden;
     Alcotest.test_case "snapshot and sender formats are version 2 byte for byte"
       `Quick test_snapshot_goldens;
+    Alcotest.test_case "sender image with bytes after its record is refused"
+      `Quick test_sender_trailing_image;
+    Alcotest.test_case "sender record with a longer payload is refused" `Quick
+      test_sender_longer_payload;
+    Alcotest.test_case "journal record with a longer payload stops replay"
+      `Quick test_journal_longer_payload;
     Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
       test_contiguous_replay;
     Alcotest.test_case "finished sender round-trips restore" `Quick
