@@ -556,6 +556,93 @@ let prop_view_records (src, events) =
   Bytes.equal from_views (journal_of owned)
   && Persist.decode_journal from_views = (owned, false)
 
+(* Torn writes at every journal byte.  [records] are the journal's
+   records in order, each as its encoded bytes and the event it decodes
+   to.  Every truncation must decode to exactly the records that end at
+   or before the cut, torn exactly when the cut is off a record
+   boundary; every single-byte flip (masks 0x01, 0x80, 0xFF) must decode
+   to exactly the records before the damaged one, torn.  Decoding must
+   never raise.  Returns the number of cases checked. *)
+let sweep_torn_writes records =
+  let journal = Bytes.concat Bytes.empty (List.map fst records) in
+  let ends =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (off, acc) (b, _) ->
+              let e = off + Bytes.length b in
+              (e, e :: acc))
+            (0, []) records))
+  in
+  let events_before cut =
+    List.filteri (fun i _ -> List.nth ends i <= cut) (List.map snd records)
+  in
+  let check what b ~want ~torn =
+    match Persist.decode_journal b with
+    | exception e ->
+        Alcotest.failf "%s: decode_journal raised %s" what (Printexc.to_string e)
+    | events, torn' ->
+        if events <> want then
+          Alcotest.failf "%s: %d events decoded, %d expected" what
+            (List.length events) (List.length want);
+        if torn' <> torn then
+          Alcotest.failf "%s: torn = %b, expected %b" what torn' torn
+  in
+  let n = Bytes.length journal in
+  for cut = 0 to n do
+    check
+      (Printf.sprintf "cut at %d" cut)
+      (Bytes.sub journal 0 cut) ~want:(events_before cut)
+      ~torn:(not (cut = 0 || List.mem cut ends))
+  done;
+  List.iter
+    (fun mask ->
+      for i = 0 to n - 1 do
+        let b = Bytes.copy journal in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask);
+        (* the damaged record is the first that ends past byte [i] *)
+        check
+          (Printf.sprintf "byte %d xor 0x%02x" i mask)
+          b ~want:(events_before i) ~torn:true
+      done)
+    [ 0x01; 0x80; 0xFF ];
+  (n + 1) + (3 * n)
+
+(* Each event as the bytes [Store.append] writes for it. *)
+let appended events =
+  List.map
+    (fun ev ->
+      let st = Persist.Store.create () in
+      Persist.Store.append st ev;
+      (Persist.Store.journal st, ev))
+    events
+
+let test_torn_write_sweep () =
+  let cases =
+    sweep_torn_writes
+      (appended
+         [
+           Persist.Opened { conn = 3; open_csn = Some 64 };
+           Persist.Acked
+             {
+               conn = 3;
+               t_id = 64;
+               end_confirmed = None;
+               runs = [ run_at 64 "abcdefghABCDEFGH" ];
+             };
+           Persist.Acked
+             {
+               conn = 3;
+               t_id = 68;
+               end_confirmed = Some 71;
+               runs = [ run_at 68 "ijkl"; run_at 70 "mnopqrst" ];
+             };
+           Persist.Archived 3;
+           Persist.Closed 3;
+         ])
+  in
+  Alcotest.(check bool) "every byte swept" true (cases > 4 * 200)
+
 let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
      TPDU, finds them all in the ledger, and has nothing to transmit *)
@@ -665,6 +752,8 @@ let suite =
       test_sender_longer_payload;
     Alcotest.test_case "journal record with a longer payload stops replay"
       `Quick test_journal_longer_payload;
+    Alcotest.test_case "torn writes at every journal byte" `Quick
+      test_torn_write_sweep;
     Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
       test_contiguous_replay;
     Alcotest.test_case "finished sender round-trips restore" `Quick
