@@ -839,6 +839,17 @@ module Receiver = struct
     Int_table.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+  (* A TPDU holding quarantined runs is left out of the image: its
+     parity already counts bytes the placement buffer does not hold, so
+     a restored verifier would take their retransmission for a
+     duplicate and never place it.  Left out, the TPDU restarts from its
+     identical-label retransmission, whose conflicting runs are
+     quarantined and reclaimed afresh. *)
+  let quarantined rx t_id =
+    match Int_table.find_opt rx.corrob t_id with
+    | Some m -> m.quarantine <> []
+    | None -> false
+
   let export rx : Persist.receiver_image =
     let es = rx.config.elem_size in
     let buf = Placement.contents rx.placement in
@@ -851,28 +862,28 @@ module Receiver = struct
           else None)
         (Placement.spans rx.placement)
     in
-    let ri_corrob =
+    let records =
       Int_table.fold
-        (fun t_id m acc ->
-          let pi_stash =
-            List.rev m.stash
-            |> List.filter_map (fun (c, t_sn, elems) ->
-                   match Wire.encode_packet [ c ] with
-                   | Ok b -> Some (b, t_sn, elems)
-                   | Error _ -> None)
-          in
-          {
-            Persist.pi_t_id = t_id;
-            pi_delta_data = m.delta_data;
-            pi_delta_ed = m.delta_ed;
-            pi_confirmed = m.confirmed;
-            pi_stash;
-            pi_placed_runs = List.sort compare m.placed_runs;
-          }
-          :: acc)
+        (fun _ m acc -> if m.quarantine = [] then m :: acc else acc)
         rx.corrob []
-      |> List.sort (fun a b ->
-             Int.compare a.Persist.pi_t_id b.Persist.pi_t_id)
+      |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
+    in
+    let corrob_image m =
+      let pi_stash =
+        List.rev m.stash
+        |> List.filter_map (fun (c, t_sn, elems) ->
+               match Wire.encode_packet [ c ] with
+               | Ok b -> Some (b, t_sn, elems)
+               | Error _ -> None)
+      in
+      {
+        Persist.pi_t_id = m.t_id;
+        pi_delta_data = m.delta_data;
+        pi_delta_ed = m.delta_ed;
+        pi_confirmed = m.confirmed;
+        pi_stash;
+        pi_placed_runs = List.sort compare m.placed_runs;
+      }
     in
     {
       Persist.ri_conn = rx.config.conn_id;
@@ -880,17 +891,16 @@ module Receiver = struct
       ri_verified = Vreassembly.spans rx.verified_cover;
       ri_end_confirmed = rx.end_confirmed;
       ri_end_claims =
-        Int_table.fold
-          (fun t_id m acc ->
-            match m.end_claim with
-            | Some last -> (t_id, last) :: acc
-            | None -> acc)
-          rx.corrob []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+        List.filter_map
+          (fun m -> Option.map (fun last -> (m.t_id, last)) m.end_claim)
+          records;
       ri_last_reack = sorted_assoc rx.last_reack;
       ri_passed = epoch_passes rx;
-      ri_tpdus = Edc.Verifier.export rx.verifier;
-      ri_corrob;
+      ri_tpdus =
+        List.filter
+          (fun ti -> not (quarantined rx ti.Edc.Verifier.ti_t_id))
+          (Edc.Verifier.export rx.verifier);
+      ri_corrob = List.map corrob_image records;
     }
 
   (* Rebuild a live receiver from its persisted image.  Conservative
@@ -943,8 +953,7 @@ module Receiver = struct
             confirmed = pi.Persist.pi_confirmed;
             stash;
             placed_runs = pi.Persist.pi_placed_runs;
-            (* quarantined conflicts are not persisted: dropping them
-               degrades to missing data that retransmission repairs *)
+            (* [export] leaves out every TPDU with quarantined runs *)
             quarantine = [];
             end_claim = None;
           })

@@ -525,6 +525,35 @@ let test_replay_format_pinned () =
         (Check.Schedule.to_string (Check.Schedule.generate ~profile ~seed)))
     pinned_schedules
 
+(* Regression: a snapshot taken while a TPDU held quarantined runs
+   restored a verifier whose parity already counted those runs, so
+   their retransmission was dropped as a duplicate and the epoch
+   delivered the squatter's bytes ([epoch-mismatch]). *)
+let quarantine_snapshot_line =
+  "seed=689562339263405287 profile=crash-flood data_len=5264 elem_size=8 \
+   tpdu_elems=379 frame_bytes=688 mtu=618 window=3 rto=0.14175528964411566 \
+   sack=false adaptive=false nack_delay=0.035438822411028914 \
+   rto_adaptive=false give_up_txs=40 state_budget=0 state_ttl=5 \
+   connections=2 reopen=false paths=8 skew=0.00031616100835084445 jitter=0 \
+   spread=rr rate_bps=528044993.70458406 delay=0.00092236078157678853 \
+   gateways=one:1159:1,combine:1378:1 loss=0 corrupt=0.016638631983681137 \
+   duplicate=0 dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- \
+   crashes=0.94240336828574622:0.43379332389094727 \
+   snap_period=0.83083276366275816 fastpath=false byz=-"
+
+let test_quarantine_snapshot_restore () =
+  match Check.Schedule.of_string quarantine_snapshot_line with
+  | None -> Alcotest.fail "regression line does not parse"
+  | Some s ->
+      let o = Check.Driver.run s in
+      Alcotest.(check int) "one restore" 1 o.Check.Driver.restores;
+      Alcotest.(check (list string))
+        "no oracle violations" []
+        (List.map
+           Check.Oracle.violation_to_string
+           (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
+              ~observation:o))
+
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
      and require the oracle to catch it AND the shrinker to keep a
@@ -666,6 +695,8 @@ let suite =
       test_byzantine_hostile_soak;
     Alcotest.test_case "byz clobber caught, shrunk, peer preserved" `Quick
       test_byz_clobber_caught;
+    Alcotest.test_case "snapshot with quarantined runs restores exact bytes"
+      `Quick test_quarantine_snapshot_restore;
     Alcotest.test_case "injected mutation caught and shrunk" `Quick
       test_mutation_caught;
     Alcotest.test_case "corrupted restore caught and shrunk" `Quick
