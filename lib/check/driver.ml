@@ -651,7 +651,12 @@ let install_crashes ~mutation ~trace ~mutated engine (s : Schedule.t)
         ct.ct_bad <- ct.ct_bad + 1;
         trec "RESTORE failed: %s" msg
     | Ok (img, torn) -> (
-        if torn then trec "RESTORE journal torn, tail discarded";
+        (* no schedule damages the journal, so a torn one means a
+           record that does not read back as written *)
+        if torn then begin
+          ct.ct_bad <- ct.ct_bad + 1;
+          trec "RESTORE journal torn, tail discarded"
+        end;
         if not (codec_roundtrip_ok img) then
           ct.ct_roundtrip <- ct.ct_roundtrip + 1;
         let img =

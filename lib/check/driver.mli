@@ -153,9 +153,11 @@ type observation = {
   crashes_injected : int;  (** scheduled crashes actually executed *)
   restores : int;  (** successful endpoint restores *)
   recovery_bad : int;
-      (** recovery-safety probe failures: an unreadable snapshot, an
-          image of the wrong endpoint shape, or a restored endpoint
-          whose ledger and in-flight verifier state overlap *)
+      (** recovery-safety probe failures: an unreadable snapshot, a
+          torn journal (no schedule damages one, so a record that does
+          not read back as written), an image of the wrong endpoint
+          shape, or a restored endpoint whose ledger and in-flight
+          verifier state overlap *)
   restore_over_budget : int;
       (** restores whose re-derived governor occupancy exceeded the
           configured state budget *)

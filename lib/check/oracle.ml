@@ -157,8 +157,8 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.crashes_injected o.restores;
   if o.recovery_bad > 0 then
     fail "recovery-safety"
-      "%d recovery-safety probe failures (unreadable image, wrong endpoint \
-       shape, or ledger/in-flight overlap)"
+      "%d recovery-safety probe failures (unreadable image, torn journal, \
+       wrong endpoint shape, or ledger/in-flight overlap)"
       o.recovery_bad;
   if o.restore_over_budget > 0 then
     fail "recovery-budget"
