@@ -258,6 +258,10 @@ let lock_span p ~sn ~len =
     set_bits p.occ sn len
   end
 
+let any_locked p ~sn ~len =
+  let lo = Int.max 0 sn and hi = Int.min p.capacity_elems (sn + len) in
+  lo < hi && next_bit p.lck ~v:true lo hi < hi
+
 let spans p = Vreassembly.spans p.tracker
 
 let restore_span p ~sn data =

@@ -103,6 +103,10 @@ val lock_span : t -> sn:int -> len:int -> unit
     can never again be overwritten by conflicting data.  Out-of-window
     runs are ignored.  Locking also marks the run as placed. *)
 
+val any_locked : t -> sn:int -> len:int -> bool
+(** Whether some element of the run (relative to [base_sn]) is
+    verified-locked.  Elements outside the window count as unlocked. *)
+
 val overlap_stats : t -> overlap_stats
 
 val placed_elems : t -> int

@@ -101,9 +101,7 @@ let encode_packet ?capacity chunks =
 
    with the parity computed over TAG + payload, so a bit flip anywhere
    in the record body — or a LEN that slices the wrong region — fails
-   the checksum.  Decoding never raises: a bad record is an [Error],
-   and [decode_records] truncates at the first one (torn-write
-   tolerance). *)
+   the checksum.  Decoding never raises: a bad record is an [Error]. *)
 
 let record_overhead = 4 + 1 + 8
 
@@ -112,9 +110,9 @@ let record_overhead = 4 + 1 + 8
    per-record major-heap allocation: the payload is blitted into the
    scratch, the parity computed over it, and the body and the two parity
    words go straight into [buf]. *)
-type scratch = { mutable body : bytes }
+type scratch = { mutable body : bytes; acc : Wsc2.acc }
 
-let scratch () = { body = Bytes.empty }
+let scratch () = { body = Bytes.empty; acc = Wsc2.create () }
 
 let encode_record ?(scratch = scratch ()) buf ~tag payload =
   if tag < 0 || tag > 0xFF then invalid_arg "Wire.encode_record: bad tag";
@@ -124,13 +122,16 @@ let encode_record ?(scratch = scratch ()) buf ~tag payload =
   let body = scratch.body in
   Bytes.set_uint8 body 0 tag;
   Buffer.blit payload 0 body 1 n;
-  let acc = Wsc2.create () in
+  let acc = scratch.acc in
+  Wsc2.reset acc;
   Wsc2.add_bytes acc ~pos:0 body 0 (1 + n);
   let par = Wsc2.snapshot acc in
   Buffer.add_int32_be buf (Int32.of_int n);
   Buffer.add_subbytes buf body 0 (1 + n);
-  Buffer.add_int32_be buf (Gf232.to_int32_bits par.Wsc2.p0);
-  Buffer.add_int32_be buf (Gf232.to_int32_bits par.Wsc2.p1)
+  (* [Int32.of_int] keeps the low 32 bits, as [Gf232.to_int32_bits]
+     does, without boxing an [int32] on the way *)
+  Buffer.add_int32_be buf (Int32.of_int par.Wsc2.p0);
+  Buffer.add_int32_be buf (Int32.of_int par.Wsc2.p1)
 
 let decode_record b off =
   let avail = Bytes.length b - off in
@@ -141,27 +142,18 @@ let decode_record b off =
     if n > avail - record_overhead then
       Error "Wire.decode_record: length prefix exceeds buffer"
     else begin
-      let body = Bytes.sub b (off + 4) (1 + n) in
+      (* checksum the body where it lies, then copy the payload once *)
+      let acc = Wsc2.create () in
+      Wsc2.add_bytes acc ~pos:0 b (off + 4) (1 + n);
       let expected = Wsc2.parity_of_bytes b (off + 4 + 1 + n) in
-      if not (Wsc2.parity_equal expected (Wsc2.encode_bytes ~pos:0 body)) then
+      if not (Wsc2.verify ~expected acc) then
         Error "Wire.decode_record: checksum mismatch"
       else
-        let tag = Bytes.get_uint8 body 0 in
-        let payload = Bytes.sub body 1 n in
+        let tag = Bytes.get_uint8 b (off + 4) in
+        let payload = Bytes.sub b (off + 5) n in
         Ok (tag, payload, off + record_overhead + n)
     end
   end
-
-let decode_records b off =
-  let n = Bytes.length b in
-  let rec go off acc =
-    if off >= n then (List.rev acc, false)
-    else
-      match decode_record b off with
-      | Ok (tag, payload, off') -> go off' ((tag, payload) :: acc)
-      | Error _ -> (List.rev acc, true)
-  in
-  go off []
 
 let all_zero b off =
   let rec go i = i >= Bytes.length b || (Bytes.get b i = '\000' && go (i + 1)) in

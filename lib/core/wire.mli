@@ -186,13 +186,8 @@ val encode_record : ?scratch:scratch -> Buffer.t -> tag:int -> Buffer.t -> unit
 
 val decode_record : bytes -> int -> (int * bytes * int, string) result
 (** [decode_record b off] parses one record at [off] and returns
-    [(tag, payload, next_off)].  Fails — never raises — on truncation,
-    a length prefix that overruns the buffer, or a checksum
-    mismatch. *)
+    [(tag, payload, next_off)].  The checksum is computed over the
+    record where it lies in [b]; only the payload is copied.  Fails —
+    never raises — on truncation, a length prefix that overruns the
+    buffer, or a checksum mismatch. *)
 
-val decode_records : bytes -> int -> (int * bytes) list * bool
-(** Parse records back to back until end-of-buffer or the first bad
-    record.  Returns the good prefix and whether decoding stopped early
-    ([true] = torn tail was truncated) — the journal-recovery rule:
-    everything before the first damaged record is trusted, everything
-    after it is discarded. *)

@@ -87,7 +87,10 @@ end
 type tpdu_state = {
   t_id : int;
   born : float;  (* clock reading when this state was opened *)
-  acc : Wsc2.acc;
+  acc : Wsc2.acc;  (* the data symbols *)
+  labels : Wsc2.acc;  (* the X pairs, T.ID, C.ID and C.ST *)
+  mutable restored : bool;
+      (* imported from an image: [acc] then holds the whole parity *)
   tracker : Vreassembly.t;
   mutable pairs_done : Small.t;  (* boundary T.SNs already paired, each -> 0 *)
   mutable x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
@@ -101,11 +104,38 @@ type tpdu_state = {
       (* (t_sn, len, x_id, x_sn) fresh runs *)
 }
 
+let blank_state t_id ~born =
+  {
+    t_id;
+    born;
+    acc = Wsc2.create ();
+    labels = Wsc2.create ();
+    restored = false;
+    tracker = Vreassembly.create ();
+    pairs_done = Small.Empty;
+    x_deltas = Small.Empty;
+    delta_ct = None;
+    c_id = None;
+    size = None;
+    labels_done = false;
+    expected = None;
+    damage = None;
+    x_spans = [];
+  }
+
+(* [last_passed] while no passed TPDU awaits [take_data_parity]: no
+   32-bit T.ID is negative, and with no C.SN - T.SN it vouches for
+   nothing anyway. *)
+let none_passed = blank_state (-1) ~born:0.0
+
 type t = {
   tpdus : tpdu_state Int_table.t;
   (* the last state looked up, so the several lookups one chunk makes
      cost one hash probe; cleared whenever [tpdus] loses its T.ID *)
   mutable memo : tpdu_state option;
+  (* the TPDU whose [Passed] verdict [on_chunk] returned last, until
+     [take_data_parity] takes it ([none_passed] otherwise) *)
+  mutable last_passed : tpdu_state;
   now : unit -> float;
   mutable passed : int;
   mutable failed : int;
@@ -159,6 +189,7 @@ let create ?now () =
   {
     tpdus = Int_table.create 32;
     memo = None;
+    last_passed = none_passed;
     now;
     passed = 0;
     failed = 0;
@@ -190,23 +221,7 @@ let state v t_id =
   | None ->
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record (Obs.Trace.Verify_start { conn = -1; tpdu = t_id });
-      let s =
-        {
-          t_id;
-          born = v.now ();
-          acc = Wsc2.create ();
-          tracker = Vreassembly.create ();
-          pairs_done = Small.Empty;
-          x_deltas = Small.Empty;
-          delta_ct = None;
-          c_id = None;
-          size = None;
-          labels_done = false;
-          expected = None;
-          damage = None;
-          x_spans = [];
-        }
-      in
+      let s = blank_state t_id ~born:(v.now ()) in
       Int_table.add v.tpdus t_id s;
       v.memo <- Some s;
       s
@@ -252,11 +267,15 @@ let x_framing_ok s =
   in
   walk [] spans
 
+(* Folds the data parity into [s.labels], which then holds the whole
+   TPDU's, and leaves [s.acc] the data's alone: call once, as the state
+   is released. *)
 let verdict_of s =
   match (s.damage, s.expected) with
   | Some msg, _ -> Reassembly_error msg
   | None, Some expected ->
-      if not (Wsc2.verify ~expected s.acc) then Parity_mismatch
+      Wsc2.combine s.labels s.acc;
+      if not (Wsc2.verify ~expected s.labels) then Parity_mismatch
       else if not (x_framing_ok s) then
         Consistency_failure "X framing not contiguous"
       else Passed
@@ -268,7 +287,9 @@ let try_finish v t_id s =
     note_verdict v s t_id verdict;
     release v t_id;
     (match verdict with
-    | Passed -> v.passed <- v.passed + 1
+    | Passed ->
+        v.passed <- v.passed + 1;
+        v.last_passed <- s
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
         v.failed <- v.failed + 1);
     [ Tpdu_verified { t_id; verdict } ]
@@ -386,20 +407,20 @@ let on_data v chunk =
             if not (Small.mem s.pairs_done boundary) then begin
               s.pairs_done <- Small.add s.pairs_done boundary 0;
               let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
-              Wsc2.add_symbol s.acc ~pos
+              Wsc2.add_symbol s.labels ~pos
                 (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
-              Wsc2.add_symbol s.acc ~pos:(pos + 1)
+              Wsc2.add_symbol s.labels ~pos:(pos + 1)
                 (Encoder.xpair_second_symbol ~boundary_t_sn:boundary
                    ~x_st:h.Header.x.Ftuple.st)
             end
           end;
           if h.Header.t.Ftuple.st && not s.labels_done then begin
             s.labels_done <- true;
-            Wsc2.add_symbol s.acc ~pos:Invariant.tid_position
+            Wsc2.add_symbol s.labels ~pos:Invariant.tid_position
               (h.Header.t.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.acc ~pos:Invariant.cid_position
+            Wsc2.add_symbol s.labels ~pos:Invariant.cid_position
               (h.Header.c.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.acc ~pos:Invariant.cst_position
+            Wsc2.add_symbol s.labels ~pos:Invariant.cst_position
               (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
           end;
           !events @ try_finish v t_id s)
@@ -506,6 +527,19 @@ let footprint_bytes v ~t_id =
       + (16 * Small.length s.pairs_done)
       + (16 * Small.length s.x_deltas)
 
+type data_parity = { parity : Wsc2.parity; first_c_sn : int; elems : int }
+
+let take_data_parity v ~t_id =
+  let s = v.last_passed in
+  if s.t_id <> t_id then None
+  else begin
+    v.last_passed <- none_passed;
+    match (s.restored, s.delta_ct, Vreassembly.total s.tracker) with
+    | false, Some first_c_sn, Some elems ->
+        Some { parity = Wsc2.snapshot s.acc; first_c_sn; elems }
+    | _ -> None
+  end
+
 let stats v =
   {
     tpdus_passed = v.passed;
@@ -535,12 +569,19 @@ type tpdu_image = {
   ti_x_spans : (int * int * int * int) list;
 }
 
+(* The whole parity so far, data and labels, leaving both
+   accumulators as they are. *)
+let whole_parity s =
+  let whole = Wsc2.of_parity (Wsc2.snapshot s.labels) in
+  Wsc2.combine whole s.acc;
+  Wsc2.snapshot whole
+
 let export v =
   Int_table.fold
     (fun t_id s acc ->
       {
         ti_t_id = t_id;
-        ti_parity = Wsc2.snapshot s.acc;
+        ti_parity = whole_parity s;
         ti_spans = Vreassembly.spans s.tracker;
         ti_total = Vreassembly.total s.tracker;
         ti_pairs =
@@ -564,6 +605,7 @@ let import v img =
     (* rebuild the accumulator from its parity: XOR accumulation makes
        resume-from-snapshot indistinguishable from never stopping *)
     Wsc2.combine s.acc (Wsc2.of_parity img.ti_parity);
+    s.restored <- true;
     List.iter
       (fun (sn, len) ->
         match Vreassembly.insert_new s.tracker ~sn ~len ~st:false with

@@ -82,6 +82,31 @@ val footprint_bytes : t -> t_id:int -> int
     state is held.  The receiver's state governor charges this against
     its budget. *)
 
+(** {1 Data parity}
+
+    WSC-2 is position-weighted and order-free, so the parity the
+    verifier accumulates as data arrives is already a checksum of that
+    data.  The verifier keeps the label symbols (X pairs, T.ID, C.ID,
+    C.ST) apart from the data's, so a passed TPDU also yields the parity
+    of its data alone — which a write-ahead journal can reuse instead of
+    checksumming the same bytes again. *)
+
+type data_parity = {
+  parity : Wsc2.parity;
+      (** the WSC-2 of the TPDU's data alone, each element at its
+          {!Invariant.data_position} *)
+  first_c_sn : int;  (** C.SN of the TPDU's first element (C.SN - T.SN) *)
+  elems : int;  (** the TPDU's length in elements *)
+}
+
+val take_data_parity : t -> t_id:int -> data_parity option
+(** The data parity of [t_id], when [t_id] is the TPDU whose [Passed]
+    verdict {!on_chunk} returned last.  [None] for any other T.ID, and
+    for a TPDU restored from an image: its accumulator mixes data and
+    labels, so it has no data parity to vouch for.  The verifier forgets
+    the TPDU on the first call, so a caller that takes its parity after
+    every pass leaves nothing behind. *)
+
 (** {1 Statistics} *)
 
 type stats = {

@@ -587,6 +587,18 @@ module Receiver = struct
   (* A TPDU passed: place what it still holds, credit its placed runs to
      the verified coverage, believe its end claim, and acknowledge it. *)
   let on_passed rx m t_id =
+    (* taken on every pass, so the verifier keeps nothing of the TPDU.
+       Its data parity vouches for the bytes in its span only while no
+       other TPDU has locked verified bytes there: until this pass locks
+       it, every byte in an unlocked span is this TPDU's own *)
+    let data =
+      match Edc.Verifier.take_data_parity rx.verifier ~t_id with
+      | Some { Edc.Verifier.first_c_sn = sn; elems = len; _ } as d
+        when Option.is_some rx.persist
+             && not (Placement.any_locked rx.placement ~sn ~len) ->
+          d
+      | Some _ | None -> None
+    in
     (* a passed parity covers every stashed run, so any still-unconfirmed
        stash is safe to place now *)
     flush_stash rx m;
@@ -635,25 +647,35 @@ module Receiver = struct
       | Some journal ->
           let es = rx.config.elem_size in
           let buf = Placement.contents rx.placement in
-          (* merge the spans first, then lend the journal views into the
-             placement buffer: it copies each promised byte once, into
-             the record, before the callback returns *)
-          let runs =
-            List.map
-              (fun (sn, len) -> (sn, buf, sn * es, len * es))
-              (Persist.coalesce_spans
-                 (List.filter
-                    (fun (sn, len) ->
-                      sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
-                    placed_runs))
+          let spans =
+            Persist.coalesce_spans
+              (List.filter
+                 (fun (sn, len) ->
+                   sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
+                 placed_runs)
           in
+          (* the verifier's data parity is the runs' own exactly when
+             they are the TPDU's whole data span; anything else (a
+             restored TPDU, shed or clipped elements, a partial cover)
+             leaves the journal to compute it *)
+          let parity =
+            match (data, spans) with
+            | Some { Edc.Verifier.parity; first_c_sn; elems }, [ (sn, len) ]
+              when sn = first_c_sn && len = elems ->
+                Some parity
+            | _ -> None
+          in
+          (* lend the journal views into the placement buffer: it copies
+             each promised byte once, before the callback returns *)
           journal
             (Persist.Acked
                {
                  conn = rx.config.conn_id;
                  t_id;
                  end_confirmed = rx.end_confirmed;
-                 runs;
+                 runs =
+                   List.map (fun (sn, len) -> (sn, buf, sn * es, len * es)) spans;
+                 parity;
                })
       | None -> ());
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)

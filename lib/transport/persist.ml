@@ -64,6 +64,7 @@ type event =
       t_id : int;
       end_confirmed : int option;
       runs : run_view list;
+      parity : Wsc2.parity option;
     }
   | Opened of { conn : int; open_csn : int option }
   | Archived of int
@@ -218,7 +219,7 @@ let archive ~elem_size ~quota_elems c =
 
 let apply_event ~elem_size ~quota_elems image ev =
   match (image, ev) with
-  | Single s, Acked { conn; t_id; end_confirmed; runs } ->
+  | Single s, Acked { conn; t_id; end_confirmed; runs; _ } ->
       if conn <> s.s_rx.ri_conn then image
       else
         Single
@@ -344,7 +345,12 @@ let float =
     read = (fun c -> Result.map Int64.float_of_bits (read c)) }
 
 let parity =
-  { write = (fun buf p -> Buffer.add_bytes buf (Wsc2.parity_to_bytes p));
+  { write =
+      (fun buf p ->
+        (* [Int32.of_int] keeps the low 32 bits, as [Gf232.to_int32_bits]
+           does, without boxing an [int32] on the way *)
+        Buffer.add_int32_be buf (Int32.of_int p.Wsc2.p0);
+        Buffer.add_int32_be buf (Int32.of_int p.Wsc2.p1));
     read = fixed 8 Wsc2.parity_of_bytes }
 
 let bytes =
@@ -532,20 +538,15 @@ let single =
         fun s s_acked -> { s with s_acked });
       Field (receiver, (fun s -> s.s_rx), fun s s_rx -> { s with s_rx }) ]
 
-(* A run view goes to the wire exactly as the owned (C.SN, bytes) pair
-   [pair int bytes] writes, copied once out of its source. *)
-let run =
-  { write =
-      (fun buf (sn, src, off, len) ->
-        int.write buf sn; int.write buf len; Buffer.add_subbytes buf src off len);
-    read = (map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)).read }
+(* A v2 run: C.SN and the bytes, under the record checksum. *)
+let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
 
 (* One constructor of a sum type: the record tag it travels under in
    [Wire]'s framing, the test that picks it for a value, and its codec.
    The codec is over the whole sum type, so writing a journal record
    builds no projection of the event; what its getters give for other
    constructors is never written, since [is] has picked the case.
-   Snapshot tags are 0-2, journal event tags 16-19. *)
+   Snapshot tags are 0-2, journal event tags 16-20. *)
 type 'a case = { tag : int; is : 'a -> bool; body : 'a codec }
 
 let endpoint_cases =
@@ -556,19 +557,80 @@ let endpoint_cases =
       body =
         map (fun cs -> Multi cs) (function Multi cs -> cs | _ -> []) (list conn) } ]
 
+(* The [Acked] record.  Tag 16 is version 2's, whose payload carries
+   the run bytes under the record checksum; it is read-only, so [is]
+   never picks it.  Writers emit tag 20, whose header carries each
+   run's C.SN, byte length and first WSC-2 position and the runs'
+   parity; the run bytes follow the record, outside [Wire]'s checksum,
+   which covers the header only.  The runs are laid out back to back
+   from position 0 — a whole TPDU's data lies exactly where the verifier
+   put it, so the verifier's data parity serves unchanged. *)
+let acked_tag = 20
+
+(* The one parity rule for tag-20 run bytes, writer and reader alike:
+   each run's bytes as consecutive symbols, the first run's from
+   position 0 and each next run's from the symbol after the last. *)
+let runs_parity runs =
+  let acc = Wsc2.create () in
+  let rec go pos = function
+    | [] -> ()
+    | (_, src, off, len) :: rest ->
+        Wsc2.add_bytes acc ~pos src off len;
+        go (pos + Wsc2.symbols_of_bytes len) rest
+  in
+  go 0 runs;
+  Wsc2.snapshot acc
+
+(* A tag-20 header's runs: each view's (C.SN, length, first position).
+   The reader refuses any other layout than [runs_parity]'s, and yields
+   views whose bytes are still to come ([attach_runs] fills them in). *)
+let run_heads =
+  let rec write buf pos = function
+    | [] -> ()
+    | (sn, _, _, len) :: rest ->
+        int.write buf sn; int.write buf len; int.write buf pos;
+        write buf (pos + Wsc2.symbols_of_bytes len) rest
+  in
+  let rec laid_out pos acc = function
+    | [] -> Ok (List.rev acc)
+    | (sn, len, p) :: rest ->
+        let n = Wsc2.symbols_of_bytes len in
+        if len < 0 || p <> pos || pos > Wsc2.max_position + 1 - n then
+          Error "Persist: malformed run layout"
+        else laid_out (pos + n) ((sn, Bytes.empty, 0, len) :: acc) rest
+  in
+  let heads = list (triple int int int) in
+  { write = (fun buf runs -> int.write buf (List.length runs); write buf 0 runs);
+    read = (fun c -> let* hs = heads.read c in laid_out 0 [] hs) }
+
+let acked_fields runs =
+  [ Field (int, event_conn, fun ev conn ->
+      match ev with Acked a -> Acked { a with conn } | _ -> ev);
+    Field (int, (function Acked a -> a.t_id | _ -> 0), fun ev t_id ->
+      match ev with Acked a -> Acked { a with t_id } | _ -> ev);
+    Field (opt int, (function Acked a -> a.end_confirmed | _ -> None),
+      fun ev end_confirmed ->
+      match ev with Acked a -> Acked { a with end_confirmed } | _ -> ev);
+    Field (runs, (function Acked a -> a.runs | _ -> []), fun ev runs ->
+      match ev with Acked a -> Acked { a with runs } | _ -> ev) ]
+
+let no_acked =
+  Acked { conn = 0; t_id = 0; end_confirmed = None; runs = []; parity = None }
+
 let event_cases =
-  [ { tag = 16; is = (function Acked _ -> true | _ -> false);
+  [ { tag = 16; is = (fun _ -> false);
+      body = record no_acked (acked_fields (list run)) };
+    { tag = acked_tag; is = (function Acked _ -> true | _ -> false);
       body =
-        record (Acked { conn = 0; t_id = 0; end_confirmed = None; runs = [] })
-          [ Field (int, event_conn, fun ev conn ->
-              match ev with Acked a -> Acked { a with conn } | _ -> ev);
-            Field (int, (function Acked a -> a.t_id | _ -> 0), fun ev t_id ->
-              match ev with Acked a -> Acked { a with t_id } | _ -> ev);
-            Field (opt int, (function Acked a -> a.end_confirmed | _ -> None),
-              fun ev end_confirmed ->
-              match ev with Acked a -> Acked { a with end_confirmed } | _ -> ev);
-            Field (list run, (function Acked a -> a.runs | _ -> []), fun ev runs ->
-              match ev with Acked a -> Acked { a with runs } | _ -> ev) ] };
+        record no_acked
+          (acked_fields run_heads
+          @ [ Field (parity,
+                (function
+                  | Acked { parity = Some p; _ } -> p
+                  | Acked a -> runs_parity a.runs
+                  | _ -> Wsc2.parity_zero),
+                fun ev p ->
+                match ev with Acked a -> Acked { a with parity = Some p } | _ -> ev) ]) };
     { tag = 17; is = (function Opened _ -> true | _ -> false);
       body =
         record (Opened { conn = 0; open_csn = None })
@@ -581,6 +643,13 @@ let event_cases =
       body = map (fun c -> Archived c) event_conn int };
     { tag = 19; is = (function Closed _ -> true | _ -> false);
       body = map (fun c -> Closed c) event_conn int } ]
+
+(* Each run's bytes, copied once from its view into [buf]. *)
+let rec add_runs buf = function
+  | [] -> ()
+  | (_, src, off, len) :: rest ->
+      Buffer.add_subbytes buf src off len;
+      add_runs buf rest
 
 (* Append [v] to [buf] as one record of the case [is] picks.  [payload]
    and [scratch] are buffers the caller reuses, so a journal's steady
@@ -604,6 +673,31 @@ let read_case cases (tag, payload) =
       let* v = k.body.read cur in
       if cur.off = Bytes.length payload then Ok v
       else Error "Persist: trailing bytes in record"
+
+(* A tag-20 event's run bytes lie in [b] from [off] on.  They are checked
+   against the header's parity where they lie, then each is copied once.
+   Returns the event, with its parity spent, and the offset past its
+   run bytes. *)
+let attach_runs b off = function
+  | Acked ({ runs; parity = Some p; _ } as a) ->
+      let rec locate off acc = function
+        | [] -> Ok (List.rev acc, off)
+        | (sn, _, _, len) :: rest ->
+            if len > Bytes.length b - off then
+              Error "Persist: run bytes truncated"
+            else locate (off + len) ((sn, b, off, len) :: acc) rest
+      in
+      let* located, next = locate off [] runs in
+      if not (Wsc2.parity_equal (runs_parity located) p) then
+        Error "Persist: run bytes do not match their parity"
+      else
+        let runs =
+          List.map
+            (fun (sn, b, off, len) -> owned_run sn (Bytes.sub b off len))
+            located
+        in
+        Ok (Acked { a with runs; parity = None }, next)
+  | ev -> Ok (ev, off)
 
 (* A snapshot: magic, version, and one record of one of [cases] that
    ends the image. *)
@@ -631,20 +725,24 @@ let encode_endpoint, decode_endpoint = image endpoint_cases
 let encode_sender, decode_sender =
   image [ { tag = 2; is = (fun _ -> true); body = sender } ]
 
-(* Journal decode: the checksummed-record layer truncates at the first
-   torn record; a record whose checksum passes but whose payload does
-   not parse (version skew, or a longer layout's record) also stops
-   replay — everything before it is still trusted. *)
+(* Journal decode: replay stops at the first record that does not read
+   back whole — a torn or failed checksum, run bytes that do not match
+   their parity, or a payload that does not parse (version skew, or a
+   longer layout's record).  Everything before it is still trusted. *)
 let decode_journal b =
-  let records, torn = Wire.decode_records b 0 in
-  let rec go acc = function
-    | [] -> (List.rev acc, torn)
-    | r :: rest -> (
-        match read_case event_cases r with
-        | Ok ev -> go (ev :: acc) rest
-        | Error _ -> (List.rev acc, true))
+  let read_event off =
+    let* tag, payload, next = Wire.decode_record b off in
+    let* ev = read_case event_cases (tag, payload) in
+    if tag = acked_tag then attach_runs b next ev else Ok (ev, next)
   in
-  go [] records
+  let rec go off acc =
+    if off >= Bytes.length b then (List.rev acc, false)
+    else
+      match read_event off with
+      | Ok (ev, next) -> go next (ev :: acc)
+      | Error _ -> (List.rev acc, true)
+  in
+  go 0 []
 
 let m_snap_bytes = Obs.Metrics.histogram "persist_snapshot_bytes"
 let m_journal_records = Obs.Metrics.counter "persist_journal_records_total"
@@ -675,6 +773,9 @@ module Store = struct
 
   let append st ev =
     write_case ~scratch:st.scratch st.journal st.payload ev event_cases;
+    (match ev with
+    | Acked { runs; _ } -> add_runs st.journal runs
+    | Opened _ | Archived _ | Closed _ -> ());
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 

@@ -14,7 +14,10 @@
     On-wire framing is {!Labelling.Wire.encode_record}: length-prefixed,
     WSC-2-checksummed records.  A snapshot is one record prefixed by the
     magic ["CSNP"] and a version number; a journal is a plain
-    concatenation of event records.  Decoding never raises — corruption
+    concatenation of event records.  An [Acked] record (tag 20) carries
+    its run bytes after the framed record: the record checksum covers
+    the header only, and the run bytes are checked against the WSC-2
+    parity the header carries.  Decoding never raises — corruption
     surfaces as [Error], and journal replay truncates at the first
     damaged record (torn-write tolerance). *)
 
@@ -123,7 +126,17 @@ type event =
               buffer, valid only for the duration of the persist
               callback: a consumer that keeps the event must copy the
               runs out ({!Store.append} copies each promised byte once,
-              into the record).  Decoded events carry owned views. *)
+              straight into the journal).  Decoded events carry owned
+              views. *)
+      parity : Wsc2.parity option;
+          (** the WSC-2 parity of the runs' bytes laid out back to back
+              from symbol position 0, when the writer already holds it:
+              the live receiver passes the verifier's data parity
+              ({!Edc.Verifier.take_data_parity}) when the runs are
+              exactly the TPDU's data span, whose data starts at
+              position 0.  [None] makes {!Store.append} compute it.
+              Decoded events carry [None]: their parity was checked
+              against their bytes. *)
     }
       (** Written {e before} the ACK packet leaves: the durable record
           of what the receiver told the sender it may forget. *)
@@ -199,7 +212,10 @@ val decode_journal : bytes -> event list * bool
 (** Parse a journal: the trusted prefix of events, and whether decoding
     stopped early at a torn or unparseable record ([true] = the tail
     was discarded).  A record whose payload is longer than its event's
-    fields is unparseable: it and everything after it are discarded. *)
+    fields is unparseable, and so is an [Acked] record whose run bytes
+    do not match its parity: it and everything after it are discarded.
+    Reads the v2 [Acked] record (tag 16, run bytes under the record
+    checksum) as well as the tag-20 one writers emit. *)
 
 (** {1 In-memory store}
 
@@ -221,10 +237,12 @@ module Store : sig
   val append : t -> event -> unit
   (** Append one journal record ([persist_journal_records_total]):
       self-delimiting, so the journal is a plain concatenation of
-      records.  An [Acked] event's run views are copied once, into the
-      record, and the record body is checksummed in a scratch buffer
-      the store keeps, so appending makes no per-record major-heap
-      allocation beyond the journal's own growth; the event's views
+      records.  An [Acked] event's run bytes are copied once, from its
+      views straight into the journal, and only its small header is
+      checksummed (in a scratch buffer the store keeps); the run bytes
+      are covered by the event's parity, computed here when the event
+      carries none.  Appending makes no per-record major-heap
+      allocation beyond the journal's own growth, and the event's views
       need not outlive the call. *)
 
   val journal : t -> bytes

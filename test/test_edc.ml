@@ -448,6 +448,88 @@ let test_verifier_many_x_boundaries () =
         (Format.asprintf "%a" Edc.Verifier.pp_verdict v)
   | _ -> Alcotest.fail "expected one verdict"
 
+(* The verifier's data parity: over random fragmentations, arrival
+   orders and duplicates, each passed TPDU's data parity is a direct
+   WSC-2 of its data at its data positions — the label symbols left
+   out — and comes with the TPDU's first C.SN and length. *)
+let gen_data_parity_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* tpdu_elems = int_range 1 64 in
+    let* frame_elems = int_range 1 40 in
+    let* first_csn = int_range 0 1_000 in
+    let* dup_every = int_range 1 5 in
+    return (seed, tpdu_elems, frame_elems, first_csn, dup_every))
+
+let prop_data_parity (seed, tpdu_elems, frame_elems, first_csn, dup_every) =
+  let es = 4 in
+  let total = 2 * tpdu_elems * es in
+  let data = Bytes.init total (fun i -> Char.chr ((seed + (i * 131)) land 0xFF)) in
+  let f = Framer.create ~elem_size:es ~tpdu_elems ~first_csn ~conn_id:5 () in
+  let rec push off acc =
+    if off >= total then acc
+    else
+      let n = Int.min (frame_elems * es) (total - off) in
+      let cs =
+        Util.ok_or_fail
+          (Framer.push_frame ~last:(off + n = total) f (Bytes.sub data off n))
+      in
+      push (off + n) (acc @ cs)
+  in
+  let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus (push 0 [])) in
+  let frag = Util.fragment_randomly ~seed sealed in
+  let dups = List.filteri (fun i _ -> i mod dup_every = 0) frag in
+  let arrived = Util.shuffle ~seed:(seed + 1) (frag @ dups) in
+  let v = Edc.Verifier.create () in
+  let passed = ref [] in
+  List.iter
+    (fun c ->
+      List.iter
+        (function
+          | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed }
+            when not (List.mem_assoc t_id !passed) ->
+              passed := (t_id, Edc.Verifier.take_data_parity v ~t_id) :: !passed
+          | _ -> ())
+        (Edc.Verifier.on_chunk v c))
+    arrived;
+  List.length !passed = 2
+  && List.for_all
+       (fun (_, d) ->
+         match d with
+         | None -> false
+         | Some d ->
+             let off = (d.Edc.Verifier.first_c_sn - first_csn) * es in
+             d.Edc.Verifier.elems = tpdu_elems
+             && (off = 0 || off = tpdu_elems * es)
+             && Wsc2.parity_equal d.Edc.Verifier.parity
+                  (Wsc2.encode_bytes ~pos:0 (Bytes.sub data off (tpdu_elems * es))))
+       !passed
+
+let test_restored_tpdu_has_no_data_parity () =
+  (* an imported TPDU's accumulator mixes data and labels: it passes,
+     but vouches for no data parity *)
+  let chunks = tpdu_fixture () in
+  let ed = Util.ok_or_fail (Edc.Encoder.seal chunks) in
+  let half = List.filteri (fun i _ -> i mod 2 = 0) chunks in
+  let rest = List.filteri (fun i _ -> i mod 2 = 1) chunks in
+  let a = Edc.Verifier.create () in
+  ignore (feed a half);
+  let b = Edc.Verifier.create () in
+  List.iter (Edc.Verifier.import b) (Edc.Verifier.export a);
+  (match feed b (rest @ [ ed ]) with
+  | [ (0, Edc.Verifier.Passed) ] -> ()
+  | _ -> Alcotest.fail "restored TPDU must still pass");
+  Alcotest.(check bool) "no data parity" true
+    (Edc.Verifier.take_data_parity b ~t_id:0 = None);
+  (* the live one vouches, once *)
+  (match feed a (rest @ [ ed ]) with
+  | [ (0, Edc.Verifier.Passed) ] -> ()
+  | _ -> Alcotest.fail "live TPDU must pass");
+  Alcotest.(check bool) "data parity taken" true
+    (Edc.Verifier.take_data_parity a ~t_id:0 <> None);
+  Alcotest.(check bool) "and forgotten" true
+    (Edc.Verifier.take_data_parity a ~t_id:0 = None)
+
 let suite =
   [
     Alcotest.test_case "invariant positions" `Quick test_positions;
@@ -484,6 +566,10 @@ let suite =
       test_verifier_many_x_boundaries;
     Util.qtest ~count:300 "verifier memo agrees with a cold rebuild"
       gen_memo_ops prop_verifier_memo_coherent;
+    Util.qtest ~count:300 "passed TPDU's data parity is its data's WSC-2"
+      gen_data_parity_case prop_data_parity;
+    Alcotest.test_case "restored TPDU vouches for no data parity" `Quick
+      test_restored_tpdu_has_no_data_parity;
     Util.qtest ~count:40 "parity invariance (property)"
       QCheck2.Gen.(tup2 (int_range 0 10000) (int_range 0 10000))
       (fun (s1, s2) ->

@@ -198,6 +198,7 @@ let snapshot_image =
               t_id = 0;
               end_confirmed = Some 3;
               runs = [ P.owned_run 0 (Bytes.of_string "abcdefghijklmnop") ];
+              parity = None;
             };
         ]
     in
@@ -227,7 +228,11 @@ let gen_bitflipped_snapshot =
    or an 8-byte field overwritten with -1, max_int or a huge count, then
    re-framed with a valid checksum: garbage rarely gets past the magic
    and the record checksum, so this is what reaches the field decoders.
-   The pinned images set every field of every image type. *)
+   A tag-20 [Acked] record's run bytes follow its framed header; they
+   are carried over behind the re-framed header, or take a flipped byte
+   themselves under an intact header.  The pinned images set every field
+   of every image type; the version-2 journal golden supplies a tag-16
+   record. *)
 let gen_damaged_payload =
   let module P = Transport.Persist in
   let image b = (Bytes.sub_string b 0 6, Bytes.sub b 6 (Bytes.length b - 6)) in
@@ -236,34 +241,50 @@ let gen_damaged_payload =
     P.Store.append st ev;
     ("", P.Store.journal st)
   in
+  let v2_journal = Test_persist.of_hex Test_persist.golden_journal_v2_hex in
+  let v2_acked =
+    Bytes.sub v2_journal 0 (13 + Int32.to_int (Bytes.get_int32_be v2_journal 0))
+  in
   let sources =
     [
       (`Endpoint, image (P.encode_endpoint Test_persist.golden_single));
       (`Endpoint, image (P.encode_endpoint Test_persist.golden_multi));
       (`Sender, image (P.encode_sender Test_persist.golden_sender));
+      (`Journal_v2, ("", v2_acked));
     ]
     @ List.map (fun ev -> (`Journal, record ev)) Test_persist.golden_events
   in
   QCheck2.Gen.(
     let* kind, (prefix, framed) = oneofl sources in
-    let tag, payload =
+    let tag, payload, next =
       match Wire.decode_record framed 0 with
-      | Ok (tag, payload, _) -> (tag, payload)
+      | Ok r -> r
       | Error e -> failwith e
     in
+    let runs = Bytes.sub framed next (Bytes.length framed - next) in
     let n = Bytes.length payload in
     let* off = int_range 0 (n - 1) in
     let* damage =
       oneof
-        [
-          map (fun x -> `Flip x) (int_range 1 255);
-          return `Truncate;
-          map
-            (fun v -> `Count v)
-            (oneofl [ -1L; Int64.of_int max_int; 0x7FFF_FFFF_FFFFL; 1_000_000L ]);
-        ]
+        ([
+           map (fun x -> `Flip x) (int_range 1 255);
+           return `Truncate;
+           map
+             (fun v -> `Count v)
+             (oneofl [ -1L; Int64.of_int max_int; 0x7FFF_FFFF_FFFFL; 1_000_000L ]);
+         ]
+        @
+        if Bytes.length runs = 0 then []
+        else
+          [
+            map2
+              (fun i x -> `Run_flip (i, x))
+              (int_bound (Bytes.length runs - 1))
+              (int_range 1 255);
+          ])
     in
     let body = Buffer.create n in
+    let runs = Bytes.copy runs in
     (match damage with
     | `Flip x ->
         Buffer.add_bytes body payload;
@@ -276,16 +297,30 @@ let gen_damaged_payload =
         Buffer.add_subbytes body payload 0 off;
         Buffer.add_int64_be body v;
         let rest = off + 8 in
-        if rest < n then Buffer.add_subbytes body payload rest (n - rest));
+        if rest < n then Buffer.add_subbytes body payload rest (n - rest)
+    | `Run_flip (i, x) ->
+        Buffer.add_bytes body payload;
+        Bytes.set_uint8 runs i (Bytes.get_uint8 runs i lxor x));
     let buf = Buffer.create (n + 32) in
     Buffer.add_string buf prefix;
     Wire.encode_record buf ~tag body;
+    Buffer.add_bytes buf runs;
+    let kind =
+      match damage with `Run_flip _ -> `Run_damage | _ -> kind
+    in
     return (kind, Buffer.to_bytes buf))
 
 (* Decoding never raises, and whatever decodes re-encodes to the very
-   bytes it came from. *)
+   bytes it came from — except a version-2 [Acked] record, which
+   re-encodes as tag 20 and must decode back to the same events.
+   Damaged run bytes always stop replay. *)
 let prop_damaged_payload (kind, b) =
   let module P = Transport.Persist in
+  let journal_of events =
+    let st = P.Store.create () in
+    List.iter (P.Store.append st) events;
+    P.Store.journal st
+  in
   let reencodes () =
     match kind with
     | `Endpoint -> (
@@ -298,9 +333,11 @@ let prop_damaged_payload (kind, b) =
         | Error _ -> true)
     | `Journal ->
         let events, _ = P.decode_journal b in
-        let st = P.Store.create () in
-        List.iter (P.Store.append st) events;
-        events = [] || Bytes.equal (P.Store.journal st) b
+        events = [] || Bytes.equal (journal_of events) b
+    | `Journal_v2 ->
+        let events, _ = P.decode_journal b in
+        P.decode_journal (journal_of events) = (events, false)
+    | `Run_damage -> P.decode_journal b = ([], true)
   in
   try reencodes () with _ -> false
 

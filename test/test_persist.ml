@@ -175,17 +175,20 @@ let test_journal_replay () =
   let events =
     [
       Persist.Acked
-        { conn = 7; t_id = 3; end_confirmed = None; runs = [ run_at 4 "efghijkl" ] };
+        { conn = 7; t_id = 3; end_confirmed = None;
+          runs = [ run_at 4 "efghijkl" ]; parity = None };
       Persist.Acked
         {
           conn = 7;
           t_id = 1;
           end_confirmed = Some 5;
           runs = [ run_at 0 "abcdABCDwxyzWXYZ" ];
+          parity = None;
         };
       (* wrong connection: must be ignored, not misfiled *)
       Persist.Acked
-        { conn = 9; t_id = 2; end_confirmed = None; runs = [ run_at 0 "XXXXYYYY" ] };
+        { conn = 9; t_id = 2; end_confirmed = None;
+          runs = [ run_at 0 "XXXXYYYY" ]; parity = None };
     ]
   in
   match Persist.apply_journal ~elem_size:4 ~quota_elems:16 empty events with
@@ -216,10 +219,12 @@ let test_store_torn_tail () =
   Persist.Store.snapshot store base;
   Persist.Store.append store
     (Persist.Acked
-       { conn = 7; t_id = 1; end_confirmed = None; runs = [ run_at 0 "abcdabcd" ] });
+       { conn = 7; t_id = 1; end_confirmed = None;
+         runs = [ run_at 0 "abcdabcd" ]; parity = None });
   Persist.Store.append store
     (Persist.Acked
-       { conn = 7; t_id = 2; end_confirmed = None; runs = [ run_at 2 "efghefgh" ] });
+       { conn = 7; t_id = 2; end_confirmed = None;
+         runs = [ run_at 2 "efghefgh" ]; parity = None });
   Persist.Store.corrupt_tail store;
   match
     Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:base store
@@ -231,8 +236,8 @@ let test_store_torn_tail () =
       Alcotest.(check (list int)) "first record kept, torn one dropped"
         [ 1 ] si.Persist.s_acked
 
-(* The journal format is version 2 byte for byte: any change to these
-   bytes is a format change and must bump [Persist.version]. *)
+(* The journal golden events: an ACK with two runs, an Open and a
+   Close. *)
 let golden_events =
   [
     Persist.Acked
@@ -241,37 +246,45 @@ let golden_events =
         t_id = 3;
         end_confirmed = Some 11;
         runs = [ run_at 0 "abcdABCD"; run_at 4 "efgh" ];
+        parity = None;
       };
     Persist.Opened { conn = 9; open_csn = Some 4096 };
     Persist.Closed 9;
   ]
 
-let golden_journal_hex =
+(* [golden_events] as version 2 wrote them, with the ACK's run bytes
+   under its record checksum (tag 16).  Writers no longer emit tag 16,
+   but these bytes must still decode and recover. *)
+let golden_journal_v2_hex =
   "0000004d100000000000000007000000000000000301000000000000000b00000000000000\
    02000000000000000000000000000000086162636441424344000000000000000400000000\
    000000046566676853484546a6f3130800000011110000000000000009010000000000001000\
    080100003504008d000000081300000000000000091a00000037000000"
 
+(* [golden_events] as [Store.append] writes them: the ACK is a tag-20
+   record whose header carries each run's C.SN, length and first
+   position and the runs' parity, with the run bytes after it.  Any
+   change to these bytes is a format change. *)
+let golden_journal_hex =
+  "00000059140000000000000007000000000000000301000000000000000b00000000000000\
+   02000000000000000000000000000000080000000000000000000000000000000400000000\
+   00000004000000000000000245464748767f78c12f8b333928c7c876616263644142434465\
+   66676800000011110000000000000009010000000000001000080100003504008d00000008\
+   1300000000000000091a00000037000000"
+
 let hex b =
   String.concat ""
     (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
 
-let test_journal_golden () =
-  let store = Persist.Store.create () in
-  List.iter (Persist.Store.append store) golden_events;
-  let journal = Persist.Store.journal store in
-  Alcotest.(check string) "journal bytes" golden_journal_hex (hex journal);
-  Alcotest.(check int) "journal length" (Bytes.length journal)
-    (Persist.Store.journal_bytes store);
-  Alcotest.(check bool) "records decode back" true
-    (Persist.decode_journal journal = (golden_events, false));
-  match
-    Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:(Persist.Multi [])
-      store
-  with
-  | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (Persist.Single _, _) -> Alcotest.fail "recover changed endpoint shape"
-  | Ok (Persist.Multi conns, torn) -> (
+let of_hex h =
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* What [golden_events] recover to from an empty endpoint. *)
+let check_golden_recovery (img, torn) =
+  match img with
+  | Persist.Single _ -> Alcotest.fail "recover changed endpoint shape"
+  | Persist.Multi conns -> (
       Alcotest.(check bool) "not torn" false torn;
       match conns with
       | [ c7; c9 ] ->
@@ -289,6 +302,48 @@ let test_journal_golden () =
           Alcotest.(check bool) "closed connection has no live epoch" true
             (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
       | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns))
+
+let test_journal_v2_golden () =
+  let events, torn = Persist.decode_journal (of_hex golden_journal_v2_hex) in
+  Alcotest.(check bool) "records decode" true (events = golden_events);
+  check_golden_recovery
+    ( Persist.apply_journal ~elem_size:4 ~quota_elems:16 (Persist.Multi []) events,
+      torn )
+
+let test_journal_golden () =
+  let journal_of events =
+    let store = Persist.Store.create () in
+    List.iter (Persist.Store.append store) events;
+    store
+  in
+  let store = journal_of golden_events in
+  let journal = Persist.Store.journal store in
+  Alcotest.(check string) "journal bytes" golden_journal_hex (hex journal);
+  Alcotest.(check int) "journal length" (Bytes.length journal)
+    (Persist.Store.journal_bytes store);
+  Alcotest.(check bool) "records decode back" true
+    (Persist.decode_journal journal = (golden_events, false));
+  (* a parity the writer vouches for is the one it would compute: the
+     runs laid out back to back from position 0 *)
+  let vouched =
+    List.map
+      (function
+        | Persist.Acked a ->
+            Persist.Acked
+              { a with
+                parity = Some (Wsc2.encode_bytes ~pos:0 (Bytes.of_string "abcdABCDefgh"))
+              }
+        | ev -> ev)
+      golden_events
+  in
+  Alcotest.(check string) "vouched parity writes the same bytes" golden_journal_hex
+    (hex (Persist.Store.journal (journal_of vouched)));
+  match
+    Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:(Persist.Multi [])
+      store
+  with
+  | Error e -> Alcotest.failf "recover failed: %s" e
+  | Ok recovered -> check_golden_recovery recovered
 
 (* The snapshot and sender formats pinned the same way: one image of
    each shape, every field set to a value that tells it apart from its
@@ -481,6 +536,7 @@ let test_contiguous_replay () =
             runs =
               [ Persist.owned_run (i * run_elems)
                   (Bytes.sub image (i * run_bytes) run_bytes) ];
+            parity = None;
           })
   in
   let before = Gc.allocated_bytes () in
@@ -526,7 +582,7 @@ let gen_view_events =
     let* t_id = int_range 0 100_000 in
     let* end_confirmed = opt (int_range 0 100_000) in
     let* runs = list_size (int_range 2 5) gen_view in
-    return (Persist.Acked { conn; t_id; end_confirmed; runs })
+    return (Persist.Acked { conn; t_id; end_confirmed; runs; parity = None })
   in
   let* events = list_size (int_range 1 6) gen_event in
   return (src, events)
@@ -629,6 +685,7 @@ let test_torn_write_sweep () =
                t_id = 64;
                end_confirmed = None;
                runs = [ run_at 64 "abcdefghABCDEFGH" ];
+               parity = None;
              };
            Persist.Acked
              {
@@ -636,12 +693,117 @@ let test_torn_write_sweep () =
                t_id = 68;
                end_confirmed = Some 71;
                runs = [ run_at 68 "ijkl"; run_at 70 "mnopqrst" ];
+               parity = None;
              };
            Persist.Archived 3;
            Persist.Closed 3;
          ])
   in
-  Alcotest.(check bool) "every byte swept" true (cases > 4 * 200)
+  Alcotest.(check bool) "every byte swept" true (cases > 4 * 200);
+  (* the same sweep over a journal that mixes the [Acked] record
+     layouts: tag 20 with a vouched parity, tag 20 with the parity the
+     store computes, and version 2's tag 16 *)
+  let vouched =
+    Persist.Acked
+      {
+        conn = 3;
+        t_id = 64;
+        end_confirmed = None;
+        runs = [ run_at 64 "abcdefghABCDEFGH" ];
+        parity = Some (Wsc2.encode_bytes ~pos:0 (Bytes.of_string "abcdefghABCDEFGH"));
+      }
+  in
+  let v2_journal = of_hex golden_journal_v2_hex in
+  let v2_acked_len = 13 + Int32.to_int (Bytes.get_int32_be v2_journal 0) in
+  let v2_acked = List.hd golden_events in
+  let records =
+    appended [ Persist.Opened { conn = 3; open_csn = Some 64 }; vouched ]
+    @ [ (Bytes.sub v2_journal 0 v2_acked_len, v2_acked) ]
+    @ appended
+        [
+          Persist.Acked
+            {
+              conn = 3;
+              t_id = 68;
+              end_confirmed = Some 71;
+              runs = [ run_at 68 "ijkl"; run_at 70 "mnopqrst" ];
+              parity = None;
+            };
+          Persist.Closed 3;
+        ]
+  in
+  (* decoded events carry no parity: it was spent checking their bytes *)
+  let records =
+    List.map
+      (function
+        | b, Persist.Acked a -> (b, Persist.Acked { a with parity = None })
+        | r -> r)
+      records
+  in
+  ignore (sweep_torn_writes records)
+
+(* A clean bulk transfer through a receiver with a write-ahead journal:
+   every ACK reuses the verifier's data parity, so the journal hook
+   checksums each record's header alone — under 128 bytes per ACK, where
+   a version-2 record checksummed its 2 KiB of run bytes again.  The
+   journal still replays to the delivered bytes. *)
+let test_journal_reuses_parity () =
+  let config =
+    { config with CT.tpdu_elems = 512; frame_bytes = 2048; window = 8 }
+  in
+  let data = Util.deterministic_bytes (32 * 2048) in
+  let expected = CT.expected_elements config ~data_len:(Bytes.length data) in
+  let wsc2 = Obs.Metrics.counter "wsc2_bytes_total" in
+  let transfer persist =
+    let engine = Netsim.Engine.create ~seed:9 () in
+    let receiver = ref None and sender = ref None in
+    let tx =
+      CT.Sender.create engine config
+        ~send:(fun b ->
+          match !receiver with
+          | Some rx ->
+              let b = Bytes.copy b in
+              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+                  CT.Receiver.ingest rx b)
+          | None -> ())
+        ~data ()
+    in
+    sender := Some tx;
+    let rx =
+      CT.Receiver.create engine config ?persist
+        ~send_ack:(fun b ->
+          match !sender with
+          | Some tx ->
+              let b = Bytes.copy b in
+              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+                  CT.Sender.on_packet tx b)
+          | None -> ())
+        ~capacity:(`Exact expected) ()
+    in
+    receiver := Some rx;
+    let before = Obs.Metrics.value wsc2 in
+    CT.Sender.start tx;
+    Netsim.Engine.run engine;
+    Alcotest.(check bool) "transfer complete" true (CT.Receiver.complete rx);
+    Obs.Metrics.value wsc2 - before
+  in
+  let plain = transfer None in
+  let store = Persist.Store.create () in
+  let journalled = transfer (Some (Persist.Store.append store)) in
+  let acks = Persist.Store.journal_records store in
+  Alcotest.(check int) "one record per TPDU" 32 acks;
+  let per_ack = (journalled - plain) / acks in
+  if per_ack >= 128 then
+    Alcotest.failf "journal hook checksummed %d bytes per ACK" per_ack;
+  let empty = Persist.Single { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:config.CT.conn_id } in
+  match Persist.Store.recover ~elem_size:4 ~quota_elems:expected ~empty store with
+  | Error e -> Alcotest.failf "recover failed: %s" e
+  | Ok (Persist.Multi _, _) -> Alcotest.fail "recover changed endpoint shape"
+  | Ok (Persist.Single si, torn) ->
+      Alcotest.(check bool) "journal not torn" false torn;
+      (match si.Persist.s_rx.Persist.ri_placed with
+      | [ (0, b) ] -> Alcotest.check Util.bytes_testable "replayed bytes" data b
+      | runs -> Alcotest.failf "expected one run, got %d" (List.length runs))
 
 let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
@@ -742,7 +904,9 @@ let suite =
       test_journal_replay;
     Alcotest.test_case "torn journal tail dropped, prefix kept" `Quick
       test_store_torn_tail;
-    Alcotest.test_case "journal format is version 2 byte for byte" `Quick
+    Alcotest.test_case "journal format is version 2 bytes, decoded and recovered"
+      `Quick test_journal_v2_golden;
+    Alcotest.test_case "journal Acked record is tag 20 byte for byte" `Quick
       test_journal_golden;
     Alcotest.test_case "snapshot and sender formats are version 2 byte for byte"
       `Quick test_snapshot_goldens;
@@ -756,6 +920,8 @@ let suite =
       test_torn_write_sweep;
     Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
       test_contiguous_replay;
+    Alcotest.test_case "clean transfer journals every ACK with reused parity"
+      `Quick test_journal_reuses_parity;
     Alcotest.test_case "finished sender round-trips restore" `Quick
       test_sender_restore;
     Alcotest.test_case "sender restore refuses adaptive sizing" `Quick
