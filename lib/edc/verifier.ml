@@ -423,7 +423,11 @@ let on_data v chunk =
             Wsc2.add_symbol s.labels ~pos:Invariant.cst_position
               (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
           end;
-          !events @ try_finish v t_id s)
+          (* most chunks finish nothing: hand back [!events] itself
+             rather than a copy of it *)
+          match try_finish v t_id s with
+          | [] -> !events
+          | verdict -> !events @ verdict)
 
 let on_ed v chunk =
   let h = chunk.Chunk.header in
@@ -527,16 +531,14 @@ let footprint_bytes v ~t_id =
       + (16 * Small.length s.pairs_done)
       + (16 * Small.length s.x_deltas)
 
-type data_parity = { parity : Wsc2.parity; first_c_sn : int; elems : int }
-
-let take_data_parity v ~t_id =
+let take_data_parity v ~t_id ~first_c_sn ~elems =
   let s = v.last_passed in
   if s.t_id <> t_id then None
   else begin
     v.last_passed <- none_passed;
     match (s.restored, s.delta_ct, Vreassembly.total s.tracker) with
-    | false, Some first_c_sn, Some elems ->
-        Some { parity = Wsc2.snapshot s.acc; first_c_sn; elems }
+    | false, Some first, Some total when first = first_c_sn && total = elems ->
+        Some (Wsc2.snapshot s.acc)
     | _ -> None
   end
 

@@ -91,21 +91,17 @@ val footprint_bytes : t -> t_id:int -> int
     of its data alone — which a write-ahead journal can reuse instead of
     checksumming the same bytes again. *)
 
-type data_parity = {
-  parity : Wsc2.parity;
-      (** the WSC-2 of the TPDU's data alone, each element at its
-          {!Invariant.data_position} *)
-  first_c_sn : int;  (** C.SN of the TPDU's first element (C.SN - T.SN) *)
-  elems : int;  (** the TPDU's length in elements *)
-}
-
-val take_data_parity : t -> t_id:int -> data_parity option
-(** The data parity of [t_id], when [t_id] is the TPDU whose [Passed]
-    verdict {!on_chunk} returned last.  [None] for any other T.ID, and
-    for a TPDU restored from an image: its accumulator mixes data and
+val take_data_parity :
+  t -> t_id:int -> first_c_sn:int -> elems:int -> Wsc2.parity option
+(** The WSC-2 parity of [t_id]'s data alone, each element at its
+    {!Invariant.data_position}, when [t_id] is the TPDU whose [Passed]
+    verdict {!on_chunk} returned last and its data spans exactly the
+    [elems] elements from C.SN [first_c_sn].  [None] otherwise, and for
+    a TPDU restored from an image: its accumulator mixes data and
     labels, so it has no data parity to vouch for.  The verifier forgets
-    the TPDU on the first call, so a caller that takes its parity after
-    every pass leaves nothing behind. *)
+    the passed TPDU on the first call either way, so a caller that asks
+    after every pass leaves nothing behind; one with no use for the
+    parity asks about an empty span ([~elems:0]), which no TPDU has. *)
 
 (** {1 Statistics} *)
 

@@ -587,18 +587,6 @@ module Receiver = struct
   (* A TPDU passed: place what it still holds, credit its placed runs to
      the verified coverage, believe its end claim, and acknowledge it. *)
   let on_passed rx m t_id =
-    (* taken on every pass, so the verifier keeps nothing of the TPDU.
-       Its data parity vouches for the bytes in its span only while no
-       other TPDU has locked verified bytes there: until this pass locks
-       it, every byte in an unlocked span is this TPDU's own *)
-    let data =
-      match Edc.Verifier.take_data_parity rx.verifier ~t_id with
-      | Some { Edc.Verifier.first_c_sn = sn; elems = len; _ } as d
-        when Option.is_some rx.persist
-             && not (Placement.any_locked rx.placement ~sn ~len) ->
-          d
-      | Some _ | None -> None
-    in
     (* a passed parity covers every stashed run, so any still-unconfirmed
        stash is safe to place now *)
     flush_stash rx m;
@@ -614,6 +602,35 @@ module Receiver = struct
         | Error _ -> ())
       (List.rev m.quarantine);
     m.quarantine <- [];
+    let es = rx.config.elem_size in
+    let buf = Placement.contents rx.placement in
+    (* the runs a journal record would promise, merged *)
+    let spans =
+      match rx.persist with
+      | None -> []
+      | Some _ ->
+          Persist.coalesce_spans
+            (List.filter
+               (fun (sn, len) ->
+                 sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
+               m.placed_runs)
+    in
+    (* The verifier's data parity is the runs' own when they are exactly
+       the TPDU's data span and no other TPDU has locked verified bytes
+       there: until this pass locks the span, every byte in it is then
+       this TPDU's own.  Anything else (a restored TPDU, shed or clipped
+       elements, a partial cover) leaves the journal to compute the
+       parity.  Asked on every pass, so the verifier keeps nothing of
+       the TPDU. *)
+    let first_c_sn, elems =
+      match spans with
+      | [ (sn, len) ] when not (Placement.any_locked rx.placement ~sn ~len) ->
+          (sn, len)
+      | _ -> (0, 0)
+    in
+    let parity =
+      Edc.Verifier.take_data_parity rx.verifier ~t_id ~first_c_sn ~elems
+    in
     List.iter
       (fun (sn, len) ->
         (match
@@ -624,7 +641,6 @@ module Receiver = struct
            conflicting data *)
         Placement.lock_span rx.placement ~sn ~len)
       m.placed_runs;
-    let placed_runs = m.placed_runs in
     forget_corrob rx t_id;
     (match m.end_claim with
     | Some _ as last -> rx.end_confirmed <- last
@@ -645,26 +661,6 @@ module Receiver = struct
          after the ACK leaves a hole the sender will never refill *)
       (match rx.persist with
       | Some journal ->
-          let es = rx.config.elem_size in
-          let buf = Placement.contents rx.placement in
-          let spans =
-            Persist.coalesce_spans
-              (List.filter
-                 (fun (sn, len) ->
-                   sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
-                 placed_runs)
-          in
-          (* the verifier's data parity is the runs' own exactly when
-             they are the TPDU's whole data span; anything else (a
-             restored TPDU, shed or clipped elements, a partial cover)
-             leaves the journal to compute it *)
-          let parity =
-            match (data, spans) with
-            | Some { Edc.Verifier.parity; first_c_sn; elems }, [ (sn, len) ]
-              when sn = first_c_sn && len = elems ->
-                Some parity
-            | _ -> None
-          in
           (* lend the journal views into the placement buffer: it copies
              each promised byte once, before the callback returns *)
           journal

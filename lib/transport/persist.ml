@@ -755,14 +755,15 @@ module Store = struct
     mutable snap : bytes option;
     journal : Buffer.t;
     payload : Buffer.t;  (* [write_case]'s payload buffer, reused *)
-    scratch : Wire.scratch;
+    scratch : Wire.scratch option;
+        (* always [Some]: passed on as [?scratch] without allocating *)
     mutable snapshots_taken : int;
     mutable journal_records : int;
   }
 
   let create () =
     { snap = None; journal = Buffer.create 256; payload = Buffer.create 256;
-      scratch = Wire.scratch (); snapshots_taken = 0; journal_records = 0 }
+      scratch = Some (Wire.scratch ()); snapshots_taken = 0; journal_records = 0 }
 
   let snapshot st image =
     let b = encode_endpoint image in
@@ -772,7 +773,7 @@ module Store = struct
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    write_case ~scratch:st.scratch st.journal st.payload ev event_cases;
+    write_case ?scratch:st.scratch st.journal st.payload ev event_cases;
     (match ev with
     | Acked { runs; _ } -> add_runs st.journal runs
     | Opened _ | Archived _ | Closed _ -> ());

@@ -451,7 +451,7 @@ let test_verifier_many_x_boundaries () =
 (* The verifier's data parity: over random fragmentations, arrival
    orders and duplicates, each passed TPDU's data parity is a direct
    WSC-2 of its data at its data positions — the label symbols left
-   out — and comes with the TPDU's first C.SN and length. *)
+   out. *)
 let gen_data_parity_case =
   QCheck2.Gen.(
     let* seed = int_range 0 100_000 in
@@ -481,6 +481,7 @@ let prop_data_parity (seed, tpdu_elems, frame_elems, first_csn, dup_every) =
   let dups = List.filteri (fun i _ -> i mod dup_every = 0) frag in
   let arrived = Util.shuffle ~seed:(seed + 1) (frag @ dups) in
   let v = Edc.Verifier.create () in
+  (* TPDU [t_id] holds elements [t_id * tpdu_elems, ...) of the data *)
   let passed = ref [] in
   List.iter
     (fun c ->
@@ -488,47 +489,51 @@ let prop_data_parity (seed, tpdu_elems, frame_elems, first_csn, dup_every) =
         (function
           | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed }
             when not (List.mem_assoc t_id !passed) ->
-              passed := (t_id, Edc.Verifier.take_data_parity v ~t_id) :: !passed
+              let off = t_id * tpdu_elems in
+              let d =
+                Edc.Verifier.take_data_parity v ~t_id
+                  ~first_c_sn:(first_csn + off) ~elems:tpdu_elems
+              in
+              let want =
+                Wsc2.encode_bytes ~pos:0 (Bytes.sub data (off * es) (tpdu_elems * es))
+              in
+              passed :=
+                (t_id, Option.fold ~none:false ~some:(Wsc2.parity_equal want) d)
+                :: !passed
           | _ -> ())
         (Edc.Verifier.on_chunk v c))
     arrived;
-  List.length !passed = 2
-  && List.for_all
-       (fun (_, d) ->
-         match d with
-         | None -> false
-         | Some d ->
-             let off = (d.Edc.Verifier.first_c_sn - first_csn) * es in
-             d.Edc.Verifier.elems = tpdu_elems
-             && (off = 0 || off = tpdu_elems * es)
-             && Wsc2.parity_equal d.Edc.Verifier.parity
-                  (Wsc2.encode_bytes ~pos:0 (Bytes.sub data off (tpdu_elems * es))))
-       !passed
+  List.sort compare !passed = [ (0, true); (1, true) ]
 
-let test_restored_tpdu_has_no_data_parity () =
-  (* an imported TPDU's accumulator mixes data and labels: it passes,
-     but vouches for no data parity *)
+let test_data_parity_span_and_restore () =
   let chunks = tpdu_fixture () in
   let ed = Util.ok_or_fail (Edc.Encoder.seal chunks) in
+  let passes v cs =
+    match feed v cs with
+    | [ (0, Edc.Verifier.Passed) ] -> ()
+    | _ -> Alcotest.fail "expected one pass"
+  in
+  let take v ~elems = Edc.Verifier.take_data_parity v ~t_id:0 ~first_c_sn:0 ~elems in
+  (* the span must be the TPDU's own, and the parity is taken once *)
+  let a = Edc.Verifier.create () in
+  passes a (ed :: chunks);
+  Alcotest.(check bool) "longer span refused" true (take a ~elems:25 = None);
+  Alcotest.(check bool) "and forgotten" true (take a ~elems:24 = None);
+  let b = Edc.Verifier.create () in
+  passes b (ed :: chunks);
+  Alcotest.(check bool) "own span vouched" true (take b ~elems:24 <> None);
+  Alcotest.(check bool) "once" true (take b ~elems:24 = None);
+  (* an imported TPDU's accumulator mixes data and labels: it passes,
+     but vouches for no data parity *)
   let half = List.filteri (fun i _ -> i mod 2 = 0) chunks in
   let rest = List.filteri (fun i _ -> i mod 2 = 1) chunks in
-  let a = Edc.Verifier.create () in
-  ignore (feed a half);
-  let b = Edc.Verifier.create () in
-  List.iter (Edc.Verifier.import b) (Edc.Verifier.export a);
-  (match feed b (rest @ [ ed ]) with
-  | [ (0, Edc.Verifier.Passed) ] -> ()
-  | _ -> Alcotest.fail "restored TPDU must still pass");
-  Alcotest.(check bool) "no data parity" true
-    (Edc.Verifier.take_data_parity b ~t_id:0 = None);
-  (* the live one vouches, once *)
-  (match feed a (rest @ [ ed ]) with
-  | [ (0, Edc.Verifier.Passed) ] -> ()
-  | _ -> Alcotest.fail "live TPDU must pass");
-  Alcotest.(check bool) "data parity taken" true
-    (Edc.Verifier.take_data_parity a ~t_id:0 <> None);
-  Alcotest.(check bool) "and forgotten" true
-    (Edc.Verifier.take_data_parity a ~t_id:0 = None)
+  let c = Edc.Verifier.create () in
+  ignore (feed c half);
+  let d = Edc.Verifier.create () in
+  List.iter (Edc.Verifier.import d) (Edc.Verifier.export c);
+  passes d (rest @ [ ed ]);
+  Alcotest.(check bool) "restored TPDU vouches for nothing" true
+    (take d ~elems:24 = None)
 
 let suite =
   [
@@ -568,8 +573,8 @@ let suite =
       gen_memo_ops prop_verifier_memo_coherent;
     Util.qtest ~count:300 "passed TPDU's data parity is its data's WSC-2"
       gen_data_parity_case prop_data_parity;
-    Alcotest.test_case "restored TPDU vouches for no data parity" `Quick
-      test_restored_tpdu_has_no_data_parity;
+    Alcotest.test_case "data parity: own span only, once, never restored"
+      `Quick test_data_parity_span_and_restore;
     Util.qtest ~count:40 "parity invariance (property)"
       QCheck2.Gen.(tup2 (int_range 0 10000) (int_range 0 10000))
       (fun (s1, s2) ->
