@@ -108,8 +108,8 @@ let record_overhead = 4 + 1 + 8
 (* A record body (TAG + payload) is assembled in a scratch buffer the
    caller may keep across records, so a journal's steady state makes no
    per-record major-heap allocation: the payload is blitted into the
-   scratch, the parity computed over it, and the body and the two parity
-   words go straight into [buf]. *)
+   scratch, the parity computed over it in the scratch's accumulator,
+   and the body and the two parity words go straight into [buf]. *)
 type scratch = { mutable body : bytes; acc : Wsc2.acc }
 
 let scratch () = { body = Bytes.empty; acc = Wsc2.create () }

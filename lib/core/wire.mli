@@ -170,8 +170,9 @@ val record_overhead : int
 (** Framing bytes per record beyond the payload (13). *)
 
 type scratch
-(** A reusable buffer for record bodies: grows to the largest record
-    encoded with it, and is never shared between threads of control. *)
+(** A reusable buffer and checksum accumulator for record bodies: grows
+    to the largest record encoded with it, and is never shared between
+    threads of control. *)
 
 val scratch : unit -> scratch
 (** A fresh, empty scratch buffer. *)
