@@ -1,19 +1,21 @@
-(* ROB-FLOW: the flow-cache fast path on a million-connection Zipf mix.
+(* ROB-FLOW: the scan entry against the decoder entry on a
+   million-connection Zipf mix.
 
    The workload is the paper's high-fan-in receiver: a demultiplexer
    facing a C.ID space of 10^6 connections with Zipf-skewed traffic, a
    hot set of open connections and a cold tail of strangers.  The same
    pre-encoded packet sequence is fed to two identical [Multi]
-   endpoints — one through the [on_packet] slow path (full decode +
-   table demux per packet), one through [ingest_batch] (structural scan
-   + flow-cache dispatch) — and the bench asserts:
+   endpoints — one through the decoder entry [on_packet] (full decode
+   per packet), one through the scan entry [ingest_batch] (structural
+   scan) — and both feed every chunk through the one per-chunk
+   dispatch, whose connection lookups go through a memo of the
+   connection table.  The bench asserts:
 
-   - delivery is byte-identical across every hot connection (the cache
-     is pure acceleration, the live half of the [fastpath-coherence]
-     oracle row);
-   - the connection-cache hit rate on the skewed mix is >= 90%;
-   - the isolated demux+parse stage (what the cache actually bypasses)
-     is >= 5x faster than decode-and-look-up.
+   - delivery is byte-identical across every hot connection (the live
+     half of the [fastpath-coherence] oracle row);
+   - the connection memo's hit rate on the skewed mix is >= 90%;
+   - the isolated demux+parse stage (scan plus one memo probe per
+     chunk) is >= 5x faster than decode-and-look-up.
 
    Tables sweep the hit rate over the Zipf exponent and the throughput
    over the ingest batch size. *)
@@ -135,12 +137,11 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* {2 The isolated demux+parse stage} — exactly the work the cache
-   bypasses, on real code paths: full [decode_packet] plus the genuine
-   per-chunk routing [Multi] performs (the signalling-table
-   [Connection.on_chunk] verdict, then the receiver-map probe), against
-   the structural scan plus one flow-cache probe per chunk.  Best of
-   three, both sides. *)
+(* {2 The isolated demux+parse stage} — a layered decode-then-demux
+   receiver (full [decode_packet], a signalling-table
+   [Connection.on_chunk] verdict, then a connection-map probe per chunk)
+   against the structural scan plus one memo probe per chunk.  Best of
+   five, both sides. *)
 
 let demux_parse_ratio stream =
   let table = Connection.create () in
@@ -233,7 +234,7 @@ let record = Util_bench.Metrics.record ~exp:"ROB-FLOW"
 let run () =
   section "ROB-FLOW"
     (Printf.sprintf
-       "flow-cache fast path: %d-ID Zipf mix, %d hot connections, %d packets"
+       "scan vs decoder entry: %d-ID Zipf mix, %d hot connections, %d packets"
        id_space hot_conns n_packets);
 
   (* Main comparison at alpha = 1.3, batch = 32. *)
@@ -279,7 +280,7 @@ let run () =
     "  end-to-end   on_packet %8.0f pkt/s   ingest_batch(32) %8.0f pkt/s   \
      %.2fx\n"
     (pps t_slow) (pps t_fast) (t_slow /. t_fast);
-  Printf.printf "  conn-cache hit rate %.4f  (hits %d  misses %d)\n" hit
+  Printf.printf "  conn-memo hit rate %.4f  (hits %d  misses %d)\n" hit
     fp.Transport.Multi.fp_conn.Transport.Flowcache.s_hits
     fp.Transport.Multi.fp_conn.Transport.Flowcache.s_misses;
   record "slow pkt/s" (pps t_slow);
@@ -287,16 +288,16 @@ let run () =
   record "end-to-end speedup" (t_slow /. t_fast);
   record "conn hit rate @1.3" hit;
 
-  (* The cache must be pure acceleration: byte-identical delivery. *)
+  (* The two entries must agree: byte-identical delivery. *)
   assert (d_slow = d_fast);
   Printf.printf "  delivery: byte-identical across all %d hot connections\n"
     hot_conns;
   assert (hit >= 0.9);
 
-  (* The stage the cache bypasses, isolated: parse + demux lookup. *)
+  (* The parse + demux lookup stage, isolated. *)
   let t_dp_slow, t_dp_fast, ratio = demux_parse_ratio stream in
   Printf.printf
-    "  demux+parse  decode+table %8.0f pkt/s   scan+cache %8.0f pkt/s   \
+    "  demux+parse  decode+table %8.0f pkt/s   scan+memo %8.0f pkt/s   \
      %.2fx\n"
     (pps t_dp_slow) (pps t_dp_fast) ratio;
   record "demux+parse slow pkt/s" (pps t_dp_slow);
@@ -304,7 +305,7 @@ let run () =
   record "demux+parse speedup" ratio;
   assert (ratio >= 5.0);
 
-  (* Hit rate vs skew: the cache earns its keep exactly where the
+  (* Hit rate vs skew: the memo earns its keep exactly where the
      workload concentrates. *)
   Printf.printf "  %-10s %-12s %-14s\n" "alpha" "hit rate" "fast pkt/s";
   List.iter

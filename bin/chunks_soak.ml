@@ -111,8 +111,7 @@ let run_replay spec mutate =
          roundtrip_fail=%d snapshots=%d journal_records=%d\n\
          overlap injected=%d conflicts_seen=%d rejected=%d quarantined=%d \
          verified_overwrites=%d\n\
-         fastpath=%b fp hits=%d misses=%d inserts=%d \
-         invalidations=%d evictions=%d\n\
+         fastpath=%b fp hits=%d misses=%d inserts=%d evictions=%d\n\
          sheds tx=%d rx=%d shed_elems=%d shed_spans=%s\n\
          anomalies=%d quarantines=%d qdrops=%d poisoned=%d \
          sheds_refused=%d byz=%s\n\
@@ -139,7 +138,6 @@ let run_replay spec mutate =
         observation.fastpath_stats.Transport.Flowcache.s_hits
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
-        observation.fastpath_stats.Transport.Flowcache.s_invalidations
         observation.fastpath_stats.Transport.Flowcache.s_evictions
         observation.sheds_sent observation.sheds_received
         observation.shed_elems
@@ -231,7 +229,7 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                   "%-8s %5d schedules  %d violations  %d/%d injections \
                    undetected  overlap %d injected/%d conflicts/%d rejected  \
                    sheds %d/%d honoured/%d elems  fastpath %d runs \
-                   %d hits/%d misses/%d invalidations  byz %d injected/%d \
+                   %d hits/%d misses  byz %d injected/%d \
                    flaps/%d quarantines/%d refused/%d honest-boxed  %.1fs\n\
                    %!"
                   (Check.Schedule.profile_name p) report.Check.Soak.schedules_run
@@ -244,7 +242,6 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                   report.Check.Soak.sheds_honoured
                   report.Check.Soak.shed_elems report.Check.Soak.fp_runs
                   report.Check.Soak.fp_hits report.Check.Soak.fp_misses
-                  report.Check.Soak.fp_invalidations
                   report.Check.Soak.bz_injected report.Check.Soak.bz_flaps
                   report.Check.Soak.bz_quarantines
                   report.Check.Soak.bz_quarantine_drops

@@ -155,10 +155,11 @@ type observation = {
   overlap_quarantined : int;
   verified_overwrites : int;  (* must stay 0: two verified TPDUs clashing *)
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
-  (* flow-cache fast path *)
+  (* connection-lookup memo *)
   fastpath_stats : Transport.Flowcache.stats;
-      (* the multi path's connection cache, across crash incarnations;
-         all zero on single-path and cache-off runs *)
+      (* the multi path's memo of its connection table, across crash
+         incarnations, whichever packet entry fed it; all zero on
+         single-path runs *)
   (* byzantine containment (DESIGN §10); counters accumulate across
      crash incarnations like every other endpoint statistic *)
   anomalies : int;
@@ -1397,12 +1398,12 @@ let counterfactuals =
           run_multi ~mutation ~trace:None { s with Schedule.byz = None });
       equality = Exact;
     };
-    (* The connection cache off: the wire is identical packet for
-       packet, so any divergence is the cache's doing.  Crash-restart
-       schedules run here too, so a cache surviving a restore it should
-       not survive shows up as a divergent epoch.  Only the multi path
-       has a cache; the single receiver has one packet entry, so both
-       arms would run the same code. *)
+    (* The decoder entry ([Multi.on_packet]) instead of the scan entry
+       ([Multi.ingest]): the wire is identical packet for packet and
+       both feed the one per-chunk dispatch, so any divergence is the
+       scanner's doing.  Only the multi path has two entries; the
+       single receiver has one, so both arms would run the same
+       code. *)
     {
       row = "fastpath-coherence";
       applies = (fun s -> s.Schedule.fastpath && Schedule.multi_mode s);

@@ -180,9 +180,9 @@ type observation = {
           zero in every profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   fastpath_stats : Transport.Flowcache.stats;
-      (** the multi path's connection-cache counters, accumulated across
-          crash incarnations; all zero on single-path and cache-off
-          runs *)
+      (** the multi path's connection-memo counters, accumulated across
+          crash incarnations, whichever packet entry fed it; all zero on
+          single-path runs *)
   anomalies : int;
       (** protocol anomalies attributed to connections, scored and
           unscored alike *)
@@ -231,7 +231,8 @@ type counterfactual = {
 val counterfactuals : counterfactual list
 (** [overlap-determinism] (overlap adversary permuted),
     [blast-radius] (byzantine peer deleted) and [fastpath-coherence]
-    (the multi path's connection cache off), in execution order. *)
+    (the multi path's decoder entry instead of its scan entry), in
+    execution order. *)
 
 val outcome : Schedule.t -> observation -> epoch_obs list
 (** A run's per-epoch outcome: [multi]'s epochs, or for a single-path

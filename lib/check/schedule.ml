@@ -128,9 +128,9 @@ type t = {
   crashes : crash list;
   snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
   fastpath : bool;
-      (** select the multi path's connection cache ([Multi.ingest]
-          instead of [Multi.on_packet]); the [fastpath-coherence] oracle
-          row re-runs a multi-path schedule with the cache off and
+      (** select the multi path's scan entry ([Multi.ingest] instead
+          of [Multi.on_packet]); the [fastpath-coherence] oracle row
+          re-runs a multi-path schedule through the decoder entry and
           demands identical outcomes.  The single receiver has one
           packet entry, so the field changes nothing there. *)
   byz : byz option;
@@ -334,7 +334,7 @@ let generate ~profile ~seed =
     | Hostile_flood | Crash_flood -> int_in rng 2 4
     | Fastpath_hostile ->
         (* a mix of single-receiver and demultiplexed runs; only the
-           latter have a connection cache to attack *)
+           latter have two packet entries to compare *)
         int_in rng 1 3
     | Byzantine_hostile ->
         (* the honest population the blast-radius oracle watches *)
@@ -554,10 +554,10 @@ let generate ~profile ~seed =
     | _ -> 0
   in
   (* Drawn last so the field's introduction leaves every earlier draw
-     of existing profiles' schedules unchanged.  Every profile runs with
-     the cache on a third of the time — the coherence oracle then
-     exercises cache-on-vs-off across the whole multi-path fault space,
-     crash restarts included. *)
+     of existing profiles' schedules unchanged.  Every profile runs the
+     scan entry a third of the time — the coherence oracle then
+     compares it with the decoder entry across the whole multi-path
+     fault space, crash restarts included. *)
   let fastpath =
     profile = Fastpath_hostile || Netsim.Rng.bool rng (1.0 /. 3.0)
   in

@@ -52,14 +52,15 @@ type profile =
           every Critical/Normal byte must arrive byte-exact, and only
           declared-sheddable spans may be missing *)
   | Fastpath_hostile
-      (** the multi path's connection cache under hostile fire: every
-          schedule sets [fastpath], so multi-connection runs (sometimes
-          with C.ID reuse) deliver through {!Transport.Multi.ingest}
-          while corruption, loss, duplication and congestion drops
-          attack the cached label prefixes and churn the cache — and the
+      (** the multi path's scan entry and dispatch under hostile fire:
+          every schedule sets [fastpath], so multi-connection runs
+          (sometimes with C.ID reuse) deliver through
+          {!Transport.Multi.ingest} while corruption, loss, duplication
+          and congestion drops attack the scanned labels and churn
+          epochs under the memoised connection records — and the
           [fastpath-coherence] oracle row replays each such schedule
-          with the cache off, demanding identical delivery and identical
-          verdicts.  Its single-connection runs exercise the receiver's
+          through the decoder entry, demanding identical delivery and
+          identical verdicts.  Its single-connection runs exercise the receiver's
           one packet entry under the same fire. *)
   | Byzantine_hostile
       (** a wire-conformant but protocol-violating peer alongside the
@@ -183,11 +184,12 @@ type t = {
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
   fastpath : bool;
-      (** select the multi path's connection cache
+      (** select the multi path's scan entry
           ({!Transport.Multi.ingest} instead of
           {!Transport.Multi.on_packet}); any schedule may draw it, and
           the [fastpath-coherence] oracle row re-runs a multi-path
-          schedule with the cache off and demands identical outcomes.
+          schedule through the decoder entry and demands identical
+          outcomes.
           The single receiver has one packet entry, so the field
           changes nothing on the single path. *)
   byz : byz option;

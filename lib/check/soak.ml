@@ -20,7 +20,6 @@ type report = {
   fp_runs : int;
   fp_hits : int;
   fp_misses : int;
-  fp_invalidations : int;
   bz_injected : int;
   bz_flaps : int;
   bz_anomalies : int;
@@ -130,7 +129,6 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     fp_runs = !fp_runs;
     fp_hits = !fp.Transport.Flowcache.s_hits;
     fp_misses = !fp.Transport.Flowcache.s_misses;
-    fp_invalidations = !fp.Transport.Flowcache.s_invalidations;
     bz_injected = !bz_injected;
     bz_flaps = !bz_flaps;
     bz_anomalies = !bz_anomalies;
@@ -179,14 +177,14 @@ let json_of_finding f =
 
 let json_of_report r =
   Printf.sprintf
-    "{\"profile\":%s,\"mutation\":%s,\"schedules_run\":%d,\"findings\":[%s],\"detect_trials\":%d,\"detect_undetected\":%d,\"overlap_injected\":%d,\"overlap_conflicts_seen\":%d,\"overlap_conflicts_rejected\":%d,\"sheds_signalled\":%d,\"sheds_honoured\":%d,\"shed_elems\":%d,\"fastpath_runs\":%d,\"fastpath_hits\":%d,\"fastpath_misses\":%d,\"fastpath_invalidations\":%d,\"byz_injected\":%d,\"byz_flaps\":%d,\"byz_anomalies\":%d,\"byz_quarantines\":%d,\"byz_quarantine_drops\":%d,\"byz_honest_quarantined\":%d,\"wall_seconds\":%.3f}"
+    "{\"profile\":%s,\"mutation\":%s,\"schedules_run\":%d,\"findings\":[%s],\"detect_trials\":%d,\"detect_undetected\":%d,\"overlap_injected\":%d,\"overlap_conflicts_seen\":%d,\"overlap_conflicts_rejected\":%d,\"sheds_signalled\":%d,\"sheds_honoured\":%d,\"shed_elems\":%d,\"fastpath_runs\":%d,\"fastpath_hits\":%d,\"fastpath_misses\":%d,\"byz_injected\":%d,\"byz_flaps\":%d,\"byz_anomalies\":%d,\"byz_quarantines\":%d,\"byz_quarantine_drops\":%d,\"byz_honest_quarantined\":%d,\"wall_seconds\":%.3f}"
     (json_str (Schedule.profile_name r.profile))
     (json_str (Driver.mutation_to_string r.mutation))
     r.schedules_run
     (String.concat "," (List.map json_of_finding r.findings))
     r.detect_trials r.detect_undetected r.ov_injected r.ov_conflicts_seen
     r.ov_conflicts_rejected r.sheds_signalled r.sheds_honoured r.shed_elems
-    r.fp_runs r.fp_hits r.fp_misses r.fp_invalidations r.bz_injected
+    r.fp_runs r.fp_hits r.fp_misses r.bz_injected
     r.bz_flaps r.bz_anomalies r.bz_quarantines r.bz_quarantine_drops
     r.bz_honest_quarantined r.wall_seconds
 

@@ -23,10 +23,9 @@ type report = {
   sheds_signalled : int;  (** sender shed decisions, all runs *)
   sheds_honoured : int;  (** sheds the receivers honoured, all runs *)
   shed_elems : int;  (** elements covered by honoured sheds, all runs *)
-  fp_runs : int;  (** schedules that ran the flow-cache fast path *)
-  fp_hits : int;  (** flow-cache hits, both layers, all runs *)
-  fp_misses : int;  (** flow-cache misses, both layers, all runs *)
-  fp_invalidations : int;  (** eager invalidations, both layers, all runs *)
+  fp_runs : int;  (** schedules whose endpoint took the scan entry *)
+  fp_hits : int;  (** connection-memo hits, all multi-path runs *)
+  fp_misses : int;  (** connection-memo misses, all multi-path runs *)
   bz_injected : int;  (** byzantine-adversary packets injected, all runs *)
   bz_flaps : int;  (** byzantine Open/garbage/Close cycles, all runs *)
   bz_anomalies : int;  (** endpoint anomalies attributed, all runs *)

@@ -61,20 +61,21 @@ val decode_packet : bytes -> (Chunk.t list, string) result
 
 (** {1 Zero-allocation packet scanning}
 
-    The fast-path front end of the flow cache
-    ([Transport.Flowcache]-based dispatch in [Transport.Multi]): walk a
-    packet image once, validating its structure and recording chunk
-    start offsets, without building [Chunk.t] values or copying payload
-    bytes.  Label fields are then read straight out of the buffer at
-    those offsets.
+    The packet entry of both receivers ([Transport.Multi.ingest] and
+    [Transport.Chunk_transport.Receiver.ingest]): walk a packet image
+    once, validating its structure and recording chunk start offsets,
+    without building [Chunk.t] values or copying payload bytes.  Label
+    fields can then be read straight out of the buffer at those
+    offsets, and {!Scan.chunk} materialises each chunk for the
+    receivers' one per-chunk dispatch.
 
     The scanner is {e exactly} as strict as {!decode_packet}:
     [Scan.packet] accepts a buffer iff [decode_packet] returns [Ok] on
     it, and on acceptance the recorded offsets are precisely where the
     chunks of that [Ok] list start, in order (terminator and padding
-    excluded).  This equivalence is what lets the cached fast path keep
-    the slow path's all-or-nothing packet-drop semantics; it is pinned
-    down by a fuzz property in the test suite. *)
+    excluded).  This equivalence is what lets the scan entry keep the
+    decoder's all-or-nothing packet-drop semantics; it is pinned down
+    by a fuzz property in the test suite. *)
 
 module Scan : sig
   type t

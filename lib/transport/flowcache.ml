@@ -1,17 +1,15 @@
 (* Direct-mapped flow cache over a pair of integer keys.
 
-   The fast path (after OVS megaflows / NuevoMatchUP computational
-   caches) needs a tiny associative map probed once per chunk: a
-   connection-level cache keyed on C.ID (second key 0).  It wants O(1)
-   probes with zero allocation on hit or miss, explicit invalidation,
-   and cheap statistics.
+   [Multi] memoises its connection table here, keyed on C.ID (second
+   key 0), and probes it once per chunk.  It wants O(1) probes with zero
+   allocation on hit or miss, and cheap statistics.  Entries are never
+   invalidated: the memoised table only grows.
 
    Direct-mapped (one entry per slot, insert displaces) rather than
    set-associative: the point of the cache is the Zipf head, where a
    handful of hot flows dominate; conflict misses on the tail just fall
-   back to the always-correct slow path.  Keys and values live in
-   parallel arrays so a probe touches two int cells before ever looking
-   at the value. *)
+   back to the table itself.  Keys and values live in parallel arrays so
+   a probe touches two int cells before ever looking at the value. *)
 
 type 'a t = {
   shift : int;  (* [Sys.int_size - log2 slots]: keeps an index's top bits *)
@@ -21,7 +19,6 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
-  mutable invalidations : int;
   mutable evictions : int;
   (* Counters already flushed into the global [Obs] mirrors.  The
      mirrors are refreshed lazily, when [stats] is read: a per-probe
@@ -30,7 +27,6 @@ type 'a t = {
   c_hits : Obs.Metrics.counter;
   c_misses : Obs.Metrics.counter;
   c_insertions : Obs.Metrics.counter;
-  c_invalidations : Obs.Metrics.counter;
   c_evictions : Obs.Metrics.counter;
 }
 
@@ -38,7 +34,6 @@ type stats = {
   s_hits : int;
   s_misses : int;
   s_insertions : int;
-  s_invalidations : int;
   s_evictions : int;
 }
 
@@ -59,13 +54,11 @@ let create ~name ~slots () =
     hits = 0;
     misses = 0;
     insertions = 0;
-    invalidations = 0;
     evictions = 0;
-    flushed = Array.make 5 0;
+    flushed = Array.make 4 0;
     c_hits = metric "hits";
     c_misses = metric "misses";
     c_insertions = metric "insertions";
-    c_invalidations = metric "invalidations";
     c_evictions = metric "evictions";
   }
 
@@ -78,7 +71,7 @@ let slots c = Array.length c.k1s
    fresh endpoint hands out land in 64 distinct slots of a 64-slot
    cache.  The keys are wire-supplied 32-bit IDs, so an attacker
    controls them — the mix only has to spread benign traffic, hostile
-   traffic degenerates to slow path, never to wrong answers.  The
+   traffic degenerates to table probes, never to wrong answers.  The
    logical shift leaves [log2 slots] bits, so the index is in bounds for
    every slot count, 1 included. *)
 let index c ~k1 ~k2 =
@@ -113,27 +106,6 @@ let insert c ~k1 ~k2 v =
   c.vals.(i) <- Some v;
   c.insertions <- c.insertions + 1
 
-let invalidate c ~k1 ~k2 =
-  let i = index c ~k1 ~k2 in
-  if Array.unsafe_get c.k1s i = k1 && Array.unsafe_get c.k2s i = k2 then begin
-    Array.unsafe_set c.k1s i (-1);
-    c.vals.(i) <- None;
-    (* the key is the occupancy bit; [None] just releases the value *)
-    c.invalidations <- c.invalidations + 1
-  end
-
-let clear c =
-  let n = Array.length c.vals in
-  let dropped = ref 0 in
-  for i = 0 to n - 1 do
-    if c.k1s.(i) >= 0 then begin
-      c.k1s.(i) <- -1;
-      c.vals.(i) <- None;
-      incr dropped
-    end
-  done;
-  c.invalidations <- c.invalidations + !dropped
-
 let stats c =
   if Obs.enabled then begin
     let flush j counter v =
@@ -143,14 +115,12 @@ let stats c =
     flush 0 c.c_hits c.hits;
     flush 1 c.c_misses c.misses;
     flush 2 c.c_insertions c.insertions;
-    flush 3 c.c_invalidations c.invalidations;
-    flush 4 c.c_evictions c.evictions
+    flush 3 c.c_evictions c.evictions
   end;
   {
     s_hits = c.hits;
     s_misses = c.misses;
     s_insertions = c.insertions;
-    s_invalidations = c.invalidations;
     s_evictions = c.evictions;
   }
 
@@ -159,7 +129,6 @@ let zero_stats =
     s_hits = 0;
     s_misses = 0;
     s_insertions = 0;
-    s_invalidations = 0;
     s_evictions = 0;
   }
 
@@ -173,7 +142,6 @@ let add_stats a b =
     s_hits = sat_add a.s_hits b.s_hits;
     s_misses = sat_add a.s_misses b.s_misses;
     s_insertions = sat_add a.s_insertions b.s_insertions;
-    s_invalidations = sat_add a.s_invalidations b.s_invalidations;
     s_evictions = sat_add a.s_evictions b.s_evictions;
   }
 

@@ -1,20 +1,17 @@
 (** Direct-mapped flow cache over a pair of integer keys.
 
-    The building block of the fast path (DESIGN §7): {!Multi} keys one
-    instance on [(C.ID, 0)] to cache hot-connection dispatch state.  A
-    probe is O(1) and allocation-free; on miss, epoch change, eviction,
-    or any anomaly the caller falls back to the slow path, which
-    repopulates the cache — the cache can therefore only ever make
-    correct processing faster, never different, provided every state
-    transition that breaks an entry's premise calls {!invalidate} (the
-    invalidation-rules table in DESIGN §7 enumerates them).
+    {!Multi} keys one instance on [(C.ID, 0)] as a lookup memo of its
+    connection table (DESIGN §7).  A probe is O(1) and allocation-free;
+    on a miss the caller probes the table and inserts what it finds.
+    The memoised table only grows and never replaces a value, so an
+    entry can never go stale and nothing is ever invalidated.
 
     The cache is direct-mapped: each key pair hashes to exactly one
     slot, and {!insert} displaces whatever lives there.  Conflict misses
-    on cold flows cost a slow-path traversal, nothing more.
+    on cold flows cost a table probe, nothing more.
 
     Counters are mirrored into {!Obs.Metrics} (as
-    [flowcache_<name>_{hits,misses,insertions,invalidations,evictions}_total])
+    [flowcache_<name>_{hits,misses,insertions,evictions}_total])
     when observability is compiled in.  The mirrors are refreshed
     {e lazily}, whenever {!stats} is read — a per-probe atomic increment
     would cost more than the probe it measures.  The per-instance
@@ -28,8 +25,6 @@ type stats = {
   s_hits : int;  (** probes that returned an entry *)
   s_misses : int;  (** probes that found nothing (or a key conflict) *)
   s_insertions : int;  (** entries written by {!insert} *)
-  s_invalidations : int;
-      (** entries dropped by {!invalidate} or {!clear} *)
   s_evictions : int;  (** live entries displaced by a conflicting insert *)
 }
 (** Monotonic lifetime counters of one cache instance. *)
@@ -60,15 +55,6 @@ val insert : 'a t -> k1:int -> k2:int -> 'a -> unit
 
     @raise Invalid_argument if [k1] or [k2] is negative — a negative
     key is the empty-slot sentinel and could never be found again. *)
-
-val invalidate : 'a t -> k1:int -> k2:int -> unit
-(** Drop the entry for [(k1, k2)] if present; a no-op otherwise.  Cheap
-    enough to call eagerly on every state transition that could break a
-    cached premise. *)
-
-val clear : 'a t -> unit
-(** Drop every entry (each counted as an invalidation) — the
-    crash-restore and teardown hammer. *)
 
 val stats : 'a t -> stats
 (** Current counter values; also flushes them into the global

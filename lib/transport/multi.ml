@@ -78,15 +78,6 @@ let add_overlap a b =
       a.Placement.os_verified_overwrites + b.Placement.os_verified_overwrites;
   }
 
-(* An L2 (connection-level) flow-cache entry pins the connection record
-   and the exact receiver incarnation it was populated for.  Validity is
-   re-established physically on every probe — the entry's receiver must
-   still be the connection's live epoch ([rx == fc_rx]) and the stream
-   end must not be confirmed — so epoch turnover, close, displacement
-   and crash restore all invalidate by construction rather than by
-   callback. *)
-type l2_entry = { fc_conn : conn; fc_rx : R.t }
-
 type fastpath_stats = {
   fp_conn : Flowcache.stats;
   fp_tpdu : Flowcache.stats;
@@ -96,18 +87,18 @@ type t = {
   engine : Netsim.Engine.t;
   config : Chunk_transport.config;
   bus : Busmodel.t;
-  table : Connection.t;
   governor : Governor.t;
   send_ack : bytes -> unit;
   conns : conn Int_table.t;
   quota_elems : int;
   max_conns : int;
   persist : (Persist.event -> unit) option;
-  l2 : l2_entry Flowcache.t;  (* hot-connection dispatch cache *)
+  memo : conn Flowcache.t;  (* lookup memo of [conns], see [find_conn] *)
   scan : Wire.Scan.t;
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
+  mutable n_live : int;  (* connections whose [live] is [Some _] *)
   mutable evictions : int;
   mutable conn_gcs : int;
   mutable displaced : int;
@@ -201,6 +192,7 @@ let archive m c =
       end;
       c.live <- None;
       c.live_open <- None;
+      m.n_live <- m.n_live - 1;
       emit m (Persist.Archived c.id);
       if Obs.enabled then
         Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - 1))
@@ -245,11 +237,7 @@ let enter_quarantine m c =
   c.quarantined_until <- now m +. dur;
   c.anomaly_score <- 0;
   m.quarantines <- m.quarantines + 1;
-  (* the live epoch's state is reclaimed, and the L2 row is dropped so
-     the fast path cannot keep serving a boxed connection (the physical
-     [rx == fc_rx] probe would also catch it — the live receiver is
-     gone — but the row itself must not linger) *)
-  Flowcache.invalidate m.l2 ~k1:c.id ~k2:0;
+  (* the live epoch's state is reclaimed *)
   close_conn m c;
   if Obs.enabled then begin
     Obs.Metrics.incr m_quarantines;
@@ -305,7 +293,6 @@ let poison m ~conn_id =
       if not c.poisoned then begin
         c.poisoned <- true;
         m.conns_poisoned <- m.conns_poisoned + 1;
-        Flowcache.invalidate m.l2 ~k1:conn_id ~k2:0;
         close_conn m c;
         if Obs.enabled then begin
           Obs.Metrics.incr m_poisoned;
@@ -338,7 +325,6 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       engine;
       config;
       bus;
-      table = Connection.create ();
       governor =
         Governor.create ~budget_bytes:config.state_budget
           ~ttl:config.state_ttl ();
@@ -347,7 +333,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       quota_elems;
       max_conns;
       persist;
-      l2 = Flowcache.create ~name:"conn" ~slots ();
+      memo = Flowcache.create ~name:"conn" ~slots ();
       scan = Wire.Scan.create ();
       anomaly_budget;
       (* both containment clocks scale with the configured round trip:
@@ -356,6 +342,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
          episode without spanning two unrelated ones *)
       quarantine_base = Float.max 0.25 (4.0 *. config.rto);
       anomaly_decay = Float.max 1.0 (8.0 *. config.rto);
+      n_live = 0;
       evictions = 0;
       conn_gcs = 0;
       displaced = 0;
@@ -388,9 +375,6 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
           end);
   m
 
-let live_count m =
-  Int_table.fold (fun _ c n -> if c.live <> None then n + 1 else n) m.conns 0
-
 let stalest_live m =
   let pick pred =
     Int_table.fold
@@ -421,6 +405,7 @@ let new_epoch ?open_csn m c =
   in
   c.live <- Some rx;
   c.live_open <- open_csn;
+  m.n_live <- m.n_live + 1;
   c.epochs_started <- c.epochs_started + 1;
   (match open_csn with
   | Some k when k > c.open_hwm -> c.open_hwm <- k
@@ -433,13 +418,32 @@ let new_epoch ?open_csn m c =
    — never the freshest, so an Open flood churns through its own
    connections while refreshing legitimate ones stay. *)
 let ensure_capacity m =
-  if live_count m >= m.max_conns then
+  if m.n_live >= m.max_conns then
     match stalest_live m with
     | Some victim ->
         m.displaced <- m.displaced + 1;
         if Obs.enabled then Obs.Metrics.incr m_displaced;
         close_conn m victim
     | None -> ()
+
+(* Every per-chunk connection lookup goes through this memo of
+   [m.conns].  It can never go stale: within one endpoint incarnation
+   [m.conns] only grows (a record is added once, for an absent C.ID, and
+   afterwards only mutated in place — archive, close, GC, displacement,
+   quarantine and poison included), and a crash restore builds a new
+   [t] with a new, empty memo.  Whatever the memo returns is therefore
+   exactly what [m.conns] would, so it needs no invalidation; a conflict
+   miss just costs the table probe.  C.IDs with no record insert
+   nothing. *)
+let find_conn m cid =
+  match Flowcache.find m.memo ~k1:cid ~k2:0 with
+  | Some _ as hit -> hit
+  | None -> (
+      match Int_table.find_opt m.conns cid with
+      | Some c as found ->
+          Flowcache.insert m.memo ~k1:cid ~k2:0 c;
+          found
+      | None -> None)
 
 (* Each epoch's Open announces the stream's first C.SN, and the
    monotone-label discipline makes those strictly increase across a
@@ -451,9 +455,11 @@ let ensure_capacity m =
    while an Open at or below the watermark can only be a retransmitted
    duplicate or a straggler from an archived epoch and is ignored.  A
    forged or duplicated Open can consequently never tear down a live
-   epoch: teardown requires a label the connection has never seen. *)
-let handle_open m cid ~first_csn =
-  match Int_table.find_opt m.conns cid with
+   epoch: teardown requires a label the connection has never seen.
+   [found] is the connection's record, if it has one; the caller has
+   already refused a boxed connection's Open. *)
+let handle_open m cid found ~first_csn =
+  match found with
   | None ->
       ensure_capacity m;
       let c =
@@ -489,12 +495,6 @@ let handle_open m cid ~first_csn =
           Obs.Trace.record (Obs.Trace.Conn_open { conn = cid }) ~time:(now m)
       end;
       new_epoch m c ~open_csn:first_csn
-  | Some c when quarantine_active m c ->
-      (* admission revoked: the Open is refused outright (a flapping
-         peer's whole point is getting fresh epochs admitted).  The
-         first Open after the penalty expires re-establishes normally —
-         re-admission is lazy, no timer needed. *)
-      quarantine_drop m
   | Some c -> (
       match c.live with
       | None ->
@@ -573,7 +573,7 @@ let re_ack_closed m c t_id =
 
 let route m chunk =
   let cid = chunk.Chunk.header.Header.c.Ftuple.id in
-  match Int_table.find_opt m.conns cid with
+  match find_conn m cid with
   | None ->
       m.unknown_drops <- m.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
@@ -627,21 +627,29 @@ let route m chunk =
             end
       with e -> bulkhead m ~conn_id:cid e)
 
+(* One dispatch for every chunk, whichever entry decoded it: signals
+   go to their handlers, everything else is routed by connection
+   record. *)
 let on_chunk m chunk =
   if Chunk.is_terminator chunk then ()
-  else
-    match Connection.on_chunk m.table chunk with
-    | `Signal (cid, sg) -> (
-        match Int_table.find_opt m.conns cid with
+  else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal then
+    match Connection.parse_signal chunk with
+    | Ok (cid, sg) -> (
+        match find_conn m cid with
         | Some c when quarantine_active m c ->
-            (* no signal is served while boxed — in particular no Close
-               (which would archive) and no shed (which would mutate the
-               shed cover); the penalty box is a full service stop *)
+            (* no signal is served while boxed — in particular no Open
+               (a flapping peer's whole point is getting fresh epochs
+               admitted), no Close (which would archive) and no shed
+               (which would mutate the shed cover); the penalty box is
+               a full service stop.  The first Open after the penalty
+               expires re-establishes normally — re-admission is lazy,
+               no timer needed. *)
             quarantine_drop m
         | found -> (
             try
               match sg with
-              | Connection.Open { first_csn } -> handle_open m cid ~first_csn
+              | Connection.Open { first_csn } ->
+                  handle_open m cid found ~first_csn
               | Connection.Close -> (
                   match found with Some c -> close_conn m c | None -> ())
               | Connection.Resync _ -> ()
@@ -669,21 +677,15 @@ let on_chunk m chunk =
                       re_ack_closed m c t_id
                   | Some _ | None -> ())
             with e -> bulkhead m ~conn_id:cid e))
-    | `Ignored
-      when Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal ->
+    | Error _ -> (
         (* a structurally valid signal chunk whose payload failed its
            WSC-2 parity (or shape) check: silently dropped, but counted
            — corruption in flight and tampering look identical here *)
         m.sig_damage <- m.sig_damage + 1;
-        (match Int_table.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
+        match find_conn m chunk.Chunk.header.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
-    | `Data_for _ | `Unknown_connection _ | `Ignored ->
-        (* routing is by connection record, not table state: traffic for
-           a live epoch must keep flowing after the C.ST data chunk
-           marked the table Closed (the final TPDU's remaining chunks,
-           and retransmissions, arrive after it) *)
-        route m chunk
+  else route m chunk
 
 let on_packet m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
@@ -693,61 +695,11 @@ let on_packet m b =
 
 let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 
-(* Populate the L2 row for a chunk the slow path just routed: only
-   dispatch-neutral traffic (data without C.ST, or ED) of a live,
-   unfinished epoch qualifies — exactly the premises the fast dispatch
-   re-checks physically on every probe. *)
-let maybe_cache_conn m chunk =
-  let h = chunk.Chunk.header in
-  if
-    (Chunk.is_data chunk || Ctype.equal h.Header.ctype Ctype.ed)
-    && not h.Header.c.Ftuple.st
-  then
-    let cid = h.Header.c.Ftuple.id in
-    match Int_table.find_opt m.conns cid with
-    | Some ({ live = Some rx; _ } as c) when R.stream_end_elems rx = None ->
-        Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
-    | Some _ | None -> ()
-
-(* The flow-cache fast path (DESIGN §7).  One structural scan validates
-   the whole packet (identical accept/drop behaviour to
-   [Wire.decode_packet]); each scanned chunk then probes the
-   connection cache.  A hit proves the chunk needs none of the slow
-   path's dispatch work — [Connection.on_chunk] is side-effect-free for
-   non-C.ST data and ED chunks, the epoch-reopen check cannot fire while
-   the stream end is unconfirmed — so the chunk goes straight to the
-   live receiver's [on_chunk].  Any other chunk, and any chunk whose
-   cached premises no longer hold, falls back to [on_chunk], which
-   repopulates the cache. *)
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
     for i = 0 to Wire.Scan.count m.scan - 1 do
-      let off = Wire.Scan.offset m.scan i in
-      let code = Wire.Scan.ctype_code_at m.scan i in
-      let fast =
-        (code = 0 || code = 1)
-        && (not (Wire.Scan.c_st_at m.scan i))
-        &&
-        let cid = Wire.Scan.c_id_at m.scan i in
-        match Flowcache.find m.l2 ~k1:cid ~k2:0 with
-        | Some e -> (
-            match e.fc_conn.live with
-            | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
-                touch_conn m e.fc_conn;
-                R.on_chunk rx (Wire.Scan.chunk b off);
-                true
-            | Some _ | None ->
-                (* the epoch turned over (or closed) under the entry *)
-                Flowcache.invalidate m.l2 ~k1:cid ~k2:0;
-                false)
-        | None -> false
-      in
-      if not fast then begin
-        let chunk = Wire.Scan.chunk b off in
-        on_chunk m chunk;
-        maybe_cache_conn m chunk
-      end
+      on_chunk m (Wire.Scan.chunk b (Wire.Scan.offset m.scan i))
     done
 
 let ingest_batch m packets =
@@ -756,7 +708,7 @@ let ingest_batch m packets =
   Array.iter (ingest m) packets
 
 let fastpath_stats m =
-  { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.zero_stats }
+  { fp_conn = Flowcache.stats m.memo; fp_tpdu = Flowcache.zero_stats }
 
 let epochs m ~conn_id =
   match Int_table.find_opt m.conns conn_id with
@@ -786,9 +738,8 @@ let epochs m ~conn_id =
 let known_conns m =
   List.sort compare (Int_table.fold (fun id _ acc -> id :: acc) m.conns [])
 
-let table m = m.table
 let governor_stats m = Governor.stats m.governor
-let live_conns m = live_count m
+let live_conns m = m.n_live
 
 let sum_live m f =
   Int_table.fold
@@ -963,6 +914,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                 ~capacity:(`Quota m.quota_elems) ri ~acked_tids:[]
             in
             c.live <- Some rx;
+            m.n_live <- m.n_live + 1;
             if Obs.enabled then
               Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1)
         | None -> ());
@@ -993,7 +945,7 @@ let reannounce m =
    alive), without archiving anything or emitting journal events — a
    crash is not a graceful close. *)
 let teardown m =
-  let lives = live_count m in
+  let lives = m.n_live in
   Int_table.iter
     (fun _ c -> match c.live with Some rx -> R.quiesce rx | None -> ())
     m.conns;

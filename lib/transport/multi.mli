@@ -2,11 +2,13 @@
     the C.ID names an unmultiplexed conversation; TYPE-based dispatch
     makes the demultiplexer a table lookup per chunk).
 
-    The {!Labelling.Connection} table is the authoritative lifecycle
-    record: a connection exists only after its [Open] signal is
-    processed (data for unknown connections is dropped — establishment
-    precedes data), [Close] tears it down, and a new [Open] after close
-    re-establishes it under the {e same C.ID} with a fresh epoch.  The
+    The endpoint's own connection records are the lifecycle state: a
+    connection exists only after its [Open] signal is processed (data
+    for unknown connections is dropped — establishment precedes data),
+    [Close] tears it down, and a new [Open] after close re-establishes
+    it under the {e same C.ID} with a fresh epoch.  Records are never
+    removed, so the per-chunk lookup is memoised without any
+    invalidation (DESIGN §7).  The
     per-connection ACK ledger survives epochs, so stale retransmissions
     from a closed epoch are re-acknowledged instead of re-processed —
     the guard that makes C.ID reuse safe (epoch T.ID spaces must be
@@ -80,10 +82,9 @@ val create :
     views, valid only until the hook returns) plus {!Persist.Opened} /
     {!Persist.Archived} / {!Persist.Closed} lifecycle records.
 
-    [?fastpath_slots] sizes the connection cache of the {!ingest} fast
-    path (rounded up to a power of two; default derived from
-    [max_conns]).  Hostile or skewed workloads that overflow the cache
-    degrade to slow-path throughput, never to different behaviour.
+    [?fastpath_slots] sizes the memo in front of the connection table
+    (rounded up to a power of two; default derived from [max_conns]).
+    A conflict miss costs one table probe; no size changes behaviour.
 
     [?anomaly_budget] (default 32) is the scored-anomaly threshold at
     which a connection's admission is revoked; [0] disables quarantine
@@ -96,23 +97,19 @@ val create :
     @raise Invalid_argument if [anomaly_budget < 0]. *)
 
 val on_packet : t -> bytes -> unit
-(** Feed one wire packet: parse the envelope, route signals through the
-    connection table and data to the owning epoch's receiver
+(** Feed one wire packet through the full decoder
+    ({!Labelling.Wire.decode_packet}), then dispatch each chunk exactly
+    as {!ingest} does.  Kept as the reference entry the
+    [fastpath-coherence] oracle row compares {!ingest} against
     (unparseable packets are dropped, as on a real wire). *)
 
 val ingest : t -> bytes -> unit
-(** Feed one wire packet through the flow-cache fast path (DESIGN §7):
-    a single zero-allocation structural scan ({!Labelling.Wire.Scan})
-    replaces full decoding, and hot-connection chunks dispatch via the
-    connection cache straight to the live epoch's receiver (bypassing
-    the signalling table and demux lookups).  Signals, C.ST carriers,
-    cache misses and any anomaly (stale epoch, confirmed stream end)
-    take the slow path one chunk at a time: the chunk is materialised
-    from the scan and routed by the same per-chunk dispatch {!on_packet}
-    applies to every chunk it decodes (connection table, then the owning
-    epoch's receiver), and then repopulates the cache.
-    Behaviourally identical to {!on_packet} on every input — malformed
-    packets are dropped whole; delivery is byte-identical — as asserted
+(** Feed one wire packet: one zero-allocation structural scan
+    ({!Labelling.Wire.Scan}) validates it (malformed packets are dropped
+    whole), then every chunk takes the one dispatch path (DESIGN §7) —
+    signals to their handlers, everything else to the owning epoch's
+    receiver, the connection found through the memoised table.
+    Behaviourally identical to {!on_packet} on every input, as asserted
     by the [fastpath-coherence] oracle row across every soak profile. *)
 
 val ingest_batch : t -> bytes array -> unit
@@ -127,12 +124,13 @@ type fastpath_stats = {
           is gone, and the field stays only because the receive-path
           benchmark still reads it *)
 }
-(** Counters of the fast path's flow cache. *)
+(** Counters of the connection-lookup memo. *)
 
 val fastpath_stats : t -> fastpath_stats
-(** Flow-cache counters accumulated since creation.  The cache is probed
-    and filled only on the {!ingest} path, so a pure {!on_packet}
-    endpoint reports all-zero stats. *)
+(** Memo counters accumulated since creation.  Every chunk's connection
+    lookup probes the memo, on {!ingest} and {!on_packet} alike; a miss
+    that finds a record inserts it, a never-opened C.ID inserts
+    nothing. *)
 
 val epochs : t -> conn_id:int -> epoch_report list
 (** Delivered buffers of the connection's epochs, oldest first; the last
@@ -140,9 +138,6 @@ val epochs : t -> conn_id:int -> epoch_report list
 
 val known_conns : t -> int list
 (** Connections ever admitted, ascending. *)
-
-val table : t -> Labelling.Connection.t
-(** The signalling table (for inspection). *)
 
 val governor_stats : t -> Governor.stats
 

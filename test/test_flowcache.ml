@@ -1,8 +1,9 @@
-(* The flow-cache fast path is pure acceleration: unit tests of the
-   cache structure itself, fuzz agreement of the structural scanner with
-   the slow decoder, and properties pinning [Multi.ingest] to
+(* [Multi]'s connection-lookup memo and its two packet entries: unit
+   tests of the cache structure itself, fuzz agreement of the structural
+   scanner with the decoder, properties pinning [Multi.ingest] to
    byte-identical delivery with [Multi.on_packet] under packet
-   permutation, epoch reuse and crash-restore. *)
+   permutation, epoch reuse and crash-restore, and the add-only
+   connection table the memo's coherence rests on. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
@@ -19,15 +20,11 @@ let test_cache_basics () =
     (FC.find c ~k1:3 ~k2:9);
   Alcotest.(check bool) "other key still misses" true
     (FC.find c ~k1:3 ~k2:10 = None);
-  FC.invalidate c ~k1:3 ~k2:9;
-  Alcotest.(check bool) "miss after invalidate" true
-    (FC.find c ~k1:3 ~k2:9 = None);
   let s = FC.stats c in
   Alcotest.(check int) "hits" 1 s.FC.s_hits;
-  Alcotest.(check int) "misses" 3 s.FC.s_misses;
+  Alcotest.(check int) "misses" 2 s.FC.s_misses;
   Alcotest.(check int) "insertions" 1 s.FC.s_insertions;
-  Alcotest.(check int) "invalidations" 1 s.FC.s_invalidations;
-  Alcotest.(check (float 1e-9)) "hit rate" 0.25 (FC.hit_rate s)
+  Alcotest.(check (float 1e-9)) "hit rate" (1.0 /. 3.0) (FC.hit_rate s)
 
 let test_cache_eviction () =
   (* direct-mapped: some other key must land in key 1's slot; inserting
@@ -72,21 +69,6 @@ let test_cache_negative_key_rejected () =
     (Invalid_argument "Flowcache.insert: keys are non-negative wire IDs")
     (fun () -> FC.insert c ~k1:(-1) ~k2:0 ())
 
-let test_cache_clear () =
-  let c = FC.create ~name:"test-clear" ~slots:16 () in
-  for k = 1 to 5 do
-    FC.insert c ~k1:k ~k2:7 k
-  done;
-  FC.clear c;
-  for k = 1 to 5 do
-    Alcotest.(check bool) "cleared" true (FC.find c ~k1:k ~k2:7 = None)
-  done;
-  (* every inserted entry either survived to be cleared (invalidation)
-     or was displaced by a colliding insert (eviction) *)
-  let s = FC.stats c in
-  Alcotest.(check int) "all five entries accounted" 5
-    (s.FC.s_invalidations + s.FC.s_evictions)
-
 (* --- stats algebra ------------------------------------------------ *)
 
 (* Soak reports fold [add_stats] over arbitrarily many runs in whatever
@@ -99,21 +81,18 @@ let gen_stats =
     let* s_hits = field in
     let* s_misses = field in
     let* s_insertions = field in
-    let* s_invalidations = field in
     let* s_evictions = field in
-    return
-      { FC.s_hits; s_misses; s_insertions; s_invalidations; s_evictions })
+    return { FC.s_hits; s_misses; s_insertions; s_evictions })
 
 let stats_eq (a : FC.stats) (b : FC.stats) =
   a.FC.s_hits = b.FC.s_hits
   && a.FC.s_misses = b.FC.s_misses
   && a.FC.s_insertions = b.FC.s_insertions
-  && a.FC.s_invalidations = b.FC.s_invalidations
   && a.FC.s_evictions = b.FC.s_evictions
 
 let stats_sane (s : FC.stats) =
   s.FC.s_hits >= 0 && s.FC.s_misses >= 0 && s.FC.s_insertions >= 0
-  && s.FC.s_invalidations >= 0 && s.FC.s_evictions >= 0
+  && s.FC.s_evictions >= 0
 
 let prop_stats_algebra =
   QCheck2.Test.make ~name:"add_stats is a commutative monoid that saturates"
@@ -209,7 +188,7 @@ let prop_scan_images =
   QCheck2.Test.make ~name:"scan agrees with decode_packet on (damaged) packets"
     ~count:1000 gen_image scan_agrees
 
-(* --- Multi: cache-on vs cache-off --------------------------------- *)
+(* --- Multi: scan entry vs decoder entry ---------------------------- *)
 
 let multi_config =
   { CT.default_config with CT.elem_size = 4; tpdu_elems = 16 }
@@ -267,8 +246,8 @@ let epochs_equal a b =
 
 (* A multi-connection packet mix under an arbitrary permutation (which
    reorders signals against data and interleaves connections) plus
-   duplicated packets and copies with one bit flipped: the fast path
-   must stay byte-identical with the slow path — including on traffic
+   duplicated packets and copies with one bit flipped: the scan entry
+   must stay byte-identical with the decoder entry — including on traffic
    that arrives before its Open, and on damage that either drops the
    packet whole or reaches a label or payload. *)
 let gen_permuted_mix =
@@ -327,8 +306,8 @@ let mk_receiver () =
     ~send_ack:(fun _ -> ())
     ~capacity:(`Quota 4096) ()
 
-(* Two endpoints, each against its own oracle.  [Multi]: the
-   connection cache on ([ingest_batch]) against off ([on_packet]).  One
+(* Two endpoints, each against its own oracle.  [Multi]: the scan
+   entry ([ingest_batch]) against the decoder entry ([on_packet]).  One
    single receiver: its only packet entry ([ingest_batch], a structural
    scan) against the full decoder feeding [on_chunk]; the mix's other
    connections and signals reach it too, so foreign labels are part of
@@ -378,11 +357,11 @@ let test_batch_single_packet () =
 let test_batch_spanning_quarantine () =
   (* One batch carries a whole scored re-establishment: epoch 0 of conn
      5, then a reopen whose churn trips a tiny anomaly budget, then an
-     innocent conn 6.  The quarantine lands mid-batch; the fast path
-     must refuse the boxed connection's remaining packets (no stale
-     cache entry may serve it) while conn 6 sails through — and the
-     batch must stay byte-identical with the slow path under the same
-     budget. *)
+     innocent conn 6.  The quarantine lands mid-batch; the scan entry
+     must refuse the boxed connection's remaining packets (its memoised
+     record is boxed in place) while conn 6 sails through — and the
+     batch must stay byte-identical with the decoder entry under the
+     same budget. *)
   let budget = 4 in
   let m_slow = mk_multi ~anomaly_budget:budget ()
   and m_fast = mk_multi ~anomaly_budget:budget () in
@@ -392,7 +371,7 @@ let test_batch_spanning_quarantine () =
   let batch = Array.of_list (epoch0 @ epoch1 @ honest) in
   Array.iter (Transport.Multi.on_packet m_slow) batch;
   Transport.Multi.ingest_batch m_fast batch;
-  Alcotest.(check bool) "fast path identical to slow path" true
+  Alcotest.(check bool) "scan entry identical to decoder entry" true
     (epochs_equal m_slow m_fast);
   Alcotest.(check int) "reopen churn tripped the box" 1
     (Transport.Multi.quarantines m_fast);
@@ -417,18 +396,24 @@ let test_batch_spanning_quarantine () =
         (Bytes.equal (Bytes.sub e.Transport.Multi.delivered 0 480) d6)
   | es -> Alcotest.failf "expected 1 epoch on conn 6, got %d" (List.length es)
 
-(* --- invalidation on epoch reuse ---------------------------------- *)
+(* --- epoch reuse is served from the memo --------------------------- *)
 
-let test_epoch_reuse_invalidates () =
-  let m_slow = mk_multi () and m_fast = mk_multi () in
+(* A reopen under the same C.ID replaces the live receiver inside the
+   connection record, never the record itself, so the record memoised
+   for epoch 0 keeps serving epoch 1: every lookup after the first data
+   chunk hits, and the memo is written exactly once. *)
+let test_epoch_reuse_memo_hits () =
+  let m_dec = mk_multi () and m_scan = mk_multi () in
   let d0, epoch0 = conn_packets ~conn:5 ~seed:1 600 in
   let d1, epoch1 = conn_packets ~conn:5 ~seed:77 ~first_tid:100_000 600 in
-  let feed m deliver = List.iter deliver (epoch0 @ epoch1) |> ignore; m in
-  let m_slow = feed m_slow (Transport.Multi.on_packet m_slow) in
-  let m_fast = feed m_fast (Transport.Multi.ingest m_fast) in
-  Alcotest.(check bool) "cache-on identical to cache-off" true
-    (epochs_equal m_slow m_fast);
-  (match Transport.Multi.epochs m_fast ~conn_id:5 with
+  List.iter (Transport.Multi.on_packet m_dec) (epoch0 @ epoch1);
+  List.iter (Transport.Multi.ingest m_scan) epoch0;
+  let before = (Transport.Multi.fastpath_stats m_scan).Transport.Multi.fp_conn in
+  List.iter (Transport.Multi.ingest m_scan) epoch1;
+  let after = (Transport.Multi.fastpath_stats m_scan).Transport.Multi.fp_conn in
+  Alcotest.(check bool) "scan entry identical to decoder entry" true
+    (epochs_equal m_dec m_scan);
+  (match Transport.Multi.epochs m_scan ~conn_id:5 with
   | [ e0; e1 ] ->
       Alcotest.(check bool) "epoch 0 complete" true e0.Transport.Multi.complete;
       Alcotest.(check bool) "epoch 1 complete" true e1.Transport.Multi.complete;
@@ -437,11 +422,107 @@ let test_epoch_reuse_invalidates () =
       Alcotest.(check bool) "epoch 1 bytes" true
         (Bytes.equal (Bytes.sub e1.Transport.Multi.delivered 0 600) d1)
   | es -> Alcotest.failf "expected 2 epochs, got %d" (List.length es));
-  (* the stale epoch-0 entry was caught by the physical revalidation and
-     torn down, never served *)
-  let fp = Transport.Multi.fastpath_stats m_fast in
-  Alcotest.(check bool) "conn-cache invalidated on epoch turnover" true
-    (fp.Transport.Multi.fp_conn.FC.s_invalidations >= 1)
+  Alcotest.(check bool) "turnover served by memo hits" true
+    (after.FC.s_hits - before.FC.s_hits >= List.length epoch1);
+  Alcotest.(check int) "no miss across the turnover" before.FC.s_misses
+    after.FC.s_misses;
+  Alcotest.(check int) "the record was memoised once" 1 after.FC.s_insertions
+
+(* --- the premise of the memo: an add-only connection table --------- *)
+
+(* Every packet may only add connections and epochs, never take one
+   away: [known_conns] grows as a superset and no connection's epoch
+   count drops.  A memo entry is a connection record, so this is what
+   keeps every entry coherent without invalidation. *)
+let add_only m mix batch =
+  let prev = ref [] and prev_epochs = ref [] in
+  let epochs_of cid =
+    match Transport.Multi.conn_stats m ~conn_id:cid with
+    | Some cs -> cs.Transport.Multi.cs_epochs
+    | None -> -1
+  in
+  let ok = ref true in
+  in_batches
+    (fun packets ->
+      Transport.Multi.ingest_batch m packets;
+      let now = Transport.Multi.known_conns m in
+      ok :=
+        !ok
+        && List.for_all (fun cid -> List.mem cid now) !prev
+        && List.for_all (fun (cid, e) -> epochs_of cid >= e) !prev_epochs;
+      prev := now;
+      prev_epochs := List.map (fun cid -> (cid, epochs_of cid)) now)
+    mix batch;
+  !ok
+
+(* Each connection's first epoch (shuffled with duplicates), then the
+   Opens of its reopen under a fresh C.SN, then the rest of the reopen
+   (shuffled): under a budget of 4 each reopen's churn trips the
+   penalty box, so the mix exercises quarantine, archive and refused
+   traffic on connections the memo holds. *)
+let gen_churn_mix =
+  QCheck2.Gen.(
+    let* n_conns = int_range 1 3 in
+    let* seed = int_range 0 255 in
+    let* shuffle_seed = int_range 0 0xFFFF in
+    let rng = Netsim.Rng.create ~seed:shuffle_seed in
+    let shuffled l =
+      let a = Array.of_list l in
+      for i = Array.length a - 1 downto 1 do
+        let j = Netsim.Rng.int rng (i + 1) in
+        let t = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- t
+      done;
+      a
+    in
+    let epoch ~first_tid ~seed conn =
+      snd (conn_packets ~conn ~seed ~first_tid 240)
+    in
+    let conns = List.init n_conns (fun i -> i + 1) in
+    let first =
+      List.concat_map (fun c -> epoch ~first_tid:0 ~seed:(seed + c) c) conns
+    in
+    let reopen =
+      List.map (fun c -> epoch ~first_tid:100_000 ~seed:(seed + 77 + c) c) conns
+    in
+    return
+      (Array.concat
+         [
+           shuffled (first @ first);
+           Array.of_list (List.map List.hd reopen);
+           shuffled (List.concat_map List.tl reopen);
+         ]))
+
+let prop_add_only_permuted =
+  QCheck2.Test.make ~name:"conn table is add-only under permuted mixes"
+    ~count:40 gen_permuted_mix (fun (mix, batch) ->
+      add_only (mk_multi ()) mix batch)
+
+let prop_add_only_quarantine =
+  QCheck2.Test.make ~name:"conn table is add-only across quarantines"
+    ~count:40 gen_churn_mix (fun mix ->
+      let m = mk_multi ~anomaly_budget:4 () in
+      add_only m mix 1 && Transport.Multi.quarantines m >= 1)
+
+(* Traffic for C.IDs that were never opened — data, ED and a Close — is
+   dropped as unknown, and its lookups write nothing into the memo. *)
+let test_strangers_not_memoised () =
+  let m = mk_multi () in
+  List.iter
+    (fun conn ->
+      match conn_packets ~conn ~seed:conn 320 with
+      | _, _open :: rest -> List.iter (Transport.Multi.ingest m) rest
+      | _, [] -> ())
+    [ 7; 8; 9 ];
+  let fp = (Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn in
+  Alcotest.(check (list int)) "no connection admitted" []
+    (Transport.Multi.known_conns m);
+  Alcotest.(check bool) "stranger data dropped as unknown" true
+    (Transport.Multi.unknown_drops m > 0);
+  Alcotest.(check bool) "every lookup missed" true
+    (fp.FC.s_misses > 0 && fp.FC.s_hits = 0);
+  Alcotest.(check int) "nothing memoised" 0 fp.FC.s_insertions
 
 (* --- crash restore starts cold ------------------------------------ *)
 
@@ -500,7 +581,6 @@ let suite =
       test_cache_sequential_ids_distinct;
     Alcotest.test_case "cache rejects negative keys" `Quick
       test_cache_negative_key_rejected;
-    Alcotest.test_case "cache clear" `Quick test_cache_clear;
     QCheck_alcotest.to_alcotest prop_stats_algebra;
     Alcotest.test_case "add_stats saturates" `Quick test_stats_saturate;
     QCheck_alcotest.to_alcotest prop_scan_garbage;
@@ -511,8 +591,12 @@ let suite =
       test_batch_single_packet;
     Alcotest.test_case "ingest_batch spanning a mid-batch quarantine" `Quick
       test_batch_spanning_quarantine;
-    Alcotest.test_case "epoch reuse invalidates the conn cache" `Quick
-      test_epoch_reuse_invalidates;
+    Alcotest.test_case "epoch reuse is served by memo hits" `Quick
+      test_epoch_reuse_memo_hits;
+    QCheck_alcotest.to_alcotest prop_add_only_permuted;
+    QCheck_alcotest.to_alcotest prop_add_only_quarantine;
+    Alcotest.test_case "never-opened C.IDs are not memoised" `Quick
+      test_strangers_not_memoised;
     Alcotest.test_case "crash restore starts with a cold cache" `Quick
       test_crash_restore_fresh_cache;
   ]
