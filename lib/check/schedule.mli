@@ -60,8 +60,8 @@ type profile =
           epochs under the memoised connection records — and the
           [fastpath-coherence] oracle row replays each such schedule
           through the decoder entry, demanding identical delivery and
-          identical verdicts.  Its single-connection runs exercise the receiver's
-          one packet entry under the same fire. *)
+          identical verdicts.  Its single-connection runs exercise the
+          receiver's one packet entry under the same fire. *)
   | Byzantine_hostile
       (** a wire-conformant but protocol-violating peer alongside the
           honest population: Open/Close flapping that parks archived
@@ -189,9 +189,8 @@ type t = {
           {!Transport.Multi.on_packet}); any schedule may draw it, and
           the [fastpath-coherence] oracle row re-runs a multi-path
           schedule through the decoder entry and demands identical
-          outcomes.
-          The single receiver has one packet entry, so the field
-          changes nothing on the single path. *)
+          outcomes.  The single receiver has one packet entry, so the
+          field changes nothing on the single path. *)
   byz : byz option;
       (** byzantine peer ({!Netsim.Byzantine}): valid wire format,
           violated protocol; forces the multi path, and the

@@ -183,7 +183,7 @@ let decode_packet b =
    one [decode_packet] applies — the scanner accepts a buffer iff
    [decode_packet] returns [Ok], with the scratch holding exactly the
    offsets of the chunks [decode_packet] would return, in order.  The
-   checks mirrored from the slow path, per chunk at [off]:
+   checks mirrored from the decoder, per chunk at [off]:
 
    - LEN within [Header.max_len]                    (Header.v)
    - data chunk with LEN > 0 has SIZE >= 1          (Header.v; SIZE is a
@@ -223,9 +223,9 @@ module Scan = struct
 
   type t = {
     mutable offs : int array;
-    (* dispatch prefix recorded while validating, so the fast path
-       never re-reads it: C.ID, and the TYPE code with the C.ST byte
-       folded into bit 8 *)
+    (* dispatch prefix recorded while validating, so a caller never
+       re-reads it: C.ID, and the TYPE code with the C.ST byte folded
+       into bit 8 *)
     mutable cids : int array;
     mutable metas : int array;
     mutable n : int;

@@ -153,10 +153,9 @@ module Scan : sig
   (** External-PDU-level ID / first-element SN / last-element ST. *)
 
   val chunk : bytes -> int -> Chunk.t
-  (** Materialise the chunk at a scanned offset — the slow-path
-      fallback's bridge back to {!Chunk.t} processing.  Equal (by
-      {!Chunk.equal}) to what {!decode_chunk} returns there.  Allocates;
-      only called off the fast path. *)
+  (** Materialise the chunk at a scanned offset — the scan entries'
+      bridge back to {!Chunk.t} processing.  Equal (by {!Chunk.equal})
+      to what {!decode_chunk} returns there.  Allocates. *)
 end
 
 (** {1 Checksummed record framing}

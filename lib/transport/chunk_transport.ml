@@ -773,9 +773,6 @@ module Receiver = struct
   let contents rx = Placement.contents rx.placement
   let delivered_elems rx = Placement.placed_elems rx.placement
 
-  let stream_end_elems rx =
-    Option.map (fun last -> last + 1) rx.end_confirmed
-
   (* First element not covered by a verified or deliberately-shed run:
      sorted-span walk over the merged coverage.  A shed span counts
      toward stream {e completion} (the degradation contract says those

@@ -161,10 +161,6 @@ module Receiver : sig
   (** Whether the receiver holds any soft state (verifier accumulator or
       corroboration record) for [t_id]. *)
 
-  val stream_end_elems : t -> int option
-  (** Total stream length in elements, once a verified TPDU has carried
-      the C.ST end-of-connection bit ([`Quota] mode). *)
-
   val abort_tpdu : t -> t_id:int -> unit
   (** Evict all partial state for [t_id] (the sender abandoned it);
       counted in {!aborts_received} if any state existed. *)

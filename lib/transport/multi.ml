@@ -237,7 +237,6 @@ let enter_quarantine m c =
   c.quarantined_until <- now m +. dur;
   c.anomaly_score <- 0;
   m.quarantines <- m.quarantines + 1;
-  (* the live epoch's state is reclaimed *)
   close_conn m c;
   if Obs.enabled then begin
     Obs.Metrics.incr m_quarantines;

@@ -559,7 +559,7 @@ let test_crash_restore_fresh_cache () =
         (Bytes.equal (Bytes.sub e.Transport.Multi.delivered 0 700) d0)
   | es -> Alcotest.failf "expected 1 epoch, got %d" (List.length es));
   (* fresh traffic — a reopen with a higher Open C.SN — flows through
-     the fast path and repopulates the cold cache *)
+     the scan entry and repopulates the cold memo *)
   let d1, epoch1 = conn_packets ~conn:3 ~seed:10 ~first_tid:100_000 500 in
   List.iter (Transport.Multi.ingest m1) epoch1;
   (match Transport.Multi.epochs m1 ~conn_id:3 with
