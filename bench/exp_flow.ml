@@ -11,8 +11,9 @@
    dispatch, whose connection lookups go through a memo of the
    connection table.  The bench asserts:
 
-   - delivery is byte-identical across every hot connection (the live
-     half of the [fastpath-coherence] oracle row);
+   - delivery is byte-identical across every hot connection (with
+     [test/test_flowcache.ml]'s properties, what holds the two entries
+     equal);
    - the connection memo's hit rate on the skewed mix is >= 90%;
    - the isolated demux+parse stage (scan plus one memo probe per
      chunk) is >= 5x faster than decode-and-look-up.

@@ -111,7 +111,7 @@ let run_replay spec mutate =
          roundtrip_fail=%d snapshots=%d journal_records=%d\n\
          overlap injected=%d conflicts_seen=%d rejected=%d quarantined=%d \
          verified_overwrites=%d\n\
-         fastpath=%b fp hits=%d misses=%d inserts=%d evictions=%d\n\
+         fp hits=%d misses=%d inserts=%d evictions=%d\n\
          sheds tx=%d rx=%d shed_elems=%d shed_spans=%s\n\
          anomalies=%d quarantines=%d qdrops=%d poisoned=%d \
          sheds_refused=%d byz=%s\n\
@@ -134,7 +134,6 @@ let run_replay spec mutate =
         observation.journal_records observation.overlap_injected
         observation.overlap_conflicts_seen observation.overlap_conflicts_rejected
         observation.overlap_quarantined observation.verified_overwrites
-        schedule.Check.Schedule.fastpath
         observation.fastpath_stats.Transport.Flowcache.s_hits
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
@@ -227,25 +226,15 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                 in
                 Printf.printf
                   "%-8s %5d schedules  %d violations  %d/%d injections \
-                   undetected  overlap %d injected/%d conflicts/%d rejected  \
-                   sheds %d/%d honoured/%d elems  fastpath %d runs \
-                   %d hits/%d misses  byz %d injected/%d \
-                   flaps/%d quarantines/%d refused/%d honest-boxed  %.1fs\n\
-                   %!"
+                   undetected  %s  %.1fs\n%!"
                   (Check.Schedule.profile_name p) report.Check.Soak.schedules_run
                   (List.length report.Check.Soak.findings)
                   report.Check.Soak.detect_undetected
-                  report.Check.Soak.detect_trials report.Check.Soak.ov_injected
-                  report.Check.Soak.ov_conflicts_seen
-                  report.Check.Soak.ov_conflicts_rejected
-                  report.Check.Soak.sheds_signalled
-                  report.Check.Soak.sheds_honoured
-                  report.Check.Soak.shed_elems report.Check.Soak.fp_runs
-                  report.Check.Soak.fp_hits report.Check.Soak.fp_misses
-                  report.Check.Soak.bz_injected report.Check.Soak.bz_flaps
-                  report.Check.Soak.bz_quarantines
-                  report.Check.Soak.bz_quarantine_drops
-                  report.Check.Soak.bz_honest_quarantined
+                  report.Check.Soak.detect_trials
+                  (String.concat " "
+                     (List.map
+                        (fun (key, n) -> Printf.sprintf "%s=%d" key n)
+                        report.Check.Soak.totals))
                   report.Check.Soak.wall_seconds;
                 List.iteri print_finding report.Check.Soak.findings;
                 report)

@@ -158,8 +158,7 @@ type observation = {
   (* connection-lookup memo *)
   fastpath_stats : Transport.Flowcache.stats;
       (* the multi path's memo of its connection table, across crash
-         incarnations, whichever packet entry fed it; all zero on
-         single-path runs *)
+         incarnations; all zero on single-path runs *)
   (* byzantine containment (DESIGN §10); counters accumulate across
      crash incarnations like every other endpoint statistic *)
   anomalies : int;
@@ -1012,9 +1011,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   let trec fmt = make_trec engine trace fmt in
   let multi = ref None in
   let crash_valve =
-    crash_valve engine s multi
-      (if s.Schedule.fastpath then Transport.Multi.ingest
-       else Transport.Multi.on_packet)
+    crash_valve engine s multi Transport.Multi.ingest
   in
   (* The byzantine peer taps the door for its replay ring (before its
      own injections, so it never feeds on itself). *)
@@ -1350,10 +1347,6 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     byz = byz_report;
   }
 
-let run_path ~mutation ~trace s =
-  if Schedule.multi_mode s then run_multi ~mutation ~trace s
-  else run_single ~mutation ~trace s
-
 (* {2 Counterfactuals}
 
    The paper's claim is that labelled chunks produce the same result
@@ -1398,20 +1391,6 @@ let counterfactuals =
           run_multi ~mutation ~trace:None { s with Schedule.byz = None });
       equality = Exact;
     };
-    (* The decoder entry ([Multi.on_packet]) instead of the scan entry
-       ([Multi.ingest]): the wire is identical packet for packet and
-       both feed the one per-chunk dispatch, so any divergence is the
-       scanner's doing.  Only the multi path has two entries; the
-       single receiver has one, so both arms would run the same
-       code. *)
-    {
-      row = "fastpath-coherence";
-      applies = (fun s -> s.Schedule.fastpath && Schedule.multi_mode s);
-      rerun =
-        (fun mutation s ->
-          run_path ~mutation ~trace:None { s with Schedule.fastpath = false });
-      equality = Exact;
-    };
   ]
 
 let outcome (s : Schedule.t) o =
@@ -1429,7 +1408,10 @@ let outcome (s : Schedule.t) o =
       ]
 
 let run ?(mutation = No_mutation) ?trace (s : Schedule.t) =
-  let o = run_path ~mutation ~trace s in
+  let o =
+    if Schedule.multi_mode s then run_multi ~mutation ~trace s
+    else run_single ~mutation ~trace s
+  in
   {
     o with
     counterfactuals =

@@ -181,8 +181,7 @@ type observation = {
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   fastpath_stats : Transport.Flowcache.stats;
       (** the multi path's connection-memo counters, accumulated across
-          crash incarnations, whichever packet entry fed it; all zero on
-          single-path runs *)
+          crash incarnations; all zero on single-path runs *)
   anomalies : int;
       (** protocol anomalies attributed to connections, scored and
           unscored alike *)
@@ -221,7 +220,7 @@ type equality =
           both sides completed *)
 
 type counterfactual = {
-  row : string;  (** oracle row, e.g. [fastpath-coherence] *)
+  row : string;  (** oracle row, e.g. [blast-radius] *)
   applies : Schedule.t -> bool;  (** whether a schedule gets this re-run *)
   rerun : mutation -> Schedule.t -> observation;
       (** the changed world, run untraced *)
@@ -229,10 +228,8 @@ type counterfactual = {
 }
 
 val counterfactuals : counterfactual list
-(** [overlap-determinism] (overlap adversary permuted),
-    [blast-radius] (byzantine peer deleted) and [fastpath-coherence]
-    (the multi path's decoder entry instead of its scan entry), in
-    execution order. *)
+(** [overlap-determinism] (overlap adversary permuted) and
+    [blast-radius] (byzantine peer deleted), in execution order. *)
 
 val outcome : Schedule.t -> observation -> epoch_obs list
 (** A run's per-epoch outcome: [multi]'s epochs, or for a single-path

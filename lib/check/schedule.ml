@@ -127,12 +127,6 @@ type t = {
   shed : shed option;
   crashes : crash list;
   snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
-  fastpath : bool;
-      (** select the multi path's scan entry ([Multi.ingest] instead
-          of [Multi.on_packet]); the [fastpath-coherence] oracle row
-          re-runs a multi-path schedule through the decoder entry and
-          demands identical outcomes.  The single receiver has one
-          packet entry, so the field changes nothing there. *)
   byz : byz option;
       (** a wire-conformant but protocol-violating peer; the
           [blast-radius] oracle row re-runs the schedule with this peer
@@ -333,8 +327,7 @@ let generate ~profile ~seed =
     match profile with
     | Hostile_flood | Crash_flood -> int_in rng 2 4
     | Fastpath_hostile ->
-        (* a mix of single-receiver and demultiplexed runs; only the
-           latter have two packet entries to compare *)
+        (* a mix of single-receiver and demultiplexed runs *)
         int_in rng 1 3
     | Byzantine_hostile ->
         (* the honest population the blast-radius oracle watches *)
@@ -464,7 +457,6 @@ let generate ~profile ~seed =
       shed;
       crashes = [] (* filled below *);
       snap_period = 0.0 (* filled below *);
-      fastpath = profile = Fastpath_hostile (* re-drawn below *);
       byz = None (* drawn last, below *);
     }
   in
@@ -553,18 +545,14 @@ let generate ~profile ~seed =
     | Hostile_flood | Crash_flood -> estimate_budget base
     | _ -> 0
   in
+  (* The draw of a retired field, kept so every generated schedule stays
+     as it was. *)
+  if profile <> Fastpath_hostile then ignore (Netsim.Rng.bool rng (1.0 /. 3.0));
   (* Drawn last so the field's introduction leaves every earlier draw
-     of existing profiles' schedules unchanged.  Every profile runs the
-     scan entry a third of the time — the coherence oracle then
-     compares it with the decoder entry across the whole multi-path
-     fault space, crash restarts included. *)
-  let fastpath =
-    profile = Fastpath_hostile || Netsim.Rng.bool rng (1.0 /. 3.0)
-  in
-  (* Drawn after [fastpath] under the same drawn-last rule.  The flap
-     rate is kept high enough that an unquarantined peer demonstrably
-     exceeds the isolation budget, which is what lets the byz-clobber
-     mutation be caught. *)
+     of existing profiles' schedules unchanged.  The flap rate is kept
+     high enough that an unquarantined peer demonstrably exceeds the
+     isolation budget, which is what lets the byz-clobber mutation be
+     caught. *)
   let byz =
     match profile with
     | Byzantine_hostile ->
@@ -591,7 +579,6 @@ let generate ~profile ~seed =
     outage;
     crashes;
     snap_period;
-    fastpath;
     byz;
   }
 
@@ -856,8 +843,6 @@ let fields =
       fun s crashes -> { s with crashes });
     Field ("snap_period", float, (fun s -> s.snap_period),
       fun s snap_period -> { s with snap_period });
-    Field ("fastpath", bool, (fun s -> s.fastpath),
-      fun s fastpath -> { s with fastpath });
     Field ("byz", opt byz, (fun s -> s.byz), fun s byz -> { s with byz });
   ]
 
@@ -1000,6 +985,10 @@ let validate s =
           else if o.ov_stop < 0.0 then err "overlap stop cannot be negative"
           else if not (o.ov_dup || o.ov_forge || o.ov_resplit) then
             err "overlap must enable at least one mode"
+          else if multi_mode s then
+            err
+              "overlap is specified for the single-transfer path only (the \
+               multi path runs no overlapper)"
           else Ok ()
       | None -> Ok ()
     in
@@ -1009,10 +998,6 @@ let validate s =
           if b.bz_rate <= 0.0 then err "byz rate must be positive"
           else if b.bz_stop < 0.0 then err "byz stop cannot be negative"
           else if b.bz_conns < 1 then err "byz conns must be >= 1"
-          else if s.shed <> None then
-            err
-              "byz cannot combine with shed (shed is specified for the \
-               single-transfer path; byz forces the multi path)"
           else Ok ()
       | None -> Ok ()
     in
@@ -1027,7 +1012,7 @@ let validate s =
             err
               "shed requires adaptive=false (the shed span is derived from \
                the fixed TPDU partition)"
-          else if s.connections > 1 || s.reopen then
+          else if multi_mode s then
             err "shed is specified for the single-transfer path only"
           else if s.crashes <> [] then
             err

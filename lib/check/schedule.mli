@@ -52,16 +52,15 @@ type profile =
           every Critical/Normal byte must arrive byte-exact, and only
           declared-sheddable spans may be missing *)
   | Fastpath_hostile
-      (** the multi path's scan entry and dispatch under hostile fire:
-          every schedule sets [fastpath], so multi-connection runs
+      (** the demultiplexer's scan entry and per-chunk dispatch under
+          hostile fire with no flood: one to three connections
           (sometimes with C.ID reuse) deliver through
           {!Transport.Multi.ingest} while corruption, loss, duplication
           and congestion drops attack the scanned labels and churn
-          epochs under the memoised connection records — and the
-          [fastpath-coherence] oracle row replays each such schedule
-          through the decoder entry, demanding identical delivery and
-          identical verdicts.  Its single-connection runs exercise the
-          receiver's one packet entry under the same fire. *)
+          epochs under the memoised connection records.  It is the only
+          profile that mixes several honest connections with this fault
+          set and no adversary traffic; its single-connection runs
+          exercise the single receiver under the same fire. *)
   | Byzantine_hostile
       (** a wire-conformant but protocol-violating peer alongside the
           honest population: Open/Close flapping that parks archived
@@ -174,7 +173,9 @@ type t = {
           [infinity]) *)
   outage : outage option;  (** forward-path outage window *)
   flood : flood option;  (** connection-flood adversary *)
-  overlap : overlap option;  (** overlap adversary ({!Netsim.Overlapper}) *)
+  overlap : overlap option;
+      (** overlap adversary ({!Netsim.Overlapper}); single-transfer path
+          only — the multi path runs no overlapper *)
   shed : shed option;
       (** partial-reliability contract (which TPDUs are sheddable and
           when the sender sheds them); requires [adaptive = false], the
@@ -183,14 +184,6 @@ type t = {
       (** receiver crash-restart events, ordered, non-overlapping *)
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
-  fastpath : bool;
-      (** select the multi path's scan entry
-          ({!Transport.Multi.ingest} instead of
-          {!Transport.Multi.on_packet}); any schedule may draw it, and
-          the [fastpath-coherence] oracle row re-runs a multi-path
-          schedule through the decoder entry and demands identical
-          outcomes.  The single receiver has one packet entry, so the
-          field changes nothing on the single path. *)
   byz : byz option;
       (** byzantine peer ({!Netsim.Byzantine}): valid wire format,
           violated protocol; forces the multi path, and the
@@ -265,7 +258,8 @@ val validate : t -> (unit, string) result
     the driver and transport rely on (finite numbers, element
     alignment, the invariant-region TPDU bound, MTUs that hold a
     header, positive timers, probabilities in [0, 1], ordered
-    non-overlapping crashes).  The only infinities allowed are an
+    non-overlapping crashes, [shed] and [overlap] only off the
+    {!multi_mode} path).  The only infinities allowed are an
     [ack_blackhole] duration and a drop-mode [outage] duration; any
     other NaN or infinity is refused with an error naming its field.
     [generate] satisfies it by construction; hand-edited replay specs

@@ -25,7 +25,6 @@ let transforms (s : Schedule.t) : (string * Schedule.t) list =
         { s with ack_blackhole = None; give_up_txs = 40 };
       t "connections=1" (s.connections > 1) { s with connections = 1 };
       t "reopen=off" s.reopen { s with reopen = false };
-      t "fastpath=off" s.fastpath { s with fastpath = false };
       t "rto_adaptive=off" s.rto_adaptive { s with rto_adaptive = false };
       t "budget=0" (s.state_budget > 0) { s with state_budget = 0 };
       t "corrupt=0" (s.corrupt > 0.0) { s with corrupt = 0.0 };

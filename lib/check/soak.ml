@@ -11,23 +11,39 @@ type report = {
   findings : finding list;
   detect_trials : int;
   detect_undetected : int;
-  ov_injected : int;
-  ov_conflicts_seen : int;
-  ov_conflicts_rejected : int;
-  sheds_signalled : int;
-  sheds_honoured : int;
-  shed_elems : int;
-  fp_runs : int;
-  fp_hits : int;
-  fp_misses : int;
-  bz_injected : int;
-  bz_flaps : int;
-  bz_anomalies : int;
-  bz_quarantines : int;
-  bz_quarantine_drops : int;
-  bz_honest_quarantined : int;
+  totals : (string * int) list;
   wall_seconds : float;
 }
+
+let byz_stat f (o : Driver.observation) =
+  match o.Driver.byz with Some b -> f b | None -> 0
+
+(* Listed in JSON key order. *)
+let counters : (string * (Driver.observation -> int)) list =
+  [
+    ("overlap_injected", fun o -> o.Driver.overlap_injected);
+    ("overlap_conflicts_seen", fun o -> o.Driver.overlap_conflicts_seen);
+    ("overlap_conflicts_rejected", fun o -> o.Driver.overlap_conflicts_rejected);
+    ("sheds_signalled", fun o -> o.Driver.sheds_sent);
+    ("sheds_honoured", fun o -> o.Driver.sheds_received);
+    ("shed_elems", fun o -> o.Driver.shed_elems);
+    ( "fastpath_hits",
+      fun o -> o.Driver.fastpath_stats.Transport.Flowcache.s_hits );
+    ( "fastpath_misses",
+      fun o -> o.Driver.fastpath_stats.Transport.Flowcache.s_misses );
+    ( "byz_injected",
+      byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.injected) );
+    ("byz_flaps", byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.flaps));
+    ("byz_anomalies", fun o -> o.Driver.anomalies);
+    ("byz_quarantines", fun o -> o.Driver.quarantines);
+    ("byz_quarantine_drops", fun o -> o.Driver.quarantine_drops);
+    ("byz_honest_quarantined", byz_stat (fun b -> b.Driver.bo_honest_quarantined));
+  ]
+
+let total r key =
+  match List.assoc_opt key r.totals with
+  | Some n -> n
+  | None -> invalid_arg ("Soak.total: unknown counter " ^ key)
 
 let clean r = r.findings = [] && r.detect_undetected = 0
 
@@ -48,45 +64,16 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
   let n_findings = ref 0 in
   let detect_trials = ref 0 in
   let detect_undetected = ref 0 in
-  let ov_injected = ref 0 in
-  let ov_seen = ref 0 in
-  let ov_rejected = ref 0 in
-  let sheds_signalled = ref 0 in
-  let sheds_honoured = ref 0 in
-  let shed_elems = ref 0 in
-  let fp_runs = ref 0 in
-  let fp = ref Transport.Flowcache.zero_stats in
-  let bz_injected = ref 0 in
-  let bz_flaps = ref 0 in
-  let bz_anomalies = ref 0 in
-  let bz_quarantines = ref 0 in
-  let bz_quarantine_drops = ref 0 in
-  let bz_honest_quarantined = ref 0 in
+  let totals = Array.make (List.length counters) 0 in
   let i = ref 0 in
   while !i < schedules && not (out_of_time ()) do
     let sched_seed = Netsim.Rng.next rng in
     let schedule = Schedule.generate ~profile ~seed:sched_seed in
     let model = Model.of_schedule schedule in
     let observation = Driver.run ~mutation schedule in
-    ov_injected := !ov_injected + observation.Driver.overlap_injected;
-    ov_seen := !ov_seen + observation.Driver.overlap_conflicts_seen;
-    ov_rejected := !ov_rejected + observation.Driver.overlap_conflicts_rejected;
-    sheds_signalled := !sheds_signalled + observation.Driver.sheds_sent;
-    sheds_honoured := !sheds_honoured + observation.Driver.sheds_received;
-    shed_elems := !shed_elems + observation.Driver.shed_elems;
-    if schedule.Schedule.fastpath then incr fp_runs;
-    fp := Transport.Flowcache.add_stats !fp observation.Driver.fastpath_stats;
-    bz_anomalies := !bz_anomalies + observation.Driver.anomalies;
-    bz_quarantines := !bz_quarantines + observation.Driver.quarantines;
-    bz_quarantine_drops :=
-      !bz_quarantine_drops + observation.Driver.quarantine_drops;
-    (match observation.Driver.byz with
-    | None -> ()
-    | Some b ->
-        bz_injected := !bz_injected + b.Driver.bo_stats.Netsim.Byzantine.injected;
-        bz_flaps := !bz_flaps + b.Driver.bo_stats.Netsim.Byzantine.flaps;
-        bz_honest_quarantined :=
-          !bz_honest_quarantined + b.Driver.bo_honest_quarantined);
+    List.iteri
+      (fun k (_, get) -> totals.(k) <- totals.(k) + get observation)
+      counters;
     (match Oracle.check ~schedule ~model ~observation with
     | [] -> ()
     | violations ->
@@ -120,21 +107,7 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     findings = List.rev !findings;
     detect_trials = !detect_trials;
     detect_undetected = !detect_undetected;
-    ov_injected = !ov_injected;
-    ov_conflicts_seen = !ov_seen;
-    ov_conflicts_rejected = !ov_rejected;
-    sheds_signalled = !sheds_signalled;
-    sheds_honoured = !sheds_honoured;
-    shed_elems = !shed_elems;
-    fp_runs = !fp_runs;
-    fp_hits = !fp.Transport.Flowcache.s_hits;
-    fp_misses = !fp.Transport.Flowcache.s_misses;
-    bz_injected = !bz_injected;
-    bz_flaps = !bz_flaps;
-    bz_anomalies = !bz_anomalies;
-    bz_quarantines = !bz_quarantines;
-    bz_quarantine_drops = !bz_quarantine_drops;
-    bz_honest_quarantined = !bz_honest_quarantined;
+    totals = List.mapi (fun k (key, _) -> (key, totals.(k))) counters;
     wall_seconds = Unix.gettimeofday () -. t0;
   }
 
@@ -177,16 +150,15 @@ let json_of_finding f =
 
 let json_of_report r =
   Printf.sprintf
-    "{\"profile\":%s,\"mutation\":%s,\"schedules_run\":%d,\"findings\":[%s],\"detect_trials\":%d,\"detect_undetected\":%d,\"overlap_injected\":%d,\"overlap_conflicts_seen\":%d,\"overlap_conflicts_rejected\":%d,\"sheds_signalled\":%d,\"sheds_honoured\":%d,\"shed_elems\":%d,\"fastpath_runs\":%d,\"fastpath_hits\":%d,\"fastpath_misses\":%d,\"byz_injected\":%d,\"byz_flaps\":%d,\"byz_anomalies\":%d,\"byz_quarantines\":%d,\"byz_quarantine_drops\":%d,\"byz_honest_quarantined\":%d,\"wall_seconds\":%.3f}"
+    "{\"profile\":%s,\"mutation\":%s,\"schedules_run\":%d,\"findings\":[%s],\"detect_trials\":%d,\"detect_undetected\":%d%s,\"wall_seconds\":%.3f}"
     (json_str (Schedule.profile_name r.profile))
     (json_str (Driver.mutation_to_string r.mutation))
     r.schedules_run
     (String.concat "," (List.map json_of_finding r.findings))
-    r.detect_trials r.detect_undetected r.ov_injected r.ov_conflicts_seen
-    r.ov_conflicts_rejected r.sheds_signalled r.sheds_honoured r.shed_elems
-    r.fp_runs r.fp_hits r.fp_misses r.bz_injected
-    r.bz_flaps r.bz_anomalies r.bz_quarantines r.bz_quarantine_drops
-    r.bz_honest_quarantined r.wall_seconds
+    r.detect_trials r.detect_undetected
+    (String.concat ""
+       (List.map (fun (key, n) -> Printf.sprintf ",\"%s\":%d" key n) r.totals))
+    r.wall_seconds
 
 let json_of_reports reports =
   Printf.sprintf "{\"reports\":[%s]}"

@@ -16,26 +16,21 @@ type report = {
   detect_trials : int;
       (** Table 1 fault-injection samples interleaved with the soak *)
   detect_undetected : int;  (** trials where wrong data got through *)
-  ov_injected : int;  (** overlap-adversary packets injected, all runs *)
-  ov_conflicts_seen : int;  (** placement byte conflicts observed *)
-  ov_conflicts_rejected : int;
-      (** conflicts discarded by first-verified-wins *)
-  sheds_signalled : int;  (** sender shed decisions, all runs *)
-  sheds_honoured : int;  (** sheds the receivers honoured, all runs *)
-  shed_elems : int;  (** elements covered by honoured sheds, all runs *)
-  fp_runs : int;  (** schedules whose endpoint took the scan entry *)
-  fp_hits : int;  (** connection-memo hits, all multi-path runs *)
-  fp_misses : int;  (** connection-memo misses, all multi-path runs *)
-  bz_injected : int;  (** byzantine-adversary packets injected, all runs *)
-  bz_flaps : int;  (** byzantine Open/garbage/Close cycles, all runs *)
-  bz_anomalies : int;  (** endpoint anomalies attributed, all runs *)
-  bz_quarantines : int;  (** admissions revoked, all runs *)
-  bz_quarantine_drops : int;  (** events refused from boxed conns, all runs *)
-  bz_honest_quarantined : int;
-      (** honest connections ever boxed under byzantine fire — the
-          [honest-immunity] row demands this stays 0 *)
+  totals : (string * int) list;
+      (** per-run counters summed over all runs, keyed and ordered as in
+          the JSON report: overlap-adversary injections and placement
+          conflicts, shed decisions signalled and honoured with the
+          elements they cover, connection-memo hits and misses (multi
+          path), and byzantine injections, flaps, anomalies,
+          quarantines, refused events and honest connections ever
+          boxed — the [honest-immunity] row demands that last one
+          stays 0 *)
   wall_seconds : float;
 }
+
+val total : report -> string -> int
+(** [total r key] is [r]'s sum for the counter [key] of [r.totals].
+    @raise Invalid_argument on an unknown key. *)
 
 val clean : report -> bool
 (** No oracle violation and no undetected injection. *)

@@ -224,8 +224,7 @@ module Scan = struct
   type t = {
     mutable offs : int array;
     (* dispatch prefix recorded while validating, so a caller never
-       re-reads it: C.ID, and the TYPE code with the C.ST byte folded
-       into bit 8 *)
+       re-reads it: C.ID and the TYPE code *)
     mutable cids : int array;
     mutable metas : int array;
     mutable n : int;
@@ -241,8 +240,7 @@ module Scan = struct
      loop over the last accepted packet. *)
   let offset s i = Array.unsafe_get s.offs i
   let c_id_at s i = Array.unsafe_get s.cids i
-  let ctype_code_at s i = Array.unsafe_get s.metas i land 0xFF
-  let c_st_at s i = Array.unsafe_get s.metas i >= 0x100
+  let ctype_code_at s i = Array.unsafe_get s.metas i
 
   let push s off cid meta =
     if s.n = Array.length s.offs then begin
@@ -291,9 +289,7 @@ module Scan = struct
             let nbytes = if is_data then size * len else len in
             if nb - (off + header_size) < nbytes then false
             else begin
-              push s off
-                (u32 b (off + 7))
-                (code lor (u8 b (off + 19) lsl 8));
+              push s off (u32 b (off + 7)) code;
               go (off + header_size + nbytes)
             end
           end
@@ -302,19 +298,10 @@ module Scan = struct
     in
     go 0
 
-  let ctype_code b off = Bytes.get_uint8 b off
-  let is_data_chunk b off = Bytes.get_uint8 b off = 0
   let size b off = Bytes.get_uint16_be b (off + 1)
   let len b off = get_u32 b (off + 3)
   let c_id b off = get_u32 b (off + 7)
-  let c_sn b off = Int64.to_int (Bytes.get_int64_be b (off + 11))
-  let c_st b off = Bytes.get_uint8 b (off + 19) = 1
   let t_id b off = get_u32 b (off + 20)
-  let t_sn b off = Int64.to_int (Bytes.get_int64_be b (off + 24))
-  let t_st b off = Bytes.get_uint8 b (off + 32) = 1
-  let x_id b off = get_u32 b (off + 33)
-  let x_sn b off = Int64.to_int (Bytes.get_int64_be b (off + 37))
-  let x_st b off = Bytes.get_uint8 b (off + 45) = 1
 
   let tuple b off =
     Ftuple.v

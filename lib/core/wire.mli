@@ -110,23 +110,12 @@ module Scan : sig
   (** [ctype_code_at s i] is the [i]th chunk's TYPE code (0 = data),
       recorded during the validation pass. *)
 
-  val c_st_at : t -> int -> bool
-  (** [c_st_at s i] is the [i]th chunk's C.ST bit, recorded during the
-      validation pass. *)
-
   (** {2 Field readers}
 
       Each reader takes the packet buffer and a chunk offset produced by
       a successful {!packet} call; no bounds or validity checks are
       performed.  Offsets within the 46-byte header are as documented at
       the top of this file. *)
-
-  val ctype_code : bytes -> int -> int
-  (** Raw TYPE byte ([0] = data; see {!Ctype.of_code}). *)
-
-  val is_data_chunk : bytes -> int -> bool
-  (** [true] iff the TYPE byte is [0].  Note a scanned chunk is never a
-      terminator, so unlike {!Chunk.is_data} there is no LEN caveat. *)
 
   val size : bytes -> int -> int
   (** SIZE field (bytes per element). *)
@@ -135,22 +124,10 @@ module Scan : sig
   (** LEN field (element count; payload byte count for control). *)
 
   val c_id : bytes -> int -> int
-  val c_sn : bytes -> int -> int
-
-  val c_st : bytes -> int -> bool
-  (** Connection-level ID / first-element SN / last-element ST. *)
+  (** Connection-level ID (C.ID). *)
 
   val t_id : bytes -> int -> int
-  val t_sn : bytes -> int -> int
-
-  val t_st : bytes -> int -> bool
-  (** TPDU-level ID / first-element SN / last-element ST. *)
-
-  val x_id : bytes -> int -> int
-  val x_sn : bytes -> int -> int
-
-  val x_st : bytes -> int -> bool
-  (** External-PDU-level ID / first-element SN / last-element ST. *)
+  (** TPDU-level ID (T.ID). *)
 
   val chunk : bytes -> int -> Chunk.t
   (** Materialise the chunk at a scanned offset — the scan entries'

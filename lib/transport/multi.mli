@@ -99,9 +99,9 @@ val create :
 val on_packet : t -> bytes -> unit
 (** Feed one wire packet through the full decoder
     ({!Labelling.Wire.decode_packet}), then dispatch each chunk exactly
-    as {!ingest} does.  Kept as the reference entry the
-    [fastpath-coherence] oracle row compares {!ingest} against
-    (unparseable packets are dropped, as on a real wire). *)
+    as {!ingest} does (unparseable packets are dropped, as on a real
+    wire).  Kept as the reference entry that [test/test_flowcache.ml]
+    and the ROB-FLOW bench hold {!ingest} equal to. *)
 
 val ingest : t -> bytes -> unit
 (** Feed one wire packet: one zero-allocation structural scan
@@ -109,8 +109,9 @@ val ingest : t -> bytes -> unit
     whole), then every chunk takes the one dispatch path (DESIGN §7) —
     signals to their handlers, everything else to the owning epoch's
     receiver, the connection found through the memoised table.
-    Behaviourally identical to {!on_packet} on every input, as asserted
-    by the [fastpath-coherence] oracle row across every soak profile. *)
+    Behaviourally identical to {!on_packet} on every input: the two
+    differ only in the decoder, and [test/test_flowcache.ml]'s
+    properties and the ROB-FLOW bench hold them equal. *)
 
 val ingest_batch : t -> bytes array -> unit
 (** {!ingest} over a batch of packets, amortising per-call dispatch

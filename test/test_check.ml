@@ -80,11 +80,11 @@ let test_overlap_hostile_soak () =
      single oracle violation *)
   let report = soak Check.Schedule.Overlap_hostile 15 in
   Alcotest.(check bool) "adversary fired" true
-    (report.Check.Soak.ov_injected > 0);
+    (Check.Soak.total report "overlap_injected" > 0);
   Alcotest.(check bool) "conflicts provoked" true
-    (report.Check.Soak.ov_conflicts_seen > 0);
+    (Check.Soak.total report "overlap_conflicts_seen" > 0);
   Alcotest.(check bool) "conflicts rejected by first-verified-wins" true
-    (report.Check.Soak.ov_conflicts_rejected > 0)
+    (Check.Soak.total report "overlap_conflicts_rejected" > 0)
 
 let test_overlap_clobber_caught () =
   (* a validly-sealed forged TPDU clobbers the first data chunk's range:
@@ -123,15 +123,15 @@ let test_byzantine_hostile_soak () =
      blast-radius re-run every byzantine schedule performs *)
   let report = soak Check.Schedule.Byzantine_hostile 15 in
   Alcotest.(check bool) "adversary fired" true
-    (report.Check.Soak.bz_injected > 0);
+    (Check.Soak.total report "byz_injected" > 0);
   Alcotest.(check bool) "flap cycles ran" true
-    (report.Check.Soak.bz_flaps > 0);
+    (Check.Soak.total report "byz_flaps" > 0);
   Alcotest.(check bool) "quarantine fired" true
-    (report.Check.Soak.bz_quarantines > 0);
+    (Check.Soak.total report "byz_quarantines" > 0);
   Alcotest.(check bool) "boxed connections refused events" true
-    (report.Check.Soak.bz_quarantine_drops > 0);
+    (Check.Soak.total report "byz_quarantine_drops" > 0);
   Alcotest.(check int) "no honest connection ever boxed" 0
-    report.Check.Soak.bz_honest_quarantined
+    (Check.Soak.total report "byz_honest_quarantined")
 
 let test_byz_clobber_caught () =
   (* switch the quarantine off (anomaly budget 0) and require the
@@ -224,6 +224,40 @@ let test_replay_rejects_invalid_schedule () =
     (Result.is_error
        (Check.Schedule.validate
           { base with Check.Schedule.snap_period = -1.0 }));
+  (* shed and overlap are specified for the single-transfer path; a
+     flood or a second connection moves a schedule onto the multi path,
+     which compares delivered bytes exactly (ignoring honoured sheds)
+     and runs no overlapper *)
+  List.iter
+    (fun seed ->
+      let s =
+        Check.Schedule.generate ~profile:Check.Schedule.Degrade_hostile ~seed
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "shed under a flood rejected (seed %d)" seed)
+        true
+        (Result.is_error
+           (Check.Schedule.validate
+              {
+                s with
+                Check.Schedule.flood =
+                  Some
+                    {
+                      Check.Schedule.flood_rate = 300.0;
+                      flood_stop = 0.3;
+                      flood_conns = 4;
+                    };
+              })))
+    [ 1; 35; 36 ];
+  Alcotest.(check bool) "overlap on two connections rejected" true
+    (Result.is_error
+       (Check.Schedule.validate
+          {
+            (Check.Schedule.generate ~profile:Check.Schedule.Overlap_hostile
+               ~seed:7)
+            with
+            Check.Schedule.connections = 2;
+          }));
   (* a spec with a field no release knows is refused outright, and the
      offender is reported by name for the CLI diagnostic *)
   let with_bogus = Check.Schedule.to_string base ^ " bogus=1" in
@@ -310,7 +344,7 @@ let documented_replays =
      corrupt=0.0093092595643903681 duplicate=0.042079885140191578 dropper=- \
      ack_blackhole=- outage=- flood=- \
      overlap=120:0.59999999999999998:true:true:true shed=- crashes=- \
-     snap_period=0 fastpath=true byz=-";
+     snap_period=0 byz=-";
     "seed=1536806005072951514 profile=fastpath-hostile data_len=978 \
      elem_size=4 tpdu_elems=456 frame_bytes=740 mtu=1162 window=8 \
      rto=0.15263576704970339 sack=true adaptive=false \
@@ -321,7 +355,7 @@ let documented_replays =
      delay=0.00051348559230668823 gateways=one:1008:3,combine:260:3 \
      loss=0.057154593614468202 corrupt=0.0082187233663428873 duplicate=0 \
      dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
-     snap_period=0 fastpath=true byz=-";
+     snap_period=0 byz=-";
   ]
 
 (* One generated schedule per profile, as committed text: a change to
@@ -339,7 +373,7 @@ let pinned_schedules =
         rate_bps=125036203.56537773 delay=0.0013473100176801993 \
         gateways=one:1011:2,one:469:1,reassemble:447:2 loss=0 corrupt=0 \
         duplicate=0 dropper=- ack_blackhole=- outage=- flood=- overlap=- \
-        shed=- crashes=- snap_period=0 fastpath=true byz=-" );
+        shed=- crashes=- snap_period=0 byz=-" );
     ( Check.Schedule.Lossy,
       191,
       "seed=191 profile=lossy data_len=15095 elem_size=4 tpdu_elems=46 \
@@ -352,7 +386,7 @@ let pinned_schedules =
         gateways=one:707:2,reassemble:162:1 loss=0.015292151933072437 \
         corrupt=0 duplicate=0.019717455388954204 dropper=- ack_blackhole=- \
         outage=- flood=- overlap=- shed=- crashes=- snap_period=0 \
-        fastpath=true byz=-" );
+        byz=-" );
     ( Check.Schedule.Hostile,
       111,
       "seed=111 profile=hostile data_len=4947 elem_size=8 tpdu_elems=420 \
@@ -365,7 +399,7 @@ let pinned_schedules =
         gateways=combine:945:4,reassemble:296:2,one:326:4 \
         loss=0.050346617178427387 corrupt=0.016498813895902679 \
         duplicate=0.015176951800289541 dropper=- ack_blackhole=- outage=- \
-        flood=- overlap=- shed=- crashes=- snap_period=0 fastpath=true \
+        flood=- overlap=- shed=- crashes=- snap_period=0 \
         byz=-" );
     ( Check.Schedule.Hostile_flood,
       120,
@@ -382,7 +416,7 @@ let pinned_schedules =
         duplicate=0.015236485527047223 dropper=- \
         ack_blackhole=0.083040695945466647:inf outage=- \
         flood=1451.0882359857414:0.67256601421717921:19 overlap=- shed=- \
-        crashes=- snap_period=0 fastpath=true byz=-" );
+        crashes=- snap_period=0 byz=-" );
     ( Check.Schedule.Outage_recover,
       61,
       "seed=61 profile=outage-recover data_len=14194 elem_size=8 \
@@ -397,7 +431,7 @@ let pinned_schedules =
         loss=0.015796115684058316 corrupt=0 duplicate=0.048298766475487642 \
         dropper=- ack_blackhole=- \
         outage=drop:0.10321049304830426:3.8445426151214437 flood=- \
-        overlap=- shed=- crashes=- snap_period=0 fastpath=true byz=-" );
+        overlap=- shed=- crashes=- snap_period=0 byz=-" );
     ( Check.Schedule.Crash_restart,
       61,
       "seed=61 profile=crash-restart data_len=14194 elem_size=8 \
@@ -412,7 +446,7 @@ let pinned_schedules =
         duplicate=0.048298766475487642 dropper=- ack_blackhole=- outage=- \
         flood=- overlap=- shed=- \
         crashes=0.83588162932530929:0.71133408690806887 \
-        snap_period=1.27906711750181 fastpath=true byz=-" );
+        snap_period=1.27906711750181 byz=-" );
     ( Check.Schedule.Crash_flood,
       0,
       "seed=0 profile=crash-flood data_len=1175 elem_size=8 tpdu_elems=242 \
@@ -427,7 +461,7 @@ let pinned_schedules =
         duplicate=0.022018999316671645 dropper=- ack_blackhole=- outage=- \
         flood=925.66698870849041:0.43428852714376431:9 overlap=- shed=- \
         crashes=1.333941906169283:0.83677912257166776,3.1595212784833144:0.47403741746948314 \
-        snap_period=1.8256619836111918 fastpath=true byz=-" );
+        snap_period=1.8256619836111918 byz=-" );
     ( Check.Schedule.Overlap_hostile,
       23,
       "seed=23 profile=overlap-hostile data_len=13578 elem_size=4 \
@@ -442,7 +476,7 @@ let pinned_schedules =
         loss=0.019873466534309738 corrupt=0.0045478870949173644 duplicate=0 \
         dropper=- ack_blackhole=- outage=- flood=- \
         overlap=190.95899363963298:0.41913811557423719:false:true:true \
-        shed=- crashes=- snap_period=0 fastpath=false byz=-" );
+        shed=- crashes=- snap_period=0 byz=-" );
     ( Check.Schedule.Degrade_hostile,
       111,
       "seed=111 profile=degrade-hostile data_len=10588 elem_size=8 \
@@ -456,7 +490,7 @@ let pinned_schedules =
         gateways=combine:945:4,reassemble:296:2,one:326:4 loss=0 corrupt=0 \
         duplicate=0.033113069036471265 dropper=class:0.16068324630805023 \
         ack_blackhole=- outage=- flood=- overlap=- shed=3:2 crashes=- \
-        snap_period=0 fastpath=true byz=-" );
+        snap_period=0 byz=-" );
     ( Check.Schedule.Fastpath_hostile,
       4,
       "seed=4 profile=fastpath-hostile data_len=261 elem_size=4 \
@@ -471,7 +505,7 @@ let pinned_schedules =
         loss=0.070577523857524166 corrupt=0.036191107382893467 \
         duplicate=0.04277307929154988 dropper=random:0.04725107347725914 \
         ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
-        snap_period=0 fastpath=true byz=-" );
+        snap_period=0 byz=-" );
     ( Check.Schedule.Byzantine_hostile,
       147,
       "seed=147 profile=byzantine-hostile data_len=7888 elem_size=8 \
@@ -486,7 +520,7 @@ let pinned_schedules =
         loss=0.0038714384340844143 corrupt=0 duplicate=0.009187838047838931 \
         dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- \
         crashes=0.59757981128719062:0.41169781052459586 \
-        snap_period=2.3937029653265776 fastpath=false \
+        snap_period=2.3937029653265776 \
         byz=199.60410386787814:0.75454909783551971:1:false:false:true:false" );
   ]
 
@@ -539,7 +573,7 @@ let quarantine_snapshot_line =
    gateways=one:1159:1,combine:1378:1 loss=0 corrupt=0.016638631983681137 \
    duplicate=0 dropper=- ack_blackhole=- outage=- flood=- overlap=- shed=- \
    crashes=0.94240336828574622:0.43379332389094727 \
-   snap_period=0.83083276366275816 fastpath=false byz=-"
+   snap_period=0.83083276366275816 byz=-"
 
 let test_quarantine_snapshot_restore () =
   match Check.Schedule.of_string quarantine_snapshot_line with
@@ -575,7 +609,7 @@ let test_mutation_caught () =
    directly: take a real run of a schedule that uses the row, tamper
    with that row's re-run outcome, and require the oracle to name
    exactly that row. *)
-let counterfactual_run ~profile ~row ?(where = fun _ -> true) () =
+let counterfactual_run ~profile ~row =
   let cf =
     List.find
       (fun (cf : Check.Driver.counterfactual) -> cf.Check.Driver.row = row)
@@ -583,7 +617,7 @@ let counterfactual_run ~profile ~row ?(where = fun _ -> true) () =
   in
   let rec find seed =
     let s = Check.Schedule.generate ~profile ~seed in
-    if cf.Check.Driver.applies s && where s then s else find (seed + 1)
+    if cf.Check.Driver.applies s then s else find (seed + 1)
   in
   let s = find 1 in
   (s, Check.Driver.run s)
@@ -637,8 +671,8 @@ let flip_byte (e : Check.Driver.epoch_obs) =
 let toggle_complete (e : Check.Driver.epoch_obs) =
   Some { e with Check.Driver.e_complete = not e.Check.Driver.e_complete }
 
-let test_counterfactual_sensitivity ~profile ~row ?where () =
-  let s, o = counterfactual_run ~profile ~row ?where () in
+let test_counterfactual_sensitivity ~profile ~row () =
+  let s, o = counterfactual_run ~profile ~row in
   Alcotest.(check (list string))
     "untampered run is clean" [] (oracle_codes s o);
   Alcotest.(check (list string)) "flipped byte" [ row ]
@@ -658,10 +692,9 @@ let test_counterfactual_sensitivity ~profile ~row ?where () =
 let test_exact_one_sided_delivery () =
   (* exact equality counts bytes delivered on one side only, per epoch
      of a demultiplexed run *)
-  let row = "fastpath-coherence" in
+  let row = "blast-radius" in
   let s, o =
-    counterfactual_run ~profile:Check.Schedule.Fastpath_hostile ~row
-      ~where:Check.Schedule.multi_mode ()
+    counterfactual_run ~profile:Check.Schedule.Byzantine_hostile ~row
   in
   Alcotest.(check (list string)) "one-sided delivery" [ row ]
     (tampered_codes ~row s o (fun e ->
@@ -712,11 +745,6 @@ let suite =
       `Quick
       (test_counterfactual_sensitivity ~profile:Check.Schedule.Overlap_hostile
          ~row:"overlap-determinism");
-    Alcotest.test_case "counterfactual sensitivity: fastpath-coherence"
-      `Quick
-      (test_counterfactual_sensitivity
-         ~profile:Check.Schedule.Fastpath_hostile ~row:"fastpath-coherence"
-         ~where:Check.Schedule.multi_mode);
     Alcotest.test_case "counterfactual sensitivity: blast-radius" `Quick
       (test_counterfactual_sensitivity
          ~profile:Check.Schedule.Byzantine_hostile ~row:"blast-radius");

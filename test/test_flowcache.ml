@@ -172,11 +172,8 @@ let scan_agrees b =
              Chunk.equal (Wire.Scan.chunk b off) c
              && Wire.Scan.c_id_at scan i = h.Header.c.Ftuple.id
              && Wire.Scan.ctype_code_at scan i = Ctype.code h.Header.ctype
-             && Wire.Scan.c_st_at scan i = h.Header.c.Ftuple.st
              && Wire.Scan.c_id b off = h.Header.c.Ftuple.id
-             && Wire.Scan.c_sn b off = h.Header.c.Ftuple.sn
-             && Wire.Scan.t_id b off = h.Header.t.Ftuple.id
-             && Wire.Scan.t_sn b off = h.Header.t.Ftuple.sn)
+             && Wire.Scan.t_id b off = h.Header.t.Ftuple.id)
            (List.init (List.length chunks) Fun.id)
            chunks
 
