@@ -84,7 +84,10 @@ let test_overlap_hostile_soak () =
   Alcotest.(check bool) "conflicts provoked" true
     (Check.Soak.total report "overlap_conflicts_seen" > 0);
   Alcotest.(check bool) "conflicts rejected by first-verified-wins" true
-    (Check.Soak.total report "overlap_conflicts_rejected" > 0)
+    (Check.Soak.total report "overlap_conflicts_rejected" > 0);
+  Alcotest.check_raises "unknown counter"
+    (Invalid_argument "Soak.total: unknown counter overlap_typo") (fun () ->
+      ignore (Check.Soak.total report "overlap_typo"))
 
 let test_overlap_clobber_caught () =
   (* a validly-sealed forged TPDU clobbers the first data chunk's range:
