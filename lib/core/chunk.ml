@@ -1,3 +1,5 @@
+type view = { header : Header.t; src : bytes; off : int }
+
 type t = { header : Header.t; payload : bytes }
 
 let make h payload =
@@ -56,6 +58,16 @@ let last_t_sn c =
   if is_terminator c then invalid_arg "Chunk.last_t_sn: terminator";
   let len = if is_control c then 1 else c.header.Header.len in
   c.header.Header.t.Ftuple.sn + len - 1
+
+let view c = { header = c.header; src = c.payload; off = 0 }
+
+let view_payload_bytes (v : view) = Header.payload_bytes v.header
+
+let of_view (v : view) =
+  { header = v.header; payload = Bytes.sub v.src v.off (view_payload_bytes v) }
+
+let view_is_data (v : view) =
+  Ctype.is_data v.header.Header.ctype && not (Header.is_terminator v.header)
 
 let equal a b = Header.equal a.header b.header && Bytes.equal a.payload b.payload
 

@@ -7,6 +7,17 @@
     without waiting for any other chunk, in any arrival order.  Packets
     are mere envelopes carrying integral numbers of chunks. *)
 
+type view = { header : Header.t; src : bytes; off : int }
+(** A chunk read in place: its header record and the buffer its payload
+    lies in, starting at [off]; the payload length is
+    [Header.payload_bytes header].  The receive path hands views of
+    packet buffers to the per-chunk dispatch instead of copying every
+    payload out ({!Wire.Scan.view}).  A view borrows [src]: whoever made
+    it must not mutate those bytes while the view is held.
+
+    Declared before {!t} so that an unannotated [x.Chunk.header] still
+    means a {!t}. *)
+
 type t = private { header : Header.t; payload : bytes }
 (** The payload length always equals [Header.payload_bytes header]; use
     {!make} to construct.  The payload is owned by the chunk: callers
@@ -61,6 +72,18 @@ val last_t_sn : t -> int
     element whose ST bits the header carries.
 
     @raise Invalid_argument on terminators. *)
+
+val view : t -> view
+(** The chunk as a view of its own payload ([off = 0]); no copy. *)
+
+val of_view : view -> t
+(** Materialise a view: copies its payload out of [src]. *)
+
+val view_is_data : view -> bool
+(** {!is_data} of the viewed chunk. *)
+
+val view_payload_bytes : view -> int
+(** {!payload_bytes} of the viewed chunk. *)
 
 val equal : t -> t -> bool
 (** Structural equality: header fields and payload bytes. *)

@@ -48,8 +48,7 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     verified_overwrites = 0;
   }
 
-let sn_of p (c : Chunk.t) =
-  let h = c.Chunk.header in
+let sn_of p (h : Header.t) =
   match p.level with
   | Conn -> h.Header.c.Ftuple.sn
   | Tpdu -> h.Header.t.Ftuple.sn
@@ -138,8 +137,8 @@ let finish r =
    run of unoccupied elements is one blit and one bulk mark, a run of
    occupied elements whose bytes all match is one benign entry, and only
    the elements of a mismatching occupied run go through the policy one
-   at a time. *)
-let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
+   at a time.  The newcomer's payload is [src] from byte [src_off]. *)
+let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   let es = p.elem_size in
   let fresh = runs () and benign = runs () and conflicts = ref [] in
   let push_conflict e k =
@@ -155,18 +154,20 @@ let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
     let i0 = e0 - sn in
     if not (occupied p e0) then begin
       let n = next_bit p.occ ~v:true e0 stop - e0 in
-      Bytes.blit src (i0 * es) p.buf (e0 * es) (n * es);
+      Bytes.blit src (src_off + (i0 * es)) p.buf (e0 * es) (n * es);
       set_bits p.occ e0 n;
       extend fresh e0 n;
       e := e0 + n
     end
     else begin
       let n = next_bit p.occ ~v:false e0 stop - e0 in
-      if equal_sub src (i0 * es) p.buf (e0 * es) (n * es) then extend benign e0 n
+      if equal_sub src (src_off + (i0 * es)) p.buf (e0 * es) (n * es) then
+        extend benign e0 n
       else
         for e = e0 to e0 + n - 1 do
           let i = e - sn in
-          if equal_sub src (i * es) p.buf (e * es) es then extend benign e 1
+          if equal_sub src (src_off + (i * es)) p.buf (e * es) es then
+            extend benign e 1
           else if is_locked p e then begin
             (* the resident bytes are WSC-2-verified: the newcomer is
                counted, traced and discarded — whoever verified first
@@ -180,7 +181,7 @@ let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
             (* a verified newcomer reclaims bytes an unverified squatter
                wrote *)
             p.conflicts_seen <- p.conflicts_seen + 1;
-            Bytes.blit src (i * es) p.buf (e * es) es;
+            Bytes.blit src (src_off + (i * es)) p.buf (e * es) es;
             extend fresh e 1
           end
           else begin
@@ -224,29 +225,32 @@ let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
     rp_conflicts = conflicts;
   }
 
-let checked op p chunk ~verified =
-  if not (Chunk.is_data chunk) then
+let checked op p (v : Chunk.view) ~verified =
+  let h = v.Chunk.header in
+  if not (Chunk.view_is_data v) then
     Error (Printf.sprintf "Placement.%s: not a data chunk" op)
-  else if chunk.Chunk.header.Header.size <> p.elem_size then
+  else if h.Header.size <> p.elem_size then
     Error (Printf.sprintf "Placement.%s: element size mismatch" op)
   else begin
-    let sn = sn_of p chunk - p.base_sn in
-    let len = chunk.Chunk.header.Header.len in
+    let sn = sn_of p h - p.base_sn in
+    let len = h.Header.len in
     (* [sn > capacity - len] rather than [sn + len > capacity]: a decoded
        SN can be close to [max_int], where the addition wraps negative
        and would sail past the window check into Bytes.blit. *)
     if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
       Error (Printf.sprintf "Placement.%s: outside destination window" op)
     else
-      let h = chunk.Chunk.header in
       Ok
-        (apply p ~sn ~len ~src:chunk.Chunk.payload ~verified
+        (apply p ~sn ~len ~src:v.Chunk.src ~src_off:v.Chunk.off ~verified
            ~conn:h.Header.c.Ftuple.id ~tpdu:h.Header.t.Ftuple.id)
   end
 
-let place_checked p chunk = checked "place" p chunk ~verified:false
+let place_view ?(verified = false) p v =
+  checked (if verified then "place_verified" else "place") p v ~verified
+
+let place_checked p chunk = place_view p (Chunk.view chunk)
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)
-let place_verified p chunk = checked "place_verified" p chunk ~verified:true
+let place_verified p chunk = place_view ~verified:true p (Chunk.view chunk)
 
 let lock_span p ~sn ~len =
   if sn >= 0 && len > 0 && len <= p.capacity_elems

@@ -98,6 +98,13 @@ val place_verified : t -> Chunk.t -> (report, string) result
     The caller should then {!lock_span} the runs it now owns
     ([rp_fresh @ rp_benign]). *)
 
+val place_view :
+  ?verified:bool -> t -> Chunk.view -> (report, string) result
+(** {!place_checked} ([verified = false], the default) or
+    {!place_verified} ([true]) of a chunk read in place: the payload is
+    copied once, from the view's buffer straight into the destination.
+    Those three are adapters onto this one. *)
+
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes
     can never again be overwritten by conflicting data.  Out-of-window

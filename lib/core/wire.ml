@@ -310,19 +310,23 @@ module Scan = struct
       ~sn:(Int64.to_int (Bytes.get_int64_be b (off + 4)))
       ()
 
-  let chunk b off =
+  let header b off =
     let ctype =
       match Bytes.get_uint8 b off with 0 -> Ctype.Data | k -> Ctype.Control k
     in
-    let h =
-      {
-        Header.ctype;
-        size = Bytes.get_uint16_be b (off + 1);
-        len = get_u32 b (off + 3);
-        c = tuple b (off + 7);
-        t = tuple b (off + 20);
-        x = tuple b (off + 33);
-      }
-    in
+    {
+      Header.ctype;
+      size = Bytes.get_uint16_be b (off + 1);
+      len = get_u32 b (off + 3);
+      c = tuple b (off + 7);
+      t = tuple b (off + 20);
+      x = tuple b (off + 33);
+    }
+
+  let view b off =
+    { Chunk.header = header b off; src = b; off = off + header_size }
+
+  let chunk b off =
+    let h = header b off in
     Chunk.make_exn h (Bytes.sub b (off + header_size) (Header.payload_bytes h))
 end

@@ -66,8 +66,15 @@ val decode_packet : bytes -> (Chunk.t list, string) result
     once, validating its structure and recording chunk start offsets,
     without building [Chunk.t] values or copying payload bytes.  Label
     fields can then be read straight out of the buffer at those
-    offsets, and {!Scan.chunk} materialises each chunk for the
-    receivers' one per-chunk dispatch.
+    offsets, and {!Scan.view} hands each chunk to the receivers' one
+    per-chunk dispatch as a header record over its payload where it
+    lies; {!Scan.chunk} is the copying variant.
+
+    {b Ownership.}  The receive path never writes into a packet it was
+    handed, but it may keep a view into it until that chunk's TPDU is
+    decided (a chunk waiting for its TPDU's ED chunk).  A caller must
+    therefore not mutate a packet after handing it to an ingest entry;
+    a network element that damages or rewrites packets copies first.
 
     The scanner is {e exactly} as strict as {!decode_packet}:
     [Scan.packet] accepts a buffer iff [decode_packet] returns [Ok] on
@@ -129,9 +136,16 @@ module Scan : sig
   val t_id : bytes -> int -> int
   (** TPDU-level ID (T.ID). *)
 
+  val view : bytes -> int -> Chunk.view
+  (** The chunk at a scanned offset, read in place: its decoded header
+      and the packet itself as the view's buffer, so the payload is
+      never copied.  [Chunk.of_view (view b off)] equals (by
+      {!Chunk.equal}) what {!decode_chunk} returns there.  Allocates
+      the header and view records; copies nothing. *)
+
   val chunk : bytes -> int -> Chunk.t
-  (** Materialise the chunk at a scanned offset — the scan entries'
-      bridge back to {!Chunk.t} processing.  Equal (by {!Chunk.equal})
+  (** Materialise the chunk at a scanned offset: like {!view}, but the
+      payload is copied out of the packet.  Equal (by {!Chunk.equal})
       to what {!decode_chunk} returns there.  Allocates. *)
 end
 

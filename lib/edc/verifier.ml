@@ -157,7 +157,6 @@ let m_passed = Obs.Metrics.counter "edc_tpdus_passed_total"
 let m_failed = Obs.Metrics.counter "edc_tpdus_failed_total"
 let m_dups = Obs.Metrics.counter "edc_duplicates_total"
 let m_latency = Obs.Metrics.histogram "edc_verify_latency_us"
-let m_payload = Obs.Metrics.histogram "edc_chunk_payload_bytes"
 
 let verdict_tag = function
   | Passed -> "passed"
@@ -344,14 +343,15 @@ let commit_arrival s (h : Header.t) =
     Small.add s.x_deltas h.Header.x.Ftuple.id
       (h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn)
 
-(* Accumulate exactly the fresh element sub-runs of a chunk's payload.
-   The unchecked fast path is safe here: [fresh] runs are sub-ranges of
-   the chunk's own [sn, sn + len) (so the byte slice is inside the
-   payload, whose length the chunk invariant ties to LEN * SIZE), and
+(* Accumulate exactly the fresh element sub-runs of a chunk's payload,
+   where it lies in the view's buffer.  The unchecked fast path is safe
+   here: [fresh] runs are sub-ranges of the chunk's own [sn, sn + len)
+   (so the byte slice is inside the payload, which a view's maker
+   guarantees spans LEN * SIZE bytes of [src] from [off]), and
    [arrival_check] already rejected any chunk whose element span escapes
    the invariant's data region, so every position is in range. *)
-let accumulate_fresh s chunk fresh =
-  let h = chunk.Chunk.header in
+let accumulate_fresh s (v : Chunk.view) fresh =
+  let h = v.Chunk.header in
   let size = h.Header.size in
   let base_sn = h.Header.t.Ftuple.sn in
   List.iter
@@ -359,12 +359,12 @@ let accumulate_fresh s chunk fresh =
       match Invariant.data_position ~size ~t_sn:sn with
       | Error msg -> if s.damage = None then s.damage <- Some msg
       | Ok pos ->
-          let off = (sn - base_sn) * size in
-          Wsc2.add_subbytes_exn s.acc ~pos chunk.Chunk.payload off (len * size))
+          let off = v.Chunk.off + ((sn - base_sn) * size) in
+          Wsc2.add_subbytes_exn s.acc ~pos v.Chunk.src off (len * size))
     fresh
 
-let on_data v chunk =
-  let h = chunk.Chunk.header in
+let on_data v (cv : Chunk.view) =
+  let h = cv.Chunk.header in
   let t_id = h.Header.t.Ftuple.id in
   let s = state v t_id in
   match arrival_check s h with
@@ -386,7 +386,7 @@ let on_data v chunk =
               if Obs.enabled then Obs.Metrics.incr m_dups;
               events := [ Duplicate_dropped { t_id } ]
           | _ :: _ ->
-              accumulate_fresh s chunk fresh;
+              accumulate_fresh s cv fresh;
               List.iter
                 (fun (sn, len) ->
                   let xsn =
@@ -403,7 +403,7 @@ let on_data v chunk =
              payload freshness: a refragmented retransmission can
              re-deliver a boundary on an all-duplicate chunk. *)
           if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then begin
-            let boundary = Chunk.last_t_sn chunk in
+            let boundary = h.Header.t.Ftuple.sn + h.Header.len - 1 in
             if not (Small.mem s.pairs_done boundary) then begin
               s.pairs_done <- Small.add s.pairs_done boundary 0;
               let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
@@ -429,11 +429,11 @@ let on_data v chunk =
           | [] -> !events
           | verdict -> !events @ verdict)
 
-let on_ed v chunk =
-  let h = chunk.Chunk.header in
+let on_ed v (cv : Chunk.view) =
+  let h = cv.Chunk.header in
   let t_id = h.Header.t.Ftuple.id in
   let s = state v t_id in
-  if Bytes.length chunk.Chunk.payload <> 12 then
+  if Chunk.view_payload_bytes cv <> 12 then
     fail_now v t_id (Reassembly_error "malformed ED chunk payload")
   else
     match s.c_id with
@@ -441,9 +441,10 @@ let on_ed v chunk =
         fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
     | Some _ | None ->
   begin
-    let parity = Wsc2.parity_of_bytes chunk.Chunk.payload 0 in
+    let parity = Wsc2.parity_of_bytes cv.Chunk.src cv.Chunk.off in
     let total =
-      Int32.to_int (Bytes.get_int32_be chunk.Chunk.payload 8) land 0xFFFF_FFFF
+      Int32.to_int (Bytes.get_int32_be cv.Chunk.src (cv.Chunk.off + 8))
+      land 0xFFFF_FFFF
     in
     match s.expected with
     | Some p when not (Wsc2.parity_equal p parity) ->
@@ -472,17 +473,16 @@ let on_ed v chunk =
               | Ok () -> try_finish v t_id s))
   end
 
-let on_chunk v chunk =
+let on_view v (cv : Chunk.view) =
   v.seen <- v.seen + 1;
-  if Obs.enabled then begin
-    Obs.Metrics.incr m_chunks;
-    Obs.Metrics.observe m_payload (Bytes.length chunk.Chunk.payload)
-  end;
-  if Chunk.is_terminator chunk then []
-  else if Chunk.is_data chunk then on_data v chunk
-  else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.ed then
-    on_ed v chunk
+  if Obs.enabled then Obs.Metrics.incr m_chunks;
+  let h = cv.Chunk.header in
+  if Header.is_terminator h then []
+  else if Ctype.is_data h.Header.ctype then on_data v cv
+  else if Ctype.equal h.Header.ctype Ctype.ed then on_ed v cv
   else []
+
+let on_chunk v chunk = on_view v (Chunk.view chunk)
 
 let in_flight v = Int_table.length v.tpdus
 

@@ -48,10 +48,15 @@ val create : ?now:(unit -> float) -> unit -> t
     [Obs.now], which [Netsim.Engine] keeps stamped.  Pass an explicit
     clock when running the verifier outside a simulation. *)
 
-val on_chunk : t -> Labelling.Chunk.t -> event list
+val on_view : t -> Labelling.Chunk.view -> event list
 (** Feed one arriving chunk (data or ED control; other control types and
-    terminators are ignored).  Never raises on malformed input — damage
-    is recorded and surfaces in the verdict. *)
+    terminators are ignored), read where it lies: the payload is
+    accumulated straight out of the view's buffer, never copied and
+    never retained.  Never raises on malformed input — damage is
+    recorded and surfaces in the verdict. *)
+
+val on_chunk : t -> Labelling.Chunk.t -> event list
+(** {!on_view} of [Chunk.view chunk]. *)
 
 val in_flight : t -> int
 (** TPDUs with state held (arrived but not yet verified). *)

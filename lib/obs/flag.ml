@@ -2,10 +2,15 @@
    module so that [Metrics]/[Trace]/[Report] and the [Obs] entry module
    can all see them without a cycle.  See obs.ml for the contract. *)
 
-(* Flip to [false] and rebuild to compile the observability layer out:
+(* Flip to [false] and rebuild to switch the observability layer off:
    every instrumentation site is guarded by [if Obs.enabled then ...] on
-   this immutable constant, so the branch (and, under flambda, the whole
-   arm) disappears from the hot paths. *)
+   this immutable constant.  Whether the guard itself disappears depends
+   on the build: where the compiler may inline across modules (dune's
+   release profile), the constant propagates and each guarded branch is
+   dead code.  Dune's dev profile — what [dune runtest] and
+   [perfbench/run.sh] build — passes [-opaque], which hides the value
+   from every other module, so there each guard is a load and a test at
+   run time, and [false] only skips the guarded work. *)
 let enabled = true
 
 (* Wall of the simulation, not of the host: [Netsim.Engine.step] stamps

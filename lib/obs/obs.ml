@@ -8,16 +8,20 @@
 
     where {!enabled} is an immutable [true]/[false] constant.  Setting
     it to [false] in [lib/obs/flag.ml] and rebuilding removes the
-    observability cost from the hot paths (the WSC-2 accumulate kernel,
-    the per-chunk verifier steps) without any source change elsewhere.
+    guarded work from the hot paths (the WSC-2 accumulate kernel, the
+    per-chunk verifier steps) without any source change elsewhere.  The
+    guards themselves compile out only where the compiler sees the
+    constant across modules: in dune's dev profile, which [dune runtest]
+    and the receive-path benchmark build, [-opaque] hides it, so every
+    guard remains a load and a test at run time.
 
     {!Metrics} holds the process-wide registry of counters, gauges and
     log2 histograms; {!Trace} the typed event tracer and its sinks;
     {!Report} the JSON / Prometheus renderers and file helpers. *)
 
 let enabled = Flag.enabled
-(** The compile-out master switch — an immutable constant, not a ref.
-    Guard every instrumentation site with it. *)
+(** The master switch — an immutable constant, not a ref.  Guard every
+    instrumentation site with it. *)
 
 let now = Flag.now
 (** The global simulation clock, in simulated seconds.  Stamped by

@@ -165,11 +165,11 @@ module Receiver = struct
     mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
     mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
     mutable confirmed : bool;
-    mutable stash : (Chunk.t * int * int) list;  (* (chunk, t_sn, elems) *)
+    mutable stash : (Chunk.view * int * int) list;  (* (chunk, t_sn, elems) *)
     mutable placed_runs : (int * int) list;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
-    mutable quarantine : (Chunk.t * int * int) list;
+    mutable quarantine : (Chunk.view * int * int) list;
         (* (sub-chunk, c_sn, elems) whose bytes conflicted with
            unverified resident bytes (Placement's fresh-vs-fresh case):
            re-asserted by a verified write if this TPDU passes, dropped
@@ -347,26 +347,39 @@ module Receiver = struct
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
-  (* Place the fresh sub-run [t_sn, t_sn+elems) of [chunk] straight into
+  (* Retention copybreak.  A held view keeps its whole buffer alive
+     while the governor charges only its payload ([held_bytes]), so a
+     view whose payload is less than half of its buffer is copied out
+     when it is stashed or quarantined: retained memory then stays within
+     twice what is charged.  A fixed rule, not a tunable.  A view of a
+     materialised chunk spans its whole buffer and is never copied. *)
+  let retain (v : Chunk.view) =
+    let n = Chunk.view_payload_bytes v in
+    if 2 * n >= Bytes.length v.Chunk.src then v
+    else { v with Chunk.src = Bytes.sub v.Chunk.src v.Chunk.off n; off = 0 }
+
+  (* Place the fresh sub-run [t_sn, t_sn+elems) of [v] straight into
      the application buffer — spatial reordering, one pass.  When the
      fresh run is the whole chunk (the common case) the chunk itself is
-     placed; only a partly fresh chunk is cut down to its fresh part.  [m]
-     is the chunk's TPDU's record. *)
-  let place_fresh rx m chunk ~t_sn ~elems =
-    let h = chunk.Chunk.header in
+     placed; a partly fresh chunk is narrowed to its fresh part, a new
+     header over the same bytes.  [m] is the chunk's TPDU's record. *)
+  let place_fresh rx m (v : Chunk.view) ~t_sn ~elems =
+    let h = v.Chunk.header in
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
     let sub =
-      if off_elems = 0 && elems = h.Header.len then Ok chunk
+      if off_elems = 0 && elems = h.Header.len then Ok v
       else
-        Chunk.data ~size
-          ~c:
-            (Ftuple.v ~id:h.Header.c.Ftuple.id
-               ~sn:(h.Header.c.Ftuple.sn + off_elems)
-               ())
-          ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
-          ~x:h.Header.x
-          (Bytes.sub chunk.Chunk.payload (off_elems * size) (elems * size))
+        Result.map
+          (fun header ->
+            { v with Chunk.header; off = v.Chunk.off + (off_elems * size) })
+          (Header.v ~ctype:Ctype.data ~size ~len:elems
+             ~c:
+               (Ftuple.v ~id:h.Header.c.Ftuple.id
+                  ~sn:(h.Header.c.Ftuple.sn + off_elems)
+                  ())
+             ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
+             ~x:h.Header.x)
     in
     match sub with
     | Error _ -> ()
@@ -377,7 +390,7 @@ module Receiver = struct
            actually makes (see ROADMAP item 1a). *)
         Busmodel.mem_to_cpu rx.bus nbytes;
         Busmodel.cpu_to_mem rx.bus nbytes;
-        (match Placement.place_checked rx.placement sub with
+        (match Placement.place_view rx.placement sub with
         | Ok rep ->
             (* only bytes this TPDU actually covers (fresh writes and
                identical duplicates) are credited; conflicting runs
@@ -391,7 +404,8 @@ module Receiver = struct
                 rep.Placement.rp_conflicts
             then
               m.quarantine <-
-                (sub, h.Header.c.Ftuple.sn + off_elems, elems) :: m.quarantine;
+                (retain sub, h.Header.c.Ftuple.sn + off_elems, elems)
+                :: m.quarantine;
             (* Available to the application the instant it arrived. *)
             Netsim.Stats.add rx.element_delay 0.0
         | Error _ -> ())
@@ -400,18 +414,17 @@ module Receiver = struct
     let pending = List.rev m.stash in
     m.stash <- [];
     List.iter
-      (fun (chunk, t_sn, elems) -> place_fresh rx m chunk ~t_sn ~elems)
+      (fun (v, t_sn, elems) -> place_fresh rx m v ~t_sn ~elems)
       pending
 
   (* Note the chunk's connection delta before the verifier sees it, so
      that an ED chunk flushes the stash before the [Tpdu_verified] event
      it may trigger.  First witness wins within an epoch: a conflicting
      later chunk fails the TPDU in the verifier, which clears the
-     epoch's state here too.  [chunk] is a data or ED chunk of [m]'s
-     TPDU. *)
-  let witness rx m ~is_ed chunk =
+     epoch's state here too.  [h] is the header of a data or ED chunk
+     of [m]'s TPDU. *)
+  let witness rx m ~is_ed (h : Header.t) =
     if not m.confirmed then begin
-      let h = chunk.Chunk.header in
       let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
       if is_ed then begin
         if m.delta_ed = None then m.delta_ed <- Some delta
@@ -450,7 +463,7 @@ module Receiver = struct
   (* What a corroboration record costs: its held chunks and the runs it
      has placed. *)
   let held_bytes m =
-    let cell acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48 in
+    let cell acc (v, _, _) = acc + Chunk.view_payload_bytes v + 48 in
     List.fold_left cell
       (List.fold_left cell (16 * List.length m.placed_runs) m.stash)
       m.quarantine
@@ -595,7 +608,7 @@ module Receiver = struct
        unverified squatter but never from a locked region *)
     List.iter
       (fun (sub, _, _) ->
-        match Placement.place_verified rx.placement sub with
+        match Placement.place_view ~verified:true rx.placement sub with
         | Ok rep ->
             m.placed_runs <-
               rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs
@@ -678,17 +691,17 @@ module Receiver = struct
     end
 
   (* The verifier-dispatch and governor re-accounting tail of
-     [on_chunk] for a data or ED chunk of [m]'s TPDU, once that TPDU is
+     [on_view] for a data or ED chunk of [m]'s TPDU, once that TPDU is
      known to be neither acked nor shed.  Every event the verifier
      returns is about this TPDU, and a verdict is always the last. *)
-  let verify_and_account rx m chunk t_id =
+  let verify_and_account rx m (v : Chunk.view) t_id =
     let live =
       List.fold_left
         (fun live ev ->
           match ev with
           | Edc.Verifier.Fresh_data { t_sn; elems; _ } ->
-              if m.confirmed then place_fresh rx m chunk ~t_sn ~elems
-              else m.stash <- (chunk, t_sn, elems) :: m.stash;
+              if m.confirmed then place_fresh rx m v ~t_sn ~elems
+              else m.stash <- (retain v, t_sn, elems) :: m.stash;
               live
           | Edc.Verifier.Tpdu_verified { verdict = Edc.Verifier.Passed; _ } ->
               on_passed rx m t_id;
@@ -700,16 +713,17 @@ module Receiver = struct
               false
           | Edc.Verifier.Duplicate_dropped _ -> live)
         true
-        (Edc.Verifier.on_chunk rx.verifier chunk)
+        (Edc.Verifier.on_view rx.verifier v)
     in
     account rx t_id ~held:(if live then held_bytes m else 0)
 
-  let on_chunk rx chunk =
-    if Chunk.is_terminator chunk then ()
-    else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal then
-      on_signal rx chunk
+  let on_view rx (v : Chunk.view) =
+    let h = v.Chunk.header in
+    if Header.is_terminator h then ()
+    else if Ctype.equal h.Header.ctype Ctype.signal then
+      (* signals are rare: materialising one costs nothing that counts *)
+      on_signal rx (Chunk.of_view v)
     else begin
-      let h = chunk.Chunk.header in
       let t_id = h.Header.t.Ftuple.id in
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record
@@ -717,7 +731,7 @@ module Receiver = struct
              {
                conn = h.Header.c.Ftuple.id;
                tpdu = t_id;
-               bytes = Bytes.length chunk.Chunk.payload;
+               bytes = Chunk.view_payload_bytes v;
              })
           ~time:(Netsim.Engine.now rx.engine);
       (* late traffic for an already-verified TPDU is not re-processed
@@ -727,7 +741,7 @@ module Receiver = struct
       (* a shed TPDU is gone for good: its straggler chunks must not
          recreate verifier state the sender will never complete *)
       else if Int_table.mem rx.shed_tids t_id then ()
-      else if Chunk.is_data chunk then begin
+      else if Ctype.is_data h.Header.ctype then begin
         if not (Int_table.mem rx.first_arrival t_id) then
           Int_table.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
         let m = corrob rx t_id in
@@ -739,18 +753,18 @@ module Receiver = struct
           Int_table.add rx.nack_armed t_id ();
           arm_nack rx t_id 0
         end;
-        witness rx m ~is_ed:false chunk;
-        verify_and_account rx m chunk t_id
+        witness rx m ~is_ed:false h;
+        verify_and_account rx m v t_id
       end
       else if Ctype.equal h.Header.ctype Ctype.ed then begin
         let m = corrob rx t_id in
-        witness rx m ~is_ed:true chunk;
-        verify_and_account rx m chunk t_id
+        witness rx m ~is_ed:true h;
+        verify_and_account rx m v t_id
       end
       else begin
         (* other control traffic carries no TPDU state: the verifier
            only counts it *)
-        ignore (Edc.Verifier.on_chunk rx.verifier chunk);
+        ignore (Edc.Verifier.on_view rx.verifier v);
         account rx t_id
           ~held:
             (match find_corrob rx t_id with
@@ -759,11 +773,13 @@ module Receiver = struct
       end
     end
 
+  let on_chunk rx chunk = on_view rx (Chunk.view chunk)
+
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
       for i = 0 to Wire.Scan.count rx.scan - 1 do
-        on_chunk rx (Wire.Scan.chunk b (Wire.Scan.offset rx.scan i))
+        on_view rx (Wire.Scan.view b (Wire.Scan.offset rx.scan i))
       done
 
   let ingest_batch rx packets =
@@ -886,8 +902,8 @@ module Receiver = struct
     let corrob_image m =
       let pi_stash =
         List.rev m.stash
-        |> List.filter_map (fun (c, t_sn, elems) ->
-               match Wire.encode_packet [ c ] with
+        |> List.filter_map (fun (v, t_sn, elems) ->
+               match Wire.encode_packet [ Chunk.of_view v ] with
                | Ok b -> Some (b, t_sn, elems)
                | Error _ -> None)
       in
@@ -955,7 +971,7 @@ module Receiver = struct
           List.filter_map
             (fun (b, t_sn, elems) ->
               match Wire.decode_packet b with
-              | Ok (c :: _) -> Some (c, t_sn, elems)
+              | Ok (c :: _) -> Some (Chunk.view c, t_sn, elems)
               | Ok [] | Error _ -> None)
             pi.Persist.pi_stash
           |> List.rev

@@ -124,18 +124,31 @@ module Receiver : sig
       bytes that ACK promises to keep — as views borrowed from the
       placement buffer, valid only until the hook returns. *)
 
+  val on_view : t -> Labelling.Chunk.view -> unit
+  (** Feed one chunk read in place (demultiplexer path; no bus
+      accounting) — the receiver's one per-chunk dispatch.  Its payload
+      is read where it lies: verified, placed and, while its TPDU waits
+      for corroboration, held as a view.  A held view whose payload is
+      less than half of its buffer is copied out first (a fixed
+      copybreak), so retained memory stays within twice the bytes the
+      state governor charges for it.  Signals are materialised. *)
+
   val on_chunk : t -> Labelling.Chunk.t -> unit
-  (** Feed one already-decoded chunk (demultiplexer path; no bus
-      accounting). *)
+  (** {!on_view} of [Chunk.view chunk]. *)
 
   val ingest : t -> bytes -> unit
   (** Feed one packet from the network — the receiver's only packet
       entry.  One zero-allocation structural scan
       ({!Labelling.Wire.Scan}) validates the whole packet, dropping a
       malformed one whole exactly as {!Labelling.Wire.decode_packet}
-      would; each scanned chunk is then materialised and handed to
-      {!on_chunk}.  The qcheck property in [test_flowcache] holds it
-      byte-identical to [decode_packet] followed by {!on_chunk}. *)
+      would; each scanned chunk is then handed to {!on_view} as a view
+      of the packet ({!Labelling.Wire.Scan.view}), so no payload is
+      copied.  The qcheck property in [test_flowcache] holds it
+      byte-identical to [decode_packet] followed by {!on_chunk}.
+
+      Ownership: the receiver never writes into [b], but it may keep a
+      view into it until the chunk's TPDU is decided, so the caller
+      must not mutate [b] afterwards. *)
 
   val ingest_batch : t -> bytes array -> unit
   (** {!ingest} over a batch of packets, amortising dispatch cost;

@@ -38,7 +38,6 @@ type t = {
    conformance oracle's [metrics-occupancy] check asserts. *)
 let g_occ = Obs.Metrics.gauge "governor_occupancy_bytes"
 let g_budget = Obs.Metrics.gauge "governor_budget_bytes"
-let m_entry_bytes = Obs.Metrics.histogram "governor_entry_bytes"
 let m_ev_budget = Obs.Metrics.counter "governor_evictions_budget_total"
 let m_ev_deadline = Obs.Metrics.counter "governor_evictions_deadline_total"
 
@@ -85,17 +84,17 @@ let drop g k =
       g.total <- g.total - e.bytes;
       Tbl.remove g.tbl k
 
-let touch ?(cls = 0) g ~key ~bytes ~now =
-  let bytes = Int.max 0 bytes in
-  let cls = Int.max 0 cls in
-  (match Tbl.find_opt g.tbl key with
+(* Re-assert [key]'s charge (creating the entry when [found] is [None]),
+   then enforce the budget. *)
+let restate g key found ~bytes ~cls ~deadline =
+  (match found with
   | Some e ->
       g.total <- g.total - e.bytes + bytes;
       e.bytes <- bytes;
-      e.deadline <- now +. g.ttl;
+      e.deadline <- deadline;
       e.cls <- cls
   | None ->
-      Tbl.add g.tbl key { bytes; deadline = now +. g.ttl; cls };
+      Tbl.add g.tbl key { bytes; deadline; cls };
       g.total <- g.total + bytes);
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
@@ -111,7 +110,6 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
   done;
   if g.total > g.high then g.high <- g.total;
   if Obs.enabled then begin
-    Obs.Metrics.observe m_entry_bytes bytes;
     Obs.Metrics.set g_occ g.total;
     List.iter
       (fun k ->
@@ -120,6 +118,22 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
       !victims
   end;
   List.iter g.on_evict (List.rev !victims)
+
+(* A refresh that restates an entry exactly — same bytes, class and
+   deadline — changes nothing, so it returns at once: the total is
+   unchanged and already within budget, so no victim is possible; every
+   change to the total sets the occupancy gauge, so it already reads
+   this total; and an entry is updated in place, so its bucket does not
+   move either.  A connection
+   refreshed by every chunk at one clock instant takes this path for
+   all but the first. *)
+let touch ?(cls = 0) g ~key ~bytes ~now =
+  let bytes = Int.max 0 bytes in
+  let cls = Int.max 0 cls in
+  let deadline = now +. g.ttl in
+  match Tbl.find_opt g.tbl key with
+  | Some e when e.bytes = bytes && e.cls = cls && e.deadline = deadline -> ()
+  | found -> restate g key found ~bytes ~cls ~deadline
 
 let remove g ~key =
   drop g key;

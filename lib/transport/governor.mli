@@ -56,7 +56,10 @@ val touch : ?cls:int -> t -> key:key -> bytes:int -> now:float -> unit
     within a class — so under pressure sheddable state is displaced
     before Critical state, and with every entry at class 0 the policy is
     exactly the old oldest-deadline one.  The freshly touched entry goes
-    last within its class, and only if it alone exceeds the budget. *)
+    last within its class, and only if it alone exceeds the budget.  A
+    touch that restates an existing entry exactly — same [bytes], [cls]
+    and deadline, i.e. a repeat at the same [now] — changes nothing and
+    returns at once. *)
 
 val remove : t -> key:key -> unit
 (** Forget an entry without counting an eviction (normal completion). *)

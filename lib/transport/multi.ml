@@ -570,8 +570,9 @@ let re_ack_closed m c t_id =
     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
   end
 
-let route m chunk =
-  let cid = chunk.Chunk.header.Header.c.Ftuple.id in
+let route m (v : Chunk.view) =
+  let h = v.Chunk.header in
+  let cid = h.Header.c.Ftuple.id in
   match find_conn m cid with
   | None ->
       m.unknown_drops <- m.unknown_drops + 1;
@@ -591,12 +592,11 @@ let route m chunk =
                Deliberately {e not} scored as churn: it is data-driven,
                so anyone who can forge a data label could otherwise talk
                this connection into the penalty box. *)
-            let h = chunk.Chunk.header in
             let t_id = h.Header.t.Ftuple.id in
             let rx =
               if
                 R.complete rx
-                && (Chunk.is_data chunk
+                && (Ctype.is_data h.Header.ctype
                    || Ctype.equal h.Header.ctype Ctype.ed)
                 && (not (Int_table.mem c.acked t_id))
                 && not (R.tracks_tpdu rx ~t_id)
@@ -608,7 +608,7 @@ let route m chunk =
               else rx
             in
             touch_conn m c;
-            R.on_chunk rx chunk
+            R.on_view rx v
         | None ->
             (* closed epoch: stale retransmissions of acknowledged TPDUs
                get their ACK again (the ledger outlives the epoch); other
@@ -617,7 +617,7 @@ let route m chunk =
                is in the ledger (or was declared given-up while the epoch
                was live), so persistent late garbage is authored traffic,
                not a replay. *)
-            let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
+            let t_id = h.Header.t.Ftuple.id in
             if Int_table.mem c.acked t_id then re_ack_closed m c t_id
             else begin
               m.late_drops <- m.late_drops + 1;
@@ -627,12 +627,13 @@ let route m chunk =
       with e -> bulkhead m ~conn_id:cid e)
 
 (* One dispatch for every chunk, whichever entry decoded it: signals
-   go to their handlers, everything else is routed by connection
-   record. *)
-let on_chunk m chunk =
-  if Chunk.is_terminator chunk then ()
-  else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal then
-    match Connection.parse_signal chunk with
+   (rare) are materialised and go to their handlers, everything else is
+   routed by connection record and read in place. *)
+let on_view m (v : Chunk.view) =
+  let h = v.Chunk.header in
+  if Header.is_terminator h then ()
+  else if Ctype.equal h.Header.ctype Ctype.signal then
+    match Connection.parse_signal (Chunk.of_view v) with
     | Ok (cid, sg) -> (
         match find_conn m cid with
         | Some c when quarantine_active m c ->
@@ -681,10 +682,12 @@ let on_chunk m chunk =
            WSC-2 parity (or shape) check: silently dropped, but counted
            — corruption in flight and tampering look identical here *)
         m.sig_damage <- m.sig_damage + 1;
-        match find_conn m chunk.Chunk.header.Header.c.Ftuple.id with
+        match find_conn m h.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
-  else route m chunk
+  else route m v
+
+let on_chunk m chunk = on_view m (Chunk.view chunk)
 
 let on_packet m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
@@ -698,7 +701,7 @@ let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
     for i = 0 to Wire.Scan.count m.scan - 1 do
-      on_chunk m (Wire.Scan.chunk b (Wire.Scan.offset m.scan i))
+      on_view m (Wire.Scan.view b (Wire.Scan.offset m.scan i))
     done
 
 let ingest_batch m packets =

@@ -108,10 +108,19 @@ val ingest : t -> bytes -> unit
     ({!Labelling.Wire.Scan}) validates it (malformed packets are dropped
     whole), then every chunk takes the one dispatch path (DESIGN §7) —
     signals to their handlers, everything else to the owning epoch's
-    receiver, the connection found through the memoised table.
-    Behaviourally identical to {!on_packet} on every input: the two
-    differ only in the decoder, and [test/test_flowcache.ml]'s
-    properties and the ROB-FLOW bench hold them equal. *)
+    receiver, the connection found through the memoised table.  Data
+    and ED chunks travel as views of the packet
+    ({!Labelling.Wire.Scan.view}): their payloads are read in place,
+    never copied on the way in.  Behaviourally identical to
+    {!on_packet} on every input: the two differ only in the decoder,
+    and [test/test_flowcache.ml]'s properties and the ROB-FLOW bench
+    hold them equal.
+
+    Ownership: the endpoint never writes into the packet, but it may
+    keep a view into it until that chunk's TPDU is decided (see
+    {!Chunk_transport.Receiver.on_view} for the copybreak that bounds
+    this), so the caller must not mutate a packet after handing it
+    over. *)
 
 val ingest_batch : t -> bytes array -> unit
 (** {!ingest} over a batch of packets, amortising per-call dispatch

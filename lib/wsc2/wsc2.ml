@@ -166,13 +166,8 @@ let accumulate_unchecked acc ~pos b off len =
    byte or per symbol), and only when the observability layer is
    compiled in. *)
 let m_bytes = Obs.Metrics.counter "wsc2_bytes_total"
-let m_calls = Obs.Metrics.counter "wsc2_accumulate_calls_total"
 
-let[@inline] count len =
-  if Obs.enabled then begin
-    Obs.Metrics.add m_bytes len;
-    Obs.Metrics.incr m_calls
-  end
+let[@inline] count len = if Obs.enabled then Obs.Metrics.add m_bytes len
 
 let add_bytes acc ~pos b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then

@@ -330,6 +330,66 @@ let prop_permuted_mix =
       && CT.Receiver.complete r_slow = CT.Receiver.complete r_fast
       && CT.Receiver.verifier_stats r_slow = CT.Receiver.verifier_stats r_fast)
 
+(* --- payloads read in place --------------------------------------- *)
+
+(* The scan entries hand the dispatch views into the packets themselves,
+   so they must never write into one: over the permuted, duplicated and
+   damaged mixes, every packet's digest after both endpoints' [ingest]
+   and [ingest_batch] equals its digest before. *)
+let prop_ingest_never_writes =
+  QCheck2.Test.make ~name:"ingest and ingest_batch never write into packets"
+    ~count:60 gen_permuted_mix
+    (fun (mix, batch) ->
+      let digests () = Array.map Digest.bytes mix in
+      let before = digests () in
+      Array.iter (Transport.Multi.ingest (mk_multi ())) mix;
+      in_batches (Transport.Multi.ingest_batch (mk_multi ())) mix batch;
+      Array.iter (CT.Receiver.ingest (mk_receiver ())) mix;
+      in_batches (CT.Receiver.ingest_batch (mk_receiver ())) mix batch;
+      digests () = before)
+
+(* A tiny data chunk that must wait for its ED chunk shares a 64 KiB
+   packet with a large chunk the receiver does not keep (a late copy of
+   an acknowledged TPDU of another connection, which is only
+   re-acknowledged).  The waiting view is copied out of the packet (the
+   copybreak), so the receiver does not grow by the packet it no longer
+   needs. *)
+let test_copybreak_bounds_retention () =
+  let acked = Labelling.Int_table.create 4 in
+  Labelling.Int_table.add acked 9 ();
+  let rx =
+    CT.Receiver.create
+      (Netsim.Engine.create ~seed:42 ())
+      { multi_config with CT.conn_id = 1 }
+      ~acked
+      ~send_ack:(fun _ -> ())
+      ~capacity:(`Quota 4096) ()
+  in
+  let data ~conn ~t_id n =
+    Util.ok_or_fail
+      (Chunk.data ~size:4
+         ~c:(Ftuple.v ~id:conn ~sn:0 ())
+         ~t:(Ftuple.v ~id:t_id ~sn:0 ())
+         ~x:Ftuple.zero (Bytes.make n 'x'))
+  in
+  let packet_bytes = 65536 in
+  let tiny = data ~conn:1 ~t_id:5 4 in
+  let large = data ~conn:2 ~t_id:9 (packet_bytes - (2 * Wire.header_size) - 4) in
+  let packet = Util.ok_or_fail (Wire.encode_packet [ tiny; large ]) in
+  Alcotest.(check int) "a 64 KiB packet" packet_bytes (Bytes.length packet);
+  let words () = Obj.reachable_words (Obj.repr rx) in
+  let w0 = words () in
+  CT.Receiver.ingest rx packet;
+  let grown = words () - w0 in
+  Alcotest.(check int) "the tiny chunk waits for its ED chunk" 1
+    (CT.Receiver.stashed_tpdus rx);
+  Alcotest.(check int) "the large chunk is only re-acknowledged" 1
+    (CT.Receiver.reacks_sent rx);
+  let packet_words = packet_bytes / (Sys.word_size / 8) in
+  if grown >= packet_words / 4 then
+    Alcotest.failf "receiver grew by %d words; the packet is %d" grown
+      packet_words
+
 (* --- ingest_batch edges ------------------------------------------- *)
 
 let test_batch_empty () =
@@ -583,6 +643,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scan_garbage;
     QCheck_alcotest.to_alcotest prop_scan_images;
     QCheck_alcotest.to_alcotest prop_permuted_mix;
+    QCheck_alcotest.to_alcotest prop_ingest_never_writes;
+    Alcotest.test_case "a waiting small view does not pin its packet" `Quick
+      test_copybreak_bounds_retention;
     Alcotest.test_case "ingest_batch of an empty batch" `Quick test_batch_empty;
     Alcotest.test_case "ingest_batch of singleton batches" `Quick
       test_batch_single_packet;

@@ -34,4 +34,5 @@ let () =
       ("flowcache", Test_flowcache.suite);
       ("shed", Test_shed.suite);
       ("int-table", Test_int_table.suite);
+      ("alloc", Test_alloc.suite);
     ]

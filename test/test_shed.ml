@@ -287,6 +287,54 @@ let test_governor_retouch_after_loss () =
     [ "budget 1.-1"; "budget 2.1" ]
     [ 160; 200; 3; 0; 2 ]
 
+(* A touch that restates an entry exactly — same bytes and class at the
+   same instant, so the same deadline — is a no-op: the account, its
+   high water, the occupancy gauge and the victim a later squeeze picks
+   are all what they were without it.  Equal deadlines make the victim a
+   tie, so a control governor without the repeats decides it. *)
+let test_governor_noop_refresh () =
+  let occ = Obs.Metrics.gauge "governor_occupancy_bytes" in
+  let fill g =
+    Gov.touch g ~key:{ Gov.conn = 1; tpdu = 0 } ~bytes:60 ~now:0.0;
+    Gov.touch g ~key:{ Gov.conn = 1; tpdu = 1 } ~bytes:60 ~now:0.0
+  in
+  let squeeze g =
+    let victims = ref [] in
+    Gov.set_on_evict g (fun k -> victims := k.Gov.tpdu :: !victims);
+    Gov.touch g ~key:{ Gov.conn = 2; tpdu = 0 } ~bytes:100 ~now:0.0;
+    !victims
+  in
+  let control = Gov.create ~budget_bytes:200 ~ttl:10.0 () in
+  fill control;
+  let expected_victims = squeeze control in
+  let g = Gov.create ~budget_bytes:200 ~ttl:10.0 () in
+  fill g;
+  let stats0 = Gov.stats g and gauge0 = Obs.Metrics.gauge_value occ in
+  let gauge_max0 = Obs.Metrics.gauge_max occ in
+  fill g;
+  Gov.touch g ~key:{ Gov.conn = 1; tpdu = 0 } ~bytes:60 ~now:0.0;
+  Alcotest.(check bool) "stats unchanged" true (Gov.stats g = stats0);
+  Alcotest.(check int) "high water unchanged" stats0.Gov.high_water
+    (Gov.high_water g);
+  Alcotest.(check int) "occupancy gauge unchanged" gauge0
+    (Obs.Metrics.gauge_value occ);
+  Alcotest.(check int) "occupancy gauge max unchanged" gauge_max0
+    (Obs.Metrics.gauge_max occ);
+  Alcotest.(check (list int)) "next victim unchanged" expected_victims
+    (squeeze g);
+  Alcotest.(check int) "the squeeze evicted one entry" 1
+    (List.length expected_victims)
+
+(* The same instant with more bytes is a real change: the budget is
+   enforced and the oldest entry goes. *)
+let test_governor_same_instant_growth_evicts () =
+  let log, stats =
+    run_gov_script ~budget:200 ~ttl:10.0
+      [ touch 1 1 60 0.0; touch 1 0 60 1.0; touch 1 0 60 1.0; touch 1 0 150 1.0 ]
+  in
+  Alcotest.(check (list string)) "victims" [ "budget 1.1" ] log;
+  Alcotest.(check (list int)) "stats" [ 150; 150; 1; 0; 1 ] stats
+
 (* Random touch/remove storms with mixed classes; cls 3 encodes a
    removal of the key.  Invariants after every event: the account never
    exceeds the budget, and a fully-reliable (class 0) entry is never
@@ -533,6 +581,10 @@ let suite =
       test_governor_eviction_order_pinned;
     Alcotest.test_case "governor: re-touch after loss re-adds the entry"
       `Quick test_governor_retouch_after_loss;
+    Alcotest.test_case "governor: same-instant same-bytes touch is a no-op"
+      `Quick test_governor_noop_refresh;
+    Alcotest.test_case "governor: same-instant growth still evicts" `Quick
+      test_governor_same_instant_growth_evicts;
     Util.qtest ~count:300 "governor: budget and priority invariants"
       gen_gov_events prop_governor_budget_and_priority;
     Alcotest.test_case "interleave: weighted round-robin and classify"
