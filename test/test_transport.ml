@@ -171,6 +171,137 @@ let test_gateway_method1 () =
   Alcotest.(check bool) "intact via method 1" true
     o.Transport.Chunk_transport.ok
 
+(* The ACK's bytes, pinned against the generic encoder: every sender of
+   an ACK (the receiver's fresh and re-ACKs, [Multi]'s re-ACK of a
+   closed epoch, and both [reannounce]s) must put exactly these bytes on
+   the wire, whatever shortcut it takes to build them. *)
+let ack_ids = [ 0; 1; 0xFFFF_FFFF ]
+
+let expected_ack ~conn_id ~t_id =
+  let ack =
+    Util.ok_or_fail
+      (Labelling.Chunk.control ~kind:Labelling.Ctype.ack
+         ~c:(Labelling.Ftuple.v ~id:conn_id ~sn:0 ())
+         ~t:(Labelling.Ftuple.v ~id:t_id ~sn:0 ())
+         ~x:Labelling.Ftuple.zero (Bytes.make 4 '\000'))
+  in
+  Util.ok_or_fail (Labelling.Wire.encode_packet [ ack ])
+
+let empty_rx_image conn =
+  {
+    Transport.Persist.ri_conn = conn;
+    ri_placed = [];
+    ri_verified = [];
+    ri_end_confirmed = None;
+    ri_end_claims = [];
+    ri_last_reack = [];
+    ri_passed = 0;
+    ri_tpdus = [];
+    ri_corrob = [];
+  }
+
+let test_ack_bytes_pinned () =
+  let module CT = Transport.Chunk_transport in
+  let module M = Transport.Multi in
+  let check_acks what ~conn_id got =
+    Alcotest.(check (list Util.bytes_testable))
+      what
+      (List.map (fun t_id -> expected_ack ~conn_id ~t_id) ack_ids)
+      (List.rev got)
+  in
+  List.iter
+    (fun conn_id ->
+      List.iter
+        (fun t_id ->
+          Alcotest.check Util.bytes_testable
+            (Printf.sprintf "ack_packet %d %d" conn_id t_id)
+            (expected_ack ~conn_id ~t_id)
+            (CT.ack_packet ~conn_id ~t_id))
+        ack_ids;
+      (* the receiver's reannounce after a restore *)
+      let sent = ref [] in
+      let rx =
+        CT.Receiver.restore
+          (Netsim.Engine.create ~seed:1 ())
+          { CT.default_config with CT.conn_id }
+          ~send_ack:(fun b -> sent := b :: !sent)
+          ~capacity:(`Quota 16) (empty_rx_image conn_id) ~acked_tids:ack_ids
+      in
+      CT.Receiver.reannounce rx;
+      check_acks "Receiver.reannounce" ~conn_id !sent;
+      (* Multi's reannounce, over a live and a closed epoch *)
+      List.iter
+        (fun live ->
+          let sent = ref [] in
+          let m =
+            M.restore
+              (Netsim.Engine.create ~seed:1 ())
+              ~config:CT.default_config ~quota_elems:16 ~max_conns:4
+              ~send_ack:(fun b -> sent := b :: !sent)
+              [
+                {
+                  Transport.Persist.ci_id = conn_id;
+                  ci_acked = ack_ids;
+                  ci_hist = [];
+                  ci_live =
+                    (if live then Some (empty_rx_image conn_id) else None);
+                  ci_live_open = None;
+                  ci_quar_until = 0.0;
+                  ci_quar_count = 0;
+                  ci_poisoned = false;
+                };
+              ]
+          in
+          M.reannounce m;
+          check_acks
+            (Printf.sprintf "Multi.reannounce (live %b)" live)
+            ~conn_id !sent;
+          if not live then begin
+            (* late data for a ledgered T.ID of a closed epoch is
+               re-acknowledged *)
+            sent := [];
+            let m =
+              M.restore
+                (Netsim.Engine.create ~seed:1 ())
+                ~config:CT.default_config ~quota_elems:16 ~max_conns:4
+                ~send_ack:(fun b -> sent := b :: !sent)
+                [
+                  {
+                    Transport.Persist.ci_id = conn_id;
+                    ci_acked = ack_ids;
+                    ci_hist = [];
+                    ci_live = None;
+                    ci_live_open = None;
+                    ci_quar_until = 0.0;
+                    ci_quar_count = 0;
+                    ci_poisoned = false;
+                  };
+                ]
+            in
+            List.iter
+              (fun t_id ->
+                let h =
+                  Util.ok_or_fail
+                    (Labelling.Header.v ~ctype:Labelling.Ctype.data ~size:4
+                       ~len:1
+                       ~c:(Labelling.Ftuple.v ~id:conn_id ~sn:0 ())
+                       ~t:(Labelling.Ftuple.v ~id:t_id ~sn:0 ())
+                       ~x:Labelling.Ftuple.zero)
+                in
+                let c = Util.ok_or_fail (Labelling.Chunk.make h (Bytes.make 4 'd')) in
+                M.ingest m (Util.ok_or_fail (Labelling.Wire.encode_packet [ c ])))
+              ack_ids;
+            check_acks "Multi re-ACK of a closed epoch" ~conn_id !sent
+          end)
+        [ true; false ])
+    ack_ids;
+  List.iter
+    (fun (conn_id, t_id) ->
+      match CT.ack_packet ~conn_id ~t_id with
+      | _ -> Alcotest.failf "ack_packet %d %d accepted" conn_id t_id
+      | exception Invalid_argument _ -> ())
+    [ (-1, 0); (0, -1); (0x1_0000_0000, 0); (0, 0x1_0000_0000) ]
+
 let suite =
   suite
   @ [
@@ -411,6 +542,8 @@ let suite =
       Alcotest.test_case "soak: all impairments, many configs" `Slow test_soak;
       Alcotest.test_case "give-up releases all receiver state" `Quick
         test_give_up_releases_state;
+      Alcotest.test_case "ACK bytes equal the generic encoder's" `Quick
+        test_ack_bytes_pinned;
       Util.qtest ~count:30 "Karn's rule under random loss"
         QCheck2.Gen.(tup2 (int_range 0 1_000_000) (int_range 0 30))
         prop_karn;
