@@ -128,6 +128,21 @@ let extend r e n =
 let finish r =
   List.rev (if r.len > 0 then (r.start, r.len) :: r.closed else r.closed)
 
+(* Overlap-tolerant fill accounting: every covered element counts once,
+   however the covering runs arrive (a conflicting element was already
+   occupied, so the whole-run insert stays exact). *)
+let cover p ~sn ~len =
+  if not (Vreassembly.append_new p.tracker ~sn ~len ~st:false) then
+    match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
+    | Ok _ | Error `Inconsistent -> ()
+
+(* Write the newcomer's unoccupied elements [e0, e0 + n): one blit and
+   one bit fill.  Its element [sn] is at byte [src_off] of [src]. *)
+let write p ~src ~src_off ~sn e0 n =
+  let es = p.elem_size in
+  Bytes.blit src (src_off + ((e0 - sn) * es)) p.buf (e0 * es) (n * es);
+  set_bits p.occ e0 n
+
 (* The first-verified-wins policy.  [verified] marks a write made on
    behalf of a TPDU whose WSC-2 parity has already passed; such a write
    may reclaim bytes from an unverified squatter but must never touch a
@@ -138,7 +153,7 @@ let finish r =
    occupied elements whose bytes all match is one benign entry, and only
    the elements of a mismatching occupied run go through the policy one
    at a time.  The newcomer's payload is [src] from byte [src_off]. *)
-let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
+let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   let es = p.elem_size in
   let fresh = runs () and benign = runs () and conflicts = ref [] in
   let push_conflict e k =
@@ -154,8 +169,7 @@ let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
     let i0 = e0 - sn in
     if not (occupied p e0) then begin
       let n = next_bit p.occ ~v:true e0 stop - e0 in
-      Bytes.blit src (src_off + (i0 * es)) p.buf (e0 * es) (n * es);
-      set_bits p.occ e0 n;
+      write p ~src ~src_off ~sn e0 n;
       extend fresh e0 n;
       e := e0 + n
     end
@@ -196,11 +210,7 @@ let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
       e := e0 + n
     end
   done;
-  (* overlap-tolerant accounting: every covered element counts once,
-     however the covering runs arrive (a conflicting element was already
-     occupied, so the whole-run insert stays exact) *)
-  (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-  | Ok _ | Error `Inconsistent -> ());
+  cover p ~sn ~len;
   let conflicts = List.rev !conflicts in
   if conflicts <> [] && Obs.enabled && Obs.Trace.active () then
     List.iter
@@ -224,6 +234,17 @@ let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
     rp_benign = finish benign;
     rp_conflicts = conflicts;
   }
+
+(* The run loop's first step, taken before it: when the span's leading
+   unoccupied run is the whole span, as it is for every in-order chunk,
+   the span is one write and one fresh run, with no run builder. *)
+let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
+  if next_bit p.occ ~v:true sn (sn + len) = sn + len then begin
+    write p ~src ~src_off ~sn sn len;
+    cover p ~sn ~len;
+    { rp_fresh = [ (sn, len) ]; rp_benign = []; rp_conflicts = [] }
+  end
+  else apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu
 
 let checked op p (v : Chunk.view) ~verified =
   let h = v.Chunk.header in

@@ -47,6 +47,13 @@ val insert_new : t -> sn:int -> len:int -> st:bool ->
     the property the incremental checksum needs.  [Error `Inconsistent]
     is as for {!insert}, including malformed spans (never raises). *)
 
+val append_new : t -> sn:int -> len:int -> st:bool -> bool
+(** {!insert_new}'s in-order case without its result list: when the
+    span lies wholly past every received run and agrees with a known
+    PDU end, records it exactly as {!insert_new} would and returns
+    [true] — every element is fresh.  Otherwise changes nothing and
+    returns [false], leaving the span to {!insert_new}. *)
+
 val set_total : t -> int -> (unit, [ `Inconsistent ]) result
 (** Announce the PDU's total element count out of band (e.g. from its
     ED control chunk), as if an ST had been seen at element

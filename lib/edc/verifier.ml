@@ -26,6 +26,13 @@ type event =
   | Fresh_data of { t_id : int; t_sn : int; elems : int }
   | Duplicate_dropped of { t_id : int }
 
+type absorbed =
+  | All
+  | Runs of (int * int) list
+  | Duplicate
+  | No_data
+  | Verdict of absorbed * verdict
+
 (* An int-keyed map for the per-TPDU label tables.  Most TPDUs record
    one or two entries (a single boundary, a single external PDU), so
    those live inline; only a TPDU with more pays for a hash table, which
@@ -236,7 +243,7 @@ let fail_now v t_id verdict =
   | None -> ());
   release v t_id;
   v.failed <- v.failed + 1;
-  [ Tpdu_verified { t_id; verdict } ]
+  Verdict (No_data, verdict)
 
 (* Completion-time X-framing contiguity: sort the fresh element runs by
    T.SN; along the TPDU the X.ID may change only across an element that
@@ -280,7 +287,9 @@ let verdict_of s =
       else Passed
   | None, None -> Reassembly_error "ED chunk never arrived"
 
-let try_finish v t_id s =
+(* [fresh], the chunk's own contribution, and then its TPDU's verdict
+   if the chunk completed it. *)
+let try_finish v t_id s fresh =
   if Vreassembly.complete s.tracker && s.expected <> None then begin
     let verdict = verdict_of s in
     note_verdict v s t_id verdict;
@@ -291,9 +300,9 @@ let try_finish v t_id s =
         v.last_passed <- s
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
         v.failed <- v.failed + 1);
-    [ Tpdu_verified { t_id; verdict } ]
+    Verdict (fresh, verdict)
   end
-  else []
+  else fresh
 
 (* Returns the first on-arrival problem with this chunk, if any. *)
 let arrival_check s (h : Header.t) =
@@ -350,18 +359,26 @@ let commit_arrival s (h : Header.t) =
    guarantees spans LEN * SIZE bytes of [src] from [off]), and
    [arrival_check] already rejected any chunk whose element span escapes
    the invariant's data region, so every position is in range. *)
-let accumulate_fresh s (v : Chunk.view) fresh =
+let accumulate_fresh s (v : Chunk.view) sn len =
   let h = v.Chunk.header in
   let size = h.Header.size in
-  let base_sn = h.Header.t.Ftuple.sn in
-  List.iter
-    (fun (sn, len) ->
-      match Invariant.data_position ~size ~t_sn:sn with
-      | Error msg -> if s.damage = None then s.damage <- Some msg
-      | Ok pos ->
-          let off = v.Chunk.off + ((sn - base_sn) * size) in
-          Wsc2.add_subbytes_exn s.acc ~pos v.Chunk.src off (len * size))
-    fresh
+  (match Invariant.data_position ~size ~t_sn:sn with
+  | Error msg -> if s.damage = None then s.damage <- Some msg
+  | Ok pos ->
+      let off = v.Chunk.off + ((sn - h.Header.t.Ftuple.sn) * size) in
+      Wsc2.add_subbytes_exn s.acc ~pos v.Chunk.src off (len * size));
+  let xsn = h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn) in
+  s.x_spans <- (sn, len, h.Header.x.Ftuple.id, xsn) :: s.x_spans
+
+(* What the chunk's span [sn, sn + len) adds to the tracker. *)
+let fresh_of tr ~sn ~len ~st =
+  if Vreassembly.append_new tr ~sn ~len ~st then Ok All
+  else
+    match Vreassembly.insert_new tr ~sn ~len ~st with
+    | Error _ as e -> e
+    | Ok [] -> Ok Duplicate
+    | Ok [ (s, l) ] when s = sn && l = len -> Ok All
+    | Ok runs -> Ok (Runs runs)
 
 let on_data v (cv : Chunk.view) =
   let h = cv.Chunk.header in
@@ -371,34 +388,20 @@ let on_data v (cv : Chunk.view) =
   | Some verdict -> fail_now v t_id verdict
   | None -> (
       commit_arrival s h;
-      match
-        Vreassembly.insert_new s.tracker ~sn:h.Header.t.Ftuple.sn
-          ~len:h.Header.len ~st:h.Header.t.Ftuple.st
-      with
+      let sn = h.Header.t.Ftuple.sn and len = h.Header.len in
+      match fresh_of s.tracker ~sn ~len ~st:h.Header.t.Ftuple.st with
       | Error `Inconsistent ->
           fail_now v t_id
             (Reassembly_error "fragment beyond or contradicting the TPDU end")
       | Ok fresh ->
-          let events = ref [] in
           (match fresh with
-          | [] ->
+          | All -> accumulate_fresh s cv sn len
+          | Runs runs ->
+              List.iter (fun (sn, len) -> accumulate_fresh s cv sn len) runs
+          | Duplicate ->
               v.dups <- v.dups + 1;
-              if Obs.enabled then Obs.Metrics.incr m_dups;
-              events := [ Duplicate_dropped { t_id } ]
-          | _ :: _ ->
-              accumulate_fresh s cv fresh;
-              List.iter
-                (fun (sn, len) ->
-                  let xsn =
-                    h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn)
-                  in
-                  s.x_spans <- (sn, len, h.Header.x.Ftuple.id, xsn) :: s.x_spans)
-                fresh;
-              events :=
-                List.map
-                  (fun (sn, len) ->
-                    Fresh_data { t_id; t_sn = sn; elems = len })
-                  fresh);
+              if Obs.enabled then Obs.Metrics.incr m_dups
+          | No_data | Verdict _ -> ());
           (* Boundary contributions are deduplicated independently of
              payload freshness: a refragmented retransmission can
              re-deliver a boundary on an all-duplicate chunk. *)
@@ -423,11 +426,7 @@ let on_data v (cv : Chunk.view) =
             Wsc2.add_symbol s.labels ~pos:Invariant.cst_position
               (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
           end;
-          (* most chunks finish nothing: hand back [!events] itself
-             rather than a copy of it *)
-          match try_finish v t_id s with
-          | [] -> !events
-          | verdict -> !events @ verdict)
+          try_finish v t_id s fresh)
 
 let on_ed v (cv : Chunk.view) =
   let h = cv.Chunk.header in
@@ -470,17 +469,31 @@ let on_ed v (cv : Chunk.view) =
               | Error `Inconsistent ->
                   fail_now v t_id
                     (Reassembly_error "ED extent contradicts received data")
-              | Ok () -> try_finish v t_id s))
+              | Ok () -> try_finish v t_id s No_data))
   end
 
-let on_view v (cv : Chunk.view) =
+let absorb v (cv : Chunk.view) =
   v.seen <- v.seen + 1;
   if Obs.enabled then Obs.Metrics.incr m_chunks;
   let h = cv.Chunk.header in
-  if Header.is_terminator h then []
+  if Header.is_terminator h then No_data
   else if Ctype.is_data h.Header.ctype then on_data v cv
   else if Ctype.equal h.Header.ctype Ctype.ed then on_ed v cv
-  else []
+  else No_data
+
+let on_view v (cv : Chunk.view) =
+  let h = cv.Chunk.header in
+  let t_id = h.Header.t.Ftuple.id in
+  let fresh_data (sn, len) = Fresh_data { t_id; t_sn = sn; elems = len } in
+  let rec events = function
+    | All -> [ fresh_data (h.Header.t.Ftuple.sn, h.Header.len) ]
+    | Runs runs -> List.map fresh_data runs
+    | Duplicate -> [ Duplicate_dropped { t_id } ]
+    | No_data -> []
+    | Verdict (fresh, verdict) ->
+        events fresh @ [ Tpdu_verified { t_id; verdict } ]
+  in
+  events (absorb v cv)
 
 let on_chunk v chunk = on_view v (Chunk.view chunk)
 

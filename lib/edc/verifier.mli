@@ -58,6 +58,28 @@ val on_view : t -> Labelling.Chunk.view -> event list
 val on_chunk : t -> Labelling.Chunk.t -> event list
 (** {!on_view} of [Chunk.view chunk]. *)
 
+(** {1 Stepping without events}
+
+    {!on_view} is built on {!absorb}, which a receiver that places fresh
+    data as it arrives calls directly: the common chunk, all of it
+    fresh, then costs no event list. *)
+
+type absorbed =
+  | All  (** every element of the chunk was fresh *)
+  | Runs of (int * int) list
+      (** these [(t_sn, len)] runs were, ascending, and not the whole
+          chunk *)
+  | Duplicate  (** none: every element had already arrived *)
+  | No_data  (** no data was taken: a control chunk or a damaged one *)
+  | Verdict of absorbed * verdict
+      (** the chunk's own contribution (never a [Verdict]), after which
+          its TPDU reached this verdict and its state was released *)
+
+val absorb : t -> Labelling.Chunk.view -> absorbed
+(** Fold one chunk in exactly as {!on_view} does: [All] and [Runs] are
+    its [Fresh_data] events, [Duplicate] its [Duplicate_dropped], and
+    [Verdict] its closing [Tpdu_verified]. *)
+
 val in_flight : t -> int
 (** TPDUs with state held (arrived but not yet verified). *)
 

@@ -72,17 +72,27 @@ let expected_elements config ~data_len =
   (full * (config.frame_bytes / config.elem_size))
   + ((rem + config.elem_size - 1) / config.elem_size)
 
-let ack_packet ~conn_id ~t_id =
-  let c = Ftuple.v ~id:conn_id ~sn:0 () in
-  let t = Ftuple.v ~id:t_id ~sn:0 () in
-  let ack =
-    match Chunk.control ~kind:Ctype.ack ~c ~t ~x:Ftuple.zero (Bytes.make 4 '\000') with
-    | Ok a -> a
-    | Error e -> invalid_arg e
-  in
-  match Wire.encode_packet [ ack ] with
-  | Ok b -> b
+(* Every ACK is one 50-byte image in which only C.ID and T.ID vary: the
+   generic encoder builds it once, and each ACK is a copy with the two
+   IDs written at their header offsets (7 and 20, see {!Wire}). *)
+let ack_template =
+  match
+    Chunk.control ~kind:Ctype.ack ~c:Ftuple.zero ~t:Ftuple.zero ~x:Ftuple.zero
+      (Bytes.make 4 '\000')
+  with
   | Error e -> invalid_arg e
+  | Ok ack -> (
+      match Wire.encode_packet [ ack ] with
+      | Ok b -> b
+      | Error e -> invalid_arg e)
+
+let ack_packet ~conn_id ~t_id =
+  if conn_id < 0 || conn_id > 0xFFFF_FFFF || t_id < 0 || t_id > 0xFFFF_FFFF then
+    invalid_arg "Ftuple.v: id out of range";
+  let b = Bytes.copy ack_template in
+  Bytes.set_int32_be b 7 (Int32.of_int conn_id);
+  Bytes.set_int32_be b 20 (Int32.of_int t_id);
+  b
 
 (* NACK payload: [u8 flags (bit0 = resend the ED chunk)]
    [u16 span count][count * (u32 t_sn, u32 len)]. *)
@@ -159,9 +169,15 @@ module Receiver = struct
 
      The record is all of a TPDU's receive-side state that dies with its
      verdict: the TPDU's first data or ED chunk creates it, and the
-     verdict, [drop_tpdu_state] or [quiesce] drops it. *)
+     verdict, [drop_tpdu_state] or [quiesce] drops it.  A record is only
+     created for a T.ID in neither [acked] nor [shed_tids], and dies
+     before its T.ID joins either, so a live record proves both misses:
+     [on_view] probes those tables only for a T.ID with no record. *)
   type corroboration = {
     t_id : int;
+    cls : int;  (* the TPDU's significance rank, its governor class *)
+    mutable gov : Governor.entry;  (* handle on the TPDU's charge *)
+    mutable stamped : bool;  (* [first_arrival] holds the T.ID *)
     mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
     mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
     mutable confirmed : bool;
@@ -252,25 +268,29 @@ module Receiver = struct
             found
         | None -> None)
 
+  let record rx t_id =
+    {
+      t_id;
+      cls = Significance.rank (rx.config.classify t_id);
+      gov = Governor.entry (gov_key rx t_id);
+      stamped = false;
+      delta_data = None;
+      delta_ed = None;
+      confirmed = false;
+      stash = [];
+      placed_runs = [];
+      quarantine = [];
+      end_claim = None;
+    }
+
+  let new_corrob rx t_id =
+    let m = record rx t_id in
+    Int_table.add rx.corrob t_id m;
+    rx.corrob_memo <- Some m;
+    m
+
   let corrob rx t_id =
-    match find_corrob rx t_id with
-    | Some m -> m
-    | None ->
-        let m =
-          {
-            t_id;
-            delta_data = None;
-            delta_ed = None;
-            confirmed = false;
-            stash = [];
-            placed_runs = [];
-            quarantine = [];
-            end_claim = None;
-          }
-        in
-        Int_table.add rx.corrob t_id m;
-        rx.corrob_memo <- Some m;
-        m
+    match find_corrob rx t_id with Some m -> m | None -> new_corrob rx t_id
 
   let forget_corrob rx t_id =
     Int_table.remove rx.corrob t_id;
@@ -358,57 +378,64 @@ module Receiver = struct
     if 2 * n >= Bytes.length v.Chunk.src then v
     else { v with Chunk.src = Bytes.sub v.Chunk.src v.Chunk.off n; off = 0 }
 
-  (* Place the fresh sub-run [t_sn, t_sn+elems) of [v] straight into
-     the application buffer — spatial reordering, one pass.  When the
-     fresh run is the whole chunk (the common case) the chunk itself is
+  (* Place the fresh chunk [sub] of [m]'s TPDU straight into the
+     application buffer — spatial reordering, one pass.  The runs it
+     covers join [placed_runs], whose order nothing reads: they are
+     counted, sorted or merged. *)
+  let place_sub rx m (sub : Chunk.view) =
+    let h = sub.Chunk.header in
+    let nbytes = h.Header.len * h.Header.size in
+    (* A fixed architectural charge, not a measurement: one read and
+       one write per placed byte, whatever passes the code actually
+       makes (see ROADMAP item 1a). *)
+    Busmodel.mem_to_cpu rx.bus nbytes;
+    Busmodel.cpu_to_mem rx.bus nbytes;
+    match Placement.place_view rx.placement sub with
+    | Ok rep ->
+        (* only bytes this TPDU actually covers (fresh writes and
+           identical duplicates) are credited; conflicting runs either
+           lost to a verified owner (discarded by placement) or wait in
+           quarantine for this TPDU's parity *)
+        m.placed_runs <-
+          List.rev_append rep.Placement.rp_fresh
+            (List.rev_append rep.Placement.rp_benign m.placed_runs);
+        if
+          List.exists
+            (fun (_, _, k) -> k = Placement.Fresh_conflict)
+            rep.Placement.rp_conflicts
+        then
+          m.quarantine <-
+            (retain sub, h.Header.c.Ftuple.sn, h.Header.len) :: m.quarantine;
+        (* Available to the application the instant it arrived. *)
+        Netsim.Stats.add rx.element_delay 0.0
+    | Error _ -> ()
+
+  (* Place the fresh sub-run [t_sn, t_sn+elems) of [v].  When the fresh
+     run is the whole chunk (the common case) the chunk itself is
      placed; a partly fresh chunk is narrowed to its fresh part, a new
      header over the same bytes.  [m] is the chunk's TPDU's record. *)
   let place_fresh rx m (v : Chunk.view) ~t_sn ~elems =
     let h = v.Chunk.header in
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
-    let size = h.Header.size in
-    let sub =
-      if off_elems = 0 && elems = h.Header.len then Ok v
-      else
-        Result.map
-          (fun header ->
-            { v with Chunk.header; off = v.Chunk.off + (off_elems * size) })
-          (Header.v ~ctype:Ctype.data ~size ~len:elems
-             ~c:
-               (Ftuple.v ~id:h.Header.c.Ftuple.id
-                  ~sn:(h.Header.c.Ftuple.sn + off_elems)
-                  ())
-             ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
-             ~x:h.Header.x)
-    in
-    match sub with
-    | Error _ -> ()
-    | Ok sub ->
-        let nbytes = elems * size in
-        (* A fixed architectural charge, not a measurement: one read
-           and one write per placed byte, whatever passes the code
-           actually makes (see ROADMAP item 1a). *)
-        Busmodel.mem_to_cpu rx.bus nbytes;
-        Busmodel.cpu_to_mem rx.bus nbytes;
-        (match Placement.place_view rx.placement sub with
-        | Ok rep ->
-            (* only bytes this TPDU actually covers (fresh writes and
-               identical duplicates) are credited; conflicting runs
-               either lost to a verified owner (discarded by placement)
-               or wait in quarantine for this TPDU's parity *)
-            m.placed_runs <-
-              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
-            if
-              List.exists
-                (fun (_, _, k) -> k = Placement.Fresh_conflict)
-                rep.Placement.rp_conflicts
-            then
-              m.quarantine <-
-                (retain sub, h.Header.c.Ftuple.sn + off_elems, elems)
-                :: m.quarantine;
-            (* Available to the application the instant it arrived. *)
-            Netsim.Stats.add rx.element_delay 0.0
-        | Error _ -> ())
+    if off_elems = 0 && elems = h.Header.len then place_sub rx m v
+    else
+      match
+        Header.v ~ctype:Ctype.data ~size:h.Header.size ~len:elems
+          ~c:
+            (Ftuple.v ~id:h.Header.c.Ftuple.id
+               ~sn:(h.Header.c.Ftuple.sn + off_elems)
+               ())
+          ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
+          ~x:h.Header.x
+      with
+      | Error _ -> ()
+      | Ok header ->
+          place_sub rx m
+            {
+              v with
+              Chunk.header;
+              off = v.Chunk.off + (off_elems * h.Header.size);
+            }
 
   let flush_stash rx m =
     let pending = List.rev m.stash in
@@ -469,24 +496,42 @@ module Receiver = struct
       m.quarantine
 
   (* Re-assert the receiver's accounted cost of one TPDU's soft state
-     and refresh its delta-t deadline.  Called after every chunk that
-     touched the TPDU, with [held] the cost of its corroboration record
-     (0 when there is none); once verification has released everything
-     the entry is retired instead. *)
-  let account rx t_id ~held =
+     through the handle [h] and refresh its delta-t deadline, returning
+     the handle to keep.  Called after every chunk that touched the
+     TPDU, with [held] the cost of its corroboration record (0 when
+     there is none); once verification has released everything the
+     entry is retired instead.  Sheddable state is charged at its
+     significance rank [cls], so budget pressure displaces it before any
+     fully-reliable TPDU's state. *)
+  let charge rx t_id ~cls ~held h =
     let fp = Edc.Verifier.footprint_bytes rx.verifier ~t_id in
-    if fp = 0 && held = 0 then
-      Governor.remove rx.governor ~key:(gov_key rx t_id)
-    else begin
-      (* sheddable state is charged at its significance rank so budget
-         pressure displaces it before any fully-reliable TPDU's state *)
-      Governor.touch rx.governor
-        ~cls:(Significance.rank (rx.config.classify t_id))
-        ~key:(gov_key rx t_id)
-        ~bytes:(fp + held + 64)
-        ~now:(Netsim.Engine.now rx.engine);
-      Governor.arm rx.governor rx.engine
+    if fp = 0 && held = 0 then begin
+      Governor.remove rx.governor ~key:(Governor.entry_key h);
+      h
     end
+    else begin
+      let h =
+        Governor.refresh rx.governor h ~cls ~bytes:(fp + held + 64)
+          ~now:(Netsim.Engine.now rx.engine)
+      in
+      Governor.arm rx.governor rx.engine;
+      h
+    end
+
+  let account_record rx m ~held =
+    m.gov <- charge rx m.t_id ~cls:m.cls ~held m.gov
+
+  (* [charge] of [t_id], through its record's handle if it has one. *)
+  let account rx t_id =
+    match find_corrob rx t_id with
+    | Some m -> account_record rx m ~held:(held_bytes m)
+    | None ->
+        ignore
+          (charge rx t_id
+             ~cls:(Significance.rank (rx.config.classify t_id))
+             ~held:0
+             (Governor.entry (gov_key rx t_id))
+            : Governor.entry)
 
   (* A sender that abandoned a TPDU says so (give-up is signalled, not
      silent): release the partial state instead of waiting for the
@@ -611,22 +656,22 @@ module Receiver = struct
         match Placement.place_view ~verified:true rx.placement sub with
         | Ok rep ->
             m.placed_runs <-
-              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs
+              List.rev_append rep.Placement.rp_fresh
+                (List.rev_append rep.Placement.rp_benign m.placed_runs)
         | Error _ -> ())
       (List.rev m.quarantine);
     m.quarantine <- [];
     let es = rx.config.elem_size in
     let buf = Placement.contents rx.placement in
-    (* the runs a journal record would promise, merged *)
+    (* the placed runs, merged: each span is covered, locked and
+       journalled once.  Placement only reports runs inside its buffer,
+       so the filter drops nothing a run-by-run pass would have kept. *)
     let spans =
-      match rx.persist with
-      | None -> []
-      | Some _ ->
-          Persist.coalesce_spans
-            (List.filter
-               (fun (sn, len) ->
-                 sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
-               m.placed_runs)
+      Persist.coalesce_spans
+        (List.filter
+           (fun (sn, len) ->
+             sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
+           m.placed_runs)
     in
     (* The verifier's data parity is the runs' own when they are exactly
        the TPDU's data span and no other TPDU has locked verified bytes
@@ -636,8 +681,9 @@ module Receiver = struct
        parity.  Asked on every pass, so the verifier keeps nothing of
        the TPDU. *)
     let first_c_sn, elems =
-      match spans with
-      | [ (sn, len) ] when not (Placement.any_locked rx.placement ~sn ~len) ->
+      match (rx.persist, spans) with
+      | Some _, [ (sn, len) ]
+        when not (Placement.any_locked rx.placement ~sn ~len) ->
           (sn, len)
       | _ -> (0, 0)
     in
@@ -653,7 +699,7 @@ module Receiver = struct
         (* the verified bytes can never again be clobbered by
            conflicting data *)
         Placement.lock_span rx.placement ~sn ~len)
-      m.placed_runs;
+      spans;
     forget_corrob rx t_id;
     (match m.end_claim with
     | Some _ as last -> rx.end_confirmed <- last
@@ -690,32 +736,76 @@ module Receiver = struct
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
 
+  (* Fresh elements [t_sn, t_sn + elems) of [v], of [m]'s TPDU: placed
+     at once if the TPDU's labels are corroborated, else stashed. *)
+  let take_fresh rx m v ~t_sn ~elems =
+    if m.confirmed then place_fresh rx m v ~t_sn ~elems
+    else m.stash <- (retain v, t_sn, elems) :: m.stash
+
+  (* Act on what the verifier took from [v], a chunk of [m]'s TPDU:
+     its fresh elements are placed or stashed, then a verdict, if the
+     chunk reached one, settles the TPDU.  Whether [m] still lives. *)
+  let rec take rx m (v : Chunk.view) = function
+    | Edc.Verifier.All ->
+        let h = v.Chunk.header in
+        take_fresh rx m v ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len;
+        true
+    | Edc.Verifier.Runs runs ->
+        List.iter (fun (t_sn, elems) -> take_fresh rx m v ~t_sn ~elems) runs;
+        true
+    | Edc.Verifier.Duplicate | Edc.Verifier.No_data -> true
+    | Edc.Verifier.Verdict (fresh, verdict) ->
+        ignore (take rx m v fresh : bool);
+        (match verdict with
+        | Edc.Verifier.Passed -> on_passed rx m m.t_id
+        | Edc.Verifier.Parity_mismatch | Edc.Verifier.Consistency_failure _
+        | Edc.Verifier.Reassembly_error _ ->
+            (* failed epoch: drop its suspect stash and end claim with
+               it *)
+            forget_corrob rx m.t_id);
+        false
+
   (* The verifier-dispatch and governor re-accounting tail of
      [on_view] for a data or ED chunk of [m]'s TPDU, once that TPDU is
-     known to be neither acked nor shed.  Every event the verifier
-     returns is about this TPDU, and a verdict is always the last. *)
-  let verify_and_account rx m (v : Chunk.view) t_id =
-    let live =
-      List.fold_left
-        (fun live ev ->
-          match ev with
-          | Edc.Verifier.Fresh_data { t_sn; elems; _ } ->
-              if m.confirmed then place_fresh rx m v ~t_sn ~elems
-              else m.stash <- (retain v, t_sn, elems) :: m.stash;
-              live
-          | Edc.Verifier.Tpdu_verified { verdict = Edc.Verifier.Passed; _ } ->
-              on_passed rx m t_id;
-              false
-          | Edc.Verifier.Tpdu_verified _ ->
-              (* failed epoch: drop its suspect stash and end claim with
-                 it *)
-              forget_corrob rx t_id;
-              false
-          | Edc.Verifier.Duplicate_dropped _ -> live)
-        true
-        (Edc.Verifier.on_view rx.verifier v)
-    in
-    account rx t_id ~held:(if live then held_bytes m else 0)
+     known to be neither acked nor shed.  What the verifier found fresh
+     is placed or stashed before its verdict, if any, is acted on. *)
+  let verify_and_account rx m (v : Chunk.view) =
+    let live = take rx m v (Edc.Verifier.absorb rx.verifier v) in
+    account_record rx m ~held:(if live then held_bytes m else 0)
+
+  (* Whether [t_id] is settled: late traffic for an already-verified
+     TPDU is not re-processed (feeding it would recreate verifier state
+     that can never complete), but it is re-acknowledged; a shed TPDU is
+     gone for good, so its straggler chunks must not recreate verifier
+     state the sender will never complete. *)
+  let settled rx t_id =
+    if Int_table.mem rx.acked t_id then begin
+      re_ack rx t_id;
+      true
+    end
+    else Int_table.mem rx.shed_tids t_id
+
+  (* A data or ED chunk of [m]'s TPDU. *)
+  let on_tpdu_chunk rx m (v : Chunk.view) ~is_data =
+    let h = v.Chunk.header in
+    if is_data then begin
+      let t_id = m.t_id in
+      if not m.stamped then begin
+        m.stamped <- true;
+        if not (Int_table.mem rx.first_arrival t_id) then
+          Int_table.add rx.first_arrival t_id (Netsim.Engine.now rx.engine)
+      end;
+      (* the C.ST bit claims the connection's final element; the claim
+         is trusted only once this TPDU verifies *)
+      if h.Header.c.Ftuple.st then
+        m.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
+      if rx.config.sack && not (Int_table.mem rx.nack_armed t_id) then begin
+        Int_table.add rx.nack_armed t_id ();
+        arm_nack rx t_id 0
+      end
+    end;
+    witness rx m ~is_ed:(not is_data) h;
+    verify_and_account rx m v
 
   let on_view rx (v : Chunk.view) =
     let h = v.Chunk.header in
@@ -734,42 +824,20 @@ module Receiver = struct
                bytes = Chunk.view_payload_bytes v;
              })
           ~time:(Netsim.Engine.now rx.engine);
-      (* late traffic for an already-verified TPDU is not re-processed
-         (feeding it would recreate verifier state that can never
-         complete), but it is re-acknowledged *)
-      if Int_table.mem rx.acked t_id then re_ack rx t_id
-      (* a shed TPDU is gone for good: its straggler chunks must not
-         recreate verifier state the sender will never complete *)
-      else if Int_table.mem rx.shed_tids t_id then ()
-      else if Ctype.is_data h.Header.ctype then begin
-        if not (Int_table.mem rx.first_arrival t_id) then
-          Int_table.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
-        let m = corrob rx t_id in
-        (* the C.ST bit claims the connection's final element; the claim
-           is trusted only once this TPDU verifies *)
-        if h.Header.c.Ftuple.st then
-          m.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
-        if rx.config.sack && not (Int_table.mem rx.nack_armed t_id) then begin
-          Int_table.add rx.nack_armed t_id ();
-          arm_nack rx t_id 0
-        end;
-        witness rx m ~is_ed:false h;
-        verify_and_account rx m v t_id
+      let is_data = Ctype.is_data h.Header.ctype in
+      if is_data || Ctype.equal h.Header.ctype Ctype.ed then begin
+        (* a live record proves the T.ID is neither acked nor shed *)
+        match find_corrob rx t_id with
+        | Some m -> on_tpdu_chunk rx m v ~is_data
+        | None ->
+            if not (settled rx t_id) then
+              on_tpdu_chunk rx (new_corrob rx t_id) v ~is_data
       end
-      else if Ctype.equal h.Header.ctype Ctype.ed then begin
-        let m = corrob rx t_id in
-        witness rx m ~is_ed:true h;
-        verify_and_account rx m v t_id
-      end
-      else begin
+      else if not (settled rx t_id) then begin
         (* other control traffic carries no TPDU state: the verifier
            only counts it *)
-        ignore (Edc.Verifier.on_view rx.verifier v);
+        ignore (Edc.Verifier.absorb rx.verifier v : Edc.Verifier.absorbed);
         account rx t_id
-          ~held:
-            (match find_corrob rx t_id with
-            | Some m -> held_bytes m
-            | None -> 0)
       end
     end
 
@@ -855,6 +923,16 @@ module Receiver = struct
       (fun _ m acc -> if m.stash <> [] then acc + 1 else acc)
       rx.corrob 0
 
+  let sorted_keys tbl =
+    Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
+
+  let record_tids rx = sorted_keys rx.corrob
+  let shed_tids rx = sorted_keys rx.shed_tids
+  let governor rx = rx.governor
+
+  let governor_handles rx =
+    Int_table.fold (fun _ m acc -> m.gov :: acc) rx.corrob []
+
   (* {2 Crash recovery} *)
 
   let epoch_passes rx =
@@ -862,9 +940,7 @@ module Receiver = struct
 
   let ident_tid rx = if rx.ident_min = max_int then None else Some rx.ident_min
 
-  let acked_tids rx =
-    Int_table.fold (fun k () acc -> k :: acc) rx.acked []
-    |> List.sort Int.compare
+  let acked_tids rx = sorted_keys rx.acked
 
   let sorted_assoc tbl =
     Int_table.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -976,17 +1052,16 @@ module Receiver = struct
             pi.Persist.pi_stash
           |> List.rev
         in
+        (* [export] leaves out every TPDU with quarantined runs, so the
+           record's quarantine is empty *)
         Int_table.replace rx.corrob pi.Persist.pi_t_id
           {
-            t_id = pi.Persist.pi_t_id;
+            (record rx pi.Persist.pi_t_id) with
             delta_data = pi.Persist.pi_delta_data;
             delta_ed = pi.Persist.pi_delta_ed;
             confirmed = pi.Persist.pi_confirmed;
             stash;
             placed_runs = pi.Persist.pi_placed_runs;
-            (* [export] leaves out every TPDU with quarantined runs *)
-            quarantine = [];
-            end_claim = None;
           })
       img.Persist.ri_corrob;
     (* an end claim lives in its TPDU's record; an image always holds
@@ -1003,14 +1078,7 @@ module Receiver = struct
         (Edc.Verifier.in_flight_ids rx.verifier
         @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
     in
-    List.iter
-      (fun t_id ->
-        account rx t_id
-          ~held:
-            (match find_corrob rx t_id with
-            | Some m -> held_bytes m
-            | None -> 0))
-      tracked;
+    List.iter (account rx) tracked;
     rx
 
   (* Conservative re-entry into service: re-ACK the whole restored

@@ -228,6 +228,25 @@ module Receiver : sig
       corrupted label cannot overwrite a region another — already
       verified — TPDU owns.  0 once an undamaged transfer completes. *)
 
+  (** {2 The dispatch invariants}
+
+      [on_view] trusts two facts rather than re-probing for them on
+      every chunk: no T.ID holding a corroboration record is in the
+      ledger or shed, and every governor handle a record holds is dead
+      or the governor's own entry for its key.  These expose what a
+      check of both needs. *)
+
+  val record_tids : t -> int list
+  (** T.IDs holding a corroboration record, ascending. *)
+
+  val shed_tids : t -> int list
+  (** T.IDs whose shed this receiver honoured, ascending. *)
+
+  val governor : t -> Governor.t
+
+  val governor_handles : t -> Governor.entry list
+  (** The handles the corroboration records hold. *)
+
   val nacks_sent : t -> int
   (** Gap reports transmitted (0 unless [config.sack]). *)
 

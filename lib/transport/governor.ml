@@ -1,6 +1,18 @@
 type key = { conn : int; tpdu : int }
 
-type entry = { mutable bytes : int; mutable deadline : float; mutable cls : int }
+(* An entry is live, [bytes >= 0], exactly while it is in [tbl] under
+   [key]: a holder's handle is then the table's own entry, and a
+   refresh through it needs no lookup.  A charge is never negative, so
+   [bytes = -1] marks a dead one. *)
+type entry = {
+  key : key;
+  mutable bytes : int;
+  mutable deadline : float;
+  mutable cls : int;
+}
+
+let dead = -1
+let live e = e.bytes <> dead
 
 (* Keys are compared field by field as integers, and hashed with the
    polymorphic [Hashtbl.hash] a [(key, entry) Hashtbl.t] would use: the
@@ -82,20 +94,21 @@ let drop g k =
   | None -> ()
   | Some e ->
       g.total <- g.total - e.bytes;
+      e.bytes <- dead;
       Tbl.remove g.tbl k
 
-(* Re-assert [key]'s charge (creating the entry when [found] is [None]),
-   then enforce the budget. *)
-let restate g key found ~bytes ~cls ~deadline =
-  (match found with
-  | Some e ->
-      g.total <- g.total - e.bytes + bytes;
-      e.bytes <- bytes;
-      e.deadline <- deadline;
-      e.cls <- cls
-  | None ->
-      Tbl.add g.tbl key { bytes; deadline; cls };
-      g.total <- g.total + bytes);
+(* Re-assert [e]'s charge, then enforce the budget.  A dead [e] holds
+   nothing and no entry has its key, so it joins the table as the new
+   entry: added exactly where a new record would be. *)
+let restate g e ~bytes ~cls ~deadline =
+  if live e then g.total <- g.total - e.bytes + bytes
+  else begin
+    Tbl.add g.tbl e.key e;
+    g.total <- g.total + bytes
+  end;
+  e.bytes <- bytes;
+  e.deadline <- deadline;
+  e.cls <- cls;
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
      connection's TPDUs) never run under the selection loop. *)
@@ -119,21 +132,40 @@ let restate g key found ~bytes ~cls ~deadline =
   end;
   List.iter g.on_evict (List.rev !victims)
 
-(* A refresh that restates an entry exactly — same bytes, class and
-   deadline — changes nothing, so it returns at once: the total is
+let entry key = { key; bytes = dead; deadline = 0.0; cls = 0 }
+let entry_key e = e.key
+
+(* Refresh [e], which is live or else the only holder of a key with no
+   entry.  A refresh that restates an entry exactly — same bytes, class
+   and deadline — changes nothing, so it returns at once: the total is
    unchanged and already within budget, so no victim is possible; every
    change to the total sets the occupancy gauge, so it already reads
    this total; and an entry is updated in place, so its bucket does not
-   move either.  A connection
-   refreshed by every chunk at one clock instant takes this path for
-   all but the first. *)
-let touch ?(cls = 0) g ~key ~bytes ~now =
+   move either.  A connection refreshed by every chunk at one clock
+   instant takes this path for all but the first. *)
+let settle g e ~cls ~bytes ~now =
   let bytes = Int.max 0 bytes in
   let cls = Int.max 0 cls in
   let deadline = now +. g.ttl in
-  match Tbl.find_opt g.tbl key with
-  | Some e when e.bytes = bytes && e.cls = cls && e.deadline = deadline -> ()
-  | found -> restate g key found ~bytes ~cls ~deadline
+  (* a dead entry's [bytes] never equals a charge *)
+  if not (e.bytes = bytes && e.cls = cls && e.deadline = deadline) then
+    restate g e ~bytes ~cls ~deadline
+
+(* A live handle is the table's entry for its key, so it is refreshed
+   in place with no hash; a dead one falls back to the keyed probe. *)
+let refresh g e ~cls ~bytes ~now =
+  let e =
+    if live e then e
+    else match Tbl.find_opt g.tbl e.key with Some found -> found | None -> e
+  in
+  settle g e ~cls ~bytes ~now;
+  e
+
+let touch ?(cls = 0) g ~key ~bytes ~now =
+  let e = match Tbl.find_opt g.tbl key with Some e -> e | None -> entry key in
+  settle g e ~cls ~bytes ~now
+
+let find g ~key = Tbl.find_opt g.tbl key
 
 let remove g ~key =
   drop g key;

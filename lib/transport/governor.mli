@@ -61,6 +61,42 @@ val touch : ?cls:int -> t -> key:key -> bytes:int -> now:float -> unit
     and deadline, i.e. a repeat at the same [now] — changes nothing and
     returns at once. *)
 
+(** {1 Entry handles}
+
+    A holder that refreshes one key on every chunk keeps a handle on the
+    key's entry instead of naming the key each time.  The contract:
+    - a handle is {e live} exactly while it is the governor's own entry
+      for its key ({!find} returns it physically), so a refresh through
+      it updates that entry in place, with no hash;
+    - every way an entry leaves the governor ({!remove}, {!remove_conn},
+      a deadline sweep, a budget eviction) marks it dead;
+    - a dead handle is still a valid argument: {!refresh} falls back to
+      the keyed lookup, and returns the entry the key has afterwards.
+
+    Buckets, fold order and so victim order are those of the keyed
+    path: an entry is only ever mutated in place or added as a new
+    entry would be. *)
+
+type entry
+(** A handle on one key's entry. *)
+
+val entry : key -> entry
+(** A dead handle naming [key]: it holds nothing until refreshed. *)
+
+val refresh : t -> entry -> cls:int -> bytes:int -> now:float -> entry
+(** {!touch} of the handle's key, through the handle: returns the
+    governor's entry for the key afterwards (dead only if this very
+    refresh evicted it), which the holder keeps for its next refresh. *)
+
+val live : entry -> bool
+(** Whether the handle is its key's entry in the governor. *)
+
+val entry_key : entry -> key
+(** The key the handle names, live or dead. *)
+
+val find : t -> key:key -> entry option
+(** The governor's entry for [key], if it holds one. *)
+
 val remove : t -> key:key -> unit
 (** Forget an entry without counting an eviction (normal completion). *)
 

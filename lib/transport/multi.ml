@@ -32,6 +32,7 @@ type conn = {
          epoch *)
   mutable hist : archived list;  (* newest first *)
   mutable last_touch : float;
+  mutable gov : Governor.entry;  (* handle on the connection's charge *)
   mutable aborts_acc : int;
   mutable reacks_acc : int;
   mutable sheds_acc : int;
@@ -133,8 +134,8 @@ let conn_cost m = (m.quota_elems * m.config.elem_size) + 256
 
 let touch_conn m c =
   c.last_touch <- now m;
-  Governor.touch m.governor ~key:(conn_key c.id) ~bytes:(conn_cost m)
-    ~now:(now m);
+  c.gov <-
+    Governor.refresh m.governor c.gov ~cls:0 ~bytes:(conn_cost m) ~now:(now m);
   Governor.arm m.governor m.engine
 
 (* The live epoch's identity: the Open's announced first C.SN when one
@@ -471,6 +472,7 @@ let handle_open m cid found ~first_csn =
           open_hwm = -1;
           hist = [];
           last_touch = now m;
+          gov = Governor.entry (conn_key cid);
           aborts_acc = 0;
           reacks_acc = 0;
           sheds_acc = 0;
@@ -743,6 +745,16 @@ let known_conns m =
 let governor_stats m = Governor.stats m.governor
 let live_conns m = m.n_live
 
+let receivers m =
+  Int_table.fold
+    (fun id c acc -> match c.live with Some rx -> (id, rx) :: acc | None -> acc)
+    m.conns []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+let governor m = m.governor
+let governor_handles m = Int_table.fold (fun _ c acc -> c.gov :: acc) m.conns []
+
 let sum_live m f =
   Int_table.fold
     (fun _ c acc -> match c.live with Some rx -> acc + f rx | None -> acc)
@@ -881,6 +893,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                   { a_delivered = d; a_complete = cm; a_open_csn = k })
                 img.Persist.ci_hist;
             last_touch = now m;
+            gov = Governor.entry (conn_key img.Persist.ci_id);
             aborts_acc = 0;
             reacks_acc = 0;
             sheds_acc = 0;

@@ -151,6 +151,17 @@ val known_conns : t -> int list
 
 val governor_stats : t -> Governor.stats
 
+val receivers : t -> Chunk_transport.Receiver.t list
+(** The live epochs' receivers, by ascending C.ID. *)
+
+val governor : t -> Governor.t
+(** The one governor every connection and live epoch charges. *)
+
+val governor_handles : t -> Governor.entry list
+(** The governor handles the connection records hold; with each
+    receiver's {!Chunk_transport.Receiver.governor_handles}, every handle
+    on {!governor}. *)
+
 val live_conns : t -> int
 (** Connections currently open (admitted, not closed/GCed/displaced). *)
 

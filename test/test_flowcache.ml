@@ -630,6 +630,100 @@ let test_crash_restore_fresh_cache () =
   Alcotest.(check bool) "restored cache repopulates" true
     (after.Transport.Multi.fp_conn.FC.s_insertions > 0)
 
+(* --- the dispatch invariants ---------------------------------------- *)
+
+(* The two facts the receive path trusts instead of probing for them on
+   every chunk: no live corroboration record's T.ID is in the ACK ledger
+   or shed, and every governor handle a connection or record holds is
+   either dead or physically the governor's own entry for its key. *)
+let handle_ok g h =
+  (not (Transport.Governor.live h))
+  ||
+  match Transport.Governor.find g ~key:(Transport.Governor.entry_key h) with
+  | Some e -> e == h
+  | None -> false
+
+let receiver_ok g rx =
+  let settled = CT.Receiver.acked_tids rx @ CT.Receiver.shed_tids rx in
+  List.for_all (fun t -> not (List.mem t settled)) (CT.Receiver.record_tids rx)
+  && List.for_all (handle_ok g) (CT.Receiver.governor_handles rx)
+
+let multi_ok m =
+  let g = Transport.Multi.governor m in
+  List.for_all (handle_ok g) (Transport.Multi.governor_handles m)
+  && List.for_all (receiver_ok g) (Transport.Multi.receivers m)
+
+(* Each packet of [mix] into [m], the invariants checked after every
+   one. *)
+let ingest_checked m mix =
+  Array.for_all
+    (fun b ->
+      Transport.Multi.ingest m b;
+      multi_ok m)
+    mix
+
+(* The mix in thirds through one endpoint that journals every event:
+   a snapshot after the first third, then two restored endpoints after
+   the second — one from an export of the live one, one from the
+   snapshot plus the journal since — each checked at once and then fed
+   the last third.  Run with no budget and with one that holds two
+   connections, so budget evictions and connection GC kill handles. *)
+let invariants_across_restores ?anomaly_budget mix =
+  List.for_all
+    (fun state_budget ->
+      let config = { multi_config with CT.state_budget } in
+      let store = Transport.Persist.Store.create () in
+      let endpoint ?image () =
+        let engine = Netsim.Engine.create ~seed:42 () in
+        match image with
+        | None ->
+            Transport.Multi.create engine ~config ~quota_elems:4096
+              ~max_conns:8 ?anomaly_budget
+              ~persist:(Transport.Persist.Store.append store)
+              ~send_ack:(fun _ -> ())
+              ()
+        | Some images ->
+            Transport.Multi.restore engine ~config ~quota_elems:4096
+              ~max_conns:8 ?anomaly_budget
+              ~send_ack:(fun _ -> ())
+              images
+      in
+      let n = Array.length mix in
+      let third k = Array.sub mix (k * n / 3) (((k + 1) * n / 3) - (k * n / 3)) in
+      let m = endpoint () in
+      ingest_checked m (third 0)
+      && begin
+           Transport.Persist.Store.snapshot store
+             (Transport.Persist.Multi (Transport.Multi.export m));
+           ingest_checked m (third 1)
+         end
+      &&
+      let exported = endpoint ~image:(Transport.Multi.export m) () in
+      let journalled =
+        match
+          Transport.Persist.Store.recover ~elem_size:4 ~quota_elems:4096
+            ~empty:(Transport.Persist.Multi []) store
+        with
+        | Ok (Transport.Persist.Multi images, _) -> endpoint ~image:images ()
+        | Ok (Transport.Persist.Single _, _) | Error _ ->
+            failwith "no multi image recovered"
+      in
+      List.for_all
+        (fun m -> multi_ok m && ingest_checked m (third 2))
+        [ exported; journalled ])
+    [ 0; 40_000 ]
+
+let prop_invariants_permuted =
+  QCheck2.Test.make
+    ~name:"dispatch invariants hold per packet and across restores" ~count:40
+    gen_permuted_mix (fun (mix, _) -> invariants_across_restores mix)
+
+let prop_invariants_churn =
+  QCheck2.Test.make
+    ~name:"dispatch invariants hold across quarantines and restores"
+    ~count:30 gen_churn_mix (fun mix ->
+      invariants_across_restores ~anomaly_budget:4 mix)
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
@@ -659,4 +753,6 @@ let suite =
       test_strangers_not_memoised;
     Alcotest.test_case "crash restore starts with a cold cache" `Quick
       test_crash_restore_fresh_cache;
+    QCheck_alcotest.to_alcotest prop_invariants_permuted;
+    QCheck_alcotest.to_alcotest prop_invariants_churn;
   ]
