@@ -2,8 +2,11 @@ type t = { id : int; sn : int; st : bool }
 
 let max_id = 0xFFFF_FFFF
 
+let check_id id =
+  if id < 0 || id > max_id then invalid_arg "Ftuple.v: id out of range"
+
 let v ?(st = false) ~id ~sn () =
-  if id < 0 || id > max_id then invalid_arg "Ftuple.v: id out of range";
+  check_id id;
   if sn < 0 then invalid_arg "Ftuple.v: negative sn";
   { id; sn; st }
 

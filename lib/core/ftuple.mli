@@ -19,6 +19,11 @@ val v : ?st:bool -> id:int -> sn:int -> unit -> t
     @raise Invalid_argument if [id] or [sn] is negative or [id] exceeds
     32 bits. *)
 
+val check_id : int -> unit
+(** [check_id id] checks [id] as {!v} does.
+
+    @raise Invalid_argument if [id] is negative or exceeds 32 bits. *)
+
 val zero : t
 (** The all-zero tuple, used by terminator chunks. *)
 

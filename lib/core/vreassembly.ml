@@ -69,35 +69,39 @@ let insert tr ~sn ~len ~st =
   end
   end
 
-(* One past the last run's end, 0 when there is none. *)
-let rec hi = function [] -> 0 | [ (s, l) ] -> s + l | _ :: rest -> hi rest
-
-(* [runs] with [(sn, len)] added after its last run, which ends at or
-   before [sn], fusing a touching last run. *)
+(* [runs] with [(sn, len)] added after its last run, fusing a touching
+   last run; [Exit] when the span starts before the last run's end.
+   Each cell is rebuilt only on the way back from the last run, so a
+   refusal allocates nothing. *)
 let rec append_run runs sn len =
   match runs with
   | [] -> [ (sn, len) ]
-  | [ (s, l) ] when s + l = sn -> [ (s, l + len) ]
+  | [ ((s, l) as r) ] ->
+      if s + l = sn then [ (s, l + len) ]
+      else if s + l < sn then [ r; (sn, len) ]
+      else raise_notrace Exit
   | r :: rest -> r :: append_run rest sn len
 
 (* The in-order case: a span past every run is wholly fresh, and the
    end rule reduces to agreeing with a known end; nothing is
-   subtracted and the list is walked to its end only to append. *)
+   subtracted, and one walk finds the last run and appends. *)
 let append_new tr ~sn ~len ~st =
   (not (bad_span ~sn ~len))
-  && sn >= hi tr.runs
   &&
   let last = sn + len - 1 in
-  match tr.last_sn with
-  | Some e when last > e || (st && e <> last) -> false
-  | Some _ | None ->
-      tr.runs <- append_run tr.runs sn len;
+  (match tr.last_sn with
+  | Some e -> last <= e && ((not st) || e = last)
+  | None -> true)
+  &&
+  match append_run tr.runs sn len with
+  | runs ->
+      tr.runs <- runs;
       if st then tr.last_sn <- Some last;
       true
+  | exception Exit -> false
 
 let insert_new tr ~sn ~len ~st =
-  if append_new tr ~sn ~len ~st then Ok [ (sn, len) ]
-  else if bad_span ~sn ~len then Error `Inconsistent
+  if bad_span ~sn ~len then Error `Inconsistent
   else begin
   let last = sn + len - 1 in
   let max_seen =

@@ -52,7 +52,9 @@ val append_new : t -> sn:int -> len:int -> st:bool -> bool
     span lies wholly past every received run and agrees with a known
     PDU end, records it exactly as {!insert_new} would and returns
     [true] — every element is fresh.  Otherwise changes nothing and
-    returns [false], leaving the span to {!insert_new}. *)
+    returns [false], leaving the span to {!insert_new}.  One walk of the
+    run list finds the last run and appends, and a refusal allocates
+    nothing, so a caller on the hot path tries this first. *)
 
 val set_total : t -> int -> (unit, [ `Inconsistent ]) result
 (** Announce the PDU's total element count out of band (e.g. from its

@@ -94,6 +94,14 @@ let encode_packet ?capacity chunks =
     Ok b
   end
 
+let with_ids template ~c_id ~t_id =
+  Ftuple.check_id c_id;
+  Ftuple.check_id t_id;
+  let b = Bytes.copy template in
+  Bytes.set_int32_be b 7 (Int32.of_int c_id);
+  Bytes.set_int32_be b 20 (Int32.of_int t_id);
+  b
+
 (* Checksummed record framing for persisted state (crash-recovery
    snapshots and journals).  A record is
 

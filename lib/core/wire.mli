@@ -54,6 +54,14 @@ val encode_packet : ?capacity:int -> Chunk.t list -> (bytes, string) result
     is smaller than a header it is zero-filled, which decodes as
     end-of-packet). *)
 
+val with_ids : bytes -> c_id:int -> t_id:int -> bytes
+(** [with_ids template ~c_id ~t_id] is a copy of the packet image
+    [template] with its first chunk's C.ID and T.ID replaced: a packet
+    that differs from a pre-encoded one only in those IDs costs one
+    copy, not an encoding.
+
+    @raise Invalid_argument as {!Ftuple.v} for an ID out of range. *)
+
 val decode_packet : bytes -> (Chunk.t list, string) result
 (** Parse all chunks of a packet, stopping at a terminator, at
     end-of-buffer, or at a residue smaller than one header (treated as

@@ -74,7 +74,7 @@ let expected_elements config ~data_len =
 
 (* Every ACK is one 50-byte image in which only C.ID and T.ID vary: the
    generic encoder builds it once, and each ACK is a copy with the two
-   IDs written at their header offsets (7 and 20, see {!Wire}). *)
+   IDs written in. *)
 let ack_template =
   match
     Chunk.control ~kind:Ctype.ack ~c:Ftuple.zero ~t:Ftuple.zero ~x:Ftuple.zero
@@ -86,13 +86,7 @@ let ack_template =
       | Ok b -> b
       | Error e -> invalid_arg e)
 
-let ack_packet ~conn_id ~t_id =
-  if conn_id < 0 || conn_id > 0xFFFF_FFFF || t_id < 0 || t_id > 0xFFFF_FFFF then
-    invalid_arg "Ftuple.v: id out of range";
-  let b = Bytes.copy ack_template in
-  Bytes.set_int32_be b 7 (Int32.of_int conn_id);
-  Bytes.set_int32_be b 20 (Int32.of_int t_id);
-  b
+let ack_packet ~conn_id ~t_id = Wire.with_ids ack_template ~c_id:conn_id ~t_id
 
 (* NACK payload: [u8 flags (bit0 = resend the ED chunk)]
    [u16 span count][count * (u32 t_sn, u32 len)]. *)
@@ -692,10 +686,12 @@ module Receiver = struct
     in
     List.iter
       (fun (sn, len) ->
-        (match
-           Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
-         with
-        | Ok _ | Error `Inconsistent -> ());
+        if not (Vreassembly.append_new rx.verified_cover ~sn ~len ~st:false)
+        then (
+          match
+            Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
+          with
+          | Ok _ | Error `Inconsistent -> ());
         (* the verified bytes can never again be clobbered by
            conflicting data *)
         Placement.lock_span rx.placement ~sn ~len)

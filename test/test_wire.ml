@@ -249,3 +249,38 @@ let test_wire_image () =
 
 let suite =
   suite @ [ Alcotest.test_case "exact packet wire image" `Quick test_wire_image ]
+
+(* [with_ids] restamps a pre-encoded packet: the copy equals encoding
+   the same chunks with the first one's C.ID and T.ID replaced, and the
+   template is left as it was.  [test_transport] checks the range check
+   through [Chunk_transport.ack_packet]. *)
+let suite =
+  suite
+  @ [
+      Util.qtest ~count:100 "with_ids equals re-encoding with the new IDs"
+        QCheck2.Gen.(
+          triple
+            (list_size (int_range 1 3) Util.gen_data_chunk)
+            (int_range 0 0xFFFF_FFFF) (int_range 0 0xFFFF_FFFF))
+        (fun (chunks, c_id, t_id) ->
+          let template = Util.ok_or_fail (Wire.encode_packet chunks) in
+          let before = Bytes.copy template in
+          let restamped =
+            match chunks with
+            | first :: rest ->
+                let h = first.Chunk.header in
+                let h =
+                  {
+                    h with
+                    Header.c = { h.Header.c with Ftuple.id = c_id };
+                    t = { h.Header.t with Ftuple.id = t_id };
+                  }
+                in
+                Util.ok_or_fail (Chunk.make h first.Chunk.payload) :: rest
+            | [] -> []
+          in
+          Bytes.equal
+            (Wire.with_ids template ~c_id ~t_id)
+            (Util.ok_or_fail (Wire.encode_packet restamped))
+          && Bytes.equal template before);
+    ]
