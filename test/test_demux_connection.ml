@@ -351,6 +351,165 @@ let test_multi_concurrent_conns () =
     datas;
   Alcotest.(check int) "all closed" 0 (Transport.Multi.live_conns rig.multi)
 
+(* --- endpoint counter totals ----------------------------------------- *)
+
+(* One scripted endpoint life, fed packet by packet, with every count
+   the endpoint keeps pinned at three points: after an epoch archive, a
+   governor eviction and a connection GC; after a displacement, a
+   quarantine and a poisoning; and on the endpoint a crash restore
+   builds from the image. *)
+
+let counted_config =
+  { CT.default_config with
+    CT.elem_size = 4;
+    tpdu_elems = 16;
+    rto = 0.05;
+    nack_delay = 0.01;
+    state_ttl = 2.0;
+    classify =
+      (fun t_id ->
+        if t_id = 2 || t_id = 3 then Significance.Sheddable 1
+        else Significance.Normal) }
+
+(* Four sealed TPDUs (T.IDs 0..3, 16 elements each) of one connection:
+   each TPDU's data chunks and its ED chunk. *)
+let counted_tpdus ~conn =
+  let framer = Framer.create ~elem_size:4 ~tpdu_elems:16 ~conn_id:conn () in
+  let chunks =
+    Util.ok_or_fail
+      (Framer.push_frame ~last:true framer (Util.deterministic_bytes 256))
+  in
+  let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus chunks) in
+  fun t_id ->
+    let mine =
+      List.filter
+        (fun c -> c.Chunk.header.Header.t.Ftuple.id = t_id)
+        sealed
+    in
+    (List.filter Chunk.is_data mine, List.filter (fun c -> not (Chunk.is_data c)) mine)
+
+(* A lone data chunk under an arbitrary label. *)
+let stray ~conn ~t_id =
+  Util.ok_or_fail
+    (Chunk.data ~size:4
+       ~c:(Ftuple.v ~id:conn ~sn:0 ())
+       ~t:(Ftuple.v ~id:t_id ~sn:0 ())
+       ~x:Ftuple.zero (Bytes.make 16 'x'))
+
+let endpoint_totals m =
+  let module M = Transport.Multi in
+  [
+    ("reacks", M.reacks_sent m);
+    ("aborts", M.aborts_received m);
+    ("sheds", M.sheds_received m);
+    ("shed_elems", M.shed_elems m);
+    ("sheds_refused", M.sheds_refused m);
+    ("evictions", M.evictions m);
+    ("conn_gcs", M.conn_gcs m);
+    ("displaced", M.displaced_conns m);
+    ("unknown_drops", M.unknown_drops m);
+    ("late_drops", M.late_drops m);
+    ("quarantine_drops", M.quarantine_drops m);
+    ("anomalies", M.anomalies m);
+    ("sig_damage", M.sig_damage m);
+    ("quarantines", M.quarantines m);
+    ("poisoned", M.conns_poisoned m);
+  ]
+
+let test_multi_counter_totals () =
+  let module M = Transport.Multi in
+  let engine = Netsim.Engine.create ~seed:27 () in
+  let m =
+    M.create engine ~config:counted_config ~quota_elems:64 ~max_conns:2
+      ~anomaly_budget:8 ~send_ack:(fun _ -> ()) ()
+  in
+  let feed chunks = M.on_packet m (Util.ok_or_fail (Wire.encode_packet chunks)) in
+  let signal conn sg = feed [ Connection.signal_chunk ~conn_id:conn sg ] in
+  let at t f = Netsim.Engine.schedule engine ~delay:(t -. Netsim.Engine.now engine) f in
+  let tpdu = counted_tpdus ~conn:1 in
+  let data t = fst (tpdu t) and whole t = fst (tpdu t) @ snd (tpdu t) in
+  let pin what expected got =
+    Alcotest.(check (list (pair string int))) what expected got
+  in
+  (* conn 1, live epoch: TPDU 0 verifies, TPDU 1 (Normal) and TPDU 3
+     (Sheddable) hold partial state *)
+  signal 1 (Connection.Open { first_csn = 0 });
+  feed (whole 0);
+  feed (data 1);
+  feed (data 3);
+  signal 1 (Connection.Abort_tpdu { t_id = 1 });
+  signal 1 (Connection.Shed_tpdu { t_id = 2; first_elem = 32; elems = 16 });
+  signal 1 (Connection.Shed_tpdu { t_id = 1; first_elem = 16; elems = 16 });
+  (* a live re-ACK, and a second one after the throttle that also keeps
+     the connection fresh while TPDU 3's state goes stale *)
+  feed (data 0);
+  at 1.5 (fun () -> feed (data 0));
+  Netsim.Engine.run ~until:2.5 engine;
+  Alcotest.(check int) "conn 1 still live" 1 (M.live_conns m);
+  (* the connection itself goes stale: GC archives its epoch *)
+  Netsim.Engine.run ~until:10.0 engine;
+  Alcotest.(check int) "conn 1 GCed" 0 (M.live_conns m);
+  (* closed epoch: a ledgered straggler is re-ACKed, an unledgered one
+     is a late drop; a never-opened C.ID is an unknown drop *)
+  feed (data 0);
+  feed [ stray ~conn:1 ~t_id:77 ];
+  feed [ stray ~conn:50 ~t_id:0 ];
+  pin "after archive, eviction and GC"
+    [
+      ("reacks", 3); ("aborts", 1); ("sheds", 1); ("shed_elems", 16);
+      ("sheds_refused", 1); ("evictions", 1); ("conn_gcs", 1);
+      ("displaced", 0); ("unknown_drops", 1); ("late_drops", 1);
+      ("quarantine_drops", 0); ("anomalies", 2); ("sig_damage", 0);
+      ("quarantines", 0); ("poisoned", 0);
+    ]
+    (endpoint_totals m);
+  (* two live connections fill the cap; a third displaces the stalest *)
+  signal 2 (Connection.Open { first_csn = 0 });
+  signal 3 (Connection.Open { first_csn = 0 });
+  signal 4 (Connection.Open { first_csn = 0 });
+  (* conn 3 churns through fresh Opens until its score trips the box;
+     everything it sends while boxed is refused *)
+  signal 3 (Connection.Open { first_csn = 100 });
+  signal 3 (Connection.Open { first_csn = 200 });
+  signal 3 (Connection.Open { first_csn = 300 });
+  (* a parity-damaged signal naming conn 4, then conn 4 poisoned *)
+  (let sg = Connection.signal_chunk ~conn_id:4 Connection.Close in
+   let payload = Bytes.copy sg.Chunk.payload in
+   Bytes.set_uint8 payload 0 (Bytes.get_uint8 payload 0 lxor 0x10);
+   feed [ Util.ok_or_fail (Chunk.make sg.Chunk.header payload) ]);
+  M.poison m ~conn_id:4;
+  let before =
+    [
+      ("reacks", 3); ("aborts", 1); ("sheds", 1); ("shed_elems", 16);
+      ("sheds_refused", 1); ("evictions", 1); ("conn_gcs", 1);
+      ("displaced", 1); ("unknown_drops", 1); ("late_drops", 1);
+      ("quarantine_drops", 2); ("anomalies", 5); ("sig_damage", 1);
+      ("quarantines", 1); ("poisoned", 1);
+    ]
+  in
+  pin "after displacement, quarantine and poisoning" before (endpoint_totals m);
+  (* crash: the restored endpoint counts from zero; re-entering service
+     re-ACKs conn 1's ledger *)
+  let image = M.export m in
+  M.teardown m;
+  let engine' = Netsim.Engine.create ~seed:28 () in
+  let m' =
+    M.restore engine' ~config:counted_config ~quota_elems:64 ~max_conns:2
+      ~anomaly_budget:8 ~send_ack:(fun _ -> ()) image
+  in
+  M.reannounce m';
+  M.on_packet m' (Util.ok_or_fail (Wire.encode_packet [ stray ~conn:50 ~t_id:0 ]));
+  pin "restored endpoint"
+    [
+      ("reacks", 1); ("aborts", 0); ("sheds", 0); ("shed_elems", 0);
+      ("sheds_refused", 0); ("evictions", 0); ("conn_gcs", 0);
+      ("displaced", 0); ("unknown_drops", 1); ("late_drops", 0);
+      ("quarantine_drops", 0); ("anomalies", 0); ("sig_damage", 0);
+      ("quarantines", 0); ("poisoned", 0);
+    ]
+    (endpoint_totals m');
+  pin "the dead endpoint's totals stand" before (endpoint_totals m)
+
 let suite =
   [
     Alcotest.test_case "signal roundtrip" `Quick test_signal_roundtrip;
@@ -370,4 +529,6 @@ let suite =
       test_multi_quarantine_trips_and_releases;
     Alcotest.test_case "multi: quarantine survives crash restore" `Quick
       test_multi_quarantine_survives_restore;
+    Alcotest.test_case "multi: endpoint counter totals" `Quick
+      test_multi_counter_totals;
   ]
