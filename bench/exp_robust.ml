@@ -113,7 +113,7 @@ let rob_abort () =
      in-flight %d, stashed %d\n"
     (Netsim.Engine.now engine)
     (CT.Sender.aborts_sent tx)
-    (CT.Receiver.aborts_received rx)
+    (CT.Receiver.counters rx).aborts_received
     (CT.Receiver.verifier_in_flight rx)
     (CT.Receiver.stashed_tpdus rx);
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "give-up sim s"
@@ -509,7 +509,7 @@ let rob_isolate () =
         0
         (List.init honest (fun i -> i + 1))
     in
-    (goodput, t, Transport.Multi.quarantines m, honest_boxed, m)
+    (goodput, t, (Transport.Multi.counters m).quarantines, honest_boxed, m)
   in
   let clean_bps, clean_t, _, _, _ = run_endpoint ~attack:false in
   let byz_bps, byz_t, quarantines, honest_boxed, m =
@@ -524,8 +524,8 @@ let rob_isolate () =
     "  quarantines %d, honest connections boxed %d, quarantine drops %d, \
      anomalies %d\n"
     quarantines honest_boxed
-    (Transport.Multi.quarantine_drops m)
-    (Transport.Multi.anomalies m);
+    (Transport.Multi.counters m).quarantine_drops
+    (Transport.Multi.counters m).anomalies;
   (* the acceptance claim: containment keeps honest goodput >= 0.9x and
      never boxes an honest connection *)
   assert (ratio >= 0.9);
@@ -541,7 +541,7 @@ let rob_isolate () =
   Util_bench.Metrics.record ~exp:"ROB-ISOLATE" "honest boxed"
     (float_of_int honest_boxed);
   Util_bench.Metrics.record ~exp:"ROB-ISOLATE" "quarantine drops"
-    (float_of_int (Transport.Multi.quarantine_drops m))
+    (float_of_int (Transport.Multi.counters m).quarantine_drops)
 
 let run () =
   rob_rto ();

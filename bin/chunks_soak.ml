@@ -92,6 +92,8 @@ let run_replay spec mutate =
       let trace = Obs.Trace.ring ~capacity:2048 in
       let model = Check.Model.of_schedule schedule in
       let observation = Check.Driver.run ~mutation:mutate ~trace schedule in
+      let c = observation.Check.Driver.counts
+      and ov = observation.Check.Driver.overlap in
       let dropped = Obs.Trace.ring_dropped trace in
       if dropped > 0 then
         Printf.printf "... %d earlier events dropped ...\n" dropped;
@@ -118,36 +120,33 @@ let run_replay spec mutate =
          counterfactuals%s\n"
         observation.Check.Driver.ok observation.complete observation.gave_up
         observation.retransmissions observation.sack_retransmissions
-        observation.nacks_sent
+        c.nacks_sent
         observation.verifier.Edc.Verifier.tpdus_passed
         observation.verifier.Edc.Verifier.tpdus_failed
         observation.verifier.Edc.Verifier.duplicates
         observation.verifier_in_flight observation.stashed_tpdus
-        observation.engine_pending observation.receiver_evictions
-        observation.conn_gcs observation.aborts_sent
-        observation.aborts_received observation.reacks_sent
+        observation.engine_pending c.evictions c.conn_gcs
+        observation.aborts_sent c.aborts_received c.reacks_sent
         observation.state_high_water observation.flood_injected
         observation.rtt_samples observation.final_rto
         observation.crashes_injected observation.restores
         observation.recovery_bad observation.restore_over_budget
         observation.roundtrip_failures observation.snapshots_taken
         observation.journal_records observation.overlap_injected
-        observation.overlap_conflicts_seen observation.overlap_conflicts_rejected
-        observation.overlap_quarantined observation.verified_overwrites
+        ov.os_conflicts_seen ov.os_conflicts_rejected ov.os_quarantined
+        ov.os_verified_overwrites
         observation.fastpath_stats.Transport.Flowcache.s_hits
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
         observation.fastpath_stats.Transport.Flowcache.s_evictions
-        observation.sheds_sent observation.sheds_received
-        observation.shed_elems
+        observation.sheds_sent c.sheds_received c.shed_elems
         (match observation.shed_spans with
         | [] -> "-"
         | spans ->
             String.concat ","
               (List.map (fun (f, n) -> Printf.sprintf "%d+%d" f n) spans))
-        observation.anomalies observation.quarantines
-        observation.quarantine_drops observation.conns_poisoned
-        observation.sheds_refused
+        c.anomalies c.quarantines c.quarantine_drops c.conns_poisoned
+        c.sheds_refused
         (match observation.byz with
         | None -> "n/a"
         | Some b ->

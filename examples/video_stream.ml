@@ -277,8 +277,8 @@ let () =
   Printf.printf
     "  sheds: %d signalled, %d honoured (%d elements given up)\n"
     (CT.Sender.sheds_sent tx)
-    (CT.Receiver.sheds_received rx)
-    (CT.Receiver.shed_elems rx);
+    (CT.Receiver.counters rx).sheds_received
+    (CT.Receiver.counters rx).shed_elems;
   Printf.printf
     "  the base layer is byte-exact; only declared-sheddable spans are \
      missing.\n"

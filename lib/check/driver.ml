@@ -108,31 +108,20 @@ type observation = {
   delivered_elems : int;
   retransmissions : int;
   sack_retransmissions : int;
-  nacks_sent : int;
-  tpdus_sent : int;
   packets_sent : int;
   verifier : Edc.Verifier.stats;
   verifier_in_flight : int;
   stashed_tpdus : int;
   engine_pending : int;
   sim_time : float;
-  forward : Netsim.Link.stats;
-  dropper : Netsim.Dropper.stats option;
   gateways_malformed : int;
-  mutated_packets : int;
-  (* control plane *)
-  reacks_sent : int;
+  counts : Transport.Counters.t;
+      (* folded over every endpoint instance, like every other endpoint
+         statistic below *)
   aborts_sent : int;
-  aborts_received : int;
   (* partial reliability *)
   sheds_sent : int;
-  sheds_received : int;
-  shed_elems : int;
   shed_spans : (int * int) list;
-  receiver_evictions : int;
-  conn_gcs : int;
-  displaced_conns : int;
-  unknown_drops : int;
   state_high_water : int;
   state_accounted : int;
   flood_injected : int;
@@ -149,24 +138,14 @@ type observation = {
   journal_records : int;
   multi : multi_obs option;
   metrics : metrics_probe;
-  (* overlap policy *)
-  overlap_conflicts_seen : int;
-  overlap_conflicts_rejected : int;
-  overlap_quarantined : int;
-  verified_overwrites : int;  (* must stay 0: two verified TPDUs clashing *)
+  (* overlap policy; [os_verified_overwrites] must stay 0: two verified
+     TPDUs clashing *)
+  overlap : Labelling.Placement.overlap_stats;
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
   (* connection-lookup memo *)
   fastpath_stats : Transport.Flowcache.stats;
       (* the multi path's memo of its connection table, across crash
          incarnations; all zero on single-path runs *)
-  (* byzantine containment (DESIGN §10); counters accumulate across
-     crash incarnations like every other endpoint statistic *)
-  anomalies : int;
-  sig_damage : int;
-  quarantines : int;
-  quarantine_drops : int;
-  conns_poisoned : int;
-  sheds_refused : int;
   byz : byz_obs option;  (* present iff the schedule runs the adversary *)
   counterfactuals : (string * epoch_obs list) list;
       (* (row, re-run outcome) for every counterfactual that applies *)
@@ -211,10 +190,7 @@ type plumbing = {
   engine : Netsim.Engine.t;
   forward_send : bytes -> unit;
   door : bytes -> unit;  (** the raw receiver door (adversary injection) *)
-  forward_stats : unit -> Netsim.Link.stats;
-  dropper_stats : unit -> Netsim.Dropper.stats option;
   gateways_malformed : unit -> int;
-  mutated : int ref;
 }
 
 (* Notes go to the caller's sink only, never the process-wide one;
@@ -267,7 +243,6 @@ let carries_tid0_payload b =
 
 let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
   let trec fmt = make_trec engine trace fmt in
-  let mutated = ref 0 in
   let door_count = ref 0 in
   let to_receiver b =
     incr door_count;
@@ -277,25 +252,20 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
     | No_mutation | Corrupt_restore | Overlap_clobber | Byz_clobber ->
         to_receiver_raw b
     | Shed_clobber ->
-        if carries_tid0_payload b then begin
-          incr mutated;
+        if carries_tid0_payload b then
           trec "MUTATION swallow TPDU-0 packet #%d" n
-        end
         else to_receiver_raw b
     | Flip_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION flip byte of packet #%d" n;
         let b = Bytes.copy b in
         let i = 50 mod Bytes.length b in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
         to_receiver_raw b
     | Dup_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION duplicate packet #%d" n;
         to_receiver_raw b;
         to_receiver_raw b
     | Drop_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION drop packet #%d" n
     | Flip_every _ | Dup_every _ | Drop_every _ -> to_receiver_raw b
   in
@@ -304,9 +274,9 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
      black-holes a TPDU forever; resetting on the first arrival after an
      RTO-sized quiet period keeps the simulation event-driven (a
      repeating reset timer would never let the queue drain). *)
-  let dropper, after_gateways =
+  let after_gateways =
     match s.dropper with
-    | None -> (None, to_receiver)
+    | None -> to_receiver
     | Some { drop_mode; drop_loss } ->
         let d =
           Netsim.Dropper.create ~mode:drop_mode
@@ -315,14 +285,13 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
             ~loss:drop_loss ~forward:to_receiver ()
         in
         let last_reset = ref 0.0 in
-        ( Some d,
-          fun b ->
-            let now = Netsim.Engine.now engine in
-            if now -. !last_reset > s.rto then begin
-              last_reset := now;
-              Netsim.Dropper.reset_epoch d
-            end;
-            Netsim.Dropper.on_packet d b )
+        fun b ->
+          let now = Netsim.Engine.now engine in
+          if now -. !last_reset > s.rto then begin
+            last_reset := now;
+            Netsim.Dropper.reset_epoch d
+          end;
+          Netsim.Dropper.on_packet d b
   in
   (* Gateway chain, built back to front; each re-envelopes for its own
      outgoing link.  Batching gateways get a one-shot flush scheduled
@@ -380,15 +349,12 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
     engine;
     forward_send;
     door = to_receiver_raw;
-    forward_stats = (fun () -> Netsim.Multipath.aggregate_stats forward);
-    dropper_stats = (fun () -> Option.map Netsim.Dropper.stats dropper);
     gateways_malformed =
       (fun () ->
         List.fold_left
           (fun acc gw ->
             acc + (Netsim.Gateway.stats gw).Netsim.Gateway.malformed)
           0 !gws);
-    mutated;
   }
 
 (* The reverse path, with the optional ACK black hole in front of it. *)
@@ -434,28 +400,9 @@ type crash_track = {
   mutable ct_failed : int;
   mutable ct_dups : int;
   mutable ct_chunks : int;
-  mutable ct_nacks : int;
-  mutable ct_reacks : int;
-  mutable ct_evictions : int;
-  mutable ct_aborts : int;
-  mutable ct_sheds : int;
-  mutable ct_shed_elems : int;
-  mutable ct_gcs : int;
-  mutable ct_displaced : int;
-  mutable ct_unknown : int;
   mutable ct_high_water : int;
-  (* placement overlap counters die with each crashed instance too *)
-  mutable ct_ov_seen : int;
-  mutable ct_ov_rejected : int;
-  mutable ct_ov_quarantined : int;
-  mutable ct_ov_overwrites : int;
-  (* containment counters (multi path only) *)
-  mutable ct_anomalies : int;
-  mutable ct_sig_damage : int;
-  mutable ct_quarantines : int;
-  mutable ct_quar_drops : int;
-  mutable ct_poisoned : int;
-  mutable ct_sheds_refused : int;
+  ct_counts : Transport.Counters.t;
+  mutable ct_overlap : Labelling.Placement.overlap_stats;
 }
 
 let crash_track () =
@@ -470,36 +417,17 @@ let crash_track () =
     ct_failed = 0;
     ct_dups = 0;
     ct_chunks = 0;
-    ct_nacks = 0;
-    ct_reacks = 0;
-    ct_evictions = 0;
-    ct_aborts = 0;
-    ct_sheds = 0;
-    ct_shed_elems = 0;
-    ct_gcs = 0;
-    ct_displaced = 0;
-    ct_unknown = 0;
     ct_high_water = 0;
-    ct_ov_seen = 0;
-    ct_ov_rejected = 0;
-    ct_ov_quarantined = 0;
-    ct_ov_overwrites = 0;
-    ct_anomalies = 0;
-    ct_sig_damage = 0;
-    ct_quarantines = 0;
-    ct_quar_drops = 0;
-    ct_poisoned = 0;
-    ct_sheds_refused = 0;
+    ct_counts = Transport.Counters.zero ();
+    ct_overlap = Labelling.Placement.zero_overlap;
   }
 
-let absorb_overlap ct (os : Labelling.Placement.overlap_stats) =
-  ct.ct_ov_seen <- ct.ct_ov_seen + os.Labelling.Placement.os_conflicts_seen;
-  ct.ct_ov_rejected <-
-    ct.ct_ov_rejected + os.Labelling.Placement.os_conflicts_rejected;
-  ct.ct_ov_quarantined <-
-    ct.ct_ov_quarantined + os.Labelling.Placement.os_quarantined;
-  ct.ct_ov_overwrites <-
-    ct.ct_ov_overwrites + os.Labelling.Placement.os_verified_overwrites
+(* Fold one endpoint instance's counts, governor peak and placement
+   conflicts in. *)
+let absorb_endpoint ct counts (gov : Transport.Governor.stats) overlap =
+  Transport.Counters.add ct.ct_counts counts;
+  ct.ct_high_water <- max ct.ct_high_water gov.Transport.Governor.high_water;
+  ct.ct_overlap <- Labelling.Placement.add_overlap ct.ct_overlap overlap
 
 (* The codec must be a fixpoint on every image it produced itself; a
    re-encode that fails to decode back to the same value means the
@@ -637,7 +565,7 @@ type 'e endpoint = {
    A restore runs every recovery probe the oracle reads: the codec
    fixpoint, the endpoint shape, the export round trip, the
    ledger/in-flight clash and the state budget. *)
-let install_crashes ~mutation ~trace ~mutated engine (s : Schedule.t)
+let install_crashes ~mutation ~trace engine (s : Schedule.t)
     ~quota_elems store ct current ep =
   let trec fmt = make_trec engine trace fmt in
   schedule_snapshots engine s store (fun () -> Option.map ep.export !current);
@@ -664,7 +592,6 @@ let install_crashes ~mutation ~trace ~mutated engine (s : Schedule.t)
             match corrupt_image ~elem_size:s.Schedule.elem_size img with
             | Some img' ->
                 ct.ct_corrupted <- true;
-                incr mutated;
                 trec "MUTATION corrupt restored image";
                 img'
             | None -> img
@@ -773,8 +700,6 @@ let observe engine p ct store probe0 ~senders ~(gov : Transport.Governor.stats)
     delivered_elems = 0;
     retransmissions = sum CT.Sender.retransmissions;
     sack_retransmissions = sum CT.Sender.sack_retransmissions;
-    nacks_sent = ct.ct_nacks;
-    tpdus_sent = sum CT.Sender.tpdus_sent;
     packets_sent = sum CT.Sender.packets_sent;
     (* Pass totals are the single path's to add; the multi path leaves
        every verifier count zero, since archived epochs release their
@@ -790,21 +715,11 @@ let observe engine p ct store probe0 ~senders ~(gov : Transport.Governor.stats)
     stashed_tpdus = stashed;
     engine_pending = Netsim.Engine.pending engine;
     sim_time = Netsim.Engine.now engine;
-    forward = p.forward_stats ();
-    dropper = p.dropper_stats ();
     gateways_malformed = p.gateways_malformed ();
-    mutated_packets = !(p.mutated);
-    reacks_sent = ct.ct_reacks;
+    counts = ct.ct_counts;
     aborts_sent = sum CT.Sender.aborts_sent;
-    aborts_received = ct.ct_aborts;
     sheds_sent = sum CT.Sender.sheds_sent;
-    sheds_received = ct.ct_sheds;
-    shed_elems = ct.ct_shed_elems;
     shed_spans = [];
-    receiver_evictions = ct.ct_evictions;
-    conn_gcs = ct.ct_gcs;
-    displaced_conns = ct.ct_displaced;
-    unknown_drops = ct.ct_unknown;
     state_high_water = ct.ct_high_water;
     state_accounted = gov.Transport.Governor.accounted_bytes;
     flood_injected = 0;
@@ -823,18 +738,9 @@ let observe engine p ct store probe0 ~senders ~(gov : Transport.Governor.stats)
     journal_records = Persist.Store.journal_records store;
     multi = None;
     metrics = probe_end probe0;
-    overlap_conflicts_seen = ct.ct_ov_seen;
-    overlap_conflicts_rejected = ct.ct_ov_rejected;
-    overlap_quarantined = ct.ct_ov_quarantined;
-    verified_overwrites = ct.ct_ov_overwrites;
+    overlap = ct.ct_overlap;
     overlap_injected = 0;
     fastpath_stats = ct.ct_fp;
-    anomalies = ct.ct_anomalies;
-    sig_damage = ct.ct_sig_damage;
-    quarantines = ct.ct_quarantines;
-    quarantine_drops = ct.ct_quar_drops;
-    conns_poisoned = ct.ct_poisoned;
-    sheds_refused = ct.ct_sheds_refused;
     byz = None;
     counterfactuals = [];
   }
@@ -850,15 +756,15 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   (* The overlap adversary taps the door (before its own injections, so
      it never feeds on itself) and injects straight past the tap. *)
   let overlapper = ref None in
-  let clobbered = ref 0 in
+  let clobbered = ref false in
   let to_receiver_raw b =
     (match !overlapper with
     | Some o -> Netsim.Overlapper.observe o b
     | None -> ());
-    (if mutation = Overlap_clobber && !clobbered = 0 then
+    (if mutation = Overlap_clobber && not !clobbered then
        match forge_clobber b with
        | Some pkts ->
-           clobbered := 1;
+           clobbered := true;
            trec "MUTATION forged clobber TPDU ahead of packet";
            List.iter (Netsim.Blackout.send crash_valve) pkts
        | None -> ());
@@ -897,17 +803,12 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
     ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
     ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
-    ct.ct_nacks <- ct.ct_nacks + CT.Receiver.nacks_sent rx;
-    ct.ct_reacks <- ct.ct_reacks + CT.Receiver.reacks_sent rx;
-    ct.ct_evictions <- ct.ct_evictions + CT.Receiver.evictions rx;
-    ct.ct_aborts <- ct.ct_aborts + CT.Receiver.aborts_received rx;
-    ct.ct_high_water <-
-      max ct.ct_high_water
-        (CT.Receiver.governor_stats rx).Transport.Governor.high_water;
-    absorb_overlap ct (CT.Receiver.overlap_stats rx)
+    absorb_endpoint ct (CT.Receiver.counters rx)
+      (CT.Receiver.governor_stats rx)
+      (CT.Receiver.overlap_stats rx)
   in
-  install_crashes ~mutation ~trace ~mutated:p.mutated engine s
-    ~quota_elems:expected_elems store ct receiver
+  install_crashes ~mutation ~trace engine s ~quota_elems:expected_elems store
+    ct receiver
     {
       noun = "receiver";
       empty =
@@ -931,7 +832,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
               Persist.s_acked = CT.Receiver.acked_tids rx;
               s_rx = CT.Receiver.export rx;
             });
-      trimmed = (fun rx -> CT.Receiver.evictions rx > 0);
+      trimmed = (fun rx -> (CT.Receiver.counters rx).evictions > 0);
       governor = CT.Receiver.governor_stats;
       reannounce = CT.Receiver.reannounce;
       absorb;
@@ -980,9 +881,6 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
         o.verifier with
         Edc.Verifier.tpdus_passed = CT.Receiver.epoch_passes rx;
       };
-    mutated_packets = o.mutated_packets + !clobbered;
-    sheds_received = CT.Receiver.sheds_received rx;
-    shed_elems = CT.Receiver.shed_elems rx;
     shed_spans;
     overlap_injected =
       (match !overlapper with
@@ -1065,28 +963,11 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     ct.ct_fp <-
       Transport.Flowcache.add_stats ct.ct_fp
         (Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn;
-    ct.ct_reacks <- ct.ct_reacks + Transport.Multi.reacks_sent m;
-    ct.ct_evictions <- ct.ct_evictions + Transport.Multi.evictions m;
-    ct.ct_aborts <- ct.ct_aborts + Transport.Multi.aborts_received m;
-    ct.ct_sheds <- ct.ct_sheds + Transport.Multi.sheds_received m;
-    ct.ct_shed_elems <- ct.ct_shed_elems + Transport.Multi.shed_elems m;
-    ct.ct_gcs <- ct.ct_gcs + Transport.Multi.conn_gcs m;
-    ct.ct_displaced <- ct.ct_displaced + Transport.Multi.displaced_conns m;
-    ct.ct_unknown <- ct.ct_unknown + Transport.Multi.unknown_drops m;
-    ct.ct_high_water <-
-      max ct.ct_high_water
-        (Transport.Multi.governor_stats m).Transport.Governor.high_water;
-    ct.ct_anomalies <- ct.ct_anomalies + Transport.Multi.anomalies m;
-    ct.ct_sig_damage <- ct.ct_sig_damage + Transport.Multi.sig_damage m;
-    ct.ct_quarantines <- ct.ct_quarantines + Transport.Multi.quarantines m;
-    ct.ct_quar_drops <- ct.ct_quar_drops + Transport.Multi.quarantine_drops m;
-    ct.ct_poisoned <- ct.ct_poisoned + Transport.Multi.conns_poisoned m;
-    ct.ct_sheds_refused <-
-      ct.ct_sheds_refused + Transport.Multi.sheds_refused m;
-    absorb_overlap ct (Transport.Multi.overlap_stats m)
+    absorb_endpoint ct (Transport.Multi.counters m)
+      (Transport.Multi.governor_stats m)
+      (Transport.Multi.overlap_stats m)
   in
-  install_crashes ~mutation ~trace ~mutated:p.mutated engine s ~quota_elems
-    store ct multi
+  install_crashes ~mutation ~trace engine s ~quota_elems store ct multi
     {
       noun = "demultiplexer";
       empty = Persist.Multi [];
@@ -1100,9 +981,8 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
       export = (fun m -> Persist.Multi (Transport.Multi.export m));
       trimmed =
         (fun m ->
-          Transport.Multi.evictions m > 0
-          || Transport.Multi.displaced_conns m > 0
-          || Transport.Multi.conn_gcs m > 0);
+          let c = Transport.Multi.counters m in
+          c.evictions > 0 || c.displaced_conns > 0 || c.conn_gcs > 0);
       governor = Transport.Multi.governor_stats;
       reannounce = Transport.Multi.reannounce;
       absorb;

@@ -114,8 +114,6 @@ type observation = {
   delivered_elems : int;
   retransmissions : int;
   sack_retransmissions : int;
-  nacks_sent : int;
-  tpdus_sent : int;
   packets_sent : int;
   verifier : Edc.Verifier.stats;
       (** single-path only; zeroed in multi mode (archived epochs
@@ -124,24 +122,16 @@ type observation = {
   stashed_tpdus : int;  (** leak probe *)
   engine_pending : int;  (** > 0 after the horizon means lockup *)
   sim_time : float;
-  forward : Netsim.Link.stats;  (** aggregate over the multipath *)
-  dropper : Netsim.Dropper.stats option;
   gateways_malformed : int;
-  mutated_packets : int;
-  reacks_sent : int;  (** re-acknowledgements of already-done TPDUs *)
+  counts : Transport.Counters.t;
+      (** the endpoint's counts, added up over every endpoint instance
+          the run went through (one per crash, plus the last) *)
   aborts_sent : int;  (** sender give-ups signalled via [Abort_tpdu] *)
-  aborts_received : int;  (** aborts honoured by the receiver *)
   sheds_sent : int;  (** sender shed decisions signalled via [Shed_tpdu] *)
-  sheds_received : int;  (** sheds honoured by the receiver *)
-  shed_elems : int;  (** elements covered by honoured sheds *)
   shed_spans : (int * int) list;
       (** the receiver's honoured shed spans [(first_elem, elems)],
           ascending; empty in multi mode (sheds are single-transfer
           only) *)
-  receiver_evictions : int;  (** governor deadline/budget evictions *)
-  conn_gcs : int;  (** whole connections reclaimed by deadline *)
-  displaced_conns : int;  (** live connections displaced by admission *)
-  unknown_drops : int;  (** chunks for never-admitted connections *)
   state_high_water : int;  (** governor high-water mark, bytes *)
   state_accounted : int;  (** bytes still accounted at quiescence *)
   flood_injected : int;  (** adversary packets injected *)
@@ -168,29 +158,14 @@ type observation = {
   journal_records : int;  (** journal records appended over the run *)
   multi : multi_obs option;  (** present iff the schedule is multi *)
   metrics : metrics_probe;
-  overlap_conflicts_seen : int;
-      (** occupied-with-different-bytes placement collisions *)
-  overlap_conflicts_rejected : int;
-      (** collisions discarded because the incumbent bytes were already
-          WSC-2-verified (first-verified-wins) *)
-  overlap_quarantined : int;
-      (** fresh-vs-fresh collisions held back for the writer's verdict *)
-  verified_overwrites : int;
-      (** verified bytes replaced by different verified bytes — must be
-          zero in every profile (the overlap-consistency check) *)
+  overlap : Labelling.Placement.overlap_stats;
+      (** placement conflict counters over every epoch and endpoint
+          instance; [os_verified_overwrites] must be zero in every
+          profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   fastpath_stats : Transport.Flowcache.stats;
       (** the multi path's connection-memo counters, accumulated across
           crash incarnations; all zero on single-path runs *)
-  anomalies : int;
-      (** protocol anomalies attributed to connections, scored and
-          unscored alike *)
-  sig_damage : int;
-      (** structurally valid signal chunks whose payload failed parity *)
-  quarantines : int;  (** admissions revoked across all connections *)
-  quarantine_drops : int;  (** events refused from boxed connections *)
-  conns_poisoned : int;  (** connections torn down by exception bulkheads *)
-  sheds_refused : int;  (** shed signals refused by the local classifier *)
   byz : byz_obs option;  (** present iff the schedule runs the adversary *)
   counterfactuals : (string * epoch_obs list) list;
       (** [(row, re-run outcome)] for every entry of {!counterfactuals}

@@ -40,6 +40,7 @@ let starvable (s : Schedule.t) =
 let check ~(schedule : Schedule.t) ~(model : Model.t)
     ~(observation : Driver.observation) =
   let s = schedule and m = model and o = observation in
+  let c = o.Driver.counts and ov = o.Driver.overlap in
   let vs = ref [] in
   let fail code fmt =
     Printf.ksprintf (fun detail -> vs := { code; detail } :: !vs) fmt
@@ -93,8 +94,8 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.stashed_tpdus;
   (* SACK plumbing only runs when asked for. *)
   if not s.Schedule.sack then begin
-    if o.nacks_sent > 0 then
-      fail "sack-off" "%d NACKs sent with SACK disabled" o.nacks_sent;
+    if c.nacks_sent > 0 then
+      fail "sack-off" "%d NACKs sent with SACK disabled" c.nacks_sent;
     if o.sack_retransmissions > 0 then
       fail "sack-off" "%d selective retransmissions with SACK disabled"
         o.sack_retransmissions
@@ -112,13 +113,13 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     if o.sack_retransmissions > 0 then
       fail "quiet-sack" "%d selective retransmissions on a faultless run"
         o.sack_retransmissions;
-    if o.nacks_sent > 0 then
-      fail "quiet-nack" "%d NACKs on a faultless run" o.nacks_sent;
+    if c.nacks_sent > 0 then
+      fail "quiet-nack" "%d NACKs on a faultless run" c.nacks_sent;
     if o.verifier.Edc.Verifier.duplicates > 0 then
       fail "quiet-dup" "%d duplicate chunks seen on a faultless run"
         o.verifier.Edc.Verifier.duplicates;
-    if o.reacks_sent > 0 then
-      fail "quiet-reack" "%d re-ACKs on a faultless run" o.reacks_sent
+    if c.reacks_sent > 0 then
+      fail "quiet-reack" "%d re-ACKs on a faultless run" c.reacks_sent
   end;
   (* Metrics-driven checks, fed by the driver's per-run deltas of the
      [Obs] registry (all zeros when the layer is compiled out, so both
@@ -171,15 +172,14 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   (* Overlap consistency, in {e every} profile: once a byte range is
      WSC-2-verified it is immutable.  A conflicting write that replaces
      verified bytes (even with other verified bytes) means delivery can
-     depend on arrival order, so [verified_overwrites] must be exactly
+     depend on arrival order, so [os_verified_overwrites] must be exactly
      zero.  Order-independence itself is the [overlap-determinism]
      counterfactual below. *)
-  if o.verified_overwrites > 0 then
+  if ov.os_verified_overwrites > 0 then
     fail "overlap-consistency"
       "%d verified bytes were overwritten by conflicting data \
        (first-verified-wins violated; %d conflicts seen, %d rejected)"
-      o.verified_overwrites o.overlap_conflicts_seen
-      o.overlap_conflicts_rejected;
+      ov.os_verified_overwrites ov.os_conflicts_seen ov.os_conflicts_rejected;
   (* Counterfactuals (Driver.counterfactuals): every row that applies
      must have been re-run, and each re-run must agree with this run,
      (connection, epoch) by (connection, epoch), under the row's
@@ -234,9 +234,9 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      contract.  A receiver that honours a shed with no contract in the
      schedule has thrown away bytes the model calls mandatory — the
      shed-clobber mutation trips exactly this. *)
-  if s.Schedule.shed = None && (o.sheds_received > 0 || o.sheds_sent > 0) then
+  if s.Schedule.shed = None && (c.sheds_received > 0 || o.sheds_sent > 0) then
     fail "shed-safety" "%d sheds honoured (%d signalled) with no shed contract"
-      o.sheds_received o.sheds_sent;
+      c.sheds_received o.sheds_sent;
   (match o.multi with
   | None ->
       (* Partial reliability, part two: every span the receiver honoured
@@ -251,10 +251,10 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
               "receiver shed span (%d+%d) outside the shed contract" first
               len)
         o.shed_spans;
-      if List.length o.shed_spans <> o.sheds_received then
+      if List.length o.shed_spans <> c.sheds_received then
         fail "shed-safety" "%d shed spans recorded but %d sheds honoured"
           (List.length o.shed_spans)
-          o.sheds_received;
+          c.sheds_received;
       (* Delivery: the delivered buffer must equal the model's
          expectation byte for byte — placement by label, across any
          amount of refragmentation and disorder, reconstructs the stream
@@ -270,12 +270,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
            before the shed are already in the buffer, so the count may
            sit anywhere between all-shed-elements-missing and none. *)
         if
-          o.delivered_elems < m.Model.elems - o.shed_elems
+          o.delivered_elems < m.Model.elems - c.shed_elems
           || o.delivered_elems > m.Model.elems
         then
           fail "element-count"
             "delivered %d elements, model expects %d less at most %d shed"
-            o.delivered_elems m.Model.elems o.shed_elems;
+            o.delivered_elems m.Model.elems c.shed_elems;
         if Bytes.length o.delivered <> Bytes.length m.Model.expected then
           fail "data-mismatch" "delivered %d bytes, model expects %d"
             (Bytes.length o.delivered)
@@ -303,13 +303,13 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       if s.Schedule.corrupt = 0.0 && s.Schedule.overlap = None then begin
         if
           o.verifier.Edc.Verifier.tpdus_failed
-          > o.receiver_evictions + o.aborts_received + o.sheds_received
+          > c.evictions + c.aborts_received + c.sheds_received
         then
           fail "clean-fail"
             "%d TPDUs failed verification with corruption off (%d \
              evictions + %d aborts + %d sheds)"
-            o.verifier.Edc.Verifier.tpdus_failed o.receiver_evictions
-            o.aborts_received o.sheds_received;
+            o.verifier.Edc.Verifier.tpdus_failed c.evictions c.aborts_received
+            c.sheds_received;
         if o.gateways_malformed > 0 then
           fail "clean-malformed"
             "%d packets unparseable at gateways with corruption off"
@@ -322,12 +322,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
         if
           (not s.Schedule.adaptive)
           && o.verifier.Edc.Verifier.tpdus_passed
-             <> m.Model.n_tpdus - o.sheds_received
+             <> m.Model.n_tpdus - c.sheds_received
         then
           fail "tpdu-count"
             "%d TPDUs passed, model expects exactly %d (%d shed)"
             o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
-            o.sheds_received;
+            c.sheds_received;
         if
           s.Schedule.adaptive
           && o.verifier.Edc.Verifier.tpdus_passed < m.Model.n_tpdus
@@ -388,11 +388,11 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      never have fired in any profile: a poisoned connection means some
      input made the endpoint throw, which the bulkhead contained — but
      the throw itself is the bug to surface. *)
-  if o.conns_poisoned > 0 then
+  if c.conns_poisoned > 0 then
     fail "bulkhead-poisoned"
       "%d connections poisoned by exception bulkheads (the endpoint threw \
        while processing their traffic)"
-      o.conns_poisoned;
+      c.conns_poisoned;
   (match o.byz with
   | None -> ()
   | Some b ->
@@ -434,7 +434,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
         (fun (bc : Driver.byz_conn_obs) ->
           if
             bc.Driver.bc_epochs > 8 * (1 + o.restores)
-            && o.quarantines = 0
+            && c.quarantines = 0
           then
             fail "isolation-budget"
               "byzantine conn %d started %d epochs (> %d) yet no admission \

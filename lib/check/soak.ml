@@ -22,11 +22,12 @@ let byz_stat f (o : Driver.observation) =
 let counters : (string * (Driver.observation -> int)) list =
   [
     ("overlap_injected", fun o -> o.Driver.overlap_injected);
-    ("overlap_conflicts_seen", fun o -> o.Driver.overlap_conflicts_seen);
-    ("overlap_conflicts_rejected", fun o -> o.Driver.overlap_conflicts_rejected);
+    ("overlap_conflicts_seen", fun o -> o.Driver.overlap.os_conflicts_seen);
+    ( "overlap_conflicts_rejected",
+      fun o -> o.Driver.overlap.os_conflicts_rejected );
     ("sheds_signalled", fun o -> o.Driver.sheds_sent);
-    ("sheds_honoured", fun o -> o.Driver.sheds_received);
-    ("shed_elems", fun o -> o.Driver.shed_elems);
+    ("sheds_honoured", fun o -> o.Driver.counts.sheds_received);
+    ("shed_elems", fun o -> o.Driver.counts.shed_elems);
     ( "fastpath_hits",
       fun o -> o.Driver.fastpath_stats.Transport.Flowcache.s_hits );
     ( "fastpath_misses",
@@ -34,9 +35,9 @@ let counters : (string * (Driver.observation -> int)) list =
     ( "byz_injected",
       byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.injected) );
     ("byz_flaps", byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.flaps));
-    ("byz_anomalies", fun o -> o.Driver.anomalies);
-    ("byz_quarantines", fun o -> o.Driver.quarantines);
-    ("byz_quarantine_drops", fun o -> o.Driver.quarantine_drops);
+    ("byz_anomalies", fun o -> o.Driver.counts.anomalies);
+    ("byz_quarantines", fun o -> o.Driver.counts.quarantines);
+    ("byz_quarantine_drops", fun o -> o.Driver.counts.quarantine_drops);
     ("byz_honest_quarantined", byz_stat (fun b -> b.Driver.bo_honest_quarantined));
   ]
 

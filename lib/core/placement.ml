@@ -320,6 +320,22 @@ let overlap_stats p =
     os_verified_overwrites = p.verified_overwrites;
   }
 
+let zero_overlap =
+  {
+    os_conflicts_seen = 0;
+    os_conflicts_rejected = 0;
+    os_quarantined = 0;
+    os_verified_overwrites = 0;
+  }
+
+let add_overlap a b =
+  {
+    os_conflicts_seen = a.os_conflicts_seen + b.os_conflicts_seen;
+    os_conflicts_rejected = a.os_conflicts_rejected + b.os_conflicts_rejected;
+    os_quarantined = a.os_quarantined + b.os_quarantined;
+    os_verified_overwrites = a.os_verified_overwrites + b.os_verified_overwrites;
+  }
+
 let holes p =
   let rec gaps expect spans =
     match spans with

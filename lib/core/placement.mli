@@ -116,6 +116,11 @@ val any_locked : t -> sn:int -> len:int -> bool
 
 val overlap_stats : t -> overlap_stats
 
+val zero_overlap : overlap_stats
+
+val add_overlap : overlap_stats -> overlap_stats -> overlap_stats
+(** Field-wise sum, for totals over several buffers. *)
+
 val placed_elems : t -> int
 (** Distinct elements placed so far. *)
 

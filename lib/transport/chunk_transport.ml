@@ -191,6 +191,13 @@ module Receiver = struct
            the stream *)
   }
 
+  (* What an owner of several receivers shares with each of them. *)
+  type owner = {
+    o_governor : Governor.t;
+    o_acked : unit Int_table.t;
+    o_counts : Counters.t;
+  }
+
   type t = {
     engine : Netsim.Engine.t;
     config : config;
@@ -223,13 +230,7 @@ module Receiver = struct
     last_reack : float Int_table.t;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
-    mutable nacks_sent : int;
-    mutable reacks_sent : int;
-    mutable evictions : int;
-    mutable aborts_received : int;
-    mutable sheds_received : int;
-    mutable shed_elems : int;
-    mutable sheds_refused : int;
+    counts : Counters.t;  (* the owner's record, or the receiver's own *)
     (* crash recovery: [persist] receives one journal event per fresh
        ACK {e before} the ACK leaves (write-ahead — the receiver never
        promises bytes it has not made durable), its runs borrowed from
@@ -303,21 +304,25 @@ module Receiver = struct
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
-    rx.evictions <- rx.evictions + 1
+    rx.counts.evictions <- rx.counts.evictions + 1
 
-  let create engine config ?(bus = Busmodel.create ()) ?governor ?acked
-      ?persist ~send_ack ~capacity () =
+  let create engine config ?(bus = Busmodel.create ()) ?owner ?persist
+      ~send_ack ~capacity () =
     validate_config config;
     let capacity_elems =
       match capacity with `Exact n | `Quota n -> n
     in
-    let governor, own_governor =
-      match governor with
-      | Some g -> (g, false)
+    let o =
+      match owner with
+      | Some o -> o
       | None ->
-          ( Governor.create ~budget_bytes:config.state_budget
-              ~ttl:config.state_ttl (),
-            true )
+          {
+            o_governor =
+              Governor.create ~budget_bytes:config.state_budget
+                ~ttl:config.state_ttl ();
+            o_acked = Int_table.create 32;
+            o_counts = Counters.zero ();
+          }
     in
     let rx =
       {
@@ -330,9 +335,9 @@ module Receiver = struct
           Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems
             ~elem_size:config.elem_size;
         capacity;
-        governor;
+        governor = o.o_governor;
         first_arrival = Int_table.create 32;
-        acked = (match acked with Some t -> t | None -> Int_table.create 32);
+        acked = o.o_acked;
         nack_armed = Int_table.create 32;
         corrob = Int_table.create 32;
         corrob_memo = None;
@@ -343,21 +348,15 @@ module Receiver = struct
         last_reack = Int_table.create 8;
         element_delay = Netsim.Stats.create ();
         tpdu_latency = Netsim.Stats.create ();
-        nacks_sent = 0;
-        reacks_sent = 0;
-        evictions = 0;
-        aborts_received = 0;
-        sheds_received = 0;
-        shed_elems = 0;
-        sheds_refused = 0;
+        counts = o.o_counts;
         persist;
         restored_passes = 0;
         ident_min = max_int;
         scan = Wire.Scan.create ();
       }
     in
-    if own_governor then
-      Governor.set_on_evict governor (fun key ->
+    if Option.is_none owner then
+      Governor.set_on_evict o.o_governor (fun key ->
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
@@ -474,7 +473,7 @@ module Receiver = struct
         | Some spans ->
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
-              rx.nacks_sent <- rx.nacks_sent + 1;
+              rx.counts.nacks_sent <- rx.counts.nacks_sent + 1;
               if Obs.enabled then Obs.Metrics.incr m_nacks;
               rx.send_ack
                 (nack_packet ~conn_id:rx.config.conn_id ~t_id ~need_ed ~spans)
@@ -537,7 +536,7 @@ module Receiver = struct
     then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
-      rx.aborts_received <- rx.aborts_received + 1
+      rx.counts.aborts_received <- rx.counts.aborts_received + 1
     end
 
   (* An already-verified TPDU whose traffic keeps arriving means the
@@ -554,7 +553,7 @@ module Receiver = struct
     in
     if due then begin
       Int_table.replace rx.last_reack t_id now;
-      rx.reacks_sent <- rx.reacks_sent + 1;
+      rx.counts.reacks_sent <- rx.counts.reacks_sent + 1;
       if Obs.enabled then Obs.Metrics.incr m_reacks;
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
@@ -581,8 +580,8 @@ module Receiver = struct
            ~st:false
        with
       | Ok _ | Error `Inconsistent -> ());
-      rx.sheds_received <- rx.sheds_received + 1;
-      rx.shed_elems <- rx.shed_elems + elems;
+      rx.counts.sheds_received <- rx.counts.sheds_received + 1;
+      rx.counts.shed_elems <- rx.counts.shed_elems + elems;
       if Obs.enabled then begin
         Obs.Metrics.incr m_sheds_received;
         Obs.Metrics.add m_shed_bytes (elems * rx.config.elem_size);
@@ -609,7 +608,7 @@ module Receiver = struct
          silently — honouring it would truncate the stream — but
          counted, so the demultiplexer's anomaly accounting can see how
          often this connection is named by forged sheds *)
-      rx.sheds_refused <- rx.sheds_refused + 1
+      rx.counts.sheds_refused <- rx.counts.sheds_refused + 1
 
   (* Release every piece of soft state at once (connection close): the
      governor account is cleared entry by entry so a shared governor
@@ -904,13 +903,7 @@ module Receiver = struct
   let verified_elems rx = Vreassembly.received_elems rx.verified_cover
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
-  let nacks_sent rx = rx.nacks_sent
-  let reacks_sent rx = rx.reacks_sent
-  let evictions rx = rx.evictions
-  let aborts_received rx = rx.aborts_received
-  let sheds_received rx = rx.sheds_received
-  let shed_elems rx = rx.shed_elems
-  let sheds_refused rx = rx.sheds_refused
+  let counters rx = rx.counts
   let shed_spans rx = Vreassembly.spans rx.shed_cover
   let governor_stats rx = Governor.stats rx.governor
 
@@ -1012,12 +1005,9 @@ module Receiver = struct
      the ledger in [acked_tids] keeps verified TPDUs from being
      re-processed, and governor occupancy is re-derived from the
      restored state — not trusted from the image. *)
-  let restore engine config ?bus ?governor ?acked ?persist ~send_ack
-      ~capacity (img : Persist.receiver_image) ~acked_tids =
-    let rx =
-      create engine config ?bus ?governor ?acked ?persist ~send_ack ~capacity
-        ()
-    in
+  let restore engine config ?bus ?owner ?persist ~send_ack ~capacity
+      (img : Persist.receiver_image) ~acked_tids =
+    let rx = create engine config ?bus ?owner ?persist ~send_ack ~capacity () in
     rx.restored_passes <- img.Persist.ri_passed;
     List.iter
       (fun (sn, b) ->
@@ -1085,7 +1075,7 @@ module Receiver = struct
     List.iter
       (fun t_id ->
         Int_table.replace rx.last_reack t_id (Netsim.Engine.now rx.engine);
-        rx.reacks_sent <- rx.reacks_sent + 1;
+        rx.counts.reacks_sent <- rx.counts.reacks_sent + 1;
         if Obs.enabled then Obs.Metrics.incr m_reacks;
         rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id))
       (acked_tids rx)
@@ -1836,10 +1826,10 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
     final_rto = Sender.current_rto tx;
     rtt_samples = Sender.rtt_samples tx;
     max_txs_at_rtt_sample = Sender.max_txs_at_rtt_sample tx;
-    receiver_evictions = Receiver.evictions rx;
+    receiver_evictions = (Receiver.counters rx).Counters.evictions;
     sheds_sent = Sender.sheds_sent tx;
-    sheds_received = Receiver.sheds_received rx;
-    shed_elems = Receiver.shed_elems rx;
+    sheds_received = (Receiver.counters rx).Counters.sheds_received;
+    shed_elems = (Receiver.counters rx).Counters.shed_elems;
     shed_spans;
     delivered;
   }

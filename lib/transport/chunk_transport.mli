@@ -94,12 +94,23 @@ val ack_packet : conn_id:int -> t_id:int -> bytes
 module Receiver : sig
   type t
 
+  type owner = {
+    o_governor : Governor.t;
+        (** the one account every receiver of the owner charges; the
+            owner holds its eviction callback and routes per-TPDU
+            evictions to {!evict} *)
+    o_acked : unit Labelling.Int_table.t;
+        (** the ACK ledger, outliving any one receiver *)
+    o_counts : Counters.t;  (** the record the receiver counts into *)
+  }
+  (** What an owner of several receivers (a demultiplexer) shares with
+      each of them. *)
+
   val create :
     Netsim.Engine.t ->
     config ->
     ?bus:Busmodel.t ->
-    ?governor:Governor.t ->
-    ?acked:unit Labelling.Int_table.t ->
+    ?owner:owner ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
@@ -112,11 +123,8 @@ module Receiver : sig
       by the C.ST bit on the final element, believed once the TPDU
       carrying it verifies.
 
-      Without [?governor] the receiver runs its own (budget and TTL from
-      [config]); pass a shared one (plus a shared [?acked] table) when a
-      demultiplexer owns several receivers — the demultiplexer then owns
-      the eviction callback and routes per-TPDU evictions to
-      {!evict}.
+      Without [?owner] the receiver runs its own governor (budget and
+      TTL from [config]), ACK ledger and {!counters} record.
 
       [?persist] is the write-ahead journal hook: it receives one
       {!Persist.Acked} event per fresh acknowledgement, {e before} the
@@ -176,7 +184,7 @@ module Receiver : sig
 
   val abort_tpdu : t -> t_id:int -> unit
   (** Evict all partial state for [t_id] (the sender abandoned it);
-      counted in {!aborts_received} if any state existed. *)
+      counted in [aborts_received] if any state existed. *)
 
   val shed_tpdu : t -> t_id:int -> first_elem:int -> elems:int -> unit
   (** The sender deliberately abandoned a sheddable TPDU (partial
@@ -247,33 +255,9 @@ module Receiver : sig
   val governor_handles : t -> Governor.entry list
   (** The handles the corroboration records hold. *)
 
-  val nacks_sent : t -> int
-  (** Gap reports transmitted (0 unless [config.sack]). *)
-
-  val reacks_sent : t -> int
-  (** Re-acknowledgements of already-verified TPDUs (sent when their
-      traffic keeps arriving — the sender evidently missed the ACK). *)
-
-  val evictions : t -> int
-  (** Soft-state evictions (deadline or budget) applied to this
-      receiver. *)
-
-  val aborts_received : t -> int
-  (** TPDUs evicted because the sender signalled it abandoned them. *)
-
-  val sheds_received : t -> int
-  (** Shed signals honoured (the TPDU was sheddable and not yet
-      verified); forged or duplicate sheds are not counted. *)
-
-  val shed_elems : t -> int
-  (** Elements covered by honoured sheds — bytes deliberately given up
-      under the partial-reliability contract. *)
-
-  val sheds_refused : t -> int
-  (** Shed signals refused because the local classifier says the named
-      TPDU is not sheddable: a forged (or misclassified) shed of
-      Critical/Normal traffic.  Refusal is silent on the wire; the
-      count feeds the demultiplexer's anomaly accounting. *)
+  val counters : t -> Counters.t
+  (** The record this receiver counts into: its own, or its owner's
+      (then shared with every other receiver of that owner). *)
 
   val shed_spans : t -> (int * int) list
   (** The honoured shed cover as [(first_elem, elems)] runs in
@@ -313,8 +297,7 @@ module Receiver : sig
     Netsim.Engine.t ->
     config ->
     ?bus:Busmodel.t ->
-    ?governor:Governor.t ->
-    ?acked:unit Labelling.Int_table.t ->
+    ?owner:owner ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->

@@ -33,14 +33,6 @@ type conn = {
   mutable hist : archived list;  (* newest first *)
   mutable last_touch : float;
   mutable gov : Governor.entry;  (* handle on the connection's charge *)
-  mutable aborts_acc : int;
-  mutable reacks_acc : int;
-  mutable sheds_acc : int;
-  mutable shed_elems_acc : int;
-  mutable overlap_acc : Placement.overlap_stats;
-      (* conflict counters of archived epochs; live ones are read
-         directly off their placement buffers *)
-  mutable sheds_refused_acc : int;
   (* {2 Containment} — anomaly scoring and quarantine (DESIGN §10).
      Only anomalies this connection {e provably authored} feed the
      score: explicit re-establishment churn (each such Open names a
@@ -59,25 +51,6 @@ type conn = {
   mutable quarantine_count : int;  (* admissions revoked so far *)
   mutable poisoned : bool;  (* bulkhead teardown: permanent *)
 }
-
-let zero_overlap =
-  {
-    Placement.os_conflicts_seen = 0;
-    os_conflicts_rejected = 0;
-    os_quarantined = 0;
-    os_verified_overwrites = 0;
-  }
-
-let add_overlap a b =
-  {
-    Placement.os_conflicts_seen =
-      a.Placement.os_conflicts_seen + b.Placement.os_conflicts_seen;
-    os_conflicts_rejected =
-      a.Placement.os_conflicts_rejected + b.Placement.os_conflicts_rejected;
-    os_quarantined = a.Placement.os_quarantined + b.Placement.os_quarantined;
-    os_verified_overwrites =
-      a.Placement.os_verified_overwrites + b.Placement.os_verified_overwrites;
-  }
 
 type fastpath_stats = {
   fp_conn : Flowcache.stats;
@@ -100,17 +73,10 @@ type t = {
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
   mutable n_live : int;  (* connections whose [live] is [Some _] *)
-  mutable evictions : int;
-  mutable conn_gcs : int;
-  mutable displaced : int;
-  mutable unknown_drops : int;
-  mutable late_drops : int;
-  mutable reacks_multi : int;
-  mutable anomalies_total : int;
-  mutable sig_damage : int;  (* parity-damaged signal chunks dropped *)
-  mutable quarantines : int;  (* admissions revoked, all connections *)
-  mutable quarantine_drops : int;  (* events refused while boxed *)
-  mutable conns_poisoned : int;
+  counts : Counters.t;  (* the endpoint's, and every receiver's *)
+  mutable archived_overlap : Placement.overlap_stats;
+      (* conflict counters of archived epochs; live ones are read
+         directly off their placement buffers *)
 }
 
 let emit m ev = match m.persist with Some f -> f ev | None -> ()
@@ -154,11 +120,8 @@ let archive m c =
   | None -> ()
   | Some rx ->
       R.quiesce rx;
-      c.aborts_acc <- c.aborts_acc + R.aborts_received rx;
-      c.reacks_acc <- c.reacks_acc + R.reacks_sent rx;
-      c.sheds_acc <- c.sheds_acc + R.sheds_received rx;
-      c.shed_elems_acc <- c.shed_elems_acc + R.shed_elems rx;
-      c.overlap_acc <- add_overlap c.overlap_acc (R.overlap_stats rx);
+      m.archived_overlap <-
+        Placement.add_overlap m.archived_overlap (R.overlap_stats rx);
       (* An epoch in which no TPDU ever verified delivered nothing to the
          application (and acknowledged nothing to the sender), so from
          both ends' point of view it never happened: drop it rather than
@@ -175,7 +138,6 @@ let archive m c =
       (match id with
       | Some k when k > c.open_hwm -> c.open_hwm <- k
       | Some _ | None -> ());
-      c.sheds_refused_acc <- c.sheds_refused_acc + R.sheds_refused rx;
       if R.epoch_passes rx > 0 then begin
         let delivered = R.contents rx in
         (* archived buffers are outside the governor's account (nothing
@@ -223,7 +185,7 @@ let close_conn m c =
 let quarantine_active m c = c.poisoned || c.quarantined_until > now m
 
 let quarantine_drop m =
-  m.quarantine_drops <- m.quarantine_drops + 1;
+  m.counts.quarantine_drops <- m.counts.quarantine_drops + 1;
   if Obs.enabled then Obs.Metrics.incr m_quarantine_drops
 
 let enter_quarantine m c =
@@ -237,7 +199,7 @@ let enter_quarantine m c =
   in
   c.quarantined_until <- now m +. dur;
   c.anomaly_score <- 0;
-  m.quarantines <- m.quarantines + 1;
+  m.counts.quarantines <- m.counts.quarantines + 1;
   close_conn m c;
   if Obs.enabled then begin
     Obs.Metrics.incr m_quarantines;
@@ -254,7 +216,7 @@ let enter_quarantine m c =
    are spread over the transfer never accumulate toward the budget. *)
 let note_scored m c ~weight =
   c.anomalies <- c.anomalies + 1;
-  m.anomalies_total <- m.anomalies_total + 1;
+  m.counts.anomalies <- m.counts.anomalies + 1;
   if Obs.enabled then Obs.Metrics.incr m_anomalies;
   if m.anomaly_budget > 0 && not (quarantine_active m c) then begin
     let t = now m in
@@ -269,7 +231,7 @@ let note_scored m c ~weight =
    it must never push the connection toward the penalty box. *)
 let note_unscored m c =
   c.anomalies <- c.anomalies + 1;
-  m.anomalies_total <- m.anomalies_total + 1;
+  m.counts.anomalies <- m.counts.anomalies + 1;
   if Obs.enabled then Obs.Metrics.incr m_anomalies
 
 (* Scored weights: re-establishment churn is the byzantine signature
@@ -292,7 +254,7 @@ let poison m ~conn_id =
   | Some c ->
       if not c.poisoned then begin
         c.poisoned <- true;
-        m.conns_poisoned <- m.conns_poisoned + 1;
+        m.counts.conns_poisoned <- m.counts.conns_poisoned + 1;
         close_conn m c;
         if Obs.enabled then begin
           Obs.Metrics.incr m_poisoned;
@@ -343,17 +305,8 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       quarantine_base = Float.max 0.25 (4.0 *. config.rto);
       anomaly_decay = Float.max 1.0 (8.0 *. config.rto);
       n_live = 0;
-      evictions = 0;
-      conn_gcs = 0;
-      displaced = 0;
-      unknown_drops = 0;
-      late_drops = 0;
-      reacks_multi = 0;
-      anomalies_total = 0;
-      sig_damage = 0;
-      quarantines = 0;
-      quarantine_drops = 0;
-      conns_poisoned = 0;
+      counts = Counters.zero ();
+      archived_overlap = Placement.zero_overlap;
     }
   in
   Governor.set_on_evict m.governor (fun key ->
@@ -362,14 +315,12 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       | Some c ->
           if key.Governor.tpdu >= 0 then (
             match c.live with
-            | Some rx ->
-                R.evict rx ~t_id:key.Governor.tpdu;
-                m.evictions <- m.evictions + 1
+            | Some rx -> R.evict rx ~t_id:key.Governor.tpdu
             | None -> ())
           else begin
             (* the connection itself went stale (or was squeezed out by
                budget pressure): reclaim everything it holds *)
-            m.conn_gcs <- m.conn_gcs + 1;
+            m.counts.conn_gcs <- m.counts.conn_gcs + 1;
             if Obs.enabled then Obs.Metrics.incr m_conn_gcs;
             close_conn m c
           end);
@@ -395,13 +346,17 @@ let stalest_live m =
   | Some _ as v -> v
   | None -> pick (fun _ -> true)
 
+(* What connection [c]'s epoch receivers share with the endpoint. *)
+let owner m c =
+  { R.o_governor = m.governor; o_acked = c.acked; o_counts = m.counts }
+
 let new_epoch ?open_csn m c =
   emit m (Persist.Opened { conn = c.id; open_csn });
   let rx =
     R.create m.engine
       { m.config with conn_id = c.id }
-      ~bus:m.bus ~governor:m.governor ~acked:c.acked ?persist:m.persist
-      ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ()
+      ~bus:m.bus ~owner:(owner m c) ?persist:m.persist ~send_ack:m.send_ack
+      ~capacity:(`Quota m.quota_elems) ()
   in
   c.live <- Some rx;
   c.live_open <- open_csn;
@@ -421,7 +376,7 @@ let ensure_capacity m =
   if m.n_live >= m.max_conns then
     match stalest_live m with
     | Some victim ->
-        m.displaced <- m.displaced + 1;
+        m.counts.displaced_conns <- m.counts.displaced_conns + 1;
         if Obs.enabled then Obs.Metrics.incr m_displaced;
         close_conn m victim
     | None -> ()
@@ -473,12 +428,6 @@ let handle_open m cid found ~first_csn =
           hist = [];
           last_touch = now m;
           gov = Governor.entry (conn_key cid);
-          aborts_acc = 0;
-          reacks_acc = 0;
-          sheds_acc = 0;
-          shed_elems_acc = 0;
-          overlap_acc = zero_overlap;
-          sheds_refused_acc = 0;
           epochs_started = 0;
           hist_bytes = 0;
           anomalies = 0;
@@ -568,7 +517,7 @@ let re_ack_closed m c t_id =
   in
   if due then begin
     Int_table.replace c.last_reack t_id t;
-    m.reacks_multi <- m.reacks_multi + 1;
+    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
   end
 
@@ -577,7 +526,7 @@ let route m (v : Chunk.view) =
   let cid = h.Header.c.Ftuple.id in
   match find_conn m cid with
   | None ->
-      m.unknown_drops <- m.unknown_drops + 1;
+      m.counts.unknown_drops <- m.counts.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
   | Some c when quarantine_active m c -> quarantine_drop m
   | Some c -> (
@@ -622,7 +571,7 @@ let route m (v : Chunk.view) =
             let t_id = h.Header.t.Ftuple.id in
             if Int_table.mem c.acked t_id then re_ack_closed m c t_id
             else begin
-              m.late_drops <- m.late_drops + 1;
+              m.counts.late_drops <- m.counts.late_drops + 1;
               if Obs.enabled then Obs.Metrics.incr m_late;
               note_scored m c ~weight:w_late
             end
@@ -665,13 +614,14 @@ let on_view m (v : Chunk.view) =
                   match found with
                   | Some ({ live = Some rx; _ } as c) ->
                       c.last_touch <- now m;
-                      let refused = R.sheds_refused rx in
+                      let refused = m.counts.sheds_refused in
                       R.shed_tpdu rx ~t_id ~first_elem ~elems;
                       (* a refused shed named a TPDU this connection's
                          classifier protects: forged (or badly
                          misclassified).  Unscored — the signal names
                          its victim, not its author. *)
-                      if R.sheds_refused rx > refused then note_unscored m c
+                      if m.counts.sheds_refused > refused then
+                        note_unscored m c
                   | Some c when Int_table.mem c.acked t_id ->
                       (* shed signal straggling behind the epoch close
                          while its ACK was lost: re-acknowledge so the
@@ -683,7 +633,7 @@ let on_view m (v : Chunk.view) =
         (* a structurally valid signal chunk whose payload failed its
            WSC-2 parity (or shape) check: silently dropped, but counted
            — corruption in flight and tampering look identical here *)
-        m.sig_damage <- m.sig_damage + 1;
+        m.counts.sig_damage <- m.counts.sig_damage + 1;
         match find_conn m h.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
@@ -762,39 +712,9 @@ let sum_live m f =
 
 let live_in_flight m = sum_live m R.verifier_in_flight
 let live_stashed m = sum_live m R.stashed_tpdus
-let evictions m = m.evictions
-let conn_gcs m = m.conn_gcs
-let displaced_conns m = m.displaced
-
-let aborts_received m =
-  Int_table.fold (fun _ c acc -> acc + c.aborts_acc) m.conns
-    (sum_live m R.aborts_received)
-
-let sheds_received m =
-  Int_table.fold (fun _ c acc -> acc + c.sheds_acc) m.conns
-    (sum_live m R.sheds_received)
-
-let shed_elems m =
-  Int_table.fold (fun _ c acc -> acc + c.shed_elems_acc) m.conns
-    (sum_live m R.shed_elems)
-
-let reacks_sent m =
-  m.reacks_multi
-  + Int_table.fold (fun _ c acc -> acc + c.reacks_acc) m.conns
-      (sum_live m R.reacks_sent)
-
-let unknown_drops m = m.unknown_drops
-let late_drops m = m.late_drops
-
-let sheds_refused m =
-  Int_table.fold (fun _ c acc -> acc + c.sheds_refused_acc) m.conns
-    (sum_live m R.sheds_refused)
-
-let anomalies m = m.anomalies_total
-let sig_damage m = m.sig_damage
-let quarantines m = m.quarantines
-let quarantine_drops m = m.quarantine_drops
-let conns_poisoned m = m.conns_poisoned
+let counters m = m.counts
+let reacks_sent m = m.counts.reacks_sent
+let unknown_drops m = m.counts.unknown_drops
 
 type conn_stats = {
   cs_epochs : int;
@@ -821,11 +741,10 @@ let conn_stats m ~conn_id =
 let overlap_stats m =
   Int_table.fold
     (fun _ c acc ->
-      let acc = add_overlap acc c.overlap_acc in
       match c.live with
-      | Some rx -> add_overlap acc (R.overlap_stats rx)
+      | Some rx -> Placement.add_overlap acc (R.overlap_stats rx)
       | None -> acc)
-    m.conns zero_overlap
+    m.conns m.archived_overlap
 
 (* {1 Crash recovery} *)
 
@@ -894,12 +813,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                 img.Persist.ci_hist;
             last_touch = now m;
             gov = Governor.entry (conn_key img.Persist.ci_id);
-            aborts_acc = 0;
-            reacks_acc = 0;
-            sheds_acc = 0;
-            shed_elems_acc = 0;
-            overlap_acc = zero_overlap;
-            sheds_refused_acc = 0;
             (* epoch and state accounting re-derived from the image, so
                the isolation-budget bound spans the crash *)
             epochs_started =
@@ -924,9 +837,9 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
             let rx =
               R.restore m.engine
                 { m.config with conn_id = c.id }
-                ~bus:m.bus ~governor:m.governor ~acked:c.acked
-                ?persist:m.persist ~send_ack:m.send_ack
-                ~capacity:(`Quota m.quota_elems) ri ~acked_tids:[]
+                ~bus:m.bus ~owner:(owner m c) ?persist:m.persist
+                ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ri
+                ~acked_tids:[]
             in
             c.live <- Some rx;
             m.n_live <- m.n_live + 1;
@@ -952,7 +865,7 @@ let reannounce m =
              |> List.sort Int.compare
              |> List.iter (fun t_id ->
                     Int_table.replace c.last_reack t_id (now m);
-                    m.reacks_multi <- m.reacks_multi + 1;
+                    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
                     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)))
 
 (* Crash the endpoint: release all soft state so the governor's sweep

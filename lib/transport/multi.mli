@@ -171,64 +171,18 @@ val live_in_flight : t -> int
 val live_stashed : t -> int
 (** Placement stashes held across all live epochs (quiescence probe). *)
 
-val evictions : t -> int
-(** Per-TPDU governor evictions routed to receivers. *)
-
-val conn_gcs : t -> int
-(** Whole connections reclaimed by deadline (stale-connection GC). *)
-
-val displaced_conns : t -> int
-(** Live connections displaced by admission pressure (cap or budget). *)
-
-val aborts_received : t -> int
-(** Abort_tpdu signals honoured (sender give-ups). *)
-
-val sheds_received : t -> int
-(** Shed_tpdu signals honoured across every epoch of every connection
-    (partial reliability: the sender deliberately abandoned a sheddable
-    TPDU under congestion and the receiver's own classifier agreed). *)
-
-val shed_elems : t -> int
-(** Elements covered by honoured sheds across every epoch — bytes
-    deliberately given up under the partial-reliability contract. *)
+val counters : t -> Counters.t
+(** The endpoint's counts since creation (or restore), over every epoch
+    of every connection: each epoch receiver counts straight into this
+    record, so nothing is folded at archive time. *)
 
 val reacks_sent : t -> int
-(** ACKs re-sent for closed-epoch stragglers (a duplicate of a TPDU
-    already delivered must still be acknowledged or the sender times
-    out). *)
+(** [(counters m).reacks_sent]. *)
 
 val unknown_drops : t -> int
-(** Chunks for connections never admitted (flood traffic). *)
-
-val late_drops : t -> int
-(** Chunks for closed epochs that were not re-acknowledgeable. *)
+(** [(counters m).unknown_drops]. *)
 
 (** {1 Containment} *)
-
-val sheds_refused : t -> int
-(** Shed signals refused across every epoch of every connection — the
-    named TPDU was not sheddable under the local classifier (forged or
-    misclassified sheds; see
-    {!Chunk_transport.Receiver.sheds_refused}). *)
-
-val anomalies : t -> int
-(** Protocol anomalies observed across all connections, scored and
-    unscored alike: re-establishment churn, late unledgered traffic,
-    stale Opens, refused sheds, parity-damaged signals. *)
-
-val sig_damage : t -> int
-(** Structurally valid signal chunks whose payload failed its WSC-2
-    parity or shape check — dropped silently (corruption and tampering
-    are indistinguishable here). *)
-
-val quarantines : t -> int
-(** Admissions revoked (penalty-box entries) across all connections. *)
-
-val quarantine_drops : t -> int
-(** Events refused because their source connection was boxed. *)
-
-val conns_poisoned : t -> int
-(** Connections permanently torn down by the exception bulkhead. *)
 
 val poison : t -> conn_id:int -> unit
 (** Tear the connection down (reclaiming its live epoch's state) and
@@ -283,7 +237,7 @@ val restore :
 
 val reannounce : t -> unit
 (** Re-ACK every TPDU in every restored ledger (live or closed epoch),
-    counted as re-ACKs — any ACK from the pre-crash life may have died
+    counted in [reacks_sent] — any ACK from the pre-crash life may have died
     with the crash, and a sender retransmitting into a silent restored
     endpoint would probe until give-up. *)
 

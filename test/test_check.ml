@@ -50,8 +50,8 @@ let test_replay_determinism () =
     b.Check.Driver.retransmissions;
   Alcotest.(check int) "same packets" a.Check.Driver.packets_sent
     b.Check.Driver.packets_sent;
-  Alcotest.(check int) "same nacks" a.Check.Driver.nacks_sent
-    b.Check.Driver.nacks_sent;
+  Alcotest.(check int) "same nacks" a.Check.Driver.counts.nacks_sent
+    b.Check.Driver.counts.nacks_sent;
   Alcotest.(check (float 0.0)) "same sim time" a.Check.Driver.sim_time
     b.Check.Driver.sim_time;
   Alcotest.check Util.bytes_testable "same delivery" a.Check.Driver.delivered
@@ -112,7 +112,7 @@ let test_overlap_clobber_caught () =
       let s = f.Check.Soak.shrunk.Check.Shrink.schedule in
       let o = Check.Driver.run ~mutation:Check.Driver.Overlap_clobber s in
       Alcotest.(check bool) "conflict preserved in shrunk replay" true
-        (o.Check.Driver.overlap_conflicts_rejected > 0);
+        (o.Check.Driver.overlap.os_conflicts_rejected > 0);
       Alcotest.(check bool) "shrunk replay still violates" true
         (Check.Oracle.check ~schedule:s
            ~model:(Check.Model.of_schedule s)
@@ -159,7 +159,7 @@ let test_byz_clobber_caught () =
         (s.Check.Schedule.byz <> None);
       let o = Check.Driver.run ~mutation:Check.Driver.Byz_clobber s in
       Alcotest.(check int) "defense really was off in the replay" 0
-        o.Check.Driver.quarantines;
+        o.Check.Driver.counts.quarantines;
       Alcotest.(check bool) "shrunk replay still violates" true
         (List.exists
            (fun (v : Check.Oracle.violation) ->

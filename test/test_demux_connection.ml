@@ -223,7 +223,7 @@ let test_multi_quarantine_trips_and_releases () =
   send_signal rig ~conn:4 (Connection.Open { first_csn = 200_000 });
   Netsim.Engine.run ~until:(t0 +. 0.01) rig.engine;
   Alcotest.(check int) "churn tripped one quarantine" 1
-    (Transport.Multi.quarantines rig.multi);
+    (Transport.Multi.counters rig.multi).quarantines;
   (match Transport.Multi.conn_stats rig.multi ~conn_id:4 with
   | None -> Alcotest.fail "conn 4 unknown"
   | Some cs ->
@@ -234,12 +234,12 @@ let test_multi_quarantine_trips_and_releases () =
       Alcotest.(check bool) "not poisoned" false
         cs.Transport.Multi.cs_poisoned);
   (* while boxed, everything from the connection is refused *)
-  let drops0 = Transport.Multi.quarantine_drops rig.multi in
+  let drops0 = (Transport.Multi.counters rig.multi).quarantine_drops in
   let epochs0 = List.length (Transport.Multi.epochs rig.multi ~conn_id:4) in
   send_signal rig ~conn:4 (Connection.Open { first_csn = 300_000 });
   Netsim.Engine.run ~until:(t0 +. 0.02) rig.engine;
   Alcotest.(check bool) "boxed Open refused" true
-    (Transport.Multi.quarantine_drops rig.multi > drops0);
+    ((Transport.Multi.counters rig.multi).quarantine_drops > drops0);
   Alcotest.(check int) "refused Open made no epoch" epochs0
     (List.length (Transport.Multi.epochs rig.multi ~conn_id:4));
   (* after the penalty window, the connection earns its way back *)
@@ -251,7 +251,7 @@ let test_multi_quarantine_trips_and_releases () =
   Alcotest.(check bool) "re-admitted transfer completes" true
     (CT.Sender.finished tx1);
   Alcotest.(check int) "no second quarantine" 1
-    (Transport.Multi.quarantines rig.multi)
+    (Transport.Multi.counters rig.multi).quarantines
 
 let test_multi_quarantine_survives_restore () =
   (* the penalty box is part of the crash image (persist v2): a boxed
@@ -268,7 +268,7 @@ let test_multi_quarantine_survives_restore () =
   send_signal rig ~conn:6 (Connection.Open { first_csn = 200_000 });
   Netsim.Engine.run rig.engine;
   Alcotest.(check int) "boxed before the crash" 1
-    (Transport.Multi.quarantines rig.multi);
+    (Transport.Multi.counters rig.multi).quarantines;
   let module P = Transport.Persist in
   let encoded = P.encode_endpoint (P.Multi (Transport.Multi.export rig.multi)) in
   Transport.Multi.teardown rig.multi;
@@ -291,7 +291,7 @@ let test_multi_quarantine_survives_restore () =
       Alcotest.(check int) "quarantine count restored" 1
         cs.Transport.Multi.cs_quarantines);
   (* and the restored box still refuses events *)
-  let drops0 = Transport.Multi.quarantine_drops m1 in
+  let drops0 = (Transport.Multi.counters m1).quarantine_drops in
   let epochs0 = List.length (Transport.Multi.epochs m1 ~conn_id:6) in
   (match
      Wire.encode_packet
@@ -300,7 +300,7 @@ let test_multi_quarantine_survives_restore () =
   | Ok b -> Transport.Multi.on_packet m1 b
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "restored box refuses the Open" true
-    (Transport.Multi.quarantine_drops m1 > drops0);
+    ((Transport.Multi.counters m1).quarantine_drops > drops0);
   Alcotest.(check int) "refused Open made no epoch" epochs0
     (List.length (Transport.Multi.epochs m1 ~conn_id:6))
 
@@ -397,23 +397,23 @@ let stray ~conn ~t_id =
        ~x:Ftuple.zero (Bytes.make 16 'x'))
 
 let endpoint_totals m =
-  let module M = Transport.Multi in
+  let c = Transport.Multi.counters m in
   [
-    ("reacks", M.reacks_sent m);
-    ("aborts", M.aborts_received m);
-    ("sheds", M.sheds_received m);
-    ("shed_elems", M.shed_elems m);
-    ("sheds_refused", M.sheds_refused m);
-    ("evictions", M.evictions m);
-    ("conn_gcs", M.conn_gcs m);
-    ("displaced", M.displaced_conns m);
-    ("unknown_drops", M.unknown_drops m);
-    ("late_drops", M.late_drops m);
-    ("quarantine_drops", M.quarantine_drops m);
-    ("anomalies", M.anomalies m);
-    ("sig_damage", M.sig_damage m);
-    ("quarantines", M.quarantines m);
-    ("poisoned", M.conns_poisoned m);
+    ("reacks", c.reacks_sent);
+    ("aborts", c.aborts_received);
+    ("sheds", c.sheds_received);
+    ("shed_elems", c.shed_elems);
+    ("sheds_refused", c.sheds_refused);
+    ("evictions", c.evictions);
+    ("conn_gcs", c.conn_gcs);
+    ("displaced", c.displaced_conns);
+    ("unknown_drops", c.unknown_drops);
+    ("late_drops", c.late_drops);
+    ("quarantine_drops", c.quarantine_drops);
+    ("anomalies", c.anomalies);
+    ("sig_damage", c.sig_damage);
+    ("quarantines", c.quarantines);
+    ("poisoned", c.conns_poisoned);
   ]
 
 let test_multi_counter_totals () =

@@ -361,7 +361,14 @@ let test_copybreak_bounds_retention () =
     CT.Receiver.create
       (Netsim.Engine.create ~seed:42 ())
       { multi_config with CT.conn_id = 1 }
-      ~acked
+      ~owner:
+        {
+          CT.Receiver.o_governor =
+            Transport.Governor.create ~budget_bytes:multi_config.CT.state_budget
+              ~ttl:multi_config.CT.state_ttl ();
+          o_acked = acked;
+          o_counts = Transport.Counters.zero ();
+        }
       ~send_ack:(fun _ -> ())
       ~capacity:(`Quota 4096) ()
   in
@@ -384,7 +391,7 @@ let test_copybreak_bounds_retention () =
   Alcotest.(check int) "the tiny chunk waits for its ED chunk" 1
     (CT.Receiver.stashed_tpdus rx);
   Alcotest.(check int) "the large chunk is only re-acknowledged" 1
-    (CT.Receiver.reacks_sent rx);
+    (CT.Receiver.counters rx).reacks_sent;
   let packet_words = packet_bytes / (Sys.word_size / 8) in
   if grown >= packet_words / 4 then
     Alcotest.failf "receiver grew by %d words; the packet is %d" grown
@@ -431,9 +438,9 @@ let test_batch_spanning_quarantine () =
   Alcotest.(check bool) "scan entry identical to decoder entry" true
     (epochs_equal m_slow m_fast);
   Alcotest.(check int) "reopen churn tripped the box" 1
-    (Transport.Multi.quarantines m_fast);
+    (Transport.Multi.counters m_fast).quarantines;
   Alcotest.(check bool) "boxed packets refused" true
-    (Transport.Multi.quarantine_drops m_fast > 0);
+    ((Transport.Multi.counters m_fast).quarantine_drops > 0);
   (match Transport.Multi.conn_stats m_fast ~conn_id:5 with
   | None -> Alcotest.fail "conn 5 unknown"
   | Some cs ->
@@ -560,7 +567,7 @@ let prop_add_only_quarantine =
   QCheck2.Test.make ~name:"conn table is add-only across quarantines"
     ~count:40 gen_churn_mix (fun mix ->
       let m = mk_multi ~anomaly_budget:4 () in
-      add_only m mix 1 && Transport.Multi.quarantines m >= 1)
+      add_only m mix 1 && (Transport.Multi.counters m).quarantines >= 1)
 
 (* Traffic for C.IDs that were never opened — data, ED and a Close — is
    dropped as unknown, and its lookups write nothing into the memo. *)

@@ -102,7 +102,7 @@ let test_forged_shed_ignored () =
   in
   CT.Receiver.shed_tpdu rx ~t_id:1 ~first_elem:8 ~elems:8;
   Alcotest.(check int) "forged shed of Normal TPDU ignored" 0
-    (CT.Receiver.sheds_received rx);
+    (CT.Receiver.counters rx).sheds_received;
   Alcotest.(check bool) "no shed cover accrued" true
     (CT.Receiver.shed_spans rx = []);
   (* completion still requires the real bytes *)
@@ -137,7 +137,7 @@ let test_shed_after_verify_ignored () =
   Alcotest.(check bool) "complete" true (CT.Receiver.complete rx);
   CT.Receiver.shed_tpdu rx ~t_id:1 ~first_elem:8 ~elems:8;
   Alcotest.(check int) "late shed of verified TPDU ignored" 0
-    (CT.Receiver.sheds_received rx);
+    (CT.Receiver.counters rx).sheds_received;
   Alcotest.check Util.bytes_testable "bytes survive the late shed" data
     (CT.Receiver.contents rx)
 
@@ -500,7 +500,7 @@ let test_interleave_clean_delivery () =
   Netsim.Engine.run engine;
   Alcotest.(check bool) "complete" true (CT.Receiver.complete rx);
   Alcotest.(check int) "nothing shed on a clean path" 0
-    (CT.Receiver.sheds_received rx);
+    (CT.Receiver.counters rx).sheds_received;
   Alcotest.check Util.bytes_testable "delivery matches Interleave.expected"
     (Il.expected ~elem_size ~tpdu_elems streams)
     (CT.Receiver.contents rx)

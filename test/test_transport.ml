@@ -481,14 +481,14 @@ let test_give_up_releases_state () =
   Alcotest.(check bool) "sender gave up" true (CT.Sender.gave_up tx);
   Alcotest.(check bool) "aborts signalled" true (CT.Sender.aborts_sent tx > 0);
   Alcotest.(check bool) "aborts received" true
-    (CT.Receiver.aborts_received rx > 0);
+    ((CT.Receiver.counters rx).aborts_received > 0);
   Alcotest.(check int) "no verifier state leaked" 0
     (CT.Receiver.verifier_in_flight rx);
   Alcotest.(check int) "no stash leaked" 0 (CT.Receiver.stashed_tpdus rx);
   (* the abort did the reclaiming — not the deadline sweep (which would
      count deadline evictions) *)
   Alcotest.(check int) "no deadline evictions needed" 0
-    (CT.Receiver.evictions rx)
+    (CT.Receiver.counters rx).evictions
 
 let prop_karn (seed, loss_pct) =
   (* Karn's rule: whatever the loss pattern does to retransmission,
