@@ -51,27 +51,3 @@ let send m b = Link.send m.links.(pick m) b
 
 let mtu m = Link.mtu m.links.(0)
 let paths m = m.links
-
-let aggregate_stats m =
-  Array.fold_left
-    (fun (acc : Link.stats) l ->
-      let s = Link.stats l in
-      {
-        Link.sent = acc.Link.sent + s.Link.sent;
-        delivered = acc.Link.delivered + s.Link.delivered;
-        dropped_loss = acc.Link.dropped_loss + s.Link.dropped_loss;
-        dropped_mtu = acc.Link.dropped_mtu + s.Link.dropped_mtu;
-        corrupted = acc.Link.corrupted + s.Link.corrupted;
-        duplicated = acc.Link.duplicated + s.Link.duplicated;
-        bytes_sent = acc.Link.bytes_sent + s.Link.bytes_sent;
-      })
-    {
-      Link.sent = 0;
-      delivered = 0;
-      dropped_loss = 0;
-      dropped_mtu = 0;
-      corrupted = 0;
-      duplicated = 0;
-      bytes_sent = 0;
-    }
-    m.links

@@ -42,4 +42,3 @@ val create :
 val send : t -> bytes -> [ `Queued | `Dropped_mtu ]
 val mtu : t -> int
 val paths : t -> Link.t array
-val aggregate_stats : t -> Link.stats

@@ -1108,7 +1108,6 @@ module Sender = struct
     inflight : tpdu Int_table.t;
     mutable retrans : int;
     mutable sack_retrans : int;
-    mutable tpdus_sent : int;
     mutable packets_sent : int;
     mutable bytes_sent : int;
     mutable cur_tpdu_elems : int;
@@ -1190,7 +1189,6 @@ module Sender = struct
       inflight = Int_table.create 16;
       retrans = 0;
       sack_retrans = 0;
-      tpdus_sent = 0;
       packets_sent = 0;
       bytes_sent = 0;
       cur_tpdu_elems = config.tpdu_elems;
@@ -1487,7 +1485,6 @@ module Sender = struct
     then begin
       let tp = Queue.pop tx.ready in
       Int_table.add tx.inflight tp.t_id tp;
-      tx.tpdus_sent <- tx.tpdus_sent + 1;
       transmit tx tp;
       arm_timer tx tp;
       pump tx
@@ -1631,7 +1628,6 @@ module Sender = struct
   let aborts_sent tx = tx.aborts_sent
   let sheds_sent tx = tx.sheds_sent
   let bogus_acks tx = tx.bogus_acks
-  let tpdus_sent tx = tx.tpdus_sent
   let packets_sent tx = tx.packets_sent
   let bytes_sent tx = tx.bytes_sent
   let current_tpdu_elems tx = tx.cur_tpdu_elems

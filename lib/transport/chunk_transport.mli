@@ -366,7 +366,6 @@ module Sender : sig
   val sack_retransmissions : t -> int
   (** Selective (gap-only) retransmissions triggered by NACKs. *)
 
-  val tpdus_sent : t -> int
   val packets_sent : t -> int
   val bytes_sent : t -> int
 
