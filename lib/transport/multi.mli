@@ -177,10 +177,10 @@ val counters : t -> Counters.t
     record, so nothing is folded at archive time. *)
 
 val reacks_sent : t -> int
-(** [(counters m).reacks_sent]. *)
+(** The [reacks_sent] field of {!counters}. *)
 
 val unknown_drops : t -> int
-(** [(counters m).unknown_drops]. *)
+(** The [unknown_drops] field of {!counters}. *)
 
 (** {1 Containment} *)
 
@@ -237,9 +237,9 @@ val restore :
 
 val reannounce : t -> unit
 (** Re-ACK every TPDU in every restored ledger (live or closed epoch),
-    counted in [reacks_sent] — any ACK from the pre-crash life may have died
-    with the crash, and a sender retransmitting into a silent restored
-    endpoint would probe until give-up. *)
+    counted in [reacks_sent] — any ACK from the pre-crash life may have
+    died with the crash, and a sender retransmitting into a silent
+    restored endpoint would probe until give-up. *)
 
 val teardown : t -> unit
 (** Crash the endpoint: release all soft state and governor accounts at

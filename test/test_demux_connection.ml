@@ -386,7 +386,7 @@ let counted_tpdus ~conn =
         (fun c -> c.Chunk.header.Header.t.Ftuple.id = t_id)
         sealed
     in
-    (List.filter Chunk.is_data mine, List.filter (fun c -> not (Chunk.is_data c)) mine)
+    List.partition Chunk.is_data mine
 
 (* A lone data chunk under an arbitrary label. *)
 let stray ~conn ~t_id =
@@ -423,9 +423,12 @@ let test_multi_counter_totals () =
     M.create engine ~config:counted_config ~quota_elems:64 ~max_conns:2
       ~anomaly_budget:8 ~send_ack:(fun _ -> ()) ()
   in
-  let feed chunks = M.on_packet m (Util.ok_or_fail (Wire.encode_packet chunks)) in
+  let packet chunks = Util.ok_or_fail (Wire.encode_packet chunks) in
+  let feed chunks = M.on_packet m (packet chunks) in
   let signal conn sg = feed [ Connection.signal_chunk ~conn_id:conn sg ] in
-  let at t f = Netsim.Engine.schedule engine ~delay:(t -. Netsim.Engine.now engine) f in
+  let at t f =
+    Netsim.Engine.schedule engine ~delay:(t -. Netsim.Engine.now engine) f
+  in
   let tpdu = counted_tpdus ~conn:1 in
   let data t = fst (tpdu t) and whole t = fst (tpdu t) @ snd (tpdu t) in
   let pin what expected got =
@@ -498,7 +501,7 @@ let test_multi_counter_totals () =
       ~anomaly_budget:8 ~send_ack:(fun _ -> ()) image
   in
   M.reannounce m';
-  M.on_packet m' (Util.ok_or_fail (Wire.encode_packet [ stray ~conn:50 ~t_id:0 ]));
+  M.on_packet m' (packet [ stray ~conn:50 ~t_id:0 ]);
   pin "restored endpoint"
     [
       ("reacks", 1); ("aborts", 0); ("sheds", 0); ("shed_elems", 0);
