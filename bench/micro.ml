@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks for the primitive operations: chunk split,
    merge, wire codec, WSC-2 accumulation, GF multiply, virtual
-   reassembly insert. *)
+   reassembly insert, placement. *)
 
 open Labelling
 open Bechamel
@@ -76,12 +76,62 @@ let test_vreassembly =
         ignore (Vreassembly.insert tr ~sn:(k * 8) ~len:8 ~st:(k = 15))
       done))
 
+(* Placement of 1 KiB chunks (256 four-byte elements) into a 256 KiB
+   destination, in [order]; an op places [per_op] chunks.  A full
+   destination is replaced by a fresh one, so every placement writes
+   unoccupied elements; that allocation (256 KiB per 256 chunks) is in
+   the figure. *)
+let placement_test ~name ~order ~per_op =
+  let elems = 256 and slots = 256 in
+  let views =
+    Array.init slots (fun k ->
+        let c = Ftuple.v ~id:1 ~sn:(k * elems) () in
+        let t = Ftuple.v ~id:(k / 4) ~sn:0 () in
+        Chunk.data ~size:4 ~c ~t ~x:c
+          (Bytes.init (elems * 4) (fun i -> Char.chr ((k + i) land 0xFF)))
+        |> Result.get_ok |> Chunk.view)
+  in
+  let fresh () =
+    Placement.create ~level:Placement.Conn ~base_sn:0
+      ~capacity_elems:(slots * elems) ~elem_size:4
+  in
+  let p = ref (fresh ()) and next = ref 0 in
+  Test.make ~name (Staged.stage (fun () ->
+      for _ = 1 to per_op do
+        if !next = slots then begin
+          p := fresh ();
+          next := 0
+        end;
+        ignore (Placement.place_view !p views.(order.(!next)));
+        incr next
+      done))
+
+let test_place_in_order =
+  placement_test ~name:"placement.place_view 1KiB in order"
+    ~order:(Array.init 256 Fun.id) ~per_op:1
+
+(* each window of four chunks arrives as 2, 0, 3, 1 *)
+let test_place_shuffled =
+  placement_test ~name:"placement.place_view 4 shuffled chunks"
+    ~order:(Array.init 256 (fun i -> (i land lnot 3) + [| 2; 0; 3; 1 |].(i land 3)))
+    ~per_op:4
+
+let test_any_locked =
+  let p =
+    Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems:1024
+      ~elem_size:4
+  in
+  Placement.lock_span p ~sn:600 ~len:8;
+  Test.make ~name:"placement.any_locked 512 elems" (Staged.stage (fun () ->
+      ignore (Placement.any_locked p ~sn:64 ~len:512)))
+
 let grouped =
   Test.make_grouped ~name:"micro"
     [
       test_split; test_merge; test_wire_encode; test_wire_decode; test_wsc2;
       test_gf_mul; test_gf_ref_mul; test_alpha_pow; test_crc32; test_xpos;
-      test_vreassembly;
+      test_vreassembly; test_place_in_order; test_place_shuffled;
+      test_any_locked;
     ]
 
 let run () =

@@ -21,7 +21,6 @@ type t = {
   elem_size : int;
   capacity_elems : int;
   buf : bytes;
-  tracker : Vreassembly.t;  (* reuses interval tracking for fill state *)
   occ : bytes;  (* one bit per element: the element holds placed data *)
   lck : bytes;  (* one bit per element: the data is verified-locked *)
   mutable conflicts_seen : int;
@@ -39,9 +38,8 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     elem_size;
     capacity_elems;
     buf = Bytes.make (capacity_elems * elem_size) '\000';
-    tracker = Vreassembly.create ();
-    occ = Bytes.make ((capacity_elems + 7) lsr 3) '\000';
-    lck = Bytes.make ((capacity_elems + 7) lsr 3) '\000';
+    occ = Bytes.make (((capacity_elems + 63) lsr 6) lsl 3) '\000';
+    lck = Bytes.make (((capacity_elems + 63) lsr 6) lsl 3) '\000';
     conflicts_seen = 0;
     conflicts_rejected = 0;
     quarantined = 0;
@@ -56,9 +54,10 @@ let sn_of p (h : Header.t) =
 
 (* {2 One-bit element maps}
 
-   Element [e] is bit [e land 7] of byte [e lsr 3].  Runs are set and
-   scanned a byte at a time; only a run's ragged head and tail go bit by
-   bit. *)
+   Element [e] is bit [e land 7] of byte [e lsr 3], so bit [e land 63]
+   of the little-endian 64-bit word [e lsr 6]; a map is whole words.
+   Runs are set a byte at a time, only a run's ragged head and tail bit
+   by bit, and scanned a word at a time. *)
 
 let bit bm e = Char.code (Bytes.get bm (e lsr 3)) land (1 lsl (e land 7)) <> 0
 
@@ -82,18 +81,48 @@ let set_bits bm sn len =
     incr e
   done
 
-(* The first element in [e, stop) whose bit is [v], or [stop]. *)
+(* The index of the lowest set bit of [x <> 0], by halving the field. *)
+let ctz x =
+  let rec go x n w =
+    if w = 0 then n
+    else if x land ((1 lsl w) - 1) = 0 then go (x lsr w) (n + w) (w lsr 1)
+    else go x n (w lsr 1)
+  in
+  go x 0 32
+
+(* The first element in [e, stop) whose bit is [v], or [stop].  Each
+   step loads the word holding [e], flipped so that the bits sought read
+   1 and cleared below [e]: a word holding none is skipped whole,
+   otherwise the answer is its lowest set bit. *)
 let rec next_bit bm ~v e stop =
   if e >= stop then stop
-  else if
-    e land 7 = 0
-    && Bytes.get bm (e lsr 3) = (if v then '\000' else '\255')
-  then next_bit bm ~v (e + 8) stop
-  else if bit bm e = v then e
-  else next_bit bm ~v (e + 1) stop
+  else
+    let x =
+      Int64.logand
+        (Int64.shift_left (-1L) (e land 63))
+        (Int64.logxor
+           (Bytes.get_int64_le bm ((e lsr 6) lsl 3))
+           (Int64.of_int (if v then 0 else -1)))
+    in
+    let w = e land lnot 63 in
+    if Int64.equal x 0L then next_bit bm ~v (w + 64) stop
+    else
+      (* [to_int] drops bit 63, the only one set when it gives 0 *)
+      let y = Int64.to_int x in
+      Int.min stop (w + if y = 0 then 63 else ctz y)
 
-let occupied p e = bit p.occ e
-let is_locked p e = bit p.lck e
+(* The maximal runs of [v] bits in [0, stop), ascending. *)
+let run_list bm ~v stop =
+  let rec go e acc =
+    let s = next_bit bm ~v e stop in
+    if s >= stop then List.rev acc
+    else
+      let t = next_bit bm ~v:(not v) s stop in
+      go t ((s, t - s) :: acc)
+  in
+  go 0 []
+
+let total runs = List.fold_left (fun n (_, l) -> n + l) 0 runs
 
 (* Do [n] bytes of [a] at [ai] equal [n] bytes of [b] at [bi]? *)
 let equal_sub a ai b bi n =
@@ -128,14 +157,6 @@ let extend r e n =
 let finish r =
   List.rev (if r.len > 0 then (r.start, r.len) :: r.closed else r.closed)
 
-(* Overlap-tolerant fill accounting: every covered element counts once,
-   however the covering runs arrive (a conflicting element was already
-   occupied, so the whole-run insert stays exact). *)
-let cover p ~sn ~len =
-  if not (Vreassembly.append_new p.tracker ~sn ~len ~st:false) then
-    match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-    | Ok _ | Error `Inconsistent -> ()
-
 (* Write the newcomer's unoccupied elements [e0, e0 + n): one blit and
    one bit fill.  Its element [sn] is at byte [src_off] of [src]. *)
 let write p ~src ~src_off ~sn e0 n =
@@ -167,7 +188,7 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   while !e < stop do
     let e0 = !e in
     let i0 = e0 - sn in
-    if not (occupied p e0) then begin
+    if not (bit p.occ e0) then begin
       let n = next_bit p.occ ~v:true e0 stop - e0 in
       write p ~src ~src_off ~sn e0 n;
       extend fresh e0 n;
@@ -182,7 +203,7 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
           let i = e - sn in
           if equal_sub src (src_off + (i * es)) p.buf (e * es) es then
             extend benign e 1
-          else if is_locked p e then begin
+          else if bit p.lck e then begin
             (* the resident bytes are WSC-2-verified: the newcomer is
                counted, traced and discarded — whoever verified first
                owns the bytes *)
@@ -210,7 +231,6 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
       e := e0 + n
     end
   done;
-  cover p ~sn ~len;
   let conflicts = List.rev !conflicts in
   if conflicts <> [] && Obs.enabled && Obs.Trace.active () then
     List.iter
@@ -241,7 +261,6 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
 let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   if next_bit p.occ ~v:true sn (sn + len) = sn + len then begin
     write p ~src ~src_off ~sn sn len;
-    cover p ~sn ~len;
     { rp_fresh = [ (sn, len) ]; rp_benign = []; rp_conflicts = [] }
   end
   else apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu
@@ -287,8 +306,6 @@ let any_locked p ~sn ~len =
   let lo = Int.max 0 sn and hi = Int.min p.capacity_elems (sn + len) in
   lo < hi && next_bit p.lck ~v:true lo hi < hi
 
-let spans p = Vreassembly.spans p.tracker
-
 let restore_span p ~sn data =
   let n = Bytes.length data in
   if n = 0 || n mod p.elem_size <> 0 then
@@ -300,15 +317,22 @@ let restore_span p ~sn data =
     else begin
       Bytes.blit data 0 p.buf (sn * p.elem_size) n;
       set_bits p.occ sn len;
-      (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-      | Ok _ | Error `Inconsistent -> ());
       Ok ()
     end
   end
 
-let placed_elems p = Vreassembly.received_elems p.tracker
+(* Coverage is read off the maps: a locked element is also occupied
+   ([lock_span] sets both bits), so the placed runs include it. *)
+let spans p = run_list p.occ ~v:true p.capacity_elems
+let holes p = run_list p.occ ~v:false p.capacity_elems
+let placed_elems p = total (spans p)
+let is_full p = next_bit p.occ ~v:false 0 p.capacity_elems = p.capacity_elems
+let locked_spans p = run_list p.lck ~v:true p.capacity_elems
+let locked_elems p = total (locked_spans p)
 
-let is_full p = placed_elems p = p.capacity_elems
+let first_unlocked p e =
+  if e < 0 || e >= p.capacity_elems then e
+  else next_bit p.lck ~v:false e p.capacity_elems
 
 let contents p = p.buf
 
@@ -335,15 +359,3 @@ let add_overlap a b =
     os_quarantined = a.os_quarantined + b.os_quarantined;
     os_verified_overwrites = a.os_verified_overwrites + b.os_verified_overwrites;
   }
-
-let holes p =
-  let rec gaps expect spans =
-    match spans with
-    | [] ->
-        if expect < p.capacity_elems then [ (expect, p.capacity_elems - expect) ]
-        else []
-    | (s, l) :: rest ->
-        if s > expect then (expect, s - expect) :: gaps (s + l) rest
-        else gaps (s + l) rest
-  in
-  gaps 0 (Vreassembly.spans p.tracker)

@@ -76,9 +76,12 @@ type t
 val create : level:level -> base_sn:int -> capacity_elems:int -> elem_size:int -> t
 (** A destination buffer of [capacity_elems * elem_size] bytes; element
     [base_sn] of the chosen level lands at offset 0.  The policy state
-    is two one-bit-per-element maps (placed, verified-locked), so the
-    whole placement costs [capacity_elems * elem_size
-    + 2 * ceil(capacity_elems / 8)] bytes, all allocated here. *)
+    is two one-bit-per-element maps (placed, verified-locked), each a
+    whole number of 64-bit words, so the whole placement costs
+    [capacity_elems * elem_size + 16 * ceil(capacity_elems / 64)] bytes,
+    all allocated here.  The maps are the only record of what is placed
+    and what is verified: every coverage reader below derives its answer
+    from them, scanning a 64-element word per load. *)
 
 val place : t -> Chunk.t -> (unit, string) result
 (** Copy a data chunk's payload to its home offset under the
@@ -122,13 +125,14 @@ val add_overlap : overlap_stats -> overlap_stats -> overlap_stats
 (** Field-wise sum, for totals over several buffers. *)
 
 val placed_elems : t -> int
-(** Distinct elements placed so far. *)
+(** Occupied elements, locked ones included: the distinct elements that
+    a placement, a {!restore_span} or a {!lock_span} has covered. *)
 
 val spans : t -> (int * int) list
-(** Placed element runs as [(sn, len)] relative to [base_sn], ascending
-    and coalesced — with {!contents} this is the whole recoverable
-    placement state (crash-recovery snapshots serialise exactly these
-    runs and their bytes). *)
+(** Occupied element runs, locked ones included, as [(sn, len)]
+    relative to [base_sn], ascending and coalesced — with {!contents}
+    this is the whole recoverable placement state (crash-recovery
+    snapshots serialise exactly these runs and their bytes). *)
 
 val restore_span : t -> sn:int -> bytes -> (unit, string) result
 (** [restore_span p ~sn data] re-places a previously placed run from a
@@ -140,8 +144,30 @@ val restore_span : t -> sn:int -> bytes -> (unit, string) result
     restored ({!lock_span}). *)
 
 val is_full : t -> bool
+(** Whether every element is occupied, locked ones included. *)
+
 val contents : t -> bytes
 (** The destination buffer (not a copy). *)
 
 val holes : t -> (int * int) list
-(** Unfilled element runs as [(sn, len)] relative to [base_sn]. *)
+(** Unoccupied element runs as [(sn, len)] relative to [base_sn]: the
+    complement of {!spans} in the window. *)
+
+(** {2 The lock map}
+
+    What verification has covered, read off the same one-bit map the
+    overlap policy consults.  Within one placement no bit of it is ever
+    cleared, so a reader may keep a position behind which every element
+    stays locked. *)
+
+val locked_elems : t -> int
+(** Distinct elements locked so far. *)
+
+val locked_spans : t -> (int * int) list
+(** Locked element runs as [(sn, len)] relative to [base_sn], ascending
+    and coalesced. *)
+
+val first_unlocked : t -> int -> int
+(** [first_unlocked p e] is the first element at or after [e] (relative
+    to [base_sn]) that is not locked.  Elements outside the window count
+    as unlocked, so an [e] outside it is returned as it is. *)

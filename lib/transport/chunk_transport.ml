@@ -214,17 +214,15 @@ module Receiver = struct
     (* the last record found, so one chunk's lookups cost one probe;
        cleared whenever [corrob] loses its T.ID *)
     mutable corrob_memo : corroboration option;
-    (* element runs covered by TPDUs that passed verification — bytes a
-       failed TPDU placed before its parity caught up do not count
-       toward completeness (they will be re-placed by the
-       identical-label retransmission) *)
-    verified_cover : Vreassembly.t;
     (* element runs deliberately given up by the sender (Shed_tpdu):
        they count toward stream completion — the degradation contract —
        but never toward verified delivery, and late chunks for a shed
        TPDU are dropped rather than re-admitted to the verifier *)
     shed_cover : Vreassembly.t;
     shed_tids : unit Int_table.t;
+    (* every element below is locked or shed: coverage only grows, so
+       the frontier only moves forward *)
+    mutable frontier : int;
     (* the stream's last element, from a verified TPDU's end claim *)
     mutable end_confirmed : int option;
     last_reack : float Int_table.t;
@@ -341,9 +339,9 @@ module Receiver = struct
         nack_armed = Int_table.create 32;
         corrob = Int_table.create 32;
         corrob_memo = None;
-        verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
         shed_tids = Int_table.create 8;
+        frontier = 0;
         end_confirmed = None;
         last_reack = Int_table.create 8;
         element_delay = Netsim.Stats.create ();
@@ -683,18 +681,9 @@ module Receiver = struct
     let parity =
       Edc.Verifier.take_data_parity rx.verifier ~t_id ~first_c_sn ~elems
     in
-    List.iter
-      (fun (sn, len) ->
-        if not (Vreassembly.append_new rx.verified_cover ~sn ~len ~st:false)
-        then (
-          match
-            Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
-          with
-          | Ok _ | Error `Inconsistent -> ());
-        (* the verified bytes can never again be clobbered by
-           conflicting data *)
-        Placement.lock_span rx.placement ~sn ~len)
-      spans;
+    (* verified bytes can never again be clobbered by conflicting data;
+       bytes of a TPDU that fails parity stay unlocked *)
+    List.iter (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len) spans;
     forget_corrob rx t_id;
     (match m.end_claim with
     | Some _ as last -> rx.end_confirmed <- last
@@ -852,22 +841,21 @@ module Receiver = struct
   let contents rx = Placement.contents rx.placement
   let delivered_elems rx = Placement.placed_elems rx.placement
 
-  (* First element not covered by a verified or deliberately-shed run:
-     sorted-span walk over the merged coverage.  A shed span counts
+  (* First element not locked (verified) or shed, walked on from the
+     last answer past locked runs and shed spans.  A shed span counts
      toward stream {e completion} (the degradation contract says those
      bytes may be missing) but never toward verified delivery. *)
+  let rec frontier_from p shed e = function
+    | (s, l) :: _ when s <= e && e < s + l ->
+        frontier_from p shed (Placement.first_unlocked p (s + l)) shed
+    | _ :: rest -> frontier_from p shed e rest
+    | [] -> e
+
   let covered_frontier rx =
-    let spans =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        (Vreassembly.spans rx.verified_cover
-        @ Vreassembly.spans rx.shed_cover)
-    in
-    let rec go expect = function
-      | [] -> expect
-      | (s, l) :: rest ->
-          if s > expect then expect else go (Int.max expect (s + l)) rest
-    in
-    go 0 spans
+    let p = rx.placement and shed = Vreassembly.spans rx.shed_cover in
+    rx.frontier <-
+      frontier_from p shed (Placement.first_unlocked p rx.frontier) shed;
+    rx.frontier
 
   let complete rx =
     match rx.capacity with
@@ -900,7 +888,7 @@ module Receiver = struct
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
   let overlap_stats rx = Placement.overlap_stats rx.placement
-  let verified_elems rx = Vreassembly.received_elems rx.verified_cover
+  let verified_elems rx = Placement.locked_elems rx.placement
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
   let counters rx = rx.counts
@@ -984,7 +972,7 @@ module Receiver = struct
     {
       Persist.ri_conn = rx.config.conn_id;
       ri_placed;
-      ri_verified = Vreassembly.spans rx.verified_cover;
+      ri_verified = Placement.locked_spans rx.placement;
       ri_end_confirmed = rx.end_confirmed;
       ri_end_claims =
         List.filter_map
@@ -1014,13 +1002,10 @@ module Receiver = struct
         match Placement.restore_span rx.placement ~sn b with
         | Ok () | Error _ -> ())
       img.Persist.ri_placed;
+    (* restored runs come back unlocked; re-assert verified ownership so
+       the overlap policy survives the crash *)
     List.iter
-      (fun (sn, len) ->
-        (match Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false with
-        | Ok _ | Error `Inconsistent -> ());
-        (* restored runs come back unlocked; re-assert verified
-           ownership so the overlap policy survives the crash *)
-        Placement.lock_span rx.placement ~sn ~len)
+      (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len)
       img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     List.iter

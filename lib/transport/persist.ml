@@ -143,30 +143,28 @@ let normalize_runs ~elem_size runs =
     runs;
   Array.to_list (Array.mapi (fun k (s, _) -> (s, out.(k))) spans)
 
+(* The verified spans' union in canonical shape, a span that is
+   degenerate or whose end wraps past [max_int] dropped on its own. *)
+let merge_spans spans =
+  coalesce_spans
+    (List.filter (fun (sn, len) -> sn >= 0 && sn <= max_int - len) spans)
+
 (* Apply one journal entry to an image.  Conservative throughout: an
    entry for an unknown connection creates it (acknowledged state is
    durable even if the Open record was torn away), and nothing here can
-   raise. *)
-let merge_spans existing fresh =
-  let tr = Vreassembly.create () in
-  List.iter
-    (fun (sn, len) ->
-      match Vreassembly.insert_new tr ~sn ~len ~st:false with
-      | Ok _ | Error `Inconsistent -> ())
-    (existing @ fresh);
-  Vreassembly.spans tr
+   raise.
 
-(* During replay the lists an ACK grows are kept newest first and
-   unmerged — ledgers consed, placed runs rev-appended — and
-   [apply_journal] puts each into canonical shape once, at the end:
-   merging after every record would re-copy the whole accumulated
-   image, quadratic in the journal length. *)
+   During replay the lists an ACK grows are kept newest first and
+   unmerged — ledgers consed, placed runs and verified spans
+   rev-appended — and [apply_journal] puts each into canonical shape
+   once, at the end: merging after every record would re-copy the whole
+   accumulated image, quadratic in the journal length. *)
 let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
   let runs = List.map run_bytes runs in
   {
     ri with
     ri_placed = List.rev_append runs ri.ri_placed;
-    ri_verified = merge_spans ri.ri_verified (spans_of_runs ~elem_size runs);
+    ri_verified = List.rev_append (spans_of_runs ~elem_size runs) ri.ri_verified;
     ri_end_confirmed =
       (match end_confirmed with Some _ as e -> e | None -> ri.ri_end_confirmed);
     ri_end_claims = List.filter (fun (t, _) -> t <> t_id) ri.ri_end_claims;
@@ -186,9 +184,10 @@ let verified_frontier spans =
   in
   go 0 spans
 
+(* [ri] is mid-replay: its verified spans are unmerged. *)
 let receiver_complete ri =
   match ri.ri_end_confirmed with
-  | Some last -> verified_frontier ri.ri_verified > last
+  | Some last -> verified_frontier (merge_spans ri.ri_verified) > last
   | None -> false
 
 (* [ri] is mid-replay: its placed runs are newest first. *)
@@ -272,7 +271,13 @@ let apply_event ~elem_size ~quota_elems image ev =
 let apply_journal ~elem_size ~quota_elems image events =
   let placed f ri = { ri with ri_placed = f ri.ri_placed } in
   let newest_first = placed List.rev in
-  let canonical = placed (fun r -> normalize_runs ~elem_size (List.rev r)) in
+  let canonical ri =
+    {
+      ri with
+      ri_placed = normalize_runs ~elem_size (List.rev ri.ri_placed);
+      ri_verified = merge_spans ri.ri_verified;
+    }
+  in
   let ledger = List.sort_uniq Int.compare in
   let start =
     match image with

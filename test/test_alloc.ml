@@ -3,9 +3,9 @@
    to a committed figure.  Three streams: the in-order bulk stream, the
    same with every ACK journalled through a [Persist.Store], and a
    shuffled one with duplicate re-offers.  Each budget is the value
-   measured when each chunk came to cost one memo hit per lookup; a
-   change may lower a budget, and one that raises it has to say why
-   here.
+   measured once placement kept no interval list beside its element
+   maps; a change may lower a budget, and one that raises it has to say
+   why here.
 
    [Gc.minor_words ()] is exact at any instant; [Gc.quick_stat]'s
    [minor_words] is only brought up to date at collections, so it is not
@@ -26,9 +26,9 @@ let warm_tpdus = 8
 
 (* minor words per packet over each measured stream, as last measured;
    see the header *)
-let budget_bulk = 380.6
-let budget_journalled = 394.6
-let budget_shuffled = 366.9
+let budget_bulk = 368.6
+let budget_journalled = 382.6
+let budget_shuffled = 332.2
 
 let get = function Ok x -> x | Error e -> failwith e
 

@@ -206,7 +206,6 @@ module Ref_placement = struct
     elem_size : int;
     capacity_elems : int;
     buf : bytes;
-    tracker : Vreassembly.t;
     occ : bytes;
     lck : bytes;
     mutable conflicts_seen : int;
@@ -221,7 +220,6 @@ module Ref_placement = struct
       elem_size;
       capacity_elems;
       buf = Bytes.make (capacity_elems * elem_size) '\000';
-      tracker = Vreassembly.create ();
       occ = Bytes.make capacity_elems '\000';
       lck = Bytes.make capacity_elems '\000';
       conflicts_seen = 0;
@@ -274,8 +272,6 @@ module Ref_placement = struct
         push_conflict e Placement.Fresh_conflict
       end
     done;
-    (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-    | Ok _ | Error `Inconsistent -> ());
     {
       Placement.rp_fresh = List.rev !fresh;
       rp_benign = List.rev !benign;
@@ -304,8 +300,6 @@ module Ref_placement = struct
     else begin
       Bytes.blit data 0 p.buf (sn * p.elem_size) (Bytes.length data);
       Bytes.fill p.occ sn len '\001';
-      (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-      | Ok _ | Error `Inconsistent -> ());
       Ok ()
     end
 
@@ -317,20 +311,29 @@ module Ref_placement = struct
       os_verified_overwrites = p.verified_overwrites;
     }
 
-  let spans p = Vreassembly.spans p.tracker
-
-  let holes p =
-    let rec gaps expect = function
-      | [] ->
-          if expect < p.capacity_elems then [ (expect, p.capacity_elems - expect) ]
-          else []
-      | (s, l) :: rest ->
-          if s > expect then (expect, s - expect) :: gaps (s + l) rest
-          else gaps (s + l) rest
+  (* the maximal runs of elements whose byte in [map] is [v] *)
+  let runs map v =
+    let n = Bytes.length map in
+    let rec go e acc =
+      if e >= n then List.rev acc
+      else if Bytes.get map e <> v then go (e + 1) acc
+      else
+        let t = ref e in
+        while !t < n && Bytes.get map !t = v do incr t done;
+        go !t ((e, !t - e) :: acc)
     in
-    gaps 0 (spans p)
+    go 0 []
 
-  let is_full p = Vreassembly.received_elems p.tracker = p.capacity_elems
+  (* placed means occupied, locked elements included *)
+  let spans p = runs p.occ '\001'
+  let holes p = runs p.occ '\000'
+  let is_full p = not (Bytes.contains p.occ '\000')
+  let locked_spans p = runs p.lck '\001'
+
+  let first_unlocked p =
+    match Bytes.index_opt p.lck '\000' with
+    | Some e -> e
+    | None -> p.capacity_elems
 end
 
 let gen_differential =
@@ -342,6 +345,15 @@ let gen_differential =
         (gen_write ~cap ~max_len:40 ~in_window:false ~extended:true)
     in
     return (cap, elem, ws))
+
+(* The truth's [len] elements from [sn], xor [key]: payloads past the
+   truth's end are only ever refused, so clamp what is sliced while
+   keeping the chunk's labelled length. *)
+let clamped_payload ~elem sn len key =
+  let avail = max 0 (min len ((Bytes.length truth / elem) - sn)) in
+  let b = Bytes.make (len * elem) '\007' in
+  Bytes.blit (slice_of ~elem sn avail) 0 b 0 (avail * elem);
+  if key = 0 then b else xor_bytes key b
 
 let prop_differential (cap, elem, ws) =
   let p = Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems:cap ~elem_size:elem in
@@ -372,14 +384,7 @@ let prop_differential (cap, elem, ws) =
               (rep.Placement.rp_fresh @ rep.Placement.rp_benign)
         | Error _ -> ()
     in
-    (* payloads past the truth's end are only ever refused, so clamp
-       what is sliced while keeping the chunk's labelled length *)
-    let payload key =
-      let avail = max 0 (min len ((Bytes.length truth / elem) - sn)) in
-      let b = Bytes.make (len * elem) '\007' in
-      Bytes.blit (slice_of ~elem sn avail) 0 b 0 (avail * elem);
-      if key = 0 then b else xor_bytes key b
-    in
+    let payload = clamped_payload ~elem sn len in
     match kind with
     | Verified -> place ~verified:true (payload 0)
     | Fresh_honest -> place ~verified:false (payload 0)
@@ -392,18 +397,85 @@ let prop_differential (cap, elem, ws) =
           (Placement.restore_span p ~sn (payload k))
           (Ref_placement.restore_span r ~sn (payload k))
   in
+  (* no lock bit is ever cleared, so a frontier walked on from its last
+     position stays equal to a scan from element 0 *)
+  let frontier = ref 0 in
+  let sum = List.fold_left (fun n (_, l) -> n + l) 0 in
   List.iter
     (fun w ->
       step w;
+      frontier := Placement.first_unlocked p !frontier;
       if
         Placement.overlap_stats p <> Ref_placement.overlap_stats r
         || not (Bytes.equal (Placement.contents p) r.Ref_placement.buf)
         || Placement.spans p <> Ref_placement.spans r
         || Placement.holes p <> Ref_placement.holes r
         || Placement.is_full p <> Ref_placement.is_full r
-      then QCheck2.Test.fail_reportf "state diverged")
+        || Placement.placed_elems p <> sum (Ref_placement.spans r)
+        || Placement.locked_spans p <> Ref_placement.locked_spans r
+        || Placement.locked_elems p <> sum (Ref_placement.locked_spans r)
+      then QCheck2.Test.fail_reportf "state diverged";
+      if !frontier <> Ref_placement.first_unlocked r then
+        QCheck2.Test.fail_reportf "frontier %d, a scan from 0 finds %d"
+          !frontier (Ref_placement.first_unlocked r))
     ws;
   true
+
+(* Placed means occupied, locked elements included: a span locked
+   without ever being placed counts as placed. *)
+let test_lock_alone_counts_as_placed () =
+  let p = fresh_placement () in
+  Placement.lock_span p ~sn:4 ~len:3;
+  Alcotest.(check (list (pair int int))) "placed" [ (4, 3) ] (Placement.spans p);
+  Alcotest.(check int) "placed elems" 3 (Placement.placed_elems p);
+  Alcotest.(check (list (pair int int)))
+    "holes" [ (0, 4); (7, cap - 7) ] (Placement.holes p)
+
+(* The receiver never locks an element it has not placed: it locks only
+   runs a verified placement reported as its own, and re-locks a
+   snapshot's verified spans only after restoring its placed runs.
+   Under that discipline the occupancy runs equal the interval list of
+   every span placed or restored. *)
+let prop_receiver_discipline (cap, elem, ws) =
+  let p =
+    Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems:cap
+      ~elem_size:elem
+  in
+  let tracker = Vreassembly.create () in
+  let track sn len =
+    match Vreassembly.insert_new tracker ~sn ~len ~st:false with
+    | Ok _ | Error `Inconsistent -> ()
+  in
+  let payload = clamped_payload ~elem in
+  let restore sn len key =
+    match Placement.restore_span p ~sn (payload sn len key) with
+    | Ok () -> track sn len; true
+    | Error _ -> false
+  in
+  List.for_all
+    (fun (sn, len, kind) ->
+      (match kind with
+      | Verified | Fresh_honest | Fresh_divergent _ -> (
+          let key = match kind with Fresh_divergent k -> k | _ -> 0 in
+          let c = mk_chunk ~elem ~sn (payload sn len key) in
+          match
+            if kind = Verified then Placement.place_verified p c
+            else Placement.place_checked p c
+          with
+          | Ok rep ->
+              track sn len;
+              if kind = Verified then
+                List.iter
+                  (fun (sn, len) -> Placement.lock_span p ~sn ~len)
+                  (rep.Placement.rp_fresh @ rep.Placement.rp_benign)
+          | Error _ -> ())
+      | Lock ->
+          (* a restored verified span: placed first, then locked *)
+          if restore sn len 0 then Placement.lock_span p ~sn ~len
+      | Restore k -> ignore (restore sn len k));
+      Placement.spans p = Vreassembly.spans tracker
+      && Placement.placed_elems p = Vreassembly.received_elems tracker)
+    ws
 
 (* ------------------------------------------------------------------ *)
 (* Receiver-level property: a full transfer's sealed chunks mixed with
@@ -519,6 +591,11 @@ let suite =
     Util.qtest ~count:500
       "run placement over bit maps matches the per-element reference"
       gen_differential prop_differential;
+    Alcotest.test_case "a span locked without being placed counts as placed"
+      `Quick test_lock_alone_counts_as_placed;
+    Util.qtest ~count:300
+      "under the receiver's discipline placed runs equal the placed spans"
+      gen_differential prop_receiver_discipline;
     Util.qtest ~count:60
       "receiver delivery is order-invariant under forged overlaps"
       gen_receiver_case prop_receiver_order_invariant;

@@ -558,6 +558,55 @@ let test_contiguous_replay () =
         Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
           (Bytes.length image)
 
+(* Replay merges the verified spans once, at the end (and where an
+   archive reads them), not after every record.  A shuffled journal of
+   acknowledged TPDUs, some missing and an archive somewhere among them,
+   must replay to the image that replaying it one record at a time
+   builds: each one-record replay merges after its record. *)
+let gen_shuffled_acks =
+  let open QCheck2.Gen in
+  let* n = int_range 1 24 in
+  let* tpdu_elems = int_range 1 6 in
+  let* kept = list_repeat n (frequencyl [ (4, true); (1, false) ]) in
+  let* seed = int_range 0 0xFFFF in
+  let* archive_at = opt (int_range 0 n) in
+  return (n, tpdu_elems, kept, seed, archive_at)
+
+let prop_replay_merges_once (n, tpdu_elems, kept, seed, archive_at) =
+  let elem_size = 4 and conn = 3 in
+  let truth = Util.deterministic_bytes (n * tpdu_elems * elem_size) in
+  let acked =
+    List.filteri (fun t _ -> List.nth kept t) (List.init n Fun.id)
+    |> List.map (fun t ->
+           let sn = t * tpdu_elems in
+           Persist.Acked
+             {
+               conn;
+               t_id = t;
+               end_confirmed =
+                 (if t = n - 1 then Some ((n * tpdu_elems) - 1) else None);
+               runs =
+                 [
+                   Persist.owned_run sn
+                     (Bytes.sub truth (sn * elem_size) (tpdu_elems * elem_size));
+                 ];
+               parity = None;
+             })
+    |> Util.shuffle ~seed
+  in
+  let events =
+    match archive_at with
+    | None -> acked
+    | Some k ->
+        List.filteri (fun i _ -> i < k) acked
+        @ (Persist.Archived conn :: List.filteri (fun i _ -> i >= k) acked)
+  in
+  let replay img evs =
+    Persist.apply_journal ~elem_size ~quota_elems:(n * tpdu_elems) img evs
+  in
+  replay (Persist.Multi []) events
+  = List.fold_left (fun img ev -> replay img [ ev ]) (Persist.Multi []) events
+
 (* Journal records from borrowed run views: random ACK events whose
    several runs are views at nonzero offsets into one shared source
    buffer.  Appending them must write exactly the bytes that appending
@@ -928,4 +977,7 @@ let suite =
       test_sender_restore_rejects_adaptive;
     Util.qtest ~count:200 "journal records from borrowed run views"
       gen_view_events prop_view_records;
+    Util.qtest ~count:200
+      "shuffled ACK journal replays as one record at a time does"
+      gen_shuffled_acks prop_replay_merges_once;
   ]

@@ -565,6 +565,98 @@ let test_shed_clobber_caught () =
          shed_safety f.Check.Soak.shrunk.Check.Shrink.violations)
        report.Check.Soak.findings)
 
+(* --- the completion rule --- *)
+
+(* [complete] walks the lock map and the shed spans from a forward-only
+   frontier.  Whatever the path — TPDUs passing out of order, a shed, a
+   snapshot restored mid-way whose image carries a verified span the
+   window cannot hold — it must agree with a from-scratch reading: the
+   first gap in the sorted merge of the verified and the shed spans. *)
+let test_completion_rule () =
+  let tpdu_elems = 8 and n_tpdus = 6 in
+  let elems = tpdu_elems * n_tpdus in
+  let config =
+    {
+      CT.default_config with
+      conn_id = 4;
+      tpdu_elems;
+      classify =
+        (fun t_id ->
+          if t_id = 2 then Significance.Sheddable 1 else Significance.Normal);
+    }
+  in
+  let data = Util.deterministic_bytes (config.CT.elem_size * elems) in
+  let framer =
+    Framer.create ~elem_size:config.CT.elem_size ~tpdu_elems
+      ~conn_id:config.CT.conn_id ()
+  in
+  let sealed =
+    Util.ok_or_fail
+      (Edc.Encoder.seal_tpdus
+         (Util.ok_or_fail (Framer.push_frame ~last:true framer data)))
+  in
+  let packets t =
+    List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed
+    |> Packet.pack ~mtu:config.CT.mtu
+    |> Util.ok_or_fail |> List.map Packet.encode
+  in
+  let engine = Netsim.Engine.create ~seed:3 () in
+  let send_ack _ = () and capacity = `Exact elems in
+  let rx = ref (CT.Receiver.create engine config ~send_ack ~capacity ()) in
+  let verified = ref [] in
+  let old_rule spans =
+    let rec go expect = function
+      | [] -> expect
+      | (s, l) :: rest ->
+          if s > expect then expect else go (Int.max expect (s + l)) rest
+    in
+    go 0 (List.sort compare spans) >= elems
+  in
+  let check step =
+    let want = Transport.Persist.coalesce_spans !verified in
+    Alcotest.(check (list (pair int int)))
+      (step ^ ": exported verified spans")
+      want (CT.Receiver.export !rx).Transport.Persist.ri_verified;
+    Alcotest.(check bool)
+      (step ^ ": complete as the sorted merge says")
+      (old_rule (want @ CT.Receiver.shed_spans !rx))
+      (CT.Receiver.complete !rx)
+  in
+  let pass t =
+    List.iter (CT.Receiver.ingest !rx) (packets t);
+    verified := (t * tpdu_elems, tpdu_elems) :: !verified;
+    check (Printf.sprintf "TPDU %d passed" t)
+  in
+  let shed () =
+    CT.Receiver.shed_tpdu !rx ~t_id:2 ~first_elem:(2 * tpdu_elems)
+      ~elems:tpdu_elems;
+    check "TPDU 2 shed"
+  in
+  check "fresh";
+  pass 3;
+  pass 0;
+  pass 1;
+  shed ();
+  (* the image gains a verified span straddling the window's end: the
+     restored receiver cannot lock it, so it neither exports it nor
+     counts it toward completion *)
+  let img = CT.Receiver.export !rx in
+  let img =
+    {
+      img with
+      Transport.Persist.ri_verified =
+        img.Transport.Persist.ri_verified @ [ (elems - 4, 8) ];
+    }
+  in
+  rx :=
+    CT.Receiver.restore engine config ~send_ack ~capacity img
+      ~acked_tids:(CT.Receiver.acked_tids !rx);
+  check "restored";
+  pass 4;
+  if CT.Receiver.shed_spans !rx = [] then shed ();
+  pass 5;
+  Alcotest.(check bool) "complete at the end" true (CT.Receiver.complete !rx)
+
 let suite =
   [
     Util.qtest ~count:200 "Shed_tpdu signal round-trips" gen_shed_signal
@@ -575,6 +667,8 @@ let suite =
       test_forged_shed_ignored;
     Alcotest.test_case "shed after verification is ignored" `Quick
       test_shed_after_verify_ignored;
+    Alcotest.test_case "completion matches the sorted merge of verified and shed spans"
+      `Quick test_completion_rule;
     Alcotest.test_case "governor displaces sheddable state first" `Quick
       test_governor_evicts_sheddable_first;
     Alcotest.test_case "governor: scripted eviction order pinned" `Quick
