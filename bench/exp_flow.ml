@@ -1,19 +1,17 @@
-(* ROB-FLOW: the scan entry against the decoder entry on a
-   million-connection Zipf mix.
+(* ROB-FLOW: the endpoint's one packet entry on a million-connection
+   Zipf mix.
 
    The workload is the paper's high-fan-in receiver: a demultiplexer
    facing a C.ID space of 10^6 connections with Zipf-skewed traffic, a
    hot set of open connections and a cold tail of strangers.  The same
    pre-encoded packet sequence is fed to two identical [Multi]
-   endpoints — one through the decoder entry [on_packet] (full decode
-   per packet), one through the scan entry [ingest_batch] (structural
-   scan) — and both feed every chunk through the one per-chunk
-   dispatch, whose connection lookups go through a memo of the
-   connection table.  The bench asserts:
+   endpoints — one packet per [ingest] call, and 32 per [ingest_batch]
+   call — and both scan every packet and feed every chunk through the
+   one per-chunk dispatch, whose connection lookups go through a memo
+   of the connection table.  The bench asserts:
 
-   - delivery is byte-identical across every hot connection (with
-     [test/test_flowcache.ml]'s properties, what holds the two entries
-     equal);
+   - delivery is byte-identical across every hot connection whatever
+     the batch size;
    - the connection memo's hit rate on the skewed mix is >= 90%;
    - the isolated demux+parse stage (scan plus one memo probe per
      chunk) is >= 5x faster than decode-and-look-up.
@@ -235,63 +233,41 @@ let record = Util_bench.Metrics.record ~exp:"ROB-FLOW"
 let run () =
   section "ROB-FLOW"
     (Printf.sprintf
-       "scan vs decoder entry: %d-ID Zipf mix, %d hot connections, %d packets"
+       "one packet entry: %d-ID Zipf mix, %d hot connections, %d packets"
        id_space hot_conns n_packets);
 
-  (* Main comparison at alpha = 1.3, batch = 32. *)
+  (* Main comparison at alpha = 1.3: per-packet [ingest] against
+     [ingest_batch] on batches of 32.  Each endpoint is digested and
+     dropped before the next one runs, so nothing is kept live but the
+     packet stream and the digests. *)
   let stream = build_stream ~alpha:1.3 in
-  (* Each side twice, order alternated, minimum kept, and every
-     endpoint digested and dropped before the next is timed: on one
-     core a timed run pays for marking whatever earlier runs left live,
-     so nothing is kept live but the packet stream and the digests. *)
-  let run_slow () =
+  let run_endpoint feed =
     let m = mk_multi () in
-    Gc.compact ();
-    let (), t =
-      time (fun () ->
-          feed_opens (Transport.Multi.on_packet m);
-          Array.iter (Transport.Multi.on_packet m) stream)
-    in
-    let d = delivered_digest m in
-    Transport.Multi.teardown m;
-    (d, t)
-  in
-  let run_fast () =
-    let m = mk_multi () in
-    Gc.compact ();
-    let (), t =
-      time (fun () ->
-          feed_opens (Transport.Multi.ingest m);
-          batched stream 32 (Transport.Multi.ingest_batch m))
-    in
+    feed_opens (Transport.Multi.ingest m);
+    feed m;
     let d = delivered_digest m in
     let fp = Transport.Multi.fastpath_stats m in
     Transport.Multi.teardown m;
-    (d, fp, t)
+    (d, fp)
   in
-  let d_slow, t_slow1 = run_slow () in
-  let d_fast, fp, t_fast1 = run_fast () in
-  let _, _, t_fast2 = run_fast () in
-  let _, t_slow2 = run_slow () in
-  let t_slow = Float.min t_slow1 t_slow2
-  and t_fast = Float.min t_fast1 t_fast2 in
+  let d_single, _ =
+    run_endpoint (fun m -> Array.iter (Transport.Multi.ingest m) stream)
+  in
+  let d_batch, fp =
+    run_endpoint (fun m -> batched stream 32 (Transport.Multi.ingest_batch m))
+  in
   let hit = Transport.Flowcache.hit_rate fp.Transport.Multi.fp_conn in
   let pps t = float_of_int n_packets /. t in
-  Printf.printf
-    "  end-to-end   on_packet %8.0f pkt/s   ingest_batch(32) %8.0f pkt/s   \
-     %.2fx\n"
-    (pps t_slow) (pps t_fast) (t_slow /. t_fast);
   Printf.printf "  conn-memo hit rate %.4f  (hits %d  misses %d)\n" hit
     fp.Transport.Multi.fp_conn.Transport.Flowcache.s_hits
     fp.Transport.Multi.fp_conn.Transport.Flowcache.s_misses;
-  record "slow pkt/s" (pps t_slow);
-  record "fast pkt/s @batch 32" (pps t_fast);
-  record "end-to-end speedup" (t_slow /. t_fast);
   record "conn hit rate @1.3" hit;
 
-  (* The two entries must agree: byte-identical delivery. *)
-  assert (d_slow = d_fast);
-  Printf.printf "  delivery: byte-identical across all %d hot connections\n"
+  (* Batching must not change what is delivered. *)
+  assert (d_single = d_batch);
+  Printf.printf
+    "  delivery: ingest and ingest_batch(32) byte-identical across all %d \
+     hot connections\n"
     hot_conns;
   assert (hit >= 0.9);
 

@@ -235,7 +235,7 @@ let rob_recover () =
             CT.Sender.create engine
               { config with CT.conn_id = i + 1 }
               ~announce_open:true
-              ~send:(fun b -> Transport.Multi.on_packet m b)
+              ~send:(fun b -> Transport.Multi.ingest m b)
               ~data:(transfer_data 16384) ())
       in
       List.iter CT.Sender.start senders;
@@ -408,29 +408,14 @@ let rob_isolate () =
     let multi = ref None in
     let byzantine = ref None in
     let senders : (int, CT.Sender.t) Hashtbl.t = Hashtbl.create 8 in
-    let demux_reverse b =
-      match Labelling.Wire.decode_packet b with
-      | Error _ -> ()
-      | Ok chunks ->
-          List.iter
-            (fun ch ->
-              if not (Labelling.Chunk.is_terminator ch) then
-                let cid =
-                  ch.Labelling.Chunk.header.Labelling.Header.c
-                    .Labelling.Ftuple.id
-                in
-                match Hashtbl.find_opt senders cid with
-                | Some tx -> CT.Sender.on_chunk tx ch
-                | None -> ())
-            chunks
-    in
+    let demux_reverse = CT.Sender.demux (Hashtbl.find_opt senders) in
     (* the adversary taps the door for its replay ring, exactly like the
        conformance driver's wiring, and injects past the honest links *)
     let door b =
       (match !byzantine with
       | Some bz -> Netsim.Byzantine.observe bz b
       | None -> ());
-      match !multi with Some m -> Transport.Multi.on_packet m b | None -> ()
+      match !multi with Some m -> Transport.Multi.ingest m b | None -> ()
     in
     let forward =
       Netsim.Link.create engine ~name:"fwd" ~rate_bps:100e6 ~delay:1e-3
@@ -472,7 +457,7 @@ let rob_isolate () =
              ~replay:true ~garbage:true
              ~inject:(fun b ->
                match !multi with
-               | Some m -> Transport.Multi.on_packet m b
+               | Some m -> Transport.Multi.ingest m b
                | None -> ())
              ~inject_ack:demux_reverse ());
     (* poll for the moment every honest transfer completes; the engine

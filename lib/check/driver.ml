@@ -925,22 +925,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   (* Reverse traffic is demultiplexed to the per-connection sender by
      the C.ID every control chunk carries. *)
   let senders : (int, CT.Sender.t) Hashtbl.t = Hashtbl.create 8 in
-  let demux_reverse b =
-    match Labelling.Wire.decode_packet b with
-    | Error _ -> ()
-    | Ok chunks ->
-        List.iter
-          (fun ch ->
-            if not (Labelling.Chunk.is_terminator ch) then
-              let cid =
-                ch.Labelling.Chunk.header.Labelling.Header.c
-                  .Labelling.Ftuple.id
-              in
-              match Hashtbl.find_opt senders cid with
-              | Some tx -> CT.Sender.on_chunk tx ch
-              | None -> ())
-          chunks
-  in
+  let demux_reverse = CT.Sender.demux (Hashtbl.find_opt senders) in
   let reverse_send = build_reverse ~trace s engine demux_reverse in
   let quota_elems =
     CT.expected_elements config ~data_len:s.Schedule.data_len

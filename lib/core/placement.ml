@@ -286,11 +286,10 @@ let checked op p (v : Chunk.view) ~verified =
   end
 
 let place_view ?(verified = false) p v =
-  checked (if verified then "place_verified" else "place") p v ~verified
+  checked (if verified then "place_view ~verified" else "place") p v ~verified
 
 let place_checked p chunk = place_view p (Chunk.view chunk)
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)
-let place_verified p chunk = place_view ~verified:true p (Chunk.view chunk)
 
 let lock_span p ~sn ~len =
   if sn >= 0 && len > 0 && len <= p.capacity_elems

@@ -24,8 +24,8 @@
       bytes are left alone and the conflict is reported to the caller
       ({!report.rp_conflicts} with {!Fresh_conflict}), who quarantines
       the newcomer until one side's parity settles the dispute; a
-      {!place_verified} write then reclaims the bytes from the
-      unverified squatter.
+      verified write ({!place_view} [~verified:true]) then reclaims the
+      bytes from the unverified squatter.
 
     The policy is defined per element but applied per run: a maximal
     run of unplaced elements is written with one copy, a run of placed
@@ -50,7 +50,7 @@ type kind =
 type report = {
   rp_fresh : (int * int) list;
       (** element runs (relative to [base_sn]) freshly written by this
-          call — including squatter bytes a {!place_verified} write
+          call — including squatter bytes a verified write
           reclaimed *)
   rp_benign : (int * int) list;
       (** runs whose resident bytes already equalled the newcomer's *)
@@ -65,7 +65,7 @@ type overlap_stats = {
   os_quarantined : int;
       (** fresh-vs-fresh conflict elements deferred to parity *)
   os_verified_overwrites : int;
-      (** {!place_verified} writes that met locked-different bytes — two
+      (** verified writes that met locked-different bytes — two
           WSC-2-verified TPDUs disagreeing about one element.  Impossible
           without a forged parity; the conformance oracle asserts this
           stays zero in every profile. *)
@@ -94,19 +94,16 @@ val place_checked : t -> Chunk.t -> (report, string) result
 (** Like {!place}, returning the per-element outcome so the caller can
     quarantine {!Fresh_conflict} runs.  Same failure cases. *)
 
-val place_verified : t -> Chunk.t -> (report, string) result
-(** Write on behalf of a TPDU whose parity has {e passed}: overwrites
-    unverified squatters, never locked-different bytes (those increment
-    [os_verified_overwrites] and are reported as {!Verified_conflict}).
-    The caller should then {!lock_span} the runs it now owns
-    ([rp_fresh @ rp_benign]). *)
-
 val place_view :
   ?verified:bool -> t -> Chunk.view -> (report, string) result
-(** {!place_checked} ([verified = false], the default) or
-    {!place_verified} ([true]) of a chunk read in place: the payload is
-    copied once, from the view's buffer straight into the destination.
-    Those three are adapters onto this one. *)
+(** {!place_checked} of a chunk read in place: the payload is copied
+    once, from the view's buffer straight into the destination; {!place}
+    and {!place_checked} are adapters onto this one.  With [~verified:true]
+    the write is on behalf of a TPDU whose parity has {e passed}: it
+    overwrites unverified squatters, never locked-different bytes (those
+    increment [os_verified_overwrites] and are reported as
+    {!Verified_conflict}), and the caller should then {!lock_span} the
+    runs it now owns ([rp_fresh @ rp_benign]). *)
 
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes

@@ -1,23 +1,49 @@
-let header_size = 46
+(* The 46-byte header layout (paper Fig 2), declared once: every writer,
+   decoder and scan reader below takes its positions from these
+   offsets, constants the compiler folds into each access.  [layout] is
+   the same declaration as data, for the tests. *)
+let o_type = 0
+let o_size = 1
+let o_len = 3
+let o_c = 7
+let o_t = 20
+let o_x = 33
+
+(* within a label tuple *)
+let o_id = 0
+let o_sn = 4
+let o_st = 12
+let tuple_size = 13
+let header_size = o_x + tuple_size
+
+type tuple = C | T | X
+type field = Type | Size | Len | Id of tuple | Sn of tuple | St of tuple
+
+let layout =
+  [ (Type, o_type, 1); (Size, o_size, 2); (Len, o_len, 4) ]
+  @ List.concat_map
+      (fun (u, base) ->
+        [ (Id u, base + o_id, 4); (Sn u, base + o_sn, 8); (St u, base + o_st, 1) ])
+      [ (C, o_c); (T, o_t); (X, o_x) ]
 
 let chunk_size c = header_size + Chunk.payload_bytes c
 
 let chunks_size cs = List.fold_left (fun acc c -> acc + chunk_size c) 0 cs
 
-(* The one writer of the 46-byte header layout: every encoder below,
+(* The one writer of the header layout: every encoder below,
    buffer-appending or in place, goes through [write_header]. *)
 let write_tuple b off (u : Ftuple.t) =
-  Bytes.set_int32_be b off (Int32.of_int u.Ftuple.id);
-  Bytes.set_int64_be b (off + 4) (Int64.of_int u.Ftuple.sn);
-  Bytes.set_uint8 b (off + 12) (if u.Ftuple.st then 1 else 0)
+  Bytes.set_int32_be b (off + o_id) (Int32.of_int u.Ftuple.id);
+  Bytes.set_int64_be b (off + o_sn) (Int64.of_int u.Ftuple.sn);
+  Bytes.set_uint8 b (off + o_st) (if u.Ftuple.st then 1 else 0)
 
 let write_header b off (h : Header.t) =
-  Bytes.set_uint8 b off (Ctype.code h.Header.ctype);
-  Bytes.set_uint16_be b (off + 1) h.Header.size;
-  Bytes.set_int32_be b (off + 3) (Int32.of_int h.Header.len);
-  write_tuple b (off + 7) h.Header.c;
-  write_tuple b (off + 20) h.Header.t;
-  write_tuple b (off + 33) h.Header.x
+  Bytes.set_uint8 b (off + o_type) (Ctype.code h.Header.ctype);
+  Bytes.set_uint16_be b (off + o_size) h.Header.size;
+  Bytes.set_int32_be b (off + o_len) (Int32.of_int h.Header.len);
+  write_tuple b (off + o_c) h.Header.c;
+  write_tuple b (off + o_t) h.Header.t;
+  write_tuple b (off + o_x) h.Header.x
 
 (* Writes [c] at [off] and returns the offset just past it. *)
 let write_chunk b off c =
@@ -38,9 +64,9 @@ let encode_chunk buf c =
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
 
 let get_tuple b off =
-  let id = get_u32 b off in
-  let sn = Int64.to_int (Bytes.get_int64_be b (off + 4)) in
-  let st_byte = Bytes.get_uint8 b (off + 12) in
+  let id = get_u32 b (off + o_id) in
+  let sn = Int64.to_int (Bytes.get_int64_be b (off + o_sn)) in
+  let st_byte = Bytes.get_uint8 b (off + o_st) in
   if sn < 0 then Error "Wire: SN overflows native int"
   else if st_byte > 1 then Error "Wire: invalid ST byte"
   else Ok (Ftuple.v ~st:(st_byte = 1) ~id ~sn ())
@@ -51,12 +77,12 @@ let decode_header b off =
   if off < 0 || Bytes.length b - off < header_size then
     Error "Wire.decode_header: truncated header"
   else begin
-    let* ctype = Ctype.of_code (Bytes.get_uint8 b off) in
-    let size = Bytes.get_uint16_be b (off + 1) in
-    let len = get_u32 b (off + 3) in
-    let* c = get_tuple b (off + 7) in
-    let* t = get_tuple b (off + 20) in
-    let* x = get_tuple b (off + 33) in
+    let* ctype = Ctype.of_code (Bytes.get_uint8 b (off + o_type)) in
+    let size = Bytes.get_uint16_be b (off + o_size) in
+    let len = get_u32 b (off + o_len) in
+    let* c = get_tuple b (off + o_c) in
+    let* t = get_tuple b (off + o_t) in
+    let* x = get_tuple b (off + o_x) in
     Header.v ~ctype ~size ~len ~c ~t ~x
   end
 
@@ -98,8 +124,8 @@ let with_ids template ~c_id ~t_id =
   Ftuple.check_id c_id;
   Ftuple.check_id t_id;
   let b = Bytes.copy template in
-  Bytes.set_int32_be b 7 (Int32.of_int c_id);
-  Bytes.set_int32_be b 20 (Int32.of_int t_id);
+  Bytes.set_int32_be b (o_c + o_id) (Int32.of_int c_id);
+  Bytes.set_int32_be b (o_t + o_id) (Int32.of_int t_id);
   b
 
 (* Checksummed record framing for persisted state (crash-recovery
@@ -270,7 +296,7 @@ module Scan = struct
   (* SN validity mirrors [get_tuple]: [Int64.to_int sn >= 0], i.e. bit
      62 of the big-endian word clear (bit 63 is dropped by [to_int]) —
      one byte read instead of a boxed [Int64]. *)
-  let tuple_ok b off = u8 b (off + 4) land 0x40 = 0 && u8 b (off + 12) <= 1
+  let tuple_ok b off = u8 b (off + o_sn) land 0x40 = 0 && u8 b (off + o_st) <= 1
 
   let packet s b =
     s.n <- 0;
@@ -279,25 +305,25 @@ module Scan = struct
       if off >= nb then true
       else if nb - off < header_size then all_zero b off
       else begin
-        let len = u32 b (off + 3) in
+        let len = u32 b (off + o_len) in
         if len > Header.max_len then false
         else begin
-          let code = u8 b off in
+          let code = u8 b (off + o_type) in
           let is_data = code = 0 in
-          let size = u16 b (off + 1) in
+          let size = u16 b (off + o_size) in
           if is_data && len > 0 && size < 1 then false
           else if
             not
-              (tuple_ok b (off + 7)
-              && tuple_ok b (off + 20)
-              && tuple_ok b (off + 33))
+              (tuple_ok b (off + o_c)
+              && tuple_ok b (off + o_t)
+              && tuple_ok b (off + o_x))
           then false
           else if len = 0 then true (* terminator: rest of packet ignored *)
           else begin
             let nbytes = if is_data then size * len else len in
             if nb - (off + header_size) < nbytes then false
             else begin
-              push s off (u32 b (off + 7)) code;
+              push s off (u32 b (off + o_c + o_id)) code;
               go (off + header_size + nbytes)
             end
           end
@@ -306,29 +332,31 @@ module Scan = struct
     in
     go 0
 
-  let size b off = Bytes.get_uint16_be b (off + 1)
-  let len b off = get_u32 b (off + 3)
-  let c_id b off = get_u32 b (off + 7)
-  let t_id b off = get_u32 b (off + 20)
+  let size b off = Bytes.get_uint16_be b (off + o_size)
+  let len b off = get_u32 b (off + o_len)
+  let c_id b off = get_u32 b (off + o_c + o_id)
+  let t_id b off = get_u32 b (off + o_t + o_id)
 
   let tuple b off =
     Ftuple.v
-      ~st:(Bytes.get_uint8 b (off + 12) = 1)
-      ~id:(get_u32 b off)
-      ~sn:(Int64.to_int (Bytes.get_int64_be b (off + 4)))
+      ~st:(Bytes.get_uint8 b (off + o_st) = 1)
+      ~id:(get_u32 b (off + o_id))
+      ~sn:(Int64.to_int (Bytes.get_int64_be b (off + o_sn)))
       ()
 
   let header b off =
     let ctype =
-      match Bytes.get_uint8 b off with 0 -> Ctype.Data | k -> Ctype.Control k
+      match Bytes.get_uint8 b (off + o_type) with
+      | 0 -> Ctype.Data
+      | k -> Ctype.Control k
     in
     {
       Header.ctype;
-      size = Bytes.get_uint16_be b (off + 1);
-      len = get_u32 b (off + 3);
-      c = tuple b (off + 7);
-      t = tuple b (off + 20);
-      x = tuple b (off + 33);
+      size = size b off;
+      len = len b off;
+      c = tuple b (off + o_c);
+      t = tuple b (off + o_t);
+      x = tuple b (off + o_x);
     }
 
   let view b off =

@@ -24,6 +24,18 @@
 val header_size : int
 (** 46 bytes. *)
 
+type tuple = C | T | X
+(** The three label tuples of a header: connection, TPDU and external
+    PDU. *)
+
+type field = Type | Size | Len | Id of tuple | Sn of tuple | St of tuple
+
+val layout : (field * int * int) list
+(** Every header field with its byte offset and width in bytes, in
+    header order: the table above, as the one declaration the header
+    writer, the decoders, {!Scan} and {!with_ids} take their offsets
+    from.  Multi-byte fields are big-endian. *)
+
 val chunk_size : Chunk.t -> int
 (** On-wire bytes of one chunk: header + payload ({!header_size} for a
     terminator). *)
@@ -65,13 +77,19 @@ val with_ids : bytes -> c_id:int -> t_id:int -> bytes
 val decode_packet : bytes -> (Chunk.t list, string) result
 (** Parse all chunks of a packet, stopping at a terminator, at
     end-of-buffer, or at a residue smaller than one header (treated as
-    padding only if all-zero). *)
+    padding only if all-zero).  The decoder of the network elements
+    that rewrite packets, of {!Repack} and [Edc.Detect], and the
+    reference {!Scan} is tested against; the endpoint itself uses
+    {!Scan}. *)
 
 (** {1 Zero-allocation packet scanning}
 
-    The packet entry of both receivers ([Transport.Multi.ingest] and
-    [Transport.Chunk_transport.Receiver.ingest]): walk a packet image
-    once, validating its structure and recording chunk start offsets,
+    The endpoint's only decoder, in both directions: the packet entry
+    of both receivers ([Transport.Multi.ingest] and
+    [Transport.Chunk_transport.Receiver.ingest]), of the reverse path
+    ([Transport.Chunk_transport.Sender.demux]) and of a restored
+    receiver's persisted chunks.  It walks a packet image once,
+    validating its structure and recording chunk start offsets,
     without building [Chunk.t] values or copying payload bytes.  Label
     fields can then be read straight out of the buffer at those
     offsets, and {!Scan.view} hands each chunk to the receivers' one

@@ -130,22 +130,37 @@ let m_rtt = Obs.Metrics.histogram "transport_rtt_us"
 let m_backoff = Obs.Metrics.histogram "transport_rto_backoff_us"
 let g_rto = Obs.Metrics.gauge "transport_rto_us"
 
-let parse_nack chunk =
-  let p = chunk.Chunk.payload in
-  if Bytes.length p < 3 then Error "bad NACK"
+(* The [n]-byte NACK payload at [pos] of [b], read where it lies. *)
+let parse_nack b pos n =
+  if n < 3 then None
   else begin
-    let need_ed = Bytes.get_uint8 p 0 land 1 = 1 in
-    let count = Bytes.get_uint16_be p 1 in
-    if Bytes.length p <> 3 + (8 * count) then Error "bad NACK size"
+    let count = Bytes.get_uint16_be b (pos + 1) in
+    if n <> 3 + (8 * count) then None
     else begin
+      let u32 at = Int32.to_int (Bytes.get_int32_be b at) land 0xFFFF_FFFF in
       let spans =
         List.init count (fun i ->
-            ( Int32.to_int (Bytes.get_int32_be p (3 + (8 * i))) land 0xFFFF_FFFF,
-              Int32.to_int (Bytes.get_int32_be p (7 + (8 * i))) land 0xFFFF_FFFF ))
+            (u32 (pos + 3 + (8 * i)), u32 (pos + 7 + (8 * i))))
       in
-      Ok (need_ed, spans)
+      Some (Bytes.get_uint8 b pos land 1 = 1, spans)
     end
   end
+
+(* The one re-ACK path.  An already-verified TPDU whose traffic keeps
+   arriving means the sender never heard the ACK (a lossy or black-holed
+   reverse path): re-acknowledge instead of staying silent, or the
+   sender retransmits to a wall until it gives up.  Throttled per TPDU
+   through the caller's [last_reack] table, so a duplication storm does
+   not become an ACK storm; every re-ACK sent is counted twice over, in
+   [counts] and in the registry. *)
+let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
+  match Int_table.find_opt last_reack t_id with
+  | Some last when now -. last < gap -> ()
+  | Some _ | None ->
+      Int_table.replace last_reack t_id now;
+      counts.Counters.reacks_sent <- counts.Counters.reacks_sent + 1;
+      if Obs.enabled then Obs.Metrics.incr m_reacks;
+      send_ack (ack_packet ~conn_id ~t_id)
 
 module Receiver = struct
   (* Placement writes straight into the application buffer at the
@@ -537,24 +552,11 @@ module Receiver = struct
       rx.counts.aborts_received <- rx.counts.aborts_received + 1
     end
 
-  (* An already-verified TPDU whose traffic keeps arriving means the
-     sender never heard the ACK (a lossy or black-holed reverse path):
-     re-acknowledge instead of staying silent, or the sender retransmits
-     to a wall until it gives up.  Throttled per TPDU so a duplication
-     storm does not become an ACK storm. *)
-  let re_ack rx t_id =
-    let now = Netsim.Engine.now rx.engine in
-    let due =
-      match Int_table.find_opt rx.last_reack t_id with
-      | Some last -> now -. last >= rx.config.nack_delay
-      | None -> true
-    in
-    if due then begin
-      Int_table.replace rx.last_reack t_id now;
-      rx.counts.reacks_sent <- rx.counts.reacks_sent + 1;
-      if Obs.enabled then Obs.Metrics.incr m_reacks;
-      rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
-    end
+  (* [reack] of [t_id] through the epoch's own throttle table, at most
+     once per [gap] seconds. *)
+  let re_ack rx ~gap t_id =
+    reack ~counts:rx.counts ~send_ack:rx.send_ack ~last_reack:rx.last_reack
+      ~gap ~now:(Netsim.Engine.now rx.engine) ~conn_id:rx.config.conn_id t_id
 
   (* The sender deliberately abandoned a sheddable TPDU (partial
      reliability).  Honoured only when this receiver's own classifier
@@ -567,7 +569,7 @@ module Receiver = struct
     if Int_table.mem rx.acked t_id || Int_table.mem rx.shed_tids t_id then
       (* a shed racing a lost ACK, or a duplicated shed signal: the
          sender is still retrying, so re-acknowledge (throttled) *)
-      re_ack rx t_id
+      re_ack rx ~gap:rx.config.nack_delay t_id
     else if Significance.sheddable (rx.config.classify t_id) then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
@@ -764,7 +766,7 @@ module Receiver = struct
      state the sender will never complete. *)
   let settled rx t_id =
     if Int_table.mem rx.acked t_id then begin
-      re_ack rx t_id;
+      re_ack rx ~gap:rx.config.nack_delay t_id;
       true
     end
     else Int_table.mem rx.shed_tids t_id
@@ -824,8 +826,6 @@ module Receiver = struct
         account rx t_id
       end
     end
-
-  let on_chunk rx chunk = on_view rx (Chunk.view chunk)
 
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
@@ -888,7 +888,6 @@ module Receiver = struct
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
   let overlap_stats rx = Placement.overlap_stats rx.placement
-  let verified_elems rx = Placement.locked_elems rx.placement
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
   let counters rx = rx.counts
@@ -1012,14 +1011,17 @@ module Receiver = struct
       (fun (t, at) -> Int_table.replace rx.last_reack t at)
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
+    (* each stashed chunk was persisted as a one-chunk packet: scanned,
+       then held as a view of that packet *)
+    let scan = Wire.Scan.create () in
     List.iter
       (fun (pi : Persist.corrob_image) ->
         let stash =
           List.filter_map
             (fun (b, t_sn, elems) ->
-              match Wire.decode_packet b with
-              | Ok (c :: _) -> Some (Chunk.view c, t_sn, elems)
-              | Ok [] | Error _ -> None)
+              if Wire.Scan.packet scan b && Wire.Scan.count scan > 0 then
+                Some (Wire.Scan.view b (Wire.Scan.offset scan 0), t_sn, elems)
+              else None)
             pi.Persist.pi_stash
           |> List.rev
         in
@@ -1056,14 +1058,7 @@ module Receiver = struct
      ledger, because any ACK sent in the pre-crash epoch may have been
      lost with the crash — the sender retransmitting into a restored
      receiver that stays silent would probe until give-up. *)
-  let reannounce rx =
-    List.iter
-      (fun t_id ->
-        Int_table.replace rx.last_reack t_id (Netsim.Engine.now rx.engine);
-        rx.counts.reacks_sent <- rx.counts.reacks_sent + 1;
-        if Obs.enabled then Obs.Metrics.incr m_reacks;
-        rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id))
-      (acked_tids rx)
+  let reannounce rx = List.iter (re_ack rx ~gap:neg_infinity) (acked_tids rx)
 end
 
 module Sender = struct
@@ -1327,11 +1322,9 @@ module Sender = struct
     match Wire.encode_packet [ s ] with
     | Error _ -> ()
     | Ok b ->
-        tx.packets_sent <- tx.packets_sent + 1;
-        tx.bytes_sent <- tx.bytes_sent + Bytes.length b;
         tx.aborts_sent <- tx.aborts_sent + 1;
         if Obs.enabled then Obs.Metrics.incr m_aborts_sent;
-        tx.send b
+        emit tx b
 
   (* The element span a stored TPDU covers in the connection buffer:
      its data chunks (everything before the trailing ED chunk) are
@@ -1368,12 +1361,7 @@ module Sender = struct
           Connection.signal_chunk ~conn_id:tx.config.conn_id
             (Connection.Shed_tpdu { t_id = tp.t_id; first_elem; elems })
         in
-        match Wire.encode_packet [ s ] with
-        | Error _ -> ()
-        | Ok b ->
-            tx.packets_sent <- tx.packets_sent + 1;
-            tx.bytes_sent <- tx.bytes_sent + Bytes.length b;
-            tx.send b)
+        match Wire.encode_packet [ s ] with Error _ -> () | Ok b -> emit tx b)
 
   (* First shed of a TPDU: count it once and trace it. *)
   let shed_now tx tp =
@@ -1587,19 +1575,37 @@ module Sender = struct
           send_chunks tx to_send
         end
 
-  let on_chunk tx chunk =
-    let h = chunk.Chunk.header in
-    if Ctype.equal h.Header.ctype Ctype.ack then
-      on_ack tx h.Header.t.Ftuple.id
-    else if Ctype.equal h.Header.ctype Ctype.nack then
-      match parse_nack chunk with
-      | Ok (need_ed, spans) -> on_nack tx h.Header.t.Ftuple.id ~need_ed ~spans
-      | Error _ -> ()
+  let ack_code = Ctype.code Ctype.ack
+  let nack_code = Ctype.code Ctype.nack
 
-  let on_packet tx b =
-    match Wire.decode_packet b with
-    | Error _ -> ()
-    | Ok chunks -> List.iter (on_chunk tx) chunks
+  (* The reverse path's one entry: one structural scan, then each ACK or
+     NACK chunk goes to the sender its C.ID names, a NACK's payload read
+     where it lies.  The scan scratch is the call's own, because a
+     sender's reaction may reach this entry again before the call
+     returns. *)
+  let demux find b =
+    let scan = Wire.Scan.create () in
+    if Wire.Scan.packet scan b then
+      for i = 0 to Wire.Scan.count scan - 1 do
+        let code = Wire.Scan.ctype_code_at scan i in
+        if code = ack_code || code = nack_code then
+          match find (Wire.Scan.c_id_at scan i) with
+          | None -> ()
+          | Some tx -> (
+              let off = Wire.Scan.offset scan i in
+              let t_id = Wire.Scan.t_id b off in
+              if code = ack_code then on_ack tx t_id
+              else
+                match
+                  parse_nack b (off + Wire.header_size) (Wire.Scan.len b off)
+                with
+                | Some (need_ed, spans) -> on_nack tx t_id ~need_ed ~spans
+                | None -> ())
+      done
+
+  let on_packet tx =
+    let this = Some tx in
+    demux (fun _ -> this)
 
   let finished tx =
     tx.started
@@ -1617,7 +1623,6 @@ module Sender = struct
   let bytes_sent tx = tx.bytes_sent
   let current_tpdu_elems tx = tx.cur_tpdu_elems
   let current_rto tx = tx.rto_cur
-  let srtt tx = if tx.srtt < 0.0 then None else Some tx.srtt
   let rtt_samples tx = tx.rtt_samples
   let max_txs_at_rtt_sample tx = tx.max_txs_at_sample
 

@@ -86,8 +86,22 @@ val expected_elements : config -> data_len:int -> int
     framed (only the final frame is padded to a whole element). *)
 
 val ack_packet : conn_id:int -> t_id:int -> bytes
-(** One encoded packet carrying the ACK control chunk for a TPDU (used
-    by demultiplexers to re-acknowledge closed-epoch stragglers). *)
+(** One encoded packet carrying the ACK control chunk for a TPDU. *)
+
+val reack :
+  counts:Counters.t ->
+  send_ack:(bytes -> unit) ->
+  last_reack:float Labelling.Int_table.t ->
+  gap:float ->
+  now:float ->
+  conn_id:int ->
+  int ->
+  unit
+(** The one re-ACK path, of a live epoch and of {!Multi}'s closed ones:
+    unless the caller's throttle table [last_reack] holds a re-ACK of
+    [t_id] less than [gap] seconds before [now], stamp [now] there,
+    count it in [counts.reacks_sent] and [transport_reacks_total], and
+    send its {!ack_packet}.  [gap = neg_infinity] never throttles. *)
 
 (** {1 Receiver} *)
 
@@ -141,9 +155,6 @@ module Receiver : sig
       copybreak), so retained memory stays within twice the bytes the
       state governor charges for it.  Signals are materialised. *)
 
-  val on_chunk : t -> Labelling.Chunk.t -> unit
-  (** {!on_view} of [Chunk.view chunk]. *)
-
   val ingest : t -> bytes -> unit
   (** Feed one packet from the network — the receiver's only packet
       entry.  One zero-allocation structural scan
@@ -152,7 +163,8 @@ module Receiver : sig
       would; each scanned chunk is then handed to {!on_view} as a view
       of the packet ({!Labelling.Wire.Scan.view}), so no payload is
       copied.  The qcheck property in [test_flowcache] holds it
-      byte-identical to [decode_packet] followed by {!on_chunk}.
+      byte-identical to [decode_packet] followed by {!on_view} of each
+      chunk over its own payload.
 
       Ownership: the receiver never writes into [b], but it may keep a
       view into it until the chunk's TPDU is decided, so the caller
@@ -217,9 +229,6 @@ module Receiver : sig
   (** The placement buffer's conflict counters under the
       first-verified-wins overlap policy (see
       {!Labelling.Placement}). *)
-
-  val verified_elems : t -> int
-  (** Elements covered by WSC-2-verified TPDUs so far. *)
 
   val verifier_stats : t -> Edc.Verifier.stats
 
@@ -341,12 +350,17 @@ module Sender : sig
       signal on every transmission of the first TPDU, so a lost Open is
       re-announced by the retransmission machinery for free. *)
 
-  val on_packet : t -> bytes -> unit
-  (** Feed a packet from the reverse path (ACK/NACK chunks). *)
+  val demux : (int -> t option) -> bytes -> unit
+  (** [demux find b] feeds one reverse-path packet to the senders it
+      names — the sender side's only packet entry.  One structural scan
+      ({!Labelling.Wire.Scan}) validates [b], dropping a malformed packet
+      whole; each ACK or NACK chunk then goes to [find] of its C.ID (and
+      is ignored on [None]), a NACK's payload read where it lies in [b].
+      Other chunk types are ignored. *)
 
-  val on_chunk : t -> Labelling.Chunk.t -> unit
-  (** Feed one already-decoded reverse-path chunk (demultiplexer
-      path). *)
+  val on_packet : t -> bytes -> unit
+  (** {!demux} with every C.ID naming this sender: the reverse path of a
+      single connection. *)
 
   val start : t -> unit
   (** Schedule the initial window at the current simulated time. *)
@@ -375,9 +389,6 @@ module Sender : sig
   val current_rto : t -> float
   (** The RTO currently governing retransmission timers (equals
       [config.rto] unless [rto_adaptive] has taken samples). *)
-
-  val srtt : t -> float option
-  (** Smoothed RTT estimate, if any sample has been taken. *)
 
   val rtt_samples : t -> int
   (** RTT samples accepted by Karn's rule. *)

@@ -400,6 +400,28 @@ let find_conn m cid =
           found
       | None -> None)
 
+(* A connection record with no epoch, history or anomaly behind it. *)
+let new_conn m id =
+  {
+    id;
+    acked = Int_table.create 16;
+    last_reack = Int_table.create 8;
+    live = None;
+    live_open = None;
+    open_hwm = -1;
+    hist = [];
+    last_touch = now m;
+    gov = Governor.entry (conn_key id);
+    epochs_started = 0;
+    hist_bytes = 0;
+    anomalies = 0;
+    anomaly_score = 0;
+    last_anomaly = 0.0;
+    quarantined_until = 0.0;
+    quarantine_count = 0;
+    poisoned = false;
+  }
+
 (* Each epoch's Open announces the stream's first C.SN, and the
    monotone-label discipline makes those strictly increase across a
    connection's epochs.  The announced C.SN is therefore the epoch's
@@ -417,27 +439,7 @@ let handle_open m cid found ~first_csn =
   match found with
   | None ->
       ensure_capacity m;
-      let c =
-        {
-          id = cid;
-          acked = Int_table.create 16;
-          last_reack = Int_table.create 8;
-          live = None;
-          live_open = None;
-          open_hwm = -1;
-          hist = [];
-          last_touch = now m;
-          gov = Governor.entry (conn_key cid);
-          epochs_started = 0;
-          hist_bytes = 0;
-          anomalies = 0;
-          anomaly_score = 0;
-          last_anomaly = 0.0;
-          quarantined_until = 0.0;
-          quarantine_count = 0;
-          poisoned = false;
-        }
-      in
+      let c = new_conn m cid in
       Int_table.add m.conns cid c;
       if Obs.enabled then begin
         Obs.Metrics.incr m_opens;
@@ -508,18 +510,11 @@ let handle_open m cid found ~first_csn =
                 new_epoch m c ~open_csn:first_csn
               end))
 
-let re_ack_closed m c t_id =
-  let t = now m in
-  let due =
-    match Int_table.find_opt c.last_reack t_id with
-    | Some last -> t -. last >= m.config.nack_delay
-    | None -> true
-  in
-  if due then begin
-    Int_table.replace c.last_reack t_id t;
-    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
-    m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
-  end
+(* [Chunk_transport.reack] of a closed epoch's TPDU, through the
+   connection's own throttle table; [gap] as for the live epoch's. *)
+let re_ack_closed m c ~gap t_id =
+  Chunk_transport.reack ~counts:m.counts ~send_ack:m.send_ack
+    ~last_reack:c.last_reack ~gap ~now:(now m) ~conn_id:c.id t_id
 
 let route m (v : Chunk.view) =
   let h = v.Chunk.header in
@@ -569,7 +564,8 @@ let route m (v : Chunk.view) =
                was live), so persistent late garbage is authored traffic,
                not a replay. *)
             let t_id = h.Header.t.Ftuple.id in
-            if Int_table.mem c.acked t_id then re_ack_closed m c t_id
+            if Int_table.mem c.acked t_id then
+              re_ack_closed m c ~gap:m.config.nack_delay t_id
             else begin
               m.counts.late_drops <- m.counts.late_drops + 1;
               if Obs.enabled then Obs.Metrics.incr m_late;
@@ -577,9 +573,9 @@ let route m (v : Chunk.view) =
             end
       with e -> bulkhead m ~conn_id:cid e)
 
-(* One dispatch for every chunk, whichever entry decoded it: signals
-   (rare) are materialised and go to their handlers, everything else is
-   routed by connection record and read in place. *)
+(* The one dispatch for every scanned chunk: signals (rare) are
+   materialised and go to their handlers, everything else is routed by
+   connection record and read in place. *)
 let on_view m (v : Chunk.view) =
   let h = v.Chunk.header in
   if Header.is_terminator h then ()
@@ -626,7 +622,7 @@ let on_view m (v : Chunk.view) =
                       (* shed signal straggling behind the epoch close
                          while its ACK was lost: re-acknowledge so the
                          sender stops retrying the signal *)
-                      re_ack_closed m c t_id
+                      re_ack_closed m c ~gap:m.config.nack_delay t_id
                   | Some _ | None -> ())
             with e -> bulkhead m ~conn_id:cid e))
     | Error _ -> (
@@ -638,14 +634,6 @@ let on_view m (v : Chunk.view) =
         | Some c -> note_unscored m c
         | None -> ())
   else route m v
-
-let on_chunk m chunk = on_view m (Chunk.view chunk)
-
-let on_packet m b =
-  Busmodel.nic_to_mem m.bus (Bytes.length b);
-  match Wire.decode_packet b with
-  | Error _ -> ()
-  | Ok chunks -> List.iter (on_chunk m) chunks
 
 let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 
@@ -795,10 +783,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
       if not (Int_table.mem m.conns img.Persist.ci_id) then begin
         let c =
           {
-            id = img.Persist.ci_id;
-            acked = Int_table.create 16;
-            last_reack = Int_table.create 8;
-            live = None;
+            (new_conn m img.Persist.ci_id) with
             live_open = img.Persist.ci_live_open;
             open_hwm =
               List.fold_left
@@ -811,8 +796,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                 (fun (d, cm, k) ->
                   { a_delivered = d; a_complete = cm; a_open_csn = k })
                 img.Persist.ci_hist;
-            last_touch = now m;
-            gov = Governor.entry (conn_key img.Persist.ci_id);
             (* epoch and state accounting re-derived from the image, so
                the isolation-budget bound spans the crash *)
             epochs_started =
@@ -822,9 +805,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
               List.fold_left
                 (fun acc (d, _, _) -> acc + Bytes.length d)
                 0 img.Persist.ci_hist;
-            anomalies = 0;
-            anomaly_score = 0;
-            last_anomaly = 0.0;
             quarantined_until = img.Persist.ci_quar_until;
             quarantine_count = img.Persist.ci_quar_count;
             poisoned = img.Persist.ci_poisoned;
@@ -863,10 +843,7 @@ let reannounce m =
          | None ->
              Int_table.fold (fun t_id () l -> t_id :: l) c.acked []
              |> List.sort Int.compare
-             |> List.iter (fun t_id ->
-                    Int_table.replace c.last_reack t_id (now m);
-                    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
-                    m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)))
+             |> List.iter (re_ack_closed m c ~gap:neg_infinity))
 
 (* Crash the endpoint: release all soft state so the governor's sweep
    timer stops re-arming (a dead endpoint must not keep the simulation

@@ -96,25 +96,18 @@ val create :
     time that forgives an accumulated score.
     @raise Invalid_argument if [anomaly_budget < 0]. *)
 
-val on_packet : t -> bytes -> unit
-(** Feed one wire packet through the full decoder
-    ({!Labelling.Wire.decode_packet}), then dispatch each chunk exactly
-    as {!ingest} does (unparseable packets are dropped, as on a real
-    wire).  Kept as the reference entry that [test/test_flowcache.ml]
-    and the ROB-FLOW bench hold {!ingest} equal to. *)
-
 val ingest : t -> bytes -> unit
-(** Feed one wire packet: one zero-allocation structural scan
-    ({!Labelling.Wire.Scan}) validates it (malformed packets are dropped
-    whole), then every chunk takes the one dispatch path (DESIGN §7) —
-    signals to their handlers, everything else to the owning epoch's
-    receiver, the connection found through the memoised table.  Data
-    and ED chunks travel as views of the packet
-    ({!Labelling.Wire.Scan.view}): their payloads are read in place,
-    never copied on the way in.  Behaviourally identical to
-    {!on_packet} on every input: the two differ only in the decoder,
-    and [test/test_flowcache.ml]'s properties and the ROB-FLOW bench
-    hold them equal.
+(** Feed one wire packet — the endpoint's only packet entry.  One
+    zero-allocation structural scan ({!Labelling.Wire.Scan}) validates
+    it (malformed packets are dropped whole, exactly as
+    {!Labelling.Wire.decode_packet} would refuse them), then every chunk
+    takes the one dispatch path (DESIGN §7) — signals to their handlers,
+    everything else to the owning epoch's receiver, the connection found
+    through the memoised table.  Data and ED chunks travel as views of
+    the packet ({!Labelling.Wire.Scan.view}): their payloads are read in
+    place, never copied on the way in.  [test/test_flowcache.ml]'s
+    properties hold it to a reference that decodes each packet and
+    feeds every chunk back in its own one-chunk packet.
 
     Ownership: the endpoint never writes into the packet, but it may
     keep a view into it until that chunk's TPDU is decided (see
@@ -138,9 +131,8 @@ type fastpath_stats = {
 
 val fastpath_stats : t -> fastpath_stats
 (** Memo counters accumulated since creation.  Every chunk's connection
-    lookup probes the memo, on {!ingest} and {!on_packet} alike; a miss
-    that finds a record inserts it, a never-opened C.ID inserts
-    nothing. *)
+    lookup probes the memo; a miss that finds a record inserts it, a
+    never-opened C.ID inserts nothing. *)
 
 val epochs : t -> conn_id:int -> epoch_report list
 (** Delivered buffers of the connection's epochs, oldest first; the last

@@ -787,7 +787,6 @@ module Store = struct
 
   let snapshots_taken st = st.snapshots_taken
   let journal_records st = st.journal_records
-  let snapshot_bytes st = Option.fold ~none:0 ~some:Bytes.length st.snap
   let journal_bytes st = Buffer.length st.journal
   let journal st = Buffer.to_bytes st.journal
 

@@ -154,16 +154,8 @@ val empty_receiver : conn:int -> receiver_image
 val coalesce_spans : (int * int) list -> (int * int) list
 (** Sort [(sn, len)] element spans by [sn] and fuse overlapping or
     adjacent ones; empty spans are dropped.  The one merge rule behind
-    {!normalize_runs} and the receiver's write-ahead ACK record. *)
-
-val normalize_runs :
-  elem_size:int -> (int * bytes) list -> (int * bytes) list
-(** Put (C.SN, bytes) runs into the canonical coalesced form
-    {!receiver_image.ri_placed} uses: the runs' spans are merged with
-    {!coalesce_spans}, then every byte is copied once into its merged
-    run, later runs in the list winning on overlap (identical-label
-    retransmission makes overlaps byte-identical anyway).  Bytes short
-    of a whole element are dropped. *)
+    the canonical placed runs of a replayed image and the receiver's
+    write-ahead ACK record. *)
 
 val apply_journal :
   elem_size:int ->
@@ -177,11 +169,6 @@ val apply_journal :
     events for unknown connections create them (acknowledged state is
     durable even when the matching [Opened] record was torn away), and
     replay never raises. *)
-
-val verified_frontier : (int * int) list -> int
-(** First element C.SN not covered by the contiguous verified prefix of
-    the given sorted spans (0 when nothing is verified from the
-    start). *)
 
 (** {1 Codec} *)
 
@@ -271,9 +258,6 @@ module Store : sig
   val journal_records : t -> int
   (** Journal records appended since creation (not reset by
       {!snapshot}). *)
-
-  val snapshot_bytes : t -> int
-  (** Encoded size of the current snapshot (0 if none). *)
 
   val journal_bytes : t -> int
   (** Bytes currently in the journal. *)

@@ -112,17 +112,7 @@ let make_rig ?(quota_elems = 1024) ?anomaly_budget () =
       ~max_conns:8 ?anomaly_budget
       ~send_ack:(fun b ->
         Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-            match Wire.decode_packet b with
-            | Error _ -> ()
-            | Ok chunks ->
-                List.iter
-                  (fun ch ->
-                    if not (Chunk.is_terminator ch) then
-                      let cid = ch.Chunk.header.Header.c.Ftuple.id in
-                      match Hashtbl.find_opt senders cid with
-                      | Some tx -> CT.Sender.on_chunk tx ch
-                      | None -> ())
-                  chunks))
+            CT.Sender.demux (Hashtbl.find_opt senders) b))
       ()
   in
   multi := Some m;
@@ -130,7 +120,7 @@ let make_rig ?(quota_elems = 1024) ?anomaly_budget () =
 
 let to_multi rig b =
   Netsim.Engine.schedule rig.engine ~delay:1e-4 (fun () ->
-      Transport.Multi.on_packet rig.multi b)
+      Transport.Multi.ingest rig.multi b)
 
 let start_transfer rig ~conn ~epoch data =
   let tx =
@@ -297,7 +287,7 @@ let test_multi_quarantine_survives_restore () =
      Wire.encode_packet
        [ Connection.signal_chunk ~conn_id:6 (Connection.Open { first_csn = 300_000 }) ]
    with
-  | Ok b -> Transport.Multi.on_packet m1 b
+  | Ok b -> Transport.Multi.ingest m1 b
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "restored box refuses the Open" true
     ((Transport.Multi.counters m1).quarantine_drops > drops0);
@@ -424,7 +414,7 @@ let test_multi_counter_totals () =
       ~anomaly_budget:8 ~send_ack:(fun _ -> ()) ()
   in
   let packet chunks = Util.ok_or_fail (Wire.encode_packet chunks) in
-  let feed chunks = M.on_packet m (packet chunks) in
+  let feed chunks = M.ingest m (packet chunks) in
   let signal conn sg = feed [ Connection.signal_chunk ~conn_id:conn sg ] in
   let at t f =
     Netsim.Engine.schedule engine ~delay:(t -. Netsim.Engine.now engine) f
@@ -501,7 +491,7 @@ let test_multi_counter_totals () =
       ~anomaly_budget:8 ~send_ack:(fun _ -> ()) image
   in
   M.reannounce m';
-  M.on_packet m' (packet [ stray ~conn:50 ~t_id:0 ]);
+  M.ingest m' (packet [ stray ~conn:50 ~t_id:0 ]);
   pin "restored endpoint"
     [
       ("reacks", 1); ("aborts", 0); ("sheds", 0); ("shed_elems", 0);
@@ -512,6 +502,52 @@ let test_multi_counter_totals () =
     ]
     (endpoint_totals m');
   pin "the dead endpoint's totals stand" before (endpoint_totals m)
+
+(* Each re-ACK the endpoint sends moves its [reacks_sent] counter and
+   the registry's [transport_reacks_total] together: a live epoch's, a
+   closed epoch's (throttled like the live one's) and those a restored
+   endpoint sends on re-entry, for its closed connection too. *)
+let test_multi_reack_counts_agree () =
+  let module M = Transport.Multi in
+  let registry = Obs.Metrics.counter "transport_reacks_total" in
+  let engine = Netsim.Engine.create ~seed:29 () in
+  let m =
+    M.create engine ~config:counted_config ~quota_elems:64 ~max_conns:4
+      ~send_ack:(fun _ -> ()) ()
+  in
+  let feed chunks = M.ingest m (Util.ok_or_fail (Wire.encode_packet chunks)) in
+  let signal conn sg = feed [ Connection.signal_chunk ~conn_id:conn sg ] in
+  let moved what m n f =
+    let c0 = (M.counters m).reacks_sent and r0 = Obs.Metrics.value registry in
+    f ();
+    Alcotest.(check (pair int int))
+      (what ^ ": counters and registry") (n, n)
+      ((M.counters m).reacks_sent - c0, Obs.Metrics.value registry - r0)
+  in
+  let tpdu1 = counted_tpdus ~conn:1 and tpdu2 = counted_tpdus ~conn:2 in
+  signal 1 (Connection.Open { first_csn = 0 });
+  signal 2 (Connection.Open { first_csn = 0 });
+  moved "fresh ACKs" m 0 (fun () ->
+      feed (fst (tpdu1 0) @ snd (tpdu1 0));
+      feed (fst (tpdu2 0) @ snd (tpdu2 0)));
+  moved "live-epoch re-ACK" m 1 (fun () -> feed (fst (tpdu2 0)));
+  signal 1 Connection.Close;
+  moved "closed-epoch re-ACK, then throttled" m 1 (fun () ->
+      feed (fst (tpdu1 0));
+      feed (fst (tpdu1 0)));
+  moved "closed-epoch re-ACK after the throttle" m 1 (fun () ->
+      Netsim.Engine.schedule engine ~delay:0.02 (fun () -> feed (fst (tpdu1 0)));
+      Netsim.Engine.run ~until:0.03 engine);
+  let image = M.export m in
+  M.teardown m;
+  let m' =
+    M.restore
+      (Netsim.Engine.create ~seed:30 ())
+      ~config:counted_config ~quota_elems:64 ~max_conns:4
+      ~send_ack:(fun _ -> ()) image
+  in
+  moved "re-entry, one closed and one live ledger" m' 2 (fun () ->
+      M.reannounce m')
 
 let suite =
   [
@@ -534,4 +570,6 @@ let suite =
       test_multi_quarantine_survives_restore;
     Alcotest.test_case "multi: endpoint counter totals" `Quick
       test_multi_counter_totals;
+    Alcotest.test_case "multi: re-ACK counts agree with the registry" `Quick
+      test_multi_reack_counts_agree;
   ]

@@ -1,9 +1,9 @@
-(* [Multi]'s connection-lookup memo and its two packet entries: unit
-   tests of the cache structure itself, fuzz agreement of the structural
-   scanner with the decoder, properties pinning [Multi.ingest] to
-   byte-identical delivery with [Multi.on_packet] under packet
-   permutation, epoch reuse and crash-restore, and the add-only
-   connection table the memo's coherence rests on. *)
+(* [Multi]'s connection-lookup memo and its packet entry: unit tests of
+   the cache structure itself, fuzz agreement of the structural scanner
+   with the decoder, properties pinning [Multi.ingest] to byte-identical
+   delivery with a decoding reference under packet permutation, epoch
+   reuse and crash-restore, and the add-only connection table the memo's
+   coherence rests on. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
@@ -185,7 +185,7 @@ let prop_scan_images =
   QCheck2.Test.make ~name:"scan agrees with decode_packet on (damaged) packets"
     ~count:1000 gen_image scan_agrees
 
-(* --- Multi: scan entry vs decoder entry ---------------------------- *)
+(* --- the scan entries vs a decoding reference ----------------------- *)
 
 let multi_config =
   { CT.default_config with CT.elem_size = 4; tpdu_elems = 16 }
@@ -243,8 +243,8 @@ let epochs_equal a b =
 
 (* A multi-connection packet mix under an arbitrary permutation (which
    reorders signals against data and interleaves connections) plus
-   duplicated packets and copies with one bit flipped: the scan entry
-   must stay byte-identical with the decoder entry — including on traffic
+   duplicated packets and copies with one bit flipped: the scan entries
+   must stay byte-identical with the decoding reference — including on traffic
    that arrives before its Open, and on damage that either drops the
    packet whole or reaches a label or payload. *)
 let gen_permuted_mix =
@@ -303,27 +303,38 @@ let mk_receiver () =
     ~send_ack:(fun _ -> ())
     ~capacity:(`Quota 4096) ()
 
-(* Two endpoints, each against its own oracle.  [Multi]: the scan
-   entry ([ingest_batch]) against the decoder entry ([on_packet]).  One
-   single receiver: its only packet entry ([ingest_batch], a structural
-   scan) against the full decoder feeding [on_chunk]; the mix's other
-   connections and signals reach it too, so foreign labels are part of
-   what must agree. *)
+(* The reference the scan entries are held to: the full decoder, then
+   every chunk in a buffer of its own.  [Multi] gets each chunk back in
+   a one-chunk packet of its own; the single receiver gets a view of
+   each chunk over its own payload. *)
+let multi_reference m b =
+  match Wire.decode_packet b with
+  | Ok chunks ->
+      List.iter
+        (fun c ->
+          Transport.Multi.ingest m (Util.ok_or_fail (Wire.encode_packet [ c ])))
+        chunks
+  | Error _ -> ()
+
+let receiver_reference rx b =
+  match Wire.decode_packet b with
+  | Ok chunks -> List.iter (fun c -> CT.Receiver.on_view rx (Chunk.view c)) chunks
+  | Error _ -> ()
+
+(* Two endpoints, each against the reference: [Multi]'s [ingest_batch]
+   and one single receiver's; the mix's other connections and signals
+   reach the receiver too, so foreign labels are part of what must
+   agree. *)
 let prop_permuted_mix =
   QCheck2.Test.make
-    ~name:"ingest_batch delivers byte-identically to on_packet" ~count:60
-    gen_permuted_mix
+    ~name:"ingest_batch delivers byte-identically to the decoding reference"
+    ~count:60 gen_permuted_mix
     (fun (mix, batch) ->
       let m_slow = mk_multi () and m_fast = mk_multi () in
-      Array.iter (Transport.Multi.on_packet m_slow) mix;
+      Array.iter (multi_reference m_slow) mix;
       in_batches (Transport.Multi.ingest_batch m_fast) mix batch;
       let r_slow = mk_receiver () and r_fast = mk_receiver () in
-      Array.iter
-        (fun b ->
-          match Wire.decode_packet b with
-          | Ok chunks -> List.iter (CT.Receiver.on_chunk r_slow) chunks
-          | Error _ -> ())
-        mix;
+      Array.iter (receiver_reference r_slow) mix;
       in_batches (CT.Receiver.ingest_batch r_fast) mix batch;
       epochs_equal m_slow m_fast
       && Bytes.equal (CT.Receiver.contents r_slow) (CT.Receiver.contents r_fast)
@@ -413,9 +424,9 @@ let test_batch_single_packet () =
   (* a degenerate batch of one packet per call is just [ingest] *)
   let m_slow = mk_multi () and m_fast = mk_multi () in
   let _, packets = conn_packets ~conn:2 ~seed:3 900 in
-  List.iter (Transport.Multi.on_packet m_slow) packets;
+  List.iter (multi_reference m_slow) packets;
   List.iter (fun p -> Transport.Multi.ingest_batch m_fast [| p |]) packets;
-  Alcotest.(check bool) "singleton batches identical to on_packet" true
+  Alcotest.(check bool) "singleton batches identical to the reference" true
     (epochs_equal m_slow m_fast)
 
 let test_batch_spanning_quarantine () =
@@ -424,8 +435,8 @@ let test_batch_spanning_quarantine () =
      innocent conn 6.  The quarantine lands mid-batch; the scan entry
      must refuse the boxed connection's remaining packets (its memoised
      record is boxed in place) while conn 6 sails through — and the
-     batch must stay byte-identical with the decoder entry under the
-     same budget. *)
+     batch must stay byte-identical with the decoding reference under
+     the same budget. *)
   let budget = 4 in
   let m_slow = mk_multi ~anomaly_budget:budget ()
   and m_fast = mk_multi ~anomaly_budget:budget () in
@@ -433,9 +444,9 @@ let test_batch_spanning_quarantine () =
   let _, epoch1 = conn_packets ~conn:5 ~seed:77 ~first_tid:100_000 600 in
   let d6, honest = conn_packets ~conn:6 ~seed:8 480 in
   let batch = Array.of_list (epoch0 @ epoch1 @ honest) in
-  Array.iter (Transport.Multi.on_packet m_slow) batch;
+  Array.iter (multi_reference m_slow) batch;
   Transport.Multi.ingest_batch m_fast batch;
-  Alcotest.(check bool) "scan entry identical to decoder entry" true
+  Alcotest.(check bool) "scan entry identical to the reference" true
     (epochs_equal m_slow m_fast);
   Alcotest.(check int) "reopen churn tripped the box" 1
     (Transport.Multi.counters m_fast).quarantines;
@@ -470,12 +481,12 @@ let test_epoch_reuse_memo_hits () =
   let m_dec = mk_multi () and m_scan = mk_multi () in
   let d0, epoch0 = conn_packets ~conn:5 ~seed:1 600 in
   let d1, epoch1 = conn_packets ~conn:5 ~seed:77 ~first_tid:100_000 600 in
-  List.iter (Transport.Multi.on_packet m_dec) (epoch0 @ epoch1);
+  List.iter (multi_reference m_dec) (epoch0 @ epoch1);
   List.iter (Transport.Multi.ingest m_scan) epoch0;
   let before = (Transport.Multi.fastpath_stats m_scan).Transport.Multi.fp_conn in
   List.iter (Transport.Multi.ingest m_scan) epoch1;
   let after = (Transport.Multi.fastpath_stats m_scan).Transport.Multi.fp_conn in
-  Alcotest.(check bool) "scan entry identical to decoder entry" true
+  Alcotest.(check bool) "scan entry identical to the reference" true
     (epochs_equal m_dec m_scan);
   (match Transport.Multi.epochs m_scan ~conn_id:5 with
   | [ e0; e1 ] ->

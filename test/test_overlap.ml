@@ -7,6 +7,9 @@
 open Labelling
 module CT = Transport.Chunk_transport
 
+(* A write on behalf of a TPDU whose parity passed. *)
+let place_verified p c = Placement.place_view ~verified:true p (Chunk.view c)
+
 (* ------------------------------------------------------------------ *)
 (* Policy table, deterministically (mirrors the Placement doc).        *)
 
@@ -66,7 +69,7 @@ let test_policy_table () =
   ignore
     (Util.ok_or_fail
        (Placement.place_checked p2 (mk_chunk ~sn:0 (xor_bytes 0x77 (slice_of 0 4)))));
-  let rep = Util.ok_or_fail (Placement.place_verified p2 (mk_chunk ~sn:0 (slice_of 0 6))) in
+  let rep = Util.ok_or_fail (place_verified p2 (mk_chunk ~sn:0 (slice_of 0 6))) in
   lock_owned p2 rep;
   Alcotest.check Util.bytes_testable "squatter reclaimed" (slice_of 0 6)
     (Bytes.sub (Placement.contents p2) 0 (6 * elem));
@@ -81,7 +84,7 @@ let test_policy_table () =
   | _ -> Alcotest.fail "expected a verified conflict over elements 4..5");
   let rep =
     Util.ok_or_fail
-      (Placement.place_verified p2 (mk_chunk ~sn:2 (xor_bytes 0x22 (slice_of 2 2))))
+      (place_verified p2 (mk_chunk ~sn:2 (xor_bytes 0x22 (slice_of 2 2))))
   in
   (match rep.Placement.rp_conflicts with
   | [ (2, 2, Placement.Verified_conflict) ] -> ()
@@ -146,7 +149,7 @@ let apply_writes ws =
       match kind with
       | Verified ->
           let rep =
-            Util.ok_or_fail (Placement.place_verified p (mk_chunk ~sn (slice_of sn len)))
+            Util.ok_or_fail (place_verified p (mk_chunk ~sn (slice_of sn len)))
           in
           lock_owned p rep
       | Fresh_honest ->
@@ -369,7 +372,7 @@ let prop_differential (cap, elem, ws) =
     let place ~verified payload =
       let c = mk_chunk ~elem ~sn payload in
       let ours =
-        if verified then Placement.place_verified p c else Placement.place_checked p c
+        if verified then place_verified p c else Placement.place_checked p c
       in
       let theirs = Ref_placement.place r c ~verified in
       same_result "place" ours theirs;
@@ -459,7 +462,7 @@ let prop_receiver_discipline (cap, elem, ws) =
           let key = match kind with Fresh_divergent k -> k | _ -> 0 in
           let c = mk_chunk ~elem ~sn (payload sn len key) in
           match
-            if kind = Verified then Placement.place_verified p c
+            if kind = Verified then place_verified p c
             else Placement.place_checked p c
           with
           | Ok rep ->
@@ -569,7 +572,9 @@ let prop_receiver_order_invariant
         ~send_ack:(fun _ -> ())
         ~capacity:(`Exact expected) ()
     in
-    List.iter (CT.Receiver.on_chunk rx) (Util.shuffle ~seed:order_seed pool);
+    List.iter
+      (fun c -> CT.Receiver.on_view rx (Chunk.view c))
+      (Util.shuffle ~seed:order_seed pool);
     rx
   in
   let a = deliver order_a and b = deliver order_b in

@@ -284,3 +284,194 @@ let suite =
             (Util.ok_or_fail (Wire.encode_packet restamped))
           && Bytes.equal template before);
     ]
+
+(* --- the header layout, declared once ------------------------------- *)
+
+let layout_offset field =
+  match List.find_opt (fun (f, _, _) -> f = field) Wire.layout with
+  | Some (_, off, width) -> (off, width)
+  | None -> Alcotest.fail "field missing from Wire.layout"
+
+(* The unsigned big-endian value of [width] bytes at [off]. *)
+let read_be b off width =
+  let v = ref 0 in
+  for i = 0 to width - 1 do
+    v := (!v lsl 8) lor Bytes.get_uint8 b (off + i)
+  done;
+  !v
+
+let field_value (h : Header.t) field =
+  let tuple = function
+    | Wire.C -> h.Header.c
+    | Wire.T -> h.Header.t
+    | Wire.X -> h.Header.x
+  in
+  match field with
+  | Wire.Type -> Ctype.code h.Header.ctype
+  | Wire.Size -> h.Header.size
+  | Wire.Len -> h.Header.len
+  | Wire.Id u -> (tuple u).Ftuple.id
+  | Wire.Sn u -> (tuple u).Ftuple.sn
+  | Wire.St u -> if (tuple u).Ftuple.st then 1 else 0
+
+(* The fields tile the header: in order, back to back, each once. *)
+let test_layout_tiles () =
+  let next =
+    List.fold_left
+      (fun expect (_, off, width) ->
+        Alcotest.(check int) "field starts where the last one ended" expect off;
+        off + width)
+      0 Wire.layout
+  in
+  Alcotest.(check int) "fields end at header_size" Wire.header_size next;
+  let fields = List.map (fun (f, _, _) -> f) Wire.layout in
+  Alcotest.(check int) "twelve distinct fields" 12
+    (List.length (List.sort_uniq compare fields))
+
+(* Headers with labels over their whole ranges, the IDs and SNs at
+   their edges a good share of the time. *)
+let gen_wide_header =
+  let open QCheck2.Gen in
+  let tuple =
+    map3
+      (fun id sn st -> Ftuple.v ~st ~id ~sn ())
+      (oneof [ int_range 0 0xFFFF_FFFF; oneofl [ 0; 1; 0xFFFF_FFFF ] ])
+      (oneof [ int_range 0 max_int; oneofl [ 0; 1; max_int ] ])
+      bool
+  in
+  let* code = int_range 0 0xFF in
+  let* size = int_range 1 Header.max_size in
+  let* len = oneof [ int_range 1 Header.max_len; return Header.max_len ] in
+  let* c = tuple in
+  let* t = tuple in
+  let* x = tuple in
+  let ctype = Util.ok_or_fail (Ctype.of_code code) in
+  return (Util.ok_or_fail (Header.v ~ctype ~size ~len ~c ~t ~x))
+
+(* A random header at a random offset reads back the same through the
+   decoder, the scanner's view and its accessors, and every field holds
+   its value at its declared offset and width. *)
+let prop_readers_agree =
+  Util.qtest ~count:300 "every header reader agrees with the layout"
+    QCheck2.Gen.(pair gen_wide_header (int_range 0 7))
+    (fun (h, pad) ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (String.make pad '\xAA');
+      Wire.encode_header buf h;
+      let b = Buffer.to_bytes buf in
+      (match Wire.decode_header b pad with
+      | Ok h' -> Header.equal h h'
+      | Error _ -> false)
+      && Header.equal h (Wire.Scan.view b pad).Chunk.header
+      && Wire.Scan.size b pad = h.Header.size
+      && Wire.Scan.len b pad = h.Header.len
+      && Wire.Scan.c_id b pad = h.Header.c.Ftuple.id
+      && Wire.Scan.t_id b pad = h.Header.t.Ftuple.id
+      && List.for_all
+           (fun (f, off, width) -> read_be b (pad + off) width = field_value h f)
+           Wire.layout)
+
+(* [with_ids] writes the C.ID and T.ID fields and no other byte. *)
+let prop_with_ids_fields =
+  Util.qtest ~count:200 "with_ids writes only the C.ID and T.ID bytes"
+    QCheck2.Gen.(
+      triple gen_wide_header (int_range 0 0xFFFF_FFFF) (int_range 0 0xFFFF_FFFF))
+    (fun (h, c_id, t_id) ->
+      let buf = Buffer.create 64 in
+      Wire.encode_header buf h;
+      let template = Buffer.to_bytes buf in
+      let b = Wire.with_ids template ~c_id ~t_id in
+      let c_off, c_w = layout_offset (Wire.Id Wire.C)
+      and t_off, t_w = layout_offset (Wire.Id Wire.T) in
+      let inside off w i = off <= i && i < off + w in
+      read_be b c_off c_w = c_id
+      && read_be b t_off t_w = t_id
+      && List.for_all
+           (fun i ->
+             inside c_off c_w i || inside t_off t_w i
+             || Bytes.get b i = Bytes.get template i)
+           (List.init (Bytes.length b) Fun.id))
+
+(* One field of a valid one-chunk packet at a time, set to the edges of
+   its width (0, 1, max-1, max; ST bytes 0/1/2/255; an SN with bit 62 or
+   bit 63 set): the decoders never raise, the scanner accepts exactly
+   what [decode_packet] accepts, and whatever is accepted re-encodes to
+   the input.  Two inputs are accepted without being canonical, and
+   pinned here as such: LEN = 0 makes the header a terminator, so the
+   packet decodes to no chunk at all, and SN bit 63 falls outside the
+   native int, so the chunk re-encodes with that bit clear. *)
+let test_field_boundary_sweep () =
+  let label id sn st = Ftuple.v ~st ~id ~sn () in
+  let base =
+    Util.ok_or_fail
+      (Wire.encode_packet
+         [
+           Util.ok_or_fail
+             (Chunk.data ~size:4 ~c:(label 7 1000 false) ~t:(label 3 5 false)
+                ~x:(label 1 0 true)
+                (Bytes.of_string "\x11\x22\x33\x44\x55\x66\x77\x88"));
+         ])
+  in
+  let edges field width =
+    match field with
+    | Wire.St _ -> [ 0L; 1L; 2L; 255L ]
+    | Wire.Sn _ ->
+        [ 0L; 1L; -2L; -1L; Int64.shift_left 1L 62; Int64.shift_left 1L 63 ]
+    | Wire.Type | Wire.Size | Wire.Len | Wire.Id _ ->
+        let max = Int64.pred (Int64.shift_left 1L (8 * width)) in
+        [ 0L; 1L; Int64.pred max; max ]
+  in
+  let write b off width v =
+    match width with
+    | 1 -> Bytes.set_uint8 b off (Int64.to_int v land 0xFF)
+    | 2 -> Bytes.set_uint16_be b off (Int64.to_int v land 0xFFFF)
+    | 4 -> Bytes.set_int32_be b off (Int64.to_int32 v)
+    | _ -> Bytes.set_int64_be b off v
+  in
+  let scan = Wire.Scan.create () in
+  List.iter
+    (fun (field, off, width) ->
+      List.iter
+        (fun v ->
+          let b = Bytes.copy base in
+          write b off width v;
+          let what = Printf.sprintf "field at %d set to %Lx" off v in
+          let no_raise f =
+            try f () with e ->
+              Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+          in
+          ignore (no_raise (fun () -> Wire.decode_chunk b 0));
+          let decoded = no_raise (fun () -> Wire.decode_packet b) in
+          Alcotest.(check bool)
+            (what ^ ": scan accepts iff decode_packet does")
+            (Result.is_ok decoded) (Wire.Scan.packet scan b);
+          match (decoded, field) with
+          | Error _, _ -> ()
+          | Ok chunks, Wire.Len when v = 0L ->
+              Alcotest.(check int) (what ^ ": a terminator") 0
+                (List.length chunks)
+          | Ok chunks, _ ->
+              let canonical = Bytes.copy b in
+              (match field with
+              | Wire.Sn _ ->
+                  Bytes.set_uint8 canonical off
+                    (Bytes.get_uint8 canonical off land 0x7F)
+              | _ -> ());
+              Alcotest.(check string) (what ^ ": re-encodes to the input")
+                (Bytes.to_string canonical)
+                (Bytes.to_string
+                   (Util.ok_or_fail
+                      (Wire.encode_packet ~capacity:(Bytes.length b) chunks))))
+        (edges field width))
+    Wire.layout
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "header layout tiles the header" `Quick
+        test_layout_tiles;
+      prop_readers_agree;
+      prop_with_ids_fields;
+      Alcotest.test_case "boundary sweep of every header field" `Quick
+        test_field_boundary_sweep;
+    ]
