@@ -63,13 +63,17 @@ let encode_chunk buf c =
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
 
+(* An SN must fit a non-negative native int: bits 63 and 62 of the
+   64-bit word clear.  Bit 63 alone would vanish in [Int64.to_int], so
+   two wire images would decode to one chunk. *)
 let get_tuple b off =
   let id = get_u32 b (off + o_id) in
-  let sn = Int64.to_int (Bytes.get_int64_be b (off + o_sn)) in
+  let word = Bytes.get_int64_be b (off + o_sn) in
   let st_byte = Bytes.get_uint8 b (off + o_st) in
-  if sn < 0 then Error "Wire: SN overflows native int"
+  if Int64.shift_right_logical word 62 <> 0L then
+    Error "Wire: SN overflows native int"
   else if st_byte > 1 then Error "Wire: invalid ST byte"
-  else Ok (Ftuple.v ~st:(st_byte = 1) ~id ~sn ())
+  else Ok (Ftuple.v ~st:(st_byte = 1) ~id ~sn:(Int64.to_int word) ())
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
@@ -222,8 +226,9 @@ let decode_packet b =
    - LEN within [Header.max_len]                    (Header.v)
    - data chunk with LEN > 0 has SIZE >= 1          (Header.v; SIZE is a
      u16 so the upper bound can never trip)
-   - each Ftuple SN non-negative after the exact
-     [Int64.to_int] conversion, each ST byte <= 1   (get_tuple)
+   - each Ftuple SN with bits 63 and 62 clear, so
+     it fits a non-negative native int; each ST
+     byte <= 1                                      (get_tuple)
    - announced payload fits the buffer              (decode_chunk)
    - LEN = 0 terminates the scan, rest of the
      buffer ignored                                 (decode_packet)
@@ -293,10 +298,9 @@ module Scan = struct
     Array.unsafe_set s.metas s.n meta;
     s.n <- s.n + 1
 
-  (* SN validity mirrors [get_tuple]: [Int64.to_int sn >= 0], i.e. bit
-     62 of the big-endian word clear (bit 63 is dropped by [to_int]) —
-     one byte read instead of a boxed [Int64]. *)
-  let tuple_ok b off = u8 b (off + o_sn) land 0x40 = 0 && u8 b (off + o_st) <= 1
+  (* SN validity mirrors [get_tuple]: bits 63 and 62 of the big-endian
+     word clear — one byte read instead of a boxed [Int64]. *)
+  let tuple_ok b off = u8 b (off + o_sn) land 0xC0 = 0 && u8 b (off + o_st) <= 1
 
   let packet s b =
     s.n <- 0;
