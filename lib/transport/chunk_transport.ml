@@ -877,12 +877,14 @@ module Receiver = struct
             covered_frontier rx > last
         | None -> false)
 
-  (* Whether this receiver holds any soft state for [t_id] (verifier
-     accumulator or corroboration record).  The demultiplexer uses this
-     to tell a chunk of an in-flight TPDU from traffic with a label this
-     epoch has never seen. *)
+  (* Whether this receiver knows [t_id]: soft state for it (verifier
+     accumulator or corroboration record), or an honoured shed.  The
+     demultiplexer uses this to tell a chunk of this epoch's TPDUs, a
+     shed one's straggler included, from traffic with a label this epoch
+     has never seen. *)
   let tracks_tpdu rx ~t_id =
-    Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
+    Int_table.mem rx.shed_tids t_id
+    || Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
     || Option.is_some (find_corrob rx t_id)
 
   let element_delay rx = rx.element_delay

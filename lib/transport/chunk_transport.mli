@@ -192,7 +192,7 @@ module Receiver : sig
 
   val tracks_tpdu : t -> t_id:int -> bool
   (** Whether the receiver holds any soft state (verifier accumulator or
-      corroboration record) for [t_id]. *)
+      corroboration record) for [t_id], or honoured a shed of it. *)
 
   val abort_tpdu : t -> t_id:int -> unit
   (** Evict all partial state for [t_id] (the sender abandoned it);

@@ -141,6 +141,67 @@ let test_shed_after_verify_ignored () =
   Alcotest.check Util.bytes_testable "bytes survive the late shed" data
     (CT.Receiver.contents rx)
 
+(* A chunk of a TPDU the epoch shed, arriving after the epoch completed,
+   is a straggler of that epoch, not the start of the next: [Multi]
+   keeps the one epoch and abandons no verifier state. *)
+let test_multi_late_chunk_of_shed_tpdu () =
+  let tpdu_elems = 8 and conn_id = 4 in
+  let config =
+    {
+      CT.default_config with
+      conn_id;
+      tpdu_elems;
+      classify =
+        (fun t_id ->
+          if t_id = 1 then Significance.Sheddable 1 else Significance.Normal);
+    }
+  in
+  let data = Util.deterministic_bytes (config.CT.elem_size * tpdu_elems * 3) in
+  let framer =
+    Framer.create ~elem_size:config.CT.elem_size ~tpdu_elems ~conn_id ()
+  in
+  let sealed =
+    Util.ok_or_fail
+      (Edc.Encoder.seal_tpdus
+         (Util.ok_or_fail (Framer.push_frame ~last:true framer data)))
+  in
+  let engine = Netsim.Engine.create ~seed:4 () in
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems:(tpdu_elems * 3)
+      ~max_conns:4
+      ~send_ack:(fun _ -> ())
+      ()
+  in
+  let feed chunks =
+    Util.ok_or_fail (Packet.pack ~mtu:config.CT.mtu chunks)
+    |> List.iter (fun p -> Transport.Multi.ingest m (Packet.encode p))
+  in
+  let tpdu t =
+    List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed
+  in
+  let signal sg = feed [ Connection.signal_chunk ~conn_id sg ] in
+  signal (Connection.Open { first_csn = 0 });
+  feed (tpdu 0);
+  signal
+    (Connection.Shed_tpdu { t_id = 1; first_elem = tpdu_elems; elems = tpdu_elems });
+  feed (tpdu 2);
+  let epochs () = Transport.Multi.epochs m ~conn_id in
+  Alcotest.(check (list bool)) "one complete epoch after the shed" [ true ]
+    (List.map (fun e -> e.Transport.Multi.complete) (epochs ()));
+  feed (tpdu 1);
+  let cs = Option.get (Transport.Multi.conn_stats m ~conn_id) in
+  Alcotest.(check int) "the late chunk opens no epoch" 1
+    cs.Transport.Multi.cs_epochs;
+  Alcotest.(check (list bool)) "the epoch stays complete" [ true ]
+    (List.map (fun e -> e.Transport.Multi.complete) (epochs ()));
+  Alcotest.(check int) "no verifier state abandoned" 0
+    (List.fold_left
+       (fun acc rx ->
+         acc + (CT.Receiver.verifier_stats rx).Edc.Verifier.tpdus_failed
+         + CT.Receiver.verifier_in_flight rx)
+       0
+       (Transport.Multi.receivers m))
+
 (* --- class-aware governor eviction --- *)
 
 let test_governor_evicts_sheddable_first () =
@@ -667,6 +728,8 @@ let suite =
       test_forged_shed_ignored;
     Alcotest.test_case "shed after verification is ignored" `Quick
       test_shed_after_verify_ignored;
+    Alcotest.test_case "Multi: a late chunk of a shed TPDU opens no epoch"
+      `Quick test_multi_late_chunk_of_shed_tpdu;
     Alcotest.test_case "completion matches the sorted merge of verified and shed spans"
       `Quick test_completion_rule;
     Alcotest.test_case "governor displaces sheddable state first" `Quick
