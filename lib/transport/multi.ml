@@ -6,15 +6,9 @@ type epoch_report = {
   complete : bool;
   closed : bool;
   open_csn : int option;
-}
-
-(* An archived epoch's buffer is safe to hold by reference: the receiver
-   that owned it is dropped at archive time, so nothing writes it
-   again. *)
-type archived = {
-  a_delivered : bytes;
-  a_complete : bool;
-  a_open_csn : int option;
+  placed_elems : int;
+  shed_spans : (int * int) list;
+  passes : int;
 }
 
 type conn = {
@@ -30,7 +24,10 @@ type conn = {
          the first): the monotone-label discipline makes any Open at or
          below the watermark a duplicate or a straggler, never a new
          epoch *)
-  mutable hist : archived list;  (* newest first *)
+  mutable hist : epoch_report list;
+      (* archived epochs, newest first.  A buffer is safe to hold by
+         reference: the receiver that owned it is dropped at archive
+         time, so nothing writes it again. *)
   mutable last_touch : float;
   mutable gov : Governor.entry;  (* handle on the connection's charge *)
   (* {2 Containment} — anomaly scoring and quarantine (DESIGN §10).
@@ -75,8 +72,9 @@ type t = {
   mutable n_live : int;  (* connections whose [live] is [Some _] *)
   counts : Counters.t;  (* the endpoint's, and every receiver's *)
   mutable archived_overlap : Placement.overlap_stats;
-      (* conflict counters of archived epochs; live ones are read
-         directly off their placement buffers *)
+  mutable archived_verifier : Edc.Verifier.stats;
+      (* conflict and verifier counters of archived epochs; live ones
+         are read directly off their receivers *)
 }
 
 let emit m ev = match m.persist with Some f -> f ev | None -> ()
@@ -115,6 +113,25 @@ let touch_conn m c =
 let epoch_identity c rx =
   match c.live_open with Some _ as s -> s | None -> R.ident_tid rx
 
+let live_report c rx =
+  {
+    delivered = R.contents rx;
+    complete = R.complete rx;
+    closed = false;
+    open_csn = epoch_identity c rx;
+    placed_elems = R.delivered_elems rx;
+    shed_spans = R.shed_spans rx;
+    passes = R.epoch_passes rx;
+  }
+
+let add_verifier (a : Edc.Verifier.stats) (b : Edc.Verifier.stats) =
+  {
+    Edc.Verifier.tpdus_passed = a.tpdus_passed + b.tpdus_passed;
+    tpdus_failed = a.tpdus_failed + b.tpdus_failed;
+    duplicates = a.duplicates + b.duplicates;
+    chunks_seen = a.chunks_seen + b.chunks_seen;
+  }
+
 let archive m c =
   match c.live with
   | None -> ()
@@ -122,6 +139,8 @@ let archive m c =
       R.quiesce rx;
       m.archived_overlap <-
         Placement.add_overlap m.archived_overlap (R.overlap_stats rx);
+      m.archived_verifier <-
+        add_verifier m.archived_verifier (R.verifier_stats rx);
       (* An epoch in which no TPDU ever verified delivered nothing to the
          application (and acknowledged nothing to the sender), so from
          both ends' point of view it never happened: drop it rather than
@@ -131,27 +150,20 @@ let archive m c =
          passes over the epoch's {e whole} life ([R.epoch_passes]), so an
          epoch that verified TPDUs before a crash-restart is not dropped
          just because the restored verifier's counter restarted. *)
-      let id = epoch_identity c rx in
+      let r = { (live_report c rx) with closed = true } in
       (* raise the watermark past a recovered identity too, so a
          straggler Open naming this archived epoch cannot be adopted by
          (or tear down) a later implicitly-established epoch *)
-      (match id with
+      (match r.open_csn with
       | Some k when k > c.open_hwm -> c.open_hwm <- k
       | Some _ | None -> ());
-      if R.epoch_passes rx > 0 then begin
-        let delivered = R.contents rx in
+      if r.passes > 0 then begin
         (* archived buffers are outside the governor's account (nothing
            writes or re-admits them), so their total is exactly the
            state a flapping peer can park for free — tracked per
            connection for the isolation-budget oracle row *)
-        c.hist_bytes <- c.hist_bytes + Bytes.length delivered;
-        c.hist <-
-          {
-            a_delivered = delivered;
-            a_complete = R.complete rx;
-            a_open_csn = id;
-          }
-          :: c.hist
+        c.hist_bytes <- c.hist_bytes + Bytes.length r.delivered;
+        c.hist <- r :: c.hist
       end;
       c.live <- None;
       c.live_open <- None;
@@ -307,6 +319,13 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       n_live = 0;
       counts = Counters.zero ();
       archived_overlap = Placement.zero_overlap;
+      archived_verifier =
+        {
+          Edc.Verifier.tpdus_passed = 0;
+          tpdus_failed = 0;
+          duplicates = 0;
+          chunks_seen = 0;
+        };
     }
   in
   Governor.set_on_evict m.governor (fun key ->
@@ -461,7 +480,7 @@ let handle_open m cid found ~first_csn =
              the data, or a never-verified epoch the archive dropped)
              while its sender is evidently still transmitting. *)
           let already_archived =
-            List.exists (fun a -> a.a_open_csn = Some first_csn) c.hist
+            List.exists (fun a -> a.open_csn = Some first_csn) c.hist
           in
           if first_csn >= c.open_hwm && not already_archived then begin
             (* churn: only an Open naming a fresh C.SN can re-establish,
@@ -656,26 +675,8 @@ let epochs m ~conn_id =
   match Int_table.find_opt m.conns conn_id with
   | None -> []
   | Some c ->
-      List.rev_map
-        (fun a ->
-          {
-            delivered = a.a_delivered;
-            complete = a.a_complete;
-            closed = true;
-            open_csn = a.a_open_csn;
-          })
-        c.hist
-      @ (match c.live with
-        | Some rx ->
-            [
-              {
-                delivered = R.contents rx;
-                complete = R.complete rx;
-                closed = false;
-                open_csn = epoch_identity c rx;
-              };
-            ]
-        | None -> [])
+      List.rev_append c.hist
+        (match c.live with Some rx -> [ live_report c rx ] | None -> [])
 
 let known_conns m =
   List.sort compare (Int_table.fold (fun id _ acc -> id :: acc) m.conns [])
@@ -693,13 +694,7 @@ let receivers m =
 let governor m = m.governor
 let governor_handles m = Int_table.fold (fun _ c acc -> c.gov :: acc) m.conns []
 
-let sum_live m f =
-  Int_table.fold
-    (fun _ c acc -> match c.live with Some rx -> acc + f rx | None -> acc)
-    m.conns 0
 
-let live_in_flight m = sum_live m R.verifier_in_flight
-let live_stashed m = sum_live m R.stashed_tpdus
 let counters m = m.counts
 let reacks_sent m = m.counts.reacks_sent
 let unknown_drops m = m.counts.unknown_drops
@@ -726,13 +721,24 @@ let conn_stats m ~conn_id =
       })
     (Int_table.find_opt m.conns conn_id)
 
-let overlap_stats m =
+let fold_live m f init =
   Int_table.fold
-    (fun _ c acc ->
-      match c.live with
-      | Some rx -> Placement.add_overlap acc (R.overlap_stats rx)
-      | None -> acc)
-    m.conns m.archived_overlap
+    (fun _ c acc -> match c.live with Some rx -> f acc rx | None -> acc)
+    m.conns init
+
+let overlap_stats m =
+  fold_live m
+    (fun acc rx -> Placement.add_overlap acc (R.overlap_stats rx))
+    m.archived_overlap
+
+let verifier_stats m =
+  fold_live m
+    (fun acc rx -> add_verifier acc (R.verifier_stats rx))
+    m.archived_verifier
+
+let sum_live m f = fold_live m (fun acc rx -> acc + f rx) 0
+let live_in_flight m = sum_live m R.verifier_in_flight
+let live_stashed m = sum_live m R.stashed_tpdus
 
 (* {1 Crash recovery} *)
 
@@ -746,7 +752,14 @@ let export m : Persist.conn_image list =
           |> List.sort Int.compare;
         ci_hist =
           List.rev_map
-            (fun a -> (a.a_delivered, a.a_complete, a.a_open_csn))
+            (fun r ->
+              {
+                Persist.ei_delivered = r.delivered;
+                ei_complete = r.complete;
+                ei_open_csn = r.open_csn;
+                ei_elems = r.placed_elems;
+                ei_passes = r.passes;
+              })
             c.hist;
         ci_live = Option.map R.export c.live;
         (* snapshot the best-known identity, announced or recovered —
@@ -787,14 +800,24 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
             live_open = img.Persist.ci_live_open;
             open_hwm =
               List.fold_left
-                (fun acc (_, _, k) ->
-                  match k with Some k -> max acc k | None -> acc)
+                (fun acc (e : Persist.epoch_image) ->
+                  match e.ei_open_csn with Some k -> max acc k | None -> acc)
                 (match img.Persist.ci_live_open with Some k -> k | None -> -1)
                 img.Persist.ci_hist;
+            (* the image keeps no shed spans: a shed contract and crashes
+               do not combine *)
             hist =
               List.rev_map
-                (fun (d, cm, k) ->
-                  { a_delivered = d; a_complete = cm; a_open_csn = k })
+                (fun (e : Persist.epoch_image) ->
+                  {
+                    delivered = e.ei_delivered;
+                    complete = e.ei_complete;
+                    closed = true;
+                    open_csn = e.ei_open_csn;
+                    placed_elems = e.ei_elems;
+                    shed_spans = [];
+                    passes = e.ei_passes;
+                  })
                 img.Persist.ci_hist;
             (* epoch and state accounting re-derived from the image, so
                the isolation-budget bound spans the crash *)
@@ -803,7 +826,8 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
               + (if img.Persist.ci_live <> None then 1 else 0);
             hist_bytes =
               List.fold_left
-                (fun acc (d, _, _) -> acc + Bytes.length d)
+                (fun acc (e : Persist.epoch_image) ->
+                  acc + Bytes.length e.ei_delivered)
                 0 img.Persist.ci_hist;
             quarantined_until = img.Persist.ci_quar_until;
             quarantine_count = img.Persist.ci_quar_count;

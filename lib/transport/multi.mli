@@ -45,13 +45,20 @@ type epoch_report = {
   complete : bool;
   closed : bool;
   open_csn : int option;
+  placed_elems : int;
+  shed_spans : (int * int) list;
+  passes : int;
 }
 (** One epoch's outcome at the receiver: the placed bytes, whether
-    every expected element arrived, whether the epoch saw its Close (or
-    C.ST), and the first C.SN its Open announced — the epoch's identity
-    under the monotone-label discipline, [None] only when the epoch was
-    established implicitly and its Open never arrived.  This is the
-    unit the multi-connection oracle checks. *)
+    every expected element arrived, whether the epoch was archived, the
+    first C.SN its Open announced — the epoch's identity under the
+    monotone-label discipline, [None] only when the epoch was
+    established implicitly and its Open never arrived — the elements
+    placed, the honoured shed spans [(first_elem, elems)] ascending, and
+    the TPDUs verified over the epoch's whole life (across crash
+    restores).  An epoch restored from an archived image reports no
+    shed spans (a shed contract and crashes do not combine).  This is
+    the unit the conformance oracle checks. *)
 
 type t
 (** A multi-connection receiving endpoint: the connection table, one
@@ -200,6 +207,10 @@ val overlap_stats : t -> Labelling.Placement.overlap_stats
 (** Overlap-conflict counters summed over every epoch of every
     connection, live and archived (see {!Labelling.Placement} for the
     first-verified-wins policy they account). *)
+
+val verifier_stats : t -> Edc.Verifier.stats
+(** Verifier counters summed over every epoch of every connection since
+    creation (or restore), live and archived. *)
 
 (** {1 Crash recovery} *)
 

@@ -40,10 +40,18 @@ type sender_image = {
 
 type single_image = { s_acked : int list; s_rx : receiver_image }
 
+type epoch_image = {
+  ei_delivered : bytes;
+  ei_complete : bool;
+  ei_open_csn : int option;
+  ei_elems : int;
+  ei_passes : int;
+}
+
 type conn_image = {
   ci_id : int;
   ci_acked : int list;
-  ci_hist : (bytes * bool * int option) list;
+  ci_hist : epoch_image list;
   ci_live : receiver_image option;
   ci_live_open : int option;
   (* containment state (Multi's anomaly quarantine): a boxed or
@@ -201,6 +209,14 @@ let receiver_delivered ~elem_size ~quota_elems ri =
     (List.rev ri.ri_placed);
   buf
 
+(* [ri] is mid-replay: a snapshot's placed runs and the journal's may
+   overlap, so elements are counted over the merged spans. *)
+let receiver_elems ~elem_size ri =
+  List.fold_left
+    (fun acc (_, l) -> acc + l)
+    0
+    (coalesce_spans (spans_of_runs ~elem_size ri.ri_placed))
+
 (* Fold the live epoch into history, as the live side's Archive does.
    Close archives first on the live side, so a bare Closed record (torn
    Archive) takes this same step. *)
@@ -211,8 +227,16 @@ let archive ~elem_size ~quota_elems c =
       let hist =
         if ri.ri_passed <= 0 then c.ci_hist
         else
-          let delivered = receiver_delivered ~elem_size ~quota_elems ri in
-          c.ci_hist @ [ (delivered, receiver_complete ri, c.ci_live_open) ]
+          c.ci_hist
+          @ [
+              {
+                ei_delivered = receiver_delivered ~elem_size ~quota_elems ri;
+                ei_complete = receiver_complete ri;
+                ei_open_csn = c.ci_live_open;
+                ei_elems = receiver_elems ~elem_size ri;
+                ei_passes = ri.ri_passed;
+              };
+            ]
       in
       { c with ci_hist = hist; ci_live = None; ci_live_open = None }
 
@@ -312,8 +336,9 @@ let apply_journal ~elem_size ~quota_elems image events =
    same bytes. *)
 
 (* v2: conn images gained the containment fields (quarantine deadline,
-   admission-revocation count, poisoned flag) *)
-let version = 2
+   admission-revocation count, poisoned flag); v3: archived epochs gained
+   their placed-element and pass counts *)
+let version = 3
 let magic = "CSNP"
 
 type cur = { b : bytes; mutable off : int }
@@ -500,12 +525,26 @@ let receiver =
       Field (list corrob, (fun r -> r.ri_corrob),
         fun r ri_corrob -> { r with ri_corrob }) ]
 
+let epoch =
+  record
+    { ei_delivered = Bytes.empty; ei_complete = false; ei_open_csn = None;
+      ei_elems = 0; ei_passes = 0 }
+    [ Field (bytes, (fun e -> e.ei_delivered),
+        fun e ei_delivered -> { e with ei_delivered });
+      Field (bool, (fun e -> e.ei_complete),
+        fun e ei_complete -> { e with ei_complete });
+      Field (opt int, (fun e -> e.ei_open_csn),
+        fun e ei_open_csn -> { e with ei_open_csn });
+      Field (int, (fun e -> e.ei_elems), fun e ei_elems -> { e with ei_elems });
+      Field (int, (fun e -> e.ei_passes),
+        fun e ei_passes -> { e with ei_passes }) ]
+
 let conn =
   record (empty_conn 0)
     [ Field (int, (fun c -> c.ci_id), fun c ci_id -> { c with ci_id });
       Field (list int, (fun c -> c.ci_acked),
         fun c ci_acked -> { c with ci_acked });
-      Field (list (triple bytes bool (opt int)), (fun c -> c.ci_hist),
+      Field (list epoch, (fun c -> c.ci_hist),
         fun c ci_hist -> { c with ci_hist });
       Field (opt receiver, (fun c -> c.ci_live),
         fun c ci_live -> { c with ci_live });

@@ -82,13 +82,21 @@ type single_image = {
 }
 (** A standalone (single-connection) receiver endpoint. *)
 
+type epoch_image = {
+  ei_delivered : bytes;  (** the epoch's placement buffer *)
+  ei_complete : bool;
+  ei_open_csn : int option;
+      (** announced Open C.SN; [None] for an epoch that was only ever
+          established implicitly *)
+  ei_elems : int;  (** elements placed *)
+  ei_passes : int;  (** TPDUs verified over the epoch's whole life *)
+}
+(** One archived epoch of a [Multi] connection. *)
+
 type conn_image = {
   ci_id : int;  (** connection id *)
   ci_acked : int list;  (** per-connection ACK ledger, ascending *)
-  ci_hist : (bytes * bool * int option) list;
-      (** archived epochs, oldest first, as (delivered bytes, complete,
-          announced Open C.SN) — the C.SN is [None] for an epoch that
-          was only ever established implicitly *)
+  ci_hist : epoch_image list;  (** archived epochs, oldest first *)
   ci_live : receiver_image option;  (** the live epoch, if any *)
   ci_live_open : int option;
       (** the live epoch's announced Open C.SN, when one was seen *)
@@ -173,7 +181,7 @@ val apply_journal :
 (** {1 Codec} *)
 
 val version : int
-(** Snapshot format version (2).  The rule: any change to the field
+(** Snapshot format version (3).  The rule: any change to the field
     layout bumps this, and a decoder rejects images whose version it
     does not know — there is no cross-version repair.  Every decoder
     also refuses a record whose payload holds bytes past its last field,

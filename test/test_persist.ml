@@ -414,7 +414,16 @@ let golden_multi =
       {
         Persist.ci_id = 3;
         ci_acked = [ 0 ];
-        ci_hist = [ (Bytes.of_string "abcd", true, Some 0) ];
+        ci_hist =
+          [
+            {
+              Persist.ei_delivered = Bytes.of_string "abcd";
+              ei_complete = true;
+              ei_open_csn = Some 0;
+              ei_elems = 1;
+              ei_passes = 2;
+            };
+          ];
         ci_live = Some { golden_receiver with Persist.ri_conn = 3; ri_tpdus = [] };
         ci_live_open = Some 16;
         ci_quar_until = 3.5;
@@ -931,6 +940,88 @@ let test_sender_restore_rejects_adaptive () =
            ~send:(fun _ -> ())
            ~data:(Util.deterministic_bytes 512) si))
 
+(* A transfer that finished before the crash is archived at its Close,
+   so the restore rebuilds it from the image alone: its placed-element
+   and pass counts must survive whether the Close reached a snapshot or
+   only the journal.  A snapshot taken while half of TPDU 1 waited for
+   the other half holds that half placed, and the journal's ACK of
+   TPDU 1 places it again: the count must not double it. *)
+let test_archived_epoch_counts_survive () =
+  let open Labelling in
+  let conn = 3 and quota_elems = 64 in
+  let framer =
+    Framer.create ~elem_size:config.CT.elem_size
+      ~tpdu_elems:config.CT.tpdu_elems ~conn_id:conn ()
+  in
+  let sealed =
+    Util.ok_or_fail
+      (Edc.Encoder.seal_tpdus
+         (Util.ok_or_fail
+            (Framer.push_frame ~last:true framer (Util.deterministic_bytes 184))))
+  in
+  let packet cs = Util.ok_or_fail (Wire.encode_packet cs) in
+  let tpdu t = List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed in
+  let head, tail =
+    match tpdu 1 with
+    | [ d; ed ] ->
+        let d1, d2 = Fragment.split_exn d ~elems:8 in
+        ([ d1; ed ], [ d2 ])
+    | _ -> Alcotest.fail "expected one data and one ED chunk"
+  in
+  let signal sg = packet [ Connection.signal_chunk ~conn_id:conn sg ] in
+  let packets =
+    [
+      signal (Connection.Open { first_csn = 0 });
+      packet (tpdu 0);
+      packet head;
+      packet tail;
+      packet (tpdu 2);
+      signal Connection.Close;
+    ]
+  in
+  let counts m =
+    List.map
+      (fun (e : Transport.Multi.epoch_report) ->
+        ( Bytes.to_string e.Transport.Multi.delivered,
+          (e.Transport.Multi.complete, e.Transport.Multi.placed_elems,
+           e.Transport.Multi.passes) ))
+      (Transport.Multi.epochs m ~conn_id:conn)
+  in
+  let survives ~snap_after =
+    let engine = Netsim.Engine.create ~seed:5 () in
+    let store = Persist.Store.create () in
+    let m =
+      Transport.Multi.create engine ~config ~quota_elems ~max_conns:4
+        ~persist:(Persist.Store.append store) ~send_ack:ignore ()
+    in
+    List.iteri
+      (fun i p ->
+        Transport.Multi.ingest m p;
+        if Some i = snap_after then
+          Persist.Store.snapshot store (Persist.Multi (Transport.Multi.export m)))
+      packets;
+    let before = counts m in
+    Alcotest.(check (list (triple bool int int)))
+      "the archived epoch counts its elements and passes"
+      [ (true, 46, 3) ] (List.map snd before);
+    Transport.Multi.teardown m;
+    match
+      Persist.Store.recover ~elem_size:config.CT.elem_size ~quota_elems
+        ~empty:(Persist.Multi []) store
+    with
+    | Ok (Persist.Multi conns, false) ->
+        let m' =
+          Transport.Multi.restore engine ~config ~quota_elems ~max_conns:4
+            ~send_ack:ignore conns
+        in
+        Alcotest.(check (list (pair string (triple bool int int))))
+          "restored archived epoch" before (counts m')
+    | Ok _ | Error _ -> Alcotest.fail "recover failed"
+  in
+  survives ~snap_after:None;
+  survives ~snap_after:(Some 2);
+  survives ~snap_after:(Some 5)
+
 let suite =
   [
     Util.qtest ~count:60
@@ -980,4 +1071,6 @@ let suite =
     Util.qtest ~count:200
       "shuffled ACK journal replays as one record at a time does"
       gen_shuffled_acks prop_replay_merges_once;
+    Alcotest.test_case "archived epoch counts survive a crash after the Close"
+      `Quick test_archived_epoch_counts_survive;
   ]
