@@ -157,7 +157,7 @@ let run_replay spec mutate =
         (match observation.counterfactuals with
         | [] -> " n/a"
         | rows ->
-            let primary = Check.Driver.outcome schedule observation in
+            let primary = observation.Check.Driver.epochs in
             String.concat ""
               (List.map
                  (fun (row, rerun) ->

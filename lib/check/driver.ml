@@ -13,9 +13,9 @@ type mutation =
       (** flip one already-verified byte in the first restored snapshot *)
   | Overlap_clobber
       (** forge a {e correctly sealed} TPDU with divergent bytes over the
-          first data chunk's connection range and inject it ahead of the
-          original — a verified-vs-verified clash no honest network can
-          produce *)
+          first data chunk's connection range and inject it right after
+          the original — a verified-vs-verified clash no honest network
+          can produce *)
   | Shed_clobber
       (** mis-configure both endpoints to treat TPDU 0 — which the
           schedule's shed contract does {e not} declare sheddable — as
@@ -59,12 +59,6 @@ type epoch_obs = {
   e_delivered : bytes option;
       (** the epoch's receiver buffer; [None] if the receiver never saw
           the epoch *)
-}
-
-type multi_obs = {
-  mo_epochs : epoch_obs list;
-  mo_live_conns : int;  (** connections still live at quiescence *)
-  mo_known_conns : int;  (** connections ever admitted (incl. flood) *)
 }
 
 (* Cross-layer deltas of the [Obs] metric registry over exactly one run,
@@ -136,16 +130,17 @@ type observation = {
   roundtrip_failures : int;
   snapshots_taken : int;
   journal_records : int;
-  multi : multi_obs option;
+  epochs : epoch_obs list;  (* every planned (connection, epoch) *)
+  live_conns : int;  (* connections still live at quiescence *)
+  known_conns : int;  (* connections ever admitted (incl. flood) *)
   metrics : metrics_probe;
   (* overlap policy; [os_verified_overwrites] must stay 0: two verified
      TPDUs clashing *)
   overlap : Labelling.Placement.overlap_stats;
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
-  (* connection-lookup memo *)
   fastpath_stats : Transport.Flowcache.stats;
-      (* the multi path's memo of its connection table, across crash
-         incarnations; all zero on single-path runs *)
+      (* the endpoint's memo of its connection table, across crash
+         incarnations *)
   byz : byz_obs option;  (* present iff the schedule runs the adversary *)
   counterfactuals : (string * epoch_obs list) list;
       (* (row, re-run outcome) for every counterfactual that applies *)
@@ -182,8 +177,7 @@ let probe_end (passed0, acks0) =
    oracle reports. *)
 let horizon = 1000.0
 
-(* Everything on the forward side of the wire is common to the single-
-   and multi-connection paths: door mutation, congestion dropper,
+(* The forward side of the wire: door mutation, congestion dropper,
    gateway chain, multipath, plus the scheduled outage valve in front
    of it all. *)
 type plumbing = {
@@ -382,8 +376,9 @@ let build_reverse ~trace (s : Schedule.t) engine deliver =
 
    A crash drops the endpoint's in-memory state and every packet that
    arrives during the down window; the restart rebuilds the endpoint
-   from the persisted snapshot + journal.  Everything here is shared by
-   the single- and multi-connection paths. *)
+   from the persisted snapshot + journal. *)
+
+module Multi = Transport.Multi
 
 (* Per-run crash bookkeeping: counters the oracle's recovery checks
    read, plus accumulators for statistics that die with each crashed
@@ -395,8 +390,8 @@ type crash_track = {
   mutable ct_over_budget : int;
   mutable ct_roundtrip : int;
   mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
-  (* pre-crash statistics folded in at each teardown *)
-  mutable ct_fp : Transport.Flowcache.stats;  (* multi path only *)
+  (* statistics folded in from every endpoint instance *)
+  mutable ct_fp : Transport.Flowcache.stats;
   mutable ct_failed : int;
   mutable ct_dups : int;
   mutable ct_chunks : int;
@@ -422,12 +417,19 @@ let crash_track () =
     ct_overlap = Labelling.Placement.zero_overlap;
   }
 
-(* Fold one endpoint instance's counts, governor peak and placement
-   conflicts in. *)
-let absorb_endpoint ct counts (gov : Transport.Governor.stats) overlap =
-  Transport.Counters.add ct.ct_counts counts;
-  ct.ct_high_water <- max ct.ct_high_water gov.Transport.Governor.high_water;
-  ct.ct_overlap <- Labelling.Placement.add_overlap ct.ct_overlap overlap
+(* Fold one endpoint instance's statistics in: at its crash, and at the
+   end of the run for the last one. *)
+let absorb ct m =
+  let v = Multi.verifier_stats m in
+  ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
+  ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
+  ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
+  ct.ct_fp <-
+    Transport.Flowcache.add_stats ct.ct_fp (Multi.fastpath_stats m).Multi.fp_conn;
+  Transport.Counters.add ct.ct_counts (Multi.counters m);
+  ct.ct_high_water <-
+    max ct.ct_high_water (Multi.governor_stats m).Transport.Governor.high_water;
+  ct.ct_overlap <- Labelling.Placement.add_overlap ct.ct_overlap (Multi.overlap_stats m)
 
 (* The codec must be a fixpoint on every image it produced itself; a
    re-encode that fails to decode back to the same value means the
@@ -437,69 +439,71 @@ let codec_roundtrip_ok img =
   | Ok img' -> img' = img
   | Error _ -> false
 
+(* A copy of [data] with byte [i] flipped. *)
+let flip_byte data i =
+  let data = Bytes.copy data in
+  Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 0x01));
+  data
+
+(* The first element of [l] that [f] changes, changed. *)
+let rec update_first f = function
+  | [] -> None
+  | x :: rest -> (
+      match f x with
+      | Some x' -> Some (x' :: rest)
+      | None -> Option.map (List.cons x) (update_first f rest))
+
 (* The Corrupt_restore mutation: flip one byte that the image claims is
    already {e verified}.  Verified bytes are exactly the ones recovery
    must preserve faithfully — their TPDUs sit in the ledger, so the
    sender will never retransmit them and no later traffic can heal the
-   damage.  Returns [None] when the image holds no verified byte yet
-   (the caller retries at the next restore). *)
+   damage.  A live receiver image's first verified byte is taken first;
+   failing that, the first byte of the first archived epoch, since a
+   finished transfer is archived at its Close, before the crash.
+   Returns [None] when the image holds neither (the caller retries at
+   the next restore). *)
 let corrupt_receiver_image ~elem_size (ri : Persist.receiver_image) =
   match ri.Persist.ri_verified with
   | [] -> None
   | (vs, _) :: _ ->
-      let rec go = function
-        | [] -> None
-        | (sn, data) :: rest ->
-            let elems = Bytes.length data / elem_size in
-            if vs >= sn && vs < sn + elems then begin
-              let data = Bytes.copy data in
-              let i = (vs - sn) * elem_size in
-              Bytes.set data i
-                (Char.chr (Char.code (Bytes.get data i) lxor 0x01));
-              Some ((sn, data) :: rest)
-            end
-            else Option.map (fun tl -> (sn, data) :: tl) (go rest)
-      in
       Option.map
         (fun placed -> { ri with Persist.ri_placed = placed })
-        (go ri.Persist.ri_placed)
+        (update_first
+           (fun (sn, data) ->
+             if vs >= sn && vs < sn + (Bytes.length data / elem_size) then
+               Some (sn, flip_byte data ((vs - sn) * elem_size))
+             else None)
+           ri.Persist.ri_placed)
 
-let corrupt_image ~elem_size (img : Persist.endpoint_image) =
-  match img with
-  | Persist.Single si ->
-      Option.map
-        (fun rx -> Persist.Single { si with Persist.s_rx = rx })
-        (corrupt_receiver_image ~elem_size si.Persist.s_rx)
-  | Persist.Multi conns ->
-      let rec go = function
-        | [] -> None
-        | (c : Persist.conn_image) :: rest -> (
-            match
-              Option.bind c.Persist.ci_live (corrupt_receiver_image ~elem_size)
-            with
-            | Some rx -> Some ({ c with Persist.ci_live = Some rx } :: rest)
-            | None -> Option.map (fun tl -> c :: tl) (go rest))
-      in
-      Option.map (fun cs -> Persist.Multi cs) (go conns)
+let corrupt_image ~elem_size conns =
+  let live (c : Persist.conn_image) =
+    Option.map
+      (fun rx -> { c with Persist.ci_live = Some rx })
+      (Option.bind c.Persist.ci_live (corrupt_receiver_image ~elem_size))
+  in
+  let archived (c : Persist.conn_image) =
+    match c.Persist.ci_hist with
+    | e :: older when Bytes.length e.Persist.ei_delivered > 0 ->
+        let e = { e with ei_delivered = flip_byte e.Persist.ei_delivered 0 } in
+        Some { c with Persist.ci_hist = e :: older }
+    | _ -> None
+  in
+  match update_first live conns with
+  | Some _ as corrupted -> corrupted
+  | None -> update_first archived conns
 
 (* Recovery-safety probe on a freshly restored endpoint's re-export: a
    T.ID both in the ledger and among the in-flight verifier images means
    the endpoint would verify (and deliver) a TPDU it already promised
    was done — double delivery waiting to happen. *)
-let ledger_in_flight_clash (acked, (ri : Persist.receiver_image)) =
-  List.exists
-    (fun (ti : Edc.Verifier.tpdu_image) ->
-      List.mem ti.Edc.Verifier.ti_t_id acked)
-    ri.Persist.ri_tpdus
-
-(* Every live connection's (ledger, receiver image) pair. *)
-let ledger_images = function
-  | Persist.Single si -> [ (si.Persist.s_acked, si.Persist.s_rx) ]
-  | Persist.Multi conns ->
-      List.filter_map
-        (fun (ci : Persist.conn_image) ->
-          Option.map (fun ri -> (ci.Persist.ci_acked, ri)) ci.Persist.ci_live)
-        conns
+let ledger_in_flight_clash (c : Persist.conn_image) =
+  match c.Persist.ci_live with
+  | None -> false
+  | Some ri ->
+      List.exists
+        (fun (ti : Edc.Verifier.tpdu_image) ->
+          List.mem ti.Edc.Verifier.ti_t_id c.Persist.ci_acked)
+        ri.Persist.ri_tpdus
 
 (* Snapshots are scheduled up front at k·snap_period for every k that
    lands before the last crash (later ones could never be consulted),
@@ -534,51 +538,38 @@ let crash_store (s : Schedule.t) =
 
 (* A crashed endpoint neither receives nor buffers: the valve discards
    everything that arrives at the door inside a crash window. *)
-let crash_valve engine (s : Schedule.t) endpoint deliver =
+let crash_valve engine (s : Schedule.t) endpoint =
   Netsim.Blackout.create engine
     ~windows:
       (List.map
          (fun (c : Schedule.crash) ->
            (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
          s.Schedule.crashes)
-    ~deliver:(fun b -> match !endpoint with Some e -> deliver e b | None -> ())
+    ~deliver:(fun b ->
+      match !endpoint with Some m -> Multi.ingest m b | None -> ())
     ()
 
-(* What differs between the single- and multi-connection endpoints as
-   far as crash-restart is concerned. *)
-type 'e endpoint = {
-  noun : string;  (* the endpoint's name in trace events *)
-  empty : Persist.endpoint_image;  (* what an empty store recovers to *)
-  restore : Persist.endpoint_image -> 'e option;
-      (* [None] when the image has the other endpoint's shape *)
-  export : 'e -> Persist.endpoint_image;
-  trimmed : 'e -> bool;
-      (* the restore itself evicted state, so the re-export may
-         legitimately differ from the image it was built from *)
-  governor : 'e -> Transport.Governor.stats;
-  reannounce : 'e -> unit;
-  absorb : 'e -> unit;  (* fold the dying instance's statistics in *)
-  quiesce : 'e -> unit;
-}
-
-(* Snapshots, crashes and restarts for the endpoint held in [current].
-   A restore runs every recovery probe the oracle reads: the codec
-   fixpoint, the endpoint shape, the export round trip, the
-   ledger/in-flight clash and the state budget. *)
+(* Snapshots, crashes and restarts for the endpoint held in [current];
+   [restore] rebuilds one from a snapshot's connections.  A restore runs
+   every recovery probe the oracle reads: the codec fixpoint, the
+   endpoint shape, the export round trip, the ledger/in-flight clash and
+   the state budget. *)
 let install_crashes ~mutation ~trace engine (s : Schedule.t)
-    ~quota_elems store ct current ep =
+    ~quota_elems store ct current ~restore =
   let trec fmt = make_trec engine trace fmt in
-  schedule_snapshots engine s store (fun () -> Option.map ep.export !current);
+  let export m = Persist.Multi (Multi.export m) in
+  schedule_snapshots engine s store (fun () -> Option.map export !current);
   let restore_now (c : Schedule.crash) =
     let t0 = Unix.gettimeofday () in
     match
       Persist.Store.recover ~elem_size:s.Schedule.elem_size ~quota_elems
-        ~empty:ep.empty store
+        ~empty:(Persist.Multi []) store
     with
     | Error msg ->
         ct.ct_bad <- ct.ct_bad + 1;
         trec "RESTORE failed: %s" msg
-    | Ok (img, torn) -> (
+    | Ok (Persist.Single _, _) -> ct.ct_bad <- ct.ct_bad + 1
+    | Ok ((Persist.Multi conns as img), torn) ->
         (* no schedule damages the journal, so a torn one means a
            record that does not read back as written *)
         if torn then begin
@@ -587,53 +578,51 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t)
         end;
         if not (codec_roundtrip_ok img) then
           ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let img =
+        let conns =
           if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size img with
-            | Some img' ->
+            match corrupt_image ~elem_size:s.Schedule.elem_size conns with
+            | Some conns' ->
                 ct.ct_corrupted <- true;
                 trec "MUTATION corrupt restored image";
-                img'
-            | None -> img
-          else img
+                conns'
+            | None -> conns
+          else conns
         in
-        match ep.restore img with
-        | None -> ct.ct_bad <- ct.ct_bad + 1
-        | Some e ->
-            if Obs.enabled then
-              Obs.Metrics.observe_s Persist.m_recovery
-                (Unix.gettimeofday () -. t0);
-            (* Re-export must reproduce the image (structural round
-               trip), unless the restore itself evicted state — then the
-               budget legitimately trimmed the image. *)
-            let re = ep.export e in
-            if (not (ep.trimmed e)) && re <> img then
-              ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-            ct.ct_bad <-
-              ct.ct_bad
-              + List.length
-                  (List.filter ledger_in_flight_clash (ledger_images re));
-            let gov = ep.governor e in
-            if
-              s.Schedule.state_budget > 0
-              && gov.Transport.Governor.accounted_bytes
-                 > s.Schedule.state_budget
-            then ct.ct_over_budget <- ct.ct_over_budget + 1;
-            ct.ct_restores <- ct.ct_restores + 1;
-            ep.reannounce e;
-            current := Some e;
-            trec "RESTART %s after %.4fs down" ep.noun c.Schedule.cr_restart)
+        let m = restore conns in
+        if Obs.enabled then
+          Obs.Metrics.observe_s Persist.m_recovery (Unix.gettimeofday () -. t0);
+        (* Re-export must reproduce the image (structural round trip),
+           unless the restore itself evicted state — then the budget
+           legitimately trimmed the image. *)
+        let re = Multi.export m in
+        let k = Multi.counters m in
+        let trimmed =
+          k.evictions > 0 || k.displaced_conns > 0 || k.conn_gcs > 0
+        in
+        if (not trimmed) && re <> conns then
+          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
+        ct.ct_bad <-
+          ct.ct_bad + List.length (List.filter ledger_in_flight_clash re);
+        if
+          s.Schedule.state_budget > 0
+          && (Multi.governor_stats m).Transport.Governor.accounted_bytes
+             > s.Schedule.state_budget
+        then ct.ct_over_budget <- ct.ct_over_budget + 1;
+        ct.ct_restores <- ct.ct_restores + 1;
+        Multi.reannounce m;
+        current := Some m;
+        trec "RESTART demultiplexer after %.4fs down" c.Schedule.cr_restart
   in
   List.iter
     (fun (c : Schedule.crash) ->
       Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
           match !current with
           | None -> ()
-          | Some e ->
+          | Some m ->
               ct.ct_crashes <- ct.ct_crashes + 1;
-              trec "CRASH %s, down %.4fs" ep.noun c.Schedule.cr_restart;
-              ep.absorb e;
-              ep.quiesce e;
+              trec "CRASH demultiplexer, down %.4fs" c.Schedule.cr_restart;
+              absorb ct m;
+              Multi.teardown m;
               current := None);
       Netsim.Engine.schedule engine
         ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
@@ -642,13 +631,15 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t)
 
 (* The Overlap_clobber mutation: a forged TPDU with a {e correct} WSC-2
    seal over divergent bytes, covering exactly the first data chunk's
-   connection range and injected ahead of it.  The forged TPDU verifies
-   first and locks its bytes under first-verified-wins; the real TPDU
-   still passes its own parity over its own chunks, so the receiver
-   completes with the forged bytes in that window — the data mismatch
-   the oracle must catch.  Forging it requires authoring a {e valid}
-   seal, which no honest network element can do: that is what makes
-   this a stack-bug mutation rather than an adversary mode. *)
+   connection range and injected right after the packet it copies (so
+   the endpoint has admitted the connection by then).  The forged TPDU
+   is whole in one packet, so it verifies at once and locks its bytes
+   under first-verified-wins; the real TPDU still passes its own parity
+   over its own chunks, so the receiver completes with the forged bytes
+   in that window — the data mismatch the oracle must catch.  Forging
+   it requires authoring a {e valid} seal, which no honest network
+   element can do: that is what makes this a stack-bug mutation rather
+   than an adversary mode. *)
 let clobber_tid_base = 900_000
 
 let forge_clobber b =
@@ -683,211 +674,6 @@ let forge_clobber b =
                   | Ok p1, Ok p2 -> Some [ p1; p2 ]
                   | _ -> None))))
 
-(* The observation fields the shared machinery knows: the wire, the
-   crash bookkeeping, the statistics folded in from every endpoint
-   instance, and the senders' counters.  Each path adds what only it
-   knows. *)
-let observe engine p ct store probe0 ~senders ~(gov : Transport.Governor.stats)
-    ~ok ~complete ~gave_up ~finished ~delivered ~in_flight ~stashed ~final_rto
-    =
-  let sum f = List.fold_left (fun acc tx -> acc + f tx) 0 senders in
-  {
-    ok;
-    complete;
-    gave_up;
-    finished;
-    delivered;
-    delivered_elems = 0;
-    retransmissions = sum CT.Sender.retransmissions;
-    sack_retransmissions = sum CT.Sender.sack_retransmissions;
-    packets_sent = sum CT.Sender.packets_sent;
-    (* Pass totals are the single path's to add; the multi path leaves
-       every verifier count zero, since archived epochs release their
-       verifiers and no meaningful aggregate exists. *)
-    verifier =
-      {
-        Edc.Verifier.tpdus_passed = 0;
-        tpdus_failed = ct.ct_failed;
-        duplicates = ct.ct_dups;
-        chunks_seen = ct.ct_chunks;
-      };
-    verifier_in_flight = in_flight;
-    stashed_tpdus = stashed;
-    engine_pending = Netsim.Engine.pending engine;
-    sim_time = Netsim.Engine.now engine;
-    gateways_malformed = p.gateways_malformed ();
-    counts = ct.ct_counts;
-    aborts_sent = sum CT.Sender.aborts_sent;
-    sheds_sent = sum CT.Sender.sheds_sent;
-    shed_spans = [];
-    state_high_water = ct.ct_high_water;
-    state_accounted = gov.Transport.Governor.accounted_bytes;
-    flood_injected = 0;
-    rtt_samples = sum CT.Sender.rtt_samples;
-    max_txs_at_rtt_sample =
-      List.fold_left
-        (fun acc tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx))
-        0 senders;
-    final_rto;
-    crashes_injected = ct.ct_crashes;
-    restores = ct.ct_restores;
-    recovery_bad = ct.ct_bad;
-    restore_over_budget = ct.ct_over_budget;
-    roundtrip_failures = ct.ct_roundtrip;
-    snapshots_taken = Persist.Store.snapshots_taken store;
-    journal_records = Persist.Store.journal_records store;
-    multi = None;
-    metrics = probe_end probe0;
-    overlap = ct.ct_overlap;
-    overlap_injected = 0;
-    fastpath_stats = ct.ct_fp;
-    byz = None;
-    counterfactuals = [];
-  }
-
-let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
-  let config = config_for ~mutation s in
-  let data = Schedule.data_of s in
-  let engine = Netsim.Engine.create ~seed:s.seed () in
-  let trec fmt = make_trec engine trace fmt in
-  let receiver = ref None in
-  let sender = ref None in
-  let crash_valve = crash_valve engine s receiver CT.Receiver.ingest in
-  (* The overlap adversary taps the door (before its own injections, so
-     it never feeds on itself) and injects straight past the tap. *)
-  let overlapper = ref None in
-  let clobbered = ref false in
-  let to_receiver_raw b =
-    (match !overlapper with
-    | Some o -> Netsim.Overlapper.observe o b
-    | None -> ());
-    (if mutation = Overlap_clobber && not !clobbered then
-       match forge_clobber b with
-       | Some pkts ->
-           clobbered := true;
-           trec "MUTATION forged clobber TPDU ahead of packet";
-           List.iter (Netsim.Blackout.send crash_valve) pkts
-       | None -> ());
-    Netsim.Blackout.send crash_valve b
-  in
-  let p = build_plumbing ~mutation ~trace s engine to_receiver_raw in
-  (match s.Schedule.overlap with
-  | None -> ()
-  | Some o ->
-      overlapper :=
-        Some
-          (Netsim.Overlapper.create engine
-             ~seed:(s.seed lxor 0x0A51A9 lxor overlap_salt)
-             ~rate:o.Schedule.ov_rate ~stop:o.Schedule.ov_stop
-             ~dup:o.Schedule.ov_dup ~forge:o.Schedule.ov_forge
-             ~resplit:o.Schedule.ov_resplit
-             ~inject:(fun b -> Netsim.Blackout.send crash_valve b)
-             ()));
-  let probe0 = probe_start () in
-  let reverse_send =
-    build_reverse ~trace s engine (fun b ->
-        match !sender with Some t -> CT.Sender.on_packet t b | None -> ())
-  in
-  let expected_elems =
-    CT.expected_elements config ~data_len:(Bytes.length data)
-  in
-  let store, persist = crash_store s in
-  let rx =
-    CT.Receiver.create engine config ?persist ~send_ack:reverse_send
-      ~capacity:(`Exact expected_elems) ()
-  in
-  receiver := Some rx;
-  let ct = crash_track () in
-  let absorb rx =
-    let v = CT.Receiver.verifier_stats rx in
-    ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
-    ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
-    ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
-    absorb_endpoint ct (CT.Receiver.counters rx)
-      (CT.Receiver.governor_stats rx)
-      (CT.Receiver.overlap_stats rx)
-  in
-  install_crashes ~mutation ~trace engine s ~quota_elems:expected_elems store
-    ct receiver
-    {
-      noun = "receiver";
-      empty =
-        Persist.Single
-          {
-            Persist.s_acked = [];
-            s_rx = Persist.empty_receiver ~conn:config.CT.conn_id;
-          };
-      restore =
-        (function
-        | Persist.Single si ->
-            Some
-              (CT.Receiver.restore engine config ?persist
-                 ~send_ack:reverse_send ~capacity:(`Exact expected_elems)
-                 si.Persist.s_rx ~acked_tids:si.Persist.s_acked)
-        | Persist.Multi _ -> None);
-      export =
-        (fun rx ->
-          Persist.Single
-            {
-              Persist.s_acked = CT.Receiver.acked_tids rx;
-              s_rx = CT.Receiver.export rx;
-            });
-      trimmed = (fun rx -> (CT.Receiver.counters rx).evictions > 0);
-      governor = CT.Receiver.governor_stats;
-      reannounce = CT.Receiver.reannounce;
-      absorb;
-      quiesce = CT.Receiver.quiesce;
-    };
-  let tx = CT.Sender.create engine config ~send:p.forward_send ~data () in
-  sender := Some tx;
-  CT.Sender.start tx;
-  Netsim.Engine.run ~until:horizon engine;
-  let rx = match !receiver with Some r -> r | None -> rx in
-  absorb rx;
-  let delivered = CT.Receiver.contents rx in
-  let n = Bytes.length data in
-  let shed_spans = CT.Receiver.shed_spans rx in
-  (* Byte-exact outside the honoured shed spans; the oracle separately
-     checks that every observed shed was contractually permitted. *)
-  let ok =
-    (not (CT.Sender.gave_up tx))
-    && CT.Receiver.complete rx
-    && Bytes.length delivered >= n
-    &&
-    match shed_spans with
-    | [] -> Bytes.equal (Bytes.sub delivered 0 n) data
-    | spans ->
-        CT.equal_outside_sheds ~elem_size:s.Schedule.elem_size ~spans
-          ~expected:data ~delivered
-  in
-  trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let o =
-    observe engine p ct store probe0 ~senders:[ tx ]
-      ~gov:(CT.Receiver.governor_stats rx) ~ok
-      ~complete:(CT.Receiver.complete rx) ~gave_up:(CT.Sender.gave_up tx)
-      ~finished:(CT.Sender.finished tx) ~delivered
-      ~in_flight:(CT.Receiver.verifier_in_flight rx)
-      ~stashed:(CT.Receiver.stashed_tpdus rx)
-      ~final_rto:(CT.Sender.current_rto tx)
-  in
-  {
-    o with
-    delivered_elems = CT.Receiver.delivered_elems rx;
-    (* Whole-epoch counts: pass totals carry across restarts via
-       [epoch_passes]; the other counters are accumulated over every
-       receiver instance the run went through. *)
-    verifier =
-      {
-        o.verifier with
-        Edc.Verifier.tpdus_passed = CT.Receiver.epoch_passes rx;
-      };
-    shed_spans;
-    overlap_injected =
-      (match !overlapper with
-      | Some o -> (Netsim.Overlapper.stats o).Netsim.Overlapper.injected
-      | None -> 0);
-  }
-
 (* T.ID spaces of successive epochs of one connection must be disjoint
    (a stale full-TPDU retransmission from a closed epoch must never be
    mistakable for new-epoch data). *)
@@ -903,24 +689,44 @@ type ep = {
   mutable ep_gave_up : bool;
 }
 
-let run_multi ~mutation ~trace (s : Schedule.t) =
+(* Every schedule runs one [Multi] endpoint, fed by one sender per
+   planned (connection, epoch): a single-connection schedule is
+   connection 1's epoch 0, whose report feeds the single-transfer
+   fields of the observation. *)
+let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let config = config_for ~mutation s in
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
   let multi = ref None in
-  let crash_valve =
-    crash_valve engine s multi Transport.Multi.ingest
-  in
-  (* The byzantine peer taps the door for its replay ring (before its
-     own injections, so it never feeds on itself). *)
-  let byzantine = ref None in
+  let crash_valve = crash_valve engine s multi in
+  let inject b = Netsim.Blackout.send crash_valve b in
+  (* The overlap adversary and the byzantine peer tap the door (before
+     their own injections, so neither feeds on itself) and inject
+     straight past the taps. *)
+  let overlapper = ref None and byzantine = ref None in
+  let clobbered = ref false in
   let to_receiver_raw b =
-    (match !byzantine with
-    | Some bz -> Netsim.Byzantine.observe bz b
-    | None -> ());
-    Netsim.Blackout.send crash_valve b
+    Option.iter (fun o -> Netsim.Overlapper.observe o b) !overlapper;
+    Option.iter (fun bz -> Netsim.Byzantine.observe bz b) !byzantine;
+    inject b;
+    if mutation = Overlap_clobber && not !clobbered then
+      match forge_clobber b with
+      | Some pkts ->
+          clobbered := true;
+          trec "MUTATION forged clobber TPDU after packet";
+          List.iter inject pkts
+      | None -> ()
   in
   let p = build_plumbing ~mutation ~trace s engine to_receiver_raw in
+  Option.iter
+    (fun (o : Schedule.overlap) ->
+      overlapper :=
+        Some
+          (Netsim.Overlapper.create engine
+             ~seed:(s.seed lxor 0x0A51A9 lxor overlap_salt)
+             ~rate:o.ov_rate ~stop:o.ov_stop ~dup:o.ov_dup ~forge:o.ov_forge
+             ~resplit:o.ov_resplit ~inject ()))
+    s.Schedule.overlap;
   let probe0 = probe_start () in
   (* Reverse traffic is demultiplexed to the per-connection sender by
      the C.ID every control chunk carries. *)
@@ -939,40 +745,15 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     match mutation with Byz_clobber -> Some 0 | _ -> None
   in
   let m =
-    Transport.Multi.create engine ~config ~quota_elems ~max_conns ?persist
+    Multi.create engine ~config ~quota_elems ~max_conns ?persist
       ?anomaly_budget ~send_ack:reverse_send ()
   in
   multi := Some m;
   let ct = crash_track () in
-  let absorb m =
-    ct.ct_fp <-
-      Transport.Flowcache.add_stats ct.ct_fp
-        (Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn;
-    absorb_endpoint ct (Transport.Multi.counters m)
-      (Transport.Multi.governor_stats m)
-      (Transport.Multi.overlap_stats m)
-  in
   install_crashes ~mutation ~trace engine s ~quota_elems store ct multi
-    {
-      noun = "demultiplexer";
-      empty = Persist.Multi [];
-      restore =
-        (function
-        | Persist.Multi conns ->
-            Some
-              (Transport.Multi.restore engine ~config ~quota_elems ~max_conns
-                 ?persist ?anomaly_budget ~send_ack:reverse_send conns)
-        | Persist.Single _ -> None);
-      export = (fun m -> Persist.Multi (Transport.Multi.export m));
-      trimmed =
-        (fun m ->
-          let c = Transport.Multi.counters m in
-          c.evictions > 0 || c.displaced_conns > 0 || c.conn_gcs > 0);
-      governor = Transport.Multi.governor_stats;
-      reannounce = Transport.Multi.reannounce;
-      absorb;
-      quiesce = Transport.Multi.teardown;
-    };
+    ~restore:
+      (Multi.restore engine ~config ~quota_elems ~max_conns ?persist
+         ?anomaly_budget ~send_ack:reverse_send);
   (* Plan the (connection, epoch) transfers: every connection one epoch,
      connection 1 a second one when the schedule re-opens it. *)
   let eps =
@@ -1088,52 +869,56 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
              ~elem_size:s.Schedule.elem_size ~acks:b.Schedule.bz_acks
              ~sheds:b.Schedule.bz_sheds ~replay:b.Schedule.bz_replay
              ~garbage:b.Schedule.bz_garbage
-             ~inject:(fun b -> Netsim.Blackout.send crash_valve b)
-             ~inject_ack:demux_reverse ()));
+             ~inject ~inject_ack:demux_reverse ()));
   Netsim.Engine.run ~until:horizon engine;
   let m = match !multi with Some m -> m | None -> m in
-  absorb m;
-  (* Join the driver-side epochs with the receiver-side reports. *)
-  let mo_epochs =
+  absorb ct m;
+  (* Join the driver-side epochs with the receiver-side reports by
+     epoch identity (the Open's announced first C.SN), not by list
+     position: the receiver legitimately drops an epoch in which no TPDU
+     ever verified (a fully-given-up transfer), which would shift every
+     later epoch under a positional join. *)
+  let joined =
     List.map
       (fun ep ->
-        (* Join by epoch identity (the Open's announced first C.SN),
-           not by list position: the receiver legitimately drops an
-           epoch in which no TPDU ever verified (a fully-given-up
-           transfer), which would shift every later epoch under a
-           positional join. *)
-        let reports = Transport.Multi.epochs m ~conn_id:ep.ep_conn in
         let want = Some (ep.ep_epoch * epoch_tid_stride) in
-        let r =
+        ( ep,
           List.find_opt
-            (fun (r : Transport.Multi.epoch_report) ->
-              r.Transport.Multi.open_csn = want)
-            reports
-        in
+            (fun (r : Multi.epoch_report) -> r.Multi.open_csn = want)
+            (Multi.epochs m ~conn_id:ep.ep_conn) ))
+      eps
+  in
+  let epochs =
+    List.map
+      (fun (ep, r) ->
         {
           e_conn = ep.ep_conn;
           e_epoch = ep.ep_epoch;
           e_gave_up = ep.ep_gave_up;
           e_complete =
-            (match r with
-            | Some r -> r.Transport.Multi.complete
-            | None -> false);
-          e_delivered =
-            Option.map (fun r -> r.Transport.Multi.delivered) r;
+            (match r with Some r -> r.Multi.complete | None -> false);
+          e_delivered = Option.map (fun r -> r.Multi.delivered) r;
         })
-      eps
+      joined
   in
-  let epoch_ok e =
-    let data = Schedule.data_of_conn s ~conn:e.e_conn ~epoch:e.e_epoch in
-    let n = Bytes.length data in
-    match e.e_delivered with
-    | Some d when Bytes.length d >= n -> Bytes.equal (Bytes.sub d 0 n) data
-    | Some _ | None -> false
+  (* Byte-exact outside the epoch's honoured shed spans; the oracle
+     separately checks that every observed shed was contractually
+     permitted. *)
+  let epoch_ok (ep, r) =
+    ep.ep_gave_up
+    ||
+    match r with
+    | Some (r : Multi.epoch_report) ->
+        r.Multi.complete
+        && CT.equal_outside_sheds ~elem_size:s.Schedule.elem_size
+             ~spans:r.Multi.shed_spans
+             ~expected:
+               (Schedule.data_of_conn s ~conn:ep.ep_conn ~epoch:ep.ep_epoch)
+             ~delivered:r.Multi.delivered
+    | None -> false
   in
-  let ok =
-    List.for_all (fun e -> e.e_gave_up || (e.e_complete && epoch_ok e)) mo_epochs
-    && List.for_all (fun ep -> ep.ep_done) eps
-  in
+  let finished = List.for_all (fun ep -> ep.ep_done) eps in
+  let ok = List.for_all epoch_ok joined && finished in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
   let senders = List.filter_map (fun ep -> ep.ep_tx) eps in
   (* The endpoint-side view of the byzantine connections at quiescence.
@@ -1145,14 +930,14 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     | None -> None
     | Some bz ->
         let conn_view cid =
-          match Transport.Multi.conn_stats m ~conn_id:cid with
+          match Multi.conn_stats m ~conn_id:cid with
           | Some cs ->
               {
                 bc_conn = cid;
-                bc_epochs = cs.Transport.Multi.cs_epochs;
-                bc_hist_bytes = cs.Transport.Multi.cs_hist_bytes;
-                bc_quarantines = cs.Transport.Multi.cs_quarantines;
-                bc_boxed = cs.Transport.Multi.cs_quarantined;
+                bc_epochs = cs.Multi.cs_epochs;
+                bc_hist_bytes = cs.Multi.cs_hist_bytes;
+                bc_quarantines = cs.Multi.cs_quarantines;
+                bc_boxed = cs.Multi.cs_quarantined;
               }
           | None ->
               {
@@ -1166,10 +951,9 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
         let honest_quarantined =
           List.fold_left
             (fun acc i ->
-              match Transport.Multi.conn_stats m ~conn_id:(i + 1) with
-              | Some cs
-                when cs.Transport.Multi.cs_quarantines > 0
-                     || cs.Transport.Multi.cs_poisoned ->
+              match Multi.conn_stats m ~conn_id:(i + 1) with
+              | Some cs when cs.Multi.cs_quarantines > 0 || cs.Multi.cs_poisoned
+                ->
                   acc + 1
               | _ -> acc)
             0
@@ -1185,31 +969,73 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
                 senders;
           }
   in
-  let o =
-    observe engine p ct store probe0 ~senders
-      ~gov:(Transport.Multi.governor_stats m) ~ok
-      ~complete:(List.for_all (fun e -> e.e_gave_up || e.e_complete) mo_epochs)
-      ~gave_up:(List.exists (fun e -> e.e_gave_up) mo_epochs)
-      ~finished:(List.for_all (fun ep -> ep.ep_done) eps)
-      ~delivered:
-        (Option.value (List.hd mo_epochs).e_delivered ~default:Bytes.empty)
-      ~in_flight:(Transport.Multi.live_in_flight m)
-      ~stashed:(Transport.Multi.live_stashed m) ~final_rto:s.Schedule.rto
+  (* Connection 1's epoch 0: the transfer a single-connection schedule
+     is, and the first one of every other. *)
+  let first_tx, first =
+    match joined with (ep, r) :: _ -> (ep.ep_tx, r) | [] -> (None, None)
   in
+  let from_first f default = match first with Some r -> f r | None -> default in
+  let sum f = List.fold_left (fun acc tx -> acc + f tx) 0 senders in
   {
-    o with
+    ok;
+    complete = List.for_all (fun e -> e.e_gave_up || e.e_complete) epochs;
+    gave_up = List.exists (fun e -> e.e_gave_up) epochs;
+    finished;
+    delivered = from_first (fun r -> r.Multi.delivered) Bytes.empty;
+    delivered_elems = from_first (fun r -> r.Multi.placed_elems) 0;
+    retransmissions = sum CT.Sender.retransmissions;
+    sack_retransmissions = sum CT.Sender.sack_retransmissions;
+    packets_sent = sum CT.Sender.packets_sent;
+    verifier =
+      {
+        Edc.Verifier.tpdus_passed = from_first (fun r -> r.Multi.passes) 0;
+        tpdus_failed = ct.ct_failed;
+        duplicates = ct.ct_dups;
+        chunks_seen = ct.ct_chunks;
+      };
+    verifier_in_flight = Multi.live_in_flight m;
+    stashed_tpdus = Multi.live_stashed m;
+    engine_pending = Netsim.Engine.pending engine;
+    sim_time = Netsim.Engine.now engine;
+    gateways_malformed = p.gateways_malformed ();
+    counts = ct.ct_counts;
+    aborts_sent = sum CT.Sender.aborts_sent;
+    sheds_sent = sum CT.Sender.sheds_sent;
+    shed_spans = from_first (fun r -> r.Multi.shed_spans) [];
+    state_high_water = ct.ct_high_water;
+    state_accounted = (Multi.governor_stats m).Transport.Governor.accounted_bytes;
     flood_injected =
       (match adversary with
       | Some a -> (Adversary.stats a).Adversary.injected
       | None -> 0);
-    multi =
-      Some
-        {
-          mo_epochs;
-          mo_live_conns = Transport.Multi.live_conns m;
-          mo_known_conns = List.length (Transport.Multi.known_conns m);
-        };
+    rtt_samples = sum CT.Sender.rtt_samples;
+    max_txs_at_rtt_sample =
+      List.fold_left
+        (fun acc tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx))
+        0 senders;
+    final_rto =
+      (match first_tx with
+      | Some tx -> CT.Sender.current_rto tx
+      | None -> s.Schedule.rto);
+    crashes_injected = ct.ct_crashes;
+    restores = ct.ct_restores;
+    recovery_bad = ct.ct_bad;
+    restore_over_budget = ct.ct_over_budget;
+    roundtrip_failures = ct.ct_roundtrip;
+    snapshots_taken = Persist.Store.snapshots_taken store;
+    journal_records = Persist.Store.journal_records store;
+    epochs;
+    live_conns = Multi.live_conns m;
+    known_conns = List.length (Multi.known_conns m);
+    metrics = probe_end probe0;
+    overlap = ct.ct_overlap;
+    overlap_injected =
+      (match !overlapper with
+      | Some o -> (Netsim.Overlapper.stats o).Netsim.Overlapper.injected
+      | None -> 0);
+    fastpath_stats = ct.ct_fp;
     byz = byz_report;
+    counterfactuals = [];
   }
 
 (* {2 Counterfactuals}
@@ -1232,57 +1058,35 @@ type counterfactual = {
 let counterfactuals =
   [
     (* The same transfer with the overlap adversary's injection seed
-       changed, so its arrival order and mode mix are permuted.  The
-       multi path runs no overlapper. *)
+       changed, so its arrival order and mode mix are permuted. *)
     {
       row = "overlap-determinism";
-      applies =
-        (fun s -> s.Schedule.overlap <> None && not (Schedule.multi_mode s));
+      applies = (fun s -> s.Schedule.overlap <> None);
       rerun =
         (fun mutation s ->
-          run_single ~mutation ~trace:None ~overlap_salt:0x7E12A5 s);
+          run_once ~mutation ~trace:None ~overlap_salt:0x7E12A5 s);
       equality = Delivery_when_settled;
     };
     (* The byzantine peer deleted.  Its RNG and wire paths are disjoint
-       from every honest draw, so the honest traffic is byte-identical.
-       Forced through [run_multi] even when the byz-free schedule would
-       qualify for the single path: the two worlds must differ by the
-       adversary alone, not by the endpoint topology. *)
+       from every honest draw, so the honest traffic is byte-identical. *)
     {
       row = "blast-radius";
       applies = (fun s -> s.Schedule.byz <> None);
       rerun =
         (fun mutation s ->
-          run_multi ~mutation ~trace:None { s with Schedule.byz = None });
+          run_once ~mutation ~trace:None { s with Schedule.byz = None });
       equality = Exact;
     };
   ]
 
-let outcome (s : Schedule.t) o =
-  match o.multi with
-  | Some m -> m.mo_epochs
-  | None ->
-      [
-        {
-          e_conn = (Schedule.config_of s).CT.conn_id;
-          e_epoch = 0;
-          e_gave_up = o.gave_up;
-          e_complete = o.complete;
-          e_delivered = Some o.delivered;
-        };
-      ]
-
 let run ?(mutation = No_mutation) ?trace (s : Schedule.t) =
-  let o =
-    if Schedule.multi_mode s then run_multi ~mutation ~trace s
-    else run_single ~mutation ~trace s
-  in
+  let o = run_once ~mutation ~trace s in
   {
     o with
     counterfactuals =
       List.filter_map
         (fun cf ->
-          if cf.applies s then Some (cf.row, outcome s (cf.rerun mutation s))
+          if cf.applies s then Some (cf.row, (cf.rerun mutation s).epochs)
           else None)
         counterfactuals;
   }

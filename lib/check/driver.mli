@@ -1,15 +1,15 @@
 (** Runs the real stack — Framer → packing → multipath wire → gateway
-    refragmentation chain → congestion dropper → Receiver (virtual
-    reassembly, WSC-2 verification, immediate placement) — under one
-    {!Schedule}, and reports everything the {!Oracle} observes.
+    refragmentation chain → congestion dropper → the {!Transport.Multi}
+    endpoint (demultiplexing, virtual reassembly, WSC-2 verification,
+    immediate placement) — under one {!Schedule}, and reports everything
+    the {!Oracle} observes.
 
-    Multi-connection schedules ({!Schedule.multi_mode}) run one
-    {!Transport.Multi} receiver demultiplexing per-connection senders
-    (with optional close-and-reopen of connection 1 and a
-    {!Adversary} flood at the receiver door); single-connection
-    schedules run the classic point-to-point pair.  The scheduled
-    forward outage and ACK black hole wrap the respective directions in
-    both modes.
+    Every schedule runs through the one endpoint, fed by one sender per
+    planned (connection, epoch): a single-connection schedule is
+    connection 1's epoch 0; others add connections, a close-and-reopen
+    of connection 1, an {!Adversary} flood or a byzantine peer at the
+    receiver door.  The scheduled forward outage and ACK black hole wrap
+    the respective directions.
 
     Deterministic: the same (seed, schedule, mutation) triple replays
     the same execution event for event. *)
@@ -23,13 +23,16 @@ type mutation =
   | Drop_every of int
   | Corrupt_restore
       (** flip one already-verified byte in the first snapshot restored
-          after a crash — a corrupted persisted image the oracle must
-          catch (its TPDU is in the ledger, so no retransmission can
-          heal it) *)
+          after a crash — in a live epoch's image, or failing that the
+          first byte of the first archived epoch (a finished transfer is
+          archived at its Close) — a corrupted persisted image the
+          oracle must catch (its TPDU is in the ledger, so no
+          retransmission can heal it) *)
   | Overlap_clobber
       (** forge a {e validly sealed} TPDU with divergent bytes over the
-          first observed data chunk's range and inject it ahead — it
-          verifies first, locks the range, and the first-verified-wins
+          first observed data chunk's range and inject it right after
+          that packet (once the endpoint has admitted the connection) —
+          it verifies first, locks the range, and the first-verified-wins
           policy then rejects the sender's real bytes, so the delivered
           data diverges from the sent data: the overlap-consistency /
           data-mismatch checks must catch it.  (No honest network
@@ -62,12 +65,6 @@ type epoch_obs = {
   e_delivered : bytes option;
       (** the epoch's receiver buffer; [None] if the receiver never saw
           the epoch *)
-}
-
-type multi_obs = {
-  mo_epochs : epoch_obs list;
-  mo_live_conns : int;  (** connections still live at quiescence *)
-  mo_known_conns : int;  (** connections ever admitted (incl. flood) *)
 }
 
 (** Deltas of the process-wide [Obs] metric registry over exactly one
@@ -106,18 +103,22 @@ type byz_obs = {
 }
 
 type observation = {
-  ok : bool;  (** delivered prefix equals sent data (every epoch) *)
-  complete : bool;  (** connection placement buffer fully covered *)
-  gave_up : bool;
+  ok : bool;
+      (** every epoch's sender gave up, or the epoch is complete and its
+          delivered prefix equals the sent data outside its honoured
+          shed spans *)
+  complete : bool;  (** every epoch complete or given up *)
+  gave_up : bool;  (** some epoch's sender gave up *)
   finished : bool;
-  delivered : bytes;
-  delivered_elems : int;
+  delivered : bytes;  (** connection 1 epoch 0's placement buffer *)
+  delivered_elems : int;  (** connection 1 epoch 0's placed elements *)
   retransmissions : int;
   sack_retransmissions : int;
   packets_sent : int;
   verifier : Edc.Verifier.stats;
-      (** single-path only; zeroed in multi mode (archived epochs
-          release their verifiers) *)
+      (** [tpdus_passed] is connection 1 epoch 0's, over its whole life;
+          the other counts are the endpoint's, over every epoch and
+          endpoint instance *)
   verifier_in_flight : int;  (** leak probe *)
   stashed_tpdus : int;  (** leak probe *)
   engine_pending : int;  (** > 0 after the horizon means lockup *)
@@ -129,9 +130,8 @@ type observation = {
   aborts_sent : int;  (** sender give-ups signalled via [Abort_tpdu] *)
   sheds_sent : int;  (** sender shed decisions signalled via [Shed_tpdu] *)
   shed_spans : (int * int) list;
-      (** the receiver's honoured shed spans [(first_elem, elems)],
-          ascending; empty in multi mode (sheds are single-transfer
-          only) *)
+      (** connection 1 epoch 0's honoured shed spans
+          [(first_elem, elems)], ascending *)
   state_high_water : int;  (** governor high-water mark, bytes *)
   state_accounted : int;  (** bytes still accounted at quiescence *)
   flood_injected : int;  (** adversary packets injected *)
@@ -139,15 +139,16 @@ type observation = {
   max_txs_at_rtt_sample : int;
       (** highest transmission count of any sampled TPDU; > 1 breaks
           Karn's rule *)
-  final_rto : float;  (** sender's RTO at the end of the run *)
+  final_rto : float;
+      (** connection 1 epoch 0's sender's RTO at the end of the run *)
   crashes_injected : int;  (** scheduled crashes actually executed *)
   restores : int;  (** successful endpoint restores *)
   recovery_bad : int;
       (** recovery-safety probe failures: an unreadable snapshot, a
           torn journal (no schedule damages one, so a record that does
-          not read back as written), an image of the wrong endpoint
-          shape, or a restored endpoint whose ledger and in-flight
-          verifier state overlap *)
+          not read back as written), an image that is not a
+          [Transport.Persist.Multi] one, or a restored endpoint whose
+          ledger and in-flight verifier state overlap *)
   restore_over_budget : int;
       (** restores whose re-derived governor occupancy exceeded the
           configured state budget *)
@@ -156,7 +157,11 @@ type observation = {
           mismatches observed at restores *)
   snapshots_taken : int;  (** full snapshots written to the store *)
   journal_records : int;  (** journal records appended over the run *)
-  multi : multi_obs option;  (** present iff the schedule is multi *)
+  epochs : epoch_obs list;
+      (** every planned (connection, epoch), in plan order: connection
+          1's epochs first *)
+  live_conns : int;  (** connections still live at quiescence *)
+  known_conns : int;  (** connections ever admitted (incl. flood) *)
   metrics : metrics_probe;
   overlap : Labelling.Placement.overlap_stats;
       (** placement conflict counters over every epoch and endpoint
@@ -164,11 +169,11 @@ type observation = {
           profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   fastpath_stats : Transport.Flowcache.stats;
-      (** the multi path's connection-memo counters, accumulated across
-          crash incarnations; all zero on single-path runs *)
+      (** the endpoint's connection-memo counters, accumulated across
+          crash incarnations *)
   byz : byz_obs option;  (** present iff the schedule runs the adversary *)
   counterfactuals : (string * epoch_obs list) list;
-      (** [(row, re-run outcome)] for every entry of {!counterfactuals}
+      (** [(row, re-run epochs)] for every entry of {!counterfactuals}
           that applies to the schedule, in table order; empty on the
           re-runs themselves *)
 }
@@ -180,7 +185,7 @@ val horizon : float
 (** {2 Counterfactuals}
 
     A counterfactual re-runs the schedule with exactly one thing
-    changed; the oracle compares the two {!outcome}s per
+    changed; the oracle compares the two runs' [epochs] per
     (connection, epoch) under the row's equality.  An epoch missing
     from the re-run is always a mismatch. *)
 
@@ -205,11 +210,6 @@ type counterfactual = {
 val counterfactuals : counterfactual list
 (** [overlap-determinism] (overlap adversary permuted) and
     [blast-radius] (byzantine peer deleted), in execution order. *)
-
-val outcome : Schedule.t -> observation -> epoch_obs list
-(** A run's per-epoch outcome: [multi]'s epochs, or for a single-path
-    run one epoch — its connection, epoch 0, [complete], [gave_up] and
-    [Some delivered]. *)
 
 val run :
   ?mutation:mutation -> ?trace:Obs.Trace.sink -> Schedule.t -> observation

@@ -41,6 +41,10 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     ~(observation : Driver.observation) =
   let s = schedule and m = model and o = observation in
   let c = o.Driver.counts and ov = o.Driver.overlap in
+  (* A schedule that is not multi-mode is one transfer, connection 1's
+     epoch 0: the rows that read a single-transfer observation run on
+     it, the per-epoch rows on the others. *)
+  let single = not (Schedule.multi_mode s) in
   let vs = ref [] in
   let fail code fmt =
     Printf.ksprintf (fun detail -> vs := { code; detail } :: !vs) fmt
@@ -64,7 +68,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   if o.max_txs_at_rtt_sample > 1 then
     fail "karn" "RTT sampled from a TPDU transmitted %d times"
       o.max_txs_at_rtt_sample;
-  if s.Schedule.rto_adaptive && o.rtt_samples > 0 then begin
+  if single && s.Schedule.rto_adaptive && o.rtt_samples > 0 then begin
     if o.final_rto > s.Schedule.rto +. 1e-9 then
       fail "rto-range" "adaptive RTO %.6f exceeds configured ceiling %.6f"
         o.final_rto s.Schedule.rto;
@@ -103,10 +107,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   (* Quiet wire: with no fault enabled the protocol must be silent —
      no retransmission (the RTO is an overestimate by construction, and
      the adaptive RTO never drops below 2×SRTT), no gap report, no
-     duplicate, no re-acknowledgement.  Single-path only: a faultless
+     duplicate, no re-acknowledgement, no damaged signal (the Open
+     rides in every envelope until the first ACK, and a damaged copy
+     is dropped silently).  Single transfers only: a faultless
      multi-connection run can still retransmit legitimately (an epoch's
      first packets racing their own Open across jittered paths). *)
-  if Schedule.faultless s && o.multi = None then begin
+  if Schedule.faultless s && single then begin
     if o.retransmissions > 0 then
       fail "quiet-retrans" "%d RTO retransmissions on a faultless run"
         o.retransmissions;
@@ -119,7 +125,10 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       fail "quiet-dup" "%d duplicate chunks seen on a faultless run"
         o.verifier.Edc.Verifier.duplicates;
     if c.reacks_sent > 0 then
-      fail "quiet-reack" "%d re-ACKs on a faultless run" c.reacks_sent
+      fail "quiet-reack" "%d re-ACKs on a faultless run" c.reacks_sent;
+    if c.sig_damage > 0 then
+      fail "quiet-signal" "%d damaged signals on a faultless run"
+        c.sig_damage
   end;
   (* Metrics-driven checks, fed by the driver's per-run deltas of the
      [Obs] registry (all zeros when the layer is compiled out, so both
@@ -184,7 +193,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      must have been re-run, and each re-run must agree with this run,
      (connection, epoch) by (connection, epoch), under the row's
      equality. *)
-  let primary = Driver.outcome s o in
+  let primary = o.Driver.epochs in
   let compare_rerun (cf : Driver.counterfactual) rerun =
     let settled = cf.Driver.equality = Driver.Delivery_when_settled in
     List.iter
@@ -237,153 +246,154 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   if s.Schedule.shed = None && (c.sheds_received > 0 || o.sheds_sent > 0) then
     fail "shed-safety" "%d sheds honoured (%d signalled) with no shed contract"
       c.sheds_received o.sheds_sent;
-  (match o.multi with
-  | None ->
-      (* Partial reliability, part two: every span the receiver honoured
-         as shed must be one the contract declares sheddable (a shed of
-         Critical/Normal elements is data loss whatever the wire did),
-         and sheds must agree with their own bookkeeping. *)
-      let sheddable = Model.sheddable_spans m s in
-      List.iter
-        (fun (first, len) ->
-          if not (List.mem (first, len) sheddable) then
-            fail "shed-safety"
-              "receiver shed span (%d+%d) outside the shed contract" first
-              len)
-        o.shed_spans;
-      if List.length o.shed_spans <> c.sheds_received then
-        fail "shed-safety" "%d shed spans recorded but %d sheds honoured"
-          (List.length o.shed_spans)
-          c.sheds_received;
-      (* Delivery: the delivered buffer must equal the model's
-         expectation byte for byte — placement by label, across any
-         amount of refragmentation and disorder, reconstructs the stream
-         exactly.  Under a shed contract the comparison is masked over
-         exactly the honoured shed spans (shed-liveness itself is the
-         [incomplete]/[gave-up] pair: a shed schedule is never
-         starvable, so the stream must still complete). *)
-      if not o.gave_up then begin
-        if not o.complete then
-          fail "incomplete" "placement holds %d of %d elements"
-            o.delivered_elems m.Model.elems;
-        (* Immediate placement means elements of a shed TPDU that landed
-           before the shed are already in the buffer, so the count may
-           sit anywhere between all-shed-elements-missing and none. *)
-        if
-          o.delivered_elems < m.Model.elems - c.shed_elems
-          || o.delivered_elems > m.Model.elems
-        then
-          fail "element-count"
-            "delivered %d elements, model expects %d less at most %d shed"
-            o.delivered_elems m.Model.elems c.shed_elems;
-        if Bytes.length o.delivered <> Bytes.length m.Model.expected then
-          fail "data-mismatch" "delivered %d bytes, model expects %d"
-            (Bytes.length o.delivered)
-            (Bytes.length m.Model.expected)
-        else begin
-          let elem_size = m.Model.elem_size and spans = o.shed_spans in
-          let want = mask_sheds ~elem_size ~spans m.Model.expected in
-          let got = mask_sheds ~elem_size ~spans o.delivered in
-          if not (Bytes.equal got want) then
-            fail "data-mismatch"
-              "delivered buffer differs at byte %d (outside shed spans)"
-              (first_diff got want)
-        end
-      end;
-      if o.delivered_elems > m.Model.elems then
-        fail "conservation" "placed %d elements, only %d exist"
+  if single then begin
+    (* Partial reliability, part two: every span the receiver honoured
+       as shed must be one the contract declares sheddable (a shed of
+       Critical/Normal elements is data loss whatever the wire did),
+       and sheds must agree with their own bookkeeping. *)
+    let sheddable = Model.sheddable_spans m s in
+    List.iter
+      (fun (first, len) ->
+        if not (List.mem (first, len) sheddable) then
+          fail "shed-safety"
+            "receiver shed span (%d+%d) outside the shed contract" first
+            len)
+      o.shed_spans;
+    if List.length o.shed_spans <> c.sheds_received then
+      fail "shed-safety" "%d shed spans recorded but %d sheds honoured"
+        (List.length o.shed_spans)
+        c.sheds_received;
+    (* Delivery: the delivered buffer must equal the model's
+       expectation byte for byte — placement by label, across any
+       amount of refragmentation and disorder, reconstructs the stream
+       exactly.  Under a shed contract the comparison is masked over
+       exactly the honoured shed spans (shed-liveness itself is the
+       [incomplete]/[gave-up] pair: a shed schedule is never
+       starvable, so the stream must still complete). *)
+    if not o.gave_up then begin
+      if not o.complete then
+        fail "incomplete" "placement holds %d of %d elements"
           o.delivered_elems m.Model.elems;
-      (* Without corruption, a TPDU may fail verification only because
-         the governor evicted it or the sender aborted it — never
-         because intact data looked damaged.  The overlap adversary is
-         a third legitimate source of failures (its forged TPDUs and
-         poisoned parities are {e built} to fail), so the check only
-         applies when it is absent.  Honoured sheds abandon in-flight
-         verifier state exactly like aborts and join the allowance. *)
-      if s.Schedule.corrupt = 0.0 && s.Schedule.overlap = None then begin
-        if
-          o.verifier.Edc.Verifier.tpdus_failed
-          > c.evictions + c.aborts_received + c.sheds_received
-        then
-          fail "clean-fail"
-            "%d TPDUs failed verification with corruption off (%d \
-             evictions + %d aborts + %d sheds)"
-            o.verifier.Edc.Verifier.tpdus_failed c.evictions c.aborts_received
-            c.sheds_received;
-        if o.gateways_malformed > 0 then
-          fail "clean-malformed"
-            "%d packets unparseable at gateways with corruption off"
-            o.gateways_malformed
-      end;
-      (* TPDU accounting: a fixed-size framer cuts a known number of
-         TPDUs, and each is either verified exactly once or (under a
-         shed contract) honoured as shed — never both, never neither. *)
-      if not o.gave_up then begin
-        if
-          (not s.Schedule.adaptive)
-          && o.verifier.Edc.Verifier.tpdus_passed
-             <> m.Model.n_tpdus - c.sheds_received
-        then
-          fail "tpdu-count"
-            "%d TPDUs passed, model expects exactly %d (%d shed)"
-            o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
-            c.sheds_received;
-        if
-          s.Schedule.adaptive
-          && o.verifier.Edc.Verifier.tpdus_passed < m.Model.n_tpdus
-        then
-          fail "tpdu-count" "%d TPDUs passed, adaptive floor is %d"
-            o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
+      (* Immediate placement means elements of a shed TPDU that landed
+         before the shed are already in the buffer, so the count may
+         sit anywhere between all-shed-elements-missing and none. *)
+      if
+        o.delivered_elems < m.Model.elems - c.shed_elems
+        || o.delivered_elems > m.Model.elems
+      then
+        fail "element-count"
+          "delivered %d elements, model expects %d less at most %d shed"
+          o.delivered_elems m.Model.elems c.shed_elems;
+      if Bytes.length o.delivered <> Bytes.length m.Model.expected then
+        fail "data-mismatch" "delivered %d bytes, model expects %d"
+          (Bytes.length o.delivered)
+          (Bytes.length m.Model.expected)
+      else begin
+        let elem_size = m.Model.elem_size and spans = o.shed_spans in
+        let want = mask_sheds ~elem_size ~spans m.Model.expected in
+        let got = mask_sheds ~elem_size ~spans o.delivered in
+        if not (Bytes.equal got want) then
+          fail "data-mismatch"
+            "delivered buffer differs at byte %d (outside shed spans)"
+            (first_diff got want)
       end
-  | Some mo ->
-      (* Multi-connection delivery: every planned (connection, epoch)
-         stream must arrive complete and byte-exact unless its sender
-         legitimately gave up.  Flood traffic, displacement and GC must
-         never corrupt a legitimate stream — only delay it. *)
-      List.iter
-        (fun (e : Driver.epoch_obs) ->
-          let expected =
-            match List.assoc_opt e.Driver.e_conn m.Model.streams with
-            | Some epochs -> List.nth_opt epochs e.Driver.e_epoch
-            | None -> None
-          in
-          match expected with
-          | None ->
-              fail "epoch-plan" "no model stream for conn %d epoch %d"
-                e.Driver.e_conn e.Driver.e_epoch
-          | Some want ->
-              if e.Driver.e_gave_up then begin
-                if not (starvable s) then
-                  fail "gave-up"
-                    "conn %d epoch %d abandoned with no starvation fault"
+    end;
+    if o.delivered_elems > m.Model.elems then
+      fail "conservation" "placed %d elements, only %d exist"
+        o.delivered_elems m.Model.elems;
+    (* Without corruption, a TPDU may fail verification only because
+       the governor evicted it or the sender aborted it — never
+       because intact data looked damaged.  The overlap adversary is
+       a third legitimate source of failures (its forged TPDUs and
+       poisoned parities are {e built} to fail), so the check only
+       applies when it is absent.  Honoured sheds abandon in-flight
+       verifier state exactly like aborts and join the allowance. *)
+    if s.Schedule.corrupt = 0.0 && s.Schedule.overlap = None then begin
+      if
+        o.verifier.Edc.Verifier.tpdus_failed
+        > c.evictions + c.aborts_received + c.sheds_received
+      then
+        fail "clean-fail"
+          "%d TPDUs failed verification with corruption off (%d \
+           evictions + %d aborts + %d sheds)"
+          o.verifier.Edc.Verifier.tpdus_failed c.evictions c.aborts_received
+          c.sheds_received;
+      if o.gateways_malformed > 0 then
+        fail "clean-malformed"
+          "%d packets unparseable at gateways with corruption off"
+          o.gateways_malformed
+    end;
+    (* TPDU accounting: a fixed-size framer cuts a known number of
+       TPDUs, and each is either verified exactly once or (under a
+       shed contract) honoured as shed — never both, never neither. *)
+    if not o.gave_up then begin
+      if
+        (not s.Schedule.adaptive)
+        && o.verifier.Edc.Verifier.tpdus_passed
+           <> m.Model.n_tpdus - c.sheds_received
+      then
+        fail "tpdu-count"
+          "%d TPDUs passed, model expects exactly %d (%d shed)"
+          o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
+          c.sheds_received;
+      if
+        s.Schedule.adaptive
+        && o.verifier.Edc.Verifier.tpdus_passed < m.Model.n_tpdus
+      then
+        fail "tpdu-count" "%d TPDUs passed, adaptive floor is %d"
+          o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
+    end
+  end
+  else begin
+    (* Multi-connection delivery: every planned (connection, epoch)
+       stream must arrive complete and byte-exact unless its sender
+       legitimately gave up.  Flood traffic, displacement and GC must
+       never corrupt a legitimate stream — only delay it. *)
+    List.iter
+      (fun (e : Driver.epoch_obs) ->
+        let expected =
+          match List.assoc_opt e.Driver.e_conn m.Model.streams with
+          | Some epochs -> List.nth_opt epochs e.Driver.e_epoch
+          | None -> None
+        in
+        match expected with
+        | None ->
+            fail "epoch-plan" "no model stream for conn %d epoch %d"
+              e.Driver.e_conn e.Driver.e_epoch
+        | Some want ->
+            if e.Driver.e_gave_up then begin
+              if not (starvable s) then
+                fail "gave-up"
+                  "conn %d epoch %d abandoned with no starvation fault"
+                  e.Driver.e_conn e.Driver.e_epoch
+            end
+            else begin
+              if not e.Driver.e_complete then
+                fail "epoch-incomplete" "conn %d epoch %d not complete"
+                  e.Driver.e_conn e.Driver.e_epoch;
+              match e.Driver.e_delivered with
+              | None ->
+                  fail "epoch-missing"
+                    "conn %d epoch %d never reached the receiver"
                     e.Driver.e_conn e.Driver.e_epoch
-              end
-              else begin
-                if not e.Driver.e_complete then
-                  fail "epoch-incomplete" "conn %d epoch %d not complete"
-                    e.Driver.e_conn e.Driver.e_epoch;
-                match e.Driver.e_delivered with
-                | None ->
-                    fail "epoch-missing"
-                      "conn %d epoch %d never reached the receiver"
-                      e.Driver.e_conn e.Driver.e_epoch
-                | Some got ->
-                    let n = Bytes.length want in
-                    if
-                      Bytes.length got < n
-                      || not (Bytes.equal (Bytes.sub got 0 n) want)
-                    then
-                      fail "epoch-mismatch"
-                        "conn %d epoch %d differs at byte %d" e.Driver.e_conn
-                        e.Driver.e_epoch
-                        (first_diff got want)
-              end)
-        mo.Driver.mo_epochs;
-      (* Lifecycle hygiene: explicit Close (legitimate connections) and
-         the deadline GC (flood connections) must leave nothing live. *)
-      if mo.Driver.mo_live_conns > 0 then
-        fail "multi-live" "%d connections still live after quiescence"
-          mo.Driver.mo_live_conns);
+              | Some got ->
+                  let n = Bytes.length want in
+                  if
+                    Bytes.length got < n
+                    || not (Bytes.equal (Bytes.sub got 0 n) want)
+                  then
+                    fail "epoch-mismatch"
+                      "conn %d epoch %d differs at byte %d" e.Driver.e_conn
+                      e.Driver.e_epoch
+                      (first_diff got want)
+            end)
+      o.Driver.epochs;
+    (* Lifecycle hygiene: explicit Close (legitimate connections) and
+       the deadline GC (flood connections) must leave nothing live. *)
+    if o.Driver.live_conns > 0 then
+      fail "multi-live" "%d connections still live after quiescence"
+        o.Driver.live_conns
+  end;
   (* Byzantine containment (DESIGN §10).  The exception bulkhead must
      never have fired in any profile: a poisoned connection means some
      input made the endpoint throw, which the bulkhead contained — but

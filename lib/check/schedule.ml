@@ -139,9 +139,9 @@ let faultless s =
   && s.flood = None && s.overlap = None && s.shed = None && s.crashes = []
   && s.byz = None
 
-(* Schedules that exercise the demultiplexing receiver (several
-   connections, connection reuse, or adversarial connection traffic) run
-   through the driver's multi-connection path. *)
+(* Schedules with several connections, connection reuse, or
+   adversarial connection traffic: the oracle checks them epoch by
+   epoch, and the rest as one transfer (connection 1's epoch 0). *)
 let multi_mode s =
   s.connections > 1 || s.reopen || s.flood <> None || s.byz <> None
 
@@ -987,8 +987,8 @@ let validate s =
             err "overlap must enable at least one mode"
           else if multi_mode s then
             err
-              "overlap is specified for the single-transfer path only (the \
-               multi path runs no overlapper)"
+              "overlap needs a single-connection schedule (the overlap \
+               oracle rows cover one connection)"
           else Ok ()
       | None -> Ok ()
     in
@@ -1013,7 +1013,9 @@ let validate s =
               "shed requires adaptive=false (the shed span is derived from \
                the fixed TPDU partition)"
           else if multi_mode s then
-            err "shed is specified for the single-transfer path only"
+            err
+              "shed needs a single-connection schedule (the model's shed \
+               contract covers one connection)"
           else if s.crashes <> [] then
             err
               "shed cannot combine with crashes (a restored receiver \

@@ -174,19 +174,20 @@ type t = {
   outage : outage option;  (** forward-path outage window *)
   flood : flood option;  (** connection-flood adversary *)
   overlap : overlap option;
-      (** overlap adversary ({!Netsim.Overlapper}); single-transfer path
-          only — the multi path runs no overlapper *)
+      (** overlap adversary ({!Netsim.Overlapper}); single-connection
+          schedules only — the overlap rows cover one connection *)
   shed : shed option;
       (** partial-reliability contract (which TPDUs are sheddable and
-          when the sender sheds them); requires [adaptive = false], the
-          single-transfer path, and no crash events *)
+          when the sender sheds them); requires [adaptive = false], a
+          single-connection schedule (the model's shed contract covers
+          one connection), and no crash events *)
   crashes : crash list;
       (** receiver crash-restart events, ordered, non-overlapping *)
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
   byz : byz option;
       (** byzantine peer ({!Netsim.Byzantine}): valid wire format,
-          violated protocol; forces the multi path, and the
+          violated protocol; makes the schedule {!multi_mode}, and the
           [blast-radius] oracle row re-runs the schedule with the peer
           removed and demands identical honest outcomes *)
 }
@@ -204,9 +205,10 @@ val faultless : t -> bool
     silence: no retransmission, no NACK, no duplicate, no failure). *)
 
 val multi_mode : t -> bool
-(** The schedule exercises the demultiplexing receiver (more than one
-    connection, connection reuse, a flood adversary, or a byzantine
-    peer) and runs through the driver's multi-connection path. *)
+(** The schedule has more than one connection, reuses a connection, or
+    runs a flood adversary or a byzantine peer.  The oracle checks such
+    a schedule epoch by epoch, and any other as one transfer:
+    connection 1's epoch 0. *)
 
 val config_of : t -> Transport.Chunk_transport.config
 (** Includes the shed contract: [classify] marks {!sheddable_tid} T.IDs
@@ -258,8 +260,8 @@ val validate : t -> (unit, string) result
     the driver and transport rely on (finite numbers, element
     alignment, the invariant-region TPDU bound, MTUs that hold a
     header, positive timers, probabilities in [0, 1], ordered
-    non-overlapping crashes, [shed] and [overlap] only off the
-    {!multi_mode} path).  The only infinities allowed are an
+    non-overlapping crashes, [shed] and [overlap] only on schedules
+    that are not {!multi_mode}).  The only infinities allowed are an
     [ack_blackhole] duration and a drop-mode [outage] duration; any
     other NaN or infinity is refused with an error naming its field.
     [generate] satisfies it by construction; hand-edited replay specs

@@ -227,10 +227,9 @@ let test_replay_rejects_invalid_schedule () =
     (Result.is_error
        (Check.Schedule.validate
           { base with Check.Schedule.snap_period = -1.0 }));
-  (* shed and overlap are specified for the single-transfer path; a
-     flood or a second connection moves a schedule onto the multi path,
-     which compares delivered bytes exactly (ignoring honoured sheds)
-     and runs no overlapper *)
+  (* shed and overlap need a single-connection schedule: the model's
+     shed contract and the overlap rows cover one connection, and a
+     flood or a second connection makes a schedule multi-mode *)
   List.iter
     (fun seed ->
       let s =
