@@ -894,7 +894,6 @@ module Receiver = struct
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
   let counters rx = rx.counts
   let shed_spans rx = Vreassembly.spans rx.shed_cover
-  let governor_stats rx = Governor.stats rx.governor
 
   let stashed_tpdus rx =
     Int_table.fold

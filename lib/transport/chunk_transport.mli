@@ -273,8 +273,6 @@ module Receiver : sig
       connection-SN space, ascending — the mask under which delivered
       bytes are exempt from byte-exactness. *)
 
-  val governor_stats : t -> Governor.stats
-
   (** {2 Crash recovery} *)
 
   val epoch_passes : t -> int
