@@ -425,11 +425,13 @@ let absorb ct m =
   ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
   ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
   ct.ct_fp <-
-    Transport.Flowcache.add_stats ct.ct_fp (Multi.fastpath_stats m).Multi.fp_conn;
+    Transport.Flowcache.add_stats ct.ct_fp
+      (Multi.fastpath_stats m).Multi.fp_conn;
   Transport.Counters.add ct.ct_counts (Multi.counters m);
   ct.ct_high_water <-
     max ct.ct_high_water (Multi.governor_stats m).Transport.Governor.high_water;
-  ct.ct_overlap <- Labelling.Placement.add_overlap ct.ct_overlap (Multi.overlap_stats m)
+  ct.ct_overlap <-
+    Labelling.Placement.add_overlap ct.ct_overlap (Multi.overlap_stats m)
 
 (* The codec must be a fixpoint on every image it produced itself; a
    re-encode that fails to decode back to the same value means the
@@ -1003,7 +1005,8 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     sheds_sent = sum CT.Sender.sheds_sent;
     shed_spans = from_first (fun r -> r.Multi.shed_spans) [];
     state_high_water = ct.ct_high_water;
-    state_accounted = (Multi.governor_stats m).Transport.Governor.accounted_bytes;
+    state_accounted =
+      (Multi.governor_stats m).Transport.Governor.accounted_bytes;
     flood_injected =
       (match adversary with
       | Some a -> (Adversary.stats a).Adversary.injected

@@ -801,7 +801,9 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
             open_hwm =
               List.fold_left
                 (fun acc (e : Persist.epoch_image) ->
-                  match e.ei_open_csn with Some k -> max acc k | None -> acc)
+                  match e.ei_open_csn with
+                  | Some k -> max acc k
+                  | None -> acc)
                 (match img.Persist.ci_live_open with Some k -> k | None -> -1)
                 img.Persist.ci_hist;
             (* the image keeps no shed spans: a shed contract and crashes

@@ -957,10 +957,13 @@ let test_archived_epoch_counts_survive () =
     Util.ok_or_fail
       (Edc.Encoder.seal_tpdus
          (Util.ok_or_fail
-            (Framer.push_frame ~last:true framer (Util.deterministic_bytes 184))))
+            (Framer.push_frame ~last:true framer
+               (Util.deterministic_bytes 184))))
   in
   let packet cs = Util.ok_or_fail (Wire.encode_packet cs) in
-  let tpdu t = List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed in
+  let tpdu t =
+    List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed
+  in
   let head, tail =
     match tpdu 1 with
     | [ d; ed ] ->
@@ -998,7 +1001,8 @@ let test_archived_epoch_counts_survive () =
       (fun i p ->
         Transport.Multi.ingest m p;
         if Some i = snap_after then
-          Persist.Store.snapshot store (Persist.Multi (Transport.Multi.export m)))
+          Persist.Store.snapshot store
+            (Persist.Multi (Transport.Multi.export m)))
       packets;
     let before = counts m in
     Alcotest.(check (list (triple bool int int)))

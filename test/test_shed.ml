@@ -183,7 +183,8 @@ let test_multi_late_chunk_of_shed_tpdu () =
   signal (Connection.Open { first_csn = 0 });
   feed (tpdu 0);
   signal
-    (Connection.Shed_tpdu { t_id = 1; first_elem = tpdu_elems; elems = tpdu_elems });
+    (Connection.Shed_tpdu
+       { t_id = 1; first_elem = tpdu_elems; elems = tpdu_elems });
   feed (tpdu 2);
   let epochs () = Transport.Multi.epochs m ~conn_id in
   Alcotest.(check (list bool)) "one complete epoch after the shed" [ true ]
