@@ -1,4 +1,5 @@
 module CT = Transport.Chunk_transport
+module Multi = Transport.Multi
 module Persist = Transport.Persist
 
 (* Stack bugs injected at the receiver door to prove the oracle can see
@@ -377,8 +378,6 @@ let build_reverse ~trace (s : Schedule.t) engine deliver =
    A crash drops the endpoint's in-memory state and every packet that
    arrives during the down window; the restart rebuilds the endpoint
    from the persisted snapshot + journal. *)
-
-module Multi = Transport.Multi
 
 (* Per-run crash bookkeeping: counters the oracle's recovery checks
    read, plus accumulators for statistics that die with each crashed

@@ -3,14 +3,17 @@
     disagreement.
 
     Each check pins down one claim the paper makes about the chunk
-    architecture:
+    architecture.  On a schedule that is not {!Schedule.multi_mode} the
+    single-transfer checks read connection 1 epoch 0; on the others the
+    per-epoch checks run instead:
 
     - [lockup]/[gave-up]/[unfinished] — liveness: labels plus bounded
       timers always terminate, whatever the disorder;
     - [incomplete]/[element-count]/[data-mismatch]/[conservation] —
       §2–3: placement by connection SN reconstructs the stream exactly,
       through arbitrary refragmentation, reordering and duplication;
-    - [quiet-*] — the RTO/NACK machinery is excited only by faults;
+    - [quiet-*] — the RTO/NACK machinery is excited only by faults,
+      and a faultless wire damages no signal;
     - [clean-fail]/[clean-malformed] — §3.3: retransmissions reuse
       identical labels, so loss, duplication and congestion drops are
       absorbed without ever looking like damage;

@@ -693,8 +693,6 @@ let receivers m =
 
 let governor m = m.governor
 let governor_handles m = Int_table.fold (fun _ c acc -> c.gov :: acc) m.conns []
-
-
 let counters m = m.counts
 let reacks_sent m = m.counts.reacks_sent
 let unknown_drops m = m.counts.unknown_drops
