@@ -1,40 +1,68 @@
 type insert_result = Fresh | Duplicate | Overlap | Inconsistent
 
-(* Received element runs as a sorted list of disjoint, non-adjacent
-   (start, len) intervals.  The disorder window keeps this short in
-   practice, so list operations are fine. *)
+(* Received element runs, sorted, disjoint and non-adjacent: run [k] is
+   [runs.(2k)] (its first SN) and [runs.(2k+1)] (its length), for
+   [k < n].  Everything is an immediate in place, so a tracker that has
+   outlived a minor collection takes no young pointer from a later
+   insert unless its buffer grows.  The disorder window keeps [n] small
+   in practice, so scans are fine. *)
 type t = {
-  mutable runs : (int * int) list;
-  mutable last_sn : int option;  (* SN of the final element, once ST seen *)
+  mutable runs : int array;
+  mutable n : int;
+  mutable last_sn : int;  (* SN of the final element once ST seen, else -1 *)
 }
 
-let create () = { runs = []; last_sn = None }
+let no_end = -1
 
-let covered runs sn len =
-  List.exists (fun (s, l) -> s <= sn && sn + len <= s + l) runs
+let create () = { runs = Array.make 4 0; n = 0; last_sn = no_end }
 
-let intersects runs sn len =
-  List.exists (fun (s, l) -> sn < s + l && s < sn + len) runs
+let[@inline] start tr k = Array.unsafe_get tr.runs (2 * k)
+let[@inline] length tr k = Array.unsafe_get tr.runs ((2 * k) + 1)
+let[@inline] stop tr k = start tr k + length tr k
 
-let add_run runs sn len =
-  (* Insert and coalesce with adjacent/overlapping runs. *)
-  let rec go = function
-    | [] -> [ (sn, len) ]
-    | (s, l) :: rest when s + l < sn -> (s, l) :: go rest
-    | (s, l) :: rest when sn + len < s -> (sn, len) :: (s, l) :: rest
-    | (s, l) :: rest ->
-        (* touching or overlapping: fuse and keep going *)
-        let lo = Int.min s sn and hi = Int.max (s + l) (sn + len) in
-        let fused = (lo, hi - lo) in
-        let sn, len = fused in
-        let rec absorb sn len = function
-          | (s, l) :: rest when s <= sn + len ->
-              absorb sn (Int.max (sn + len) (s + l) - sn) rest
-          | rest -> (sn, len) :: rest
-        in
-        absorb sn len rest
-  in
-  go runs
+let set tr k sn len =
+  Array.unsafe_set tr.runs (2 * k) sn;
+  Array.unsafe_set tr.runs ((2 * k) + 1) len
+
+(* Room for one more run. *)
+let reserve tr =
+  if 2 * (tr.n + 1) > Array.length tr.runs then begin
+    let a = Array.make (2 * Array.length tr.runs) 0 in
+    Array.blit tr.runs 0 a 0 (2 * tr.n);
+    tr.runs <- a
+  end
+
+let covered tr sn len =
+  let rec go k = k < tr.n && ((start tr k <= sn && sn + len <= stop tr k) || go (k + 1)) in
+  go 0
+
+let intersects tr sn len =
+  let rec go k = k < tr.n && ((sn < stop tr k && start tr k < sn + len) || go (k + 1)) in
+  go 0
+
+(* The last element received, or -1. *)
+let max_seen tr = if tr.n = 0 then -1 else stop tr (tr.n - 1) - 1
+
+(* Insert [sn, sn + len) and coalesce with adjacent or overlapping
+   runs: runs [i, j) are those it touches, replaced by their union. *)
+let add_run tr sn len =
+  let i = ref 0 in
+  while !i < tr.n && stop tr !i < sn do incr i done;
+  let j = ref !i in
+  while !j < tr.n && start tr !j <= sn + len do incr j done;
+  let i = !i and j = !j in
+  if i = j then begin
+    reserve tr;
+    Array.blit tr.runs (2 * i) tr.runs (2 * (i + 1)) (2 * (tr.n - i));
+    set tr i sn len;
+    tr.n <- tr.n + 1
+  end
+  else begin
+    let lo = Int.min sn (start tr i) and hi = Int.max (sn + len) (stop tr (j - 1)) in
+    set tr i lo (hi - lo);
+    Array.blit tr.runs (2 * j) tr.runs (2 * (i + 1)) (2 * (tr.n - j));
+    tr.n <- tr.n - (j - i - 1)
+  end
 
 (* A span is malformed when it is degenerate or when [sn + len] wraps
    past [max_int] (possible for labels decoded from 64-bit wire fields);
@@ -42,137 +70,115 @@ let add_run runs sn len =
    [Inconsistent] rather than raised on. *)
 let bad_span ~sn ~len = sn < 0 || len <= 0 || sn > max_int - len
 
+(* Whether a span ending at [last] contradicts the PDU end: two
+   different ends, data beyond a known end, or an end before data
+   already seen. *)
+let end_conflict tr ~last ~st =
+  if tr.last_sn <> no_end then (st && tr.last_sn <> last) || last > tr.last_sn
+  else st && max_seen tr > last
+
 let insert tr ~sn ~len ~st =
   if bad_span ~sn ~len then Inconsistent
   else begin
-  let last = sn + len - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
-  in
-  let end_conflict =
-    match tr.last_sn with
-    | Some e when st && e <> last -> true (* two different ends *)
-    | Some e when last > e -> true (* data beyond the known end *)
-    | None when st && max_seen > last -> true (* end before seen data *)
-    | _ -> false
-  in
-  if end_conflict then Inconsistent
-  else if covered tr.runs sn len then begin
-    if st then tr.last_sn <- Some last;
-    Duplicate
+    let last = sn + len - 1 in
+    if end_conflict tr ~last ~st then Inconsistent
+    else if covered tr sn len then begin
+      if st then tr.last_sn <- last;
+      Duplicate
+    end
+    else if intersects tr sn len then Overlap
+    else begin
+      add_run tr sn len;
+      if st then tr.last_sn <- last;
+      Fresh
+    end
   end
-  else if intersects tr.runs sn len then Overlap
-  else begin
-    tr.runs <- add_run tr.runs sn len;
-    if st then tr.last_sn <- Some last;
-    Fresh
-  end
-  end
-
-(* [runs] with [(sn, len)] added after its last run, fusing a touching
-   last run; [Exit] when the span starts before the last run's end.
-   Each cell is rebuilt only on the way back from the last run, so a
-   refusal allocates nothing. *)
-let rec append_run runs sn len =
-  match runs with
-  | [] -> [ (sn, len) ]
-  | [ ((s, l) as r) ] ->
-      if s + l = sn then [ (s, l + len) ]
-      else if s + l < sn then [ r; (sn, len) ]
-      else raise_notrace Exit
-  | r :: rest -> r :: append_run rest sn len
 
 (* The in-order case: a span past every run is wholly fresh, and the
    end rule reduces to agreeing with a known end; nothing is
-   subtracted, and one walk finds the last run and appends. *)
+   subtracted, and the last run is extended or one is appended. *)
 let append_new tr ~sn ~len ~st =
   (not (bad_span ~sn ~len))
   &&
   let last = sn + len - 1 in
-  (match tr.last_sn with
-  | Some e -> last <= e && ((not st) || e = last)
-  | None -> true)
-  &&
-  match append_run tr.runs sn len with
-  | runs ->
-      tr.runs <- runs;
-      if st then tr.last_sn <- Some last;
-      true
-  | exception Exit -> false
+  (tr.last_sn = no_end || (last <= tr.last_sn && ((not st) || tr.last_sn = last)))
+  && (tr.n = 0 || stop tr (tr.n - 1) <= sn)
+  && begin
+    (if tr.n > 0 && stop tr (tr.n - 1) = sn then
+       set tr (tr.n - 1) (start tr (tr.n - 1)) (length tr (tr.n - 1) + len)
+     else begin
+       reserve tr;
+       set tr tr.n sn len;
+       tr.n <- tr.n + 1
+     end);
+    if st then tr.last_sn <- last;
+    true
+  end
 
 let insert_new tr ~sn ~len ~st =
   if bad_span ~sn ~len then Error `Inconsistent
   else begin
-  let last = sn + len - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
-  in
-  let end_conflict =
-    match tr.last_sn with
-    | Some e when st && e <> last -> true
-    | Some e when last > e -> true
-    | None when st && max_seen > last -> true
-    | _ -> false
-  in
-  if end_conflict then Error `Inconsistent
-  else begin
-    (* Fresh parts = [sn, sn+len) minus every existing run. *)
-    let rec subtract lo hi runs acc =
-      if lo >= hi then List.rev acc
-      else
-        match runs with
-        | [] -> List.rev ((lo, hi - lo) :: acc)
-        | (s, l) :: rest ->
-            if s + l <= lo then subtract lo hi rest acc
-            else if s >= hi then List.rev ((lo, hi - lo) :: acc)
-            else if s <= lo then subtract (Int.max lo (s + l)) hi rest acc
-            else subtract (s + l) hi rest ((lo, s - lo) :: acc)
-    in
-    let fresh = subtract sn (sn + len) tr.runs [] in
-    tr.runs <- add_run tr.runs sn len;
-    if st then tr.last_sn <- Some last;
-    Ok fresh
-  end
+    let last = sn + len - 1 in
+    if end_conflict tr ~last ~st then Error `Inconsistent
+    else begin
+      (* Fresh parts = [sn, sn+len) minus every existing run. *)
+      let hi = sn + len in
+      let rec subtract lo k acc =
+        if lo >= hi then List.rev acc
+        else if k = tr.n then List.rev ((lo, hi - lo) :: acc)
+        else
+          let s = start tr k and e = stop tr k in
+          if e <= lo then subtract lo (k + 1) acc
+          else if s >= hi then List.rev ((lo, hi - lo) :: acc)
+          else if s <= lo then subtract (Int.max lo e) (k + 1) acc
+          else subtract e (k + 1) ((lo, s - lo) :: acc)
+      in
+      let fresh = subtract sn 0 [] in
+      add_run tr sn len;
+      if st then tr.last_sn <- last;
+      Ok fresh
+    end
   end
 
 let set_total tr total =
   if total < 1 then Error `Inconsistent
   else begin
-  let last = total - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) tr.runs
-  in
-  match tr.last_sn with
-  | Some e when e <> last -> Error `Inconsistent
-  | Some _ -> Ok ()
-  | None ->
-      if max_seen > last then Error `Inconsistent
-      else begin
-        tr.last_sn <- Some last;
-        Ok ()
-      end
+    let last = total - 1 in
+    if tr.last_sn <> no_end then
+      if tr.last_sn <> last then Error `Inconsistent else Ok ()
+    else if max_seen tr > last then Error `Inconsistent
+    else begin
+      tr.last_sn <- last;
+      Ok ()
+    end
   end
 
-let total tr = Option.map (fun e -> e + 1) tr.last_sn
+let total tr = if tr.last_sn = no_end then None else Some (tr.last_sn + 1)
 
-let received_elems tr = List.fold_left (fun acc (_, l) -> acc + l) 0 tr.runs
+let received_elems tr =
+  let rec go k acc = if k = tr.n then acc else go (k + 1) (acc + length tr k) in
+  go 0 0
 
 let complete tr =
-  match tr.last_sn with
-  | None -> false
-  | Some e -> ( match tr.runs with [ (0, l) ] -> l = e + 1 | _ -> false)
+  tr.last_sn <> no_end && tr.n = 1 && start tr 0 = 0
+  && length tr 0 = tr.last_sn + 1
 
-let spans tr = tr.runs
+let run_count tr = tr.n
+
+let spans tr = List.init tr.n (fun k -> (start tr k, length tr k))
 
 let missing tr =
-  let stop = match tr.last_sn with Some e -> e + 1 | None -> max_int in
-  let rec gaps expect = function
-    | [] -> if stop <> max_int && expect < stop then [ (expect, stop - expect) ] else []
-    | (s, l) :: rest ->
-        if s > expect then (expect, s - expect) :: gaps (s + l) rest
-        else gaps (s + l) rest
+  let stop_at = if tr.last_sn = no_end then max_int else tr.last_sn + 1 in
+  let rec gaps expect k =
+    if k = tr.n then
+      if stop_at <> max_int && expect < stop_at then [ (expect, stop_at - expect) ]
+      else []
+    else
+      let s = start tr k in
+      if s > expect then (expect, s - expect) :: gaps (stop tr k) (k + 1)
+      else gaps (stop tr k) (k + 1)
   in
-  gaps 0 tr.runs
+  gaps 0 0
 
 module Table = struct
   type tracker = t

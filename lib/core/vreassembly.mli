@@ -26,7 +26,8 @@ type insert_result =
 type t
 (** Gap tracker for one PDU: the set of received [(sn, len)] runs plus
     the PDU end once an ST has been seen — reassembly bookkeeping
-    without reassembly buffers (paper §3.1). *)
+    without reassembly buffers (paper §3.1).  The runs live in one
+    growable int array, updated in place. *)
 
 val create : unit -> t
 (** An empty tracker: nothing received, end unknown. *)
@@ -52,9 +53,9 @@ val append_new : t -> sn:int -> len:int -> st:bool -> bool
     span lies wholly past every received run and agrees with a known
     PDU end, records it exactly as {!insert_new} would and returns
     [true] — every element is fresh.  Otherwise changes nothing and
-    returns [false], leaving the span to {!insert_new}.  One walk of the
-    run list finds the last run and appends, and a refusal allocates
-    nothing, so a caller on the hot path tries this first. *)
+    returns [false], leaving the span to {!insert_new}.  It reads only the
+    last run and allocates nothing unless the run buffer grows, so a
+    caller on the hot path tries this first. *)
 
 val set_total : t -> int -> (unit, [ `Inconsistent ]) result
 (** Announce the PDU's total element count out of band (e.g. from its
@@ -79,6 +80,9 @@ val missing : t -> (int * int) list
 
 val spans : t -> (int * int) list
 (** Received runs as [(sn, len)], ascending. *)
+
+val run_count : t -> int
+(** [List.length (spans t)], without building the list. *)
 
 (** {1 Many-PDU table}
 

@@ -35,100 +35,160 @@ type absorbed =
 
 (* An int-keyed map for the per-TPDU label tables.  Most TPDUs record
    one or two entries (a single boundary, a single external PDU), so
-   those live inline; only a TPDU with more pays for a hash table, which
-   keeps each operation O(1) however many boundaries it carries.  The
-   first binding of a key wins, as every caller wants. *)
+   those live in the map's own int fields; only a TPDU with more pays
+   for a hash table, which keeps each operation O(1) however many
+   boundaries it carries.  The map is allocated with its TPDU's state
+   and updated in place.  The first binding of a key wins, as every
+   caller wants. *)
 module Small = struct
-  type t =
-    | Empty
-    | One of int * int
-    | Two of int * int * int * int
-    | Many of int Int_table.t
+  type t = {
+    mutable n : int;  (* bindings; beyond two, [many] holds every one *)
+    mutable k0 : int;
+    mutable v0 : int;
+    mutable k1 : int;
+    mutable v1 : int;
+    mutable many : int Int_table.t;
+  }
+
+  (* the [many] of every map that never held three bindings: never
+     written *)
+  let few : int Int_table.t = Int_table.create 1
+
+  let create () = { n = 0; k0 = 0; v0 = 0; k1 = 0; v1 = 0; many = few }
 
   let mem m k =
-    match m with
-    | Empty -> false
-    | One (k1, _) -> k1 = k
-    | Two (k1, _, k2, _) -> k1 = k || k2 = k
-    | Many t -> Int_table.mem t k
+    if m.n > 2 then Int_table.mem m.many k
+    else (m.n > 0 && m.k0 = k) || (m.n > 1 && m.k1 = k)
 
   (* Whether [k] is bound to a value other than [v]. *)
   let conflicts m k v =
-    match m with
-    | Empty -> false
-    | One (k1, v1) -> k1 = k && v1 <> v
-    | Two (k1, v1, k2, v2) -> (k1 = k && v1 <> v) || (k2 = k && v2 <> v)
-    | Many t -> (
-        match Int_table.find_opt t k with Some d -> d <> v | None -> false)
+    if m.n > 2 then
+      match Int_table.find_opt m.many k with Some d -> d <> v | None -> false
+    else (m.n > 0 && m.k0 = k && m.v0 <> v) || (m.n > 1 && m.k1 = k && m.v1 <> v)
 
   let add m k v =
-    match m with
-    | Empty -> One (k, v)
-    | One (k1, v1) -> if k1 = k then m else Two (k1, v1, k, v)
-    | Two (k1, v1, k2, v2) ->
-        if k1 = k || k2 = k then m
-        else begin
+    if not (mem m k) then begin
+      (match m.n with
+      | 0 ->
+          m.k0 <- k;
+          m.v0 <- v
+      | 1 ->
+          m.k1 <- k;
+          m.v1 <- v
+      | 2 ->
           let t = Int_table.create 8 in
-          Int_table.add t k1 v1;
-          Int_table.add t k2 v2;
+          Int_table.add t m.k0 m.v0;
+          Int_table.add t m.k1 m.v1;
           Int_table.add t k v;
-          Many t
-        end
-    | Many t ->
-        if not (Int_table.mem t k) then Int_table.add t k v;
-        m
+          m.many <- t
+      | _ -> Int_table.add m.many k v);
+      m.n <- m.n + 1
+    end
 
-  let length = function
-    | Empty -> 0
-    | One _ -> 1
-    | Two _ -> 2
-    | Many t -> Int_table.length t
+  let length m = m.n
 
-  let bindings = function
-    | Empty -> []
-    | One (k1, v1) -> [ (k1, v1) ]
-    | Two (k1, v1, k2, v2) -> [ (k1, v1); (k2, v2) ]
-    | Many t -> Int_table.fold (fun k v l -> (k, v) :: l) t []
+  let bindings m =
+    match m.n with
+    | 0 -> []
+    | 1 -> [ (m.k0, m.v0) ]
+    | 2 -> [ (m.k0, m.v0); (m.k1, m.v1) ]
+    | _ -> Int_table.fold (fun k v l -> (k, v) :: l) m.many []
 end
 
+(* The fresh element runs of one TPDU, for the completion-time X-framing
+   check, flat: slot 0 holds the number of runs, then each run is four
+   ints [(t_sn, len, x_id, x_sn)], in arrival order. *)
+module Runs = struct
+  let create () = Array.make 9 0
+  let count a = Array.unsafe_get a 0
+
+  (* [a] with one more run; a new buffer only when [a] is full *)
+  let push a t_sn len x_id x_sn =
+    let n = count a in
+    let a =
+      if (4 * n) + 5 <= Array.length a then a
+      else begin
+        let b = Array.make ((2 * Array.length a) - 1) 0 in
+        Array.blit a 0 b 0 ((4 * n) + 1);
+        b
+      end
+    in
+    a.(0) <- n + 1;
+    a.((4 * n) + 1) <- t_sn;
+    a.((4 * n) + 2) <- len;
+    a.((4 * n) + 3) <- x_id;
+    a.((4 * n) + 4) <- x_sn;
+    a
+
+  let to_list a =
+    List.init (count a) (fun k ->
+        (a.((4 * k) + 1), a.((4 * k) + 2), a.((4 * k) + 3), a.((4 * k) + 4)))
+
+  let of_list l =
+    List.fold_left (fun a (t_sn, len, x_id, x_sn) -> push a t_sn len x_id x_sn)
+      (create ()) l
+end
+
+(* Everything the verifier keeps of one in-flight TPDU between its
+   chunks.  Every field that a chunk updates is an immediate, and the
+   tracker, the two label maps and the run buffer are allocated with the
+   record and updated in place, so a state that has outlived a minor
+   collection takes no young pointer from a later chunk (short of a
+   buffer growing).  Absent values are sentinels no label produces. *)
 type tpdu_state = {
   t_id : int;
-  born : float;  (* clock reading when this state was opened *)
-  acc : Wsc2.acc;  (* the data symbols *)
-  labels : Wsc2.acc;  (* the X pairs, T.ID, C.ID and C.ST *)
+  born : int;  (* [Obs.stamp] of the clock when this state was opened *)
+  mutable d0 : Gf232.t;  (* the data symbols' parity *)
+  mutable d1 : Gf232.t;
+  mutable l0 : Gf232.t;  (* the X pairs', T.ID's, C.ID's and C.ST's *)
+  mutable l1 : Gf232.t;
   mutable restored : bool;
-      (* imported from an image: [acc] then holds the whole parity *)
+      (* imported from an image: [d0]/[d1] then hold the whole parity *)
   tracker : Vreassembly.t;
-  mutable pairs_done : Small.t;  (* boundary T.SNs already paired, each -> 0 *)
-  mutable x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
-  mutable delta_ct : int option;       (* C.SN - T.SN *)
-  mutable c_id : int option;
-  mutable size : int option;
+  pairs_done : Small.t;  (* boundary T.SNs already paired, each -> 0 *)
+  x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
+  mutable delta_ct : int;  (* C.SN - T.SN, [no_delta] until known *)
+  mutable c_id : int;  (* -1 until known *)
+  mutable size : int;  (* 0 until known *)
   mutable labels_done : bool;
-  mutable expected : Wsc2.parity option;
-  mutable damage : string option;      (* completion-time failure note *)
-  mutable x_spans : (int * int * int * int) list;
-      (* (t_sn, len, x_id, x_sn) fresh runs *)
+  mutable e0 : Gf232.t;  (* the ED chunk's parity, [e0 = -1] until then *)
+  mutable e1 : Gf232.t;
+  mutable damage : string option;  (* completion-time failure note *)
+  mutable x_spans : int array;  (* [Runs]: (t_sn, len, x_id, x_sn) *)
 }
+
+(* No C.SN - T.SN of two labels is [min_int]: both SNs lie in
+   [0, max_int]. *)
+let no_delta = min_int
 
 let blank_state t_id ~born =
   {
     t_id;
-    born;
-    acc = Wsc2.create ();
-    labels = Wsc2.create ();
+    born = Obs.stamp born;
+    d0 = Gf232.zero;
+    d1 = Gf232.zero;
+    l0 = Gf232.zero;
+    l1 = Gf232.zero;
     restored = false;
     tracker = Vreassembly.create ();
-    pairs_done = Small.Empty;
-    x_deltas = Small.Empty;
-    delta_ct = None;
-    c_id = None;
-    size = None;
+    pairs_done = Small.create ();
+    x_deltas = Small.create ();
+    delta_ct = no_delta;
+    c_id = -1;
+    size = 0;
     labels_done = false;
-    expected = None;
+    e0 = -1;
+    e1 = 0;
     damage = None;
-    x_spans = [];
+    x_spans = Runs.create ();
   }
+
+let ed_arrived s = s.e0 >= 0
+
+(* Fold one label symbol into the labels' parity. *)
+let add_label s ~pos sym =
+  s.l0 <- Gf232.add s.l0 sym;
+  s.l1 <- Gf232.add s.l1 (Wsc2.weigh ~pos sym)
 
 (* [last_passed] while no passed TPDU awaits [take_data_parity]: no
    32-bit T.ID is negative, and with no C.SN - T.SN it vouches for
@@ -144,6 +204,8 @@ type t = {
      [take_data_parity] takes it ([none_passed] otherwise) *)
   mutable last_passed : tpdu_state;
   now : unit -> float;
+  (* scratch for one run's data parity, folded into its state's ints *)
+  scratch : Wsc2.acc;
   mutable passed : int;
   mutable failed : int;
   mutable dups : int;
@@ -179,12 +241,12 @@ let note_verdict v s t_id verdict =
     | Passed -> Obs.Metrics.incr m_passed
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
         Obs.Metrics.incr m_failed);
-    Obs.Metrics.observe_s m_latency (v.now () -. s.born);
+    Obs.Metrics.observe_s m_latency (v.now () -. Obs.unstamp s.born);
     if Obs.Trace.active () then
       Obs.Trace.record
         (Obs.Trace.Verify_done
            {
-             conn = Option.value s.c_id ~default:(-1);
+             conn = s.c_id;
              tpdu = t_id;
              verdict = verdict_tag verdict;
            })
@@ -197,6 +259,7 @@ let create ?now () =
     memo = None;
     last_passed = none_passed;
     now;
+    scratch = Wsc2.create ();
     passed = 0;
     failed = 0;
     dups = 0;
@@ -253,7 +316,9 @@ let fail_now v t_id verdict =
    come from boundary chunks only) nor the per-X.ID delta check sees. *)
 let x_framing_ok s =
   let spans =
-    List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) s.x_spans
+    List.sort
+      (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
+      (Runs.to_list s.x_spans)
   in
   let rec walk seen = function
     | [] | [ _ ] -> true
@@ -273,24 +338,23 @@ let x_framing_ok s =
   in
   walk [] spans
 
-(* Folds the data parity into [s.labels], which then holds the whole
-   TPDU's, and leaves [s.acc] the data's alone: call once, as the state
-   is released. *)
+(* The whole TPDU's parity, data and labels, against the ED chunk's. *)
 let verdict_of s =
-  match (s.damage, s.expected) with
-  | Some msg, _ -> Reassembly_error msg
-  | None, Some expected ->
-      Wsc2.combine s.labels s.acc;
-      if not (Wsc2.verify ~expected s.labels) then Parity_mismatch
+  match s.damage with
+  | Some msg -> Reassembly_error msg
+  | None ->
+      if not (ed_arrived s) then Reassembly_error "ED chunk never arrived"
+      else if
+        Gf232.add s.l0 s.d0 <> s.e0 || Gf232.add s.l1 s.d1 <> s.e1
+      then Parity_mismatch
       else if not (x_framing_ok s) then
         Consistency_failure "X framing not contiguous"
       else Passed
-  | None, None -> Reassembly_error "ED chunk never arrived"
 
 (* [fresh], the chunk's own contribution, and then its TPDU's verdict
    if the chunk completed it. *)
 let try_finish v t_id s fresh =
-  if Vreassembly.complete s.tracker && s.expected <> None then begin
+  if Vreassembly.complete s.tracker && ed_arrived s then begin
     let verdict = verdict_of s in
     note_verdict v s t_id verdict;
     release v t_id;
@@ -316,11 +380,10 @@ let arrival_check s (h : Header.t) =
         (* a (possibly corrupted) T.SN/LEN that escapes the invariant's
            data region can never virtually reassemble *)
         Some (Reassembly_error "TPDU data outside the invariant region")
-    | Ok _ -> (
-        match s.size with
-        | Some sz when sz <> h.Header.size ->
-            Some (Reassembly_error "SIZE changed between chunks")
-        | Some _ | None -> None)
+    | Ok _ ->
+        if s.size <> 0 && s.size <> h.Header.size then
+          Some (Reassembly_error "SIZE changed between chunks")
+        else None
   in
   match size_problem with
   | Some _ as p -> p
@@ -328,29 +391,25 @@ let arrival_check s (h : Header.t) =
       if h.Header.c.Ftuple.st && not h.Header.t.Ftuple.st then
         (* The C.ST bit can be set only on a TPDU boundary (§4). *)
         Some (Consistency_failure "C.ST set off a TPDU boundary")
-      else (
-        match s.c_id with
-        | Some id when id <> h.Header.c.Ftuple.id ->
-            Some (Consistency_failure "C.ID changed between chunks")
-        | Some _ | None -> (
-            let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-            match s.delta_ct with
-            | Some d when d <> delta ->
-                Some (Consistency_failure "C.SN - T.SN changed")
-            | Some _ | None -> (
-                let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
-                if Small.conflicts s.x_deltas h.Header.x.Ftuple.id xd then
-                  Some (Consistency_failure "C.SN - X.SN changed")
-                else None)))
+      else if s.c_id <> -1 && s.c_id <> h.Header.c.Ftuple.id then
+        Some (Consistency_failure "C.ID changed between chunks")
+      else if
+        s.delta_ct <> no_delta
+        && s.delta_ct <> h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn
+      then Some (Consistency_failure "C.SN - T.SN changed")
+      else
+        let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
+        if Small.conflicts s.x_deltas h.Header.x.Ftuple.id xd then
+          Some (Consistency_failure "C.SN - X.SN changed")
+        else None
 
 let commit_arrival s (h : Header.t) =
-  if s.size = None then s.size <- Some h.Header.size;
-  if s.c_id = None then s.c_id <- Some h.Header.c.Ftuple.id;
-  if s.delta_ct = None then
-    s.delta_ct <- Some (h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn);
-  s.x_deltas <-
-    Small.add s.x_deltas h.Header.x.Ftuple.id
-      (h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn)
+  if s.size = 0 then s.size <- h.Header.size;
+  if s.c_id = -1 then s.c_id <- h.Header.c.Ftuple.id;
+  if s.delta_ct = no_delta then
+    s.delta_ct <- h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn;
+  Small.add s.x_deltas h.Header.x.Ftuple.id
+    (h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn)
 
 (* Accumulate exactly the fresh element sub-runs of a chunk's payload,
    where it lies in the view's buffer.  The unchecked fast path is safe
@@ -359,16 +418,20 @@ let commit_arrival s (h : Header.t) =
    guarantees spans LEN * SIZE bytes of [src] from [off]), and
    [arrival_check] already rejected any chunk whose element span escapes
    the invariant's data region, so every position is in range. *)
-let accumulate_fresh s (v : Chunk.view) sn len =
-  let h = v.Chunk.header in
+let accumulate_fresh v s (cv : Chunk.view) sn len =
+  let h = cv.Chunk.header in
   let size = h.Header.size in
   (match Invariant.data_position ~size ~t_sn:sn with
   | Error msg -> if s.damage = None then s.damage <- Some msg
   | Ok pos ->
-      let off = v.Chunk.off + ((sn - h.Header.t.Ftuple.sn) * size) in
-      Wsc2.add_subbytes_exn s.acc ~pos v.Chunk.src off (len * size));
+      let off = cv.Chunk.off + ((sn - h.Header.t.Ftuple.sn) * size) in
+      let sc = v.scratch in
+      Wsc2.reset sc;
+      Wsc2.add_subbytes_exn sc ~pos cv.Chunk.src off (len * size);
+      s.d0 <- Gf232.add s.d0 (Wsc2.p0 sc);
+      s.d1 <- Gf232.add s.d1 (Wsc2.p1 sc));
   let xsn = h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn) in
-  s.x_spans <- (sn, len, h.Header.x.Ftuple.id, xsn) :: s.x_spans
+  s.x_spans <- Runs.push s.x_spans sn len h.Header.x.Ftuple.id xsn
 
 (* What the chunk's span [sn, sn + len) adds to the tracker. *)
 let fresh_of tr ~sn ~len ~st =
@@ -395,9 +458,9 @@ let on_data v (cv : Chunk.view) =
             (Reassembly_error "fragment beyond or contradicting the TPDU end")
       | Ok fresh ->
           (match fresh with
-          | All -> accumulate_fresh s cv sn len
+          | All -> accumulate_fresh v s cv sn len
           | Runs runs ->
-              List.iter (fun (sn, len) -> accumulate_fresh s cv sn len) runs
+              List.iter (fun (sn, len) -> accumulate_fresh v s cv sn len) runs
           | Duplicate ->
               v.dups <- v.dups + 1;
               if Obs.enabled then Obs.Metrics.incr m_dups
@@ -408,22 +471,21 @@ let on_data v (cv : Chunk.view) =
           if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then begin
             let boundary = h.Header.t.Ftuple.sn + h.Header.len - 1 in
             if not (Small.mem s.pairs_done boundary) then begin
-              s.pairs_done <- Small.add s.pairs_done boundary 0;
+              Small.add s.pairs_done boundary 0;
               let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
-              Wsc2.add_symbol s.labels ~pos
-                (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
-              Wsc2.add_symbol s.labels ~pos:(pos + 1)
+              add_label s ~pos (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
+              add_label s ~pos:(pos + 1)
                 (Encoder.xpair_second_symbol ~boundary_t_sn:boundary
                    ~x_st:h.Header.x.Ftuple.st)
             end
           end;
           if h.Header.t.Ftuple.st && not s.labels_done then begin
             s.labels_done <- true;
-            Wsc2.add_symbol s.labels ~pos:Invariant.tid_position
+            add_label s ~pos:Invariant.tid_position
               (h.Header.t.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.labels ~pos:Invariant.cid_position
+            add_label s ~pos:Invariant.cid_position
               (h.Header.c.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.labels ~pos:Invariant.cst_position
+            add_label s ~pos:Invariant.cst_position
               (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
           end;
           try_finish v t_id s fresh)
@@ -435,20 +497,18 @@ let on_ed v (cv : Chunk.view) =
   if Chunk.view_payload_bytes cv <> 12 then
     fail_now v t_id (Reassembly_error "malformed ED chunk payload")
   else
-    match s.c_id with
-    | Some id when id <> h.Header.c.Ftuple.id ->
-        fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
-    | Some _ | None ->
+    if s.c_id <> -1 && s.c_id <> h.Header.c.Ftuple.id then
+      fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
+    else
   begin
-    let parity = Wsc2.parity_of_bytes cv.Chunk.src cv.Chunk.off in
-    let total =
-      Int32.to_int (Bytes.get_int32_be cv.Chunk.src (cv.Chunk.off + 8))
+    let get32 off =
+      Int32.to_int (Bytes.get_int32_be cv.Chunk.src (cv.Chunk.off + off))
       land 0xFFFF_FFFF
     in
-    match s.expected with
-    | Some p when not (Wsc2.parity_equal p parity) ->
-        fail_now v t_id (Reassembly_error "conflicting ED chunks")
-    | Some _ | None -> (
+    let p0 = get32 0 and p1 = get32 4 and total = get32 8 in
+    if ed_arrived s && (s.e0 <> p0 || s.e1 <> p1) then
+      fail_now v t_id (Reassembly_error "conflicting ED chunks")
+    else (
         (* The ED chunk also pins the C.SN - T.SN delta (its T.SN is 0,
            its C.SN the TPDU's first element) and the TPDU's extent.  A
            delta already established by data chunks must agree: with a
@@ -456,12 +516,12 @@ let on_ed v (cv : Chunk.view) =
            fires, so this comparison is the only consistency coverage
            the connection label gets. *)
         let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-        match s.delta_ct with
-        | Some d when d <> delta ->
-            fail_now v t_id (Consistency_failure "ED chunk C.SN mismatch")
-        | Some _ | None -> (
-            s.expected <- Some parity;
-            if s.delta_ct = None then s.delta_ct <- Some delta;
+        if s.delta_ct <> no_delta && s.delta_ct <> delta then
+          fail_now v t_id (Consistency_failure "ED chunk C.SN mismatch")
+        else (
+            s.e0 <- p0;
+            s.e1 <- p1;
+            if s.delta_ct = no_delta then s.delta_ct <- delta;
             if total < 1 then
               fail_now v t_id (Reassembly_error "ED chunk announces no data")
             else
@@ -507,7 +567,7 @@ let missing v ~t_id =
 
 let ed_seen v ~t_id =
   match find v t_id with
-  | Some s -> s.expected <> None
+  | Some s -> ed_arrived s
   | None -> false
 
 let abort v ~t_id =
@@ -539,8 +599,8 @@ let footprint_bytes v ~t_id =
   | None -> 0
   | Some s ->
       128
-      + (24 * List.length (Vreassembly.spans s.tracker))
-      + (40 * List.length s.x_spans)
+      + (24 * Vreassembly.run_count s.tracker)
+      + (40 * Runs.count s.x_spans)
       + (16 * Small.length s.pairs_done)
       + (16 * Small.length s.x_deltas)
 
@@ -549,10 +609,12 @@ let take_data_parity v ~t_id ~first_c_sn ~elems =
   if s.t_id <> t_id then None
   else begin
     v.last_passed <- none_passed;
-    match (s.restored, s.delta_ct, Vreassembly.total s.tracker) with
-    | false, Some first, Some total when first = first_c_sn && total = elems ->
-        Some (Wsc2.snapshot s.acc)
-    | _ -> None
+    match Vreassembly.total s.tracker with
+    | Some total
+      when (not s.restored) && s.delta_ct <> no_delta
+           && s.delta_ct = first_c_sn && total = elems ->
+        Some { Wsc2.p0 = s.d0; p1 = s.d1 }
+    | Some _ | None -> None
   end
 
 let stats v =
@@ -584,31 +646,29 @@ type tpdu_image = {
   ti_x_spans : (int * int * int * int) list;
 }
 
-(* The whole parity so far, data and labels, leaving both
-   accumulators as they are. *)
-let whole_parity s =
-  let whole = Wsc2.of_parity (Wsc2.snapshot s.labels) in
-  Wsc2.combine whole s.acc;
-  Wsc2.snapshot whole
+(* An int field's sentinel as the image's [None]. *)
+let known ~unset x = if x = unset then None else Some x
 
 let export v =
   Int_table.fold
     (fun t_id s acc ->
       {
         ti_t_id = t_id;
-        ti_parity = whole_parity s;
+        ti_parity =
+          { Wsc2.p0 = Gf232.add s.l0 s.d0; p1 = Gf232.add s.l1 s.d1 };
         ti_spans = Vreassembly.spans s.tracker;
         ti_total = Vreassembly.total s.tracker;
         ti_pairs =
           List.map fst (Small.bindings s.pairs_done) |> List.sort Int.compare;
         ti_x_deltas = List.sort compare (Small.bindings s.x_deltas);
-        ti_delta_ct = s.delta_ct;
-        ti_c_id = s.c_id;
-        ti_size = s.size;
+        ti_delta_ct = known ~unset:no_delta s.delta_ct;
+        ti_c_id = known ~unset:(-1) s.c_id;
+        ti_size = known ~unset:0 s.size;
         ti_labels_done = s.labels_done;
-        ti_expected = s.expected;
+        ti_expected =
+          (if ed_arrived s then Some { Wsc2.p0 = s.e0; p1 = s.e1 } else None);
         ti_damage = s.damage;
-        ti_x_spans = List.sort compare s.x_spans;
+        ti_x_spans = List.sort compare (Runs.to_list s.x_spans);
       }
       :: acc)
     v.tpdus []
@@ -619,7 +679,8 @@ let import v img =
     let s = state v img.ti_t_id in
     (* rebuild the accumulator from its parity: XOR accumulation makes
        resume-from-snapshot indistinguishable from never stopping *)
-    Wsc2.combine s.acc (Wsc2.of_parity img.ti_parity);
+    s.d0 <- img.ti_parity.Wsc2.p0;
+    s.d1 <- img.ti_parity.Wsc2.p1;
     s.restored <- true;
     List.iter
       (fun (sn, len) ->
@@ -631,18 +692,19 @@ let import v img =
         match Vreassembly.set_total s.tracker total with
         | Ok () | Error `Inconsistent -> ())
     | None -> ());
-    List.iter
-      (fun k -> s.pairs_done <- Small.add s.pairs_done k 0)
-      img.ti_pairs;
+    List.iter (fun k -> Small.add s.pairs_done k 0) img.ti_pairs;
     (* the image's last binding of a key wins, as a table replace would *)
-    List.iter
-      (fun (k, d) -> s.x_deltas <- Small.add s.x_deltas k d)
-      (List.rev img.ti_x_deltas);
-    s.delta_ct <- img.ti_delta_ct;
-    s.c_id <- img.ti_c_id;
-    s.size <- img.ti_size;
+    List.iter (fun (k, d) -> Small.add s.x_deltas k d) (List.rev img.ti_x_deltas);
+    let or_unset ~unset = Option.value ~default:unset in
+    s.delta_ct <- or_unset ~unset:no_delta img.ti_delta_ct;
+    s.c_id <- or_unset ~unset:(-1) img.ti_c_id;
+    s.size <- or_unset ~unset:0 img.ti_size;
     s.labels_done <- img.ti_labels_done;
-    s.expected <- img.ti_expected;
+    (match img.ti_expected with
+    | Some p ->
+        s.e0 <- p.Wsc2.p0;
+        s.e1 <- p.Wsc2.p1
+    | None -> ());
     s.damage <- img.ti_damage;
-    s.x_spans <- img.ti_x_spans
+    s.x_spans <- Runs.of_list img.ti_x_spans
   end

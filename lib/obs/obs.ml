@@ -31,6 +31,16 @@ let now = Flag.now
     default timestamp).  Outside a simulation it keeps its last value
     (initially [0.]). *)
 
+let stamp t = Int64.to_int (Int64.bits_of_float t)
+(** A clock reading as an immediate [int], its IEEE bits, for records
+    that hold no pointer: {!unstamp} gives the reading back exactly
+    whenever it is [>= 0.], as every reading of the simulated clock
+    is. *)
+
+let unstamp s =
+  Int64.float_of_bits (Int64.logand (Int64.of_int s) Int64.max_int)
+(** The clock reading of a {!stamp}. *)
+
 module Metrics = Metrics
 module Trace = Trace
 module Report = Report

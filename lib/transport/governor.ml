@@ -1,5 +1,10 @@
 type key = { conn : int; tpdu : int }
 
+(* A deadline in a block of its own: a float-only record holds its
+   field unboxed, so a refresh stores the new deadline in place instead
+   of boxing a fresh float into a possibly promoted entry. *)
+type deadline = { mutable at : float }
+
 (* An entry is live, [bytes >= 0], exactly while it is in [tbl] under
    [key]: a holder's handle is then the table's own entry, and a
    refresh through it needs no lookup.  A charge is never negative, so
@@ -7,7 +12,7 @@ type key = { conn : int; tpdu : int }
 type entry = {
   key : key;
   mutable bytes : int;
-  mutable deadline : float;
+  deadline : deadline;
   mutable cls : int;
 }
 
@@ -85,8 +90,9 @@ let oldest g =
   Tbl.fold
     (fun k (e : entry) best ->
       match best with
-      | Some (_, d, c) when c > e.cls || (c = e.cls && d <= e.deadline) -> best
-      | _ -> Some (k, e.deadline, e.cls))
+      | Some (_, d, c) when c > e.cls || (c = e.cls && d <= e.deadline.at) ->
+          best
+      | _ -> Some (k, e.deadline.at, e.cls))
     g.tbl None
 
 let drop g k =
@@ -97,17 +103,17 @@ let drop g k =
       e.bytes <- dead;
       Tbl.remove g.tbl k
 
-(* Re-assert [e]'s charge, then enforce the budget.  A dead [e] holds
-   nothing and no entry has its key, so it joins the table as the new
-   entry: added exactly where a new record would be. *)
-let restate g e ~bytes ~cls ~deadline =
+(* Re-assert [e]'s charge, its deadline already set, then enforce the
+   budget.  A dead [e] holds nothing and no entry has its key, so it
+   joins the table as the new entry: added exactly where a new record
+   would be. *)
+let restate g e ~bytes ~cls =
   if live e then g.total <- g.total - e.bytes + bytes
   else begin
     Tbl.add g.tbl e.key e;
     g.total <- g.total + bytes
   end;
   e.bytes <- bytes;
-  e.deadline <- deadline;
   e.cls <- cls;
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
@@ -132,7 +138,7 @@ let restate g e ~bytes ~cls ~deadline =
   end;
   List.iter g.on_evict (List.rev !victims)
 
-let entry key = { key; bytes = dead; deadline = 0.0; cls = 0 }
+let entry key = { key; bytes = dead; deadline = { at = 0.0 }; cls = 0 }
 let entry_key e = e.key
 
 (* Refresh [e], which is live or else the only holder of a key with no
@@ -148,8 +154,10 @@ let settle g e ~cls ~bytes ~now =
   let cls = Int.max 0 cls in
   let deadline = now +. g.ttl in
   (* a dead entry's [bytes] never equals a charge *)
-  if not (e.bytes = bytes && e.cls = cls && e.deadline = deadline) then
-    restate g e ~bytes ~cls ~deadline
+  if not (e.bytes = bytes && e.cls = cls && e.deadline.at = deadline) then begin
+    e.deadline.at <- deadline;
+    restate g e ~bytes ~cls
+  end
 
 (* A live handle is the table's entry for its key, so it is refreshed
    in place with no hash; a dead one falls back to the keyed probe. *)
@@ -183,13 +191,15 @@ let mem g ~key = Tbl.mem g.tbl key
 let next_deadline g =
   Tbl.fold
     (fun _ (e : entry) best ->
-      match best with Some d when d <= e.deadline -> best | _ -> Some e.deadline)
+      match best with
+      | Some d when d <= e.deadline.at -> best
+      | _ -> Some e.deadline.at)
     g.tbl None
 
 let sweep g ~now =
   let due =
     Tbl.fold
-      (fun k (e : entry) acc -> if e.deadline <= now then k :: acc else acc)
+      (fun k (e : entry) acc -> if e.deadline.at <= now then k :: acc else acc)
       g.tbl []
   in
   List.iter (drop g) due;

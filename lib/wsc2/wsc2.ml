@@ -40,10 +40,14 @@ let check_pos pos =
   if pos < 0 || pos > max_position then
     invalid_arg "Wsc2: position out of range"
 
-let add_symbol acc ~pos sym =
+let weigh ~pos sym =
   check_pos pos;
+  Gf232.mul (Gf232.alpha_pow pos) sym
+
+let add_symbol acc ~pos sym =
+  let w = weigh ~pos sym in
   acc.a0 <- Gf232.add acc.a0 sym;
-  acc.a1 <- Gf232.add acc.a1 (Gf232.mul (Gf232.alpha_pow pos) sym)
+  acc.a1 <- Gf232.add acc.a1 w
 
 let symbols_of_bytes n = (n + 3) / 4
 
@@ -193,6 +197,8 @@ let combine dst src =
   dst.a1 <- Gf232.add dst.a1 src.a1
 
 let snapshot acc = { p0 = acc.a0; p1 = acc.a1 }
+let p0 acc = acc.a0
+let p1 acc = acc.a1
 
 let of_parity p = { a0 = p.p0; a1 = p.p1 }
 

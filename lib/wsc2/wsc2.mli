@@ -70,6 +70,14 @@ val add_symbol : acc -> pos:int -> Gf232.t -> unit
 
     @raise Invalid_argument if [pos] is outside [0, max_position]. *)
 
+val weigh : pos:int -> Gf232.t -> Gf232.t
+(** [weigh ~pos s] is [alpha^pos (x) s], the share of P1 that symbol [s]
+    at position [pos] adds (its share of P0 is [s] itself): what
+    {!add_symbol} absorbs, for a caller that keeps its parity in int
+    fields of its own.
+
+    @raise Invalid_argument if [pos] is outside [0, max_position]. *)
+
 val add_bytes : acc -> pos:int -> bytes -> int -> int -> unit
 (** [add_bytes acc ~pos b off len] absorbs [len] bytes of [b] starting at
     [off] as consecutive big-endian 32-bit symbols at positions [pos],
@@ -109,6 +117,11 @@ val combine : acc -> acc -> unit
 val snapshot : acc -> parity
 (** The parity of everything absorbed so far; the accumulator remains
     usable. *)
+
+val p0 : acc -> Gf232.t
+val p1 : acc -> Gf232.t
+(** The two symbols {!snapshot} would return, read without building a
+    {!parity}. *)
 
 val of_parity : parity -> acc
 (** An accumulator whose state is exactly [parity] — the inverse of
