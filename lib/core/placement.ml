@@ -265,28 +265,36 @@ let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   end
   else apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu
 
-let checked op p (v : Chunk.view) ~verified =
-  let h = v.Chunk.header in
-  if not (Chunk.view_is_data v) then
-    Error (Printf.sprintf "Placement.%s: not a data chunk" op)
-  else if h.Header.size <> p.elem_size then
+(* [len] elements of [size] bytes from [src] at [off], the first at
+   level SN [sn] *)
+let checked_run op p ~sn ~len ~size ~src ~off ~verified ~conn ~tpdu =
+  if size <> p.elem_size then
     Error (Printf.sprintf "Placement.%s: element size mismatch" op)
   else begin
-    let sn = sn_of p h - p.base_sn in
-    let len = h.Header.len in
+    let sn = sn - p.base_sn in
     (* [sn > capacity - len] rather than [sn + len > capacity]: a decoded
        SN can be close to [max_int], where the addition wraps negative
        and would sail past the window check into Bytes.blit. *)
     if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
       Error (Printf.sprintf "Placement.%s: outside destination window" op)
-    else
-      Ok
-        (apply p ~sn ~len ~src:v.Chunk.src ~src_off:v.Chunk.off ~verified
-           ~conn:h.Header.c.Ftuple.id ~tpdu:h.Header.t.Ftuple.id)
+    else Ok (apply p ~sn ~len ~src ~src_off:off ~verified ~conn ~tpdu)
   end
 
-let place_view ?(verified = false) p v =
-  checked (if verified then "place_view ~verified" else "place") p v ~verified
+let op_name ~verified = if verified then "place_view ~verified" else "place"
+
+let place_run ?(verified = false) p ~sn ~len ~size ~src ~off ~conn ~tpdu =
+  checked_run (op_name ~verified) p ~sn ~len ~size ~src ~off ~verified ~conn
+    ~tpdu
+
+let place_view ?(verified = false) p (v : Chunk.view) =
+  let op = op_name ~verified in
+  let h = v.Chunk.header in
+  if not (Chunk.view_is_data v) then
+    Error (Printf.sprintf "Placement.%s: not a data chunk" op)
+  else
+    checked_run op p ~sn:(sn_of p h) ~len:h.Header.len ~size:h.Header.size
+      ~src:v.Chunk.src ~off:v.Chunk.off ~verified ~conn:h.Header.c.Ftuple.id
+      ~tpdu:h.Header.t.Ftuple.id
 
 let place_checked p chunk = place_view p (Chunk.view chunk)
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)

@@ -105,6 +105,23 @@ val place_view :
     {!Verified_conflict}), and the caller should then {!lock_span} the
     runs it now owns ([rp_fresh @ rp_benign]). *)
 
+val place_run :
+  ?verified:bool ->
+  t ->
+  sn:int ->
+  len:int ->
+  size:int ->
+  src:bytes ->
+  off:int ->
+  conn:int ->
+  tpdu:int ->
+  (report, string) result
+(** {!place_view} of a run of data elements given by its fields, with
+    no chunk header: [len] elements of [size] bytes from [src] at
+    [off], the first at SN [sn] of the placement's level, labelled C.ID
+    [conn] and T.ID [tpdu] (for the overlap trace).  The caller vouches
+    that the run is data of one chunk. *)
+
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes
     can never again be overwritten by conflicting data.  Out-of-window

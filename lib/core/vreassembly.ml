@@ -165,6 +165,10 @@ let complete tr =
 
 let run_count tr = tr.n
 
+let clear tr =
+  tr.n <- 0;
+  tr.last_sn <- no_end
+
 let spans tr = List.init tr.n (fun k -> (start tr k, length tr k))
 
 let missing tr =

@@ -84,6 +84,10 @@ val spans : t -> (int * int) list
 val run_count : t -> int
 (** [List.length (spans t)], without building the list. *)
 
+val clear : t -> unit
+(** Forget every run and the PDU end, keeping the buffer's room: the
+    tracker is then as {!create} made it. *)
+
 (** {1 Many-PDU table}
 
     Tracks every in-flight PDU of one level (keyed by ID), driving

@@ -87,46 +87,16 @@ module Small = struct
 
   let length m = m.n
 
+  let clear m =
+    m.n <- 0;
+    m.many <- few
+
   let bindings m =
     match m.n with
     | 0 -> []
     | 1 -> [ (m.k0, m.v0) ]
     | 2 -> [ (m.k0, m.v0); (m.k1, m.v1) ]
     | _ -> Int_table.fold (fun k v l -> (k, v) :: l) m.many []
-end
-
-(* The fresh element runs of one TPDU, for the completion-time X-framing
-   check, flat: slot 0 holds the number of runs, then each run is four
-   ints [(t_sn, len, x_id, x_sn)], in arrival order. *)
-module Runs = struct
-  let create () = Array.make 9 0
-  let count a = Array.unsafe_get a 0
-
-  (* [a] with one more run; a new buffer only when [a] is full *)
-  let push a t_sn len x_id x_sn =
-    let n = count a in
-    let a =
-      if (4 * n) + 5 <= Array.length a then a
-      else begin
-        let b = Array.make ((2 * Array.length a) - 1) 0 in
-        Array.blit a 0 b 0 ((4 * n) + 1);
-        b
-      end
-    in
-    a.(0) <- n + 1;
-    a.((4 * n) + 1) <- t_sn;
-    a.((4 * n) + 2) <- len;
-    a.((4 * n) + 3) <- x_id;
-    a.((4 * n) + 4) <- x_sn;
-    a
-
-  let to_list a =
-    List.init (count a) (fun k ->
-        (a.((4 * k) + 1), a.((4 * k) + 2), a.((4 * k) + 3), a.((4 * k) + 4)))
-
-  let of_list l =
-    List.fold_left (fun a (t_sn, len, x_id, x_sn) -> push a t_sn len x_id x_sn)
-      (create ()) l
 end
 
 (* Everything the verifier keeps of one in-flight TPDU between its
@@ -136,8 +106,8 @@ end
    collection takes no young pointer from a later chunk (short of a
    buffer growing).  Absent values are sentinels no label produces. *)
 type tpdu_state = {
-  t_id : int;
-  born : int;  (* [Obs.stamp] of the clock when this state was opened *)
+  mutable t_id : int;
+  mutable born : int;  (* [Obs.stamp] of the clock when this state was opened *)
   mutable d0 : Gf232.t;  (* the data symbols' parity *)
   mutable d1 : Gf232.t;
   mutable l0 : Gf232.t;  (* the X pairs', T.ID's, C.ID's and C.ST's *)
@@ -154,7 +124,8 @@ type tpdu_state = {
   mutable e0 : Gf232.t;  (* the ED chunk's parity, [e0 = -1] until then *)
   mutable e1 : Gf232.t;
   mutable damage : string option;  (* completion-time failure note *)
-  mutable x_spans : int array;  (* [Runs]: (t_sn, len, x_id, x_sn) *)
+  mutable x_spans : Int_rows.t;
+      (* fresh runs as (t_sn, len, x_id, x_sn), for the X-framing check *)
 }
 
 (* No C.SN - T.SN of two labels is [min_int]: both SNs lie in
@@ -180,8 +151,30 @@ let blank_state t_id ~born =
     e0 = -1;
     e1 = 0;
     damage = None;
-    x_spans = Runs.create ();
+    x_spans = Int_rows.create ~width:4;
   }
+
+(* [s], released, as the blank state of [t_id]: its buffers keep their
+   room. *)
+let reopen s t_id ~born =
+  s.t_id <- t_id;
+  s.born <- Obs.stamp born;
+  s.d0 <- Gf232.zero;
+  s.d1 <- Gf232.zero;
+  s.l0 <- Gf232.zero;
+  s.l1 <- Gf232.zero;
+  s.restored <- false;
+  Vreassembly.clear s.tracker;
+  Small.clear s.pairs_done;
+  Small.clear s.x_deltas;
+  s.delta_ct <- no_delta;
+  s.c_id <- -1;
+  s.size <- 0;
+  s.labels_done <- false;
+  s.e0 <- -1;
+  s.e1 <- 0;
+  s.damage <- None;
+  Int_rows.clear s.x_spans
 
 let ed_arrived s = s.e0 >= 0
 
@@ -195,8 +188,19 @@ let add_label s ~pos sym =
    nothing anyway. *)
 let none_passed = blank_state (-1) ~born:0.0
 
+(* Released states kept for reuse by the verifiers that share the pool:
+   a TPDU opened from a spare state allocates nothing, so the states
+   that live through minor collections stay the same few records in the
+   major heap instead of a new set per TPDU.  At most [pool_cap] are
+   kept, so the pool holds no more than a burst of verdicts leaves. *)
+type pool = { mutable spare : tpdu_state array; mutable n : int }
+
+let pool_cap = 32
+let pool () = { spare = [||]; n = 0 }
+
 type t = {
   tpdus : tpdu_state Int_table.t;
+  pool : pool;
   (* the last state looked up, so the several lookups one chunk makes
      cost one hash probe; cleared whenever [tpdus] loses its T.ID *)
   mutable memo : tpdu_state option;
@@ -252,10 +256,11 @@ let note_verdict v s t_id verdict =
            })
   end
 
-let create ?now () =
+let create ?now ?(pool = pool ()) () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
   {
     tpdus = Int_table.create 32;
+    pool;
     memo = None;
     last_passed = none_passed;
     now;
@@ -278,11 +283,24 @@ let find v t_id =
           found
       | None -> None)
 
-let release v t_id =
-  Int_table.remove v.tpdus t_id;
-  match v.memo with
-  | Some s when s.t_id = t_id -> v.memo <- None
-  | Some _ | None -> ()
+(* A state no table holds and nothing will read again goes back to the
+   pool, while it has room. *)
+let recycle v s =
+  let p = v.pool in
+  if p.n < pool_cap && s != none_passed then begin
+    if Array.length p.spare = 0 then p.spare <- Array.make pool_cap none_passed;
+    p.spare.(p.n) <- s;
+    p.n <- p.n + 1
+  end
+
+(* Forget [s]; it is recycled unless it is the passed TPDU awaiting
+   [take_data_parity]. *)
+let release v s =
+  Int_table.remove v.tpdus s.t_id;
+  (match v.memo with
+  | Some m when m == s -> v.memo <- None
+  | Some _ | None -> ());
+  if s != v.last_passed then recycle v s
 
 let state v t_id =
   match find v t_id with
@@ -290,7 +308,16 @@ let state v t_id =
   | None ->
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record (Obs.Trace.Verify_start { conn = -1; tpdu = t_id });
-      let s = blank_state t_id ~born:(v.now ()) in
+      let p = v.pool in
+      let s =
+        if p.n = 0 then blank_state t_id ~born:(v.now ())
+        else begin
+          p.n <- p.n - 1;
+          let s = p.spare.(p.n) in
+          reopen s t_id ~born:(v.now ());
+          s
+        end
+      in
       Int_table.add v.tpdus t_id s;
       v.memo <- Some s;
       s
@@ -302,9 +329,10 @@ let state v t_id =
    any incorrect chunks to be discarded" (Appendix A). *)
 let fail_now v t_id verdict =
   (match find v t_id with
-  | Some s -> note_verdict v s t_id verdict
+  | Some s ->
+      note_verdict v s t_id verdict;
+      release v s
   | None -> ());
-  release v t_id;
   v.failed <- v.failed + 1;
   Verdict (No_data, verdict)
 
@@ -318,7 +346,7 @@ let x_framing_ok s =
   let spans =
     List.sort
       (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
-      (Runs.to_list s.x_spans)
+      (Int_rows.quads s.x_spans)
   in
   let rec walk seen = function
     | [] | [ _ ] -> true
@@ -357,13 +385,15 @@ let try_finish v t_id s fresh =
   if Vreassembly.complete s.tracker && ed_arrived s then begin
     let verdict = verdict_of s in
     note_verdict v s t_id verdict;
-    release v t_id;
     (match verdict with
     | Passed ->
         v.passed <- v.passed + 1;
+        (* the state the pass displaces has nothing left to give *)
+        recycle v v.last_passed;
         v.last_passed <- s
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
         v.failed <- v.failed + 1);
+    release v s;
     Verdict (fresh, verdict)
   end
   else fresh
@@ -431,7 +461,7 @@ let accumulate_fresh v s (cv : Chunk.view) sn len =
       s.d0 <- Gf232.add s.d0 (Wsc2.p0 sc);
       s.d1 <- Gf232.add s.d1 (Wsc2.p1 sc));
   let xsn = h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn) in
-  s.x_spans <- Runs.push s.x_spans sn len h.Header.x.Ftuple.id xsn
+  s.x_spans <- Int_rows.push4 s.x_spans sn len h.Header.x.Ftuple.id xsn
 
 (* What the chunk's span [sn, sn + len) adds to the tracker. *)
 let fresh_of tr ~sn ~len ~st =
@@ -583,7 +613,7 @@ let abort v ~t_id =
           | other -> other
       in
       note_verdict v s t_id verdict;
-      release v t_id;
+      release v s;
       v.failed <- v.failed + 1;
       Some verdict
 
@@ -600,7 +630,7 @@ let footprint_bytes v ~t_id =
   | Some s ->
       128
       + (24 * Vreassembly.run_count s.tracker)
-      + (40 * Runs.count s.x_spans)
+      + (40 * Int_rows.count s.x_spans)
       + (16 * Small.length s.pairs_done)
       + (16 * Small.length s.x_deltas)
 
@@ -609,12 +639,16 @@ let take_data_parity v ~t_id ~first_c_sn ~elems =
   if s.t_id <> t_id then None
   else begin
     v.last_passed <- none_passed;
-    match Vreassembly.total s.tracker with
-    | Some total
-      when (not s.restored) && s.delta_ct <> no_delta
-           && s.delta_ct = first_c_sn && total = elems ->
-        Some { Wsc2.p0 = s.d0; p1 = s.d1 }
-    | Some _ | None -> None
+    let parity =
+      match Vreassembly.total s.tracker with
+      | Some total
+        when (not s.restored) && s.delta_ct <> no_delta
+             && s.delta_ct = first_c_sn && total = elems ->
+          Some { Wsc2.p0 = s.d0; p1 = s.d1 }
+      | Some _ | None -> None
+    in
+    recycle v s;
+    parity
   end
 
 let stats v =
@@ -668,7 +702,7 @@ let export v =
         ti_expected =
           (if ed_arrived s then Some { Wsc2.p0 = s.e0; p1 = s.e1 } else None);
         ti_damage = s.damage;
-        ti_x_spans = List.sort compare (Runs.to_list s.x_spans);
+        ti_x_spans = List.sort compare (Int_rows.quads s.x_spans);
       }
       :: acc)
     v.tpdus []
@@ -706,5 +740,5 @@ let import v img =
         s.e1 <- p.Wsc2.p1
     | None -> ());
     s.damage <- img.ti_damage;
-    s.x_spans <- Runs.of_list img.ti_x_spans
+    s.x_spans <- Int_rows.of_quads img.ti_x_spans
   end

@@ -41,12 +41,22 @@ type event =
 
 type t
 
-val create : ?now:(unit -> float) -> unit -> t
+type pool
+(** Released per-TPDU states kept for reuse (at most 32), which
+    verifiers may share: a TPDU whose state comes from the pool
+    allocates nothing, so the states a minor collection finds alive are
+    mostly the same records, long since promoted. *)
+
+val pool : unit -> pool
+(** An empty pool. *)
+
+val create : ?now:(unit -> float) -> ?pool:pool -> unit -> t
 (** [now] is the clock used to timestamp per-TPDU state creation and
     verdicts for the [edc_verify_latency_us] histogram (see
     [Obs.Metrics]); it defaults to reading the global simulation clock
     [Obs.now], which [Netsim.Engine] keeps stamped.  Pass an explicit
-    clock when running the verifier outside a simulation. *)
+    clock when running the verifier outside a simulation.  [pool]
+    defaults to one of the verifier's own. *)
 
 val on_view : t -> Labelling.Chunk.view -> event list
 (** Feed one arriving chunk (data or ED control; other control types and

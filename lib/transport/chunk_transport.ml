@@ -181,36 +181,71 @@ module Receiver = struct
      verdict, [drop_tpdu_state] or [quiesce] drops it.  A record is only
      created for a T.ID in neither [acked] nor [shed_tids], and dies
      before its T.ID joins either, so a live record proves both misses:
-     [on_view] probes those tables only for a T.ID with no record. *)
+     [on_view] probes those tables only for a T.ID with no record.
+
+     Every field a chunk updates is an immediate, or a list that only a
+     stashing or conflicting chunk grows, so a record that has outlived
+     a minor collection takes no young pointer from the common chunk;
+     absent values are sentinels no label produces. *)
+  (* A held chunk is its buffer and the offset of its wire header there,
+     scanned again when it is placed or persisted, with the fresh run
+     [t_sn, t_sn + elems) it brought. *)
+  type stashed = { src : bytes; hdr : int; t_sn : int; elems : int }
+
+  (* A quarantined run: [elems] elements from [src] at [off], the first
+     at C.SN [c_sn], of a chunk labelled C.ID [c_id]. *)
+  type held = { q_src : bytes; q_off : int; c_sn : int; q_elems : int; c_id : int }
+
   type corroboration = {
-    t_id : int;
-    cls : int;  (* the TPDU's significance rank, its governor class *)
+    mutable t_id : int;
+    mutable cls : int;  (* the TPDU's significance rank, its governor class *)
     mutable gov : Governor.entry;  (* handle on the TPDU's charge *)
-    mutable stamped : bool;  (* [first_arrival] holds the T.ID *)
-    mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
-    mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
+    mutable stamped : bool;  (* [arrival] is set *)
+    mutable arrival : int;  (* [Obs.stamp] of the first data chunk's time *)
+    mutable delta_data : int;  (* C.SN - T.SN from data chunks, or unset *)
+    mutable delta_ed : int;  (* C.SN - T.SN from the ED chunk, or unset *)
     mutable confirmed : bool;
-    mutable stash : (Chunk.view * int * int) list;  (* (chunk, t_sn, elems) *)
-    mutable placed_runs : (int * int) list;
+    mutable stash : stashed list;  (* newest first *)
+    mutable placed_runs : Int_rows.t;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
-    mutable quarantine : (Chunk.view * int * int) list;
-        (* (sub-chunk, c_sn, elems) whose bytes conflicted with
-           unverified resident bytes (Placement's fresh-vs-fresh case):
-           re-asserted by a verified write if this TPDU passes, dropped
-           with the epoch otherwise *)
-    mutable end_claim : int option;
+    mutable quarantine : held list;
+        (* runs whose bytes conflicted with unverified resident bytes
+           (Placement's fresh-vs-fresh case): re-asserted by a verified
+           write if this TPDU passes, dropped with the epoch otherwise *)
+    mutable end_claim : int;
         (* the last C.SN a C.ST data chunk of this TPDU claims ends the
-           stream (`Quota mode): the claim is believed only once the
-           TPDU verifies — a forged or corrupted C.ST must not truncate
-           the stream *)
+           stream (`Quota mode), or [no_claim]: the claim is believed
+           only once the TPDU verifies — a forged or corrupted C.ST must
+           not truncate the stream *)
   }
+
+  (* No two labels' C.SN - T.SN is [min_int], and no C.SN + LEN - 1 of
+     a data chunk is -1: both SNs lie in [0, max_int]. *)
+  let unset = min_int
+  let no_claim = -1
+  let some_if_set ~unset x = if x = unset then None else Some x
+
+  (* Released records and verifier states kept for reuse, as
+     [Edc.Verifier.pool] keeps states: a TPDU opened from spares
+     allocates neither, and the per-TPDU records a minor collection
+     finds alive stay the same few, long since promoted.  At most
+     [spare_cap] records are kept. *)
+  type spare = {
+    states : Edc.Verifier.pool;
+    mutable recs : corroboration array;
+    mutable nrecs : int;
+  }
+
+  let spare_cap = 32
+  let spare () = { states = Edc.Verifier.pool (); recs = [||]; nrecs = 0 }
 
   (* What an owner of several receivers shares with each of them. *)
   type owner = {
     o_governor : Governor.t;
     o_acked : unit Int_table.t;
     o_counts : Counters.t;
+    o_spare : spare;
   }
 
   type t = {
@@ -222,10 +257,14 @@ module Receiver = struct
     placement : Placement.t;
     capacity : [ `Exact of int | `Quota of int ];
     governor : Governor.t;
-    first_arrival : float Int_table.t;  (* t_id -> time *)
+    (* t_id -> [Obs.stamp] of the first arrival, for a TPDU whose record
+       died with a failed verdict: its retransmission's latency counts
+       from the first arrival still *)
+    first_arrival : int Int_table.t;
     acked : unit Int_table.t;  (* TPDUs already acknowledged *)
     nack_armed : unit Int_table.t;  (* TPDUs with a gap timer *)
     corrob : corroboration Int_table.t;
+    spare : spare;
     (* the last record found, so one chunk's lookups cost one probe;
        cleared whenever [corrob] loses its T.ID *)
     mutable corrob_memo : corroboration option;
@@ -276,20 +315,52 @@ module Receiver = struct
             found
         | None -> None)
 
-  let record rx t_id =
+  let fresh_record rx t_id =
     {
       t_id;
       cls = Significance.rank (rx.config.classify t_id);
       gov = Governor.entry (gov_key rx t_id);
       stamped = false;
-      delta_data = None;
-      delta_ed = None;
+      arrival = 0;
+      delta_data = unset;
+      delta_ed = unset;
       confirmed = false;
       stash = [];
-      placed_runs = [];
+      placed_runs = Int_rows.create ~width:2;
       quarantine = [];
-      end_claim = None;
+      end_claim = no_claim;
     }
+
+  (* The blank record of [t_id]: a spare one if there is one. *)
+  let record rx t_id =
+    let sp = rx.spare in
+    if sp.nrecs = 0 then fresh_record rx t_id
+    else begin
+      sp.nrecs <- sp.nrecs - 1;
+      let m = sp.recs.(sp.nrecs) in
+      m.t_id <- t_id;
+      m.cls <- Significance.rank (rx.config.classify t_id);
+      m.gov <- Governor.retarget m.gov (gov_key rx t_id);
+      m.stamped <- false;
+      m.delta_data <- unset;
+      m.delta_ed <- unset;
+      m.confirmed <- false;
+      m.stash <- [];
+      Int_rows.clear m.placed_runs;
+      m.quarantine <- [];
+      m.end_claim <- no_claim;
+      m
+    end
+
+  (* A record no table holds and nothing will read again goes back to
+     the spares, while there is room. *)
+  let recycle rx m =
+    let sp = rx.spare in
+    if sp.nrecs < spare_cap then begin
+      if Array.length sp.recs = 0 then sp.recs <- Array.make spare_cap m;
+      sp.recs.(sp.nrecs) <- m;
+      sp.nrecs <- sp.nrecs + 1
+    end
 
   let new_corrob rx t_id =
     let m = record rx t_id in
@@ -312,7 +383,11 @@ module Receiver = struct
      already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
-    forget_corrob rx t_id;
+    (match find_corrob rx t_id with
+    | Some m ->
+        forget_corrob rx t_id;
+        recycle rx m
+    | None -> ());
     Int_table.remove rx.first_arrival t_id
 
   let evict rx ~t_id =
@@ -335,6 +410,7 @@ module Receiver = struct
                 ~ttl:config.state_ttl ();
             o_acked = Int_table.create 32;
             o_counts = Counters.zero ();
+            o_spare = spare ();
           }
     in
     let rx =
@@ -343,7 +419,7 @@ module Receiver = struct
         config;
         bus;
         send_ack;
-        verifier = Edc.Verifier.create ();
+        verifier = Edc.Verifier.create ~pool:o.o_spare.states ();
         placement =
           Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems
             ~elem_size:config.elem_size;
@@ -353,6 +429,7 @@ module Receiver = struct
         acked = o.o_acked;
         nack_armed = Int_table.create 32;
         corrob = Int_table.create 32;
+        spare = o.o_spare;
         corrob_memo = None;
         shed_cover = Vreassembly.create ();
         shed_tids = Int_table.create 8;
@@ -373,81 +450,134 @@ module Receiver = struct
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
-  (* Retention copybreak.  A held view keeps its whole buffer alive
+  (* Retention copybreak.  A held run keeps its whole buffer alive
      while the governor charges only its payload ([held_bytes]), so a
-     view whose payload is less than half of its buffer is copied out
-     when it is stashed or quarantined: retained memory then stays within
-     twice what is charged.  A fixed rule, not a tunable.  A view of a
-     materialised chunk spans its whole buffer and is never copied. *)
-  let retain (v : Chunk.view) =
-    let n = Chunk.view_payload_bytes v in
-    if 2 * n >= Bytes.length v.Chunk.src then v
-    else { v with Chunk.src = Bytes.sub v.Chunk.src v.Chunk.off n; off = 0 }
+     run whose payload is less than half of its buffer is copied out
+     when it is stashed or quarantined (a stashed chunk with its
+     header): retained memory then stays within twice what is charged.
+     A fixed rule, not a tunable.  A materialised chunk's payload spans
+     its whole buffer and is never copied. *)
+  let copybreak ~payload src = 2 * payload < Bytes.length src
 
-  (* Place the fresh chunk [sub] of [m]'s TPDU straight into the
-     application buffer — spatial reordering, one pass.  The runs it
-     covers join [placed_runs], whose order nothing reads: they are
-     counted, sorted or merged. *)
-  let place_sub rx m (sub : Chunk.view) =
-    let h = sub.Chunk.header in
-    let nbytes = h.Header.len * h.Header.size in
+  (* The stash entry of [v], whose wire header lies at [hdr] in its
+     buffer ([hdr < 0]: nowhere, as for a materialised chunk's view,
+     which is then encoded as a one-chunk packet). *)
+  let stashed (v : Chunk.view) ~hdr ~t_sn ~elems =
+    let n = Chunk.view_payload_bytes v in
+    if hdr < 0 then
+      match Wire.encode_packet [ Chunk.of_view v ] with
+      | Ok src ->
+          let scan = Wire.Scan.create () in
+          ignore (Wire.Scan.packet scan src : bool);
+          { src; hdr = Wire.Scan.offset scan 0; t_sn; elems }
+      | Error msg -> invalid_arg msg
+    else if copybreak ~payload:n v.Chunk.src then
+      { src = Bytes.sub v.Chunk.src hdr (Wire.header_size + n); hdr = 0; t_sn; elems }
+    else { src = v.Chunk.src; hdr; t_sn; elems }
+
+  (* The held chunk, read again where it lies. *)
+  let unstash e = Wire.Scan.view e.src e.hdr
+
+
+  (* The runs a placement report credits to [m]'s TPDU: fresh writes
+     and identical duplicates. *)
+  let rec add_runs rows = function
+    | [] -> rows
+    | (sn, len) :: rest -> add_runs (Int_rows.push2 rows sn len) rest
+
+  let credit m (rep : Placement.report) =
+    m.placed_runs <-
+      add_runs (add_runs m.placed_runs rep.Placement.rp_fresh)
+        rep.Placement.rp_benign
+
+  (* [m]'s placed runs whose bytes lie in a buffer of [bytes] bytes,
+     merged as [Persist.coalesce_spans] merges them.  Runs credited in
+     ascending order, as in-order data's are, are fused as they are
+     read; only a record credited out of order pays for the sort. *)
+  let placed_spans m ~es ~bytes =
+    let rows = m.placed_runs in
+    let fits sn len = sn >= 0 && len > 0 && (sn + len) * es <= bytes in
+    let rec fuse k acc =
+      if k = Int_rows.count rows then List.rev acc
+      else
+        let sn = Int_rows.get rows ~width:2 k 0
+        and len = Int_rows.get rows ~width:2 k 1 in
+        if not (fits sn len) then fuse (k + 1) acc
+        else
+          match acc with
+          | (s0, l0) :: acc' when s0 <= sn && sn <= s0 + l0 ->
+              fuse (k + 1) ((s0, Int.max l0 (sn + len - s0)) :: acc')
+          | (s0, _) :: _ when sn < s0 ->
+              Persist.coalesce_spans
+                (List.filter
+                   (fun (sn, len) -> fits sn len)
+                   (Int_rows.pairs rows))
+          | _ -> fuse (k + 1) ((sn, len) :: acc)
+    in
+    fuse 0 []
+
+  (* Place [elems] fresh elements of [m]'s TPDU straight into the
+     application buffer — spatial reordering, one pass: [size]-byte
+     elements from [src] at [off], the first at C.SN [c_sn], of a chunk
+     labelled C.ID [c_id].  The runs it covers join [placed_runs], whose
+     order nothing reads: they are counted, sorted or merged. *)
+  let place_run rx m ~src ~off ~size ~c_sn ~elems ~c_id =
+    let nbytes = elems * size in
     (* A fixed architectural charge, not a measurement: one read and
        one write per placed byte, whatever passes the code actually
        makes (see ROADMAP item 1a). *)
     Busmodel.mem_to_cpu rx.bus nbytes;
     Busmodel.cpu_to_mem rx.bus nbytes;
-    match Placement.place_view rx.placement sub with
+    match
+      Placement.place_run rx.placement ~sn:c_sn ~len:elems ~size ~src ~off
+        ~conn:c_id ~tpdu:m.t_id
+    with
     | Ok rep ->
         (* only bytes this TPDU actually covers (fresh writes and
            identical duplicates) are credited; conflicting runs either
            lost to a verified owner (discarded by placement) or wait in
            quarantine for this TPDU's parity *)
-        m.placed_runs <-
-          List.rev_append rep.Placement.rp_fresh
-            (List.rev_append rep.Placement.rp_benign m.placed_runs);
+        credit m rep;
         if
           List.exists
             (fun (_, _, k) -> k = Placement.Fresh_conflict)
             rep.Placement.rp_conflicts
-        then
-          m.quarantine <-
-            (retain sub, h.Header.c.Ftuple.sn, h.Header.len) :: m.quarantine;
+        then begin
+          let q_src, q_off =
+            if copybreak ~payload:nbytes src then (Bytes.sub src off nbytes, 0)
+            else (src, off)
+          in
+          m.quarantine <- { q_src; q_off; c_sn; q_elems = elems; c_id } :: m.quarantine
+        end;
         (* Available to the application the instant it arrived. *)
         Netsim.Stats.add rx.element_delay 0.0
     | Error _ -> ()
 
-  (* Place the fresh sub-run [t_sn, t_sn+elems) of [v].  When the fresh
-     run is the whole chunk (the common case) the chunk itself is
-     placed; a partly fresh chunk is narrowed to its fresh part, a new
-     header over the same bytes.  [m] is the chunk's TPDU's record. *)
+  (* Place the fresh sub-run [t_sn, t_sn+elems) of [v], a chunk of
+     [m]'s TPDU: the whole chunk in the common case, else its fresh part
+     of the same bytes. *)
   let place_fresh rx m (v : Chunk.view) ~t_sn ~elems =
     let h = v.Chunk.header in
-    let off_elems = t_sn - h.Header.t.Ftuple.sn in
-    if off_elems = 0 && elems = h.Header.len then place_sub rx m v
-    else
-      match
-        Header.v ~ctype:Ctype.data ~size:h.Header.size ~len:elems
-          ~c:
-            (Ftuple.v ~id:h.Header.c.Ftuple.id
-               ~sn:(h.Header.c.Ftuple.sn + off_elems)
-               ())
-          ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
-          ~x:h.Header.x
-      with
-      | Error _ -> ()
-      | Ok header ->
-          place_sub rx m
-            {
-              v with
-              Chunk.header;
-              off = v.Chunk.off + (off_elems * h.Header.size);
-            }
+    let skip = t_sn - h.Header.t.Ftuple.sn and size = h.Header.size in
+    place_run rx m ~src:v.Chunk.src ~off:(v.Chunk.off + (skip * size)) ~size
+      ~c_sn:(h.Header.c.Ftuple.sn + skip) ~elems ~c_id:h.Header.c.Ftuple.id
 
   let flush_stash rx m =
     let pending = List.rev m.stash in
     m.stash <- [];
     List.iter
-      (fun (v, t_sn, elems) -> place_fresh rx m v ~t_sn ~elems)
+      (fun e ->
+        (* read where it lies: a held chunk is placed without a header
+           record *)
+        let b = e.src and hdr = e.hdr in
+        if Wire.Scan.is_data b hdr then begin
+          let size = Wire.Scan.size b hdr in
+          let skip = e.t_sn - Wire.Scan.t_sn b hdr in
+          place_run rx m ~src:b
+            ~off:(hdr + Wire.header_size + (skip * size))
+            ~size ~c_sn:(Wire.Scan.c_sn b hdr + skip) ~elems:e.elems
+            ~c_id:(Wire.Scan.c_id b hdr)
+        end)
       pending
 
   (* Note the chunk's connection delta before the verifier sees it, so
@@ -460,14 +590,13 @@ module Receiver = struct
     if not m.confirmed then begin
       let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
       if is_ed then begin
-        if m.delta_ed = None then m.delta_ed <- Some delta
+        if m.delta_ed = unset then m.delta_ed <- delta
       end
-      else if m.delta_data = None then m.delta_data <- Some delta;
-      match (m.delta_data, m.delta_ed) with
-      | Some a, Some b when a = b ->
-          m.confirmed <- true;
-          flush_stash rx m
-      | _ -> ()
+      else if m.delta_data = unset then m.delta_data <- delta;
+      if m.delta_data <> unset && m.delta_data = m.delta_ed then begin
+        m.confirmed <- true;
+        flush_stash rx m
+      end
     end
 
   (* While a TPDU stays incomplete, periodically report its gap list so
@@ -495,10 +624,13 @@ module Receiver = struct
 
   (* What a corroboration record costs: its held chunks and the runs it
      has placed. *)
-  let held_bytes m =
-    let cell acc (v, _, _) = acc + Chunk.view_payload_bytes v + 48 in
-    List.fold_left cell
-      (List.fold_left cell (16 * List.length m.placed_runs) m.stash)
+  let held_bytes rx m =
+    List.fold_left
+      (fun acc q -> acc + (q.q_elems * rx.config.elem_size) + 48)
+      (List.fold_left
+         (fun acc e -> acc + Wire.Scan.payload_bytes e.src e.hdr + 48)
+         (16 * Int_rows.count m.placed_runs)
+         m.stash)
       m.quarantine
 
   (* Re-assert the receiver's accounted cost of one TPDU's soft state
@@ -530,7 +662,7 @@ module Receiver = struct
   (* [charge] of [t_id], through its record's handle if it has one. *)
   let account rx t_id =
     match find_corrob rx t_id with
-    | Some m -> account_record rx m ~held:(held_bytes m)
+    | Some m -> account_record rx m ~held:(held_bytes rx m)
     | None ->
         ignore
           (charge rx t_id
@@ -645,12 +777,13 @@ module Receiver = struct
        each held run with a verified write, which reclaims bytes from any
        unverified squatter but never from a locked region *)
     List.iter
-      (fun (sub, _, _) ->
-        match Placement.place_view ~verified:true rx.placement sub with
-        | Ok rep ->
-            m.placed_runs <-
-              List.rev_append rep.Placement.rp_fresh
-                (List.rev_append rep.Placement.rp_benign m.placed_runs)
+      (fun q ->
+        match
+          Placement.place_run ~verified:true rx.placement ~sn:q.c_sn
+            ~len:q.q_elems ~size:rx.config.elem_size ~src:q.q_src ~off:q.q_off
+            ~conn:q.c_id ~tpdu:t_id
+        with
+        | Ok rep -> credit m rep
         | Error _ -> ())
       (List.rev m.quarantine);
     m.quarantine <- [];
@@ -659,13 +792,7 @@ module Receiver = struct
     (* the placed runs, merged: each span is covered, locked and
        journalled once.  Placement only reports runs inside its buffer,
        so the filter drops nothing a run-by-run pass would have kept. *)
-    let spans =
-      Persist.coalesce_spans
-        (List.filter
-           (fun (sn, len) ->
-             sn >= 0 && len > 0 && (sn + len) * es <= Bytes.length buf)
-           m.placed_runs)
-    in
+    let spans = placed_spans m ~es ~bytes:(Bytes.length buf) in
     (* The verifier's data parity is the runs' own when they are exactly
        the TPDU's data span and no other TPDU has locked verified bytes
        there: until this pass locks the span, every byte in it is then
@@ -687,20 +814,16 @@ module Receiver = struct
        bytes of a TPDU that fails parity stay unlocked *)
     List.iter (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len) spans;
     forget_corrob rx t_id;
-    (match m.end_claim with
-    | Some _ as last -> rx.end_confirmed <- last
-    | None -> ());
+    if m.end_claim <> no_claim then rx.end_confirmed <- Some m.end_claim;
     if not (Int_table.mem rx.acked t_id) then begin
       Int_table.add rx.acked t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       if Obs.enabled then Obs.Metrics.incr m_acks;
-      (match Int_table.find_opt rx.first_arrival t_id with
-      | Some t0 ->
-          let dt = Netsim.Engine.now rx.engine -. t0 in
-          Netsim.Stats.add rx.tpdu_latency dt;
-          if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
-          Int_table.remove rx.first_arrival t_id
-      | None -> ());
+      if m.stamped then begin
+        let dt = Netsim.Engine.now rx.engine -. Obs.unstamp m.arrival in
+        Netsim.Stats.add rx.tpdu_latency dt;
+        if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt
+      end;
       (* write-ahead: the bytes this ACK promises to keep go to stable
          storage before the ACK can reach the sender — otherwise a crash
          after the ACK leaves a hole the sender will never refill *)
@@ -724,30 +847,33 @@ module Receiver = struct
 
   (* Fresh elements [t_sn, t_sn + elems) of [v], of [m]'s TPDU: placed
      at once if the TPDU's labels are corroborated, else stashed. *)
-  let take_fresh rx m v ~t_sn ~elems =
+  let take_fresh rx m v ~hdr ~t_sn ~elems =
     if m.confirmed then place_fresh rx m v ~t_sn ~elems
-    else m.stash <- (retain v, t_sn, elems) :: m.stash
+    else m.stash <- stashed v ~hdr ~t_sn ~elems :: m.stash
 
   (* Act on what the verifier took from [v], a chunk of [m]'s TPDU:
      its fresh elements are placed or stashed, then a verdict, if the
      chunk reached one, settles the TPDU.  Whether [m] still lives. *)
-  let rec take rx m (v : Chunk.view) = function
+  let rec take rx m (v : Chunk.view) ~hdr = function
     | Edc.Verifier.All ->
         let h = v.Chunk.header in
-        take_fresh rx m v ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len;
+        take_fresh rx m v ~hdr ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len;
         true
     | Edc.Verifier.Runs runs ->
-        List.iter (fun (t_sn, elems) -> take_fresh rx m v ~t_sn ~elems) runs;
+        List.iter
+          (fun (t_sn, elems) -> take_fresh rx m v ~hdr ~t_sn ~elems)
+          runs;
         true
     | Edc.Verifier.Duplicate | Edc.Verifier.No_data -> true
     | Edc.Verifier.Verdict (fresh, verdict) ->
-        ignore (take rx m v fresh : bool);
+        ignore (take rx m v ~hdr fresh : bool);
         (match verdict with
         | Edc.Verifier.Passed -> on_passed rx m m.t_id
         | Edc.Verifier.Parity_mismatch | Edc.Verifier.Consistency_failure _
         | Edc.Verifier.Reassembly_error _ ->
             (* failed epoch: drop its suspect stash and end claim with
-               it *)
+               it, but keep its first arrival for the retransmission *)
+            if m.stamped then Int_table.replace rx.first_arrival m.t_id m.arrival;
             forget_corrob rx m.t_id);
         false
 
@@ -755,9 +881,12 @@ module Receiver = struct
      [on_view] for a data or ED chunk of [m]'s TPDU, once that TPDU is
      known to be neither acked nor shed.  What the verifier found fresh
      is placed or stashed before its verdict, if any, is acted on. *)
-  let verify_and_account rx m (v : Chunk.view) =
-    let live = take rx m v (Edc.Verifier.absorb rx.verifier v) in
-    account_record rx m ~held:(if live then held_bytes m else 0)
+  let verify_and_account rx m (v : Chunk.view) ~hdr =
+    let live = take rx m v ~hdr (Edc.Verifier.absorb rx.verifier v) in
+    account_record rx m ~held:(if live then held_bytes rx m else 0);
+    (* a verdict retired the record: its charge went with the last
+       account *)
+    if not live then recycle rx m
 
   (* Whether [t_id] is settled: late traffic for an already-verified
      TPDU is not re-processed (feeding it would recreate verifier state
@@ -772,28 +901,35 @@ module Receiver = struct
     else Int_table.mem rx.shed_tids t_id
 
   (* A data or ED chunk of [m]'s TPDU. *)
-  let on_tpdu_chunk rx m (v : Chunk.view) ~is_data =
+  let on_tpdu_chunk rx m (v : Chunk.view) ~hdr ~is_data =
     let h = v.Chunk.header in
     if is_data then begin
       let t_id = m.t_id in
       if not m.stamped then begin
         m.stamped <- true;
-        if not (Int_table.mem rx.first_arrival t_id) then
-          Int_table.add rx.first_arrival t_id (Netsim.Engine.now rx.engine)
+        m.arrival <-
+          (match
+             if Int_table.length rx.first_arrival = 0 then None
+             else Int_table.find_opt rx.first_arrival t_id
+           with
+          | Some t0 ->
+              Int_table.remove rx.first_arrival t_id;
+              t0
+          | None -> Obs.stamp (Netsim.Engine.now rx.engine))
       end;
       (* the C.ST bit claims the connection's final element; the claim
          is trusted only once this TPDU verifies *)
       if h.Header.c.Ftuple.st then
-        m.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
+        m.end_claim <- h.Header.c.Ftuple.sn + h.Header.len - 1;
       if rx.config.sack && not (Int_table.mem rx.nack_armed t_id) then begin
         Int_table.add rx.nack_armed t_id ();
         arm_nack rx t_id 0
       end
     end;
     witness rx m ~is_ed:(not is_data) h;
-    verify_and_account rx m v
+    verify_and_account rx m v ~hdr
 
-  let on_view rx (v : Chunk.view) =
+  let on_scanned rx (v : Chunk.view) ~hdr =
     let h = v.Chunk.header in
     if Header.is_terminator h then ()
     else if Ctype.equal h.Header.ctype Ctype.signal then
@@ -814,10 +950,10 @@ module Receiver = struct
       if is_data || Ctype.equal h.Header.ctype Ctype.ed then begin
         (* a live record proves the T.ID is neither acked nor shed *)
         match find_corrob rx t_id with
-        | Some m -> on_tpdu_chunk rx m v ~is_data
+        | Some m -> on_tpdu_chunk rx m v ~hdr ~is_data
         | None ->
             if not (settled rx t_id) then
-              on_tpdu_chunk rx (new_corrob rx t_id) v ~is_data
+              on_tpdu_chunk rx (new_corrob rx t_id) v ~hdr ~is_data
       end
       else if not (settled rx t_id) then begin
         (* other control traffic carries no TPDU state: the verifier
@@ -827,11 +963,14 @@ module Receiver = struct
       end
     end
 
+  let on_view rx v = on_scanned rx v ~hdr:(-1)
+
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
       for i = 0 to Wire.Scan.count rx.scan - 1 do
-        on_view rx (Wire.Scan.view b (Wire.Scan.offset rx.scan i))
+        let hdr = Wire.Scan.offset rx.scan i in
+        on_scanned rx (Wire.Scan.view b hdr) ~hdr
       done
 
   let ingest_batch rx packets =
@@ -955,18 +1094,18 @@ module Receiver = struct
     let corrob_image m =
       let pi_stash =
         List.rev m.stash
-        |> List.filter_map (fun (v, t_sn, elems) ->
-               match Wire.encode_packet [ Chunk.of_view v ] with
-               | Ok b -> Some (b, t_sn, elems)
+        |> List.filter_map (fun e ->
+               match Wire.encode_packet [ Chunk.of_view (unstash e) ] with
+               | Ok b -> Some (b, e.t_sn, e.elems)
                | Error _ -> None)
       in
       {
         Persist.pi_t_id = m.t_id;
-        pi_delta_data = m.delta_data;
-        pi_delta_ed = m.delta_ed;
+        pi_delta_data = some_if_set ~unset m.delta_data;
+        pi_delta_ed = some_if_set ~unset m.delta_ed;
         pi_confirmed = m.confirmed;
         pi_stash;
-        pi_placed_runs = List.sort compare m.placed_runs;
+        pi_placed_runs = List.sort compare (Int_rows.pairs m.placed_runs);
       }
     in
     {
@@ -976,7 +1115,8 @@ module Receiver = struct
       ri_end_confirmed = rx.end_confirmed;
       ri_end_claims =
         List.filter_map
-          (fun m -> Option.map (fun last -> (m.t_id, last)) m.end_claim)
+          (fun m ->
+            if m.end_claim = no_claim then None else Some (m.t_id, m.end_claim))
           records;
       ri_last_reack = sorted_assoc rx.last_reack;
       ri_passed = epoch_passes rx;
@@ -1013,15 +1153,15 @@ module Receiver = struct
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
     (* each stashed chunk was persisted as a one-chunk packet: scanned,
-       then held as a view of that packet *)
+       then held where it lies in that packet *)
     let scan = Wire.Scan.create () in
     List.iter
       (fun (pi : Persist.corrob_image) ->
         let stash =
           List.filter_map
-            (fun (b, t_sn, elems) ->
-              if Wire.Scan.packet scan b && Wire.Scan.count scan > 0 then
-                Some (Wire.Scan.view b (Wire.Scan.offset scan 0), t_sn, elems)
+            (fun (src, t_sn, elems) ->
+              if Wire.Scan.packet scan src && Wire.Scan.count scan > 0 then
+                Some { src; hdr = Wire.Scan.offset scan 0; t_sn; elems }
               else None)
             pi.Persist.pi_stash
           |> List.rev
@@ -1031,18 +1171,18 @@ module Receiver = struct
         Int_table.replace rx.corrob pi.Persist.pi_t_id
           {
             (record rx pi.Persist.pi_t_id) with
-            delta_data = pi.Persist.pi_delta_data;
-            delta_ed = pi.Persist.pi_delta_ed;
+            delta_data = Option.value pi.Persist.pi_delta_data ~default:unset;
+            delta_ed = Option.value pi.Persist.pi_delta_ed ~default:unset;
             confirmed = pi.Persist.pi_confirmed;
             stash;
-            placed_runs = pi.Persist.pi_placed_runs;
+            placed_runs = Int_rows.of_pairs pi.Persist.pi_placed_runs;
           })
       img.Persist.ri_corrob;
     (* an end claim lives in its TPDU's record; an image always holds
        the record beside the claim, but a claim without one still gets
        a fresh record rather than being lost *)
     List.iter
-      (fun (t, last) -> (corrob rx t).end_claim <- Some last)
+      (fun (t, last) -> (corrob rx t).end_claim <- last)
       img.Persist.ri_end_claims;
     List.iter (fun t -> Int_table.replace rx.acked t ()) acked_tids;
     (* re-derive what the restored soft state costs and account it; the

@@ -108,6 +108,14 @@ val reack :
 module Receiver : sig
   type t
 
+  type spare
+  (** Released per-TPDU records and verifier states kept for reuse (at
+      most 32 of each; see {!Edc.Verifier.pool}), which receivers may
+      share: a TPDU opened from spares allocates neither. *)
+
+  val spare : unit -> spare
+  (** No spares yet. *)
+
   type owner = {
     o_governor : Governor.t;
         (** the one account every receiver of the owner charges; the
@@ -116,6 +124,7 @@ module Receiver : sig
     o_acked : unit Labelling.Int_table.t;
         (** the ACK ledger, outliving any one receiver *)
     o_counts : Counters.t;  (** the record the receiver counts into *)
+    o_spare : spare;  (** released per-TPDU records, for reuse *)
   }
   (** What an owner of several receivers (a demultiplexer) shares with
       each of them. *)
@@ -146,14 +155,22 @@ module Receiver : sig
       bytes that ACK promises to keep — as views borrowed from the
       placement buffer, valid only until the hook returns. *)
 
+  val on_scanned : t -> Labelling.Chunk.view -> hdr:int -> unit
+  (** Feed one chunk read in place whose wire header lies at offset
+      [hdr] of the view's buffer, as {!Labelling.Wire.Scan.view} makes
+      it (demultiplexer path; no bus accounting) — the receiver's one
+      per-chunk dispatch.  Its payload is read where it lies: verified,
+      placed and, while its TPDU waits for corroboration, held as its
+      buffer and header offset, to be scanned again when placed.  A
+      held chunk whose payload is less than half of its buffer is
+      copied out first, header and payload (a fixed copybreak), so
+      retained memory stays within twice the bytes the state governor
+      charges for it.  Signals are materialised. *)
+
   val on_view : t -> Labelling.Chunk.view -> unit
-  (** Feed one chunk read in place (demultiplexer path; no bus
-      accounting) — the receiver's one per-chunk dispatch.  Its payload
-      is read where it lies: verified, placed and, while its TPDU waits
-      for corroboration, held as a view.  A held view whose payload is
-      less than half of its buffer is copied out first (a fixed
-      copybreak), so retained memory stays within twice the bytes the
-      state governor charges for it.  Signals are materialised. *)
+  (** {!on_scanned} of a view whose buffer need not hold its header,
+      such as a materialised chunk's ({!Labelling.Chunk.view}): a chunk
+      it has to hold is encoded as a one-chunk packet first. *)
 
   val ingest : t -> bytes -> unit
   (** Feed one packet from the network — the receiver's only packet

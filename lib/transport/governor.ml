@@ -10,7 +10,7 @@ type deadline = { mutable at : float }
    refresh through it needs no lookup.  A charge is never negative, so
    [bytes = -1] marks a dead one. *)
 type entry = {
-  key : key;
+  mutable key : key;
   mutable bytes : int;
   deadline : deadline;
   mutable cls : int;
@@ -140,6 +140,7 @@ let restate g e ~bytes ~cls =
 
 let entry key = { key; bytes = dead; deadline = { at = 0.0 }; cls = 0 }
 let entry_key e = e.key
+let retarget e key = if live e then entry key else (e.key <- key; e)
 
 (* Refresh [e], which is live or else the only holder of a key with no
    entry.  A refresh that restates an entry exactly — same bytes, class

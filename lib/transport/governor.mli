@@ -94,6 +94,11 @@ val live : entry -> bool
 val entry_key : entry -> key
 (** The key the handle names, live or dead. *)
 
+val retarget : entry -> key -> entry
+(** A dead handle naming [key]: the handle itself, re-aimed, when it is
+    dead (so a holder that outlives its key reuses it), else a new one,
+    as {!entry} would make. *)
+
 val find : t -> key:key -> entry option
 (** The governor's entry for [key], if it holds one. *)
 

@@ -66,6 +66,7 @@ type t = {
   persist : (Persist.event -> unit) option;
   memo : conn Flowcache.t;  (* lookup memo of [conns], see [find_conn] *)
   scan : Wire.Scan.t;
+  spare : R.spare;  (* released per-TPDU records, shared by every epoch *)
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
@@ -309,6 +310,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       persist;
       memo = Flowcache.create ~name:"conn" ~slots ();
       scan = Wire.Scan.create ();
+      spare = R.spare ();
       anomaly_budget;
       (* both containment clocks scale with the configured round trip:
          the first box outlasts a retransmission burst, and the decay
@@ -367,7 +369,8 @@ let stalest_live m =
 
 (* What connection [c]'s epoch receivers share with the endpoint. *)
 let owner m c =
-  { R.o_governor = m.governor; o_acked = c.acked; o_counts = m.counts }
+  { R.o_governor = m.governor; o_acked = c.acked; o_counts = m.counts;
+    o_spare = m.spare }
 
 let new_epoch ?open_csn m c =
   emit m (Persist.Opened { conn = c.id; open_csn });
@@ -535,7 +538,7 @@ let re_ack_closed m c ~gap t_id =
   Chunk_transport.reack ~counts:m.counts ~send_ack:m.send_ack
     ~last_reack:c.last_reack ~gap ~now:(now m) ~conn_id:c.id t_id
 
-let route m (v : Chunk.view) =
+let route m (v : Chunk.view) ~hdr =
   let h = v.Chunk.header in
   let cid = h.Header.c.Ftuple.id in
   match find_conn m cid with
@@ -573,7 +576,7 @@ let route m (v : Chunk.view) =
               else rx
             in
             touch_conn m c;
-            R.on_view rx v
+            R.on_scanned rx v ~hdr
         | None ->
             (* closed epoch: stale retransmissions of acknowledged TPDUs
                get their ACK again (the ledger outlives the epoch); other
@@ -592,10 +595,11 @@ let route m (v : Chunk.view) =
             end
       with e -> bulkhead m ~conn_id:cid e)
 
-(* The one dispatch for every scanned chunk: signals (rare) are
-   materialised and go to their handlers, everything else is routed by
-   connection record and read in place. *)
-let on_view m (v : Chunk.view) =
+(* The one dispatch for every scanned chunk, whose header lies at [hdr]
+   in [v]'s buffer: signals (rare) are materialised and go to their
+   handlers, everything else is routed by connection record and read in
+   place. *)
+let on_scanned m (v : Chunk.view) ~hdr =
   let h = v.Chunk.header in
   if Header.is_terminator h then ()
   else if Ctype.equal h.Header.ctype Ctype.signal then
@@ -652,7 +656,7 @@ let on_view m (v : Chunk.view) =
         match find_conn m h.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
-  else route m v
+  else route m v ~hdr
 
 let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 
@@ -660,7 +664,8 @@ let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
     for i = 0 to Wire.Scan.count m.scan - 1 do
-      on_view m (Wire.Scan.view b (Wire.Scan.offset m.scan i))
+      let hdr = Wire.Scan.offset m.scan i in
+      on_scanned m (Wire.Scan.view b hdr) ~hdr
     done
 
 let ingest_batch m packets =

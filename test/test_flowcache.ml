@@ -379,6 +379,7 @@ let test_copybreak_bounds_retention () =
               ~ttl:multi_config.CT.state_ttl ();
           o_acked = acked;
           o_counts = Transport.Counters.zero ();
+          o_spare = CT.Receiver.spare ();
         }
       ~send_ack:(fun _ -> ())
       ~capacity:(`Quota 4096) ()
