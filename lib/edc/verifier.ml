@@ -183,10 +183,10 @@ let add_label s ~pos sym =
   s.l0 <- Gf232.add s.l0 sym;
   s.l1 <- Gf232.add s.l1 (Wsc2.weigh ~pos sym)
 
-(* [last_passed] while no passed TPDU awaits [take_data_parity]: no
-   32-bit T.ID is negative, and with no C.SN - T.SN it vouches for
-   nothing anyway. *)
-let none_passed = blank_state (-1) ~born:0.0
+(* No state: what [find] returns for a T.ID it does not hold, and
+   [last_passed] while no passed TPDU awaits [take_data_parity].  It is
+   never held, nor recycled. *)
+let no_state = blank_state (-1) ~born:0.0
 
 (* Released states kept for reuse by the verifiers that share the pool:
    a TPDU opened from a spare state allocates nothing, so the states
@@ -202,10 +202,10 @@ type t = {
   tpdus : tpdu_state Int_table.t;
   pool : pool;
   (* the last state looked up, so the several lookups one chunk makes
-     cost one hash probe; cleared whenever [tpdus] loses its T.ID *)
-  mutable memo : tpdu_state option;
+     cost one hash probe; [no_state] whenever [tpdus] loses its T.ID *)
+  mutable memo : tpdu_state;
   (* the TPDU whose [Passed] verdict [on_chunk] returned last, until
-     [take_data_parity] takes it ([none_passed] otherwise) *)
+     [take_data_parity] takes it ([no_state] otherwise) *)
   mutable last_passed : tpdu_state;
   now : unit -> float;
   (* scratch for one run's data parity, folded into its state's ints *)
@@ -261,8 +261,8 @@ let create ?now ?(pool = pool ()) () =
   {
     tpdus = Int_table.create 32;
     pool;
-    memo = None;
-    last_passed = none_passed;
+    memo = no_state;
+    last_passed = no_state;
     now;
     scratch = Wsc2.create ();
     passed = 0;
@@ -271,24 +271,24 @@ let create ?now ?(pool = pool ()) () =
     seen = 0;
   }
 
-(* The held state for [t_id], through the memo: a hit returns the
-   memo's own option, so repeated lookups allocate nothing. *)
+(* The held state for [t_id], or [no_state], through the memo: repeated
+   lookups allocate nothing. *)
 let find v t_id =
-  match v.memo with
-  | Some s as hit when s.t_id = t_id -> hit
-  | Some _ | None -> (
-      match Int_table.find_opt v.tpdus t_id with
-      | Some _ as found ->
-          v.memo <- found;
-          found
-      | None -> None)
+  let m = v.memo in
+  if m.t_id = t_id && m != no_state then m
+  else
+    match Int_table.find_opt v.tpdus t_id with
+    | Some s ->
+        v.memo <- s;
+        s
+    | None -> no_state
 
 (* A state no table holds and nothing will read again goes back to the
    pool, while it has room. *)
 let recycle v s =
   let p = v.pool in
-  if p.n < pool_cap && s != none_passed then begin
-    if Array.length p.spare = 0 then p.spare <- Array.make pool_cap none_passed;
+  if p.n < pool_cap && s != no_state then begin
+    if Array.length p.spare = 0 then p.spare <- Array.make pool_cap no_state;
     p.spare.(p.n) <- s;
     p.n <- p.n + 1
   end
@@ -297,15 +297,13 @@ let recycle v s =
    [take_data_parity]. *)
 let release v s =
   Int_table.remove v.tpdus s.t_id;
-  (match v.memo with
-  | Some m when m == s -> v.memo <- None
-  | Some _ | None -> ());
+  if v.memo == s then v.memo <- no_state;
   if s != v.last_passed then recycle v s
 
 let state v t_id =
-  match find v t_id with
-  | Some s -> s
-  | None ->
+  let s = find v t_id in
+  if s != no_state then s
+  else begin
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record (Obs.Trace.Verify_start { conn = -1; tpdu = t_id });
       let p = v.pool in
@@ -319,8 +317,9 @@ let state v t_id =
         end
       in
       Int_table.add v.tpdus t_id s;
-      v.memo <- Some s;
+      v.memo <- s;
       s
+  end
 
 (* A damaged chunk dooms its TPDU: report at once and release state, so
    a retransmission (with identical, correct labels) starts clean.  The
@@ -328,11 +327,11 @@ let state v t_id =
    detection system will detect the incorrect sequence numbers and allow
    any incorrect chunks to be discarded" (Appendix A). *)
 let fail_now v t_id verdict =
-  (match find v t_id with
-  | Some s ->
-      note_verdict v s t_id verdict;
-      release v s
-  | None -> ());
+  let s = find v t_id in
+  if s != no_state then begin
+    note_verdict v s t_id verdict;
+    release v s
+  end;
   v.failed <- v.failed + 1;
   Verdict (No_data, verdict)
 
@@ -593,17 +592,17 @@ let in_flight_ids v =
   Int_table.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
 
 let missing v ~t_id =
-  Option.map (fun s -> Vreassembly.missing s.tracker) (find v t_id)
+  let s = find v t_id in
+  if s == no_state then None else Some (Vreassembly.missing s.tracker)
 
 let ed_seen v ~t_id =
-  match find v t_id with
-  | Some s -> ed_arrived s
-  | None -> false
+  let s = find v t_id in
+  s != no_state && ed_arrived s
 
 let abort v ~t_id =
-  match find v t_id with
-  | None -> None
-  | Some s ->
+  let s = find v t_id in
+  if s == no_state then None
+  else begin
       let verdict =
         if not (Vreassembly.complete s.tracker) then
           Reassembly_error "virtual reassembly never completed"
@@ -616,6 +615,7 @@ let abort v ~t_id =
       release v s;
       v.failed <- v.failed + 1;
       Some verdict
+  end
 
 let abandon = abort
 
@@ -625,9 +625,9 @@ let abandon = abort
    words do not matter; what matters is that the figure grows with the
    state an adversary can force us to hold. *)
 let footprint_bytes v ~t_id =
-  match find v t_id with
-  | None -> 0
-  | Some s ->
+  let s = find v t_id in
+  if s == no_state then 0
+  else
       128
       + (24 * Vreassembly.run_count s.tracker)
       + (40 * Int_rows.count s.x_spans)
@@ -638,7 +638,7 @@ let take_data_parity v ~t_id ~first_c_sn ~elems =
   let s = v.last_passed in
   if s.t_id <> t_id then None
   else begin
-    v.last_passed <- none_passed;
+    v.last_passed <- no_state;
     let parity =
       match Vreassembly.total s.tracker with
       | Some total

@@ -266,8 +266,8 @@ module Receiver = struct
     corrob : corroboration Int_table.t;
     spare : spare;
     (* the last record found, so one chunk's lookups cost one probe;
-       cleared whenever [corrob] loses its T.ID *)
-    mutable corrob_memo : corroboration option;
+       [no_record] whenever [corrob] loses its T.ID *)
+    mutable corrob_memo : corroboration;
     (* element runs deliberately given up by the sender (Shed_tpdu):
        they count toward stream completion — the degradation contract —
        but never toward verified delivery, and late chunks for a shed
@@ -303,23 +303,11 @@ module Receiver = struct
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
 
-  (* The corroboration record of [t_id], if held.  A memo hit returns
-     the memo's own option, so the lookup allocates nothing. *)
-  let find_corrob rx t_id =
-    match rx.corrob_memo with
-    | Some m as hit when m.t_id = t_id -> hit
-    | Some _ | None -> (
-        match Int_table.find_opt rx.corrob t_id with
-        | Some _ as found ->
-            rx.corrob_memo <- found;
-            found
-        | None -> None)
-
-  let fresh_record rx t_id =
+  let blank_record t_id ~cls gov =
     {
       t_id;
-      cls = Significance.rank (rx.config.classify t_id);
-      gov = Governor.entry (gov_key rx t_id);
+      cls;
+      gov;
       stamped = false;
       arrival = 0;
       delta_data = unset;
@@ -331,10 +319,32 @@ module Receiver = struct
       end_claim = no_claim;
     }
 
+  (* No record: what [find_corrob] returns for a T.ID with none.  It is
+     never held, nor recycled. *)
+  let no_key = { Governor.conn = -1; tpdu = -1 }
+  let no_record = blank_record (-1) ~cls:0 (Governor.entry no_key)
+
+  (* The corroboration record of [t_id], or [no_record], through the
+     memo: repeated lookups allocate nothing. *)
+  let find_corrob rx t_id =
+    let m = rx.corrob_memo in
+    if m.t_id = t_id && m != no_record then m
+    else
+      match Int_table.find_opt rx.corrob t_id with
+      | Some m ->
+          rx.corrob_memo <- m;
+          m
+      | None -> no_record
+
+  let holds_record rx t_id = find_corrob rx t_id != no_record
+
   (* The blank record of [t_id]: a spare one if there is one. *)
   let record rx t_id =
     let sp = rx.spare in
-    if sp.nrecs = 0 then fresh_record rx t_id
+    if sp.nrecs = 0 then
+      blank_record t_id
+        ~cls:(Significance.rank (rx.config.classify t_id))
+        (Governor.entry (gov_key rx t_id))
     else begin
       sp.nrecs <- sp.nrecs - 1;
       let m = sp.recs.(sp.nrecs) in
@@ -356,7 +366,9 @@ module Receiver = struct
      the spares, while there is room. *)
   let recycle rx m =
     let sp = rx.spare in
-    if sp.nrecs < spare_cap then begin
+    if sp.nrecs < spare_cap && m != no_record then begin
+      (* a spare names no TPDU, so its TPDU's key dies with the TPDU *)
+      if not (Governor.live m.gov) then m.gov <- Governor.retarget m.gov no_key;
       if Array.length sp.recs = 0 then sp.recs <- Array.make spare_cap m;
       sp.recs.(sp.nrecs) <- m;
       sp.nrecs <- sp.nrecs + 1
@@ -365,17 +377,16 @@ module Receiver = struct
   let new_corrob rx t_id =
     let m = record rx t_id in
     Int_table.add rx.corrob t_id m;
-    rx.corrob_memo <- Some m;
+    rx.corrob_memo <- m;
     m
 
   let corrob rx t_id =
-    match find_corrob rx t_id with Some m -> m | None -> new_corrob rx t_id
+    let m = find_corrob rx t_id in
+    if m != no_record then m else new_corrob rx t_id
 
   let forget_corrob rx t_id =
     Int_table.remove rx.corrob t_id;
-    match rx.corrob_memo with
-    | Some m when m.t_id = t_id -> rx.corrob_memo <- None
-    | Some _ | None -> ()
+    if rx.corrob_memo.t_id = t_id then rx.corrob_memo <- no_record
 
   (* Dispose of every piece of per-TPDU soft state (verifier
      accumulator, corroboration record, arrival record).  The governor's
@@ -383,11 +394,11 @@ module Receiver = struct
      already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
-    (match find_corrob rx t_id with
-    | Some m ->
-        forget_corrob rx t_id;
-        recycle rx m
-    | None -> ());
+    let m = find_corrob rx t_id in
+    if m != no_record then begin
+      forget_corrob rx t_id;
+      recycle rx m
+    end;
     Int_table.remove rx.first_arrival t_id
 
   let evict rx ~t_id =
@@ -430,7 +441,7 @@ module Receiver = struct
         nack_armed = Int_table.create 32;
         corrob = Int_table.create 32;
         spare = o.o_spare;
-        corrob_memo = None;
+        corrob_memo = no_record;
         shed_cover = Vreassembly.create ();
         shed_tids = Int_table.create 8;
         frontier = 0;
@@ -661,9 +672,9 @@ module Receiver = struct
 
   (* [charge] of [t_id], through its record's handle if it has one. *)
   let account rx t_id =
-    match find_corrob rx t_id with
-    | Some m -> account_record rx m ~held:(held_bytes rx m)
-    | None ->
+    let m = find_corrob rx t_id in
+    if m != no_record then account_record rx m ~held:(held_bytes rx m)
+    else
         ignore
           (charge rx t_id
              ~cls:(Significance.rank (rx.config.classify t_id))
@@ -677,7 +688,7 @@ module Receiver = struct
   let abort_tpdu rx ~t_id =
     if
       Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-      || Option.is_some (find_corrob rx t_id)
+      || holds_record rx t_id
     then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
@@ -949,11 +960,10 @@ module Receiver = struct
       let is_data = Ctype.is_data h.Header.ctype in
       if is_data || Ctype.equal h.Header.ctype Ctype.ed then begin
         (* a live record proves the T.ID is neither acked nor shed *)
-        match find_corrob rx t_id with
-        | Some m -> on_tpdu_chunk rx m v ~hdr ~is_data
-        | None ->
-            if not (settled rx t_id) then
-              on_tpdu_chunk rx (new_corrob rx t_id) v ~hdr ~is_data
+        let m = find_corrob rx t_id in
+        if m != no_record then on_tpdu_chunk rx m v ~hdr ~is_data
+        else if not (settled rx t_id) then
+          on_tpdu_chunk rx (new_corrob rx t_id) v ~hdr ~is_data
       end
       else if not (settled rx t_id) then begin
         (* other control traffic carries no TPDU state: the verifier
@@ -1024,7 +1034,7 @@ module Receiver = struct
   let tracks_tpdu rx ~t_id =
     Int_table.mem rx.shed_tids t_id
     || Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-    || Option.is_some (find_corrob rx t_id)
+    || holds_record rx t_id
 
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
