@@ -243,7 +243,7 @@ module Receiver = struct
   (* What an owner of several receivers shares with each of them. *)
   type owner = {
     o_governor : Governor.t;
-    o_acked : unit Int_table.t;
+    o_acked : Int_set.t;
     o_counts : Counters.t;
     o_spare : spare;
   }
@@ -261,7 +261,7 @@ module Receiver = struct
        died with a failed verdict: its retransmission's latency counts
        from the first arrival still *)
     first_arrival : int Int_table.t;
-    acked : unit Int_table.t;  (* TPDUs already acknowledged *)
+    acked : Int_set.t;  (* TPDUs already acknowledged *)
     nack_armed : unit Int_table.t;  (* TPDUs with a gap timer *)
     corrob : corroboration Int_table.t;
     spare : spare;
@@ -419,7 +419,9 @@ module Receiver = struct
             o_governor =
               Governor.create ~budget_bytes:config.state_budget
                 ~ttl:config.state_ttl ();
-            o_acked = Int_table.create 32;
+            (* room for 64 T.IDs before it first grows, as the 32-bucket
+               table it replaced had *)
+            o_acked = Int_set.create 64;
             o_counts = Counters.zero ();
             o_spare = spare ();
           }
@@ -618,7 +620,7 @@ module Receiver = struct
 
   let rec arm_nack rx t_id rounds =
     Netsim.Engine.schedule rx.engine ~delay:rx.config.nack_delay (fun () ->
-        if rounds >= max_nack_rounds || Int_table.mem rx.acked t_id then
+        if rounds >= max_nack_rounds || Int_set.mem rx.acked t_id then
           Int_table.remove rx.nack_armed t_id
         else
         match Edc.Verifier.missing rx.verifier ~t_id with
@@ -709,7 +711,7 @@ module Receiver = struct
      lost ACK changes nothing: the bytes are already delivered).  The
      span joins [shed_cover] so completion can proceed without it. *)
   let shed_tpdu rx ~t_id ~first_elem ~elems =
-    if Int_table.mem rx.acked t_id || Int_table.mem rx.shed_tids t_id then
+    if Int_set.mem rx.acked t_id || Int_table.mem rx.shed_tids t_id then
       (* a shed racing a lost ACK, or a duplicated shed signal: the
          sender is still retrying, so re-acknowledge (throttled) *)
       re_ack rx ~gap:rx.config.nack_delay t_id
@@ -826,8 +828,8 @@ module Receiver = struct
     List.iter (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len) spans;
     forget_corrob rx t_id;
     if m.end_claim <> no_claim then rx.end_confirmed <- Some m.end_claim;
-    if not (Int_table.mem rx.acked t_id) then begin
-      Int_table.add rx.acked t_id ();
+    if not (Int_set.mem rx.acked t_id) then begin
+      Int_set.add rx.acked t_id;
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       if Obs.enabled then Obs.Metrics.incr m_acks;
       if m.stamped then begin
@@ -905,7 +907,7 @@ module Receiver = struct
      gone for good, so its straggler chunks must not recreate verifier
      state the sender will never complete. *)
   let settled rx t_id =
-    if Int_table.mem rx.acked t_id then begin
+    if Int_set.mem rx.acked t_id then begin
       re_ack rx ~gap:rx.config.nack_delay t_id;
       true
     end
@@ -1066,7 +1068,7 @@ module Receiver = struct
 
   let ident_tid rx = if rx.ident_min = max_int then None else Some rx.ident_min
 
-  let acked_tids rx = sorted_keys rx.acked
+  let acked_tids rx = Int_set.elements rx.acked
 
   let sorted_assoc tbl =
     Int_table.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -1194,7 +1196,7 @@ module Receiver = struct
     List.iter
       (fun (t, last) -> (corrob rx t).end_claim <- last)
       img.Persist.ri_end_claims;
-    List.iter (fun t -> Int_table.replace rx.acked t ()) acked_tids;
+    List.iter (Int_set.add rx.acked) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
     let tracked =

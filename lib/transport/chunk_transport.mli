@@ -121,7 +121,7 @@ module Receiver : sig
         (** the one account every receiver of the owner charges; the
             owner holds its eviction callback and routes per-TPDU
             evictions to {!evict} *)
-    o_acked : unit Labelling.Int_table.t;
+    o_acked : Labelling.Int_set.t;
         (** the ACK ledger, outliving any one receiver *)
     o_counts : Counters.t;  (** the record the receiver counts into *)
     o_spare : spare;  (** released per-TPDU records, for reuse *)

@@ -366,8 +366,8 @@ let prop_ingest_never_writes =
    copybreak), so the receiver does not grow by the packet it no longer
    needs. *)
 let test_copybreak_bounds_retention () =
-  let acked = Labelling.Int_table.create 4 in
-  Labelling.Int_table.add acked 9 ();
+  let acked = Labelling.Int_set.create 4 in
+  Labelling.Int_set.add acked 9;
   let rx =
     CT.Receiver.create
       (Netsim.Engine.create ~seed:42 ())

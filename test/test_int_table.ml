@@ -52,6 +52,19 @@ let same_fold_order (size, ops) =
   Hashtbl.length poly = Int_table.length mono
   && bindings Hashtbl.fold poly = bindings Int_table.fold mono
 
+(* [Int_set] against the standard library's sets: any adds, including
+   [min_int], [max_int], negatives and runs of sequential T.IDs, leave
+   the same members, count and ascending elements. *)
+module S = Set.Make (Int)
+
+let same_as_set (size, ks) =
+  let flat = Int_set.create size in
+  let reference = List.fold_left (fun s k -> Int_set.add flat k; S.add k s) S.empty ks in
+  Int_set.length flat = S.cardinal reference
+  && Int_set.elements flat = S.elements reference
+  && List.for_all (fun k -> Int_set.mem flat k = S.mem k reference)
+       (ks @ List.map (fun k -> k + 1) ks)
+
 let suite =
   [
     Util.qtest ~count:300
@@ -62,4 +75,15 @@ let suite =
         Printf.sprintf "create %d; %s" size
           (String.concat "; " (List.map print_op ops)))
       same_fold_order;
+    Util.qtest ~count:300 "Int_set holds what a Set would"
+      QCheck2.Gen.(
+        pair (int_range 0 64)
+          (list_size (int_range 0 400)
+             (oneof
+                [
+                  int_range 0 2000;
+                  int;
+                  oneofl [ min_int; max_int; -1; 0 ];
+                ])))
+      same_as_set;
   ]
