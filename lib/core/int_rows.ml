@@ -2,7 +2,15 @@ type t = int array
 
 let create ~width = Array.make (1 + (4 * width)) 0
 let count a = Array.unsafe_get a 0
-let clear a = a.(0) <- 0
+(* past this many rows of room, a cleared buffer is replaced *)
+let kept_rows = 16
+
+let clear a ~width =
+  if Array.length a > 1 + (width * kept_rows) then create ~width
+  else begin
+    a.(0) <- 0;
+    a
+  end
 let get a ~width k j = a.(1 + (width * k) + j)
 
 (* [a], or a copy with twice its room, with space for one more row *)

@@ -14,8 +14,10 @@ val create : width:int -> t
 val count : t -> int
 (** Rows held. *)
 
-val clear : t -> unit
-(** Drop every row, keeping the room. *)
+val clear : t -> width:int -> t
+(** No rows: [a] emptied in place, or, when it has grown past room for
+    16 rows, a new buffer as {!create} makes, so a record kept for reuse
+    does not keep a large buffer alive. *)
 
 val get : t -> width:int -> int -> int -> int
 (** [get a ~width k j] is cell [j] of row [k]. *)

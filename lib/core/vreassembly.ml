@@ -166,6 +166,7 @@ let complete tr =
 let run_count tr = tr.n
 
 let clear tr =
+  if Array.length tr.runs > 32 then tr.runs <- Array.make 4 0;
   tr.n <- 0;
   tr.last_sn <- no_end
 

@@ -85,8 +85,8 @@ val run_count : t -> int
 (** [List.length (spans t)], without building the list. *)
 
 val clear : t -> unit
-(** Forget every run and the PDU end, keeping the buffer's room: the
-    tracker is then as {!create} made it. *)
+(** Forget every run and the PDU end: the tracker is then as {!create}
+    made it, and keeps its buffer's room up to 16 runs. *)
 
 (** {1 Many-PDU table}
 

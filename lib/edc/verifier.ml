@@ -154,11 +154,10 @@ let blank_state t_id ~born =
     x_spans = Int_rows.create ~width:4;
   }
 
-(* [s], released, as the blank state of [t_id]: its buffers keep their
-   room. *)
-let reopen s t_id ~born =
-  s.t_id <- t_id;
-  s.born <- Obs.stamp born;
+(* [s], released, made blank but for its T.ID and birth, which the
+   TPDU that reuses it sets: its buffers keep their room, and it keeps no
+   table or message of the TPDU it held. *)
+let blank_out s =
   s.d0 <- Gf232.zero;
   s.d1 <- Gf232.zero;
   s.l0 <- Gf232.zero;
@@ -174,7 +173,7 @@ let reopen s t_id ~born =
   s.e0 <- -1;
   s.e1 <- 0;
   s.damage <- None;
-  Int_rows.clear s.x_spans
+  s.x_spans <- Int_rows.clear s.x_spans ~width:4
 
 let ed_arrived s = s.e0 >= 0
 
@@ -288,6 +287,7 @@ let find v t_id =
 let recycle v s =
   let p = v.pool in
   if p.n < pool_cap && s != no_state then begin
+    blank_out s;
     if Array.length p.spare = 0 then p.spare <- Array.make pool_cap no_state;
     p.spare.(p.n) <- s;
     p.n <- p.n + 1
@@ -312,7 +312,8 @@ let state v t_id =
         else begin
           p.n <- p.n - 1;
           let s = p.spare.(p.n) in
-          reopen s t_id ~born:(v.now ());
+          s.t_id <- t_id;
+          s.born <- Obs.stamp (v.now ());
           s
         end
       in

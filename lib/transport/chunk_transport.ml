@@ -163,6 +163,21 @@ let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
       send_ack (ack_packet ~conn_id ~t_id)
 
 module Receiver = struct
+  (* A held chunk is its buffer and the offset of its wire header there,
+     scanned again when it is placed or persisted, with the fresh run
+     [t_sn, t_sn + elems) it brought. *)
+  type stashed = { src : bytes; hdr : int; t_sn : int; elems : int }
+
+  (* A quarantined run: [q_elems] elements from [q_src] at [q_off], the
+     first at C.SN [c_sn], of a chunk labelled C.ID [c_id]. *)
+  type held = {
+    q_src : bytes;
+    q_off : int;
+    c_sn : int;
+    q_elems : int;
+    c_id : int;
+  }
+
   (* Placement writes straight into the application buffer at the
      connection offset, so a corrupted C.SN that stays inside the window
      could clobber a region an {e already verified} TPDU owns — and
@@ -181,21 +196,12 @@ module Receiver = struct
      verdict, [drop_tpdu_state] or [quiesce] drops it.  A record is only
      created for a T.ID in neither [acked] nor [shed_tids], and dies
      before its T.ID joins either, so a live record proves both misses:
-     [on_view] probes those tables only for a T.ID with no record.
+     [on_scanned] probes those tables only for a T.ID with no record.
 
      Every field a chunk updates is an immediate, or a list that only a
      stashing or conflicting chunk grows, so a record that has outlived
      a minor collection takes no young pointer from the common chunk;
      absent values are sentinels no label produces. *)
-  (* A held chunk is its buffer and the offset of its wire header there,
-     scanned again when it is placed or persisted, with the fresh run
-     [t_sn, t_sn + elems) it brought. *)
-  type stashed = { src : bytes; hdr : int; t_sn : int; elems : int }
-
-  (* A quarantined run: [elems] elements from [src] at [off], the first
-     at C.SN [c_sn], of a chunk labelled C.ID [c_id]. *)
-  type held = { q_src : bytes; q_off : int; c_sn : int; q_elems : int; c_id : int }
-
   type corroboration = {
     mutable t_id : int;
     mutable cls : int;  (* the TPDU's significance rank, its governor class *)
@@ -351,24 +357,26 @@ module Receiver = struct
       m.t_id <- t_id;
       m.cls <- Significance.rank (rx.config.classify t_id);
       m.gov <- Governor.retarget m.gov (gov_key rx t_id);
+      m
+    end
+
+  (* A record no table holds and nothing will read again goes back to
+     the spares, while there is room, made blank but for its T.ID,
+     class and handle, which the TPDU that reuses it sets.  A spare
+     holds no chunk, and names no TPDU, so a finished TPDU's key and
+     packets die with it. *)
+  let recycle rx m =
+    let sp = rx.spare in
+    if sp.nrecs < spare_cap && m != no_record then begin
+      if not (Governor.live m.gov) then m.gov <- Governor.retarget m.gov no_key;
       m.stamped <- false;
       m.delta_data <- unset;
       m.delta_ed <- unset;
       m.confirmed <- false;
       m.stash <- [];
-      Int_rows.clear m.placed_runs;
+      m.placed_runs <- Int_rows.clear m.placed_runs ~width:2;
       m.quarantine <- [];
       m.end_claim <- no_claim;
-      m
-    end
-
-  (* A record no table holds and nothing will read again goes back to
-     the spares, while there is room. *)
-  let recycle rx m =
-    let sp = rx.spare in
-    if sp.nrecs < spare_cap && m != no_record then begin
-      (* a spare names no TPDU, so its TPDU's key dies with the TPDU *)
-      if not (Governor.live m.gov) then m.gov <- Governor.retarget m.gov no_key;
       if Array.length sp.recs = 0 then sp.recs <- Array.make spare_cap m;
       sp.recs.(sp.nrecs) <- m;
       sp.nrecs <- sp.nrecs + 1
@@ -490,7 +498,6 @@ module Receiver = struct
 
   (* The held chunk, read again where it lies. *)
   let unstash e = Wire.Scan.view e.src e.hdr
-
 
   (* The runs a placement report credits to [m]'s TPDU: fresh writes
      and identical duplicates. *)
