@@ -13,19 +13,20 @@ let symbol_of_bit b = if b then Gf232.one else Gf232.zero
 let xpair_second_symbol ~boundary_t_sn ~x_st =
   ((boundary_t_sn lsl 1) lor (if x_st then 1 else 0)) land 0xFFFF_FFFF
 
-let contribute_xpair acc (h : Header.t) ~boundary_t_sn =
-  let base = Invariant.xpair_position ~boundary_t_sn in
-  Wsc2.add_symbol acc ~pos:base (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
-  Wsc2.add_symbol acc ~pos:(base + 1)
-    (xpair_second_symbol ~boundary_t_sn ~x_st:h.Header.x.Ftuple.st)
+(* The (X.ID, X.ST) pair of the boundary at [boundary_t_sn], and the
+   T.ID, C.ID, C.ST triple: each group lies at consecutive positions, so
+   it costs one field multiplication ([Wsc2.add_pair], [add_triple]).
+   The verifier folds the same groups through these two functions. *)
+let add_xpair acc ~boundary_t_sn ~x_id ~x_st =
+  Wsc2.add_pair acc
+    ~pos:(Invariant.xpair_position ~boundary_t_sn)
+    (x_id land 0xFFFF_FFFF)
+    (xpair_second_symbol ~boundary_t_sn ~x_st)
 
-let contribute_labels acc (h : Header.t) =
-  Wsc2.add_symbol acc ~pos:Invariant.tid_position
-    (h.Header.t.Ftuple.id land 0xFFFF_FFFF);
-  Wsc2.add_symbol acc ~pos:Invariant.cid_position
-    (h.Header.c.Ftuple.id land 0xFFFF_FFFF);
-  Wsc2.add_symbol acc ~pos:Invariant.cst_position
-    (symbol_of_bit h.Header.c.Ftuple.st)
+(* [Invariant] lays T.ID, C.ID and C.ST out at consecutive positions *)
+let add_labels acc ~t_id ~c_id ~c_st =
+  Wsc2.add_triple acc ~pos:Invariant.tid_position (t_id land 0xFFFF_FFFF)
+    (c_id land 0xFFFF_FFFF) (symbol_of_bit c_st)
 
 let contribute acc chunk =
   if not (Chunk.is_data chunk) then
@@ -40,9 +41,12 @@ let contribute acc chunk =
     let* _last_ok = Invariant.data_position ~size ~t_sn:last in
     Wsc2.add_bytes acc ~pos chunk.Chunk.payload 0
       (Bytes.length chunk.Chunk.payload);
-    if h.Header.t.Ftuple.st then contribute_labels acc h;
+    if h.Header.t.Ftuple.st then
+      add_labels acc ~t_id:h.Header.t.Ftuple.id ~c_id:h.Header.c.Ftuple.id
+        ~c_st:h.Header.c.Ftuple.st;
     if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then
-      contribute_xpair acc h ~boundary_t_sn:last;
+      add_xpair acc ~boundary_t_sn:last ~x_id:h.Header.x.Ftuple.id
+        ~x_st:h.Header.x.Ftuple.st;
     Ok ()
   end
 

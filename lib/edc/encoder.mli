@@ -19,6 +19,16 @@ val xpair_second_symbol : boundary_t_sn:int -> x_st:bool -> int
     [X.ID = alpha * X.ST] would otherwise contribute zero and move
     invisibly). *)
 
+val add_xpair :
+  Wsc2.acc -> boundary_t_sn:int -> x_id:int -> x_st:bool -> unit
+(** Absorb the boundary pair at [boundary_t_sn] — X.ID and
+    {!xpair_second_symbol} at {!Invariant.xpair_position} and the next
+    position — with one field multiplication. *)
+
+val add_labels : Wsc2.acc -> t_id:int -> c_id:int -> c_st:bool -> unit
+(** Absorb T.ID, C.ID and the C.ST value at their consecutive positions
+    ({!Invariant.tid_position} on), with one field multiplication. *)
+
 val contribute : Wsc2.acc -> Labelling.Chunk.t -> (unit, string) result
 (** Fold one data chunk of a TPDU into an accumulator according to the
     invariant.  Fails on control chunks, terminators, invalid element

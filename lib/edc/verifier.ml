@@ -177,10 +177,11 @@ let blank_out s =
 
 let ed_arrived s = s.e0 >= 0
 
-(* Fold one label symbol into the labels' parity. *)
-let add_label s ~pos sym =
-  s.l0 <- Gf232.add s.l0 sym;
-  s.l1 <- Gf232.add s.l1 (Wsc2.weigh ~pos sym)
+(* Fold what the scratch accumulator [sc] absorbed into the labels'
+   parity. *)
+let fold_labels s sc =
+  s.l0 <- Gf232.add s.l0 (Wsc2.p0 sc);
+  s.l1 <- Gf232.add s.l1 (Wsc2.p1 sc)
 
 (* No state: what [find] returns for a T.ID it does not hold, and
    [last_passed] while no passed TPDU awaits [take_data_parity].  It is
@@ -502,21 +503,20 @@ let on_data v (cv : Chunk.view) =
             let boundary = h.Header.t.Ftuple.sn + h.Header.len - 1 in
             if not (Small.mem s.pairs_done boundary) then begin
               Small.add s.pairs_done boundary 0;
-              let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
-              add_label s ~pos (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
-              add_label s ~pos:(pos + 1)
-                (Encoder.xpair_second_symbol ~boundary_t_sn:boundary
-                   ~x_st:h.Header.x.Ftuple.st)
+              let sc = v.scratch in
+              Wsc2.reset sc;
+              Encoder.add_xpair sc ~boundary_t_sn:boundary
+                ~x_id:h.Header.x.Ftuple.id ~x_st:h.Header.x.Ftuple.st;
+              fold_labels s sc
             end
           end;
           if h.Header.t.Ftuple.st && not s.labels_done then begin
             s.labels_done <- true;
-            add_label s ~pos:Invariant.tid_position
-              (h.Header.t.Ftuple.id land 0xFFFF_FFFF);
-            add_label s ~pos:Invariant.cid_position
-              (h.Header.c.Ftuple.id land 0xFFFF_FFFF);
-            add_label s ~pos:Invariant.cst_position
-              (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
+            let sc = v.scratch in
+            Wsc2.reset sc;
+            Encoder.add_labels sc ~t_id:h.Header.t.Ftuple.id
+              ~c_id:h.Header.c.Ftuple.id ~c_st:h.Header.c.Ftuple.st;
+            fold_labels s sc
           end;
           try_finish v t_id s fresh)
 

@@ -40,14 +40,30 @@ let check_pos pos =
   if pos < 0 || pos > max_position then
     invalid_arg "Wsc2: position out of range"
 
-let weigh ~pos sym =
-  check_pos pos;
-  Gf232.mul (Gf232.alpha_pow pos) sym
-
 let add_symbol acc ~pos sym =
-  let w = weigh ~pos sym in
+  check_pos pos;
   acc.a0 <- Gf232.add acc.a0 sym;
-  acc.a1 <- Gf232.add acc.a1 w
+  acc.a1 <- Gf232.add acc.a1 (Gf232.mul (Gf232.alpha_pow pos) sym)
+
+(* Symbols at consecutive positions share one multiplication, by
+   Horner's rule: alpha^p a + alpha^(p+1) b = alpha^p (a + alpha b), and
+   multiplying by alpha is [Gf232.xtime]. *)
+let add_pair acc ~pos a b =
+  check_pos pos;
+  check_pos (pos + 1);
+  acc.a0 <- Gf232.add acc.a0 (Gf232.add a b);
+  acc.a1 <-
+    Gf232.add acc.a1
+      (Gf232.mul (Gf232.alpha_pow pos) (Gf232.add a (Gf232.xtime b)))
+
+let add_triple acc ~pos a b c =
+  check_pos pos;
+  check_pos (pos + 2);
+  acc.a0 <- Gf232.add acc.a0 (Gf232.add a (Gf232.add b c));
+  acc.a1 <-
+    Gf232.add acc.a1
+      (Gf232.mul (Gf232.alpha_pow pos)
+         (Gf232.add a (Gf232.xtime (Gf232.add b (Gf232.xtime c)))))
 
 let symbols_of_bytes n = (n + 3) / 4
 

@@ -70,13 +70,22 @@ val add_symbol : acc -> pos:int -> Gf232.t -> unit
 
     @raise Invalid_argument if [pos] is outside [0, max_position]. *)
 
-val weigh : pos:int -> Gf232.t -> Gf232.t
-(** [weigh ~pos s] is [alpha^pos (x) s], the share of P1 that symbol [s]
-    at position [pos] adds (its share of P0 is [s] itself): what
-    {!add_symbol} absorbs, for a caller that keeps its parity in int
-    fields of its own.
+val add_pair : acc -> pos:int -> Gf232.t -> Gf232.t -> unit
+(** [add_pair acc ~pos a b] absorbs [a] at [pos] and [b] at [pos + 1],
+    exactly as two {!add_symbol} calls would, with one field
+    multiplication instead of two:
+    [alpha^pos a + alpha^(pos+1) b = alpha^pos (a + alpha b)].
 
-    @raise Invalid_argument if [pos] is outside [0, max_position]. *)
+    @raise Invalid_argument if [pos] or [pos + 1] is outside
+    [0, max_position]. *)
+
+val add_triple : acc -> pos:int -> Gf232.t -> Gf232.t -> Gf232.t -> unit
+(** [add_triple acc ~pos a b c] absorbs [a], [b] and [c] at [pos],
+    [pos + 1] and [pos + 2] with one field multiplication, as
+    {!add_pair} does.
+
+    @raise Invalid_argument if [pos] or [pos + 2] is outside
+    [0, max_position]. *)
 
 val add_bytes : acc -> pos:int -> bytes -> int -> int -> unit
 (** [add_bytes acc ~pos b off len] absorbs [len] bytes of [b] starting at

@@ -166,4 +166,23 @@ let suite =
         let acc = Wsc2.create () in
         Wsc2.add_bytes acc ~pos:0 data 0 n;
         Wsc2.verify ~expected:p acc);
+    Util.qtest "add_pair and add_triple = add_symbol at consecutive positions"
+      QCheck2.Gen.(
+        quad
+          (int_range 0 (Wsc2.max_position - 2))
+          (map (fun x -> x land 0xFFFF_FFFF) int)
+          (map (fun x -> x land 0xFFFF_FFFF) int)
+          (map (fun x -> x land 0xFFFF_FFFF) int))
+      (fun (pos, a, b, c) ->
+        let one = Wsc2.create () and grouped = Wsc2.create () in
+        Wsc2.add_symbol one ~pos:(pos + 2) c;
+        Wsc2.add_symbol one ~pos a;
+        Wsc2.add_symbol one ~pos:(pos + 1) b;
+        Wsc2.add_triple grouped ~pos a b c;
+        let triple_ok = Wsc2.parity_equal (Wsc2.snapshot one) (Wsc2.snapshot grouped) in
+        let one = Wsc2.create () and grouped = Wsc2.create () in
+        Wsc2.add_symbol one ~pos:(pos + 1) b;
+        Wsc2.add_symbol one ~pos a;
+        Wsc2.add_pair grouped ~pos a b;
+        triple_ok && Wsc2.parity_equal (Wsc2.snapshot one) (Wsc2.snapshot grouped));
   ]
