@@ -3,6 +3,13 @@ let max_len = 15
 type code = {
   lengths : int array;  (* 256; 0 = symbol absent *)
   codes : int array;  (* canonical code bits, MSB-first *)
+  (* canonical decode tables: the symbols sorted by (length, value), and
+     for each length its first code value, the index of its first symbol
+     and its number of symbols *)
+  sorted : int array;
+  first_code : int array;
+  first_idx : int array;
+  counts : int array;
 }
 
 (* Standard heap-free Huffman: repeatedly merge the two lightest trees.
@@ -53,7 +60,19 @@ let canonical lengths =
       incr code;
       prev_len := l)
     syms;
-  { lengths; codes }
+  let sorted = Array.of_list syms in
+  let counts = Array.make (max_len + 1) 0 in
+  Array.iter (fun s -> counts.(lengths.(s)) <- counts.(lengths.(s)) + 1) sorted;
+  let first_code = Array.make (max_len + 2) 0 in
+  let first_idx = Array.make (max_len + 2) 0 in
+  let idx = ref 0 and c = ref 0 in
+  for l = 1 to max_len do
+    first_code.(l) <- !c;
+    first_idx.(l) <- !idx;
+    idx := !idx + counts.(l);
+    c := (!c + counts.(l)) lsl 1
+  done;
+  { lengths; codes; sorted; first_code; first_idx; counts }
 
 let build freq =
   if Array.length freq <> 256 then
@@ -81,33 +100,13 @@ let encode_bytes code src =
   Buffer.to_bytes buf
 
 let decode_bytes code ~count src =
-  (* canonical decode tables: for each length, the first code value and
-     the corresponding index into the sorted symbol list *)
-  let syms =
-    List.init 256 Fun.id
-    |> List.filter (fun s -> code.lengths.(s) > 0)
-    |> List.sort (fun a b ->
-           match Int.compare code.lengths.(a) code.lengths.(b) with
-           | 0 -> Int.compare a b
-           | c -> c)
-  in
-  let sym_arr = Array.of_list syms in
-  let first_code = Array.make (max_len + 2) 0 in
-  let first_idx = Array.make (max_len + 2) 0 in
-  let idx = ref 0 and c = ref 0 in
-  for l = 1 to max_len do
-    first_code.(l) <- !c;
-    first_idx.(l) <- !idx;
-    let n =
-      Array.fold_left
-        (fun acc s -> if code.lengths.(s) = l then acc + 1 else acc)
-        0 sym_arr
-    in
-    idx := !idx + n;
-    c := (!c + n) lsl 1
-  done;
-  let counts = Array.make (max_len + 1) 0 in
-  Array.iter (fun s -> counts.(code.lengths.(s)) <- counts.(code.lengths.(s)) + 1) sym_arr;
+  let { sorted = sym_arr; first_code; first_idx; counts; _ } = code in
+  (* every symbol takes at least one bit: a count beyond the bits there
+     are fails before its buffer is allocated *)
+  if count < 0 then Error "Huffman.decode_bytes: negative count"
+  else if count > 8 * Bytes.length src then
+    Error "Huffman.decode_bytes: out of bits"
+  else
   let out = Bytes.create count in
   let bitpos = ref 0 in
   let total_bits = 8 * Bytes.length src in
