@@ -134,6 +134,93 @@ let grouped =
       test_any_locked;
     ]
 
+(* What a minor collection costs the receive path: a [Multi] fed the
+   shuffled stream of the allocation test (four connections of 2 KiB
+   TPDUs at 1500 B MTU, each window of four TPDU rounds shuffled, every
+   tenth packet of a window re-offered), with a collection forced after
+   every 32 packets.  The words each collection promotes per packet and
+   its mean time are what a batch that meets a collection pays over one
+   that does not: the service-time tail. *)
+let survivors () =
+  let module CT = Transport.Chunk_transport in
+  let module M = Transport.Multi in
+  let get = function Ok x -> x | Error e -> failwith e in
+  let config = CT.default_config and conns = 4 and tpdus = 32 and warm = 8 in
+  let es = config.CT.elem_size and fb = config.CT.frame_bytes in
+  (* TPDU [k] of connection [conn], sealed and packed on its own *)
+  let tpdu fr conn k =
+    let data =
+      Bytes.init (config.CT.tpdu_elems * es) (fun i ->
+          Char.chr (((conn * 7) + (k * 13) + i) land 0xFF))
+    in
+    List.init (Bytes.length data / fb) (fun i -> Bytes.sub data (i * fb) fb)
+    |> List.concat_map (fun f -> get (Framer.push_frame fr f))
+    |> Edc.Encoder.seal_tpdus |> get
+    |> Packet.pack ~mtu:config.CT.mtu |> get
+    |> List.map Packet.encode_unpadded
+  in
+  let per_conn =
+    Array.init conns (fun c ->
+        let fr =
+          Framer.create ~elem_size:es ~tpdu_elems:config.CT.tpdu_elems
+            ~conn_id:(c + 1) ()
+        in
+        Array.init tpdus (tpdu fr (c + 1)))
+  in
+  let rng = Netsim.Rng.create ~seed:7 in
+  let window lo =
+    let w =
+      List.concat_map
+        (fun k -> List.concat_map (fun c -> per_conn.(c).(k)) (List.init conns Fun.id))
+        (List.init 4 (fun i -> lo + i))
+    in
+    let a = Array.of_list (w @ List.filteri (fun i _ -> i mod 10 = 0) w) in
+    for i = Array.length a - 1 downto 1 do
+      let j = Netsim.Rng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let stream lo hi = Array.concat (List.init ((hi - lo) / 4) (fun i -> window (lo + (4 * i)))) in
+  let m =
+    M.create (Netsim.Engine.create ~seed:1 ()) ~config
+      ~quota_elems:(tpdus * config.CT.tpdu_elems) ~max_conns:conns
+      ~send_ack:(fun _ -> ()) ()
+  in
+  for conn = 1 to conns do
+    M.ingest m
+      (get
+         (Wire.encode_packet
+            [ Connection.signal_chunk ~conn_id:conn (Open { first_csn = 0 }) ]))
+  done;
+  Array.iter (M.ingest m) (stream 0 warm);
+  let measured = stream warm tpdus in
+  (* a finished major cycle, so the bechamel rows before leave no
+     marking or sweeping for these collections' slices *)
+  Gc.full_major ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let gc_s = ref 0.0 and gcs = ref 0 in
+  Array.iteri
+    (fun i b ->
+      M.ingest m b;
+      if (i + 1) mod 32 = 0 then begin
+        let t0 = Unix.gettimeofday () in
+        Gc.minor ();
+        gc_s := !gc_s +. (Unix.gettimeofday () -. t0);
+        incr gcs
+      end)
+    measured;
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  let promoted = (p1 -. p0) /. float_of_int (Array.length measured) in
+  let gc_ns = !gc_s /. float_of_int (max 1 !gcs) *. 1e9 in
+  Printf.printf "  %-42s %14.2f\n" "receive: promoted words/pkt (shuffled)"
+    promoted;
+  Printf.printf "  %-42s %14.1f\n" "receive: forced minor GC ns (shuffled)" gc_ns;
+  Util_bench.Metrics.record ~exp:"MICRO" "receive promoted words/pkt" promoted;
+  Util_bench.Metrics.record ~exp:"MICRO" "receive forced minor GC ns" gc_ns
+
 let run () =
   Printf.printf "\n=== MICRO === primitive-operation timings (bechamel, \
                  ns/op)\n%!";
@@ -162,4 +249,5 @@ let run () =
             Util_bench.Metrics.record ~exp:"MICRO" (name ^ " MB/s")
               (4096. /. e *. 1e3)
       | Some [] | None -> Printf.printf "  %-42s %14s\n" name "n/a")
-    rows
+    rows;
+  survivors ()
