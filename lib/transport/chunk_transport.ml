@@ -1144,6 +1144,8 @@ module Receiver = struct
           (fun ti -> not (quarantined rx ti.Edc.Verifier.ti_t_id))
           (Edc.Verifier.export rx.verifier);
       ri_corrob = List.map corrob_image records;
+      ri_shed_spans = shed_spans rx;
+      ri_shed_tids = shed_tids rx;
     }
 
   (* Rebuild a live receiver from its persisted image.  Conservative
@@ -1167,6 +1169,13 @@ module Receiver = struct
       (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len)
       img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
+    (* an acknowledged shed stays honoured across the crash *)
+    List.iter
+      (fun (sn, len) ->
+        match Vreassembly.insert_new rx.shed_cover ~sn ~len ~st:false with
+        | Ok _ | Error `Inconsistent -> ())
+      img.Persist.ri_shed_spans;
+    List.iter (fun t -> Int_table.replace rx.shed_tids t ()) img.Persist.ri_shed_tids;
     List.iter
       (fun (t, at) -> Int_table.replace rx.last_reack t at)
       img.Persist.ri_last_reack;

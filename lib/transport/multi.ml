@@ -809,8 +809,9 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                   | None -> acc)
                 (match img.Persist.ci_live_open with Some k -> k | None -> -1)
                 img.Persist.ci_hist;
-            (* the image keeps no shed spans: a shed contract and crashes
-               do not combine *)
+            (* an archived epoch's image keeps no shed spans (a live
+               epoch's does): a shed contract and crashes do not combine
+               in a schedule *)
             hist =
               List.rev_map
                 (fun (e : Persist.epoch_image) ->

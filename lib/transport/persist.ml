@@ -27,6 +27,8 @@ type receiver_image = {
   ri_passed : int;
   ri_tpdus : Edc.Verifier.tpdu_image list;
   ri_corrob : corrob_image list;
+  ri_shed_spans : (int * int) list;
+  ri_shed_tids : int list;
 }
 
 type sender_image = {
@@ -97,6 +99,8 @@ let empty_receiver ~conn =
     ri_passed = 0;
     ri_tpdus = [];
     ri_corrob = [];
+    ri_shed_spans = [];
+    ri_shed_tids = [];
   }
 
 let empty_conn id =
@@ -337,8 +341,9 @@ let apply_journal ~elem_size ~quota_elems image events =
 
 (* v2: conn images gained the containment fields (quarantine deadline,
    admission-revocation count, poisoned flag); v3: archived epochs gained
-   their placed-element and pass counts *)
-let version = 3
+   their placed-element and pass counts; v4: receiver images gained their
+   honoured sheds (spans and T.IDs) *)
+let version = 4
 let magic = "CSNP"
 
 type cur = { b : bytes; mutable off : int }
@@ -523,7 +528,11 @@ let receiver =
       Field (list tpdu, (fun r -> r.ri_tpdus),
         fun r ri_tpdus -> { r with ri_tpdus });
       Field (list corrob, (fun r -> r.ri_corrob),
-        fun r ri_corrob -> { r with ri_corrob }) ]
+        fun r ri_corrob -> { r with ri_corrob });
+      Field (list (pair int int), (fun r -> r.ri_shed_spans),
+        fun r ri_shed_spans -> { r with ri_shed_spans });
+      Field (list int, (fun r -> r.ri_shed_tids),
+        fun r ri_shed_tids -> { r with ri_shed_tids }) ]
 
 let epoch =
   record

@@ -58,6 +58,11 @@ type receiver_image = {
           archive gate ([Multi] keeps an epoch only if it delivered) *)
   ri_tpdus : Edc.Verifier.tpdu_image list;  (** in-flight verifier state *)
   ri_corrob : corrob_image list;  (** in-flight corroboration state *)
+  ri_shed_spans : (int * int) list;
+      (** element spans the sender shed and the receiver honoured, as
+          (C.SN, elements), sorted and coalesced: they count toward
+          completion, never toward verified delivery *)
+  ri_shed_tids : int list;  (** T.IDs of the honoured sheds, ascending *)
 }
 (** Everything a [Chunk_transport.Receiver] cannot re-derive after a
     crash.  Governor accounting is deliberately absent: occupancy is

@@ -376,6 +376,8 @@ let golden_receiver =
     ri_last_reack = [ (2, 0.25) ];
     ri_passed = 2;
     ri_tpdus = [ golden_tpdu ];
+    ri_shed_spans = [ (16, 8) ];
+    ri_shed_tids = [ 9 ];
     ri_corrob =
       [
         {
@@ -1026,6 +1028,65 @@ let test_archived_epoch_counts_survive () =
   survives ~snap_after:(Some 2);
   survives ~snap_after:(Some 5)
 
+(* A receiver that honoured a shed and verified every other TPDU is
+   complete; restored from its snapshot bytes it still is, and it still
+   knows the shed T.ID, so a straggler of that TPDU opens no state. *)
+let test_shed_survives_restore () =
+  let open Labelling in
+  let tpdu_elems = 8 and n_tpdus = 4 in
+  let elems = tpdu_elems * n_tpdus in
+  let config =
+    {
+      CT.default_config with
+      conn_id = 4;
+      tpdu_elems;
+      classify =
+        (fun t_id ->
+          if t_id = 2 then Significance.Sheddable 1 else Significance.Normal);
+    }
+  in
+  let framer =
+    Framer.create ~elem_size:config.CT.elem_size ~tpdu_elems
+      ~conn_id:config.CT.conn_id ()
+  in
+  let sealed =
+    Util.ok_or_fail
+      (Edc.Encoder.seal_tpdus
+         (Util.ok_or_fail
+            (Framer.push_frame ~last:true framer
+               (Util.deterministic_bytes (config.CT.elem_size * elems)))))
+  in
+  let packets t =
+    List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed
+    |> Packet.pack ~mtu:config.CT.mtu
+    |> Util.ok_or_fail |> List.map Packet.encode
+  in
+  let engine = Netsim.Engine.create ~seed:3 () in
+  let send_ack _ = () and capacity = `Exact elems in
+  let rx = CT.Receiver.create engine config ~send_ack ~capacity () in
+  List.iter (fun t -> List.iter (CT.Receiver.ingest rx) (packets t)) [ 0; 1; 3 ];
+  CT.Receiver.shed_tpdu rx ~t_id:2 ~first_elem:(2 * tpdu_elems)
+    ~elems:tpdu_elems;
+  Alcotest.(check bool) "complete before the crash" true (CT.Receiver.complete rx);
+  let bytes =
+    Persist.encode_endpoint
+      (Persist.Single
+         { Persist.s_acked = CT.Receiver.acked_tids rx; s_rx = CT.Receiver.export rx })
+  in
+  match Persist.decode_endpoint bytes with
+  | Ok (Persist.Single si) ->
+      let rx' =
+        CT.Receiver.restore engine config ~send_ack ~capacity si.Persist.s_rx
+          ~acked_tids:si.Persist.s_acked
+      in
+      Alcotest.(check bool) "complete after the restore" true
+        (CT.Receiver.complete rx');
+      Alcotest.(check (list int)) "shed T.IDs" [ 2 ] (CT.Receiver.shed_tids rx');
+      List.iter (CT.Receiver.ingest rx') (packets 2);
+      Alcotest.(check int) "a straggler of the shed TPDU opens nothing" 0
+        (CT.Receiver.verifier_in_flight rx')
+  | Ok (Persist.Multi _) | Error _ -> Alcotest.fail "snapshot did not decode"
+
 let suite =
   [
     Util.qtest ~count:60
@@ -1077,4 +1138,6 @@ let suite =
       gen_shuffled_acks prop_replay_merges_once;
     Alcotest.test_case "archived epoch counts survive a crash after the Close"
       `Quick test_archived_epoch_counts_survive;
+    Alcotest.test_case "an honoured shed survives a snapshot restore" `Quick
+      test_shed_survives_restore;
   ]

@@ -187,18 +187,7 @@ let expected_ack ~conn_id ~t_id =
   in
   Util.ok_or_fail (Labelling.Wire.encode_packet [ ack ])
 
-let empty_rx_image conn =
-  {
-    Transport.Persist.ri_conn = conn;
-    ri_placed = [];
-    ri_verified = [];
-    ri_end_confirmed = None;
-    ri_end_claims = [];
-    ri_last_reack = [];
-    ri_passed = 0;
-    ri_tpdus = [];
-    ri_corrob = [];
-  }
+let empty_rx_image conn = Transport.Persist.empty_receiver ~conn
 
 let test_ack_bytes_pinned () =
   let module CT = Transport.Chunk_transport in
