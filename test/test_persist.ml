@@ -395,7 +395,7 @@ let golden_single =
   Persist.Single { Persist.s_acked = [ 1; 2 ]; s_rx = golden_receiver }
 
 let golden_single_hex =
-  "43534e500003000001df000000000000000002000000000000000100000000000000020000\
+  "43534e50000400000207000000000000000002000000000000000100000000000000020000\
    00000000000700000000000000010000000000000000000000000000000861626364656667\
    6800000000000000010000000000000000000000000000000201000000000000000b000000\
    00000000010000000000000005000000000000000b00000000000000010000000000000002\
@@ -408,7 +408,8 @@ let golden_single_hex =
    00000000000000000008000000000000000200000000000000010000000000000008000000\
    00000000010000000000000006010000000000000030000000000000000000010000000000\
    000003706b7400000000000000000000000000000002000000000000000100000000000000\
-   300000000000000002bab39973cd1a463e"
+   30000000000000000200000000000000010000000000000010000000000000000800000000\
+   000000010000000000000009bab39962c73b659e"
 
 let golden_multi =
   Persist.Multi
@@ -445,7 +446,7 @@ let golden_multi =
     ]
 
 let golden_multi_hex =
-  "43534e50000300000173010000000000000002000000000000000300000000000000010000\
+  "43534e5000040000019b010000000000000002000000000000000300000000000000010000\
    00000000000000000000000000010000000000000004616263640101000000000000000000\
    00000000000001000000000000000201000000000000000300000000000000010000000000\
    00000000000000000000086162636465666768000000000000000100000000000000000000\
@@ -453,9 +454,10 @@ let golden_multi_hex =
    000b000000000000000100000000000000023fd00000000000000000000000000002000000\
    00000000000000000000000001000000000000000601000000000000003000000000000000\
    0000010000000000000003706b740000000000000000000000000000000200000000000000\
-   0100000000000000300000000000000002010000000000000010400c000000000000000000\
-   00000000020100000000000000090000000000000000000000000000000000000000000000\
-   0000000000000000000000005f0df176c96c2002"
+   01000000000000003000000000000000020000000000000001000000000000001000000000\
+   0000000800000000000000010000000000000009010000000000000010400c000000000000\
+   00000000000000020100000000000000090000000000000000000000000000000000000000\
+   0000000000000000000000000000005f0de076c7ec686d"
 
 let golden_sender =
   {
@@ -468,7 +470,7 @@ let golden_sender =
   }
 
 let golden_sender_hex =
-  "43534e50000300000049020000000000000001000000000000000300000000000000010000\
+  "43534e50000400000049020000000000000001000000000000000300000000000000010000\
    0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
    00000000000000000010ea9c65161a4842b3"
 
@@ -1113,7 +1115,7 @@ let suite =
       `Quick test_journal_v2_golden;
     Alcotest.test_case "journal Acked record is tag 20 byte for byte" `Quick
       test_journal_golden;
-    Alcotest.test_case "snapshot and sender formats are version 3 byte for byte"
+    Alcotest.test_case "snapshot and sender formats are version 4 byte for byte"
       `Quick test_snapshot_goldens;
     Alcotest.test_case "sender image with bytes after its record is refused"
       `Quick test_sender_trailing_image;
