@@ -171,7 +171,8 @@ let survivors () =
   let window lo =
     let w =
       List.concat_map
-        (fun k -> List.concat_map (fun c -> per_conn.(c).(k)) (List.init conns Fun.id))
+        (fun k ->
+          List.concat_map (fun c -> per_conn.(c).(k)) (List.init conns Fun.id))
         (List.init 4 (fun i -> lo + i))
     in
     let a = Array.of_list (w @ List.filteri (fun i _ -> i mod 10 = 0) w) in
@@ -183,7 +184,9 @@ let survivors () =
     done;
     a
   in
-  let stream lo hi = Array.concat (List.init ((hi - lo) / 4) (fun i -> window (lo + (4 * i)))) in
+  let stream lo hi =
+    Array.concat (List.init ((hi - lo) / 4) (fun i -> window (lo + (4 * i))))
+  in
   let m =
     M.create (Netsim.Engine.create ~seed:1 ()) ~config
       ~quota_elems:(tpdus * config.CT.tpdu_elems) ~max_conns:conns
@@ -217,7 +220,8 @@ let survivors () =
   let gc_ns = !gc_s /. float_of_int (max 1 !gcs) *. 1e9 in
   Printf.printf "  %-42s %14.2f\n" "receive: promoted words/pkt (shuffled)"
     promoted;
-  Printf.printf "  %-42s %14.1f\n" "receive: forced minor GC ns (shuffled)" gc_ns;
+  Printf.printf "  %-42s %14.1f\n" "receive: forced minor GC ns (shuffled)"
+    gc_ns;
   Util_bench.Metrics.record ~exp:"MICRO" "receive promoted words/pkt" promoted;
   Util_bench.Metrics.record ~exp:"MICRO" "receive forced minor GC ns" gc_ns
 

@@ -51,7 +51,8 @@ let quads a =
         get a ~width:4 k 2,
         get a ~width:4 k 3 ))
 
-let of_pairs l = List.fold_left (fun a (x, y) -> push2 a x y) (create ~width:2) l
+let of_pairs l =
+  List.fold_left (fun a (x, y) -> push2 a x y) (create ~width:2) l
 
 let of_quads l =
   List.fold_left (fun a (x, y, z, w) -> push4 a x y z w) (create ~width:4) l

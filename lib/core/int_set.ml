@@ -40,7 +40,9 @@ let add t k =
     if 2 * (t.n + 1) > Array.length t.slots then begin
       let old = t.slots in
       let slots, shift = table (2 * Array.length old) in
-      Array.iter (fun x -> if x <> empty then slots.(find slots shift x) <- x) old;
+      Array.iter
+        (fun x -> if x <> empty then slots.(find slots shift x) <- x)
+        old;
       t.slots <- slots;
       t.shift <- shift
     end;

@@ -33,11 +33,15 @@ let reserve tr =
   end
 
 let covered tr sn len =
-  let rec go k = k < tr.n && ((start tr k <= sn && sn + len <= stop tr k) || go (k + 1)) in
+  let rec go k =
+    k < tr.n && ((start tr k <= sn && sn + len <= stop tr k) || go (k + 1))
+  in
   go 0
 
 let intersects tr sn len =
-  let rec go k = k < tr.n && ((sn < stop tr k && start tr k < sn + len) || go (k + 1)) in
+  let rec go k =
+    k < tr.n && ((sn < stop tr k && start tr k < sn + len) || go (k + 1))
+  in
   go 0
 
 (* The last element received, or -1. *)
@@ -58,7 +62,8 @@ let add_run tr sn len =
     tr.n <- tr.n + 1
   end
   else begin
-    let lo = Int.min sn (start tr i) and hi = Int.max (sn + len) (stop tr (j - 1)) in
+    let lo = Int.min sn (start tr i)
+    and hi = Int.max (sn + len) (stop tr (j - 1)) in
     set tr i lo (hi - lo);
     Array.blit tr.runs (2 * j) tr.runs (2 * (i + 1)) (2 * (tr.n - j));
     tr.n <- tr.n - (j - i - 1)
@@ -101,7 +106,8 @@ let append_new tr ~sn ~len ~st =
   (not (bad_span ~sn ~len))
   &&
   let last = sn + len - 1 in
-  (tr.last_sn = no_end || (last <= tr.last_sn && ((not st) || tr.last_sn = last)))
+  (tr.last_sn = no_end
+  || (last <= tr.last_sn && ((not st) || tr.last_sn = last)))
   && (tr.n = 0 || stop tr (tr.n - 1) <= sn)
   && begin
     (if tr.n > 0 && stop tr (tr.n - 1) = sn then
@@ -176,7 +182,8 @@ let missing tr =
   let stop_at = if tr.last_sn = no_end then max_int else tr.last_sn + 1 in
   let rec gaps expect k =
     if k = tr.n then
-      if stop_at <> max_int && expect < stop_at then [ (expect, stop_at - expect) ]
+      if stop_at <> max_int && expect < stop_at then
+        [ (expect, stop_at - expect) ]
       else []
     else
       let s = start tr k in

@@ -64,7 +64,8 @@ module Small = struct
   let conflicts m k v =
     if m.n > 2 then
       match Int_table.find_opt m.many k with Some d -> d <> v | None -> false
-    else (m.n > 0 && m.k0 = k && m.v0 <> v) || (m.n > 1 && m.k1 = k && m.v1 <> v)
+    else
+      (m.n > 0 && m.k0 = k && m.v0 <> v) || (m.n > 1 && m.k1 = k && m.v1 <> v)
 
   let add m k v =
     if not (mem m k) then begin
@@ -729,7 +730,9 @@ let import v img =
     | None -> ());
     List.iter (fun k -> Small.add s.pairs_done k 0) img.ti_pairs;
     (* the image's last binding of a key wins, as a table replace would *)
-    List.iter (fun (k, d) -> Small.add s.x_deltas k d) (List.rev img.ti_x_deltas);
+    List.iter
+      (fun (k, d) -> Small.add s.x_deltas k d)
+      (List.rev img.ti_x_deltas);
     let or_unset ~unset = Option.value ~default:unset in
     s.delta_ct <- or_unset ~unset:no_delta img.ti_delta_ct;
     s.c_id <- or_unset ~unset:(-1) img.ti_c_id;

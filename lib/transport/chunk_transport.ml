@@ -493,7 +493,12 @@ module Receiver = struct
           { src; hdr = Wire.Scan.offset scan 0; t_sn; elems }
       | Error msg -> invalid_arg msg
     else if copybreak ~payload:n v.Chunk.src then
-      { src = Bytes.sub v.Chunk.src hdr (Wire.header_size + n); hdr = 0; t_sn; elems }
+      {
+        src = Bytes.sub v.Chunk.src hdr (Wire.header_size + n);
+        hdr = 0;
+        t_sn;
+        elems;
+      }
     else { src = v.Chunk.src; hdr; t_sn; elems }
 
   (* The held chunk, read again where it lies. *)
@@ -567,7 +572,8 @@ module Receiver = struct
             if copybreak ~payload:nbytes src then (Bytes.sub src off nbytes, 0)
             else (src, off)
           in
-          m.quarantine <- { q_src; q_off; c_sn; q_elems = elems; c_id } :: m.quarantine
+          m.quarantine <-
+            { q_src; q_off; c_sn; q_elems = elems; c_id } :: m.quarantine
         end;
         (* Available to the application the instant it arrived. *)
         Netsim.Stats.add rx.element_delay 0.0
@@ -893,7 +899,8 @@ module Receiver = struct
         | Edc.Verifier.Reassembly_error _ ->
             (* failed epoch: drop its suspect stash and end claim with
                it, but keep its first arrival for the retransmission *)
-            if m.stamped then Int_table.replace rx.first_arrival m.t_id m.arrival;
+            if m.stamped then
+              Int_table.replace rx.first_arrival m.t_id m.arrival;
             forget_corrob rx m.t_id);
         false
 
@@ -1175,7 +1182,9 @@ module Receiver = struct
         match Vreassembly.insert_new rx.shed_cover ~sn ~len ~st:false with
         | Ok _ | Error `Inconsistent -> ())
       img.Persist.ri_shed_spans;
-    List.iter (fun t -> Int_table.replace rx.shed_tids t ()) img.Persist.ri_shed_tids;
+    List.iter
+      (fun t -> Int_table.replace rx.shed_tids t ())
+      img.Persist.ri_shed_tids;
     List.iter
       (fun (t, at) -> Int_table.replace rx.last_reack t at)
       img.Persist.ri_last_reack;

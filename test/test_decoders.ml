@@ -21,7 +21,10 @@ let short_inputs ~valid =
       List.init 256 (fun a -> Bytes.cat valid (Bytes.make 1 (Char.chr a)));
     ]
 
-let hex b = String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (Bytes.to_seq b))))
+let hex b =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (Bytes.to_seq b)))
 
 (* Fails with the first input on which [decode] raises. *)
 let sweep ~valid decode () =
@@ -36,7 +39,9 @@ let sweep ~valid decode () =
 (* Two TPDUs of a small framed stream, as every encoder below sees it. *)
 let chunks =
   let fr = Framer.create ~elem_size:4 ~tpdu_elems:6 ~conn_id:3 () in
-  let frame n seed = Bytes.init (4 * n) (fun i -> Char.chr ((seed + (i * 29)) land 0xFF)) in
+  let frame n seed =
+    Bytes.init (4 * n) (fun i -> Char.chr ((seed + (i * 29)) land 0xFF))
+  in
   let first = get (Framer.push_frame fr (frame 4 1)) in
   let last = get (Framer.push_frame ~last:true fr (frame 5 2)) in
   get (Edc.Encoder.seal_tpdus (first @ last))
@@ -103,7 +108,8 @@ let suite =
       (sweep ~valid:(get (Huffman.compress_packet chunks))
          Huffman.decompress_packet);
     Alcotest.test_case "Huffman.deserialize" `Quick
-      (sweep ~valid:(Huffman.serialize code) (fun b -> Huffman.deserialize b 0));
+      (sweep ~valid:(Huffman.serialize code) (fun b ->
+           Huffman.deserialize b 0));
     Alcotest.test_case "Huffman.decode_bytes" `Quick huffman_decode_bytes;
     Alcotest.test_case "Huffman.decode_bytes refuses impossible counts"
       `Quick huffman_impossible_counts;
@@ -112,5 +118,6 @@ let suite =
     Alcotest.test_case "Connection.parse_signal, Open" `Quick
       (parse_signal (Connection.Open { first_csn = 7 }));
     Alcotest.test_case "Connection.parse_signal, Shed_tpdu" `Quick
-      (parse_signal (Connection.Shed_tpdu { t_id = 2; first_elem = 6; elems = 3 }));
+      (parse_signal
+         (Connection.Shed_tpdu { t_id = 2; first_elem = 6; elems = 3 }));
   ]

@@ -59,7 +59,13 @@ module S = Set.Make (Int)
 
 let same_as_set (size, ks) =
   let flat = Int_set.create size in
-  let reference = List.fold_left (fun s k -> Int_set.add flat k; S.add k s) S.empty ks in
+  let reference =
+    List.fold_left
+      (fun s k ->
+        Int_set.add flat k;
+        S.add k s)
+      S.empty ks
+  in
   Int_set.length flat = S.cardinal reference
   && Int_set.elements flat = S.elements reference
   && List.for_all (fun k -> Int_set.mem flat k = S.mem k reference)

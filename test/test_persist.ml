@@ -1066,14 +1066,20 @@ let test_shed_survives_restore () =
   let engine = Netsim.Engine.create ~seed:3 () in
   let send_ack _ = () and capacity = `Exact elems in
   let rx = CT.Receiver.create engine config ~send_ack ~capacity () in
-  List.iter (fun t -> List.iter (CT.Receiver.ingest rx) (packets t)) [ 0; 1; 3 ];
+  List.iter
+    (fun t -> List.iter (CT.Receiver.ingest rx) (packets t))
+    [ 0; 1; 3 ];
   CT.Receiver.shed_tpdu rx ~t_id:2 ~first_elem:(2 * tpdu_elems)
     ~elems:tpdu_elems;
-  Alcotest.(check bool) "complete before the crash" true (CT.Receiver.complete rx);
+  Alcotest.(check bool) "complete before the crash" true
+    (CT.Receiver.complete rx);
   let bytes =
     Persist.encode_endpoint
       (Persist.Single
-         { Persist.s_acked = CT.Receiver.acked_tids rx; s_rx = CT.Receiver.export rx })
+         {
+           Persist.s_acked = CT.Receiver.acked_tids rx;
+           s_rx = CT.Receiver.export rx;
+         })
   in
   match Persist.decode_endpoint bytes with
   | Ok (Persist.Single si) ->
@@ -1083,7 +1089,8 @@ let test_shed_survives_restore () =
       in
       Alcotest.(check bool) "complete after the restore" true
         (CT.Receiver.complete rx');
-      Alcotest.(check (list int)) "shed T.IDs" [ 2 ] (CT.Receiver.shed_tids rx');
+      Alcotest.(check (list int))
+        "shed T.IDs" [ 2 ] (CT.Receiver.shed_tids rx');
       List.iter (CT.Receiver.ingest rx') (packets 2);
       Alcotest.(check int) "a straggler of the shed TPDU opens nothing" 0
         (CT.Receiver.verifier_in_flight rx')

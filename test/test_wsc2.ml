@@ -179,10 +179,11 @@ let suite =
         Wsc2.add_symbol one ~pos a;
         Wsc2.add_symbol one ~pos:(pos + 1) b;
         Wsc2.add_triple grouped ~pos a b c;
-        let triple_ok = Wsc2.parity_equal (Wsc2.snapshot one) (Wsc2.snapshot grouped) in
+        let same x y = Wsc2.parity_equal (Wsc2.snapshot x) (Wsc2.snapshot y) in
+        let triple_ok = same one grouped in
         let one = Wsc2.create () and grouped = Wsc2.create () in
         Wsc2.add_symbol one ~pos:(pos + 1) b;
         Wsc2.add_symbol one ~pos a;
         Wsc2.add_pair grouped ~pos a b;
-        triple_ok && Wsc2.parity_equal (Wsc2.snapshot one) (Wsc2.snapshot grouped));
+        triple_ok && same one grouped);
   ]
