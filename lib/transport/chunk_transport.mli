@@ -177,15 +177,15 @@ module Receiver : sig
       entry.  One zero-allocation structural scan
       ({!Labelling.Wire.Scan}) validates the whole packet, dropping a
       malformed one whole exactly as {!Labelling.Wire.decode_packet}
-      would; each scanned chunk is then handed to {!on_view} as a view
-      of the packet ({!Labelling.Wire.Scan.view}), so no payload is
+      would; each scanned chunk is then handed to {!on_scanned} as a
+      view of the packet ({!Labelling.Wire.Scan.view}), so no payload is
       copied.  The qcheck property in [test_flowcache] holds it
       byte-identical to [decode_packet] followed by {!on_view} of each
       chunk over its own payload.
 
-      Ownership: the receiver never writes into [b], but it may keep a
-      view into it until the chunk's TPDU is decided, so the caller
-      must not mutate [b] afterwards. *)
+      Ownership: the receiver never writes into [b], but it may hold a
+      chunk of it until the chunk's TPDU is decided, so the caller must
+      not mutate [b] afterwards. *)
 
   val ingest_batch : t -> bytes array -> unit
   (** {!ingest} over a batch of packets, amortising dispatch cost;
@@ -264,7 +264,7 @@ module Receiver : sig
 
   (** {2 The dispatch invariants}
 
-      [on_view] trusts two facts rather than re-probing for them on
+      [on_scanned] trusts two facts rather than re-probing for them on
       every chunk: no T.ID holding a corroboration record is in the
       ledger or shed, and every governor handle a record holds is dead
       or the governor's own entry for its key.  These expose what a

@@ -117,8 +117,8 @@ val ingest : t -> bytes -> unit
     feeds every chunk back in its own one-chunk packet.
 
     Ownership: the endpoint never writes into the packet, but it may
-    keep a view into it until that chunk's TPDU is decided (see
-    {!Chunk_transport.Receiver.on_view} for the copybreak that bounds
+    hold a chunk of it until that chunk's TPDU is decided (see
+    {!Chunk_transport.Receiver.on_scanned} for the copybreak that bounds
     this), so the caller must not mutate a packet after handing it
     over. *)
 
