@@ -304,39 +304,40 @@ module Scan = struct
      word clear — one byte read instead of a boxed [Int64]. *)
   let tuple_ok b off = u8 b (off + o_sn) land 0xC0 = 0 && u8 b (off + o_st) <= 1
 
-  let packet s b =
-    s.n <- 0;
-    let nb = Bytes.length b in
-    let rec go off =
-      if off >= nb then true
-      else if nb - off < header_size then all_zero b off
+  (* The validating loop from [off] in [b], of length [nb]: a top-level
+     function, so that a scan builds no closure. *)
+  let rec scan_from s b nb off =
+    if off >= nb then true
+    else if nb - off < header_size then all_zero b off
+    else begin
+      let len = u32 b (off + o_len) in
+      if len > Header.max_len then false
       else begin
-        let len = u32 b (off + o_len) in
-        if len > Header.max_len then false
+        let code = u8 b (off + o_type) in
+        let is_data = code = 0 in
+        let size = u16 b (off + o_size) in
+        if is_data && len > 0 && size < 1 then false
+        else if
+          not
+            (tuple_ok b (off + o_c)
+            && tuple_ok b (off + o_t)
+            && tuple_ok b (off + o_x))
+        then false
+        else if len = 0 then true (* terminator: rest of packet ignored *)
         else begin
-          let code = u8 b (off + o_type) in
-          let is_data = code = 0 in
-          let size = u16 b (off + o_size) in
-          if is_data && len > 0 && size < 1 then false
-          else if
-            not
-              (tuple_ok b (off + o_c)
-              && tuple_ok b (off + o_t)
-              && tuple_ok b (off + o_x))
-          then false
-          else if len = 0 then true (* terminator: rest of packet ignored *)
+          let nbytes = if is_data then size * len else len in
+          if nb - (off + header_size) < nbytes then false
           else begin
-            let nbytes = if is_data then size * len else len in
-            if nb - (off + header_size) < nbytes then false
-            else begin
-              push s off (u32 b (off + o_c + o_id)) code;
-              go (off + header_size + nbytes)
-            end
+            push s off (u32 b (off + o_c + o_id)) code;
+            scan_from s b nb (off + header_size + nbytes)
           end
         end
       end
-    in
-    go 0
+    end
+
+  let packet s b =
+    s.n <- 0;
+    scan_from s b (Bytes.length b) 0
 
   let size b off = Bytes.get_uint16_be b (off + o_size)
   let len b off = get_u32 b (off + o_len)

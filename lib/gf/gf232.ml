@@ -23,9 +23,9 @@ let[@inline] xtime a =
   ((a lsl 1) land mask32) lxor (-((a lsr 31) land 1) land reduction)
 
 (* The bit-serial reference implementation.  It is the oracle every
-   table below is generated from and differentially tested against
-   (test/test_gf_fast.ml); the table-driven fast paths further down are
-   what the hot paths use. *)
+   fast path below is differentially tested against
+   (test/test_gf_fast.ml); the fast paths further down are what the hot
+   paths use. *)
 module Ref = struct
   (* Russian-peasant multiplication with reduction folded into every
      step; all intermediates stay within 32 bits, so native ints are
@@ -63,44 +63,43 @@ module Ref = struct
     !acc
 end
 
-(* --- table-driven fast paths -------------------------------------- *)
+(* --- fast paths ---------------------------------------------------- *)
 
-(* t*x^32 mod m for the nibble t that overflows a 4-bit shift.  Both
-   factors have degree <= 7, so the field product equals the plain
-   carry-less product. *)
-let top4_overflow = Array.init 16 (fun n -> Ref.mul n reduction)
+(* Carry-less multiplication by integer multiplication with holes: the
+   operands are split into four parts whose set bits are four positions
+   apart, so in each integer product of two parts every column collects
+   at most eight partial products, which fits in the four bits before
+   the next column of the same residue mod 4.  A column's low bit is
+   then the XOR of its partial products, the carry-less product's bit.
+   Products whose exponents meet in the same residue are XORed and
+   masked to it.  The full product has degree <= 62, which a native int
+   holds; no table, no scratch, no allocation, and no data-dependent
+   branch. *)
+let parts = 0x1111_1111
+let columns = 0x1111_1111_1111_1111
 
-(* One 4-bit shift-and-reduce step (multiply by x^4). *)
-let[@inline] mul_x4 v =
-  ((v lsl 4) land mask32) lxor Array.unsafe_get top4_overflow (v lsr 28)
+(* [h * x^32] folded down with x^32 = x^7 + x^3 + x^2 + 1 *)
+let[@inline] fold h = h lxor (h lsl 2) lxor (h lsl 3) lxor (h lsl 7)
 
-(* Windowed multiplication, 4-bit window over [b]: build the 16 nibble
-   multiples of [a] with three shift-reduce doublings (an array literal,
-   allocated inline on the minor heap rather than through a C call),
-   then fold the 8 nibbles of [b] with one table-driven x^4 step each.
-   Replaces the 32 branchy shift/reduce iterations of [Ref.mul] on the
-   anchoring multiply of the WSC-2 kernel. *)
 let mul a b =
-  if a = 0 || b = 0 then 0
-  else begin
-    let a2 = xtime a in
-    let a4 = xtime a2 in
-    let a8 = xtime a4 in
-    let w =
-      [| 0; a; a2; a2 lxor a; a4; a4 lxor a; a4 lxor a2; a4 lxor a2 lxor a;
-         a8; a8 lxor a; a8 lxor a2; a8 lxor a2 lxor a; a8 lxor a4;
-         a8 lxor a4 lxor a; a8 lxor a4 lxor a2; a8 lxor a4 lxor a2 lxor a |]
-    in
-    let acc = ref (Array.unsafe_get w ((b lsr 28) land 0xF)) in
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 24) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 20) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 16) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 12) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 8) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 4) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w (b land 0xF);
-    !acc
-  end
+  let a0 = a land parts and a1 = a land (parts lsl 1) in
+  let a2 = a land (parts lsl 2) and a3 = a land (parts lsl 3) in
+  let b0 = b land parts and b1 = b land (parts lsl 1) in
+  let b2 = b land (parts lsl 2) and b3 = b land (parts lsl 3) in
+  let z0 = (a0 * b0) lxor (a1 * b3) lxor (a2 * b2) lxor (a3 * b1) in
+  let z1 = (a0 * b1) lxor (a1 * b0) lxor (a2 * b3) lxor (a3 * b2) in
+  let z2 = (a0 * b2) lxor (a1 * b1) lxor (a2 * b0) lxor (a3 * b3) in
+  let z3 = (a0 * b3) lxor (a1 * b2) lxor (a2 * b1) lxor (a3 * b0) in
+  let p =
+    z0 land columns
+    lor (z1 land (columns lsl 1))
+    lor (z2 land (columns lsl 2))
+    lor (z3 land (columns lsl 3))
+  in
+  (* bits 32..62 fold to degree <= 37, whose bits 32..37 fold to
+     degree <= 12 *)
+  let r = fold (p lsr 32) in
+  (p lxor r lxor fold (r lsr 32)) land mask32
 
 let pow a n =
   if n < 0 then invalid_arg "Gf232.pow: negative exponent";
@@ -133,7 +132,7 @@ let alpha_pow i =
   if i < weight_cache_size then Array.unsafe_get weights i
   else begin
     (* beyond the Fig 5 layout: square-and-multiply over the cached
-       alpha^(2^k) ladder, with the windowed multiply *)
+       alpha^(2^k) ladder, with the fast multiply *)
     let acc = ref one in
     let i = ref i in
     let k = ref 0 in

@@ -14,14 +14,14 @@
 
     Two implementations coexist.  {!Ref} is the bit-serial reference
     (shift-and-reduce per bit) — slow, obviously correct, and the oracle
-    from which every table is generated.  The top-level operations are
-    the fast paths: a 4-bit windowed {!mul} and a memoized {!alpha_pow}
+    the fast paths are tested against.  The top-level operations are
+    the fast paths: a table-free {!mul} and a memoized {!alpha_pow}
     weight cache covering the whole Fig 5 position layout.  The WSC-2
     accumulation kernel ([Wsc2.add_bytes]) needs no table of its own: it
     multiplies by small powers of [alpha] with plain shifts and reduces
-    with one carry-less fold.  Both tables here are built once at
-    module initialisation and immutable afterwards, so they are safe to
-    share across domains. *)
+    with one carry-less fold.  The weight cache is built once at module
+    initialisation and immutable afterwards, and {!mul} keeps no state,
+    so both are safe to use from several domains at once. *)
 
 type t = int
 (** A field element; always in the range [0, 0xFFFF_FFFF]. *)
@@ -57,11 +57,10 @@ val xtime : t -> t
 
 val mul : t -> t -> t
 (** Carry-less polynomial multiplication reduced modulo [m(x)].
-    Table-driven: a 4-bit window over the second operand — the 16
-    nibble multiples of the first operand are built with three
-    shift-reduce doublings, then folded with one table-driven [x^4]
-    step per nibble.  Bit-identical to {!Ref.mul} on valid elements
-    (differentially tested). *)
+    Sixteen integer multiplications of operand parts whose bits are
+    four positions apart give the carry-less product, and two folds
+    reduce it.  Allocates nothing and reads no table.  Bit-identical to
+    {!Ref.mul} on valid elements (differentially tested). *)
 
 val pow : t -> int -> t
 (** [pow a n] is [a] raised to the [n]-th power by square-and-multiply.
@@ -86,8 +85,7 @@ val div : t -> t -> t
     @raise Division_by_zero if [b] is [zero]. *)
 
 (** The bit-serial reference implementation: the differential-testing
-    oracle, and the generator of every table in this module.  Never used
-    on a hot path. *)
+    oracle.  Never used on a hot path. *)
 module Ref : sig
   val mul : t -> t -> t
   (** Russian-peasant multiplication, 32 interleaved shift/reduce

@@ -5,10 +5,12 @@
 (* Flip to [false] and rebuild to switch the observability layer off:
    every instrumentation site is guarded by [if Obs.enabled then ...] on
    this immutable constant.  Whether the guard itself disappears depends
-   on the build: where the compiler may inline across modules (dune's
-   release profile), the constant propagates and each guarded branch is
-   dead code.  Dune's dev profile — what [dune runtest] and
-   [perfbench/run.sh] build — passes [-opaque], which hides the value
+   on the build.  The repository's [dune-workspace] selects dune's
+   release profile for every build in it ([dune runtest] and
+   [perfbench/run.sh] included), where the compiler may inline across
+   modules: the constant propagates and each guard folds away, so with
+   [false] the guarded branch is dead code.  A build in dune's dev
+   profile ([--profile dev]) passes [-opaque], which hides the value
    from every other module, so there each guard is a load and a test at
    run time, and [false] only skips the guarded work. *)
 let enabled = true

@@ -11,8 +11,10 @@
     guarded work from the hot paths (the WSC-2 accumulate kernel, the
     per-chunk verifier steps) without any source change elsewhere.  The
     guards themselves compile out only where the compiler sees the
-    constant across modules: in dune's dev profile, which [dune runtest]
-    and the receive-path benchmark build, [-opaque] hides it, so every
+    constant across modules: in the release profile that the
+    repository's [dune-workspace] selects for every build, [dune runtest]
+    and the receive-path benchmark included, they do.  Under dune's dev
+    profile ([--profile dev]), [-opaque] hides the constant, so every
     guard remains a load and a test at run time.
 
     {!Metrics} holds the process-wide registry of counters, gauges and

@@ -151,13 +151,15 @@ let parse_nack b pos n =
    reverse path): re-acknowledge instead of staying silent, or the
    sender retransmits to a wall until it gives up.  Throttled per TPDU
    through the caller's [last_reack] table, so a duplication storm does
-   not become an ACK storm; every re-ACK sent is counted twice over, in
-   [counts] and in the registry. *)
+   not become an ACK storm; the table holds [Obs.stamp]s, immediates, so
+   a re-ACK writes no fresh box into a table long since promoted.  Every
+   re-ACK sent is counted twice over, in [counts] and in the
+   registry. *)
 let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
   match Int_table.find_opt last_reack t_id with
-  | Some last when now -. last < gap -> ()
+  | Some last when now -. Obs.unstamp last < gap -> ()
   | Some _ | None ->
-      Int_table.replace last_reack t_id now;
+      Int_table.replace last_reack t_id (Obs.stamp now);
       counts.Counters.reacks_sent <- counts.Counters.reacks_sent + 1;
       if Obs.enabled then Obs.Metrics.incr m_reacks;
       send_ack (ack_packet ~conn_id ~t_id)
@@ -285,7 +287,8 @@ module Receiver = struct
     mutable frontier : int;
     (* the stream's last element, from a verified TPDU's end claim *)
     mutable end_confirmed : int option;
-    last_reack : float Int_table.t;
+    (* t_id -> [Obs.stamp] of its last re-ACK *)
+    last_reack : int Int_table.t;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
     counts : Counters.t;  (* the owner's record, or the receiver's own *)
@@ -1144,7 +1147,10 @@ module Receiver = struct
           (fun m ->
             if m.end_claim = no_claim then None else Some (m.t_id, m.end_claim))
           records;
-      ri_last_reack = sorted_assoc rx.last_reack;
+      ri_last_reack =
+        List.map
+          (fun (t, s) -> (t, Obs.unstamp s))
+          (sorted_assoc rx.last_reack);
       ri_passed = epoch_passes rx;
       ri_tpdus =
         List.filter
@@ -1186,7 +1192,7 @@ module Receiver = struct
       (fun t -> Int_table.replace rx.shed_tids t ())
       img.Persist.ri_shed_tids;
     List.iter
-      (fun (t, at) -> Int_table.replace rx.last_reack t at)
+      (fun (t, at) -> Int_table.replace rx.last_reack t (Obs.stamp at))
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
     (* each stashed chunk was persisted as a one-chunk packet: scanned,

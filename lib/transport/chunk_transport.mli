@@ -91,7 +91,7 @@ val ack_packet : conn_id:int -> t_id:int -> bytes
 val reack :
   counts:Counters.t ->
   send_ack:(bytes -> unit) ->
-  last_reack:float Labelling.Int_table.t ->
+  last_reack:int Labelling.Int_table.t ->
   gap:float ->
   now:float ->
   conn_id:int ->
@@ -99,9 +99,10 @@ val reack :
   unit
 (** The one re-ACK path, of a live epoch and of {!Multi}'s closed ones:
     unless the caller's throttle table [last_reack] holds a re-ACK of
-    [t_id] less than [gap] seconds before [now], stamp [now] there,
-    count it in [counts.reacks_sent] and [transport_reacks_total], and
-    send its {!ack_packet}.  [gap = neg_infinity] never throttles. *)
+    [t_id] less than [gap] seconds before [now], stamp [now] there (an
+    [Obs.stamp]), count it in [counts.reacks_sent] and
+    [transport_reacks_total], and send its {!ack_packet}.
+    [gap = neg_infinity] never throttles. *)
 
 (** {1 Receiver} *)
 

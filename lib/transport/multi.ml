@@ -14,7 +14,7 @@ type epoch_report = {
 type conn = {
   id : int;
   acked : Int_set.t;  (* ACK ledger, shared across epochs *)
-  last_reack : float Int_table.t;
+  last_reack : int Int_table.t;  (* [Obs.stamp]s, as the live epoch's *)
   mutable live : R.t option;
   mutable live_open : int option;
       (* the live epoch's announced Open C.SN; [None] until its Open is

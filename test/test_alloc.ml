@@ -3,9 +3,12 @@
    to a committed figure.  Three streams: the in-order bulk stream, the
    same with every ACK journalled through a [Persist.Store], and a
    shuffled one with duplicate re-offers.  Each budget is the value
-   measured once per-TPDU receive state was kept in flat, reused
-   records; a change may lower a budget, and one that raises it has to
-   say why here.
+   measured in the release profile the repository's dune-workspace
+   selects, once the field multiply and the packet scanner stopped
+   allocating; a change may lower a budget, and one that raises it has
+   to say why here.  A build without cross-module inlining
+   ([--profile dev], which passes -opaque) allocates about 17 words per
+   packet more, and so fails these budgets.
 
    [Gc.minor_words ()] is exact at any instant; [Gc.quick_stat]'s
    [minor_words] is only brought up to date at collections, so it is not
@@ -32,9 +35,9 @@ let warm_tpdus = 8
 
 (* minor words per packet over each measured stream, as last measured;
    see the header *)
-let budget_bulk = 269.5
-let budget_journalled = 283.5
-let budget_shuffled = 257.8
+let budget_bulk = 204.1
+let budget_journalled = 218.1
+let budget_shuffled = 197.7
 
 (* words promoted per packet over each measured stream, as last
    measured *)

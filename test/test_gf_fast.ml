@@ -55,6 +55,41 @@ let test_mul_matches_ref =
     QCheck2.Gen.(tup2 gen_elt gen_elt)
     (fun (a, b) -> Gf232.mul a b = Gf232.Ref.mul a b)
 
+(* The dense and sparse operands random draws rarely reach: every pair
+   of single-bit elements, and all-ones and alternating patterns, whose
+   partial products fill the multiply's columns to the brim. *)
+let test_mul_edges =
+  Alcotest.test_case "mul = Ref.mul on single-bit and dense operands" `Quick
+    (fun () ->
+      let bits = List.init 32 (fun i -> 1 lsl i) in
+      let dense =
+        [ 0; 1; 0xFFFF_FFFF; 0xAAAA_AAAA; 0x5555_5555; 0x8888_8888;
+          0x1111_1111; 0xFFFF_0000; 0x0000_FFFF; 0x8000_0001 ]
+      in
+      let ops = bits @ dense in
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              if Gf232.mul a b <> Gf232.Ref.mul a b then
+                Alcotest.failf "mul 0x%08x 0x%08x" a b)
+            ops)
+        ops)
+
+(* The multiply keeps no table or scratch: a chain of them allocates
+   nothing on the minor heap. *)
+let test_mul_allocates_nothing =
+  Alcotest.test_case "mul allocates no minor word" `Quick (fun () ->
+      let acc = ref 0x1234_5678 in
+      let w0 = Gc.minor_words () in
+      for i = 1 to 1000 do
+        acc := Gf232.mul !acc (i lor 0x0101_0000)
+      done;
+      let w1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity !acc);
+      Alcotest.(check (float 0.)) "minor words over 1000 multiplies" 0.
+        (w1 -. w0))
+
 let test_alpha_pow_matches_ref =
   (* straddle the weight-cache boundary (2^16) on purpose *)
   Util.qtest ~count:300 "alpha_pow = Ref.alpha_pow (across the cache edge)"
@@ -139,6 +174,8 @@ let axiom_suite =
 let suite =
   [
     test_mul_matches_ref;
+    test_mul_edges;
+    test_mul_allocates_nothing;
     test_alpha_pow_matches_ref;
     test_add_bytes_matches_ref;
     test_known_parity;

@@ -458,6 +458,31 @@ let test_field_boundary_sweep () =
         (edges field width))
     Wire.layout
 
+(* The scanner records offsets into its own arrays and builds nothing:
+   once warmed (its arrays grown to the packet's chunk count), a scan
+   allocates no minor word. *)
+let test_scan_allocates_nothing () =
+  let label id sn st = Ftuple.v ~st ~id ~sn () in
+  let chunks =
+    List.init 20 (fun i ->
+        Util.ok_or_fail
+          (Chunk.data ~size:4 ~c:(label 7 (8 * i) false)
+             ~t:(label 3 (8 * i) false) ~x:(label 1 0 (i = 19))
+             (Bytes.make 32 (Char.chr i))))
+  in
+  let b = Util.ok_or_fail (Wire.encode_packet chunks) in
+  let scan = Wire.Scan.create () in
+  Alcotest.(check bool) "accepted" true (Wire.Scan.packet scan b);
+  Alcotest.(check int) "every chunk" 20 (Wire.Scan.count scan);
+  let ok = ref true in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ok := Wire.Scan.packet scan b && !ok
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check bool) "still accepted" true !ok;
+  Alcotest.(check (float 0.)) "minor words over 1000 scans" 0. (w1 -. w0)
+
 let suite =
   suite
   @ [
@@ -467,4 +492,6 @@ let suite =
       prop_with_ids_fields;
       Alcotest.test_case "boundary sweep of every header field" `Quick
         test_field_boundary_sweep;
+      Alcotest.test_case "a warmed scanner allocates nothing per packet"
+        `Quick test_scan_allocates_nothing;
     ]
