@@ -27,9 +27,9 @@ let clm_lat () =
     "element avail. delay (ms)" "tpdu latency (ms)";
   List.iter
     (fun loss ->
-      let c = Transport.Chunk_transport.run ~seed ~loss ~paths:8 ~data () in
+      let c = Transport.Transfer.run ~seed ~loss ~paths:8 ~data () in
       let b = Transport.Buffered_transport.run ~seed ~loss ~paths:8 ~data () in
-      assert c.Transport.Chunk_transport.ok;
+      assert c.Transport.Transfer.ok;
       assert b.Transport.Buffered_transport.ok;
       let f = function
         | Some s -> Printf.sprintf "mean %.3f p99 %.3f" (s.Netsim.Stats.mean *. 1e3) (s.Netsim.Stats.p99 *. 1e3)
@@ -51,17 +51,17 @@ let clm_lat () =
 let clm_touch () =
   section "CLM-TOUCH" "memory-bus crossings per delivered byte";
   let data = transfer_data (4 * 1024 * 1024) in
-  let c = Transport.Chunk_transport.run ~seed ~data () in
+  let c = Transport.Transfer.run ~seed ~data () in
   let b = Transport.Buffered_transport.run ~seed ~data () in
   Printf.printf "  chunks   (ILP, no buffering):   %.2f crossings/byte\n"
-    c.Transport.Chunk_transport.bus_crossings_per_byte;
+    c.Transport.Transfer.bus_crossings_per_byte;
   Printf.printf "  buffered (reassemble first):    %.2f crossings/byte\n"
     b.Transport.Buffered_transport.bus_crossings_per_byte;
   Printf.printf "  ratio: %.2fx (paper: buffering moves data across the bus \
                  twice\n  before processing — 1 DMA + 2-crossing copy vs 1 \
                  DMA)\n"
     (b.Transport.Buffered_transport.bus_crossings_per_byte
-    /. c.Transport.Chunk_transport.bus_crossings_per_byte)
+    /. c.Transport.Transfer.bus_crossings_per_byte)
 
 (* CLM-1STEP: reassembly work vs number of fragmentation stages. *)
 let clm_1step () =
@@ -114,13 +114,13 @@ let clm_lockup () =
         b.Transport.Buffered_transport.ok)
     [ 8 * 1024; 16 * 1024; 64 * 1024; 512 * 1024 ];
   let c =
-    Transport.Chunk_transport.run ~seed ~loss:0.02
+    Transport.Transfer.run ~seed ~loss:0.02
       ~config:{ Transport.Chunk_transport.default_config with
                 Transport.Chunk_transport.window = 16 }
       ~data ()
   in
   Printf.printf "  %-22s %-12s %-10d %-8b\n" "chunks" "none needed" 0
-    c.Transport.Chunk_transport.ok;
+    c.Transport.Transfer.ok;
   Printf.printf
     "  -> the chunk receiver places data at its final destination on\n\
     \     arrival: there is no reassembly buffer to lock up (§3.3).\n"
@@ -362,19 +362,19 @@ let clm_adapt () =
   List.iter
     (fun loss ->
       let fixed =
-        Transport.Chunk_transport.run ~seed ~loss ~rate_bps ~data ~config:base
+        Transport.Transfer.run ~seed ~loss ~rate_bps ~data ~config:base
           ()
       in
       let adaptive =
-        Transport.Chunk_transport.run ~seed ~loss ~rate_bps ~data
+        Transport.Transfer.run ~seed ~loss ~rate_bps ~data
           ~config:{ base with Transport.Chunk_transport.adaptive = true }
           ()
       in
-      assert fixed.Transport.Chunk_transport.ok;
-      assert adaptive.Transport.Chunk_transport.ok;
+      assert fixed.Transport.Transfer.ok;
+      assert adaptive.Transport.Transfer.ok;
       let amp o =
-        float_of_int o.Transport.Chunk_transport.wire_bytes
-        /. float_of_int o.Transport.Chunk_transport.sent_bytes
+        float_of_int o.Transport.Transfer.wire_bytes
+        /. float_of_int o.Transport.Transfer.sent_bytes
       in
       Printf.printf "  %-8.2f %-10s %-20.3f %-12d %-14s\n" loss "fixed"
         (amp fixed) fixed.retransmissions "2048 elems";
@@ -406,10 +406,10 @@ let clm_sack () =
       List.iter
         (fun (label, config) ->
           let o =
-            Transport.Chunk_transport.run ~seed ~loss ~rate_bps:50e6 ~data
+            Transport.Transfer.run ~seed ~loss ~rate_bps:50e6 ~data
               ~config ()
           in
-          assert o.Transport.Chunk_transport.ok;
+          assert o.Transport.Transfer.ok;
           Printf.printf "  %-8.2f %-10s %-16d %-14d %-12s %-20.3f\n" loss label
             o.retransmissions o.sack_retransmissions
             (if config.Transport.Chunk_transport.sack then "yes" else "no")

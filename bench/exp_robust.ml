@@ -17,27 +17,24 @@ let rob_rto () =
   section "ROB-RTO" "goodput vs loss: fixed RTO vs adaptive (Jacobson/Karn)";
   let data = transfer_data 131072 in
   let base =
-    (* small TTL: the governor's trailing sweep is part of sim_time, so
-       keep it out of the goodput comparison's way *)
     { Transport.Chunk_transport.default_config with
       Transport.Chunk_transport.rto = 0.25;
-      window = 4;
-      state_ttl = 0.25 }
+      window = 4 }
   in
   Printf.printf "  %-8s %-22s %-22s %-10s\n" "loss" "fixed goodput (Mb/s)"
     "adaptive goodput (Mb/s)" "speedup";
   List.iter
     (fun loss ->
       let run config =
-        Transport.Chunk_transport.run ~seed ~loss ~config ~data ()
+        Transport.Transfer.run ~seed ~loss ~config ~data ()
       in
       let fixed = run base in
       let adaptive =
         run { base with Transport.Chunk_transport.rto_adaptive = true }
       in
-      assert fixed.Transport.Chunk_transport.ok;
-      assert adaptive.Transport.Chunk_transport.ok;
-      let mbps o = o.Transport.Chunk_transport.goodput_bps /. 1e6 in
+      assert fixed.Transport.Transfer.ok;
+      assert adaptive.Transport.Transfer.ok;
+      let mbps o = o.Transport.Transfer.goodput_bps /. 1e6 in
       let speedup = adaptive.goodput_bps /. fixed.goodput_bps in
       Printf.printf "  %-8.2f %-22.3f %-22.3f %-10.2fx\n" loss (mbps fixed)
         (mbps adaptive) speedup;
@@ -59,6 +56,18 @@ let rob_rto () =
         (float_of_int adaptive.rtt_samples))
     [ 0.0; 0.05; 0.10; 0.20 ]
 
+(* A starved forward path: every packet carrying an ED chunk is lost, so
+   no TPDU can verify. *)
+let drops_ed b =
+  match Labelling.Wire.decode_packet b with
+  | Error _ -> false
+  | Ok chunks ->
+      List.exists
+        (fun ch ->
+          Labelling.Ctype.equal ch.Labelling.Chunk.header.Labelling.Header.ctype
+            Labelling.Ctype.ed)
+        chunks
+
 (* ROB-ABORT: the cost of abandoning a starved transfer.  The reverse
    path is dead and the forward path loses every ED-bearing packet, so
    no TPDU can verify and the receiver accumulates partial state; the
@@ -66,71 +75,51 @@ let rob_rto () =
    [give_up_txs] transmissions, and signals Abort_tpdu so that state is
    reclaimed immediately instead of waiting for the delta-t deadline. *)
 let rob_abort () =
+  let module CT = Transport.Chunk_transport in
+  let module M = Transport.Multi in
   section "ROB-ABORT" "give-up under a starved path";
   let engine = Netsim.Engine.create ~seed () in
   let config =
-    { Transport.Chunk_transport.default_config with
-      Transport.Chunk_transport.rto = 0.05;
-      give_up_txs = 6;
-      state_ttl = 30.0 }
+    { CT.default_config with CT.rto = 0.05; give_up_txs = 6; state_ttl = 30.0 }
   in
-  let receiver = ref None in
-  let drops_ed b =
-    match Labelling.Wire.decode_packet b with
-    | Error _ -> false
-    | Ok chunks ->
-        List.exists
-          (fun ch ->
-            Labelling.Ctype.equal
-              ch.Labelling.Chunk.header.Labelling.Header.ctype
-              Labelling.Ctype.ed)
-          chunks
-  in
-  let tx =
-    Transport.Chunk_transport.Sender.create engine config
-      ~send:(fun b ->
-        match !receiver with
-        | Some rx ->
-            if not (drops_ed b) then
-              Transport.Chunk_transport.Receiver.ingest rx b
-        | None -> ())
-      ~data:(transfer_data 8192) ()
-  in
-  let rx =
-    Transport.Chunk_transport.Receiver.create engine config
+  let m =
+    M.create engine ~config
+      ~quota_elems:(CT.expected_elements config ~data_len:8192)
+      ~max_conns:1
       ~send_ack:(fun _ -> ())
-      ~capacity:
-        (`Exact
-          (Transport.Chunk_transport.expected_elements config ~data_len:8192))
       ()
   in
-  receiver := Some rx;
-  Transport.Chunk_transport.Sender.start tx;
-  Netsim.Engine.run engine;
-  let module CT = Transport.Chunk_transport in
+  let tx =
+    CT.Sender.create engine config ~announce_open:true
+      ~send:(fun b -> if not (drops_ed b) then M.ingest m b)
+      ~data:(transfer_data 8192) ()
+  in
+  CT.Sender.start tx;
+  (* stop at the give-up, before the connection's own deadline sweep
+     could reclaim what the aborts did not *)
+  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
+    ()
+  done;
+  let gave_up_at = Netsim.Engine.now engine in
   Printf.printf
     "  gave up after %.3f sim s; aborts sent %d, received %d; receiver \
-     in-flight %d, stashed %d\n"
-    (Netsim.Engine.now engine)
-    (CT.Sender.aborts_sent tx)
-    (CT.Receiver.counters rx).aborts_received
-    (CT.Receiver.verifier_in_flight rx)
-    (CT.Receiver.stashed_tpdus rx);
-  Util_bench.Metrics.record ~exp:"ROB-ABORT" "give-up sim s"
-    (Netsim.Engine.now engine);
+     in-flight %d, stashed %d, deadline evictions %d\n"
+    gave_up_at (CT.Sender.aborts_sent tx) (M.counters m).aborts_received
+    (M.live_in_flight m) (M.live_stashed m) (M.counters m).evictions;
+  Util_bench.Metrics.record ~exp:"ROB-ABORT" "give-up sim s" gave_up_at;
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "aborts sent"
     (float_of_int (CT.Sender.aborts_sent tx));
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "receiver in-flight after"
-    (float_of_int (CT.Receiver.verifier_in_flight rx))
+    (float_of_int (M.live_in_flight m))
 
 (* ROB-RECOVER: what crash recovery costs.  The paper's compact receiver
    state (WSC-2 parities + reassembly spans + a small label table per
    in-flight TPDU) is what makes snapshots cheap; measure it.  Two
    sweeps: snapshot size and decode+restore wall time against the
-   number of in-flight TPDUs (single connection, ED-bearing packets
-   dropped so nothing verifies and the whole window is in-flight soft
-   state), and against the number of live connections (a Multi endpoint
-   snapshotted mid-transfer). *)
+   number of in-flight TPDUs (one connection, ED-bearing packets dropped
+   so nothing verifies and the whole window is in-flight soft state),
+   and against the number of live connections, each endpoint snapshotted
+   mid-transfer. *)
 let rob_recover () =
   let module CT = Transport.Chunk_transport in
   let module P = Transport.Persist in
@@ -141,17 +130,6 @@ let rob_recover () =
       restore ()
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e6
-  in
-  let drops_ed b =
-    match Labelling.Wire.decode_packet b with
-    | Error _ -> false
-    | Ok chunks ->
-        List.exists
-          (fun ch ->
-            Labelling.Ctype.equal
-              ch.Labelling.Chunk.header.Labelling.Header.ctype
-              Labelling.Ctype.ed)
-          chunks
   in
   Printf.printf "  %-18s %-10s %-16s %-14s\n" "in-flight TPDUs" "snapshot B"
     "B per TPDU" "restore us";
@@ -167,44 +145,35 @@ let rob_recover () =
       in
       let tpdu_bytes = config.CT.tpdu_elems * config.CT.elem_size in
       let data = transfer_data (2 * k * tpdu_bytes) in
-      let expected =
+      let quota_elems =
         CT.expected_elements config ~data_len:(Bytes.length data)
       in
-      let receiver = ref None in
+      let m =
+        Transport.Multi.create engine ~config ~quota_elems ~max_conns:1
+          ~send_ack:(fun _ -> ())
+          ()
+      in
       let tx =
-        CT.Sender.create engine config
-          ~send:(fun b ->
-            match !receiver with
-            | Some rx -> if not (drops_ed b) then CT.Receiver.ingest rx b
-            | None -> ())
+        CT.Sender.create engine config ~announce_open:true
+          ~send:(fun b -> if not (drops_ed b) then Transport.Multi.ingest m b)
           ~data ()
       in
-      let rx =
-        CT.Receiver.create engine config
-          ~send_ack:(fun _ -> ())
-          ~capacity:(`Exact expected) ()
-      in
-      receiver := Some rx;
       CT.Sender.start tx;
       (* stop before the first RTO fires: exactly the initial window is
          in flight, none of it verified *)
       Netsim.Engine.run ~until:0.04 engine;
-      let in_flight = CT.Receiver.verifier_in_flight rx in
-      let img =
-        P.Single { P.s_acked = CT.Receiver.acked_tids rx; s_rx = CT.Receiver.export rx }
-      in
-      let encoded = P.encode_endpoint img in
+      let in_flight = Transport.Multi.live_in_flight m in
+      let encoded = P.encode_endpoint (P.Multi (Transport.Multi.export m)) in
       let us =
         time_restores 200 (fun () ->
             match P.decode_endpoint encoded with
             | Error e -> failwith e
-            | Ok (P.Multi _) -> failwith "shape changed"
-            | Ok (P.Single si) ->
+            | Ok (P.Multi cs) ->
                 ignore
-                  (CT.Receiver.restore engine config
+                  (Transport.Multi.restore engine ~config ~quota_elems
+                     ~max_conns:1
                      ~send_ack:(fun _ -> ())
-                     ~capacity:(`Exact expected) si.P.s_rx
-                     ~acked_tids:si.P.s_acked))
+                     cs))
       in
       let per_tpdu =
         float_of_int (Bytes.length encoded) /. float_of_int (max 1 in_flight)
@@ -246,7 +215,6 @@ let rob_recover () =
         time_restores 100 (fun () ->
             match P.decode_endpoint encoded with
             | Error e -> failwith e
-            | Ok (P.Single _) -> failwith "shape changed"
             | Ok (P.Multi cs) ->
                 ignore
                   (Transport.Multi.restore engine ~config ~quota_elems
@@ -277,6 +245,7 @@ let rob_recover () =
 let rob_shed () =
   let module CT = Transport.Chunk_transport in
   let module I = Transport.Interleave in
+  let module M = Transport.Multi in
   section "ROB-SHED" "critical goodput under congestion: shed off vs on";
   let elem_size = 4 and tpdu_elems = 64 in
   let base_bytes = 32768 in
@@ -303,25 +272,18 @@ let rob_shed () =
         tpdu_elems;
         window = 8;
         rto = 0.05;
-        (* small TTL as in ROB-RTO: the governor's trailing sweep is
-           part of sim_time, keep it out of the goodput comparison *)
-        state_ttl = 0.25;
         classify = plan.I.classify;
         shed_txs = (if shed then 2 else 0) }
     in
     let engine = Netsim.Engine.create ~seed () in
-    let receiver = ref None in
-    let sender = ref None in
+    let endpoint = ref None and sender = ref None in
     let congested =
       Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
         ~sheddable:(fun t_id ->
           Labelling.Significance.sheddable (plan.I.classify t_id))
         ~rng:(Netsim.Rng.create ~seed:(seed + 1))
         ~loss
-        ~forward:(fun b ->
-          match !receiver with
-          | Some rx -> CT.Receiver.ingest rx b
-          | None -> ())
+        ~forward:(fun b -> Option.iter (fun m -> M.ingest m b) !endpoint)
         ()
     in
     let forward =
@@ -333,32 +295,40 @@ let rob_shed () =
     let reverse =
       Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
         ~mtu:config.CT.mtu
-        ~deliver:(fun b ->
-          match !sender with Some s -> CT.Sender.on_packet s b | None -> ())
+        ~deliver:(fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
         ()
     in
-    let rx =
-      CT.Receiver.create engine config
+    let m =
+      M.create engine ~config ~quota_elems:plan.I.total_elems ~max_conns:1
         ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-        ~capacity:(`Exact plan.I.total_elems) ()
+        ()
     in
-    receiver := Some rx;
+    endpoint := Some m;
     let tx =
-      CT.Sender.of_tpdus engine config
+      CT.Sender.of_tpdus engine config ~announce_open:true
         ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
         plan.I.tpdus
     in
     sender := Some tx;
     CT.Sender.start tx;
-    Netsim.Engine.run engine;
+    (* the transfer ends when the sender finishes *)
+    while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
+      ()
+    done;
     (* the mandatory contract holds in both modes: complete, not given
        up, byte-exact outside honoured shed spans, base layer whole *)
     assert (not (CT.Sender.gave_up tx));
-    assert (CT.Receiver.complete rx);
-    let delivered = CT.Receiver.contents rx in
+    let e =
+      match M.epochs m ~conn_id:config.CT.conn_id with
+      | [ e ] -> e
+      | _ -> failwith "ROB-SHED: expected one epoch"
+    in
+    assert e.M.complete;
     let expected = I.expected ~elem_size ~tpdu_elems streams in
-    let spans = CT.Receiver.shed_spans rx in
-    assert (CT.equal_outside_sheds ~elem_size ~spans ~expected ~delivered);
+    let spans = e.M.shed_spans in
+    assert (
+      Transport.Transfer.equal_outside_sheds ~elem_size ~spans ~expected
+        ~delivered:e.M.delivered);
     let base_elems = (List.hd plan.I.layout).I.l_elems in
     assert (List.for_all (fun (first, _) -> first >= base_elems) spans);
     let sim = Netsim.Engine.now engine in

@@ -58,7 +58,7 @@ let run_transfer seed size loss corrupt duplicate paths sack adaptive buffered
       List.map (fun mtu -> (Labelling.Repack.Combine, mtu)) gateway_mtus
     in
     let o =
-      Transport.Chunk_transport.run ~seed ~config ~loss ~corrupt ~duplicate
+      Transport.Transfer.run ~seed ~config ~loss ~corrupt ~duplicate
         ~paths ~gateways ~data ()
     in
     Printf.printf
@@ -66,13 +66,13 @@ let run_transfer seed size loss corrupt duplicate paths sack adaptive buffered
       \  ok %b; %.3f s simulated; %d full + %d selective retransmissions\n\
       \  wire amplification %.3f; bus crossings/byte %.2f\n\
       \  verifier: %d passed, %d failed, %d duplicates dropped\n"
-      o.Transport.Chunk_transport.ok o.sim_time o.retransmissions
+      o.Transport.Transfer.ok o.sim_time o.retransmissions
       o.sack_retransmissions
       (float_of_int o.wire_bytes /. float_of_int o.sent_bytes)
       o.bus_crossings_per_byte o.verifier.Edc.Verifier.tpdus_passed
       o.verifier.Edc.Verifier.tpdus_failed o.verifier.Edc.Verifier.duplicates;
     pp_summary "element availability delay:" o.element_delay;
-    if o.Transport.Chunk_transport.ok then 0 else 1
+    if o.Transport.Transfer.ok then 0 else 1
   end
 
 let seed_t =
@@ -184,7 +184,7 @@ let run_stats seed size loss corrupt duplicate paths sack format out =
       Transport.Chunk_transport.sack }
   in
   let o =
-    Transport.Chunk_transport.run ~seed ~config ~loss ~corrupt ~duplicate
+    Transport.Transfer.run ~seed ~config ~loss ~corrupt ~duplicate
       ~paths ~data ()
   in
   let body = render (Obs.Metrics.snapshot ()) ^ "\n" in
@@ -196,7 +196,7 @@ let run_stats seed size loss corrupt duplicate paths sack format out =
       | exception Failure msg ->
           Printf.eprintf "error: --out: %s\n" msg;
           exit 2));
-  if o.Transport.Chunk_transport.ok then 0 else 1
+  if o.Transport.Transfer.ok then 0 else 1
 
 let stats_cmd =
   let size =

@@ -23,12 +23,12 @@ let () =
     (Bytes.length data);
 
   let chunk =
-    Transport.Chunk_transport.run ~seed:7 ~loss:0.01 ~paths:8 ~skew:0.25e-3
+    Transport.Transfer.run ~seed:7 ~loss:0.01 ~paths:8 ~skew:0.25e-3
       ~data ()
   in
   Printf.printf "\nchunk transport (immediate processing):\n";
   Printf.printf "  delivered intact:            %b\n"
-    chunk.Transport.Chunk_transport.ok;
+    chunk.Transport.Transfer.ok;
   Printf.printf "  simulated time:              %.3f s\n" chunk.sim_time;
   Printf.printf "  goodput:                     %.1f Mb/s\n"
     (chunk.goodput_bps /. 1e6);

@@ -195,7 +195,7 @@ let () =
     }
   in
   let engine = Netsim.Engine.create ~seed:42 () in
-  let receiver = ref None in
+  let endpoint = ref None in
   let sender = ref None in
   let congested =
     Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
@@ -204,8 +204,8 @@ let () =
       ~rng:(Netsim.Rng.create ~seed:43)
       ~loss:0.3
       ~forward:(fun b ->
-        match !receiver with
-        | Some r -> CT.Receiver.ingest r b
+        match !endpoint with
+        | Some m -> Transport.Multi.ingest m b
         | None -> ())
       ()
   in
@@ -222,15 +222,16 @@ let () =
         match !sender with Some s -> CT.Sender.on_packet s b | None -> ())
       ()
   in
-  let rx =
-    CT.Receiver.create engine config
+  (* one connection's endpoint; the Open rides the first TPDU *)
+  let m =
+    Transport.Multi.create engine ~config
+      ~quota_elems:plan.Transport.Interleave.total_elems ~max_conns:1
       ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ~capacity:(`Exact plan.Transport.Interleave.total_elems)
       ()
   in
-  receiver := Some rx;
+  endpoint := Some m;
   let tx =
-    CT.Sender.of_tpdus engine config
+    CT.Sender.of_tpdus engine config ~announce_open:true
       ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
       plan.Transport.Interleave.tpdus
   in
@@ -238,14 +239,21 @@ let () =
   CT.Sender.start tx;
   Netsim.Engine.run engine;
 
-  let delivered = CT.Receiver.contents rx in
+  let epoch =
+    match Transport.Multi.epochs m ~conn_id:config.CT.conn_id with
+    | [ e ] -> e
+    | _ -> failwith "expected one epoch"
+  in
+  let delivered = epoch.Transport.Multi.delivered in
   let expected =
     Transport.Interleave.expected ~elem_size ~tpdu_elems streams
   in
-  let spans = CT.Receiver.shed_spans rx in
+  let spans = epoch.Transport.Multi.shed_spans in
   assert (not (CT.Sender.gave_up tx));
-  assert (CT.Receiver.complete rx);
-  assert (CT.equal_outside_sheds ~elem_size ~spans ~expected ~delivered);
+  assert epoch.Transport.Multi.complete;
+  assert (
+    Transport.Transfer.equal_outside_sheds ~elem_size ~spans ~expected
+      ~delivered);
   Printf.printf
     "\nlayered video: base 16 KiB (critical) + enhancement 96 KiB \
      (sheddable)\n\
@@ -277,8 +285,8 @@ let () =
   Printf.printf
     "  sheds: %d signalled, %d honoured (%d elements given up)\n"
     (CT.Sender.sheds_sent tx)
-    (CT.Receiver.counters rx).sheds_received
-    (CT.Receiver.counters rx).shed_elems;
+    (Transport.Multi.counters m).sheds_received
+    (Transport.Multi.counters m).shed_elems;
   Printf.printf
     "  the base layer is byte-exact; only declared-sheddable spans are \
      missing.\n"

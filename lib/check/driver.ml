@@ -552,9 +552,8 @@ let crash_valve engine (s : Schedule.t) endpoint =
 
 (* Snapshots, crashes and restarts for the endpoint held in [current];
    [restore] rebuilds one from a snapshot's connections.  A restore runs
-   every recovery probe the oracle reads: the codec fixpoint, the
-   endpoint shape, the export round trip, the ledger/in-flight clash and
-   the state budget. *)
+   every recovery probe the oracle reads: the codec fixpoint, the export
+   round trip, the ledger/in-flight clash and the state budget. *)
 let install_crashes ~mutation ~trace engine (s : Schedule.t)
     ~quota_elems store ct current ~restore =
   let trec fmt = make_trec engine trace fmt in
@@ -569,7 +568,6 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t)
     | Error msg ->
         ct.ct_bad <- ct.ct_bad + 1;
         trec "RESTORE failed: %s" msg
-    | Ok (Persist.Single _, _) -> ct.ct_bad <- ct.ct_bad + 1
     | Ok ((Persist.Multi conns as img), torn) ->
         (* no schedule damages the journal, so a torn one means a
            record that does not read back as written *)
@@ -911,7 +909,7 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     match r with
     | Some (r : Multi.epoch_report) ->
         r.Multi.complete
-        && CT.equal_outside_sheds ~elem_size:s.Schedule.elem_size
+        && Transport.Transfer.equal_outside_sheds ~elem_size:s.Schedule.elem_size
              ~spans:r.Multi.shed_spans
              ~expected:
                (Schedule.data_of_conn s ~conn:ep.ep_conn ~epoch:ep.ep_epoch)

@@ -152,10 +152,9 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       "governor occupancy gauge peaked at %d bytes, budget is %d"
       o.metrics.Driver.mp_governor_peak s.Schedule.state_budget;
   (* Crash recovery.  Every scheduled crash must be executed and
-     answered by exactly one successful restore; a restore that fails,
-     rebuilds the wrong endpoint shape, or leaves a T.ID both in the
-     ledger and in the in-flight verifier state is a recovery-safety
-     violation (the last one is double delivery waiting to happen).
+     answered by exactly one successful restore; a restore that fails
+     or leaves a T.ID both in the ledger and in the in-flight verifier
+     state is a recovery-safety violation (the last one is double delivery waiting to happen).
      Restored state must re-fit the governor budget, and the snapshot
      codec must round-trip every image it produced itself. *)
   if List.length s.Schedule.crashes <> o.crashes_injected then
@@ -167,8 +166,8 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.crashes_injected o.restores;
   if o.recovery_bad > 0 then
     fail "recovery-safety"
-      "%d recovery-safety probe failures (unreadable image, torn journal, \
-       wrong endpoint shape, or ledger/in-flight overlap)"
+      "%d recovery-safety probe failures (unreadable image, torn journal \
+       or ledger/in-flight overlap)"
       o.recovery_bad;
   if o.restore_over_budget > 0 then
     fail "recovery-budget"

@@ -55,5 +55,5 @@ val run :
   data:bytes ->
   unit ->
   outcome
-(** Same scenario driver shape as {!Chunk_transport.run}, over an
+(** Same scenario driver shape as {!Transfer.run}, over an
     identical network, for like-for-like comparison. *)

@@ -223,9 +223,9 @@ module Receiver = struct
            write if this TPDU passes, dropped with the epoch otherwise *)
     mutable end_claim : int;
         (* the last C.SN a C.ST data chunk of this TPDU claims ends the
-           stream (`Quota mode), or [no_claim]: the claim is believed
-           only once the TPDU verifies — a forged or corrupted C.ST must
-           not truncate the stream *)
+           stream, or [no_claim]: the claim is believed only once the
+           TPDU verifies — a forged or corrupted C.ST must not truncate
+           the stream *)
   }
 
   (* No two labels' C.SN - T.SN is [min_int], and no C.SN + LEN - 1 of
@@ -263,7 +263,6 @@ module Receiver = struct
     send_ack : bytes -> unit;
     verifier : Edc.Verifier.t;
     placement : Placement.t;
-    capacity : [ `Exact of int | `Quota of int ];
     governor : Governor.t;
     (* t_id -> [Obs.stamp] of the first arrival, for a TPDU whose record
        died with a failed verdict: its retransmission's latency counts
@@ -419,9 +418,7 @@ module Receiver = struct
   let create engine config ?(bus = Busmodel.create ()) ?owner ?persist
       ~send_ack ~capacity () =
     validate_config config;
-    let capacity_elems =
-      match capacity with `Exact n | `Quota n -> n
-    in
+    let (`Quota capacity_elems) = capacity in
     let o =
       match owner with
       | Some o -> o
@@ -447,7 +444,6 @@ module Receiver = struct
         placement =
           Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems
             ~elem_size:config.elem_size;
-        capacity;
         governor = o.o_governor;
         first_arrival = Int_table.create 32;
         acked = o.o_acked;
@@ -757,6 +753,14 @@ module Receiver = struct
                })
             ~time:(Netsim.Engine.now rx.engine)
       end;
+      (* write-ahead, as for a verified TPDU: the honoured shed is
+         durable before its ACK can reach the sender *)
+      (match rx.persist with
+      | Some journal ->
+          journal
+            (Persist.Shed
+               { conn = rx.config.conn_id; t_id; first_elem; elems })
+      | None -> ());
       (* the shed is acknowledged like a verified TPDU — the sender
          stops retrying the signal once this lands; deliberately NOT
          counted as a fresh verification ACK (the metrics-verify-count
@@ -1025,25 +1029,15 @@ module Receiver = struct
       frontier_from p shed (Placement.first_unlocked p rx.frontier) shed;
     rx.frontier
 
+  (* Contiguous coverage of [0, last] by {e verified} (or shed) TPDUs,
+     not a bare element count: bytes placed by a TPDU that later failed
+     parity (or diverted here by a corrupted C.ID) must not fake
+     completeness — a premature "complete" lets a connection archive a
+     buffer the pending retransmission was about to correct. *)
   let complete rx =
-    match rx.capacity with
-    | `Exact n ->
-        (* a bare element count is not enough: an element squatted by a
-           TPDU that never verified must not fake completeness — the
-           overlap policy holds delivery until every byte has a
-           WSC-2-verified owner or was deliberately shed *)
-        covered_frontier rx >= n
-    | `Quota _ -> (
-        match rx.end_confirmed with
-        | Some last ->
-            (* contiguous coverage of [0, last] by {e verified} (or
-               shed) TPDUs, not a bare element count: bytes placed by a
-               TPDU that later failed parity (or diverted here by a
-               corrupted C.ID) must not fake completeness — a premature
-               "complete" lets a connection archive a buffer the
-               pending retransmission was about to correct *)
-            covered_frontier rx > last
-        | None -> false)
+    match rx.end_confirmed with
+    | Some last -> covered_frontier rx > last
+    | None -> false
 
   (* Whether this receiver knows [t_id]: soft state for it (verifier
      accumulator or corroboration record), or an honoured shed.  The
@@ -1060,7 +1054,6 @@ module Receiver = struct
   let overlap_stats rx = Placement.overlap_stats rx.placement
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
-  let counters rx = rx.counts
   let shed_spans rx = Vreassembly.spans rx.shed_cover
 
   let stashed_tpdus rx =
@@ -1073,7 +1066,6 @@ module Receiver = struct
 
   let record_tids rx = sorted_keys rx.corrob
   let shed_tids rx = sorted_keys rx.shed_tids
-  let governor rx = rx.governor
 
   let governor_handles rx =
     Int_table.fold (fun _ m acc -> m.gov :: acc) rx.corrob []
@@ -1164,11 +1156,11 @@ module Receiver = struct
   (* Rebuild a live receiver from its persisted image.  Conservative
      re-entry: data already counted into a restored parity is never
      re-accepted (the restored verifier tracker treats it as duplicate),
-     the ledger in [acked_tids] keeps verified TPDUs from being
-     re-processed, and governor occupancy is re-derived from the
-     restored state — not trusted from the image. *)
+     the owner's ledger keeps verified TPDUs from being re-processed, and
+     governor occupancy is re-derived from the restored state — not
+     trusted from the image. *)
   let restore engine config ?bus ?owner ?persist ~send_ack ~capacity
-      (img : Persist.receiver_image) ~acked_tids =
+      (img : Persist.receiver_image) =
     let rx = create engine config ?bus ?owner ?persist ~send_ack ~capacity () in
     rx.restored_passes <- img.Persist.ri_passed;
     List.iter
@@ -1227,7 +1219,6 @@ module Receiver = struct
     List.iter
       (fun (t, last) -> (corrob rx t).end_claim <- last)
       img.Persist.ri_end_claims;
-    List.iter (Int_set.add rx.acked) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
     let tracked =
@@ -1850,156 +1841,3 @@ module Sender = struct
     tx.rto_cur <- si.Persist.si_rto_cur;
     tx
 end
-
-type outcome = {
-  ok : bool;
-  sim_time : float;
-  sent_bytes : int;
-  wire_bytes : int;
-  retransmissions : int;
-  sack_retransmissions : int;
-  element_delay : Netsim.Stats.summary option;
-  tpdu_latency : Netsim.Stats.summary option;
-  bus_crossings_per_byte : float;
-  goodput_bps : float;
-  final_tpdu_elems : int;
-  verifier : Edc.Verifier.stats;
-  final_rto : float;
-  rtt_samples : int;
-  max_txs_at_rtt_sample : int;
-  receiver_evictions : int;
-  sheds_sent : int;
-  sheds_received : int;
-  shed_elems : int;
-  shed_spans : (int * int) list;
-  delivered : bytes;
-}
-
-(* Byte-exact outside the shed spans: the partial-reliability delivery
-   contract.  [spans] are element runs ([elem_size] bytes each). *)
-let equal_outside_sheds ~elem_size ~spans ~expected ~delivered =
-  let n = Bytes.length expected in
-  if Bytes.length delivered < n then false
-  else begin
-    let shed = Bytes.make n '\000' in
-    List.iter
-      (fun (sn, len) ->
-        let off = sn * elem_size and nb = len * elem_size in
-        if off >= 0 && nb > 0 && off + nb <= n then
-          Bytes.fill shed off nb '\001')
-      spans;
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if
-        Bytes.get shed i = '\000'
-        && Bytes.get delivered i <> Bytes.get expected i
-      then ok := false
-    done;
-    !ok
-  end
-
-let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
-    ?(corrupt = 0.0) ?(duplicate = 0.0) ?(paths = 8) ?(skew = 0.25e-3)
-    ?(rate_bps = 155e6) ?(delay = 1e-3) ?(gateways = []) ~data () =
-  validate_config config;
-  let engine = Netsim.Engine.create ~seed () in
-  let bus = Busmodel.create () in
-  let receiver = ref None in
-  let sender = ref None in
-  let to_receiver b =
-    match !receiver with Some r -> Receiver.ingest r b | None -> ()
-  in
-  (* Build the in-network gateway chain back to front: each gateway
-     re-envelopes chunks for its outgoing MTU and forwards over its own
-     clean link — the paper's arbitrary mixture of intra- and
-     inter-network fragmentation, fully transparent end to end. *)
-  List.iter
-    (fun (_, out_mtu) ->
-      if out_mtu <= Wire.header_size then
-        invalid_arg
-          (Printf.sprintf
-             "Chunk_transport.run: gateway MTU %d cannot hold a chunk header"
-             out_mtu))
-    gateways;
-  let first_hop_deliver =
-    List.fold_left
-      (fun downstream (policy, out_mtu) ->
-        let out_link =
-          Netsim.Link.create engine ~rate_bps ~delay ~mtu:out_mtu
-            ~deliver:downstream ()
-        in
-        let gw =
-          Netsim.Gateway.create ~policy
-            ~forward:(fun b -> ignore (Netsim.Link.send out_link b))
-            ~out_mtu ()
-        in
-        fun b -> Netsim.Gateway.on_packet gw b)
-      to_receiver (List.rev gateways)
-  in
-  let forward =
-    Netsim.Multipath.create engine ~paths ~rate_bps ~delay ~skew
-      ~mtu:config.mtu ~loss ~corrupt ~duplicate ~deliver:first_hop_deliver ()
-  in
-  let reverse =
-    Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay
-      ~mtu:config.mtu
-      ~deliver:(fun b ->
-        match !sender with Some s -> Sender.on_packet s b | None -> ())
-      ()
-  in
-  let expected_elems = expected_elements config ~data_len:(Bytes.length data) in
-  let rx =
-    Receiver.create engine config ~bus
-      ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ~capacity:(`Exact expected_elems) ()
-  in
-  receiver := Some rx;
-  let tx =
-    Sender.create engine config
-      ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
-      ~data ()
-  in
-  sender := Some tx;
-  Sender.start tx;
-  Netsim.Engine.run engine;
-  let delivered = Receiver.contents rx in
-  let n = Bytes.length data in
-  let shed_spans = Receiver.shed_spans rx in
-  let ok =
-    (not (Sender.gave_up tx))
-    && Receiver.complete rx
-    && Bytes.length delivered >= n
-    &&
-    (* under partial reliability, "intact" means byte-exact outside the
-       deliberately shed element spans *)
-    match shed_spans with
-    | [] -> Bytes.equal (Bytes.sub delivered 0 n) data
-    | spans ->
-        equal_outside_sheds ~elem_size:config.elem_size ~spans ~expected:data
-          ~delivered
-  in
-  let sim_time = Netsim.Engine.now engine in
-  {
-    ok;
-    sim_time;
-    sent_bytes = n;
-    wire_bytes = Sender.bytes_sent tx;
-    retransmissions = Sender.retransmissions tx;
-    sack_retransmissions = Sender.sack_retransmissions tx;
-    element_delay = Netsim.Stats.summary (Receiver.element_delay rx);
-    tpdu_latency = Netsim.Stats.summary (Receiver.tpdu_latency rx);
-    bus_crossings_per_byte = Busmodel.per_byte bus ~delivered:n;
-    goodput_bps =
-      (if sim_time > 0.0 then float_of_int (8 * n) /. sim_time else 0.0);
-    final_tpdu_elems = Sender.current_tpdu_elems tx;
-    verifier = Receiver.verifier_stats rx;
-    final_rto = Sender.current_rto tx;
-    rtt_samples = Sender.rtt_samples tx;
-    max_txs_at_rtt_sample = Sender.max_txs_at_rtt_sample tx;
-    receiver_evictions = (Receiver.counters rx).Counters.evictions;
-    sheds_sent = Sender.sheds_sent tx;
-    sheds_received = (Receiver.counters rx).Counters.sheds_received;
-    shed_elems = (Receiver.counters rx).Counters.shed_elems;
-    shed_spans;
-    delivered;
-  }

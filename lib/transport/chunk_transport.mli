@@ -10,7 +10,8 @@
     mandatory here, since a retransmission is indistinguishable from the
     original on the wire).
 
-    Receiver: process every chunk {e immediately on arrival} — no
+    Receiver (one connection epoch's, which {!Multi} runs per live
+    epoch): process every chunk {e immediately on arrival} — no
     reordering, no reassembly buffer: place fresh elements straight into
     the application buffer by connection SN (spatial reordering,
     {!Labelling.Placement}), accumulate the error-detection parity
@@ -137,23 +138,23 @@ module Receiver : sig
     ?owner:owner ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
-    capacity:[ `Exact of int | `Quota of int ] ->
+    capacity:[ `Quota of int ] ->
     unit ->
     t
-  (** [capacity] sizes the placement buffer.  [`Exact n] declares the
-      stream length up front (legacy single-transfer mode): completion
-      is "buffer full".  [`Quota n] grants up to [n] elements without
-      foreknowledge of the length: the stream's end is signalled in-band
+  (** [`Quota n] grants the placement buffer up to [n] elements without
+      foreknowledge of the stream's length: its end is signalled in-band
       by the C.ST bit on the final element, believed once the TPDU
       carrying it verifies.
 
-      Without [?owner] the receiver runs its own governor (budget and
-      TTL from [config]), ACK ledger and {!counters} record.
+      Without [?owner] (as the receive-path benchmark's shadow replay
+      runs it) the receiver has its own governor (budget and TTL from
+      [config]), ACK ledger and counts.
 
       [?persist] is the write-ahead journal hook: it receives one
-      {!Persist.Acked} event per fresh acknowledgement, {e before} the
-      ACK packet is handed to [send_ack], carrying exactly the placed
-      bytes that ACK promises to keep — as views borrowed from the
+      {!Persist.Acked} event per fresh acknowledgement and one
+      {!Persist.Shed} per honoured shed, each {e before} its ACK packet
+      is handed to [send_ack].  An [Acked] event carries exactly the
+      placed bytes that ACK promises to keep, as views borrowed from the
       placement buffer, valid only until the hook returns. *)
 
   val on_scanned : t -> Labelling.Chunk.view -> hdr:int -> unit
@@ -173,25 +174,21 @@ module Receiver : sig
       such as a materialised chunk's ({!Labelling.Chunk.view}): a chunk
       it has to hold is encoded as a one-chunk packet first. *)
 
-  val ingest : t -> bytes -> unit
-  (** Feed one packet from the network — the receiver's only packet
-      entry.  One zero-allocation structural scan
-      ({!Labelling.Wire.Scan}) validates the whole packet, dropping a
-      malformed one whole exactly as {!Labelling.Wire.decode_packet}
-      would; each scanned chunk is then handed to {!on_scanned} as a
-      view of the packet ({!Labelling.Wire.Scan.view}), so no payload is
+  val ingest_batch : t -> bytes array -> unit
+  (** Feed a batch of packets from the network — the receiver's only
+      packet entry; records batch occupancy in the
+      [transport_ingest_batch_packets] histogram.  One zero-allocation
+      structural scan ({!Labelling.Wire.Scan}) per packet validates it,
+      dropping a malformed one whole exactly as
+      {!Labelling.Wire.decode_packet} would; each scanned chunk is then
+      handed to {!on_scanned} as a view of the packet, so no payload is
       copied.  The qcheck property in [test_flowcache] holds it
       byte-identical to [decode_packet] followed by {!on_view} of each
       chunk over its own payload.
 
-      Ownership: the receiver never writes into [b], but it may hold a
-      chunk of it until the chunk's TPDU is decided, so the caller must
-      not mutate [b] afterwards. *)
-
-  val ingest_batch : t -> bytes array -> unit
-  (** {!ingest} over a batch of packets, amortising dispatch cost;
-      records batch occupancy in the [transport_ingest_batch_packets]
-      histogram. *)
+      Ownership: the receiver never writes into a packet, but it may
+      hold a chunk of it until the chunk's TPDU is decided, so the
+      caller must not mutate a packet afterwards. *)
 
   val contents : t -> bytes
   (** The application buffer (valid up to the placed elements). *)
@@ -199,14 +196,12 @@ module Receiver : sig
   val delivered_elems : t -> int
 
   val complete : t -> bool
-  (** [`Exact] mode: every element is covered by verified TPDUs or by
-      honoured sheds — an element squatted by a TPDU that never verified
-      cannot fake completeness, while a deliberately shed span counts as
-      settled without its bytes (partial reliability).  [`Quota] mode: a
-      verified TPDU carried the C.ST end-of-connection bit and every
+  (** A verified TPDU carried the C.ST end-of-connection bit and every
       element up to it is covered by {e verified or shed} TPDUs — bytes
       placed by a TPDU that later failed parity do not count (its
-      identical-label retransmission re-places them). *)
+      identical-label retransmission re-places them), while a
+      deliberately shed span counts as settled without its bytes
+      (partial reliability). *)
 
   val tracks_tpdu : t -> t_id:int -> bool
   (** Whether the receiver holds any soft state (verifier accumulator or
@@ -274,17 +269,14 @@ module Receiver : sig
   val record_tids : t -> int list
   (** T.IDs holding a corroboration record, ascending. *)
 
+  val acked_tids : t -> int list
+  (** The ACK ledger (the owner's, when there is one), ascending. *)
+
   val shed_tids : t -> int list
   (** T.IDs whose shed this receiver honoured, ascending. *)
 
-  val governor : t -> Governor.t
-
   val governor_handles : t -> Governor.entry list
   (** The handles the corroboration records hold. *)
-
-  val counters : t -> Counters.t
-  (** The record this receiver counts into: its own, or its owner's
-      (then shared with every other receiver of that owner). *)
 
   val shed_spans : t -> (int * int) list
   (** The honoured shed cover as [(first_elem, elems)] runs in
@@ -298,9 +290,6 @@ module Receiver : sig
       verified before a crash and carried over by {!restore} — the
       archive gate [Multi] uses (the raw {!verifier_stats} counter
       restarts at zero on restore). *)
-
-  val acked_tids : t -> int list
-  (** The ACK ledger, ascending. *)
 
   val ident_tid : t -> int option
   (** The lowest T.ID this epoch freshly acknowledged (verified or
@@ -325,14 +314,13 @@ module Receiver : sig
     ?owner:owner ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
-    capacity:[ `Exact of int | `Quota of int ] ->
+    capacity:[ `Quota of int ] ->
     Persist.receiver_image ->
-    acked_tids:int list ->
     t
   (** Rebuild a live receiver from a persisted image.  Conservative:
       data already counted into a restored parity is never re-accepted
       (the restored reassembly tracker absorbs it as duplicate), TPDUs
-      in [acked_tids] are only ever re-acknowledged, and governor
+      in the owner's ledger are only ever re-acknowledged, and governor
       occupancy is recomputed from the restored state — the governor,
       not the image, decides whether it still fits the budget (restored
       state that does not fit is evicted like any other).  A partially
@@ -463,66 +451,3 @@ module Sender : sig
       (not in flight, never finished): fabricated acknowledgements,
       ignored on receipt but counted. *)
 end
-
-(** {1 One-call scenario driver} *)
-
-type outcome = {
-  ok : bool;
-      (** delivered data equals sent data outside honoured shed spans
-          (byte-exact everywhere when nothing was shed) *)
-  sim_time : float;
-  sent_bytes : int;  (** application payload bytes offered *)
-  wire_bytes : int;  (** bytes put on the forward wire *)
-  retransmissions : int;  (** full-TPDU timeout retransmissions *)
-  sack_retransmissions : int;
-      (** selective (gap-only) retransmissions triggered by NACKs *)
-  element_delay : Netsim.Stats.summary option;
-  tpdu_latency : Netsim.Stats.summary option;
-  bus_crossings_per_byte : float;
-  goodput_bps : float;
-  final_tpdu_elems : int;  (** the sender's TPDU size at the end (differs
-      from the configured one only for adaptive senders) *)
-  verifier : Edc.Verifier.stats;
-  final_rto : float;  (** the sender's RTO when the run ended *)
-  rtt_samples : int;  (** RTT samples accepted by Karn's rule *)
-  max_txs_at_rtt_sample : int;
-      (** Karn's rule holds iff this never exceeds 1 *)
-  receiver_evictions : int;
-      (** governor evictions applied to the receiver *)
-  sheds_sent : int;  (** TPDUs the sender deliberately abandoned *)
-  sheds_received : int;  (** shed signals the receiver honoured *)
-  shed_elems : int;  (** elements given up under honoured sheds *)
-  shed_spans : (int * int) list;
-      (** honoured shed cover, [(first_elem, elems)] runs ascending *)
-  delivered : bytes;
-      (** the receiver's application buffer, for shed-aware comparison *)
-}
-
-val equal_outside_sheds :
-  elem_size:int ->
-  spans:(int * int) list ->
-  expected:bytes ->
-  delivered:bytes ->
-  bool
-(** The partial-reliability delivery contract: [delivered] matches
-    [expected] byte-for-byte everywhere except inside the shed [spans]
-    (element runs of [elem_size]-byte elements). *)
-
-val run :
-  ?seed:int ->
-  ?config:config ->
-  ?loss:float ->
-  ?corrupt:float ->
-  ?duplicate:float ->
-  ?paths:int ->
-  ?skew:float ->
-  ?rate_bps:float ->
-  ?delay:float ->
-  ?gateways:(Labelling.Repack.policy * int) list ->
-  data:bytes ->
-  unit ->
-  outcome
-(** Build a forward multipath (with impairments), an optional chain of
-    in-network chunk gateways (each re-enveloping to its own MTU with
-    its own Fig. 4 policy), and a clean reverse path; run a whole
-    transfer to completion and report. *)

@@ -15,9 +15,10 @@
 
     A plan feeds {!Chunk_transport.Sender.of_tpdus} directly: each
     entry is a sealed TPDU (data chunks plus ED chunk) with the full
-    retransmission/shed machinery behind it.  The receiver needs only
-    the plan's [classify] (so both endpoints agree on what is
-    sheddable) and an [`Exact total_elems] capacity. *)
+    retransmission/shed machinery behind it.  The receiving endpoint
+    needs only the plan's [classify] (so both endpoints agree on what
+    is sheddable) and a quota of [total_elems]; the plan's last TPDU
+    carries C.ST and is never sheddable. *)
 
 type stream = {
   is_name : string;  (** for traces and the layout report *)

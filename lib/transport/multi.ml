@@ -849,7 +849,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                 { m.config with conn_id = c.id }
                 ~bus:m.bus ~owner:(owner m c) ?persist:m.persist
                 ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ri
-                ~acked_tids:[]
             in
             c.live <- Some rx;
             m.n_live <- m.n_live + 1;

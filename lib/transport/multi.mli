@@ -86,7 +86,8 @@ val create :
     [?persist] is the write-ahead journal hook, forwarded into every
     epoch receiver: it sees one {!Persist.Acked} record per fresh
     acknowledgement (before the ACK leaves; its runs are borrowed
-    views, valid only until the hook returns) plus {!Persist.Opened} /
+    views, valid only until the hook returns) and one {!Persist.Shed}
+    per honoured shed (before its ACK leaves), plus {!Persist.Opened} /
     {!Persist.Archived} / {!Persist.Closed} lifecycle records.
 
     [?fastpath_slots] sizes the memo in front of the connection table

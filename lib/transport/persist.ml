@@ -40,8 +40,6 @@ type sender_image = {
   si_tpdu_elems : int;
 }
 
-type single_image = { s_acked : int list; s_rx : receiver_image }
-
 type epoch_image = {
   ei_delivered : bytes;
   ei_complete : bool;
@@ -64,7 +62,7 @@ type conn_image = {
   ci_poisoned : bool;
 }
 
-type endpoint_image = Single of single_image | Multi of conn_image list
+type endpoint_image = Multi of conn_image list
 
 type run_view = int * bytes * int * int
 
@@ -77,6 +75,7 @@ type event =
       parity : Wsc2.parity option;
     }
   | Opened of { conn : int; open_csn : int option }
+  | Shed of { conn : int; t_id : int; first_elem : int; elems : int }
   | Archived of int
   | Closed of int
 
@@ -108,7 +107,8 @@ let empty_conn id =
     ci_quar_until = 0.0; ci_quar_count = 0; ci_poisoned = false }
 
 let event_conn = function
-  | Acked { conn; _ } | Opened { conn; _ } | Archived conn | Closed conn -> conn
+  | Acked { conn; _ } | Opened { conn; _ } | Shed { conn; _ } -> conn
+  | Archived conn | Closed conn -> conn
 
 (* The one run-merge rule: sort (sn, len) spans by SN and fuse
    overlapping or adjacent ones, dropping empty spans. *)
@@ -171,19 +171,25 @@ let merge_spans spans =
    rev-appended — and [apply_journal] puts each into canonical shape
    once, at the end: merging after every record would re-copy the whole
    accumulated image, quadratic in the journal length. *)
+(* [ri] without TPDU [t_id]'s in-flight state, as a verdict leaves it. *)
+let settle ri t_id =
+  {
+    ri with
+    ri_end_claims = List.filter (fun (t, _) -> t <> t_id) ri.ri_end_claims;
+    ri_tpdus =
+      List.filter (fun ti -> ti.Edc.Verifier.ti_t_id <> t_id) ri.ri_tpdus;
+    ri_corrob = List.filter (fun pi -> pi.pi_t_id <> t_id) ri.ri_corrob;
+  }
+
 let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
   let runs = List.map run_bytes runs in
   {
-    ri with
+    (settle ri t_id) with
     ri_placed = List.rev_append runs ri.ri_placed;
     ri_verified = List.rev_append (spans_of_runs ~elem_size runs) ri.ri_verified;
     ri_end_confirmed =
       (match end_confirmed with Some _ as e -> e | None -> ri.ri_end_confirmed);
-    ri_end_claims = List.filter (fun (t, _) -> t <> t_id) ri.ri_end_claims;
     ri_passed = ri.ri_passed + 1;
-    ri_tpdus =
-      List.filter (fun ti -> ti.Edc.Verifier.ti_t_id <> t_id) ri.ri_tpdus;
-    ri_corrob = List.filter (fun pi -> pi.pi_t_id <> t_id) ri.ri_corrob;
   }
 
 (* The end of the contiguous verified prefix — mirrors the live
@@ -199,7 +205,8 @@ let verified_frontier spans =
 (* [ri] is mid-replay: its verified spans are unmerged. *)
 let receiver_complete ri =
   match ri.ri_end_confirmed with
-  | Some last -> verified_frontier (merge_spans ri.ri_verified) > last
+  | Some last ->
+      verified_frontier (merge_spans (ri.ri_shed_spans @ ri.ri_verified)) > last
   | None -> false
 
 (* [ri] is mid-replay: its placed runs are newest first. *)
@@ -244,61 +251,64 @@ let archive ~elem_size ~quota_elems c =
       in
       { c with ci_hist = hist; ci_live = None; ci_live_open = None }
 
-let apply_event ~elem_size ~quota_elems image ev =
-  match (image, ev) with
-  | Single s, Acked { conn; t_id; end_confirmed; runs; _ } ->
-      if conn <> s.s_rx.ri_conn then image
-      else
-        Single
-          {
-            s_acked = t_id :: s.s_acked;
-            s_rx = apply_acked ~elem_size s.s_rx ~t_id ~end_confirmed ~runs;
-          }
-  | Single _, (Opened _ | Archived _ | Closed _) -> image
-  | Multi conns, ev ->
-      let cid = event_conn ev in
-      let conns =
-        if List.exists (fun c -> c.ci_id = cid) conns then conns
-        else
-          (* keep the canonical ascending order [export] produces, so a
-             journal-only image compares equal to a re-export *)
-          List.sort
-            (fun a b -> Int.compare a.ci_id b.ci_id)
-            (empty_conn cid :: conns)
-      in
-      let live c = Option.value c.ci_live ~default:(empty_receiver ~conn:cid) in
-      let update c =
-        if c.ci_id <> cid then c
-        else
-          match ev with
-          | Acked { t_id; end_confirmed; runs; _ } ->
-              {
-                c with
-                ci_acked = t_id :: c.ci_acked;
-                ci_live =
-                  Some (apply_acked ~elem_size (live c) ~t_id ~end_confirmed ~runs);
-                (* identity recovery under the monotone-label
-                   discipline: each fresh ACK bounds the epoch's first
-                   C.SN from above, so the running minimum converges on
-                   it — covering epochs whose Open died in flight and
-                   never produced an Opened record *)
-                ci_live_open =
-                  Some (Option.fold ~none:t_id ~some:(Int.min t_id) c.ci_live_open);
-              }
-          | Opened { open_csn; _ } ->
-              (* A second Opened record while an epoch is live is an
-                 adoption: the epoch was established implicitly (its Open
-                 lost in flight) and this is its identity finally
-                 arriving.  Keep the replayed receiver state — only the
-                 C.SN changes. *)
-              { c with ci_live = Some (live c); ci_live_open = open_csn }
-          | Archived _ | Closed _ -> archive ~elem_size ~quota_elems c
-      in
-      Multi (List.map update conns)
+(* An honoured shed: the span counts as settled without its bytes. *)
+let apply_shed ri ~t_id ~first_elem ~elems =
+  {
+    (settle ri t_id) with
+    ri_shed_spans = coalesce_spans ((first_elem, elems) :: ri.ri_shed_spans);
+    ri_shed_tids = List.sort_uniq Int.compare (t_id :: ri.ri_shed_tids);
+  }
 
-let apply_journal ~elem_size ~quota_elems image events =
-  let placed f ri = { ri with ri_placed = f ri.ri_placed } in
-  let newest_first = placed List.rev in
+(* Identity recovery under the monotone-label discipline: each fresh
+   ACK or honoured shed bounds the epoch's first C.SN from above, so the
+   running minimum converges on it — covering epochs whose Open died in
+   flight and never produced an Opened record. *)
+let bound_identity c t_id =
+  Some (Option.fold ~none:t_id ~some:(Int.min t_id) c.ci_live_open)
+
+let apply_event ~elem_size ~quota_elems (Multi conns) ev =
+  let cid = event_conn ev in
+  let conns =
+    if List.exists (fun c -> c.ci_id = cid) conns then conns
+    else
+      (* keep the canonical ascending order [export] produces, so a
+         journal-only image compares equal to a re-export *)
+      List.sort
+        (fun a b -> Int.compare a.ci_id b.ci_id)
+        (empty_conn cid :: conns)
+  in
+  let live c = Option.value c.ci_live ~default:(empty_receiver ~conn:cid) in
+  let update c =
+    if c.ci_id <> cid then c
+    else
+      match ev with
+      | Acked { t_id; end_confirmed; runs; _ } ->
+          {
+            c with
+            ci_acked = t_id :: c.ci_acked;
+            ci_live =
+              Some (apply_acked ~elem_size (live c) ~t_id ~end_confirmed ~runs);
+            ci_live_open = bound_identity c t_id;
+          }
+      | Shed { t_id; first_elem; elems; _ } ->
+          {
+            c with
+            ci_live = Some (apply_shed (live c) ~t_id ~first_elem ~elems);
+            ci_live_open = bound_identity c t_id;
+          }
+      | Opened { open_csn; _ } ->
+          (* A second Opened record while an epoch is live is an
+             adoption: the epoch was established implicitly (its Open
+             lost in flight) and this is its identity finally
+             arriving.  Keep the replayed receiver state — only the
+             C.SN changes. *)
+          { c with ci_live = Some (live c); ci_live_open = open_csn }
+      | Archived _ | Closed _ -> archive ~elem_size ~quota_elems c
+  in
+  Multi (List.map update conns)
+
+let apply_journal ~elem_size ~quota_elems (Multi conns) events =
+  let newest_first ri = { ri with ri_placed = List.rev ri.ri_placed } in
   let canonical ri =
     {
       ri with
@@ -306,28 +316,24 @@ let apply_journal ~elem_size ~quota_elems image events =
       ri_verified = merge_spans ri.ri_verified;
     }
   in
-  let ledger = List.sort_uniq Int.compare in
   let start =
-    match image with
-    | Single s -> Single { s with s_rx = newest_first s.s_rx }
-    | Multi conns ->
-        Multi
-          (List.map
-             (fun c -> { c with ci_live = Option.map newest_first c.ci_live })
-             conns)
+    Multi
+      (List.map
+         (fun c -> { c with ci_live = Option.map newest_first c.ci_live })
+         conns)
   in
-  match List.fold_left (apply_event ~elem_size ~quota_elems) start events with
-  | Single s -> Single { s_acked = ledger s.s_acked; s_rx = canonical s.s_rx }
-  | Multi conns ->
-      Multi
-        (List.map
-           (fun c ->
-             {
-               c with
-               ci_acked = ledger c.ci_acked;
-               ci_live = Option.map canonical c.ci_live;
-             })
-           conns)
+  let (Multi conns) =
+    List.fold_left (apply_event ~elem_size ~quota_elems) start events
+  in
+  Multi
+    (List.map
+       (fun c ->
+         {
+           c with
+           ci_acked = List.sort_uniq Int.compare c.ci_acked;
+           ci_live = Option.map canonical c.ci_live;
+         })
+       conns)
 
 (* {1 Binary codec}
 
@@ -583,14 +589,6 @@ let sender =
       Field (int, (fun s -> s.si_tpdu_elems),
         fun s si_tpdu_elems -> { s with si_tpdu_elems }) ]
 
-let no_single = { s_acked = []; s_rx = empty_receiver ~conn:0 }
-
-let single =
-  record no_single
-    [ Field (list int, (fun s -> s.s_acked),
-        fun s s_acked -> { s with s_acked });
-      Field (receiver, (fun s -> s.s_rx), fun s s_rx -> { s with s_rx }) ]
-
 (* A v2 run: C.SN and the bytes, under the record checksum. *)
 let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
 
@@ -599,16 +597,14 @@ let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
    The codec is over the whole sum type, so writing a journal record
    builds no projection of the event; what its getters give for other
    constructors is never written, since [is] has picked the case.
-   Snapshot tags are 0-2, journal event tags 16-20. *)
+   Snapshot tags are 1-2 (0 is retired), journal event tags 16-21. *)
 type 'a case = { tag : int; is : 'a -> bool; body : 'a codec }
 
+(* Tag 0 was the retired standalone-receiver image: it now reads as an
+   unknown tag. *)
 let endpoint_cases =
-  [ { tag = 0; is = (function Single _ -> true | Multi _ -> false);
-      body =
-        map (fun s -> Single s) (function Single s -> s | _ -> no_single) single };
-    { tag = 1; is = (function Multi _ -> true | Single _ -> false);
-      body =
-        map (fun cs -> Multi cs) (function Multi cs -> cs | _ -> []) (list conn) } ]
+  [ { tag = 1; is = (fun _ -> true);
+      body = map (fun cs -> Multi cs) (fun (Multi cs) -> cs) (list conn) } ]
 
 (* The [Acked] record.  Tag 16 is version 2's, whose payload carries
    the run bytes under the record checksum; it is read-only, so [is]
@@ -695,7 +691,17 @@ let event_cases =
     { tag = 18; is = (function Archived _ -> true | _ -> false);
       body = map (fun c -> Archived c) event_conn int };
     { tag = 19; is = (function Closed _ -> true | _ -> false);
-      body = map (fun c -> Closed c) event_conn int } ]
+      body = map (fun c -> Closed c) event_conn int };
+    { tag = 21; is = (function Shed _ -> true | _ -> false);
+      body =
+        map
+          (fun (conn, (t_id, (first_elem, elems))) ->
+            Shed { conn; t_id; first_elem; elems })
+          (function
+            | Shed { conn; t_id; first_elem; elems } ->
+                (conn, (t_id, (first_elem, elems)))
+            | _ -> (0, (0, (0, 0))))
+          (pair int (pair int (pair int int))) } ]
 
 (* Each run's bytes, copied once from its view into [buf]. *)
 let rec add_runs buf = function
@@ -829,7 +835,7 @@ module Store = struct
     write_case ?scratch:st.scratch st.journal st.payload ev event_cases;
     (match ev with
     | Acked { runs; _ } -> add_runs st.journal runs
-    | Opened _ | Archived _ | Closed _ -> ());
+    | Opened _ | Shed _ | Archived _ | Closed _ -> ());
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 

@@ -81,12 +81,6 @@ type sender_image = {
     TPDUs are rebuilt from the data and retransmitted with identical
     labels, which the receiver absorbs as duplicates. *)
 
-type single_image = {
-  s_acked : int list;  (** the ACK ledger, ascending *)
-  s_rx : receiver_image;  (** the receiver proper *)
-}
-(** A standalone (single-connection) receiver endpoint. *)
-
 type epoch_image = {
   ei_delivered : bytes;  (** the epoch's placement buffer *)
   ei_complete : bool;
@@ -116,8 +110,8 @@ type conn_image = {
 (** One connection of a [Multi] endpoint. *)
 
 type endpoint_image =
-  | Single of single_image
-  | Multi of conn_image list  (** connections ascending by id *)
+  | Multi of conn_image list
+      (** a [Multi] endpoint's connections, ascending by id *)
 
 type run_view = int * bytes * int * int
 (** [(sn, src, off, len)]: the [len] bytes of [src] from [off] on,
@@ -157,6 +151,10 @@ type event =
       (** a fresh epoch started on this connection, with the Open
           chunk's announced first C.SN when the epoch was established
           explicitly *)
+  | Shed of { conn : int; t_id : int; first_elem : int; elems : int }
+      (** an honoured shed of TPDU [t_id], whose [elems] elements from
+          C.SN [first_elem] on are settled without their bytes.  Written,
+          like [Acked], {e before} the shed's ACK leaves. *)
   | Archived of int  (** the live epoch was archived on this connection *)
   | Closed of int  (** the connection was closed *)
 

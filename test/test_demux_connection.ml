@@ -266,7 +266,6 @@ let test_multi_quarantine_survives_restore () =
   let m1 =
     match P.decode_endpoint encoded with
     | Error e -> Alcotest.fail e
-    | Ok (P.Single _) -> Alcotest.fail "endpoint shape changed"
     | Ok (P.Multi cs) ->
         Transport.Multi.restore engine ~config:multi_config ~quota_elems:1024
           ~max_conns:8 ~anomaly_budget:8

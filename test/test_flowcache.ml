@@ -355,7 +355,8 @@ let prop_ingest_never_writes =
       let before = digests () in
       Array.iter (Transport.Multi.ingest (mk_multi ())) mix;
       in_batches (Transport.Multi.ingest_batch (mk_multi ())) mix batch;
-      Array.iter (CT.Receiver.ingest (mk_receiver ())) mix;
+      let rx = mk_receiver () in
+      Array.iter (fun b -> CT.Receiver.ingest_batch rx [| b |]) mix;
       in_batches (CT.Receiver.ingest_batch (mk_receiver ())) mix batch;
       digests () = before)
 
@@ -368,6 +369,7 @@ let prop_ingest_never_writes =
 let test_copybreak_bounds_retention () =
   let acked = Labelling.Int_set.create 4 in
   Labelling.Int_set.add acked 9;
+  let counts = Transport.Counters.zero () in
   let rx =
     CT.Receiver.create
       (Netsim.Engine.create ~seed:42 ())
@@ -378,7 +380,7 @@ let test_copybreak_bounds_retention () =
             Transport.Governor.create ~budget_bytes:multi_config.CT.state_budget
               ~ttl:multi_config.CT.state_ttl ();
           o_acked = acked;
-          o_counts = Transport.Counters.zero ();
+          o_counts = counts;
           o_spare = CT.Receiver.spare ();
         }
       ~send_ack:(fun _ -> ())
@@ -398,12 +400,12 @@ let test_copybreak_bounds_retention () =
   Alcotest.(check int) "a 64 KiB packet" packet_bytes (Bytes.length packet);
   let words () = Obj.reachable_words (Obj.repr rx) in
   let w0 = words () in
-  CT.Receiver.ingest rx packet;
+  CT.Receiver.ingest_batch rx [| packet |];
   let grown = words () - w0 in
   Alcotest.(check int) "the tiny chunk waits for its ED chunk" 1
     (CT.Receiver.stashed_tpdus rx);
   Alcotest.(check int) "the large chunk is only re-acknowledged" 1
-    (CT.Receiver.counters rx).reacks_sent;
+    counts.Transport.Counters.reacks_sent;
   let packet_words = packet_bytes / (Sys.word_size / 8) in
   if grown >= packet_words / 4 then
     Alcotest.failf "receiver grew by %d words; the packet is %d" grown
@@ -724,7 +726,7 @@ let invariants_across_restores ?anomaly_budget mix =
             ~empty:(Transport.Persist.Multi []) store
         with
         | Ok (Transport.Persist.Multi images, _) -> endpoint ~image:images ()
-        | Ok (Transport.Persist.Single _, _) | Error _ ->
+        | Error _ ->
             failwith "no multi image recovered"
       in
       List.for_all

@@ -186,11 +186,8 @@ let gen_vr_ops =
 let snapshot_image =
   lazy
     (let module P = Transport.Persist in
-    let empty =
-      P.Single { P.s_acked = []; s_rx = P.empty_receiver ~conn:3 }
-    in
     let img =
-      P.apply_journal ~elem_size:4 ~quota_elems:8 empty
+      P.apply_journal ~elem_size:4 ~quota_elems:8 (P.Multi [])
         [
           P.Acked
             {
@@ -247,8 +244,24 @@ let gen_damaged_payload =
   in
   let sources =
     [
-      (`Endpoint, image (P.encode_endpoint Test_persist.golden_single));
       (`Endpoint, image (P.encode_endpoint Test_persist.golden_multi));
+      (* a live epoch holding in-flight verifier state too *)
+      (`Endpoint,
+        image
+          (P.encode_endpoint
+             (P.Multi
+                [
+                  {
+                    P.ci_id = 7;
+                    ci_acked = [ 1; 2 ];
+                    ci_hist = [];
+                    ci_live = Some Test_persist.golden_receiver;
+                    ci_live_open = Some 0;
+                    ci_quar_until = 0.0;
+                    ci_quar_count = 0;
+                    ci_poisoned = false;
+                  };
+                ])));
       (`Sender, image (P.encode_sender Test_persist.golden_sender));
       (`Journal_v2, ("", v2_acked));
     ]

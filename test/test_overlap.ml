@@ -570,7 +570,7 @@ let prop_receiver_order_invariant
     let rx =
       CT.Receiver.create engine config
         ~send_ack:(fun _ -> ())
-        ~capacity:(`Exact expected) ()
+        ~capacity:(`Quota expected) ()
     in
     List.iter
       (fun c -> CT.Receiver.on_view rx (Chunk.view c))

@@ -1,8 +1,8 @@
 (* Crash-recovery persistence: the snapshot codec is a fixpoint, journal
    replay rebuilds the canonical image, torn journal tails are dropped
-   cleanly — and, the property that matters, a receiver restored from
+   cleanly — and, the property that matters, an endpoint restored from
    its own snapshot is behaviourally indistinguishable from the live
-   receiver it was taken from under any identical packet suffix. *)
+   endpoint it was taken from under any identical packet suffix. *)
 
 module CT = Transport.Chunk_transport
 module Persist = Transport.Persist
@@ -17,56 +17,52 @@ let config =
     rto = 0.02;
   }
 
-(* Run a live transfer and record every packet that reached the receiver
+(* Run a live transfer and record every packet that reached the endpoint
    door, in arrival order.  [drop_k] > 0 drops every k-th forward packet
    before it is recorded, so the recorded stream also contains the
    timeout retransmissions and duplicates the repair machinery produced
-   — exactly the traffic a restored receiver must absorb. *)
+   — exactly the traffic a restored endpoint must absorb. *)
 let record_door_packets ~seed ~data_len ~drop_k =
   let engine = Netsim.Engine.create ~seed () in
   let data = Util.deterministic_bytes data_len in
   let recorded = ref [] in
-  let receiver = ref None in
   let sender = ref None in
   let count = ref 0 in
+  let expected = CT.expected_elements config ~data_len in
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems:expected ~max_conns:1
+      ~send_ack:(fun b ->
+        let b = Bytes.copy b in
+        Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+            Option.iter (fun tx -> CT.Sender.on_packet tx b) !sender))
+      ()
+  in
   let tx =
-    CT.Sender.create engine config
+    CT.Sender.create engine config ~announce_open:true
       ~send:(fun b ->
         incr count;
         if not (drop_k > 0 && !count mod drop_k = 0) then
-          match !receiver with
-          | Some rx ->
-              let b = Bytes.copy b in
-              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                  recorded := b :: !recorded;
-                  CT.Receiver.ingest rx b)
-          | None -> ())
+          let b = Bytes.copy b in
+          Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+              recorded := b :: !recorded;
+              Transport.Multi.ingest m b))
       ~data ()
   in
   sender := Some tx;
-  let expected = CT.expected_elements config ~data_len in
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun b ->
-        match !sender with
-        | Some tx ->
-            let b = Bytes.copy b in
-            Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                CT.Sender.on_packet tx b)
-        | None -> ())
-      ~capacity:(`Exact expected) ()
-  in
-  receiver := Some rx;
   CT.Sender.start tx;
   Netsim.Engine.run engine;
   (List.rev !recorded, expected)
 
-(* Split the recorded stream at [cut], snapshot a live receiver there,
-   push the snapshot through the binary codec, restore a second receiver
+(* An endpoint for the recorded stream's one connection. *)
+let endpoint engine ~quota_elems ~send_ack =
+  Transport.Multi.create engine ~config ~quota_elems ~max_conns:1 ~send_ack ()
+
+(* Split the recorded stream at [cut], snapshot a live endpoint there,
+   push the snapshot through the binary codec, restore a second endpoint
    from the decoded image, then feed the identical tail to both.  Every
-   observable — delivered bytes, completion, the ACK ledger, the ACK
-   packets emitted after the cut, and the full recoverable state — must
-   agree. *)
+   observable — the epochs' delivered bytes, completion, placed elements
+   and passes, the ACK packets emitted after the cut, and the full
+   recoverable state, ACK ledger included — must agree. *)
 let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
   let packets, expected = record_door_packets ~seed ~data_len ~drop_k in
   let cut = List.length packets * cut_pct / 100 in
@@ -75,35 +71,28 @@ let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
   let engine = Netsim.Engine.create ~seed:1 () in
   let acks_a = ref [] and acks_b = ref [] in
   let a =
-    CT.Receiver.create engine config
-      ~send_ack:(fun p -> acks_a := Bytes.copy p :: !acks_a)
-      ~capacity:(`Exact expected) ()
+    endpoint engine ~quota_elems:expected ~send_ack:(fun p ->
+        acks_a := Bytes.copy p :: !acks_a)
   in
-  List.iter (CT.Receiver.ingest a) prefix;
-  let img =
-    Persist.Single
-      { Persist.s_acked = CT.Receiver.acked_tids a; s_rx = CT.Receiver.export a }
-  in
+  List.iter (Transport.Multi.ingest a) prefix;
+  let img = Persist.Multi (Transport.Multi.export a) in
   match Persist.decode_endpoint (Persist.encode_endpoint img) with
-  | Error _ | Ok (Persist.Multi _) -> false
-  | Ok (Persist.Single si) ->
+  | Error _ -> false
+  | Ok (Persist.Multi conns) ->
       let b =
-        CT.Receiver.restore engine config
+        Transport.Multi.restore engine ~config ~quota_elems:expected
+          ~max_conns:1
           ~send_ack:(fun p -> acks_b := Bytes.copy p :: !acks_b)
-          ~capacity:(`Exact expected) si.Persist.s_rx
-          ~acked_tids:si.Persist.s_acked
+          conns
       in
       (* only the post-cut ACK streams are comparable: the prefix ACKs
          left before the snapshot was taken *)
       acks_a := [];
-      List.iter (CT.Receiver.ingest a) tail;
-      List.iter (CT.Receiver.ingest b) tail;
-      CT.Receiver.contents a = CT.Receiver.contents b
-      && CT.Receiver.delivered_elems a = CT.Receiver.delivered_elems b
-      && CT.Receiver.complete a = CT.Receiver.complete b
-      && CT.Receiver.acked_tids a = CT.Receiver.acked_tids b
-      && CT.Receiver.epoch_passes a = CT.Receiver.epoch_passes b
-      && CT.Receiver.export a = CT.Receiver.export b
+      List.iter (Transport.Multi.ingest a) tail;
+      List.iter (Transport.Multi.ingest b) tail;
+      let epochs m = Transport.Multi.epochs m ~conn_id:config.CT.conn_id in
+      epochs a = epochs b
+      && Transport.Multi.export a = Transport.Multi.export b
       && List.rev !acks_a = List.rev !acks_b
 
 let gen_equiv_case =
@@ -124,17 +113,12 @@ let prop_codec_fixpoint (seed, data_len, cut_pct) =
   let packets, expected = record_door_packets ~seed ~data_len ~drop_k:3 in
   let cut = List.length packets * cut_pct / 100 in
   let prefix = List.filteri (fun i _ -> i < cut) packets in
-  let engine = Netsim.Engine.create ~seed:1 () in
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun _ -> ())
-      ~capacity:(`Exact expected) ()
+  let m =
+    endpoint (Netsim.Engine.create ~seed:1 ()) ~quota_elems:expected
+      ~send_ack:ignore
   in
-  List.iter (CT.Receiver.ingest rx) prefix;
-  let img =
-    Persist.Single
-      { Persist.s_acked = CT.Receiver.acked_tids rx; s_rx = CT.Receiver.export rx }
-  in
+  List.iter (Transport.Multi.ingest m) prefix;
+  let img = Persist.Multi (Transport.Multi.export m) in
   Persist.decode_endpoint (Persist.encode_endpoint img) = Ok img
 
 (* Regression: the float codec used to bounce the IEEE bits through a
@@ -163,15 +147,22 @@ let prop_float_roundtrip v =
 
 let run_at sn s = Persist.owned_run sn (Bytes.of_string s)
 
+(* Connection [id] of an endpoint image, and its live epoch. *)
+let conn_of (Persist.Multi conns) id =
+  match List.find_opt (fun c -> c.Persist.ci_id = id) conns with
+  | Some c -> c
+  | None -> Alcotest.failf "no connection %d in the image" id
+
+let live_of c =
+  match c.Persist.ci_live with
+  | Some ri -> ri
+  | None -> Alcotest.failf "connection %d has no live epoch" c.Persist.ci_id
+
 let test_journal_replay () =
   (* two ACK records, out of order and with a gap: replay must produce
      the canonical image — sorted ledger, coalesced runs, the verified
      cover exactly the acknowledged spans, end confirmed by either
      record *)
-  let empty =
-    Persist.Single
-      { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:7 }
-  in
   let events =
     [
       Persist.Acked
@@ -185,36 +176,35 @@ let test_journal_replay () =
           runs = [ run_at 0 "abcdABCDwxyzWXYZ" ];
           parity = None;
         };
-      (* wrong connection: must be ignored, not misfiled *)
+      (* another connection: must be filed apart, not misfiled *)
       Persist.Acked
         { conn = 9; t_id = 2; end_confirmed = None;
           runs = [ run_at 0 "XXXXYYYY" ]; parity = None };
     ]
   in
-  match Persist.apply_journal ~elem_size:4 ~quota_elems:16 empty events with
-  | Persist.Multi _ -> Alcotest.fail "journal replay changed the endpoint shape"
-  | Persist.Single si ->
-      Alcotest.(check (list int)) "ledger sorted" [ 1; 3 ] si.Persist.s_acked;
-      Alcotest.(check int) "passes counted" 2 si.Persist.s_rx.Persist.ri_passed;
-      Alcotest.(check (option int))
-        "end confirmed" (Some 5) si.Persist.s_rx.Persist.ri_end_confirmed;
-      Alcotest.(check (list (pair int int)))
-        "verified cover coalesced" [ (0, 6) ] si.Persist.s_rx.Persist.ri_verified;
-      (match si.Persist.s_rx.Persist.ri_placed with
-      | [ (0, b) ] ->
-          Alcotest.(check string) "placed bytes fused"
-            "abcdABCDwxyzWXYZefghijkl" (Bytes.to_string b)
-      | runs ->
-          Alcotest.failf "expected one fused run, got %d" (List.length runs))
+  let img =
+    Persist.apply_journal ~elem_size:4 ~quota_elems:16 (Persist.Multi []) events
+  in
+  let c7 = conn_of img 7 in
+  let ri = live_of c7 in
+  Alcotest.(check (list int)) "ledger sorted" [ 1; 3 ] c7.Persist.ci_acked;
+  Alcotest.(check int) "passes counted" 2 ri.Persist.ri_passed;
+  Alcotest.(check (option int)) "end confirmed" (Some 5) ri.Persist.ri_end_confirmed;
+  Alcotest.(check (list (pair int int)))
+    "verified cover coalesced" [ (0, 6) ] ri.Persist.ri_verified;
+  (match ri.Persist.ri_placed with
+  | [ (0, b) ] ->
+      Alcotest.(check string) "placed bytes fused"
+        "abcdABCDwxyzWXYZefghijkl" (Bytes.to_string b)
+  | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
+  Alcotest.(check (list int)) "the other connection's ledger" [ 2 ]
+    (conn_of img 9).Persist.ci_acked
 
 let test_store_torn_tail () =
   (* write-ahead store: snapshot + two journal records, then a flipped
      bit in the last record.  Recovery must keep the snapshot and the
      first record, drop the torn tail, and say so. *)
-  let base =
-    Persist.Single
-      { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:7 }
-  in
+  let base = Persist.Multi [] in
   let store = Persist.Store.create () in
   Persist.Store.snapshot store base;
   Persist.Store.append store
@@ -230,11 +220,10 @@ let test_store_torn_tail () =
     Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:base store
   with
   | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (Persist.Multi _, _) -> Alcotest.fail "recover changed endpoint shape"
-  | Ok (Persist.Single si, torn) ->
+  | Ok (img, torn) ->
       Alcotest.(check bool) "tail reported torn" true torn;
       Alcotest.(check (list int)) "first record kept, torn one dropped"
-        [ 1 ] si.Persist.s_acked
+        [ 1 ] (conn_of img 7).Persist.ci_acked
 
 (* The journal golden events: an ACK with two runs, an Open and a
    Close. *)
@@ -281,27 +270,24 @@ let of_hex h =
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 (* What [golden_events] recover to from an empty endpoint. *)
-let check_golden_recovery (img, torn) =
-  match img with
-  | Persist.Single _ -> Alcotest.fail "recover changed endpoint shape"
-  | Persist.Multi conns -> (
-      Alcotest.(check bool) "not torn" false torn;
-      match conns with
-      | [ c7; c9 ] ->
-          Alcotest.(check (list int)) "ledger" [ 3 ] c7.Persist.ci_acked;
-          (match c7.Persist.ci_live with
-          | Some ri ->
-              Alcotest.(check (list (pair int string)))
-                "placed runs"
-                [ (0, "abcdABCD"); (4, "efgh") ]
-                (List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed);
-              Alcotest.(check (list (pair int int)))
-                "verified" [ (0, 2); (4, 1) ] ri.Persist.ri_verified;
-              Alcotest.(check (option int)) "end" (Some 11) ri.Persist.ri_end_confirmed
-          | None -> Alcotest.fail "acked connection lost its live epoch");
-          Alcotest.(check bool) "closed connection has no live epoch" true
-            (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
-      | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns))
+let check_golden_recovery (Persist.Multi conns, torn) =
+  Alcotest.(check bool) "not torn" false torn;
+  match conns with
+  | [ c7; c9 ] ->
+      Alcotest.(check (list int)) "ledger" [ 3 ] c7.Persist.ci_acked;
+      (match c7.Persist.ci_live with
+      | Some ri ->
+          Alcotest.(check (list (pair int string)))
+            "placed runs"
+            [ (0, "abcdABCD"); (4, "efgh") ]
+            (List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed);
+          Alcotest.(check (list (pair int int)))
+            "verified" [ (0, 2); (4, 1) ] ri.Persist.ri_verified;
+          Alcotest.(check (option int)) "end" (Some 11) ri.Persist.ri_end_confirmed
+      | None -> Alcotest.fail "acked connection lost its live epoch");
+      Alcotest.(check bool) "closed connection has no live epoch" true
+        (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
+  | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns)
 
 let test_journal_v2_golden () =
   let events, torn = Persist.decode_journal (of_hex golden_journal_v2_hex) in
@@ -391,10 +377,10 @@ let golden_receiver =
       ];
   }
 
-let golden_single =
-  Persist.Single { Persist.s_acked = [ 1; 2 ]; s_rx = golden_receiver }
-
-let golden_single_hex =
+(* A standalone-receiver image (tag 0) as the retired format wrote it:
+   [golden_receiver] with the ledger [1; 2].  Nothing writes tag 0 now,
+   and a decoder must refuse it, not raise. *)
+let retired_single_hex =
   "43534e50000400000207000000000000000002000000000000000100000000000000020000\
    00000000000700000000000000010000000000000000000000000000000861626364656667\
    6800000000000000010000000000000000000000000000000201000000000000000b000000\
@@ -478,12 +464,13 @@ let test_snapshot_goldens () =
   let check name want b =
     Alcotest.(check string) (name ^ " bytes") want (hex b)
   in
-  check "single image" golden_single_hex (Persist.encode_endpoint golden_single);
   check "multi image" golden_multi_hex (Persist.encode_endpoint golden_multi);
   check "sender image" golden_sender_hex (Persist.encode_sender golden_sender);
-  Alcotest.(check bool) "single decodes back" true
-    (Persist.decode_endpoint (Persist.encode_endpoint golden_single)
-    = Ok golden_single);
+  Alcotest.(check bool) "retired tag-0 image refused" true
+    (match Persist.decode_endpoint (of_hex retired_single_hex) with
+    | Error _ -> true
+    | Ok _ -> false
+    | exception _ -> false);
   Alcotest.(check bool) "multi decodes back" true
     (Persist.decode_endpoint (Persist.encode_endpoint golden_multi)
     = Ok golden_multi);
@@ -536,9 +523,6 @@ let test_contiguous_replay () =
   let k = 256 and run_elems = 512 and elem_size = 4 in
   let run_bytes = run_elems * elem_size in
   let image = Util.deterministic_bytes (k * run_bytes) in
-  let empty =
-    Persist.Single { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:7 }
-  in
   let events =
     List.init k (fun i ->
         Persist.Acked
@@ -554,22 +538,22 @@ let test_contiguous_replay () =
   in
   let before = Gc.allocated_bytes () in
   let replayed =
-    Persist.apply_journal ~elem_size ~quota_elems:(k * run_elems) empty events
+    Persist.apply_journal ~elem_size ~quota_elems:(k * run_elems)
+      (Persist.Multi []) events
   in
   let allocated = Gc.allocated_bytes () -. before in
-  match replayed with
-  | Persist.Multi _ -> Alcotest.fail "journal replay changed the endpoint shape"
-  | Persist.Single si ->
-      Alcotest.(check (list int)) "ledger" (List.init k Fun.id) si.Persist.s_acked;
-      Alcotest.(check int) "passes" k si.Persist.s_rx.Persist.ri_passed;
-      Alcotest.(check (list (pair int int)))
-        "verified cover" [ (0, k * run_elems) ] si.Persist.s_rx.Persist.ri_verified;
-      (match si.Persist.s_rx.Persist.ri_placed with
-      | [ (0, b) ] -> Alcotest.check Util.bytes_testable "one fused run" image b
-      | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
-      if allocated > 8.0 *. float_of_int (Bytes.length image) then
-        Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
-          (Bytes.length image)
+  let c = conn_of replayed 7 in
+  let ri = live_of c in
+  Alcotest.(check (list int)) "ledger" (List.init k Fun.id) c.Persist.ci_acked;
+  Alcotest.(check int) "passes" k ri.Persist.ri_passed;
+  Alcotest.(check (list (pair int int)))
+    "verified cover" [ (0, k * run_elems) ] ri.Persist.ri_verified;
+  (match ri.Persist.ri_placed with
+  | [ (0, b) ] -> Alcotest.check Util.bytes_testable "one fused run" image b
+  | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
+  if allocated > 8.0 *. float_of_int (Bytes.length image) then
+    Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
+      (Bytes.length image)
 
 (* Replay merges the verified spans once, at the end (and where an
    archive reads them), not after every record.  A shuffled journal of
@@ -804,7 +788,36 @@ let test_torn_write_sweep () =
   in
   ignore (sweep_torn_writes records)
 
-(* A clean bulk transfer through a receiver with a write-ahead journal:
+(* A clean transfer of [data] into a one-connection endpoint, each way
+   1e-4 s, run until the sender finishes. *)
+let clean_transfer ?persist ~seed config data =
+  let engine = Netsim.Engine.create ~seed () in
+  let sender = ref None and endpoint = ref None in
+  let hop deliver b =
+    let b = Bytes.copy b in
+    Netsim.Engine.schedule engine ~delay:1e-4 (fun () -> deliver b)
+  in
+  let tx =
+    CT.Sender.create engine config ~announce_open:true
+      ~send:(hop (fun b -> Option.iter (fun m -> Transport.Multi.ingest m b) !endpoint))
+      ~data ()
+  in
+  sender := Some tx;
+  let m =
+    Transport.Multi.create engine ~config
+      ~quota_elems:(CT.expected_elements config ~data_len:(Bytes.length data))
+      ~max_conns:1 ?persist
+      ~send_ack:(hop (fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender))
+      ()
+  in
+  endpoint := Some m;
+  CT.Sender.start tx;
+  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
+    ()
+  done;
+  (m, tx)
+
+(* A clean bulk transfer through an endpoint with a write-ahead journal:
    every ACK reuses the verifier's data parity, so the journal hook
    checksums each record's header alone — under 128 bytes per ACK, where
    a version-2 record checksummed its 2 KiB of run bytes again.  The
@@ -817,53 +830,34 @@ let test_journal_reuses_parity () =
   let expected = CT.expected_elements config ~data_len:(Bytes.length data) in
   let wsc2 = Obs.Metrics.counter "wsc2_bytes_total" in
   let transfer persist =
-    let engine = Netsim.Engine.create ~seed:9 () in
-    let receiver = ref None and sender = ref None in
-    let tx =
-      CT.Sender.create engine config
-        ~send:(fun b ->
-          match !receiver with
-          | Some rx ->
-              let b = Bytes.copy b in
-              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                  CT.Receiver.ingest rx b)
-          | None -> ())
-        ~data ()
-    in
-    sender := Some tx;
-    let rx =
-      CT.Receiver.create engine config ?persist
-        ~send_ack:(fun b ->
-          match !sender with
-          | Some tx ->
-              let b = Bytes.copy b in
-              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                  CT.Sender.on_packet tx b)
-          | None -> ())
-        ~capacity:(`Exact expected) ()
-    in
-    receiver := Some rx;
     let before = Obs.Metrics.value wsc2 in
-    CT.Sender.start tx;
-    Netsim.Engine.run engine;
-    Alcotest.(check bool) "transfer complete" true (CT.Receiver.complete rx);
+    let m, _ = clean_transfer ?persist ~seed:9 config data in
+    Alcotest.(check bool) "transfer complete" true
+      (Util.only_epoch m ~conn_id:config.CT.conn_id).Transport.Multi.complete;
     Obs.Metrics.value wsc2 - before
   in
   let plain = transfer None in
   let store = Persist.Store.create () in
   let journalled = transfer (Some (Persist.Store.append store)) in
-  let acks = Persist.Store.journal_records store in
-  Alcotest.(check int) "one record per TPDU" 32 acks;
+  let events, _ = Persist.decode_journal (Persist.Store.journal store) in
+  let acks =
+    List.length
+      (List.filter (function Persist.Acked _ -> true | _ -> false) events)
+  in
+  Alcotest.(check int) "one record per TPDU, beside the Open's" 33
+    (Persist.Store.journal_records store);
+  Alcotest.(check int) "one ACK record per TPDU" 32 acks;
   let per_ack = (journalled - plain) / acks in
   if per_ack >= 128 then
     Alcotest.failf "journal hook checksummed %d bytes per ACK" per_ack;
-  let empty = Persist.Single { Persist.s_acked = []; s_rx = Persist.empty_receiver ~conn:config.CT.conn_id } in
-  match Persist.Store.recover ~elem_size:4 ~quota_elems:expected ~empty store with
+  match
+    Persist.Store.recover ~elem_size:4 ~quota_elems:expected
+      ~empty:(Persist.Multi []) store
+  with
   | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (Persist.Multi _, _) -> Alcotest.fail "recover changed endpoint shape"
-  | Ok (Persist.Single si, torn) ->
+  | Ok (img, torn) -> (
       Alcotest.(check bool) "journal not torn" false torn;
-      (match si.Persist.s_rx.Persist.ri_placed with
+      match (live_of (conn_of img config.CT.conn_id)).Persist.ri_placed with
       | [ (0, b) ] -> Alcotest.check Util.bytes_testable "replayed bytes" data b
       | runs -> Alcotest.failf "expected one run, got %d" (List.length runs))
 
@@ -871,37 +865,7 @@ let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
      TPDU, finds them all in the ledger, and has nothing to transmit *)
   let data = Util.deterministic_bytes 2_000 in
-  let engine = Netsim.Engine.create ~seed:5 () in
-  let receiver = ref None in
-  let sender = ref None in
-  let tx =
-    CT.Sender.create engine config
-      ~send:(fun b ->
-        match !receiver with
-        | Some rx ->
-            let b = Bytes.copy b in
-            Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                CT.Receiver.ingest rx b)
-        | None -> ())
-      ~data ()
-  in
-  sender := Some tx;
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun b ->
-        match !sender with
-        | Some tx ->
-            let b = Bytes.copy b in
-            Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                CT.Sender.on_packet tx b)
-        | None -> ())
-      ~capacity:
-        (`Exact (CT.expected_elements config ~data_len:(Bytes.length data)))
-      ()
-  in
-  receiver := Some rx;
-  CT.Sender.start tx;
-  Netsim.Engine.run engine;
+  let _, tx = clean_transfer ~seed:5 config data in
   Alcotest.(check bool) "live sender finished" true (CT.Sender.finished tx);
   let si = CT.Sender.export tx in
   (match Persist.decode_sender (Persist.encode_sender si) with
@@ -1030,13 +994,11 @@ let test_archived_epoch_counts_survive () =
   survives ~snap_after:(Some 2);
   survives ~snap_after:(Some 5)
 
-(* A receiver that honoured a shed and verified every other TPDU is
-   complete; restored from its snapshot bytes it still is, and it still
-   knows the shed T.ID, so a straggler of that TPDU opens no state. *)
-let test_shed_survives_restore () =
+(* A connection of four 8-element TPDUs whose TPDU 2 is sheddable:
+   its config and each TPDU's packets. *)
+let shed_case () =
   let open Labelling in
   let tpdu_elems = 8 and n_tpdus = 4 in
-  let elems = tpdu_elems * n_tpdus in
   let config =
     {
       CT.default_config with
@@ -1056,45 +1018,83 @@ let test_shed_survives_restore () =
       (Edc.Encoder.seal_tpdus
          (Util.ok_or_fail
             (Framer.push_frame ~last:true framer
-               (Util.deterministic_bytes (config.CT.elem_size * elems)))))
+               (Util.deterministic_bytes
+                  (config.CT.elem_size * tpdu_elems * n_tpdus)))))
   in
   let packets t =
     List.filter (fun c -> c.Chunk.header.Header.t.Ftuple.id = t) sealed
     |> Packet.pack ~mtu:config.CT.mtu
     |> Util.ok_or_fail |> List.map Packet.encode
   in
+  (config, tpdu_elems * n_tpdus, packets)
+
+(* TPDUs 0, 1 and 3 verified and TPDU 2 shed, into [m]. *)
+let verify_and_shed m config packets =
+  List.iter (fun t -> List.iter (Transport.Multi.ingest m) (packets t)) [ 0; 1; 3 ];
+  Transport.Multi.ingest m
+    (Util.ok_or_fail
+       (Labelling.Wire.encode_packet
+          [
+            Labelling.Connection.signal_chunk ~conn_id:config.CT.conn_id
+              (Labelling.Connection.Shed_tpdu
+                 { t_id = 2; first_elem = 16; elems = 8 });
+          ]))
+
+(* What a restored endpoint must still know of the shed: the epoch is
+   complete, the shed T.ID is known, and a straggler of the shed TPDU
+   opens no state. *)
+let check_shed_kept what m config packets =
+  Alcotest.(check bool) (what ^ ": complete") true
+    (Util.only_epoch m ~conn_id:config.CT.conn_id).Transport.Multi.complete;
+  Alcotest.(check (list int))
+    (what ^ ": shed T.IDs") [ 2 ]
+    (List.concat_map CT.Receiver.shed_tids (Transport.Multi.receivers m));
+  List.iter (Transport.Multi.ingest m) (packets 2);
+  Alcotest.(check int) (what ^ ": a straggler of the shed TPDU opens nothing")
+    0
+    (Transport.Multi.live_in_flight m)
+
+(* An endpoint that honoured a shed and verified every other TPDU is
+   complete; restored from its snapshot bytes it still is. *)
+let test_shed_survives_restore () =
+  let config, quota_elems, packets = shed_case () in
   let engine = Netsim.Engine.create ~seed:3 () in
-  let send_ack _ = () and capacity = `Exact elems in
-  let rx = CT.Receiver.create engine config ~send_ack ~capacity () in
-  List.iter
-    (fun t -> List.iter (CT.Receiver.ingest rx) (packets t))
-    [ 0; 1; 3 ];
-  CT.Receiver.shed_tpdu rx ~t_id:2 ~first_elem:(2 * tpdu_elems)
-    ~elems:tpdu_elems;
+  let m = Util.one_conn engine config ~quota_elems in
+  verify_and_shed m config packets;
   Alcotest.(check bool) "complete before the crash" true
-    (CT.Receiver.complete rx);
-  let bytes =
-    Persist.encode_endpoint
-      (Persist.Single
-         {
-           Persist.s_acked = CT.Receiver.acked_tids rx;
-           s_rx = CT.Receiver.export rx;
-         })
-  in
+    (Util.only_epoch m ~conn_id:config.CT.conn_id).Transport.Multi.complete;
+  let bytes = Persist.encode_endpoint (Persist.Multi (Transport.Multi.export m)) in
   match Persist.decode_endpoint bytes with
-  | Ok (Persist.Single si) ->
-      let rx' =
-        CT.Receiver.restore engine config ~send_ack ~capacity si.Persist.s_rx
-          ~acked_tids:si.Persist.s_acked
-      in
-      Alcotest.(check bool) "complete after the restore" true
-        (CT.Receiver.complete rx');
-      Alcotest.(check (list int))
-        "shed T.IDs" [ 2 ] (CT.Receiver.shed_tids rx');
-      List.iter (CT.Receiver.ingest rx') (packets 2);
-      Alcotest.(check int) "a straggler of the shed TPDU opens nothing" 0
-        (CT.Receiver.verifier_in_flight rx')
-  | Ok (Persist.Multi _) | Error _ -> Alcotest.fail "snapshot did not decode"
+  | Ok (Persist.Multi conns) ->
+      check_shed_kept "snapshot"
+        (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
+           ~send_ack:ignore conns)
+        config packets
+  | Error e -> Alcotest.failf "snapshot did not decode: %s" e
+
+(* The same, recovered from the journal alone: the honoured shed is
+   journalled before its ACK leaves, as a verified TPDU is. *)
+let test_shed_survives_journal () =
+  let config, quota_elems, packets = shed_case () in
+  let engine = Netsim.Engine.create ~seed:3 () in
+  let store = Persist.Store.create () in
+  let m =
+    Util.one_conn engine config ~quota_elems
+      ~persist:(Persist.Store.append store)
+  in
+  verify_and_shed m config packets;
+  Transport.Multi.teardown m;
+  match
+    Persist.Store.recover ~elem_size:config.CT.elem_size ~quota_elems
+      ~empty:(Persist.Multi []) store
+  with
+  | Ok (Persist.Multi conns, false) ->
+      check_shed_kept "journal"
+        (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
+           ~send_ack:ignore conns)
+        config packets
+  | Ok (_, true) -> Alcotest.fail "journal torn"
+  | Error e -> Alcotest.failf "recover failed: %s" e
 
 let suite =
   [
@@ -1149,4 +1149,6 @@ let suite =
       `Quick test_archived_epoch_counts_survive;
     Alcotest.test_case "an honoured shed survives a snapshot restore" `Quick
       test_shed_survives_restore;
+    Alcotest.test_case "an honoured shed survives a journal-only recovery"
+      `Quick test_shed_survives_journal;
   ]

@@ -5,6 +5,7 @@
 
 open Labelling
 module CT = Transport.Chunk_transport
+module TR = Transport.Transfer
 module Gov = Transport.Governor
 module Il = Transport.Interleave
 
@@ -47,13 +48,13 @@ let test_shed_under_loss () =
       shed_txs = 2;
     }
   in
-  let o = CT.run ~seed:5 ~config ~loss:0.5 ~data () in
-  Alcotest.(check bool) "outcome ok (shed-aware)" true o.CT.ok;
-  Alcotest.(check bool) "congestion provoked sheds" true (o.CT.sheds_sent > 0);
+  let o = TR.run ~seed:5 ~config ~loss:0.5 ~data () in
+  Alcotest.(check bool) "outcome ok (shed-aware)" true o.TR.ok;
+  Alcotest.(check bool) "congestion provoked sheds" true (o.TR.sheds_sent > 0);
   Alcotest.(check bool) "receiver honoured sheds" true
-    (o.CT.sheds_received > 0);
-  Alcotest.(check int) "one span per honoured shed" o.CT.sheds_received
-    (List.length o.CT.shed_spans);
+    (o.TR.sheds_received > 0);
+  Alcotest.(check int) "one span per honoured shed" o.TR.sheds_received
+    (List.length o.TR.shed_spans);
   (* every shed span is exactly one sheddable TPDU *)
   List.iter
     (fun (first, len) ->
@@ -62,11 +63,11 @@ let test_shed_under_loss () =
       Alcotest.(check int) "span is one whole TPDU" tpdu_elems len;
       Alcotest.(check bool) "span belongs to a sheddable TPDU" true
         (Significance.sheddable (classify (first / tpdu_elems))))
-    o.CT.shed_spans;
+    o.TR.shed_spans;
   (* the fully-reliable TPDUs arrived byte-exact *)
   Alcotest.(check bool) "reliable bytes intact" true
-    (CT.equal_outside_sheds ~elem_size ~spans:o.CT.shed_spans ~expected:data
-       ~delivered:o.CT.delivered);
+    (TR.equal_outside_sheds ~elem_size ~spans:o.TR.shed_spans ~expected:data
+       ~delivered:o.TR.delivered);
   for t_id = 0 to n_tpdus - 1 do
     if not (Significance.sheddable (classify t_id)) then
       let off = t_id * tpdu_elems * elem_size in
@@ -74,12 +75,12 @@ let test_shed_under_loss () =
       Alcotest.check Util.bytes_testable
         (Printf.sprintf "reliable TPDU %d byte-exact" t_id)
         (Bytes.sub data off n)
-        (Bytes.sub o.CT.delivered off n)
+        (Bytes.sub o.TR.delivered off n)
   done
 
 (* --- the forged-shed guard --- *)
 
-let feed_stream rx config data =
+let feed_stream m config data =
   let framer =
     Framer.create ~elem_size:config.CT.elem_size
       ~tpdu_elems:config.CT.tpdu_elems ~conn_id:config.CT.conn_id ()
@@ -87,7 +88,16 @@ let feed_stream rx config data =
   let chunks = Util.ok_or_fail (Framer.push_frame ~last:true framer data) in
   let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus chunks) in
   let packets = Util.ok_or_fail (Packet.pack ~mtu:config.CT.mtu sealed) in
-  List.iter (fun p -> CT.Receiver.ingest rx (Packet.encode p)) packets
+  List.iter (fun p -> Transport.Multi.ingest m (Packet.encode p)) packets
+
+let shed_signal m ~conn_id ~t_id ~first_elem ~elems =
+  Transport.Multi.ingest m
+    (Util.ok_or_fail
+       (Wire.encode_packet
+          [
+            Connection.signal_chunk ~conn_id
+              (Connection.Shed_tpdu { t_id; first_elem; elems });
+          ]))
 
 let test_forged_shed_ignored () =
   (* default classify: everything Normal — no shed may ever be
@@ -95,24 +105,21 @@ let test_forged_shed_ignored () =
   let engine = Netsim.Engine.create ~seed:1 () in
   let config = { CT.default_config with conn_id = 4; tpdu_elems = 8 } in
   let data = Util.deterministic_bytes (4 * 8 * 3) in
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun _ -> ())
-      ~capacity:(`Exact 24) ()
-  in
-  CT.Receiver.shed_tpdu rx ~t_id:1 ~first_elem:8 ~elems:8;
+  let m = Util.one_conn engine config ~quota_elems:24 in
+  let epoch () = Util.only_epoch m ~conn_id:4 in
+  shed_signal m ~conn_id:4 ~t_id:1 ~first_elem:8 ~elems:8;
   Alcotest.(check int) "forged shed of Normal TPDU ignored" 0
-    (CT.Receiver.counters rx).sheds_received;
+    (Transport.Multi.counters m).sheds_received;
   Alcotest.(check bool) "no shed cover accrued" true
-    (CT.Receiver.shed_spans rx = []);
+    ((epoch ()).Transport.Multi.shed_spans = []);
   (* completion still requires the real bytes *)
   Alcotest.(check bool) "not complete without the data" false
-    (CT.Receiver.complete rx);
-  feed_stream rx config data;
+    (epoch ()).Transport.Multi.complete;
+  feed_stream m config data;
   Alcotest.(check bool) "complete once the data lands" true
-    (CT.Receiver.complete rx);
+    (epoch ()).Transport.Multi.complete;
   Alcotest.check Util.bytes_testable "delivery byte-exact" data
-    (CT.Receiver.contents rx)
+    (epoch ()).Transport.Multi.delivered
 
 let test_shed_after_verify_ignored () =
   (* a shed of a genuinely sheddable TPDU arriving after that TPDU
@@ -128,18 +135,15 @@ let test_shed_after_verify_ignored () =
     }
   in
   let data = Util.deterministic_bytes (4 * 8 * 3) in
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun _ -> ())
-      ~capacity:(`Exact 24) ()
-  in
-  feed_stream rx config data;
-  Alcotest.(check bool) "complete" true (CT.Receiver.complete rx);
-  CT.Receiver.shed_tpdu rx ~t_id:1 ~first_elem:8 ~elems:8;
+  let m = Util.one_conn engine config ~quota_elems:24 in
+  feed_stream m config data;
+  Alcotest.(check bool) "complete" true
+    (Util.only_epoch m ~conn_id:4).Transport.Multi.complete;
+  shed_signal m ~conn_id:4 ~t_id:1 ~first_elem:8 ~elems:8;
   Alcotest.(check int) "late shed of verified TPDU ignored" 0
-    (CT.Receiver.counters rx).sheds_received;
+    (Transport.Multi.counters m).sheds_received;
   Alcotest.check Util.bytes_testable "bytes survive the late shed" data
-    (CT.Receiver.contents rx)
+    (Util.only_epoch m ~conn_id:4).Transport.Multi.delivered
 
 (* A chunk of a TPDU the epoch shed, arriving after the epoch completed,
    is a straggler of that epoch, not the start of the next: [Multi]
@@ -528,44 +532,41 @@ let test_interleave_clean_delivery () =
     }
   in
   let engine = Netsim.Engine.create ~seed:3 () in
-  let receiver = ref None and sender = ref None in
+  let endpoint = ref None and sender = ref None in
   let forward =
     Netsim.Link.create engine ~name:"fwd" ~rate_bps:1e9 ~delay:1e-3
       ~mtu:config.CT.mtu
-      ~deliver:(fun b ->
-        match !receiver with
-        | Some r -> CT.Receiver.ingest r b
-        | None -> ())
+      ~deliver:(fun b -> Option.iter (fun m -> Transport.Multi.ingest m b) !endpoint)
       ()
   in
   let reverse =
     Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
       ~mtu:config.CT.mtu
-      ~deliver:(fun b ->
-        match !sender with Some s -> CT.Sender.on_packet s b | None -> ())
+      ~deliver:(fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
       ()
   in
-  let rx =
-    CT.Receiver.create engine config
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems:plan.Il.total_elems
+      ~max_conns:1
       ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ~capacity:(`Exact plan.Il.total_elems)
       ()
   in
-  receiver := Some rx;
+  endpoint := Some m;
   let tx =
-    CT.Sender.of_tpdus engine config
+    CT.Sender.of_tpdus engine config ~announce_open:true
       ~send:(fun b -> ignore (Netsim.Link.send forward b))
       plan.Il.tpdus
   in
   sender := Some tx;
   CT.Sender.start tx;
   Netsim.Engine.run engine;
-  Alcotest.(check bool) "complete" true (CT.Receiver.complete rx);
+  let e = Util.only_epoch m ~conn_id:7 in
+  Alcotest.(check bool) "complete" true e.Transport.Multi.complete;
   Alcotest.(check int) "nothing shed on a clean path" 0
-    (CT.Receiver.counters rx).sheds_received;
+    (Transport.Multi.counters m).sheds_received;
   Alcotest.check Util.bytes_testable "delivery matches Interleave.expected"
     (Il.expected ~elem_size ~tpdu_elems streams)
-    (CT.Receiver.contents rx)
+    e.Transport.Multi.delivered
 
 let test_interleave_rejects_bad_input () =
   let fails = function
@@ -633,7 +634,9 @@ let test_shed_clobber_caught () =
    frontier.  Whatever the path — TPDUs passing out of order, a shed, a
    snapshot restored mid-way whose image carries a verified span the
    window cannot hold — it must agree with a from-scratch reading: the
-   first gap in the sorted merge of the verified and the shed spans. *)
+   first gap in the sorted merge of the verified and the shed spans.
+   The final TPDU carries C.ST, so the stream's end is confirmed exactly
+   when that merge can first reach it. *)
 let test_completion_rule () =
   let tpdu_elems = 8 and n_tpdus = 6 in
   let elems = tpdu_elems * n_tpdus in
@@ -663,7 +666,7 @@ let test_completion_rule () =
     |> Util.ok_or_fail |> List.map Packet.encode
   in
   let engine = Netsim.Engine.create ~seed:3 () in
-  let send_ack _ = () and capacity = `Exact elems in
+  let send_ack _ = () and capacity = `Quota elems in
   let rx = ref (CT.Receiver.create engine config ~send_ack ~capacity ()) in
   let verified = ref [] in
   let old_rule spans =
@@ -685,7 +688,7 @@ let test_completion_rule () =
       (CT.Receiver.complete !rx)
   in
   let pass t =
-    List.iter (CT.Receiver.ingest !rx) (packets t);
+    CT.Receiver.ingest_batch !rx (Array.of_list (packets t));
     verified := (t * tpdu_elems, tpdu_elems) :: !verified;
     check (Printf.sprintf "TPDU %d passed" t)
   in
@@ -710,9 +713,7 @@ let test_completion_rule () =
         img.Transport.Persist.ri_verified @ [ (elems - 4, 8) ];
     }
   in
-  rx :=
-    CT.Receiver.restore engine config ~send_ack ~capacity img
-      ~acked_tids:(CT.Receiver.acked_tids !rx);
+  rx := CT.Receiver.restore engine config ~send_ack ~capacity img;
   check "restored";
   pass 4;
   if CT.Receiver.shed_spans !rx = [] then shed ();

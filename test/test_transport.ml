@@ -4,14 +4,14 @@
 let data = Util.deterministic_bytes 60_000
 
 let chunk_run ?(loss = 0.0) ?(corrupt = 0.0) ?(seed = 0x5EED) ?config () =
-  Transport.Chunk_transport.run ?config ~seed ~loss ~corrupt ~data ()
+  Transport.Transfer.run ?config ~seed ~loss ~corrupt ~data ()
 
 let buffered_run ?(loss = 0.0) ?(corrupt = 0.0) ?(seed = 0x5EED) ?config () =
   Transport.Buffered_transport.run ?config ~seed ~loss ~corrupt ~data ()
 
 let test_chunk_clean () =
   let o = chunk_run () in
-  Alcotest.(check bool) "delivered intact" true o.Transport.Chunk_transport.ok;
+  Alcotest.(check bool) "delivered intact" true o.Transport.Transfer.ok;
   Alcotest.(check int) "no retransmissions" 0 o.retransmissions;
   Alcotest.(check int) "no verifier failures" 0
     o.verifier.Edc.Verifier.tpdus_failed
@@ -19,14 +19,14 @@ let test_chunk_clean () =
 let test_chunk_lossy () =
   let o = chunk_run ~loss:0.03 () in
   Alcotest.(check bool) "delivered intact under loss" true
-    o.Transport.Chunk_transport.ok;
+    o.Transport.Transfer.ok;
   Alcotest.(check bool) "loss forced retransmissions" true
     (o.retransmissions > 0)
 
 let test_chunk_corrupting () =
   let o = chunk_run ~corrupt:0.02 ~seed:1234 () in
   Alcotest.(check bool) "delivered intact under corruption" true
-    o.Transport.Chunk_transport.ok;
+    o.Transport.Transfer.ok;
   Alcotest.(check bool) "verifier caught damage" true
     (o.verifier.Edc.Verifier.tpdus_failed > 0)
 
@@ -63,13 +63,13 @@ let test_bus_crossings_ordering () =
   let b = buffered_run () in
   Alcotest.(check bool) "buffered touches data more" true
     (b.Transport.Buffered_transport.bus_crossings_per_byte
-    > c.Transport.Chunk_transport.bus_crossings_per_byte)
+    > c.Transport.Transfer.bus_crossings_per_byte)
 
 let test_latency_ordering () =
   let c = chunk_run ~loss:0.02 () in
   let b = buffered_run ~loss:0.02 () in
   match
-    ( c.Transport.Chunk_transport.element_delay,
+    ( c.Transport.Transfer.element_delay,
       b.Transport.Buffered_transport.element_delay )
   with
   | Some sc, Some sb ->
@@ -83,7 +83,7 @@ let test_adaptive_shrinks () =
       Transport.Chunk_transport.adaptive = true }
   in
   let o = chunk_run ~loss:0.15 ~config () in
-  Alcotest.(check bool) "still correct" true o.Transport.Chunk_transport.ok
+  Alcotest.(check bool) "still correct" true o.Transport.Transfer.ok
 
 let test_lockup_pressure () =
   (* squeeze the reassembly buffer: the conventional receiver hits
@@ -101,8 +101,8 @@ let test_lockup_pressure () =
 
 let test_small_transfer () =
   let data = Util.deterministic_bytes 100 in
-  let o = Transport.Chunk_transport.run ~data () in
-  Alcotest.(check bool) "tiny transfer" true o.Transport.Chunk_transport.ok
+  let o = Transport.Transfer.run ~data () in
+  Alcotest.(check bool) "tiny transfer" true o.Transport.Transfer.ok
 
 let test_expected_elements () =
   let config = Transport.Chunk_transport.default_config in
@@ -153,28 +153,29 @@ let test_through_gateways () =
      the receiver must notice nothing (§3.1 transparency) *)
   let data = Util.deterministic_bytes 40_000 in
   let o =
-    Transport.Chunk_transport.run ~seed:77 ~loss:0.02 ~data
+    Transport.Transfer.run ~seed:77 ~loss:0.02 ~data
       ~gateways:
         [ (Labelling.Repack.Combine, 576); (Labelling.Repack.Reassemble, 9180) ]
       ()
   in
   Alcotest.(check bool) "intact through 2 gateways" true
-    o.Transport.Chunk_transport.ok
+    o.Transport.Transfer.ok
 
 let test_gateway_method1 () =
   let data = Util.deterministic_bytes 20_000 in
   let o =
-    Transport.Chunk_transport.run ~seed:78 ~data
+    Transport.Transfer.run ~seed:78 ~data
       ~gateways:[ (Labelling.Repack.One_per_packet, 4096) ]
       ()
   in
   Alcotest.(check bool) "intact via method 1" true
-    o.Transport.Chunk_transport.ok
+    o.Transport.Transfer.ok
 
 (* The ACK's bytes, pinned against the generic encoder: every sender of
    an ACK (the receiver's fresh and re-ACKs, [Multi]'s re-ACK of a
-   closed epoch, and both [reannounce]s) must put exactly these bytes on
-   the wire, whatever shortcut it takes to build them. *)
+   closed epoch, and [reannounce] over a live epoch's receiver and a
+   closed epoch's ledger) must put exactly these bytes on the wire,
+   whatever shortcut it takes to build them. *)
 let ack_ids = [ 0; 1; 0xFFFF_FFFF ]
 
 let expected_ack ~conn_id ~t_id =
@@ -207,18 +208,8 @@ let test_ack_bytes_pinned () =
             (expected_ack ~conn_id ~t_id)
             (CT.ack_packet ~conn_id ~t_id))
         ack_ids;
-      (* the receiver's reannounce after a restore *)
-      let sent = ref [] in
-      let rx =
-        CT.Receiver.restore
-          (Netsim.Engine.create ~seed:1 ())
-          { CT.default_config with CT.conn_id }
-          ~send_ack:(fun b -> sent := b :: !sent)
-          ~capacity:(`Quota 16) (empty_rx_image conn_id) ~acked_tids:ack_ids
-      in
-      CT.Receiver.reannounce rx;
-      check_acks "Receiver.reannounce" ~conn_id !sent;
-      (* Multi's reannounce, over a live and a closed epoch *)
+      (* Multi's reannounce, over a live epoch (its receiver's) and a
+         closed one *)
       List.iter
         (fun live ->
           let sent = ref [] in
@@ -307,15 +298,15 @@ let test_sack_selective_retransmission () =
       Transport.Chunk_transport.tpdu_elems = 2048 }
   in
   let plain =
-    Transport.Chunk_transport.run ~seed:91 ~loss:0.05 ~rate_bps:20e6 ~data
+    Transport.Transfer.run ~seed:91 ~loss:0.05 ~rate_bps:20e6 ~data
       ~config:base ()
   in
   let sack =
-    Transport.Chunk_transport.run ~seed:91 ~loss:0.05 ~rate_bps:20e6 ~data
+    Transport.Transfer.run ~seed:91 ~loss:0.05 ~rate_bps:20e6 ~data
       ~config:{ base with Transport.Chunk_transport.sack = true } ()
   in
-  Alcotest.(check bool) "plain ok" true plain.Transport.Chunk_transport.ok;
-  Alcotest.(check bool) "sack ok" true sack.Transport.Chunk_transport.ok;
+  Alcotest.(check bool) "plain ok" true plain.Transport.Transfer.ok;
+  Alcotest.(check bool) "sack ok" true sack.Transport.Transfer.ok;
   Alcotest.(check bool) "sack used selective retransmissions" true
     (sack.sack_retransmissions > 0);
   (* gap-only repair must cut full-TPDU retransmissions *)
@@ -373,11 +364,11 @@ let test_duplication_hell () =
      checksum and placement correct *)
   let data = Util.deterministic_bytes 80_000 in
   let o =
-    Transport.Chunk_transport.run ~seed:5150 ~loss:0.02 ~duplicate:0.15
+    Transport.Transfer.run ~seed:5150 ~loss:0.02 ~duplicate:0.15
       ~corrupt:0.01 ~data ()
   in
   Alcotest.(check bool) "intact under duplication" true
-    o.Transport.Chunk_transport.ok;
+    o.Transport.Transfer.ok;
   Alcotest.(check bool) "duplicates were seen and dropped" true
     (o.verifier.Edc.Verifier.duplicates > 0)
 
@@ -404,15 +395,16 @@ let test_soak () =
         if seed mod 2 = 0 then [ (Labelling.Repack.Combine, 700) ] else []
       in
       let o =
-        Transport.Chunk_transport.run ~seed ~config ~loss:0.02 ~corrupt:0.005
+        Transport.Transfer.run ~seed ~config ~loss:0.02 ~corrupt:0.005
           ~duplicate:0.05 ~gateways ~data ()
       in
       Alcotest.(check bool)
         (Printf.sprintf "soak seed %d intact" seed)
-        true o.Transport.Chunk_transport.ok)
+        true o.Transport.Transfer.ok)
     [ 11; 12; 13; 14; 15; 16 ]
 
 module CT = Transport.Chunk_transport
+module TR = Transport.Transfer
 
 let test_give_up_releases_state () =
   (* dead reverse path: no ACK ever returns, the sender backs off and
@@ -431,7 +423,10 @@ let test_give_up_releases_state () =
       state_ttl = 3600.0 }
   in
   let small = Util.deterministic_bytes 6000 in
-  let receiver = ref None in
+  let m =
+    Util.one_conn engine config
+      ~quota_elems:(CT.expected_elements config ~data_len:(Bytes.length small))
+  in
   (* the forward path loses every ED-bearing packet: no TPDU can ever
      verify, so the receiver accumulates exactly the partial state
      (verifier spans, uncorroborated stash) the abort must reclaim;
@@ -449,35 +444,29 @@ let test_give_up_releases_state () =
   let tx =
     CT.Sender.create engine config
       ~send:(fun b ->
-        match !receiver with
-        | Some rx ->
-            if not (drops_ed b) then
-              Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                  CT.Receiver.ingest rx b)
-        | None -> ())
+        if not (drops_ed b) then
+          Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+              Transport.Multi.ingest m b))
       ~data:small ()
   in
-  let rx =
-    CT.Receiver.create engine config
-      ~send_ack:(fun _ -> ())
-      ~capacity:
-        (`Exact (CT.expected_elements config ~data_len:(Bytes.length small)))
-      ()
-  in
-  receiver := Some rx;
   CT.Sender.start tx;
-  Netsim.Engine.run engine;
+  (* run to the give-up and the aborts' arrival, far inside the TTL *)
+  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
+    ()
+  done;
+  Netsim.Engine.run ~until:(Netsim.Engine.now engine +. 1.0) engine;
+  let counts = Transport.Multi.counters m in
   Alcotest.(check bool) "sender gave up" true (CT.Sender.gave_up tx);
   Alcotest.(check bool) "aborts signalled" true (CT.Sender.aborts_sent tx > 0);
-  Alcotest.(check bool) "aborts received" true
-    ((CT.Receiver.counters rx).aborts_received > 0);
+  Alcotest.(check bool) "aborts received" true (counts.aborts_received > 0);
+  Alcotest.(check int) "the epoch is still live" 1
+    (Transport.Multi.live_conns m);
   Alcotest.(check int) "no verifier state leaked" 0
-    (CT.Receiver.verifier_in_flight rx);
-  Alcotest.(check int) "no stash leaked" 0 (CT.Receiver.stashed_tpdus rx);
+    (Transport.Multi.live_in_flight m);
+  Alcotest.(check int) "no stash leaked" 0 (Transport.Multi.live_stashed m);
   (* the abort did the reclaiming — not the deadline sweep (which would
      count deadline evictions) *)
-  Alcotest.(check int) "no deadline evictions needed" 0
-    (CT.Receiver.counters rx).evictions
+  Alcotest.(check int) "no deadline evictions needed" 0 counts.evictions
 
 let prop_karn (seed, loss_pct) =
   (* Karn's rule: whatever the loss pattern does to retransmission,
@@ -493,37 +482,33 @@ let prop_karn (seed, loss_pct) =
       give_up_txs = 200 }
   in
   let o =
-    CT.run ~seed ~loss ~config ~data:(Util.deterministic_bytes 12_000) ()
+    TR.run ~seed ~loss ~config ~data:(Util.deterministic_bytes 12_000) ()
   in
-  o.CT.max_txs_at_rtt_sample <= 1
-  && (o.CT.ok || loss > 0.0)
-  && o.CT.final_rto <= config.CT.rto +. 1e-9
+  o.TR.max_txs_at_rtt_sample <= 1
+  && (o.TR.ok || loss > 0.0)
+  && o.TR.final_rto <= config.CT.rto +. 1e-9
 
 let test_adaptive_rto_beats_fixed () =
   (* at 20% loss a conservative fixed RTO pays a full overestimated
      timeout per loss; the Jacobson/Karn estimator converges on the
      path RTT and repairs at round-trip scale *)
-  let base =
-    (* small TTL so the governor's trailing sweep doesn't swamp the
-       transfer-time difference in sim_time *)
-    { CT.default_config with CT.rto = 0.25; window = 4; state_ttl = 0.25 }
-  in
+  let base = { CT.default_config with CT.rto = 0.25; window = 4 } in
   let data = Util.deterministic_bytes 60_000 in
-  let fixed = CT.run ~seed:7 ~loss:0.2 ~config:base ~data () in
+  let fixed = TR.run ~seed:7 ~loss:0.2 ~config:base ~data () in
   let adaptive =
-    CT.run ~seed:7 ~loss:0.2
+    TR.run ~seed:7 ~loss:0.2
       ~config:{ base with CT.rto_adaptive = true }
       ~data ()
   in
-  Alcotest.(check bool) "fixed ok" true fixed.CT.ok;
-  Alcotest.(check bool) "adaptive ok" true adaptive.CT.ok;
+  Alcotest.(check bool) "fixed ok" true fixed.TR.ok;
+  Alcotest.(check bool) "adaptive ok" true adaptive.TR.ok;
   Alcotest.(check bool) "estimator took samples" true
-    (adaptive.CT.rtt_samples > 0);
+    (adaptive.TR.rtt_samples > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive faster (%.3fs vs %.3fs)" adaptive.CT.sim_time
-       fixed.CT.sim_time)
+    (Printf.sprintf "adaptive faster (%.3fs vs %.3fs)" adaptive.TR.sim_time
+       fixed.TR.sim_time)
     true
-    (adaptive.CT.sim_time < fixed.CT.sim_time)
+    (adaptive.TR.sim_time < fixed.TR.sim_time)
 
 let suite =
   suite

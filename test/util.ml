@@ -142,3 +142,29 @@ let contains haystack needle =
   let h = String.length haystack and n = String.length needle in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
+
+(* --- one-connection endpoints --- *)
+
+(* A one-connection [Multi] endpoint whose connection [config.conn_id]
+   is already open at C.SN 0: the endpoint a test that feeds one
+   connection's packets by hand drives. *)
+let one_conn ?persist engine (config : Transport.Chunk_transport.config)
+    ~quota_elems =
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems ~max_conns:1 ?persist
+      ~send_ack:ignore ()
+  in
+  Transport.Multi.ingest m
+    (ok_or_fail
+       (Wire.encode_packet
+          [
+            Connection.signal_chunk ~conn_id:config.conn_id
+              (Connection.Open { first_csn = 0 });
+          ]));
+  m
+
+(* The one epoch of connection [conn_id] on [m]. *)
+let only_epoch m ~conn_id =
+  match Transport.Multi.epochs m ~conn_id with
+  | [ e ] -> e
+  | es -> Alcotest.failf "expected one epoch, got %d" (List.length es)
