@@ -85,10 +85,10 @@ val decode_packet : bytes -> (Chunk.t list, string) result
 (** {1 Zero-allocation packet scanning}
 
     The endpoint's only decoder, in both directions: the packet entry
-    of both receivers ([Transport.Multi.ingest] and
-    [Transport.Chunk_transport.Receiver.ingest]), of the reverse path
-    ([Transport.Chunk_transport.Sender.demux]) and of a restored
-    receiver's persisted chunks.  It walks a packet image once,
+    of the endpoint ([Transport.Multi.ingest]) and of a receiver used
+    alone ([Transport.Chunk_transport.Receiver.ingest_batch]), of the
+    reverse path ([Transport.Chunk_transport.Sender.demux]) and of a
+    restored receiver's persisted chunks.  It walks a packet image once,
     validating its structure and recording chunk start offsets,
     without building [Chunk.t] values or copying payload bytes.  Label
     fields can then be read straight out of the buffer at those
