@@ -19,7 +19,8 @@ let rob_rto () =
   let base =
     { Transport.Chunk_transport.default_config with
       Transport.Chunk_transport.rto = 0.25;
-      window = 4 }
+      window = 4;
+      state_ttl = 0.25 }
   in
   Printf.printf "  %-8s %-22s %-22s %-10s\n" "loss" "fixed goodput (Mb/s)"
     "adaptive goodput (Mb/s)" "speedup";
@@ -56,17 +57,24 @@ let rob_rto () =
         (float_of_int adaptive.rtt_samples))
     [ 0.0; 0.05; 0.10; 0.20 ]
 
-(* A starved forward path: every packet carrying an ED chunk is lost, so
-   no TPDU can verify. *)
-let drops_ed b =
-  match Labelling.Wire.decode_packet b with
-  | Error _ -> false
-  | Ok chunks ->
-      List.exists
-        (fun ch ->
-          Labelling.Ctype.equal ch.Labelling.Chunk.header.Labelling.Header.ctype
-            Labelling.Ctype.ed)
-        chunks
+(* A starved forward path, with the reverse path dead: every packet
+   carrying an ED chunk is lost, so no TPDU can verify. *)
+let starved engine config ~quota_elems data =
+  let drops_ed b =
+    match Labelling.Wire.decode_packet b with
+    | Error _ -> false
+    | Ok chunks ->
+        List.exists
+          (fun ch ->
+            Labelling.Ctype.equal
+              ch.Labelling.Chunk.header.Labelling.Header.ctype
+              Labelling.Ctype.ed)
+          chunks
+  in
+  Transport.Transfer.connect engine config ~quota_elems
+    ~forward:(fun deliver b -> if not (drops_ed b) then deliver b)
+    ~reverse:(fun _ _ -> ())
+    (`Data data)
 
 (* ROB-ABORT: the cost of abandoning a starved transfer.  The reverse
    path is dead and the forward path loses every ED-bearing packet, so
@@ -82,24 +90,15 @@ let rob_abort () =
   let config =
     { CT.default_config with CT.rto = 0.05; give_up_txs = 6; state_ttl = 30.0 }
   in
-  let m =
-    M.create engine ~config
+  let w =
+    starved engine config
       ~quota_elems:(CT.expected_elements config ~data_len:8192)
-      ~max_conns:1
-      ~send_ack:(fun _ -> ())
-      ()
+      (transfer_data 8192)
   in
-  let tx =
-    CT.Sender.create engine config ~announce_open:true
-      ~send:(fun b -> if not (drops_ed b) then M.ingest m b)
-      ~data:(transfer_data 8192) ()
-  in
-  CT.Sender.start tx;
   (* stop at the give-up, before the connection's own deadline sweep
      could reclaim what the aborts did not *)
-  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
-    ()
-  done;
+  Transport.Transfer.finish w;
+  let m = Transport.Transfer.endpoint w and tx = Transport.Transfer.sender w in
   let gave_up_at = Netsim.Engine.now engine in
   Printf.printf
     "  gave up after %.3f sim s; aborts sent %d, received %d; receiver \
@@ -149,16 +148,8 @@ let rob_recover () =
         CT.expected_elements config ~data_len:(Bytes.length data)
       in
       let m =
-        Transport.Multi.create engine ~config ~quota_elems ~max_conns:1
-          ~send_ack:(fun _ -> ())
-          ()
+        Transport.Transfer.endpoint (starved engine config ~quota_elems data)
       in
-      let tx =
-        CT.Sender.create engine config ~announce_open:true
-          ~send:(fun b -> if not (drops_ed b) then Transport.Multi.ingest m b)
-          ~data ()
-      in
-      CT.Sender.start tx;
       (* stop before the first RTO fires: exactly the initial window is
          in flight, none of it verified *)
       Netsim.Engine.run ~until:0.04 engine;
@@ -272,57 +263,45 @@ let rob_shed () =
         tpdu_elems;
         window = 8;
         rto = 0.05;
+        state_ttl = 0.25;
         classify = plan.I.classify;
         shed_txs = (if shed then 2 else 0) }
     in
     let engine = Netsim.Engine.create ~seed () in
-    let endpoint = ref None and sender = ref None in
-    let congested =
-      Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
-        ~sheddable:(fun t_id ->
-          Labelling.Significance.sheddable (plan.I.classify t_id))
-        ~rng:(Netsim.Rng.create ~seed:(seed + 1))
-        ~loss
-        ~forward:(fun b -> Option.iter (fun m -> M.ingest m b) !endpoint)
-        ()
+    let forward deliver =
+      let congested =
+        Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
+          ~sheddable:(fun t_id ->
+            Labelling.Significance.sheddable (plan.I.classify t_id))
+          ~rng:(Netsim.Rng.create ~seed:(seed + 1))
+          ~loss ~forward:deliver ()
+      in
+      let mp =
+        Netsim.Multipath.create engine ~paths:4 ~rate_bps:155e6 ~delay:1e-3
+          ~skew:0.25e-3 ~mtu:config.CT.mtu
+          ~deliver:(fun b -> Netsim.Dropper.on_packet congested b)
+          ()
+      in
+      fun b -> ignore (Netsim.Multipath.send mp b)
     in
-    let forward =
-      Netsim.Multipath.create engine ~paths:4 ~rate_bps:155e6 ~delay:1e-3
-        ~skew:0.25e-3 ~mtu:config.CT.mtu
-        ~deliver:(fun b -> Netsim.Dropper.on_packet congested b)
-        ()
+    let reverse deliver =
+      let link =
+        Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
+          ~mtu:config.CT.mtu ~deliver ()
+      in
+      fun b -> ignore (Netsim.Link.send link b)
     in
-    let reverse =
-      Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
-        ~mtu:config.CT.mtu
-        ~deliver:(fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
-        ()
+    let w =
+      Transport.Transfer.connect engine config ~quota_elems:plan.I.total_elems
+        ~forward ~reverse (`Tpdus plan.I.tpdus)
     in
-    let m =
-      M.create engine ~config ~quota_elems:plan.I.total_elems ~max_conns:1
-        ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-        ()
-    in
-    endpoint := Some m;
-    let tx =
-      CT.Sender.of_tpdus engine config ~announce_open:true
-        ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
-        plan.I.tpdus
-    in
-    sender := Some tx;
-    CT.Sender.start tx;
     (* the transfer ends when the sender finishes *)
-    while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
-      ()
-    done;
+    Transport.Transfer.finish w;
+    let tx = Transport.Transfer.sender w in
     (* the mandatory contract holds in both modes: complete, not given
        up, byte-exact outside honoured shed spans, base layer whole *)
     assert (not (CT.Sender.gave_up tx));
-    let e =
-      match M.epochs m ~conn_id:config.CT.conn_id with
-      | [ e ] -> e
-      | _ -> failwith "ROB-SHED: expected one epoch"
-    in
+    let e = Option.get (Transport.Transfer.epoch w) in
     assert e.M.complete;
     let expected = I.expected ~elem_size ~tpdu_elems streams in
     let spans = e.M.shed_spans in

@@ -195,55 +195,38 @@ let () =
     }
   in
   let engine = Netsim.Engine.create ~seed:42 () in
-  let endpoint = ref None in
-  let sender = ref None in
-  let congested =
-    Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
-      ~sheddable:(fun t_id ->
-        Significance.sheddable (plan.Transport.Interleave.classify t_id))
-      ~rng:(Netsim.Rng.create ~seed:43)
-      ~loss:0.3
-      ~forward:(fun b ->
-        match !endpoint with
-        | Some m -> Transport.Multi.ingest m b
-        | None -> ())
-      ()
+  let forward deliver =
+    let congested =
+      Netsim.Dropper.create ~mode:Netsim.Dropper.By_class
+        ~sheddable:(fun t_id ->
+          Significance.sheddable (plan.Transport.Interleave.classify t_id))
+        ~rng:(Netsim.Rng.create ~seed:43)
+        ~loss:0.3 ~forward:deliver ()
+    in
+    let mp =
+      Netsim.Multipath.create engine ~paths:4 ~rate_bps:155e6 ~delay:1e-3
+        ~skew:0.25e-3 ~mtu:config.CT.mtu
+        ~deliver:(fun b -> Netsim.Dropper.on_packet congested b)
+        ()
+    in
+    fun b -> ignore (Netsim.Multipath.send mp b)
   in
-  let forward =
-    Netsim.Multipath.create engine ~paths:4 ~rate_bps:155e6 ~delay:1e-3
-      ~skew:0.25e-3 ~mtu:config.CT.mtu
-      ~deliver:(fun b -> Netsim.Dropper.on_packet congested b)
-      ()
-  in
-  let reverse =
-    Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
-      ~mtu:config.CT.mtu
-      ~deliver:(fun b ->
-        match !sender with Some s -> CT.Sender.on_packet s b | None -> ())
-      ()
+  let reverse deliver =
+    let link =
+      Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
+        ~mtu:config.CT.mtu ~deliver ()
+    in
+    fun b -> ignore (Netsim.Link.send link b)
   in
   (* one connection's endpoint; the Open rides the first TPDU *)
-  let m =
-    Transport.Multi.create engine ~config
-      ~quota_elems:plan.Transport.Interleave.total_elems ~max_conns:1
-      ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ()
+  let w =
+    Transport.Transfer.connect engine config
+      ~quota_elems:plan.Transport.Interleave.total_elems ~forward ~reverse
+      (`Tpdus plan.Transport.Interleave.tpdus)
   in
-  endpoint := Some m;
-  let tx =
-    CT.Sender.of_tpdus engine config ~announce_open:true
-      ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
-      plan.Transport.Interleave.tpdus
-  in
-  sender := Some tx;
-  CT.Sender.start tx;
-  Netsim.Engine.run engine;
-
-  let epoch =
-    match Transport.Multi.epochs m ~conn_id:config.CT.conn_id with
-    | [ e ] -> e
-    | _ -> failwith "expected one epoch"
-  in
+  Transport.Transfer.finish w;
+  let m = Transport.Transfer.endpoint w and tx = Transport.Transfer.sender w in
+  let epoch = Option.get (Transport.Transfer.epoch w) in
   let delivered = epoch.Transport.Multi.delivered in
   let expected =
     Transport.Interleave.expected ~elem_size ~tpdu_elems streams

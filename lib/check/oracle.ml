@@ -1,7 +1,5 @@
 type violation = { code : string; detail : string }
 
-let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.code v.detail
-
 let violation_to_string v = Printf.sprintf "[%s] %s" v.code v.detail
 
 (* Zero-fill the element runs of [spans] so byte comparison ignores

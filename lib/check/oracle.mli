@@ -40,7 +40,6 @@
 
 type violation = { code : string; detail : string }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val check :

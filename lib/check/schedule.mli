@@ -216,10 +216,6 @@ val config_of : t -> Transport.Chunk_transport.config
     endpoints (and the oracle) derive the same contract from the
     schedule alone. *)
 
-val n_elems : t -> int
-(** Elements of the single-transfer stream after framing (mirrors the
-    framer's padding rules; what {!Model} calls [elems]). *)
-
 val n_tpdus : t -> int
 (** TPDUs of the single-transfer stream under the fixed partition. *)
 
@@ -234,12 +230,6 @@ val data_of : t -> bytes
 
 val data_of_conn : t -> conn:int -> epoch:int -> bytes
 (** The payload of one (connection, epoch) stream. *)
-
-val estimate_rto : t -> float
-
-val estimate_budget : t -> int
-(** The state budget {!generate} gives flood schedules: twice the
-    legitimate working set plus slack. *)
 
 val to_string : t -> string
 (** One-line [key=value] form, every field in a fixed order; floats are

@@ -49,5 +49,4 @@ val run_profile :
     for a given [seed] (modulo which schedules fit in the budget).  The
     first few findings are shrunk; later ones are recorded as-is. *)
 
-val json_of_report : report -> string
 val json_of_reports : report list -> string

@@ -64,6 +64,13 @@ let validate_config c =
   if c.shed_txs > 0 && c.shed_txs >= c.give_up_txs then
     invalid_arg "Chunk_transport: shed_txs must be < give_up_txs"
 
+(* The sender's longest wait between two transmissions of one TPDU:
+   exponential backoff caps at 8x the configured RTO. *)
+let backoff_cap config = 8.0 *. config.rto
+
+let retransmit_horizon config =
+  float_of_int config.give_up_txs *. backoff_cap config
+
 (* Total elements the receiver will hold once the stream of [n] bytes is
    framed: only the final frame is padded to a whole element. *)
 let expected_elements config ~data_len =
@@ -1159,9 +1166,9 @@ module Receiver = struct
      the owner's ledger keeps verified TPDUs from being re-processed, and
      governor occupancy is re-derived from the restored state — not
      trusted from the image. *)
-  let restore engine config ?bus ?owner ?persist ~send_ack ~capacity
+  let restore engine config ?bus ~owner ?persist ~send_ack ~capacity
       (img : Persist.receiver_image) =
-    let rx = create engine config ?bus ?owner ?persist ~send_ack ~capacity () in
+    let rx = create engine config ?bus ~owner ?persist ~send_ack ~capacity () in
     rx.restored_passes <- img.Persist.ri_passed;
     List.iter
       (fun (sn, b) ->
@@ -1566,7 +1573,7 @@ module Sender = struct
     let interval =
       Float.min
         (tx.rto_cur *. Float.pow 2.0 (float_of_int (Int.min 30 (tp.txs - 1))))
-        (8.0 *. tx.config.rto)
+        (backoff_cap tx.config)
     in
     Netsim.Engine.schedule tx.engine ~delay:interval
       (fun () ->

@@ -82,6 +82,12 @@ val default_config : config
     fixed 50 ms RTO, SACK/adaptive off, state unlimited — the baseline
     every CLI flag and soak profile perturbs from. *)
 
+val retransmit_horizon : config -> float
+(** How long a sender may keep retransmitting one TPDU into silence
+    before it gives up: [give_up_txs] waits, each at most the backoff
+    cap of 8 x [rto].  An endpoint that closes a connection sooner can
+    strand a sender that is still retransmitting. *)
+
 val expected_elements : config -> data_len:int -> int
 (** Elements the receiver will hold once a stream of [data_len] bytes is
     framed (only the final frame is padded to a whole element). *)
@@ -311,7 +317,7 @@ module Receiver : sig
     Netsim.Engine.t ->
     config ->
     ?bus:Busmodel.t ->
-    ?owner:owner ->
+    owner:owner ->
     ?persist:(Persist.event -> unit) ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Quota of int ] ->
@@ -320,7 +326,8 @@ module Receiver : sig
   (** Rebuild a live receiver from a persisted image.  Conservative:
       data already counted into a restored parity is never re-accepted
       (the restored reassembly tracker absorbs it as duplicate), TPDUs
-      in the owner's ledger are only ever re-acknowledged, and governor
+      in the [owner]'s ledger (the receiver's own, which the image does
+      not carry) are only ever re-acknowledged, and governor
       occupancy is recomputed from the restored state — the governor,
       not the image, decides whether it still fits the budget (restored
       state that does not fit is evicted like any other).  A partially

@@ -140,6 +140,7 @@ let restate g e ~bytes ~cls =
 
 let entry key = { key; bytes = dead; deadline = { at = 0.0 }; cls = 0 }
 let entry_key e = e.key
+let expired e ~now = e.deadline.at <= now
 let retarget e key = if live e then entry key else (e.key <- key; e)
 
 (* Refresh [e], which is live or else the only holder of a key with no

@@ -94,6 +94,11 @@ val live : entry -> bool
 val entry_key : entry -> key
 (** The key the handle names, live or dead. *)
 
+val expired : entry -> now:float -> bool
+(** Whether the handle's deadline has passed at [now].  Read from an
+    eviction callback, it tells the deadline sweep (expired) from a
+    budget eviction (not yet expired). *)
+
 val retarget : entry -> key -> entry
 (** A dead handle naming [key]: the handle itself, re-aimed, when it is
     dead (so a holder that outlives its key reuses it), else a new one,

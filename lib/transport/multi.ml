@@ -284,6 +284,23 @@ let bulkhead m ~conn_id exn =
   | Out_of_memory | Stack_overflow -> raise exn
   | _ -> poison m ~conn_id
 
+(* Delta-t: a record outlives every retransmission its peer can still
+   make.  Once a TPDU of the live epoch verified, its sender no longer
+   announces the Open, so closing the incomplete epoch would strand it:
+   its retransmissions would be scored late until it gave up.  The
+   deadline sweep holds such a connection until the sender's
+   retransmission horizon has passed since it was last heard from.  An
+   epoch that never verified still has its Open re-announced, and a
+   budget eviction is never held. *)
+let owed m c =
+  match c.live with
+  | Some rx ->
+      (not (R.complete rx))
+      && R.epoch_passes rx > 0
+      && now m -. c.last_touch
+         < Chunk_transport.retransmit_horizon m.config
+  | None -> false
+
 let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
     ?persist ?fastpath_slots ?(anomaly_budget = 32) ~send_ack () =
   if quota_elems < 1 || max_conns < 1 then
@@ -338,6 +355,12 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
             match c.live with
             | Some rx -> R.evict rx ~t_id:key.Governor.tpdu
             | None -> ())
+          else if Governor.expired c.gov ~now:(now m) && owed m c then
+            (* idle, but its sender may still be retransmitting: keep
+               the record for another [state_ttl] *)
+            c.gov <-
+              Governor.refresh m.governor c.gov ~cls:0 ~bytes:(conn_cost m)
+                ~now:(now m)
           else begin
             (* the connection itself went stale (or was squeezed out by
                budget pressure): reclaim everything it holds *)

@@ -81,7 +81,11 @@ val create :
     stream end is signalled in-band by C.ST, so no per-transfer length
     is declared up front); [max_conns] caps simultaneously live
     connections.  [config.state_budget] and [config.state_ttl] govern
-    the shared account.
+    the shared account.  The deadline sweep does not close a connection
+    whose live epoch is incomplete but has verified a TPDU until its
+    sender's {!Chunk_transport.retransmit_horizon} has passed since it
+    was last heard from: that sender no longer announces the Open, so
+    a closed epoch could not be re-established.
 
     [?persist] is the write-ahead journal hook, forwarded into every
     epoch receiver: it sees one {!Persist.Acked} record per fresh

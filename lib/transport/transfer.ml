@@ -43,85 +43,120 @@ let equal_outside_sheds ~elem_size ~spans ~expected ~delivered =
   in
   agree 0
 
+type t = {
+  engine : Netsim.Engine.t;
+  endpoint : Multi.t;
+  sender : CT.Sender.t;
+  conn_id : int;
+  (* the epoch's receiver, kept from the moment the Open creates it: an
+     epoch the endpoint archives lets go of its receiver, whose delay
+     samples a caller may still read *)
+  epoch_rx : CT.Receiver.t option ref;
+}
+
+let connect ?bus ?persist ?(forward = Fun.id) ?(reverse = Fun.id) engine
+    config ~quota_elems source =
+  let endpoint = ref None and sender = ref None and epoch_rx = ref None in
+  let send =
+    forward (fun b ->
+        Option.iter
+          (fun m ->
+            Multi.ingest m b;
+            if Option.is_none !epoch_rx then
+              epoch_rx := List.nth_opt (Multi.receivers m) 0)
+          !endpoint)
+  in
+  let send_ack =
+    reverse (fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
+  in
+  let tx =
+    match source with
+    | `Data data ->
+        CT.Sender.create engine config ~announce_open:true ~send ~data ()
+    | `Tpdus tpdus ->
+        CT.Sender.of_tpdus engine config ~announce_open:true ~send tpdus
+  in
+  sender := Some tx;
+  let m =
+    Multi.create engine ~config ~quota_elems ~max_conns:1 ?bus ?persist
+      ~send_ack ()
+  in
+  endpoint := Some m;
+  CT.Sender.start tx;
+  { engine; endpoint = m; sender = tx; conn_id = config.CT.conn_id; epoch_rx }
+
+let endpoint w = w.endpoint
+let sender w = w.sender
+
+(* The transfer is over when the sender is: every TPDU acknowledged or
+   given up.  What the engine still holds (spent timers, the endpoint's
+   sweep of the idle connection) is not part of it. *)
+let finish w =
+  while (not (CT.Sender.finished w.sender)) && Netsim.Engine.step w.engine do
+    ()
+  done
+
+let epoch w =
+  match Multi.epochs w.endpoint ~conn_id:w.conn_id with
+  | [ e ] -> Some e
+  | _ -> None
+
 let run ?(seed = 0x5EED) ?(config = CT.default_config) ?(loss = 0.0)
     ?(corrupt = 0.0) ?(duplicate = 0.0) ?(paths = 8) ?(skew = 0.25e-3)
     ?(rate_bps = 155e6) ?(delay = 1e-3) ?(gateways = []) ~data () =
   let engine = Netsim.Engine.create ~seed () in
   let bus = Busmodel.create () in
   let n = Bytes.length data in
-  let endpoint = ref None and sender = ref None in
-  (* The epoch's receiver, kept from the moment the Open creates it: an
-     epoch the endpoint archives lets go of its receiver, whose delay
-     samples the outcome still reports. *)
-  let epoch = ref None in
-  let to_receiver b =
-    Option.iter
-      (fun m ->
-        Multi.ingest m b;
-        if Option.is_none !epoch then epoch := List.nth_opt (Multi.receivers m) 0)
-      !endpoint
-  in
   (* Build the in-network gateway chain back to front: each gateway
      re-envelopes chunks for its outgoing MTU and forwards over its own
      clean link — the paper's arbitrary mixture of intra- and
      inter-network fragmentation, fully transparent end to end. *)
-  let first_hop_deliver =
-    List.fold_left
-      (fun downstream (policy, out_mtu) ->
-        if out_mtu <= Labelling.Wire.header_size then
-          invalid_arg
-            (Printf.sprintf
-               "Transfer.run: gateway MTU %d cannot hold a chunk header"
-               out_mtu);
-        let out_link =
-          Netsim.Link.create engine ~rate_bps ~delay ~mtu:out_mtu
-            ~deliver:downstream ()
-        in
-        let gw =
-          Netsim.Gateway.create ~policy
-            ~forward:(fun b -> ignore (Netsim.Link.send out_link b))
-            ~out_mtu ()
-        in
-        fun b -> Netsim.Gateway.on_packet gw b)
-      to_receiver (List.rev gateways)
+  let forward to_endpoint =
+    let first_hop_deliver =
+      List.fold_left
+        (fun downstream (policy, out_mtu) ->
+          if out_mtu <= Labelling.Wire.header_size then
+            invalid_arg
+              (Printf.sprintf
+                 "Transfer.run: gateway MTU %d cannot hold a chunk header"
+                 out_mtu);
+          let out_link =
+            Netsim.Link.create engine ~rate_bps ~delay ~mtu:out_mtu
+              ~deliver:downstream ()
+          in
+          let gw =
+            Netsim.Gateway.create ~policy
+              ~forward:(fun b -> ignore (Netsim.Link.send out_link b))
+              ~out_mtu ()
+          in
+          fun b -> Netsim.Gateway.on_packet gw b)
+        to_endpoint (List.rev gateways)
+    in
+    let mp =
+      Netsim.Multipath.create engine ~paths ~rate_bps ~delay ~skew
+        ~mtu:config.CT.mtu ~loss ~corrupt ~duplicate ~deliver:first_hop_deliver
+        ()
+    in
+    fun b -> ignore (Netsim.Multipath.send mp b)
   in
-  let forward =
-    Netsim.Multipath.create engine ~paths ~rate_bps ~delay ~skew
-      ~mtu:config.CT.mtu ~loss ~corrupt ~duplicate ~deliver:first_hop_deliver
-      ()
+  let reverse to_sender =
+    let link =
+      Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay
+        ~mtu:config.CT.mtu ~deliver:to_sender ()
+    in
+    fun b -> ignore (Netsim.Link.send link b)
   in
-  let reverse =
-    Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay
-      ~mtu:config.CT.mtu
-      ~deliver:(fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
-      ()
-  in
-  let tx =
-    CT.Sender.create engine config ~announce_open:true
-      ~send:(fun b -> ignore (Netsim.Multipath.send forward b))
-      ~data ()
-  in
-  sender := Some tx;
-  let m =
-    Multi.create engine ~config
+  let w =
+    connect ~bus ~forward ~reverse engine config
       ~quota_elems:(CT.expected_elements config ~data_len:n)
-      ~max_conns:1 ~bus
-      ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ()
+      (`Data data)
   in
-  endpoint := Some m;
-  CT.Sender.start tx;
-  (* The transfer is over when the sender is: every TPDU acknowledged or
-     given up.  What the engine still holds (spent timers, the endpoint's
-     sweep of the idle connection one [state_ttl] later) is not part of
-     it. *)
-  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
-    ()
-  done;
+  finish w;
+  let m = w.endpoint and tx = w.sender and epoch = !(w.epoch_rx) in
   let counts = Multi.counters m in
-  let stats f = Option.bind !epoch (fun rx -> Netsim.Stats.summary (f rx)) in
+  let stats f = Option.bind epoch (fun rx -> Netsim.Stats.summary (f rx)) in
   let delivered, complete, shed_spans, verifier =
-    match !epoch with
+    match epoch with
     | Some rx ->
         ( CT.Receiver.contents rx,
           CT.Receiver.complete rx,

@@ -45,6 +45,43 @@ val equal_outside_sheds :
     [expected] byte-for-byte everywhere except inside the shed [spans]
     (element runs of [elem_size]-byte elements). *)
 
+(** {1 One wired transfer}
+
+    A sender into a one-connection {!Multi} endpoint: the harness
+    {!run}, the experiments and the tests share.  The sender announces
+    its Open on the first TPDU's envelopes, as the conformance driver's
+    senders do; the endpoint's quota is fixed at [connect]. *)
+
+type t
+
+val connect :
+  ?bus:Busmodel.t ->
+  ?persist:(Persist.event -> unit) ->
+  ?forward:((bytes -> unit) -> bytes -> unit) ->
+  ?reverse:((bytes -> unit) -> bytes -> unit) ->
+  Netsim.Engine.t ->
+  Chunk_transport.config ->
+  quota_elems:int ->
+  [ `Data of bytes | `Tpdus of (int * Labelling.Chunk.t list) list ] ->
+  t
+(** Wire and start a transfer of the data (framed by the sender) or of
+    pre-sealed TPDUs ({!Chunk_transport.Sender.of_tpdus}).  [forward]
+    turns the endpoint's door into the sender's transmit function (a
+    network, a filter, a recorder); [reverse] does the same for the ACK
+    path into the sender.  Both default to a direct, instant hand-over.
+    Nothing runs until the engine does. *)
+
+val endpoint : t -> Multi.t
+val sender : t -> Chunk_transport.Sender.t
+
+val finish : t -> unit
+(** Step the engine until the sender finishes: every TPDU acknowledged
+    or given up.  Spent timers and the endpoint's sweep of the idle
+    connection stay queued. *)
+
+val epoch : t -> Multi.epoch_report option
+(** The connection's epoch, when it has exactly one. *)
+
 val run :
   ?seed:int ->
   ?config:Chunk_transport.config ->
@@ -65,8 +102,10 @@ val run :
     transfer of [data] to completion and report.  The sender announces
     its Open on the first TPDU's envelopes; the endpoint's quota is the
     stream's element count, and the stream's end is its C.ST bit.  The
-    run stops when the sender finishes.  [config.state_ttl] is also the
-    connection's idle deadline: a transfer whose quiet spells outlast it
-    is closed by the endpoint mid-stream and cannot finish.
+    run stops when the sender finishes.  [config.state_ttl] bounds
+    per-TPDU state and the connection's idle time, but the endpoint
+    holds a connection whose sender may still be retransmitting
+    ({!Chunk_transport.retransmit_horizon}), so a TTL shorter than the
+    sender's backoff costs retransmissions, not the transfer.
     @raise Invalid_argument on an invalid [config] or a gateway MTU that
     cannot hold a chunk header. *)

@@ -590,6 +590,34 @@ let test_quarantine_snapshot_restore () =
            (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
               ~observation:o))
 
+(* Regression: the deadline GC closed a connection during a quiet spell
+   while its sender was still retransmitting; its retransmissions carry
+   no Open once a TPDU verified, so they were scored late until the
+   sender gave up ([gave-up], conn_gcs=1). *)
+let idle_gc_line =
+  "seed=1664567534376425684 profile=outage-recover data_len=9690 \
+   elem_size=4 tpdu_elems=180 frame_bytes=56 mtu=2043 window=6 \
+   rto=0.14472852185945542 sack=false adaptive=false \
+   nack_delay=0.036182130464863856 rto_adaptive=false give_up_txs=40 \
+   state_budget=0 state_ttl=5 connections=1 reopen=false paths=6 skew=0 \
+   jitter=0 spread=random rate_bps=366832726.45933968 \
+   delay=0.0014113318390279168 gateways=combine:2029:1,reassemble:1340:1 \
+   loss=0.055717918202313782 corrupt=0 duplicate=0 dropper=- \
+   ack_blackhole=- outage=drop:0.048790889184831827:2.3891098340141479 \
+   flood=- overlap=- shed=- crashes=- snap_period=0 byz=-"
+
+let test_idle_gc_spares_retransmitting_sender () =
+  match Check.Schedule.of_string idle_gc_line with
+  | None -> Alcotest.fail "regression line does not parse"
+  | Some s ->
+      let o = Check.Driver.run s in
+      Alcotest.(check (list string))
+        "no oracle violations" []
+        (List.map
+           Check.Oracle.violation_to_string
+           (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
+              ~observation:o))
+
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
      and require the oracle to catch it AND the shrinker to keep a
@@ -752,4 +780,6 @@ let suite =
          ~profile:Check.Schedule.Byzantine_hostile ~row:"blast-radius");
     Alcotest.test_case "counterfactual: exact counts one-sided delivery"
       `Quick test_exact_one_sided_delivery;
+    Alcotest.test_case "idle GC spares a retransmitting sender" `Quick
+      test_idle_gc_spares_retransmitting_sender;
   ]

@@ -438,8 +438,14 @@ let test_multi_counter_totals () =
   at 1.5 (fun () -> feed (data 0));
   Netsim.Engine.run ~until:2.5 engine;
   Alcotest.(check int) "conn 1 still live" 1 (M.live_conns m);
-  (* the connection itself goes stale: GC archives its epoch *)
+  (* idle past its deadline, but TPDU 0 verified and the epoch is
+     incomplete: the record is held while the sender may still be
+     retransmitting (give_up_txs x 8 RTOs = 16 s since 1.5) *)
   Netsim.Engine.run ~until:10.0 engine;
+  Alcotest.(check int) "conn 1 held within its sender's horizon" 1
+    (M.live_conns m);
+  (* past the horizon the connection is stale: GC archives its epoch *)
+  Netsim.Engine.run ~until:30.0 engine;
   Alcotest.(check int) "conn 1 GCed" 0 (M.live_conns m);
   (* closed epoch: a ledgered straggler is re-ACKed, an unledgered one
      is a late drop; a never-opened C.ID is an unknown drop *)

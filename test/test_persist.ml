@@ -22,34 +22,29 @@ let config =
    before it is recorded, so the recorded stream also contains the
    timeout retransmissions and duplicates the repair machinery produced
    — exactly the traffic a restored endpoint must absorb. *)
+(* A hop of the test network: a copy of the packet arrives 0.1 ms
+   later. *)
+let hop engine deliver b =
+  let b = Bytes.copy b in
+  Netsim.Engine.schedule engine ~delay:1e-4 (fun () -> deliver b)
+
 let record_door_packets ~seed ~data_len ~drop_k =
   let engine = Netsim.Engine.create ~seed () in
-  let data = Util.deterministic_bytes data_len in
-  let recorded = ref [] in
-  let sender = ref None in
-  let count = ref 0 in
+  let recorded = ref [] and count = ref 0 in
   let expected = CT.expected_elements config ~data_len in
-  let m =
-    Transport.Multi.create engine ~config ~quota_elems:expected ~max_conns:1
-      ~send_ack:(fun b ->
-        let b = Bytes.copy b in
-        Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-            Option.iter (fun tx -> CT.Sender.on_packet tx b) !sender))
-      ()
+  let forward deliver b =
+    incr count;
+    if not (drop_k > 0 && !count mod drop_k = 0) then
+      hop engine
+        (fun b ->
+          recorded := b :: !recorded;
+          deliver b)
+        b
   in
-  let tx =
-    CT.Sender.create engine config ~announce_open:true
-      ~send:(fun b ->
-        incr count;
-        if not (drop_k > 0 && !count mod drop_k = 0) then
-          let b = Bytes.copy b in
-          Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-              recorded := b :: !recorded;
-              Transport.Multi.ingest m b))
-      ~data ()
-  in
-  sender := Some tx;
-  CT.Sender.start tx;
+  ignore
+    (Transport.Transfer.connect engine config ~quota_elems:expected ~forward
+       ~reverse:(hop engine)
+       (`Data (Util.deterministic_bytes data_len)));
   Netsim.Engine.run engine;
   (List.rev !recorded, expected)
 
@@ -792,30 +787,13 @@ let test_torn_write_sweep () =
    1e-4 s, run until the sender finishes. *)
 let clean_transfer ?persist ~seed config data =
   let engine = Netsim.Engine.create ~seed () in
-  let sender = ref None and endpoint = ref None in
-  let hop deliver b =
-    let b = Bytes.copy b in
-    Netsim.Engine.schedule engine ~delay:1e-4 (fun () -> deliver b)
-  in
-  let tx =
-    CT.Sender.create engine config ~announce_open:true
-      ~send:(hop (fun b -> Option.iter (fun m -> Transport.Multi.ingest m b) !endpoint))
-      ~data ()
-  in
-  sender := Some tx;
-  let m =
-    Transport.Multi.create engine ~config
+  let w =
+    Transport.Transfer.connect ?persist engine config
       ~quota_elems:(CT.expected_elements config ~data_len:(Bytes.length data))
-      ~max_conns:1 ?persist
-      ~send_ack:(hop (fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender))
-      ()
+      ~forward:(hop engine) ~reverse:(hop engine) (`Data data)
   in
-  endpoint := Some m;
-  CT.Sender.start tx;
-  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
-    ()
-  done;
-  (m, tx)
+  Transport.Transfer.finish w;
+  (Transport.Transfer.endpoint w, Transport.Transfer.sender w)
 
 (* A clean bulk transfer through an endpoint with a write-ahead journal:
    every ACK reuses the verifier's data parity, so the journal hook

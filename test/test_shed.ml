@@ -532,34 +532,19 @@ let test_interleave_clean_delivery () =
     }
   in
   let engine = Netsim.Engine.create ~seed:3 () in
-  let endpoint = ref None and sender = ref None in
-  let forward =
-    Netsim.Link.create engine ~name:"fwd" ~rate_bps:1e9 ~delay:1e-3
-      ~mtu:config.CT.mtu
-      ~deliver:(fun b -> Option.iter (fun m -> Transport.Multi.ingest m b) !endpoint)
-      ()
+  let link name deliver =
+    let l =
+      Netsim.Link.create engine ~name ~rate_bps:1e9 ~delay:1e-3
+        ~mtu:config.CT.mtu ~deliver ()
+    in
+    fun b -> ignore (Netsim.Link.send l b)
   in
-  let reverse =
-    Netsim.Link.create engine ~name:"ack" ~rate_bps:1e9 ~delay:1e-3
-      ~mtu:config.CT.mtu
-      ~deliver:(fun b -> Option.iter (fun s -> CT.Sender.on_packet s b) !sender)
-      ()
+  let w =
+    Transport.Transfer.connect engine config ~quota_elems:plan.Il.total_elems
+      ~forward:(link "fwd") ~reverse:(link "ack") (`Tpdus plan.Il.tpdus)
   in
-  let m =
-    Transport.Multi.create engine ~config ~quota_elems:plan.Il.total_elems
-      ~max_conns:1
-      ~send_ack:(fun b -> ignore (Netsim.Link.send reverse b))
-      ()
-  in
-  endpoint := Some m;
-  let tx =
-    CT.Sender.of_tpdus engine config ~announce_open:true
-      ~send:(fun b -> ignore (Netsim.Link.send forward b))
-      plan.Il.tpdus
-  in
-  sender := Some tx;
-  CT.Sender.start tx;
   Netsim.Engine.run engine;
+  let m = Transport.Transfer.endpoint w in
   let e = Util.only_epoch m ~conn_id:7 in
   Alcotest.(check bool) "complete" true e.Transport.Multi.complete;
   Alcotest.(check int) "nothing shed on a clean path" 0
@@ -635,8 +620,9 @@ let test_shed_clobber_caught () =
    snapshot restored mid-way whose image carries a verified span the
    window cannot hold — it must agree with a from-scratch reading: the
    first gap in the sorted merge of the verified and the shed spans.
-   The final TPDU carries C.ST, so the stream's end is confirmed exactly
-   when that merge can first reach it. *)
+   The final TPDU, which carries C.ST, passes first: the stream's end is
+   confirmed from then on (the restore carries it over), so every later
+   step compares the frontier against the stream's length. *)
 let test_completion_rule () =
   let tpdu_elems = 8 and n_tpdus = 6 in
   let elems = tpdu_elems * n_tpdus in
@@ -667,7 +653,21 @@ let test_completion_rule () =
   in
   let engine = Netsim.Engine.create ~seed:3 () in
   let send_ack _ = () and capacity = `Quota elems in
-  let rx = ref (CT.Receiver.create engine config ~send_ack ~capacity ()) in
+  (* the ACK ledger lives in the owner, so the restored receiver keeps
+     the first one's *)
+  let owner =
+    {
+      CT.Receiver.o_governor =
+        Transport.Governor.create ~budget_bytes:config.CT.state_budget
+          ~ttl:config.CT.state_ttl ();
+      o_acked = Labelling.Int_set.create 8;
+      o_counts = Transport.Counters.zero ();
+      o_spare = CT.Receiver.spare ();
+    }
+  in
+  let rx =
+    ref (CT.Receiver.create engine config ~owner ~send_ack ~capacity ())
+  in
   let verified = ref [] in
   let old_rule spans =
     let rec go expect = function
@@ -698,6 +698,7 @@ let test_completion_rule () =
     check "TPDU 2 shed"
   in
   check "fresh";
+  pass 5;
   pass 3;
   pass 0;
   pass 1;
@@ -713,11 +714,10 @@ let test_completion_rule () =
         img.Transport.Persist.ri_verified @ [ (elems - 4, 8) ];
     }
   in
-  rx := CT.Receiver.restore engine config ~send_ack ~capacity img;
+  rx := CT.Receiver.restore engine config ~owner ~send_ack ~capacity img;
   check "restored";
   pass 4;
   if CT.Receiver.shed_spans !rx = [] then shed ();
-  pass 5;
   Alcotest.(check bool) "complete at the end" true (CT.Receiver.complete !rx)
 
 let suite =

@@ -423,10 +423,6 @@ let test_give_up_releases_state () =
       state_ttl = 3600.0 }
   in
   let small = Util.deterministic_bytes 6000 in
-  let m =
-    Util.one_conn engine config
-      ~quota_elems:(CT.expected_elements config ~data_len:(Bytes.length small))
-  in
   (* the forward path loses every ED-bearing packet: no TPDU can ever
      verify, so the receiver accumulates exactly the partial state
      (verifier spans, uncorroborated stash) the abort must reclaim;
@@ -441,19 +437,18 @@ let test_give_up_releases_state () =
               Labelling.Ctype.ed)
           chunks
   in
-  let tx =
-    CT.Sender.create engine config
-      ~send:(fun b ->
+  let w =
+    TR.connect engine config
+      ~quota_elems:(CT.expected_elements config ~data_len:(Bytes.length small))
+      ~forward:(fun deliver b ->
         if not (drops_ed b) then
-          Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-              Transport.Multi.ingest m b))
-      ~data:small ()
+          Netsim.Engine.schedule engine ~delay:1e-4 (fun () -> deliver b))
+      ~reverse:(fun _ _ -> ())
+      (`Data small)
   in
-  CT.Sender.start tx;
+  let m = TR.endpoint w and tx = TR.sender w in
   (* run to the give-up and the aborts' arrival, far inside the TTL *)
-  while (not (CT.Sender.finished tx)) && Netsim.Engine.step engine do
-    ()
-  done;
+  TR.finish w;
   Netsim.Engine.run ~until:(Netsim.Engine.now engine +. 1.0) engine;
   let counts = Transport.Multi.counters m in
   Alcotest.(check bool) "sender gave up" true (CT.Sender.gave_up tx);
@@ -492,7 +487,9 @@ let test_adaptive_rto_beats_fixed () =
   (* at 20% loss a conservative fixed RTO pays a full overestimated
      timeout per loss; the Jacobson/Karn estimator converges on the
      path RTT and repairs at round-trip scale *)
-  let base = { CT.default_config with CT.rto = 0.25; window = 4 } in
+  let base =
+    { CT.default_config with CT.rto = 0.25; window = 4; state_ttl = 0.25 }
+  in
   let data = Util.deterministic_bytes 60_000 in
   let fixed = TR.run ~seed:7 ~loss:0.2 ~config:base ~data () in
   let adaptive =
