@@ -134,14 +134,59 @@ let test_any_locked =
   Test.make ~name:"placement.any_locked 512 elems" (Staged.stage (fun () ->
       ignore (Placement.any_locked p ~sn:64 ~len:512)))
 
+(* The receive path's flat T.ID map against the hashed table it
+   replaced there, holding [n] sequential T.IDs: a hit, and a new key
+   bound and removed again, so the table keeps its size. *)
+let map_tests n =
+  let keys = Array.init n (fun i -> 1000 + i) in
+  let flat = Int_map.create ~absent:(-1) n and hashed = Int_table.create 32 in
+  Array.iter
+    (fun k ->
+      Int_map.replace flat k k;
+      Int_table.replace hashed k k)
+    keys;
+  let i = ref 0 in
+  let next () =
+    i := (!i + 1) land (n - 1);
+    keys.(!i)
+  in
+  [
+    Test.make ~name:(Printf.sprintf "int_map.find %d keys" n)
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Int_map.find flat (next ())))));
+    Test.make ~name:(Printf.sprintf "int_table.find %d keys" n)
+      (Staged.stage (fun () ->
+           ignore (Sys.opaque_identity (Int_table.find_opt hashed (next ())))));
+    Test.make ~name:(Printf.sprintf "int_map.add+remove %d keys" n)
+      (Staged.stage (fun () ->
+           let k = next () + n in
+           Int_map.replace flat k k;
+           Int_map.remove flat k));
+    Test.make ~name:(Printf.sprintf "int_table.add+remove %d keys" n)
+      (Staged.stage (fun () ->
+           let k = next () + n in
+           Int_table.add hashed k k;
+           Int_table.remove hashed k));
+  ]
+
+(* A passed TPDU's placed runs merged into its spans, as the receiver
+   merges them: four runs credited out of order. *)
+let test_placed_spans =
+  let rows = Int_rows.create ~width:2 in
+  Test.make ~name:"placed spans of 4 shuffled runs" (Staged.stage (fun () ->
+      Int_rows.clear rows ~width:2;
+      Array.iter (fun k -> Int_rows.push2 rows (k * 64) 64) [| 2; 0; 3; 1 |];
+      Int_rows.coalesce rows ~limit:1024))
+
 let grouped =
   Test.make_grouped ~name:"micro"
-    [
-      test_split; test_merge; test_wire_encode; test_wire_decode; test_wsc2;
-      test_gf_mul; test_gf_ref_mul; test_alpha_pow; test_crc32; test_xpos;
-      test_vreassembly; test_place_in_order; test_place_shuffled;
-      test_any_locked;
-    ]
+    ([
+       test_split; test_merge; test_wire_encode; test_wire_decode; test_wsc2;
+       test_gf_mul; test_gf_ref_mul; test_alpha_pow; test_crc32; test_xpos;
+       test_vreassembly; test_place_in_order; test_place_shuffled;
+       test_any_locked; test_placed_spans;
+     ]
+    @ map_tests 8 @ map_tests 512)
 
 (* What a minor collection costs the receive path: a [Multi] fed the
    shuffled stream of the allocation test (four connections of 2 KiB

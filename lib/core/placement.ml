@@ -8,6 +8,21 @@ type report = {
   rp_conflicts : (int * int * kind) list;
 }
 
+type outcome = {
+  fresh : Int_rows.t;
+  benign : Int_rows.t;
+  conflicts : Int_rows.t;
+  mutable held_back : int;
+}
+
+let outcome () =
+  {
+    fresh = Int_rows.empty ();
+    benign = Int_rows.empty ();
+    conflicts = Int_rows.empty ();
+    held_back = 0;
+  }
+
 type overlap_stats = {
   os_conflicts_seen : int;
   os_conflicts_rejected : int;
@@ -124,38 +139,46 @@ let run_list bm ~v stop =
 
 let total runs = List.fold_left (fun n (_, l) -> n + l) 0 runs
 
+(* Do bytes [k, n) of [a] from [ai] equal those of [b] from [bi]?  A
+   word at a time, then byte by byte; no closure, as the policy asks
+   this once per element of a conflicting run. *)
+let rec equal_tail a ai b bi k n =
+  k = n
+  || Bytes.get a (ai + k) = Bytes.get b (bi + k)
+     && equal_tail a ai b bi (k + 1) n
+
+let rec equal_words a ai b bi k n =
+  if k + 8 > n then equal_tail a ai b bi k n
+  else
+    Bytes.get_int64_ne a (ai + k) = Bytes.get_int64_ne b (bi + k)
+    && equal_words a ai b bi (k + 8) n
+
 (* Do [n] bytes of [a] at [ai] equal [n] bytes of [b] at [bi]? *)
-let equal_sub a ai b bi n =
-  let rec words k =
-    if k + 8 > n then tail k
-    else
-      Bytes.get_int64_ne a (ai + k) = Bytes.get_int64_ne b (bi + k)
-      && words (k + 8)
-  and tail k =
-    k = n || (Bytes.get a (ai + k) = Bytes.get b (bi + k) && tail (k + 1))
-  in
-  words 0
+let equal_sub a ai b bi n = equal_words a ai b bi 0 n
 
-(* An ascending run list under construction: [closed] holds the
-   finished runs newest first, the open run is [start, start + len). *)
-type runs = {
-  mutable closed : (int * int) list;
-  mutable start : int;
-  mutable len : int;
-}
+(* Add the elements [e, e + n) to the ascending runs [rows], extending
+   the last run when it ends at [e]. *)
+let extend rows e n =
+  let k = Int_rows.count rows - 1 in
+  if
+    k >= 0
+    && Int_rows.get rows ~width:2 k 0 + Int_rows.get rows ~width:2 k 1 = e
+  then Int_rows.set rows ~width:2 k 1 (Int_rows.get rows ~width:2 k 1 + n)
+  else Int_rows.push2 rows e n
 
-let runs () = { closed = []; start = 0; len = 0 }
+let kind_code = function Verified_conflict -> 0 | Fresh_conflict -> 1
+let kind_of_code c = if c = 0 then Verified_conflict else Fresh_conflict
 
-let extend r e n =
-  if r.len > 0 && r.start + r.len = e then r.len <- r.len + n
-  else begin
-    if r.len > 0 then r.closed <- (r.start, r.len) :: r.closed;
-    r.start <- e;
-    r.len <- n
-  end
-
-let finish r =
-  List.rev (if r.len > 0 then (r.start, r.len) :: r.closed else r.closed)
+(* Add the conflicting element [e] of [kind] to [o]'s conflicts. *)
+let push_conflict o e kind =
+  let rows = o.conflicts and c = kind_code kind in
+  let k = Int_rows.count rows - 1 in
+  if
+    k >= 0
+    && Int_rows.get rows ~width:3 k 0 + Int_rows.get rows ~width:3 k 1 = e
+    && Int_rows.get rows ~width:3 k 2 = c
+  then Int_rows.set rows ~width:3 k 1 (Int_rows.get rows ~width:3 k 1 + 1)
+  else Int_rows.push3 rows e 1 c
 
 (* Write the newcomer's unoccupied elements [e0, e0 + n): one blit and
    one bit fill.  Its element [sn] is at byte [src_off] of [src]. *)
@@ -174,15 +197,8 @@ let write p ~src ~src_off ~sn e0 n =
    occupied elements whose bytes all match is one benign entry, and only
    the elements of a mismatching occupied run go through the policy one
    at a time.  The newcomer's payload is [src] from byte [src_off]. *)
-let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
+let apply_runs p o ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
   let es = p.elem_size in
-  let fresh = runs () and benign = runs () and conflicts = ref [] in
-  let push_conflict e k =
-    match !conflicts with
-    | (s, l, k') :: rest when s + l = e && k' = k ->
-        conflicts := (s, l + 1, k') :: rest
-    | _ -> conflicts := (e, 1, k) :: !conflicts
-  in
   let stop = sn + len in
   let e = ref sn in
   while !e < stop do
@@ -191,18 +207,18 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
     if not (bit p.occ e0) then begin
       let n = next_bit p.occ ~v:true e0 stop - e0 in
       write p ~src ~src_off ~sn e0 n;
-      extend fresh e0 n;
+      extend o.fresh e0 n;
       e := e0 + n
     end
     else begin
       let n = next_bit p.occ ~v:false e0 stop - e0 in
       if equal_sub src (src_off + (i0 * es)) p.buf (e0 * es) (n * es) then
-        extend benign e0 n
+        extend o.benign e0 n
       else
         for e = e0 to e0 + n - 1 do
           let i = e - sn in
           if equal_sub src (src_off + (i * es)) p.buf (e * es) es then
-            extend benign e 1
+            extend o.benign e 1
           else if bit p.lck e then begin
             (* the resident bytes are WSC-2-verified: the newcomer is
                counted, traced and discarded — whoever verified first
@@ -210,14 +226,14 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
             p.conflicts_seen <- p.conflicts_seen + 1;
             p.conflicts_rejected <- p.conflicts_rejected + 1;
             if verified then p.verified_overwrites <- p.verified_overwrites + 1;
-            push_conflict e Verified_conflict
+            push_conflict o e Verified_conflict
           end
           else if verified then begin
             (* a verified newcomer reclaims bytes an unverified squatter
                wrote *)
             p.conflicts_seen <- p.conflicts_seen + 1;
             Bytes.blit src (src_off + (i * es)) p.buf (e * es) es;
-            extend fresh e 1
+            extend o.fresh e 1
           end
           else begin
             (* neither side is verified yet: leave the resident bytes
@@ -225,76 +241,92 @@ let apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
                newcomer until a parity settles the dispute *)
             p.conflicts_seen <- p.conflicts_seen + 1;
             p.quarantined <- p.quarantined + 1;
-            push_conflict e Fresh_conflict
+            o.held_back <- o.held_back + 1;
+            push_conflict o e Fresh_conflict
           end
         done;
       e := e0 + n
     end
   done;
-  let conflicts = List.rev !conflicts in
-  if conflicts <> [] && Obs.enabled && Obs.Trace.active () then
-    List.iter
-      (fun (s, l, k) ->
-        Obs.Trace.record
-          (Obs.Trace.Overlap
-             {
-               conn;
-               tpdu;
-               sn = s + p.base_sn;
-               elems = l;
-               kind =
-                 (match k with
-                 | Verified_conflict ->
-                     if verified then "verified-clash" else "verified-conflict"
-                 | Fresh_conflict -> "fresh-conflict");
-             }))
-      conflicts;
-  {
-    rp_fresh = finish fresh;
-    rp_benign = finish benign;
-    rp_conflicts = conflicts;
-  }
+  let rows = o.conflicts in
+  if Int_rows.count rows > 0 && Obs.enabled && Obs.Trace.active () then
+    for k = 0 to Int_rows.count rows - 1 do
+      Obs.Trace.record
+        (Obs.Trace.Overlap
+           {
+             conn;
+             tpdu;
+             sn = Int_rows.get rows ~width:3 k 0 + p.base_sn;
+             elems = Int_rows.get rows ~width:3 k 1;
+             kind =
+               (match kind_of_code (Int_rows.get rows ~width:3 k 2) with
+               | Verified_conflict ->
+                   if verified then "verified-clash" else "verified-conflict"
+               | Fresh_conflict -> "fresh-conflict");
+           })
+    done
 
 (* The run loop's first step, taken before it: when the span's leading
    unoccupied run is the whole span, as it is for every in-order chunk,
-   the span is one write and one fresh run, with no run builder. *)
-let apply p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
+   the span is one write and one fresh run. *)
+let apply p o ~sn ~len ~src ~src_off ~verified ~conn ~tpdu =
+  Int_rows.clear o.fresh ~width:2;
+  Int_rows.clear o.benign ~width:2;
+  Int_rows.clear o.conflicts ~width:3;
+  o.held_back <- 0;
   if next_bit p.occ ~v:true sn (sn + len) = sn + len then begin
     write p ~src ~src_off ~sn sn len;
-    { rp_fresh = [ (sn, len) ]; rp_benign = []; rp_conflicts = [] }
+    Int_rows.push2 o.fresh sn len
   end
-  else apply_runs p ~sn ~len ~src ~src_off ~verified ~conn ~tpdu
+  else apply_runs p o ~sn ~len ~src ~src_off ~verified ~conn ~tpdu
 
-(* [len] elements of [size] bytes from [src] at [off], the first at
-   level SN [sn] *)
-let checked_run op p ~sn ~len ~size ~src ~off ~verified ~conn ~tpdu =
-  if size <> p.elem_size then
-    Error (Printf.sprintf "Placement.%s: element size mismatch" op)
-  else begin
-    let sn = sn - p.base_sn in
-    (* [sn > capacity - len] rather than [sn + len > capacity]: a decoded
-       SN can be close to [max_int], where the addition wraps negative
-       and would sail past the window check into Bytes.blit. *)
-    if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
-      Error (Printf.sprintf "Placement.%s: outside destination window" op)
-    else Ok (apply p ~sn ~len ~src ~src_off:off ~verified ~conn ~tpdu)
-  end
+(* Whether [len] elements from level SN [sn] lie in the window; [sn >
+   capacity - len] rather than [sn + len > capacity]: a decoded SN can
+   be close to [max_int], where the addition wraps negative and would
+   sail past the window check into Bytes.blit. *)
+let in_window p ~sn ~len =
+  let sn = sn - p.base_sn in
+  sn >= 0 && len <= p.capacity_elems && sn <= p.capacity_elems - len
 
-let op_name ~verified = if verified then "place_view ~verified" else "place"
+let place_run ?(verified = false) p o ~sn ~len ~size ~src ~off ~conn ~tpdu =
+  size = p.elem_size
+  && in_window p ~sn ~len
+  && begin
+       apply p o ~sn:(sn - p.base_sn) ~len ~src ~src_off:off ~verified ~conn
+         ~tpdu;
+       true
+     end
 
-let place_run ?(verified = false) p ~sn ~len ~size ~src ~off ~conn ~tpdu =
-  checked_run (op_name ~verified) p ~sn ~len ~size ~src ~off ~verified ~conn
-    ~tpdu
+let report_of o =
+  {
+    rp_fresh = Int_rows.pairs o.fresh;
+    rp_benign = Int_rows.pairs o.benign;
+    rp_conflicts =
+      List.init (Int_rows.count o.conflicts) (fun k ->
+          ( Int_rows.get o.conflicts ~width:3 k 0,
+            Int_rows.get o.conflicts ~width:3 k 1,
+            kind_of_code (Int_rows.get o.conflicts ~width:3 k 2) ));
+  }
 
 let place_view ?(verified = false) p (v : Chunk.view) =
-  let op = op_name ~verified in
+  let op = if verified then "place_view ~verified" else "place" in
   let h = v.Chunk.header in
+  let sn = sn_of p h and len = h.Header.len in
   if not (Chunk.view_is_data v) then
     Error (Printf.sprintf "Placement.%s: not a data chunk" op)
-  else
-    checked_run op p ~sn:(sn_of p h) ~len:h.Header.len ~size:h.Header.size
-      ~src:v.Chunk.src ~off:v.Chunk.off ~verified ~conn:h.Header.c.Ftuple.id
-      ~tpdu:h.Header.t.Ftuple.id
+  else if h.Header.size <> p.elem_size then
+    Error (Printf.sprintf "Placement.%s: element size mismatch" op)
+  else if not (in_window p ~sn ~len) then
+    Error (Printf.sprintf "Placement.%s: outside destination window" op)
+  else begin
+    let o = outcome () in
+    ignore
+      (place_run ~verified p o ~sn ~len ~size:h.Header.size ~src:v.Chunk.src
+         ~off:v.Chunk.off ~conn:h.Header.c.Ftuple.id
+         ~tpdu:h.Header.t.Ftuple.id
+        : bool);
+    Ok (report_of o)
+  end
 
 let place_checked p chunk = place_view p (Chunk.view chunk)
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)

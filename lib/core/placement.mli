@@ -98,16 +98,42 @@ val place_view :
   ?verified:bool -> t -> Chunk.view -> (report, string) result
 (** {!place_checked} of a chunk read in place: the payload is copied
     once, from the view's buffer straight into the destination; {!place}
-    and {!place_checked} are adapters onto this one.  With [~verified:true]
+    and {!place_checked} are adapters onto this one, and it onto
+    {!place_run}.  With [~verified:true]
     the write is on behalf of a TPDU whose parity has {e passed}: it
     overwrites unverified squatters, never locked-different bytes (those
     increment [os_verified_overwrites] and are reported as
     {!Verified_conflict}), and the caller should then {!lock_span} the
     runs it now owns ([rp_fresh @ rp_benign]). *)
 
+(** {2 The per-chunk path: counters and buffers the caller owns}
+
+    {!place_run} builds no report: it writes its outcome into an
+    {!outcome} the caller keeps and reuses, so placing a run allocates
+    nothing (short of a buffer outgrowing its room).  {!place_view} and
+    {!place_checked} are adapters onto it that build a {!report}. *)
+
+type outcome = {
+  fresh : Int_rows.t;  (** the [rp_fresh] runs, as ascending width-2 rows *)
+  benign : Int_rows.t;  (** the [rp_benign] runs, likewise *)
+  conflicts : Int_rows.t;
+      (** the [rp_conflicts] runs as ascending width-3 rows
+          [(sn, len, kind)], [kind] 0 for {!Verified_conflict} and 1 for
+          {!Fresh_conflict} *)
+  mutable held_back : int;
+      (** {!Fresh_conflict} elements: when positive, the newcomer's run
+          is the caller's to quarantine *)
+}
+(** What the last {!place_run} into it did, relative to [base_sn];
+    each call replaces all of it. *)
+
+val outcome : unit -> outcome
+(** An empty outcome; each buffer makes its room at its first run. *)
+
 val place_run :
   ?verified:bool ->
   t ->
+  outcome ->
   sn:int ->
   len:int ->
   size:int ->
@@ -115,12 +141,14 @@ val place_run :
   off:int ->
   conn:int ->
   tpdu:int ->
-  (report, string) result
+  bool
 (** {!place_view} of a run of data elements given by its fields, with
     no chunk header: [len] elements of [size] bytes from [src] at
     [off], the first at SN [sn] of the placement's level, labelled C.ID
-    [conn] and T.ID [tpdu] (for the overlap trace).  The caller vouches
-    that the run is data of one chunk. *)
+    [conn] and T.ID [tpdu] (for the overlap trace), its outcome written
+    into [o].  The caller vouches that the run is data of one chunk.
+    [false], with [o] untouched, where {!place_view} fails: a [size]
+    other than the placement's, or a run outside the window. *)
 
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes

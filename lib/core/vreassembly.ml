@@ -121,30 +121,35 @@ let append_new tr ~sn ~len ~st =
     true
   end
 
-let insert_new tr ~sn ~len ~st =
-  if bad_span ~sn ~len then Error `Inconsistent
-  else begin
-    let last = sn + len - 1 in
-    if end_conflict tr ~last ~st then Error `Inconsistent
-    else begin
-      (* Fresh parts = [sn, sn+len) minus every existing run. *)
-      let hi = sn + len in
-      let rec subtract lo k acc =
-        if lo >= hi then List.rev acc
-        else if k = tr.n then List.rev ((lo, hi - lo) :: acc)
-        else
-          let s = start tr k and e = stop tr k in
-          if e <= lo then subtract lo (k + 1) acc
-          else if s >= hi then List.rev ((lo, hi - lo) :: acc)
-          else if s <= lo then subtract (Int.max lo e) (k + 1) acc
-          else subtract e (k + 1) ((lo, s - lo) :: acc)
-      in
-      let fresh = subtract sn 0 [] in
-      add_run tr sn len;
-      if st then tr.last_sn <- last;
-      Ok fresh
-    end
+let insert_runs tr fresh ~sn ~len ~st =
+  (not (bad_span ~sn ~len))
+  &&
+  let last = sn + len - 1 in
+  (not (end_conflict tr ~last ~st))
+  && begin
+    (* Fresh parts = [sn, sn+len) minus every existing run. *)
+    let hi = sn + len in
+    Int_rows.clear fresh ~width:2;
+    let lo = ref sn and k = ref 0 in
+    while !lo < hi && !k < tr.n do
+      let s = start tr !k and e = stop tr !k in
+      if s >= hi then k := tr.n
+      else begin
+        if s > !lo then Int_rows.push2 fresh !lo (s - !lo);
+        if e > !lo then lo := e;
+        incr k
+      end
+    done;
+    if !lo < hi then Int_rows.push2 fresh !lo (hi - !lo);
+    add_run tr sn len;
+    if st then tr.last_sn <- last;
+    true
   end
+
+let insert_new tr ~sn ~len ~st =
+  let fresh = Int_rows.create ~width:2 in
+  if insert_runs tr fresh ~sn ~len ~st then Ok (Int_rows.pairs fresh)
+  else Error `Inconsistent
 
 let set_total tr total =
   if total < 1 then Error `Inconsistent

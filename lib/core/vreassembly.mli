@@ -48,6 +48,13 @@ val insert_new : t -> sn:int -> len:int -> st:bool ->
     the property the incremental checksum needs.  [Error `Inconsistent]
     is as for {!insert}, including malformed spans (never raises). *)
 
+val insert_runs : t -> Int_rows.t -> sn:int -> len:int -> st:bool -> bool
+(** {!insert_new} into a buffer the caller owns and reuses, so that no
+    list is built: records the span as it does and replaces the
+    buffer's rows with the fresh [(sn, len)] sub-runs, ascending, as
+    width-2 rows; or returns [false] where it returns
+    [Error `Inconsistent], changing nothing. *)
+
 val append_new : t -> sn:int -> len:int -> st:bool -> bool
 (** {!insert_new}'s in-order case without its result list: when the
     span lies wholly past every received run and agrees with a known

@@ -47,6 +47,18 @@ val data_position : size:int -> t_sn:int -> (int, string) result
 (** Symbol position of the first word of the element with T-level SN
     [t_sn]; fails if the element lies beyond {!data_limit_symbols}. *)
 
+(** {2 Without a result box}
+
+    The same answers as the two checks above, for the per-chunk path:
+    an invalid answer is a sentinel no valid one takes, and the checks
+    above give its reason. *)
+
+val size_symbols : size:int -> int
+(** [check_size]'s symbols per element, or 0 where it fails. *)
+
+val data_symbol : size:int -> t_sn:int -> int
+(** [data_position]'s position, or -1 where it fails. *)
+
 val max_tpdu_elems : size:int -> int
 (** Largest TPDU (in elements) whose data fits the invariant's data
     region for this element size. *)

@@ -26,12 +26,7 @@ type event =
   | Fresh_data of { t_id : int; t_sn : int; elems : int }
   | Duplicate_dropped of { t_id : int }
 
-type absorbed =
-  | All
-  | Runs of (int * int) list
-  | Duplicate
-  | No_data
-  | Verdict of absorbed * verdict
+type absorbed = All | Runs | Duplicate | No_data
 
 (* An int-keyed map for the per-TPDU label tables.  Most TPDUs record
    one or two entries (a single boundary, a single external PDU), so
@@ -47,23 +42,22 @@ module Small = struct
     mutable v0 : int;
     mutable k1 : int;
     mutable v1 : int;
-    mutable many : int Int_table.t;
+    mutable many : int Int_map.t;
   }
 
   (* the [many] of every map that never held three bindings: never
      written *)
-  let few : int Int_table.t = Int_table.create 1
+  let few : int Int_map.t = Int_map.create ~absent:0 1
 
   let create () = { n = 0; k0 = 0; v0 = 0; k1 = 0; v1 = 0; many = few }
 
   let mem m k =
-    if m.n > 2 then Int_table.mem m.many k
+    if m.n > 2 then Int_map.mem m.many k
     else (m.n > 0 && m.k0 = k) || (m.n > 1 && m.k1 = k)
 
   (* Whether [k] is bound to a value other than [v]. *)
   let conflicts m k v =
-    if m.n > 2 then
-      match Int_table.find_opt m.many k with Some d -> d <> v | None -> false
+    if m.n > 2 then Int_map.mem m.many k && Int_map.find m.many k <> v
     else
       (m.n > 0 && m.k0 = k && m.v0 <> v) || (m.n > 1 && m.k1 = k && m.v1 <> v)
 
@@ -77,12 +71,12 @@ module Small = struct
           m.k1 <- k;
           m.v1 <- v
       | 2 ->
-          let t = Int_table.create 8 in
-          Int_table.add t m.k0 m.v0;
-          Int_table.add t m.k1 m.v1;
-          Int_table.add t k v;
+          let t = Int_map.create ~absent:0 8 in
+          Int_map.replace t m.k0 m.v0;
+          Int_map.replace t m.k1 m.v1;
+          Int_map.replace t k v;
           m.many <- t
-      | _ -> Int_table.add m.many k v);
+      | _ -> Int_map.replace m.many k v);
       m.n <- m.n + 1
     end
 
@@ -97,7 +91,7 @@ module Small = struct
     | 0 -> []
     | 1 -> [ (m.k0, m.v0) ]
     | 2 -> [ (m.k0, m.v0); (m.k1, m.v1) ]
-    | _ -> Int_table.fold (fun k v l -> (k, v) :: l) m.many []
+    | _ -> Int_map.fold (fun k v l -> (k, v) :: l) m.many []
 end
 
 (* Everything the verifier keeps of one in-flight TPDU between its
@@ -125,7 +119,7 @@ type tpdu_state = {
   mutable e0 : Gf232.t;  (* the ED chunk's parity, [e0 = -1] until then *)
   mutable e1 : Gf232.t;
   mutable damage : string option;  (* completion-time failure note *)
-  mutable x_spans : Int_rows.t;
+  x_spans : Int_rows.t;
       (* fresh runs as (t_sn, len, x_id, x_sn), for the X-framing check *)
 }
 
@@ -174,7 +168,7 @@ let blank_out s =
   s.e0 <- -1;
   s.e1 <- 0;
   s.damage <- None;
-  s.x_spans <- Int_rows.clear s.x_spans ~width:4
+  Int_rows.clear s.x_spans ~width:4
 
 let ed_arrived s = s.e0 >= 0
 
@@ -194,16 +188,22 @@ let no_state = blank_state (-1) ~born:0.0
    that live through minor collections stay the same few records in the
    major heap instead of a new set per TPDU.  At most [pool_cap] are
    kept, so the pool holds no more than a burst of verdicts leaves. *)
-type pool = { mutable spare : tpdu_state array; mutable n : int }
+type pool = {
+  mutable spare : tpdu_state array;
+  mutable n : int;
+  (* the fresh runs of the chunk last absorbed by a verifier of the
+     pool: one chunk at a time reads them *)
+  fresh : Int_rows.t;
+}
 
 let pool_cap = 32
-let pool () = { spare = [||]; n = 0 }
+let pool () = { spare = [||]; n = 0; fresh = Int_rows.create ~width:2 }
 
 type t = {
-  tpdus : tpdu_state Int_table.t;
+  tpdus : tpdu_state Int_map.t;  (* [no_state] for a T.ID not held *)
   pool : pool;
   (* the last state looked up, so the several lookups one chunk makes
-     cost one hash probe; [no_state] whenever [tpdus] loses its T.ID *)
+     cost one probe; [no_state] whenever [tpdus] loses its T.ID *)
   mutable memo : tpdu_state;
   (* the TPDU whose [Passed] verdict [on_chunk] returned last, until
      [take_data_parity] takes it ([no_state] otherwise) *)
@@ -211,6 +211,11 @@ type t = {
   now : unit -> float;
   (* scratch for one run's data parity, folded into its state's ints *)
   scratch : Wsc2.acc;
+  (* whether the chunk last absorbed closed its TPDU, with which
+     verdict; its fresh runs, when they are not the whole chunk, are in
+     [pool.fresh] *)
+  mutable closed : bool;
+  mutable verdict : verdict;
   mutable passed : int;
   mutable failed : int;
   mutable dups : int;
@@ -260,12 +265,14 @@ let note_verdict v s t_id verdict =
 let create ?now ?(pool = pool ()) () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
   {
-    tpdus = Int_table.create 32;
+    tpdus = Int_map.create ~absent:no_state 4;
     pool;
     memo = no_state;
     last_passed = no_state;
     now;
     scratch = Wsc2.create ();
+    closed = false;
+    verdict = Passed;
     passed = 0;
     failed = 0;
     dups = 0;
@@ -277,12 +284,11 @@ let create ?now ?(pool = pool ()) () =
 let find v t_id =
   let m = v.memo in
   if m.t_id = t_id && m != no_state then m
-  else
-    match Int_table.find_opt v.tpdus t_id with
-    | Some s ->
-        v.memo <- s;
-        s
-    | None -> no_state
+  else begin
+    let s = Int_map.find v.tpdus t_id in
+    if s != no_state then v.memo <- s;
+    s
+  end
 
 (* A state no table holds and nothing will read again goes back to the
    pool, while it has room. *)
@@ -298,7 +304,7 @@ let recycle v s =
 (* Forget [s]; it is recycled unless it is the passed TPDU awaiting
    [take_data_parity]. *)
 let release v s =
-  Int_table.remove v.tpdus s.t_id;
+  Int_map.remove v.tpdus s.t_id;
   if v.memo == s then v.memo <- no_state;
   if s != v.last_passed then recycle v s
 
@@ -319,10 +325,16 @@ let state v t_id =
           s
         end
       in
-      Int_table.add v.tpdus t_id s;
+      Int_map.replace v.tpdus t_id s;
       v.memo <- s;
       s
   end
+
+(* The chunk closed its TPDU with [verdict]: what {!closed} and
+   {!verdict} report until the next chunk. *)
+let close v verdict =
+  v.closed <- true;
+  v.verdict <- verdict
 
 (* A damaged chunk dooms its TPDU: report at once and release state, so
    a retransmission (with identical, correct labels) starts clean.  The
@@ -336,7 +348,8 @@ let fail_now v t_id verdict =
     release v s
   end;
   v.failed <- v.failed + 1;
-  Verdict (No_data, verdict)
+  close v verdict;
+  No_data
 
 (* Completion-time X-framing contiguity: sort the fresh element runs by
    T.SN; along the TPDU the X.ID may change only across an element that
@@ -344,29 +357,32 @@ let fail_now v t_id verdict =
    X.ID must not recur after a different one.  This catches a corrupted
    X.ID on a {e non-boundary} chunk, which neither the parity (pairs
    come from boundary chunks only) nor the per-X.ID delta check sees. *)
+let x_cell rows k j = Int_rows.get rows ~width:4 k j
+
+(* No row of [rows] before [k] has X.ID [x]. *)
+let rec x_unseen rows x k =
+  k = 0 || (x_cell rows (k - 1) 2 <> x && x_unseen rows x (k - 1))
+
+let rec x_walk s rows k =
+  k + 1 >= Int_rows.count rows
+  ||
+  let xa = x_cell rows k 2 and xb = x_cell rows (k + 1) 2 in
+  (xa = xb
+  ||
+  let boundary = x_cell rows k 0 + x_cell rows k 1 - 1
+  and sn_b = x_cell rows (k + 1) 0 in
+  (* the new external PDU starts just after the boundary, so its
+     element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
+  Small.mem s.pairs_done boundary
+  && x_cell rows (k + 1) 3 = sn_b - boundary - 1
+  && x_unseen rows xb k)
+  && x_walk s rows (k + 1)
+
+(* The rows are sorted in place: only a verdict reads them, and the
+   state is released after it. *)
 let x_framing_ok s =
-  let spans =
-    List.sort
-      (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b)
-      (Int_rows.quads s.x_spans)
-  in
-  let rec walk seen = function
-    | [] | [ _ ] -> true
-    | (sn_a, len_a, xa, _) :: ((sn_b, _, xb, xsn_b) :: _ as rest) ->
-        if xa = xb then walk seen rest
-        else begin
-          let boundary = sn_a + len_a - 1 in
-          (* the new external PDU starts just after the boundary, so its
-             element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
-          Small.mem s.pairs_done boundary
-          && xsn_b = sn_b - boundary - 1
-          (* [memq] is integer equality on ints, with no call into
-             polymorphic compare *)
-          && (not (List.memq xb seen))
-          && walk (xa :: seen) rest
-        end
-  in
-  walk [] spans
+  Int_rows.sort s.x_spans ~width:4;
+  x_walk s s.x_spans 0
 
 (* The whole TPDU's parity, data and labels, against the ED chunk's. *)
 let verdict_of s =
@@ -381,8 +397,8 @@ let verdict_of s =
         Consistency_failure "X framing not contiguous"
       else Passed
 
-(* [fresh], the chunk's own contribution, and then its TPDU's verdict
-   if the chunk completed it. *)
+(* [fresh], the chunk's own contribution, after which its TPDU's
+   verdict, if the chunk completed it, is closed. *)
 let try_finish v t_id s fresh =
   if Vreassembly.complete s.tracker && ed_arrived s then begin
     let verdict = verdict_of s in
@@ -396,26 +412,30 @@ let try_finish v t_id s fresh =
     | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
         v.failed <- v.failed + 1);
     release v s;
-    Verdict (fresh, verdict)
+    close v verdict;
+    fresh
   end
   else fresh
 
 (* Returns the first on-arrival problem with this chunk, if any. *)
 let arrival_check s (h : Header.t) =
   let size_problem =
-    match Invariant.check_size ~size:h.Header.size with
-    | Error msg -> Some (Reassembly_error msg)
-    | Ok spw
-      when h.Header.t.Ftuple.sn > Invariant.data_limit_symbols
-           || (h.Header.t.Ftuple.sn + h.Header.len) * spw
-              > Invariant.data_limit_symbols ->
-        (* a (possibly corrupted) T.SN/LEN that escapes the invariant's
-           data region can never virtually reassemble *)
-        Some (Reassembly_error "TPDU data outside the invariant region")
-    | Ok _ ->
-        if s.size <> 0 && s.size <> h.Header.size then
-          Some (Reassembly_error "SIZE changed between chunks")
-        else None
+    let spw = Invariant.size_symbols ~size:h.Header.size in
+    if spw = 0 then
+      match Invariant.check_size ~size:h.Header.size with
+      | Error msg -> Some (Reassembly_error msg)
+      | Ok _ -> assert false
+    else if
+      h.Header.t.Ftuple.sn > Invariant.data_limit_symbols
+      || (h.Header.t.Ftuple.sn + h.Header.len) * spw
+         > Invariant.data_limit_symbols
+    then
+      (* a (possibly corrupted) T.SN/LEN that escapes the invariant's
+         data region can never virtually reassemble *)
+      Some (Reassembly_error "TPDU data outside the invariant region")
+    else if s.size <> 0 && s.size <> h.Header.size then
+      Some (Reassembly_error "SIZE changed between chunks")
+    else None
   in
   match size_problem with
   | Some _ as p -> p
@@ -453,9 +473,13 @@ let commit_arrival s (h : Header.t) =
 let accumulate_fresh v s (cv : Chunk.view) sn len =
   let h = cv.Chunk.header in
   let size = h.Header.size in
-  (match Invariant.data_position ~size ~t_sn:sn with
-  | Error msg -> if s.damage = None then s.damage <- Some msg
-  | Ok pos ->
+  let pos = Invariant.data_symbol ~size ~t_sn:sn in
+  (if pos < 0 then begin
+     match Invariant.data_position ~size ~t_sn:sn with
+     | Error msg -> if s.damage = None then s.damage <- Some msg
+     | Ok _ -> assert false
+   end
+   else
       let off = cv.Chunk.off + ((sn - h.Header.t.Ftuple.sn) * size) in
       let sc = v.scratch in
       Wsc2.reset sc;
@@ -463,17 +487,24 @@ let accumulate_fresh v s (cv : Chunk.view) sn len =
       s.d0 <- Gf232.add s.d0 (Wsc2.p0 sc);
       s.d1 <- Gf232.add s.d1 (Wsc2.p1 sc));
   let xsn = h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn) in
-  s.x_spans <- Int_rows.push4 s.x_spans sn len h.Header.x.Ftuple.id xsn
+  Int_rows.push4 s.x_spans sn len h.Header.x.Ftuple.id xsn
 
-(* What the chunk's span [sn, sn + len) adds to the tracker. *)
-let fresh_of tr ~sn ~len ~st =
-  if Vreassembly.append_new tr ~sn ~len ~st then Ok All
+(* What the chunk's span [sn, sn + len) adds to the tracker, its runs
+   in [v.pool.fresh]; [No_data] where the span contradicts the
+   tracker. *)
+let fresh_of v tr ~sn ~len ~st =
+  if Vreassembly.append_new tr ~sn ~len ~st then All
+  else if not (Vreassembly.insert_runs tr v.pool.fresh ~sn ~len ~st) then
+    No_data
   else
-    match Vreassembly.insert_new tr ~sn ~len ~st with
-    | Error _ as e -> e
-    | Ok [] -> Ok Duplicate
-    | Ok [ (s, l) ] when s = sn && l = len -> Ok All
-    | Ok runs -> Ok (Runs runs)
+    let rows = v.pool.fresh in
+    match Int_rows.count rows with
+    | 0 -> Duplicate
+    | 1
+      when Int_rows.get rows ~width:2 0 0 = sn
+           && Int_rows.get rows ~width:2 0 1 = len ->
+        All
+    | _ -> Runs
 
 let on_data v (cv : Chunk.view) =
   let h = cv.Chunk.header in
@@ -484,19 +515,24 @@ let on_data v (cv : Chunk.view) =
   | None -> (
       commit_arrival s h;
       let sn = h.Header.t.Ftuple.sn and len = h.Header.len in
-      match fresh_of s.tracker ~sn ~len ~st:h.Header.t.Ftuple.st with
-      | Error `Inconsistent ->
+      match fresh_of v s.tracker ~sn ~len ~st:h.Header.t.Ftuple.st with
+      | No_data ->
           fail_now v t_id
             (Reassembly_error "fragment beyond or contradicting the TPDU end")
-      | Ok fresh ->
+      | fresh ->
           (match fresh with
           | All -> accumulate_fresh v s cv sn len
-          | Runs runs ->
-              List.iter (fun (sn, len) -> accumulate_fresh v s cv sn len) runs
+          | Runs ->
+              let rows = v.pool.fresh in
+              for k = 0 to Int_rows.count rows - 1 do
+                accumulate_fresh v s cv
+                  (Int_rows.get rows ~width:2 k 0)
+                  (Int_rows.get rows ~width:2 k 1)
+              done
           | Duplicate ->
               v.dups <- v.dups + 1;
               if Obs.enabled then Obs.Metrics.incr m_dups
-          | No_data | Verdict _ -> ());
+          | No_data -> ());
           (* Boundary contributions are deduplicated independently of
              payload freshness: a refragmented retransmission can
              re-deliver a boundary on an all-duplicate chunk. *)
@@ -564,6 +600,7 @@ let on_ed v (cv : Chunk.view) =
   end
 
 let absorb v (cv : Chunk.view) =
+  v.closed <- false;
   v.seen <- v.seen + 1;
   if Obs.enabled then Obs.Metrics.incr m_chunks;
   let h = cv.Chunk.header in
@@ -576,22 +613,23 @@ let on_view v (cv : Chunk.view) =
   let h = cv.Chunk.header in
   let t_id = h.Header.t.Ftuple.id in
   let fresh_data (sn, len) = Fresh_data { t_id; t_sn = sn; elems = len } in
-  let rec events = function
+  let fresh =
+    match absorb v cv with
     | All -> [ fresh_data (h.Header.t.Ftuple.sn, h.Header.len) ]
-    | Runs runs -> List.map fresh_data runs
+    | Runs ->
+        List.map fresh_data (Int_rows.pairs v.pool.fresh)
     | Duplicate -> [ Duplicate_dropped { t_id } ]
     | No_data -> []
-    | Verdict (fresh, verdict) ->
-        events fresh @ [ Tpdu_verified { t_id; verdict } ]
   in
-  events (absorb v cv)
+  if v.closed then fresh @ [ Tpdu_verified { t_id; verdict = v.verdict } ]
+  else fresh
 
 let on_chunk v chunk = on_view v (Chunk.view chunk)
-
-let in_flight v = Int_table.length v.tpdus
-
-let in_flight_ids v =
-  Int_table.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
+let fresh_runs v = v.pool.fresh
+let closed v = v.closed
+let verdict v = v.verdict
+let in_flight v = Int_map.length v.tpdus
+let in_flight_ids v = Int_map.sorted_keys v.tpdus
 
 let missing v ~t_id =
   let s = find v t_id in
@@ -686,7 +724,7 @@ type tpdu_image = {
 let known ~unset x = if x = unset then None else Some x
 
 let export v =
-  Int_table.fold
+  Int_map.fold
     (fun t_id s acc ->
       {
         ti_t_id = t_id;
@@ -711,7 +749,7 @@ let export v =
   |> List.sort (fun a b -> Int.compare a.ti_t_id b.ti_t_id)
 
 let import v img =
-  if not (Int_table.mem v.tpdus img.ti_t_id) then begin
+  if not (Int_map.mem v.tpdus img.ti_t_id) then begin
     let s = state v img.ti_t_id in
     (* rebuild the accumulator from its parity: XOR accumulation makes
        resume-from-snapshot indistinguishable from never stopping *)
@@ -744,5 +782,7 @@ let import v img =
         s.e1 <- p.Wsc2.p1
     | None -> ());
     s.damage <- img.ti_damage;
-    s.x_spans <- Int_rows.of_quads img.ti_x_spans
+    List.iter
+      (fun (sn, len, x_id, x_sn) -> Int_rows.push4 s.x_spans sn len x_id x_sn)
+      img.ti_x_spans
   end

@@ -71,24 +71,32 @@ val on_chunk : t -> Labelling.Chunk.t -> event list
 (** {1 Stepping without events}
 
     {!on_view} is built on {!absorb}, which a receiver that places fresh
-    data as it arrives calls directly: the common chunk, all of it
-    fresh, then costs no event list. *)
+    data as it arrives calls directly: a chunk then costs no event list,
+    and its result is read from buffers and fields the verifier reuses,
+    so it allocates nothing. *)
 
 type absorbed =
   | All  (** every element of the chunk was fresh *)
-  | Runs of (int * int) list
-      (** these [(t_sn, len)] runs were, ascending, and not the whole
-          chunk *)
+  | Runs
+      (** the {!fresh_runs} were, and not the whole chunk *)
   | Duplicate  (** none: every element had already arrived *)
   | No_data  (** no data was taken: a control chunk or a damaged one *)
-  | Verdict of absorbed * verdict
-      (** the chunk's own contribution (never a [Verdict]), after which
-          its TPDU reached this verdict and its state was released *)
 
 val absorb : t -> Labelling.Chunk.view -> absorbed
 (** Fold one chunk in exactly as {!on_view} does: [All] and [Runs] are
     its [Fresh_data] events, [Duplicate] its [Duplicate_dropped], and
-    [Verdict] its closing [Tpdu_verified]. *)
+    {!closed} its closing [Tpdu_verified]. *)
+
+val fresh_runs : t -> Labelling.Int_rows.t
+(** After {!absorb} returned [Runs]: the fresh [(t_sn, len)] runs,
+    ascending, as width-2 rows of a buffer the next chunk reuses. *)
+
+val closed : t -> bool
+(** Whether the chunk last absorbed brought its TPDU to a verdict,
+    after its own contribution; the TPDU's state is then released. *)
+
+val verdict : t -> verdict
+(** That verdict, while {!closed} holds. *)
 
 val in_flight : t -> int
 (** TPDUs with state held (arrived but not yet verified). *)

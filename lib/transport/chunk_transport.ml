@@ -158,35 +158,27 @@ let parse_nack b pos n =
    reverse path): re-acknowledge instead of staying silent, or the
    sender retransmits to a wall until it gives up.  Throttled per TPDU
    through the caller's [last_reack] table, so a duplication storm does
-   not become an ACK storm; the table holds [Obs.stamp]s, immediates, so
-   a re-ACK writes no fresh box into a table long since promoted.  Every
-   re-ACK sent is counted twice over, in [counts] and in the
-   registry. *)
+   not become an ACK storm; the table is flat and holds [Obs.stamp]s,
+   immediates, so no re-ACK, a T.ID's first included, stores a block
+   into a table long since promoted.  Every re-ACK sent is counted
+   twice over, in [counts] and in the registry. *)
+type throttle = int Int_map.t
+
+(* No clock reading's stamp: its bits are a NaN's. *)
+let no_stamp = -1
+let throttle ~room = Int_map.create ~absent:no_stamp room
+
 let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
-  match Int_table.find_opt last_reack t_id with
-  | Some last when now -. Obs.unstamp last < gap -> ()
-  | Some _ | None ->
-      Int_table.replace last_reack t_id (Obs.stamp now);
-      counts.Counters.reacks_sent <- counts.Counters.reacks_sent + 1;
-      if Obs.enabled then Obs.Metrics.incr m_reacks;
-      send_ack (ack_packet ~conn_id ~t_id)
+  let last = Int_map.find last_reack t_id in
+  if last <> no_stamp && now -. Obs.unstamp last < gap then ()
+  else begin
+    Int_map.replace last_reack t_id (Obs.stamp now);
+    counts.Counters.reacks_sent <- counts.Counters.reacks_sent + 1;
+    if Obs.enabled then Obs.Metrics.incr m_reacks;
+    send_ack (ack_packet ~conn_id ~t_id)
+  end
 
 module Receiver = struct
-  (* A held chunk is its buffer and the offset of its wire header there,
-     scanned again when it is placed or persisted, with the fresh run
-     [t_sn, t_sn + elems) it brought. *)
-  type stashed = { src : bytes; hdr : int; t_sn : int; elems : int }
-
-  (* A quarantined run: [q_elems] elements from [q_src] at [q_off], the
-     first at C.SN [c_sn], of a chunk labelled C.ID [c_id]. *)
-  type held = {
-    q_src : bytes;
-    q_off : int;
-    c_sn : int;
-    q_elems : int;
-    c_id : int;
-  }
-
   (* Placement writes straight into the application buffer at the
      connection offset, so a corrupted C.SN that stays inside the window
      could clobber a region an {e already verified} TPDU owns — and
@@ -207,10 +199,11 @@ module Receiver = struct
      before its T.ID joins either, so a live record proves both misses:
      [on_scanned] probes those tables only for a T.ID with no record.
 
-     Every field a chunk updates is an immediate, or a list that only a
-     stashing or conflicting chunk grows, so a record that has outlived
-     a minor collection takes no young pointer from the common chunk;
-     absent values are sentinels no label produces. *)
+     Every field a chunk updates is an immediate, or a row buffer or
+     buffer array kept with the record and filled in place, so a record
+     that has outlived a minor collection takes no young block from a
+     chunk (short of a buffer outgrowing its room, or a copied-out held
+     run); absent values are sentinels no label produces. *)
   type corroboration = {
     mutable t_id : int;
     mutable cls : int;  (* the TPDU's significance rank, its governor class *)
@@ -220,14 +213,28 @@ module Receiver = struct
     mutable delta_data : int;  (* C.SN - T.SN from data chunks, or unset *)
     mutable delta_ed : int;  (* C.SN - T.SN from the ED chunk, or unset *)
     mutable confirmed : bool;
-    mutable stash : stashed list;  (* newest first *)
-    mutable placed_runs : Int_rows.t;
+    stash : Int_rows.t;
+        (* held chunks, oldest first, as (hdr, t_sn, elems) rows: row
+           [k]'s chunk has its wire header at [hdr] in [stash_src.(k)],
+           where it is scanned again when placed or persisted, and
+           brought the fresh run [t_sn, t_sn + elems) *)
+    mutable stash_src : bytes array;
+    placed_runs : Int_rows.t;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
-    mutable quarantine : held list;
+    quarantine : Int_rows.t;
         (* runs whose bytes conflicted with unverified resident bytes
-           (Placement's fresh-vs-fresh case): re-asserted by a verified
-           write if this TPDU passes, dropped with the epoch otherwise *)
+           (Placement's fresh-vs-fresh case), oldest first, as (off,
+           c_sn, elems, c_id) rows: [elems] elements from
+           [quarantine_src.(k)] at [off], the first at C.SN [c_sn], of a
+           chunk labelled C.ID [c_id]; re-asserted by a verified write if
+           this TPDU passes, dropped with the epoch otherwise *)
+    mutable quarantine_src : bytes array;
+    mutable held : bytes;
+        (* where copied-out held runs go, [held_len] bytes of it used:
+           kept with the record, so a copy lands in room long since
+           promoted *)
+    mutable held_len : int;
     mutable end_claim : int;
         (* the last C.SN a C.ST data chunk of this TPDU claims ends the
            stream, or [no_claim]: the claim is believed only once the
@@ -248,17 +255,26 @@ module Receiver = struct
      [spare_cap] records are kept. *)
   type spare = {
     states : Edc.Verifier.pool;
+    placed : Placement.outcome;
+        (* what the last placement of a receiver sharing the spares
+           did: one run at a time reads it *)
     mutable recs : corroboration array;
     mutable nrecs : int;
   }
 
   let spare_cap = 32
-  let spare () = { states = Edc.Verifier.pool (); recs = [||]; nrecs = 0 }
+  let spare () =
+    {
+      states = Edc.Verifier.pool ();
+      placed = Placement.outcome ();
+      recs = [||];
+      nrecs = 0;
+    }
 
   (* What an owner of several receivers shares with each of them. *)
   type owner = {
     o_governor : Governor.t;
-    o_acked : Int_set.t;
+    o_acked : unit Int_map.t;
     o_counts : Counters.t;
     o_spare : spare;
   }
@@ -274,10 +290,10 @@ module Receiver = struct
     (* t_id -> [Obs.stamp] of the first arrival, for a TPDU whose record
        died with a failed verdict: its retransmission's latency counts
        from the first arrival still *)
-    first_arrival : int Int_table.t;
-    acked : Int_set.t;  (* TPDUs already acknowledged *)
-    nack_armed : unit Int_table.t;  (* TPDUs with a gap timer *)
-    corrob : corroboration Int_table.t;
+    first_arrival : int Int_map.t;  (* [no_stamp] for a T.ID not held *)
+    acked : unit Int_map.t;  (* TPDUs already acknowledged *)
+    nack_armed : unit Int_map.t;  (* TPDUs with a gap timer *)
+    corrob : corroboration Int_map.t;  (* [no_record] for a T.ID not held *)
     spare : spare;
     (* the last record found, so one chunk's lookups cost one probe;
        [no_record] whenever [corrob] loses its T.ID *)
@@ -287,14 +303,14 @@ module Receiver = struct
        but never toward verified delivery, and late chunks for a shed
        TPDU are dropped rather than re-admitted to the verifier *)
     shed_cover : Vreassembly.t;
-    shed_tids : unit Int_table.t;
+    shed_tids : unit Int_map.t;
     (* every element below is locked or shed: coverage only grows, so
        the frontier only moves forward *)
     mutable frontier : int;
     (* the stream's last element, from a verified TPDU's end claim *)
     mutable end_confirmed : int option;
     (* t_id -> [Obs.stamp] of its last re-ACK *)
-    last_reack : int Int_table.t;
+    last_reack : throttle;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
     counts : Counters.t;  (* the owner's record, or the receiver's own *)
@@ -328,9 +344,13 @@ module Receiver = struct
       delta_data = unset;
       delta_ed = unset;
       confirmed = false;
-      stash = [];
+      stash = Int_rows.create ~width:3;
+      stash_src = Array.make 4 Bytes.empty;
       placed_runs = Int_rows.create ~width:2;
-      quarantine = [];
+      quarantine = Int_rows.empty ();
+      quarantine_src = [||];
+      held = Bytes.empty;
+      held_len = 0;
       end_claim = no_claim;
     }
 
@@ -340,16 +360,15 @@ module Receiver = struct
   let no_record = blank_record (-1) ~cls:0 (Governor.entry no_key)
 
   (* The corroboration record of [t_id], or [no_record], through the
-     memo: repeated lookups allocate nothing. *)
+     memo: a lookup allocates nothing. *)
   let find_corrob rx t_id =
     let m = rx.corrob_memo in
     if m.t_id = t_id && m != no_record then m
-    else
-      match Int_table.find_opt rx.corrob t_id with
-      | Some m ->
-          rx.corrob_memo <- m;
-          m
-      | None -> no_record
+    else begin
+      let m = Int_map.find rx.corrob t_id in
+      if m != no_record then rx.corrob_memo <- m;
+      m
+    end
 
   let holds_record rx t_id = find_corrob rx t_id != no_record
 
@@ -369,6 +388,63 @@ module Receiver = struct
       m
     end
 
+  (* [srcs] with twice its slots, four at least. *)
+  let widen srcs =
+    let a = Array.make (Int.max 4 (2 * Array.length srcs)) Bytes.empty in
+    Array.blit srcs 0 a 0 (Array.length srcs);
+    a
+
+  (* Whether [srcs], whose first [n] slots held buffers, is to be
+     replaced (it has grown past 16 slots, as [Int_rows.clear] replaces
+     a grown row buffer); if not, its slots are emptied in place. *)
+  let release srcs n =
+    Array.length srcs > 16
+    || begin
+         for k = 0 to n - 1 do
+           srcs.(k) <- Bytes.empty
+         done;
+         false
+       end
+
+  (* Copy-out room a record keeps from one TPDU to the next: a
+     fragment's copy at the common MTUs, and little enough that a record
+     holding one small copy still retains less than twice its charge. *)
+  let held_room = 512
+
+  (* Once no row holds a copy, the copy-out room is free again; a
+     buffer grown past [held_room] for one TPDU is not kept. *)
+  let release_held m =
+    if Int_rows.count m.stash = 0 && Int_rows.count m.quarantine = 0 then begin
+      m.held_len <- 0;
+      if Bytes.length m.held > held_room then m.held <- Bytes.empty
+    end
+
+  let clear_stash m =
+    if release m.stash_src (Int_rows.count m.stash) then
+      m.stash_src <- Array.make 4 Bytes.empty;
+    Int_rows.clear m.stash ~width:3;
+    release_held m
+
+  let clear_quarantine m =
+    if release m.quarantine_src (Int_rows.count m.quarantine) then
+      m.quarantine_src <- [||];
+    Int_rows.clear m.quarantine ~width:4;
+    release_held m
+
+  (* Copy [n] bytes of [src] from [off] into [m]'s copy-out room,
+     returning their offset in [m.held]: after the copies already
+     there, or at 0 of a new buffer when they do not fit (the full one
+     then lives on only through the rows holding copies in it). *)
+  let copy_out m src off n =
+    if m.held_len + n > Bytes.length m.held then begin
+      m.held <- Bytes.create (Int.max held_room n);
+      m.held_len <- 0
+    end;
+    let at = m.held_len in
+    Bytes.blit src off m.held at n;
+    m.held_len <- at + n;
+    at
+
   (* A record no table holds and nothing will read again goes back to
      the spares, while there is room, made blank but for its T.ID,
      class and handle, which the TPDU that reuses it sets.  A spare
@@ -382,9 +458,9 @@ module Receiver = struct
       m.delta_data <- unset;
       m.delta_ed <- unset;
       m.confirmed <- false;
-      m.stash <- [];
-      m.placed_runs <- Int_rows.clear m.placed_runs ~width:2;
-      m.quarantine <- [];
+      clear_stash m;
+      Int_rows.clear m.placed_runs ~width:2;
+      clear_quarantine m;
       m.end_claim <- no_claim;
       if Array.length sp.recs = 0 then sp.recs <- Array.make spare_cap m;
       sp.recs.(sp.nrecs) <- m;
@@ -393,7 +469,7 @@ module Receiver = struct
 
   let new_corrob rx t_id =
     let m = record rx t_id in
-    Int_table.add rx.corrob t_id m;
+    Int_map.replace rx.corrob t_id m;
     rx.corrob_memo <- m;
     m
 
@@ -402,7 +478,7 @@ module Receiver = struct
     if m != no_record then m else new_corrob rx t_id
 
   let forget_corrob rx t_id =
-    Int_table.remove rx.corrob t_id;
+    Int_map.remove rx.corrob t_id;
     if rx.corrob_memo.t_id = t_id then rx.corrob_memo <- no_record
 
   (* Dispose of every piece of per-TPDU soft state (verifier
@@ -416,7 +492,7 @@ module Receiver = struct
       forget_corrob rx t_id;
       recycle rx m
     end;
-    Int_table.remove rx.first_arrival t_id
+    Int_map.remove rx.first_arrival t_id
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
@@ -436,7 +512,7 @@ module Receiver = struct
                 ~ttl:config.state_ttl ();
             (* room for 64 T.IDs before it first grows, as the 32-bucket
                table it replaced had *)
-            o_acked = Int_set.create 64;
+            o_acked = Int_map.set 64;
             o_counts = Counters.zero ();
             o_spare = spare ();
           }
@@ -452,17 +528,19 @@ module Receiver = struct
           Placement.create ~level:Placement.Conn ~base_sn:0 ~capacity_elems
             ~elem_size:config.elem_size;
         governor = o.o_governor;
-        first_arrival = Int_table.create 32;
+        first_arrival = Int_map.create ~absent:no_stamp 0;
         acked = o.o_acked;
-        nack_armed = Int_table.create 32;
-        corrob = Int_table.create 32;
+        nack_armed = Int_map.set 0;
+        corrob = Int_map.create ~absent:no_record 4;
         spare = o.o_spare;
         corrob_memo = no_record;
         shed_cover = Vreassembly.create ();
-        shed_tids = Int_table.create 8;
+        shed_tids = Int_map.set 0;
         frontier = 0;
         end_confirmed = None;
-        last_reack = Int_table.create 8;
+        (* re-offers of acknowledged TPDUs come from the sender's last
+           windows: their first re-ACKs store into room the epoch has *)
+        last_reack = throttle ~room:(2 * config.window);
         element_delay = Netsim.Stats.create ();
         tpdu_latency = Netsim.Stats.create ();
         counts = o.o_counts;
@@ -481,71 +559,49 @@ module Receiver = struct
      while the governor charges only its payload ([held_bytes]), so a
      run whose payload is less than half of its buffer is copied out
      when it is stashed or quarantined (a stashed chunk with its
-     header): retained memory then stays within twice what is charged.
-     A fixed rule, not a tunable.  A materialised chunk's payload spans
-     its whole buffer and is never copied. *)
+     header), into its record's copy-out room: retained memory then
+     stays within twice what is charged.  A fixed rule, not a tunable.
+     A materialised chunk's payload spans its whole buffer and is never
+     copied. *)
   let copybreak ~payload src = 2 * payload < Bytes.length src
 
-  (* The stash entry of [v], whose wire header lies at [hdr] in its
-     buffer ([hdr < 0]: nowhere, as for a materialised chunk's view,
-     which is then encoded as a one-chunk packet). *)
-  let stashed (v : Chunk.view) ~hdr ~t_sn ~elems =
+  let push_stash m src ~hdr ~t_sn ~elems =
+    let k = Int_rows.count m.stash in
+    if k = Array.length m.stash_src then m.stash_src <- widen m.stash_src;
+    m.stash_src.(k) <- src;
+    Int_rows.push3 m.stash hdr t_sn elems
+
+  (* Hold [v], whose wire header lies at [hdr] in its buffer ([hdr <
+     0]: nowhere, as for a materialised chunk's view, which is then
+     encoded as a one-chunk packet), for its fresh run. *)
+  let stash m (v : Chunk.view) ~hdr ~t_sn ~elems =
     let n = Chunk.view_payload_bytes v in
     if hdr < 0 then
       match Wire.encode_packet [ Chunk.of_view v ] with
       | Ok src ->
           let scan = Wire.Scan.create () in
           ignore (Wire.Scan.packet scan src : bool);
-          { src; hdr = Wire.Scan.offset scan 0; t_sn; elems }
+          push_stash m src ~hdr:(Wire.Scan.offset scan 0) ~t_sn ~elems
       | Error msg -> invalid_arg msg
-    else if copybreak ~payload:n v.Chunk.src then
-      {
-        src = Bytes.sub v.Chunk.src hdr (Wire.header_size + n);
-        hdr = 0;
-        t_sn;
-        elems;
-      }
-    else { src = v.Chunk.src; hdr; t_sn; elems }
+    else if copybreak ~payload:n v.Chunk.src then begin
+      let at = copy_out m v.Chunk.src hdr (Wire.header_size + n) in
+      push_stash m m.held ~hdr:at ~t_sn ~elems
+    end
+    else push_stash m v.Chunk.src ~hdr ~t_sn ~elems
 
-  (* The held chunk, read again where it lies. *)
-  let unstash e = Wire.Scan.view e.src e.hdr
-
-  (* The runs a placement report credits to [m]'s TPDU: fresh writes
+  (* Credit [m]'s TPDU with the runs placement reported: fresh writes
      and identical duplicates. *)
-  let rec add_runs rows = function
-    | [] -> rows
-    | (sn, len) :: rest -> add_runs (Int_rows.push2 rows sn len) rest
+  let credit m (o : Placement.outcome) =
+    Int_rows.append m.placed_runs o.Placement.fresh ~width:2;
+    Int_rows.append m.placed_runs o.Placement.benign ~width:2
 
-  let credit m (rep : Placement.report) =
-    m.placed_runs <-
-      add_runs (add_runs m.placed_runs rep.Placement.rp_fresh)
-        rep.Placement.rp_benign
 
-  (* [m]'s placed runs whose bytes lie in a buffer of [bytes] bytes,
-     merged as [Persist.coalesce_spans] merges them.  Runs credited in
-     ascending order, as in-order data's are, are fused as they are
-     read; only a record credited out of order pays for the sort. *)
-  let placed_spans m ~es ~bytes =
-    let rows = m.placed_runs in
-    let fits sn len = sn >= 0 && len > 0 && (sn + len) * es <= bytes in
-    let rec fuse k acc =
-      if k = Int_rows.count rows then List.rev acc
-      else
-        let sn = Int_rows.get rows ~width:2 k 0
-        and len = Int_rows.get rows ~width:2 k 1 in
-        if not (fits sn len) then fuse (k + 1) acc
-        else
-          match acc with
-          | (s0, l0) :: acc' when s0 <= sn && sn <= s0 + l0 ->
-              fuse (k + 1) ((s0, Int.max l0 (sn + len - s0)) :: acc')
-          | (s0, _) :: _ when sn < s0 ->
-              Persist.coalesce_spans
-                (List.filter
-                   (fun (sn, len) -> fits sn len)
-                   (Int_rows.pairs rows))
-          | _ -> fuse (k + 1) ((sn, len) :: acc)
-    in
-    fuse 0 []
+  let push_quarantine m src ~off ~c_sn ~elems ~c_id =
+    let k = Int_rows.count m.quarantine in
+    if k = Array.length m.quarantine_src then
+      m.quarantine_src <- widen m.quarantine_src;
+    m.quarantine_src.(k) <- src;
+    Int_rows.push4 m.quarantine off c_sn elems c_id
 
   (* Place [elems] fresh elements of [m]'s TPDU straight into the
      application buffer — spatial reordering, one pass: [size]-byte
@@ -559,31 +615,26 @@ module Receiver = struct
        makes (see ROADMAP item 1a). *)
     Busmodel.mem_to_cpu rx.bus nbytes;
     Busmodel.cpu_to_mem rx.bus nbytes;
-    match
-      Placement.place_run rx.placement ~sn:c_sn ~len:elems ~size ~src ~off
+    let o = rx.spare.placed in
+    if
+      Placement.place_run rx.placement o ~sn:c_sn ~len:elems ~size ~src ~off
         ~conn:c_id ~tpdu:m.t_id
-    with
-    | Ok rep ->
-        (* only bytes this TPDU actually covers (fresh writes and
-           identical duplicates) are credited; conflicting runs either
-           lost to a verified owner (discarded by placement) or wait in
-           quarantine for this TPDU's parity *)
-        credit m rep;
-        if
-          List.exists
-            (fun (_, _, k) -> k = Placement.Fresh_conflict)
-            rep.Placement.rp_conflicts
-        then begin
-          let q_src, q_off =
-            if copybreak ~payload:nbytes src then (Bytes.sub src off nbytes, 0)
-            else (src, off)
-          in
-          m.quarantine <-
-            { q_src; q_off; c_sn; q_elems = elems; c_id } :: m.quarantine
-        end;
-        (* Available to the application the instant it arrived. *)
-        Netsim.Stats.add rx.element_delay 0.0
-    | Error _ -> ()
+    then begin
+      (* only bytes this TPDU actually covers (fresh writes and
+         identical duplicates) are credited; conflicting runs either
+         lost to a verified owner (discarded by placement) or wait in
+         quarantine for this TPDU's parity *)
+      credit m o;
+      if o.Placement.held_back > 0 then begin
+        if copybreak ~payload:nbytes src then begin
+          let at = copy_out m src off nbytes in
+          push_quarantine m m.held ~off:at ~c_sn ~elems ~c_id
+        end
+        else push_quarantine m src ~off ~c_sn ~elems ~c_id
+      end;
+      (* Available to the application the instant it arrived. *)
+      Netsim.Stats.add rx.element_delay 0.0
+    end
 
   (* Place the fresh sub-run [t_sn, t_sn+elems) of [v], a chunk of
      [m]'s TPDU: the whole chunk in the common case, else its fresh part
@@ -595,22 +646,22 @@ module Receiver = struct
       ~c_sn:(h.Header.c.Ftuple.sn + skip) ~elems ~c_id:h.Header.c.Ftuple.id
 
   let flush_stash rx m =
-    let pending = List.rev m.stash in
-    m.stash <- [];
-    List.iter
-      (fun e ->
-        (* read where it lies: a held chunk is placed without a header
-           record *)
-        let b = e.src and hdr = e.hdr in
-        if Wire.Scan.is_data b hdr then begin
-          let size = Wire.Scan.size b hdr in
-          let skip = e.t_sn - Wire.Scan.t_sn b hdr in
-          place_run rx m ~src:b
-            ~off:(hdr + Wire.header_size + (skip * size))
-            ~size ~c_sn:(Wire.Scan.c_sn b hdr + skip) ~elems:e.elems
-            ~c_id:(Wire.Scan.c_id b hdr)
-        end)
-      pending
+    let rows = m.stash and srcs = m.stash_src in
+    for k = 0 to Int_rows.count rows - 1 do
+      (* read where it lies: a held chunk is placed without a header
+         record *)
+      let b = srcs.(k) and hdr = Int_rows.get rows ~width:3 k 0 in
+      if Wire.Scan.is_data b hdr then begin
+        let size = Wire.Scan.size b hdr in
+        let skip = Int_rows.get rows ~width:3 k 1 - Wire.Scan.t_sn b hdr in
+        place_run rx m ~src:b
+          ~off:(hdr + Wire.header_size + (skip * size))
+          ~size ~c_sn:(Wire.Scan.c_sn b hdr + skip)
+          ~elems:(Int_rows.get rows ~width:3 k 2)
+          ~c_id:(Wire.Scan.c_id b hdr)
+      end
+    done;
+    clear_stash m
 
   (* Note the chunk's connection delta before the verifier sees it, so
      that an ED chunk flushes the stash before the [Tpdu_verified] event
@@ -639,11 +690,11 @@ module Receiver = struct
 
   let rec arm_nack rx t_id rounds =
     Netsim.Engine.schedule rx.engine ~delay:rx.config.nack_delay (fun () ->
-        if rounds >= max_nack_rounds || Int_set.mem rx.acked t_id then
-          Int_table.remove rx.nack_armed t_id
+        if rounds >= max_nack_rounds || Int_map.mem rx.acked t_id then
+          Int_map.remove rx.nack_armed t_id
         else
         match Edc.Verifier.missing rx.verifier ~t_id with
-        | None -> Int_table.remove rx.nack_armed t_id (* verified or dropped *)
+        | None -> Int_map.remove rx.nack_armed t_id (* verified or dropped *)
         | Some spans ->
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
@@ -657,13 +708,21 @@ module Receiver = struct
   (* What a corroboration record costs: its held chunks and the runs it
      has placed. *)
   let held_bytes rx m =
-    List.fold_left
-      (fun acc q -> acc + (q.q_elems * rx.config.elem_size) + 48)
-      (List.fold_left
-         (fun acc e -> acc + Wire.Scan.payload_bytes e.src e.hdr + 48)
-         (16 * Int_rows.count m.placed_runs)
-         m.stash)
-      m.quarantine
+    let bytes = ref (16 * Int_rows.count m.placed_runs) in
+    for k = 0 to Int_rows.count m.stash - 1 do
+      bytes :=
+        !bytes
+        + Wire.Scan.payload_bytes m.stash_src.(k)
+            (Int_rows.get m.stash ~width:3 k 0)
+        + 48
+    done;
+    for k = 0 to Int_rows.count m.quarantine - 1 do
+      bytes :=
+        !bytes
+        + (Int_rows.get m.quarantine ~width:4 k 2 * rx.config.elem_size)
+        + 48
+    done;
+    !bytes
 
   (* Re-assert the receiver's accounted cost of one TPDU's soft state
      through the handle [h] and refresh its delta-t deadline, returning
@@ -730,14 +789,14 @@ module Receiver = struct
      lost ACK changes nothing: the bytes are already delivered).  The
      span joins [shed_cover] so completion can proceed without it. *)
   let shed_tpdu rx ~t_id ~first_elem ~elems =
-    if Int_set.mem rx.acked t_id || Int_table.mem rx.shed_tids t_id then
+    if Int_map.mem rx.acked t_id || Int_map.mem rx.shed_tids t_id then
       (* a shed racing a lost ACK, or a duplicated shed signal: the
          sender is still retrying, so re-acknowledge (throttled) *)
       re_ack rx ~gap:rx.config.nack_delay t_id
     else if Significance.sheddable (rx.config.classify t_id) then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
-      Int_table.replace rx.shed_tids t_id ();
+      Int_map.replace rx.shed_tids t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       (match
          Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems
@@ -788,8 +847,7 @@ module Receiver = struct
   let quiesce rx =
     let ids =
       List.sort_uniq Int.compare
-        (Edc.Verifier.in_flight_ids rx.verifier
-        @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
+        (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
     in
     List.iter
       (fun t_id ->
@@ -816,23 +874,27 @@ module Receiver = struct
     (* the parity settles this TPDU's quarantined conflicts: re-assert
        each held run with a verified write, which reclaims bytes from any
        unverified squatter but never from a locked region *)
-    List.iter
-      (fun q ->
-        match
-          Placement.place_run ~verified:true rx.placement ~sn:q.c_sn
-            ~len:q.q_elems ~size:rx.config.elem_size ~src:q.q_src ~off:q.q_off
-            ~conn:q.c_id ~tpdu:t_id
-        with
-        | Ok rep -> credit m rep
-        | Error _ -> ())
-      (List.rev m.quarantine);
-    m.quarantine <- [];
     let es = rx.config.elem_size in
+    let q = m.quarantine in
+    for k = 0 to Int_rows.count q - 1 do
+      if
+        Placement.place_run ~verified:true rx.placement rx.spare.placed
+          ~sn:(Int_rows.get q ~width:4 k 1)
+          ~len:(Int_rows.get q ~width:4 k 2)
+          ~size:es ~src:m.quarantine_src.(k)
+          ~off:(Int_rows.get q ~width:4 k 0)
+          ~conn:(Int_rows.get q ~width:4 k 3)
+          ~tpdu:t_id
+      then credit m rx.spare.placed
+    done;
+    clear_quarantine m;
     let buf = Placement.contents rx.placement in
-    (* the placed runs, merged: each span is covered, locked and
-       journalled once.  Placement only reports runs inside its buffer,
-       so the filter drops nothing a run-by-run pass would have kept. *)
-    let spans = placed_spans m ~es ~bytes:(Bytes.length buf) in
+    (* the placed runs, merged in place into the TPDU's spans: each is
+       covered, locked and journalled once.  Placement only reports runs
+       inside its buffer, so the limit drops nothing a run-by-run pass
+       would have kept.  Nothing reads the runs after a pass. *)
+    let spans = m.placed_runs in
+    Int_rows.coalesce spans ~limit:(Bytes.length buf / es);
     (* The verifier's data parity is the runs' own when they are exactly
        the TPDU's data span and no other TPDU has locked verified bytes
        there: until this pass locks the span, every byte in it is then
@@ -840,23 +902,30 @@ module Receiver = struct
        elements, a partial cover) leaves the journal to compute the
        parity.  Asked on every pass, so the verifier keeps nothing of
        the TPDU. *)
-    let first_c_sn, elems =
-      match (rx.persist, spans) with
-      | Some _, [ (sn, len) ]
-        when not (Placement.any_locked rx.placement ~sn ~len) ->
-          (sn, len)
-      | _ -> (0, 0)
+    let whole =
+      Option.is_some rx.persist
+      && Int_rows.count spans = 1
+      && not
+           (Placement.any_locked rx.placement
+              ~sn:(Int_rows.get spans ~width:2 0 0)
+              ~len:(Int_rows.get spans ~width:2 0 1))
     in
     let parity =
-      Edc.Verifier.take_data_parity rx.verifier ~t_id ~first_c_sn ~elems
+      Edc.Verifier.take_data_parity rx.verifier ~t_id
+        ~first_c_sn:(if whole then Int_rows.get spans ~width:2 0 0 else 0)
+        ~elems:(if whole then Int_rows.get spans ~width:2 0 1 else 0)
     in
     (* verified bytes can never again be clobbered by conflicting data;
        bytes of a TPDU that fails parity stay unlocked *)
-    List.iter (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len) spans;
+    for k = 0 to Int_rows.count spans - 1 do
+      Placement.lock_span rx.placement
+        ~sn:(Int_rows.get spans ~width:2 k 0)
+        ~len:(Int_rows.get spans ~width:2 k 1)
+    done;
     forget_corrob rx t_id;
     if m.end_claim <> no_claim then rx.end_confirmed <- Some m.end_claim;
-    if not (Int_set.mem rx.acked t_id) then begin
-      Int_set.add rx.acked t_id;
+    if not (Int_map.mem rx.acked t_id) then begin
+      Int_map.replace rx.acked t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       if Obs.enabled then Obs.Metrics.incr m_acks;
       if m.stamped then begin
@@ -878,7 +947,10 @@ module Receiver = struct
                  t_id;
                  end_confirmed = rx.end_confirmed;
                  runs =
-                   List.map (fun (sn, len) -> (sn, buf, sn * es, len * es)) spans;
+                   List.init (Int_rows.count spans) (fun k ->
+                       let sn = Int_rows.get spans ~width:2 k 0
+                       and len = Int_rows.get spans ~width:2 k 1 in
+                       (sn, buf, sn * es, len * es));
                  parity;
                })
       | None -> ());
@@ -889,34 +961,37 @@ module Receiver = struct
      at once if the TPDU's labels are corroborated, else stashed. *)
   let take_fresh rx m v ~hdr ~t_sn ~elems =
     if m.confirmed then place_fresh rx m v ~t_sn ~elems
-    else m.stash <- stashed v ~hdr ~t_sn ~elems :: m.stash
+    else stash m v ~hdr ~t_sn ~elems
 
   (* Act on what the verifier took from [v], a chunk of [m]'s TPDU:
      its fresh elements are placed or stashed, then a verdict, if the
      chunk reached one, settles the TPDU.  Whether [m] still lives. *)
-  let rec take rx m (v : Chunk.view) ~hdr = function
+  let take rx m (v : Chunk.view) ~hdr fresh =
+    (match fresh with
     | Edc.Verifier.All ->
         let h = v.Chunk.header in
-        take_fresh rx m v ~hdr ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len;
-        true
-    | Edc.Verifier.Runs runs ->
-        List.iter
-          (fun (t_sn, elems) -> take_fresh rx m v ~hdr ~t_sn ~elems)
-          runs;
-        true
-    | Edc.Verifier.Duplicate | Edc.Verifier.No_data -> true
-    | Edc.Verifier.Verdict (fresh, verdict) ->
-        ignore (take rx m v ~hdr fresh : bool);
-        (match verdict with
-        | Edc.Verifier.Passed -> on_passed rx m m.t_id
-        | Edc.Verifier.Parity_mismatch | Edc.Verifier.Consistency_failure _
-        | Edc.Verifier.Reassembly_error _ ->
-            (* failed epoch: drop its suspect stash and end claim with
-               it, but keep its first arrival for the retransmission *)
-            if m.stamped then
-              Int_table.replace rx.first_arrival m.t_id m.arrival;
-            forget_corrob rx m.t_id);
-        false
+        take_fresh rx m v ~hdr ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len
+    | Edc.Verifier.Runs ->
+        let runs = Edc.Verifier.fresh_runs rx.verifier in
+        for k = 0 to Int_rows.count runs - 1 do
+          take_fresh rx m v ~hdr
+            ~t_sn:(Int_rows.get runs ~width:2 k 0)
+            ~elems:(Int_rows.get runs ~width:2 k 1)
+        done
+    | Edc.Verifier.Duplicate | Edc.Verifier.No_data -> ());
+    (not (Edc.Verifier.closed rx.verifier))
+    || begin
+         (match Edc.Verifier.verdict rx.verifier with
+         | Edc.Verifier.Passed -> on_passed rx m m.t_id
+         | Edc.Verifier.Parity_mismatch | Edc.Verifier.Consistency_failure _
+         | Edc.Verifier.Reassembly_error _ ->
+             (* failed epoch: drop its suspect stash and end claim with
+                it, but keep its first arrival for the retransmission *)
+             if m.stamped then
+               Int_map.replace rx.first_arrival m.t_id m.arrival;
+             forget_corrob rx m.t_id);
+         false
+       end
 
   (* The verifier-dispatch and governor re-accounting tail of
      [on_view] for a data or ED chunk of [m]'s TPDU, once that TPDU is
@@ -935,11 +1010,11 @@ module Receiver = struct
      gone for good, so its straggler chunks must not recreate verifier
      state the sender will never complete. *)
   let settled rx t_id =
-    if Int_set.mem rx.acked t_id then begin
+    if Int_map.mem rx.acked t_id then begin
       re_ack rx ~gap:rx.config.nack_delay t_id;
       true
     end
-    else Int_table.mem rx.shed_tids t_id
+    else Int_map.mem rx.shed_tids t_id
 
   (* A data or ED chunk of [m]'s TPDU. *)
   let on_tpdu_chunk rx m (v : Chunk.view) ~hdr ~is_data =
@@ -948,22 +1023,18 @@ module Receiver = struct
       let t_id = m.t_id in
       if not m.stamped then begin
         m.stamped <- true;
+        let t0 = Int_map.find rx.first_arrival t_id in
+        if t0 <> no_stamp then Int_map.remove rx.first_arrival t_id;
         m.arrival <-
-          (match
-             if Int_table.length rx.first_arrival = 0 then None
-             else Int_table.find_opt rx.first_arrival t_id
-           with
-          | Some t0 ->
-              Int_table.remove rx.first_arrival t_id;
-              t0
-          | None -> Obs.stamp (Netsim.Engine.now rx.engine))
+          (if t0 <> no_stamp then t0
+           else Obs.stamp (Netsim.Engine.now rx.engine))
       end;
       (* the C.ST bit claims the connection's final element; the claim
          is trusted only once this TPDU verifies *)
       if h.Header.c.Ftuple.st then
         m.end_claim <- h.Header.c.Ftuple.sn + h.Header.len - 1;
-      if rx.config.sack && not (Int_table.mem rx.nack_armed t_id) then begin
-        Int_table.add rx.nack_armed t_id ();
+      if rx.config.sack && not (Int_map.mem rx.nack_armed t_id) then begin
+        Int_map.replace rx.nack_armed t_id ();
         arm_nack rx t_id 0
       end
     end;
@@ -1052,7 +1123,7 @@ module Receiver = struct
      shed one's straggler included, from traffic with a label this epoch
      has never seen. *)
   let tracks_tpdu rx ~t_id =
-    Int_table.mem rx.shed_tids t_id
+    Int_map.mem rx.shed_tids t_id
     || Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
     || holds_record rx t_id
 
@@ -1064,18 +1135,14 @@ module Receiver = struct
   let shed_spans rx = Vreassembly.spans rx.shed_cover
 
   let stashed_tpdus rx =
-    Int_table.fold
-      (fun _ m acc -> if m.stash <> [] then acc + 1 else acc)
+    Int_map.fold
+      (fun _ m acc -> if Int_rows.count m.stash > 0 then acc + 1 else acc)
       rx.corrob 0
 
-  let sorted_keys tbl =
-    Int_table.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort Int.compare
-
-  let record_tids rx = sorted_keys rx.corrob
-  let shed_tids rx = sorted_keys rx.shed_tids
-
+  let record_tids rx = Int_map.sorted_keys rx.corrob
+  let shed_tids rx = Int_map.sorted_keys rx.shed_tids
   let governor_handles rx =
-    Int_table.fold (fun _ m acc -> m.gov :: acc) rx.corrob []
+    Int_map.fold (fun _ m acc -> m.gov :: acc) rx.corrob []
 
   (* {2 Crash recovery} *)
 
@@ -1084,10 +1151,10 @@ module Receiver = struct
 
   let ident_tid rx = if rx.ident_min = max_int then None else Some rx.ident_min
 
-  let acked_tids rx = Int_set.elements rx.acked
+  let acked_tids rx = Int_map.sorted_keys rx.acked
 
   let sorted_assoc tbl =
-    Int_table.fold (fun k v acc -> (k, v) :: acc) tbl []
+    Int_map.fold (fun k v acc -> (k, v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
   (* A TPDU holding quarantined runs is left out of the image: its
@@ -1097,9 +1164,7 @@ module Receiver = struct
      identical-label retransmission, whose conflicting runs are
      quarantined and reclaimed afresh. *)
   let quarantined rx t_id =
-    match Int_table.find_opt rx.corrob t_id with
-    | Some m -> m.quarantine <> []
-    | None -> false
+    Int_rows.count (Int_map.find rx.corrob t_id).quarantine > 0
 
   let export rx : Persist.receiver_image =
     let es = rx.config.elem_size in
@@ -1114,17 +1179,26 @@ module Receiver = struct
         (Placement.spans rx.placement)
     in
     let records =
-      Int_table.fold
-        (fun _ m acc -> if m.quarantine = [] then m :: acc else acc)
+      Int_map.fold
+        (fun _ m acc ->
+          if Int_rows.count m.quarantine = 0 then m :: acc else acc)
         rx.corrob []
       |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
     in
     let corrob_image m =
       let pi_stash =
-        List.rev m.stash
-        |> List.filter_map (fun e ->
-               match Wire.encode_packet [ Chunk.of_view (unstash e) ] with
-               | Ok b -> Some (b, e.t_sn, e.elems)
+        List.init (Int_rows.count m.stash) Fun.id
+        |> List.filter_map (fun k ->
+               let held =
+                 Wire.Scan.view m.stash_src.(k)
+                   (Int_rows.get m.stash ~width:3 k 0)
+               in
+               match Wire.encode_packet [ Chunk.of_view held ] with
+               | Ok b ->
+                   Some
+                     ( b,
+                       Int_rows.get m.stash ~width:3 k 1,
+                       Int_rows.get m.stash ~width:3 k 2 )
                | Error _ -> None)
       in
       {
@@ -1188,10 +1262,10 @@ module Receiver = struct
         | Ok _ | Error `Inconsistent -> ())
       img.Persist.ri_shed_spans;
     List.iter
-      (fun t -> Int_table.replace rx.shed_tids t ())
+      (fun t -> Int_map.replace rx.shed_tids t ())
       img.Persist.ri_shed_tids;
     List.iter
-      (fun (t, at) -> Int_table.replace rx.last_reack t (Obs.stamp at))
+      (fun (t, at) -> Int_map.replace rx.last_reack t (Obs.stamp at))
       img.Persist.ri_last_reack;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
     (* each stashed chunk was persisted as a one-chunk packet: scanned,
@@ -1199,26 +1273,21 @@ module Receiver = struct
     let scan = Wire.Scan.create () in
     List.iter
       (fun (pi : Persist.corrob_image) ->
-        let stash =
-          List.filter_map
-            (fun (src, t_sn, elems) ->
-              if Wire.Scan.packet scan src && Wire.Scan.count scan > 0 then
-                Some { src; hdr = Wire.Scan.offset scan 0; t_sn; elems }
-              else None)
-            pi.Persist.pi_stash
-          |> List.rev
-        in
         (* [export] leaves out every TPDU with quarantined runs, so the
            record's quarantine is empty *)
-        Int_table.replace rx.corrob pi.Persist.pi_t_id
-          {
-            (record rx pi.Persist.pi_t_id) with
-            delta_data = Option.value pi.Persist.pi_delta_data ~default:unset;
-            delta_ed = Option.value pi.Persist.pi_delta_ed ~default:unset;
-            confirmed = pi.Persist.pi_confirmed;
-            stash;
-            placed_runs = Int_rows.of_pairs pi.Persist.pi_placed_runs;
-          })
+        let m = record rx pi.Persist.pi_t_id in
+        m.delta_data <- Option.value pi.Persist.pi_delta_data ~default:unset;
+        m.delta_ed <- Option.value pi.Persist.pi_delta_ed ~default:unset;
+        m.confirmed <- pi.Persist.pi_confirmed;
+        List.iter
+          (fun (src, t_sn, elems) ->
+            if Wire.Scan.packet scan src && Wire.Scan.count scan > 0 then
+              push_stash m src ~hdr:(Wire.Scan.offset scan 0) ~t_sn ~elems)
+          pi.Persist.pi_stash;
+        List.iter
+          (fun (sn, len) -> Int_rows.push2 m.placed_runs sn len)
+          pi.Persist.pi_placed_runs;
+        Int_map.replace rx.corrob pi.Persist.pi_t_id m)
       img.Persist.ri_corrob;
     (* an end claim lives in its TPDU's record; an image always holds
        the record beside the claim, but a claim without one still gets
@@ -1230,8 +1299,7 @@ module Receiver = struct
        governor, not the image, decides whether it still fits *)
     let tracked =
       List.sort_uniq Int.compare
-        (Edc.Verifier.in_flight_ids rx.verifier
-        @ Int_table.fold (fun k _ acc -> k :: acc) rx.corrob [])
+        (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
     in
     List.iter (account rx) tracked;
     rx

@@ -95,10 +95,19 @@ val expected_elements : config -> data_len:int -> int
 val ack_packet : conn_id:int -> t_id:int -> bytes
 (** One encoded packet carrying the ACK control chunk for a TPDU. *)
 
+type throttle
+(** A re-ACK throttle table: each T.ID's last re-ACK time, in one flat
+    table, so that a re-ACK stores nothing a minor collection must
+    copy. *)
+
+val throttle : room:int -> throttle
+(** An empty throttle table with room for [room] T.IDs before it
+    grows. *)
+
 val reack :
   counts:Counters.t ->
   send_ack:(bytes -> unit) ->
-  last_reack:int Labelling.Int_table.t ->
+  last_reack:throttle ->
   gap:float ->
   now:float ->
   conn_id:int ->
@@ -106,8 +115,7 @@ val reack :
   unit
 (** The one re-ACK path, of a live epoch and of {!Multi}'s closed ones:
     unless the caller's throttle table [last_reack] holds a re-ACK of
-    [t_id] less than [gap] seconds before [now], stamp [now] there (an
-    [Obs.stamp]), count it in [counts.reacks_sent] and
+    [t_id] less than [gap] seconds before [now], note [now] there, count it in [counts.reacks_sent] and
     [transport_reacks_total], and send its {!ack_packet}.
     [gap = neg_infinity] never throttles. *)
 
@@ -129,7 +137,7 @@ module Receiver : sig
         (** the one account every receiver of the owner charges; the
             owner holds its eviction callback and routes per-TPDU
             evictions to {!evict} *)
-    o_acked : Labelling.Int_set.t;
+    o_acked : unit Labelling.Int_map.t;
         (** the ACK ledger, outliving any one receiver *)
     o_counts : Counters.t;  (** the record the receiver counts into *)
     o_spare : spare;  (** released per-TPDU records, for reuse *)

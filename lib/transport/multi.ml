@@ -13,8 +13,8 @@ type epoch_report = {
 
 type conn = {
   id : int;
-  acked : Int_set.t;  (* ACK ledger, shared across epochs *)
-  last_reack : int Int_table.t;  (* [Obs.stamp]s, as the live epoch's *)
+  acked : unit Int_map.t;  (* ACK ledger, shared across epochs *)
+  last_reack : Chunk_transport.throttle;  (* as the live epoch's *)
   mutable live : R.t option;
   mutable live_open : int option;
       (* the live epoch's announced Open C.SN; [None] until its Open is
@@ -386,7 +386,7 @@ let stalest_live m =
      flood connection never verifies anything — so an Open flood churns
      through its own connections before it can touch a conn that is
      merely quiet between retransmissions. *)
-  match pick (fun c -> Int_set.length c.acked = 0) with
+  match pick (fun c -> Int_map.length c.acked = 0) with
   | Some _ as v -> v
   | None -> pick (fun _ -> true)
 
@@ -451,8 +451,8 @@ let new_conn m id =
     id;
     (* room for 32 T.IDs before it first grows, as the 16-bucket table
        it replaced had *)
-    acked = Int_set.create 32;
-    last_reack = Int_table.create 8;
+    acked = Int_map.set 32;
+    last_reack = Chunk_transport.throttle ~room:0;
     live = None;
     live_open = None;
     open_hwm = -1;
@@ -591,7 +591,7 @@ let route m (v : Chunk.view) ~hdr =
                 R.complete rx
                 && (Ctype.is_data h.Header.ctype
                    || Ctype.equal h.Header.ctype Ctype.ed)
-                && (not (Int_set.mem c.acked t_id))
+                && (not (Int_map.mem c.acked t_id))
                 && not (R.tracks_tpdu rx ~t_id)
               then begin
                 archive m c;
@@ -611,7 +611,7 @@ let route m (v : Chunk.view) ~hdr =
                was live), so persistent late garbage is authored traffic,
                not a replay. *)
             let t_id = h.Header.t.Ftuple.id in
-            if Int_set.mem c.acked t_id then
+            if Int_map.mem c.acked t_id then
               re_ack_closed m c ~gap:m.config.nack_delay t_id
             else begin
               m.counts.late_drops <- m.counts.late_drops + 1;
@@ -666,7 +666,7 @@ let on_scanned m (v : Chunk.view) ~hdr =
                          its victim, not its author. *)
                       if m.counts.sheds_refused > refused then
                         note_unscored m c
-                  | Some c when Int_set.mem c.acked t_id ->
+                  | Some c when Int_map.mem c.acked t_id ->
                       (* shed signal straggling behind the epoch close
                          while its ACK was lost: re-acknowledge so the
                          sender stops retrying the signal *)
@@ -775,7 +775,7 @@ let export m : Persist.conn_image list =
     (fun id c acc ->
       {
         Persist.ci_id = id;
-        ci_acked = Int_set.elements c.acked;
+        ci_acked = Int_map.sorted_keys c.acked;
         ci_hist =
           List.rev_map
             (fun r ->
@@ -863,7 +863,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
             poisoned = img.Persist.ci_poisoned;
           }
         in
-        List.iter (Int_set.add c.acked) img.Persist.ci_acked;
+        List.iter (fun t -> Int_map.replace c.acked t ()) img.Persist.ci_acked;
         Int_table.add m.conns c.id c;
         (match img.Persist.ci_live with
         | Some ri ->
@@ -893,7 +893,7 @@ let reannounce m =
          match c.live with
          | Some rx -> R.reannounce rx
          | None ->
-             Int_set.elements c.acked
+             Int_map.sorted_keys c.acked
              |> List.iter (re_ack_closed m c ~gap:neg_infinity))
 
 (* Crash the endpoint: release all soft state so the governor's sweep

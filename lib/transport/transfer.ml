@@ -90,11 +90,14 @@ let sender w = w.sender
 
 (* The transfer is over when the sender is: every TPDU acknowledged or
    given up.  What the engine still holds (spent timers, the endpoint's
-   sweep of the idle connection) is not part of it. *)
+   sweep of the idle connection) is not part of it.  The connection
+   memo adds its counts to the registry only when they are read, so
+   they are read once here, for the registry to count the transfer. *)
 let finish w =
   while (not (CT.Sender.finished w.sender)) && Netsim.Engine.step w.engine do
     ()
-  done
+  done;
+  ignore (Multi.fastpath_stats w.endpoint : Multi.fastpath_stats)
 
 let epoch w =
   match Multi.epochs w.endpoint ~conn_id:w.conn_id with

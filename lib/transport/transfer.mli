@@ -77,7 +77,9 @@ val sender : t -> Chunk_transport.Sender.t
 val finish : t -> unit
 (** Step the engine until the sender finishes: every TPDU acknowledged
     or given up.  Spent timers and the endpoint's sweep of the idle
-    connection stay queued. *)
+    connection stay queued.  The endpoint's {!Multi.fastpath_stats} are
+    then read once, so the registry's [flowcache_conn_*] counters
+    include the transfer. *)
 
 val epoch : t -> Multi.epoch_report option
 (** The connection's epoch, when it has exactly one. *)

@@ -367,8 +367,8 @@ let prop_ingest_never_writes =
    copybreak), so the receiver does not grow by the packet it no longer
    needs. *)
 let test_copybreak_bounds_retention () =
-  let acked = Labelling.Int_set.create 4 in
-  Labelling.Int_set.add acked 9;
+  let acked = Labelling.Int_map.set 4 in
+  Labelling.Int_map.replace acked 9 ();
   let counts = Transport.Counters.zero () in
   let rx =
     CT.Receiver.create

@@ -660,7 +660,7 @@ let test_completion_rule () =
       CT.Receiver.o_governor =
         Transport.Governor.create ~budget_bytes:config.CT.state_budget
           ~ttl:config.CT.state_ttl ();
-      o_acked = Labelling.Int_set.create 8;
+      o_acked = Labelling.Int_map.set 8;
       o_counts = Transport.Counters.zero ();
       o_spare = CT.Receiver.spare ();
     }

@@ -104,6 +104,38 @@ let test_small_transfer () =
   let o = Transport.Transfer.run ~data () in
   Alcotest.(check bool) "tiny transfer" true o.Transport.Transfer.ok
 
+(* The connection memo adds its counts to the process-wide registry
+   only when they are read; a finished transfer has read them, so the
+   registry's hit count rose by the memo's own (a delta, as other tests
+   share the registry). *)
+let test_transfer_counts_memo () =
+  let hits () =
+    Obs.Metrics.value (Obs.Metrics.counter "flowcache_conn_hits_total")
+  in
+  let config = Transport.Chunk_transport.default_config in
+  let data = Util.deterministic_bytes 20_000 in
+  let before = hits () in
+  let w =
+    Transport.Transfer.connect
+      (Netsim.Engine.create ~seed:5 ())
+      config
+      ~quota_elems:
+        (Transport.Chunk_transport.expected_elements config
+           ~data_len:(Bytes.length data))
+      (`Data data)
+  in
+  Transport.Transfer.finish w;
+  let after = hits () in
+  let memo =
+    (Transport.Multi.fastpath_stats (Transport.Transfer.endpoint w))
+      .Transport.Multi.fp_conn
+  in
+  Alcotest.(check bool) "the memo hit" true
+    (memo.Transport.Flowcache.s_hits > 0);
+  if Obs.enabled then
+    Alcotest.(check int) "registry rose by the memo's hits"
+      memo.Transport.Flowcache.s_hits (after - before)
+
 let test_expected_elements () =
   let config = Transport.Chunk_transport.default_config in
   (* frame_bytes 1024, elem 4: 2500 bytes = 2 full frames + 452 rem ->
@@ -520,4 +552,6 @@ let suite =
         prop_karn;
       Alcotest.test_case "adaptive RTO beats fixed at 20% loss" `Slow
         test_adaptive_rto_beats_fixed;
+      Alcotest.test_case "a finished transfer's memo counts reach the registry"
+        `Quick test_transfer_counts_memo;
     ]
