@@ -42,8 +42,8 @@ val sort : t -> width:int -> unit
 val coalesce : t -> limit:int -> unit
 (** The [(sn, len)] rows of a width-2 buffer as the spans they cover,
     in place: rows with [sn < 0], [len <= 0] or [sn + len > limit] are
-    dropped, the rest ordered and merged wherever they overlap or
-    touch, as [Transport.Persist.coalesce_spans] merges a list. *)
+    dropped, the rest ordered by [sn] and merged wherever they overlap
+    or touch. *)
 
 val pairs : t -> (int * int) list
 (** The rows of a width-2 buffer, in order. *)

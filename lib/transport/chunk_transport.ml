@@ -595,7 +595,6 @@ module Receiver = struct
     Int_rows.append m.placed_runs o.Placement.fresh ~width:2;
     Int_rows.append m.placed_runs o.Placement.benign ~width:2
 
-
   let push_quarantine m src ~off ~c_sn ~elems ~c_id =
     let k = Int_rows.count m.quarantine in
     if k = Array.length m.quarantine_src then

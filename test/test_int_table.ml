@@ -149,6 +149,20 @@ let same_as_hashtbl (size, ops) =
              = sorted ())
     (ops @ [ Length; Sorted ])
 
+(* [Int_rows.coalesce], which merges a passed TPDU's placed runs in
+   place, against the list merge snapshots use, over any rows: negative,
+   empty and out-of-limit ones included, and more than the insertion
+   sort's sixteen. *)
+let coalesce_as_lists (limit, rows) =
+  let buf = Int_rows.create ~width:2 in
+  List.iter (fun (sn, len) -> Int_rows.push2 buf sn len) rows;
+  Int_rows.coalesce buf ~limit;
+  Int_rows.pairs buf
+  = Transport.Persist.coalesce_spans
+      (List.filter
+         (fun (sn, len) -> sn >= 0 && len > 0 && sn + len <= limit)
+         rows)
+
 let suite =
   [
     Util.qtest ~count:300
@@ -170,6 +184,12 @@ let suite =
                   oneofl [ min_int; max_int; -1; 0 ];
                 ])))
       same_as_set;
+    Util.qtest ~count:300 "Int_rows.coalesce merges as the span lists do"
+      QCheck2.Gen.(
+        pair (int_range 0 80)
+          (list_size (int_range 0 40)
+             (pair (int_range (-4) 80) (int_range (-2) 12))))
+      coalesce_as_lists;
     Util.qtest ~count:500 "Int_map does what a Hashtbl does"
       QCheck2.Gen.(
         pair (int_range 0 8) (list_size (int_range 0 300) gen_map_op))
