@@ -146,9 +146,10 @@ val place_run :
     no chunk header: [len] elements of [size] bytes from [src] at
     [off], the first at SN [sn] of the placement's level, labelled C.ID
     [conn] and T.ID [tpdu] (for the overlap trace), its outcome written
-    into [o].  The caller vouches that the run is data of one chunk.
-    [false], with [o] untouched, where {!place_view} fails: a [size]
-    other than the placement's, or a run outside the window. *)
+    into the {!outcome} given.  The caller vouches that the run is data
+    of one chunk.  [false], with the outcome untouched, where
+    {!place_view} fails: a [size] other than the placement's, or a run
+    outside the window. *)
 
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes

@@ -89,7 +89,8 @@ val absorb : t -> Labelling.Chunk.view -> absorbed
 
 val fresh_runs : t -> Labelling.Int_rows.t
 (** After {!absorb} returned [Runs]: the fresh [(t_sn, len)] runs,
-    ascending, as width-2 rows of a buffer the next chunk reuses. *)
+    ascending, as width-2 rows of a buffer of the verifier's pool,
+    which the next chunk any verifier of that pool absorbs reuses. *)
 
 val closed : t -> bool
 (** Whether the chunk last absorbed brought its TPDU to a verdict,
