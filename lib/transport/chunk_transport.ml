@@ -204,6 +204,11 @@ module Receiver = struct
      that has outlived a minor collection takes no young block from a
      chunk (short of a buffer outgrowing its room, or a copied-out held
      run); absent values are sentinels no label produces. *)
+  (* Runs a record holds: a row each in [rows], and in [bufs] the
+     buffer the run's bytes lie in, kept with the record so that holding
+     a run stores no new block into it. *)
+  type hold = { rows : Int_rows.t; mutable bufs : bytes array }
+
   type corroboration = {
     mutable t_id : int;
     mutable cls : int;  (* the TPDU's significance rank, its governor class *)
@@ -213,23 +218,21 @@ module Receiver = struct
     mutable delta_data : int;  (* C.SN - T.SN from data chunks, or unset *)
     mutable delta_ed : int;  (* C.SN - T.SN from the ED chunk, or unset *)
     mutable confirmed : bool;
-    stash : Int_rows.t;
-        (* held chunks, oldest first, as (hdr, t_sn, elems) rows: row
-           [k]'s chunk has its wire header at [hdr] in [stash_src.(k)],
-           where it is scanned again when placed or persisted, and
-           brought the fresh run [t_sn, t_sn + elems) *)
-    mutable stash_src : bytes array;
+    stash : hold;
+        (* held chunks, oldest first, as (hdr, t_sn, elems) rows: each
+           chunk has its wire header at [hdr] in its buffer, where it is
+           scanned again when placed or persisted, and brought the fresh
+           run [t_sn, t_sn + elems) *)
     placed_runs : Int_rows.t;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
-    quarantine : Int_rows.t;
+    quarantine : hold;
         (* runs whose bytes conflicted with unverified resident bytes
            (Placement's fresh-vs-fresh case), oldest first, as (off,
-           c_sn, elems, c_id) rows: [elems] elements from
-           [quarantine_src.(k)] at [off], the first at C.SN [c_sn], of a
-           chunk labelled C.ID [c_id]; re-asserted by a verified write if
-           this TPDU passes, dropped with the epoch otherwise *)
-    mutable quarantine_src : bytes array;
+           c_sn, elems, c_id) rows: [elems] elements from [off] in the
+           run's buffer, the first at C.SN [c_sn], of a chunk labelled
+           C.ID [c_id]; re-asserted by a verified write if this TPDU
+           passes, dropped with the epoch otherwise *)
     mutable held : bytes;
         (* where copied-out held runs go, [held_len] bytes of it used:
            kept with the record, so a copy lands in room long since
@@ -344,11 +347,9 @@ module Receiver = struct
       delta_data = unset;
       delta_ed = unset;
       confirmed = false;
-      stash = Int_rows.create ~width:3;
-      stash_src = Array.make 4 Bytes.empty;
+      stash = { rows = Int_rows.empty (); bufs = [||] };
       placed_runs = Int_rows.create ~width:2;
-      quarantine = Int_rows.empty ();
-      quarantine_src = [||];
+      quarantine = { rows = Int_rows.empty (); bufs = [||] };
       held = Bytes.empty;
       held_len = 0;
       end_claim = no_claim;
@@ -388,23 +389,25 @@ module Receiver = struct
       m
     end
 
-  (* [srcs] with twice its slots, four at least. *)
-  let widen srcs =
-    let a = Array.make (Int.max 4 (2 * Array.length srcs)) Bytes.empty in
-    Array.blit srcs 0 a 0 (Array.length srcs);
-    a
+  (* [b] as the buffer of [h]'s next row, which the caller pushes. *)
+  let keep h b =
+    let k = Int_rows.count h.rows in
+    if k = Array.length h.bufs then begin
+      let a = Array.make (Int.max 4 (2 * k)) Bytes.empty in
+      Array.blit h.bufs 0 a 0 k;
+      h.bufs <- a
+    end;
+    h.bufs.(k) <- b
 
-  (* Whether [srcs], whose first [n] slots held buffers, is to be
-     replaced (it has grown past 16 slots, as [Int_rows.clear] replaces
-     a grown row buffer); if not, its slots are emptied in place. *)
-  let release srcs n =
-    Array.length srcs > 16
-    || begin
-         for k = 0 to n - 1 do
-           srcs.(k) <- Bytes.empty
-         done;
-         false
-       end
+  (* Nothing held: the buffers are let go, and with them room grown past
+     16 runs, as [Int_rows.clear] lets a grown row buffer go. *)
+  let let_go h ~width =
+    if Array.length h.bufs > 16 then h.bufs <- [||]
+    else
+      for k = 0 to Int_rows.count h.rows - 1 do
+        h.bufs.(k) <- Bytes.empty
+      done;
+    Int_rows.clear h.rows ~width
 
   (* Copy-out room a record keeps from one TPDU to the next: a
      fragment's copy at the common MTUs, and little enough that a record
@@ -414,21 +417,18 @@ module Receiver = struct
   (* Once no row holds a copy, the copy-out room is free again; a
      buffer grown past [held_room] for one TPDU is not kept. *)
   let release_held m =
-    if Int_rows.count m.stash = 0 && Int_rows.count m.quarantine = 0 then begin
+    if Int_rows.count m.stash.rows = 0 && Int_rows.count m.quarantine.rows = 0
+    then begin
       m.held_len <- 0;
       if Bytes.length m.held > held_room then m.held <- Bytes.empty
     end
 
   let clear_stash m =
-    if release m.stash_src (Int_rows.count m.stash) then
-      m.stash_src <- Array.make 4 Bytes.empty;
-    Int_rows.clear m.stash ~width:3;
+    let_go m.stash ~width:3;
     release_held m
 
   let clear_quarantine m =
-    if release m.quarantine_src (Int_rows.count m.quarantine) then
-      m.quarantine_src <- [||];
-    Int_rows.clear m.quarantine ~width:4;
+    let_go m.quarantine ~width:4;
     release_held m
 
   (* Copy [n] bytes of [src] from [off] into [m]'s copy-out room,
@@ -566,10 +566,8 @@ module Receiver = struct
   let copybreak ~payload src = 2 * payload < Bytes.length src
 
   let push_stash m src ~hdr ~t_sn ~elems =
-    let k = Int_rows.count m.stash in
-    if k = Array.length m.stash_src then m.stash_src <- widen m.stash_src;
-    m.stash_src.(k) <- src;
-    Int_rows.push3 m.stash hdr t_sn elems
+    keep m.stash src;
+    Int_rows.push3 m.stash.rows hdr t_sn elems
 
   (* Hold [v], whose wire header lies at [hdr] in its buffer ([hdr <
      0]: nowhere, as for a materialised chunk's view, which is then
@@ -596,11 +594,8 @@ module Receiver = struct
     Int_rows.append m.placed_runs o.Placement.benign ~width:2
 
   let push_quarantine m src ~off ~c_sn ~elems ~c_id =
-    let k = Int_rows.count m.quarantine in
-    if k = Array.length m.quarantine_src then
-      m.quarantine_src <- widen m.quarantine_src;
-    m.quarantine_src.(k) <- src;
-    Int_rows.push4 m.quarantine off c_sn elems c_id
+    keep m.quarantine src;
+    Int_rows.push4 m.quarantine.rows off c_sn elems c_id
 
   (* Place [elems] fresh elements of [m]'s TPDU straight into the
      application buffer — spatial reordering, one pass: [size]-byte
@@ -645,7 +640,7 @@ module Receiver = struct
       ~c_sn:(h.Header.c.Ftuple.sn + skip) ~elems ~c_id:h.Header.c.Ftuple.id
 
   let flush_stash rx m =
-    let rows = m.stash and srcs = m.stash_src in
+    let rows = m.stash.rows and srcs = m.stash.bufs in
     for k = 0 to Int_rows.count rows - 1 do
       (* read where it lies: a held chunk is placed without a header
          record *)
@@ -708,17 +703,18 @@ module Receiver = struct
      has placed. *)
   let held_bytes rx m =
     let bytes = ref (16 * Int_rows.count m.placed_runs) in
-    for k = 0 to Int_rows.count m.stash - 1 do
+    let stash = m.stash.rows and quarantine = m.quarantine.rows in
+    for k = 0 to Int_rows.count stash - 1 do
       bytes :=
         !bytes
-        + Wire.Scan.payload_bytes m.stash_src.(k)
-            (Int_rows.get m.stash ~width:3 k 0)
+        + Wire.Scan.payload_bytes m.stash.bufs.(k)
+            (Int_rows.get stash ~width:3 k 0)
         + 48
     done;
-    for k = 0 to Int_rows.count m.quarantine - 1 do
+    for k = 0 to Int_rows.count quarantine - 1 do
       bytes :=
         !bytes
-        + (Int_rows.get m.quarantine ~width:4 k 2 * rx.config.elem_size)
+        + (Int_rows.get quarantine ~width:4 k 2 * rx.config.elem_size)
         + 48
     done;
     !bytes
@@ -874,13 +870,13 @@ module Receiver = struct
        each held run with a verified write, which reclaims bytes from any
        unverified squatter but never from a locked region *)
     let es = rx.config.elem_size in
-    let q = m.quarantine in
+    let q = m.quarantine.rows in
     for k = 0 to Int_rows.count q - 1 do
       if
         Placement.place_run ~verified:true rx.placement rx.spare.placed
           ~sn:(Int_rows.get q ~width:4 k 1)
           ~len:(Int_rows.get q ~width:4 k 2)
-          ~size:es ~src:m.quarantine_src.(k)
+          ~size:es ~src:m.quarantine.bufs.(k)
           ~off:(Int_rows.get q ~width:4 k 0)
           ~conn:(Int_rows.get q ~width:4 k 3)
           ~tpdu:t_id
@@ -1135,7 +1131,7 @@ module Receiver = struct
 
   let stashed_tpdus rx =
     Int_map.fold
-      (fun _ m acc -> if Int_rows.count m.stash > 0 then acc + 1 else acc)
+      (fun _ m acc -> if Int_rows.count m.stash.rows > 0 then acc + 1 else acc)
       rx.corrob 0
 
   let record_tids rx = Int_map.sorted_keys rx.corrob
@@ -1163,7 +1159,7 @@ module Receiver = struct
      identical-label retransmission, whose conflicting runs are
      quarantined and reclaimed afresh. *)
   let quarantined rx t_id =
-    Int_rows.count (Int_map.find rx.corrob t_id).quarantine > 0
+    Int_rows.count (Int_map.find rx.corrob t_id).quarantine.rows > 0
 
   let export rx : Persist.receiver_image =
     let es = rx.config.elem_size in
@@ -1180,24 +1176,25 @@ module Receiver = struct
     let records =
       Int_map.fold
         (fun _ m acc ->
-          if Int_rows.count m.quarantine = 0 then m :: acc else acc)
+          if Int_rows.count m.quarantine.rows = 0 then m :: acc else acc)
         rx.corrob []
       |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
     in
     let corrob_image m =
       let pi_stash =
-        List.init (Int_rows.count m.stash) Fun.id
+        let rows = m.stash.rows in
+        List.init (Int_rows.count rows) Fun.id
         |> List.filter_map (fun k ->
                let held =
-                 Wire.Scan.view m.stash_src.(k)
-                   (Int_rows.get m.stash ~width:3 k 0)
+                 Wire.Scan.view m.stash.bufs.(k)
+                   (Int_rows.get rows ~width:3 k 0)
                in
                match Wire.encode_packet [ Chunk.of_view held ] with
                | Ok b ->
                    Some
                      ( b,
-                       Int_rows.get m.stash ~width:3 k 1,
-                       Int_rows.get m.stash ~width:3 k 2 )
+                       Int_rows.get rows ~width:3 k 1,
+                       Int_rows.get rows ~width:3 k 2 )
                | Error _ -> None)
       in
       {
