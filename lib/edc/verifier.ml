@@ -31,7 +31,7 @@ type absorbed = All | Runs | Duplicate | No_data
 (* An int-keyed map for the per-TPDU label tables.  Most TPDUs record
    one or two entries (a single boundary, a single external PDU), so
    those live in the map's own int fields; only a TPDU with more pays
-   for a hash table, which keeps each operation O(1) however many
+   for a flat table, which keeps each operation O(1) however many
    boundaries it carries.  The map is allocated with its TPDU's state
    and updated in place.  The first binding of a key wins, as every
    caller wants. *)
