@@ -409,9 +409,14 @@ module Receiver = struct
       done;
     Int_rows.clear h.rows ~width
 
-  (* Copy-out room a record keeps from one TPDU to the next: a
-     fragment's copy at the common MTUs, and little enough that a record
-     holding one small copy still retains less than twice its charge. *)
+  (* Copy-out room a record keeps from one TPDU to the next.  What the
+     copybreak copies is a fragment with its header: at a 1500 B MTU,
+     the 384 B of a 1 KiB frame that share a packet with the frame
+     before it, and their 46 B header, 430 bytes, the size of every
+     copy perfbench's workloads make (on half of `bulk-large`'s packets,
+     a tenth of `reorder-dup`'s).  512 bytes holds one, and is little
+     enough that a record holding one small copy still retains less
+     than twice its charge. *)
   let held_room = 512
 
   (* Once no row holds a copy, the copy-out room is free again; a

@@ -28,7 +28,9 @@
    room for them, and promote nothing.  Of what the shuffled stream
    still promotes, about half is copy-out room made for records that
    had none yet and a quarter the governor's per-TPDU key record and
-   table bucket. *)
+   table bucket.  A [Bytes.sub] per copybreak copy instead of that room
+   reads 86.0 minor words per bulk packet and 6.23 promoted per
+   shuffled packet. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
