@@ -164,7 +164,7 @@ let rob_recover () =
                   (Transport.Multi.restore engine ~config ~quota_elems
                      ~max_conns:1
                      ~send_ack:(fun _ -> ())
-                     cs))
+                     cs []))
       in
       let per_tpdu =
         float_of_int (Bytes.length encoded) /. float_of_int (max 1 in_flight)
@@ -211,7 +211,7 @@ let rob_recover () =
                   (Transport.Multi.restore engine ~config ~quota_elems
                      ~max_conns:(conns + 2)
                      ~send_ack:(fun _ -> ())
-                     cs))
+                     cs []))
       in
       Printf.printf "  %-18d %-10d %-14.1f\n"
         (Transport.Multi.live_conns m)

@@ -537,71 +537,85 @@ let crash_store (s : Schedule.t) =
   in
   (store, persist)
 
-(* A crashed endpoint neither receives nor buffers: the valve discards
-   everything that arrives at the door inside a crash window. *)
+(* A crashed endpoint neither receives nor buffers: one [Drop] valve
+   per crash window, chained, discards everything that arrives at the
+   door inside any of them. *)
 let crash_valve engine (s : Schedule.t) endpoint =
-  Netsim.Blackout.create engine
-    ~windows:
-      (List.map
-         (fun (c : Schedule.crash) ->
-           (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
-         s.Schedule.crashes)
-    ~deliver:(fun b ->
-      match !endpoint with Some m -> Multi.ingest m b | None -> ())
-    ()
+  List.fold_left
+    (fun deliver (c : Schedule.crash) ->
+      Netsim.Outage.send
+        (Netsim.Outage.create engine ~mode:Netsim.Outage.Drop
+           ~start:c.Schedule.cr_time ~duration:c.Schedule.cr_restart ~deliver
+           ()))
+    (fun b -> match !endpoint with Some m -> Multi.ingest m b | None -> ())
+    s.Schedule.crashes
 
 (* Snapshots, crashes and restarts for the endpoint held in [current];
-   [restore] rebuilds one from a snapshot's connections.  A restore runs
-   every recovery probe the oracle reads: the codec fixpoint, the export
-   round trip, the ledger/in-flight clash and the state budget. *)
-let install_crashes ~mutation ~trace engine (s : Schedule.t)
-    ~quota_elems store ct current ~restore =
+   [restore engine] rebuilds one on [engine] from a snapshot's
+   connections and the journal since.  A restore runs every recovery
+   probe the oracle reads: the codec fixpoint, the export round trip,
+   the ledger/in-flight clash and the state budget.  A probe or mutation
+   that needs a second restore runs it on a private engine, so the run's
+   own engine schedules only what the one real restore does. *)
+let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
+    ~restore =
   let trec fmt = make_trec engine trace fmt in
   let export m = Persist.Multi (Multi.export m) in
   schedule_snapshots engine s store (fun () -> Option.map export !current);
+  (* [f] of an endpoint restored on a private engine, which is then torn
+     down: the registry's gauges do not count it *)
+  let aside conns journal f =
+    let m = restore (Netsim.Engine.create ()) conns journal in
+    let r = f m in
+    Multi.teardown m;
+    r
+  in
   let restore_now (c : Schedule.crash) =
     let t0 = Unix.gettimeofday () in
-    match
-      Persist.Store.recover ~elem_size:s.Schedule.elem_size ~quota_elems
-        ~empty:(Persist.Multi []) store
-    with
+    match Persist.Store.recover store with
     | Error msg ->
         ct.ct_bad <- ct.ct_bad + 1;
         trec "RESTORE failed: %s" msg
-    | Ok ((Persist.Multi conns as img), torn) ->
+    | Ok (Persist.Multi conns, journal, torn) ->
         (* no schedule damages the journal, so a torn one means a
            record that does not read back as written *)
         if torn then begin
           ct.ct_bad <- ct.ct_bad + 1;
           trec "RESTORE journal torn, tail discarded"
         end;
-        if not (codec_roundtrip_ok img) then
-          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let conns =
+        (* the mutation corrupts the image the journal recovers to, and
+           the run goes on from that image *)
+        let corrupted =
           if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size conns with
-            | Some conns' ->
-                ct.ct_corrupted <- true;
-                trec "MUTATION corrupt restored image";
-                conns'
-            | None -> conns
-          else conns
+            corrupt_image ~elem_size:s.Schedule.elem_size
+              (aside conns journal Multi.export)
+          else None
         in
-        let m = restore conns in
+        let m =
+          match corrupted with
+          | Some conns' ->
+              ct.ct_corrupted <- true;
+              trec "MUTATION corrupt restored image";
+              restore engine conns' []
+          | None -> restore engine conns journal
+        in
         if Obs.enabled then
           Obs.Metrics.observe_s Persist.m_recovery (Unix.gettimeofday () -. t0);
-        (* Re-export must reproduce the image (structural round trip),
-           unless the restore itself evicted state — then the budget
+        let img = Multi.export m in
+        if not (codec_roundtrip_ok (Persist.Multi img)) then
+          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
+        (* Restoring the re-export must reproduce it (structural round
+           trip), unless that restore evicted state — then the budget
            legitimately trimmed the image. *)
-        let re = Multi.export m in
-        let k = Multi.counters m in
-        let trimmed =
+        let round_trips again =
+          let k = Multi.counters again in
           k.evictions > 0 || k.displaced_conns > 0 || k.conn_gcs > 0
+          || Multi.export again = img
         in
-        if (not trimmed) && re <> conns then
+        if not (aside img [] round_trips) then
           ct.ct_roundtrip <- ct.ct_roundtrip + 1;
         ct.ct_bad <-
-          ct.ct_bad + List.length (List.filter ledger_in_flight_clash re);
+          ct.ct_bad + List.length (List.filter ledger_in_flight_clash img);
         if
           s.Schedule.state_budget > 0
           && (Multi.governor_stats m).Transport.Governor.accounted_bytes
@@ -697,8 +711,7 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
   let multi = ref None in
-  let crash_valve = crash_valve engine s multi in
-  let inject b = Netsim.Blackout.send crash_valve b in
+  let inject = crash_valve engine s multi in
   (* The overlap adversary and the byzantine peer tap the door (before
      their own injections, so neither feeds on itself) and inject
      straight past the taps. *)
@@ -749,10 +762,10 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   in
   multi := Some m;
   let ct = crash_track () in
-  install_crashes ~mutation ~trace engine s ~quota_elems store ct multi
-    ~restore:
-      (Multi.restore engine ~config ~quota_elems ~max_conns ?persist
-         ?anomaly_budget ~send_ack:reverse_send);
+  install_crashes ~mutation ~trace engine s store ct multi
+    ~restore:(fun engine conns journal ->
+      Multi.restore engine ~config ~quota_elems ~max_conns ?persist
+        ?anomaly_budget ~send_ack:reverse_send conns journal);
   (* Plan the (connection, epoch) transfers: every connection one epoch,
      connection 1 a second one when the schedule re-opens it. *)
   let eps =

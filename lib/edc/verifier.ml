@@ -659,6 +659,10 @@ let abort v ~t_id =
 
 let abandon = abort
 
+let forget v ~t_id =
+  let s = find v t_id in
+  if s != no_state then release v s
+
 (* Conservative per-TPDU accounting: a fixed overhead for the WSC-2
    accumulator and the mutable cells, plus the per-span costs of the
    virtual-reassembly tracker and the X-framing record.  Exact heap

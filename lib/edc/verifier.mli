@@ -122,6 +122,11 @@ val abandon : t -> t_id:int -> verdict option
 (** Alias of {!abort} — the name the receiver's state governor uses for
     deadline/budget eviction. *)
 
+val forget : t -> t_id:int -> unit
+(** Release an in-flight TPDU's state with no verdict: nothing is
+    counted or traced.  For crash recovery, where a journal says the
+    TPDU was settled before the crash. *)
+
 val footprint_bytes : t -> t_id:int -> int
 (** Approximate bytes of soft state held for an in-flight TPDU (WSC-2
     accumulator, virtual-reassembly spans, label tables); 0 when no

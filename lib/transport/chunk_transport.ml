@@ -486,18 +486,22 @@ module Receiver = struct
     Int_map.remove rx.corrob t_id;
     if rx.corrob_memo.t_id = t_id then rx.corrob_memo <- no_record
 
-  (* Dispose of every piece of per-TPDU soft state (verifier
-     accumulator, corroboration record, arrival record).  The governor's
-     account is the caller's responsibility: the eviction callback has
-     already been debited, the abort path has not. *)
-  let drop_tpdu_state rx t_id =
-    ignore (Edc.Verifier.abandon rx.verifier ~t_id);
+  (* Dispose of the corroboration and arrival records of [t_id]. *)
+  let drop_records rx t_id =
     let m = find_corrob rx t_id in
     if m != no_record then begin
       forget_corrob rx t_id;
       recycle rx m
     end;
     Int_map.remove rx.first_arrival t_id
+
+  (* Dispose of every piece of per-TPDU soft state (verifier
+     accumulator, corroboration record, arrival record).  The governor's
+     account is the caller's responsibility: the eviction callback has
+     already been debited, the abort path has not. *)
+  let drop_tpdu_state rx t_id =
+    ignore (Edc.Verifier.abandon rx.verifier ~t_id);
+    drop_records rx t_id
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
@@ -781,6 +785,14 @@ module Receiver = struct
     reack ~counts:rx.counts ~send_ack:rx.send_ack ~last_reack:rx.last_reack
       ~gap ~now:(Netsim.Engine.now rx.engine) ~conn_id:rx.config.conn_id t_id
 
+  (* [t_id]'s shed honoured: its span joins the shed cover. *)
+  let cover_shed rx ~t_id ~first_elem ~elems =
+    Int_map.replace rx.shed_tids t_id ();
+    match
+      Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems ~st:false
+    with
+    | Ok _ | Error `Inconsistent -> ()
+
   (* The sender deliberately abandoned a sheddable TPDU (partial
      reliability).  Honoured only when this receiver's own classifier
      agrees the TPDU is sheddable — a forged (or buggy) shed of a
@@ -796,13 +808,8 @@ module Receiver = struct
     else if Significance.sheddable (rx.config.classify t_id) then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
-      Int_map.replace rx.shed_tids t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
-      (match
-         Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems
-           ~st:false
-       with
-      | Ok _ | Error `Inconsistent -> ());
+      cover_shed rx ~t_id ~first_elem ~elems;
       rx.counts.sheds_received <- rx.counts.sheds_received + 1;
       rx.counts.shed_elems <- rx.counts.shed_elems + elems;
       if Obs.enabled then begin
@@ -841,19 +848,20 @@ module Receiver = struct
          often this connection is named by forged sheds *)
       rx.counts.sheds_refused <- rx.counts.sheds_refused + 1
 
+  (* T.IDs holding verifier state or a corroboration record. *)
+  let held_tids rx =
+    List.sort_uniq Int.compare
+      (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
+
   (* Release every piece of soft state at once (connection close): the
      governor account is cleared entry by entry so a shared governor
      keeps other connections' entries intact. *)
   let quiesce rx =
-    let ids =
-      List.sort_uniq Int.compare
-        (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
-    in
     List.iter
       (fun t_id ->
         drop_tpdu_state rx t_id;
         Governor.remove rx.governor ~key:(gov_key rx t_id))
-      ids
+      (held_tids rx)
 
   let on_signal rx chunk =
     match Connection.parse_signal chunk with
@@ -1296,14 +1304,43 @@ module Receiver = struct
     List.iter
       (fun (t, last) -> (corrob rx t).end_claim <- last)
       img.Persist.ri_end_claims;
-    (* re-derive what the restored soft state costs and account it; the
-       governor, not the image, decides whether it still fits *)
-    let tracked =
-      List.sort_uniq Int.compare
-        (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
-    in
-    List.iter (account rx) tracked;
     rx
+
+  (* What the restored soft state costs, re-derived and accounted: the
+     governor, not the image, decides whether it still fits. *)
+  let account_held rx = List.iter (account rx) (held_tids rx)
+
+  (* [t_id]'s in-flight state, dropped without a verdict: the journal
+     says the live receiver settled it, so no failure is counted. *)
+  let forget_tpdu rx t_id =
+    Edc.Verifier.forget rx.verifier ~t_id;
+    drop_records rx t_id
+
+  (* A journal record applied to a restored receiver, through the
+     primitives the live path uses.  Acknowledged runs are placed and
+     locked as their verdict locked them, and each copies its bytes once,
+     into the placement buffer.  Nothing is journalled, sent or
+     accounted. *)
+  let replay rx (ev : Persist.event) =
+    match ev with
+    | Persist.Acked { t_id; end_confirmed; runs; _ } ->
+        forget_tpdu rx t_id;
+        List.iter
+          (fun run ->
+            let sn, b = Persist.run_bytes run in
+            (match Placement.restore_span rx.placement ~sn b with
+            | Ok () | Error _ -> ());
+            Placement.lock_span rx.placement ~sn
+              ~len:(Bytes.length b / rx.config.elem_size))
+          runs;
+        if Option.is_some end_confirmed then rx.end_confirmed <- end_confirmed;
+        rx.restored_passes <- rx.restored_passes + 1
+    | Persist.Shed { t_id; first_elem; elems; _ } ->
+        forget_tpdu rx t_id;
+        cover_shed rx ~t_id ~first_elem ~elems
+    | Persist.Archived _ | Persist.Closed _ ->
+        List.iter (forget_tpdu rx) (held_tids rx)
+    | Persist.Opened _ -> ()
 
   (* Conservative re-entry into service: re-ACK the whole restored
      ledger, because any ACK sent in the pre-crash epoch may have been

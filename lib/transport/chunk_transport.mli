@@ -333,14 +333,28 @@ module Receiver : sig
     t
   (** Rebuild a live receiver from a persisted image.  Conservative:
       data already counted into a restored parity is never re-accepted
-      (the restored reassembly tracker absorbs it as duplicate), TPDUs
-      in the [owner]'s ledger (the receiver's own, which the image does
-      not carry) are only ever re-acknowledged, and governor
-      occupancy is recomputed from the restored state — the governor,
-      not the image, decides whether it still fits the budget (restored
-      state that does not fit is evicted like any other).  A partially
+      (the restored reassembly tracker absorbs it as duplicate), and
+      TPDUs in the [owner]'s ledger (the receiver's own, which the image
+      does not carry) are only ever re-acknowledged.  A partially
       corrupted image degrades to partial state that identical-label
-      retransmission repairs; nothing here raises on image content. *)
+      retransmission repairs; nothing here raises on image content.
+      The restored state is not yet accounted: see {!account_held}. *)
+
+  val replay : t -> Persist.event -> unit
+  (** Apply one journal record to a restored receiver, through the
+      primitives the live path uses.  [Acked] places and locks the
+      acknowledged runs, believes the end claim and counts the pass;
+      [Shed] joins the shed cover; both drop the TPDU's in-flight state,
+      and [Archived]/[Closed] drop all of it, without a verdict (nothing
+      is counted as failed).  Journals, sends and accounts nothing; the
+      connection-level part (ledger, identity, epochs) is
+      {!Multi.restore}'s. *)
+
+  val account_held : t -> unit
+  (** Account the soft state a {!restore} (and any {!replay}) left
+      against the governor, re-deriving its cost: the governor, not the
+      image, decides whether it still fits the budget (state that does
+      not fit is evicted like any other). *)
 
   val reannounce : t -> unit
   (** Conservative re-entry into service after {!restore}: re-ACK every

@@ -169,12 +169,19 @@ let archive m c =
       c.live <- None;
       c.live_open <- None;
       m.n_live <- m.n_live - 1;
-      emit m (Persist.Archived c.id);
       if Obs.enabled then
         Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - 1))
 
+(* [archive] as the live side does it, journalled; a crash replay
+   archives without journalling. *)
+let retire m c =
+  if Option.is_some c.live then begin
+    archive m c;
+    emit m (Persist.Archived c.id)
+  end
+
 let close_conn m c =
-  archive m c;
+  retire m c;
   Governor.remove_conn m.governor ~conn:c.id;
   emit m (Persist.Closed c.id);
   if Obs.enabled then begin
@@ -395,23 +402,31 @@ let owner m c =
   { R.o_governor = m.governor; o_acked = c.acked; o_counts = m.counts;
     o_spare = m.spare }
 
+(* [rx] as [c]'s live epoch. *)
+let adopt m c rx =
+  c.live <- Some rx;
+  m.n_live <- m.n_live + 1;
+  if Obs.enabled then
+    Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1);
+  rx
+
+(* A fresh receiver as [c]'s live epoch, journalled and accounted
+   nowhere: [new_epoch]'s, and a crash replay's. *)
+let start_epoch m c =
+  adopt m c
+    (R.create m.engine
+       { m.config with conn_id = c.id }
+       ~bus:m.bus ~owner:(owner m c) ?persist:m.persist ~send_ack:m.send_ack
+       ~capacity:(`Quota m.quota_elems) ())
+
 let new_epoch ?open_csn m c =
   emit m (Persist.Opened { conn = c.id; open_csn });
-  let rx =
-    R.create m.engine
-      { m.config with conn_id = c.id }
-      ~bus:m.bus ~owner:(owner m c) ?persist:m.persist ~send_ack:m.send_ack
-      ~capacity:(`Quota m.quota_elems) ()
-  in
-  c.live <- Some rx;
+  ignore (start_epoch m c : R.t);
   c.live_open <- open_csn;
-  m.n_live <- m.n_live + 1;
   c.epochs_started <- c.epochs_started + 1;
   (match open_csn with
   | Some k when k > c.open_hwm -> c.open_hwm <- k
   | Some _ | None -> ());
-  if Obs.enabled then
-    Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1);
   touch_conn m c
 
 (* Make room for one more live connection by displacing the stalest one
@@ -553,7 +568,7 @@ let handle_open m cid found ~first_csn =
               note_scored m c ~weight:w_churn;
               if quarantine_active m c then quarantine_drop m
               else begin
-                archive m c;
+                retire m c;
                 new_epoch m c ~open_csn:first_csn
               end))
 
@@ -594,7 +609,7 @@ let route m (v : Chunk.view) ~hdr =
                 && (not (Int_map.mem c.acked t_id))
                 && not (R.tracks_tpdu rx ~t_id)
               then begin
-                archive m c;
+                retire m c;
                 new_epoch m c;
                 match c.live with Some fresh -> fresh | None -> rx
               end
@@ -807,80 +822,122 @@ let export m : Persist.conn_image list =
     m.conns []
   |> List.sort (fun a b -> Int.compare a.Persist.ci_id b.Persist.ci_id)
 
-(* Rebuild a demultiplexer from its persisted image.  Each restored live
-   epoch re-accounts its own soft state against the fresh governor, and
-   the per-connection slot cost is re-asserted — the budget, not the
-   image, decides what survives. *)
+(* One journal record applied to the endpoint being restored, through
+   the primitives the live side uses ([R.replay] for the receiver's
+   part).  It journals, sends and accounts nothing: [restore] accounts
+   the whole recovered state once, after the last record. *)
+let replay m (ev : Persist.event) =
+  let c = Int_table.find m.conns (Persist.event_conn ev) in
+  let epoch () = match c.live with Some rx -> rx | None -> start_epoch m c in
+  (* A TPDU settled by its ACK or its honoured shed.  Identity recovery
+     under the monotone-label discipline: each such T.ID bounds the
+     epoch's first C.SN from above, so the running minimum converges on
+     it, covering epochs whose Open died in flight and never produced an
+     Opened record. *)
+  let close_tpdu t_id =
+    R.replay (epoch ()) ev;
+    c.live_open <- Some (Option.fold ~none:t_id ~some:(Int.min t_id) c.live_open)
+  in
+  match ev with
+  | Persist.Acked { t_id; _ } ->
+      Int_map.replace c.acked t_id ();
+      close_tpdu t_id
+  | Persist.Shed { t_id; _ } -> close_tpdu t_id
+  | Persist.Opened { open_csn; _ } ->
+      (* on a live epoch, an adoption: the epoch was established
+         implicitly (its Open lost in flight) and this is its identity
+         finally arriving *)
+      ignore (epoch () : R.t);
+      c.live_open <- open_csn
+  | Persist.Archived _ | Persist.Closed _ ->
+      (* the live side's Close archives first, so a bare Closed record
+         (its Archived torn away) takes this same step *)
+      Option.iter (fun rx -> R.replay rx ev) c.live;
+      archive m c
+
+(* A connection record rebuilt from its image, live epoch included. *)
+let of_image m (img : Persist.conn_image) =
+  let c =
+    {
+      (new_conn m img.Persist.ci_id) with
+      live_open = img.Persist.ci_live_open;
+      (* an archived epoch's image keeps no shed spans (a live epoch's
+         does): a shed contract and crashes do not combine in a
+         schedule *)
+      hist =
+        List.rev_map
+          (fun (e : Persist.epoch_image) ->
+            {
+              delivered = e.ei_delivered;
+              complete = e.ei_complete;
+              closed = true;
+              open_csn = e.ei_open_csn;
+              placed_elems = e.ei_elems;
+              shed_spans = [];
+              passes = e.ei_passes;
+            })
+          img.Persist.ci_hist;
+      quarantined_until = img.Persist.ci_quar_until;
+      quarantine_count = img.Persist.ci_quar_count;
+      poisoned = img.Persist.ci_poisoned;
+    }
+  in
+  List.iter (fun t -> Int_map.replace c.acked t ()) img.Persist.ci_acked;
+  Option.iter
+    (fun ri ->
+      ignore
+        (adopt m c
+           (R.restore m.engine
+              { m.config with conn_id = c.id }
+              ~bus:m.bus ~owner:(owner m c) ?persist:m.persist
+              ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ri)
+          : R.t))
+    img.Persist.ci_live;
+  c
+
+(* Rebuild a demultiplexer from a snapshot's connections and the journal
+   written since.  Every connection either names is added in ascending
+   order, the journal is replayed over them, and only then is each
+   connection's epoch and watermark accounting re-derived and its state
+   accounted against the fresh governor: the budget, not the image,
+   decides what survives. *)
 let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
-    ?anomaly_budget ~send_ack (images : Persist.conn_image list) =
+    ?anomaly_budget ~send_ack (images : Persist.conn_image list) journal =
   let m =
     create engine ~config ~quota_elems ~max_conns ?bus ?persist
       ?anomaly_budget ~send_ack ()
   in
+  let ids =
+    List.sort_uniq Int.compare
+      (List.map (fun (i : Persist.conn_image) -> i.Persist.ci_id) images
+      @ List.map Persist.event_conn journal)
+  in
   List.iter
-    (fun (img : Persist.conn_image) ->
-      if not (Int_table.mem m.conns img.Persist.ci_id) then begin
-        let c =
-          {
-            (new_conn m img.Persist.ci_id) with
-            live_open = img.Persist.ci_live_open;
-            open_hwm =
-              List.fold_left
-                (fun acc (e : Persist.epoch_image) ->
-                  match e.ei_open_csn with
-                  | Some k -> max acc k
-                  | None -> acc)
-                (match img.Persist.ci_live_open with Some k -> k | None -> -1)
-                img.Persist.ci_hist;
-            (* an archived epoch's image keeps no shed spans (a live
-               epoch's does): a shed contract and crashes do not combine
-               in a schedule *)
-            hist =
-              List.rev_map
-                (fun (e : Persist.epoch_image) ->
-                  {
-                    delivered = e.ei_delivered;
-                    complete = e.ei_complete;
-                    closed = true;
-                    open_csn = e.ei_open_csn;
-                    placed_elems = e.ei_elems;
-                    shed_spans = [];
-                    passes = e.ei_passes;
-                  })
-                img.Persist.ci_hist;
-            (* epoch and state accounting re-derived from the image, so
-               the isolation-budget bound spans the crash *)
-            epochs_started =
-              List.length img.Persist.ci_hist
-              + (if img.Persist.ci_live <> None then 1 else 0);
-            hist_bytes =
-              List.fold_left
-                (fun acc (e : Persist.epoch_image) ->
-                  acc + Bytes.length e.ei_delivered)
-                0 img.Persist.ci_hist;
-            quarantined_until = img.Persist.ci_quar_until;
-            quarantine_count = img.Persist.ci_quar_count;
-            poisoned = img.Persist.ci_poisoned;
-          }
-        in
-        List.iter (fun t -> Int_map.replace c.acked t ()) img.Persist.ci_acked;
-        Int_table.add m.conns c.id c;
-        (match img.Persist.ci_live with
-        | Some ri ->
-            let rx =
-              R.restore m.engine
-                { m.config with conn_id = c.id }
-                ~bus:m.bus ~owner:(owner m c) ?persist:m.persist
-                ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ri
-            in
-            c.live <- Some rx;
-            m.n_live <- m.n_live + 1;
-            if Obs.enabled then
-              Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1)
-        | None -> ());
-        touch_conn m c
-      end)
-    images;
+    (fun id ->
+      Int_table.add m.conns id
+        (match
+           List.find_opt (fun (i : Persist.conn_image) -> i.Persist.ci_id = id) images
+         with
+        | Some img -> of_image m img
+        | None -> new_conn m id))
+    ids;
+  List.iter (replay m) journal;
+  List.iter
+    (fun id ->
+      let c = Int_table.find m.conns id in
+      c.open_hwm <-
+        List.fold_left
+          (fun acc r -> match r.open_csn with Some k -> max acc k | None -> acc)
+          (Option.value c.live_open ~default:(-1))
+          c.hist;
+      (* epoch and state accounting re-derived, so the isolation-budget
+         bound spans the crash *)
+      c.epochs_started <- List.length c.hist + Bool.to_int (Option.is_some c.live);
+      c.hist_bytes <-
+        List.fold_left (fun acc r -> acc + Bytes.length r.delivered) 0 c.hist;
+      Option.iter R.account_held c.live;
+      touch_conn m c)
+    ids;
   m
 
 (* Conservative re-entry into service: every TPDU in every restored

@@ -234,14 +234,24 @@ val restore :
   ?anomaly_budget:int ->
   send_ack:(bytes -> unit) ->
   Persist.conn_image list ->
+  Persist.event list ->
   t
-(** Rebuild a demultiplexer from a persisted image.  Conservative
-    re-entry: restored ledgers keep verified TPDUs from being
-    re-processed, restored parities never re-accept bytes already
-    counted into them, and every restored connection re-accounts its
-    slot (and its live epoch's soft state) against a fresh governor —
-    the budget, not the image, decides what survives.  Does not send
-    anything; call {!reannounce} to re-enter service. *)
+(** [restore ... conns journal] rebuilds a demultiplexer from a
+    snapshot's connections and replays over them the journal written
+    since, through the endpoint's own primitives: an [Acked] record
+    joins the ledger, places and locks its runs, believes its end claim,
+    counts its pass, drops the TPDU's in-flight state and bounds the
+    epoch's identity; a [Shed] joins the shed cover; an [Opened] opens
+    (or adopts) the live epoch; an [Archived] or [Closed] archives it.
+    A record naming an unknown connection creates it (acknowledged
+    state is durable even when its [Opened] record was torn away).
+    Conservative re-entry: restored ledgers keep verified TPDUs from
+    being re-processed, restored parities never re-accept bytes already
+    counted into them, and once the last record is replayed every
+    connection re-accounts its slot (and its live epoch's soft state)
+    against a fresh governor — the budget, not the image, decides what
+    survives.  Journals, sends and schedules nothing beyond the
+    governor's sweep; call {!reannounce} to re-enter service. *)
 
 val reannounce : t -> unit
 (** Re-ACK every TPDU in every restored ledger (live or closed epoch),

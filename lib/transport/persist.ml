@@ -3,10 +3,13 @@ open Labelling
 (* Persisted endpoint state (paper §3.2 made durable): the receiver's
    recoverable state is nothing but WSC-2 parities, virtual-reassembly
    spans, the ACK ledger and the placed bytes — compact enough to
-   snapshot wholesale and journal per acknowledgement.  Everything here
-   is a plain value; the live transport exports to and restores from
-   these images ([Chunk_transport.Receiver.export] / [.restore],
-   [Multi.export] / [.restore]). *)
+   snapshot wholesale and journal per acknowledgement.  Here are only
+   the images, their codecs and the store.  The live transport exports
+   to and restores from the images ([Multi.export] / [.restore]), and
+   recovery replays the journal through the restored endpoint itself
+   ([Chunk_transport.Receiver.replay]): a journalled ACK is nothing but
+   verified, labelled runs, placed by their labels alone, so this module
+   keeps no second copy of what an acknowledgement does. *)
 
 type corrob_image = {
   pi_t_id : int;
@@ -81,8 +84,6 @@ type event =
 
 let owned_run sn b = (sn, b, 0, Bytes.length b)
 
-(* The (C.SN, bytes) run a view denotes, copied out of its source
-   unless the view already covers all of it. *)
 let run_bytes (sn, src, off, len) =
   if off = 0 && len = Bytes.length src then (sn, src)
   else (sn, Bytes.sub src off len)
@@ -109,231 +110,6 @@ let empty_conn id =
 let event_conn = function
   | Acked { conn; _ } | Opened { conn; _ } | Shed { conn; _ } -> conn
   | Archived conn | Closed conn -> conn
-
-(* The one run-merge rule: sort (sn, len) spans by SN and fuse
-   overlapping or adjacent ones, dropping empty spans. *)
-let coalesce_spans spans =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (s, l) :: rest -> (
-        match acc with
-        | (s0, l0) :: acc' when s <= s0 + l0 ->
-            go ((s0, Int.max l0 (s + l - s0)) :: acc') rest
-        | _ -> go ((s, l) :: acc) rest)
-  in
-  List.filter (fun (_, l) -> l > 0) spans
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> go []
-
-let spans_of_runs ~elem_size runs =
-  List.map (fun (sn, b) -> (sn, Bytes.length b / elem_size)) runs
-
-(* Merge placed byte runs into the canonical shape [Placement.spans]
-   exports, so export(restore(image)) = image holds structurally: the
-   spans are merged first, then each run's bytes are copied once into
-   their merged span, later runs in the list winning on overlap
-   (identical-label retransmission makes overlapping bytes identical
-   anyway).  Bytes short of a whole element are dropped. *)
-let normalize_runs ~elem_size runs =
-  let spans = Array.of_list (coalesce_spans (spans_of_runs ~elem_size runs)) in
-  let out = Array.map (fun (_, l) -> Bytes.create (l * elem_size)) spans in
-  (* the merged span holding element [sn]: the last one starting at or
-     before it *)
-  let rec find lo hi sn =
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if fst spans.(mid) <= sn then find mid hi sn else find lo mid sn
-  in
-  List.iter
-    (fun (sn, b) ->
-      let n = Bytes.length b / elem_size * elem_size in
-      if n > 0 then begin
-        let k = find 0 (Array.length spans) sn in
-        Bytes.blit b 0 out.(k) ((sn - fst spans.(k)) * elem_size) n
-      end)
-    runs;
-  Array.to_list (Array.mapi (fun k (s, _) -> (s, out.(k))) spans)
-
-(* The verified spans' union in canonical shape, a span that is
-   degenerate or whose end wraps past [max_int] dropped on its own. *)
-let merge_spans spans =
-  coalesce_spans
-    (List.filter (fun (sn, len) -> sn >= 0 && sn <= max_int - len) spans)
-
-(* Apply one journal entry to an image.  Conservative throughout: an
-   entry for an unknown connection creates it (acknowledged state is
-   durable even if the Open record was torn away), and nothing here can
-   raise.
-
-   During replay the lists an ACK grows are kept newest first and
-   unmerged — ledgers consed, placed runs and verified spans
-   rev-appended — and [apply_journal] puts each into canonical shape
-   once, at the end: merging after every record would re-copy the whole
-   accumulated image, quadratic in the journal length. *)
-(* [ri] without TPDU [t_id]'s in-flight state, as a verdict leaves it. *)
-let settle ri t_id =
-  {
-    ri with
-    ri_end_claims = List.filter (fun (t, _) -> t <> t_id) ri.ri_end_claims;
-    ri_tpdus =
-      List.filter (fun ti -> ti.Edc.Verifier.ti_t_id <> t_id) ri.ri_tpdus;
-    ri_corrob = List.filter (fun pi -> pi.pi_t_id <> t_id) ri.ri_corrob;
-  }
-
-let apply_acked ~elem_size ri ~t_id ~end_confirmed ~runs =
-  let runs = List.map run_bytes runs in
-  {
-    (settle ri t_id) with
-    ri_placed = List.rev_append runs ri.ri_placed;
-    ri_verified = List.rev_append (spans_of_runs ~elem_size runs) ri.ri_verified;
-    ri_end_confirmed =
-      (match end_confirmed with Some _ as e -> e | None -> ri.ri_end_confirmed);
-    ri_passed = ri.ri_passed + 1;
-  }
-
-(* The end of the contiguous verified prefix — mirrors the live
-   receiver's completeness rule so an archived epoch reconstructed from
-   a journal reports the same [complete] bit. *)
-let verified_frontier spans =
-  let rec go expect = function
-    | [] -> expect
-    | (s, l) :: rest -> if s > expect then expect else go (Int.max expect (s + l)) rest
-  in
-  go 0 spans
-
-(* [ri] is mid-replay: its verified spans are unmerged. *)
-let receiver_complete ri =
-  match ri.ri_end_confirmed with
-  | Some last ->
-      verified_frontier (merge_spans (ri.ri_shed_spans @ ri.ri_verified)) > last
-  | None -> false
-
-(* [ri] is mid-replay: its placed runs are newest first. *)
-let receiver_delivered ~elem_size ~quota_elems ri =
-  let buf = Bytes.make (quota_elems * elem_size) '\000' in
-  List.iter
-    (fun (sn, b) ->
-      let off = sn * elem_size in
-      if off >= 0 && off + Bytes.length b <= Bytes.length buf then
-        Bytes.blit b 0 buf off (Bytes.length b))
-    (List.rev ri.ri_placed);
-  buf
-
-(* [ri] is mid-replay: a snapshot's placed runs and the journal's may
-   overlap, so elements are counted over the merged spans. *)
-let receiver_elems ~elem_size ri =
-  List.fold_left
-    (fun acc (_, l) -> acc + l)
-    0
-    (coalesce_spans (spans_of_runs ~elem_size ri.ri_placed))
-
-(* Fold the live epoch into history, as the live side's Archive does.
-   Close archives first on the live side, so a bare Closed record (torn
-   Archive) takes this same step. *)
-let archive ~elem_size ~quota_elems c =
-  match c.ci_live with
-  | None -> c
-  | Some ri ->
-      let hist =
-        if ri.ri_passed <= 0 then c.ci_hist
-        else
-          c.ci_hist
-          @ [
-              {
-                ei_delivered = receiver_delivered ~elem_size ~quota_elems ri;
-                ei_complete = receiver_complete ri;
-                ei_open_csn = c.ci_live_open;
-                ei_elems = receiver_elems ~elem_size ri;
-                ei_passes = ri.ri_passed;
-              };
-            ]
-      in
-      { c with ci_hist = hist; ci_live = None; ci_live_open = None }
-
-(* An honoured shed: the span counts as settled without its bytes. *)
-let apply_shed ri ~t_id ~first_elem ~elems =
-  {
-    (settle ri t_id) with
-    ri_shed_spans = coalesce_spans ((first_elem, elems) :: ri.ri_shed_spans);
-    ri_shed_tids = List.sort_uniq Int.compare (t_id :: ri.ri_shed_tids);
-  }
-
-(* Identity recovery under the monotone-label discipline: each fresh
-   ACK or honoured shed bounds the epoch's first C.SN from above, so the
-   running minimum converges on it — covering epochs whose Open died in
-   flight and never produced an Opened record. *)
-let bound_identity c t_id =
-  Some (Option.fold ~none:t_id ~some:(Int.min t_id) c.ci_live_open)
-
-let apply_event ~elem_size ~quota_elems (Multi conns) ev =
-  let cid = event_conn ev in
-  let conns =
-    if List.exists (fun c -> c.ci_id = cid) conns then conns
-    else
-      (* keep the canonical ascending order [export] produces, so a
-         journal-only image compares equal to a re-export *)
-      List.sort
-        (fun a b -> Int.compare a.ci_id b.ci_id)
-        (empty_conn cid :: conns)
-  in
-  let live c = Option.value c.ci_live ~default:(empty_receiver ~conn:cid) in
-  let update c =
-    if c.ci_id <> cid then c
-    else
-      match ev with
-      | Acked { t_id; end_confirmed; runs; _ } ->
-          {
-            c with
-            ci_acked = t_id :: c.ci_acked;
-            ci_live =
-              Some (apply_acked ~elem_size (live c) ~t_id ~end_confirmed ~runs);
-            ci_live_open = bound_identity c t_id;
-          }
-      | Shed { t_id; first_elem; elems; _ } ->
-          {
-            c with
-            ci_live = Some (apply_shed (live c) ~t_id ~first_elem ~elems);
-            ci_live_open = bound_identity c t_id;
-          }
-      | Opened { open_csn; _ } ->
-          (* A second Opened record while an epoch is live is an
-             adoption: the epoch was established implicitly (its Open
-             lost in flight) and this is its identity finally
-             arriving.  Keep the replayed receiver state — only the
-             C.SN changes. *)
-          { c with ci_live = Some (live c); ci_live_open = open_csn }
-      | Archived _ | Closed _ -> archive ~elem_size ~quota_elems c
-  in
-  Multi (List.map update conns)
-
-let apply_journal ~elem_size ~quota_elems (Multi conns) events =
-  let newest_first ri = { ri with ri_placed = List.rev ri.ri_placed } in
-  let canonical ri =
-    {
-      ri with
-      ri_placed = normalize_runs ~elem_size (List.rev ri.ri_placed);
-      ri_verified = merge_spans ri.ri_verified;
-    }
-  in
-  let start =
-    Multi
-      (List.map
-         (fun c -> { c with ci_live = Option.map newest_first c.ci_live })
-         conns)
-  in
-  let (Multi conns) =
-    List.fold_left (apply_event ~elem_size ~quota_elems) start events
-  in
-  Multi
-    (List.map
-       (fun c ->
-         {
-           c with
-           ci_acked = List.sort_uniq Int.compare c.ci_acked;
-           ci_live = Option.map canonical c.ci_live;
-         })
-       conns)
 
 (* {1 Binary codec}
 
@@ -853,12 +629,12 @@ module Store = struct
       Buffer.add_bytes st.journal b
     end
 
-  let recover ~elem_size ~quota_elems ~empty st =
+  let recover st =
     let* base =
-      match st.snap with None -> Ok empty | Some b -> decode_endpoint b
+      match st.snap with None -> Ok (Multi []) | Some b -> decode_endpoint b
     in
     let events, torn = decode_journal (Buffer.to_bytes st.journal) in
     if torn && Obs.enabled then Obs.Metrics.incr m_truncations;
     if Obs.enabled then Obs.Metrics.incr m_restores;
-    Ok (apply_journal ~elem_size ~quota_elems base events, torn)
+    Ok (base, events, torn)
 end

@@ -1,6 +1,7 @@
 (** Crash-recovery images of transport endpoints: versioned snapshot
-    codec, append-only journal, and the replay rule that rebuilds an
-    endpoint from both.
+    codec and append-only journal.  Recovery restores the snapshot with
+    [Multi.restore], which replays the journal through the endpoint's
+    own primitives; this module only decodes.
 
     The paper's compact-state receiver (WSC-2 parities + virtual
     reassembly spans + a small label table per in-flight TPDU) makes
@@ -18,7 +19,7 @@
     its run bytes after the framed record: the record checksum covers
     the header only, and the run bytes are checked against the WSC-2
     parity the header carries.  Decoding never raises — corruption
-    surfaces as [Error], and journal replay truncates at the first
+    surfaces as [Error], and journal decoding stops at the first
     damaged record (torn-write tolerance). *)
 
 (** {1 Images}
@@ -122,6 +123,10 @@ val owned_run : int -> bytes -> run_view
 (** [owned_run sn b] is the view of the whole of [b] — the form decoded
     journal events carry, and a safe way to build events by hand. *)
 
+val run_bytes : run_view -> int * bytes
+(** The (C.SN, bytes) run a view denotes: the source itself when the
+    view covers all of it, else a copy. *)
+
 type event =
   | Acked of {
       conn : int;  (** connection id *)
@@ -159,32 +164,15 @@ type event =
   | Closed of int  (** the connection was closed *)
 
 val empty_receiver : conn:int -> receiver_image
-(** A blank receiver image for connection [conn] — the restore base when
-    no snapshot exists yet. *)
+(** A blank receiver image for connection [conn]. *)
 
-val coalesce_spans : (int * int) list -> (int * int) list
-(** Sort [(sn, len)] element spans by [sn] and fuse overlapping or
-    adjacent ones; empty spans are dropped.  The one merge rule behind
-    the canonical placed runs of a replayed image and the receiver's
-    write-ahead ACK record. *)
-
-val apply_journal :
-  elem_size:int ->
-  quota_elems:int ->
-  endpoint_image ->
-  event list ->
-  endpoint_image
-(** Replay journal events over a snapshot image.  [quota_elems] sizes
-    the delivered-bytes buffer when an [Archived]/[Closed] event folds a
-    live epoch into history (mirroring [Multi]'s quota).  Conservative:
-    events for unknown connections create them (acknowledged state is
-    durable even when the matching [Opened] record was torn away), and
-    replay never raises. *)
+val event_conn : event -> int
+(** The connection an event names. *)
 
 (** {1 Codec} *)
 
 val version : int
-(** Snapshot format version (3).  The rule: any change to the field
+(** Snapshot format version (4).  The rule: any change to the field
     layout bumps this, and a decoder rejects images whose version it
     does not know — there is no cross-version repair.  Every decoder
     also refuses a record whose payload holds bytes past its last field,
@@ -246,22 +234,18 @@ module Store : sig
   val journal : t -> bytes
   (** A copy of the journal written since the last snapshot. *)
 
-  val recover :
-    elem_size:int ->
-    quota_elems:int ->
-    empty:endpoint_image ->
-    t ->
-    (endpoint_image * bool, string) result
-  (** Rebuild the endpoint image: decode the snapshot (or start from
-      [empty] if none was ever taken), replay the journal, report
-      whether the journal was torn.  Counts [persist_restores_total]
+  val recover : t -> (endpoint_image * event list * bool, string) result
+  (** What recovery starts from: the decoded snapshot ([Multi []] if
+      none was ever taken), the journal's trusted events since, and
+      whether the journal was torn.  [Multi.restore] rebuilds the
+      endpoint from the first two.  Counts [persist_restores_total]
       and, on a torn journal, [persist_journal_truncations_total].
       [Error] only when the snapshot itself is unreadable. *)
 
   val corrupt_tail : t -> unit
-  (** Flip one bit in the journal's last byte — the mutation hook the
-      soak harness uses to prove a corrupted image is detected, not
-      silently restored. *)
+  (** Damage the journal's last byte (four of its bits): a test hook,
+      proving a damaged record is dropped as a torn tail, never
+      recovered. *)
 
   val snapshots_taken : t -> int
   (** Snapshots stored so far. *)

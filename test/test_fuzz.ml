@@ -186,8 +186,10 @@ let gen_vr_ops =
 let snapshot_image =
   lazy
     (let module P = Transport.Persist in
-    let img =
-      P.apply_journal ~elem_size:4 ~quota_elems:8 (P.Multi [])
+    let m =
+      Transport.Multi.restore (Netsim.Engine.create ())
+        ~config:Transport.Chunk_transport.default_config ~quota_elems:8
+        ~max_conns:1 ~send_ack:ignore []
         [
           P.Acked
             {
@@ -199,7 +201,7 @@ let snapshot_image =
             };
         ]
     in
-    P.encode_endpoint img)
+    P.encode_endpoint (P.Multi (Transport.Multi.export m)))
 
 (* Every strict prefix of a valid snapshot: torn mid-write. *)
 let gen_truncated_snapshot =

@@ -150,7 +150,7 @@ let same_as_hashtbl (size, ops) =
     (ops @ [ Length; Sorted ])
 
 (* [Int_rows.coalesce], which merges a passed TPDU's placed runs in
-   place, against the list merge snapshots use, over any rows: negative,
+   place, against a sorted list merge, over any rows: negative,
    empty and out-of-limit ones included, and more than the insertion
    sort's sixteen. *)
 let coalesce_as_lists (limit, rows) =
@@ -158,7 +158,7 @@ let coalesce_as_lists (limit, rows) =
   List.iter (fun (sn, len) -> Int_rows.push2 buf sn len) rows;
   Int_rows.coalesce buf ~limit;
   Int_rows.pairs buf
-  = Transport.Persist.coalesce_spans
+  = Util.coalesce_spans
       (List.filter
          (fun (sn, len) -> sn >= 0 && len > 0 && sn + len <= limit)
          rows)

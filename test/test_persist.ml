@@ -1,8 +1,9 @@
 (* Crash-recovery persistence: the snapshot codec is a fixpoint, journal
-   replay rebuilds the canonical image, torn journal tails are dropped
-   cleanly — and, the property that matters, an endpoint restored from
-   its own snapshot is behaviourally indistinguishable from the live
-   endpoint it was taken from under any identical packet suffix. *)
+   replay through the endpoint rebuilds the canonical image, torn journal
+   tails are dropped cleanly — and, the property that matters, an
+   endpoint restored from its own snapshot is behaviourally
+   indistinguishable from the live endpoint it was taken from under any
+   identical packet suffix. *)
 
 module CT = Transport.Chunk_transport
 module Persist = Transport.Persist
@@ -78,7 +79,7 @@ let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
         Transport.Multi.restore engine ~config ~quota_elems:expected
           ~max_conns:1
           ~send_ack:(fun p -> acks_b := Bytes.copy p :: !acks_b)
-          conns
+          conns []
       in
       (* only the post-cut ACK streams are comparable: the prefix ACKs
          left before the snapshot was taken *)
@@ -142,6 +143,23 @@ let prop_float_roundtrip v =
 
 let run_at sn s = Persist.owned_run sn (Bytes.of_string s)
 
+(* The image an endpoint exports once [Multi.restore] has rebuilt it
+   from [snapshot]'s connections and replayed [journal] over them. *)
+let recovered ?(snapshot = Persist.Multi []) ?(config = config) ~quota_elems
+    journal =
+  let (Persist.Multi conns) = snapshot in
+  Persist.Multi
+    (Transport.Multi.export
+       (Transport.Multi.restore (Netsim.Engine.create ()) ~config ~quota_elems
+          ~max_conns:16 ~send_ack:ignore conns journal))
+
+(* What [Store.recover] and [Multi.restore] rebuild from [store]. *)
+let recover_store ?config ~quota_elems store =
+  match Persist.Store.recover store with
+  | Error e -> Alcotest.failf "recover failed: %s" e
+  | Ok (snapshot, journal, torn) ->
+      (recovered ~snapshot ?config ~quota_elems journal, torn)
+
 (* Connection [id] of an endpoint image, and its live epoch. *)
 let conn_of (Persist.Multi conns) id =
   match List.find_opt (fun c -> c.Persist.ci_id = id) conns with
@@ -177,9 +195,7 @@ let test_journal_replay () =
           runs = [ run_at 0 "XXXXYYYY" ]; parity = None };
     ]
   in
-  let img =
-    Persist.apply_journal ~elem_size:4 ~quota_elems:16 (Persist.Multi []) events
-  in
+  let img = recovered ~quota_elems:16 events in
   let c7 = conn_of img 7 in
   let ri = live_of c7 in
   Alcotest.(check (list int)) "ledger sorted" [ 1; 3 ] c7.Persist.ci_acked;
@@ -211,14 +227,10 @@ let test_store_torn_tail () =
        { conn = 7; t_id = 2; end_confirmed = None;
          runs = [ run_at 2 "efghefgh" ]; parity = None });
   Persist.Store.corrupt_tail store;
-  match
-    Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:base store
-  with
-  | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (img, torn) ->
-      Alcotest.(check bool) "tail reported torn" true torn;
-      Alcotest.(check (list int)) "first record kept, torn one dropped"
-        [ 1 ] (conn_of img 7).Persist.ci_acked
+  let img, torn = recover_store ~quota_elems:16 store in
+  Alcotest.(check bool) "tail reported torn" true torn;
+  Alcotest.(check (list int)) "first record kept, torn one dropped"
+    [ 1 ] (conn_of img 7).Persist.ci_acked
 
 (* The journal golden events: an ACK with two runs, an Open and a
    Close. *)
@@ -287,9 +299,7 @@ let check_golden_recovery (Persist.Multi conns, torn) =
 let test_journal_v2_golden () =
   let events, torn = Persist.decode_journal (of_hex golden_journal_v2_hex) in
   Alcotest.(check bool) "records decode" true (events = golden_events);
-  check_golden_recovery
-    ( Persist.apply_journal ~elem_size:4 ~quota_elems:16 (Persist.Multi []) events,
-      torn )
+  check_golden_recovery (recovered ~quota_elems:16 events, torn)
 
 let test_journal_golden () =
   let journal_of events =
@@ -319,12 +329,7 @@ let test_journal_golden () =
   in
   Alcotest.(check string) "vouched parity writes the same bytes" golden_journal_hex
     (hex (Persist.Store.journal (journal_of vouched)));
-  match
-    Persist.Store.recover ~elem_size:4 ~quota_elems:16 ~empty:(Persist.Multi [])
-      store
-  with
-  | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok recovered -> check_golden_recovery recovered
+  check_golden_recovery (recover_store ~quota_elems:16 store)
 
 (* The snapshot and sender formats pinned the same way: one image of
    each shape, every field set to a value that tells it apart from its
@@ -512,7 +517,8 @@ let test_journal_longer_payload () =
   Alcotest.(check bool) "reported as stopped early" true torn
 
 (* Replaying k contiguous ACKs builds one fused run and allocates a
-   bounded multiple of the image: merging the accumulated run after
+   bounded multiple of the image: each record's bytes are copied once,
+   into the placement buffer, where merging the accumulated run after
    every record would allocate O(k^2) bytes. *)
 let test_contiguous_replay () =
   let k = 256 and run_elems = 512 and elem_size = 4 in
@@ -533,8 +539,8 @@ let test_contiguous_replay () =
   in
   let before = Gc.allocated_bytes () in
   let replayed =
-    Persist.apply_journal ~elem_size ~quota_elems:(k * run_elems)
-      (Persist.Multi []) events
+    recovered ~config:{ config with CT.elem_size } ~quota_elems:(k * run_elems)
+      events
   in
   let allocated = Gc.allocated_bytes () -. before in
   let c = conn_of replayed 7 in
@@ -550,11 +556,11 @@ let test_contiguous_replay () =
     Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
       (Bytes.length image)
 
-(* Replay merges the verified spans once, at the end (and where an
-   archive reads them), not after every record.  A shuffled journal of
-   acknowledged TPDUs, some missing and an archive somewhere among them,
-   must replay to the image that replaying it one record at a time
-   builds: each one-record replay merges after its record. *)
+(* Replay is compositional: a shuffled journal of acknowledged TPDUs,
+   some missing and an archive somewhere among them, must replay to the
+   image that replaying it one record at a time builds, each one-record
+   replay restoring the image the previous one exported — a snapshot
+   taken after any record. *)
 let gen_shuffled_acks =
   let open QCheck2.Gen in
   let* n = int_range 1 24 in
@@ -593,8 +599,8 @@ let prop_replay_merges_once (n, tpdu_elems, kept, seed, archive_at) =
         List.filteri (fun i _ -> i < k) acked
         @ (Persist.Archived conn :: List.filteri (fun i _ -> i >= k) acked)
   in
-  let replay img evs =
-    Persist.apply_journal ~elem_size ~quota_elems:(n * tpdu_elems) img evs
+  let replay snapshot evs =
+    recovered ~snapshot ~quota_elems:(n * tpdu_elems) evs
   in
   replay (Persist.Multi []) events
   = List.fold_left (fun img ev -> replay img [ ev ]) (Persist.Multi []) events
@@ -828,16 +834,11 @@ let test_journal_reuses_parity () =
   let per_ack = (journalled - plain) / acks in
   if per_ack >= 128 then
     Alcotest.failf "journal hook checksummed %d bytes per ACK" per_ack;
-  match
-    Persist.Store.recover ~elem_size:4 ~quota_elems:expected
-      ~empty:(Persist.Multi []) store
-  with
-  | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (img, torn) -> (
-      Alcotest.(check bool) "journal not torn" false torn;
-      match (live_of (conn_of img config.CT.conn_id)).Persist.ri_placed with
-      | [ (0, b) ] -> Alcotest.check Util.bytes_testable "replayed bytes" data b
-      | runs -> Alcotest.failf "expected one run, got %d" (List.length runs))
+  let img, torn = recover_store ~config ~quota_elems:expected store in
+  Alcotest.(check bool) "journal not torn" false torn;
+  match (live_of (conn_of img config.CT.conn_id)).Persist.ri_placed with
+  | [ (0, b) ] -> Alcotest.check Util.bytes_testable "replayed bytes" data b
+  | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
 
 let test_sender_restore () =
   (* a finished sender round-trips: the restored instance rebuilds every
@@ -955,14 +956,11 @@ let test_archived_epoch_counts_survive () =
       "the archived epoch counts its elements and passes"
       [ (true, 46, 3) ] (List.map snd before);
     Transport.Multi.teardown m;
-    match
-      Persist.Store.recover ~elem_size:config.CT.elem_size ~quota_elems
-        ~empty:(Persist.Multi []) store
-    with
-    | Ok (Persist.Multi conns, false) ->
+    match Persist.Store.recover store with
+    | Ok (Persist.Multi conns, journal, false) ->
         let m' =
           Transport.Multi.restore engine ~config ~quota_elems ~max_conns:4
-            ~send_ack:ignore conns
+            ~send_ack:ignore conns journal
         in
         Alcotest.(check (list (pair string (triple bool int int))))
           "restored archived epoch" before (counts m')
@@ -1046,7 +1044,7 @@ let test_shed_survives_restore () =
   | Ok (Persist.Multi conns) ->
       check_shed_kept "snapshot"
         (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
-           ~send_ack:ignore conns)
+           ~send_ack:ignore conns [])
         config packets
   | Error e -> Alcotest.failf "snapshot did not decode: %s" e
 
@@ -1062,17 +1060,189 @@ let test_shed_survives_journal () =
   in
   verify_and_shed m config packets;
   Transport.Multi.teardown m;
-  match
-    Persist.Store.recover ~elem_size:config.CT.elem_size ~quota_elems
-      ~empty:(Persist.Multi []) store
-  with
-  | Ok (Persist.Multi conns, false) ->
+  match Persist.Store.recover store with
+  | Ok (Persist.Multi conns, journal, false) ->
       check_shed_kept "journal"
         (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
-           ~send_ack:ignore conns)
+           ~send_ack:ignore conns journal)
         config packets
-  | Ok (_, true) -> Alcotest.fail "journal torn"
+  | Ok (_, _, true) -> Alcotest.fail "journal torn"
   | Error e -> Alcotest.failf "recover failed: %s" e
+
+(* {1 Durable state survives a crash at any event}
+
+   [conns] connections share one endpoint door, each sender's data over
+   a hop that drops every [drop_k]-th packet.  TPDU 1 of connection 1 is
+   sheddable, and a shed of it is spliced into the recorded door stream
+   [shed_pct] percent of the way in (ignored when the TPDU was already
+   acknowledged); each connection's Close follows its last packet. *)
+let crash_config =
+  {
+    config with
+    CT.tpdu_elems = 64;
+    mtu = 256;
+    classify =
+      (fun t_id ->
+        if t_id = 1 then Labelling.Significance.Sheddable 1
+        else Labelling.Significance.Normal);
+  }
+
+let shed_span = (crash_config.CT.tpdu_elems, crash_config.CT.tpdu_elems)
+
+let crash_door_stream ~seed ~conns ~data_len ~drop_k ~shed_pct =
+  let engine = Netsim.Engine.create ~seed () in
+  let recorded = ref [] and count = ref 0 in
+  let quota_elems =
+    CT.expected_elements crash_config ~data_len:(data_len + conns)
+  in
+  let senders = Hashtbl.create 4 in
+  let m =
+    Transport.Multi.create engine ~config:crash_config ~quota_elems
+      ~max_conns:(conns + 1)
+      ~send_ack:(hop engine (CT.Sender.demux (Hashtbl.find_opt senders)))
+      ()
+  in
+  let forward conn b =
+    incr count;
+    if not (drop_k > 0 && !count mod drop_k = 0) then
+      hop engine
+        (fun b ->
+          recorded := (conn, b) :: !recorded;
+          Transport.Multi.ingest m b)
+        b
+  in
+  for conn = 1 to conns do
+    let tx =
+      CT.Sender.create engine
+        { crash_config with CT.conn_id = conn }
+        ~announce_open:true ~send:(forward conn)
+        ~data:(Util.deterministic_bytes (data_len + conn))
+        ()
+    in
+    Hashtbl.replace senders conn tx;
+    CT.Sender.start tx
+  done;
+  Netsim.Engine.run engine;
+  let signal conn sg =
+    Util.ok_or_fail
+      (Labelling.Wire.encode_packet
+         [ Labelling.Connection.signal_chunk ~conn_id:conn sg ])
+  in
+  let first_elem, elems = shed_span in
+  let shed =
+    signal 1 (Labelling.Connection.Shed_tpdu { t_id = 1; first_elem; elems })
+  in
+  let door = List.rev !recorded in
+  let shed_at = List.length door * shed_pct / 100 in
+  let last = Hashtbl.create 4 in
+  List.iteri (fun i (conn, _) -> Hashtbl.replace last conn i) door;
+  ( List.concat
+      (List.mapi
+         (fun i (conn, b) ->
+           (if i = shed_at then [ shed ] else [])
+           @ b
+             :: (if Hashtbl.find last conn = i then
+                   [ signal conn Labelling.Connection.Close ]
+                 else []))
+         door),
+    quota_elems )
+
+(* What an endpoint image holds durably: per connection, the ledger;
+   each archived epoch's completion and passes, and a complete one's
+   delivered bytes; the live epoch's verified spans with their bytes,
+   end claim, passes and sheds.  In-flight state and epoch identity are
+   left out.  The shed TPDU's span is masked out of archived bytes: the
+   live buffer may hold unverified bytes of it, placed before the
+   shed. *)
+let durable (Persist.Multi conns) =
+  let es = config.CT.elem_size in
+  let verified_bytes (ri : Persist.receiver_image) (sn, len) =
+    List.find_map
+      (fun (s0, b) ->
+        if s0 <= sn && (sn + len - s0) * es <= Bytes.length b then
+          Some (Bytes.sub_string b ((sn - s0) * es) (len * es))
+        else None)
+      ri.Persist.ri_placed
+  in
+  let masked conn b =
+    let b = Bytes.copy b in
+    (if conn = 1 then
+       let first, n = shed_span in
+       let off = first * es in
+       if off < Bytes.length b then
+         Bytes.fill b off (Int.min (n * es) (Bytes.length b - off)) '\000');
+    Bytes.to_string b
+  in
+  List.map
+    (fun (c : Persist.conn_image) ->
+      ( c.Persist.ci_id,
+        c.Persist.ci_acked,
+        List.map
+          (fun (e : Persist.epoch_image) ->
+            ( e.Persist.ei_complete,
+              e.Persist.ei_passes,
+              if e.Persist.ei_complete then
+                masked c.Persist.ci_id e.Persist.ei_delivered
+              else "" ))
+          c.Persist.ci_hist,
+        Option.map
+          (fun (ri : Persist.receiver_image) ->
+            ( List.map
+                (fun span -> (span, verified_bytes ri span))
+                ri.Persist.ri_verified,
+              ri.Persist.ri_end_confirmed,
+              ri.Persist.ri_passed,
+              ri.Persist.ri_shed_spans,
+              ri.Persist.ri_shed_tids ))
+          c.Persist.ci_live ))
+    conns
+
+let gen_crash_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* conns = oneofl [ 1; 1; 2; 3 ] in
+    let* data_len = int_range 64 3_000 in
+    let* drop_k = oneofl [ 0; 3; 4; 7 ] in
+    let* shed_pct = int_range 0 100 in
+    let* crash_pct = int_range 0 100 in
+    let* snap_pct = int_range 0 100 in
+    return (seed, conns, data_len, drop_k, shed_pct, crash_pct, snap_pct))
+
+(* Feed the door stream up to a random crash event into an endpoint
+   that journals into two stores, one of them also snapshotted at a
+   random earlier event.  Recovered journal-only and from the snapshot
+   plus the journal since, the endpoint must hold the uncrashed one's
+   durable state at the crash instant. *)
+let prop_crash_keeps_durable
+    (seed, conns, data_len, drop_k, shed_pct, crash_pct, snap_pct) =
+  let packets, quota_elems =
+    crash_door_stream ~seed ~conns ~data_len ~drop_k ~shed_pct
+  in
+  let packets = Array.of_list packets in
+  let crash = Array.length packets * crash_pct / 100 in
+  let snap = crash * snap_pct / 100 in
+  let journal_only = Persist.Store.create ()
+  and with_snapshot = Persist.Store.create () in
+  let m =
+    Transport.Multi.create (Netsim.Engine.create ()) ~config:crash_config
+      ~quota_elems ~max_conns:(conns + 1)
+      ~persist:(fun ev ->
+        Persist.Store.append journal_only ev;
+        Persist.Store.append with_snapshot ev)
+      ~send_ack:ignore ()
+  in
+  for i = 0 to crash do
+    if i = snap then
+      Persist.Store.snapshot with_snapshot
+        (Persist.Multi (Transport.Multi.export m));
+    if i < crash then Transport.Multi.ingest m packets.(i)
+  done;
+  let want = durable (Persist.Multi (Transport.Multi.export m)) in
+  List.for_all
+    (fun store ->
+      let img, torn = recover_store ~config:crash_config ~quota_elems store in
+      (not torn) && durable img = want)
+    [ journal_only; with_snapshot ]
 
 let suite =
   [
@@ -1129,4 +1299,7 @@ let suite =
       test_shed_survives_restore;
     Alcotest.test_case "an honoured shed survives a journal-only recovery"
       `Quick test_shed_survives_journal;
+    Util.qtest ~count:150
+      "recovery holds the uncrashed endpoint's durable state at the crash"
+      gen_crash_case prop_crash_keeps_durable;
   ]

@@ -678,7 +678,7 @@ let test_completion_rule () =
     go 0 (List.sort compare spans) >= elems
   in
   let check step =
-    let want = Transport.Persist.coalesce_spans !verified in
+    let want = Util.coalesce_spans !verified in
     Alcotest.(check (list (pair int int)))
       (step ^ ": exported verified spans")
       want (CT.Receiver.export !rx).Transport.Persist.ri_verified;

@@ -263,6 +263,7 @@ let test_ack_bytes_pinned () =
                   ci_poisoned = false;
                 };
               ]
+              []
           in
           M.reannounce m;
           check_acks
@@ -289,6 +290,7 @@ let test_ack_bytes_pinned () =
                     ci_poisoned = false;
                   };
                 ]
+                []
             in
             List.iter
               (fun t_id ->

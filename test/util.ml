@@ -97,6 +97,22 @@ let fragment_randomly ~seed chunks =
   let rand = Random.State.make [| seed |] in
   List.concat_map (random_splits rand) chunks
 
+(* Sort [(sn, len)] element spans by [sn] and fuse overlapping or
+   adjacent ones, dropping empty spans: the list model of a verified
+   cover. *)
+let coalesce_spans spans =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (s, l) :: rest -> (
+        match acc with
+        | (s0, l0) :: acc' when s <= s0 + l0 ->
+            go ((s0, Int.max l0 (s + l - s0)) :: acc') rest
+        | _ -> go ((s, l) :: acc) rest)
+  in
+  List.filter (fun (_, l) -> l > 0) spans
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> go []
+
 let shuffle ~seed list =
   let rand = Random.State.make [| seed |] in
   let arr = Array.of_list list in
