@@ -454,33 +454,22 @@ let rec update_first f = function
       | Some x' -> Some (x' :: rest)
       | None -> Option.map (List.cons x) (update_first f rest))
 
-(* The Corrupt_restore mutation: flip one byte that the image claims is
-   already {e verified}.  Verified bytes are exactly the ones recovery
-   must preserve faithfully — their TPDUs sit in the ledger, so the
-   sender will never retransmit them and no later traffic can heal the
-   damage.  A live receiver image's first verified byte is taken first;
+(* The Corrupt_restore mutation: flip one byte that the image holds as
+   {e verified}.  Verified bytes are exactly the ones recovery must
+   preserve faithfully — their TPDUs sit in the ledger, so the sender
+   will never retransmit them and no later traffic can heal the damage.
+   The first byte of a live epoch's first verified run is taken first;
    failing that, the first byte of the first archived epoch, since a
    finished transfer is archived at its Close, before the crash.
    Returns [None] when the image holds neither (the caller retries at
    the next restore). *)
-let corrupt_receiver_image ~elem_size (ri : Persist.receiver_image) =
-  match ri.Persist.ri_verified with
-  | [] -> None
-  | (vs, _) :: _ ->
-      Option.map
-        (fun placed -> { ri with Persist.ri_placed = placed })
-        (update_first
-           (fun (sn, data) ->
-             if vs >= sn && vs < sn + (Bytes.length data / elem_size) then
-               Some (sn, flip_byte data ((vs - sn) * elem_size))
-             else None)
-           ri.Persist.ri_placed)
-
-let corrupt_image ~elem_size conns =
+let corrupt_image conns =
   let live (c : Persist.conn_image) =
-    Option.map
-      (fun rx -> { c with Persist.ci_live = Some rx })
-      (Option.bind c.Persist.ci_live (corrupt_receiver_image ~elem_size))
+    match c.Persist.ci_live with
+    | Some ({ Persist.ri_placed = (sn, data) :: runs; _ } as ri) ->
+        let ri = { ri with Persist.ri_placed = (sn, flip_byte data 0) :: runs } in
+        Some { c with Persist.ci_live = Some ri }
+    | Some _ | None -> None
   in
   let archived (c : Persist.conn_image) =
     match c.Persist.ci_hist with
@@ -492,19 +481,6 @@ let corrupt_image ~elem_size conns =
   match update_first live conns with
   | Some _ as corrupted -> corrupted
   | None -> update_first archived conns
-
-(* Recovery-safety probe on a freshly restored endpoint's re-export: a
-   T.ID both in the ledger and among the in-flight verifier images means
-   the endpoint would verify (and deliver) a TPDU it already promised
-   was done — double delivery waiting to happen. *)
-let ledger_in_flight_clash (c : Persist.conn_image) =
-  match c.Persist.ci_live with
-  | None -> false
-  | Some ri ->
-      List.exists
-        (fun (ti : Edc.Verifier.tpdu_image) ->
-          List.mem ti.Edc.Verifier.ti_t_id c.Persist.ci_acked)
-        ri.Persist.ri_tpdus
 
 (* Snapshots are scheduled up front at k·snap_period for every k that
    lands before the last crash (later ones could never be consulted),
@@ -554,7 +530,7 @@ let crash_valve engine (s : Schedule.t) endpoint =
    [restore engine] rebuilds one on [engine] from a snapshot's
    connections and the journal since.  A restore runs every recovery
    probe the oracle reads: the codec fixpoint, the export round trip,
-   the ledger/in-flight clash and the state budget.  A probe or mutation
+   the absence of in-flight state and the state budget.  A probe or mutation
    that needs a second restore runs it on a private engine, so the run's
    own engine schedules only what the one real restore does. *)
 let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
@@ -587,8 +563,7 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
            the run goes on from that image *)
         let corrupted =
           if mutation = Corrupt_restore && not ct.ct_corrupted then
-            corrupt_image ~elem_size:s.Schedule.elem_size
-              (aside conns journal Multi.export)
+            corrupt_image (aside conns journal Multi.export)
           else None
         in
         let m =
@@ -614,8 +589,11 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
         in
         if not (aside img [] round_trips) then
           ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        ct.ct_bad <-
-          ct.ct_bad + List.length (List.filter ledger_in_flight_clash img);
+        (* a restored endpoint holds nothing in flight: a TPDU it held
+           could be both ledgered and in flight, and verify (and deliver)
+           again what the ledger already promised was done *)
+        if Multi.live_in_flight m + Multi.live_stashed m > 0 then
+          ct.ct_bad <- ct.ct_bad + 1;
         if
           s.Schedule.state_budget > 0
           && (Multi.governor_stats m).Transport.Governor.accounted_bytes

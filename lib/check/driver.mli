@@ -147,8 +147,9 @@ type observation = {
       (** recovery-safety probe failures: an unreadable snapshot, a
           torn journal (no schedule damages one, so a record that does
           not read back as written), an image that is not a
-          [Transport.Persist.Multi] one, or a restored endpoint whose
-          ledger and in-flight verifier state overlap *)
+          [Transport.Persist.Multi] one, or a restored endpoint that
+          holds an in-flight or stashed TPDU (a T.ID it held could be
+          both ledgered and in flight) *)
   restore_over_budget : int;
       (** restores whose re-derived governor occupancy exceeded the
           configured state budget *)

@@ -151,8 +151,8 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.metrics.Driver.mp_governor_peak s.Schedule.state_budget;
   (* Crash recovery.  Every scheduled crash must be executed and
      answered by exactly one successful restore; a restore that fails
-     or leaves a T.ID both in the ledger and in the in-flight verifier
-     state is a recovery-safety violation (the last one is double delivery waiting to happen).
+     or leaves any TPDU in flight is a recovery-safety violation (a T.ID
+     both ledgered and in flight is double delivery waiting to happen).
      Restored state must re-fit the governor budget, and the snapshot
      codec must round-trip every image it produced itself. *)
   if List.length s.Schedule.crashes <> o.crashes_injected then
@@ -165,7 +165,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   if o.recovery_bad > 0 then
     fail "recovery-safety"
       "%d recovery-safety probe failures (unreadable image, torn journal \
-       or ledger/in-flight overlap)"
+       or in-flight state after a restore)"
       o.recovery_bad;
   if o.restore_over_budget > 0 then
     fail "recovery-budget"

@@ -147,10 +147,3 @@ let coalesce t ~limit =
 
 let pairs t =
   List.init (count t) (fun k -> (get t ~width:2 k 0, get t ~width:2 k 1))
-
-let quads t =
-  List.init (count t) (fun k ->
-      ( get t ~width:4 k 0,
-        get t ~width:4 k 1,
-        get t ~width:4 k 2,
-        get t ~width:4 k 3 ))

@@ -47,6 +47,3 @@ val coalesce : t -> limit:int -> unit
 
 val pairs : t -> (int * int) list
 (** The rows of a width-2 buffer, in order. *)
-
-val quads : t -> (int * int * int * int) list
-(** The rows of a width-4 buffer, in order. *)

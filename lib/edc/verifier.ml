@@ -85,13 +85,6 @@ module Small = struct
   let clear m =
     m.n <- 0;
     m.many <- few
-
-  let bindings m =
-    match m.n with
-    | 0 -> []
-    | 1 -> [ (m.k0, m.v0) ]
-    | 2 -> [ (m.k0, m.v0); (m.k1, m.v1) ]
-    | _ -> Int_map.fold (fun k v l -> (k, v) :: l) m.many []
 end
 
 (* Everything the verifier keeps of one in-flight TPDU between its
@@ -107,8 +100,6 @@ type tpdu_state = {
   mutable d1 : Gf232.t;
   mutable l0 : Gf232.t;  (* the X pairs', T.ID's, C.ID's and C.ST's *)
   mutable l1 : Gf232.t;
-  mutable restored : bool;
-      (* imported from an image: [d0]/[d1] then hold the whole parity *)
   tracker : Vreassembly.t;
   pairs_done : Small.t;  (* boundary T.SNs already paired, each -> 0 *)
   x_deltas : Small.t;  (* X.ID -> C.SN - X.SN *)
@@ -135,7 +126,6 @@ let blank_state t_id ~born =
     d1 = Gf232.zero;
     l0 = Gf232.zero;
     l1 = Gf232.zero;
-    restored = false;
     tracker = Vreassembly.create ();
     pairs_done = Small.create ();
     x_deltas = Small.create ();
@@ -157,7 +147,6 @@ let blank_out s =
   s.d1 <- Gf232.zero;
   s.l0 <- Gf232.zero;
   s.l1 <- Gf232.zero;
-  s.restored <- false;
   Vreassembly.clear s.tracker;
   Small.clear s.pairs_done;
   Small.clear s.x_deltas;
@@ -686,8 +675,8 @@ let take_data_parity v ~t_id ~first_c_sn ~elems =
     let parity =
       match Vreassembly.total s.tracker with
       | Some total
-        when (not s.restored) && s.delta_ct <> no_delta
-             && s.delta_ct = first_c_sn && total = elems ->
+        when s.delta_ct <> no_delta && s.delta_ct = first_c_sn
+             && total = elems ->
           Some { Wsc2.p0 = s.d0; p1 = s.d1 }
       | Some _ | None -> None
     in
@@ -702,91 +691,3 @@ let stats v =
     duplicates = v.dups;
     chunks_seen = v.seen;
   }
-
-(* Persisted image of one in-flight TPDU: every field of [tpdu_state]
-   that cannot be re-derived, in canonical (sorted) order so that
-   export/import round-trips are comparable structurally.  [born] is
-   deliberately absent — a restored TPDU is re-born at restore time, so
-   its latency figures restart rather than counting the outage. *)
-type tpdu_image = {
-  ti_t_id : int;
-  ti_parity : Wsc2.parity;
-  ti_spans : (int * int) list;
-  ti_total : int option;
-  ti_pairs : int list;
-  ti_x_deltas : (int * int) list;
-  ti_delta_ct : int option;
-  ti_c_id : int option;
-  ti_size : int option;
-  ti_labels_done : bool;
-  ti_expected : Wsc2.parity option;
-  ti_damage : string option;
-  ti_x_spans : (int * int * int * int) list;
-}
-
-(* An int field's sentinel as the image's [None]. *)
-let known ~unset x = if x = unset then None else Some x
-
-let export v =
-  Int_map.fold
-    (fun t_id s acc ->
-      {
-        ti_t_id = t_id;
-        ti_parity =
-          { Wsc2.p0 = Gf232.add s.l0 s.d0; p1 = Gf232.add s.l1 s.d1 };
-        ti_spans = Vreassembly.spans s.tracker;
-        ti_total = Vreassembly.total s.tracker;
-        ti_pairs =
-          List.map fst (Small.bindings s.pairs_done) |> List.sort Int.compare;
-        ti_x_deltas = List.sort compare (Small.bindings s.x_deltas);
-        ti_delta_ct = known ~unset:no_delta s.delta_ct;
-        ti_c_id = known ~unset:(-1) s.c_id;
-        ti_size = known ~unset:0 s.size;
-        ti_labels_done = s.labels_done;
-        ti_expected =
-          (if ed_arrived s then Some { Wsc2.p0 = s.e0; p1 = s.e1 } else None);
-        ti_damage = s.damage;
-        ti_x_spans = List.sort compare (Int_rows.quads s.x_spans);
-      }
-      :: acc)
-    v.tpdus []
-  |> List.sort (fun a b -> Int.compare a.ti_t_id b.ti_t_id)
-
-let import v img =
-  if not (Int_map.mem v.tpdus img.ti_t_id) then begin
-    let s = state v img.ti_t_id in
-    (* rebuild the accumulator from its parity: XOR accumulation makes
-       resume-from-snapshot indistinguishable from never stopping *)
-    s.d0 <- img.ti_parity.Wsc2.p0;
-    s.d1 <- img.ti_parity.Wsc2.p1;
-    s.restored <- true;
-    List.iter
-      (fun (sn, len) ->
-        match Vreassembly.insert_new s.tracker ~sn ~len ~st:false with
-        | Ok _ | Error `Inconsistent -> ())
-      img.ti_spans;
-    (match img.ti_total with
-    | Some total -> (
-        match Vreassembly.set_total s.tracker total with
-        | Ok () | Error `Inconsistent -> ())
-    | None -> ());
-    List.iter (fun k -> Small.add s.pairs_done k 0) img.ti_pairs;
-    (* the image's last binding of a key wins, as a table replace would *)
-    List.iter
-      (fun (k, d) -> Small.add s.x_deltas k d)
-      (List.rev img.ti_x_deltas);
-    let or_unset ~unset = Option.value ~default:unset in
-    s.delta_ct <- or_unset ~unset:no_delta img.ti_delta_ct;
-    s.c_id <- or_unset ~unset:(-1) img.ti_c_id;
-    s.size <- or_unset ~unset:0 img.ti_size;
-    s.labels_done <- img.ti_labels_done;
-    (match img.ti_expected with
-    | Some p ->
-        s.e0 <- p.Wsc2.p0;
-        s.e1 <- p.Wsc2.p1
-    | None -> ());
-    s.damage <- img.ti_damage;
-    List.iter
-      (fun (sn, len, x_id, x_sn) -> Int_rows.push4 s.x_spans sn len x_id x_sn)
-      img.ti_x_spans
-  end

@@ -11,6 +11,12 @@
     protection the paper demands so the incremental checksum is not
     corrupted by duplicated data.
 
+    All of it is soft state: nothing of an in-flight TPDU is
+    persisted.  A crash drops it
+    ({!forget}), and the sender's identical-label retransmission
+    rebuilds it; what an endpoint makes durable is the verified runs an
+    acknowledgement promised ([Transport.Persist]).
+
     Detection follows Table 1:
     - payload / C.ID / T.ID / C.ST / X.ID / X.ST corruption → parity
       mismatch;
@@ -124,8 +130,9 @@ val abandon : t -> t_id:int -> verdict option
 
 val forget : t -> t_id:int -> unit
 (** Release an in-flight TPDU's state with no verdict: nothing is
-    counted or traced.  For crash recovery, where a journal says the
-    TPDU was settled before the crash. *)
+    counted or traced.  For a crash, which is no verdict: the endpoint's
+    soft state dies with it, and the sender's retransmission rebuilds
+    what was in flight. *)
 
 val footprint_bytes : t -> t_id:int -> int
 (** Approximate bytes of soft state held for an in-flight TPDU (WSC-2
@@ -147,12 +154,11 @@ val take_data_parity :
 (** The WSC-2 parity of [t_id]'s data alone, each element at its
     {!Invariant.data_position}, when [t_id] is the TPDU whose [Passed]
     verdict {!on_chunk} returned last and its data spans exactly the
-    [elems] elements from C.SN [first_c_sn].  [None] otherwise, and for
-    a TPDU restored from an image: its accumulator mixes data and
-    labels, so it has no data parity to vouch for.  The verifier forgets
-    the passed TPDU on the first call either way, so a caller that asks
-    after every pass leaves nothing behind; one with no use for the
-    parity asks about an empty span ([~elems:0]), which no TPDU has. *)
+    [elems] elements from C.SN [first_c_sn], and [None] otherwise.  The
+    verifier forgets the passed TPDU on the first call either way, so a
+    caller that asks after every pass leaves nothing behind; one with no
+    use for the parity asks about an empty span ([~elems:0]), which no
+    TPDU has. *)
 
 (** {1 Statistics} *)
 
@@ -164,41 +170,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** {1 Persistence}
-
-    The paper's compact-state argument made durable: an in-flight TPDU
-    is fully described by its WSC-2 parity, its virtual-reassembly
-    spans, and a handful of label cells — small enough to snapshot on
-    every acknowledgement.  Restoring an image and replaying the
-    remaining chunks is indistinguishable from never having crashed,
-    because WSC-2 accumulation is order-independent XOR. *)
-
-type tpdu_image = {
-  ti_t_id : int;
-  ti_parity : Wsc2.parity;  (** accumulator state, as its parity *)
-  ti_spans : (int * int) list;  (** received [(t_sn, len)] runs *)
-  ti_total : int option;  (** TPDU extent, once known *)
-  ti_pairs : int list;  (** boundary T.SNs already paired *)
-  ti_x_deltas : (int * int) list;  (** X.ID → C.SN - X.SN *)
-  ti_delta_ct : int option;  (** C.SN - T.SN *)
-  ti_c_id : int option;
-  ti_size : int option;
-  ti_labels_done : bool;
-  ti_expected : Wsc2.parity option;  (** ED chunk's parity, if seen *)
-  ti_damage : string option;
-  ti_x_spans : (int * int * int * int) list;
-      (** fresh [(t_sn, len, x_id, x_sn)] runs for X-framing checks *)
-}
-(** Everything about one in-flight TPDU that cannot be re-derived, with
-    all lists in canonical sorted order (export/import round-trips
-    compare structurally equal). *)
-
-val export : t -> tpdu_image list
-(** Images of every in-flight TPDU, ascending by T.ID. *)
-
-val import : t -> tpdu_image -> unit
-(** Recreate one TPDU's state from its image (re-born at the current
-    clock reading).  A T.ID already held is left untouched; a corrupted
-    image degrades to partial state that identical-label retransmission
-    repairs — never an exception. *)

@@ -249,7 +249,6 @@ module Receiver = struct
      a data chunk is -1: both SNs lie in [0, max_int]. *)
   let unset = min_int
   let no_claim = -1
-  let some_if_set ~unset x = if x = unset then None else Some x
 
   (* Released records and verifier states kept for reuse, as
      [Edc.Verifier.pool] keeps states: a TPDU opened from spares
@@ -477,10 +476,6 @@ module Receiver = struct
     Int_map.replace rx.corrob t_id m;
     rx.corrob_memo <- m;
     m
-
-  let corrob rx t_id =
-    let m = find_corrob rx t_id in
-    if m != no_record then m else new_corrob rx t_id
 
   let forget_corrob rx t_id =
     Int_map.remove rx.corrob t_id;
@@ -1161,108 +1156,41 @@ module Receiver = struct
 
   let acked_tids rx = Int_map.sorted_keys rx.acked
 
-  let sorted_assoc tbl =
-    Int_map.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-  (* A TPDU holding quarantined runs is left out of the image: its
-     parity already counts bytes the placement buffer does not hold, so
-     a restored verifier would take their retransmission for a
-     duplicate and never place it.  Left out, the TPDU restarts from its
-     identical-label retransmission, whose conflicting runs are
-     quarantined and reclaimed afresh. *)
-  let quarantined rx t_id =
-    Int_rows.count (Int_map.find rx.corrob t_id).quarantine.rows > 0
-
+  (* The image holds what the receiver promised: its verified runs with
+     their bytes, the end confirmation, the pass count and the honoured
+     sheds.  Nothing in flight is kept — it is soft state the sender's
+     retransmission rebuilds. *)
   let export rx : Persist.receiver_image =
     let es = rx.config.elem_size in
     let buf = Placement.contents rx.placement in
-    let ri_placed =
-      List.filter_map
-        (fun (sn, len) ->
-          let off = sn * es and n = len * es in
-          if off >= 0 && n > 0 && off + n <= Bytes.length buf then
-            Some (sn, Bytes.sub buf off n)
-          else None)
-        (Placement.spans rx.placement)
-    in
-    let records =
-      Int_map.fold
-        (fun _ m acc ->
-          if Int_rows.count m.quarantine.rows = 0 then m :: acc else acc)
-        rx.corrob []
-      |> List.sort (fun a b -> Int.compare a.t_id b.t_id)
-    in
-    let corrob_image m =
-      let pi_stash =
-        let rows = m.stash.rows in
-        List.init (Int_rows.count rows) Fun.id
-        |> List.filter_map (fun k ->
-               let held =
-                 Wire.Scan.view m.stash.bufs.(k)
-                   (Int_rows.get rows ~width:3 k 0)
-               in
-               match Wire.encode_packet [ Chunk.of_view held ] with
-               | Ok b ->
-                   Some
-                     ( b,
-                       Int_rows.get rows ~width:3 k 1,
-                       Int_rows.get rows ~width:3 k 2 )
-               | Error _ -> None)
-      in
-      {
-        Persist.pi_t_id = m.t_id;
-        pi_delta_data = some_if_set ~unset m.delta_data;
-        pi_delta_ed = some_if_set ~unset m.delta_ed;
-        pi_confirmed = m.confirmed;
-        pi_stash;
-        pi_placed_runs = List.sort compare (Int_rows.pairs m.placed_runs);
-      }
-    in
     {
       Persist.ri_conn = rx.config.conn_id;
-      ri_placed;
-      ri_verified = Placement.locked_spans rx.placement;
-      ri_end_confirmed = rx.end_confirmed;
-      ri_end_claims =
-        List.filter_map
-          (fun m ->
-            if m.end_claim = no_claim then None else Some (m.t_id, m.end_claim))
-          records;
-      ri_last_reack =
+      ri_placed =
         List.map
-          (fun (t, s) -> (t, Obs.unstamp s))
-          (sorted_assoc rx.last_reack);
+          (fun (sn, len) -> (sn, Bytes.sub buf (sn * es) (len * es)))
+          (Placement.locked_spans rx.placement);
+      ri_end_confirmed = rx.end_confirmed;
       ri_passed = epoch_passes rx;
-      ri_tpdus =
-        List.filter
-          (fun ti -> not (quarantined rx ti.Edc.Verifier.ti_t_id))
-          (Edc.Verifier.export rx.verifier);
-      ri_corrob = List.map corrob_image records;
       ri_shed_spans = shed_spans rx;
       ri_shed_tids = shed_tids rx;
     }
 
-  (* Rebuild a live receiver from its persisted image.  Conservative
-     re-entry: data already counted into a restored parity is never
-     re-accepted (the restored verifier tracker treats it as duplicate),
-     the owner's ledger keeps verified TPDUs from being re-processed, and
-     governor occupancy is re-derived from the restored state — not
-     trusted from the image. *)
+  (* A verified run put back where its labels say, and locked as its
+     verdict locked it: a run outside the window is neither. *)
+  let restore_run rx (sn, b) =
+    (match Placement.restore_span rx.placement ~sn b with
+    | Ok () | Error _ -> ());
+    Placement.lock_span rx.placement ~sn ~len:(Bytes.length b / rx.config.elem_size)
+
+  (* Rebuild a live receiver from its persisted image: its verified runs,
+     end confirmation, pass count and honoured sheds.  It holds no
+     in-flight TPDU, so its governor accounts nothing; the owner's ledger
+     keeps verified TPDUs from being re-processed. *)
   let restore engine config ?bus ~owner ?persist ~send_ack ~capacity
       (img : Persist.receiver_image) =
     let rx = create engine config ?bus ~owner ?persist ~send_ack ~capacity () in
     rx.restored_passes <- img.Persist.ri_passed;
-    List.iter
-      (fun (sn, b) ->
-        match Placement.restore_span rx.placement ~sn b with
-        | Ok () | Error _ -> ())
-      img.Persist.ri_placed;
-    (* restored runs come back unlocked; re-assert verified ownership so
-       the overlap policy survives the crash *)
-    List.iter
-      (fun (sn, len) -> Placement.lock_span rx.placement ~sn ~len)
-      img.Persist.ri_verified;
+    List.iter (restore_run rx) img.Persist.ri_placed;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     (* an acknowledged shed stays honoured across the crash *)
     List.iter
@@ -1273,74 +1201,32 @@ module Receiver = struct
     List.iter
       (fun t -> Int_map.replace rx.shed_tids t ())
       img.Persist.ri_shed_tids;
-    List.iter
-      (fun (t, at) -> Int_map.replace rx.last_reack t (Obs.stamp at))
-      img.Persist.ri_last_reack;
-    List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
-    (* each stashed chunk was persisted as a one-chunk packet: scanned,
-       then held where it lies in that packet *)
-    let scan = Wire.Scan.create () in
-    List.iter
-      (fun (pi : Persist.corrob_image) ->
-        (* [export] leaves out every TPDU with quarantined runs, so the
-           record's quarantine is empty *)
-        let m = record rx pi.Persist.pi_t_id in
-        m.delta_data <- Option.value pi.Persist.pi_delta_data ~default:unset;
-        m.delta_ed <- Option.value pi.Persist.pi_delta_ed ~default:unset;
-        m.confirmed <- pi.Persist.pi_confirmed;
-        List.iter
-          (fun (src, t_sn, elems) ->
-            if Wire.Scan.packet scan src && Wire.Scan.count scan > 0 then
-              push_stash m src ~hdr:(Wire.Scan.offset scan 0) ~t_sn ~elems)
-          pi.Persist.pi_stash;
-        List.iter
-          (fun (sn, len) -> Int_rows.push2 m.placed_runs sn len)
-          pi.Persist.pi_placed_runs;
-        Int_map.replace rx.corrob pi.Persist.pi_t_id m)
-      img.Persist.ri_corrob;
-    (* an end claim lives in its TPDU's record; an image always holds
-       the record beside the claim, but a claim without one still gets
-       a fresh record rather than being lost *)
-    List.iter
-      (fun (t, last) -> (corrob rx t).end_claim <- last)
-      img.Persist.ri_end_claims;
     rx
 
-  (* What the restored soft state costs, re-derived and accounted: the
-     governor, not the image, decides whether it still fits. *)
-  let account_held rx = List.iter (account rx) (held_tids rx)
-
-  (* [t_id]'s in-flight state, dropped without a verdict: the journal
-     says the live receiver settled it, so no failure is counted. *)
-  let forget_tpdu rx t_id =
-    Edc.Verifier.forget rx.verifier ~t_id;
-    drop_records rx t_id
+  (* Every in-flight TPDU's state dropped without a verdict, as a crash
+     drops it: a crash is no verdict, so no failure is counted. *)
+  let forget_in_flight rx =
+    List.iter
+      (fun t_id ->
+        Edc.Verifier.forget rx.verifier ~t_id;
+        drop_records rx t_id)
+      (held_tids rx)
 
   (* A journal record applied to a restored receiver, through the
      primitives the live path uses.  Acknowledged runs are placed and
-     locked as their verdict locked them, and each copies its bytes once,
-     into the placement buffer.  Nothing is journalled, sent or
-     accounted. *)
+     locked as [restore] places them, and each copies its bytes once,
+     into the placement buffer.  A restored receiver holds nothing in
+     flight, so no record has soft state to settle.  Nothing is
+     journalled, sent or accounted. *)
   let replay rx (ev : Persist.event) =
     match ev with
-    | Persist.Acked { t_id; end_confirmed; runs; _ } ->
-        forget_tpdu rx t_id;
-        List.iter
-          (fun run ->
-            let sn, b = Persist.run_bytes run in
-            (match Placement.restore_span rx.placement ~sn b with
-            | Ok () | Error _ -> ());
-            Placement.lock_span rx.placement ~sn
-              ~len:(Bytes.length b / rx.config.elem_size))
-          runs;
+    | Persist.Acked { end_confirmed; runs; _ } ->
+        List.iter (fun run -> restore_run rx (Persist.run_bytes run)) runs;
         if Option.is_some end_confirmed then rx.end_confirmed <- end_confirmed;
         rx.restored_passes <- rx.restored_passes + 1
     | Persist.Shed { t_id; first_elem; elems; _ } ->
-        forget_tpdu rx t_id;
         cover_shed rx ~t_id ~first_elem ~elems
-    | Persist.Archived _ | Persist.Closed _ ->
-        List.iter (forget_tpdu rx) (held_tids rx)
-    | Persist.Opened _ -> ()
+    | Persist.Opened _ | Persist.Archived _ | Persist.Closed _ -> ()
 
   (* Conservative re-entry into service: re-ACK the whole restored
      ledger, because any ACK sent in the pre-crash epoch may have been

@@ -316,10 +316,12 @@ module Receiver : sig
       not a prerequisite, for identifying the conversation. *)
 
   val export : t -> Persist.receiver_image
-  (** Snapshot the receiver's recoverable state (placed bytes, verified
-      cover, verifier parities and spans, corroboration records, re-ACK
-      throttle clocks).  Governor accounting is not exported: it is
-      re-derived on restore. *)
+  (** Snapshot what the receiver promised: its verified runs with their
+      bytes, the end confirmation, the pass count and the honoured
+      sheds.  Nothing in flight is exported (verifier accumulators,
+      corroboration records, end claims, re-ACK clocks, bytes placed by a
+      TPDU not yet verified): it is soft state the sender's
+      retransmission rebuilds. *)
 
   val restore :
     Netsim.Engine.t ->
@@ -331,30 +333,28 @@ module Receiver : sig
     capacity:[ `Quota of int ] ->
     Persist.receiver_image ->
     t
-  (** Rebuild a live receiver from a persisted image.  Conservative:
-      data already counted into a restored parity is never re-accepted
-      (the restored reassembly tracker absorbs it as duplicate), and
-      TPDUs in the [owner]'s ledger (the receiver's own, which the image
-      does not carry) are only ever re-acknowledged.  A partially
-      corrupted image degrades to partial state that identical-label
-      retransmission repairs; nothing here raises on image content.
-      The restored state is not yet accounted: see {!account_held}. *)
+  (** Rebuild a live receiver from a persisted image: each verified run
+      is placed and locked exactly as {!replay} places an [Acked] run.
+      The receiver holds no in-flight TPDU, so the governor accounts
+      nothing for it, and TPDUs in the [owner]'s ledger (the receiver's
+      own, which the image does not carry) are only ever
+      re-acknowledged.  A run outside the window is dropped; nothing here
+      raises on image content. *)
 
   val replay : t -> Persist.event -> unit
   (** Apply one journal record to a restored receiver, through the
       primitives the live path uses.  [Acked] places and locks the
       acknowledged runs, believes the end claim and counts the pass;
-      [Shed] joins the shed cover; both drop the TPDU's in-flight state,
-      and [Archived]/[Closed] drop all of it, without a verdict (nothing
-      is counted as failed).  Journals, sends and accounts nothing; the
-      connection-level part (ledger, identity, epochs) is
-      {!Multi.restore}'s. *)
+      [Shed] joins the shed cover; the other records concern the
+      connection, not the receiver.  A restored receiver holds nothing
+      in flight, so no record has soft state to settle.  Journals, sends
+      and accounts nothing; the connection-level part (ledger, identity,
+      epochs) is {!Multi.restore}'s. *)
 
-  val account_held : t -> unit
-  (** Account the soft state a {!restore} (and any {!replay}) left
-      against the governor, re-deriving its cost: the governor, not the
-      image, decides whether it still fits the budget (state that does
-      not fit is evicted like any other). *)
+  val forget_in_flight : t -> unit
+  (** Drop every in-flight TPDU's state without a verdict, as a crash
+      drops it: nothing is counted as failed or traced.  The governor
+      account is the caller's to clear. *)
 
   val reannounce : t -> unit
   (** Conservative re-entry into service after {!restore}: re-ACK every

@@ -852,7 +852,6 @@ let replay m (ev : Persist.event) =
   | Persist.Archived _ | Persist.Closed _ ->
       (* the live side's Close archives first, so a bare Closed record
          (its Archived torn away) takes this same step *)
-      Option.iter (fun rx -> R.replay rx ev) c.live;
       archive m c
 
 (* A connection record rebuilt from its image, live epoch included. *)
@@ -898,9 +897,10 @@ let of_image m (img : Persist.conn_image) =
 (* Rebuild a demultiplexer from a snapshot's connections and the journal
    written since.  Every connection either names is added in ascending
    order, the journal is replayed over them, and only then is each
-   connection's epoch and watermark accounting re-derived and its state
+   connection's epoch and watermark accounting re-derived and its slot
    accounted against the fresh governor: the budget, not the image,
-   decides what survives. *)
+   decides what survives.  Nothing in flight is restored, so a slot is
+   all there is to account. *)
 let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
     ?anomaly_budget ~send_ack (images : Persist.conn_image list) journal =
   let m =
@@ -935,7 +935,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
       c.epochs_started <- List.length c.hist + Bool.to_int (Option.is_some c.live);
       c.hist_bytes <-
         List.fold_left (fun acc r -> acc + Bytes.length r.delivered) 0 c.hist;
-      Option.iter R.account_held c.live;
       touch_conn m c)
     ids;
   m
@@ -956,11 +955,12 @@ let reannounce m =
 (* Crash the endpoint: release all soft state so the governor's sweep
    timer stops re-arming (a dead endpoint must not keep the simulation
    alive), without archiving anything or emitting journal events — a
-   crash is not a graceful close. *)
+   crash is not a graceful close — and without a verdict: what was in
+   flight is not counted as failed. *)
 let teardown m =
   let lives = m.n_live in
   Int_table.iter
-    (fun _ c -> match c.live with Some rx -> R.quiesce rx | None -> ())
+    (fun _ c -> Option.iter R.forget_in_flight c.live)
     m.conns;
   Int_table.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns;
   if Obs.enabled then

@@ -220,9 +220,11 @@ val verifier_stats : t -> Edc.Verifier.stats
 (** {1 Crash recovery} *)
 
 val export : t -> Persist.conn_image list
-(** Snapshot every connection — ledger, archived epochs, live epoch
-    image — ascending by connection id.  Governor accounting is not
-    exported; it is re-derived on restore. *)
+(** Snapshot every connection — ledger, archived epochs, the live
+    epoch's verified runs and sheds, containment — ascending by
+    connection id.  Nothing in flight is exported, and neither is
+    governor accounting: a restored endpoint holds no in-flight TPDU,
+    and re-accounts each connection's slot on restore. *)
 
 val restore :
   Netsim.Engine.t ->
@@ -240,15 +242,15 @@ val restore :
     snapshot's connections and replays over them the journal written
     since, through the endpoint's own primitives: an [Acked] record
     joins the ledger, places and locks its runs, believes its end claim,
-    counts its pass, drops the TPDU's in-flight state and bounds the
-    epoch's identity; a [Shed] joins the shed cover; an [Opened] opens
+    counts its pass and bounds the epoch's identity; a [Shed] joins the
+    shed cover; an [Opened] opens
     (or adopts) the live epoch; an [Archived] or [Closed] archives it.
     A record naming an unknown connection creates it (acknowledged
     state is durable even when its [Opened] record was torn away).
     Conservative re-entry: restored ledgers keep verified TPDUs from
-    being re-processed, restored parities never re-accept bytes already
-    counted into them, and once the last record is replayed every
-    connection re-accounts its slot (and its live epoch's soft state)
+    being re-processed, the endpoint holds no in-flight TPDU (the
+    sender's retransmission rebuilds what was in flight), and once the
+    last record is replayed every connection re-accounts its slot
     against a fresh governor — the budget, not the image, decides what
     survives.  Journals, sends and schedules nothing beyond the
     governor's sweep; call {!reannounce} to re-enter service. *)
@@ -263,4 +265,6 @@ val teardown : t -> unit
 (** Crash the endpoint: release all soft state and governor accounts at
     once (so a dead endpoint's sweep timer cannot keep the simulation
     alive) without archiving epochs or journalling lifecycle events — a
-    crash is not a graceful close. *)
+    crash is not a graceful close — and without a verdict: in-flight
+    TPDUs are dropped, not counted as failed, and the verify-latency
+    histogram sees none of them. *)

@@ -1,35 +1,22 @@
 open Labelling
 
-(* Persisted endpoint state (paper §3.2 made durable): the receiver's
-   recoverable state is nothing but WSC-2 parities, virtual-reassembly
-   spans, the ACK ledger and the placed bytes — compact enough to
-   snapshot wholesale and journal per acknowledgement.  Here are only
-   the images, their codecs and the store.  The live transport exports
-   to and restores from the images ([Multi.export] / [.restore]), and
-   recovery replays the journal through the restored endpoint itself
+(* Persisted endpoint state (paper §3.2 made durable): what an
+   acknowledgement promised — the ACK ledger and the verified, labelled
+   runs with their bytes — with the end confirmation, the honoured sheds,
+   archived epochs and containment.  Everything still in flight is soft
+   state the sender's retransmission rebuilds, so none of it is kept.
+   Here are only the images, their codecs and the store.  The live
+   transport exports to and restores from the images ([Multi.export] /
+   [.restore]), and recovery replays the journal through the restored endpoint itself
    ([Chunk_transport.Receiver.replay]): a journalled ACK is nothing but
    verified, labelled runs, placed by their labels alone, so this module
    keeps no second copy of what an acknowledgement does. *)
 
-type corrob_image = {
-  pi_t_id : int;
-  pi_delta_data : int option;
-  pi_delta_ed : int option;
-  pi_confirmed : bool;
-  pi_stash : (bytes * int * int) list;
-  pi_placed_runs : (int * int) list;
-}
-
 type receiver_image = {
   ri_conn : int;
   ri_placed : (int * bytes) list;
-  ri_verified : (int * int) list;
   ri_end_confirmed : int option;
-  ri_end_claims : (int * int) list;
-  ri_last_reack : (int * float) list;
   ri_passed : int;
-  ri_tpdus : Edc.Verifier.tpdu_image list;
-  ri_corrob : corrob_image list;
   ri_shed_spans : (int * int) list;
   ri_shed_tids : int list;
 }
@@ -92,13 +79,8 @@ let empty_receiver ~conn =
   {
     ri_conn = conn;
     ri_placed = [];
-    ri_verified = [];
     ri_end_confirmed = None;
-    ri_end_claims = [];
-    ri_last_reack = [];
     ri_passed = 0;
-    ri_tpdus = [];
-    ri_corrob = [];
     ri_shed_spans = [];
     ri_shed_tids = [];
   }
@@ -124,8 +106,10 @@ let event_conn = function
 (* v2: conn images gained the containment fields (quarantine deadline,
    admission-revocation count, poisoned flag); v3: archived epochs gained
    their placed-element and pass counts; v4: receiver images gained their
-   honoured sheds (spans and T.IDs) *)
-let version = 4
+   honoured sheds (spans and T.IDs); v5: receiver images lost everything
+   in flight (verifier and corroboration state, end claims, re-ACK
+   clocks) and hold verified runs only *)
+let version = 5
 let magic = "CSNP"
 
 type cur = { b : bytes; mutable off : int }
@@ -179,8 +163,6 @@ let map decode encode c =
   { write = (fun buf v -> c.write buf (encode v));
     read = (fun cur -> Result.map decode (c.read cur)) }
 
-let string = map Bytes.to_string Bytes.of_string bytes
-
 let opt c =
   { write =
       (fun buf -> function
@@ -220,10 +202,6 @@ let triple a b c =
   map (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z)))
     (pair a (pair b c))
 
-let quad =
-  map (fun ((a, b), (c, d)) -> (a, b, c, d)) (fun (a, b, c, d) -> ((a, b), (c, d)))
-    (pair (pair int int) (pair int int))
-
 (* One record field, as in [Check.Schedule]'s table: its codec, how to
    get it, and how to set it in a copy.  A record's fields go to the
    wire in list order; its reader sets them one by one into [blank]. *)
@@ -243,74 +221,15 @@ let record blank fields =
   { write = (fun buf r -> write_fields buf r fields);
     read = (fun cur -> read_fields cur blank fields) }
 
-let tpdu =
-  let open Edc.Verifier in
-  record
-    { ti_t_id = 0; ti_parity = Wsc2.parity_zero; ti_spans = []; ti_total = None;
-      ti_pairs = []; ti_x_deltas = []; ti_delta_ct = None; ti_c_id = None;
-      ti_size = None; ti_labels_done = false; ti_expected = None;
-      ti_damage = None; ti_x_spans = [] }
-    [ Field (int, (fun t -> t.ti_t_id), fun t ti_t_id -> { t with ti_t_id });
-      Field (parity, (fun t -> t.ti_parity),
-        fun t ti_parity -> { t with ti_parity });
-      Field (list (pair int int), (fun t -> t.ti_spans),
-        fun t ti_spans -> { t with ti_spans });
-      Field (opt int, (fun t -> t.ti_total),
-        fun t ti_total -> { t with ti_total });
-      Field (list int, (fun t -> t.ti_pairs),
-        fun t ti_pairs -> { t with ti_pairs });
-      Field (list (pair int int), (fun t -> t.ti_x_deltas),
-        fun t ti_x_deltas -> { t with ti_x_deltas });
-      Field (opt int, (fun t -> t.ti_delta_ct),
-        fun t ti_delta_ct -> { t with ti_delta_ct });
-      Field (opt int, (fun t -> t.ti_c_id),
-        fun t ti_c_id -> { t with ti_c_id });
-      Field (opt int, (fun t -> t.ti_size),
-        fun t ti_size -> { t with ti_size });
-      Field (bool, (fun t -> t.ti_labels_done),
-        fun t ti_labels_done -> { t with ti_labels_done });
-      Field (opt parity, (fun t -> t.ti_expected),
-        fun t ti_expected -> { t with ti_expected });
-      Field (opt string, (fun t -> t.ti_damage),
-        fun t ti_damage -> { t with ti_damage });
-      Field (list quad, (fun t -> t.ti_x_spans),
-        fun t ti_x_spans -> { t with ti_x_spans }) ]
-
-let corrob =
-  record
-    { pi_t_id = 0; pi_delta_data = None; pi_delta_ed = None;
-      pi_confirmed = false; pi_stash = []; pi_placed_runs = [] }
-    [ Field (int, (fun p -> p.pi_t_id), fun p pi_t_id -> { p with pi_t_id });
-      Field (opt int, (fun p -> p.pi_delta_data),
-        fun p pi_delta_data -> { p with pi_delta_data });
-      Field (opt int, (fun p -> p.pi_delta_ed),
-        fun p pi_delta_ed -> { p with pi_delta_ed });
-      Field (bool, (fun p -> p.pi_confirmed),
-        fun p pi_confirmed -> { p with pi_confirmed });
-      Field (list (triple bytes int int), (fun p -> p.pi_stash),
-        fun p pi_stash -> { p with pi_stash });
-      Field (list (pair int int), (fun p -> p.pi_placed_runs),
-        fun p pi_placed_runs -> { p with pi_placed_runs }) ]
-
 let receiver =
   record (empty_receiver ~conn:0)
     [ Field (int, (fun r -> r.ri_conn), fun r ri_conn -> { r with ri_conn });
       Field (list (pair int bytes), (fun r -> r.ri_placed),
         fun r ri_placed -> { r with ri_placed });
-      Field (list (pair int int), (fun r -> r.ri_verified),
-        fun r ri_verified -> { r with ri_verified });
       Field (opt int, (fun r -> r.ri_end_confirmed),
         fun r ri_end_confirmed -> { r with ri_end_confirmed });
-      Field (list (pair int int), (fun r -> r.ri_end_claims),
-        fun r ri_end_claims -> { r with ri_end_claims });
-      Field (list (pair int float), (fun r -> r.ri_last_reack),
-        fun r ri_last_reack -> { r with ri_last_reack });
       Field (int, (fun r -> r.ri_passed),
         fun r ri_passed -> { r with ri_passed });
-      Field (list tpdu, (fun r -> r.ri_tpdus),
-        fun r ri_tpdus -> { r with ri_tpdus });
-      Field (list corrob, (fun r -> r.ri_corrob),
-        fun r ri_corrob -> { r with ri_corrob });
       Field (list (pair int int), (fun r -> r.ri_shed_spans),
         fun r ri_shed_spans -> { r with ri_shed_spans });
       Field (list int, (fun r -> r.ri_shed_tids),

@@ -3,12 +3,14 @@
     [Multi.restore], which replays the journal through the endpoint's
     own primitives; this module only decodes.
 
-    The paper's compact-state receiver (WSC-2 parities + virtual
-    reassembly spans + a small label table per in-flight TPDU) makes
-    durability cheap: the whole recoverable state of an endpoint fits in
-    a few kilobytes, and each acknowledgement appends one journal record
+    The paper's receiver believes nothing until a TPDU's error check
+    passes, so what it must make durable is what it acknowledged: the
+    ledger and the verified, labelled runs.  Everything in flight is
+    soft state that the sender's retransmission rebuilds, and is not
+    kept.  A snapshot is therefore the verified bytes plus a few words
+    per connection, and each acknowledgement appends one journal record
     carrying exactly the bytes that ACK promised to keep.  Recovery is
-    therefore {e write-ahead}: the receiver journals the promise before
+    {e write-ahead}: the receiver journals the promise before
     the ACK leaves, so a restored endpoint never claims data it cannot
     produce.
 
@@ -28,46 +30,29 @@
     state, with every list in canonical sorted order so that
     [export (restore image) = image] holds structurally. *)
 
-type corrob_image = {
-  pi_t_id : int;  (** the TPDU this corroboration state belongs to *)
-  pi_delta_data : int option;  (** C.SN - T.SN claimed by data chunks *)
-  pi_delta_ed : int option;  (** C.SN - T.SN claimed by the ED chunk *)
-  pi_confirmed : bool;  (** the two deltas have agreed *)
-  pi_stash : (bytes * int * int) list;
-      (** unplaced chunks awaiting corroboration, oldest first, each as
-          (encoded one-chunk packet, T.SN, element count) *)
-  pi_placed_runs : (int * int) list;
-      (** (C.SN, elements) runs this TPDU has already placed *)
-}
-(** Per-TPDU spatial-corroboration state
-    (placement gating, see [Chunk_transport.Receiver]). *)
-
 type receiver_image = {
   ri_conn : int;  (** connection id the receiver serves *)
   ri_placed : (int * bytes) list;
-      (** placed destination bytes as (C.SN, bytes) runs, sorted and
-          coalesced exactly as [Labelling.Placement.spans] reports *)
-  ri_verified : (int * int) list;
-      (** verified cover as (C.SN, elements) spans, sorted, coalesced *)
+      (** the verified runs as (C.SN, bytes), sorted and coalesced
+          exactly as [Labelling.Placement.locked_spans] reports: their
+          cover is the verified cover.  Bytes placed by a TPDU not yet
+          verified are not kept. *)
   ri_end_confirmed : int option;  (** last element's C.SN, once ACKed *)
-  ri_end_claims : (int * int) list;
-      (** per-TPDU end-of-stream claims not yet verified, by T.ID *)
-  ri_last_reack : (int * float) list;
-      (** re-ACK throttle clocks, (T.ID, last re-ACK time) *)
   ri_passed : int;
       (** TPDUs verified over the whole epoch, across restarts — the
           archive gate ([Multi] keeps an epoch only if it delivered) *)
-  ri_tpdus : Edc.Verifier.tpdu_image list;  (** in-flight verifier state *)
-  ri_corrob : corrob_image list;  (** in-flight corroboration state *)
   ri_shed_spans : (int * int) list;
       (** element spans the sender shed and the receiver honoured, as
           (C.SN, elements), sorted and coalesced: they count toward
           completion, never toward verified delivery *)
   ri_shed_tids : int list;  (** T.IDs of the honoured sheds, ascending *)
 }
-(** Everything a [Chunk_transport.Receiver] cannot re-derive after a
-    crash.  Governor accounting is deliberately absent: occupancy is
-    recomputed from the restored state on restore. *)
+(** What a [Chunk_transport.Receiver] promised and cannot re-derive
+    after a crash.  Nothing in flight is here — verifier accumulators,
+    corroboration records and their stashed chunks, end claims not yet
+    verified, re-ACK clocks: it is soft state the sender's
+    retransmission rebuilds, so a restored receiver holds no in-flight
+    TPDU and its governor accounts nothing. *)
 
 type sender_image = {
   si_first_tid : int;  (** T.ID of the transfer's first TPDU *)
@@ -172,7 +157,7 @@ val event_conn : event -> int
 (** {1 Codec} *)
 
 val version : int
-(** Snapshot format version (4).  The rule: any change to the field
+(** Snapshot format version (5).  The rule: any change to the field
     layout bumps this, and a decoder rejects images whose version it
     does not know — there is no cross-version repair.  Every decoder
     also refuses a record whose payload holds bytes past its last field,

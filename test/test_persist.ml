@@ -171,6 +171,11 @@ let live_of c =
   | Some ri -> ri
   | None -> Alcotest.failf "connection %d has no live epoch" c.Persist.ci_id
 
+(* The verified cover a receiver image holds: its runs' spans, in
+   elements of [es] bytes. *)
+let cover ?(es = config.CT.elem_size) (ri : Persist.receiver_image) =
+  List.map (fun (sn, b) -> (sn, Bytes.length b / es)) ri.Persist.ri_placed
+
 let test_journal_replay () =
   (* two ACK records, out of order and with a gap: replay must produce
      the canonical image — sorted ledger, coalesced runs, the verified
@@ -202,7 +207,7 @@ let test_journal_replay () =
   Alcotest.(check int) "passes counted" 2 ri.Persist.ri_passed;
   Alcotest.(check (option int)) "end confirmed" (Some 5) ri.Persist.ri_end_confirmed;
   Alcotest.(check (list (pair int int)))
-    "verified cover coalesced" [ (0, 6) ] ri.Persist.ri_verified;
+    "verified cover coalesced" [ (0, 6) ] (cover ri);
   (match ri.Persist.ri_placed with
   | [ (0, b) ] ->
       Alcotest.(check string) "placed bytes fused"
@@ -289,7 +294,7 @@ let check_golden_recovery (Persist.Multi conns, torn) =
             [ (0, "abcdABCD"); (4, "efgh") ]
             (List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed);
           Alcotest.(check (list (pair int int)))
-            "verified" [ (0, 2); (4, 1) ] ri.Persist.ri_verified;
+            "verified" [ (0, 2); (4, 1) ] (cover ri);
           Alcotest.(check (option int)) "end" (Some 11) ri.Persist.ri_end_confirmed
       | None -> Alcotest.fail "acked connection lost its live epoch");
       Alcotest.(check bool) "closed connection has no live epoch" true
@@ -335,46 +340,14 @@ let test_journal_golden () =
    each shape, every field set to a value that tells it apart from its
    neighbours.  Any change to these bytes is a format change and must
    bump [Persist.version]. *)
-let golden_tpdu =
-  {
-    Edc.Verifier.ti_t_id = 5;
-    ti_parity = { Wsc2.p0 = 0x01020304; p1 = 0x05060708 };
-    ti_spans = [ (0, 4); (8, 2) ];
-    ti_total = Some 12;
-    ti_pairs = [ 4 ];
-    ti_x_deltas = [ (1, 100) ];
-    ti_delta_ct = Some 40;
-    ti_c_id = Some 7;
-    ti_size = Some 4;
-    ti_labels_done = false;
-    ti_expected = Some { Wsc2.p0 = 0xA0B0C0D0; p1 = 0x0E0F1011 };
-    ti_damage = Some "x-framing";
-    ti_x_spans = [ (0, 4, 1, 0); (8, 2, 1, 8) ];
-  }
-
 let golden_receiver =
   {
     Persist.ri_conn = 7;
     ri_placed = [ (0, Bytes.of_string "abcdefgh") ];
-    ri_verified = [ (0, 2) ];
     ri_end_confirmed = Some 11;
-    ri_end_claims = [ (5, 11) ];
-    ri_last_reack = [ (2, 0.25) ];
     ri_passed = 2;
-    ri_tpdus = [ golden_tpdu ];
     ri_shed_spans = [ (16, 8) ];
     ri_shed_tids = [ 9 ];
-    ri_corrob =
-      [
-        {
-          Persist.pi_t_id = 6;
-          pi_delta_data = Some 48;
-          pi_delta_ed = None;
-          pi_confirmed = false;
-          pi_stash = [ (Bytes.of_string "pkt", 0, 2) ];
-          pi_placed_runs = [ (48, 2) ];
-        };
-      ];
   }
 
 (* A standalone-receiver image (tag 0) as the retired format wrote it:
@@ -413,7 +386,7 @@ let golden_multi =
               ei_passes = 2;
             };
           ];
-        ci_live = Some { golden_receiver with Persist.ri_conn = 3; ri_tpdus = [] };
+        ci_live = Some { golden_receiver with Persist.ri_conn = 3 };
         ci_live_open = Some 16;
         ci_quar_until = 3.5;
         ci_quar_count = 2;
@@ -548,7 +521,7 @@ let test_contiguous_replay () =
   Alcotest.(check (list int)) "ledger" (List.init k Fun.id) c.Persist.ci_acked;
   Alcotest.(check int) "passes" k ri.Persist.ri_passed;
   Alcotest.(check (list (pair int int)))
-    "verified cover" [ (0, k * run_elems) ] ri.Persist.ri_verified;
+    "verified cover" [ (0, k * run_elems) ] (cover ~es:elem_size ri);
   (match ri.Persist.ri_placed with
   | [ (0, b) ] -> Alcotest.check Util.bytes_testable "one fused run" image b
   | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
@@ -1149,21 +1122,12 @@ let crash_door_stream ~seed ~conns ~data_len ~drop_k ~shed_pct =
 
 (* What an endpoint image holds durably: per connection, the ledger;
    each archived epoch's completion and passes, and a complete one's
-   delivered bytes; the live epoch's verified spans with their bytes,
-   end claim, passes and sheds.  In-flight state and epoch identity are
-   left out.  The shed TPDU's span is masked out of archived bytes: the
+   delivered bytes; the live epoch's verified runs with their bytes,
+   end claim, passes and sheds.  Epoch identity is left out.  The shed TPDU's span is masked out of archived bytes: the
    live buffer may hold unverified bytes of it, placed before the
    shed. *)
 let durable (Persist.Multi conns) =
   let es = config.CT.elem_size in
-  let verified_bytes (ri : Persist.receiver_image) (sn, len) =
-    List.find_map
-      (fun (s0, b) ->
-        if s0 <= sn && (sn + len - s0) * es <= Bytes.length b then
-          Some (Bytes.sub_string b ((sn - s0) * es) (len * es))
-        else None)
-      ri.Persist.ri_placed
-  in
   let masked conn b =
     let b = Bytes.copy b in
     (if conn = 1 then
@@ -1187,9 +1151,7 @@ let durable (Persist.Multi conns) =
           c.Persist.ci_hist,
         Option.map
           (fun (ri : Persist.receiver_image) ->
-            ( List.map
-                (fun span -> (span, verified_bytes ri span))
-                ri.Persist.ri_verified,
+            ( List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed,
               ri.Persist.ri_end_confirmed,
               ri.Persist.ri_passed,
               ri.Persist.ri_shed_spans,

@@ -677,11 +677,15 @@ let test_completion_rule () =
     in
     go 0 (List.sort compare spans) >= elems
   in
+  let es = config.CT.elem_size in
   let check step =
     let want = Util.coalesce_spans !verified in
     Alcotest.(check (list (pair int int)))
       (step ^ ": exported verified spans")
-      want (CT.Receiver.export !rx).Transport.Persist.ri_verified;
+      want
+      (List.map
+         (fun (sn, b) -> (sn, Bytes.length b / es))
+         (CT.Receiver.export !rx).Transport.Persist.ri_placed);
     Alcotest.(check bool)
       (step ^ ": complete as the sorted merge says")
       (old_rule (want @ CT.Receiver.shed_spans !rx))
@@ -703,15 +707,15 @@ let test_completion_rule () =
   pass 0;
   pass 1;
   shed ();
-  (* the image gains a verified span straddling the window's end: the
+  (* the image gains a verified run straddling the window's end: the
      restored receiver cannot lock it, so it neither exports it nor
      counts it toward completion *)
   let img = CT.Receiver.export !rx in
   let img =
     {
       img with
-      Transport.Persist.ri_verified =
-        img.Transport.Persist.ri_verified @ [ (elems - 4, 8) ];
+      Transport.Persist.ri_placed =
+        img.Transport.Persist.ri_placed @ [ (elems - 4, Bytes.make (8 * es) 'x') ];
     }
   in
   rx := CT.Receiver.restore engine config ~owner ~send_ack ~capacity img;
