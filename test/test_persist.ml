@@ -351,10 +351,12 @@ let golden_receiver =
   }
 
 (* A standalone-receiver image (tag 0) as the retired format wrote it:
-   [golden_receiver] with the ledger [1; 2].  Nothing writes tag 0 now,
-   and a decoder must refuse it, not raise. *)
+   [golden_receiver] with the ledger [1; 2], its version field set to
+   the current one (the record checksum does not cover it), so only its
+   tag refuses it.  Nothing writes tag 0 now, and a decoder must refuse
+   it, not raise. *)
 let retired_single_hex =
-  "43534e50000400000207000000000000000002000000000000000100000000000000020000\
+  "43534e50000500000207000000000000000002000000000000000100000000000000020000\
    00000000000700000000000000010000000000000000000000000000000861626364656667\
    6800000000000000010000000000000000000000000000000201000000000000000b000000\
    00000000010000000000000005000000000000000b00000000000000010000000000000002\
@@ -405,6 +407,18 @@ let golden_multi =
     ]
 
 let golden_multi_hex =
+  "43534e500005000000f5010000000000000002000000000000000300000000000000010000\
+   00000000000000000000000000010000000000000004616263640101000000000000000000\
+   00000000000001000000000000000201000000000000000300000000000000010000000000\
+   0000000000000000000008616263646566676801000000000000000b000000000000000200\
+   00000000000001000000000000001000000000000000080000000000000001000000000000\
+   0009010000000000000010400c000000000000000000000000000201000000000000000900\
+   000000000000000000000000000000000000000000000000000000000000000000007d772c\
+   6874e97da1"
+
+(* [golden_multi] as version 4 wrote it, in-flight verifier and
+   corroboration state included: a version-5 decoder refuses it. *)
+let golden_multi_v4_hex =
   "43534e5000040000019b010000000000000002000000000000000300000000000000010000\
    00000000000000000000000000010000000000000004616263640101000000000000000000\
    00000000000001000000000000000201000000000000000300000000000000010000000000\
@@ -429,7 +443,7 @@ let golden_sender =
   }
 
 let golden_sender_hex =
-  "43534e50000400000049020000000000000001000000000000000300000000000000010000\
+  "43534e50000500000049020000000000000001000000000000000300000000000000010000\
    0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
    00000000000000000010ea9c65161a4842b3"
 
@@ -439,6 +453,8 @@ let test_snapshot_goldens () =
   in
   check "multi image" golden_multi_hex (Persist.encode_endpoint golden_multi);
   check "sender image" golden_sender_hex (Persist.encode_sender golden_sender);
+  Alcotest.(check bool) "version-4 image refused" true
+    (Result.is_error (Persist.decode_endpoint (of_hex golden_multi_v4_hex)));
   Alcotest.(check bool) "retired tag-0 image refused" true
     (match Persist.decode_endpoint (of_hex retired_single_hex) with
     | Error _ -> true
@@ -1232,7 +1248,7 @@ let suite =
       `Quick test_journal_v2_golden;
     Alcotest.test_case "journal Acked record is tag 20 byte for byte" `Quick
       test_journal_golden;
-    Alcotest.test_case "snapshot and sender formats are version 4 byte for byte"
+    Alcotest.test_case "snapshot and sender formats are version 5 byte for byte"
       `Quick test_snapshot_goldens;
     Alcotest.test_case "sender image with bytes after its record is refused"
       `Quick test_sender_trailing_image;
