@@ -1222,6 +1222,40 @@ let prop_crash_keeps_durable
       (not torn) && durable img = want)
     [ journal_only; with_snapshot ]
 
+(* A crash is no verdict: tearing down an endpoint that holds in-flight
+   TPDUs drops them without counting a failure or a verify latency. *)
+let test_teardown_counts_no_verdict () =
+  let packets, quota_elems =
+    crash_door_stream ~seed:5 ~conns:2 ~data_len:2_000 ~drop_k:0 ~shed_pct:100
+  in
+  let m =
+    Transport.Multi.create (Netsim.Engine.create ()) ~config:crash_config
+      ~quota_elems ~max_conns:3 ~send_ack:ignore ()
+  in
+  (* every other packet of the first half: TPDUs arrive with holes *)
+  List.iteri
+    (fun i b ->
+      if i mod 2 = 0 && i < List.length packets / 2 then
+        Transport.Multi.ingest m b)
+    packets;
+  let in_flight = Transport.Multi.live_in_flight m in
+  if in_flight = 0 then Alcotest.fail "no TPDU in flight before the crash";
+  let failed = Obs.Metrics.counter "edc_tpdus_failed_total"
+  and latency = Obs.Metrics.histogram "edc_verify_latency_us" in
+  let failed0 = Obs.Metrics.value failed
+  and latency0 = Obs.Metrics.hist_count latency
+  and stats0 = Transport.Multi.verifier_stats m in
+  Transport.Multi.teardown m;
+  Alcotest.(check int) "edc_tpdus_failed_total unchanged" failed0
+    (Obs.Metrics.value failed);
+  Alcotest.(check int) "edc_verify_latency_us unchanged" latency0
+    (Obs.Metrics.hist_count latency);
+  Alcotest.(check int) "verifier failures unchanged"
+    stats0.Edc.Verifier.tpdus_failed
+    (Transport.Multi.verifier_stats m).Edc.Verifier.tpdus_failed;
+  Alcotest.(check int) "nothing left in flight" 0
+    (Transport.Multi.live_in_flight m)
+
 let suite =
   [
     Util.qtest ~count:60
@@ -1277,6 +1311,8 @@ let suite =
       test_shed_survives_restore;
     Alcotest.test_case "an honoured shed survives a journal-only recovery"
       `Quick test_shed_survives_journal;
+    Alcotest.test_case "a crash counts no verdict for what was in flight"
+      `Quick test_teardown_counts_no_verdict;
     Util.qtest ~count:150
       "recovery holds the uncrashed endpoint's durable state at the crash"
       gen_crash_case prop_crash_keeps_durable;
