@@ -34,7 +34,11 @@ val signal_chunk : conn_id:int -> signal -> Chunk.t
 (** Encode a signal as a control chunk of the connection. *)
 
 val parse_signal : Chunk.t -> (int * signal, string) result
-(** Decode a signalling chunk into (connection id, signal). *)
+(** Decode a signalling chunk into (connection id, signal).  [Error]
+    unless the chunk carries exactly the labels {!signal_chunk} writes —
+    C.SN 0, C.ST clear, T and X tuples {!Ftuple.zero} — and its payload
+    matches its parity.  The parity covers the payload only, so the
+    C.ID is still taken on trust. *)
 
 (** {1 Receiver-side connection table} *)
 

@@ -690,8 +690,9 @@ let on_scanned m (v : Chunk.view) ~hdr =
             with e -> bulkhead m ~conn_id:cid e))
     | Error _ -> (
         (* a structurally valid signal chunk whose payload failed its
-           WSC-2 parity (or shape) check: silently dropped, but counted
-           — corruption in flight and tampering look identical here *)
+           WSC-2 parity (or shape) check, or whose labels are not a
+           signal's: silently dropped, but counted — corruption in
+           flight and tampering look identical here *)
         m.counts.sig_damage <- m.counts.sig_damage + 1;
         match find_conn m h.Header.c.Ftuple.id with
         | Some c -> note_unscored m c

@@ -618,6 +618,36 @@ let test_idle_gc_spares_retransmitting_sender () =
            (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
               ~observation:o))
 
+(* Regression: a Close signal whose header was damaged in flight (its
+   T.ID read 32, where a signal carries 0) passed the payload parity and
+   closed connection 1 while its sender was still sending; the
+   connection was then scored late, quarantined 9 times, and its sender
+   gave up ([gave-up]). *)
+let damaged_signal_line =
+  "seed=111812214452086305 profile=crash-flood data_len=6713 elem_size=4 \
+   tpdu_elems=260 frame_bytes=80 mtu=303 window=1 rto=0.11827294179718628 \
+   sack=false adaptive=false nack_delay=0.02956823544929657 \
+   rto_adaptive=false give_up_txs=40 state_budget=0 state_ttl=5 \
+   connections=3 reopen=false paths=5 skew=0 \
+   jitter=0.00029640215029551553 spread=random \
+   rate_bps=345896982.58509457 delay=0.00058494892932143899 \
+   gateways=reassemble:1838:1 loss=0.014572803276502818 \
+   corrupt=0.0097237204284185939 duplicate=0.023197886758469191 dropper=- \
+   ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
+   snap_period=0 byz=-"
+
+let test_damaged_signal_refused () =
+  match Check.Schedule.of_string damaged_signal_line with
+  | None -> Alcotest.fail "regression line does not parse"
+  | Some s ->
+      let o = Check.Driver.run s in
+      Alcotest.(check (list string))
+        "no oracle violations" []
+        (List.map
+           Check.Oracle.violation_to_string
+           (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
+              ~observation:o))
+
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
      and require the oracle to catch it AND the shrinker to keep a
@@ -782,4 +812,6 @@ let suite =
       `Quick test_exact_one_sided_delivery;
     Alcotest.test_case "idle GC spares a retransmitting sender" `Quick
       test_idle_gc_spares_retransmitting_sender;
+    Alcotest.test_case "a signal with damaged labels is refused" `Quick
+      test_damaged_signal_refused;
   ]

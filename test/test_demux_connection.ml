@@ -35,6 +35,47 @@ let test_signal_parity_rejects_damage () =
     | Ok _ -> Alcotest.failf "flipped bit at payload byte %d went undetected" i
   done
 
+(* The payload parity covers no header field, so a signal must carry
+   exactly the labels [signal_chunk] writes: any flipped bit of its C.SN,
+   T tuple or X tuple makes it some other chunk, never a signal. *)
+let test_signal_refuses_damaged_labels () =
+  let labels =
+    List.filter
+      (fun (f, _, _) ->
+        match f with
+        | Wire.Sn Wire.C | Wire.Id Wire.T | Wire.Sn Wire.T | Wire.St Wire.T
+        | Wire.Id Wire.X | Wire.Sn Wire.X | Wire.St Wire.X ->
+            true
+        | _ -> false)
+      Wire.layout
+  in
+  List.iter
+    (fun signal ->
+      let buf = Buffer.create 128 in
+      Wire.encode_chunk buf (Connection.signal_chunk ~conn_id:42 signal);
+      let image = Buffer.to_bytes buf in
+      List.iter
+        (fun (_, off, width) ->
+          for bit = 0 to (8 * width) - 1 do
+            let b = Bytes.copy image in
+            let i = off + (bit / 8) in
+            Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (bit mod 8)));
+            match Wire.decode_chunk b 0 with
+            | Error _ -> ()
+            | Ok (chunk, _) -> (
+                match Connection.parse_signal chunk with
+                | Error _ -> ()
+                | Ok _ ->
+                    Alcotest.failf "bit %d of header byte %d went undetected"
+                      (bit mod 8) i)
+          done)
+        labels)
+    [ Connection.Open { first_csn = 1000 };
+      Connection.Close;
+      Connection.Resync { c_sn = 77 };
+      Connection.Abort_tpdu { t_id = 5 };
+      Connection.Shed_tpdu { t_id = 6; first_elem = 48; elems = 16 } ]
+
 let test_connection_lifecycle () =
   let tbl = Connection.create () in
   let data = data_chunk () in
@@ -559,6 +600,8 @@ let suite =
     Alcotest.test_case "signal roundtrip" `Quick test_signal_roundtrip;
     Alcotest.test_case "signal parity rejects damage" `Quick
       test_signal_parity_rejects_damage;
+    Alcotest.test_case "signal refuses damaged C.SN, T and X labels" `Quick
+      test_signal_refuses_damaged_labels;
     Alcotest.test_case "connection lifecycle" `Quick test_connection_lifecycle;
     Alcotest.test_case "in-band C.ST closes" `Quick test_inband_cst_closes;
     Alcotest.test_case "multi: close then reopen reuses C.ID" `Quick
