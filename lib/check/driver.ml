@@ -467,8 +467,8 @@ let corrupt_image conns =
   let live (c : Persist.conn_image) =
     match c.Persist.ci_live with
     | Some ({ Persist.ri_placed = (sn, data) :: runs; _ } as ri) ->
-        let ri = { ri with Persist.ri_placed = (sn, flip_byte data 0) :: runs } in
-        Some { c with Persist.ci_live = Some ri }
+        let ri_placed = (sn, flip_byte data 0) :: runs in
+        Some { c with Persist.ci_live = Some { ri with Persist.ri_placed } }
     | Some _ | None -> None
   in
   let archived (c : Persist.conn_image) =

@@ -61,8 +61,10 @@ let parse_signal chunk =
     (* the labels [signal_chunk] writes, and no others: the parity below
        covers the payload only, so a damaged header must not pass for
        some other signal *)
-    h.Header.c.Ftuple.sn <> 0 || h.Header.c.Ftuple.st
-    || not (Ftuple.equal h.Header.t Ftuple.zero && Ftuple.equal h.Header.x Ftuple.zero)
+    h.Header.c.Ftuple.sn <> 0
+    || h.Header.c.Ftuple.st
+    || not (Ftuple.equal h.Header.t Ftuple.zero)
+    || not (Ftuple.equal h.Header.x Ftuple.zero)
   then Error "Connection.parse_signal: labels a signal does not carry"
   else if len <> 9 + parity_len && len <> 25 + parity_len then
     Error "Connection.parse_signal: bad payload size"

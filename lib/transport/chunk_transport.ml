@@ -901,10 +901,9 @@ module Receiver = struct
     (* The verifier's data parity is the runs' own when they are exactly
        the TPDU's data span and no other TPDU has locked verified bytes
        there: until this pass locks the span, every byte in it is then
-       this TPDU's own.  Anything else (a restored TPDU, shed or clipped
-       elements, a partial cover) leaves the journal to compute the
-       parity.  Asked on every pass, so the verifier keeps nothing of
-       the TPDU. *)
+       this TPDU's own.  Anything else (shed or clipped elements, a
+       partial cover) leaves the journal to compute the parity.  Asked
+       on every pass, so the verifier keeps nothing of the TPDU. *)
     let whole =
       Option.is_some rx.persist
       && Int_rows.count spans = 1
@@ -1180,7 +1179,8 @@ module Receiver = struct
   let restore_run rx (sn, b) =
     (match Placement.restore_span rx.placement ~sn b with
     | Ok () | Error _ -> ());
-    Placement.lock_span rx.placement ~sn ~len:(Bytes.length b / rx.config.elem_size)
+    Placement.lock_span rx.placement ~sn
+      ~len:(Bytes.length b / rx.config.elem_size)
 
   (* Rebuild a live receiver from its persisted image: its verified runs,
      end confirmation, pass count and honoured sheds.  It holds no

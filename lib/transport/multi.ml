@@ -960,9 +960,7 @@ let reannounce m =
    flight is not counted as failed. *)
 let teardown m =
   let lives = m.n_live in
-  Int_table.iter
-    (fun _ c -> Option.iter R.forget_in_flight c.live)
-    m.conns;
+  Int_table.iter (fun _ c -> Option.iter R.forget_in_flight c.live) m.conns;
   Int_table.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns;
   if Obs.enabled then
     Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - lives))

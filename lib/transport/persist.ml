@@ -7,10 +7,11 @@ open Labelling
    state the sender's retransmission rebuilds, so none of it is kept.
    Here are only the images, their codecs and the store.  The live
    transport exports to and restores from the images ([Multi.export] /
-   [.restore]), and recovery replays the journal through the restored endpoint itself
-   ([Chunk_transport.Receiver.replay]): a journalled ACK is nothing but
-   verified, labelled runs, placed by their labels alone, so this module
-   keeps no second copy of what an acknowledgement does. *)
+   [.restore]), and recovery replays the journal through the restored
+   endpoint itself ([Chunk_transport.Receiver.replay]): a journalled ACK
+   is nothing but verified, labelled runs, placed by their labels alone,
+   so this module keeps no second copy of what an acknowledgement
+   does. *)
 
 type receiver_image = {
   ri_conn : int;

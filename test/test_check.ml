@@ -606,8 +606,10 @@ let idle_gc_line =
    ack_blackhole=- outage=drop:0.048790889184831827:2.3891098340141479 \
    flood=- overlap=- shed=- crashes=- snap_period=0 byz=-"
 
-let test_idle_gc_spares_retransmitting_sender () =
-  match Check.Schedule.of_string idle_gc_line with
+(* A regression schedule line parses and replays with no oracle
+   violation. *)
+let replays_clean line () =
+  match Check.Schedule.of_string line with
   | None -> Alcotest.fail "regression line does not parse"
   | Some s ->
       let o = Check.Driver.run s in
@@ -635,18 +637,6 @@ let damaged_signal_line =
    corrupt=0.0097237204284185939 duplicate=0.023197886758469191 dropper=- \
    ack_blackhole=- outage=- flood=- overlap=- shed=- crashes=- \
    snap_period=0 byz=-"
-
-let test_damaged_signal_refused () =
-  match Check.Schedule.of_string damaged_signal_line with
-  | None -> Alcotest.fail "regression line does not parse"
-  | Some s ->
-      let o = Check.Driver.run s in
-      Alcotest.(check (list string))
-        "no oracle violations" []
-        (List.map
-           Check.Oracle.violation_to_string
-           (Check.Oracle.check ~schedule:s ~model:(Check.Model.of_schedule s)
-              ~observation:o))
 
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
@@ -811,7 +801,7 @@ let suite =
     Alcotest.test_case "counterfactual: exact counts one-sided delivery"
       `Quick test_exact_one_sided_delivery;
     Alcotest.test_case "idle GC spares a retransmitting sender" `Quick
-      test_idle_gc_spares_retransmitting_sender;
+      (replays_clean idle_gc_line);
     Alcotest.test_case "a signal with damaged labels is refused" `Quick
-      test_damaged_signal_refused;
+      (replays_clean damaged_signal_line);
   ]

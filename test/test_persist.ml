@@ -1167,7 +1167,9 @@ let durable (Persist.Multi conns) =
           c.Persist.ci_hist,
         Option.map
           (fun (ri : Persist.receiver_image) ->
-            ( List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed,
+            ( List.map
+                (fun (sn, b) -> (sn, Bytes.to_string b))
+                ri.Persist.ri_placed,
               ri.Persist.ri_end_confirmed,
               ri.Persist.ri_passed,
               ri.Persist.ri_shed_spans,

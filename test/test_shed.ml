@@ -715,7 +715,8 @@ let test_completion_rule () =
     {
       img with
       Transport.Persist.ri_placed =
-        img.Transport.Persist.ri_placed @ [ (elems - 4, Bytes.make (8 * es) 'x') ];
+        img.Transport.Persist.ri_placed
+        @ [ (elems - 4, Bytes.make (8 * es) 'x') ];
     }
   in
   rx := CT.Receiver.restore engine config ~owner ~send_ack ~capacity img;
