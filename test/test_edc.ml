@@ -565,8 +565,8 @@ let suite =
       gen_memo_ops prop_verifier_memo_coherent;
     Util.qtest ~count:300 "passed TPDU's data parity is its data's WSC-2"
       gen_data_parity_case prop_data_parity;
-    Alcotest.test_case "data parity: own span only, once" `Quick
-      test_data_parity_own_span;
+    Alcotest.test_case "data parity: own span only, once, then forgotten"
+      `Quick test_data_parity_own_span;
     Util.qtest ~count:40 "parity invariance (property)"
       QCheck2.Gen.(tup2 (int_range 0 10000) (int_range 0 10000))
       (fun (s1, s2) ->
