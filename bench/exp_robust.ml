@@ -57,26 +57,23 @@ let rob_rto () =
         (float_of_int adaptive.rtt_samples))
     [ 0.0; 0.05; 0.10; 0.20 ]
 
+(* Whether a packet carries an ED chunk. *)
+let carries_ed b =
+  match Labelling.Wire.decode_packet b with
+  | Error _ -> false
+  | Ok chunks ->
+      List.exists
+        (fun ch ->
+          Labelling.Ctype.equal
+            ch.Labelling.Chunk.header.Labelling.Header.ctype
+            Labelling.Ctype.ed)
+        chunks
+
 (* A starved forward path, with the reverse path dead: every packet
-   carrying an ED chunk is lost, so no TPDU can verify — until [heal]
-   holds an endpoint, which then receives every packet. *)
-let starved ?(heal = ref None) engine config ~quota_elems data =
-  let drops_ed b =
-    match Labelling.Wire.decode_packet b with
-    | Error _ -> false
-    | Ok chunks ->
-        List.exists
-          (fun ch ->
-            Labelling.Ctype.equal
-              ch.Labelling.Chunk.header.Labelling.Header.ctype
-              Labelling.Ctype.ed)
-          chunks
-  in
+   carrying an ED chunk is lost, so no TPDU can verify. *)
+let starved engine config ~quota_elems data =
   Transport.Transfer.connect engine config ~quota_elems
-    ~forward:(fun deliver b ->
-      match !heal with
-      | Some m -> Transport.Multi.ingest m b
-      | None -> if not (drops_ed b) then deliver b)
+    ~forward:(fun deliver b -> if not (carries_ed b) then deliver b)
     ~reverse:(fun _ _ -> ())
     (`Data data)
 
@@ -118,14 +115,17 @@ let rob_abort () =
 (* ROB-RECOVER: what crash recovery costs.  A snapshot holds what the
    receiver acknowledged — the ledger and the verified runs — and
    nothing in flight, which the sender's retransmission rebuilds.  Two
-   sweeps: against the number of in-flight TPDUs (one connection,
-   ED-bearing packets dropped so nothing verifies and the whole window
-   is in flight at the crash), the snapshot's size, the decode+restore
-   wall time, and the bytes the sender retransmits after the restore
-   until the transfer completes; against the number of live
-   connections, each endpoint snapshotted mid-transfer, the size and
-   the restore time.  A restore time is the median of five rounds,
-   after a warm-up round. *)
+   sweeps.  Against the number of in-flight TPDUs: one connection sends
+   one window with its reverse path dead and each TPDU's ED-bearing
+   packet held back, so the whole window is in flight, partly received,
+   at the crash; the snapshot's size, its decode+restore wall time, and
+   the bytes the sender retransmits after the restore until the
+   transfer completes, in three cases: the held packets are lost with
+   the crash (the RTO retransmits), or they arrive after the restore,
+   without SACK or with it (the receiver NACKs its gaps).  Against the
+   number of live connections, each endpoint snapshotted mid-transfer:
+   the size and the restore time.  A restore time is the median of five
+   rounds after a warm-up round, each restore on a private engine. *)
 let rob_recover () =
   let module CT = Transport.Chunk_transport in
   let module M = Transport.Multi in
@@ -143,70 +143,100 @@ let rob_recover () =
     let rounds = List.sort Float.compare (List.init 5 (fun _ -> round ())) in
     List.nth rounds 2
   in
-  let restorer engine ~config ~quota_elems ~max_conns ~send_ack encoded () =
+  let restorer engine ~config ~quota_elems ~max_conns ~send_ack encoded =
     match P.decode_endpoint encoded with
     | Error e -> failwith e
     | Ok (P.Multi cs) ->
         M.restore engine ~config ~quota_elems ~max_conns ~send_ack cs []
   in
-  Printf.printf "  %-18s %-12s %-12s %-14s\n" "in-flight TPDUs" "snapshot B"
-    "restore us" "retx B after";
+  let timed reps ~config ~quota_elems ~max_conns encoded =
+    let engine = Netsim.Engine.create ~seed () in
+    time_restores reps (fun () ->
+        ignore
+          (restorer engine ~config ~quota_elems ~max_conns
+             ~send_ack:(fun _ -> ())
+             encoded
+            : M.t))
+  in
+  (* One window of [k] TPDUs: after a restore, everything the sender
+     sends is a retransmission. *)
+  let window k ~sack =
+    let config =
+      { CT.default_config with
+        CT.rto = 0.05;
+        window = k;
+        give_up_txs = 1000;
+        state_ttl = 30.0;
+        sack }
+    in
+    let data = transfer_data (k * config.CT.tpdu_elems * config.CT.elem_size) in
+    (config, data, CT.expected_elements config ~data_len:(Bytes.length data))
+  in
+  (* Crash the window's receiver before the sender's first RTO, restore
+     it, and run the transfer out; [late] delivers the held packets
+     after the restore.  Returns the TPDUs in flight at the crash, the
+     snapshot, and the bytes sent after the restore. *)
+  let crash_window k ~late ~sack =
+    let engine = Netsim.Engine.create ~seed () in
+    let config, data, quota_elems = window k ~sack in
+    let restored = ref None and held = Queue.create () in
+    let w =
+      Transport.Transfer.connect engine config ~quota_elems
+        ~forward:(fun deliver b ->
+          match !restored with
+          | Some m -> M.ingest m b
+          | None -> if carries_ed b then Queue.add b held else deliver b)
+        ~reverse:(fun _ _ -> ())
+        (`Data data)
+    in
+    Netsim.Engine.run ~until:0.025 engine;
+    let m = Transport.Transfer.endpoint w
+    and tx = Transport.Transfer.sender w in
+    let in_flight = M.live_in_flight m in
+    let encoded = P.encode_endpoint (P.Multi (M.export m)) in
+    M.teardown m;
+    let m' =
+      restorer engine ~config ~quota_elems ~max_conns:1
+        ~send_ack:(CT.Sender.on_packet tx) encoded
+    in
+    assert (M.live_in_flight m' = 0 && M.live_stashed m' = 0);
+    M.reannounce m';
+    restored := Some m';
+    let sent = CT.Sender.bytes_sent tx in
+    if late then Queue.iter (M.ingest m') held;
+    Transport.Transfer.finish w;
+    assert (CT.Sender.finished tx && not (CT.Sender.gave_up tx));
+    (match M.epochs m' ~conn_id:config.CT.conn_id with
+    | [ e ] -> assert (Bytes.equal e.M.delivered data)
+    | _ -> assert false);
+    (in_flight, encoded, CT.Sender.bytes_sent tx - sent)
+  in
+  Printf.printf "  %-16s %-11s %-11s %-24s\n" "in-flight TPDUs" "snapshot B"
+    "restore us" "retx B: lost/late/SACK";
   List.iter
     (fun k ->
-      let engine = Netsim.Engine.create ~seed () in
-      let config =
-        { CT.default_config with
-          CT.rto = 0.05;
-          window = k;
-          give_up_txs = 1000;
-          state_ttl = 30.0 }
-      in
-      let tpdu_bytes = config.CT.tpdu_elems * config.CT.elem_size in
-      (* one window of data: after the restore, everything the sender
-         sends is a retransmission *)
-      let data = transfer_data (k * tpdu_bytes) in
-      let quota_elems =
-        CT.expected_elements config ~data_len:(Bytes.length data)
-      in
-      let heal = ref None in
-      let w = starved engine config ~quota_elems data ~heal in
-      (* stop before the first RTO fires: exactly the initial window is
-         in flight, none of it verified *)
-      Netsim.Engine.run ~until:0.04 engine;
-      let m = Transport.Transfer.endpoint w
-      and tx = Transport.Transfer.sender w in
-      let in_flight = M.live_in_flight m in
-      let encoded = P.encode_endpoint (P.Multi (M.export m)) in
-      let restore =
-        restorer engine ~config ~quota_elems ~max_conns:1 encoded
-          ~send_ack:(CT.Sender.on_packet tx)
-      in
-      let us = time_restores 200 (fun () -> ignore (restore () : M.t)) in
-      (* crash, restore, heal the path, and run the transfer out *)
-      M.teardown m;
-      let m' = restore () in
-      assert (M.live_in_flight m' = 0 && M.live_stashed m' = 0);
-      M.reannounce m';
-      heal := Some m';
-      let sent = CT.Sender.bytes_sent tx in
-      Transport.Transfer.finish w;
-      assert (CT.Sender.finished tx && not (CT.Sender.gave_up tx));
-      (match M.epochs m' ~conn_id:config.CT.conn_id with
-      | [ e ] -> assert (Bytes.equal e.M.delivered data)
-      | _ -> assert false);
-      let retx = CT.Sender.bytes_sent tx - sent in
-      Printf.printf "  %-18d %-12d %-12.1f %-14d\n" in_flight
-        (Bytes.length encoded) us retx;
+      let in_flight, encoded, lost = crash_window k ~late:false ~sack:false in
+      let _, _, late = crash_window k ~late:true ~sack:false in
+      let _, _, nacked = crash_window k ~late:true ~sack:true in
+      (* nothing in flight survives the crash: without SACK the late
+         packets save nothing, with it the sender resends what the
+         receiver held before the crash, less than the window *)
+      assert (late = lost && nacked < late);
+      let config, _, quota_elems = window k ~sack:false in
+      let us = timed 200 ~config ~quota_elems ~max_conns:1 encoded in
+      Printf.printf "  %-16d %-11d %-11.1f %d / %d / %d\n" in_flight
+        (Bytes.length encoded) us lost late nacked;
       let tag = Printf.sprintf "%d tpdus" in_flight in
-      Util_bench.Metrics.record ~exp:"ROB-RECOVER"
-        ("snapshot bytes @" ^ tag)
-        (float_of_int (Bytes.length encoded));
-      Util_bench.Metrics.record ~exp:"ROB-RECOVER" ("restore us @" ^ tag) us;
-      Util_bench.Metrics.record ~exp:"ROB-RECOVER"
-        ("retransmitted bytes @" ^ tag)
-        (float_of_int retx))
+      let record name v =
+        Util_bench.Metrics.record ~exp:"ROB-RECOVER" (name ^ " @" ^ tag) v
+      in
+      record "snapshot bytes" (float_of_int (Bytes.length encoded));
+      record "restore us" us;
+      record "retransmitted bytes, tail lost" (float_of_int lost);
+      record "retransmitted bytes, tail late" (float_of_int late);
+      record "retransmitted bytes, tail late, sack" (float_of_int nacked))
     [ 4; 16; 64 ];
-  Printf.printf "  %-18s %-12s %-12s\n" "live connections" "snapshot B"
+  Printf.printf "  %-16s %-11s %-11s\n" "live connections" "snapshot B"
     "restore us";
   List.iter
     (fun conns ->
@@ -230,14 +260,9 @@ let rob_recover () =
       Netsim.Engine.run ~until:0.04 engine;
       let encoded = P.encode_endpoint (P.Multi (M.export m)) in
       let us =
-        time_restores 100 (fun () ->
-            ignore
-              (restorer engine ~config ~quota_elems ~max_conns:(conns + 2)
-                 ~send_ack:(fun _ -> ())
-                 encoded ()
-                : M.t))
+        timed 100 ~config ~quota_elems ~max_conns:(conns + 2) encoded
       in
-      Printf.printf "  %-18d %-12d %-12.1f\n" (M.live_conns m)
+      Printf.printf "  %-16d %-11d %-11.1f\n" (M.live_conns m)
         (Bytes.length encoded) us;
       let tag = Printf.sprintf "%d conns" conns in
       Util_bench.Metrics.record ~exp:"ROB-RECOVER"

@@ -173,9 +173,7 @@ val placed_elems : t -> int
 
 val spans : t -> (int * int) list
 (** Occupied element runs, locked ones included, as [(sn, len)]
-    relative to [base_sn], ascending and coalesced — with {!contents}
-    this is the whole recoverable placement state (crash-recovery
-    snapshots serialise exactly these runs and their bytes). *)
+    relative to [base_sn], ascending and coalesced. *)
 
 val restore_span : t -> sn:int -> bytes -> (unit, string) result
 (** [restore_span p ~sn data] re-places a previously placed run from a
@@ -208,7 +206,8 @@ val locked_elems : t -> int
 
 val locked_spans : t -> (int * int) list
 (** Locked element runs as [(sn, len)] relative to [base_sn], ascending
-    and coalesced. *)
+    and coalesced — with {!contents}, what a crash-recovery snapshot
+    keeps of the placement. *)
 
 val first_unlocked : t -> int -> int
 (** [first_unlocked p e] is the first element at or after [e] (relative
