@@ -38,6 +38,10 @@ type t = {
   buf : bytes;
   occ : bytes;  (* one bit per element: the element holds placed data *)
   lck : bytes;  (* one bit per element: the data is verified-locked *)
+  mutable holes_zeroed : bool;
+      (* whether every unoccupied element of [buf] reads 0: set by the
+         first whole read; until then [lock_span] zeroes what it marks
+         occupied unwritten, and from then on nothing needs to *)
   mutable conflicts_seen : int;
   mutable conflicts_rejected : int;
   mutable quarantined : int;
@@ -52,9 +56,12 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     base_sn;
     elem_size;
     capacity_elems;
-    buf = Bytes.make (capacity_elems * elem_size) '\000';
+    (* never written here: placement writes each element once, straight
+       from the packet, and a hole is zeroed only if someone reads it *)
+    buf = Bytes.create (capacity_elems * elem_size);
     occ = Bytes.make (((capacity_elems + 63) lsr 6) lsl 3) '\000';
     lck = Bytes.make (((capacity_elems + 63) lsr 6) lsl 3) '\000';
+    holes_zeroed = false;
     conflicts_seen = 0;
     conflicts_rejected = 0;
     quarantined = 0;
@@ -331,15 +338,33 @@ let place_view ?(verified = false) p (v : Chunk.view) =
 let place_checked p chunk = place_view p (Chunk.view chunk)
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)
 
+(* Zero the unoccupied elements of [sn, stop), found a word of the map
+   at a time. *)
+let rec zero_holes p sn stop =
+  let s = next_bit p.occ ~v:false sn stop in
+  if s < stop then begin
+    let t = next_bit p.occ ~v:true s stop in
+    Bytes.fill p.buf (s * p.elem_size) ((t - s) * p.elem_size) '\000';
+    zero_holes p t stop
+  end
+
+(* Whether the element run [sn, sn + len), relative to [base_sn], is a
+   non-empty run inside the window. *)
+let run_in_window p ~sn ~len =
+  sn >= 0 && len > 0 && len <= p.capacity_elems && sn <= p.capacity_elems - len
+
 let lock_span p ~sn ~len =
-  if sn >= 0 && len > 0 && len <= p.capacity_elems
-     && sn <= p.capacity_elems - len
-  then begin
+  if run_in_window p ~sn ~len then begin
+    (* an element locked without ever being written becomes content: it
+       must read 0, not whatever the storage held before [create] *)
+    if not p.holes_zeroed then zero_holes p sn (sn + len);
     set_bits p.lck sn len;
     (* locked implies occupied: verified bytes are content, whatever a
        snapshot restored around them *)
     set_bits p.occ sn len
   end
+
+let lock_placed p ~sn ~len = if run_in_window p ~sn ~len then set_bits p.lck sn len
 
 let any_locked p ~sn ~len =
   let lo = Int.max 0 sn and hi = Int.min p.capacity_elems (sn + len) in
@@ -351,7 +376,7 @@ let restore_span p ~sn data =
     Error "Placement.restore_span: not a whole number of elements"
   else begin
     let len = n / p.elem_size in
-    if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
+    if not (run_in_window p ~sn ~len) then
       Error "Placement.restore_span: outside destination window"
     else begin
       Bytes.blit data 0 p.buf (sn * p.elem_size) n;
@@ -373,7 +398,14 @@ let first_unlocked p e =
   if e < 0 || e >= p.capacity_elems then e
   else next_bit p.lck ~v:false e p.capacity_elems
 
-let contents p = p.buf
+let contents p =
+  if not p.holes_zeroed then begin
+    zero_holes p 0 p.capacity_elems;
+    p.holes_zeroed <- true
+  end;
+  p.buf
+
+let raw_contents p = p.buf
 
 let overlap_stats p =
   {

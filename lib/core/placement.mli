@@ -79,9 +79,12 @@ val create : level:level -> base_sn:int -> capacity_elems:int -> elem_size:int -
     is two one-bit-per-element maps (placed, verified-locked), each a
     whole number of 64-bit words, so the whole placement costs
     [capacity_elems * elem_size + 16 * ceil(capacity_elems / 64)] bytes,
-    all allocated here.  The maps are the only record of what is placed
-    and what is verified: every coverage reader below derives its answer
-    from them, scanning a 64-element word per load. *)
+    all allocated here.  Only the maps are written here: the buffer is
+    not zero-filled ahead of the data, which placement writes into it
+    once; its holes are zeroed only when it is read whole ({!contents}).
+    The maps are the only record of what is placed and what is
+    verified: every coverage reader below derives its answer from them,
+    scanning a 64-element word per load. *)
 
 val place : t -> Chunk.t -> (unit, string) result
 (** Copy a data chunk's payload to its home offset under the
@@ -154,7 +157,15 @@ val place_run :
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes
     can never again be overwritten by conflicting data.  Out-of-window
-    runs are ignored.  Locking also marks the run as placed. *)
+    runs are ignored.  Locking also marks the run as placed; an element
+    of it never written is zeroed first, so it reads 0 as content. *)
+
+val lock_placed : t -> sn:int -> len:int -> unit
+(** {!lock_span} of a run every element of which is occupied, as the
+    runs a placement reports written or benign ({!report.rp_fresh},
+    {!report.rp_benign}) are: it sets the lock bits alone, touching
+    neither the occupancy map nor the buffer.  The caller vouches that
+    the run is occupied; out-of-window runs are ignored. *)
 
 val any_locked : t -> sn:int -> len:int -> bool
 (** Whether some element of the run (relative to [base_sn]) is
@@ -188,7 +199,20 @@ val is_full : t -> bool
 (** Whether every element is occupied, locked ones included. *)
 
 val contents : t -> bytes
-(** The destination buffer (not a copy). *)
+(** The destination buffer (not a copy), every byte of it specified:
+    an occupied element holds what was placed, restored or locked
+    there, and a hole reads 0.  The first call zeroes the holes, each
+    unoccupied run once; from then on nothing is zeroed again, as a
+    hole only ever becomes occupied by being written.  No byte the
+    storage held before {!create} is ever visible through it. *)
+
+val raw_contents : t -> bytes
+(** The destination buffer (not a copy) without zeroing anything: the
+    bytes of an occupied element ({!spans}, locked ones included) are
+    as {!contents} gives them, and a hole's are unspecified until the
+    first {!contents} — they may be any earlier use of the memory.  For
+    readers of occupied runs alone, such as the receive path lending a
+    verified run to the journal, which must not pay for zeroing. *)
 
 val holes : t -> (int * int) list
 (** Unoccupied element runs as [(sn, len)] relative to [base_sn]: the

@@ -891,7 +891,9 @@ module Receiver = struct
       then credit m rx.spare.placed
     done;
     clear_quarantine m;
-    let buf = Placement.contents rx.placement in
+    (* read raw: the journal views below cover only the runs this pass
+       locks, so nothing on the receive path zeroes a hole *)
+    let buf = Placement.raw_contents rx.placement in
     (* the placed runs, merged in place into the TPDU's spans: each is
        covered, locked and journalled once.  Placement only reports runs
        inside its buffer, so the limit drops nothing a run-by-run pass
@@ -918,9 +920,10 @@ module Receiver = struct
         ~elems:(if whole then Int_rows.get spans ~width:2 0 1 else 0)
     in
     (* verified bytes can never again be clobbered by conflicting data;
-       bytes of a TPDU that fails parity stay unlocked *)
+       bytes of a TPDU that fails parity stay unlocked.  The spans are
+       runs placement reported, so they are occupied already. *)
     for k = 0 to Int_rows.count spans - 1 do
-      Placement.lock_span rx.placement
+      Placement.lock_placed rx.placement
         ~sn:(Int_rows.get spans ~width:2 k 0)
         ~len:(Int_rows.get spans ~width:2 k 1)
     done;
@@ -1161,7 +1164,8 @@ module Receiver = struct
      retransmission rebuilds. *)
   let export rx : Persist.receiver_image =
     let es = rx.config.elem_size in
-    let buf = Placement.contents rx.placement in
+    (* only locked runs are copied out, so a raw read zeroes nothing *)
+    let buf = Placement.raw_contents rx.placement in
     {
       Persist.ri_conn = rx.config.conn_id;
       ri_placed =

@@ -205,7 +205,8 @@ module Receiver : sig
       caller must not mutate a packet afterwards. *)
 
   val contents : t -> bytes
-  (** The application buffer (valid up to the placed elements). *)
+  (** The application buffer ({!Labelling.Placement.contents}): placed
+      elements hold their bytes and every hole reads 0. *)
 
   val delivered_elems : t -> int
 

@@ -913,12 +913,18 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
       (List.map (fun (i : Persist.conn_image) -> i.Persist.ci_id) images
       @ List.map Persist.event_conn journal)
   in
+  (* each C.ID's first image, indexed once rather than searched for per
+     connection *)
+  let by_id = Int_table.create (List.length images) in
+  List.iter
+    (fun (i : Persist.conn_image) ->
+      if not (Int_table.mem by_id i.Persist.ci_id) then
+        Int_table.add by_id i.Persist.ci_id i)
+    images;
   List.iter
     (fun id ->
       Int_table.add m.conns id
-        (match
-           List.find_opt (fun (i : Persist.conn_image) -> i.Persist.ci_id = id) images
-         with
+        (match Int_table.find_opt by_id id with
         | Some img -> of_image m img
         | None -> new_conn m id))
     ids;

@@ -108,6 +108,7 @@ type wkind =
   | Fresh_divergent of int
   | Lock  (** [lock_span] alone, verified or not *)
   | Restore of int  (** [restore_span] with the truth xor the key *)
+  | Read  (** [contents]: the buffer read whole, its holes zeroed *)
 
 let gen_kind ~extended =
   QCheck2.Gen.(
@@ -119,7 +120,7 @@ let gen_kind ~extended =
        ]
       @
       if extended then
-        [ return Lock; map (fun k -> Restore k) (int_range 0 255) ]
+        [ return Lock; map (fun k -> Restore k) (int_range 0 255); return Read ]
       else []))
 
 (* [in_window] keeps every write inside [0, cap); otherwise a write may
@@ -160,7 +161,8 @@ let apply_writes ws =
                (Placement.place_checked p (mk_chunk ~sn (xor_bytes k (slice_of sn len)))))
       | Lock -> Placement.lock_span p ~sn ~len
       | Restore k ->
-          Util.ok_or_fail (Placement.restore_span p ~sn (xor_bytes k (slice_of sn len))))
+          Util.ok_or_fail (Placement.restore_span p ~sn (xor_bytes k (slice_of sn len)))
+      | Read -> ignore (Placement.contents p : bytes))
     ws;
   p
 
@@ -201,7 +203,9 @@ let prop_first_verified_wins (ws, shuffle_seed) =
    against the per-element reference it replaced (kept here verbatim in
    behaviour: one byte per element, one report entry per element).
    Capacities are never multiples of 8 and runs start and end anywhere,
-   so every bitmap head, tail and whole-byte path is crossed. *)
+   so every bitmap head, tail and whole-byte path is crossed.  Reads of
+   the whole buffer come at random points, so writes, locks and
+   restores land both before and after its holes are first zeroed. *)
 
 module Ref_placement = struct
   type t = {
@@ -368,6 +372,21 @@ let prop_differential (cap, elem, ws) =
     | Error _, Error _ -> ()
     | _ -> QCheck2.Test.fail_reportf "%s: one side refused" what
   in
+  (* The reference's buffer starts zeroed; ours is zeroed only where it
+     is read whole, so until a [Read] only occupied bytes are compared,
+     off the raw buffer, which must not zero anything. *)
+  let read () =
+    if not (Bytes.equal (Placement.contents p) r.Ref_placement.buf) then
+      QCheck2.Test.fail_reportf "contents diverged"
+  in
+  let same_occupied () =
+    List.for_all
+      (fun (sn, len) ->
+        Bytes.equal
+          (Bytes.sub (Placement.raw_contents p) (sn * elem) (len * elem))
+          (Bytes.sub r.Ref_placement.buf (sn * elem) (len * elem)))
+      (Placement.spans p)
+  in
   let step (sn, len, kind) =
     let place ~verified payload =
       let c = mk_chunk ~elem ~sn payload in
@@ -376,13 +395,14 @@ let prop_differential (cap, elem, ws) =
       in
       let theirs = Ref_placement.place r c ~verified in
       same_result "place" ours theirs;
-      (* a verified write locks what it now owns, as the receiver does *)
+      (* a verified write locks what it now owns, as the receiver does:
+         placed runs, with the lock that sets the lock bits alone *)
       if verified then
         match ours with
         | Ok rep ->
             List.iter
               (fun (sn, len) ->
-                Placement.lock_span p ~sn ~len;
+                Placement.lock_placed p ~sn ~len;
                 Ref_placement.lock_span r ~sn ~len)
               (rep.Placement.rp_fresh @ rep.Placement.rp_benign)
         | Error _ -> ()
@@ -399,6 +419,7 @@ let prop_differential (cap, elem, ws) =
         same_result "restore"
           (Placement.restore_span p ~sn (payload k))
           (Ref_placement.restore_span r ~sn (payload k))
+    | Read -> read ()
   in
   (* no lock bit is ever cleared, so a frontier walked on from its last
      position stays equal to a scan from element 0 *)
@@ -410,7 +431,7 @@ let prop_differential (cap, elem, ws) =
       frontier := Placement.first_unlocked p !frontier;
       if
         Placement.overlap_stats p <> Ref_placement.overlap_stats r
-        || not (Bytes.equal (Placement.contents p) r.Ref_placement.buf)
+        || not (same_occupied ())
         || Placement.spans p <> Ref_placement.spans r
         || Placement.holes p <> Ref_placement.holes r
         || Placement.is_full p <> Ref_placement.is_full r
@@ -422,6 +443,7 @@ let prop_differential (cap, elem, ws) =
         QCheck2.Test.fail_reportf "frontier %d, a scan from 0 finds %d"
           !frontier (Ref_placement.first_unlocked r))
     ws;
+  read ();
   true
 
 (* Placed means occupied, locked elements included: a span locked
@@ -469,13 +491,14 @@ let prop_receiver_discipline (cap, elem, ws) =
               track sn len;
               if kind = Verified then
                 List.iter
-                  (fun (sn, len) -> Placement.lock_span p ~sn ~len)
+                  (fun (sn, len) -> Placement.lock_placed p ~sn ~len)
                   (rep.Placement.rp_fresh @ rep.Placement.rp_benign)
           | Error _ -> ())
       | Lock ->
           (* a restored verified span: placed first, then locked *)
           if restore sn len 0 then Placement.lock_span p ~sn ~len
-      | Restore k -> ignore (restore sn len k));
+      | Restore k -> ignore (restore sn len k)
+      | Read -> ignore (Placement.contents p : bytes));
       Placement.spans p = Vreassembly.spans tracker
       && Placement.placed_elems p = Vreassembly.received_elems tracker)
     ws

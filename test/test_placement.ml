@@ -140,3 +140,98 @@ let suite =
       Alcotest.test_case "huge SN does not overflow the window check" `Quick
         test_huge_sn_no_overflow;
     ]
+
+(* Recycled memory: a placement's buffer is not zero-filled when it is
+   created, so storage that a dropped placement filled with 0xFF can
+   come back under a new one of the same size.  None of it may show
+   through a reader of whole buffers: every hole reads 0. *)
+module CT = Transport.Chunk_transport
+
+let recycled_elems = 16_384
+
+let litter () =
+  let ff = Bytes.make (recycled_elems * 4) '\255' in
+  for _ = 1 to 16 do
+    let p =
+      Placement.create ~level:Placement.Conn ~base_sn:0
+        ~capacity_elems:recycled_elems ~elem_size:4
+    in
+    Util.ok_or_fail (Placement.restore_span p ~sn:0 ff)
+  done;
+  Gc.full_major ()
+
+(* [buf] holds [data] at its head and reads 0 everywhere after it. *)
+let check_zero_tail what data buf =
+  let n = Bytes.length data in
+  Alcotest.(check int) (what ^ ": size") (recycled_elems * 4) (Bytes.length buf);
+  Alcotest.check Util.bytes_testable (what ^ ": data") data (Bytes.sub buf 0 n);
+  Alcotest.check Util.bytes_testable (what ^ ": holes")
+    (Bytes.make (Bytes.length buf - n) '\000')
+    (Bytes.sub buf n (Bytes.length buf - n))
+
+let recycled_config =
+  { CT.default_config with CT.elem_size = 4; tpdu_elems = 16; frame_bytes = 64 }
+
+(* A finished transfer of [data] into a fresh one-connection endpoint
+   whose quota is the littered size. *)
+let transfer data =
+  litter ();
+  let w =
+    Transport.Transfer.connect (Netsim.Engine.create ~seed:3 ())
+      recycled_config ~quota_elems:recycled_elems (`Data data)
+  in
+  Transport.Transfer.finish w;
+  Transport.Transfer.endpoint w
+
+let test_recycled_memory_reads_zero () =
+  let data = Util.deterministic_bytes 3000 in
+  (* a placement: a written run, a run locked without being written *)
+  litter ();
+  let p =
+    Placement.create ~level:Placement.Conn ~base_sn:0
+      ~capacity_elems:recycled_elems ~elem_size:4
+  in
+  Util.ok_or_fail (Placement.restore_span p ~sn:0 data);
+  Placement.lock_span p ~sn:5000 ~len:100;
+  check_zero_tail "placement" data (Placement.contents p);
+  (* a receiver that has received nothing *)
+  litter ();
+  let rx =
+    CT.Receiver.create (Netsim.Engine.create ()) recycled_config
+      ~send_ack:ignore ~capacity:(`Quota recycled_elems) ()
+  in
+  check_zero_tail "receiver" Bytes.empty (CT.Receiver.contents rx);
+  (* a live epoch, and the same endpoint restored from its image *)
+  let m = transfer data in
+  let image = Transport.Multi.export m in
+  let live m =
+    match Transport.Multi.epochs m ~conn_id:recycled_config.CT.conn_id with
+    | [ e ] -> e.Transport.Multi.delivered
+    | _ -> Alcotest.fail "one epoch expected"
+  in
+  check_zero_tail "live epoch" data (live m);
+  litter ();
+  let restored =
+    Transport.Multi.restore (Netsim.Engine.create ()) ~config:recycled_config
+      ~quota_elems:recycled_elems ~max_conns:1 ~send_ack:ignore image []
+  in
+  check_zero_tail "restored epoch" data (live restored);
+  (* an epoch archived with holes, read only through its image *)
+  let m = transfer data in
+  (match
+     Wire.encode_packet
+       [ Connection.signal_chunk ~conn_id:recycled_config.CT.conn_id Connection.Close ]
+   with
+  | Ok b -> Transport.Multi.ingest m b
+  | Error e -> Alcotest.fail e);
+  match Transport.Multi.export m with
+  | [ { Transport.Persist.ci_hist = [ e ]; _ } ] ->
+      check_zero_tail "archived image" data e.Transport.Persist.ei_delivered
+  | _ -> Alcotest.fail "one archived epoch expected"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "recycled memory never shows through a hole" `Quick
+        test_recycled_memory_reads_zero;
+    ]
