@@ -101,11 +101,19 @@ let rob_abort () =
   Transport.Transfer.finish w;
   let m = Transport.Transfer.endpoint w and tx = Transport.Transfer.sender w in
   let gave_up_at = Netsim.Engine.now engine in
+  let sent = CT.Sender.aborts_sent tx and received = (M.counters m).aborts_received in
   Printf.printf
     "  gave up after %.3f sim s; aborts sent %d, received %d; receiver \
      in-flight %d, stashed %d, deadline evictions %d\n"
-    gave_up_at (CT.Sender.aborts_sent tx) (M.counters m).aborts_received
-    (M.live_in_flight m) (M.live_stashed m) (M.counters m).evictions;
+    gave_up_at sent received (M.live_in_flight m) (M.live_stashed m)
+    (M.counters m).evictions;
+  (* the sender gave up, and its aborts alone reclaimed what the
+     receiver held: one received per one sent, nothing left in flight or
+     stashed, and no deadline eviction did the work instead *)
+  assert (CT.Sender.gave_up tx);
+  assert (sent >= 1 && received = sent);
+  assert (M.live_in_flight m = 0 && M.live_stashed m = 0);
+  assert ((M.counters m).evictions = 0);
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "give-up sim s" gave_up_at;
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "aborts sent"
     (float_of_int (CT.Sender.aborts_sent tx));
@@ -146,8 +154,8 @@ let rob_recover () =
   let restorer engine ~config ~quota_elems ~max_conns ~send_ack encoded =
     match P.decode_endpoint encoded with
     | Error e -> failwith e
-    | Ok (P.Multi cs) ->
-        M.restore engine ~config ~quota_elems ~max_conns ~send_ack cs []
+    | Ok (P.Multi events) ->
+        M.restore engine ~config ~quota_elems ~max_conns ~send_ack events
   in
   let timed reps ~config ~quota_elems ~max_conns encoded =
     let engine = Netsim.Engine.create ~seed () in

@@ -458,29 +458,22 @@ let rec update_first f = function
    {e verified}.  Verified bytes are exactly the ones recovery must
    preserve faithfully — their TPDUs sit in the ledger, so the sender
    will never retransmit them and no later traffic can heal the damage.
-   The first byte of a live epoch's first verified run is taken first;
-   failing that, the first byte of the first archived epoch, since a
-   finished transfer is archived at its Close, before the crash.
-   Returns [None] when the image holds neither (the caller retries at
-   the next restore). *)
-let corrupt_image conns =
-  let live (c : Persist.conn_image) =
-    match c.Persist.ci_live with
-    | Some ({ Persist.ri_placed = (sn, data) :: runs; _ } as ri) ->
-        let ri_placed = (sn, flip_byte data 0) :: runs in
-        Some { c with Persist.ci_live = Some { ri with Persist.ri_placed } }
-    | Some _ | None -> None
-  in
-  let archived (c : Persist.conn_image) =
-    match c.Persist.ci_hist with
-    | e :: older when Bytes.length e.Persist.ei_delivered > 0 ->
-        let e = { e with ei_delivered = flip_byte e.Persist.ei_delivered 0 } in
-        Some { c with Persist.ci_hist = e :: older }
-    | _ -> None
-  in
-  match update_first live conns with
-  | Some _ as corrupted -> corrupted
-  | None -> update_first archived conns
+   The byte is the first of the first [Acked] run in the compacted
+   journal, a live epoch's or an archived one's alike.  Returns [None]
+   when the image holds none (the caller retries at the next
+   restore). *)
+let corrupt_image events =
+  update_first
+    (function
+      | Persist.Acked ({ runs = run :: rest; _ } as a) ->
+          let sn, data = Persist.run_bytes run in
+          if Bytes.length data = 0 then None
+          else
+            Some
+              (Persist.Acked
+                 { a with runs = Persist.owned_run sn (flip_byte data 0) :: rest })
+      | _ -> None)
+    events
 
 (* Snapshots are scheduled up front at k·snap_period for every k that
    lands before the last crash (later ones could never be consulted),
@@ -527,8 +520,8 @@ let crash_valve engine (s : Schedule.t) endpoint =
     s.Schedule.crashes
 
 (* Snapshots, crashes and restarts for the endpoint held in [current];
-   [restore engine] rebuilds one on [engine] from a snapshot's
-   connections and the journal since.  A restore runs every recovery
+   [restore engine] rebuilds one on [engine] from a snapshot's records
+   and the journal since.  A restore runs every recovery
    probe the oracle reads: the codec fixpoint, the export round trip,
    the absence of in-flight state and the state budget.  A probe or mutation
    that needs a second restore runs it on a private engine, so the run's
@@ -540,8 +533,8 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
   schedule_snapshots engine s store (fun () -> Option.map export !current);
   (* [f] of an endpoint restored on a private engine, which is then torn
      down: the registry's gauges do not count it *)
-  let aside conns journal f =
-    let m = restore (Netsim.Engine.create ()) conns journal in
+  let aside events f =
+    let m = restore (Netsim.Engine.create ()) events in
     let r = f m in
     Multi.teardown m;
     r
@@ -552,7 +545,7 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
     | Error msg ->
         ct.ct_bad <- ct.ct_bad + 1;
         trec "RESTORE failed: %s" msg
-    | Ok (Persist.Multi conns, journal, torn) ->
+    | Ok (events, torn) ->
         (* no schedule damages the journal, so a torn one means a
            record that does not read back as written *)
         if torn then begin
@@ -563,16 +556,16 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
            the run goes on from that image *)
         let corrupted =
           if mutation = Corrupt_restore && not ct.ct_corrupted then
-            corrupt_image (aside conns journal Multi.export)
+            corrupt_image (aside events Multi.export)
           else None
         in
         let m =
           match corrupted with
-          | Some conns' ->
+          | Some events' ->
               ct.ct_corrupted <- true;
               trec "MUTATION corrupt restored image";
-              restore engine conns' []
-          | None -> restore engine conns journal
+              restore engine events'
+          | None -> restore engine events
         in
         if Obs.enabled then
           Obs.Metrics.observe_s Persist.m_recovery (Unix.gettimeofday () -. t0);
@@ -587,7 +580,7 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
           k.evictions > 0 || k.displaced_conns > 0 || k.conn_gcs > 0
           || Multi.export again = img
         in
-        if not (aside img [] round_trips) then
+        if not (aside img round_trips) then
           ct.ct_roundtrip <- ct.ct_roundtrip + 1;
         (* a restored endpoint holds nothing in flight: a TPDU it held
            could be both ledgered and in flight, and verify (and deliver)
@@ -741,9 +734,9 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   multi := Some m;
   let ct = crash_track () in
   install_crashes ~mutation ~trace engine s store ct multi
-    ~restore:(fun engine conns journal ->
+    ~restore:(fun engine events ->
       Multi.restore engine ~config ~quota_elems ~max_conns ?persist
-        ?anomaly_budget ~send_ack:reverse_send conns journal);
+        ?anomaly_budget ~send_ack:reverse_send events);
   (* Plan the (connection, epoch) transfers: every connection one epoch,
      connection 1 a second one when the schedule re-opens it. *)
   let eps =
@@ -912,9 +905,8 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
   let senders = List.filter_map (fun ep -> ep.ep_tx) eps in
   (* The endpoint-side view of the byzantine connections at quiescence.
-     The quarantine ledger survives crashes (it is persisted per
-     connection image), so [conn_stats] on the final incarnation is the
-     whole run's story. *)
+     Containment survives crashes (it is journalled), so [conn_stats] on
+     the final incarnation is the whole run's story. *)
   let byz_report =
     match !byzantine with
     | None -> None

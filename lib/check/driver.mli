@@ -22,11 +22,9 @@ type mutation =
   | Dup_every of int
   | Drop_every of int
   | Corrupt_restore
-      (** flip one already-verified byte in the first snapshot restored
-          after a crash — in a live epoch's image, or failing that the
-          first byte of the first archived epoch (a finished transfer is
-          archived at its Close) — a corrupted persisted image the
-          oracle must catch (its TPDU is in the ledger, so no
+      (** flip the first byte of the first [Acked] run in the first
+          snapshot restored after a crash — a corrupted verified byte
+          the oracle must catch (its TPDU is in the ledger, so no
           retransmission can heal it) *)
   | Overlap_clobber
       (** forge a {e validly sealed} TPDU with divergent bytes over the
@@ -78,8 +76,8 @@ type metrics_probe = {
 }
 
 (** The endpoint-side containment view of one byzantine connection at
-    quiescence (the quarantine ledger is persisted per connection, so
-    this is the whole run's story even across crashes). *)
+    quiescence (containment is journalled, so this is the whole run's
+    story even across crashes). *)
 type byz_conn_obs = {
   bc_conn : int;
   bc_epochs : int;  (** epochs the peer ever started on this C.ID *)

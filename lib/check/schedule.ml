@@ -499,7 +499,7 @@ let generate ~profile ~seed =
         gen n (float_in rng 0.005 0.05) []
     | Byzantine_hostile ->
         (* occasionally crash mid-attack: quarantine state must survive
-           the restore (persisted in the connection images) *)
+           the restore (it is journalled) *)
         if Netsim.Rng.bool rng 0.3 then begin
           let cr_time = float_in rng (2.0 *. rto) (8.0 *. rto) in
           let cr_restart = float_in rng (2.0 *. rto) (6.0 *. rto) in

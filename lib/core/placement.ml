@@ -366,6 +366,10 @@ let lock_span p ~sn ~len =
 
 let lock_placed p ~sn ~len = if run_in_window p ~sn ~len then set_bits p.lck sn len
 
+let drop_unlocked p =
+  Bytes.blit p.lck 0 p.occ 0 (Bytes.length p.occ);
+  p.holes_zeroed <- false
+
 let any_locked p ~sn ~len =
   let lo = Int.max 0 sn and hi = Int.min p.capacity_elems (sn + len) in
   lo < hi && next_bit p.lck ~v:true lo hi < hi

@@ -167,6 +167,11 @@ val lock_placed : t -> sn:int -> len:int -> unit
     neither the occupancy map nor the buffer.  The caller vouches that
     the run is occupied; out-of-window runs are ignored. *)
 
+val drop_unlocked : t -> unit
+(** Un-place every element that is not locked: it becomes a hole, and
+    reads 0 at the next {!contents}.  What is left is exactly the
+    verified data. *)
+
 val any_locked : t -> sn:int -> len:int -> bool
 (** Whether some element of the run (relative to [base_sn]) is
     verified-locked.  Elements outside the window count as unlocked. *)

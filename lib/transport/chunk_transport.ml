@@ -850,13 +850,16 @@ module Receiver = struct
 
   (* Release every piece of soft state at once (connection close): the
      governor account is cleared entry by entry so a shared governor
-     keeps other connections' entries intact. *)
+     keeps other connections' entries intact, and bytes placed by a TPDU
+     that never verified are un-placed, so the closed epoch holds only
+     what it acknowledged. *)
   let quiesce rx =
     List.iter
       (fun t_id ->
         drop_tpdu_state rx t_id;
         Governor.remove rx.governor ~key:(gov_key rx t_id))
-      (held_tids rx)
+      (held_tids rx);
+    Placement.drop_unlocked rx.placement
 
   let on_signal rx chunk =
     match Connection.parse_signal chunk with
@@ -1158,54 +1161,16 @@ module Receiver = struct
 
   let acked_tids rx = Int_map.sorted_keys rx.acked
 
-  (* The image holds what the receiver promised: its verified runs with
-     their bytes, the end confirmation, the pass count and the honoured
-     sheds.  Nothing in flight is kept — it is soft state the sender's
-     retransmission rebuilds. *)
-  let export rx : Persist.receiver_image =
+  let end_confirmed rx = rx.end_confirmed
+
+  (* The verified runs, copied out: only locked runs are read, so a raw
+     read zeroes nothing. *)
+  let verified_runs rx =
     let es = rx.config.elem_size in
-    (* only locked runs are copied out, so a raw read zeroes nothing *)
     let buf = Placement.raw_contents rx.placement in
-    {
-      Persist.ri_conn = rx.config.conn_id;
-      ri_placed =
-        List.map
-          (fun (sn, len) -> (sn, Bytes.sub buf (sn * es) (len * es)))
-          (Placement.locked_spans rx.placement);
-      ri_end_confirmed = rx.end_confirmed;
-      ri_passed = epoch_passes rx;
-      ri_shed_spans = shed_spans rx;
-      ri_shed_tids = shed_tids rx;
-    }
-
-  (* A verified run put back where its labels say, and locked as its
-     verdict locked it: a run outside the window is neither. *)
-  let restore_run rx (sn, b) =
-    (match Placement.restore_span rx.placement ~sn b with
-    | Ok () | Error _ -> ());
-    Placement.lock_span rx.placement ~sn
-      ~len:(Bytes.length b / rx.config.elem_size)
-
-  (* Rebuild a live receiver from its persisted image: its verified runs,
-     end confirmation, pass count and honoured sheds.  It holds no
-     in-flight TPDU, so its governor accounts nothing; the owner's ledger
-     keeps verified TPDUs from being re-processed. *)
-  let restore engine config ?bus ~owner ?persist ~send_ack ~capacity
-      (img : Persist.receiver_image) =
-    let rx = create engine config ?bus ~owner ?persist ~send_ack ~capacity () in
-    rx.restored_passes <- img.Persist.ri_passed;
-    List.iter (restore_run rx) img.Persist.ri_placed;
-    rx.end_confirmed <- img.Persist.ri_end_confirmed;
-    (* an acknowledged shed stays honoured across the crash *)
-    List.iter
-      (fun (sn, len) ->
-        match Vreassembly.insert_new rx.shed_cover ~sn ~len ~st:false with
-        | Ok _ | Error `Inconsistent -> ())
-      img.Persist.ri_shed_spans;
-    List.iter
-      (fun t -> Int_map.replace rx.shed_tids t ())
-      img.Persist.ri_shed_tids;
-    rx
+    List.map
+      (fun (sn, len) -> Persist.owned_run sn (Bytes.sub buf (sn * es) (len * es)))
+      (Placement.locked_spans rx.placement)
 
   (* Every in-flight TPDU's state dropped without a verdict, as a crash
      drops it: a crash is no verdict, so no failure is counted. *)
@@ -1216,21 +1181,30 @@ module Receiver = struct
         drop_records rx t_id)
       (held_tids rx)
 
-  (* A journal record applied to a restored receiver, through the
-     primitives the live path uses.  Acknowledged runs are placed and
-     locked as [restore] places them, and each copies its bytes once,
-     into the placement buffer.  A restored receiver holds nothing in
-     flight, so no record has soft state to settle.  Nothing is
-     journalled, sent or accounted. *)
+  (* A record applied to a restored receiver, through the primitives the
+     live path uses.  Acknowledged runs are placed and locked where
+     their labels say (a run outside the window is neither), and each
+     copies its bytes once, into the placement buffer.  A restored
+     receiver holds nothing in flight, so no record has soft state to
+     settle.  Nothing is journalled, sent or accounted. *)
   let replay rx (ev : Persist.event) =
     match ev with
     | Persist.Acked { end_confirmed; runs; _ } ->
-        List.iter (fun run -> restore_run rx (Persist.run_bytes run)) runs;
+        List.iter
+          (fun run ->
+            let sn, b = Persist.run_bytes run in
+            ignore (Placement.restore_span rx.placement ~sn b : (unit, string) result);
+            Placement.lock_span rx.placement ~sn
+              ~len:(Bytes.length b / rx.config.elem_size))
+          runs;
         if Option.is_some end_confirmed then rx.end_confirmed <- end_confirmed;
         rx.restored_passes <- rx.restored_passes + 1
     | Persist.Shed { t_id; first_elem; elems; _ } ->
         cover_shed rx ~t_id ~first_elem ~elems
-    | Persist.Opened _ | Persist.Archived _ | Persist.Closed _ -> ()
+    | Persist.Passes { passes; _ } -> rx.restored_passes <- passes
+    | Persist.Opened _ | Persist.Archived _ | Persist.Closed _
+    | Persist.Ledger _ | Persist.Quarantined _ ->
+        ()
 
   (* Conservative re-entry into service: re-ACK the whole restored
      ledger, because any ACK sent in the pre-crash epoch may have been

@@ -243,7 +243,9 @@ module Receiver : sig
 
   val quiesce : t -> unit
   (** Release every piece of soft state (and its governor account) at
-      once — connection close.  Not counted as evictions. *)
+      once — connection close.  Not counted as evictions.  Bytes placed
+      by a TPDU that never verified are un-placed with it, so the
+      closed epoch delivers only verified data. *)
 
   val element_delay : t -> Netsim.Stats.t
   (** Per-element application-availability delay relative to the packet
@@ -302,7 +304,7 @@ module Receiver : sig
 
   val epoch_passes : t -> int
   (** TPDUs verified over the epoch's whole life, {e including} those
-      verified before a crash and carried over by {!restore} — the
+      verified before a crash and carried over by {!replay} — the
       archive gate [Multi] uses (the raw {!verifier_stats} counter
       restarts at zero on restore). *)
 
@@ -316,41 +318,22 @@ module Receiver : sig
       labelling discipline makes explicit establishment an accelerator,
       not a prerequisite, for identifying the conversation. *)
 
-  val export : t -> Persist.receiver_image
-  (** Snapshot what the receiver promised: its verified runs with their
-      bytes, the end confirmation, the pass count and the honoured
-      sheds.  Nothing in flight is exported (verifier accumulators,
-      corroboration records, end claims, re-ACK clocks, bytes placed by a
-      TPDU not yet verified): it is soft state the sender's
-      retransmission rebuilds. *)
+  val end_confirmed : t -> int option
+  (** The stream's last element, once a verified TPDU confirmed it. *)
 
-  val restore :
-    Netsim.Engine.t ->
-    config ->
-    ?bus:Busmodel.t ->
-    owner:owner ->
-    ?persist:(Persist.event -> unit) ->
-    send_ack:(bytes -> unit) ->
-    capacity:[ `Quota of int ] ->
-    Persist.receiver_image ->
-    t
-  (** Rebuild a live receiver from a persisted image: each verified run
-      is placed and locked exactly as {!replay} places an [Acked] run.
-      The receiver holds no in-flight TPDU, so the governor accounts
-      nothing for it, and TPDUs in the [owner]'s ledger (the receiver's
-      own, which the image does not carry) are only ever
-      re-acknowledged.  A run outside the window is dropped; nothing here
-      raises on image content. *)
+  val verified_runs : t -> Persist.run_view list
+  (** The verified runs, copied out as owned views, as
+      {!Labelling.Placement.locked_spans} sorts and coalesces them. *)
 
   val replay : t -> Persist.event -> unit
-  (** Apply one journal record to a restored receiver, through the
-      primitives the live path uses.  [Acked] places and locks the
-      acknowledged runs, believes the end claim and counts the pass;
-      [Shed] joins the shed cover; the other records concern the
-      connection, not the receiver.  A restored receiver holds nothing
-      in flight, so no record has soft state to settle.  Journals, sends
-      and accounts nothing; the connection-level part (ledger, identity,
-      epochs) is {!Multi.restore}'s. *)
+  (** Apply one record to a restored receiver, through the primitives
+      the live path uses.  [Acked] places and locks the acknowledged
+      runs (a run outside the window is dropped), believes the end claim
+      and counts the pass; [Shed] joins the shed cover; [Passes] sets
+      the pass count; the others concern the connection
+      ({!Multi.restore}).  A restored receiver holds nothing in flight,
+      so no record has soft state to settle.  Journals, sends and
+      accounts nothing. *)
 
   val forget_in_flight : t -> unit
   (** Drop every in-flight TPDU's state without a verdict, as a crash
@@ -358,7 +341,7 @@ module Receiver : sig
       account is the caller's to clear. *)
 
   val reannounce : t -> unit
-  (** Conservative re-entry into service after {!restore}: re-ACK every
+  (** Conservative re-entry into service after a restore: re-ACK every
       TPDU in the restored ledger (counted as re-ACKs), because any ACK
       sent before the crash may have died with it. *)
 end

@@ -133,7 +133,10 @@ let add_verifier (a : Edc.Verifier.stats) (b : Edc.Verifier.stats) =
     chunks_seen = a.chunks_seen + b.chunks_seen;
   }
 
-let archive m c =
+(* Archive [c]'s live epoch.  [tally] settles the report's counts before
+   the archive gate reads them: the live side journals its own, a replay
+   takes a record's. *)
+let archive ?(tally = Fun.id) m c =
   match c.live with
   | None -> ()
   | Some rx ->
@@ -151,7 +154,7 @@ let archive m c =
          passes over the epoch's {e whole} life ([R.epoch_passes]), so an
          epoch that verified TPDUs before a crash-restart is not dropped
          just because the restored verifier's counter restarted. *)
-      let r = { (live_report c rx) with closed = true } in
+      let r = tally { (live_report c rx) with closed = true } in
       (* raise the watermark past a recovered identity too, so a
          straggler Open naming this archived epoch cannot be adopted by
          (or tear down) a later implicitly-established epoch *)
@@ -172,13 +175,15 @@ let archive m c =
       if Obs.enabled then
         Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - 1))
 
-(* [archive] as the live side does it, journalled; a crash replay
-   archives without journalling. *)
+(* [archive] as the live side does it, journalling the closing counts; a
+   crash replay archives without journalling. *)
 let retire m c =
-  if Option.is_some c.live then begin
-    archive m c;
-    emit m (Persist.Archived c.id)
-  end
+  archive m c ~tally:(fun r ->
+      emit m
+        (Persist.Archived
+           { conn = c.id; complete = r.complete; elems = r.placed_elems;
+             passes = r.passes });
+      r)
 
 let close_conn m c =
   retire m c;
@@ -204,6 +209,15 @@ let close_conn m c =
 
 let quarantine_active m c = c.poisoned || c.quarantined_until > now m
 
+(* Containment survives a crash: a boxed peer must not get a fresh
+   budget by crashing the endpoint.  The score itself is not persisted —
+   an un-tripped budget refills on restart, which errs on the side of
+   honest connections. *)
+let containment c =
+  Persist.Quarantined
+    { conn = c.id; until = c.quarantined_until; count = c.quarantine_count;
+      poisoned = c.poisoned }
+
 let quarantine_drop m =
   m.counts.quarantine_drops <- m.counts.quarantine_drops + 1;
   if Obs.enabled then Obs.Metrics.incr m_quarantine_drops
@@ -220,6 +234,7 @@ let enter_quarantine m c =
   c.quarantined_until <- now m +. dur;
   c.anomaly_score <- 0;
   m.counts.quarantines <- m.counts.quarantines + 1;
+  emit m (containment c);
   close_conn m c;
   if Obs.enabled then begin
     Obs.Metrics.incr m_quarantines;
@@ -275,6 +290,7 @@ let poison m ~conn_id =
       if not c.poisoned then begin
         c.poisoned <- true;
         m.counts.conns_poisoned <- m.counts.conns_poisoned + 1;
+        emit m (containment c);
         close_conn m c;
         if Obs.enabled then begin
           Obs.Metrics.incr m_poisoned;
@@ -402,22 +418,20 @@ let owner m c =
   { R.o_governor = m.governor; o_acked = c.acked; o_counts = m.counts;
     o_spare = m.spare }
 
-(* [rx] as [c]'s live epoch. *)
-let adopt m c rx =
+(* A fresh receiver as [c]'s live epoch, journalled and accounted
+   nowhere: [new_epoch]'s, and a crash replay's. *)
+let start_epoch m c =
+  let rx =
+    R.create m.engine
+      { m.config with conn_id = c.id }
+      ~bus:m.bus ~owner:(owner m c) ?persist:m.persist ~send_ack:m.send_ack
+      ~capacity:(`Quota m.quota_elems) ()
+  in
   c.live <- Some rx;
   m.n_live <- m.n_live + 1;
   if Obs.enabled then
     Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1);
   rx
-
-(* A fresh receiver as [c]'s live epoch, journalled and accounted
-   nowhere: [new_epoch]'s, and a crash replay's. *)
-let start_epoch m c =
-  adopt m c
-    (R.create m.engine
-       { m.config with conn_id = c.id }
-       ~bus:m.bus ~owner:(owner m c) ?persist:m.persist ~send_ack:m.send_ack
-       ~capacity:(`Quota m.quota_elems) ())
 
 let new_epoch ?open_csn m c =
   emit m (Persist.Opened { conn = c.id; open_csn });
@@ -784,49 +798,87 @@ let sum_live m f = fold_live m (fun acc rx -> acc + f rx) 0
 let live_in_flight m = sum_live m R.verifier_in_flight
 let live_stashed m = sum_live m R.stashed_tpdus
 
-(* {1 Crash recovery} *)
+(* {1 Crash recovery: the compacted journal}
 
-let export m : Persist.conn_image list =
-  Int_table.fold
-    (fun id c acc ->
-      {
-        Persist.ci_id = id;
-        ci_acked = Int_map.sorted_keys c.acked;
-        ci_hist =
-          List.rev_map
-            (fun r ->
-              {
-                Persist.ei_delivered = r.delivered;
-                ei_complete = r.complete;
-                ei_open_csn = r.open_csn;
-                ei_elems = r.placed_elems;
-                ei_passes = r.passes;
-              })
-            c.hist;
-        ci_live = Option.map R.export c.live;
-        (* snapshot the best-known identity, announced or recovered —
-           the restored endpoint's receiver starts with an empty
-           fresh-ACK record and could not re-derive it *)
-        ci_live_open =
-          (match c.live with
-          | Some rx -> epoch_identity c rx
-          | None -> c.live_open);
-        (* containment survives the crash: a boxed peer must not get a
-           fresh budget by crashing the endpoint.  The score itself is
-           not persisted — an un-tripped budget refills on restart,
-           which errs on the side of honest connections. *)
-        ci_quar_until = c.quarantined_until;
-        ci_quar_count = c.quarantine_count;
-        ci_poisoned = c.poisoned;
-      }
-      :: acc)
-    m.conns []
-  |> List.sort (fun a b -> Int.compare a.Persist.ci_id b.Persist.ci_id)
+   [export] writes the fewest records that rebuild the durable state, in
+   the journal's own vocabulary; [restore] replays them, and the journal
+   written since, from an empty endpoint through the one [replay]. *)
 
-(* One journal record applied to the endpoint being restored, through
-   the primitives the live side uses ([R.replay] for the receiver's
-   part).  It journals, sends and accounts nothing: [restore] accounts
-   the whole recovered state once, after the last record. *)
+(* Ascending T.IDs as runs [(first, count)] of consecutive ones. *)
+let tid_runs tids =
+  List.fold_left
+    (fun acc t ->
+      match acc with
+      | (first, n) :: rest when first + n = t -> (first, n + 1) :: rest
+      | _ -> (t, 1) :: acc)
+    [] tids
+  |> List.rev
+
+(* An archived epoch's buffer as one run, from its first element up to
+   its last nonzero one: it reads 0 everywhere else, so the run rebuilds
+   it whole. *)
+let delivered_runs ~es buf =
+  let used = ref (Bytes.length buf) in
+  while !used > 0 && Bytes.get buf (!used - 1) = '\000' do decr used done;
+  let n = (!used + es - 1) / es * es in
+  if n = 0 then [] else [ Persist.owned_run 0 (Bytes.sub buf 0 n) ]
+
+let export m =
+  List.concat_map
+    (fun conn ->
+      let c = Int_table.find m.conns conn in
+      let tids = Int_map.sorted_keys c.acked in
+      let ledgered = match tids with t :: _ -> t | [] -> 0 in
+      (* One epoch: its verified runs in one [Acked] under a T.ID the
+         ledger holds (verified bytes imply one), each honoured shed span
+         under the first shed T.ID and each shed T.ID alone, then its
+         identity, which the [Opened] sets last, and [last]. *)
+      let epoch ~runs ~end_confirmed ~shed_tids ~shed_spans open_csn last =
+        let t_id = match shed_tids with t :: _ -> t | [] -> ledgered in
+        (if runs = [] && end_confirmed = None then []
+         else
+           [ Persist.Acked
+               { conn; t_id = ledgered; end_confirmed; runs; parity = None } ])
+        @ List.map
+            (fun (first_elem, elems) ->
+              Persist.Shed { conn; t_id; first_elem; elems })
+            shed_spans
+        @ List.map
+            (fun t_id -> Persist.Shed { conn; t_id; first_elem = 0; elems = 0 })
+            shed_tids
+        @ [ Persist.Opened { conn; open_csn }; last ]
+      in
+      let archived r =
+        epoch
+          ~runs:(delivered_runs ~es:m.config.elem_size r.delivered)
+          ~end_confirmed:None ~shed_tids:[] ~shed_spans:r.shed_spans r.open_csn
+          (Persist.Archived
+             { conn; complete = r.complete; elems = r.placed_elems;
+               passes = r.passes })
+      in
+      let live rx =
+        epoch ~runs:(R.verified_runs rx) ~end_confirmed:(R.end_confirmed rx)
+          ~shed_tids:(R.shed_tids rx) ~shed_spans:(R.shed_spans rx)
+          (epoch_identity c rx)
+          (Persist.Passes { conn; passes = R.epoch_passes rx })
+      in
+      let records =
+        (if tids = [] then [] else [ Persist.Ledger { conn; tids = tid_runs tids } ])
+        @ List.concat_map archived (List.rev c.hist)
+        @ (match c.live with Some rx -> live rx | None -> [])
+        @
+        if c.quarantine_count > 0 || c.poisoned || c.quarantined_until <> 0.0
+        then [ containment c ]
+        else []
+      in
+      (* a connection with nothing durable still exists *)
+      if records = [] then [ Persist.Closed conn ] else records)
+    (known_conns m)
+
+(* One record applied to the endpoint being restored, through the
+   primitives the live side uses ([R.replay] for the receiver's part).
+   It journals, sends and accounts nothing: [restore] accounts the whole
+   recovered state once, after the last record. *)
 let replay m (ev : Persist.event) =
   let c = Int_table.find m.conns (Persist.event_conn ev) in
   let epoch () = match c.live with Some rx -> rx | None -> start_epoch m c in
@@ -850,85 +902,41 @@ let replay m (ev : Persist.event) =
          finally arriving *)
       ignore (epoch () : R.t);
       c.live_open <- open_csn
-  | Persist.Archived _ | Persist.Closed _ ->
+  | Persist.Passes _ -> R.replay (epoch ()) ev
+  | Persist.Archived { complete; elems; passes; _ } ->
+      archive m c ~tally:(fun r -> { r with complete; placed_elems = elems; passes })
+  | Persist.Closed _ ->
       (* the live side's Close archives first, so a bare Closed record
          (its Archived torn away) takes this same step *)
       archive m c
+  | Persist.Ledger { tids; _ } ->
+      List.iter
+        (fun (first, n) ->
+          for t = first to first + n - 1 do
+            Int_map.replace c.acked t ()
+          done)
+        tids
+  | Persist.Quarantined { until; count; poisoned; _ } ->
+      c.quarantined_until <- until;
+      c.quarantine_count <- count;
+      c.poisoned <- poisoned
 
-(* A connection record rebuilt from its image, live epoch included. *)
-let of_image m (img : Persist.conn_image) =
-  let c =
-    {
-      (new_conn m img.Persist.ci_id) with
-      live_open = img.Persist.ci_live_open;
-      (* an archived epoch's image keeps no shed spans (a live epoch's
-         does): a shed contract and crashes do not combine in a
-         schedule *)
-      hist =
-        List.rev_map
-          (fun (e : Persist.epoch_image) ->
-            {
-              delivered = e.ei_delivered;
-              complete = e.ei_complete;
-              closed = true;
-              open_csn = e.ei_open_csn;
-              placed_elems = e.ei_elems;
-              shed_spans = [];
-              passes = e.ei_passes;
-            })
-          img.Persist.ci_hist;
-      quarantined_until = img.Persist.ci_quar_until;
-      quarantine_count = img.Persist.ci_quar_count;
-      poisoned = img.Persist.ci_poisoned;
-    }
-  in
-  List.iter (fun t -> Int_map.replace c.acked t ()) img.Persist.ci_acked;
-  Option.iter
-    (fun ri ->
-      ignore
-        (adopt m c
-           (R.restore m.engine
-              { m.config with conn_id = c.id }
-              ~bus:m.bus ~owner:(owner m c) ?persist:m.persist
-              ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ri)
-          : R.t))
-    img.Persist.ci_live;
-  c
-
-(* Rebuild a demultiplexer from a snapshot's connections and the journal
-   written since.  Every connection either names is added in ascending
-   order, the journal is replayed over them, and only then is each
+(* Rebuild a demultiplexer from a snapshot's records and the journal
+   written since.  Every connection they name is added in ascending
+   order, the records are replayed over them, and only then is each
    connection's epoch and watermark accounting re-derived and its slot
-   accounted against the fresh governor: the budget, not the image,
+   accounted against the fresh governor: the budget, not the snapshot,
    decides what survives.  Nothing in flight is restored, so a slot is
    all there is to account. *)
 let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
-    ?anomaly_budget ~send_ack (images : Persist.conn_image list) journal =
+    ?anomaly_budget ~send_ack events =
   let m =
     create engine ~config ~quota_elems ~max_conns ?bus ?persist
       ?anomaly_budget ~send_ack ()
   in
-  let ids =
-    List.sort_uniq Int.compare
-      (List.map (fun (i : Persist.conn_image) -> i.Persist.ci_id) images
-      @ List.map Persist.event_conn journal)
-  in
-  (* each C.ID's first image, indexed once rather than searched for per
-     connection *)
-  let by_id = Int_table.create (List.length images) in
-  List.iter
-    (fun (i : Persist.conn_image) ->
-      if not (Int_table.mem by_id i.Persist.ci_id) then
-        Int_table.add by_id i.Persist.ci_id i)
-    images;
-  List.iter
-    (fun id ->
-      Int_table.add m.conns id
-        (match Int_table.find_opt by_id id with
-        | Some img -> of_image m img
-        | None -> new_conn m id))
-    ids;
-  List.iter (replay m) journal;
+  let ids = List.sort_uniq Int.compare (List.map Persist.event_conn events) in
+  List.iter (fun id -> Int_table.add m.conns id (new_conn m id)) ids;
+  List.iter (replay m) events;
   List.iter
     (fun id ->
       let c = Int_table.find m.conns id in
@@ -937,11 +945,9 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
           (fun acc r -> match r.open_csn with Some k -> max acc k | None -> acc)
           (Option.value c.live_open ~default:(-1))
           c.hist;
-      (* epoch and state accounting re-derived, so the isolation-budget
-         bound spans the crash *)
+      (* the epoch count re-derived (archiving counted the parked
+         bytes), so the isolation-budget bound spans the crash *)
       c.epochs_started <- List.length c.hist + Bool.to_int (Option.is_some c.live);
-      c.hist_bytes <-
-        List.fold_left (fun acc r -> acc + Bytes.length r.delivered) 0 c.hist;
       touch_conn m c)
     ids;
   m

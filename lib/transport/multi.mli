@@ -219,12 +219,15 @@ val verifier_stats : t -> Edc.Verifier.stats
 
 (** {1 Crash recovery} *)
 
-val export : t -> Persist.conn_image list
-(** Snapshot every connection — ledger, archived epochs, the live
-    epoch's verified runs and sheds, containment — ascending by
-    connection id.  Nothing in flight is exported, and neither is
-    governor accounting: a restored endpoint holds no in-flight TPDU,
-    and re-accounts each connection's slot on restore. *)
+val export : t -> Persist.event list
+(** The endpoint's compacted journal: the fewest records that rebuild
+    its durable state through {!restore}, ascending by connection.  Per
+    connection: its [Ledger]; each archived epoch, oldest first, then
+    the live one, as one [Acked] of its bytes, its [Shed]s and its
+    [Opened] identity, closed by an [Archived] with its counts or, for
+    the live epoch, a [Passes]; then a [Quarantined] if it was ever
+    boxed or poisoned.  Nothing in flight is exported.  Canonical:
+    [export (restore (export m)) = export m]. *)
 
 val restore :
   Netsim.Engine.t ->
@@ -235,24 +238,19 @@ val restore :
   ?persist:(Persist.event -> unit) ->
   ?anomaly_budget:int ->
   send_ack:(bytes -> unit) ->
-  Persist.conn_image list ->
   Persist.event list ->
   t
-(** [restore ... conns journal] rebuilds a demultiplexer from a
-    snapshot's connections and replays over them the journal written
-    since, through the endpoint's own primitives: an [Acked] record
-    joins the ledger, places and locks its runs, believes its end claim,
-    counts its pass and bounds the epoch's identity; a [Shed] joins the
-    shed cover; an [Opened] opens
-    (or adopts) the live epoch; an [Archived] or [Closed] archives it.
-    A record naming an unknown connection creates it (acknowledged
-    state is durable even when its [Opened] record was torn away).
-    Conservative re-entry: restored ledgers keep verified TPDUs from
-    being re-processed, the endpoint holds no in-flight TPDU (the
-    sender's retransmission rebuilds what was in flight), and once the
-    last record is replayed every connection re-accounts its slot
-    against a fresh governor — the budget, not the image, decides what
-    survives.  Journals, sends and schedules nothing beyond the
+(** [restore ... events] rebuilds a demultiplexer from nothing by
+    replaying [events] — a snapshot's, then the journal written since —
+    through the endpoint's own primitives, the live side's for each
+    record: an [Acked] joins the ledger, places and locks its runs,
+    believes its end claim, counts its pass and bounds the epoch's
+    identity; an [Archived] archives with the record's counts.  A record
+    naming an unknown connection creates it.  The endpoint holds no
+    in-flight TPDU (the sender's retransmission rebuilds it), and once
+    the last record is replayed every connection re-accounts its slot
+    against a fresh governor — the budget, not the snapshot, decides
+    what survives.  Journals, sends and schedules nothing beyond the
     governor's sweep; call {!reannounce} to re-enter service. *)
 
 val reannounce : t -> unit

@@ -5,22 +5,11 @@ open Labelling
    runs with their bytes — with the end confirmation, the honoured sheds,
    archived epochs and containment.  Everything still in flight is soft
    state the sender's retransmission rebuilds, so none of it is kept.
-   Here are only the images, their codecs and the store.  The live
-   transport exports to and restores from the images ([Multi.export] /
-   [.restore]), and recovery replays the journal through the restored
-   endpoint itself ([Chunk_transport.Receiver.replay]): a journalled ACK
-   is nothing but verified, labelled runs, placed by their labels alone,
-   so this module keeps no second copy of what an acknowledgement
-   does. *)
-
-type receiver_image = {
-  ri_conn : int;
-  ri_placed : (int * bytes) list;
-  ri_end_confirmed : int option;
-  ri_passed : int;
-  ri_shed_spans : (int * int) list;
-  ri_shed_tids : int list;
-}
+   There is one record vocabulary: the live endpoint journals its events
+   in it, and a snapshot is the same records, compacted by
+   [Multi.export].  Recovery replays both through the endpoint itself
+   ([Multi.replay], [Chunk_transport.Receiver.replay]), so this module
+   holds only the records, their one codec and the store. *)
 
 type sender_image = {
   si_first_tid : int;
@@ -30,30 +19,6 @@ type sender_image = {
   si_rto_cur : float;
   si_tpdu_elems : int;
 }
-
-type epoch_image = {
-  ei_delivered : bytes;
-  ei_complete : bool;
-  ei_open_csn : int option;
-  ei_elems : int;
-  ei_passes : int;
-}
-
-type conn_image = {
-  ci_id : int;
-  ci_acked : int list;
-  ci_hist : epoch_image list;
-  ci_live : receiver_image option;
-  ci_live_open : int option;
-  (* containment state (Multi's anomaly quarantine): a boxed or
-     poisoned peer must not earn a fresh admission by crashing the
-     endpoint *)
-  ci_quar_until : float;
-  ci_quar_count : int;
-  ci_poisoned : bool;
-}
-
-type endpoint_image = Multi of conn_image list
 
 type run_view = int * bytes * int * int
 
@@ -67,8 +32,13 @@ type event =
     }
   | Opened of { conn : int; open_csn : int option }
   | Shed of { conn : int; t_id : int; first_elem : int; elems : int }
-  | Archived of int
+  | Archived of { conn : int; complete : bool; elems : int; passes : int }
   | Closed of int
+  | Passes of { conn : int; passes : int }
+  | Ledger of { conn : int; tids : (int * int) list }
+  | Quarantined of { conn : int; until : float; count : int; poisoned : bool }
+
+type endpoint_image = Multi of event list
 
 let owned_run sn b = (sn, b, 0, Bytes.length b)
 
@@ -76,28 +46,16 @@ let run_bytes (sn, src, off, len) =
   if off = 0 && len = Bytes.length src then (sn, src)
   else (sn, Bytes.sub src off len)
 
-let empty_receiver ~conn =
-  {
-    ri_conn = conn;
-    ri_placed = [];
-    ri_end_confirmed = None;
-    ri_passed = 0;
-    ri_shed_spans = [];
-    ri_shed_tids = [];
-  }
-
-let empty_conn id =
-  { ci_id = id; ci_acked = []; ci_hist = []; ci_live = None; ci_live_open = None;
-    ci_quar_until = 0.0; ci_quar_count = 0; ci_poisoned = false }
-
 let event_conn = function
-  | Acked { conn; _ } | Opened { conn; _ } | Shed { conn; _ } -> conn
-  | Archived conn | Closed conn -> conn
+  | Acked { conn; _ } | Opened { conn; _ } | Shed { conn; _ }
+  | Archived { conn; _ } | Passes { conn; _ } | Ledger { conn; _ }
+  | Quarantined { conn; _ } | Closed conn ->
+      conn
 
 (* {1 Binary codec}
 
-   Each persisted image is declared once, as a codec value that is both
-   its writer and its reader, so the two cannot drift apart.  Everything
+   Each record is declared once, as a codec value that is both its
+   writer and its reader, so the two cannot drift apart.  Everything
    rides on [Wire]'s checksummed record framing.  Every read is
    bounds-checked and surfaces [Error], so each decoder is total; a read
    also refuses what no writer produces (a flag byte other than 0 or 1,
@@ -109,8 +67,9 @@ let event_conn = function
    their placed-element and pass counts; v4: receiver images gained their
    honoured sheds (spans and T.IDs); v5: receiver images lost everything
    in flight (verifier and corroboration state, end claims, re-ACK
-   clocks) and hold verified runs only *)
-let version = 5
+   clocks) and hold verified runs only; v6: a snapshot is a record count
+   and that many journal records, the images are gone *)
+let version = 6
 let magic = "CSNP"
 
 type cur = { b : bytes; mutable off : int }
@@ -199,108 +158,26 @@ let pair a b =
   { write = (fun buf (x, y) -> a.write buf x; b.write buf y);
     read = (fun c -> let* x = a.read c in let* y = b.read c in Ok (x, y)) }
 
-let triple a b c =
-  map (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z)))
-    (pair a (pair b c))
-
-(* One record field, as in [Check.Schedule]'s table: its codec, how to
-   get it, and how to set it in a copy.  A record's fields go to the
-   wire in list order; its reader sets them one by one into [blank]. *)
-type 'r field = Field : 'a codec * ('r -> 'a) * ('r -> 'a -> 'r) -> 'r field
-
-let rec write_fields buf r = function
-  | [] -> ()
-  | Field (c, get, _) :: rest -> c.write buf (get r); write_fields buf r rest
-
-let rec read_fields cur r = function
-  | [] -> Ok r
-  | Field (c, _, set) :: rest ->
-      let* v = c.read cur in
-      read_fields cur (set r v) rest
-
-let record blank fields =
-  { write = (fun buf r -> write_fields buf r fields);
-    read = (fun cur -> read_fields cur blank fields) }
-
-let receiver =
-  record (empty_receiver ~conn:0)
-    [ Field (int, (fun r -> r.ri_conn), fun r ri_conn -> { r with ri_conn });
-      Field (list (pair int bytes), (fun r -> r.ri_placed),
-        fun r ri_placed -> { r with ri_placed });
-      Field (opt int, (fun r -> r.ri_end_confirmed),
-        fun r ri_end_confirmed -> { r with ri_end_confirmed });
-      Field (int, (fun r -> r.ri_passed),
-        fun r ri_passed -> { r with ri_passed });
-      Field (list (pair int int), (fun r -> r.ri_shed_spans),
-        fun r ri_shed_spans -> { r with ri_shed_spans });
-      Field (list int, (fun r -> r.ri_shed_tids),
-        fun r ri_shed_tids -> { r with ri_shed_tids }) ]
-
-let epoch =
-  record
-    { ei_delivered = Bytes.empty; ei_complete = false; ei_open_csn = None;
-      ei_elems = 0; ei_passes = 0 }
-    [ Field (bytes, (fun e -> e.ei_delivered),
-        fun e ei_delivered -> { e with ei_delivered });
-      Field (bool, (fun e -> e.ei_complete),
-        fun e ei_complete -> { e with ei_complete });
-      Field (opt int, (fun e -> e.ei_open_csn),
-        fun e ei_open_csn -> { e with ei_open_csn });
-      Field (int, (fun e -> e.ei_elems), fun e ei_elems -> { e with ei_elems });
-      Field (int, (fun e -> e.ei_passes),
-        fun e ei_passes -> { e with ei_passes }) ]
-
-let conn =
-  record (empty_conn 0)
-    [ Field (int, (fun c -> c.ci_id), fun c ci_id -> { c with ci_id });
-      Field (list int, (fun c -> c.ci_acked),
-        fun c ci_acked -> { c with ci_acked });
-      Field (list epoch, (fun c -> c.ci_hist),
-        fun c ci_hist -> { c with ci_hist });
-      Field (opt receiver, (fun c -> c.ci_live),
-        fun c ci_live -> { c with ci_live });
-      Field (opt int, (fun c -> c.ci_live_open),
-        fun c ci_live_open -> { c with ci_live_open });
-      Field (float, (fun c -> c.ci_quar_until),
-        fun c ci_quar_until -> { c with ci_quar_until });
-      Field (int, (fun c -> c.ci_quar_count),
-        fun c ci_quar_count -> { c with ci_quar_count });
-      Field (bool, (fun c -> c.ci_poisoned),
-        fun c ci_poisoned -> { c with ci_poisoned }) ]
-
 let sender =
-  record
-    { si_first_tid = 0; si_acked = []; si_srtt = None; si_rttvar = 0.0;
-      si_rto_cur = 0.0; si_tpdu_elems = 0 }
-    [ Field (int, (fun s -> s.si_first_tid),
-        fun s si_first_tid -> { s with si_first_tid });
-      Field (list int, (fun s -> s.si_acked),
-        fun s si_acked -> { s with si_acked });
-      Field (opt float, (fun s -> s.si_srtt),
-        fun s si_srtt -> { s with si_srtt });
-      Field (float, (fun s -> s.si_rttvar),
-        fun s si_rttvar -> { s with si_rttvar });
-      Field (float, (fun s -> s.si_rto_cur),
-        fun s si_rto_cur -> { s with si_rto_cur });
-      Field (int, (fun s -> s.si_tpdu_elems),
-        fun s si_tpdu_elems -> { s with si_tpdu_elems }) ]
+  map
+    (fun (si_first_tid, (si_acked, (si_srtt, (si_rttvar, (si_rto_cur, n))))) ->
+      { si_first_tid; si_acked; si_srtt; si_rttvar; si_rto_cur;
+        si_tpdu_elems = n })
+    (fun s ->
+      ( s.si_first_tid,
+        (s.si_acked, (s.si_srtt, (s.si_rttvar, (s.si_rto_cur, s.si_tpdu_elems))))
+      ))
+    (pair int (pair (list int) (pair (opt float) (pair float (pair float int)))))
 
 (* A v2 run: C.SN and the bytes, under the record checksum. *)
 let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
 
 (* One constructor of a sum type: the record tag it travels under in
-   [Wire]'s framing, the test that picks it for a value, and its codec.
-   The codec is over the whole sum type, so writing a journal record
-   builds no projection of the event; what its getters give for other
-   constructors is never written, since [is] has picked the case.
-   Snapshot tags are 1-2 (0 is retired), journal event tags 16-21. *)
+   [Wire]'s framing, the test that picks it for a value, and its codec
+   over the whole sum type.  The sender image is tag 2 (0 and 1 were the
+   retired receiver and endpoint images), event records are tags
+   16-25. *)
 type 'a case = { tag : int; is : 'a -> bool; body : 'a codec }
-
-(* Tag 0 was the retired standalone-receiver image: it now reads as an
-   unknown tag. *)
-let endpoint_cases =
-  [ { tag = 1; is = (fun _ -> true);
-      body = map (fun cs -> Multi cs) (fun (Multi cs) -> cs) (list conn) } ]
 
 (* The [Acked] record.  Tag 16 is version 2's, whose payload carries
    the run bytes under the record checksum; it is read-only, so [is]
@@ -338,66 +215,93 @@ let run_heads =
   in
   let rec laid_out pos acc = function
     | [] -> Ok (List.rev acc)
-    | (sn, len, p) :: rest ->
+    | (sn, (len, p)) :: rest ->
         let n = Wsc2.symbols_of_bytes len in
         if len < 0 || p <> pos || pos > Wsc2.max_position + 1 - n then
           Error "Persist: malformed run layout"
         else laid_out (pos + n) ((sn, Bytes.empty, 0, len) :: acc) rest
   in
-  let heads = list (triple int int int) in
+  let heads = list (pair int (pair int int)) in
   { write = (fun buf runs -> int.write buf (List.length runs); write buf 0 runs);
     read = (fun c -> let* hs = heads.read c in laid_out 0 [] hs) }
 
-let acked_fields runs =
-  [ Field (int, event_conn, fun ev conn ->
-      match ev with Acked a -> Acked { a with conn } | _ -> ev);
-    Field (int, (function Acked a -> a.t_id | _ -> 0), fun ev t_id ->
-      match ev with Acked a -> Acked { a with t_id } | _ -> ev);
-    Field (opt int, (function Acked a -> a.end_confirmed | _ -> None),
-      fun ev end_confirmed ->
-      match ev with Acked a -> Acked { a with end_confirmed } | _ -> ev);
-    Field (runs, (function Acked a -> a.runs | _ -> []), fun ev runs ->
-      match ev with Acked a -> Acked { a with runs } | _ -> ev) ]
+(* An [Acked] record: the header fields, the runs by [runs] and, when
+   [parity] is set, the runs' parity.  It writes straight from the
+   event, so journalling an ACK builds no projection of it. *)
+let acked ~runs ~parity:with_parity =
+  let end_confirmed = opt int in
+  { write =
+      (fun buf -> function
+        | Acked a ->
+            int.write buf a.conn;
+            int.write buf a.t_id;
+            end_confirmed.write buf a.end_confirmed;
+            runs.write buf a.runs;
+            if with_parity then
+              parity.write buf
+                (match a.parity with Some p -> p | None -> runs_parity a.runs)
+        | _ -> ());
+    read =
+      (fun c ->
+        let* conn = int.read c in
+        let* t_id = int.read c in
+        let* end_confirmed = end_confirmed.read c in
+        let* runs = runs.read c in
+        let* parity =
+          if with_parity then Result.map Option.some (parity.read c) else Ok None
+        in
+        Ok (Acked { conn; t_id; end_confirmed; runs; parity })) }
 
-let no_acked =
-  Acked { conn = 0; t_id = 0; end_confirmed = None; runs = []; parity = None }
+(* The case of one constructor, given its fields' codec: [fields] is
+   [None] for every other constructor. *)
+let case tag fields make body =
+  { tag; is = (fun v -> Option.is_some (fields v));
+    body = map make (fun v -> Option.get (fields v)) body }
 
+(* Tag 18 was the count-less [Archived] of formats up to 5: it now reads
+   as an unknown tag. *)
 let event_cases =
   [ { tag = 16; is = (fun _ -> false);
-      body = record no_acked (acked_fields (list run)) };
+      body = acked ~runs:(list run) ~parity:false };
     { tag = acked_tag; is = (function Acked _ -> true | _ -> false);
-      body =
-        record no_acked
-          (acked_fields run_heads
-          @ [ Field (parity,
-                (function
-                  | Acked { parity = Some p; _ } -> p
-                  | Acked a -> runs_parity a.runs
-                  | _ -> Wsc2.parity_zero),
-                fun ev p ->
-                match ev with Acked a -> Acked { a with parity = Some p } | _ -> ev) ]) };
-    { tag = 17; is = (function Opened _ -> true | _ -> false);
-      body =
-        record (Opened { conn = 0; open_csn = None })
-          [ Field (int, event_conn, fun ev conn ->
-              match ev with Opened o -> Opened { o with conn } | _ -> ev);
-            Field (opt int, (function Opened o -> o.open_csn | _ -> None),
-              fun ev open_csn ->
-              match ev with Opened o -> Opened { o with open_csn } | _ -> ev) ] };
-    { tag = 18; is = (function Archived _ -> true | _ -> false);
-      body = map (fun c -> Archived c) event_conn int };
-    { tag = 19; is = (function Closed _ -> true | _ -> false);
-      body = map (fun c -> Closed c) event_conn int };
-    { tag = 21; is = (function Shed _ -> true | _ -> false);
-      body =
-        map
-          (fun (conn, (t_id, (first_elem, elems))) ->
-            Shed { conn; t_id; first_elem; elems })
-          (function
-            | Shed { conn; t_id; first_elem; elems } ->
-                (conn, (t_id, (first_elem, elems)))
-            | _ -> (0, (0, (0, 0))))
-          (pair int (pair int (pair int int))) } ]
+      body = acked ~runs:run_heads ~parity:true };
+    case 17
+      (function Opened { conn; open_csn } -> Some (conn, open_csn) | _ -> None)
+      (fun (conn, open_csn) -> Opened { conn; open_csn })
+      (pair int (opt int));
+    case 19 (function Closed c -> Some c | _ -> None) (fun c -> Closed c) int;
+    case 21
+      (function
+        | Shed { conn; t_id; first_elem; elems } ->
+            Some (conn, (t_id, (first_elem, elems)))
+        | _ -> None)
+      (fun (conn, (t_id, (first_elem, elems))) ->
+        Shed { conn; t_id; first_elem; elems })
+      (pair int (pair int (pair int int)));
+    case 22
+      (function
+        | Archived { conn; complete; elems; passes } ->
+            Some (conn, (complete, (elems, passes)))
+        | _ -> None)
+      (fun (conn, (complete, (elems, passes))) ->
+        Archived { conn; complete; elems; passes })
+      (pair int (pair bool (pair int int)));
+    case 23
+      (function Passes { conn; passes } -> Some (conn, passes) | _ -> None)
+      (fun (conn, passes) -> Passes { conn; passes })
+      (pair int int);
+    case 24
+      (function Ledger { conn; tids } -> Some (conn, tids) | _ -> None)
+      (fun (conn, tids) -> Ledger { conn; tids })
+      (pair int (list (pair int int)));
+    case 25
+      (function
+        | Quarantined { conn; until; count; poisoned } ->
+            Some (conn, (until, (count, poisoned)))
+        | _ -> None)
+      (fun (conn, (until, (count, poisoned))) ->
+        Quarantined { conn; until; count; poisoned })
+      (pair int (pair float (pair int bool))) ]
 
 (* Each run's bytes, copied once from its view into [buf]. *)
 let rec add_runs buf = function
@@ -454,50 +358,79 @@ let attach_runs b off = function
         Ok (Acked { a with runs; parity = None }, next)
   | ev -> Ok (ev, off)
 
-(* A snapshot: magic, version, and one record of one of [cases] that
-   ends the image. *)
-let image cases =
-  let encode v =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf magic;
-    Buffer.add_uint16_be buf version;
-    write_case buf (Buffer.create 1024) v cases;
-    Buffer.to_bytes buf
-  in
-  let decode b =
-    if Bytes.length b < 6 then Error "Persist: image too short"
-    else if Bytes.sub_string b 0 4 <> magic then Error "Persist: bad magic"
-    else if Bytes.get_uint16_be b 4 <> version then
-      Error "Persist: unsupported snapshot version"
-    else
-      let* tag, payload, next = Wire.decode_record b 6 in
-      if next <> Bytes.length b then Error "Persist: trailing bytes after image"
-      else read_case cases (tag, payload)
-  in
-  (encode, decode)
+(* An event appended to [buf] as the journal frames it: its record,
+   then an [Acked] record's run bytes. *)
+let add_event ?scratch buf payload ev =
+  write_case ?scratch buf payload ev event_cases;
+  match ev with Acked { runs; _ } -> add_runs buf runs | _ -> ()
 
-let encode_endpoint, decode_endpoint = image endpoint_cases
-let encode_sender, decode_sender =
-  image [ { tag = 2; is = (fun _ -> true); body = sender } ]
+(* The event whose record starts at [off] in [b], and the offset past
+   it. *)
+let read_event b off =
+  let* tag, payload, next = Wire.decode_record b off in
+  let* ev = read_case event_cases (tag, payload) in
+  if tag = acked_tag then attach_runs b next ev else Ok (ev, next)
+
+(* Every image starts with the magic and the version; [header b n]
+   checks them in an image of at least [n] bytes. *)
+let add_header buf =
+  Buffer.add_string buf magic;
+  Buffer.add_uint16_be buf version
+
+let header b n =
+  if Bytes.length b < n then Error "Persist: image too short"
+  else if Bytes.sub_string b 0 4 <> magic then Error "Persist: bad magic"
+  else if Bytes.get_uint16_be b 4 <> version then
+    Error "Persist: unsupported snapshot version"
+  else Ok ()
 
 (* Journal decode: replay stops at the first record that does not read
    back whole — a torn or failed checksum, run bytes that do not match
    their parity, or a payload that does not parse (version skew, or a
    longer layout's record).  Everything before it is still trusted. *)
-let decode_journal b =
-  let read_event off =
-    let* tag, payload, next = Wire.decode_record b off in
-    let* ev = read_case event_cases (tag, payload) in
-    if tag = acked_tag then attach_runs b next ev else Ok (ev, next)
-  in
-  let rec go off acc =
-    if off >= Bytes.length b then (List.rev acc, false)
-    else
-      match read_event off with
-      | Ok (ev, next) -> go next (ev :: acc)
-      | Error _ -> (List.rev acc, true)
-  in
-  go 0 []
+let rec read_records b off acc =
+  if off >= Bytes.length b then (List.rev acc, false)
+  else
+    match read_event b off with
+    | Ok (ev, next) -> read_records b next (ev :: acc)
+    | Error _ -> (List.rev acc, true)
+
+let decode_journal b = read_records b 0 []
+
+(* A snapshot: the header, a record count, and that many event records
+   framed as the journal frames them.  It is read as a journal is, but
+   trusted whole or not at all: a damaged or missing record, or bytes
+   after the last, is an [Error], never a shorter snapshot. *)
+let encode_endpoint (Multi events) =
+  let buf = Buffer.create 1024 and payload = Buffer.create 256 in
+  add_header buf;
+  Buffer.add_int32_be buf (Int32.of_int (List.length events));
+  List.iter (add_event buf payload) events;
+  Buffer.to_bytes buf
+
+let decode_endpoint b =
+  let* () = header b 10 in
+  match read_records b 10 [] with
+  | _, true -> Error "Persist: damaged record in snapshot"
+  | events, false ->
+      let count = Int32.to_int (Bytes.get_int32_be b 6) land 0xFFFF_FFFF in
+      if List.length events = count then Ok (Multi events)
+      else Error "Persist: snapshot record count mismatch"
+
+(* A sender image: the header and one record. *)
+let sender_case = [ { tag = 2; is = (fun _ -> true); body = sender } ]
+
+let encode_sender si =
+  let buf = Buffer.create 256 in
+  add_header buf;
+  write_case buf (Buffer.create 256) si sender_case;
+  Buffer.to_bytes buf
+
+let decode_sender b =
+  let* () = header b 6 in
+  let* tag, payload, next = Wire.decode_record b 6 in
+  if next <> Bytes.length b then Error "Persist: trailing bytes after image"
+  else read_case sender_case (tag, payload)
 
 let m_snap_bytes = Obs.Metrics.histogram "persist_snapshot_bytes"
 let m_journal_records = Obs.Metrics.counter "persist_journal_records_total"
@@ -528,10 +461,7 @@ module Store = struct
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    write_case ?scratch:st.scratch st.journal st.payload ev event_cases;
-    (match ev with
-    | Acked { runs; _ } -> add_runs st.journal runs
-    | Opened _ | Shed _ | Archived _ | Closed _ -> ());
+    add_event ?scratch:st.scratch st.journal st.payload ev;
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 
@@ -550,11 +480,11 @@ module Store = struct
     end
 
   let recover st =
-    let* base =
+    let* (Multi base) =
       match st.snap with None -> Ok (Multi []) | Some b -> decode_endpoint b
     in
     let events, torn = decode_journal (Buffer.to_bytes st.journal) in
     if torn && Obs.enabled then Obs.Metrics.incr m_truncations;
     if Obs.enabled then Obs.Metrics.incr m_restores;
-    Ok (base, events, torn)
+    Ok (base @ events, torn)
 end

@@ -1,58 +1,31 @@
-(** Crash-recovery images of transport endpoints: versioned snapshot
-    codec and append-only journal.  Recovery restores the snapshot with
-    [Multi.restore], which replays the journal through the endpoint's
-    own primitives; this module only decodes.
+(** Crash-recovery state of transport endpoints: one record vocabulary,
+    its codec, and an in-memory store.
 
     The paper's receiver believes nothing until a TPDU's error check
     passes, so what it must make durable is what it acknowledged: the
     ledger and the verified, labelled runs.  Everything in flight is
     soft state that the sender's retransmission rebuilds, and is not
-    kept.  A snapshot is therefore the verified bytes plus a few words
-    per connection, and each acknowledgement appends one journal record
-    carrying exactly the bytes that ACK promised to keep.  Recovery is
-    {e write-ahead}: the receiver journals the promise before
-    the ACK leaves, so a restored endpoint never claims data it cannot
-    produce.
+    kept.  Each acknowledgement appends one journal record carrying
+    exactly the bytes that ACK promised to keep.  Recovery is
+    {e write-ahead}: the receiver journals the promise before the ACK
+    leaves, so a restored endpoint never claims data it cannot produce.
+
+    A snapshot is the endpoint's {e compacted journal}: the same
+    records, as few as rebuild the same state ([Multi.export]).  There
+    is one replay path.  [Multi.restore] replays the snapshot's records
+    and then the journal's from an empty endpoint, so every durable fact
+    has one writer per side and one reader.
 
     On-wire framing is {!Labelling.Wire.encode_record}: length-prefixed,
-    WSC-2-checksummed records.  A snapshot is one record prefixed by the
-    magic ["CSNP"] and a version number; a journal is a plain
-    concatenation of event records.  An [Acked] record (tag 20) carries
-    its run bytes after the framed record: the record checksum covers
-    the header only, and the run bytes are checked against the WSC-2
-    parity the header carries.  Decoding never raises — corruption
-    surfaces as [Error], and journal decoding stops at the first
-    damaged record (torn-write tolerance). *)
-
-(** {1 Images}
-
-    Plain values mirroring the recoverable parts of the live endpoint
-    state, with every list in canonical sorted order so that
-    [export (restore image) = image] holds structurally. *)
-
-type receiver_image = {
-  ri_conn : int;  (** connection id the receiver serves *)
-  ri_placed : (int * bytes) list;
-      (** the verified runs as (C.SN, bytes), sorted and coalesced
-          exactly as [Labelling.Placement.locked_spans] reports: their
-          cover is the verified cover.  Bytes placed by a TPDU not yet
-          verified are not kept. *)
-  ri_end_confirmed : int option;  (** last element's C.SN, once ACKed *)
-  ri_passed : int;
-      (** TPDUs verified over the whole epoch, across restarts — the
-          archive gate ([Multi] keeps an epoch only if it delivered) *)
-  ri_shed_spans : (int * int) list;
-      (** element spans the sender shed and the receiver honoured, as
-          (C.SN, elements), sorted and coalesced: they count toward
-          completion, never toward verified delivery *)
-  ri_shed_tids : int list;  (** T.IDs of the honoured sheds, ascending *)
-}
-(** What a [Chunk_transport.Receiver] promised and cannot re-derive
-    after a crash.  Nothing in flight is here — verifier accumulators,
-    corroboration records and their stashed chunks, end claims not yet
-    verified, re-ACK clocks: it is soft state the sender's
-    retransmission rebuilds, so a restored receiver holds no in-flight
-    TPDU and its governor accounts nothing. *)
+    WSC-2-checksummed records.  A journal is a plain concatenation of
+    event records.  A snapshot is the magic ["CSNP"], a version number,
+    a record count and that many records, framed as the journal frames
+    them.  An [Acked] record (tag 20) carries its run bytes after the
+    framed record: the record checksum covers the header only, and the
+    run bytes are checked against the WSC-2 parity the header carries.
+    Decoding never raises — corruption surfaces as [Error] in a
+    snapshot, and journal decoding stops at the first damaged record
+    (torn-write tolerance). *)
 
 type sender_image = {
   si_first_tid : int;  (** T.ID of the transfer's first TPDU *)
@@ -66,38 +39,6 @@ type sender_image = {
     estimator.  Unsent data is the application's to re-offer; unacked
     TPDUs are rebuilt from the data and retransmitted with identical
     labels, which the receiver absorbs as duplicates. *)
-
-type epoch_image = {
-  ei_delivered : bytes;  (** the epoch's placement buffer *)
-  ei_complete : bool;
-  ei_open_csn : int option;
-      (** announced Open C.SN; [None] for an epoch that was only ever
-          established implicitly *)
-  ei_elems : int;  (** elements placed *)
-  ei_passes : int;  (** TPDUs verified over the epoch's whole life *)
-}
-(** One archived epoch of a [Multi] connection. *)
-
-type conn_image = {
-  ci_id : int;  (** connection id *)
-  ci_acked : int list;  (** per-connection ACK ledger, ascending *)
-  ci_hist : epoch_image list;  (** archived epochs, oldest first *)
-  ci_live : receiver_image option;  (** the live epoch, if any *)
-  ci_live_open : int option;
-      (** the live epoch's announced Open C.SN, when one was seen *)
-  ci_quar_until : float;
-      (** the connection's quarantine deadline (simulated time); [0.]
-          when it was never boxed — containment must survive a crash,
-          or a boxed peer could earn a fresh admission by forcing a
-          restart *)
-  ci_quar_count : int;  (** admissions revoked so far (backoff input) *)
-  ci_poisoned : bool;  (** torn down by an exception bulkhead: permanent *)
-}
-(** One connection of a [Multi] endpoint. *)
-
-type endpoint_image =
-  | Multi of conn_image list
-      (** a [Multi] endpoint's connections, ascending by id *)
 
 type run_view = int * bytes * int * int
 (** [(sn, src, off, len)]: the [len] bytes of [src] from [off] on,
@@ -145,11 +86,27 @@ type event =
       (** an honoured shed of TPDU [t_id], whose [elems] elements from
           C.SN [first_elem] on are settled without their bytes.  Written,
           like [Acked], {e before} the shed's ACK leaves. *)
-  | Archived of int  (** the live epoch was archived on this connection *)
+  | Archived of { conn : int; complete : bool; elems : int; passes : int }
+      (** the live epoch was archived on this connection, with its
+          closing counts: whether it was complete, the elements it
+          placed and the TPDUs it verified over its whole life *)
   | Closed of int  (** the connection was closed *)
+  | Passes of { conn : int; passes : int }
+      (** the live epoch's TPDUs verified over its whole life, which one
+          compacted [Acked] cannot count; [Multi.export]'s only *)
+  | Ledger of { conn : int; tids : (int * int) list }
+      (** the ACK ledger as ascending runs [(first T.ID, count)];
+          [Multi.export]'s only, the live ledger grows by [Acked] *)
+  | Quarantined of { conn : int; until : float; count : int; poisoned : bool }
+      (** containment, written when the connection is boxed or
+          poisoned: its quarantine deadline (simulated time), the
+          admissions revoked so far, and the bulkhead's poison.  A boxed
+          peer cannot earn a fresh admission by forcing a restart. *)
 
-val empty_receiver : conn:int -> receiver_image
-(** A blank receiver image for connection [conn]. *)
+type endpoint_image =
+  | Multi of event list
+      (** a [Multi] endpoint's compacted journal, as [Multi.export]
+          writes it *)
 
 val event_conn : event -> int
 (** The connection an event names. *)
@@ -157,22 +114,24 @@ val event_conn : event -> int
 (** {1 Codec} *)
 
 val version : int
-(** Snapshot format version (5).  The rule: any change to the field
+(** Snapshot format version (6).  The rule: any change to the field
     layout bumps this, and a decoder rejects images whose version it
     does not know — there is no cross-version repair.  Every decoder
     also refuses a record whose payload holds bytes past its last field,
     so a longer layout's record is never mis-read as this one's. *)
 
 val encode_endpoint : endpoint_image -> bytes
-(** Serialize a snapshot: magic, version, one checksummed record. *)
+(** Serialize a snapshot: magic, version, record count, then each event
+    exactly as {!Store.append} frames it. *)
 
 val decode_endpoint : bytes -> (endpoint_image, string) result
-(** Parse a snapshot.  [Error] — never an exception — on bad magic,
-    unknown version, checksum mismatch, truncation, or trailing
-    bytes. *)
+(** Parse a snapshot with the journal's own record decoder.  [Error] —
+    never an exception — on bad magic, unknown version, truncation,
+    trailing bytes, or any record a journal decode would stop at: a
+    snapshot is trusted whole, never as a prefix. *)
 
 val encode_sender : sender_image -> bytes
-(** Serialize a sender image (same framing as {!encode_endpoint}). *)
+(** Serialize a sender image: magic, version, one checksummed record. *)
 
 val decode_sender : bytes -> (sender_image, string) result
 (** Parse a sender image.  [Error] — never an exception — on bad magic,
@@ -219,11 +178,11 @@ module Store : sig
   val journal : t -> bytes
   (** A copy of the journal written since the last snapshot. *)
 
-  val recover : t -> (endpoint_image * event list * bool, string) result
-  (** What recovery starts from: the decoded snapshot ([Multi []] if
-      none was ever taken), the journal's trusted events since, and
-      whether the journal was torn.  [Multi.restore] rebuilds the
-      endpoint from the first two.  Counts [persist_restores_total]
+  val recover : t -> (event list * bool, string) result
+  (** What recovery replays: the snapshot's events (none if no snapshot
+      was ever taken) followed by the journal's trusted events since,
+      and whether the journal was torn.  [Multi.restore] rebuilds the
+      endpoint from the list.  Counts [persist_restores_total]
       and, on a torn journal, [persist_journal_truncations_total].
       [Error] only when the snapshot itself is unreadable. *)
 

@@ -307,11 +307,11 @@ let test_multi_quarantine_survives_restore () =
   let m1 =
     match P.decode_endpoint encoded with
     | Error e -> Alcotest.fail e
-    | Ok (P.Multi cs) ->
+    | Ok (P.Multi events) ->
         Transport.Multi.restore engine ~config:multi_config ~quota_elems:1024
           ~max_conns:8 ~anomaly_budget:8
           ~send_ack:(fun _ -> ())
-          cs []
+          events
   in
   (match Transport.Multi.conn_stats m1 ~conn_id:6 with
   | None -> Alcotest.fail "conn 6 lost across restore"
@@ -534,7 +534,7 @@ let test_multi_counter_totals () =
   let engine' = Netsim.Engine.create ~seed:28 () in
   let m' =
     M.restore engine' ~config:counted_config ~quota_elems:64 ~max_conns:2
-      ~anomaly_budget:8 ~send_ack:(fun _ -> ()) image []
+      ~anomaly_budget:8 ~send_ack:(fun _ -> ()) image
   in
   M.reannounce m';
   M.ingest m' (packet [ stray ~conn:50 ~t_id:0 ]);
@@ -590,7 +590,7 @@ let test_multi_reack_counts_agree () =
     M.restore
       (Netsim.Engine.create ~seed:30 ())
       ~config:counted_config ~quota_elems:64 ~max_conns:4
-      ~send_ack:(fun _ -> ()) image []
+      ~send_ack:(fun _ -> ()) image
   in
   moved "re-entry, one closed and one live ledger" m' 2 (fun () ->
       M.reannounce m')

@@ -618,7 +618,7 @@ let test_crash_restore_fresh_cache () =
     Transport.Multi.restore engine ~config:multi_config ~quota_elems:4096
       ~max_conns:8
       ~send_ack:(fun _ -> ())
-      image []
+      image
   in
   (* the cache is NOT part of the persisted image: a restored endpoint
      starts cold and repopulates from live traffic *)
@@ -703,11 +703,11 @@ let invariants_across_restores ?anomaly_budget mix =
               ~persist:(Transport.Persist.Store.append store)
               ~send_ack:(fun _ -> ())
               ()
-        | Some (images, journal) ->
+        | Some events ->
             Transport.Multi.restore engine ~config ~quota_elems:4096
               ~max_conns:8 ?anomaly_budget
               ~send_ack:(fun _ -> ())
-              images journal
+              events
       in
       let n = Array.length mix in
       let third k = Array.sub mix (k * n / 3) (((k + 1) * n / 3) - (k * n / 3)) in
@@ -719,11 +719,10 @@ let invariants_across_restores ?anomaly_budget mix =
            ingest_checked m (third 1)
          end
       &&
-      let exported = endpoint ~image:(Transport.Multi.export m, []) () in
+      let exported = endpoint ~image:(Transport.Multi.export m) () in
       let journalled =
         match Transport.Persist.Store.recover store with
-        | Ok (Transport.Persist.Multi images, journal, _) ->
-            endpoint ~image:(images, journal) ()
+        | Ok (events, _) -> endpoint ~image:events ()
         | Error _ ->
             failwith "no multi image recovered"
       in

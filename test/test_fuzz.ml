@@ -189,7 +189,7 @@ let snapshot_image =
     let m =
       Transport.Multi.restore (Netsim.Engine.create ())
         ~config:Transport.Chunk_transport.default_config ~quota_elems:8
-        ~max_conns:1 ~send_ack:ignore []
+        ~max_conns:1 ~send_ack:ignore
         [
           P.Acked
             {
@@ -222,63 +222,13 @@ let gen_bitflipped_snapshot =
       (Char.chr (Char.code (Bytes.get image i) lxor (1 lsl bit)));
     return image)
 
-(* Damage under the checksum.  A valid snapshot, sender image or
-   journal record whose payload takes one flipped byte, a truncation,
-   or an 8-byte field overwritten with -1, max_int or a huge count, then
-   re-framed with a valid checksum: garbage rarely gets past the magic
-   and the record checksum, so this is what reaches the field decoders.
-   A tag-20 [Acked] record's run bytes follow its framed header; they
-   are carried over behind the re-framed header, or take a flipped byte
-   themselves under an intact header.  The pinned images set every field
-   of every image type; the version-2 journal golden supplies a tag-16
-   record. *)
-let gen_damaged_payload =
-  let module P = Transport.Persist in
-  let image b = (Bytes.sub_string b 0 6, Bytes.sub b 6 (Bytes.length b - 6)) in
-  let record ev =
-    let st = P.Store.create () in
-    P.Store.append st ev;
-    ("", P.Store.journal st)
-  in
-  let v2_journal = Test_persist.of_hex Test_persist.golden_journal_v2_hex in
-  let v2_acked =
-    Bytes.sub v2_journal 0 (13 + Int32.to_int (Bytes.get_int32_be v2_journal 0))
-  in
-  let sources =
-    [
-      (`Endpoint, image (P.encode_endpoint Test_persist.golden_multi));
-      (* a live epoch holding in-flight verifier state too *)
-      (`Endpoint,
-        image
-          (P.encode_endpoint
-             (P.Multi
-                [
-                  {
-                    P.ci_id = 7;
-                    ci_acked = [ 1; 2 ];
-                    ci_hist = [];
-                    ci_live = Some Test_persist.golden_receiver;
-                    ci_live_open = Some 0;
-                    ci_quar_until = 0.0;
-                    ci_quar_count = 0;
-                    ci_poisoned = false;
-                  };
-                ])));
-      (`Sender, image (P.encode_sender Test_persist.golden_sender));
-      (`Journal_v2, ("", v2_acked));
-    ]
-    @ List.map (fun ev -> (`Journal, record ev)) Test_persist.golden_events
-  in
+(* The damage a record's payload takes under a valid checksum: one
+   flipped byte, a truncation, or an 8-byte field overwritten with -1,
+   max_int or a huge count — or, for a tag-20 [Acked] record, one flipped
+   run byte under an intact header. *)
+let gen_damage ~payload_len ~runs_len =
   QCheck2.Gen.(
-    let* kind, (prefix, framed) = oneofl sources in
-    let tag, payload, next =
-      match Wire.decode_record framed 0 with
-      | Ok r -> r
-      | Error e -> failwith e
-    in
-    let runs = Bytes.sub framed next (Bytes.length framed - next) in
-    let n = Bytes.length payload in
-    let* off = int_range 0 (n - 1) in
+    let* off = int_range 0 (payload_len - 1) in
     let* damage =
       oneof
         ([
@@ -289,41 +239,86 @@ let gen_damaged_payload =
              (oneofl [ -1L; Int64.of_int max_int; 0x7FFF_FFFF_FFFFL; 1_000_000L ]);
          ]
         @
-        if Bytes.length runs = 0 then []
+        if runs_len = 0 then []
         else
           [
             map2
               (fun i x -> `Run_flip (i, x))
-              (int_bound (Bytes.length runs - 1))
+              (int_bound (runs_len - 1))
               (int_range 1 255);
           ])
     in
-    let body = Buffer.create n in
-    let runs = Bytes.copy runs in
-    (match damage with
-    | `Flip x ->
-        Buffer.add_bytes body payload;
-        Buffer.truncate body off;
-        Buffer.add_uint8 body (Bytes.get_uint8 payload off lxor x);
-        Buffer.add_subbytes body payload (off + 1) (n - off - 1)
-    | `Truncate -> Buffer.add_subbytes body payload 0 off
-    | `Count v ->
-        let off = Int.min off (Int.max 0 (n - 8)) in
-        Buffer.add_subbytes body payload 0 off;
-        Buffer.add_int64_be body v;
-        let rest = off + 8 in
-        if rest < n then Buffer.add_subbytes body payload rest (n - rest)
-    | `Run_flip (i, x) ->
-        Buffer.add_bytes body payload;
-        Bytes.set_uint8 runs i (Bytes.get_uint8 runs i lxor x));
-    let buf = Buffer.create (n + 32) in
-    Buffer.add_string buf prefix;
-    Wire.encode_record buf ~tag body;
-    Buffer.add_bytes buf runs;
-    let kind =
-      match damage with `Run_flip _ -> `Run_damage | _ -> kind
-    in
-    return (kind, Buffer.to_bytes buf))
+    return (off, damage))
+
+(* [framed], one record as [Store.append] writes it, with [damage] done
+   to it and re-framed with a valid checksum: garbage rarely gets past
+   the record checksum, so this is what reaches the field decoders.  An
+   [Acked] record's run bytes follow its framed header; they are carried
+   over behind the re-framed header. *)
+let damage_record framed (off, damage) =
+  let tag, payload, next =
+    match Wire.decode_record framed 0 with Ok r -> r | Error e -> failwith e
+  in
+  let runs = Bytes.sub framed next (Bytes.length framed - next) in
+  let n = Bytes.length payload in
+  let body = Buffer.create n in
+  (match damage with
+  | `Flip x ->
+      Buffer.add_bytes body payload;
+      Buffer.truncate body off;
+      Buffer.add_uint8 body (Bytes.get_uint8 payload off lxor x);
+      Buffer.add_subbytes body payload (off + 1) (n - off - 1)
+  | `Truncate -> Buffer.add_subbytes body payload 0 off
+  | `Count v ->
+      let off = Int.min off (Int.max 0 (n - 8)) in
+      Buffer.add_subbytes body payload 0 off;
+      Buffer.add_int64_be body v;
+      let rest = off + 8 in
+      if rest < n then Buffer.add_subbytes body payload rest (n - rest)
+  | `Run_flip (i, x) ->
+      Buffer.add_bytes body payload;
+      Bytes.set_uint8 runs i (Bytes.get_uint8 runs i lxor x));
+  let buf = Buffer.create (n + 32) in
+  Wire.encode_record buf ~tag body;
+  Buffer.add_bytes buf runs;
+  Buffer.to_bytes buf
+
+(* The record bytes [framed] splits into: its payload's length and the
+   length of the run bytes after it. *)
+let record_lengths framed =
+  match Wire.decode_record framed 0 with
+  | Ok (_, payload, next) -> (Bytes.length payload, Bytes.length framed - next)
+  | Error e -> failwith e
+
+(* Each event as the bytes [Store.append] writes for it. *)
+let framed ev =
+  let st = Transport.Persist.Store.create () in
+  Transport.Persist.Store.append st ev;
+  Transport.Persist.Store.journal st
+
+(* Damage under the checksum of a sender image or a journal record.  The
+   journal golden events and the version-2 journal golden supply the
+   [Acked] layouts (tags 20 and 16) and the Open and Close records. *)
+let gen_damaged_payload =
+  let module P = Transport.Persist in
+  let v2_journal = Test_persist.of_hex Test_persist.golden_journal_v2_hex in
+  let v2_acked =
+    Bytes.sub v2_journal 0 (13 + Int32.to_int (Bytes.get_int32_be v2_journal 0))
+  in
+  let sender = P.encode_sender Test_persist.golden_sender in
+  let sources =
+    [
+      (`Sender, (Bytes.sub_string sender 0 6, Bytes.sub sender 6 (Bytes.length sender - 6)));
+      (`Journal_v2, ("", v2_acked));
+    ]
+    @ List.map (fun ev -> (`Journal, ("", framed ev))) Test_persist.golden_events
+  in
+  QCheck2.Gen.(
+    let* kind, (prefix, record) = oneofl sources in
+    let payload_len, runs_len = record_lengths record in
+    let* (_, damage) as d = gen_damage ~payload_len ~runs_len in
+    let kind = match damage with `Run_flip _ -> `Run_damage | _ -> kind in
+    return (kind, Bytes.cat (Bytes.of_string prefix) (damage_record record d)))
 
 (* Decoding never raises, and whatever decodes re-encodes to the very
    bytes it came from — except a version-2 [Acked] record, which
@@ -338,10 +333,6 @@ let prop_damaged_payload (kind, b) =
   in
   let reencodes () =
     match kind with
-    | `Endpoint -> (
-        match P.decode_endpoint b with
-        | Ok img -> Bytes.equal (P.encode_endpoint img) b
-        | Error _ -> true)
     | `Sender -> (
         match P.decode_sender b with
         | Ok si -> Bytes.equal (P.encode_sender si) b
@@ -355,6 +346,65 @@ let prop_damaged_payload (kind, b) =
     | `Run_damage -> P.decode_journal b = ([], true)
   in
   try reencodes () with _ -> false
+
+(* Damage under the checksum of one record of the golden snapshot, which
+   holds every record kind.  The snapshot and a journal of the same
+   records must agree on it: either the snapshot is refused and the
+   journal stops at the damaged record, torn, with every record before
+   it trusted; or both read every record alike, and the snapshot
+   re-encodes to its very bytes. *)
+let gen_damaged_snapshot =
+  let (Transport.Persist.Multi events) = Test_persist.golden_multi in
+  let records = List.map framed events in
+  QCheck2.Gen.(
+    let* i = int_bound (List.length records - 1) in
+    let payload_len, runs_len = record_lengths (List.nth records i) in
+    let* d = gen_damage ~payload_len ~runs_len in
+    return
+      (i, List.mapi (fun j r -> if j = i then damage_record r d else r) records))
+
+let prop_damaged_snapshot (i, records) =
+  let module P = Transport.Persist in
+  let snapshot =
+    let header = Bytes.sub (P.encode_endpoint (P.Multi [])) 0 6 in
+    let count = Bytes.create 4 in
+    Bytes.set_int32_be count 0 (Int32.of_int (List.length records));
+    Bytes.concat Bytes.empty (header :: count :: records)
+  in
+  let (P.Multi golden) = Test_persist.golden_multi in
+  let before_damage = List.filteri (fun j _ -> j < i) golden in
+  try
+    match (P.decode_endpoint snapshot, P.decode_journal (Bytes.concat Bytes.empty records)) with
+    | Error _, (events, true) -> compare events before_damage = 0
+    | Ok (P.Multi events), (events', false) ->
+        compare events events' = 0
+        && Bytes.equal (P.encode_endpoint (P.Multi events)) snapshot
+    | _ -> false
+  with _ -> false
+
+(* The codec is a fixpoint over every snapshot an endpoint exports:
+   connections with sheds, closes, archived and live epochs, cut at a
+   random event of their door stream. *)
+let prop_export_fixpoint (seed, conns, cut_pct) =
+  let module P = Transport.Persist in
+  let packets, quota_elems =
+    Test_persist.crash_door_stream ~seed ~conns ~data_len:1_500 ~drop_k:3
+      ~shed_pct:50
+  in
+  let m =
+    Transport.Multi.create (Netsim.Engine.create ())
+      ~config:Test_persist.crash_config ~quota_elems ~max_conns:(conns + 1)
+      ~send_ack:ignore ()
+  in
+  List.iteri
+    (fun i b ->
+      if i < List.length packets * cut_pct / 100 then Transport.Multi.ingest m b)
+    packets;
+  let img = P.Multi (Transport.Multi.export m) in
+  let b = P.encode_endpoint img in
+  match P.decode_endpoint b with
+  | Ok img' -> img' = img && Bytes.equal (P.encode_endpoint img') b
+  | Error _ -> false
 
 let suite =
   [
@@ -461,6 +511,12 @@ let suite =
         no_exn (fun () -> Transport.Persist.decode_journal b));
     Util.qtest ~count:500 "persist payload damage under a valid checksum"
       gen_damaged_payload prop_damaged_payload;
+    Util.qtest ~count:500
+      "snapshot record damage is refused where a journal stops"
+      gen_damaged_snapshot prop_damaged_snapshot;
+    Util.qtest ~count:50 "exported snapshots are a codec fixpoint"
+      QCheck2.Gen.(tup3 (int_range 0 10_000) (oneofl [ 1; 2; 3 ]) (int_range 0 100))
+      prop_export_fixpoint;
     Util.qtest ~count:100 "truncated snapshots are rejected, not mis-read"
       gen_truncated_snapshot
       (fun b -> Result.is_error (Transport.Persist.decode_endpoint b));

@@ -1,9 +1,10 @@
 (* Crash-recovery persistence: the snapshot codec is a fixpoint, journal
-   replay through the endpoint rebuilds the canonical image, torn journal
-   tails are dropped cleanly — and, the property that matters, an
-   endpoint restored from its own snapshot is behaviourally
-   indistinguishable from the live endpoint it was taken from under any
-   identical packet suffix. *)
+   replay through the endpoint rebuilds the canonical compacted journal,
+   torn journal tails are dropped cleanly, a snapshot restores what the
+   journal alone restores — and, the property that matters, an endpoint
+   restored from its own snapshot is behaviourally indistinguishable
+   from the live endpoint it was taken from under any identical packet
+   suffix. *)
 
 module CT = Transport.Chunk_transport
 module Persist = Transport.Persist
@@ -74,12 +75,12 @@ let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
   let img = Persist.Multi (Transport.Multi.export a) in
   match Persist.decode_endpoint (Persist.encode_endpoint img) with
   | Error _ -> false
-  | Ok (Persist.Multi conns) ->
+  | Ok (Persist.Multi events) ->
       let b =
         Transport.Multi.restore engine ~config ~quota_elems:expected
           ~max_conns:1
           ~send_ack:(fun p -> acks_b := Bytes.copy p :: !acks_b)
-          conns []
+          events
       in
       (* only the post-cut ACK streams are comparable: the prefix ACKs
          left before the snapshot was taken *)
@@ -102,9 +103,9 @@ let gen_equiv_case =
 let prop_restore_equivalent (seed, data_len, drop_k, cut_pct) =
   restore_equivalent ~seed ~data_len ~drop_k ~cut_pct
 
-(* Mid-transfer snapshots hold in-flight verifier and corroboration
-   state; the codec must reproduce them exactly, not just the easy
-   all-verified images. *)
+(* Mid-transfer snapshots, taken with TPDUs half received and some
+   repaired: the codec must reproduce them exactly, not just the easy
+   all-verified ones. *)
 let prop_codec_fixpoint (seed, data_len, cut_pct) =
   let packets, expected = record_door_packets ~seed ~data_len ~drop_k:3 in
   let cut = List.length packets * cut_pct / 100 in
@@ -121,66 +122,85 @@ let prop_codec_fixpoint (seed, data_len, cut_pct) =
    63-bit OCaml int, so any persisted float with magnitude >= 2.0 came
    back sign-flipped (the quarantine deadline was the first field big
    enough to hit it).  Round-trip floats across the whole range through
-   a conn image, whose [ci_quar_until] is the only float-bearing field
-   reachable without a full receiver. *)
+   a [Quarantined] record's deadline, the only float an endpoint
+   snapshot carries. *)
 let prop_float_roundtrip v =
   let img =
     Persist.Multi
-      [
-        {
-          Persist.ci_id = 1;
-          ci_acked = [];
-          ci_hist = [];
-          ci_live = None;
-          ci_live_open = None;
-          ci_quar_until = v;
-          ci_quar_count = 0;
-          ci_poisoned = false;
-        };
-      ]
+      [ Persist.Quarantined { conn = 1; until = v; count = 0; poisoned = false } ]
   in
   Persist.decode_endpoint (Persist.encode_endpoint img) = Ok img
 
 let run_at sn s = Persist.owned_run sn (Bytes.of_string s)
 
-(* The image an endpoint exports once [Multi.restore] has rebuilt it
-   from [snapshot]'s connections and replayed [journal] over them. *)
-let recovered ?(snapshot = Persist.Multi []) ?(config = config) ~quota_elems
-    journal =
-  let (Persist.Multi conns) = snapshot in
-  Persist.Multi
-    (Transport.Multi.export
-       (Transport.Multi.restore (Netsim.Engine.create ()) ~config ~quota_elems
-          ~max_conns:16 ~send_ack:ignore conns journal))
+(* The compacted journal an endpoint exports once [Multi.restore] has
+   rebuilt it from [snapshot]'s records and replayed [journal] after
+   them. *)
+let recovered ?(snapshot = []) ?(config = config) ~quota_elems journal =
+  Transport.Multi.export
+    (Transport.Multi.restore (Netsim.Engine.create ()) ~config ~quota_elems
+       ~max_conns:16 ~send_ack:ignore (snapshot @ journal))
 
 (* What [Store.recover] and [Multi.restore] rebuild from [store]. *)
 let recover_store ?config ~quota_elems store =
   match Persist.Store.recover store with
   | Error e -> Alcotest.failf "recover failed: %s" e
-  | Ok (snapshot, journal, torn) ->
-      (recovered ~snapshot ?config ~quota_elems journal, torn)
+  | Ok (events, torn) -> (recovered ?config ~quota_elems events, torn)
 
-(* Connection [id] of an endpoint image, and its live epoch. *)
-let conn_of (Persist.Multi conns) id =
-  match List.find_opt (fun c -> c.Persist.ci_id = id) conns with
-  | Some c -> c
-  | None -> Alcotest.failf "no connection %d in the image" id
+(* Connection [id]'s records in an export. *)
+let records_of evs id = List.filter (fun ev -> Persist.event_conn ev = id) evs
 
-let live_of c =
-  match c.Persist.ci_live with
-  | Some ri -> ri
-  | None -> Alcotest.failf "connection %d has no live epoch" c.Persist.ci_id
+(* Connection [id]'s ACK ledger in an export, ascending. *)
+let ledger_of evs id =
+  List.concat_map
+    (function
+      | Persist.Ledger { tids; _ } ->
+          List.concat_map (fun (first, n) -> List.init n (( + ) first)) tids
+      | _ -> [])
+    (records_of evs id)
 
-(* The verified cover a receiver image holds: its runs' spans, in
-   elements of [es] bytes. *)
-let cover ?(es = config.CT.elem_size) (ri : Persist.receiver_image) =
-  List.map (fun (sn, b) -> (sn, Bytes.length b / es)) ri.Persist.ri_placed
+(* What an export says of connection [id]'s live epoch: its verified
+   runs, end confirmation and pass count. *)
+type live = { runs : (int * string) list; end_confirmed : int option; passes : int }
+
+(* The live epoch's records are those after the connection's last
+   [Archived], and they end in its [Passes]. *)
+let live_of evs id =
+  let epoch =
+    List.fold_left
+      (fun acc ev ->
+        match ev with
+        | Persist.Archived _ -> []
+        | Persist.Ledger _ | Persist.Quarantined _ -> acc
+        | ev -> ev :: acc)
+      [] (records_of evs id)
+  in
+  if not (List.exists (function Persist.Passes _ -> true | _ -> false) epoch)
+  then Alcotest.failf "connection %d has no live epoch" id;
+  List.fold_left
+    (fun l ev ->
+      match ev with
+      | Persist.Acked { runs; end_confirmed; _ } ->
+          let run r =
+            let sn, b = Persist.run_bytes r in
+            (sn, Bytes.to_string b)
+          in
+          { l with runs = List.map run runs; end_confirmed }
+      | Persist.Passes { passes; _ } -> { l with passes }
+      | _ -> l)
+    { runs = []; end_confirmed = None; passes = 0 }
+    (List.rev epoch)
+
+(* The verified cover of a live epoch: its runs' spans, in elements of
+   [es] bytes. *)
+let cover ?(es = config.CT.elem_size) l =
+  List.map (fun (sn, b) -> (sn, String.length b / es)) l.runs
 
 let test_journal_replay () =
   (* two ACK records, out of order and with a gap: replay must produce
-     the canonical image — sorted ledger, coalesced runs, the verified
-     cover exactly the acknowledged spans, end confirmed by either
-     record *)
+     the canonical compacted journal — sorted ledger, coalesced runs,
+     the verified cover exactly the acknowledged spans, end confirmed
+     by either record *)
   let events =
     [
       Persist.Acked
@@ -201,20 +221,18 @@ let test_journal_replay () =
     ]
   in
   let img = recovered ~quota_elems:16 events in
-  let c7 = conn_of img 7 in
-  let ri = live_of c7 in
-  Alcotest.(check (list int)) "ledger sorted" [ 1; 3 ] c7.Persist.ci_acked;
-  Alcotest.(check int) "passes counted" 2 ri.Persist.ri_passed;
-  Alcotest.(check (option int)) "end confirmed" (Some 5) ri.Persist.ri_end_confirmed;
+  let l = live_of img 7 in
+  Alcotest.(check (list int)) "ledger sorted" [ 1; 3 ] (ledger_of img 7);
+  Alcotest.(check int) "passes counted" 2 l.passes;
+  Alcotest.(check (option int)) "end confirmed" (Some 5) l.end_confirmed;
   Alcotest.(check (list (pair int int)))
-    "verified cover coalesced" [ (0, 6) ] (cover ri);
-  (match ri.Persist.ri_placed with
-  | [ (0, b) ] ->
-      Alcotest.(check string) "placed bytes fused"
-        "abcdABCDwxyzWXYZefghijkl" (Bytes.to_string b)
-  | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
+    "verified cover coalesced" [ (0, 6) ] (cover l);
+  Alcotest.(check (list (pair int string)))
+    "placed bytes fused" [ (0, "abcdABCDwxyzWXYZefghijkl") ] l.runs;
   Alcotest.(check (list int)) "the other connection's ledger" [ 2 ]
-    (conn_of img 9).Persist.ci_acked
+    (ledger_of img 9);
+  Alcotest.(check bool) "the compacted journal restores to itself" true
+    (recovered ~quota_elems:16 img = img)
 
 let test_store_torn_tail () =
   (* write-ahead store: snapshot + two journal records, then a flipped
@@ -235,7 +253,7 @@ let test_store_torn_tail () =
   let img, torn = recover_store ~quota_elems:16 store in
   Alcotest.(check bool) "tail reported torn" true torn;
   Alcotest.(check (list int)) "first record kept, torn one dropped"
-    [ 1 ] (conn_of img 7).Persist.ci_acked
+    [ 1 ] (ledger_of img 7)
 
 (* The journal golden events: an ACK with two runs, an Open and a
    Close. *)
@@ -282,24 +300,18 @@ let of_hex h =
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
 (* What [golden_events] recover to from an empty endpoint. *)
-let check_golden_recovery (Persist.Multi conns, torn) =
+let check_golden_recovery (img, torn) =
   Alcotest.(check bool) "not torn" false torn;
-  match conns with
-  | [ c7; c9 ] ->
-      Alcotest.(check (list int)) "ledger" [ 3 ] c7.Persist.ci_acked;
-      (match c7.Persist.ci_live with
-      | Some ri ->
-          Alcotest.(check (list (pair int string)))
-            "placed runs"
-            [ (0, "abcdABCD"); (4, "efgh") ]
-            (List.map (fun (sn, b) -> (sn, Bytes.to_string b)) ri.Persist.ri_placed);
-          Alcotest.(check (list (pair int int)))
-            "verified" [ (0, 2); (4, 1) ] (cover ri);
-          Alcotest.(check (option int)) "end" (Some 11) ri.Persist.ri_end_confirmed
-      | None -> Alcotest.fail "acked connection lost its live epoch");
-      Alcotest.(check bool) "closed connection has no live epoch" true
-        (c9.Persist.ci_live = None && c9.Persist.ci_hist = [])
-  | _ -> Alcotest.failf "expected two connections, got %d" (List.length conns)
+  Alcotest.(check (list int)) "two connections" [ 7; 9 ]
+    (List.sort_uniq Int.compare (List.map Persist.event_conn img));
+  Alcotest.(check (list int)) "ledger" [ 3 ] (ledger_of img 7);
+  let l = live_of img 7 in
+  Alcotest.(check (list (pair int string)))
+    "placed runs" [ (0, "abcdABCD"); (4, "efgh") ] l.runs;
+  Alcotest.(check (list (pair int int))) "verified" [ (0, 2); (4, 1) ] (cover l);
+  Alcotest.(check (option int)) "end" (Some 11) l.end_confirmed;
+  Alcotest.(check bool) "closed connection has no live epoch" true
+    (records_of img 9 = [ Persist.Closed 9 ])
 
 let test_journal_v2_golden () =
   let events, torn = Persist.decode_journal (of_hex golden_journal_v2_hex) in
@@ -336,25 +348,44 @@ let test_journal_golden () =
     (hex (Persist.Store.journal (journal_of vouched)));
   check_golden_recovery (recover_store ~quota_elems:16 store)
 
-(* The snapshot and sender formats pinned the same way: one image of
-   each shape, every field set to a value that tells it apart from its
-   neighbours.  Any change to these bytes is a format change and must
-   bump [Persist.version]. *)
-let golden_receiver =
-  {
-    Persist.ri_conn = 7;
-    ri_placed = [ (0, Bytes.of_string "abcdefgh") ];
-    ri_end_confirmed = Some 11;
-    ri_passed = 2;
-    ri_shed_spans = [ (16, 8) ];
-    ri_shed_tids = [ 9 ];
-  }
+(* The snapshot and sender formats pinned the same way: a snapshot that
+   holds every record kind, and a sender image, every field set to a
+   value that tells it apart from its neighbours.  Any change to these
+   bytes is a format change and must bump [Persist.version]. *)
+let golden_multi =
+  Persist.Multi
+    [
+      Persist.Ledger { conn = 3; tids = [ (0, 2); (5, 1) ] };
+      Persist.Acked
+        { conn = 3; t_id = 0; end_confirmed = None;
+          runs = [ run_at 0 "abcd" ]; parity = None };
+      Persist.Shed { conn = 3; t_id = 0; first_elem = 1; elems = 2 };
+      Persist.Opened { conn = 3; open_csn = Some 0 };
+      Persist.Archived { conn = 3; complete = true; elems = 1; passes = 2 };
+      Persist.Acked
+        { conn = 3; t_id = 5; end_confirmed = Some 11;
+          runs = [ run_at 16 "abcdefgh" ]; parity = None };
+      Persist.Shed { conn = 3; t_id = 9; first_elem = 24; elems = 8 };
+      Persist.Opened { conn = 3; open_csn = Some 16 };
+      Persist.Passes { conn = 3; passes = 2 };
+      Persist.Quarantined { conn = 3; until = 3.5; count = 2; poisoned = true };
+      Persist.Closed 9;
+    ]
+
+let golden_multi_hex =
+  "43534e500005000000f5010000000000000002000000000000000300000000000000010000\
+   00000000000000000000000000010000000000000004616263640101000000000000000000\
+   00000000000001000000000000000201000000000000000300000000000000010000000000\
+   0000000000000000000008616263646566676801000000000000000b000000000000000200\
+   00000000000001000000000000001000000000000000080000000000000001000000000000\
+   0009010000000000000010400c000000000000000000000000000201000000000000000900\
+   000000000000000000000000000000000000000000000000000000000000000000007d772c\
+   6874e97da1"
 
 (* A standalone-receiver image (tag 0) as the retired format wrote it:
-   [golden_receiver] with the ledger [1; 2], its version field set to
-   the current one (the record checksum does not cover it), so only its
-   tag refuses it.  Nothing writes tag 0 now, and a decoder must refuse
-   it, not raise. *)
+   nothing writes tag 0 now, and a decoder must refuse it, not raise,
+   even with its version field rewritten to the current one (the record
+   checksum does not cover it). *)
 let retired_single_hex =
   "43534e50000500000207000000000000000002000000000000000100000000000000020000\
    00000000000700000000000000010000000000000000000000000000000861626364656667\
@@ -372,41 +403,11 @@ let retired_single_hex =
    30000000000000000200000000000000010000000000000010000000000000000800000000\
    000000010000000000000009bab39962c73b659e"
 
-let golden_multi =
-  Persist.Multi
-    [
-      {
-        Persist.ci_id = 3;
-        ci_acked = [ 0 ];
-        ci_hist =
-          [
-            {
-              Persist.ei_delivered = Bytes.of_string "abcd";
-              ei_complete = true;
-              ei_open_csn = Some 0;
-              ei_elems = 1;
-              ei_passes = 2;
-            };
-          ];
-        ci_live = Some { golden_receiver with Persist.ri_conn = 3 };
-        ci_live_open = Some 16;
-        ci_quar_until = 3.5;
-        ci_quar_count = 2;
-        ci_poisoned = true;
-      };
-      {
-        Persist.ci_id = 9;
-        ci_acked = [];
-        ci_hist = [];
-        ci_live = None;
-        ci_live_open = None;
-        ci_quar_until = 0.0;
-        ci_quar_count = 0;
-        ci_poisoned = false;
-      };
-    ]
-
-let golden_multi_hex =
+(* Version 5's conn-image snapshot of a connection like [golden_multi]'s
+   (ledger, one archived epoch, a live epoch with a shed, containment)
+   and version 4's, which also held in-flight verifier and
+   corroboration state: a version-6 decoder refuses both. *)
+let golden_multi_v5_hex =
   "43534e500005000000f5010000000000000002000000000000000300000000000000010000\
    00000000000000000000000000010000000000000004616263640101000000000000000000\
    00000000000001000000000000000201000000000000000300000000000000010000000000\
@@ -416,8 +417,6 @@ let golden_multi_hex =
    000000000000000000000000000000000000000000000000000000000000000000007d772c\
    6874e97da1"
 
-(* [golden_multi] as version 4 wrote it, in-flight verifier and
-   corroboration state included: a version-5 decoder refuses it. *)
 let golden_multi_v4_hex =
   "43534e5000040000019b010000000000000002000000000000000300000000000000010000\
    00000000000000000000000000010000000000000004616263640101000000000000000000\
@@ -453,13 +452,18 @@ let test_snapshot_goldens () =
   in
   check "multi image" golden_multi_hex (Persist.encode_endpoint golden_multi);
   check "sender image" golden_sender_hex (Persist.encode_sender golden_sender);
-  Alcotest.(check bool) "version-4 image refused" true
-    (Result.is_error (Persist.decode_endpoint (of_hex golden_multi_v4_hex)));
-  Alcotest.(check bool) "retired tag-0 image refused" true
-    (match Persist.decode_endpoint (of_hex retired_single_hex) with
-    | Error _ -> true
-    | Ok _ -> false
-    | exception _ -> false);
+  let refused what hex =
+    Alcotest.(check bool) (what ^ " refused") true
+      (match Persist.decode_endpoint (of_hex hex) with
+      | Error _ -> true
+      | Ok _ -> false
+      | exception _ -> false)
+  in
+  refused "version-4 image" golden_multi_v4_hex;
+  refused "version-5 image" golden_multi_v5_hex;
+  let retired = of_hex retired_single_hex in
+  Bytes.set_uint16_be retired 4 Persist.version;
+  refused "retired tag-0 image" (hex retired);
   Alcotest.(check bool) "multi decodes back" true
     (Persist.decode_endpoint (Persist.encode_endpoint golden_multi)
     = Ok golden_multi);
@@ -532,24 +536,24 @@ let test_contiguous_replay () =
       events
   in
   let allocated = Gc.allocated_bytes () -. before in
-  let c = conn_of replayed 7 in
-  let ri = live_of c in
-  Alcotest.(check (list int)) "ledger" (List.init k Fun.id) c.Persist.ci_acked;
-  Alcotest.(check int) "passes" k ri.Persist.ri_passed;
+  let l = live_of replayed 7 in
+  Alcotest.(check (list int)) "ledger" (List.init k Fun.id) (ledger_of replayed 7);
+  Alcotest.(check int) "passes" k l.passes;
   Alcotest.(check (list (pair int int)))
-    "verified cover" [ (0, k * run_elems) ] (cover ~es:elem_size ri);
-  (match ri.Persist.ri_placed with
-  | [ (0, b) ] -> Alcotest.check Util.bytes_testable "one fused run" image b
+    "verified cover" [ (0, k * run_elems) ] (cover ~es:elem_size l);
+  (match l.runs with
+  | [ (0, b) ] ->
+      Alcotest.check Util.bytes_testable "one fused run" image (Bytes.of_string b)
   | runs -> Alcotest.failf "expected one fused run, got %d" (List.length runs));
   if allocated > 8.0 *. float_of_int (Bytes.length image) then
     Alcotest.failf "replay allocated %.0f bytes for a %d-byte image" allocated
       (Bytes.length image)
 
 (* Replay is compositional: a shuffled journal of acknowledged TPDUs,
-   some missing and an archive somewhere among them, must replay to the
-   image that replaying it one record at a time builds, each one-record
-   replay restoring the image the previous one exported — a snapshot
-   taken after any record. *)
+   some missing and a Close somewhere among them, must replay to the
+   compacted journal that replaying it one record at a time builds, each
+   one-record replay restoring the records the previous one exported —
+   a snapshot taken after any record. *)
 let gen_shuffled_acks =
   let open QCheck2.Gen in
   let* n = int_range 1 24 in
@@ -586,13 +590,12 @@ let prop_replay_merges_once (n, tpdu_elems, kept, seed, archive_at) =
     | None -> acked
     | Some k ->
         List.filteri (fun i _ -> i < k) acked
-        @ (Persist.Archived conn :: List.filteri (fun i _ -> i >= k) acked)
+        @ (Persist.Closed conn :: List.filteri (fun i _ -> i >= k) acked)
   in
   let replay snapshot evs =
     recovered ~snapshot ~quota_elems:(n * tpdu_elems) evs
   in
-  replay (Persist.Multi []) events
-  = List.fold_left (fun img ev -> replay img [ ev ]) (Persist.Multi []) events
+  replay [] events = List.fold_left (fun img ev -> replay img [ ev ]) [] events
 
 (* Journal records from borrowed run views: random ACK events whose
    several runs are views at nonzero offsets into one shared source
@@ -731,8 +734,12 @@ let test_torn_write_sweep () =
                runs = [ run_at 68 "ijkl"; run_at 70 "mnopqrst" ];
                parity = None;
              };
-           Persist.Archived 3;
+           Persist.Passes { conn = 3; passes = 2 };
+           Persist.Shed { conn = 3; t_id = 66; first_elem = 72; elems = 4 };
+           Persist.Archived { conn = 3; complete = true; elems = 8; passes = 2 };
            Persist.Closed 3;
+           Persist.Ledger { conn = 3; tids = [ (64, 1); (68, 1) ] };
+           Persist.Quarantined { conn = 3; until = 2.5; count = 1; poisoned = false };
          ])
   in
   Alcotest.(check bool) "every byte swept" true (cases > 4 * 200);
@@ -825,8 +832,9 @@ let test_journal_reuses_parity () =
     Alcotest.failf "journal hook checksummed %d bytes per ACK" per_ack;
   let img, torn = recover_store ~config ~quota_elems:expected store in
   Alcotest.(check bool) "journal not torn" false torn;
-  match (live_of (conn_of img config.CT.conn_id)).Persist.ri_placed with
-  | [ (0, b) ] -> Alcotest.check Util.bytes_testable "replayed bytes" data b
+  match (live_of img config.CT.conn_id).runs with
+  | [ (0, b) ] ->
+      Alcotest.check Util.bytes_testable "replayed bytes" data (Bytes.of_string b)
   | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
 
 let test_sender_restore () =
@@ -877,11 +885,11 @@ let test_sender_restore_rejects_adaptive () =
            ~data:(Util.deterministic_bytes 512) si))
 
 (* A transfer that finished before the crash is archived at its Close,
-   so the restore rebuilds it from the image alone: its placed-element
-   and pass counts must survive whether the Close reached a snapshot or
-   only the journal.  A snapshot taken while half of TPDU 1 waited for
-   the other half holds that half placed, and the journal's ACK of
-   TPDU 1 places it again: the count must not double it. *)
+   so the restore rebuilds it from records alone: its placed-element and
+   pass counts must survive whether the Close reached a snapshot or only
+   the journal.  A snapshot taken while half of TPDU 1 waited for the
+   other half holds none of it, and the journal's ACK of TPDU 1 places
+   it: the count must count it once. *)
 let test_archived_epoch_counts_survive () =
   let open Labelling in
   let conn = 3 and quota_elems = 64 in
@@ -946,10 +954,10 @@ let test_archived_epoch_counts_survive () =
       [ (true, 46, 3) ] (List.map snd before);
     Transport.Multi.teardown m;
     match Persist.Store.recover store with
-    | Ok (Persist.Multi conns, journal, false) ->
+    | Ok (events, false) ->
         let m' =
           Transport.Multi.restore engine ~config ~quota_elems ~max_conns:4
-            ~send_ack:ignore conns journal
+            ~send_ack:ignore events
         in
         Alcotest.(check (list (pair string (triple bool int int))))
           "restored archived epoch" before (counts m')
@@ -1030,10 +1038,10 @@ let test_shed_survives_restore () =
     (Util.only_epoch m ~conn_id:config.CT.conn_id).Transport.Multi.complete;
   let bytes = Persist.encode_endpoint (Persist.Multi (Transport.Multi.export m)) in
   match Persist.decode_endpoint bytes with
-  | Ok (Persist.Multi conns) ->
+  | Ok (Persist.Multi events) ->
       check_shed_kept "snapshot"
         (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
-           ~send_ack:ignore conns [])
+           ~send_ack:ignore events)
         config packets
   | Error e -> Alcotest.failf "snapshot did not decode: %s" e
 
@@ -1050,12 +1058,12 @@ let test_shed_survives_journal () =
   verify_and_shed m config packets;
   Transport.Multi.teardown m;
   match Persist.Store.recover store with
-  | Ok (Persist.Multi conns, journal, false) ->
+  | Ok (events, false) ->
       check_shed_kept "journal"
         (Transport.Multi.restore engine ~config ~quota_elems ~max_conns:1
-           ~send_ack:ignore conns journal)
+           ~send_ack:ignore events)
         config packets
-  | Ok (_, _, true) -> Alcotest.fail "journal torn"
+  | Ok (_, true) -> Alcotest.fail "journal torn"
   | Error e -> Alcotest.failf "recover failed: %s" e
 
 (* {1 Durable state survives a crash at any event}
@@ -1136,46 +1144,10 @@ let crash_door_stream ~seed ~conns ~data_len ~drop_k ~shed_pct =
          door),
     quota_elems )
 
-(* What an endpoint image holds durably: per connection, the ledger;
-   each archived epoch's completion and passes, and a complete one's
-   delivered bytes; the live epoch's verified runs with their bytes,
-   end claim, passes and sheds.  Epoch identity is left out.  The shed TPDU's span is masked out of archived bytes: the
-   live buffer may hold unverified bytes of it, placed before the
-   shed. *)
-let durable (Persist.Multi conns) =
-  let es = config.CT.elem_size in
-  let masked conn b =
-    let b = Bytes.copy b in
-    (if conn = 1 then
-       let first, n = shed_span in
-       let off = first * es in
-       if off < Bytes.length b then
-         Bytes.fill b off (Int.min (n * es) (Bytes.length b - off)) '\000');
-    Bytes.to_string b
-  in
-  List.map
-    (fun (c : Persist.conn_image) ->
-      ( c.Persist.ci_id,
-        c.Persist.ci_acked,
-        List.map
-          (fun (e : Persist.epoch_image) ->
-            ( e.Persist.ei_complete,
-              e.Persist.ei_passes,
-              if e.Persist.ei_complete then
-                masked c.Persist.ci_id e.Persist.ei_delivered
-              else "" ))
-          c.Persist.ci_hist,
-        Option.map
-          (fun (ri : Persist.receiver_image) ->
-            ( List.map
-                (fun (sn, b) -> (sn, Bytes.to_string b))
-                ri.Persist.ri_placed,
-              ri.Persist.ri_end_confirmed,
-              ri.Persist.ri_passed,
-              ri.Persist.ri_shed_spans,
-              ri.Persist.ri_shed_tids ))
-          c.Persist.ci_live ))
-    conns
+(* What an endpoint holds durably: its compacted journal without the
+   epochs' identities (the [Opened] records), which the live endpoint
+   may know from an Open signal and a recovery only from its labels. *)
+let durable evs = List.filter (function Persist.Opened _ -> false | _ -> true) evs
 
 let gen_crash_case =
   QCheck2.Gen.(
@@ -1217,12 +1189,113 @@ let prop_crash_keeps_durable
         (Persist.Multi (Transport.Multi.export m));
     if i < crash then Transport.Multi.ingest m packets.(i)
   done;
-  let want = durable (Persist.Multi (Transport.Multi.export m)) in
+  let want = durable (Transport.Multi.export m) in
   List.for_all
     (fun store ->
       let img, torn = recover_store ~config:crash_config ~quota_elems store in
       (not torn) && durable img = want)
     [ journal_only; with_snapshot ]
+
+(* A snapshot is the compacted journal: the door stream up to a random
+   crash event goes into an endpoint that journals into two stores, one
+   of which also snapshots at random events.  The store that took
+   snapshots and the one that never did recover to endpoints that export
+   the same records, epoch identities included. *)
+let gen_snapshot_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* conns = oneofl [ 1; 1; 2; 3 ] in
+    let* data_len = int_range 64 3_000 in
+    let* drop_k = oneofl [ 0; 3; 4; 7 ] in
+    let* shed_pct = int_range 0 100 in
+    let* crash_pct = int_range 0 100 in
+    let* snap_pcts = list_size (int_range 1 4) (int_range 0 100) in
+    return (seed, conns, data_len, drop_k, shed_pct, crash_pct, snap_pcts))
+
+let prop_snapshot_is_compacted_journal
+    (seed, conns, data_len, drop_k, shed_pct, crash_pct, snap_pcts) =
+  let packets, quota_elems =
+    crash_door_stream ~seed ~conns ~data_len ~drop_k ~shed_pct
+  in
+  let packets = Array.of_list packets in
+  let crash = Array.length packets * crash_pct / 100 in
+  let snaps = List.map (fun pct -> crash * pct / 100) snap_pcts in
+  let journal_only = Persist.Store.create ()
+  and snapshotted = Persist.Store.create () in
+  let m =
+    Transport.Multi.create (Netsim.Engine.create ()) ~config:crash_config
+      ~quota_elems ~max_conns:(conns + 1)
+      ~persist:(fun ev ->
+        Persist.Store.append journal_only ev;
+        Persist.Store.append snapshotted ev)
+      ~send_ack:ignore ()
+  in
+  for i = 0 to crash do
+    if List.mem i snaps then
+      Persist.Store.snapshot snapshotted
+        (Persist.Multi (Transport.Multi.export m));
+    if i < crash then Transport.Multi.ingest m packets.(i)
+  done;
+  let recover = recover_store ~config:crash_config ~quota_elems in
+  let a, torn_a = recover journal_only and b, torn_b = recover snapshotted in
+  (not (torn_a || torn_b)) && a = b
+
+(* Containment is durable without a snapshot: a connection boxed for
+   flapping and one poisoned by a bulkhead keep their deadline,
+   revocation count and poison through a journal-only recovery, so a
+   crash earns neither a fresh admission. *)
+let test_containment_survives_journal () =
+  let module M = Transport.Multi in
+  let engine = Netsim.Engine.create ~seed:7 () in
+  let store = Persist.Store.create () in
+  let m =
+    M.create engine ~config ~quota_elems:64 ~max_conns:4 ~anomaly_budget:8
+      ~persist:(Persist.Store.append store) ~send_ack:ignore ()
+  in
+  let signal conn sg =
+    M.ingest m
+      (Util.ok_or_fail
+         (Labelling.Wire.encode_packet
+            [ Labelling.Connection.signal_chunk ~conn_id:conn sg ]))
+  in
+  (* each Open with a fresh C.SN tears connection 6's live epoch down:
+     scored churn, and the second one trips the budget *)
+  List.iter
+    (fun first_csn -> signal 6 (Labelling.Connection.Open { first_csn }))
+    [ 0; 100; 200 ];
+  signal 8 (Labelling.Connection.Open { first_csn = 0 });
+  M.poison m ~conn_id:8;
+  let containment m =
+    ( List.map
+        (fun conn_id ->
+          match M.conn_stats m ~conn_id with
+          | Some cs ->
+              (cs.M.cs_quarantined, cs.M.cs_quarantines, cs.M.cs_poisoned)
+          | None -> Alcotest.failf "connection %d lost" conn_id)
+        [ 6; 8 ],
+      List.filter
+        (function Persist.Quarantined _ -> true | _ -> false)
+        (M.export m) )
+  in
+  let before = containment m in
+  Alcotest.(check (list (triple bool int bool)))
+    "boxed and poisoned before the crash"
+    [ (true, 1, false); (true, 0, true) ]
+    (fst before);
+  M.teardown m;
+  match Persist.Store.recover store with
+  | Ok (events, false) ->
+      let m' =
+        M.restore (Netsim.Engine.create ()) ~config ~quota_elems:64
+          ~max_conns:4 ~anomaly_budget:8 ~send_ack:ignore events
+      in
+      let after = containment m' in
+      Alcotest.(check (list (triple bool int bool)))
+        "boxed and poisoned after a journal-only recovery" (fst before)
+        (fst after);
+      Alcotest.(check bool) "the same deadlines" true (snd before = snd after)
+  | Ok (_, true) -> Alcotest.fail "journal torn"
+  | Error e -> Alcotest.failf "recover failed: %s" e
 
 (* A crash is no verdict: tearing down an endpoint that holds in-flight
    TPDUs drops them without counting a failure or a verify latency. *)
@@ -1284,7 +1357,7 @@ let suite =
       `Quick test_journal_v2_golden;
     Alcotest.test_case "journal Acked record is tag 20 byte for byte" `Quick
       test_journal_golden;
-    Alcotest.test_case "snapshot and sender formats are version 5 byte for byte"
+    Alcotest.test_case "snapshot and sender formats are version 6 byte for byte"
       `Quick test_snapshot_goldens;
     Alcotest.test_case "sender image with bytes after its record is refused"
       `Quick test_sender_trailing_image;
@@ -1318,4 +1391,9 @@ let suite =
     Util.qtest ~count:150
       "recovery holds the uncrashed endpoint's durable state at the crash"
       gen_crash_case prop_crash_keeps_durable;
+    Util.qtest ~count:150
+      "a snapshot restores what its journal alone restores"
+      gen_snapshot_case prop_snapshot_is_compacted_journal;
+    Alcotest.test_case "a boxed or poisoned connection survives a journal-only recovery"
+      `Quick test_containment_survives_journal;
   ]

@@ -684,8 +684,8 @@ let test_completion_rule () =
       (step ^ ": exported verified spans")
       want
       (List.map
-         (fun (sn, b) -> (sn, Bytes.length b / es))
-         (CT.Receiver.export !rx).Transport.Persist.ri_placed);
+         (fun (sn, _, _, len) -> (sn, len / es))
+         (CT.Receiver.verified_runs !rx));
     Alcotest.(check bool)
       (step ^ ": complete as the sorted merge says")
       (old_rule (want @ CT.Receiver.shed_spans !rx))
@@ -707,19 +707,28 @@ let test_completion_rule () =
   pass 0;
   pass 1;
   shed ();
-  (* the image gains a verified run straddling the window's end: the
-     restored receiver cannot lock it, so it neither exports it nor
-     counts it toward completion *)
-  let img = CT.Receiver.export !rx in
-  let img =
-    {
-      img with
-      Transport.Persist.ri_placed =
-        img.Transport.Persist.ri_placed
-        @ [ (elems - 4, Bytes.make (8 * es) 'x') ];
-    }
+  (* the records that rebuild it gain a verified run straddling the
+     window's end: the restored receiver cannot lock it, so it neither
+     exports it nor counts it toward completion *)
+  let module P = Transport.Persist in
+  let conn = config.CT.conn_id in
+  let records =
+    P.Acked
+      {
+        conn;
+        t_id = 0;
+        end_confirmed = CT.Receiver.end_confirmed !rx;
+        runs =
+          CT.Receiver.verified_runs !rx
+          @ [ P.owned_run (elems - 4) (Bytes.make (8 * es) 'x') ];
+        parity = None;
+      }
+    :: List.map
+         (fun (first_elem, n) -> P.Shed { conn; t_id = 2; first_elem; elems = n })
+         (CT.Receiver.shed_spans !rx)
   in
-  rx := CT.Receiver.restore engine config ~owner ~send_ack ~capacity img;
+  rx := CT.Receiver.create engine config ~owner ~send_ack ~capacity ();
+  List.iter (CT.Receiver.replay !rx) records;
   check "restored";
   pass 4;
   if CT.Receiver.shed_spans !rx = [] then shed ();

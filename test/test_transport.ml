@@ -220,7 +220,11 @@ let expected_ack ~conn_id ~t_id =
   in
   Util.ok_or_fail (Labelling.Wire.encode_packet [ ack ])
 
-let empty_rx_image conn = Transport.Persist.empty_receiver ~conn
+(* The records of connection [conn] with [ack_ids] in its ledger, and
+   an empty live epoch if [live]. *)
+let ledgered ~live conn =
+  Transport.Persist.Ledger { conn; tids = [ (0, 2); (0xFFFF_FFFF, 1) ] }
+  :: (if live then [ Transport.Persist.Opened { conn; open_csn = None } ] else [])
 
 let test_ack_bytes_pinned () =
   let module CT = Transport.Chunk_transport in
@@ -250,20 +254,7 @@ let test_ack_bytes_pinned () =
               (Netsim.Engine.create ~seed:1 ())
               ~config:CT.default_config ~quota_elems:16 ~max_conns:4
               ~send_ack:(fun b -> sent := b :: !sent)
-              [
-                {
-                  Transport.Persist.ci_id = conn_id;
-                  ci_acked = ack_ids;
-                  ci_hist = [];
-                  ci_live =
-                    (if live then Some (empty_rx_image conn_id) else None);
-                  ci_live_open = None;
-                  ci_quar_until = 0.0;
-                  ci_quar_count = 0;
-                  ci_poisoned = false;
-                };
-              ]
-              []
+              (ledgered ~live conn_id)
           in
           M.reannounce m;
           check_acks
@@ -278,19 +269,7 @@ let test_ack_bytes_pinned () =
                 (Netsim.Engine.create ~seed:1 ())
                 ~config:CT.default_config ~quota_elems:16 ~max_conns:4
                 ~send_ack:(fun b -> sent := b :: !sent)
-                [
-                  {
-                    Transport.Persist.ci_id = conn_id;
-                    ci_acked = ack_ids;
-                    ci_hist = [];
-                    ci_live = None;
-                    ci_live_open = None;
-                    ci_quar_until = 0.0;
-                    ci_quar_count = 0;
-                    ci_poisoned = false;
-                  };
-                ]
-                []
+                (ledgered ~live:false conn_id)
             in
             List.iter
               (fun t_id ->
