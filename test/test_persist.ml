@@ -373,14 +373,20 @@ let golden_multi =
     ]
 
 let golden_multi_hex =
-  "43534e500005000000f5010000000000000002000000000000000300000000000000010000\
-   00000000000000000000000000010000000000000004616263640101000000000000000000\
-   00000000000001000000000000000201000000000000000300000000000000010000000000\
-   0000000000000000000008616263646566676801000000000000000b000000000000000200\
-   00000000000001000000000000001000000000000000080000000000000001000000000000\
-   0009010000000000000010400c000000000000000000000000000201000000000000000900\
-   000000000000000000000000000000000000000000000000000000000000000000007d772c\
-   6874e97da1"
+  "43534e5000060000000b000000301800000000000000030000000000000002000000000000\
+   00000000000000000002000000000000000500000000000000011f0000003400032e000000\
+   39140000000000000003000000000000000000000000000000000100000000000000000000\
+   00000000000400000000000000006162636461626364170500008270d94961626364000000\
+   20150000000000000003000000000000000000000000000000010000000000000002150000\
+   005900011a00000011110000000000000003010000000000000000120100001d0400000000\
+   00191600000000000000030100000000000000010000000000000002150200001a94000000\
+   000041140000000000000003000000000000000501000000000000000b0000000000000001\
+   0000000000000010000000000000000800000000000000000404040cabaeadb4bbabafaadf\
+   56b5ea61626364656667680000002015000000000000000300000000000000090000000000\
+   00001800000000000000080f00000089000746000000111100000000000000030100000000\
+   00000010121100001c04000000000010170000000000000003000000000000000216000000\
+   3b00000000000019190000000000000003400c00000000000000000000000000020118410c\
+   0094403000000000081300000000000000091a00000037000000"
 
 (* A standalone-receiver image (tag 0) as the retired format wrote it:
    nothing writes tag 0 now, and a decoder must refuse it, not raise,
@@ -442,7 +448,7 @@ let golden_sender =
   }
 
 let golden_sender_hex =
-  "43534e50000500000049020000000000000001000000000000000300000000000000010000\
+  "43534e50000600000049020000000000000001000000000000000300000000000000010000\
    0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
    00000000000000000010ea9c65161a4842b3"
 
