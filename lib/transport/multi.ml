@@ -136,7 +136,7 @@ let add_verifier (a : Edc.Verifier.stats) (b : Edc.Verifier.stats) =
 (* Archive [c]'s live epoch.  [tally] settles the report's counts before
    the archive gate reads them: the live side journals its own, a replay
    takes a record's. *)
-let archive ?(tally = Fun.id) m c =
+let archive ~tally m c =
   match c.live with
   | None -> ()
   | Some rx ->
@@ -907,8 +907,8 @@ let replay m (ev : Persist.event) =
       archive m c ~tally:(fun r -> { r with complete; placed_elems = elems; passes })
   | Persist.Closed _ ->
       (* the live side's Close archives first, so a bare Closed record
-         (its Archived torn away) takes this same step *)
-      archive m c
+         (its Archived torn away) archives with its own counts *)
+      archive m c ~tally:Fun.id
   | Persist.Ledger { tids; _ } ->
       List.iter
         (fun (first, n) ->

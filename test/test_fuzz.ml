@@ -511,12 +511,6 @@ let suite =
         no_exn (fun () -> Transport.Persist.decode_journal b));
     Util.qtest ~count:500 "persist payload damage under a valid checksum"
       gen_damaged_payload prop_damaged_payload;
-    Util.qtest ~count:500
-      "snapshot record damage is refused where a journal stops"
-      gen_damaged_snapshot prop_damaged_snapshot;
-    Util.qtest ~count:50 "exported snapshots are a codec fixpoint"
-      QCheck2.Gen.(tup3 (int_range 0 10_000) (oneofl [ 1; 2; 3 ]) (int_range 0 100))
-      prop_export_fixpoint;
     Util.qtest ~count:100 "truncated snapshots are rejected, not mis-read"
       gen_truncated_snapshot
       (fun b -> Result.is_error (Transport.Persist.decode_endpoint b));
@@ -533,4 +527,10 @@ let suite =
         Bytes.set image 5 (Char.chr v);
         v = Transport.Persist.version
         || Result.is_error (Transport.Persist.decode_endpoint image));
+    Util.qtest ~count:500
+      "snapshot record damage is refused where a journal stops"
+      gen_damaged_snapshot prop_damaged_snapshot;
+    Util.qtest ~count:50 "exported snapshots are a codec fixpoint"
+      QCheck2.Gen.(tup3 (int_range 0 10_000) (oneofl [ 1; 2; 3 ]) (int_range 0 100))
+      prop_export_fixpoint;
   ]
