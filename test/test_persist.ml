@@ -896,9 +896,12 @@ let test_sender_restore_rejects_adaptive () =
    the journal.  A snapshot taken while half of TPDU 1 waited for the
    other half holds none of it, and the journal's ACK of TPDU 1 places
    it: the count must count it once. *)
-let test_archived_epoch_counts_survive () =
+(* Connection 3's three TPDUs of 184 bytes as packets: TPDU [t]'s, the
+   first half of TPDU 1's data with its ED chunk, its second half, and a
+   signal. *)
+let split_tpdu_case () =
   let open Labelling in
-  let conn = 3 and quota_elems = 64 in
+  let conn = 3 in
   let framer =
     Framer.create ~elem_size:config.CT.elem_size
       ~tpdu_elems:config.CT.tpdu_elems ~conn_id:conn ()
@@ -921,14 +924,22 @@ let test_archived_epoch_counts_survive () =
         ([ d1; ed ], [ d2 ])
     | _ -> Alcotest.fail "expected one data and one ED chunk"
   in
-  let signal sg = packet [ Connection.signal_chunk ~conn_id:conn sg ] in
+  ( (fun t -> packet (tpdu t)),
+    packet head,
+    packet tail,
+    fun sg -> packet [ Connection.signal_chunk ~conn_id:conn sg ] )
+
+let test_archived_epoch_counts_survive () =
+  let open Labelling in
+  let conn = 3 and quota_elems = 64 in
+  let tpdu, head, tail, signal = split_tpdu_case () in
   let packets =
     [
       signal (Connection.Open { first_csn = 0 });
-      packet (tpdu 0);
-      packet head;
-      packet tail;
-      packet (tpdu 2);
+      tpdu 0;
+      head;
+      tail;
+      tpdu 2;
       signal Connection.Close;
     ]
   in
@@ -1303,6 +1314,39 @@ let test_containment_survives_journal () =
   | Ok (_, true) -> Alcotest.fail "journal torn"
   | Error e -> Alcotest.failf "recover failed: %s" e
 
+(* An epoch closed while TPDU 1 was half received: its placed half
+   never verified, so the archived epoch holds TPDU 0's bytes alone, and
+   a snapshot taken after the Close restores what the journal alone
+   restores. *)
+let test_half_received_archive () =
+  let open Labelling in
+  let tpdu, head, _, signal = split_tpdu_case () in
+  let journal_only = Persist.Store.create ()
+  and snapshotted = Persist.Store.create () in
+  let m =
+    Transport.Multi.create (Netsim.Engine.create ()) ~config ~quota_elems:64
+      ~max_conns:4
+      ~persist:(fun ev ->
+        Persist.Store.append journal_only ev;
+        Persist.Store.append snapshotted ev)
+      ~send_ack:ignore ()
+  in
+  List.iter (Transport.Multi.ingest m)
+    [ signal (Connection.Open { first_csn = 0 }); tpdu 0; head;
+      signal Connection.Close ];
+  (match Transport.Multi.epochs m ~conn_id:3 with
+  | [ e ] ->
+      let n = config.CT.tpdu_elems * config.CT.elem_size in
+      Alcotest.check Util.bytes_testable "only the verified TPDU's bytes"
+        (Bytes.cat (Util.deterministic_bytes n)
+           (Bytes.make (Bytes.length e.Transport.Multi.delivered - n) '\000'))
+        e.Transport.Multi.delivered
+  | _ -> Alcotest.fail "one archived epoch expected");
+  Persist.Store.snapshot snapshotted (Persist.Multi (Transport.Multi.export m));
+  let recover = recover_store ~quota_elems:64 in
+  Alcotest.(check bool) "snapshot and journal restore alike" true
+    (fst (recover journal_only) = fst (recover snapshotted))
+
 (* A crash is no verdict: tearing down an endpoint that holds in-flight
    TPDUs drops them without counting a failure or a verify latency. *)
 let test_teardown_counts_no_verdict () =
@@ -1397,9 +1441,11 @@ let suite =
     Util.qtest ~count:150
       "recovery holds the uncrashed endpoint's durable state at the crash"
       gen_crash_case prop_crash_keeps_durable;
-    Util.qtest ~count:150
+    Util.qtest ~count:400
       "a snapshot restores what its journal alone restores"
       gen_snapshot_case prop_snapshot_is_compacted_journal;
     Alcotest.test_case "a boxed or poisoned connection survives a journal-only recovery"
       `Quick test_containment_survives_journal;
+    Alcotest.test_case "an epoch closed mid-TPDU keeps only verified bytes"
+      `Quick test_half_received_archive;
   ]
