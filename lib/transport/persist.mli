@@ -83,14 +83,14 @@ type event =
           chunk's announced first C.SN when the epoch was established
           explicitly *)
   | Shed of { conn : int; t_id : int; first_elem : int; elems : int }
-      (** an honoured shed of TPDU [t_id], whose [elems] elements from
-          C.SN [first_elem] on are settled without their bytes.  Written,
-          like [Acked], {e before} the shed's ACK leaves. *)
+      (** an honoured shed of TPDU [t_id], whose [elems] elements (none:
+          the T.ID alone) from C.SN [first_elem] on are settled without
+          their bytes.  Written, like [Acked], before its ACK leaves. *)
   | Archived of { conn : int; complete : bool; elems : int; passes : int }
       (** the live epoch was archived on this connection, with its
           closing counts: whether it was complete, the elements it
           placed and the TPDUs it verified over its whole life *)
-  | Closed of int  (** the connection was closed *)
+  | Closed of int  (** the connection closed; in a snapshot, holds nothing *)
   | Passes of { conn : int; passes : int }
       (** the live epoch's TPDUs verified over its whole life, which one
           compacted [Acked] cannot count; [Multi.export]'s only *)
