@@ -187,7 +187,9 @@ let run_stats seed size loss corrupt duplicate paths sack format out =
     Transport.Transfer.run ~seed ~config ~loss ~corrupt ~duplicate
       ~paths ~data ()
   in
-  let body = render (Obs.Metrics.snapshot ()) ^ "\n" in
+  let body =
+    render (Transport.Tally.report o.tally (Obs.Metrics.snapshot ())) ^ "\n"
+  in
   (match out with
   | None -> print_string body
   | Some path -> (

@@ -92,7 +92,8 @@ let run_replay spec mutate =
       let trace = Obs.Trace.ring ~capacity:2048 in
       let model = Check.Model.of_schedule schedule in
       let observation = Check.Driver.run ~mutation:mutate ~trace schedule in
-      let c = observation.Check.Driver.counts
+      let t = observation.Check.Driver.tally in
+      let c = t.Transport.Tally.counts
       and ov = observation.Check.Driver.overlap in
       let dropped = Obs.Trace.ring_dropped trace in
       if dropped > 0 then
@@ -119,15 +120,13 @@ let run_replay spec mutate =
          sheds_refused=%d byz=%s\n\
          counterfactuals%s\n"
         observation.Check.Driver.ok observation.complete observation.gave_up
-        observation.retransmissions observation.sack_retransmissions
-        c.nacks_sent
-        observation.verifier.Edc.Verifier.tpdus_passed
-        observation.verifier.Edc.Verifier.tpdus_failed
-        observation.verifier.Edc.Verifier.duplicates
+        t.retransmissions observation.sack_retransmissions
+        c.nacks_sent observation.passes t.verifier.Edc.Verifier.tpdus_failed
+        t.verifier.Edc.Verifier.duplicates
         observation.verifier_in_flight observation.stashed_tpdus
         observation.engine_pending c.evictions c.conn_gcs
-        observation.aborts_sent c.aborts_received c.reacks_sent
-        observation.state_high_water observation.flood_injected
+        t.aborts_sent c.aborts_received c.reacks_sent
+        t.governor.Transport.Governor.high_water observation.flood_injected
         observation.rtt_samples observation.final_rto
         observation.crashes_injected observation.restores
         observation.recovery_bad observation.restore_over_budget
@@ -139,7 +138,7 @@ let run_replay spec mutate =
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
         observation.fastpath_stats.Transport.Flowcache.s_evictions
-        observation.sheds_sent c.sheds_received c.shed_elems
+        t.sheds_sent c.sheds_received c.shed_elems
         (match observation.shed_spans with
         | [] -> "-"
         | spans ->
@@ -246,8 +245,15 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
           | None -> ());
           (match metrics with
           | Some path ->
+              let tally =
+                List.fold_left
+                  (fun acc r -> Transport.Tally.add acc r.Check.Soak.tally)
+                  (Transport.Tally.zero ()) reports
+              in
               write_report ~what:"metrics" path
-                (Obs.Report.json (Obs.Metrics.snapshot ()) ^ "\n")
+                (Obs.Report.json
+                   (Transport.Tally.report tally (Obs.Metrics.snapshot ()))
+                ^ "\n")
           | None -> ());
           (match artifacts_dir with
           | Some dir -> write_artifacts dir reports

@@ -62,15 +62,6 @@ type epoch_obs = {
           the epoch *)
 }
 
-(* Cross-layer deltas of the [Obs] metric registry over exactly one run,
-   for the oracle's metrics-driven checks.  All zeros when the
-   observability layer is compiled out. *)
-type metrics_probe = {
-  mp_verified : int;  (* edc_tpdus_passed_total delta *)
-  mp_acked : int;  (* transport_acks_total delta *)
-  mp_governor_peak : int;  (* governor occupancy high-water this run *)
-}
-
 (* Per-connection containment accounting for one byzantine connection,
    as the endpoint saw it at quiescence. *)
 type byz_conn_obs = {
@@ -101,24 +92,19 @@ type observation = {
   finished : bool;
   delivered : bytes;
   delivered_elems : int;
-  retransmissions : int;
   sack_retransmissions : int;
   packets_sent : int;
-  verifier : Edc.Verifier.stats;
+  passes : int;  (* connection 1 epoch 0's *)
+  tally : Transport.Tally.t;
+      (* folded over every endpoint instance, like every other endpoint
+         statistic below *)
   verifier_in_flight : int;
   stashed_tpdus : int;
   engine_pending : int;
   sim_time : float;
   gateways_malformed : int;
-  counts : Transport.Counters.t;
-      (* folded over every endpoint instance, like every other endpoint
-         statistic below *)
-  aborts_sent : int;
   (* partial reliability *)
-  sheds_sent : int;
   shed_spans : (int * int) list;
-  state_high_water : int;
-  state_accounted : int;
   flood_injected : int;
   rtt_samples : int;
   max_txs_at_rtt_sample : int;
@@ -132,9 +118,7 @@ type observation = {
   snapshots_taken : int;
   journal_records : int;
   epochs : epoch_obs list;  (* every planned (connection, epoch) *)
-  live_conns : int;  (* connections still live at quiescence *)
   known_conns : int;  (* connections ever admitted (incl. flood) *)
-  metrics : metrics_probe;
   (* overlap policy; [os_verified_overwrites] must stay 0: two verified
      TPDUs clashing *)
   overlap : Labelling.Placement.overlap_stats;
@@ -146,29 +130,6 @@ type observation = {
   counterfactuals : (string * epoch_obs list) list;
       (* (row, re-run outcome) for every counterfactual that applies *)
 }
-
-(* The probe reads the process-wide registry, so a run's deltas are
-   meaningful only while runs execute one at a time — which the driver
-   guarantees (one engine, one domain).  The occupancy gauge is zeroed
-   and re-marked at run start so the high-water mark read at run end
-   belongs to this run's governor alone. *)
-let mp_passed = Obs.Metrics.counter "edc_tpdus_passed_total"
-let mp_acks = Obs.Metrics.counter "transport_acks_total"
-let mp_occ = Obs.Metrics.gauge "governor_occupancy_bytes"
-
-let probe_start () =
-  if Obs.enabled then begin
-    Obs.Metrics.set mp_occ 0;
-    Obs.Metrics.mark mp_occ
-  end;
-  (Obs.Metrics.value mp_passed, Obs.Metrics.value mp_acks)
-
-let probe_end (passed0, acks0) =
-  {
-    mp_verified = Obs.Metrics.value mp_passed - passed0;
-    mp_acked = Obs.Metrics.value mp_acks - acks0;
-    mp_governor_peak = Obs.Metrics.gauge_max mp_occ;
-  }
 
 (* Far beyond the slowest legitimate run: a sender that gives up does so
    after at most ~303 RTOs (capped exponential backoff), RTOs are
@@ -391,11 +352,7 @@ type crash_track = {
   mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
   (* statistics folded in from every endpoint instance *)
   mutable ct_fp : Transport.Flowcache.stats;
-  mutable ct_failed : int;
-  mutable ct_dups : int;
-  mutable ct_chunks : int;
-  mutable ct_high_water : int;
-  ct_counts : Transport.Counters.t;
+  mutable ct_tally : Transport.Tally.t;
   mutable ct_overlap : Labelling.Placement.overlap_stats;
 }
 
@@ -408,27 +365,17 @@ let crash_track () =
     ct_roundtrip = 0;
     ct_corrupted = false;
     ct_fp = Transport.Flowcache.zero_stats;
-    ct_failed = 0;
-    ct_dups = 0;
-    ct_chunks = 0;
-    ct_high_water = 0;
-    ct_counts = Transport.Counters.zero ();
+    ct_tally = Transport.Tally.zero ();
     ct_overlap = Labelling.Placement.zero_overlap;
   }
 
 (* Fold one endpoint instance's statistics in: at its crash, and at the
-   end of the run for the last one. *)
-let absorb ct m =
-  let v = Multi.verifier_stats m in
-  ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
-  ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
-  ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
+   end of the run for the last one, with the run's [senders]. *)
+let absorb ct m senders =
   ct.ct_fp <-
     Transport.Flowcache.add_stats ct.ct_fp
       (Multi.fastpath_stats m).Multi.fp_conn;
-  Transport.Counters.add ct.ct_counts (Multi.counters m);
-  ct.ct_high_water <-
-    max ct.ct_high_water (Multi.governor_stats m).Transport.Governor.high_water;
+  ct.ct_tally <- Transport.Tally.add ct.ct_tally (Multi.tally m senders);
   ct.ct_overlap <-
     Labelling.Placement.add_overlap ct.ct_overlap (Multi.overlap_stats m)
 
@@ -531,14 +478,8 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
   let trec fmt = make_trec engine trace fmt in
   let export m = Persist.Multi (Multi.export m) in
   schedule_snapshots engine s store (fun () -> Option.map export !current);
-  (* [f] of an endpoint restored on a private engine, which is then torn
-     down: the registry's gauges do not count it *)
-  let aside events f =
-    let m = restore (Netsim.Engine.create ()) events in
-    let r = f m in
-    Multi.teardown m;
-    r
-  in
+  (* [f] of an endpoint restored on a private engine, which never runs *)
+  let aside events f = f (restore (Netsim.Engine.create ()) events) in
   let restore_now (c : Schedule.crash) =
     let t0 = Unix.gettimeofday () in
     match Persist.Store.recover store with
@@ -605,7 +546,7 @@ let install_crashes ~mutation ~trace engine (s : Schedule.t) store ct current
           | Some m ->
               ct.ct_crashes <- ct.ct_crashes + 1;
               trec "CRASH demultiplexer, down %.4fs" c.Schedule.cr_restart;
-              absorb ct m;
+              absorb ct m [];
               Multi.teardown m;
               current := None);
       Netsim.Engine.schedule engine
@@ -710,7 +651,6 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
              ~rate:o.ov_rate ~stop:o.ov_stop ~dup:o.ov_dup ~forge:o.ov_forge
              ~resplit:o.ov_resplit ~inject ()))
     s.Schedule.overlap;
-  let probe0 = probe_start () in
   (* Reverse traffic is demultiplexed to the per-connection sender by
      the C.ID every control chunk carries. *)
   let senders : (int, CT.Sender.t) Hashtbl.t = Hashtbl.create 8 in
@@ -855,7 +795,8 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
              ~inject ~inject_ack:demux_reverse ()));
   Netsim.Engine.run ~until:horizon engine;
   let m = match !multi with Some m -> m | None -> m in
-  absorb ct m;
+  let senders = List.filter_map (fun ep -> ep.ep_tx) eps in
+  absorb ct m senders;
   (* Join the driver-side epochs with the receiver-side reports by
      epoch identity (the Open's announced first C.SN), not by list
      position: the receiver legitimately drops an epoch in which no TPDU
@@ -903,7 +844,6 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let finished = List.for_all (fun ep -> ep.ep_done) eps in
   let ok = List.for_all epoch_ok joined && finished in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let senders = List.filter_map (fun ep -> ep.ep_tx) eps in
   (* The endpoint-side view of the byzantine connections at quiescence.
      Containment survives crashes (it is journalled), so [conn_stats] on
      the final incarnation is the whole run's story. *)
@@ -965,28 +905,16 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     finished;
     delivered = from_first (fun r -> r.Multi.delivered) Bytes.empty;
     delivered_elems = from_first (fun r -> r.Multi.placed_elems) 0;
-    retransmissions = sum CT.Sender.retransmissions;
     sack_retransmissions = sum CT.Sender.sack_retransmissions;
     packets_sent = sum CT.Sender.packets_sent;
-    verifier =
-      {
-        Edc.Verifier.tpdus_passed = from_first (fun r -> r.Multi.passes) 0;
-        tpdus_failed = ct.ct_failed;
-        duplicates = ct.ct_dups;
-        chunks_seen = ct.ct_chunks;
-      };
+    passes = from_first (fun r -> r.Multi.passes) 0;
+    tally = ct.ct_tally;
     verifier_in_flight = Multi.live_in_flight m;
     stashed_tpdus = Multi.live_stashed m;
     engine_pending = Netsim.Engine.pending engine;
     sim_time = Netsim.Engine.now engine;
     gateways_malformed = p.gateways_malformed ();
-    counts = ct.ct_counts;
-    aborts_sent = sum CT.Sender.aborts_sent;
-    sheds_sent = sum CT.Sender.sheds_sent;
     shed_spans = from_first (fun r -> r.Multi.shed_spans) [];
-    state_high_water = ct.ct_high_water;
-    state_accounted =
-      (Multi.governor_stats m).Transport.Governor.accounted_bytes;
     flood_injected =
       (match adversary with
       | Some a -> (Adversary.stats a).Adversary.injected
@@ -1008,9 +936,7 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     snapshots_taken = Persist.Store.snapshots_taken store;
     journal_records = Persist.Store.journal_records store;
     epochs;
-    live_conns = Multi.live_conns m;
     known_conns = List.length (Multi.known_conns m);
-    metrics = probe_end probe0;
     overlap = ct.ct_overlap;
     overlap_injected =
       (match !overlapper with

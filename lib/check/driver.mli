@@ -65,16 +65,6 @@ type epoch_obs = {
           the epoch *)
 }
 
-(** Deltas of the process-wide [Obs] metric registry over exactly one
-    run, feeding the oracle's metrics-driven checks.  All zeros when the
-    observability layer is compiled out ([Obs.enabled = false]). *)
-type metrics_probe = {
-  mp_verified : int;  (** [edc_tpdus_passed_total] delta over the run *)
-  mp_acked : int;  (** [transport_acks_total] delta over the run *)
-  mp_governor_peak : int;
-      (** high-water mark of [governor_occupancy_bytes] over the run *)
-}
-
 (** The endpoint-side containment view of one byzantine connection at
     quiescence (containment is journalled, so this is the whole run's
     story even across crashes). *)
@@ -110,28 +100,23 @@ type observation = {
   finished : bool;
   delivered : bytes;  (** connection 1 epoch 0's placement buffer *)
   delivered_elems : int;  (** connection 1 epoch 0's placed elements *)
-  retransmissions : int;
   sack_retransmissions : int;
   packets_sent : int;
-  verifier : Edc.Verifier.stats;
-      (** [tpdus_passed] is connection 1 epoch 0's, over its whole life;
-          the other counts are the endpoint's, over every epoch and
-          endpoint instance *)
+  passes : int;
+      (** TPDUs connection 1 epoch 0 verified, over its whole life *)
+  tally : Transport.Tally.t;
+      (** the endpoint's counts and levels, folded over every endpoint
+          instance the run went through (one per crash, plus the last),
+          with every sender's counts: a level and its high-water are
+          the last instance's and the largest *)
   verifier_in_flight : int;  (** leak probe *)
   stashed_tpdus : int;  (** leak probe *)
   engine_pending : int;  (** > 0 after the horizon means lockup *)
   sim_time : float;
   gateways_malformed : int;
-  counts : Transport.Counters.t;
-      (** the endpoint's counts, added up over every endpoint instance
-          the run went through (one per crash, plus the last) *)
-  aborts_sent : int;  (** sender give-ups signalled via [Abort_tpdu] *)
-  sheds_sent : int;  (** sender shed decisions signalled via [Shed_tpdu] *)
   shed_spans : (int * int) list;
       (** connection 1 epoch 0's honoured shed spans
           [(first_elem, elems)], ascending *)
-  state_high_water : int;  (** governor high-water mark, bytes *)
-  state_accounted : int;  (** bytes still accounted at quiescence *)
   flood_injected : int;  (** adversary packets injected *)
   rtt_samples : int;  (** RTT samples taken (Karn-filtered) *)
   max_txs_at_rtt_sample : int;
@@ -159,9 +144,7 @@ type observation = {
   epochs : epoch_obs list;
       (** every planned (connection, epoch), in plan order: connection
           1's epochs first *)
-  live_conns : int;  (** connections still live at quiescence *)
   known_conns : int;  (** connections ever admitted (incl. flood) *)
-  metrics : metrics_probe;
   overlap : Labelling.Placement.overlap_stats;
       (** placement conflict counters over every epoch and endpoint
           instance; [os_verified_overwrites] must be zero in every

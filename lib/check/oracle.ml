@@ -38,7 +38,8 @@ let starvable (s : Schedule.t) =
 let check ~(schedule : Schedule.t) ~(model : Model.t)
     ~(observation : Driver.observation) =
   let s = schedule and m = model and o = observation in
-  let c = o.Driver.counts and ov = o.Driver.overlap in
+  let t = o.Driver.tally and ov = o.Driver.overlap in
+  let c = t.counts and v = t.verifier and gov = t.governor in
   (* A schedule that is not multi-mode is one transfer, connection 1's
      epoch 0: the rows that read a single-transfer observation run on
      it, the per-epoch rows on the others. *)
@@ -77,13 +78,13 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      exceeds the budget at any event (the high-water mark is sampled
      after every accounting step), and quiescence leaves nothing
      accounted. *)
-  if s.Schedule.state_budget > 0 && o.state_high_water > s.Schedule.state_budget
+  if s.Schedule.state_budget > 0 && gov.high_water > s.Schedule.state_budget
   then
     fail "state-budget" "governor high water %d exceeds budget %d"
-      o.state_high_water s.Schedule.state_budget;
-  if o.state_accounted > 0 then
+      gov.high_water s.Schedule.state_budget;
+  if gov.accounted_bytes > 0 then
     fail "state-residue" "%d bytes still accounted after quiescence"
-      o.state_accounted;
+      gov.accounted_bytes;
   (* Leaks: at quiescence the verifier and the placement stash must be
      empty unconditionally — completed TPDUs release their state,
      abandoned and corrupt-residue TPDUs are reclaimed by the governor's
@@ -111,44 +112,32 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      multi-connection run can still retransmit legitimately (an epoch's
      first packets racing their own Open across jittered paths). *)
   if Schedule.faultless s && single then begin
-    if o.retransmissions > 0 then
+    if t.retransmissions > 0 then
       fail "quiet-retrans" "%d RTO retransmissions on a faultless run"
-        o.retransmissions;
+        t.retransmissions;
     if o.sack_retransmissions > 0 then
       fail "quiet-sack" "%d selective retransmissions on a faultless run"
         o.sack_retransmissions;
     if c.nacks_sent > 0 then
       fail "quiet-nack" "%d NACKs on a faultless run" c.nacks_sent;
-    if o.verifier.Edc.Verifier.duplicates > 0 then
+    if v.duplicates > 0 then
       fail "quiet-dup" "%d duplicate chunks seen on a faultless run"
-        o.verifier.Edc.Verifier.duplicates;
+        v.duplicates;
     if c.reacks_sent > 0 then
       fail "quiet-reack" "%d re-ACKs on a faultless run" c.reacks_sent;
     if c.sig_damage > 0 then
       fail "quiet-signal" "%d damaged signals on a faultless run"
         c.sig_damage
   end;
-  (* Metrics-driven checks, fed by the driver's per-run deltas of the
-     [Obs] registry (all zeros when the layer is compiled out, so both
-     checks degrade to trivially true).
-     1. Verify/ACK agreement: every TPDU the verifier passes is freshly
-        acknowledged exactly once — a passed-but-unACKed (or
-        ACKed-but-unpassed) TPDU means the transport and the error
-        detection layer disagree about what was delivered.
-     2. Occupancy bound: the governor's occupancy gauge, sampled after
-        every accounting step, must never have exceeded the configured
-        budget during the run. *)
-  if o.metrics.Driver.mp_verified <> o.metrics.Driver.mp_acked then
+  (* Verify/ACK agreement, across layers: every TPDU the verifiers pass
+     is freshly acknowledged exactly once, over every endpoint instance
+     of the run — a passed-but-unACKed (or ACKed-but-unpassed) TPDU
+     means the transport and the error detection layer disagree about
+     what was delivered. *)
+  if v.tpdus_passed <> c.acks_sent then
     fail "metrics-verify-count"
       "%d TPDUs passed verification but %d fresh ACKs were sent"
-      o.metrics.Driver.mp_verified o.metrics.Driver.mp_acked;
-  if
-    s.Schedule.state_budget > 0
-    && o.metrics.Driver.mp_governor_peak > s.Schedule.state_budget
-  then
-    fail "metrics-occupancy"
-      "governor occupancy gauge peaked at %d bytes, budget is %d"
-      o.metrics.Driver.mp_governor_peak s.Schedule.state_budget;
+      v.tpdus_passed c.acks_sent;
   (* Crash recovery.  Every scheduled crash must be executed and
      answered by exactly one successful restore; a restore that fails
      or leaves any TPDU in flight is a recovery-safety violation (a T.ID
@@ -240,9 +229,9 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      contract.  A receiver that honours a shed with no contract in the
      schedule has thrown away bytes the model calls mandatory — the
      shed-clobber mutation trips exactly this. *)
-  if s.Schedule.shed = None && (c.sheds_received > 0 || o.sheds_sent > 0) then
+  if s.Schedule.shed = None && (c.sheds_received > 0 || t.sheds_sent > 0) then
     fail "shed-safety" "%d sheds honoured (%d signalled) with no shed contract"
-      c.sheds_received o.sheds_sent;
+      c.sheds_received t.sheds_sent;
   if single then begin
     (* Partial reliability, part two: every span the receiver honoured
        as shed must be one the contract declares sheddable (a shed of
@@ -306,15 +295,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
        applies when it is absent.  Honoured sheds abandon in-flight
        verifier state exactly like aborts and join the allowance. *)
     if s.Schedule.corrupt = 0.0 && s.Schedule.overlap = None then begin
-      if
-        o.verifier.Edc.Verifier.tpdus_failed
-        > c.evictions + c.aborts_received + c.sheds_received
+      if v.tpdus_failed > c.evictions + c.aborts_received + c.sheds_received
       then
         fail "clean-fail"
           "%d TPDUs failed verification with corruption off (%d \
            evictions + %d aborts + %d sheds)"
-          o.verifier.Edc.Verifier.tpdus_failed c.evictions c.aborts_received
-          c.sheds_received;
+          v.tpdus_failed c.evictions c.aborts_received c.sheds_received;
       if o.gateways_malformed > 0 then
         fail "clean-malformed"
           "%d packets unparseable at gateways with corruption off"
@@ -326,19 +312,14 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     if not o.gave_up then begin
       if
         (not s.Schedule.adaptive)
-        && o.verifier.Edc.Verifier.tpdus_passed
-           <> m.Model.n_tpdus - c.sheds_received
+        && o.passes <> m.Model.n_tpdus - c.sheds_received
       then
         fail "tpdu-count"
           "%d TPDUs passed, model expects exactly %d (%d shed)"
-          o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
-          c.sheds_received;
-      if
-        s.Schedule.adaptive
-        && o.verifier.Edc.Verifier.tpdus_passed < m.Model.n_tpdus
-      then
+          o.passes m.Model.n_tpdus c.sheds_received;
+      if s.Schedule.adaptive && o.passes < m.Model.n_tpdus then
         fail "tpdu-count" "%d TPDUs passed, adaptive floor is %d"
-          o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
+          o.passes m.Model.n_tpdus
     end
   end
   else begin
@@ -387,9 +368,9 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.Driver.epochs;
     (* Lifecycle hygiene: explicit Close (legitimate connections) and
        the deadline GC (flood connections) must leave nothing live. *)
-    if o.Driver.live_conns > 0 then
+    if t.live_conns > 0 then
       fail "multi-live" "%d connections still live after quiescence"
-        o.Driver.live_conns
+        t.live_conns
   end;
   (* Byzantine containment (DESIGN §10).  The exception bulkhead must
      never have fired in any profile: a poisoned connection means some

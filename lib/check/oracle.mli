@@ -30,13 +30,9 @@
       element/TPDU accounts shrink by exactly the shed amounts);
       shed-liveness needs no code of its own — a shed schedule is never
       starvable, so [gave-up]/[incomplete] already demand completion;
-    - [metrics-verify-count]/[metrics-occupancy] — cross-checks against
-      the observability layer's own accounting (see DESIGN.md §6): the
-      per-run delta of [edc_tpdus_passed_total] must equal that of
-      [transport_acks_total] (one fresh ACK per passed TPDU), and the
-      [governor_occupancy_bytes] gauge's high-water mark must stay
-      within the schedule's state budget.  Both degrade to trivially
-      true when [Obs.enabled = false]. *)
+    - [metrics-verify-count] — the layers agree (see DESIGN.md §6): the
+      TPDUs the verifiers passed equal the receivers' fresh ACKs, both
+      folded over every endpoint instance of the run. *)
 
 type violation = { code : string; detail : string }
 

@@ -12,6 +12,7 @@ type report = {
   detect_trials : int;
   detect_undetected : int;
   totals : (string * int) list;
+  tally : Transport.Tally.t;
   wall_seconds : float;
 }
 
@@ -25,9 +26,9 @@ let counters : (string * (Driver.observation -> int)) list =
     ("overlap_conflicts_seen", fun o -> o.Driver.overlap.os_conflicts_seen);
     ( "overlap_conflicts_rejected",
       fun o -> o.Driver.overlap.os_conflicts_rejected );
-    ("sheds_signalled", fun o -> o.Driver.sheds_sent);
-    ("sheds_honoured", fun o -> o.Driver.counts.sheds_received);
-    ("shed_elems", fun o -> o.Driver.counts.shed_elems);
+    ("sheds_signalled", fun o -> o.Driver.tally.sheds_sent);
+    ("sheds_honoured", fun o -> o.Driver.tally.counts.sheds_received);
+    ("shed_elems", fun o -> o.Driver.tally.counts.shed_elems);
     ( "fastpath_hits",
       fun o -> o.Driver.fastpath_stats.Transport.Flowcache.s_hits );
     ( "fastpath_misses",
@@ -35,9 +36,9 @@ let counters : (string * (Driver.observation -> int)) list =
     ( "byz_injected",
       byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.injected) );
     ("byz_flaps", byz_stat (fun b -> b.Driver.bo_stats.Netsim.Byzantine.flaps));
-    ("byz_anomalies", fun o -> o.Driver.counts.anomalies);
-    ("byz_quarantines", fun o -> o.Driver.counts.quarantines);
-    ("byz_quarantine_drops", fun o -> o.Driver.counts.quarantine_drops);
+    ("byz_anomalies", fun o -> o.Driver.tally.counts.anomalies);
+    ("byz_quarantines", fun o -> o.Driver.tally.counts.quarantines);
+    ("byz_quarantine_drops", fun o -> o.Driver.tally.counts.quarantine_drops);
     ("byz_honest_quarantined", byz_stat (fun b -> b.Driver.bo_honest_quarantined));
   ]
 
@@ -66,6 +67,7 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
   let detect_trials = ref 0 in
   let detect_undetected = ref 0 in
   let totals = Array.make (List.length counters) 0 in
+  let tally = ref (Transport.Tally.zero ()) in
   let i = ref 0 in
   while !i < schedules && not (out_of_time ()) do
     let sched_seed = Netsim.Rng.next rng in
@@ -75,6 +77,7 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     List.iteri
       (fun k (_, get) -> totals.(k) <- totals.(k) + get observation)
       counters;
+    tally := Transport.Tally.add !tally observation.Driver.tally;
     (match Oracle.check ~schedule ~model ~observation with
     | [] -> ()
     | violations ->
@@ -109,6 +112,7 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     detect_trials = !detect_trials;
     detect_undetected = !detect_undetected;
     totals = List.mapi (fun k (key, _) -> (key, totals.(k))) counters;
+    tally = !tally;
     wall_seconds = Unix.gettimeofday () -. t0;
   }
 

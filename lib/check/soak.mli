@@ -25,6 +25,9 @@ type report = {
           quarantines, refused events and honest connections ever
           boxed — the [honest-immunity] row demands that last one
           stays 0 *)
+  tally : Transport.Tally.t;
+      (** the runs' endpoint counts, added up over the same
+          observations as [totals] ({!Transport.Tally.add}) *)
   wall_seconds : float;
 }
 

@@ -218,12 +218,8 @@ type stats = {
   chunks_seen : int;
 }
 
-(* Pipeline-wide accounting; [m_latency] measures first-chunk-seen to
-   verdict, in simulated microseconds. *)
-let m_chunks = Obs.Metrics.counter "edc_chunks_total"
-let m_passed = Obs.Metrics.counter "edc_tpdus_passed_total"
-let m_failed = Obs.Metrics.counter "edc_tpdus_failed_total"
-let m_dups = Obs.Metrics.counter "edc_duplicates_total"
+(* First-chunk-seen to verdict, in simulated microseconds; the counts
+   are the instance's own ([stats]). *)
 let m_latency = Obs.Metrics.histogram "edc_verify_latency_us"
 
 let verdict_tag = function
@@ -236,10 +232,6 @@ let verdict_tag = function
    the TPDU's state. *)
 let note_verdict v s t_id verdict =
   if Obs.enabled then begin
-    (match verdict with
-    | Passed -> Obs.Metrics.incr m_passed
-    | Parity_mismatch | Consistency_failure _ | Reassembly_error _ ->
-        Obs.Metrics.incr m_failed);
     Obs.Metrics.observe_s m_latency (v.now () -. Obs.unstamp s.born);
     if Obs.Trace.active () then
       Obs.Trace.record
@@ -518,9 +510,7 @@ let on_data v (cv : Chunk.view) =
                   (Int_rows.get rows ~width:2 k 0)
                   (Int_rows.get rows ~width:2 k 1)
               done
-          | Duplicate ->
-              v.dups <- v.dups + 1;
-              if Obs.enabled then Obs.Metrics.incr m_dups
+          | Duplicate -> v.dups <- v.dups + 1
           | No_data -> ());
           (* Boundary contributions are deduplicated independently of
              payload freshness: a refragmented retransmission can
@@ -591,7 +581,6 @@ let on_ed v (cv : Chunk.view) =
 let absorb v (cv : Chunk.view) =
   v.closed <- false;
   v.seen <- v.seen + 1;
-  if Obs.enabled then Obs.Metrics.incr m_chunks;
   let h = cv.Chunk.header in
   if Header.is_terminator h then No_data
   else if Ctype.is_data h.Header.ctype then on_data v cv
@@ -690,4 +679,15 @@ let stats v =
     tpdus_failed = v.failed;
     duplicates = v.dups;
     chunks_seen = v.seen;
+  }
+
+let zero_stats =
+  { tpdus_passed = 0; tpdus_failed = 0; duplicates = 0; chunks_seen = 0 }
+
+let add_stats a b =
+  {
+    tpdus_passed = a.tpdus_passed + b.tpdus_passed;
+    tpdus_failed = a.tpdus_failed + b.tpdus_failed;
+    duplicates = a.duplicates + b.duplicates;
+    chunks_seen = a.chunks_seen + b.chunks_seen;
   }

@@ -170,3 +170,8 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field by field sum. *)

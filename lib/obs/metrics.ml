@@ -97,7 +97,6 @@ let set g v =
 
 let gauge_value g = Atomic.get g.g_v
 let gauge_max g = Atomic.get g.g_max
-let mark g = Atomic.set g.g_max (Atomic.get g.g_v)
 
 (* Bucket [b >= 1] covers [2^(b-1), 2^b - 1]: the index is the bit
    length of the value, clamped into the overflow bucket. *)
@@ -180,20 +179,3 @@ let snapshot () =
     s_gauges = by_name (fun (n, _, _) -> n) !gs;
     s_histograms = by_name fst !hs;
   }
-
-let reset_all () =
-  Mutex.lock registry_lock;
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | C c -> Atomic.set c.c_v 0
-      | G g ->
-          Atomic.set g.g_v 0;
-          Atomic.set g.g_max 0
-      | H h ->
-          Array.iter (fun cell -> Atomic.set cell 0) h.h_b;
-          Atomic.set h.h_n 0;
-          Atomic.set h.h_s 0;
-          Atomic.set h.h_m min_int)
-    registry;
-  Mutex.unlock registry_lock

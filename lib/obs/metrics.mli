@@ -2,6 +2,11 @@
     log2-bucketed histograms, with no dependencies outside the standard
     library.
 
+    It holds only what no instance record counts: histograms, a few
+    gauges and counters with no backing field.  An event that updates a
+    field of an endpoint's records is not pushed here as well; the
+    reports read that field ([Transport.Tally]).
+
     Metrics are {e interned by name}: the first call to {!counter},
     {!gauge} or {!histogram} with a given name creates the metric, every
     later call returns the same instance, so instrumented modules bind
@@ -34,10 +39,8 @@ val value : counter -> int
 
 (** {1 Gauges}
 
-    A gauge holds the latest [set] value plus a high-water mark — the
-    largest value set since creation or since the last {!mark}.  The
-    conformance oracle uses the mark/max pair to bound a quantity (e.g.
-    governor occupancy) over exactly one run. *)
+    A gauge holds the latest [set] value plus a high-water mark, the
+    largest value set since creation. *)
 
 type gauge
 
@@ -48,10 +51,7 @@ val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
 val gauge_max : gauge -> int
-(** Largest value {!set} since creation or the last {!mark}. *)
-
-val mark : gauge -> unit
-(** Reset the high-water mark to the current value. *)
+(** Largest value {!set} since creation. *)
 
 (** {1 Histograms}
 
@@ -113,7 +113,3 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-
-val reset_all : unit -> unit
-(** Zero every registered metric (registrations survive).  Meant for
-    test isolation, not for the hot path. *)

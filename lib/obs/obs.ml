@@ -17,9 +17,11 @@
     profile ([--profile dev]), [-opaque] hides the constant, so every
     guard remains a load and a test at run time.
 
-    {!Metrics} holds the process-wide registry of counters, gauges and
-    log2 histograms; {!Trace} the typed event tracer and its sinks;
-    {!Report} the JSON / Prometheus renderers and file helpers. *)
+    {!Metrics} holds the process-wide registry of log2 histograms and
+    of the gauges and counters no instance record keeps (an endpoint's
+    own counts are fields of its records, not registry entries);
+    {!Trace} the typed event tracer and its sinks; {!Report} the JSON /
+    Prometheus renderers and file helpers. *)
 
 let enabled = Flag.enabled
 (** The master switch — an immutable constant, not a ref.  Guard every

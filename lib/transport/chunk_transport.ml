@@ -118,19 +118,10 @@ let nack_packet ~conn_id ~t_id ~need_ed ~spans =
   | Ok b -> b
   | Error e -> invalid_arg e
 
-(* Transport-level accounting.  The ACK counter is deliberately bumped
-   at exactly the fresh-ACK site (first [Tpdu_verified Passed] for a
-   T.ID): the conformance oracle's [metrics-verify-count] check relies
-   on it tracking [edc_tpdus_passed_total] one-for-one. *)
-let m_acks = Obs.Metrics.counter "transport_acks_total"
-let m_reacks = Obs.Metrics.counter "transport_reacks_total"
-let m_nacks = Obs.Metrics.counter "transport_nacks_total"
-let m_rto_fires = Obs.Metrics.counter "transport_rto_fires_total"
+(* What the instance records cannot hold: histograms, the RTO level and
+   the give-ups, which no record counts.  Every other count is a field
+   of [Counters.t] or of the sender. *)
 let m_give_ups = Obs.Metrics.counter "transport_give_ups_total"
-let m_aborts_sent = Obs.Metrics.counter "transport_aborts_sent_total"
-let m_sheds_sent = Obs.Metrics.counter "transport_sheds_sent_total"
-let m_sheds_received = Obs.Metrics.counter "transport_sheds_received_total"
-let m_shed_bytes = Obs.Metrics.counter "transport_shed_bytes_total"
 let m_tpdu_latency = Obs.Metrics.histogram "transport_tpdu_latency_us"
 let m_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 let m_rtt = Obs.Metrics.histogram "transport_rtt_us"
@@ -160,8 +151,8 @@ let parse_nack b pos n =
    through the caller's [last_reack] table, so a duplication storm does
    not become an ACK storm; the table is flat and holds [Obs.stamp]s,
    immediates, so no re-ACK, a T.ID's first included, stores a block
-   into a table long since promoted.  Every re-ACK sent is counted
-   twice over, in [counts] and in the registry. *)
+   into a table long since promoted.  Every re-ACK sent is counted once,
+   in [counts]. *)
 type throttle = int Int_map.t
 
 (* No clock reading's stamp: its bits are a NaN's. *)
@@ -174,7 +165,6 @@ let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
   else begin
     Int_map.replace last_reack t_id (Obs.stamp now);
     counts.Counters.reacks_sent <- counts.Counters.reacks_sent + 1;
-    if Obs.enabled then Obs.Metrics.incr m_reacks;
     send_ack (ack_packet ~conn_id ~t_id)
   end
 
@@ -697,7 +687,6 @@ module Receiver = struct
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
               rx.counts.nacks_sent <- rx.counts.nacks_sent + 1;
-              if Obs.enabled then Obs.Metrics.incr m_nacks;
               rx.send_ack
                 (nack_packet ~conn_id:rx.config.conn_id ~t_id ~need_ed ~spans)
             end;
@@ -807,20 +796,16 @@ module Receiver = struct
       cover_shed rx ~t_id ~first_elem ~elems;
       rx.counts.sheds_received <- rx.counts.sheds_received + 1;
       rx.counts.shed_elems <- rx.counts.shed_elems + elems;
-      if Obs.enabled then begin
-        Obs.Metrics.incr m_sheds_received;
-        Obs.Metrics.add m_shed_bytes (elems * rx.config.elem_size);
-        if Obs.Trace.active () then
-          Obs.Trace.record
-            (Obs.Trace.Shed
-               {
-                 conn = rx.config.conn_id;
-                 tpdu = t_id;
-                 elems;
-                 cls = Significance.to_string (rx.config.classify t_id);
-               })
-            ~time:(Netsim.Engine.now rx.engine)
-      end;
+      if Obs.enabled && Obs.Trace.active () then
+        Obs.Trace.record
+          (Obs.Trace.Shed
+             {
+               conn = rx.config.conn_id;
+               tpdu = t_id;
+               elems;
+               cls = Significance.to_string (rx.config.classify t_id);
+             })
+          ~time:(Netsim.Engine.now rx.engine);
       (* write-ahead, as for a verified TPDU: the honoured shed is
          durable before its ACK can reach the sender *)
       (match rx.persist with
@@ -831,8 +816,8 @@ module Receiver = struct
       | None -> ());
       (* the shed is acknowledged like a verified TPDU — the sender
          stops retrying the signal once this lands; deliberately NOT
-         counted as a fresh verification ACK (the metrics-verify-count
-         oracle check demands acks track verified TPDUs one-for-one) *)
+         counted in [acks_sent] (the metrics-verify-count oracle check
+         demands fresh ACKs track verified TPDUs one-for-one) *)
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
     else
@@ -935,7 +920,7 @@ module Receiver = struct
     if not (Int_map.mem rx.acked t_id) then begin
       Int_map.replace rx.acked t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
-      if Obs.enabled then Obs.Metrics.incr m_acks;
+      rx.counts.acks_sent <- rx.counts.acks_sent + 1;
       if m.stamped then begin
         let dt = Netsim.Engine.now rx.engine -. Obs.unstamp m.arrival in
         Netsim.Stats.add rx.tpdu_latency dt;
@@ -1475,7 +1460,6 @@ module Sender = struct
     | Error _ -> ()
     | Ok b ->
         tx.aborts_sent <- tx.aborts_sent + 1;
-        if Obs.enabled then Obs.Metrics.incr m_aborts_sent;
         emit tx b
 
   (* The element span a stored TPDU covers in the connection buffer:
@@ -1519,19 +1503,16 @@ module Sender = struct
   let shed_now tx tp =
     tp.shed <- true;
     tx.sheds_sent <- tx.sheds_sent + 1;
-    if Obs.enabled then begin
-      Obs.Metrics.incr m_sheds_sent;
-      if Obs.Trace.active () then
-        Obs.Trace.record
-          (Obs.Trace.Shed
-             {
-               conn = tx.config.conn_id;
-               tpdu = tp.t_id;
-               elems = (match tpdu_span tp with Some (_, e) -> e | None -> 0);
-               cls = Significance.to_string (tx.config.classify tp.t_id);
-             })
-          ~time:(Netsim.Engine.now tx.engine)
-    end;
+    if Obs.enabled && Obs.Trace.active () then
+      Obs.Trace.record
+        (Obs.Trace.Shed
+           {
+             conn = tx.config.conn_id;
+             tpdu = tp.t_id;
+             elems = (match tpdu_span tp with Some (_, e) -> e | None -> 0);
+             cls = Significance.to_string (tx.config.classify tp.t_id);
+           })
+        ~time:(Netsim.Engine.now tx.engine);
     send_shed tx tp
 
   (* Exponential backoff de-synchronises retransmission bursts.  The
@@ -1581,7 +1562,6 @@ module Sender = struct
           else begin
             tx.retrans <- tx.retrans + 1;
             if Obs.enabled then begin
-              Obs.Metrics.incr m_rto_fires;
               Obs.Metrics.observe_s m_backoff interval;
               if Obs.Trace.active () then
                 Obs.Trace.record

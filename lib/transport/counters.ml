@@ -1,4 +1,5 @@
 type t = {
+  mutable acks_sent : int;
   mutable nacks_sent : int;
   mutable reacks_sent : int;
   mutable evictions : int;
@@ -19,6 +20,7 @@ type t = {
 
 let zero () =
   {
+    acks_sent = 0;
     nacks_sent = 0;
     reacks_sent = 0;
     evictions = 0;
@@ -38,6 +40,7 @@ let zero () =
   }
 
 let add acc c =
+  acc.acks_sent <- acc.acks_sent + c.acks_sent;
   acc.nacks_sent <- acc.nacks_sent + c.nacks_sent;
   acc.reacks_sent <- acc.reacks_sent + c.reacks_sent;
   acc.evictions <- acc.evictions + c.evictions;

@@ -9,6 +9,8 @@
     into a total of its own. *)
 
 type t = {
+  mutable acks_sent : int;
+      (** fresh ACKs: the first for each T.ID, sent when it verifies *)
   mutable nacks_sent : int;  (** gap reports transmitted (0 unless [sack]) *)
   mutable reacks_sent : int;
       (** re-acknowledgements of already-verified TPDUs, live or closed

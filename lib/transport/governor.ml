@@ -36,6 +36,7 @@ type stats = {
   entries : int;
   evictions_deadline : int;
   evictions_budget : int;
+  budget_bytes : int;
 }
 
 type t = {
@@ -50,21 +51,12 @@ type t = {
   mutable armed : bool;
 }
 
-(* The occupancy gauge is set only {e after} budget enforcement, so its
-   high-water mark can never exceed the budget — the invariant the
-   conformance oracle's [metrics-occupancy] check asserts. *)
-let g_occ = Obs.Metrics.gauge "governor_occupancy_bytes"
-let g_budget = Obs.Metrics.gauge "governor_budget_bytes"
-let m_ev_budget = Obs.Metrics.counter "governor_evictions_budget_total"
-let m_ev_deadline = Obs.Metrics.counter "governor_evictions_deadline_total"
-
 let trace_evict reason (k : key) =
-  if Obs.Trace.active () then
+  if Obs.enabled && Obs.Trace.active () then
     Obs.Trace.record
       (Obs.Trace.Evict { conn = k.conn; tpdu = k.tpdu; reason })
 
 let create ?(on_evict = fun _ -> ()) ~budget_bytes ~ttl () =
-  if Obs.enabled then Obs.Metrics.set g_budget (Int.max 0 budget_bytes);
   {
     budget = budget_bytes;
     ttl;
@@ -128,14 +120,7 @@ let restate g e ~bytes ~cls =
         victims := k :: !victims
   done;
   if g.total > g.high then g.high <- g.total;
-  if Obs.enabled then begin
-    Obs.Metrics.set g_occ g.total;
-    List.iter
-      (fun k ->
-        Obs.Metrics.incr m_ev_budget;
-        trace_evict "budget" k)
-      !victims
-  end;
+  List.iter (fun k -> trace_evict "budget" k) !victims;
   List.iter g.on_evict (List.rev !victims)
 
 let entry key = { key; bytes = dead; deadline = { at = 0.0 }; cls = 0 }
@@ -146,11 +131,10 @@ let retarget e key = if live e then entry key else (e.key <- key; e)
 (* Refresh [e], which is live or else the only holder of a key with no
    entry.  A refresh that restates an entry exactly — same bytes, class
    and deadline — changes nothing, so it returns at once: the total is
-   unchanged and already within budget, so no victim is possible; every
-   change to the total sets the occupancy gauge, so it already reads
-   this total; and an entry is updated in place, so its bucket does not
-   move either.  A connection refreshed by every chunk at one clock
-   instant takes this path for all but the first. *)
+   unchanged and already within budget, so no victim is possible; and
+   an entry is updated in place, so its bucket does not move either.
+   A connection refreshed by every chunk at one clock instant takes
+   this path for all but the first. *)
 let settle g e ~cls ~bytes ~now =
   let bytes = Int.max 0 bytes in
   let cls = Int.max 0 cls in
@@ -177,16 +161,13 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
 
 let find g ~key = Tbl.find_opt g.tbl key
 
-let remove g ~key =
-  drop g key;
-  if Obs.enabled then Obs.Metrics.set g_occ g.total
+let remove g ~key = drop g key
 
 let remove_conn g ~conn =
   let keys =
     Tbl.fold (fun k _ acc -> if k.conn = conn then k :: acc else acc) g.tbl []
   in
-  List.iter (drop g) keys;
-  if Obs.enabled then Obs.Metrics.set g_occ g.total
+  List.iter (drop g) keys
 
 let mem g ~key = Tbl.mem g.tbl key
 
@@ -206,14 +187,7 @@ let sweep g ~now =
   in
   List.iter (drop g) due;
   g.ev_deadline <- g.ev_deadline + List.length due;
-  if Obs.enabled then begin
-    Obs.Metrics.set g_occ g.total;
-    List.iter
-      (fun k ->
-        Obs.Metrics.incr m_ev_deadline;
-        trace_evict "deadline" k)
-      due
-  end;
+  List.iter (fun k -> trace_evict "deadline" k) due;
   List.iter g.on_evict due
 
 let rec arm g engine =
@@ -240,4 +214,5 @@ let stats g =
     entries = Tbl.length g.tbl;
     evictions_deadline = g.ev_deadline;
     evictions_budget = g.ev_budget;
+    budget_bytes = Int.max 0 g.budget;
   }

@@ -31,6 +31,7 @@ type stats = {
   entries : int;
   evictions_deadline : int;
   evictions_budget : int;
+  budget_bytes : int;  (** the configured budget; 0 when unlimited *)
 }
 
 type t

@@ -71,6 +71,7 @@ type t = {
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
   mutable n_live : int;  (* connections whose [live] is [Some _] *)
+  mutable peak_live : int;  (* [n_live]'s high-water *)
   counts : Counters.t;  (* the endpoint's, and every receiver's *)
   mutable archived_overlap : Placement.overlap_stats;
   mutable archived_verifier : Edc.Verifier.stats;
@@ -82,15 +83,6 @@ let emit m ev = match m.persist with Some f -> f ev | None -> ()
 
 let m_opens = Obs.Metrics.counter "multi_opens_total"
 let m_closes = Obs.Metrics.counter "multi_closes_total"
-let m_conn_gcs = Obs.Metrics.counter "multi_conn_gcs_total"
-let m_displaced = Obs.Metrics.counter "multi_displaced_total"
-let m_unknown = Obs.Metrics.counter "multi_unknown_drops_total"
-let m_late = Obs.Metrics.counter "multi_late_drops_total"
-let m_anomalies = Obs.Metrics.counter "multi_anomalies_total"
-let m_quarantines = Obs.Metrics.counter "multi_quarantines_total"
-let m_quarantine_drops = Obs.Metrics.counter "multi_quarantine_drops_total"
-let m_poisoned = Obs.Metrics.counter "multi_conns_poisoned_total"
-let g_live = Obs.Metrics.gauge "multi_live_conns"
 
 let now m = Netsim.Engine.now m.engine
 let conn_key id = { Governor.conn = id; tpdu = -1 }
@@ -125,14 +117,6 @@ let live_report c rx =
     passes = R.epoch_passes rx;
   }
 
-let add_verifier (a : Edc.Verifier.stats) (b : Edc.Verifier.stats) =
-  {
-    Edc.Verifier.tpdus_passed = a.tpdus_passed + b.tpdus_passed;
-    tpdus_failed = a.tpdus_failed + b.tpdus_failed;
-    duplicates = a.duplicates + b.duplicates;
-    chunks_seen = a.chunks_seen + b.chunks_seen;
-  }
-
 (* Archive [c]'s live epoch.  [tally] settles the report's counts before
    the archive gate reads them: the live side journals its own, a replay
    takes a record's. *)
@@ -144,7 +128,7 @@ let archive ~tally m c =
       m.archived_overlap <-
         Placement.add_overlap m.archived_overlap (R.overlap_stats rx);
       m.archived_verifier <-
-        add_verifier m.archived_verifier (R.verifier_stats rx);
+        Edc.Verifier.add_stats m.archived_verifier (R.verifier_stats rx);
       (* An epoch in which no TPDU ever verified delivered nothing to the
          application (and acknowledged nothing to the sender), so from
          both ends' point of view it never happened: drop it rather than
@@ -171,9 +155,7 @@ let archive ~tally m c =
       end;
       c.live <- None;
       c.live_open <- None;
-      m.n_live <- m.n_live - 1;
-      if Obs.enabled then
-        Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - 1))
+      m.n_live <- m.n_live - 1
 
 (* [archive] as the live side does it, journalling the closing counts; a
    crash replay archives without journalling. *)
@@ -219,8 +201,7 @@ let containment c =
       poisoned = c.poisoned }
 
 let quarantine_drop m =
-  m.counts.quarantine_drops <- m.counts.quarantine_drops + 1;
-  if Obs.enabled then Obs.Metrics.incr m_quarantine_drops
+  m.counts.quarantine_drops <- m.counts.quarantine_drops + 1
 
 let enter_quarantine m c =
   let score = c.anomaly_score in
@@ -236,14 +217,10 @@ let enter_quarantine m c =
   m.counts.quarantines <- m.counts.quarantines + 1;
   emit m (containment c);
   close_conn m c;
-  if Obs.enabled then begin
-    Obs.Metrics.incr m_quarantines;
-    if Obs.Trace.active () then
-      Obs.Trace.record
-        (Obs.Trace.Quarantine
-           { conn = c.id; score; until = c.quarantined_until })
-        ~time:(now m)
-  end
+  if Obs.enabled && Obs.Trace.active () then
+    Obs.Trace.record
+      (Obs.Trace.Quarantine { conn = c.id; score; until = c.quarantined_until })
+      ~time:(now m)
 
 (* A scored anomaly: only for events the connection provably authored
    (see the [conn] field comments).  The score forgives itself after a
@@ -252,7 +229,6 @@ let enter_quarantine m c =
 let note_scored m c ~weight =
   c.anomalies <- c.anomalies + 1;
   m.counts.anomalies <- m.counts.anomalies + 1;
-  if Obs.enabled then Obs.Metrics.incr m_anomalies;
   if m.anomaly_budget > 0 && not (quarantine_active m c) then begin
     let t = now m in
     if t -. c.last_anomaly > m.anomaly_decay then c.anomaly_score <- 0;
@@ -266,8 +242,7 @@ let note_scored m c ~weight =
    it must never push the connection toward the penalty box. *)
 let note_unscored m c =
   c.anomalies <- c.anomalies + 1;
-  m.counts.anomalies <- m.counts.anomalies + 1;
-  if Obs.enabled then Obs.Metrics.incr m_anomalies
+  m.counts.anomalies <- m.counts.anomalies + 1
 
 (* Scored weights: re-establishment churn is the byzantine signature
    (4 per cycle, 8 cycles inside one decay window trip the default
@@ -292,14 +267,11 @@ let poison m ~conn_id =
         m.counts.conns_poisoned <- m.counts.conns_poisoned + 1;
         emit m (containment c);
         close_conn m c;
-        if Obs.enabled then begin
-          Obs.Metrics.incr m_poisoned;
-          if Obs.Trace.active () then
-            Obs.Trace.record
-              (Obs.Trace.Quarantine
-                 { conn = conn_id; score = c.anomaly_score; until = infinity })
-              ~time:(now m)
-        end
+        if Obs.enabled && Obs.Trace.active () then
+          Obs.Trace.record
+            (Obs.Trace.Quarantine
+               { conn = conn_id; score = c.anomaly_score; until = infinity })
+            ~time:(now m)
       end
 
 let bulkhead m ~conn_id exn =
@@ -359,15 +331,10 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       quarantine_base = Float.max 0.25 (4.0 *. config.rto);
       anomaly_decay = Float.max 1.0 (8.0 *. config.rto);
       n_live = 0;
+      peak_live = 0;
       counts = Counters.zero ();
       archived_overlap = Placement.zero_overlap;
-      archived_verifier =
-        {
-          Edc.Verifier.tpdus_passed = 0;
-          tpdus_failed = 0;
-          duplicates = 0;
-          chunks_seen = 0;
-        };
+      archived_verifier = Edc.Verifier.zero_stats;
     }
   in
   Governor.set_on_evict m.governor (fun key ->
@@ -388,7 +355,6 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
             (* the connection itself went stale (or was squeezed out by
                budget pressure): reclaim everything it holds *)
             m.counts.conn_gcs <- m.counts.conn_gcs + 1;
-            if Obs.enabled then Obs.Metrics.incr m_conn_gcs;
             close_conn m c
           end);
   m
@@ -429,8 +395,7 @@ let start_epoch m c =
   in
   c.live <- Some rx;
   m.n_live <- m.n_live + 1;
-  if Obs.enabled then
-    Obs.Metrics.set g_live (Obs.Metrics.gauge_value g_live + 1);
+  m.peak_live <- Int.max m.peak_live m.n_live;
   rx
 
 let new_epoch ?open_csn m c =
@@ -451,7 +416,6 @@ let ensure_capacity m =
     match stalest_live m with
     | Some victim ->
         m.counts.displaced_conns <- m.counts.displaced_conns + 1;
-        if Obs.enabled then Obs.Metrics.incr m_displaced;
         close_conn m victim
     | None -> ()
 
@@ -596,9 +560,7 @@ let route m (v : Chunk.view) ~hdr =
   let h = v.Chunk.header in
   let cid = h.Header.c.Ftuple.id in
   match find_conn m cid with
-  | None ->
-      m.counts.unknown_drops <- m.counts.unknown_drops + 1;
-      if Obs.enabled then Obs.Metrics.incr m_unknown
+  | None -> m.counts.unknown_drops <- m.counts.unknown_drops + 1
   | Some c when quarantine_active m c -> quarantine_drop m
   | Some c -> (
       try
@@ -644,7 +606,6 @@ let route m (v : Chunk.view) ~hdr =
               re_ack_closed m c ~gap:m.config.nack_delay t_id
             else begin
               m.counts.late_drops <- m.counts.late_drops + 1;
-              if Obs.enabled then Obs.Metrics.incr m_late;
               note_scored m c ~weight:w_late
             end
       with e -> bulkhead m ~conn_id:cid e)
@@ -791,8 +752,24 @@ let overlap_stats m =
 
 let verifier_stats m =
   fold_live m
-    (fun acc rx -> add_verifier acc (R.verifier_stats rx))
+    (fun acc rx -> Edc.Verifier.add_stats acc (R.verifier_stats rx))
     m.archived_verifier
+
+let tally m senders =
+  let counts = Counters.zero () in
+  Counters.add counts m.counts;
+  let sum f = List.fold_left (fun acc tx -> acc + f tx) 0 senders in
+  {
+    Tally.counts;
+    verifier = verifier_stats m;
+    governor = Governor.stats m.governor;
+    live_conns = m.n_live;
+    peak_live_conns = m.peak_live;
+    shed_bytes = counts.shed_elems * m.config.elem_size;
+    retransmissions = sum Chunk_transport.Sender.retransmissions;
+    aborts_sent = sum Chunk_transport.Sender.aborts_sent;
+    sheds_sent = sum Chunk_transport.Sender.sheds_sent;
+  }
 
 let sum_live m f = fold_live m (fun acc rx -> acc + f rx) 0
 let live_in_flight m = sum_live m R.verifier_in_flight
@@ -971,8 +948,5 @@ let reannounce m =
    crash is not a graceful close — and without a verdict: what was in
    flight is not counted as failed. *)
 let teardown m =
-  let lives = m.n_live in
   Int_table.iter (fun _ c -> Option.iter R.forget_in_flight c.live) m.conns;
-  Int_table.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns;
-  if Obs.enabled then
-    Obs.Metrics.set g_live (max 0 (Obs.Metrics.gauge_value g_live - lives))
+  Int_table.iter (fun id _ -> Governor.remove_conn m.governor ~conn:id) m.conns

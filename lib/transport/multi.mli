@@ -217,6 +217,10 @@ val verifier_stats : t -> Edc.Verifier.stats
 (** Verifier counters summed over every epoch of every connection since
     creation (or restore), live and archived. *)
 
+val tally : t -> Chunk_transport.Sender.t list -> Tally.t
+(** The endpoint's records now, with the counts of [senders], the
+    senders that fed it. *)
+
 (** {1 Crash recovery} *)
 
 val export : t -> Persist.event list

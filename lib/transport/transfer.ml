@@ -16,10 +16,7 @@ type outcome = {
   final_rto : float;
   rtt_samples : int;
   max_txs_at_rtt_sample : int;
-  receiver_evictions : int;
-  sheds_sent : int;
-  sheds_received : int;
-  shed_elems : int;
+  tally : Tally.t;
   shed_spans : (int * int) list;
   delivered : bytes;
 }
@@ -156,7 +153,6 @@ let run ?(seed = 0x5EED) ?(config = CT.default_config) ?(loss = 0.0)
   in
   finish w;
   let m = w.endpoint and tx = w.sender and epoch = !(w.epoch_rx) in
-  let counts = Multi.counters m in
   let stats f = Option.bind epoch (fun rx -> Netsim.Stats.summary (f rx)) in
   let delivered, complete, shed_spans, verifier =
     match epoch with
@@ -189,10 +185,7 @@ let run ?(seed = 0x5EED) ?(config = CT.default_config) ?(loss = 0.0)
     final_rto = CT.Sender.current_rto tx;
     rtt_samples = CT.Sender.rtt_samples tx;
     max_txs_at_rtt_sample = CT.Sender.max_txs_at_rtt_sample tx;
-    receiver_evictions = counts.Counters.evictions;
-    sheds_sent = CT.Sender.sheds_sent tx;
-    sheds_received = counts.Counters.sheds_received;
-    shed_elems = counts.Counters.shed_elems;
+    tally = Multi.tally m [ tx ];
     shed_spans;
     delivered;
   }

@@ -24,11 +24,7 @@ type outcome = {
   rtt_samples : int;  (** RTT samples accepted by Karn's rule *)
   max_txs_at_rtt_sample : int;
       (** Karn's rule holds iff this never exceeds 1 *)
-  receiver_evictions : int;
-      (** governor evictions of the receiver's per-TPDU state *)
-  sheds_sent : int;  (** TPDUs the sender deliberately abandoned *)
-  sheds_received : int;  (** shed signals the receiver honoured *)
-  shed_elems : int;  (** elements given up under honoured sheds *)
+  tally : Tally.t;  (** the endpoint's and the sender's counts *)
   shed_spans : (int * int) list;
       (** honoured shed cover, [(first_elem, elems)] runs ascending *)
   delivered : bytes;

@@ -46,16 +46,47 @@ let test_replay_determinism () =
   let a = Check.Driver.run s in
   let b = Check.Driver.run s in
   Alcotest.(check bool) "same ok" a.Check.Driver.ok b.Check.Driver.ok;
-  Alcotest.(check int) "same retrans" a.Check.Driver.retransmissions
-    b.Check.Driver.retransmissions;
+  Alcotest.(check int) "same retrans" a.Check.Driver.tally.retransmissions
+    b.Check.Driver.tally.retransmissions;
   Alcotest.(check int) "same packets" a.Check.Driver.packets_sent
     b.Check.Driver.packets_sent;
-  Alcotest.(check int) "same nacks" a.Check.Driver.counts.nacks_sent
-    b.Check.Driver.counts.nacks_sent;
+  Alcotest.(check int) "same nacks" a.Check.Driver.tally.counts.nacks_sent
+    b.Check.Driver.tally.counts.nacks_sent;
   Alcotest.(check (float 0.0)) "same sim time" a.Check.Driver.sim_time
     b.Check.Driver.sim_time;
   Alcotest.check Util.bytes_testable "same delivery" a.Check.Driver.delivered
     b.Check.Driver.delivered
+
+(* Two rows read the endpoint's own records: a doctored observation whose
+   verifiers passed one TPDU more than was freshly acknowledged, or whose
+   governor peaked above the schedule's budget, is reported under that
+   row and no other. *)
+let test_oracle_reads_records () =
+  let schedule =
+    Check.Schedule.generate ~profile:Check.Schedule.Hostile_flood ~seed:7
+  in
+  let model = Check.Model.of_schedule schedule in
+  let o = Check.Driver.run schedule in
+  let codes observation =
+    List.map
+      (fun (v : Check.Oracle.violation) -> v.Check.Oracle.code)
+      (Check.Oracle.check ~schedule ~model ~observation)
+  in
+  let doctored tally = codes { o with Check.Driver.tally } in
+  let t = o.Check.Driver.tally and budget = schedule.Check.Schedule.state_budget in
+  Alcotest.(check bool) "the schedule has a budget" true (budget > 0);
+  Alcotest.(check (list string)) "the run is clean" [] (codes o);
+  Alcotest.(check (list string)) "a pass with no fresh ACK"
+    [ "metrics-verify-count" ]
+    (doctored
+       {
+         t with
+         verifier =
+           { t.verifier with tpdus_passed = t.verifier.tpdus_passed + 1 };
+       });
+  Alcotest.(check (list string)) "a high water above the budget"
+    [ "state-budget" ]
+    (doctored { t with governor = { t.governor with high_water = budget + 1 } })
 
 let soak profile n =
   let report = Check.Soak.run_profile ~schedules:n ~seed:7 profile in
@@ -159,7 +190,7 @@ let test_byz_clobber_caught () =
         (s.Check.Schedule.byz <> None);
       let o = Check.Driver.run ~mutation:Check.Driver.Byz_clobber s in
       Alcotest.(check int) "defense really was off in the replay" 0
-        o.Check.Driver.counts.quarantines;
+        o.Check.Driver.tally.counts.quarantines;
       Alcotest.(check bool) "shrunk replay still violates" true
         (List.exists
            (fun (v : Check.Oracle.violation) ->
@@ -756,6 +787,8 @@ let suite =
     Util.qtest ~count:150 "schedule round-trips through to_string"
       QCheck2.Gen.(tup2 gen_profile (int_range 0 1_000_000))
       prop_schedule_roundtrip;
+    Alcotest.test_case "oracle rows read the endpoint's records" `Quick
+      test_oracle_reads_records;
     Alcotest.test_case "replay is deterministic" `Quick
       test_replay_determinism;
     Alcotest.test_case "soak: clean profile" `Quick (fun () ->

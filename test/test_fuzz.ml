@@ -416,8 +416,6 @@ let suite =
       (fun b -> no_exn (fun () -> Wire.decode_packet b));
     Util.qtest ~count:300 "Wire.decode_chunk never raises" gen_garbage
       (fun b -> no_exn (fun () -> Wire.decode_chunk b 0));
-    Util.qtest ~count:200 "Multiframe.decode never raises" gen_garbage
-      (fun b -> no_exn (fun () -> Multiframe.decode b 0));
     Util.qtest ~count:200 "Compress.Rx never raises on garbage" gen_garbage
       (fun b ->
         let rx =

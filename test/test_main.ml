@@ -16,7 +16,6 @@ let () =
       ("packed", Test_packed.suite);
       ("huffman", Test_huffman.suite);
       ("repack", Test_repack.suite);
-      ("multiframe", Test_multiframe.suite);
       ("demux-connection", Test_demux_connection.suite);
       ("edc", Test_edc.suite);
       ("detect", Test_detect.suite);

@@ -83,16 +83,12 @@ let test_counter_interning () =
        "Obs.Metrics: \"test_interned\" already registered with another kind")
     (fun () -> ignore (M.gauge "test_interned"))
 
-let test_gauge_mark () =
-  let g = M.gauge "test_gauge_mark" in
+let test_gauge_high_water () =
+  let g = M.gauge "test_gauge_high_water" in
   M.set g 70;
   M.set g 10;
   Alcotest.(check int) "value follows set" 10 (M.gauge_value g);
-  Alcotest.(check int) "max holds the peak" 70 (M.gauge_max g);
-  M.mark g;
-  Alcotest.(check int) "mark resets the peak to current" 10 (M.gauge_max g);
-  M.set g 30;
-  Alcotest.(check int) "new peak after mark" 30 (M.gauge_max g)
+  Alcotest.(check int) "max holds the peak" 70 (M.gauge_max g)
 
 (* --- tracing --- *)
 
@@ -250,7 +246,7 @@ let suite =
     Alcotest.test_case "histogram observation" `Quick test_histogram_observe;
     Alcotest.test_case "counter saturation" `Quick test_counter_saturation;
     Alcotest.test_case "interning by name" `Quick test_counter_interning;
-    Alcotest.test_case "gauge high-water and mark" `Quick test_gauge_mark;
+    Alcotest.test_case "gauge high-water" `Quick test_gauge_high_water;
     Alcotest.test_case "trace ring wraparound" `Quick test_ring_wraparound;
     Alcotest.test_case "JSONL round trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "JSONL sink through a file" `Quick

@@ -50,10 +50,12 @@ let test_shed_under_loss () =
   in
   let o = TR.run ~seed:5 ~config ~loss:0.5 ~data () in
   Alcotest.(check bool) "outcome ok (shed-aware)" true o.TR.ok;
-  Alcotest.(check bool) "congestion provoked sheds" true (o.TR.sheds_sent > 0);
+  let t = o.TR.tally in
+  Alcotest.(check bool) "congestion provoked sheds" true
+    (t.Transport.Tally.sheds_sent > 0);
   Alcotest.(check bool) "receiver honoured sheds" true
-    (o.TR.sheds_received > 0);
-  Alcotest.(check int) "one span per honoured shed" o.TR.sheds_received
+    (t.counts.sheds_received > 0);
+  Alcotest.(check int) "one span per honoured shed" t.counts.sheds_received
     (List.length o.TR.shed_spans);
   (* every shed span is exactly one sheddable TPDU *)
   List.iter
@@ -355,11 +357,10 @@ let test_governor_retouch_after_loss () =
 
 (* A touch that restates an entry exactly — same bytes and class at the
    same instant, so the same deadline — is a no-op: the account, its
-   high water, the occupancy gauge and the victim a later squeeze picks
-   are all what they were without it.  Equal deadlines make the victim a
-   tie, so a control governor without the repeats decides it. *)
+   high water and the victim a later squeeze picks are all what they
+   were without it.  Equal deadlines make the victim a tie, so a control
+   governor without the repeats decides it. *)
 let test_governor_noop_refresh () =
-  let occ = Obs.Metrics.gauge "governor_occupancy_bytes" in
   let fill g =
     Gov.touch g ~key:{ Gov.conn = 1; tpdu = 0 } ~bytes:60 ~now:0.0;
     Gov.touch g ~key:{ Gov.conn = 1; tpdu = 1 } ~bytes:60 ~now:0.0
@@ -375,17 +376,14 @@ let test_governor_noop_refresh () =
   let expected_victims = squeeze control in
   let g = Gov.create ~budget_bytes:200 ~ttl:10.0 () in
   fill g;
-  let stats0 = Gov.stats g and gauge0 = Obs.Metrics.gauge_value occ in
-  let gauge_max0 = Obs.Metrics.gauge_max occ in
+  let stats0 = Gov.stats g in
   fill g;
   Gov.touch g ~key:{ Gov.conn = 1; tpdu = 0 } ~bytes:60 ~now:0.0;
   Alcotest.(check bool) "stats unchanged" true (Gov.stats g = stats0);
   Alcotest.(check int) "high water unchanged" stats0.Gov.high_water
     (Gov.high_water g);
-  Alcotest.(check int) "occupancy gauge unchanged" gauge0
-    (Obs.Metrics.gauge_value occ);
-  Alcotest.(check int) "occupancy gauge max unchanged" gauge_max0
-    (Obs.Metrics.gauge_max occ);
+  Alcotest.(check int) "occupancy unchanged" stats0.Gov.accounted_bytes
+    (Gov.total g);
   Alcotest.(check (list int)) "next victim unchanged" expected_victims
     (squeeze g);
   Alcotest.(check int) "the squeeze evicted one entry" 1

@@ -136,6 +136,36 @@ let test_transfer_counts_memo () =
     Alcotest.(check int) "registry rose by the memo's hits"
       memo.Transport.Flowcache.s_hits (after - before)
 
+(* A report names each tally field once, with the kind its table gives
+   it: no registry metric repeats a name the endpoint's records answer. *)
+let test_tally_report () =
+  let o =
+    Transport.Transfer.run ~loss:0.05 ~data:(Util.deterministic_bytes 20_000) ()
+  in
+  let t = o.Transport.Transfer.tally in
+  let s = Transport.Tally.report t (Obs.Metrics.snapshot ()) in
+  let names =
+    List.map fst s.Obs.Metrics.s_counters
+    @ List.map (fun (name, _, _) -> name) s.s_gauges
+    @ List.map fst s.s_histograms
+  in
+  Alcotest.(check int) "no name twice" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  List.iter
+    (fun (name, read) ->
+      match read t with
+      | Transport.Tally.Count n ->
+          Alcotest.(check (option int)) name (Some n)
+            (List.assoc_opt name s.s_counters)
+      | Transport.Tally.Level (v, high) ->
+          Alcotest.(check (option (pair int int))) name (Some (v, high))
+            (List.find_map
+               (fun (n, v, high) -> if n = name then Some (v, high) else None)
+               s.s_gauges))
+    Transport.Tally.table;
+  Alcotest.(check int) "one fresh ACK per verified TPDU"
+    t.verifier.Edc.Verifier.tpdus_passed t.counts.acks_sent
+
 let test_expected_elements () =
   let config = Transport.Chunk_transport.default_config in
   (* frame_bytes 1024, elem 4: 2500 bytes = 2 full frames + 452 rem ->
@@ -535,4 +565,6 @@ let suite =
         test_adaptive_rto_beats_fixed;
       Alcotest.test_case "a finished transfer's memo counts reach the registry"
         `Quick test_transfer_counts_memo;
+    Alcotest.test_case "a report names each tally field once" `Quick
+      test_tally_report;
     ]
