@@ -385,4 +385,21 @@ module Scan = struct
   let chunk b off =
     let h = header b off in
     Chunk.make_exn h (Bytes.sub b (off + header_size) (Header.payload_bytes h))
+
+  let line_bytes = 64
+
+  let warm b =
+    let n = Bytes.length b in
+    if n > 0 then begin
+      (* a buffer need not start on a line boundary: stepping by a line
+         from 0 visits every line but possibly the last one's tail *)
+      let acc = ref (Char.code (Bytes.get b (n - 1))) in
+      let i = ref 0 in
+      while !i < n do
+        acc := !acc lxor Char.code (Bytes.get b !i);
+        i := !i + line_bytes
+      done;
+      (* the loads are live: the compiler cannot drop them as dead *)
+      ignore (Sys.opaque_identity !acc)
+    end
 end

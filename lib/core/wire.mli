@@ -186,6 +186,15 @@ module Scan : sig
   (** Materialise the chunk at a scanned offset: like {!view}, but the
       payload is copied out of the packet.  Equal (by {!Chunk.equal})
       to what {!decode_chunk} returns there.  Allocates. *)
+
+  val warm : bytes -> unit
+  (** [warm b] reads one byte of every 64-byte cache line [b] spans,
+      its last byte's line included, and nothing else: independent,
+      bounds-checked loads whose misses overlap one another and
+      whatever the caller does next, so a packet read soon after (by
+      {!packet} and the WSC-2 pass over its payloads) finds its lines
+      already fetched.  Never writes into [b]; allocates nothing; does
+      nothing on an empty buffer. *)
 end
 
 (** {1 Checksummed record framing}

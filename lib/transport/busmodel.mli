@@ -14,7 +14,12 @@
     - reorder-then-process: crossing count depends on how much
       disordering occurred;
     - reassemble-then-process: every byte is buffered, copied, and read
-      again. *)
+      again.
+
+    Reading a packet's cache lines ahead of its processing (the warm
+    read of [Multi.ingest_batch], {!Labelling.Wire.Scan.warm}) is not a
+    crossing: it fetches the same lines the processor's one read of the
+    payload fetches, only earlier, so the bytes still cross once. *)
 
 type t
 (** A bus-crossing tally for one receiver architecture. *)

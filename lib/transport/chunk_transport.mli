@@ -119,6 +119,14 @@ val reack :
     [transport_reacks_total], and send its {!ack_packet}.
     [gap = neg_infinity] never throttles. *)
 
+val ingest_each : ('a -> bytes -> unit) -> 'a -> bytes array -> unit
+(** The batch loop behind {!Receiver.ingest_batch} and
+    {!Multi.ingest_batch}: records the batch's occupancy in the
+    [transport_ingest_batch_packets] histogram, warms every packet
+    ({!Labelling.Wire.Scan.warm}) so their first-touch misses overlap,
+    then runs [ingest x] on each packet in order.  The warm read never
+    writes into a packet and is no bus crossing. *)
+
 (** {1 Receiver} *)
 
 module Receiver : sig
@@ -190,10 +198,10 @@ module Receiver : sig
 
   val ingest_batch : t -> bytes array -> unit
   (** Feed a batch of packets from the network — the receiver's only
-      packet entry; records batch occupancy in the
-      [transport_ingest_batch_packets] histogram.  One zero-allocation
-      structural scan ({!Labelling.Wire.Scan}) per packet validates it,
-      dropping a malformed one whole exactly as
+      packet entry, through {!ingest_each}, which reads (never writes)
+      every packet's cache lines before the first is processed.  One
+      zero-allocation structural scan ({!Labelling.Wire.Scan}) per
+      packet validates it, dropping a malformed one whole exactly as
       {!Labelling.Wire.decode_packet} would; each scanned chunk is then
       handed to {!on_scanned} as a view of the packet, so no payload is
       copied.  The qcheck property in [test_flowcache] holds it

@@ -674,8 +674,6 @@ let on_scanned m (v : Chunk.view) ~hdr =
         | None -> ())
   else route m v ~hdr
 
-let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
-
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
@@ -684,10 +682,7 @@ let ingest m b =
       on_scanned m (Wire.Scan.view b hdr) ~hdr
     done
 
-let ingest_batch m packets =
-  if Obs.enabled then
-    Obs.Metrics.observe m_ingest_batch (Array.length packets);
-  Array.iter (ingest m) packets
+let ingest_batch m packets = Chunk_transport.ingest_each ingest m packets
 
 let fastpath_stats m =
   { fp_conn = Flowcache.stats m.memo; fp_tpdu = Flowcache.zero_stats }

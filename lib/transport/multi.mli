@@ -128,9 +128,13 @@ val ingest : t -> bytes -> unit
     over. *)
 
 val ingest_batch : t -> bytes array -> unit
-(** {!ingest} over a batch of packets, amortising per-call dispatch
-    cost; records batch occupancy in the
-    [transport_ingest_batch_packets] histogram. *)
+(** {!ingest} over a batch of packets, in order, through
+    {!Chunk_transport.ingest_each}.  What the batch adds is one warm
+    read: before the first packet is ingested, one byte of every cache
+    line of every packet is read, so the batch's first-touch misses
+    overlap instead of stalling the scan and WSC-2 one line at a time.
+    It never writes, and {!Busmodel} charges nothing for it.  Delivery
+    is byte-identical to {!ingest} of each packet at any batch size. *)
 
 type fastpath_stats = {
   fp_conn : Flowcache.stats;  (** the connection (C.ID) cache *)

@@ -474,6 +474,105 @@ let test_batch_spanning_quarantine () =
         (Bytes.equal (Bytes.sub e.Transport.Multi.delivered 0 480) d6)
   | es -> Alcotest.failf "expected 1 epoch on conn 6, got %d" (List.length es)
 
+(* [b] cut or zero-padded to [n] bytes: zero padding keeps a valid
+   packet valid, a cut one is dropped whole. *)
+let resized b n =
+  let r = Bytes.make n '\000' in
+  Bytes.blit b 0 r 0 (min n (Bytes.length b));
+  r
+
+(* The permuted mix around the edges of [Wire.Scan.warm]'s 64-byte
+   stride, after a connection of its own that makes every mix longer
+   than a batch of 33: every fifth packet zero-padded to one byte over
+   the MTU, then packets of 0, 1, 63, 64 and 65 bytes (cut or padded
+   copies of the mix's own) spread through it, and last a copy of the
+   last packet one byte short. *)
+let gen_edge_mix =
+  QCheck2.Gen.map
+    (fun (mix, _) ->
+      let mix = Array.append (Array.of_list (snd (conn_packets ~conn:4 ~seed:5 1200))) mix in
+      let n = Array.length mix in
+      let edges =
+        List.map (fun len -> resized mix.(len mod n) len) [ 0; 1; 63; 64; 65 ]
+      in
+      let over_mtu = multi_config.CT.mtu + 1 in
+      let padded =
+        Array.mapi (fun i b -> if i mod 5 = 0 then resized b over_mtu else b) mix
+      in
+      let spread =
+        List.concat
+          (List.mapi
+             (fun i b ->
+               match List.nth_opt edges (i / 7) with
+               | Some e when i mod 7 = 3 -> [ b; e ]
+               | _ -> [ b ])
+             (Array.to_list padded))
+      in
+      let last = mix.(n - 1) in
+      Array.of_list (spread @ [ resized last (Bytes.length last - 1) ]))
+    gen_permuted_mix
+
+(* Whatever the batch size, [ingest_batch] delivers what [ingest] of
+   each packet delivers, for [Multi] and for a single receiver, and
+   leaves every packet as it was: an off-by-one in the warm read raises
+   on the empty packet or reads past a short one. *)
+let prop_edge_lengths =
+  QCheck2.Test.make
+    ~name:"ingest_batch at edge packet lengths equals per-packet ingest"
+    ~count:30 gen_edge_mix
+    (fun mix ->
+      let before = Array.map Digest.bytes mix in
+      let m_ref = mk_multi () and r_ref = mk_receiver () in
+      Array.iter (Transport.Multi.ingest m_ref) mix;
+      Array.iter (fun b -> CT.Receiver.ingest_batch r_ref [| b |]) mix;
+      List.for_all
+        (fun batch ->
+          let m = mk_multi () and rx = mk_receiver () in
+          in_batches (Transport.Multi.ingest_batch m) mix batch;
+          in_batches (CT.Receiver.ingest_batch rx) mix batch;
+          epochs_equal m_ref m
+          && Bytes.equal (CT.Receiver.contents r_ref) (CT.Receiver.contents rx)
+          && CT.Receiver.complete r_ref = CT.Receiver.complete rx
+          && CT.Receiver.verifier_stats r_ref = CT.Receiver.verifier_stats rx)
+        [ 1; 33 ]
+      && Array.map Digest.bytes mix = before)
+
+(* The warm read fetches lines the scan and WSC-2 read anyway, so it is
+   no bus crossing: one shuffled stream fed packet by packet and in
+   batches of 32 tallies the same crossings. *)
+let test_batch_bus_crossings () =
+  let packets =
+    Array.of_list
+      (List.concat_map
+         (fun conn -> snd (conn_packets ~conn ~seed:conn 1500))
+         [ 1; 2; 3 ])
+  in
+  let rng = Netsim.Rng.create ~seed:11 in
+  for i = Array.length packets - 1 downto 1 do
+    let j = Netsim.Rng.int rng (i + 1) in
+    let t = packets.(i) in
+    packets.(i) <- packets.(j);
+    packets.(j) <- t
+  done;
+  let crossings feed =
+    let bus = Transport.Busmodel.create () in
+    let m =
+      Transport.Multi.create
+        (Netsim.Engine.create ~seed:42 ())
+        ~config:multi_config ~quota_elems:4096 ~max_conns:8 ~bus
+        ~send_ack:(fun _ -> ())
+        ()
+    in
+    feed m;
+    Transport.Busmodel.crossings bus
+  in
+  let single = crossings (fun m -> Array.iter (Transport.Multi.ingest m) packets) in
+  let batched =
+    crossings (fun m -> in_batches (Transport.Multi.ingest_batch m) packets 32)
+  in
+  Alcotest.(check bool) "the stream crosses the bus" true (single > 0);
+  Alcotest.(check int) "batched crossings equal per-packet" single batched
+
 (* --- epoch reuse is served from the memo --------------------------- *)
 
 (* A reopen under the same C.ID replaces the live receiver inside the
@@ -763,6 +862,9 @@ let suite =
       test_batch_single_packet;
     Alcotest.test_case "ingest_batch spanning a mid-batch quarantine" `Quick
       test_batch_spanning_quarantine;
+    QCheck_alcotest.to_alcotest prop_edge_lengths;
+    Alcotest.test_case "ingest_batch crosses the bus as ingest does" `Quick
+      test_batch_bus_crossings;
     Alcotest.test_case "epoch reuse is served by memo hits" `Quick
       test_epoch_reuse_memo_hits;
     QCheck_alcotest.to_alcotest prop_add_only_permuted;
