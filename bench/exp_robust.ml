@@ -132,8 +132,12 @@ let rob_abort () =
    the crash (the RTO retransmits), or they arrive after the restore,
    without SACK or with it (the receiver NACKs its gaps).  Against the
    number of live connections, each endpoint snapshotted mid-transfer:
-   the size and the restore time.  A restore time is the median of five
-   rounds after a warm-up round, each restore on a private engine. *)
+   the size and the restore time.  Against the TPDUs acknowledged
+   before the crash, with no snapshot at all: the journal's bytes per
+   acknowledged TPDU (its records name the data where placement put it
+   and copy none of it), and the time to recover and restore from the
+   journal alone.  A restore time is the median of five rounds after a
+   warm-up round, each restore on a private engine. *)
 let rob_recover () =
   let module CT = Transport.Chunk_transport in
   let module M = Transport.Multi in
@@ -277,7 +281,74 @@ let rob_recover () =
         ("snapshot bytes @" ^ tag)
         (float_of_int (Bytes.length encoded));
       Util_bench.Metrics.record ~exp:"ROB-RECOVER" ("restore us @" ^ tag) us)
-    [ 2; 8 ]
+    [ 2; 8 ];
+  (* A transfer of [k] TPDUs into an endpoint that journals every ACK,
+     crashed once half of them are acknowledged and recovered from the
+     journal alone.  Its ACK records name their runs in the dead
+     endpoint's placement buffer, so the restored endpoint must finish
+     the transfer byte-exact from those regions and what the sender
+     still sends. *)
+  let journal_crash k =
+    let engine = Netsim.Engine.create ~seed () in
+    let config, _, _ = window 4 ~sack:false in
+    let data = transfer_data (k * config.CT.tpdu_elems * config.CT.elem_size) in
+    let quota_elems = CT.expected_elements config ~data_len:(Bytes.length data) in
+    let store = P.Store.create () and acked = ref 0 in
+    let restored = ref None in
+    let w =
+      Transport.Transfer.connect engine config ~quota_elems
+        ~persist:(fun ev ->
+          (match ev with P.Acked _ -> incr acked | _ -> ());
+          P.Store.append store ev)
+        ~forward:(fun deliver b ->
+          Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
+              match !restored with Some m -> M.ingest m b | None -> deliver b))
+        (`Data data)
+    in
+    while !acked < k / 2 && Netsim.Engine.step engine do () done;
+    let acked = !acked in
+    let m = Transport.Transfer.endpoint w and tx = Transport.Transfer.sender w in
+    M.teardown m;
+    let recover engine ~send_ack =
+      match P.Store.recover store with
+      | Ok (events, false) ->
+          M.restore engine ~config ~quota_elems ~max_conns:1 ~send_ack events
+      | Ok (_, true) -> failwith "ROB-RECOVER: journal torn"
+      | Error e -> failwith e
+    in
+    let journal_bytes = P.Store.bytes_appended store in
+    let us =
+      let engine = Netsim.Engine.create ~seed () in
+      time_restores 200 (fun () ->
+          ignore (recover engine ~send_ack:(fun _ -> ()) : M.t))
+    in
+    let m' = recover engine ~send_ack:(CT.Sender.on_packet tx) in
+    M.reannounce m';
+    restored := Some m';
+    Transport.Transfer.finish w;
+    assert (CT.Sender.finished tx && not (CT.Sender.gave_up tx));
+    (match M.epochs m' ~conn_id:config.CT.conn_id with
+    | [ e ] -> assert (Bytes.equal e.M.delivered data)
+    | _ -> assert false);
+    (acked, journal_bytes, Bytes.length data / k, us)
+  in
+  Printf.printf "  %-16s %-14s %-14s %-11s
+" "acked TPDUs" "journal B/ACK"
+    "data B/TPDU" "restore us";
+  List.iter
+    (fun k ->
+      let acked, journal_bytes, tpdu_bytes, us = journal_crash k in
+      let per_ack = float_of_int journal_bytes /. float_of_int acked in
+      Printf.printf "  %-16d %-14.1f %-14d %-11.1f
+" acked per_ack tpdu_bytes us;
+      (* the journal carries labels, not the acknowledged data *)
+      assert (per_ack <= 64.0);
+      let tag = Printf.sprintf "%d acked" acked in
+      Util_bench.Metrics.record ~exp:"ROB-RECOVER"
+        ("journal bytes per ack @" ^ tag) per_ack;
+      Util_bench.Metrics.record ~exp:"ROB-RECOVER"
+        ("journal restore us @" ^ tag) us)
+    [ 16; 64 ]
 
 (* ROB-SHED: what significance-driven shedding buys under sustained
    congestion.  A layered transfer (Critical base + Sheddable

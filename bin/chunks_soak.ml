@@ -111,7 +111,7 @@ let run_replay spec mutate =
          evictions=%d conn_gcs=%d aborts tx=%d rx=%d reacks=%d \
          state_high=%d flood=%d rtt_samples=%d final_rto=%.4f\n\
          crashes=%d restores=%d recovery_bad=%d over_budget=%d \
-         roundtrip_fail=%d snapshots=%d journal_records=%d\n\
+         roundtrip_fail=%d snapshots=%d journal_records=%d journal_bytes=%d\n\
          overlap injected=%d conflicts_seen=%d rejected=%d quarantined=%d \
          verified_overwrites=%d\n\
          fp hits=%d misses=%d inserts=%d evictions=%d\n\
@@ -131,7 +131,8 @@ let run_replay spec mutate =
         observation.crashes_injected observation.restores
         observation.recovery_bad observation.restore_over_budget
         observation.roundtrip_failures observation.snapshots_taken
-        observation.journal_records observation.overlap_injected
+        observation.journal_records observation.journal_bytes
+        observation.overlap_injected
         ov.os_conflicts_seen ov.os_conflicts_rejected ov.os_quarantined
         ov.os_verified_overwrites
         observation.fastpath_stats.Transport.Flowcache.s_hits

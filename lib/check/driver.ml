@@ -117,6 +117,7 @@ type observation = {
   roundtrip_failures : int;
   snapshots_taken : int;
   journal_records : int;
+  journal_bytes : int;
   epochs : epoch_obs list;  (* every planned (connection, epoch) *)
   known_conns : int;  (* connections ever admitted (incl. flood) *)
   (* overlap policy; [os_verified_overwrites] must stay 0: two verified
@@ -935,6 +936,7 @@ let run_once ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     roundtrip_failures = ct.ct_roundtrip;
     snapshots_taken = Persist.Store.snapshots_taken store;
     journal_records = Persist.Store.journal_records store;
+    journal_bytes = Persist.Store.bytes_appended store;
     epochs;
     known_conns = List.length (Multi.known_conns m);
     overlap = ct.ct_overlap;

@@ -141,6 +141,9 @@ type observation = {
           mismatches observed at restores *)
   snapshots_taken : int;  (** full snapshots written to the store *)
   journal_records : int;  (** journal records appended over the run *)
+  journal_bytes : int;
+      (** journal bytes appended over the run: labels only, so a few
+          dozen per record *)
   epochs : epoch_obs list;
       (** every planned (connection, epoch), in plan order: connection
           1's epochs first *)

@@ -374,8 +374,7 @@ let any_locked p ~sn ~len =
   let lo = Int.max 0 sn and hi = Int.min p.capacity_elems (sn + len) in
   lo < hi && next_bit p.lck ~v:true lo hi < hi
 
-let restore_span p ~sn data =
-  let n = Bytes.length data in
+let restore_run p ~sn src ~off ~len:n =
   if n = 0 || n mod p.elem_size <> 0 then
     Error "Placement.restore_span: not a whole number of elements"
   else begin
@@ -383,11 +382,13 @@ let restore_span p ~sn data =
     if not (run_in_window p ~sn ~len) then
       Error "Placement.restore_span: outside destination window"
     else begin
-      Bytes.blit data 0 p.buf (sn * p.elem_size) n;
+      Bytes.blit src off p.buf (sn * p.elem_size) n;
       set_bits p.occ sn len;
       Ok ()
     end
   end
+
+let restore_span p ~sn data = restore_run p ~sn data ~off:0 ~len:(Bytes.length data)
 
 (* Coverage is read off the maps: a locked element is also occupied
    ([lock_span] sets both bits), so the placed runs include it. *)

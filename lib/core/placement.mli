@@ -200,6 +200,12 @@ val restore_span : t -> sn:int -> bytes -> (unit, string) result
     runs are unlocked; the caller re-locks the verified spans it
     restored ({!lock_span}). *)
 
+val restore_run :
+  t -> sn:int -> bytes -> off:int -> len:int -> (unit, string) result
+(** {!restore_span} of the [len] bytes of a buffer from [off] on, copied
+    once, straight from where they lie.  The caller vouches that the
+    slice lies inside the buffer. *)
+
 val is_full : t -> bool
 (** Whether every element is occupied, locked ones included. *)
 

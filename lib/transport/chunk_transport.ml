@@ -318,8 +318,9 @@ module Receiver = struct
     counts : Counters.t;  (* the owner's record, or the receiver's own *)
     (* crash recovery: [persist] receives one journal event per fresh
        ACK {e before} the ACK leaves (write-ahead — the receiver never
-       promises bytes it has not made durable), its runs borrowed from
-       the placement buffer for the call only; [restored_passes] carries
+       promises bytes it has not made durable), its runs views of
+       locked spans of the placement buffer, which stay as they are
+       while the buffer lives; [restored_passes] carries
        the verified-TPDU count across restarts so the epoch's archive
        gate survives a crash *)
     mutable persist : (Persist.event -> unit) option;
@@ -941,8 +942,10 @@ module Receiver = struct
          after the ACK leaves a hole the sender will never refill *)
       (match rx.persist with
       | Some journal ->
-          (* lend the journal views into the placement buffer: it copies
-             each promised byte once, before the callback returns *)
+          (* hand the journal views into the placement buffer: the spans
+             are locked above, so placement never rewrites them while
+             the buffer lives, and the journal keeps the views, not the
+             bytes *)
           journal
             (Persist.Acked
                {
@@ -1184,11 +1187,11 @@ module Receiver = struct
     match ev with
     | Persist.Acked { end_confirmed; runs; _ } ->
         List.iter
-          (fun run ->
-            let sn, b = Persist.run_bytes run in
-            ignore (Placement.restore_span rx.placement ~sn b : (unit, string) result);
-            Placement.lock_span rx.placement ~sn
-              ~len:(Bytes.length b / rx.config.elem_size))
+          (fun (sn, src, off, len) ->
+            ignore
+              (Placement.restore_run rx.placement ~sn src ~off ~len
+                : (unit, string) result);
+            Placement.lock_span rx.placement ~sn ~len:(len / rx.config.elem_size))
           runs;
         if Option.is_some end_confirmed then rx.end_confirmed <- end_confirmed;
         rx.restored_passes <- rx.restored_passes + 1

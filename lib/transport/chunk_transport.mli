@@ -176,8 +176,11 @@ module Receiver : sig
       {!Persist.Acked} event per fresh acknowledgement and one
       {!Persist.Shed} per honoured shed, each {e before} its ACK packet
       is handed to [send_ack].  An [Acked] event carries exactly the
-      placed bytes that ACK promises to keep, as views borrowed from the
-      placement buffer, valid only until the hook returns. *)
+      placed bytes that ACK promises to keep, as views of the placement
+      buffer.  The views stay valid after the hook returns: their spans
+      are locked before the hook runs, and a locked span is never
+      rewritten while its buffer lives, so a journal may keep the views
+      instead of the bytes ({!Persist.Store.append}). *)
 
   val on_scanned : t -> Labelling.Chunk.view -> hdr:int -> unit
   (** Feed one chunk read in place whose wire header lies at offset

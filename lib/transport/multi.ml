@@ -834,8 +834,24 @@ let export m =
           (epoch_identity c rx)
           (Persist.Passes { conn; passes = R.epoch_passes rx })
       in
+      (* An Open watermark above every identity the epochs below carry
+         was raised by an epoch the archive gate dropped: its identity
+         travels as that epoch did, opened and archived with no pass,
+         and the replayed gate drops it again. *)
+      let identities =
+        List.filter_map (fun r -> r.open_csn) c.hist
+        @ Option.to_list (Option.bind c.live (epoch_identity c))
+      in
+      let dropped =
+        if c.open_hwm >= 0 && List.for_all (fun k -> k < c.open_hwm) identities
+        then
+          [ Persist.Opened { conn; open_csn = Some c.open_hwm };
+            Persist.Archived { conn; complete = false; elems = 0; passes = 0 } ]
+        else []
+      in
       let records =
         (if tids = [] then [] else [ Persist.Ledger { conn; tids = tid_runs tids } ])
+        @ dropped
         @ List.concat_map archived (List.rev c.hist)
         @ (match c.live with Some rx -> live rx | None -> [])
         @
@@ -912,11 +928,10 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
   List.iter
     (fun id ->
       let c = Int_table.find m.conns id in
-      c.open_hwm <-
-        List.fold_left
-          (fun acc r -> match r.open_csn with Some k -> max acc k | None -> acc)
-          (Option.value c.live_open ~default:(-1))
-          c.hist;
+      (* replaying [Archived] raised the watermark past every archived
+         epoch's identity, the gate's dropped ones included; the live
+         epoch's identity raises it too *)
+      Option.iter (fun k -> c.open_hwm <- Int.max c.open_hwm k) c.live_open;
       (* the epoch count re-derived (archiving counted the parked
          bytes), so the isolation-budget bound spans the crash *)
       c.epochs_started <- List.length c.hist + Bool.to_int (Option.is_some c.live);

@@ -89,10 +89,12 @@ val create :
 
     [?persist] is the write-ahead journal hook, forwarded into every
     epoch receiver: it sees one {!Persist.Acked} record per fresh
-    acknowledgement (before the ACK leaves; its runs are borrowed
-    views, valid only until the hook returns) and one {!Persist.Shed}
-    per honoured shed (before its ACK leaves), plus {!Persist.Opened} /
-    {!Persist.Archived} / {!Persist.Closed} lifecycle records.
+    acknowledgement (before the ACK leaves; its runs are views of the
+    epoch's placement buffer, of spans already locked, which stay valid
+    while the buffer lives — {!Persist.Store.append} keeps them, not
+    their bytes) and one {!Persist.Shed} per honoured shed (before its
+    ACK leaves), plus {!Persist.Opened} / {!Persist.Archived} /
+    {!Persist.Closed} lifecycle records.
 
     [?fastpath_slots] sizes the memo in front of the connection table
     (rounded up to a power of two; default derived from [max_conns]).
@@ -234,7 +236,11 @@ val export : t -> Persist.event list
     the live one, as one [Acked] of its bytes, its [Shed]s and its
     [Opened] identity, closed by an [Archived] with its counts or, for
     the live epoch, a [Passes]; then a [Quarantined] if it was ever
-    boxed or poisoned.  Nothing in flight is exported.  Canonical:
+    boxed or poisoned.  A connection whose Open watermark is above
+    every identity those epochs carry (an epoch the archive gate
+    dropped raised it) first exports that identity as an epoch opened
+    and archived with no pass, which a restore drops again, keeping the
+    watermark.  Nothing in flight is exported.  Canonical:
     [export (restore (export m)) = export m]. *)
 
 val restore :

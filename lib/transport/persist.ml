@@ -2,14 +2,15 @@ open Labelling
 
 (* Persisted endpoint state (paper §3.2 made durable): what an
    acknowledgement promised — the ACK ledger and the verified, labelled
-   runs with their bytes — with the end confirmation, the honoured sheds,
-   archived epochs and containment.  Everything still in flight is soft
-   state the sender's retransmission rebuilds, so none of it is kept.
-   There is one record vocabulary: the live endpoint journals its events
-   in it, and a snapshot is the same records, compacted by
-   [Multi.export].  Recovery replays both through the endpoint itself
-   ([Multi.replay], [Chunk_transport.Receiver.replay]), so this module
-   holds only the records, their one codec and the store. *)
+   runs — with the end confirmation, the honoured sheds, archived epochs
+   and containment.  Everything still in flight is soft state the
+   sender's retransmission rebuilds, so none of it is kept.  There is
+   one record vocabulary: the live endpoint journals its events in it,
+   naming its runs where placement put them, and a snapshot is the same
+   records with the runs' bytes, compacted by [Multi.export].  Recovery
+   replays both through the endpoint itself ([Multi.replay],
+   [Chunk_transport.Receiver.replay]), so this module holds only the
+   records, their one codec and the store. *)
 
 type sender_image = {
   si_first_tid : int;
@@ -96,6 +97,31 @@ let bool =
   { write = (fun buf v -> Buffer.add_uint8 buf (Bool.to_int v));
     read = (fun c -> Result.map (Int.equal 1) (fixed ~ok 1 Bytes.get_uint8 c)) }
 
+(* A zigzag LEB128 integer: 1 byte for magnitudes below 64, at most 9
+   for any 63-bit value.  The reader refuses a non-minimal encoding (a
+   last byte of 0 after the first), so each value has one encoding. *)
+let varint =
+  let rec write buf z =
+    if z lsr 7 = 0 then Buffer.add_uint8 buf z
+    else begin
+      Buffer.add_uint8 buf (z land 0x7F lor 0x80);
+      write buf (z lsr 7)
+    end
+  in
+  let rec read c i acc =
+    if c.off >= Bytes.length c.b then Error "Persist: truncated field"
+    else
+      let x = Bytes.get_uint8 c.b c.off in
+      c.off <- c.off + 1;
+      let acc = acc lor ((x land 0x7F) lsl (7 * i)) in
+      if x >= 0x80 then
+        if i = 8 then Error "Persist: malformed field" else read c (i + 1) acc
+      else if x = 0 && i > 0 then Error "Persist: malformed field"
+      else Ok ((acc lsr 1) lxor -(acc land 1))
+  in
+  { write = (fun buf v -> write buf ((v lsl 1) lxor (v asr 62)));
+    read = (fun c -> read c 0 0) }
+
 (* The IEEE bits go to the wire whole.  Bouncing them through an OCaml
    int (as [int] would) truncates to 63 bits and the reader's
    sign-extension then negates any float with magnitude >= 2.0 — the
@@ -176,12 +202,12 @@ let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
    [Wire]'s framing, the test that picks it for a value, and its codec
    over the whole sum type.  The sender image is tag 2 (0 and 1 were the
    retired receiver and endpoint images), event records are tags
-   16-25. *)
+   16-26. *)
 type 'a case = { tag : int; is : 'a -> bool; body : 'a codec }
 
-(* The [Acked] record.  Tag 16 is version 2's, whose payload carries
-   the run bytes under the record checksum; it is read-only, so [is]
-   never picks it.  Writers emit tag 20, whose header carries each
+(* The snapshot's [Acked] record.  Tag 16 is version 2's, whose payload
+   carries the run bytes under the record checksum; it is read-only, so
+   [is] never picks it.  Snapshots emit tag 20, whose header carries each
    run's C.SN, byte length and first WSC-2 position and the runs'
    parity; the run bytes follow the record, outside [Wire]'s checksum,
    which covers the header only.  The runs are laid out back to back
@@ -252,18 +278,145 @@ let acked ~runs ~parity:with_parity =
         in
         Ok (Acked { conn; t_id; end_confirmed; runs; parity })) }
 
+(* {2 Labels-only [Acked] records}
+
+   A journalled ACK names its runs' bytes where placement put them, and
+   copies none of them: each run is a region, an offset and a length.
+   A region is a buffer the store holds by reference, numbered in the
+   order records first name them and held until the next snapshot.  A
+   locked span is never rewritten while its buffer lives, so what an
+   ACK acknowledged is still there at recovery, to be checked against
+   the record's parity.  A buffer is found by physical identity: each
+   connection (hashed to one of [slots] entries) remembers the region
+   its last run named, so the steady state costs one comparison and
+   touches no byte.  Two connections sharing an entry only register a
+   buffer again under a new number. *)
+type regions = {
+  mutable bufs : bytes array;  (* region number -> buffer *)
+  mutable held : int;  (* the regions held: [bufs.(0 .. held - 1)] *)
+  slot_conn : int array;
+  slot_region : int array;  (* the slot's last region; -1 when empty *)
+}
+
+let slots = 256
+
+let regions () =
+  { bufs = [||]; held = 0; slot_conn = Array.make slots 0;
+    slot_region = Array.make slots (-1) }
+
+(* The number of the region [src] of connection [conn]'s run, registered
+   if the slot does not name it. *)
+let region_of rs ~conn src =
+  let h = conn land (slots - 1) in
+  let r = rs.slot_region.(h) in
+  if r >= 0 && rs.slot_conn.(h) = conn && rs.bufs.(r) == src then r
+  else begin
+    if rs.held = Array.length rs.bufs then begin
+      let bufs = Array.make (max 8 (2 * rs.held)) Bytes.empty in
+      Array.blit rs.bufs 0 bufs 0 rs.held;
+      rs.bufs <- bufs
+    end;
+    let r = rs.held in
+    rs.bufs.(r) <- src;
+    rs.held <- r + 1;
+    rs.slot_conn.(h) <- conn;
+    rs.slot_region.(h) <- r;
+    r
+  end
+
+let drop_regions rs =
+  Array.fill rs.bufs 0 rs.held Bytes.empty;
+  rs.held <- 0;
+  Array.fill rs.slot_region 0 slots (-1)
+
+let labels_tag = 26
+
+let rec write_labelled buf rs ~conn = function
+  | [] -> ()
+  | (sn, src, off, len) :: rest ->
+      varint.write buf (region_of rs ~conn src);
+      varint.write buf sn;
+      varint.write buf off;
+      varint.write buf len;
+      write_labelled buf rs ~conn rest
+
+(* [k] runs as views of the regions they name, which [rs] must hold and
+   they must lie inside. *)
+let rec read_labelled c rs k acc =
+  if k = 0 then Ok (List.rev acc)
+  else
+    let* r = varint.read c in
+    let* sn = varint.read c in
+    let* off = varint.read c in
+    let* len = varint.read c in
+    if r < 0 || r >= rs.held then
+      Error "Persist: run names a region the store does not hold"
+    else if off < 0 || len < 0 || off > Bytes.length rs.bufs.(r) - len then
+      Error "Persist: run outside its region"
+    else read_labelled c rs (k - 1) ((sn, rs.bufs.(r), off, len) :: acc)
+
+(* A labels-only [Acked] record: connection, T.ID and end claim, then
+   each run's region, C.SN, offset and length, then the runs' parity, all
+   integers as varints.  The parity is the event's when it carries one,
+   so the common case reads no run byte. *)
+let labels rs =
+  let end_confirmed = opt varint in
+  { write =
+      (fun buf -> function
+        | Acked a ->
+            varint.write buf a.conn;
+            varint.write buf a.t_id;
+            end_confirmed.write buf a.end_confirmed;
+            varint.write buf (List.length a.runs);
+            write_labelled buf rs ~conn:a.conn a.runs;
+            parity.write buf
+              (match a.parity with Some p -> p | None -> runs_parity a.runs)
+        | _ -> ());
+    read =
+      (fun c ->
+        let* conn = varint.read c in
+        let* t_id = varint.read c in
+        let* end_confirmed = end_confirmed.read c in
+        let* n = varint.read c in
+        if n < 0 || n > Bytes.length c.b - c.off then
+          Error "Persist: bad element count"
+        else
+          let* runs = read_labelled c rs n [] in
+          let* p = parity.read c in
+          Ok (Acked { conn; t_id; end_confirmed; runs; parity = Some p })) }
+
+(* Whether runs laid out back to back from position [pos] keep within
+   WSC-2's positions. *)
+let rec fits pos = function
+  | [] -> true
+  | (_, _, _, len) :: rest ->
+      let n = Wsc2.symbols_of_bytes len in
+      pos <= Wsc2.max_position + 1 - n && fits (pos + n) rest
+
+(* A read [Acked] whose runs match the parity it carries, with the
+   parity spent. *)
+let vouched = function
+  | Acked ({ runs; parity = Some p; _ } as a) ->
+      if not (fits 0 runs) then Error "Persist: malformed run layout"
+      else if not (Wsc2.parity_equal (runs_parity runs) p) then
+        Error "Persist: run bytes do not match their parity"
+      else Ok (Acked { a with parity = None })
+  | ev -> Ok ev
+
 (* The case of one constructor, given its fields' codec: [fields] is
    [None] for every other constructor. *)
 let case tag fields make body =
   { tag; is = (fun v -> Option.is_some (fields v));
     body = map make (fun v -> Option.get (fields v)) body }
 
-(* Tag 18 was the count-less [Archived] of formats up to 5: it now reads
-   as an unknown tag. *)
-let event_cases =
+let is_acked = function Acked _ -> true | _ -> false
+
+(* A snapshot's records.  Tag 18 was the count-less [Archived] of
+   formats up to 5: it now reads as an unknown tag. *)
+let snapshot_cases =
   [ { tag = 16; is = (fun _ -> false);
       body = acked ~runs:(list run) ~parity:false };
-    { tag = acked_tag; is = (function Acked _ -> true | _ -> false);
+    { tag = acked_tag; is = is_acked;
       body = acked ~runs:run_heads ~parity:true };
     case 17
       (function Opened { conn; open_csn } -> Some (conn, open_csn) | _ -> None)
@@ -303,6 +456,11 @@ let event_cases =
         Quarantined { conn; until; count; poisoned })
       (pair int (pair float (pair int bool))) ]
 
+(* A journal's records, over the regions [rs] holds: a snapshot's, and
+   the labels-only [Acked] that journals write in place of tag 20. *)
+let journal_cases rs =
+  { tag = labels_tag; is = is_acked; body = labels rs } :: snapshot_cases
+
 (* Each run's bytes, copied once from its view into [buf]. *)
 let rec add_runs buf = function
   | [] -> ()
@@ -338,7 +496,7 @@ let read_case cases (tag, payload) =
    Returns the event, with its parity spent, and the offset past its
    run bytes. *)
 let attach_runs b off = function
-  | Acked ({ runs; parity = Some p; _ } as a) ->
+  | Acked ({ runs; _ } as a) ->
       let rec locate off acc = function
         | [] -> Ok (List.rev acc, off)
         | (sn, _, _, len) :: rest ->
@@ -347,29 +505,29 @@ let attach_runs b off = function
             else locate (off + len) ((sn, b, off, len) :: acc) rest
       in
       let* located, next = locate off [] runs in
-      if not (Wsc2.parity_equal (runs_parity located) p) then
-        Error "Persist: run bytes do not match their parity"
-      else
-        let runs =
-          List.map
-            (fun (sn, b, off, len) -> owned_run sn (Bytes.sub b off len))
-            located
-        in
-        Ok (Acked { a with runs; parity = None }, next)
+      let* _ = vouched (Acked { a with runs = located }) in
+      let runs =
+        List.map
+          (fun (sn, b, off, len) -> owned_run sn (Bytes.sub b off len))
+          located
+      in
+      Ok (Acked { a with runs; parity = None }, next)
   | ev -> Ok (ev, off)
 
-(* An event appended to [buf] as the journal frames it: its record,
-   then an [Acked] record's run bytes. *)
-let add_event ?scratch buf payload ev =
-  write_case ?scratch buf payload ev event_cases;
+(* An event appended to [buf] as a snapshot frames it: its record, then
+   an [Acked] record's run bytes. *)
+let add_event buf payload ev =
+  write_case buf payload ev snapshot_cases;
   match ev with Acked { runs; _ } -> add_runs buf runs | _ -> ()
 
-(* The event whose record starts at [off] in [b], and the offset past
-   it. *)
-let read_event b off =
+(* The event whose record starts at [off] in [b], read by [cases], and
+   the offset past it. *)
+let read_event cases b off =
   let* tag, payload, next = Wire.decode_record b off in
-  let* ev = read_case event_cases (tag, payload) in
-  if tag = acked_tag then attach_runs b next ev else Ok (ev, next)
+  let* ev = read_case cases (tag, payload) in
+  if tag = acked_tag then attach_runs b next ev
+  else if tag = labels_tag then Result.map (fun ev -> (ev, next)) (vouched ev)
+  else Ok (ev, next)
 
 (* Every image starts with the magic and the version; [header b n]
    checks them in an image of at least [n] bytes. *)
@@ -388,17 +546,21 @@ let header b n =
    back whole — a torn or failed checksum, run bytes that do not match
    their parity, or a payload that does not parse (version skew, or a
    longer layout's record).  Everything before it is still trusted. *)
-let rec read_records b off acc =
+let rec read_records cases b off acc =
   if off >= Bytes.length b then (List.rev acc, false)
   else
-    match read_event b off with
-    | Ok (ev, next) -> read_records b next (ev :: acc)
+    match read_event cases b off with
+    | Ok (ev, next) -> read_records cases b next (ev :: acc)
     | Error _ -> (List.rev acc, true)
 
-let decode_journal b = read_records b 0 []
+(* Outside a store no region is held, so a labels-only record that names
+   one stops replay. *)
+let unheld = journal_cases (regions ())
+let decode_journal b = read_records unheld b 0 []
 
 (* A snapshot: the header, a record count, and that many event records
-   framed as the journal frames them.  It is read as a journal is, but
+   framed as the journal frames them, but for an [Acked], which carries
+   its bytes (tag 20) and names no region.  It is read as a journal is, but
    trusted whole or not at all: a damaged or missing record, or bytes
    after the last, is an [Error], never a shorter snapshot. *)
 let encode_endpoint (Multi events) =
@@ -410,7 +572,7 @@ let encode_endpoint (Multi events) =
 
 let decode_endpoint b =
   let* () = header b 10 in
-  match read_records b 10 [] with
+  match read_records snapshot_cases b 10 [] with
   | _, true -> Error "Persist: damaged record in snapshot"
   | events, false ->
       let count = Int32.to_int (Bytes.get_int32_be b 6) land 0xFFFF_FFFF in
@@ -445,30 +607,40 @@ module Store = struct
     payload : Buffer.t;  (* [write_case]'s payload buffer, reused *)
     scratch : Wire.scratch option;
         (* always [Some]: passed on as [?scratch] without allocating *)
+    regions : regions;  (* what the journal's labels-only records name *)
+    cases : event case list;  (* [journal_cases regions] *)
     mutable snapshots_taken : int;
     mutable journal_records : int;
+    mutable bytes_appended : int;
   }
 
   let create () =
+    let regions = regions () in
     { snap = None; journal = Buffer.create 256; payload = Buffer.create 256;
-      scratch = Some (Wire.scratch ()); snapshots_taken = 0; journal_records = 0 }
+      scratch = Some (Wire.scratch ()); regions; cases = journal_cases regions;
+      snapshots_taken = 0; journal_records = 0; bytes_appended = 0 }
 
   let snapshot st image =
     let b = encode_endpoint image in
     st.snap <- Some b;
     Buffer.clear st.journal;
+    drop_regions st.regions;
     st.snapshots_taken <- st.snapshots_taken + 1;
     if Obs.enabled then Obs.Metrics.observe m_snap_bytes (Bytes.length b)
 
   let append st ev =
-    add_event ?scratch:st.scratch st.journal st.payload ev;
+    let before = Buffer.length st.journal in
+    write_case ?scratch:st.scratch st.journal st.payload ev st.cases;
+    st.bytes_appended <- st.bytes_appended + (Buffer.length st.journal - before);
     st.journal_records <- st.journal_records + 1;
     if Obs.enabled then Obs.Metrics.incr m_journal_records
 
   let snapshots_taken st = st.snapshots_taken
   let journal_records st = st.journal_records
   let journal_bytes st = Buffer.length st.journal
+  let bytes_appended st = st.bytes_appended
   let journal st = Buffer.to_bytes st.journal
+  let decode_journal st b = read_records st.cases b 0 []
 
   let corrupt_tail st =
     let n = Buffer.length st.journal in
@@ -483,7 +655,7 @@ module Store = struct
     let* (Multi base) =
       match st.snap with None -> Ok (Multi []) | Some b -> decode_endpoint b
     in
-    let events, torn = decode_journal (Buffer.to_bytes st.journal) in
+    let events, torn = decode_journal st (Buffer.to_bytes st.journal) in
     if torn && Obs.enabled then Obs.Metrics.incr m_truncations;
     if Obs.enabled then Obs.Metrics.incr m_restores;
     Ok (base @ events, torn)

@@ -5,10 +5,23 @@
     passes, so what it must make durable is what it acknowledged: the
     ledger and the verified, labelled runs.  Everything in flight is
     soft state that the sender's retransmission rebuilds, and is not
-    kept.  Each acknowledgement appends one journal record carrying
-    exactly the bytes that ACK promised to keep.  Recovery is
-    {e write-ahead}: the receiver journals the promise before the ACK
-    leaves, so a restored endpoint never claims data it cannot produce.
+    kept.  Each acknowledgement appends one journal record naming
+    exactly the bytes that ACK promised to keep — by their labels, where
+    placement put them, and the WSC-2 parity that vouches for them — and
+    copying none of them.  Recovery is {e write-ahead}: the receiver
+    journals the promise before the ACK leaves, so a restored endpoint
+    never claims data it cannot produce.
+
+    {b The region rule.}  A journal record's runs are views of a
+    {e region}: the epoch's placement buffer, which the store holds by
+    reference from the first record that names it until the next
+    snapshot.  The receiver writes in the order place → lock → journal →
+    ACK, and placement never rewrites a locked span while its buffer
+    lives, so the acknowledged bytes stay where the record says they
+    are.  Recovery checks each record's runs against its parity where
+    they lie; a record whose bytes no longer match is refused like a
+    damaged one.  A snapshot, by contrast, carries its runs' bytes: it
+    is self-contained, and taking one lets the store drop every region.
 
     A snapshot is the endpoint's {e compacted journal}: the same
     records, as few as rebuild the same state ([Multi.export]).  There
@@ -20,10 +33,13 @@
     WSC-2-checksummed records.  A journal is a plain concatenation of
     event records.  A snapshot is the magic ["CSNP"], a version number,
     a record count and that many records, framed as the journal frames
-    them.  An [Acked] record (tag 20) carries its run bytes after the
-    framed record: the record checksum covers the header only, and the
-    run bytes are checked against the WSC-2 parity the header carries.
-    Decoding never raises — corruption surfaces as [Error] in a
+    them.  A snapshot's [Acked] record (tag 20) carries its run bytes
+    after the framed record: the record checksum covers the header only,
+    and the run bytes are checked against the WSC-2 parity the header
+    carries.  A journal's [Acked] record (tag 26) carries labels only:
+    the connection, T.ID and end claim, each run's region, C.SN, offset
+    and length, and the runs' parity, its integers as varints — a few
+    dozen bytes for a one-run ACK.  Decoding never raises — corruption surfaces as [Error] in a
     snapshot, and journal decoding stops at the first damaged record
     (torn-write tolerance). *)
 
@@ -43,7 +59,8 @@ type sender_image = {
 type run_view = int * bytes * int * int
 (** [(sn, src, off, len)]: the [len] bytes of [src] from [off] on,
     holding the elements from C.SN [sn] on.  The bytes are not copied
-    into the view: it is only as durable as [src] is. *)
+    into the view: it is only as durable as [src] is, and a journal
+    relies on that — {!Store.append} keeps [src] as the run's region. *)
 
 val owned_run : int -> bytes -> run_view
 (** [owned_run sn b] is the view of the whole of [b] — the form decoded
@@ -60,12 +77,12 @@ type event =
       end_confirmed : int option;  (** end-of-stream C.SN, if confirmed *)
       runs : run_view list;
           (** the (C.SN, bytes) runs this ACK promises to keep.  The live
-              receiver emits {e borrowed} views into its placement
-              buffer, valid only for the duration of the persist
-              callback: a consumer that keeps the event must copy the
-              runs out ({!Store.append} copies each promised byte once,
-              straight into the journal).  Decoded events carry owned
-              views. *)
+              receiver emits views into its placement buffer, of spans
+              it has locked: they are never rewritten while the buffer
+              lives, so {!Store.append} keeps the views, not the bytes.
+              Events decoded from a snapshot or a tag-16/20 record carry
+              owned views; events a store recovers from its journal
+              carry views of its regions. *)
       parity : Wsc2.parity option;
           (** the WSC-2 parity of the runs' bytes laid out back to back
               from symbol position 0, when the writer already holds it:
@@ -122,7 +139,8 @@ val version : int
 
 val encode_endpoint : endpoint_image -> bytes
 (** Serialize a snapshot: magic, version, record count, then each event
-    exactly as {!Store.append} frames it. *)
+    as {!Store.append} frames it, but for an [Acked], written with its
+    run bytes (tag 20). *)
 
 val decode_endpoint : bytes -> (endpoint_image, string) result
 (** Parse a snapshot with the journal's own record decoder.  [Error] —
@@ -145,13 +163,16 @@ val decode_journal : bytes -> event list * bool
     fields is unparseable, and so is an [Acked] record whose run bytes
     do not match its parity: it and everything after it are discarded.
     Reads the v2 [Acked] record (tag 16, run bytes under the record
-    checksum) as well as the tag-20 one writers emit. *)
+    checksum) and the tag-20 one snapshots write.  No region is held
+    outside a store, so decoding also stops at a labels-only record
+    (tag 26) that names a run ({!Store.decode_journal} resolves it). *)
 
 (** {1 In-memory store}
 
     The simulator's stand-in for stable storage: holds the latest
-    snapshot and the journal written since.  Taking a snapshot truncates
-    the journal (the snapshot subsumes it). *)
+    snapshot, the journal written since, and the regions that journal's
+    records name.  Taking a snapshot truncates the journal and drops the
+    regions (the snapshot subsumes them). *)
 
 module Store : sig
   type t
@@ -160,20 +181,23 @@ module Store : sig
   (** An empty store: no snapshot, no journal. *)
 
   val snapshot : t -> endpoint_image -> unit
-  (** Replace the stored snapshot with [image] and truncate the
-      journal.  Records the encoded size in the
-      [persist_snapshot_bytes] histogram. *)
+  (** Replace the stored snapshot with [image], which carries its runs'
+      bytes, truncate the journal and drop every region.  Records the
+      encoded size in the [persist_snapshot_bytes] histogram. *)
 
   val append : t -> event -> unit
   (** Append one journal record ([persist_journal_records_total]):
       self-delimiting, so the journal is a plain concatenation of
-      records.  An [Acked] event's run bytes are copied once, from its
-      views straight into the journal, and only its small header is
-      checksummed (in a scratch buffer the store keeps); the run bytes
-      are covered by the event's parity, computed here when the event
-      carries none.  Appending makes no per-record major-heap
-      allocation beyond the journal's own growth, and the event's views
-      need not outlive the call. *)
+      records.  An [Acked] event becomes a labels-only record: each
+      run's source buffer becomes a region, registered by physical
+      identity the first time a record names it (in O(1), touching no
+      byte) and held until the next {!snapshot}, and no run byte is
+      copied.  The runs are covered by the event's parity, computed
+      here — the one case that reads them — when the event carries
+      none.  The caller keeps the region rule: a run's bytes are not
+      rewritten while the store holds their buffer.  Appending makes no
+      per-record major-heap allocation beyond the journal's own
+      growth. *)
 
   val journal : t -> bytes
   (** A copy of the journal written since the last snapshot. *)
@@ -181,7 +205,11 @@ module Store : sig
   val recover : t -> (event list * bool, string) result
   (** What recovery replays: the snapshot's events (none if no snapshot
       was ever taken) followed by the journal's trusted events since,
-      and whether the journal was torn.  [Multi.restore] rebuilds the
+      and whether the journal was torn.  A journal [Acked] comes back
+      with its runs as views of its regions, checked against its
+      parity where they lie: a record whose bytes do not match, or
+      that names a region the store does not hold, stops replay as a
+      damaged record does.  [Multi.restore] rebuilds the
       endpoint from the list.  Counts [persist_restores_total]
       and, on a torn journal, [persist_journal_truncations_total].
       [Error] only when the snapshot itself is unreadable. *)
@@ -200,6 +228,14 @@ module Store : sig
 
   val journal_bytes : t -> int
   (** Bytes currently in the journal. *)
+
+  val bytes_appended : t -> int
+  (** Journal bytes appended since creation (not reset by
+      {!snapshot}). *)
+
+  val decode_journal : t -> bytes -> event list * bool
+  (** {!Persist.decode_journal} of [b] with this store's regions, as
+      {!recover} reads its own journal. *)
 end
 
 (** {1 Metrics} *)

@@ -224,8 +224,9 @@ let gen_bitflipped_snapshot =
 
 (* The damage a record's payload takes under a valid checksum: one
    flipped byte, a truncation, or an 8-byte field overwritten with -1,
-   max_int or a huge count — or, for a tag-20 [Acked] record, one flipped
-   run byte under an intact header. *)
+   max_int or a huge count — or, for an [Acked] record, one flipped run
+   byte under an intact header: after a tag-20 record, or in a region a
+   labels-only record names. *)
 let gen_damage ~payload_len ~runs_len =
   QCheck2.Gen.(
     let* off = int_range 0 (payload_len - 1) in
@@ -290,15 +291,30 @@ let record_lengths framed =
   | Ok (_, payload, next) -> (Bytes.length payload, Bytes.length framed - next)
   | Error e -> failwith e
 
-(* Each event as the bytes [Store.append] writes for it. *)
+(* Each event as the bytes [Store.append] writes for it, with the store
+   that holds its regions. *)
 let framed ev =
   let st = Transport.Persist.Store.create () in
   Transport.Persist.Store.append st ev;
-  Transport.Persist.Store.journal st
+  (st, Transport.Persist.Store.journal st)
+
+(* [ev] with its runs copied into buffers of their own, which damage to
+   one case's regions leaves to that case; and those buffers. *)
+let fresh_runs =
+  let module P = Transport.Persist in
+  function
+  | P.Acked a ->
+      let runs =
+        List.map (fun (sn, s, off, len) -> P.owned_run sn (Bytes.sub s off len)) a.runs
+      in
+      (P.Acked { a with runs }, List.map (fun (_, s, _, _) -> s) runs)
+  | ev -> (ev, [])
 
 (* Damage under the checksum of a sender image or a journal record.  The
    journal golden events and the version-2 journal golden supply the
-   [Acked] layouts (tags 20 and 16) and the Open and Close records. *)
+   [Acked] layouts (labels-only and tag 16) and the Open and Close
+   records.  Each case builds its own store, so a region it damages is
+   its own. *)
 let gen_damaged_payload =
   let module P = Transport.Persist in
   let v2_journal = Test_persist.of_hex Test_persist.golden_journal_v2_hex in
@@ -308,28 +324,51 @@ let gen_damaged_payload =
   let sender = P.encode_sender Test_persist.golden_sender in
   let sources =
     [
-      (`Sender, (Bytes.sub_string sender 0 6, Bytes.sub sender 6 (Bytes.length sender - 6)));
-      (`Journal_v2, ("", v2_acked));
+      (fun () ->
+        (`Sender, Bytes.sub_string sender 0 6, Bytes.sub sender 6 (Bytes.length sender - 6), []));
+      (fun () -> (`Journal_v2, "", v2_acked, []));
     ]
-    @ List.map (fun ev -> (`Journal, ("", framed ev))) Test_persist.golden_events
+    @ List.map
+        (fun ev () ->
+          let ev, regions = fresh_runs ev in
+          let st, b = framed ev in
+          (`Journal st, "", b, regions))
+        Test_persist.golden_events
   in
   QCheck2.Gen.(
-    let* kind, (prefix, record) = oneofl sources in
+    let* source = oneofl sources in
+    let kind, prefix, record, regions = source () in
     let payload_len, runs_len = record_lengths record in
-    let* (_, damage) as d = gen_damage ~payload_len ~runs_len in
-    let kind = match damage with `Run_flip _ -> `Run_damage | _ -> kind in
-    return (kind, Bytes.cat (Bytes.of_string prefix) (damage_record record d)))
+    let regions_len = List.fold_left (fun n b -> n + Bytes.length b) 0 regions in
+    let* (_, damage) as d = gen_damage ~payload_len ~runs_len:(runs_len + regions_len) in
+    return
+      (match (damage, kind) with
+      | `Run_flip (i, x), `Journal st -> (`Region_damage (st, regions, i, x), record)
+      | `Run_flip _, _ ->
+          (`Run_damage, Bytes.cat (Bytes.of_string prefix) (damage_record record d))
+      | _ -> (kind, Bytes.cat (Bytes.of_string prefix) (damage_record record d))))
+
+(* Byte [i] of [regions] laid end to end, xored with [x]. *)
+let rec flip_region regions i x =
+  match regions with
+  | [] -> ()
+  | r :: rest ->
+      if i < Bytes.length r then Bytes.set_uint8 r i (Bytes.get_uint8 r i lxor x)
+      else flip_region rest (i - Bytes.length r) x
 
 (* Decoding never raises, and whatever decodes re-encodes to the very
    bytes it came from — except a version-2 [Acked] record, which
-   re-encodes as tag 20 and must decode back to the same events.
-   Damaged run bytes always stop replay. *)
+   re-encodes as a labels-only one and must decode back to the same
+   events.  A labels-only record decodes against its store's regions,
+   and one naming a region the store does not hold is refused.  Damaged
+   run bytes, after a tag-20 record or in a region, always stop
+   replay. *)
 let prop_damaged_payload (kind, b) =
   let module P = Transport.Persist in
   let journal_of events =
     let st = P.Store.create () in
     List.iter (P.Store.append st) events;
-    P.Store.journal st
+    st
   in
   let reencodes () =
     match kind with
@@ -337,13 +376,20 @@ let prop_damaged_payload (kind, b) =
         match P.decode_sender b with
         | Ok si -> Bytes.equal (P.encode_sender si) b
         | Error _ -> true)
-    | `Journal ->
-        let events, _ = P.decode_journal b in
-        events = [] || Bytes.equal (journal_of events) b
+    | `Journal st ->
+        let events, _ = P.Store.decode_journal st b in
+        events = [] || Bytes.equal (P.Store.journal (journal_of events)) b
     | `Journal_v2 ->
         let events, _ = P.decode_journal b in
-        P.decode_journal (journal_of events) = (events, false)
+        let st = journal_of events in
+        P.Store.decode_journal st (P.Store.journal st) = (events, false)
     | `Run_damage -> P.decode_journal b = ([], true)
+    | `Region_damage (st, regions, i, x) ->
+        flip_region regions i x;
+        let refused = P.Store.decode_journal st b = ([], true) in
+        flip_region regions i x;
+        refused
+        && match P.Store.decode_journal st b with [ _ ], false -> true | _ -> false
   in
   try reencodes () with _ -> false
 
@@ -355,7 +401,7 @@ let prop_damaged_payload (kind, b) =
    re-encodes to its very bytes. *)
 let gen_damaged_snapshot =
   let (Transport.Persist.Multi events) = Test_persist.golden_multi in
-  let records = List.map framed events in
+  let records = List.map Test_persist.snapshot_framed events in
   QCheck2.Gen.(
     let* i = int_bound (List.length records - 1) in
     let payload_len, runs_len = record_lengths (List.nth records i) in

@@ -280,10 +280,12 @@ let golden_journal_v2_hex =
    000000046566676853484546a6f3130800000011110000000000000009010000000000001000\
    080100003504008d000000081300000000000000091a00000037000000"
 
-(* [golden_events] as [Store.append] writes them: the ACK is a tag-20
-   record whose header carries each run's C.SN, length and first
-   position and the runs' parity, with the run bytes after it.  Any
-   change to these bytes is a format change. *)
+(* [golden_events] as journals wrote them before the labels-only record
+   and as snapshots still frame them: the ACK is a tag-20 record whose
+   header carries each run's C.SN, length and first position and the
+   runs' parity, with the run bytes after it.  Journals no longer emit
+   it, but these bytes must still decode and recover, and any change to
+   them is a snapshot format change. *)
 let golden_journal_hex =
   "00000059140000000000000007000000000000000301000000000000000b00000000000000\
    02000000000000000000000000000000080000000000000000000000000000000400000000\
@@ -310,15 +312,44 @@ let check_golden_recovery (img, torn) =
     "placed runs" [ (0, "abcdABCD"); (4, "efgh") ] l.runs;
   Alcotest.(check (list (pair int int))) "verified" [ (0, 2); (4, 1) ] (cover l);
   Alcotest.(check (option int)) "end" (Some 11) l.end_confirmed;
-  Alcotest.(check bool) "closed connection has no live epoch" true
-    (records_of img 9 = [ Persist.Closed 9 ])
+  (* the Close archived an epoch that never verified, which the gate
+     drops: what is left of it is its Open watermark, exported as that
+     epoch opened and archived with no pass *)
+  Alcotest.(check bool) "closed connection keeps its watermark alone" true
+    (records_of img 9
+    = [ Persist.Opened { conn = 9; open_csn = Some 4096 };
+        Persist.Archived { conn = 9; complete = false; elems = 0; passes = 0 } ])
 
 let test_journal_v2_golden () =
   let events, torn = Persist.decode_journal (of_hex golden_journal_v2_hex) in
   Alcotest.(check bool) "records decode" true (events = golden_events);
   check_golden_recovery (recovered ~quota_elems:16 events, torn)
 
-let test_journal_golden () =
+(* An event as a snapshot frames it: its record without the snapshot's
+   header. *)
+let snapshot_framed ev =
+  let b = Persist.encode_endpoint (Persist.Multi [ ev ]) in
+  Bytes.sub b 10 (Bytes.length b - 10)
+
+let test_tag20_golden () =
+  let journal = of_hex golden_journal_hex in
+  let events, torn = Persist.decode_journal journal in
+  Alcotest.(check bool) "records decode" true (events = golden_events);
+  Alcotest.(check string) "snapshots frame the records so" golden_journal_hex
+    (hex (Bytes.concat Bytes.empty (List.map snapshot_framed golden_events)));
+  check_golden_recovery (recovered ~quota_elems:16 events, torn)
+
+(* [golden_events] as [Store.append] writes them: the ACK is a
+   labels-only record (tag 26) naming each run's region, C.SN, offset
+   and length, then the runs' parity; its two runs are two buffers, so
+   two regions.  Any change to these bytes is a journal format
+   change. *)
+let golden_labels_hex =
+  "000000151a0e06011604000000100208000845464748767f78c1339b37305aa3461e0000\
+   0011110000000000000009010000000000001000080100003504008d0000000813000000\
+   00000000091a00000037000000"
+
+let test_labels_golden () =
   let journal_of events =
     let store = Persist.Store.create () in
     List.iter (Persist.Store.append store) events;
@@ -326,11 +357,15 @@ let test_journal_golden () =
   in
   let store = journal_of golden_events in
   let journal = Persist.Store.journal store in
-  Alcotest.(check string) "journal bytes" golden_journal_hex (hex journal);
+  Alcotest.(check string) "journal bytes" golden_labels_hex (hex journal);
   Alcotest.(check int) "journal length" (Bytes.length journal)
     (Persist.Store.journal_bytes store);
-  Alcotest.(check bool) "records decode back" true
-    (Persist.decode_journal journal = (golden_events, false));
+  let ack_bytes = 13 + Int32.to_int (Bytes.get_int32_be journal 0) in
+  if ack_bytes > 64 then Alcotest.failf "a two-run ACK journals %d bytes" ack_bytes;
+  Alcotest.(check bool) "records decode back, as views of their regions" true
+    (Persist.Store.decode_journal store journal = (golden_events, false));
+  Alcotest.(check bool) "no region outside the store" true
+    (Persist.decode_journal journal = ([], true));
   (* a parity the writer vouches for is the one it would compute: the
      runs laid out back to back from position 0 *)
   let vouched =
@@ -344,7 +379,7 @@ let test_journal_golden () =
         | ev -> ev)
       golden_events
   in
-  Alcotest.(check string) "vouched parity writes the same bytes" golden_journal_hex
+  Alcotest.(check string) "vouched parity writes the same bytes" golden_labels_hex
     (hex (Persist.Store.journal (journal_of vouched)));
   check_golden_recovery (recover_store ~quota_elems:16 store)
 
@@ -605,10 +640,10 @@ let prop_replay_merges_once (n, tpdu_elems, kept, seed, archive_at) =
 
 (* Journal records from borrowed run views: random ACK events whose
    several runs are views at nonzero offsets into one shared source
-   buffer.  Appending them must write exactly the bytes that appending
-   the same runs as owned copies writes, the views must not be needed
-   once [append] returns (the source is clobbered before decoding), and
-   the journal must decode back to the owned events. *)
+   buffer, as the live receiver's are into its placement buffer.  The
+   journal recovers them as views of that very buffer, not copies; once
+   the buffer is clobbered, replay stops at the first record with a run
+   whose bytes changed. *)
 let gen_view_events =
   let open QCheck2.Gen in
   let* src_len = int_range 64 4096 in
@@ -632,30 +667,46 @@ let gen_view_events =
   let* events = list_size (int_range 1 6) gen_event in
   return (src, events)
 
-let owned_copy = function
-  | Persist.Acked a ->
-      Persist.Acked
-        {
-          a with
-          runs =
-            List.map
-              (fun (sn, src, off, len) ->
-                Persist.owned_run sn (Bytes.sub src off len))
-              a.runs;
-        }
-  | ev -> ev
-
 let prop_view_records (src, events) =
-  let owned = List.map owned_copy events in
-  let journal_of evs =
-    let st = Persist.Store.create () in
-    List.iter (Persist.Store.append st) evs;
-    Persist.Store.journal st
+  let st = Persist.Store.create () in
+  List.iter (Persist.Store.append st) events;
+  let views_kept =
+    match Persist.Store.recover st with
+    | Ok (evs, false) ->
+        List.compare_lengths events evs = 0
+        && List.for_all2
+          (fun ev ev' ->
+            match (ev, ev') with
+            | Persist.Acked a, Persist.Acked a' ->
+                a.conn = a'.conn && a.t_id = a'.t_id
+                && a.end_confirmed = a'.end_confirmed
+                && List.compare_lengths a.runs a'.runs = 0
+                && List.for_all2
+                     (fun (sn, s, off, len) (sn', s', off', len') ->
+                       sn = sn' && s == s' && off = off' && len = len')
+                     a.runs a'.runs
+            | _ -> false)
+          events evs
+    | Ok (_, true) | Error _ -> false
   in
-  let from_views = journal_of events in
+  let before = Bytes.copy src in
   Bytes.fill src 0 (Bytes.length src) '\xEE';
-  Bytes.equal from_views (journal_of owned)
-  && Persist.decode_journal from_views = (owned, false)
+  let changed = function
+    | Persist.Acked { runs; _ } ->
+        List.exists
+          (fun (_, _, off, len) ->
+            not (Bytes.equal (Bytes.sub before off len) (Bytes.sub src off len)))
+          runs
+    | _ -> false
+  in
+  let rec intact = function
+    | ev :: rest when not (changed ev) -> ev :: intact rest
+    | _ -> []
+  in
+  let kept = intact events in
+  views_kept
+  && Persist.Store.recover st
+     = Ok (kept, List.length kept < List.length events)
 
 (* Torn writes at every journal byte.  [records] are the journal's
    records in order, each as its encoded bytes and the event it decodes
@@ -664,7 +715,7 @@ let prop_view_records (src, events) =
    boundary; every single-byte flip (masks 0x01, 0x80, 0xFF) must decode
    to exactly the records before the damaged one, torn.  Decoding must
    never raise.  Returns the number of cases checked. *)
-let sweep_torn_writes records =
+let sweep_torn_writes ~decode records =
   let journal = Bytes.concat Bytes.empty (List.map fst records) in
   let ends =
     List.rev
@@ -679,7 +730,7 @@ let sweep_torn_writes records =
     List.filteri (fun i _ -> List.nth ends i <= cut) (List.map snd records)
   in
   let check what b ~want ~torn =
-    match Persist.decode_journal b with
+    match decode b with
     | exception e ->
         Alcotest.failf "%s: decode_journal raised %s" what (Printexc.to_string e)
     | events, torn' ->
@@ -709,19 +760,22 @@ let sweep_torn_writes records =
     [ 0x01; 0x80; 0xFF ];
   (n + 1) + (3 * n)
 
-(* Each event as the bytes [Store.append] writes for it. *)
-let appended events =
+(* Each event as the bytes [Store.append] writes for it, appended to
+   [st] in order. *)
+let appended st events =
   List.map
     (fun ev ->
-      let st = Persist.Store.create () in
+      let before = Persist.Store.journal_bytes st in
       Persist.Store.append st ev;
-      (Persist.Store.journal st, ev))
+      let journal = Persist.Store.journal st in
+      (Bytes.sub journal before (Bytes.length journal - before), ev))
     events
 
 let test_torn_write_sweep () =
+  let st = Persist.Store.create () in
   let cases =
-    sweep_torn_writes
-      (appended
+    sweep_torn_writes ~decode:(Persist.Store.decode_journal st)
+      (appended st
          [
            Persist.Opened { conn = 3; open_csn = Some 64 };
            Persist.Acked
@@ -748,10 +802,10 @@ let test_torn_write_sweep () =
            Persist.Quarantined { conn = 3; until = 2.5; count = 1; poisoned = false };
          ])
   in
-  Alcotest.(check bool) "every byte swept" true (cases > 4 * 200);
+  Alcotest.(check bool) "every byte swept" true (cases > 4 * 150);
   (* the same sweep over a journal that mixes the [Acked] record
-     layouts: tag 20 with a vouched parity, tag 20 with the parity the
-     store computes, and version 2's tag 16 *)
+     layouts: labels-only with a vouched parity and with the parity the
+     store computes, a snapshot's tag 20, and version 2's tag 16 *)
   let vouched =
     Persist.Acked
       {
@@ -765,10 +819,12 @@ let test_torn_write_sweep () =
   let v2_journal = of_hex golden_journal_v2_hex in
   let v2_acked_len = 13 + Int32.to_int (Bytes.get_int32_be v2_journal 0) in
   let v2_acked = List.hd golden_events in
+  let st = Persist.Store.create () in
   let records =
-    appended [ Persist.Opened { conn = 3; open_csn = Some 64 }; vouched ]
-    @ [ (Bytes.sub v2_journal 0 v2_acked_len, v2_acked) ]
-    @ appended
+    appended st [ Persist.Opened { conn = 3; open_csn = Some 64 }; vouched ]
+    @ [ (Bytes.sub v2_journal 0 v2_acked_len, v2_acked);
+        (snapshot_framed v2_acked, v2_acked) ]
+    @ appended st
         [
           Persist.Acked
             {
@@ -789,7 +845,87 @@ let test_torn_write_sweep () =
         | r -> r)
       records
   in
-  ignore (sweep_torn_writes records)
+  ignore (sweep_torn_writes ~decode:(Persist.Store.decode_journal st) records)
+
+(* Every byte of every span a journalled ACK acknowledged, flipped in
+   its region after the append: recovery keeps the records before the
+   first one whose runs cover the byte, and refuses that one and all
+   after it.  A byte no run covers changes nothing.  The runs are views
+   into two shared buffers, one of them named by several records, as an
+   epoch's placement buffer is. *)
+let test_region_flips () =
+  let a = Bytes.of_string "abcdefghABCDEFGHijklmnop"
+  and b = Bytes.of_string "qrstuvwxQRSTUVWX" in
+  let events =
+    [
+      Persist.Opened { conn = 3; open_csn = Some 0 };
+      Persist.Acked
+        { conn = 3; t_id = 0; end_confirmed = None;
+          runs = [ (0, a, 0, 8) ]; parity = None };
+      Persist.Acked
+        { conn = 3; t_id = 2; end_confirmed = None;
+          runs = [ (2, a, 8, 4); (4, b, 4, 8) ]; parity = None };
+      Persist.Shed { conn = 3; t_id = 4; first_elem = 6; elems = 2 };
+      Persist.Acked
+        { conn = 3; t_id = 5; end_confirmed = Some 7;
+          runs = [ (1, a, 4, 8) ]; parity = None };
+      Persist.Closed 3;
+    ]
+  in
+  let st = Persist.Store.create () in
+  List.iter (Persist.Store.append st) events;
+  let covers src i = function
+    | Persist.Acked { runs; _ } ->
+        List.exists (fun (_, s, off, len) -> s == src && off <= i && i < off + len) runs
+    | _ -> false
+  in
+  let rec before_hit src i = function
+    | ev :: rest when not (covers src i ev) -> ev :: before_hit src i rest
+    | _ -> []
+  in
+  let flips = ref 0 in
+  List.iter
+    (fun src ->
+      for i = 0 to Bytes.length src - 1 do
+        let c = Bytes.get src i in
+        Bytes.set src i (Char.chr (Char.code c lxor 0x5A));
+        let want = before_hit src i events in
+        let torn = List.length want < List.length events in
+        if torn then incr flips;
+        (match Persist.Store.recover st with
+        | Ok got ->
+            if got <> (want, torn) then
+              Alcotest.failf "byte %d of a %d-byte region: %d records kept, %d expected"
+                i (Bytes.length src) (List.length (fst got)) (List.length want)
+        | Error e -> Alcotest.failf "recover failed: %s" e);
+        Bytes.set src i c
+      done)
+    [ a; b ];
+  Alcotest.(check int) "acknowledged bytes flipped" 20 !flips;
+  Alcotest.(check bool) "intact regions recover every record" true
+    (Persist.Store.recover st = Ok (events, false))
+
+(* A labels-only record read against regions its store does not hold
+   (another store's, or none) is refused like a damaged one, without
+   raising; so is one read after a snapshot dropped its regions. *)
+let test_unheld_region () =
+  let events =
+    [ Persist.Opened { conn = 3; open_csn = Some 0 };
+      Persist.Acked
+        { conn = 3; t_id = 0; end_confirmed = None;
+          runs = [ run_at 0 "abcdefgh" ]; parity = None } ]
+  in
+  let st = Persist.Store.create () in
+  List.iter (Persist.Store.append st) events;
+  let journal = Persist.Store.journal st in
+  let opened = [ List.hd events ] in
+  Alcotest.(check bool) "another store holds no region" true
+    (Persist.Store.decode_journal (Persist.Store.create ()) journal = (opened, true));
+  Alcotest.(check bool) "no store holds none" true
+    (Persist.decode_journal journal = (opened, true));
+  Persist.Store.snapshot st (Persist.Multi []);
+  Alcotest.(check bool) "a snapshot drops the regions" true
+    (Persist.Store.decode_journal st journal = (opened, true))
 
 (* A clean transfer of [data] into a one-connection endpoint, each way
    1e-4 s, run until the sender finishes. *)
@@ -825,7 +961,9 @@ let test_journal_reuses_parity () =
   let plain = transfer None in
   let store = Persist.Store.create () in
   let journalled = transfer (Some (Persist.Store.append store)) in
-  let events, _ = Persist.decode_journal (Persist.Store.journal store) in
+  let events, _ =
+    Persist.Store.decode_journal store (Persist.Store.journal store)
+  in
   let acks =
     List.length
       (List.filter (function Persist.Acked _ -> true | _ -> false) events)
@@ -836,6 +974,11 @@ let test_journal_reuses_parity () =
   let per_ack = (journalled - plain) / acks in
   if per_ack >= 128 then
     Alcotest.failf "journal hook checksummed %d bytes per ACK" per_ack;
+  let bytes_per_record =
+    Persist.Store.bytes_appended store / Persist.Store.journal_records store
+  in
+  if bytes_per_record > 64 then
+    Alcotest.failf "%d journal bytes per record" bytes_per_record;
   let img, torn = recover_store ~config ~quota_elems:expected store in
   Alcotest.(check bool) "journal not torn" false torn;
   match (live_of img config.CT.conn_id).runs with
@@ -1314,6 +1457,53 @@ let test_containment_survives_journal () =
   | Ok (_, true) -> Alcotest.fail "journal torn"
   | Error e -> Alcotest.failf "recover failed: %s" e
 
+(* An Open watermark raised by an epoch the archive gate dropped (its
+   Close came before any TPDU verified) survives a restore, from the
+   journal alone and from a snapshot: the restored endpoint refuses an
+   Open below it, as the live one does, instead of opening a
+   churn-scored epoch. *)
+let test_watermark_survives_restore () =
+  let module M = Transport.Multi in
+  let store = Persist.Store.create () in
+  let m =
+    M.create (Netsim.Engine.create ()) ~config ~quota_elems:64 ~max_conns:4
+      ~persist:(Persist.Store.append store) ~send_ack:ignore ()
+  in
+  let signal m sg =
+    M.ingest m
+      (Util.ok_or_fail
+         (Labelling.Wire.encode_packet
+            [ Labelling.Connection.signal_chunk ~conn_id:6 sg ]))
+  in
+  signal m (Labelling.Connection.Open { first_csn = 5000 });
+  signal m Labelling.Connection.Close;
+  let restore events =
+    M.restore (Netsim.Engine.create ()) ~config ~quota_elems:64 ~max_conns:4
+      ~send_ack:ignore events
+  in
+  let from_journal =
+    match Persist.Store.recover store with
+    | Ok (events, false) -> restore events
+    | Ok (_, true) -> Alcotest.fail "journal torn"
+    | Error e -> Alcotest.failf "recover failed: %s" e
+  in
+  let from_snapshot =
+    match
+      Persist.decode_endpoint
+        (Persist.encode_endpoint (Persist.Multi (M.export m)))
+    with
+    | Ok (Persist.Multi events) -> restore events
+    | Error e -> Alcotest.failf "snapshot did not decode: %s" e
+  in
+  Alcotest.(check bool) "the export round-trips" true
+    (M.export from_snapshot = M.export m && M.export from_journal = M.export m);
+  List.iter
+    (fun (what, m) ->
+      signal m (Labelling.Connection.Open { first_csn = 4000 });
+      Alcotest.(check int) (what ^ ": an Open below the watermark opens nothing")
+        0 (M.live_conns m))
+    [ ("live", m); ("journal", from_journal); ("snapshot", from_snapshot) ]
+
 (* An epoch closed while TPDU 1 was half received: its placed half
    never verified, so the archived epoch holds TPDU 0's bytes alone, and
    a snapshot taken after the Close restores what the journal alone
@@ -1401,8 +1591,10 @@ let suite =
       test_store_torn_tail;
     Alcotest.test_case "journal format is version 2 bytes, decoded and recovered"
       `Quick test_journal_v2_golden;
-    Alcotest.test_case "journal Acked record is tag 20 byte for byte" `Quick
-      test_journal_golden;
+    Alcotest.test_case "journal Acked record is labels-only, byte for byte"
+      `Quick test_labels_golden;
+    Alcotest.test_case "tag-20 Acked record still reads, as snapshots write it"
+      `Quick test_tag20_golden;
     Alcotest.test_case "snapshot and sender formats are version 6 byte for byte"
       `Quick test_snapshot_goldens;
     Alcotest.test_case "sender image with bytes after its record is refused"
@@ -1413,6 +1605,10 @@ let suite =
       `Quick test_journal_longer_payload;
     Alcotest.test_case "torn writes at every journal byte" `Quick
       test_torn_write_sweep;
+    Alcotest.test_case "a flipped acknowledged byte refuses its record on"
+      `Quick test_region_flips;
+    Alcotest.test_case "a region the store does not hold is refused" `Quick
+      test_unheld_region;
     Alcotest.test_case "contiguous ACK replay copies each byte once" `Quick
       test_contiguous_replay;
     Alcotest.test_case "clean transfer journals every ACK with reused parity"
@@ -1444,4 +1640,6 @@ let suite =
       `Quick test_containment_survives_journal;
     Alcotest.test_case "an epoch closed mid-TPDU keeps only verified bytes"
       `Quick test_half_received_archive;
+    Alcotest.test_case "a restore keeps an Open watermark the gate dropped"
+      `Quick test_watermark_survives_restore;
   ]
