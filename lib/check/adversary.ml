@@ -63,8 +63,11 @@ let fire a =
   | 2 | 3 ->
       (* the state-exhaustion attack: a partial TPDU on a {e legitimate}
          connection that will never complete — its ED chunk never comes,
-         so only the budget/deadline governor can reclaim it.  Label
-         corroboration keeps it out of the placement buffer. *)
+         so only the budget/deadline governor can reclaim it.  Its bytes
+         are placed on arrival but never verified: placement refuses them
+         over verified bytes, holds an honest newcomer over them in
+         quarantine until that newcomer's verdict, and a close un-places
+         them. *)
       let cid = pick_legit a in
       let t_id = bogus_tid_base + Netsim.Rng.int a.rng 4096 in
       a.forged_tpdus <- a.forged_tpdus + 1;

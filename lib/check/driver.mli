@@ -131,7 +131,7 @@ type observation = {
           torn journal (no schedule damages one, so a record that does
           not read back as written), an image that is not a
           [Transport.Persist.Multi] one, or a restored endpoint that
-          holds an in-flight or stashed TPDU (a T.ID it held could be
+          holds an in-flight or quarantining TPDU (a T.ID it held could be
           both ledgered and in flight) *)
   restore_over_budget : int;
       (** restores whose re-derived governor occupancy exceeded the

@@ -85,7 +85,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   if gov.accounted_bytes > 0 then
     fail "state-residue" "%d bytes still accounted after quiescence"
       gov.accounted_bytes;
-  (* Leaks: at quiescence the verifier and the placement stash must be
+  (* Leaks: at quiescence the verifier and every quarantine must be
      empty unconditionally — completed TPDUs release their state,
      abandoned and corrupt-residue TPDUs are reclaimed by the governor's
      deadline sweep, including on give-up runs. *)
@@ -93,7 +93,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     fail "leak-verifier" "%d TPDUs still in flight after quiescence"
       o.verifier_in_flight;
   if o.stashed_tpdus > 0 then
-    fail "leak-stash" "%d TPDU stashes retained after quiescence"
+    fail "leak-stash" "%d TPDU quarantines retained after quiescence"
       o.stashed_tpdus;
   (* SACK plumbing only runs when asked for. *)
   if not s.Schedule.sack then begin

@@ -20,7 +20,7 @@
     - [tpdu-count] — the framer's TPDU cut is deterministic and each
       TPDU verifies exactly once;
     - [leak-*] — state hygiene: completed transfers leave no verifier
-      or stash residue (corruption may invent bounded residue);
+      or quarantine residue (corruption may invent bounded residue);
     - [sack-off] — feature isolation;
     - [shed-safety] — partial reliability never sheds mandatory data:
       every honoured shed span must be declared sheddable by the

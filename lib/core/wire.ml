@@ -249,8 +249,6 @@ module Scan = struct
   external unsafe_get32 : bytes -> int -> int32 = "%caml_bytes_get32u"
   external swap16 : int -> int = "%bswap16"
   external swap32 : int32 -> int32 = "%bswap_int32"
-  external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
-  external swap64 : int64 -> int64 = "%bswap_int64"
 
   let u8 b i = Char.code (Bytes.unsafe_get b i)
 
@@ -343,19 +341,6 @@ module Scan = struct
   let len b off = get_u32 b (off + o_len)
   let c_id b off = get_u32 b (off + o_c + o_id)
   let t_id b off = get_u32 b (off + o_t + o_id)
-
-  (* an accepted SN has bits 63 and 62 clear, so it fits an [int] *)
-  let sn b off =
-    let x = unsafe_get64 b (off + o_sn) in
-    Int64.to_int (if Sys.big_endian then x else swap64 x)
-
-  let c_sn b off = sn b (off + o_c)
-  let t_sn b off = sn b (off + o_t)
-
-  let is_data b off = Bytes.get_uint8 b (off + o_type) = 0
-
-  let payload_bytes b off =
-    if is_data b off then size b off * len b off else len b off
 
   let tuple b off =
     Ftuple.v

@@ -162,19 +162,6 @@ module Scan : sig
   val t_id : bytes -> int -> int
   (** TPDU-level ID (T.ID). *)
 
-  val c_sn : bytes -> int -> int
-  (** Connection-level SN (C.SN). *)
-
-  val t_sn : bytes -> int -> int
-  (** TPDU-level SN (T.SN). *)
-
-  val is_data : bytes -> int -> bool
-  (** TYPE = data. *)
-
-  val payload_bytes : bytes -> int -> int
-  (** Payload bytes the header announces: SIZE × LEN for data, LEN for
-      control ({!Header.payload_bytes}). *)
-
   val view : bytes -> int -> Chunk.view
   (** The chunk at a scanned offset, read in place: its decoded header
       and the packet itself as the view's buffer, so the payload is

@@ -10,9 +10,10 @@
       the parity, fails the TPDU, and the epoch retry heals the squatted
       bytes.
     - {e forge}: a forged single-chunk TPDU over the victim's connection
-      range whose ED chunk {e corroborates} the data chunk's
-      C.SN - T.SN delta (so the divergent bytes reach placement) but
-      carries a garbage parity (so WSC-2 then fails it).
+      range whose ED chunk {e agrees} with the data chunk's C.SN - T.SN
+      delta (so only the parity can refute it) but carries a garbage
+      parity (so WSC-2 then fails it); its divergent bytes reach
+      placement on arrival.
     - {e resplit}: a gateway-style re-split (paper Fig 4) of the victim's
       range into two forged TPDUs whose parts overlap by one element and
       diverge from the real bytes {e and} from each other.
@@ -24,7 +25,7 @@
 type stats = {
   injected : int;  (** packets put on the wire *)
   dup_divergent : int;  (** divergent duplicates sent *)
-  forged_tpdus : int;  (** forged corroborated TPDUs sent (2 packets each) *)
+  forged_tpdus : int;  (** forged validly-labelled TPDUs sent (2 packets each) *)
   resplit_chains : int;  (** overlapping re-split chains sent *)
 }
 

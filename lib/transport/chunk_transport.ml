@@ -179,64 +179,52 @@ let reack ~counts ~send_ack ~last_reack ~gap ~now ~conn_id t_id =
   end
 
 module Receiver = struct
-  (* Placement writes straight into the application buffer at the
-     connection offset, so a corrupted C.SN that stays inside the window
-     could clobber a region an {e already verified} TPDU owns — and
-     nothing would ever rewrite it.  Placement is therefore gated on the
-     TPDU's C.SN - T.SN delta being witnessed twice independently: once
-     by a data chunk and once by the ED chunk, whose labels travel in a
-     separate header (two data chunks are not independent — a gateway
-     can split one corrupted chunk into several fragments that all
-     inherit the same wrong delta).  Until the two agree, fresh data
-     waits in a per-TPDU stash; the moment they agree it flushes.
-     Disagreement is left to the verifier, which fails the TPDU so the
-     identical-label retransmission starts a clean epoch.
+  (* Every fresh run is placed the moment it arrives, straight into the
+     application buffer at its connection offset.  A corrupted C.SN that
+     stays inside the window may aim a run at bytes some other TPDU
+     placed; placement's first-verified-wins policy settles it: a run
+     that differs from verified bytes is refused, one that differs from
+     unverified bytes is quarantined against its TPDU until a verdict,
+     and a TPDU whose chunks disagree on the C.SN - T.SN delta fails in
+     the verifier, so the identical-label retransmission starts a clean
+     epoch.
 
      The record is all of a TPDU's receive-side state that dies with its
      verdict: the TPDU's first data or ED chunk creates it, and the
      verdict, [drop_tpdu_state] or [quiesce] drops it.  A record is only
      created for a T.ID in neither [acked] nor [shed_tids], and dies
      before its T.ID joins either, so a live record proves both misses:
-     [on_scanned] probes those tables only for a T.ID with no record.
+     [on_view] probes those tables only for a T.ID with no record.
 
      Every field a chunk updates is an immediate, or a row buffer or
      buffer array kept with the record and filled in place, so a record
      that has outlived a minor collection takes no young block from a
-     chunk (short of a buffer outgrowing its room, or a copied-out held
-     run); absent values are sentinels no label produces. *)
-  (* Runs a record holds: a row each in [rows], and in [bufs] the
-     buffer the run's bytes lie in, kept with the record so that holding
-     a run stores no new block into it. *)
-  type hold = { rows : Int_rows.t; mutable bufs : bytes array }
-
-  type corroboration = {
+     chunk (short of a buffer outgrowing its room, or a copied-out
+     quarantined run); absent values are sentinels no label produces. *)
+  type record = {
     mutable t_id : int;
     mutable cls : int;  (* the TPDU's significance rank, its governor class *)
     mutable gov : Governor.entry;  (* handle on the TPDU's charge *)
     mutable stamped : bool;  (* [arrival] is set *)
     mutable arrival : int;  (* [Obs.stamp] of the first data chunk's time *)
-    mutable delta_data : int;  (* C.SN - T.SN from data chunks, or unset *)
-    mutable delta_ed : int;  (* C.SN - T.SN from the ED chunk, or unset *)
-    mutable confirmed : bool;
-    stash : hold;
-        (* held chunks, oldest first, as (hdr, t_sn, elems) rows: each
-           chunk has its wire header at [hdr] in its buffer, where it is
-           scanned again when placed or persisted, and brought the fresh
-           run [t_sn, t_sn + elems) *)
     placed_runs : Int_rows.t;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
-    quarantine : hold;
+    quarantine : Int_rows.t;
         (* runs whose bytes conflicted with unverified resident bytes
            (Placement's fresh-vs-fresh case), oldest first, as (off,
            c_sn, elems, c_id) rows: [elems] elements from [off] in the
            run's buffer, the first at C.SN [c_sn], of a chunk labelled
            C.ID [c_id]; re-asserted by a verified write if this TPDU
            passes, dropped with the epoch otherwise *)
+    mutable quarantined : bytes array;
+        (* the buffer each quarantined run lies in, row for row, kept
+           with the record so that holding a run stores no new block
+           into it *)
     mutable held : bytes;
-        (* where copied-out held runs go, [held_len] bytes of it used:
-           kept with the record, so a copy lands in room long since
-           promoted *)
+        (* where copied-out quarantined runs go, [held_len] bytes of it
+           used: kept with the record, so a copy lands in room long
+           since promoted *)
     mutable held_len : int;
     mutable end_claim : int;
         (* the last C.SN a C.ST data chunk of this TPDU claims ends the
@@ -245,9 +233,8 @@ module Receiver = struct
            the stream *)
   }
 
-  (* No two labels' C.SN - T.SN is [min_int], and no C.SN + LEN - 1 of
-     a data chunk is -1: both SNs lie in [0, max_int]. *)
-  let unset = min_int
+  (* No C.SN + LEN - 1 of a data chunk is -1: a C.SN lies in
+     [0, max_int]. *)
   let no_claim = -1
 
   (* Released records and verifier states kept for reuse, as
@@ -260,7 +247,7 @@ module Receiver = struct
     placed : Placement.outcome;
         (* what the last placement of a receiver sharing the spares
            did: one run at a time reads it *)
-    mutable recs : corroboration array;
+    mutable recs : record array;
     mutable nrecs : int;
   }
 
@@ -295,11 +282,11 @@ module Receiver = struct
     first_arrival : int Int_map.t;  (* [no_stamp] for a T.ID not held *)
     acked : unit Int_map.t;  (* TPDUs already acknowledged *)
     nack_armed : unit Int_map.t;  (* TPDUs with a gap timer *)
-    corrob : corroboration Int_map.t;  (* [no_record] for a T.ID not held *)
+    records : record Int_map.t;  (* [no_record] for a T.ID not held *)
     spare : spare;
     (* the last record found, so one chunk's lookups cost one probe;
-       [no_record] whenever [corrob] loses its T.ID *)
-    mutable corrob_memo : corroboration;
+       [no_record] whenever [records] loses its T.ID *)
+    mutable record_memo : record;
     (* element runs deliberately given up by the sender (Shed_tpdu):
        they count toward stream completion — the degradation contract —
        but never toward verified delivery, and late chunks for a shed
@@ -344,34 +331,31 @@ module Receiver = struct
       gov;
       stamped = false;
       arrival = 0;
-      delta_data = unset;
-      delta_ed = unset;
-      confirmed = false;
-      stash = { rows = Int_rows.empty (); bufs = [||] };
       placed_runs = Int_rows.create ~width:2;
-      quarantine = { rows = Int_rows.empty (); bufs = [||] };
+      quarantine = Int_rows.empty ();
+      quarantined = [||];
       held = Bytes.empty;
       held_len = 0;
       end_claim = no_claim;
     }
 
-  (* No record: what [find_corrob] returns for a T.ID with none.  It is
+  (* No record: what [find_record] returns for a T.ID with none.  It is
      never held, nor recycled. *)
   let no_key = { Governor.conn = -1; tpdu = -1 }
   let no_record = blank_record (-1) ~cls:0 (Governor.entry no_key)
 
-  (* The corroboration record of [t_id], or [no_record], through the
-     memo: a lookup allocates nothing. *)
-  let find_corrob rx t_id =
-    let m = rx.corrob_memo in
+  (* The record of [t_id], or [no_record], through the memo: a lookup
+     allocates nothing. *)
+  let find_record rx t_id =
+    let m = rx.record_memo in
     if m.t_id = t_id && m != no_record then m
     else begin
-      let m = Int_map.find rx.corrob t_id in
-      if m != no_record then rx.corrob_memo <- m;
+      let m = Int_map.find rx.records t_id in
+      if m != no_record then rx.record_memo <- m;
       m
     end
 
-  let holds_record rx t_id = find_corrob rx t_id != no_record
+  let holds_record rx t_id = find_record rx t_id != no_record
 
   (* The blank record of [t_id]: a spare one if there is one. *)
   let record rx t_id =
@@ -389,52 +373,29 @@ module Receiver = struct
       m
     end
 
-  (* [b] as the buffer of [h]'s next row, which the caller pushes. *)
-  let keep h b =
-    let k = Int_rows.count h.rows in
-    if k = Array.length h.bufs then begin
-      let a = Array.make (Int.max 4 (2 * k)) Bytes.empty in
-      Array.blit h.bufs 0 a 0 k;
-      h.bufs <- a
-    end;
-    h.bufs.(k) <- b
-
-  (* Nothing held: the buffers are let go, and with them room grown past
-     16 runs, as [Int_rows.clear] lets a grown row buffer go. *)
-  let let_go h ~width =
-    if Array.length h.bufs > 16 then h.bufs <- [||]
-    else
-      for k = 0 to Int_rows.count h.rows - 1 do
-        h.bufs.(k) <- Bytes.empty
-      done;
-    Int_rows.clear h.rows ~width
-
   (* Copy-out room a record keeps from one TPDU to the next.  What the
-     copybreak copies is a fragment with its header: at a 1500 B MTU,
-     the 384 B of a 1 KiB frame that share a packet with the frame
-     before it, and their 46 B header, 430 bytes, the size of every
-     copy perfbench's workloads make (on half of `bulk-large`'s packets,
-     a tenth of `reorder-dup`'s).  512 bytes holds one, and is little
-     enough that a record holding one small copy still retains less
-     than twice its charge. *)
+     copybreak copies is a quarantined run alone, less than half of its
+     packet: under 288 bytes at a 576 B MTU, under 750 at 1500 B, where
+     the commonest small run is the 384 B of a 1 KiB frame that share a
+     packet with the frame before it.  512 bytes holds either of those,
+     and is little enough that a record holding one such copy still
+     retains less than twice its charge.  Only a TPDU with a conflict
+     quarantines anything, so most records never use it. *)
   let held_room = 512
 
-  (* Once no row holds a copy, the copy-out room is free again; a
-     buffer grown past [held_room] for one TPDU is not kept. *)
-  let release_held m =
-    if Int_rows.count m.stash.rows = 0 && Int_rows.count m.quarantine.rows = 0
-    then begin
-      m.held_len <- 0;
-      if Bytes.length m.held > held_room then m.held <- Bytes.empty
-    end
-
-  let clear_stash m =
-    let_go m.stash ~width:3;
-    release_held m
-
+  (* Nothing quarantined: the buffers are let go, and with them room
+     grown past 16 runs, as [Int_rows.clear] lets a grown row buffer go;
+     the copy-out room is free again, but a buffer grown past
+     [held_room] for one TPDU is not kept. *)
   let clear_quarantine m =
-    let_go m.quarantine ~width:4;
-    release_held m
+    if Array.length m.quarantined > 16 then m.quarantined <- [||]
+    else
+      for k = 0 to Int_rows.count m.quarantine - 1 do
+        m.quarantined.(k) <- Bytes.empty
+      done;
+    Int_rows.clear m.quarantine ~width:4;
+    m.held_len <- 0;
+    if Bytes.length m.held > held_room then m.held <- Bytes.empty
 
   (* Copy [n] bytes of [src] from [off] into [m]'s copy-out room,
      returning their offset in [m.held]: after the copies already
@@ -460,10 +421,6 @@ module Receiver = struct
     if sp.nrecs < spare_cap && m != no_record then begin
       if not (Governor.live m.gov) then m.gov <- Governor.retarget m.gov no_key;
       m.stamped <- false;
-      m.delta_data <- unset;
-      m.delta_ed <- unset;
-      m.confirmed <- false;
-      clear_stash m;
       Int_rows.clear m.placed_runs ~width:2;
       clear_quarantine m;
       m.end_claim <- no_claim;
@@ -472,27 +429,27 @@ module Receiver = struct
       sp.nrecs <- sp.nrecs + 1
     end
 
-  let new_corrob rx t_id =
+  let new_record rx t_id =
     let m = record rx t_id in
-    Int_map.replace rx.corrob t_id m;
-    rx.corrob_memo <- m;
+    Int_map.replace rx.records t_id m;
+    rx.record_memo <- m;
     m
 
-  let forget_corrob rx t_id =
-    Int_map.remove rx.corrob t_id;
-    if rx.corrob_memo.t_id = t_id then rx.corrob_memo <- no_record
+  let forget_record rx t_id =
+    Int_map.remove rx.records t_id;
+    if rx.record_memo.t_id = t_id then rx.record_memo <- no_record
 
-  (* Dispose of the corroboration and arrival records of [t_id]. *)
+  (* Dispose of the per-TPDU and arrival records of [t_id]. *)
   let drop_records rx t_id =
-    let m = find_corrob rx t_id in
+    let m = find_record rx t_id in
     if m != no_record then begin
-      forget_corrob rx t_id;
+      forget_record rx t_id;
       recycle rx m
     end;
     Int_map.remove rx.first_arrival t_id
 
   (* Dispose of every piece of per-TPDU soft state (verifier
-     accumulator, corroboration record, arrival record).  The governor's
+     accumulator, per-TPDU record, arrival record).  The governor's
      account is the caller's responsibility: the eviction callback has
      already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
@@ -536,9 +493,9 @@ module Receiver = struct
         first_arrival = Int_map.create ~absent:no_stamp 0;
         acked = o.o_acked;
         nack_armed = Int_map.set 0;
-        corrob = Int_map.create ~absent:no_record 4;
+        records = Int_map.create ~absent:no_record 4;
         spare = o.o_spare;
-        corrob_memo = no_record;
+        record_memo = no_record;
         shed_cover = Vreassembly.create ();
         shed_tids = Int_map.set 0;
         frontier = 0;
@@ -560,37 +517,14 @@ module Receiver = struct
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
-  (* Retention copybreak.  A held run keeps its whole buffer alive
-     while the governor charges only its payload ([held_bytes]), so a
-     run whose payload is less than half of its buffer is copied out
-     when it is stashed or quarantined (a stashed chunk with its
-     header), into its record's copy-out room: retained memory then
-     stays within twice what is charged.  A fixed rule, not a tunable.
-     A materialised chunk's payload spans its whole buffer and is never
+  (* Retention copybreak.  A quarantined run keeps its whole buffer
+     alive while the governor charges only its payload ([held_bytes]),
+     so a run whose payload is less than half of its buffer is copied
+     out into its record's copy-out room: retained memory then stays
+     within twice what is charged.  A fixed rule, not a tunable.  A
+     materialised chunk's payload spans its whole buffer and is never
      copied. *)
   let copybreak ~payload src = 2 * payload < Bytes.length src
-
-  let push_stash m src ~hdr ~t_sn ~elems =
-    keep m.stash src;
-    Int_rows.push3 m.stash.rows hdr t_sn elems
-
-  (* Hold [v], whose wire header lies at [hdr] in its buffer ([hdr <
-     0]: nowhere, as for a materialised chunk's view, which is then
-     encoded as a one-chunk packet), for its fresh run. *)
-  let stash m (v : Chunk.view) ~hdr ~t_sn ~elems =
-    let n = Chunk.view_payload_bytes v in
-    if hdr < 0 then
-      match Wire.encode_packet [ Chunk.of_view v ] with
-      | Ok src ->
-          let scan = Wire.Scan.create () in
-          ignore (Wire.Scan.packet scan src : bool);
-          push_stash m src ~hdr:(Wire.Scan.offset scan 0) ~t_sn ~elems
-      | Error msg -> invalid_arg msg
-    else if copybreak ~payload:n v.Chunk.src then begin
-      let at = copy_out m v.Chunk.src hdr (Wire.header_size + n) in
-      push_stash m m.held ~hdr:at ~t_sn ~elems
-    end
-    else push_stash m v.Chunk.src ~hdr ~t_sn ~elems
 
   (* Credit [m]'s TPDU with the runs placement reported: fresh writes
      and identical duplicates. *)
@@ -598,9 +532,17 @@ module Receiver = struct
     Int_rows.append m.placed_runs o.Placement.fresh ~width:2;
     Int_rows.append m.placed_runs o.Placement.benign ~width:2
 
+  (* Hold [elems] elements from [off] in [src], the first at C.SN
+     [c_sn], of a chunk labelled C.ID [c_id], in [m]'s quarantine. *)
   let push_quarantine m src ~off ~c_sn ~elems ~c_id =
-    keep m.quarantine src;
-    Int_rows.push4 m.quarantine.rows off c_sn elems c_id
+    let k = Int_rows.count m.quarantine in
+    if k = Array.length m.quarantined then begin
+      let a = Array.make (Int.max 4 (2 * k)) Bytes.empty in
+      Array.blit m.quarantined 0 a 0 k;
+      m.quarantined <- a
+    end;
+    m.quarantined.(k) <- src;
+    Int_rows.push4 m.quarantine off c_sn elems c_id
 
   (* Place [elems] fresh elements of [m]'s TPDU straight into the
      application buffer — spatial reordering, one pass: [size]-byte
@@ -644,43 +586,6 @@ module Receiver = struct
     place_run rx m ~src:v.Chunk.src ~off:(v.Chunk.off + (skip * size)) ~size
       ~c_sn:(h.Header.c.Ftuple.sn + skip) ~elems ~c_id:h.Header.c.Ftuple.id
 
-  let flush_stash rx m =
-    let rows = m.stash.rows and srcs = m.stash.bufs in
-    for k = 0 to Int_rows.count rows - 1 do
-      (* read where it lies: a held chunk is placed without a header
-         record *)
-      let b = srcs.(k) and hdr = Int_rows.get rows ~width:3 k 0 in
-      if Wire.Scan.is_data b hdr then begin
-        let size = Wire.Scan.size b hdr in
-        let skip = Int_rows.get rows ~width:3 k 1 - Wire.Scan.t_sn b hdr in
-        place_run rx m ~src:b
-          ~off:(hdr + Wire.header_size + (skip * size))
-          ~size ~c_sn:(Wire.Scan.c_sn b hdr + skip)
-          ~elems:(Int_rows.get rows ~width:3 k 2)
-          ~c_id:(Wire.Scan.c_id b hdr)
-      end
-    done;
-    clear_stash m
-
-  (* Note the chunk's connection delta before the verifier sees it, so
-     that an ED chunk flushes the stash before the [Tpdu_verified] event
-     it may trigger.  First witness wins within an epoch: a conflicting
-     later chunk fails the TPDU in the verifier, which clears the
-     epoch's state here too.  [h] is the header of a data or ED chunk
-     of [m]'s TPDU. *)
-  let witness rx m ~is_ed (h : Header.t) =
-    if not m.confirmed then begin
-      let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-      if is_ed then begin
-        if m.delta_ed = unset then m.delta_ed <- delta
-      end
-      else if m.delta_data = unset then m.delta_data <- delta;
-      if m.delta_data <> unset && m.delta_data = m.delta_ed then begin
-        m.confirmed <- true;
-        flush_stash rx m
-      end
-    end
-
   (* While a TPDU stays incomplete, periodically report its gap list so
      the sender can re-send exactly the missing element runs.  Bounded:
      if the gaps never fill (black-hole path) the timer must not keep
@@ -703,22 +608,14 @@ module Receiver = struct
             end;
             arm_nack rx t_id (rounds + 1))
 
-  (* What a corroboration record costs: its held chunks and the runs it
-     has placed. *)
+  (* What a record costs: its quarantined runs and the runs it has
+     placed. *)
   let held_bytes rx m =
     let bytes = ref (16 * Int_rows.count m.placed_runs) in
-    let stash = m.stash.rows and quarantine = m.quarantine.rows in
-    for k = 0 to Int_rows.count stash - 1 do
+    for k = 0 to Int_rows.count m.quarantine - 1 do
       bytes :=
         !bytes
-        + Wire.Scan.payload_bytes m.stash.bufs.(k)
-            (Int_rows.get stash ~width:3 k 0)
-        + 48
-    done;
-    for k = 0 to Int_rows.count quarantine - 1 do
-      bytes :=
-        !bytes
-        + (Int_rows.get quarantine ~width:4 k 2 * rx.config.elem_size)
+        + (Int_rows.get m.quarantine ~width:4 k 2 * rx.config.elem_size)
         + 48
     done;
     !bytes
@@ -726,9 +623,9 @@ module Receiver = struct
   (* Re-assert the receiver's accounted cost of one TPDU's soft state
      through the handle [h] and refresh its delta-t deadline, returning
      the handle to keep.  Called after every chunk that touched the
-     TPDU, with [held] the cost of its corroboration record (0 when
-     there is none); once verification has released everything the
-     entry is retired instead.  Sheddable state is charged at its
+     TPDU, with [held] the cost of its record (0 when there is none);
+     once verification has released everything the entry is retired
+     instead.  Sheddable state is charged at its
      significance rank [cls], so budget pressure displaces it before any
      fully-reliable TPDU's state. *)
   let charge rx t_id ~cls ~held h =
@@ -751,7 +648,7 @@ module Receiver = struct
 
   (* [charge] of [t_id], through its record's handle if it has one. *)
   let account rx t_id =
-    let m = find_corrob rx t_id in
+    let m = find_record rx t_id in
     if m != no_record then account_record rx m ~held:(held_bytes rx m)
     else
         ignore
@@ -839,10 +736,10 @@ module Receiver = struct
          often this connection is named by forged sheds *)
       rx.counts.sheds_refused <- rx.counts.sheds_refused + 1
 
-  (* T.IDs holding verifier state or a corroboration record. *)
+  (* T.IDs holding verifier state or a per-TPDU record. *)
   let held_tids rx =
     List.sort_uniq Int.compare
-      (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.corrob)
+      (Edc.Verifier.in_flight_ids rx.verifier @ Int_map.sorted_keys rx.records)
 
   (* Release every piece of soft state at once (connection close): the
      governor account is cleared entry by entry so a shared governor
@@ -867,23 +764,20 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
-  (* A TPDU passed: place what it still holds, credit its placed runs to
-     the verified coverage, believe its end claim, and acknowledge it. *)
+  (* A TPDU passed: settle its quarantine, credit its placed runs to the
+     verified coverage, believe its end claim, and acknowledge it. *)
   let on_passed rx m t_id =
-    (* a passed parity covers every stashed run, so any still-unconfirmed
-       stash is safe to place now *)
-    flush_stash rx m;
     (* the parity settles this TPDU's quarantined conflicts: re-assert
        each held run with a verified write, which reclaims bytes from any
        unverified squatter but never from a locked region *)
     let es = rx.config.elem_size in
-    let q = m.quarantine.rows in
+    let q = m.quarantine in
     for k = 0 to Int_rows.count q - 1 do
       if
         Placement.place_run ~verified:true rx.placement rx.spare.placed
           ~sn:(Int_rows.get q ~width:4 k 1)
           ~len:(Int_rows.get q ~width:4 k 2)
-          ~size:es ~src:m.quarantine.bufs.(k)
+          ~size:es ~src:m.quarantined.(k)
           ~off:(Int_rows.get q ~width:4 k 0)
           ~conn:(Int_rows.get q ~width:4 k 3)
           ~tpdu:t_id
@@ -926,7 +820,7 @@ module Receiver = struct
         ~sn:(Int_rows.get spans ~width:2 k 0)
         ~len:(Int_rows.get spans ~width:2 k 1)
     done;
-    forget_corrob rx t_id;
+    forget_record rx t_id;
     if m.end_claim <> no_claim then rx.end_confirmed <- Some m.end_claim;
     if not (Int_map.mem rx.acked t_id) then begin
       Int_map.replace rx.acked t_id ();
@@ -963,24 +857,18 @@ module Receiver = struct
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
 
-  (* Fresh elements [t_sn, t_sn + elems) of [v], of [m]'s TPDU: placed
-     at once if the TPDU's labels are corroborated, else stashed. *)
-  let take_fresh rx m v ~hdr ~t_sn ~elems =
-    if m.confirmed then place_fresh rx m v ~t_sn ~elems
-    else stash m v ~hdr ~t_sn ~elems
-
   (* Act on what the verifier took from [v], a chunk of [m]'s TPDU:
-     its fresh elements are placed or stashed, then a verdict, if the
-     chunk reached one, settles the TPDU.  Whether [m] still lives. *)
-  let take rx m (v : Chunk.view) ~hdr fresh =
+     its fresh elements are placed, then a verdict, if the chunk reached
+     one, settles the TPDU.  Whether [m] still lives. *)
+  let take rx m (v : Chunk.view) fresh =
     (match fresh with
     | Edc.Verifier.All ->
         let h = v.Chunk.header in
-        take_fresh rx m v ~hdr ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len
+        place_fresh rx m v ~t_sn:h.Header.t.Ftuple.sn ~elems:h.Header.len
     | Edc.Verifier.Runs ->
         let runs = Edc.Verifier.fresh_runs rx.verifier in
         for k = 0 to Int_rows.count runs - 1 do
-          take_fresh rx m v ~hdr
+          place_fresh rx m v
             ~t_sn:(Int_rows.get runs ~width:2 k 0)
             ~elems:(Int_rows.get runs ~width:2 k 1)
         done
@@ -991,20 +879,20 @@ module Receiver = struct
          | Edc.Verifier.Passed -> on_passed rx m m.t_id
          | Edc.Verifier.Parity_mismatch | Edc.Verifier.Consistency_failure _
          | Edc.Verifier.Reassembly_error _ ->
-             (* failed epoch: drop its suspect stash and end claim with
-                it, but keep its first arrival for the retransmission *)
+             (* failed epoch: drop its quarantine and end claim with it,
+                but keep its first arrival for the retransmission *)
              if m.stamped then
                Int_map.replace rx.first_arrival m.t_id m.arrival;
-             forget_corrob rx m.t_id);
+             forget_record rx m.t_id);
          false
        end
 
   (* The verifier-dispatch and governor re-accounting tail of
      [on_view] for a data or ED chunk of [m]'s TPDU, once that TPDU is
      known to be neither acked nor shed.  What the verifier found fresh
-     is placed or stashed before its verdict, if any, is acted on. *)
-  let verify_and_account rx m (v : Chunk.view) ~hdr =
-    let live = take rx m v ~hdr (Edc.Verifier.absorb rx.verifier v) in
+     is placed before its verdict, if any, is acted on. *)
+  let verify_and_account rx m (v : Chunk.view) =
+    let live = take rx m v (Edc.Verifier.absorb rx.verifier v) in
     account_record rx m ~held:(if live then held_bytes rx m else 0);
     (* a verdict retired the record: its charge went with the last
        account *)
@@ -1023,7 +911,7 @@ module Receiver = struct
     else Int_map.mem rx.shed_tids t_id
 
   (* A data or ED chunk of [m]'s TPDU. *)
-  let on_tpdu_chunk rx m (v : Chunk.view) ~hdr ~is_data =
+  let on_tpdu_chunk rx m (v : Chunk.view) ~is_data =
     let h = v.Chunk.header in
     if is_data then begin
       let t_id = m.t_id in
@@ -1044,10 +932,9 @@ module Receiver = struct
         arm_nack rx t_id 0
       end
     end;
-    witness rx m ~is_ed:(not is_data) h;
-    verify_and_account rx m v ~hdr
+    verify_and_account rx m v
 
-  let on_scanned rx (v : Chunk.view) ~hdr =
+  let on_view rx (v : Chunk.view) =
     let h = v.Chunk.header in
     if Header.is_terminator h then ()
     else if Ctype.equal h.Header.ctype Ctype.signal then
@@ -1067,10 +954,10 @@ module Receiver = struct
       let is_data = Ctype.is_data h.Header.ctype in
       if is_data || Ctype.equal h.Header.ctype Ctype.ed then begin
         (* a live record proves the T.ID is neither acked nor shed *)
-        let m = find_corrob rx t_id in
-        if m != no_record then on_tpdu_chunk rx m v ~hdr ~is_data
+        let m = find_record rx t_id in
+        if m != no_record then on_tpdu_chunk rx m v ~is_data
         else if not (settled rx t_id) then
-          on_tpdu_chunk rx (new_corrob rx t_id) v ~hdr ~is_data
+          on_tpdu_chunk rx (new_record rx t_id) v ~is_data
       end
       else if not (settled rx t_id) then begin
         (* other control traffic carries no TPDU state: the verifier
@@ -1080,14 +967,11 @@ module Receiver = struct
       end
     end
 
-  let on_view rx v = on_scanned rx v ~hdr:(-1)
-
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
       for i = 0 to Wire.Scan.count rx.scan - 1 do
-        let hdr = Wire.Scan.offset rx.scan i in
-        on_scanned rx (Wire.Scan.view b hdr) ~hdr
+        on_view rx (Wire.Scan.view b (Wire.Scan.offset rx.scan i))
       done
 
   let ingest_batch rx packets = ingest_each ingest rx packets
@@ -1122,7 +1006,7 @@ module Receiver = struct
     | None -> false
 
   (* Whether this receiver knows [t_id]: soft state for it (verifier
-     accumulator or corroboration record), or an honoured shed.  The
+     accumulator or per-TPDU record), or an honoured shed.  The
      demultiplexer uses this to tell a chunk of this epoch's TPDUs, a
      shed one's straggler included, from traffic with a label this epoch
      has never seen. *)
@@ -1140,13 +1024,14 @@ module Receiver = struct
 
   let stashed_tpdus rx =
     Int_map.fold
-      (fun _ m acc -> if Int_rows.count m.stash.rows > 0 then acc + 1 else acc)
-      rx.corrob 0
+      (fun _ m acc ->
+        if Int_rows.count m.quarantine > 0 then acc + 1 else acc)
+      rx.records 0
 
-  let record_tids rx = Int_map.sorted_keys rx.corrob
+  let record_tids rx = Int_map.sorted_keys rx.records
   let shed_tids rx = Int_map.sorted_keys rx.shed_tids
   let governor_handles rx =
-    Int_map.fold (fun _ m acc -> m.gov :: acc) rx.corrob []
+    Int_map.fold (fun _ m acc -> m.gov :: acc) rx.records []
 
   (* {2 Crash recovery} *)
 

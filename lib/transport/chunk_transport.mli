@@ -182,22 +182,19 @@ module Receiver : sig
       rewritten while its buffer lives, so a journal may keep the views
       instead of the bytes ({!Persist.Store.append}). *)
 
-  val on_scanned : t -> Labelling.Chunk.view -> hdr:int -> unit
-  (** Feed one chunk read in place whose wire header lies at offset
-      [hdr] of the view's buffer, as {!Labelling.Wire.Scan.view} makes
-      it (demultiplexer path; no bus accounting) — the receiver's one
-      per-chunk dispatch.  Its payload is read where it lies: verified,
-      placed and, while its TPDU waits for corroboration, held as its
-      buffer and header offset, to be scanned again when placed.  A
-      held chunk whose payload is less than half of its buffer is
-      copied out first, header and payload (a fixed copybreak), so
-      retained memory stays within twice the bytes the state governor
-      charges for it.  Signals are materialised. *)
-
   val on_view : t -> Labelling.Chunk.view -> unit
-  (** {!on_scanned} of a view whose buffer need not hold its header,
-      such as a materialised chunk's ({!Labelling.Chunk.view}): a chunk
-      it has to hold is encoded as a one-chunk packet first. *)
+  (** Feed one chunk read in place, such as {!Labelling.Wire.Scan.view}
+      makes of a packet or {!Labelling.Chunk.view} of a materialised
+      chunk (demultiplexer path; no bus accounting) — the receiver's one
+      per-chunk dispatch.  Its payload is read where it lies: verified,
+      and its fresh elements placed the moment it arrives.  Placement's
+      first-verified-wins policy settles a conflict: a run whose bytes
+      differ from verified ones is refused, and one whose bytes differ
+      from unverified ones is quarantined until its TPDU's verdict,
+      held as its buffer and offset.  A quarantined run whose payload is
+      less than half of its buffer is copied out first (a fixed
+      copybreak), so retained memory stays within twice the bytes the
+      state governor charges for it.  Signals are materialised. *)
 
   val ingest_batch : t -> bytes array -> unit
   (** Feed a batch of packets from the network — the receiver's only
@@ -206,14 +203,14 @@ module Receiver : sig
       zero-allocation structural scan ({!Labelling.Wire.Scan}) per
       packet validates it, dropping a malformed one whole exactly as
       {!Labelling.Wire.decode_packet} would; each scanned chunk is then
-      handed to {!on_scanned} as a view of the packet, so no payload is
+      handed to {!on_view} as a view of the packet, so no payload is
       copied.  The qcheck property in [test_flowcache] holds it
       byte-identical to [decode_packet] followed by {!on_view} of each
       chunk over its own payload.
 
       Ownership: the receiver never writes into a packet, but it may
-      hold a chunk of it until the chunk's TPDU is decided, so the
-      caller must not mutate a packet afterwards. *)
+      hold a quarantined run of it until the run's TPDU is decided, so
+      the caller must not mutate a packet afterwards. *)
 
   val contents : t -> bytes
   (** The application buffer ({!Labelling.Placement.contents}): placed
@@ -231,7 +228,7 @@ module Receiver : sig
 
   val tracks_tpdu : t -> t_id:int -> bool
   (** Whether the receiver holds any soft state (verifier accumulator or
-      corroboration record) for [t_id], or honoured a shed of it. *)
+      per-TPDU record) for [t_id], or honoured a shed of it. *)
 
   val abort_tpdu : t -> t_id:int -> unit
   (** Evict all partial state for [t_id] (the sender abandoned it);
@@ -280,22 +277,20 @@ module Receiver : sig
       deadline sweep guarantee it). *)
 
   val stashed_tpdus : t -> int
-  (** TPDUs with data held back awaiting label corroboration: placement
-      at the connection offset waits until the C.SN - T.SN delta seen on
-      data chunks is confirmed by the ED chunk's independent copy, so a
-      corrupted label cannot overwrite a region another — already
-      verified — TPDU owns.  0 once an undamaged transfer completes. *)
+  (** TPDUs holding quarantined runs: data whose bytes conflicted with
+      unverified bytes already placed, held back until its TPDU's
+      verdict.  0 once an undamaged transfer completes. *)
 
   (** {2 The dispatch invariants}
 
-      [on_scanned] trusts two facts rather than re-probing for them on
-      every chunk: no T.ID holding a corroboration record is in the
+      [on_view] trusts two facts rather than re-probing for them on
+      every chunk: no T.ID holding a per-TPDU record is in the
       ledger or shed, and every governor handle a record holds is dead
       or the governor's own entry for its key.  These expose what a
       check of both needs. *)
 
   val record_tids : t -> int list
-  (** T.IDs holding a corroboration record, ascending. *)
+  (** T.IDs holding a per-TPDU record, ascending. *)
 
   val acked_tids : t -> int list
   (** The ACK ledger (the owner's, when there is one), ascending. *)
@@ -304,7 +299,7 @@ module Receiver : sig
   (** T.IDs whose shed this receiver honoured, ascending. *)
 
   val governor_handles : t -> Governor.entry list
-  (** The handles the corroboration records hold. *)
+  (** The handles the per-TPDU records hold. *)
 
   val shed_spans : t -> (int * int) list
   (** The honoured shed cover as [(first_elem, elems)] runs in

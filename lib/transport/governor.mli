@@ -1,7 +1,7 @@
 (** Receiver state governor: a byte-accounted budget with delta-t-style
     deadlines over every piece of soft state the receiver holds
-    (verifier accumulators, corroboration stashes, virtual-reassembly
-    trackers, per-connection tables).
+    (verifier accumulators, per-TPDU records and their quarantined runs,
+    virtual-reassembly trackers, per-connection tables).
 
     Each piece of state is an entry keyed by (connection, TPDU); its
     byte cost is re-asserted and its expiry deadline refreshed on every

@@ -556,7 +556,7 @@ let re_ack_closed m c ~gap t_id =
   Chunk_transport.reack ~counts:m.counts ~send_ack:m.send_ack
     ~last_reack:c.last_reack ~gap ~now:(now m) ~conn_id:c.id t_id
 
-let route m (v : Chunk.view) ~hdr =
+let route m (v : Chunk.view) =
   let h = v.Chunk.header in
   let cid = h.Header.c.Ftuple.id in
   match find_conn m cid with
@@ -592,7 +592,7 @@ let route m (v : Chunk.view) ~hdr =
               else rx
             in
             touch_conn m c;
-            R.on_scanned rx v ~hdr
+            R.on_view rx v
         | None ->
             (* closed epoch: stale retransmissions of acknowledged TPDUs
                get their ACK again (the ledger outlives the epoch); other
@@ -610,11 +610,10 @@ let route m (v : Chunk.view) ~hdr =
             end
       with e -> bulkhead m ~conn_id:cid e)
 
-(* The one dispatch for every scanned chunk, whose header lies at [hdr]
-   in [v]'s buffer: signals (rare) are materialised and go to their
-   handlers, everything else is routed by connection record and read in
-   place. *)
-let on_scanned m (v : Chunk.view) ~hdr =
+(* The one dispatch for every scanned chunk: signals (rare) are
+   materialised and go to their handlers, everything else is routed by
+   connection record and read in place. *)
+let on_view m (v : Chunk.view) =
   let h = v.Chunk.header in
   if Header.is_terminator h then ()
   else if Ctype.equal h.Header.ctype Ctype.signal then
@@ -672,14 +671,13 @@ let on_scanned m (v : Chunk.view) ~hdr =
         match find_conn m h.Header.c.Ftuple.id with
         | Some c -> note_unscored m c
         | None -> ())
-  else route m v ~hdr
+  else route m v
 
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
     for i = 0 to Wire.Scan.count m.scan - 1 do
-      let hdr = Wire.Scan.offset m.scan i in
-      on_scanned m (Wire.Scan.view b hdr) ~hdr
+      on_view m (Wire.Scan.view b (Wire.Scan.offset m.scan i))
     done
 
 let ingest_batch m packets = Chunk_transport.ingest_each ingest m packets

@@ -124,8 +124,8 @@ val ingest : t -> bytes -> unit
     feeds every chunk back in its own one-chunk packet.
 
     Ownership: the endpoint never writes into the packet, but it may
-    hold a chunk of it until that chunk's TPDU is decided (see
-    {!Chunk_transport.Receiver.on_scanned} for the copybreak that bounds
+    hold a quarantined run of it until that run's TPDU is decided (see
+    {!Chunk_transport.Receiver.on_view} for the copybreak that bounds
     this), so the caller must not mutate a packet after handing it
     over. *)
 
@@ -179,7 +179,8 @@ val live_in_flight : t -> int
 (** Verifier state held across all live epochs (quiescence probe). *)
 
 val live_stashed : t -> int
-(** Placement stashes held across all live epochs (quiescence probe). *)
+(** TPDUs holding quarantined runs across all live epochs (quiescence
+    probe; {!Chunk_transport.Receiver.stashed_tpdus}). *)
 
 val counters : t -> Counters.t
 (** The endpoint's counts since creation (or restore), over every epoch

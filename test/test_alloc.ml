@@ -7,7 +7,7 @@
    shuffled one with duplicate re-offers.  Each budget is the value
    measured in the release profile the repository's dune-workspace
    selects, once per-TPDU state stopped allocating per packet (flat
-   T.ID maps, row-held stash and quarantine, placement outcomes in
+   T.ID maps, row-held quarantine, placement outcomes in
    buffers the receiver owns, verifier results in its own fields): of
    the 58.5 words per bulk packet, about 44 are the header records
    [Wire.Scan.view] builds and 4 the ACK copy, and the journal record
@@ -27,12 +27,10 @@
    service-time tail.  A fourth stream offers the bulk stream's measured
    TPDUs a second time, so every packet of it takes the re-ACK path:
    its first re-ACKs store into the epoch's throttle table, which has
-   room for them, and promote nothing.  Of what the shuffled stream
-   still promotes, about half is copy-out room made for records that
-   had none yet and a quarter the governor's per-TPDU key record and
-   table bucket.  A [Bytes.sub] per copybreak copy instead of that room
-   reads 86.0 minor words per bulk packet and 6.23 promoted per
-   shuffled packet. *)
+   room for them, and promote nothing.  Every fresh run is placed the
+   moment it arrives, so none of these streams copies a run out or
+   holds one: the copybreak's copy-out room serves quarantined runs
+   alone, and a stream without conflicting bytes makes none. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
@@ -51,13 +49,13 @@ let warm_tpdus = 8
    see the header *)
 let budget_bulk = 58.6
 let budget_journalled = 72.6
-let budget_shuffled = 59.2
+let budget_shuffled = 57.8
 
 (* words promoted per packet over each measured stream, as last
    measured *)
 let survivors_bulk = 0.1
 let survivors_journalled = 0.1
-let survivors_shuffled = 2.7
+let survivors_shuffled = 1.3
 let survivors_reoffered = 0.1
 
 let gc_every = 32

@@ -122,9 +122,11 @@ let test_overlap_hostile_soak () =
 
 let test_overlap_clobber_caught () =
   (* a validly-sealed forged TPDU clobbers the first data chunk's range:
-     it verifies first, locks the bytes, and the sender's real data is
-     rejected — the oracle must see the divergent delivery, and the
-     shrinker must keep the overlap conflict alive while minimising *)
+     its run conflicts with the sender's unverified bytes and waits in
+     quarantine, it verifies first, and its verified write takes the
+     element and locks it — the oracle must see the divergent delivery,
+     and the shrinker must keep the overlap conflict alive while
+     minimising *)
   let report =
     Check.Soak.run_profile ~mutation:Check.Driver.Overlap_clobber
       ~schedules:12 ~seed:11 Check.Schedule.Clean
@@ -143,7 +145,7 @@ let test_overlap_clobber_caught () =
       let s = f.Check.Soak.shrunk.Check.Shrink.schedule in
       let o = Check.Driver.run ~mutation:Check.Driver.Overlap_clobber s in
       Alcotest.(check bool) "conflict preserved in shrunk replay" true
-        (o.Check.Driver.overlap.os_conflicts_rejected > 0);
+        (o.Check.Driver.overlap.os_conflicts_seen > 0);
       Alcotest.(check bool) "shrunk replay still violates" true
         (Check.Oracle.check ~schedule:s
            ~model:(Check.Model.of_schedule s)

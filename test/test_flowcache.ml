@@ -360,12 +360,13 @@ let prop_ingest_never_writes =
       in_batches (CT.Receiver.ingest_batch (mk_receiver ())) mix batch;
       digests () = before)
 
-(* A tiny data chunk that must wait for its ED chunk shares a 64 KiB
-   packet with a large chunk the receiver does not keep (a late copy of
-   an acknowledged TPDU of another connection, which is only
-   re-acknowledged).  The waiting view is copied out of the packet (the
-   copybreak), so the receiver does not grow by the packet it no longer
-   needs. *)
+(* A tiny data chunk whose bytes conflict with unverified bytes another
+   TPDU placed first must wait in quarantine for its TPDU's verdict.  It
+   shares a 64 KiB packet with a large chunk the receiver does not keep
+   (a late copy of an acknowledged TPDU of another connection, which is
+   only re-acknowledged).  The waiting run is copied out of the packet
+   (the copybreak), so the receiver does not grow by the packet it no
+   longer needs. *)
 let test_copybreak_bounds_retention () =
   let acked = Labelling.Int_map.set 4 in
   Labelling.Int_map.replace acked 9 ();
@@ -394,6 +395,15 @@ let test_copybreak_bounds_retention () =
          ~x:Ftuple.zero (Bytes.make n 'x'))
   in
   let packet_bytes = 65536 in
+  (* TPDU 4 holds element 0 first, unverified, with other bytes *)
+  let squatter =
+    Util.ok_or_fail
+      (Chunk.data ~size:4
+         ~c:(Ftuple.v ~id:1 ~sn:0 ())
+         ~t:(Ftuple.v ~id:4 ~sn:0 ())
+         ~x:Ftuple.zero (Bytes.make 4 'y'))
+  in
+  CT.Receiver.ingest_batch rx [| Util.ok_or_fail (Wire.encode_packet [ squatter ]) |];
   let tiny = data ~conn:1 ~t_id:5 4 in
   let large = data ~conn:2 ~t_id:9 (packet_bytes - (2 * Wire.header_size) - 4) in
   let packet = Util.ok_or_fail (Wire.encode_packet [ tiny; large ]) in
@@ -402,8 +412,10 @@ let test_copybreak_bounds_retention () =
   let w0 = words () in
   CT.Receiver.ingest_batch rx [| packet |];
   let grown = words () - w0 in
-  Alcotest.(check int) "the tiny chunk waits for its ED chunk" 1
+  Alcotest.(check int) "the tiny chunk waits in quarantine" 1
     (CT.Receiver.stashed_tpdus rx);
+  Alcotest.(check int) "its conflict is quarantined" 1
+    (CT.Receiver.overlap_stats rx).Labelling.Placement.os_quarantined;
   Alcotest.(check int) "the large chunk is only re-acknowledged" 1
     counts.Transport.Counters.reacks_sent;
   let packet_words = packet_bytes / (Sys.word_size / 8) in

@@ -514,8 +514,9 @@ let prop_receiver_discipline (cap, elem, ws) =
 let forged_tid_base = 7_000
 
 (* One forged single-chunk TPDU over [sn, sn+len) whose ED chunk agrees
-   with the data chunk's C.SN - T.SN delta (so corroboration admits the
-   bytes) but carries a garbage parity (so verification fails it). *)
+   with the data chunk's C.SN - T.SN delta (so the verifier's label
+   checks pass) but carries a garbage parity (so verification fails
+   it). *)
 let forge ~idx ~sn ~len ~key ~garbage =
   let t_id = forged_tid_base + idx in
   let data =
@@ -611,6 +612,83 @@ let prop_receiver_order_invariant
   && os_a.Placement.os_conflicts_seen > 0
   && os_b.Placement.os_conflicts_seen > 0
 
+(* A chunk whose C.SN is corrupted is placed on arrival like any other:
+   what keeps it from clobbering data is placement's first-verified-wins
+   policy, and the verifier's C.SN - T.SN cross-check fails its TPDU.
+   Three 8-element TPDUs of one chunk each; TPDU 1's data chunk arrives
+   first with its C.SN shifted 8 elements down, into TPDU 0's span.
+   With TPDU 0 verified the shifted run is refused and the locked bytes
+   stay as they are; with TPDU 0 in flight it is quarantined, and
+   dropped when TPDU 1 fails.  Either way TPDU 1's identical-label
+   retransmission completes the stream byte-exact. *)
+let test_shifted_csn ~verified () =
+  let tpdu_elems = 8 in
+  let stream = Util.deterministic_bytes (3 * tpdu_elems * elem) in
+  let f = Framer.create ~elem_size:elem ~tpdu_elems ~conn_id:1 () in
+  let sealed =
+    Util.ok_or_fail
+      (Edc.Encoder.seal_tpdus
+         (Util.ok_or_fail
+            (Framer.frames_of_stream f ~frame_bytes:(tpdu_elems * elem) stream)))
+  in
+  let data, ed =
+    match sealed with
+    | [ d0; e0; d1; e1; d2; e2 ] -> ([| d0; d1; d2 |], [| e0; e1; e2 |])
+    | l -> Alcotest.failf "expected 3 one-chunk TPDUs, got %d chunks" (List.length l)
+  in
+  let shifted =
+    let h = data.(1).Chunk.header in
+    let c = h.Header.c in
+    Util.ok_or_fail
+      (Chunk.data ~size:elem
+         ~c:(Ftuple.v ~st:c.Ftuple.st ~id:c.Ftuple.id ~sn:(c.Ftuple.sn - tpdu_elems) ())
+         ~t:h.Header.t ~x:h.Header.x data.(1).Chunk.payload)
+  in
+  let config =
+    { CT.default_config with conn_id = 1; elem_size = elem; tpdu_elems }
+  in
+  let rx =
+    CT.Receiver.create (Netsim.Engine.create ~seed:1 ()) config
+      ~send_ack:(fun _ -> ())
+      ~capacity:(`Quota (3 * tpdu_elems))
+      ()
+  in
+  let feed c = CT.Receiver.on_view rx (Chunk.view c) in
+  let head () = Bytes.sub (CT.Receiver.contents rx) 0 (tpdu_elems * elem) in
+  let os () = CT.Receiver.overlap_stats rx in
+  feed data.(0);
+  if verified then feed ed.(0);
+  let before = head () in
+  feed shifted;
+  if verified then begin
+    Alcotest.(check bool) "the shifted run is refused" true
+      ((os ()).Placement.os_conflicts_rejected > 0);
+    Alcotest.(check int) "nothing is quarantined" 0 (os ()).Placement.os_quarantined;
+    Alcotest.check Util.bytes_testable "the locked bytes do not change" before
+      (head ())
+  end
+  else begin
+    Alcotest.(check int) "nothing is refused" 0
+      (os ()).Placement.os_conflicts_rejected;
+    Alcotest.(check bool) "the shifted run is quarantined" true
+      ((os ()).Placement.os_quarantined > 0);
+    Alcotest.(check int) "its TPDU holds the quarantine" 1
+      (CT.Receiver.stashed_tpdus rx)
+  end;
+  feed data.(1);
+  feed ed.(1);
+  Alcotest.(check int) "the mislabelled TPDU fails" 1
+    (CT.Receiver.verifier_stats rx).Edc.Verifier.tpdus_failed;
+  Alcotest.(check int) "its quarantine is dropped" 0 (CT.Receiver.stashed_tpdus rx);
+  if not verified then feed ed.(0);
+  (* the identical-label retransmission, then the last TPDU *)
+  Array.iter feed [| data.(1); ed.(1); data.(2); ed.(2) |];
+  Alcotest.(check bool) "the stream completes" true (CT.Receiver.complete rx);
+  Alcotest.check Util.bytes_testable "byte-exact" stream
+    (Bytes.sub (CT.Receiver.contents rx) 0 (Bytes.length stream));
+  Alcotest.(check int) "no verified overwrite" 0
+    (os ()).Placement.os_verified_overwrites
+
 let suite =
   [
     Alcotest.test_case "policy table" `Quick test_policy_table;
@@ -627,4 +705,9 @@ let suite =
     Util.qtest ~count:60
       "receiver delivery is order-invariant under forged overlaps"
       gen_receiver_case prop_receiver_order_invariant;
+    Alcotest.test_case "a shifted C.SN over verified bytes is refused" `Quick
+      (test_shifted_csn ~verified:true);
+    Alcotest.test_case "a shifted C.SN over in-flight bytes is quarantined"
+      `Quick
+      (test_shifted_csn ~verified:false);
   ]
