@@ -1141,9 +1141,8 @@ module Sender = struct
     mutable rto_cur : float;
     mutable rtt_samples : int;
     mutable max_txs_at_sample : int;
-    (* T.IDs acknowledged over the transfer's whole life, including those
-       restored from a persisted image ([restore]); a restored-acked TPDU
-       is rebuilt by the framer but never (re)transmitted *)
+    (* T.IDs acknowledged over the transfer's whole life: an ACK or NACK
+       naming one is routine, one naming no T.ID ever sent is bogus *)
     done_tids : unit Int_table.t;
   }
 
@@ -1269,23 +1268,16 @@ module Sender = struct
           match Edc.Encoder.seal tpdu_chunks with
           | Error e -> invalid_arg e
           | Ok ed ->
-              let t_id =
-                (List.hd tpdu_chunks).Chunk.header.Header.t.Ftuple.id
-              in
-              (* a TPDU the restored ledger says is already acknowledged
-                 is rebuilt (the framer's labels are deterministic) but
-                 never queued for transmission *)
-              if not (Int_table.mem tx.done_tids t_id) then
-                Queue.add
-                  {
-                    t_id;
-                    chunks = tpdu_chunks @ [ ed ];
-                    acked = false;
-                    last_tx = 0.0;
-                    txs = 0;
-                    shed = false;
-                  }
-                  tx.ready
+              Queue.add
+                {
+                  t_id = (List.hd tpdu_chunks).Chunk.header.Header.t.Ftuple.id;
+                  chunks = tpdu_chunks @ [ ed ];
+                  acked = false;
+                  last_tx = 0.0;
+                  txs = 0;
+                  shed = false;
+                }
+                tx.ready
         end)
       chunks
 
@@ -1653,44 +1645,4 @@ module Sender = struct
   let current_rto tx = tx.rto_cur
   let rtt_samples tx = tx.rtt_samples
   let max_txs_at_rtt_sample tx = tx.max_txs_at_sample
-
-  (* {2 Crash recovery} *)
-
-  let export tx : Persist.sender_image =
-    {
-      Persist.si_first_tid = tx.first_tid;
-      si_acked =
-        Int_table.fold (fun k () acc -> k :: acc) tx.done_tids []
-        |> List.sort Int.compare;
-      si_srtt = (if tx.srtt < 0.0 then None else Some tx.srtt);
-      si_rttvar = tx.rttvar;
-      si_rto_cur = tx.rto_cur;
-      si_tpdu_elems = tx.cur_tpdu_elems;
-    }
-
-  (* Rebuild a sender around the (re-offered) transfer data: the framer's
-     label assignment is deterministic, so the rebuilt TPDUs carry the
-     same T.IDs as before the crash and the restored ledger filters the
-     already-acknowledged ones out of transmission.  Adaptive TPDU sizing
-     re-partitions the stream mid-flight, which breaks that determinism —
-     restoring an adaptive sender is refused. *)
-  let restore engine config ?(announce_open = false) ~send ~data
-      (si : Persist.sender_image) =
-    if config.adaptive then
-      invalid_arg
-        "Chunk_transport.Sender.restore: adaptive TPDU sizing cannot be \
-         restored (label assignment is not deterministic)";
-    let tx =
-      create engine config ~first_tid:si.Persist.si_first_tid ~announce_open
-        ~send ~data ()
-    in
-    List.iter
-      (fun t -> Int_table.replace tx.done_tids t ())
-      si.Persist.si_acked;
-    if List.mem si.Persist.si_first_tid si.Persist.si_acked then
-      tx.open_chunk <- None;
-    tx.srtt <- Option.value si.Persist.si_srtt ~default:(-1.0);
-    tx.rttvar <- si.Persist.si_rttvar;
-    tx.rto_cur <- si.Persist.si_rto_cur;
-    tx
 end

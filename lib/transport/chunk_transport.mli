@@ -420,30 +420,6 @@ module Sender : sig
   (** The largest transmission count any sampled TPDU had at sampling
       time — Karn's rule holds iff this never exceeds 1. *)
 
-  (** {2 Crash recovery} *)
-
-  val export : t -> Persist.sender_image
-  (** Snapshot the sender's recoverable state: the acknowledged-TPDU
-      ledger and the RTT estimator.  Unacknowledged TPDUs are {e not}
-      serialized — they are rebuilt from the re-offered data on restore
-      and retransmitted with identical labels. *)
-
-  val restore :
-    Netsim.Engine.t ->
-    config ->
-    ?announce_open:bool ->
-    send:(bytes -> unit) ->
-    data:bytes ->
-    Persist.sender_image ->
-    t
-  (** Rebuild a sender from its image around the re-offered [data].  The
-      framer's label assignment is deterministic, so the rebuilt TPDUs
-      carry their pre-crash T.IDs; those in the restored ledger are
-      rebuilt but never (re)transmitted.
-      @raise Invalid_argument if [config.adaptive] is set — adaptive
-      sizing re-partitions the stream mid-flight, so a restored adaptive
-      sender could assign different T.IDs to different bytes. *)
-
   val of_tpdus :
     Netsim.Engine.t ->
     config ->

@@ -12,15 +12,6 @@ open Labelling
    [Chunk_transport.Receiver.replay]), so this module holds only the
    records, their one codec and the store. *)
 
-type sender_image = {
-  si_first_tid : int;
-  si_acked : int list;
-  si_srtt : float option;
-  si_rttvar : float;
-  si_rto_cur : float;
-  si_tpdu_elems : int;
-}
-
 type run_view = int * bytes * int * int
 
 type event =
@@ -183,17 +174,6 @@ let list c =
 let pair a b =
   { write = (fun buf (x, y) -> a.write buf x; b.write buf y);
     read = (fun c -> let* x = a.read c in let* y = b.read c in Ok (x, y)) }
-
-let sender =
-  map
-    (fun (si_first_tid, (si_acked, (si_srtt, (si_rttvar, (si_rto_cur, n))))) ->
-      { si_first_tid; si_acked; si_srtt; si_rttvar; si_rto_cur;
-        si_tpdu_elems = n })
-    (fun s ->
-      ( s.si_first_tid,
-        (s.si_acked, (s.si_srtt, (s.si_rttvar, (s.si_rto_cur, s.si_tpdu_elems))))
-      ))
-    (pair int (pair (list int) (pair (opt float) (pair float (pair float int)))))
 
 (* A v2 run: C.SN and the bytes, under the record checksum. *)
 let run = map (fun (sn, b) -> owned_run sn b) run_bytes (pair int bytes)
@@ -578,21 +558,6 @@ let decode_endpoint b =
       let count = Int32.to_int (Bytes.get_int32_be b 6) land 0xFFFF_FFFF in
       if List.length events = count then Ok (Multi events)
       else Error "Persist: snapshot record count mismatch"
-
-(* A sender image: the header and one record. *)
-let sender_case = [ { tag = 2; is = (fun _ -> true); body = sender } ]
-
-let encode_sender si =
-  let buf = Buffer.create 256 in
-  add_header buf;
-  write_case buf (Buffer.create 256) si sender_case;
-  Buffer.to_bytes buf
-
-let decode_sender b =
-  let* () = header b 6 in
-  let* tag, payload, next = Wire.decode_record b 6 in
-  if next <> Bytes.length b then Error "Persist: trailing bytes after image"
-  else read_case sender_case (tag, payload)
 
 let m_snap_bytes = Obs.Metrics.histogram "persist_snapshot_bytes"
 let m_journal_records = Obs.Metrics.counter "persist_journal_records_total"

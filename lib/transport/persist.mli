@@ -43,19 +43,6 @@
     snapshot, and journal decoding stops at the first damaged record
     (torn-write tolerance). *)
 
-type sender_image = {
-  si_first_tid : int;  (** T.ID of the transfer's first TPDU *)
-  si_acked : int list;  (** T.IDs already acknowledged, ascending *)
-  si_srtt : float option;  (** smoothed RTT, if any sample was taken *)
-  si_rttvar : float;  (** RTT variance estimate *)
-  si_rto_cur : float;  (** current retransmission timeout *)
-  si_tpdu_elems : int;  (** TPDU size in force (adaptive sizing) *)
-}
-(** The sender state worth keeping: which TPDUs are done and the RTT
-    estimator.  Unsent data is the application's to re-offer; unacked
-    TPDUs are rebuilt from the data and retransmitted with identical
-    labels, which the receiver absorbs as duplicates. *)
-
 type run_view = int * bytes * int * int
 (** [(sn, src, off, len)]: the [len] bytes of [src] from [off] on,
     holding the elements from C.SN [sn] on.  The bytes are not copied
@@ -147,14 +134,6 @@ val decode_endpoint : bytes -> (endpoint_image, string) result
     never an exception — on bad magic, unknown version, truncation,
     trailing bytes, or any record a journal decode would stop at: a
     snapshot is trusted whole, never as a prefix. *)
-
-val encode_sender : sender_image -> bytes
-(** Serialize a sender image: magic, version, one checksummed record. *)
-
-val decode_sender : bytes -> (sender_image, string) result
-(** Parse a sender image.  [Error] — never an exception — on bad magic,
-    unknown version, checksum mismatch, truncation, or trailing
-    bytes. *)
 
 val decode_journal : bytes -> event list * bool
 (** Parse a journal: the trusted prefix of events, and whether decoding

@@ -310,7 +310,7 @@ let fresh_runs =
       (P.Acked { a with runs }, List.map (fun (_, s, _, _) -> s) runs)
   | ev -> (ev, [])
 
-(* Damage under the checksum of a sender image or a journal record.  The
+(* Damage under the checksum of a journal record.  The
    journal golden events and the version-2 journal golden supply the
    [Acked] layouts (labels-only and tag 16) and the Open and Close
    records.  Each case builds its own store, so a region it damages is
@@ -321,13 +321,8 @@ let gen_damaged_payload =
   let v2_acked =
     Bytes.sub v2_journal 0 (13 + Int32.to_int (Bytes.get_int32_be v2_journal 0))
   in
-  let sender = P.encode_sender Test_persist.golden_sender in
   let sources =
-    [
-      (fun () ->
-        (`Sender, Bytes.sub_string sender 0 6, Bytes.sub sender 6 (Bytes.length sender - 6), []));
-      (fun () -> (`Journal_v2, "", v2_acked, []));
-    ]
+    [ (fun () -> (`Journal_v2, "", v2_acked, [])) ]
     @ List.map
         (fun ev () ->
           let ev, regions = fresh_runs ev in
@@ -372,10 +367,6 @@ let prop_damaged_payload (kind, b) =
   in
   let reencodes () =
     match kind with
-    | `Sender -> (
-        match P.decode_sender b with
-        | Ok si -> Bytes.equal (P.encode_sender si) b
-        | Error _ -> true)
     | `Journal st ->
         let events, _ = P.Store.decode_journal st b in
         events = [] || Bytes.equal (P.Store.journal (journal_of events)) b
@@ -543,9 +534,6 @@ let suite =
     Util.qtest ~count:300 "Persist.decode_endpoint never raises on garbage"
       gen_garbage
       (fun b -> no_exn (fun () -> Transport.Persist.decode_endpoint b));
-    Util.qtest ~count:300 "Persist.decode_sender never raises on garbage"
-      gen_garbage
-      (fun b -> no_exn (fun () -> Transport.Persist.decode_sender b));
     Util.qtest ~count:300 "Persist.decode_journal never raises on garbage"
       gen_garbage
       (fun b ->

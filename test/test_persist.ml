@@ -383,10 +383,10 @@ let test_labels_golden () =
     (hex (Persist.Store.journal (journal_of vouched)));
   check_golden_recovery (recover_store ~quota_elems:16 store)
 
-(* The snapshot and sender formats pinned the same way: a snapshot that
-   holds every record kind, and a sender image, every field set to a
-   value that tells it apart from its neighbours.  Any change to these
-   bytes is a format change and must bump [Persist.version]. *)
+(* The snapshot format pinned the same way: a snapshot that holds every
+   record kind, every field set to a value that tells it apart from its
+   neighbours.  Any change to these bytes is a format change and must
+   bump [Persist.version]. *)
 let golden_multi =
   Persist.Multi
     [
@@ -472,27 +472,11 @@ let golden_multi_v4_hex =
    00000000000000020100000000000000090000000000000000000000000000000000000000\
    0000000000000000000000000000005f0de076c7ec686d"
 
-let golden_sender =
-  {
-    Persist.si_first_tid = 1;
-    si_acked = [ 1; 2; 4 ];
-    si_srtt = Some 0.0125;
-    si_rttvar = 0.003;
-    si_rto_cur = 2.5;
-    si_tpdu_elems = 16;
-  }
-
-let golden_sender_hex =
-  "43534e50000600000049020000000000000001000000000000000300000000000000010000\
-   0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
-   00000000000000000010ea9c65161a4842b3"
-
 let test_snapshot_goldens () =
   let check name want b =
     Alcotest.(check string) (name ^ " bytes") want (hex b)
   in
   check "multi image" golden_multi_hex (Persist.encode_endpoint golden_multi);
-  check "sender image" golden_sender_hex (Persist.encode_sender golden_sender);
   let refused what hex =
     Alcotest.(check bool) (what ^ " refused") true
       (match Persist.decode_endpoint (of_hex hex) with
@@ -507,10 +491,7 @@ let test_snapshot_goldens () =
   refused "retired tag-0 image" (hex retired);
   Alcotest.(check bool) "multi decodes back" true
     (Persist.decode_endpoint (Persist.encode_endpoint golden_multi)
-    = Ok golden_multi);
-  Alcotest.(check bool) "sender decodes back" true
-    (Persist.decode_sender (Persist.encode_sender golden_sender)
-    = Ok golden_sender)
+    = Ok golden_multi)
 
 (* A record's payload, re-framed with a valid checksum after [extra]
    bytes are appended to it: what a longer layout's record looks like
@@ -526,19 +507,6 @@ let reframe_longer ~prefix record extra =
       Buffer.add_string buf prefix;
       Labelling.Wire.encode_record buf ~tag body;
       Buffer.to_bytes buf
-
-let test_sender_trailing_image () =
-  let b = Persist.encode_sender golden_sender in
-  let junk = Bytes.cat b (Bytes.make 16 '\xA5') in
-  Alcotest.(check bool) "bytes after the record refused" true
-    (Result.is_error (Persist.decode_sender junk))
-
-let test_sender_longer_payload () =
-  let b = Persist.encode_sender golden_sender in
-  let record = Bytes.sub b 6 (Bytes.length b - 6) in
-  let longer = reframe_longer ~prefix:(Bytes.sub_string b 0 6) record "\000\001" in
-  Alcotest.(check bool) "longer payload refused" true
-    (Result.is_error (Persist.decode_sender longer))
 
 let test_journal_longer_payload () =
   (* replay must stop at a record it cannot read whole, as it does at
@@ -937,7 +905,7 @@ let clean_transfer ?persist ~seed config data =
       ~forward:(hop engine) ~reverse:(hop engine) (`Data data)
   in
   Transport.Transfer.finish w;
-  (Transport.Transfer.endpoint w, Transport.Transfer.sender w)
+  Transport.Transfer.endpoint w
 
 (* A clean bulk transfer through an endpoint with a write-ahead journal:
    every ACK reuses the verifier's data parity, so the journal hook
@@ -953,7 +921,7 @@ let test_journal_reuses_parity () =
   let wsc2 = Obs.Metrics.counter "wsc2_bytes_total" in
   let transfer persist =
     let before = Obs.Metrics.value wsc2 in
-    let m, _ = clean_transfer ?persist ~seed:9 config data in
+    let m = clean_transfer ?persist ~seed:9 config data in
     Alcotest.(check bool) "transfer complete" true
       (Util.only_epoch m ~conn_id:config.CT.conn_id).Transport.Multi.complete;
     Obs.Metrics.value wsc2 - before
@@ -985,53 +953,6 @@ let test_journal_reuses_parity () =
   | [ (0, b) ] ->
       Alcotest.check Util.bytes_testable "replayed bytes" data (Bytes.of_string b)
   | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
-
-let test_sender_restore () =
-  (* a finished sender round-trips: the restored instance rebuilds every
-     TPDU, finds them all in the ledger, and has nothing to transmit *)
-  let data = Util.deterministic_bytes 2_000 in
-  let _, tx = clean_transfer ~seed:5 config data in
-  Alcotest.(check bool) "live sender finished" true (CT.Sender.finished tx);
-  let si = CT.Sender.export tx in
-  (match Persist.decode_sender (Persist.encode_sender si) with
-  | Ok si' -> Alcotest.(check bool) "sender codec fixpoint" true (si = si')
-  | Error e -> Alcotest.failf "sender image decode failed: %s" e);
-  let engine2 = Netsim.Engine.create ~seed:6 () in
-  let sent = ref 0 in
-  let tx' =
-    CT.Sender.restore engine2 config ~send:(fun _ -> incr sent) ~data si
-  in
-  CT.Sender.start tx';
-  Netsim.Engine.run engine2;
-  Alcotest.(check bool) "restored sender finished" true
-    (CT.Sender.finished tx');
-  Alcotest.(check int) "acked TPDUs not retransmitted" 0 !sent
-
-let test_sender_restore_rejects_adaptive () =
-  (* adaptive sizing re-partitions the stream mid-flight — a restored
-     adaptive sender could label different bytes with the same T.ID, so
-     the restore must refuse outright *)
-  let engine = Netsim.Engine.create ~seed:5 () in
-  let si =
-    {
-      Persist.si_first_tid = 0;
-      si_acked = [];
-      si_srtt = None;
-      si_rttvar = 0.0;
-      si_rto_cur = 0.05;
-      si_tpdu_elems = 16;
-    }
-  in
-  Alcotest.check_raises "adaptive restore refused"
-    (Invalid_argument
-       "Chunk_transport.Sender.restore: adaptive TPDU sizing cannot be \
-        restored (label assignment is not deterministic)")
-    (fun () ->
-      ignore
-        (CT.Sender.restore engine
-           { config with CT.adaptive = true }
-           ~send:(fun _ -> ())
-           ~data:(Util.deterministic_bytes 512) si))
 
 (* A transfer that finished before the crash is archived at its Close,
    so the restore rebuilds it from records alone: its placed-element and
@@ -1595,12 +1516,8 @@ let suite =
       `Quick test_labels_golden;
     Alcotest.test_case "tag-20 Acked record still reads, as snapshots write it"
       `Quick test_tag20_golden;
-    Alcotest.test_case "snapshot and sender formats are version 6 byte for byte"
-      `Quick test_snapshot_goldens;
-    Alcotest.test_case "sender image with bytes after its record is refused"
-      `Quick test_sender_trailing_image;
-    Alcotest.test_case "sender record with a longer payload is refused" `Quick
-      test_sender_longer_payload;
+    Alcotest.test_case "snapshot format is version 6 byte for byte" `Quick
+      test_snapshot_goldens;
     Alcotest.test_case "journal record with a longer payload stops replay"
       `Quick test_journal_longer_payload;
     Alcotest.test_case "torn writes at every journal byte" `Quick
@@ -1613,10 +1530,6 @@ let suite =
       test_contiguous_replay;
     Alcotest.test_case "clean transfer journals every ACK with reused parity"
       `Quick test_journal_reuses_parity;
-    Alcotest.test_case "finished sender round-trips restore" `Quick
-      test_sender_restore;
-    Alcotest.test_case "sender restore refuses adaptive sizing" `Quick
-      test_sender_restore_rejects_adaptive;
     Util.qtest ~count:200 "journal records from borrowed run views"
       gen_view_events prop_view_records;
     Util.qtest ~count:200
