@@ -109,7 +109,7 @@ let rob_abort () =
     (M.counters m).evictions;
   (* the sender gave up, and its aborts alone reclaimed what the
      receiver held: one received per one sent, nothing left in flight or
-     stashed, and no deadline eviction did the work instead *)
+     quarantined, and no deadline eviction did the work instead *)
   assert (CT.Sender.gave_up tx);
   assert (sent >= 1 && received = sent);
   assert (M.live_in_flight m = 0 && M.live_stashed m = 0);

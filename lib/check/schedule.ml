@@ -68,7 +68,7 @@ type overlap = {
   ov_rate : float;  (** injections per simulated second *)
   ov_stop : float;  (** injection ends here *)
   ov_dup : bool;  (** divergent duplicates of observed chunks *)
-  ov_forge : bool;  (** forged validly-sealed TPDUs over observed ranges *)
+  ov_forge : bool;  (** forged validly-labelled TPDUs over observed ranges *)
   ov_resplit : bool;  (** overlapping gateway-style re-split chains *)
 }
 

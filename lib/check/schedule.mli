@@ -39,7 +39,7 @@ type profile =
       (** hostile (light loss, corruption, duplication) plus an overlap
           adversary synthesizing overlapping retransmissions with
           {e conflicting} bytes: divergent duplicates of observed
-          chunks, forged validly-sealed TPDUs over observed connection
+          chunks, forged validly-labelled TPDUs over observed connection
           ranges, and overlapping gateway-style re-split chains — the
           first-verified-wins overlap policy must keep delivery
           byte-exact and arrival-order deterministic *)
@@ -111,7 +111,7 @@ type overlap = {
   ov_rate : float;  (** injections per simulated second *)
   ov_stop : float;  (** injection ends here *)
   ov_dup : bool;  (** divergent duplicates of observed chunks *)
-  ov_forge : bool;  (** forged validly-sealed TPDUs over observed ranges *)
+  ov_forge : bool;  (** forged validly-labelled TPDUs over observed ranges *)
   ov_resplit : bool;  (** overlapping gateway-style re-split chains *)
 }
 

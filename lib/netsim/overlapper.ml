@@ -81,8 +81,9 @@ let fire_dup o victim =
    [c_sn, c_sn + elems): a data chunk whose T label says "first and only"
    plus an ED chunk whose C.SN - T.SN delta {e agrees} with the data
    chunk's, so the verifier's label checks pass — and whose parity is
-   garbage, so WSC-2 verification then fails the TPDU.  The placement conflicts it provokes are exactly what the
-   first-verified-wins policy must absorb. *)
+   garbage, so WSC-2 verification then fails the TPDU.  The placement
+   conflicts it provokes are exactly what the first-verified-wins
+   policy must absorb. *)
 let fire_forged o ~conn_id ~c_sn ~size payload =
   let elems = Bytes.length payload / size in
   let t_id = forged_tid_base + o.forge_seq in
