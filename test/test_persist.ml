@@ -385,7 +385,7 @@ let test_labels_golden () =
 
 (* The snapshot format pinned the same way: a snapshot that holds every
    record kind, every field set to a value that tells it apart from its
-   neighbours.  Any change to these bytes is a format change and must
+   neighbours; the retired sender image is pinned as refused below.  Any change to these bytes is a format change and must
    bump [Persist.version]. *)
 let golden_multi =
   Persist.Multi
@@ -472,6 +472,14 @@ let golden_multi_v4_hex =
    00000000000000020100000000000000090000000000000000000000000000000000000000\
    0000000000000000000000000000005f0de076c7ec686d"
 
+(* A sender image (tag 2) as version 6 wrote it before the sender image
+   was retired: nothing writes tag 2 now, and the endpoint decoder must
+   refuse it, not raise. *)
+let retired_sender_hex =
+  "43534e50000600000049020000000000000001000000000000000300000000000000010000\
+   0000000000020000000000000004013f8999999999999a3f689374bc6a7efa400400000000\
+   00000000000000000010ea9c65161a4842b3"
+
 let test_snapshot_goldens () =
   let check name want b =
     Alcotest.(check string) (name ^ " bytes") want (hex b)
@@ -489,6 +497,7 @@ let test_snapshot_goldens () =
   let retired = of_hex retired_single_hex in
   Bytes.set_uint16_be retired 4 Persist.version;
   refused "retired tag-0 image" (hex retired);
+  refused "retired sender image" retired_sender_hex;
   Alcotest.(check bool) "multi decodes back" true
     (Persist.decode_endpoint (Persist.encode_endpoint golden_multi)
     = Ok golden_multi)
@@ -1516,8 +1525,10 @@ let suite =
       `Quick test_labels_golden;
     Alcotest.test_case "tag-20 Acked record still reads, as snapshots write it"
       `Quick test_tag20_golden;
-    Alcotest.test_case "snapshot format is version 6 byte for byte" `Quick
-      test_snapshot_goldens;
+    Alcotest.test_case
+      "snapshot and sender formats are pinned: snapshot version 6 byte for \
+       byte, retired sender image refused"
+      `Quick test_snapshot_goldens;
     Alcotest.test_case "journal record with a longer payload stops replay"
       `Quick test_journal_longer_payload;
     Alcotest.test_case "torn writes at every journal byte" `Quick
